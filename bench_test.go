@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -405,9 +406,10 @@ func BenchmarkGenerateBatchLSTM1(b *testing.B)  { benchGenerateBatch(b, 1) }
 func BenchmarkGenerateBatchLSTM8(b *testing.B)  { benchGenerateBatch(b, 8) }
 func BenchmarkGenerateBatchLSTM64(b *testing.B) { benchGenerateBatch(b, 64) }
 
-// benchGenerateSharded times the sharded decode path (DESIGN.md §6.3)
-// at a fixed stream count and shard count. Workers follow GOMAXPROCS so
-// that bench.sh's GOMAXPROCS=2/4/8 re-runs measure real multi-core
+// benchGenerateSharded times the offline sharded decode path
+// (DESIGN.md §6.2) at a fixed stream count and shard count. Workers
+// follow GOMAXPROCS so that bench.sh's GOMAXPROCS=2/4/8 re-runs measure
+// real multi-core
 // scaling; compare streams/s against BenchmarkGenerateBatchLSTM64 from
 // the same run (the ISSUE 6 acceptance bar is ≥3× at 8 shards on an
 // 8-core host — a single-core host pins every shard to the same CPU, so
@@ -554,6 +556,42 @@ func benchServeDecode(b *testing.B, traced bool) {
 
 func BenchmarkServeDecodeTracingOff(b *testing.B) { benchServeDecode(b, false) }
 func BenchmarkServeDecodeTracingOn(b *testing.B)  { benchServeDecode(b, true) }
+
+// benchEngineWave64 times waves of 64 concurrent Generate calls through
+// the registry's default serving engine — the Monte-Carlo shape — at a
+// given shard count. bench.sh reports the default-K row against the
+// Shards: 1 row (one scheduler, one 64-row fleet): with ncpu > 1 the
+// ratio is what one scheduler per core buys, with ncpu = 1 both rows
+// run the same single shard.
+func benchEngineWave64(b *testing.B, shards int) {
+	c := benchAzure(b)
+	const streams = 64
+	eng, err := core.NewGenEngine(c.Model(), core.EngineSpec{Window: 2 * time.Millisecond, MaxBatch: streams, Shards: shards})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	g := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for j := 0; j < streams; j++ {
+			wg.Add(1)
+			go func(g *rng.RNG) {
+				defer wg.Done()
+				if _, err := eng.Generate(context.Background(), g, c.TestW, 0); err != nil {
+					b.Error(err)
+				}
+			}(g.Split())
+		}
+		wg.Wait()
+	}
+	b.ReportMetric(float64(b.N*streams)/b.Elapsed().Seconds(), "streams/s")
+}
+
+func BenchmarkEngineWave64(b *testing.B)        { benchEngineWave64(b, 0) }
+func BenchmarkEngineWave64Shards1(b *testing.B) { benchEngineWave64(b, 1) }
 
 func BenchmarkGenerateTraceNaive(b *testing.B) {
 	c := benchAzure(b)

@@ -8,7 +8,7 @@
 //	traced -model model.bin -flavors azure
 //	traced -journal run.jsonl -debug-addr :6060
 //	traced -batch-window 2ms -max-batch 64
-//	traced -engine sharded -decode-shards 8
+//	traced -decode-shards 8
 //	traced -precision f32 [-fast-math]
 //	traced -checkpoint-dir ckpt/ -checkpoint-every 5 -resume
 //	traced -workload-spec mixed
@@ -39,10 +39,13 @@
 // Concurrent POST /generate requests are coalesced into shared decode
 // batches (continuous batching, DESIGN.md §6.2): -batch-window is how
 // long a request waits for others to join its batch, -max-batch caps
-// the streams decoded together. -engine selects the decode engine from
-// the registry (serial, batched, or sharded); -engine sharded splits
-// the fleet across -decode-shards per-core shards (default GOMAXPROCS)
-// with deterministic seed-hash stream placement (DESIGN.md §6.3).
+// the streams decoded together across all shards. -engine selects the
+// decode engine from the registry: serial, or batched (sharded is a
+// synonym), which runs -decode-shards continuous-batching schedulers —
+// by default one per core — behind a router that sends each request to
+// the shard with the fewest in flight (DESIGN.md §6.2); -decode-shards
+// 1 is a single scheduler. The startup and reload log lines and the
+// decode.shards gauge on GET /metrics report the count in use.
 // Responses stay byte-identical to serial decodes of the same seed
 // regardless of engine kind, batching, or shard count.
 //
@@ -181,9 +184,9 @@ func main() {
 	hidden := flag.Int("hidden", 24, "LSTM hidden units")
 	epochs := flag.Int("epochs", 40, "training epochs")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long /generate waits to coalesce concurrent requests into one decode batch")
-	maxBatch := flag.Int("max-batch", 64, "max concurrent streams per decode batch")
-	engineKind := flag.String("engine", "batched", "decode engine: serial, batched, or sharded")
-	decodeShards := flag.Int("decode-shards", 0, "shard count for -engine sharded (0: GOMAXPROCS)")
+	maxBatch := flag.Int("max-batch", 64, "max concurrent decode streams, split evenly across the shards")
+	engineKind := flag.String("engine", "batched", "decode engine: serial, or batched (sharded is a synonym)")
+	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards for -engine batched/sharded (0: one per core, at most -max-batch; 1: a single scheduler)")
 	precision := flag.String("precision", "f64", "decode numeric width: f64 (bit-exact reference) or f32 (fast path, validated at publish)")
 	fastMath := flag.Bool("fast-math", false, "use FMA-fused f32 kernels (slightly different rounding than the default f32 path; no effect at -precision f64)")
 	traceBuffer := flag.Int("trace-buffer", 256, "request traces kept for GET /debug/traces (0 disables request tracing)")
@@ -370,6 +373,12 @@ func main() {
 	s.DecodeShards = *decodeShards
 	s.Precision = *precision
 	defer s.Close()
+	// What decodes, for the startup and reload log lines: the shard count
+	// is fixed by the flags and the core count, so it survives reloads.
+	engineDesc := *engineKind + " " + *precision
+	if core.EngineKind(*engineKind) != core.EngineSerial {
+		engineDesc = fmt.Sprintf("%s x %d shards, %s", *engineKind, s.DecodeShardCount(), *precision)
+	}
 
 	if spec != nil {
 		s.Workload = spec.Summary()
@@ -481,7 +490,7 @@ func main() {
 					continue
 				}
 				s.Reload(m, catalog)
-				log.Printf("SIGHUP: reloaded serving model (%d flavors)", m.Flavor.K)
+				log.Printf("SIGHUP: reloaded serving model (%d flavors; decode engine %s)", m.Flavor.K, engineDesc)
 				journal.Event("reloaded", map[string]any{"flavors": m.Flavor.K})
 			}
 		}()
@@ -507,7 +516,7 @@ func main() {
 		}()
 	}
 
-	log.Printf("serving on %s (POST /generate, GET /metrics)", *addr)
+	log.Printf("serving on %s (POST /generate, GET /metrics; decode engine %s)", *addr, engineDesc)
 	journal.Event("serving", map[string]any{"addr": *addr})
 	srv := &http.Server{
 		Addr:              *addr,

@@ -280,7 +280,8 @@ func newFleetEngine(m *Model, capacity int, prec Precision) *fleetEngine {
 	if prec.normalize() == PrecisionF32 {
 		// PrepareF32/PreparePackedF32 are idempotent and cached on the
 		// model; callers that fan fleet construction out across
-		// goroutines (GenerateBatchShardedF32) prepare them up front.
+		// goroutines (generateBatchSharded, the engine router) prepare
+		// them up front.
 		// Nil panels (REPRO_NOPACK) fall through to unpacked fleets.
 		f32 := m.PrepareF32()
 		var pf, pl *nn.PackedLSTM32
@@ -433,7 +434,7 @@ func (m *Model) GenerateBatch(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 		return out
 	}
 	m.PreparePacked()
-	m.decodeQueue(gs, nil, w, out, PrecisionF64)
+	m.decodeQueue(gs, 0, 1, w, out, PrecisionF64)
 	return out
 }
 
@@ -450,44 +451,31 @@ func (m *Model) GenerateBatchF32(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 	}
 	m.PrepareF32()
 	m.PreparePackedF32()
-	m.decodeQueue(gs, nil, w, out, PrecisionF32)
+	m.decodeQueue(gs, 0, 1, w, out, PrecisionF32)
 	return out
 }
 
-// decodeQueue decodes a queue of streams to completion through one
-// fleetEngine: the streams at gs[idx[0]], gs[idx[1]], ... (or all of gs
-// when idx is nil) are admitted in queue order up to the fleet cap,
-// retired as they finish, and replaced from the remainder every round.
-// Each finished trace lands in out at the stream's gs index, and no
-// other slot of out is touched — which is what lets per-shard queues
-// run concurrently under the par contract (GenerateBatchSharded).
-func (m *Model) decodeQueue(gs []*rng.RNG, idx []int, w trace.Window, out []*trace.Trace, prec Precision) {
-	n := len(gs)
-	if idx != nil {
-		n = len(idx)
-	}
-	if n == 0 {
+// decodeQueue decodes the streams gs[first], gs[first+stride], ... to
+// completion through one fleetEngine: they are admitted in that order up
+// to the fleet cap, retired as they finish, and replaced from the
+// remainder every round. Each finished trace lands in out at the
+// stream's gs index, and no other slot of out is touched — which is
+// what lets GenerateBatchSharded run one queue per residue class
+// concurrently under the par contract.
+func (m *Model) decodeQueue(gs []*rng.RNG, first, stride int, w trace.Window, out []*trace.Trace, prec Precision) {
+	n := (len(gs) - first + stride - 1) / stride
+	if n <= 0 {
 		return
 	}
-	slot := func(i int) int {
-		if idx == nil {
-			return i
-		}
-		return idx[i]
-	}
-	capacity := defaultMaxStreams
-	if n < capacity {
-		capacity = n
-	}
+	capacity := min(n, defaultMaxStreams)
 	e := newFleetEngine(m, capacity, prec)
-	next, done := 0, 0
+	next, done := first, 0
 	for done < n {
-		for e.active() < capacity && next < n {
-			i := slot(next)
-			s := m.newGenStream(gs[i], w, m.rateScale(), nil)
-			s.slot = i
+		for e.active() < capacity && next < len(gs) {
+			s := m.newGenStream(gs[next], w, m.rateScale(), nil)
+			s.slot = next
 			e.admit(s)
-			next++
+			next += stride
 		}
 		for _, s := range e.round() {
 			out[s.slot] = s.out
@@ -519,8 +507,7 @@ type engineReq struct {
 	submitted time.Time
 }
 
-// newEngineReq builds a request, picking up the caller's trace from ctx
-// (shared by Engine.Generate and ShardedEngine.Generate).
+// newEngineReq builds a request, picking up the caller's trace from ctx.
 func newEngineReq(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) *engineReq {
 	req := &engineReq{g: g, w: w, scale: scale, ctx: ctx, done: make(chan engineResult, 1)}
 	if tr := rtrace.FromContext(ctx); tr != nil {
@@ -531,8 +518,8 @@ func newEngineReq(ctx context.Context, g *rng.RNG, w trace.Window, scale float64
 }
 
 // traceAdmit records the request's queue wait and hands the trace to
-// the admitted stream. Call sites are the schedulers' admitReq, so span
-// writes stay on one goroutine per request.
+// the admitted stream. The call site is the scheduler's admitReq, so
+// span writes stay on one goroutine per request.
 func (r *engineReq) traceAdmit(s *genStream) {
 	if r.tr == nil {
 		return
@@ -543,12 +530,14 @@ func (r *engineReq) traceAdmit(s *genStream) {
 	s.admitted = now
 }
 
-// Engine is the continuous-batching front door for serving: concurrent
-// Generate calls coalesce into one shared fleet, each stream advancing
-// through the same batched step GEMMs while keeping its own RNG (so
-// every response is byte-identical to the serial path). New requests
-// join the running batch between steps; an idle engine waits up to
-// Window for more arrivals before stepping a fresh batch.
+// Engine is the one serving decode scheduler: a goroutine that owns a
+// fleetEngine. Concurrent Generate calls coalesce into its fleet, each
+// stream advancing through the same batched step GEMMs while keeping
+// its own RNG (so every response is byte-identical to the serial path).
+// New requests join the running batch between steps; an idle engine
+// waits up to Window for more arrivals before stepping a fresh batch.
+// The registry's batched and sharded kinds run one Engine per core
+// behind engineRouter (shard.go).
 type Engine struct {
 	m        *Model
 	window   time.Duration
@@ -573,20 +562,26 @@ func NewEngine(m *Model, window time.Duration, maxBatch int) *Engine {
 	return newEngine(m, window, maxBatch, PrecisionF64)
 }
 
+// prepareDecode converts (f32) and packs the serving weights for prec.
+// The caches it fills are unsynchronized, so everything that fans fleet
+// construction out across goroutines calls it first.
+func (m *Model) prepareDecode(prec Precision) {
+	if prec.normalize() == PrecisionF32 {
+		m.PrepareF32() // unconditionally: packing is skippable, f32 is not
+		m.PreparePackedF32()
+	} else {
+		m.PreparePacked()
+	}
+}
+
 func newEngine(m *Model, window time.Duration, maxBatch int, prec Precision) *Engine {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxStreams
 	}
 	prec = prec.normalize()
-	// Convert and pack the serving weights before the scheduler
-	// goroutine (or any engine sharing this model) can race on the
-	// caches.
-	if prec == PrecisionF32 {
-		m.PreparePackedF32()
-		m.PrepareF32() // unconditionally: packing is skippable, f32 is not
-	} else {
-		m.PreparePacked()
-	}
+	// Before the scheduler goroutine (or any engine sharing this model)
+	// can race on the caches.
+	m.prepareDecode(prec)
 	e := &Engine{
 		m:        m,
 		window:   window,
@@ -637,6 +632,14 @@ func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale
 // queued requests with ErrEngineClosed, and waits for the scheduler
 // to exit.
 func (e *Engine) Close() {
+	e.stop()
+	e.wg.Wait()
+}
+
+// stop is the signalling half of Close: it returns without waiting for
+// the scheduler, so the router can stop every shard before it waits on
+// any and a drain costs the slowest shard rather than their sum.
+func (e *Engine) stop() {
 	e.mu.Lock()
 	already := e.closed
 	e.closed = true
@@ -644,7 +647,6 @@ func (e *Engine) Close() {
 	if !already {
 		close(e.quit)
 	}
-	e.wg.Wait()
 }
 
 func (e *Engine) isClosed() bool {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -48,26 +49,32 @@ func TestPrecisionRegistryMatrix(t *testing.T) {
 	if _, ok := fe.lf.(*nn.Fleet32); !ok {
 		t.Fatalf("f32 fleet engine is stepping %T, want *nn.Fleet32", fe.lf)
 	}
+	// Shards: 0 is the default the server runs — one scheduler per par
+	// worker, capped by MaxBatch — so at 8 workers those cells decode on
+	// four shards.
+	defer par.SetProcs(par.SetProcs(8))
 	for _, kind := range EngineKinds() {
 		for _, prec := range []Precision{"", PrecisionF64, PrecisionF32} {
-			eng, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4, Shards: 2, Precision: prec})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, prec, err)
-			}
-			want := f64Ref
-			if prec == PrecisionF32 {
-				want = f32Ref
-			}
-			for i, seed := range seeds {
-				tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
+			for _, shards := range []int{0, 2} {
+				eng, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4, Shards: shards, Precision: prec})
 				if err != nil {
-					t.Fatalf("%s/%s seed %d: %v", kind, prec, seed, err)
+					t.Fatalf("%s/%s: %v", kind, prec, err)
 				}
-				if got := traceBytes(t, tr); !bytes.Equal(got, want[i]) {
-					t.Fatalf("%s/%s stream %d: trace differs from the %s reference", kind, prec, i, prec.normalize())
+				want := f64Ref
+				if prec == PrecisionF32 {
+					want = f32Ref
 				}
+				for i, seed := range seeds {
+					tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
+					if err != nil {
+						t.Fatalf("%s/%s seed %d: %v", kind, prec, seed, err)
+					}
+					if got := traceBytes(t, tr); !bytes.Equal(got, want[i]) {
+						t.Fatalf("%s/%s shards=%d stream %d: trace differs from the %s reference", kind, prec, shards, i, prec.normalize())
+					}
+				}
+				eng.Close()
 			}
-			eng.Close()
 		}
 	}
 	if _, err := NewGenEngine(m, EngineSpec{Precision: "f16"}); err == nil {

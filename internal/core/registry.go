@@ -12,12 +12,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine registry (ROADMAP: "extract the serving engine from
-// internal/server into an engine registry"): the serial, batched, and
-// sharded decode engines behind one interface, selected by name at
-// startup and rebuilt against the new model on hot-reload. All three
-// produce byte-identical responses for a given (seed, window, scale);
-// the kind only chooses how streams share step GEMMs and cores.
+// Engine registry: the decode engines behind one interface, selected by
+// name at startup and rebuilt against the new model on hot-reload.
+// Every kind produces byte-identical responses for a given (seed,
+// window, scale); the kind only chooses how streams share step GEMMs
+// and cores.
 
 // GenEngine is a serving decode engine: concurrent Generate calls,
 // each byte-identical to the serial Model.Generate of its seed with
@@ -38,27 +37,48 @@ const (
 	// correctness yardstick and the right choice for rare, huge
 	// requests.
 	EngineSerial EngineKind = "serial"
-	// EngineBatched is the single-fleet continuous-batching Engine of
-	// DESIGN.md §6.2: all streams share one fleet on one scheduler.
+	// EngineBatched is continuous batching on every core: one Engine per
+	// shard behind the least-loaded router (DESIGN.md §6.2). Shards: 1 is
+	// the single-scheduler, single-fleet engine.
 	EngineBatched EngineKind = "batched"
-	// EngineSharded partitions streams across per-core fleet shards by
-	// seed hash and steps the shards concurrently (DESIGN.md §6.3).
+	// EngineSharded is the same implementation as EngineBatched; the name
+	// is kept so existing configurations and trace records stay valid.
 	EngineSharded EngineKind = "sharded"
 )
 
-// EngineSpec bundles the knobs NewGenEngine needs. Window and
-// MaxBatch mirror NewEngine's parameters (batched/sharded only);
-// Shards and Obs apply to the sharded engine only. Precision selects
-// the fleet numeric width for every kind ("" means f64, the bit-exact
-// default); it is orthogonal to Kind, so the registry is a (kind ×
-// precision) matrix.
+// EngineSpec bundles the knobs NewGenEngine needs. Window, MaxBatch,
+// Shards and Obs configure the batched/sharded router and are ignored
+// by the serial kind. Precision selects the fleet numeric width for
+// every kind ("" means f64, the bit-exact default); it is orthogonal to
+// Kind, so the registry is a (kind × precision) matrix.
 type EngineSpec struct {
 	Kind      EngineKind
-	Window    time.Duration
-	MaxBatch  int
-	Shards    int           // sharded: shard count; <= 0 means GOMAXPROCS
-	Obs       *obs.Registry // sharded: sink for per-shard gauges; may be nil
+	Window    time.Duration // idle coalescing wait, per shard
+	MaxBatch  int           // concurrent streams across all shards; <= 0 means 64
+	Shards    int           // scheduler shards; <= 0 means one per par worker
+	Obs       *obs.Registry // sink for the decode.* shard gauges; may be nil
 	Precision Precision     // "" or "f64": bit-exact; "f32": fast path
+}
+
+// ShardCount is the number of scheduler shards the batched and sharded
+// kinds run for this spec: Shards, or one per internal/par worker when
+// that is <= 0, and never more than MaxBatch. It is a pure function of
+// the spec and par.Procs(), so it is the same before and after a hot
+// reload.
+func (spec EngineSpec) ShardCount() int {
+	k, _ := spec.shards()
+	return k
+}
+
+// shards resolves the router's shape: the shard count and each shard's
+// stream cap, ceil(MaxBatch / count).
+func (spec EngineSpec) shards() (count, perShard int) {
+	maxBatch := spec.MaxBatch
+	if maxBatch <= 0 {
+		maxBatch = defaultMaxStreams
+	}
+	count = shardCount(spec.Shards, maxBatch)
+	return count, (maxBatch + count - 1) / count
 }
 
 // engineBuilders is the registry proper. Keeping it a map (rather
@@ -68,12 +88,8 @@ var engineBuilders = map[EngineKind]func(m *Model, spec EngineSpec) GenEngine{
 	EngineSerial: func(m *Model, spec EngineSpec) GenEngine {
 		return &serialEngine{m: m, prec: spec.Precision}
 	},
-	EngineBatched: func(m *Model, spec EngineSpec) GenEngine {
-		return newEngine(m, spec.Window, spec.MaxBatch, spec.Precision)
-	},
-	EngineSharded: func(m *Model, spec EngineSpec) GenEngine {
-		return newShardedEngine(m, spec.Window, spec.MaxBatch, spec.Shards, spec.Obs, spec.Precision)
-	},
+	EngineBatched: func(m *Model, spec EngineSpec) GenEngine { return newEngineRouter(m, spec) },
+	EngineSharded: func(m *Model, spec EngineSpec) GenEngine { return newEngineRouter(m, spec) },
 }
 
 // NewGenEngine builds the engine named by spec.Kind ("" selects
@@ -99,11 +115,8 @@ func NewGenEngine(m *Model, spec EngineSpec) (GenEngine, error) {
 	// share the model, so conversion and packing must happen before the
 	// engine (or its scheduler goroutine) exists. The serial f64 engine
 	// stays on the scalar unpacked reference path by construction.
-	if spec.Precision == PrecisionF32 {
-		m.PrepareF32()
-		m.PreparePackedF32()
-	} else if kind != EngineSerial {
-		m.PreparePacked()
+	if spec.Precision == PrecisionF32 || kind != EngineSerial {
+		m.prepareDecode(spec.Precision)
 	}
 	return build(m, spec), nil
 }
@@ -153,7 +166,7 @@ func (e *serialEngine) Generate(ctx context.Context, g *rng.RNG, w trace.Window,
 	if e.prec.normalize() == PrecisionF32 {
 		decode = func(g *rng.RNG, w trace.Window) *trace.Trace {
 			out := make([]*trace.Trace, 1)
-			m.decodeQueue([]*rng.RNG{g}, nil, w, out, PrecisionF32)
+			m.decodeQueue([]*rng.RNG{g}, 0, 1, w, out, PrecisionF32)
 			return out[0]
 		}
 	}

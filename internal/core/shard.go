@@ -2,52 +2,37 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/rtrace"
 	"repro/internal/trace"
 )
 
-// This file is the sharded decode engine (DESIGN.md §6.3): the
-// continuous-batching engine of engine.go, partitioned across K
-// per-core fleetEngine shards so decode throughput scales with cores
-// instead of saturating one. Every stream is pinned to a shard by a
-// deterministic hash of its RNG seed, the shards step concurrently
-// through internal/par (so the bounded-worker/REPRO_PROCS discipline
-// and utilization counters apply), and — because a fleetEngine's
-// output is bit-identical per stream regardless of batch composition —
-// sharding changes only which streams share a step GEMM, never a
-// single output byte.
+// This file is multi-core decode (DESIGN.md §6.2): K independent
+// fleetEngines, one per core, offline (GenerateBatchSharded) and behind
+// the serving router (engineRouter). A fleetEngine's output is
+// bit-identical per stream regardless of batch composition, so which
+// shard decodes a stream is a scheduling choice — it changes which
+// streams share a step GEMM, never a single output byte.
 
-// ShardOf maps a stream's RNG seed to a decode shard. The assignment
-// is a pure function of (seed, shards) — independent of worker count,
-// admission order, engine state, or process — so a stream lands on the
-// same shard in every run and on every replica. The hash is the
-// splitmix64 finalizer, which spreads sequential seeds (the common
-// case: Split() children, per-request counters) uniformly across
-// shards.
-func ShardOf(seed int64, shards int) int {
-	if shards <= 1 {
-		return 0
+// shardCount resolves a requested shard count: <= 0 means one per
+// internal/par worker (so REPRO_PROCS=1 is the single-fleet path), and
+// there is never more than one shard per stream slot.
+func shardCount(shards, slots int) int {
+	if shards <= 0 {
+		shards = par.Procs()
 	}
-	x := uint64(seed)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return int(x % uint64(shards))
+	return min(shards, slots)
 }
 
 // GenerateBatchSharded decodes one trace per RNG like GenerateBatch,
-// but partitions the streams across `shards` fleet engines (ShardOf on
-// each stream's seed) and runs the shard queues concurrently through
-// internal/par. shards <= 0 selects GOMAXPROCS. Each returned trace
-// is byte-identical to m.Generate(gs[i], w) — and therefore to
+// but deals the streams round-robin by index across `shards` fleet
+// engines (<= 0: one per par worker) and runs the shard queues
+// concurrently through internal/par. Each returned trace is
+// byte-identical to m.Generate(gs[i], w) — and therefore to
 // GenerateBatch — at any shard count and any REPRO_PROCS: shard queues
 // write only their own streams' output slots, and per-stream bytes
 // never depend on batch composition.
@@ -61,8 +46,6 @@ func (m *Model) GenerateBatchSharded(gs []*rng.RNG, w trace.Window, shards int) 
 // (the f32 path keeps the batch-composition invariance the sharding
 // contract rests on).
 func (m *Model) GenerateBatchShardedF32(gs []*rng.RNG, w trace.Window, shards int) []*trace.Trace {
-	m.PrepareF32() // before the shard queues fan out across goroutines
-	m.PreparePackedF32()
 	return m.generateBatchSharded(gs, w, shards, PrecisionF32)
 }
 
@@ -71,315 +54,94 @@ func (m *Model) generateBatchSharded(gs []*rng.RNG, w trace.Window, shards int, 
 	if len(gs) == 0 {
 		return out
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	// Pack (and for f32, convert) the serving weights before the shard
 	// queues fan out: the per-shard fleet constructors read the caches
 	// concurrently.
-	if prec.normalize() == PrecisionF32 {
-		m.PrepareF32()
-		m.PreparePackedF32()
-	} else {
-		m.PreparePacked()
-	}
-	if shards <= 1 {
-		m.decodeQueue(gs, nil, w, out, prec)
-		return out
-	}
-	byShard := make([][]int, shards)
-	for i, g := range gs {
-		k := ShardOf(g.State().Seed, shards)
-		byShard[k] = append(byShard[k], i)
-	}
-	// Drop empty shards so the par region sizes to the real work.
-	work := byShard[:0]
-	for _, idx := range byShard {
-		if len(idx) > 0 {
-			work = append(work, idx)
-		}
-	}
-	par.Do(len(work), func(i int) {
-		m.decodeQueue(gs, work[i], w, out, prec)
+	m.prepareDecode(prec)
+	k := shardCount(shards, len(gs))
+	par.Do(k, func(i int) {
+		m.decodeQueue(gs, i, k, w, out, prec)
 	})
 	return out
 }
 
-// shardRounder steps a fixed set of fleetEngine shards, one fleet
-// round per shard per call, concurrently through internal/par. Each
-// par task touches only its own shard's fleetEngine and retired slot,
-// so the region satisfies the par determinism contract. The task
-// closure is built once at construction, so a warm round() allocates
-// nothing at REPRO_PROCS=1 (TestShardedRoundSteadyStateAllocs; the
-// multi-worker path pays par's usual bounded per-region spawn
-// scratch).
-type shardRounder struct {
-	fes     []*fleetEngine
-	active  []int          // non-empty shard indices, rebuilt per round
-	retired [][]*genStream // per-shard retirements of the last round
-	task    func(i int)
-}
-
-func newShardRounder(fes []*fleetEngine) *shardRounder {
-	r := &shardRounder{
-		fes:     fes,
-		active:  make([]int, 0, len(fes)),
-		retired: make([][]*genStream, len(fes)),
-	}
-	r.task = func(i int) {
-		k := r.active[i]
-		r.retired[k] = r.fes[k].round()
-	}
-	return r
-}
-
-// round advances every non-empty shard by one fleet round and returns
-// their indices; r.retired[k] holds shard k's retirements until the
-// next call.
-func (r *shardRounder) round() []int {
-	r.active = r.active[:0]
-	for k, fe := range r.fes {
-		if fe.active() > 0 {
-			r.active = append(r.active, k)
-		}
-	}
-	par.Do(len(r.active), r.task)
-	return r.active
-}
-
-// ShardedEngine is the sharded serving counterpart of Engine: the
-// same coalescing front door (requests join between rounds, every
-// response byte-identical to a serial decode of its seed), but the
-// streams decode on K independent fleetEngine shards — ShardOf on the
-// request's seed picks the shard — and every round all non-empty
-// shards step concurrently through internal/par. One scheduler
-// goroutine owns all shards; the concurrency is inside the round, so
-// REPRO_PROCS bounds the fan-out exactly like every other parallel
-// region in the repository.
+// engineRouter is the serving engine behind both the batched and the
+// sharded registry kinds: K Engines (one scheduler goroutine and one
+// fleet each) that run free of each other — no shared round, no
+// barrier — and a placement rule. Every Generate goes to the shard with
+// the fewest requests in flight (routed and not yet returned; ties to
+// the lowest index), so a wave of N concurrent requests spreads N/K per
+// core and a lone request always lands on warm shard 0.
 //
-// Per-shard telemetry lands in the registry passed to
-// NewShardedEngine as two gauge families: decode.shard_occupancy.<k>
-// (streams decoding on shard k right now) and
-// decode.streams_per_shard.<k> (streams ever assigned to shard k).
-type ShardedEngine struct {
-	m        *Model
-	window   time.Duration
-	maxBatch int // total streams across shards
-	shards   int
-	prec     Precision
+// Per-shard telemetry lands in EngineSpec.Obs: decode.shards (K),
+// decode.shard_occupancy.<k> (requests in flight on shard k right now)
+// and decode.streams_per_shard.<k> (requests ever routed to shard k).
+// Occupancy moves by ±1 rather than being set, so the draining and the
+// fresh engine of a hot reload can share the gauges.
+type engineRouter struct {
+	shards []*Engine
 
-	reqs chan *engineReq
-	quit chan struct{}
-	wg   sync.WaitGroup
-
-	mu     sync.RWMutex
-	closed bool
+	mu       sync.Mutex
+	inflight []int // per shard, guarded by mu
 
 	occupancy []*obs.Gauge
 	assigned  []*obs.Gauge
 }
 
-// NewShardedEngine starts a sharded engine with the given coalescing
-// window, total stream cap (0: 64 per shard), and shard count (<= 0:
-// GOMAXPROCS). Per-shard gauges are registered in reg (nil: a private
-// registry, keeping the hot path guard-free).
-func NewShardedEngine(m *Model, window time.Duration, maxBatch, shards int, reg *obs.Registry) *ShardedEngine {
-	return newShardedEngine(m, window, maxBatch, shards, reg, PrecisionF64)
-}
-
-func newShardedEngine(m *Model, window time.Duration, maxBatch, shards int, reg *obs.Registry, prec Precision) *ShardedEngine {
-	prec = prec.normalize()
-	// Convert and pack before the scheduler goroutine builds per-shard
-	// fleets.
-	if prec == PrecisionF32 {
-		m.PrepareF32()
-		m.PreparePackedF32()
-	} else {
-		m.PreparePacked()
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxStreams * shards
-	}
+func newEngineRouter(m *Model, spec EngineSpec) *engineRouter {
+	k, perShard := spec.shards()
+	reg := spec.Obs
 	if reg == nil {
-		reg = obs.NewRegistry()
+		reg = obs.NewRegistry() // private sink keeps Generate guard-free
 	}
-	e := &ShardedEngine{
-		m:         m,
-		window:    window,
-		maxBatch:  maxBatch,
-		shards:    shards,
-		prec:      prec,
-		reqs:      make(chan *engineReq, 4*maxBatch),
-		quit:      make(chan struct{}),
-		occupancy: reg.GaugeFamily("decode.shard_occupancy", shards),
-		assigned:  reg.GaugeFamily("decode.streams_per_shard", shards),
+	r := &engineRouter{
+		shards:    make([]*Engine, k),
+		inflight:  make([]int, k),
+		occupancy: reg.GaugeFamily("decode.shard_occupancy", k),
+		assigned:  reg.GaugeFamily("decode.streams_per_shard", k),
 	}
-	e.wg.Add(1)
-	go e.loop()
-	return e
+	reg.Gauge("decode.shards").Set(int64(k))
+	for i := range r.shards {
+		r.shards[i] = newEngine(m, spec.Window, perShard, spec.Precision)
+	}
+	return r
 }
 
-// Generate decodes one trace through the stream's shard, blocking
-// until it retires. Semantics are identical to Engine.Generate: the
-// result for a given (g, w, scale) is byte-identical to the serial
-// decode, cancellation aborts at the next round, and a closed engine
-// returns ErrEngineClosed. Implements GenEngine.
-func (e *ShardedEngine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*trace.Trace, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req := newEngineReq(ctx, g, w, scale)
-	e.mu.RLock()
-	closed := e.closed
-	if !closed {
-		// As in Engine.Generate: submitting under the read lock orders
-		// every send before Close's drain.
-		select {
-		case e.reqs <- req:
-		case <-ctx.Done():
-			e.mu.RUnlock()
-			return nil, ctx.Err()
+// Generate implements GenEngine with Engine.Generate's contract; the
+// shard choice is recorded on the request's trace, if it has one.
+func (r *engineRouter) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*trace.Trace, error) {
+	r.mu.Lock()
+	k := 0
+	for i, n := range r.inflight {
+		if n < r.inflight[k] {
+			k = i
 		}
 	}
-	e.mu.RUnlock()
-	if closed {
-		return nil, ErrEngineClosed
-	}
-	res := <-req.done
-	return res.tr, res.err
+	r.inflight[k]++
+	r.occupancy[k].Add(1)
+	r.mu.Unlock()
+	r.assigned[k].Add(1)
+	rtrace.FromContext(ctx).SetShard(k)
+
+	tr, err := r.shards[k].Generate(ctx, g, w, scale)
+
+	// Gauge before delivery: a caller unblocked by its result must never
+	// observe its own stream still counted in flight (the /metrics drain
+	// check would otherwise race this return).
+	r.mu.Lock()
+	r.inflight[k]--
+	r.occupancy[k].Add(-1)
+	r.mu.Unlock()
+	return tr, err
 }
 
-// Close stops admitting, finishes the in-flight streams on every
-// shard, fails queued requests with ErrEngineClosed, and waits for the
-// scheduler to exit. Implements GenEngine.
-func (e *ShardedEngine) Close() {
-	e.mu.Lock()
-	already := e.closed
-	e.closed = true
-	e.mu.Unlock()
-	if !already {
-		close(e.quit)
+// Close implements GenEngine. It signals every shard before waiting on
+// any, so the drain takes as long as the slowest shard, not their sum.
+func (r *engineRouter) Close() {
+	for _, e := range r.shards {
+		e.stop()
 	}
-	e.wg.Wait()
-}
-
-func (e *ShardedEngine) isClosed() bool {
-	select {
-	case <-e.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// admitReq pins the request's stream to its seed's shard and admits
-// it, returning 1 if a stream joined (0 if the request was already
-// dead on arrival).
-func (e *ShardedEngine) admitReq(fes []*fleetEngine, r *engineReq) int {
-	if r.ctx != nil && r.ctx.Err() != nil {
-		r.done <- engineResult{err: r.ctx.Err()}
-		return 0
-	}
-	scale := r.scale
-	if scale == 0 {
-		scale = 1
-	}
-	k := ShardOf(r.g.State().Seed, e.shards)
-	s := e.m.newGenStream(r.g, r.w, scale, r.ctx)
-	s.done = r.done
-	r.traceAdmit(s)
-	r.tr.SetShard(k) // nil-safe: untraced requests skip the annotation
-	fes[k].admit(s)
-	e.assigned[k].Add(1)
-	e.occupancy[k].Set(int64(fes[k].active()))
-	return 1
-}
-
-// waitWindow collects arrivals for up to the configured window after
-// the first request lands on an idle engine.
-func (e *ShardedEngine) waitWindow(fes []*fleetEngine, total *int) {
-	if e.window <= 0 {
-		return
-	}
-	timer := time.NewTimer(e.window)
-	defer timer.Stop()
-	for *total < e.maxBatch {
-		select {
-		case r := <-e.reqs:
-			*total += e.admitReq(fes, r)
-		case <-timer.C:
-			return
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// loop is the scheduler: admit whatever has arrived (blocking only
-// when idle), step all non-empty shards concurrently, deliver
-// retirements in shard order, repeat. Delivery and gauge updates stay
-// on this goroutine; only the shard rounds fan out.
-func (e *ShardedEngine) loop() {
-	defer e.wg.Done()
-	fes := make([]*fleetEngine, e.shards)
-	perShard := (e.maxBatch + e.shards - 1) / e.shards
-	if perShard > defaultMaxStreams {
-		perShard = defaultMaxStreams
-	}
-	for k := range fes {
-		fes[k] = newFleetEngine(e.m, perShard, e.prec)
-	}
-	rounder := newShardRounder(fes)
-	total := 0
-	for {
-		if total == 0 {
-			select {
-			case <-e.quit:
-				e.drainQueue()
-				return
-			case r := <-e.reqs:
-				total += e.admitReq(fes, r)
-				e.waitWindow(fes, &total)
-			}
-		} else if !e.isClosed() {
-			// Continuous admission: latecomers join between rounds. The
-			// cap is on total streams; a skewed seed population can load
-			// one shard past maxBatch/shards, which the occupancy gauges
-			// make observable (the fleets grow as needed).
-			admitting := true
-			for admitting && total < e.maxBatch {
-				select {
-				case r := <-e.reqs:
-					total += e.admitReq(fes, r)
-				default:
-					admitting = false
-				}
-			}
-		}
-		for _, k := range rounder.round() {
-			// Gauge before delivery: a requester unblocked by its result
-			// must never observe its own stream still counted in-flight
-			// (the /metrics drain check would otherwise race this loop).
-			e.occupancy[k].Set(int64(fes[k].active()))
-			for _, s := range rounder.retired[k] {
-				s.done <- engineResult{tr: s.out, err: s.err}
-				total--
-			}
-		}
-	}
-}
-
-// drainQueue fails every queued request after shutdown.
-func (e *ShardedEngine) drainQueue() {
-	for {
-		select {
-		case r := <-e.reqs:
-			r.done <- engineResult{err: ErrEngineClosed}
-		default:
-			return
-		}
+	for _, e := range r.shards {
+		e.wg.Wait()
 	}
 }

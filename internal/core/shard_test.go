@@ -14,39 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestShardOfDeterministicAndSpread pins the stream→shard hash: a pure
-// function of (seed, K), in range, stable across calls, degenerate K
-// mapped to shard 0, and sequential seeds (the Split()/counter common
-// case) spread across all shards rather than clumping.
-func TestShardOfDeterministicAndSpread(t *testing.T) {
-	for _, k := range []int{-1, 0, 1} {
-		if got := ShardOf(12345, k); got != 0 {
-			t.Fatalf("ShardOf(12345, %d) = %d, want 0", k, got)
-		}
-	}
-	const shards = 8
-	hit := make([]int, shards)
-	for seed := int64(0); seed < 1000; seed++ {
-		s1 := ShardOf(seed, shards)
-		s2 := ShardOf(seed, shards)
-		if s1 != s2 {
-			t.Fatalf("seed %d: ShardOf not stable (%d vs %d)", seed, s1, s2)
-		}
-		if s1 < 0 || s1 >= shards {
-			t.Fatalf("seed %d: shard %d out of range [0,%d)", seed, s1, shards)
-		}
-		hit[s1]++
-	}
-	for k, n := range hit {
-		// 1000 seeds over 8 shards: a uniform hash stays well inside
-		// [50, 250]; a clumping one (e.g. seed % high-bit patterns)
-		// would leave shards empty.
-		if n < 50 || n > 250 {
-			t.Fatalf("shard %d got %d of 1000 sequential seeds; hash is clumping", k, n)
-		}
-	}
-}
-
 // shardTestModel is the fast untrained model used across the sharded
 // decode tests (decode mechanics and draw order do not depend on
 // fitted weights).
@@ -66,23 +33,63 @@ func splitStreams(seed int64, n int) []*rng.RNG {
 	return gs
 }
 
-// TestShardedDecodeDeterminism is the tentpole acceptance test: serial
-// vs batched vs sharded decode at K=1, 2, 8, each at REPRO_PROCS=1 and
-// 8, all byte-identical per stream. scripts/check.sh re-runs it under
-// -race at GOMAXPROCS=4.
+// generateAll fires one concurrent Generate per stream through eng and
+// returns each response's bytes, by stream index.
+func generateAll(t *testing.T, eng GenEngine, gs []*rng.RNG, w trace.Window) [][]byte {
+	t.Helper()
+	got := make([][]byte, len(gs))
+	errs := make([]error, len(gs))
+	var wg sync.WaitGroup
+	for i, g := range gs {
+		wg.Add(1)
+		go func(i int, g *rng.RNG) {
+			defer wg.Done()
+			tr, err := eng.Generate(context.Background(), g, w, 0)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var buf bytes.Buffer
+			errs[i] = tr.WriteJSON(&buf)
+			got[i] = buf.Bytes()
+		}(i, g)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+	}
+	return got
+}
+
+// TestShardedDecodeDeterminism is the multi-core acceptance test: every
+// way of spreading streams over fleets — the offline batch, the offline
+// round-robin shards at K=1, 2, 8, and the serving router (the default
+// batched kind) at its default K and at K=1, 2, 8 under concurrent
+// submission, f64 and f32 — is byte-identical per stream to the serial
+// oracle, at REPRO_PROCS=1 and 8. Which shard the router picks depends
+// on goroutine timing; the bytes must not. scripts/check.sh re-runs it
+// under -race at GOMAXPROCS=4.
 func TestShardedDecodeDeterminism(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
 	const n = 24
 	const seed = 99
 
-	serial := make([][]byte, n)
+	oracle := map[Precision][][]byte{PrecisionF64: make([][]byte, n), PrecisionF32: make([][]byte, n)}
 	func() {
 		defer par.SetProcs(par.SetProcs(1))
 		for i, g := range splitStreams(seed, n) {
-			serial[i] = traceBytes(t, m.Generate(g, w))
+			oracle[PrecisionF64][i] = traceBytes(t, m.Generate(g, w))
+		}
+		// There is no scalar f32 decoder: a one-row f32 fleet is the
+		// reference every f32 engine matches.
+		for i, g := range splitStreams(seed, n) {
+			oracle[PrecisionF32][i] = traceBytes(t, m.GenerateBatchF32([]*rng.RNG{g}, w)[0])
 		}
 	}()
+	serial := oracle[PrecisionF64]
 
 	for _, procs := range []int{1, 8} {
 		func() {
@@ -96,6 +103,29 @@ func TestShardedDecodeDeterminism(t *testing.T) {
 				for i, tr := range m.GenerateBatchSharded(splitStreams(seed, n), w, shards) {
 					if !bytes.Equal(traceBytes(t, tr), serial[i]) {
 						t.Fatalf("procs=%d shards=%d stream %d differs from serial", procs, shards, i)
+					}
+				}
+			}
+			for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+				for _, shards := range []int{0, 1, 2, 8} {
+					spec := EngineSpec{Kind: EngineBatched, MaxBatch: 16, Shards: shards, Precision: prec}
+					wantK := shards
+					if shards == 0 {
+						wantK = procs
+					}
+					if got := spec.ShardCount(); got != wantK {
+						t.Fatalf("procs=%d Shards=%d: ShardCount = %d, want %d", procs, shards, got, wantK)
+					}
+					eng, err := NewGenEngine(m, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := generateAll(t, eng, splitStreams(seed, n), w)
+					eng.Close()
+					for i := range got {
+						if !bytes.Equal(got[i], oracle[prec][i]) {
+							t.Fatalf("procs=%d %s engine K=%d stream %d differs from the serial oracle", procs, prec, wantK, i)
+						}
 					}
 				}
 			}
@@ -128,66 +158,105 @@ func TestShardedDecodeDeterminismTrained(t *testing.T) {
 }
 
 // TestShardedEngineMatchesSerial fires concurrent requests (more than
-// the total cap, exercising queueing and continuous admission across
-// shards) through a ShardedEngine and checks every response against
-// its serial decode, plus the per-shard gauge bookkeeping afterwards.
-// Run under -race via scripts/check.sh.
+// the total cap, exercising per-shard queueing and continuous
+// admission) through the router and checks every response against its
+// serial decode, plus the gauge bookkeeping afterwards: decode.shards
+// reports K, every request was routed to exactly one shard, and
+// occupancy is back to zero. Which shard served which seed is the
+// router's business (TestRouterBalancesInFlight pins the policy). Run
+// under -race via scripts/check.sh.
 func TestShardedEngineMatchesSerial(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	reg := obs.NewRegistry()
 	const shards = 3
-	e := NewShardedEngine(m, time.Millisecond, 6, shards, reg)
+	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSharded, Window: time.Millisecond, MaxBatch: 6, Shards: shards, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer e.Close()
 	const n = 20
-	var wg sync.WaitGroup
-	got := make([][]byte, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr, err := e.Generate(context.Background(), rng.New(int64(200+i)), w, 0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var buf bytes.Buffer
-			_ = tr.WriteJSON(&buf)
-			got[i] = buf.Bytes()
-		}(i)
+	gs := make([]*rng.RNG, n)
+	for i := range gs {
+		gs[i] = rng.New(int64(200 + i))
 	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
+	for i, got := range generateAll(t, e, gs, w) {
 		want := traceBytes(t, m.Generate(rng.New(int64(200+i)), w))
-		if !bytes.Equal(got[i], want) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("request %d: sharded trace differs from serial", i)
 		}
 	}
-	// Gauge bookkeeping: assignments must total the request count and
-	// match each seed's ShardOf, and occupancy must drain back to zero.
 	snap := reg.Snapshot()
-	wantPerShard := make([]int64, shards)
-	for i := 0; i < n; i++ {
-		wantPerShard[ShardOf(int64(200+i), shards)]++
+	if got := snap.Gauges["decode.shards"]; got != shards {
+		t.Fatalf("decode.shards = %d, want %d", got, shards)
 	}
 	var total int64
 	for k := 0; k < shards; k++ {
-		occ := snap.Gauges["decode.shard_occupancy."+strconv.Itoa(k)]
-		if occ != 0 {
+		if occ := snap.Gauges["decode.shard_occupancy."+strconv.Itoa(k)]; occ != 0 {
 			t.Fatalf("shard %d occupancy = %d after drain, want 0", k, occ)
 		}
-		asn := snap.Gauges["decode.streams_per_shard."+strconv.Itoa(k)]
-		if asn != wantPerShard[k] {
-			t.Fatalf("shard %d assigned = %d, want %d (ShardOf over request seeds)", k, asn, wantPerShard[k])
-		}
-		total += asn
+		total += snap.Gauges["decode.streams_per_shard."+strconv.Itoa(k)]
 	}
 	if total != n {
 		t.Fatalf("total assigned = %d, want %d", total, n)
+	}
+}
+
+// TestRouterBalancesInFlight pins the placement policy. 64 requests
+// that cannot finish (a 400-day window, held until cancelled) are
+// submitted concurrently: least-loaded routing must leave the shards
+// within one stream of each other whatever order the submits raced in,
+// and once every Generate has returned — the instant the last one does,
+// not eventually — every occupancy gauge must read zero, because the
+// router discounts a request before it hands the caller its result.
+func TestRouterBalancesInFlight(t *testing.T) {
+	m := shardTestModel()
+	w := trace.Window{Start: 0, End: 400 * trace.PeriodsPerDay}
+	const n = 64
+	for _, shards := range []int{2, 4} {
+		reg := obs.NewRegistry()
+		e, err := NewGenEngine(m, EngineSpec{Kind: EngineBatched, MaxBatch: n, Shards: shards, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		occupancy := func() (sum, lo, hi int64) {
+			snap := reg.Snapshot()
+			lo = n
+			for k := 0; k < shards; k++ {
+				occ := snap.Gauges["decode.shard_occupancy."+strconv.Itoa(k)]
+				sum += occ
+				lo, hi = min(lo, occ), max(hi, occ)
+			}
+			return sum, lo, hi
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, err := e.Generate(ctx, rng.New(int64(i+1)), w, 0); err != context.Canceled {
+					t.Errorf("K=%d request %d: err = %v, want context.Canceled", shards, i, err)
+				}
+			}(i)
+		}
+		// Nothing retires, so the gauges only climb: once they sum to n
+		// the per-shard reads are exact, however the submits interleaved.
+		deadline := time.Now().Add(30 * time.Second)
+		sum, lo, hi := occupancy()
+		for sum != n && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+			sum, lo, hi = occupancy()
+		}
+		if sum != n || hi-lo > 1 {
+			t.Errorf("K=%d: %d of %d requests in flight, per-shard occupancy in [%d, %d]; want all %d and a spread <= 1", shards, sum, n, lo, hi, n)
+		}
+		cancel()
+		wg.Wait()
+		if sum, _, hi := occupancy(); sum != 0 || hi != 0 {
+			t.Errorf("K=%d: occupancy sums to %d (max %d) after the last Generate returned, want 0", shards, sum, hi)
+		}
+		e.Close()
 	}
 }
 
@@ -197,7 +266,10 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 func TestShardedEngineScale(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := NewShardedEngine(m, 0, 8, 2, nil)
+	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSharded, MaxBatch: 8, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer e.Close()
 	tr, err := e.Generate(context.Background(), rng.New(42), w, 3)
 	if err != nil {
@@ -211,12 +283,15 @@ func TestShardedEngineScale(t *testing.T) {
 }
 
 // TestShardedEngineCloseAndCancel checks the lifecycle contract
-// mirrors Engine: pre-cancelled contexts fail with ctx.Err, Close is
+// holds through the router: pre-cancelled contexts fail with ctx.Err, Close is
 // idempotent, and post-Close requests fail with ErrEngineClosed.
 func TestShardedEngineCloseAndCancel(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := NewShardedEngine(m, 0, 4, 2, nil)
+	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSharded, MaxBatch: 4, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Generate(dead, rng.New(1), w, 0); err != context.Canceled {
@@ -291,46 +366,5 @@ func TestEngineRegistry(t *testing.T) {
 	cancel()
 	if _, err := e.Generate(dead, rng.New(7), w, 0); err != context.Canceled {
 		t.Fatalf("serial pre-cancelled: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestShardedRoundSteadyStateAllocs pins the per-shard step path at
-// zero steady-state allocations: a warm roundShards pass over several
-// populated shards must not allocate at REPRO_PROCS=1 (the
-// multi-worker path pays par's bounded per-region goroutine scratch,
-// like every other par call site).
-func TestShardedRoundSteadyStateAllocs(t *testing.T) {
-	defer par.SetProcs(par.SetProcs(1))
-	m := shardTestModel()
-	w := trace.Window{Start: 0, End: 400 * trace.PeriodsPerDay} // long-lived streams
-	const shards = 4
-	fes := make([]*fleetEngine, shards)
-	src := rng.New(77)
-	for k := range fes {
-		fes[k] = newFleetEngine(m, 4, PrecisionF64)
-		for i := 0; i < 4; i++ {
-			s := m.newGenStream(src.Split(), w, 1, nil)
-			if s.phase == phaseDone {
-				t.Fatal("stream finished before admission; widen the window")
-			}
-			// Pre-grow per-stream buffers so steady-state appends don't
-			// reallocate under AllocsPerRun.
-			s.out.VMs = make([]trace.VM, 0, 1<<20)
-			s.spans = make([]genSpan, 0, 4096)
-			s.flavors = make([]int, 0, 4096)
-			fes[k].admit(s)
-		}
-	}
-	rounder := newShardRounder(fes)
-	for i := 0; i < 50; i++ { // warm scratch
-		rounder.round()
-	}
-	for k := range fes {
-		if fes[k].active() != 4 {
-			t.Skip("streams retired during warmup; window too short for alloc pin")
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { rounder.round() }); allocs != 0 {
-		t.Fatalf("warm sharded round allocates %v times, want 0", allocs)
 	}
 }

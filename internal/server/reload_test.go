@@ -7,10 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -29,6 +31,9 @@ func freshServer(t *testing.T) *Server {
 // check.sh does): the snapshot swap and the engine retry path are
 // exactly where a data race would live.
 func TestHotReloadUnderLoad(t *testing.T) {
+	// The default engine runs one scheduler per par worker; pin four so
+	// the reload drains a multi-shard router on any host.
+	defer par.SetProcs(par.SetProcs(4))
 	testHotReloadUnderLoad(t, func(*Server) {})
 }
 
@@ -97,6 +102,73 @@ func testHotReloadUnderLoad(t *testing.T, configure func(*Server)) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestReloadWithEveryShardBusy lands a reload while every decode shard
+// holds in-flight streams: the old router must signal all of its shards
+// and let each finish what it is decoding, so every request that was in
+// flight answers 200 with unchanged bytes and the occupancy gauges —
+// shared by the draining and the fresh engine — return to zero.
+func TestReloadWithEveryShardBusy(t *testing.T) {
+	s := freshServer(t)
+	const shards = 4
+	s.DecodeShards = shards
+	s.BatchWindow = 0
+	defer s.Close()
+	h := s.Handler()
+
+	// Week-long requests: still decoding when the reload arrives.
+	const n = 2 * shards
+	body := func(i int) string {
+		return fmt.Sprintf(`{"periods": %d, "seed": %d}`, 7*trace.PeriodsPerDay, 40+i)
+	}
+	want := make([]string, n)
+	for i := range want {
+		rec := do(t, h, "POST", "/generate", body(i))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference request %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		want[i] = rec.Body.String()
+	}
+
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	got := make([]string, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := do(t, h, "POST", "/generate", body(i))
+			codes[i], got[i] = rec.Code, rec.Body.String()
+		}(i)
+	}
+	busy := func() (k int) {
+		snap := s.Metrics().Snapshot()
+		for i := 0; i < shards; i++ {
+			if snap.Gauges[fmt.Sprintf("decode.shard_occupancy.%d", i)] > 0 {
+				k++
+			}
+		}
+		return k
+	}
+	for deadline := time.Now().Add(30 * time.Second); busy() < shards; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d shards ever held a stream at once", busy(), shards)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.Reload(s.currentModel(), s.catalog)
+	wg.Wait()
+	for i := range got {
+		if codes[i] != http.StatusOK {
+			t.Errorf("request %d in flight across the reload: status %d: %s", i, codes[i], got[i])
+		} else if got[i] != want[i] {
+			t.Errorf("request %d: response changed across the reload", i)
+		}
+	}
+	if k := busy(); k != 0 {
+		t.Errorf("%d shards still report occupancy after every request returned", k)
 	}
 }
 

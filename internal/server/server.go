@@ -55,8 +55,9 @@ type GenerateRequest struct {
 // concurrent use: the model weights are read-only after construction
 // and concurrent /generate requests are coalesced into shared decode
 // batches by a core.GenEngine selected from the engine registry via
-// EngineKind — serial, batched (DESIGN.md §6.2), or sharded across
-// cores (§6.3); per-request seeded RNGs keep every response
+// EngineKind — serial, or batched/sharded (one implementation: a
+// continuous-batching scheduler per core behind a least-loaded router,
+// DESIGN.md §6.2); per-request seeded RNGs keep every response
 // byte-identical to a serial decode of that seed regardless of kind.
 //
 // The serving snapshot (model + catalog + engine) can be hot-swapped at
@@ -84,15 +85,17 @@ type Server struct {
 	// BatchWindow is how long /generate waits for more requests to join
 	// its decode batch (default 2ms; set before the first request).
 	BatchWindow time.Duration
-	// MaxBatch caps concurrent streams in one decode batch (default 64;
-	// set before the first request).
+	// MaxBatch caps concurrent decode streams across all shards (default
+	// 64; set before the first request).
 	MaxBatch int
 	// EngineKind selects the decode engine from core's registry:
-	// "serial", "batched" (default), or "sharded" (set before the first
-	// request; also applies to engines rebuilt on hot-reload).
+	// "serial", "batched" (default), or "sharded", a synonym of batched
+	// (set before the first request; also applies to engines rebuilt on
+	// hot-reload).
 	EngineKind string
-	// DecodeShards is the sharded engine's shard count (<= 0 means
-	// GOMAXPROCS); ignored by the other kinds.
+	// DecodeShards is the number of decode scheduler shards (<= 0 means
+	// one per core, see core.EngineSpec.ShardCount; 1 is a single
+	// scheduler); ignored by the serial kind.
 	DecodeShards int
 	// Precision selects the decode numeric width for every engine kind
 	// ("" or "f64": bit-exact reference; "f32": the float32 fast path,
@@ -208,14 +211,7 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 		return nil, nil, nil, errors.New("no model published")
 	}
 	if s.eng == nil {
-		eng, err := core.NewGenEngine(s.model, core.EngineSpec{
-			Kind:      core.EngineKind(s.EngineKind),
-			Window:    s.BatchWindow,
-			MaxBatch:  s.MaxBatch,
-			Shards:    s.DecodeShards,
-			Obs:       s.reg,
-			Precision: core.Precision(s.Precision),
-		})
+		eng, err := core.NewGenEngine(s.model, s.engineSpec())
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -223,6 +219,24 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 	}
 	return s.model, s.catalog, s.eng, nil
 }
+
+// engineSpec is the decode-engine configuration, read from the exported
+// knobs at engine-build time.
+func (s *Server) engineSpec() core.EngineSpec {
+	return core.EngineSpec{
+		Kind:      core.EngineKind(s.EngineKind),
+		Window:    s.BatchWindow,
+		MaxBatch:  s.MaxBatch,
+		Shards:    s.DecodeShards,
+		Obs:       s.reg,
+		Precision: core.Precision(s.Precision),
+	}
+}
+
+// DecodeShardCount is the number of scheduler shards the batched and
+// sharded engine kinds run under the current knobs (the decode.shards
+// gauge once the first request has built the engine).
+func (s *Server) DecodeShardCount() int { return s.engineSpec().ShardCount() }
 
 // currentModel returns the serving model without starting an engine.
 func (s *Server) currentModel() *core.Model {

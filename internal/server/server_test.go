@@ -336,9 +336,9 @@ func TestGenerateCancelledCounter(t *testing.T) {
 }
 
 // TestMetricsShardGauges serves /generate through the sharded engine
-// and asserts the per-shard gauge families surface in GET /metrics:
-// every decode.shard_occupancy.<k> / decode.streams_per_shard.<k>
-// gauge present, assignments totalling the served requests, and
+// and asserts the shard gauges surface in GET /metrics: decode.shards
+// reporting K, every decode.shard_occupancy.<k> /
+// decode.streams_per_shard.<k> gauge present, assignments totalling the served requests, and
 // occupancy drained back to zero.
 func TestMetricsShardGauges(t *testing.T) {
 	shared := testServer(t)
@@ -369,6 +369,9 @@ func TestMetricsShardGauges(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
+	}
+	if got := resp.Metrics.Gauges["decode.shards"]; got != shards {
+		t.Errorf("decode.shards = %d, want %d", got, shards)
 	}
 	var assigned int64
 	for k := 0; k < shards; k++ {

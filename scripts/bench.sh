@@ -46,12 +46,12 @@ go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" \
 # dedupes by row name keeping the LAST run, so these rows supersede the
 # single-shot ones from the main block.
 echo "bench.sh: decode-fleet benchmarks at -benchtime 3x iteration floor"
-go test -run '^$' -bench 'GenerateBatchLSTM|GenerateShardedLSTM' \
+go test -run '^$' -bench 'GenerateBatchLSTM|GenerateShardedLSTM|EngineWave64' \
 	-benchmem -benchtime 3x . | \
 	awk '/^Benchmark/ { print; print > "/dev/stderr" }' >> "$TMP"
 
-# Multi-core scaling rows (DESIGN.md §6.3): re-run the decode-fleet
-# benchmarks at fixed GOMAXPROCS values so the sharded engine's scaling
+# Multi-core scaling rows (DESIGN.md §6.2): re-run the decode-fleet
+# benchmarks at fixed GOMAXPROCS values so the offline shards' scaling
 # curve is captured in the baseline. Rows are suffixed @gomaxprocs=G
 # and carry a per-row "gomaxprocs" field; on hosts with fewer cores
 # than G the rows still exist but cannot show speedup (the scheduler
@@ -109,6 +109,22 @@ awk '
 				off, on, 100 * (on - off) / off
 		else
 			print "bench.sh: tracing overhead pair missing from run" > "/dev/stderr"
+	}' "$TMP"
+
+# Scheduler-per-core pair (DESIGN.md §6.2): a wave of 64 concurrent
+# Generate calls through the default engine (one scheduler per core)
+# against the same wave at Shards: 1. The gain is only readable next to
+# the host's core count, so the line carries it; with ncpu=1 both rows
+# run one shard and the ratio certifies no regression, nothing more.
+awk -v ncpu="$NCPU" '
+	/^BenchmarkEngineWave64(-[0-9]+)? /        { for (i = 4; i <= NF; i++) if ($i == "streams/s") k = $(i-1) }
+	/^BenchmarkEngineWave64Shards1(-[0-9]+)? / { for (i = 4; i <= NF; i++) if ($i == "streams/s") one = $(i-1) }
+	END {
+		if (k > 0 && one > 0)
+			printf "bench.sh: engine wave64 (ncpu=%s): one scheduler per core %.2f streams/s vs one scheduler %.2f (%.2fx)\n", \
+				ncpu, k, one, k / one
+		else
+			print "bench.sh: engine wave64 pair missing from run" > "/dev/stderr"
 	}' "$TMP"
 
 # Packed-vs-unpacked delta (DESIGN.md §6.5): report each decode row's

@@ -18,13 +18,15 @@ go test -race ./internal/par ./internal/mat ./internal/nn ./internal/obs \
 	./internal/rtrace ./internal/fidelity ./internal/workload
 go test -race -run 'TestDeterminism|TestObservability|TestKillAndResume|TestBatchedFleet' .
 
-# Sharded decode tier (DESIGN.md §6.3): the determinism and hot-reload
-# guarantees must hold when the shards genuinely step on multiple cores,
-# so force GOMAXPROCS=4 regardless of the host default.
+# Sharded decode tier (DESIGN.md §6.2): the determinism, placement and
+# hot-reload guarantees must hold when the per-core schedulers genuinely
+# step on multiple cores, so force GOMAXPROCS=4 regardless of the host
+# default.
 GOMAXPROCS=4 go test -race \
-	-run 'TestShardedDecodeDeterminism|TestShardedEngine|TestShardOf|TestFleetConcurrentShards' \
+	-run 'TestShardedDecodeDeterminism|TestShardedEngine|TestRouterBalancesInFlight|TestFleetConcurrentShards' \
 	./internal/core ./internal/nn
-GOMAXPROCS=4 go test -race -run 'TestHotReloadUnderLoad|TestMetricsShardGauges|TestShardedServerMatchesBatched' \
+GOMAXPROCS=4 go test -race \
+	-run 'TestHotReloadUnderLoad|TestReloadWithEveryShardBusy|TestMetricsShardGauges|TestShardedServerMatchesBatched' \
 	./internal/server
 
 # Pure-Go kernel tier (DESIGN.md §6.4): REPRO_NOASM forces every
@@ -47,12 +49,12 @@ REPRO_NOPACK=1 REPRO_NOASM=1 go test \
 	./internal/core .
 REPRO_NOPACK=1 go test -run 'TestHotReloadRepacksPanels' ./internal/server
 
-# Memory-discipline pins: the per-shard round path, the fleet step
-# kernel, and the par Snapshot poll must stay allocation-free in steady
-# state, and the Table4 survival-MSE sweep must hold its pooled-curve
+# Memory-discipline pins: the fleet round path, the fleet step kernel,
+# and the par Snapshot poll must stay allocation-free in steady state,
+# and the Table4 survival-MSE sweep must hold its pooled-curve
 # allocation budget (AllocsPerRun pins run without -race; the race
 # runtime's instrumentation allocates).
-go test -run 'TestShardedRoundSteadyStateAllocs|TestTracingDisabledRoundAllocs' ./internal/core
+go test -run 'TestTracingDisabledRoundAllocs' ./internal/core
 go test -run 'TestFleetStepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
 go test -run 'TestTable4SurvivalAllocs' ./internal/experiments
