@@ -330,6 +330,35 @@ func benchLSTMTrain(b *testing.B, procs int) {
 func BenchmarkLSTMTrainSharded(b *testing.B)  { benchLSTMTrain(b, 1) }
 func BenchmarkLSTMTrainParallel(b *testing.B) { benchLSTMTrain(b, runtime.NumCPU()) }
 
+// benchTrainFitCycle times the repo benchmark's train_fit op mix
+// outside its harness: on a 3-day "mixed" history at the fixture's
+// size (400 users, base rate 3, hidden 24 × 2), one cycle is a fresh
+// flavor-LSTM fit of 3 epochs plus a lifetime-LSTM fit of 1. It is what
+// training actually runs — one-row BPTT shards under par.Do — where the
+// window benchmarks above use an 8-row batch.
+func benchTrainFitCycle(b *testing.B, procs int) {
+	defer par.SetProcs(par.SetProcs(procs))
+	spec := workload.Preset("mixed")
+	spec.Days, spec.Users, spec.Arrival.BaseRate = 3, 400, 3
+	cfg, err := spec.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	history := cfg.Generate(20210521)
+	tc := core.TrainConfig{Hidden: 24, Layers: 2, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tc.Epochs = 3
+		core.TrainFlavor(history, tc)
+		tc.Epochs = 1
+		core.TrainLifetime(history, survival.PaperBins(), tc)
+	}
+}
+
+func BenchmarkTrainFitCycle(b *testing.B)       { benchTrainFitCycle(b, runtime.NumCPU()) }
+func BenchmarkTrainFitCycleProcs1(b *testing.B) { benchTrainFitCycle(b, 1) }
+
 func BenchmarkPoissonRegressionIRLS(b *testing.B) {
 	c := benchAzure(b)
 	b.ReportAllocs()

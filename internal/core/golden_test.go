@@ -1,0 +1,72 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/par"
+	"repro/internal/survival"
+	"repro/internal/workload"
+)
+
+// Trained-weight hashes of the tiny fits below, recorded at the commit
+// that introduced this test (before the training kernels moved off the
+// scalar paths). They are constants of the numerics, not of the build:
+// the determinism suites compare REPRO_PROCS 1 vs 8 inside one binary,
+// this test compares every later commit — and every kernel tier
+// scripts/check.sh runs it under (default, REPRO_NOASM, REPRO_NOPACK,
+// both) — against the same bits. A kernel or training-loop change that
+// moves one is a change of results and must say so; never re-record to
+// make a refactor pass.
+const (
+	goldenFlavorLSTM   = "51459c67b829b12e17cd02f8d03f469eb137be3a7e4d3e0aaab092dce05d460c"
+	goldenLifetimeLSTM = "a63186789b14b63c858377400bc21ff257b3a144e33f94cf49a4ec91ea950a0e"
+	goldenFlavorGRU    = "0c966a95de4fcbdb147c9e372926a21a40e55f106289644dcd90ebfce02fd2a9"
+)
+
+// TestTrainedSnapshotGolden fits a tiny flavor LSTM, lifetime LSTM and
+// flavor GRU (1-day "mixed" history, hidden 8 × 2, 2 epochs, fixed
+// seed) and compares sha256 of each network's MarshalBinary with the
+// recorded constants, at one worker and at eight.
+func TestTrainedSnapshotGolden(t *testing.T) {
+	spec := workload.Preset("mixed")
+	spec.Days = 1
+	cfg, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := cfg.Generate(20210521)
+	tc := core.TrainConfig{Hidden: 8, Layers: 2, Epochs: 2, Seed: 7}
+
+	fits := []struct {
+		name, want string
+		fit        func() encoding.BinaryMarshaler
+	}{
+		{"flavor_lstm", goldenFlavorLSTM, func() encoding.BinaryMarshaler {
+			return core.TrainFlavor(history, tc).Net
+		}},
+		{"lifetime_lstm", goldenLifetimeLSTM, func() encoding.BinaryMarshaler {
+			return core.TrainLifetime(history, survival.PaperBins(), tc).Net
+		}},
+		{"flavor_gru", goldenFlavorGRU, func() encoding.BinaryMarshaler {
+			return core.TrainFlavorGRU(history, tc).Net
+		}},
+	}
+	for _, procs := range []int{1, 8} {
+		prev := par.SetProcs(procs)
+		for _, f := range fits {
+			blob, err := f.fit().MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: marshal: %v", f.name, err)
+			}
+			sum := sha256.Sum256(blob)
+			if got := hex.EncodeToString(sum[:]); got != f.want {
+				t.Errorf("%s at %d workers: weights sha256 %s, want %s", f.name, procs, got, f.want)
+			}
+		}
+		par.SetProcs(prev)
+	}
+}

@@ -26,8 +26,10 @@ func withBatchASM(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// TestMulAddBatchedBitExact checks MulAddBatched against MulAdd, the
-// reference the serial decode path uses, over shapes that exercise the
+// TestMulAddBatchedBitExact checks MulAddBatched against the axpy-row
+// oracle (MulAdd, which the serial decode path uses, now shares the
+// batched kernel at small shapes and is pinned to the same oracle by
+// TestMulAddSmallShapesBitExact), over shapes that exercise the
 // 16-wide tiles, the 4-wide cleanup, and the scalar column tail.
 func TestMulAddBatchedBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
@@ -43,7 +45,7 @@ func TestMulAddBatchedBitExact(t *testing.T) {
 			b := denseRand(k, n, 2)
 			want := denseRand(m, n, 3)
 			got := want.Clone()
-			MulAdd(want, a, b)
+			mulAddRows(want, a, b, 0, m)
 			MulAddBatched(got, a, b)
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {

@@ -11,18 +11,12 @@ import (
 	"repro/internal/par"
 )
 
-// Kernel tuning knobs. parMinFlops is the multiply-add count below
-// which a product stays on the serial path (goroutine hand-off costs
-// more than the work below it); blockK is the k-panel height of the
-// cache-blocked dense kernels, sized so a panel of b (blockK×n floats)
-// stays resident in L1/L2 across the row sweep. Neither knob affects
-// results: every dst element accumulates its k-terms in ascending order
-// on both the serial and the blocked/parallel paths, so the kernels are
-// bit-identical at any worker count.
-const (
-	parMinFlops = 1 << 15
-	blockK      = 64
-)
+// parMinFlops is the multiply-add count below which a product stays on
+// the serial path (goroutine hand-off costs more than the work below
+// it). It cannot affect results: every dst element accumulates its
+// k-terms in ascending order on the serial and the row-parallel paths
+// alike, so the kernels are bit-identical at any worker count.
+const parMinFlops = 1 << 15
 
 // gemmGrain returns the minimum rows per parallel chunk so each worker
 // gets at least parMinFlops of work.
@@ -110,51 +104,39 @@ func Mul(dst, a, b *Dense) {
 	MulAdd(dst, a, b)
 }
 
-// MulAdd computes dst += a * b with the dense kernel: cache-blocked
-// over k, row-parallel above the size threshold, and no per-element
-// zero test (dense data makes that branch a mispredict; sparse inputs
-// such as one-hot feature rows should call MulAddSparse instead).
+// MulAdd computes dst += a * b with the dense kernel, row-parallel
+// above the size threshold, with no per-element zero test (dense data
+// makes that branch a mispredict; sparse inputs such as one-hot feature
+// rows should call MulAddSparse instead). Every path accumulates each
+// dst element's k terms in ascending order with a separately rounded
+// multiply and add, so the dispatch below can never change a bit.
 func MulAdd(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAdd shape mismatch %v * %v -> %v", a, b, dst))
 	}
-	rowFlops := a.Cols * b.Cols
+	k, n := a.Cols, b.Cols
+	rowFlops := k * n
 	if usePackedB && a.Rows*rowFlops >= packMinFlops {
-		// Forward GEMMs above the same threshold the transpose-packed
-		// backward kernels use repack B into panel scratch and run the
-		// packed tile kernel: identical bits (ascending-k accumulation
-		// is preserved), contiguous loads instead of the scalar axpy
-		// stream (TestPairedForwardGEMMMeasure).
+		// Above the threshold the transpose-packed backward kernels
+		// use, repack B into panel scratch and run the packed tile
+		// kernel: contiguous panel loads amortised over the row sweep
+		// (TestPairedForwardGEMMMeasure).
 		mulAddPackedB(dst, a, b)
 		return
 	}
+	// Below it — the one-row recurrent products of a training shard and
+	// of StepForward (1×H · H×4H), and everything under REPRO_NOPACK —
+	// the product runs unpacked on the batched-decode kernel: B is read
+	// once per row either way, so there is nothing for a pack pass to
+	// amortise, and gemmRaw's register tiles (AVX2, or the portable
+	// 4-column tiles) beat a store-and-reload axpy sweep per k.
 	if a.Rows*rowFlops < parMinFlops {
-		mulAddRows(dst, a, b, 0, a.Rows)
+		gemmRaw(dst.Data, a.Data, b.Data, a.Rows, k, n)
 		return
 	}
 	par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-		mulAddRows(dst, a, b, lo, hi)
+		gemmRaw(dst.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n)
 	})
-}
-
-// mulAddRows computes dst[lo:hi] += a[lo:hi] * b, k-blocked. Each dst
-// element accumulates its k terms in ascending order, so the result is
-// independent of blocking and of how rows are split across workers.
-func mulAddRows(dst, a, b *Dense, lo, hi int) {
-	n := b.Cols
-	for k0 := 0; k0 < a.Cols; k0 += blockK {
-		k1 := k0 + blockK
-		if k1 > a.Cols {
-			k1 = a.Cols
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for k := k0; k < k1; k++ {
-				axpy(arow[k], b.Data[k*n:k*n+n], drow)
-			}
-		}
-	}
 }
 
 // MulAddSparse computes dst += a * b, skipping zero elements of a. It
@@ -269,6 +251,20 @@ func MulABT(dst, a, b *Dense) {
 	par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
 		mulABTRows(dst, a, b, lo, hi)
 	})
+}
+
+// TransposeInto sets dst = aᵀ (dst is a.Cols x a.Rows and must not
+// alias a). A caller that multiplies many small x against one bᵀ —
+// BPTT's per-step recurrent gradient dz_t·whᵀ — transposes once and
+// calls MulAdd(dst, x, bT) on a zeroed dst instead of MulABT per step:
+// from +0 the ascending-k sum is MulABT's dot bit for bit, and adding
+// that dot to +0 returns it unchanged (a sum that starts at +0 can
+// never be -0).
+func TransposeInto(dst, a *Dense) {
+	if dst.Rows != a.Cols || dst.Cols != a.Rows {
+		panic(fmt.Sprintf("mat: TransposeInto shape mismatch %vᵀ -> %v", a, dst))
+	}
+	transposeInto(dst.Data, a)
 }
 
 // mulABTRows computes dst[lo:hi] += a[lo:hi] * bᵀ. Kept as a named

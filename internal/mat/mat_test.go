@@ -9,6 +9,25 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// mulAddRows is the kernel MulAdd ran below the pack threshold until
+// its small products moved onto gemmRaw: dst[lo:hi] += a[lo:hi] * b by
+// axpy rows, k-blocked, each dst element's k terms ascending. Kept as
+// the bit-exactness oracle every dense GEMM path is compared against.
+func mulAddRows(dst, a, b *Dense, lo, hi int) {
+	const blockK = 64
+	n := b.Cols
+	for k0 := 0; k0 < a.Cols; k0 += blockK {
+		k1 := min(k0+blockK, a.Cols)
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			drow := dst.Row(i)
+			for k := k0; k < k1; k++ {
+				axpy(arow[k], b.Data[k*n:k*n+n], drow)
+			}
+		}
+	}
+}
+
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
 	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {

@@ -197,3 +197,100 @@ func BenchmarkMulABTPackedBPTTShape(b *testing.B) {
 		MulABT(dst, a, w)
 	}
 }
+
+// TestMulAddSmallShapesBitExact pins MulAdd to the axpy-row oracle at
+// the shapes a one-row training shard and StepForward produce, with
+// column tails (n mod 4 ≠ 0), a single column, and k on both sides of
+// the oracle's 64-term block edge — on the assembly and portable
+// kernels, packed dispatch on and off, at one worker and at eight (the
+// largest shapes cross parMinFlops, so the unpacked tier takes the
+// row-parallel gemmRaw path), into a nonzero dst.
+func TestMulAddSmallShapesBitExact(t *testing.T) {
+	withBatchASM(t, func(t *testing.T) {
+		withPackedB(t, func(t *testing.T) {
+			for _, procs := range []int{1, 8} {
+				prev := par.SetProcs(procs)
+				for m := 1; m <= 9; m++ {
+					for _, k := range []int{1, 7, 24, 64, 65} {
+						for _, n := range []int{1, 3, 4, 17, 96, 97} {
+							a := denseRand(m, k, 1)
+							b := denseRand(k, n, 2)
+							want := denseRand(m, n, 3)
+							got := want.Clone()
+							mulAddRows(want, a, b, 0, m)
+							MulAdd(got, a, b)
+							for i := range want.Data {
+								if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+									t.Fatalf("%dx%dx%d at %d workers: elem %d: got %x want %x", m, k, n, procs,
+										i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+								}
+							}
+						}
+					}
+				}
+				par.SetProcs(prev)
+			}
+		})
+	})
+}
+
+// bitsDiffer reports whether got and want differ as bit patterns,
+// treating any two NaNs as equal: when an add meets two NaNs (a planted
+// one and the default NaN of 0·Inf) x86 keeps the first operand's, and
+// which operand the compiler puts first differs between the scalar
+// loops, the tiles and a -race build. No caller reads a NaN's payload.
+func bitsDiffer(got, want float64) bool {
+	if math.IsNaN(got) && math.IsNaN(want) {
+		return false
+	}
+	return math.Float64bits(got) != math.Float64bits(want)
+}
+
+// TestMulAddOnTransposeMatchesMulABT pins the identity BPTT's per-step
+// recurrent gradient relies on: on a zeroed dst, MulAdd against an
+// explicitly transposed b gives MulABT's bits (on both sides of its
+// pack threshold) and the dot-then-add reference's, with signed zeros,
+// denormals, infinities and NaNs planted in both operands.
+func TestMulAddOnTransposeMatchesMulABT(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308,
+		math.Inf(1), math.Inf(-1), math.NaN(), 1, -1,
+	}
+	plant := func(m *Dense, stride int) {
+		for i := 0; i < len(m.Data); i += stride {
+			m.Data[i] = specials[(i/stride)%len(specials)]
+		}
+	}
+	withBatchASM(t, func(t *testing.T) {
+		withPackedB(t, func(t *testing.T) {
+			shapes := [][3]int{ // {m, k, n}: a is m×k, b is n×k
+				{1, 96, 24}, {1, 72, 24}, {3, 96, 24}, {8, 192, 48}, // per-step dz·whᵀ
+				{1, 1, 1}, {1, 20, 5}, {2, 7, 3}, {5, 65, 17}, {768, 17, 24},
+			}
+			for _, sh := range shapes {
+				m, k, n := sh[0], sh[1], sh[2]
+				for _, special := range []bool{false, true} {
+					a := denseRand(m, k, 1)
+					b := denseRand(n, k, 2)
+					if special {
+						plant(a, 3)
+						plant(b, 7)
+					}
+					bT := NewDense(k, n)
+					TransposeInto(bT, b)
+					want, got, viaMulABT := NewDense(m, n), NewDense(m, n), NewDense(m, n)
+					mulABTRef(want, a, b)
+					MulAdd(got, a, bT)
+					MulABT(viaMulABT, a, b)
+					for i := range want.Data {
+						if bitsDiffer(got.Data[i], want.Data[i]) || bitsDiffer(viaMulABT.Data[i], want.Data[i]) {
+							t.Fatalf("%dx%dx%d special=%v: elem %d: MulAdd %x MulABT %x want %x",
+								m, k, n, special, i, math.Float64bits(got.Data[i]),
+								math.Float64bits(viaMulABT.Data[i]), math.Float64bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		})
+	})
+}

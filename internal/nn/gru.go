@@ -109,11 +109,11 @@ type GRUCache struct {
 	batch int
 	ar    *arena
 
-	x          *mat.Dense   // packed layer-0 input [T·B x InputDim]
-	h          []*mat.Dense // per layer [(T+1)·B x H]; block 0 is the initial state
-	r, z, c    []*mat.Dense // per layer gate/candidate activations [T·B x H]
-	rh         []*mat.Dense // per layer cached zh_n (candidate recurrent pre-gate) [T·B x H]
-	ys         []*mat.Dense
+	x       *mat.Dense   // packed layer-0 input [T·B x InputDim]
+	h       []*mat.Dense // per layer [(T+1)·B x H]; block 0 is the initial state
+	r, z, c []*mat.Dense // per layer gate/candidate activations [T·B x H]
+	rh      []*mat.Dense // per layer cached zh_n (candidate recurrent pre-gate) [T·B x H]
+	ys      []*mat.Dense
 }
 
 // T returns the cached step count.
@@ -157,6 +157,7 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 	}
 	cache.x = X
 
+	ts := ar.fslice(h) // tanh exp scratch for the gate loop
 	layerX := X
 	for l, layer := range n.layers {
 		H := ar.slab((T+1)*b, h, false)
@@ -193,17 +194,25 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 				zxr, zhr := zxt.Row(row), zh.Row(row)
 				rr, zr, cr := R.Row(gRow), Zg.Row(gRow), Cc.Row(gRow)
 				hp, hr, rhr := H.Row(gRow), H.Row(gRow+b), RH.Row(gRow)
+				// Gate nonlinearities via the vectorized activations
+				// (vecact.go), in place on the cache rows: per element
+				// exactly StepForward's scalar expressions.
 				for j := 0; j < h; j++ {
-					rr[j] = sigmoid(zxr[j] + zhr[j])
-					zr[j] = sigmoid(zxr[h+j] + zhr[h+j])
+					rr[j] = zxr[j] + zhr[j]
+					zr[j] = zxr[h+j] + zhr[h+j]
 				}
+				vecSigmoid(rr)
+				vecSigmoid(zr)
 				// Candidate: n = tanh(zx_n + r ⊙ zh_n) — the "v3" GRU
 				// variant (also used by cuDNN) where the reset gate
 				// applies after the recurrent matmul; rh stashes zh_n
 				// for the gradient of Wh's n-block.
 				for j := 0; j < h; j++ {
 					rhr[j] = zhr[2*h+j]
-					cr[j] = math.Tanh(zxr[2*h+j] + rr[j]*zhr[2*h+j])
+					cr[j] = zxr[2*h+j] + rr[j]*zhr[2*h+j]
+				}
+				vecTanhInto(cr, cr, ts)
+				for j := 0; j < h; j++ {
 					hr[j] = (1-zr[j])*cr[j] + zr[j]*hp[j]
 				}
 			}
@@ -259,11 +268,13 @@ func (n *GRU) Backward(cache *GRUCache, dys []*mat.Dense) {
 	DZH := ar.slab(T*b, 3*h, false)
 	dpg := ar.slab(b, h, false)   // gate-path gradient to hPrev at step t
 	dhrec := ar.slab(b, h, false) // carried recurrent hidden gradient
+	whT := ar.slab(3*h, h, false) // whᵀ of the current layer (see LSTM.Backward)
 	for l := nl - 1; l >= 0; l-- {
 		layer := n.layers[l]
 		HP := cache.h[l]
 		R, Zg, Cc, RH := cache.r[l], cache.z[l], cache.c[l], cache.rh[l]
 		dhrec.Zero()
+		mat.TransposeInto(whT, layer.wh.Value)
 		for t := T - 1; t >= 0; t-- {
 			dpg.Zero()
 			for row := 0; row < b; row++ {
@@ -297,7 +308,7 @@ func (n *GRU) Backward(cache *GRUCache, dys []*mat.Dense) {
 			if t > 0 {
 				dzht := ar.view(DZH, t*b, (t+1)*b)
 				dhrec.Zero()
-				mat.MulABT(dhrec, dzht, layer.wh.Value)
+				mat.MulAdd(dhrec, dzht, whT)
 				mat.Axpy(1, dpg.Data, dhrec.Data)
 			}
 		}

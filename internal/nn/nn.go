@@ -274,6 +274,7 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	}
 	cache.x = X
 
+	ts := ar.fslice(h) // tanh exp scratch for the gate loop
 	layerX := X
 	for l, layer := range n.layers {
 		// H and C hold blocks 0..T; block 0 is the incoming state,
@@ -313,6 +314,10 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 			hPrev := ar.view(H, t*b, (t+1)*b)
 			mat.MulAdd(zt, hPrev, layer.wh.Value)
 			mat.AddBiasRows(zt, bias)
+			// Gate nonlinearities via the vectorized activations, written
+			// straight into the cache rows. Per element these compute
+			// exactly what StepForward's scalar loop computes (vecact.go),
+			// as Fleet.Step's do.
 			for r := 0; r < b; r++ {
 				row := t*b + r
 				zrow := zt.Row(r)
@@ -322,13 +327,15 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 				crow := C.Row(row + b)
 				hrow := H.Row(row + b)
 				tcrow := TC.Row(row)
+				SigmoidIntoVec(zrow[:h], irow)
+				SigmoidIntoVec(zrow[h:2*h], frow)
+				vecTanhInto(grow, zrow[2*h:3*h], ts)
+				SigmoidIntoVec(zrow[3*h:], orow)
 				for j := 0; j < h; j++ {
-					irow[j] = sigmoid(zrow[j])
-					frow[j] = sigmoid(zrow[h+j])
-					grow[j] = math.Tanh(zrow[2*h+j])
-					orow[j] = sigmoid(zrow[3*h+j])
 					crow[j] = frow[j]*cprow[j] + irow[j]*grow[j]
-					tcrow[j] = math.Tanh(crow[j])
+				}
+				vecTanhInto(tcrow, crow, ts)
+				for j := 0; j < h; j++ {
 					hrow[j] = orow[j] * tcrow[j]
 				}
 			}
@@ -396,9 +403,15 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	DH := ar.slab(T*b, h, true)
 	mat.MulABT(DH, DY, n.wy.Value)
 
-	DZ := ar.slab(T*b, 4*h, false)  // pre-activation grads, fully written per layer
-	dc := ar.slab(b, h, false)      // carried cell gradient
-	dhrec := ar.slab(b, h, false)   // carried recurrent hidden gradient
+	DZ := ar.slab(T*b, 4*h, false) // pre-activation grads, fully written per layer
+	dc := ar.slab(b, h, false)     // carried cell gradient
+	dhrec := ar.slab(b, h, false)  // carried recurrent hidden gradient
+	// whᵀ of the layer being processed, transposed once per layer: the
+	// per-step recurrent gradient dz_t·whᵀ is a b-row product far under
+	// the size at which MulABT's own per-call transpose pays for itself.
+	// Into the freshly zeroed dhrec, MulAdd on whᵀ gives MulABT's bits
+	// (see mat.TransposeInto).
+	whT := ar.slab(4*h, h, false)
 	for l := nl - 1; l >= 0; l-- {
 		layer := n.layers[l]
 		C := cache.c[l]
@@ -407,6 +420,7 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 		TC := cache.tanhC[l]
 		dc.Zero()
 		dhrec.Zero()
+		mat.TransposeInto(whT, layer.wh.Value)
 		for t := T - 1; t >= 0; t-- {
 			for r := 0; r < b; r++ {
 				row := t*b + r
@@ -435,7 +449,7 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 			if t > 0 {
 				dzt := ar.view(DZ, t*b, (t+1)*b)
 				dhrec.Zero()
-				mat.MulABT(dhrec, dzt, layer.wh.Value)
+				mat.MulAdd(dhrec, dzt, whT)
 			}
 		}
 		// Parameter gradients, sequence-fused over all T steps.

@@ -38,7 +38,7 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 		"garbage":       []byte("not a gob stream at all"),
 		"empty":         {},
 		"truncated gob": valid[:len(valid)/2],
-		"zero dims": encodeSnapshot(t, Config{}, nil),
+		"zero dims":     encodeSnapshot(t, Config{}, nil),
 		"negative dims": encodeSnapshot(t,
 			Config{InputDim: -1, HiddenDim: -8, Layers: -2, OutputDim: -3}, nil),
 		"huge dims": encodeSnapshot(t,

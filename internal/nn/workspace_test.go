@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -148,5 +149,44 @@ func TestForwardBackwardSteadyStateAllocs(t *testing.T) {
 	pass() // warm both arenas
 	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
 		t.Fatalf("steady-state Forward/Backward allocates %v times, want 0", allocs)
+	}
+}
+
+// TestShardedRunWindowSteadyStateAllocs pins the sharded training
+// window at its historical allocation count: the par.Do task closure
+// RunWindow itself creates and nothing from the shards'
+// Forward/Backward — the per-layer whᵀ slab and the gate loop's tanh
+// scratch come from each shadow's arena. One worker, so par.Do spawns
+// nothing; shapes below the pack threshold, so no pooled scratch (which
+// the race detector makes lossy) is involved.
+func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
+	defer par.SetProcs(par.SetProcs(1))
+	const inDim, hidden, outDim, steps, batch = 3, 5, 4, 6, 4
+	for _, arch := range []string{"lstm", "gru"} {
+		g := rng.New(41)
+		xs := randInputs(g, steps, batch, inDim)
+		shardDys := make([][]*mat.Dense, batch)
+		for si := range shardDys {
+			shardDys[si] = randInputs(g, steps, 1, outDim)
+		}
+		dys := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
+			return shardDys[lo], 0, 0
+		}
+		cfg := Config{InputDim: inDim, HiddenDim: hidden, Layers: 2, OutputDim: outDim}
+		var run func()
+		if arch == "lstm" {
+			net := NewLSTM(cfg, rng.New(42))
+			drv, st := NewShardedLSTM(net, batch), net.NewState(batch)
+			run = func() { drv.RunWindow(xs, st, dys) }
+		} else {
+			net := NewGRU(cfg, rng.New(42))
+			drv, st := NewShardedGRU(net, batch), net.NewState(batch)
+			run = func() { drv.RunWindow(xs, st, dys) }
+		}
+		run()
+		run() // warm both arenas of every shadow
+		if allocs := testing.AllocsPerRun(20, run); allocs > 1 {
+			t.Errorf("%s: steady-state RunWindow allocates %v times, want <= 1", arch, allocs)
+		}
 	}
 }

@@ -50,6 +50,13 @@ go test -run '^$' -bench 'GenerateBatchLSTM|GenerateShardedLSTM|EngineWave64' \
 	-benchmem -benchtime 3x . | \
 	awk '/^Benchmark/ { print; print > "/dev/stderr" }' >> "$TMP"
 
+# Training iteration floor (DESIGN.md §6.3): one train_fit cycle is a
+# few hundred ms, so a time-based -benchtime yields one to three
+# iterations; give both worker-count twins the same fixed floor.
+echo "bench.sh: training-cycle benchmarks at -benchtime 3x iteration floor"
+go test -run '^$' -bench 'TrainFitCycle' -benchmem -benchtime 3x . | \
+	awk '/^Benchmark/ { print; print > "/dev/stderr" }' >> "$TMP"
+
 # Multi-core scaling rows (DESIGN.md §6.2): re-run the decode-fleet
 # benchmarks at fixed GOMAXPROCS values so the offline shards' scaling
 # curve is captured in the baseline. Rows are suffixed @gomaxprocs=G

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Race-detection tier for the packages that carry production
+# gofmt and vet over the whole module, then the
+# race-detection tier for the packages that carry production
 # concurrency (the parallel execution layer and everything threaded
 # through it, the metrics registry, the HTTP service with hot model
 # reload, the continuous-batching decode engine, the checkpoint
@@ -12,6 +13,7 @@
 # Run from the repository root: scripts/check.sh
 set -eu
 
+test -z "$(gofmt -l .)" || { echo "check.sh: gofmt -l . lists:"; gofmt -l .; exit 1; }
 go vet ./...
 go test -race ./internal/par ./internal/mat ./internal/nn ./internal/obs \
 	./internal/server ./internal/core ./internal/ckpt ./internal/rng \
@@ -73,4 +75,4 @@ else
 	echo "check.sh: go toolchain lacks -fuzz; skipping fuzz tier"
 fi
 
-echo "check.sh: vet + race + noasm + nopack + determinism + sharded + alloc pins + resume + fuzz OK"
+echo "check.sh: gofmt + vet + race + noasm + nopack + determinism + sharded + alloc pins + resume + fuzz OK"
