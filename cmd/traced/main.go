@@ -9,7 +9,7 @@
 //	traced -journal run.jsonl -debug-addr :6060
 //	traced -batch-window 2ms -max-batch 64
 //	traced -decode-shards 8
-//	traced -precision f32 [-fast-math]
+//	traced -precision f32
 //	traced -checkpoint-dir ckpt/ -checkpoint-every 5 -resume
 //	traced -workload-spec mixed
 //	traced -workload-spec examples/workloads/mixed.json -record served.jsonl
@@ -55,8 +55,7 @@
 // identical across engine kinds, but differ (within validated
 // tolerances) from the f64 reference; the divergence is measured
 // against the f64 path at startup and on every hot reload, and a
-// model outside tolerance refuses to serve. -fast-math additionally
-// selects FMA-fused f32 kernels.
+// model outside tolerance refuses to serve.
 //
 // Observability (DESIGN.md §7): -trace-buffer N keeps the last N
 // finished request traces in a ring — every /generate answers with an
@@ -96,7 +95,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/fidelity"
-	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -188,7 +186,6 @@ func main() {
 	engineKind := flag.String("engine", "batched", "decode engine: serial, or batched (sharded is a synonym)")
 	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards for -engine batched/sharded (0: one per core, at most -max-batch; 1: a single scheduler)")
 	precision := flag.String("precision", "f64", "decode numeric width: f64 (bit-exact reference) or f32 (fast path, validated at publish)")
-	fastMath := flag.Bool("fast-math", false, "use FMA-fused f32 kernels (slightly different rounding than the default f32 path; no effect at -precision f64)")
 	traceBuffer := flag.Int("trace-buffer", 256, "request traces kept for GET /debug/traces (0 disables request tracing)")
 	fidelityWindow := flag.Int("fidelity-window", 64, "served traces in the fidelity drift monitor's sliding window (0 disables the monitor)")
 	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (training epochs, phase spans) to this path")
@@ -206,9 +203,6 @@ func main() {
 	if !core.ValidPrecision(*precision) {
 		log.Fatalf("traced: unknown -precision %q (have %v)", *precision, core.Precisions())
 	}
-	// -fast-math swaps the f32 kernels to their FMA-fused variants
-	// process-wide; the f64 path is unaffected either way.
-	mat.SetFastMath(*fastMath)
 
 	var journal *obs.Journal
 	if *journalPath != "" {
@@ -353,15 +347,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("traced: %v", err)
 		}
-		log.Printf("f32 fast path validated over %d steps: prob|Δ|=%.2e hazard|Δ|=%.2e survival|Δ|=%.2e (fast-math=%v)",
-			rep.Steps, rep.MaxProbDiff, rep.MaxHazardDiff, rep.MaxSurvivalDiff, *fastMath)
+		log.Printf("f32 fast path validated over %d steps: prob|Δ|=%.2e hazard|Δ|=%.2e survival|Δ|=%.2e",
+			rep.Steps, rep.MaxProbDiff, rep.MaxHazardDiff, rep.MaxSurvivalDiff)
 		trainInfo["precision"] = *precision
 		journal.Event("f32_validated", map[string]any{
 			"steps":         rep.Steps,
 			"prob_diff":     rep.MaxProbDiff,
 			"hazard_diff":   rep.MaxHazardDiff,
 			"survival_diff": rep.MaxSurvivalDiff,
-			"fast_math":     *fastMath,
 		})
 	}
 

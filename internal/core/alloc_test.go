@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/nn"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/survival"
+	"repro/internal/synth"
 )
 
 // tinyGenModels builds untrained (randomly initialized) stage-2/3
@@ -108,5 +110,52 @@ func TestPooledStateResetMatchesFresh(t *testing.T) {
 		}
 		lpooled.observe(i%3, i%2 == 0)
 		lfresh.observe(i%3, i%2 == 0)
+	}
+}
+
+// TestTrainingWindowSteadyStateAllocs is the training-side twin of
+// nn's TestShardedRunWindowSteadyStateAllocs: every BPTT fit runs the
+// same window loop, so a steady-state GRU, hazard, PMF or joint window
+// allocates no more than a flavor-LSTM window does (before the shared
+// driver the GRU, PMF and joint loops built three fresh matrices per
+// step of every window). Allocations per window are the extra mallocs
+// of one more epoch over the windows in it; two-step windows keep
+// every shape under the pack threshold (no pooled scratch) and make
+// the epoch's one fresh state a small fraction of a window's count.
+func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
+	defer par.SetProcs(par.SetProcs(1))
+	sc := synth.AzureLike()
+	sc.Days, sc.Users, sc.BaseRate = 1, 30, 1.5
+	tr := sc.Generate(5)
+	bins := survival.PaperBins()
+	cfg := TrainConfig{Hidden: 4, Layers: 2, SeqLen: 2, BatchSize: 4, Seed: 3}
+	perWindow := func(n int, fit func(TrainConfig)) float64 {
+		allocs := func(epochs int) float64 {
+			c := cfg
+			c.Epochs = epochs
+			return testing.AllocsPerRun(1, func() { fit(c) })
+		}
+		windows := newSegmentPlan(n, cfg.SeqLen, cfg.BatchSize).windows
+		return (allocs(2) - allocs(1)) / float64(windows)
+	}
+	nTok, nJobs := len(FlavorTokens(tr)), len(LifetimeSteps(tr, bins))
+	base := perWindow(nTok, func(c TrainConfig) { TrainFlavor(tr, c) })
+	for _, f := range []struct {
+		name string
+		n    int
+		fit  func(TrainConfig)
+	}{
+		{"flavor_gru", nTok, func(c TrainConfig) { TrainFlavorGRU(tr, c) }},
+		{"lifetime_hazard", nJobs, func(c TrainConfig) { TrainLifetime(tr, bins, c) }},
+		{"lifetime_pmf", nJobs, func(c TrainConfig) { TrainLifetimePMF(tr, bins, c) }},
+		{"joint_lstm", len(jointTokens(tr)), func(c TrainConfig) { TrainJoint(tr, c) }},
+	} {
+		// Counts are whole numbers per window; the half absorbs the
+		// per-epoch state shared out over differing window counts.
+		if got := perWindow(f.n, f.fit); got > base+0.5 {
+			t.Errorf("%s: %.2f allocations per steady-state window, flavor LSTM %.2f", f.name, got, base)
+		} else {
+			t.Logf("%s: %.2f allocations per window (flavor LSTM %.2f)", f.name, got, base)
+		}
 	}
 }

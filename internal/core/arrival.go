@@ -69,10 +69,7 @@ func TrainArrival(tr *trace.Trace, opt ArrivalOptions) (*ArrivalModel, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown arrival kind %d", opt.Kind)
 	}
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
 	m := &ArrivalModel{
 		Kind:        opt.Kind,
 		UseDOH:      opt.UseDOH,

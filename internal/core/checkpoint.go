@@ -18,9 +18,9 @@ import (
 // weights, the Adam moment vectors and step counter, the epoch cursor,
 // the dev-selection state, and the RNG stream state — everything needed
 // for a resumed run to reach byte-identical final weights and traces.
-// One spec (one directory) serves all seven training loops: each loop
-// writes under its own file prefix, so a full TrainModel run checkpoints
-// its arrival, flavor, and lifetime stages side by side.
+// One spec (one directory) serves all seven fits: each writes under its
+// own file prefix, so a full TrainModel run checkpoints its arrival,
+// flavor, and lifetime stages side by side.
 type CheckpointSpec struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
 	Dir string
@@ -74,11 +74,12 @@ type trainCkptV1 struct {
 	RNG rng.State
 }
 
-// netCodec is the slice of the network API checkpointing needs; all
-// three architectures (LSTM, GRU, Transformer) satisfy it.
+// netCodec is the slice of the network API training and checkpointing
+// need; all three architectures (LSTM, GRU, Transformer) satisfy it.
 type netCodec interface {
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary([]byte) error
+	Params() []*nn.Param
 }
 
 // trainCheckpointer drives checkpoint saves and resume for one training
@@ -132,7 +133,7 @@ func newTrainCheckpointer(spec *CheckpointSpec, prefix, fingerprint string) *tra
 // fresh. Restore order matters: the net is restored before the
 // optimizer so moment shapes are matched against the restored params,
 // and callers must resume before deriving sharded views from the net.
-func (t *trainCheckpointer) resume(spec *CheckpointSpec, net netCodec, opt *nn.Adam, params func() []*nn.Param) (trainCkptV1, bool) {
+func (t *trainCheckpointer) resume(spec *CheckpointSpec, net netCodec, opt *nn.Adam) (trainCkptV1, bool) {
 	var zero trainCkptV1
 	if t == nil || spec == nil || !spec.Resume {
 		return zero, false
@@ -155,7 +156,7 @@ func (t *trainCheckpointer) resume(spec *CheckpointSpec, net netCodec, opt *nn.A
 		return zero, false
 	}
 	if opt != nil && len(w.Opt) > 0 {
-		if err := nn.UnmarshalOptState(w.Opt, opt, params()); err != nil {
+		if err := nn.UnmarshalOptState(w.Opt, opt, net.Params()); err != nil {
 			t.reject()
 			return zero, false
 		}
@@ -175,7 +176,7 @@ func (t *trainCheckpointer) reject() {
 // save writes one checkpoint if the cadence (or done) calls for it.
 // Failures are counted but do not abort training: a checkpointing
 // problem must never take down a run that would otherwise finish.
-func (t *trainCheckpointer) save(epochsDone int, done bool, net netCodec, opt *nn.Adam, params []*nn.Param, bestDev float64, bestSnap []byte, g rng.State) {
+func (t *trainCheckpointer) save(epochsDone int, done bool, net netCodec, opt *nn.Adam, bestDev float64, bestSnap []byte, g rng.State) {
 	if t == nil {
 		return
 	}
@@ -196,7 +197,7 @@ func (t *trainCheckpointer) save(epochsDone int, done bool, net netCodec, opt *n
 		return
 	}
 	if opt != nil {
-		if w.Opt, err = nn.MarshalOptState(opt, params); err != nil {
+		if w.Opt, err = nn.MarshalOptState(opt, net.Params()); err != nil {
 			t.countErr()
 			return
 		}

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/features"
-	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -131,181 +129,30 @@ func (m *FlavorModel) encodeFlavorInput(dst []float64, prevToken, period, dohDay
 func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
 	m := &FlavorModel{
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
 		HistoryDays: historyDays,
 	}
 	toks := FlavorTokens(tr)
-	inDim := flavorInputDim(k, m.Temporal)
 	g := rng.New(cfg.Seed)
-	m.Net = nn.NewLSTM(nn.Config{
-		InputDim:  inDim,
-		HiddenDim: cfg.Hidden,
-		Layers:    cfg.Layers,
-		OutputDim: k + 1,
-	}, g)
-	if len(toks) == 0 {
-		return m
+	task := nextTokenTask(toks, k+1, EOBToken(k), m.Temporal)
+	m.Net = nn.NewLSTM(cfg.netConfig(task.inDim, task.outDim), g)
+	task.sgdFit = sgdFit{
+		model: ObsFlavorLSTM, prefix: "flavor-lstm",
+		fingerprint: cfg.fingerprint(ObsFlavorLSTM, len(toks), k, historyDays),
+		net:         m.Net, rng: g,
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = cfg.ClipNorm
-	plan := newSegmentPlan(len(toks), cfg.SeqLen, cfg.BatchSize)
-	eob := EOBToken(k)
-	var devToks []FlavorToken
+	task.shard = shardLSTM(m.Net)
 	if cfg.Dev != nil {
-		devToks = FlavorTokens(cfg.Dev)
-	}
-	bestDev := math.Inf(1)
-	var bestSnap []byte
-	checkDev := func() (float64, bool) {
-		if len(devToks) == 0 {
-			return 0, false
-		}
-		ev := EvaluateFlavor(NewLSTMFlavorPredictor(m), devToks, cfg.DevOffset)
-		if ev.NLL < bestDev {
-			bestDev = ev.NLL
-			if snap, err := m.Net.MarshalBinary(); err == nil {
-				bestSnap = snap
+		if devToks := FlavorTokens(cfg.Dev); len(devToks) > 0 {
+			task.dev = func() float64 {
+				return EvaluateFlavor(NewLSTMFlavorPredictor(m), devToks, cfg.DevOffset).NLL
 			}
 		}
-		return ev.NLL, true
 	}
-	// Resume must precede the sharded view: UnmarshalBinary swaps the
-	// net's parameter storage, and the shards capture references to it.
-	ck := newTrainCheckpointer(cfg.Checkpoint, "flavor-lstm",
-		cfg.fingerprint(ObsFlavorLSTM, len(toks), k, historyDays))
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, m.Net, opt, m.Net.Params); ok {
-		if w.Done {
-			return m
-		}
-		startEpoch = w.EpochsDone
-		bestDev, bestSnap = w.BestDev, w.BestSnap
-	}
-	sharded := nn.NewShardedLSTM(m.Net, plan.batch)
-	// Window buffers are allocated once and reused across every window
-	// and epoch: per-step inputs, targets and validity masks, plus one
-	// full-batch gradient slab per step with persistent per-shard row
-	// views handed to the sharded backward pass. Each window rewrites
-	// them completely (inputs are zeroed first, exactly like the fresh
-	// matrices they replace), so training results are unchanged.
-	maxWl := 0
-	for w := 0; w < plan.windows; w++ {
-		if wl := plan.windowLen(w); wl > maxWl {
-			maxWl = wl
-		}
-	}
-	xs := make([]*mat.Dense, maxWl)
-	targets := make([][]int, maxWl)
-	valids := make([][]bool, maxWl)
-	dysFull := make([]*mat.Dense, maxWl)
-	for s := 0; s < maxWl; s++ {
-		xs[s] = mat.NewDense(plan.batch, inDim)
-		targets[s] = make([]int, plan.batch)
-		valids[s] = make([]bool, plan.batch)
-		dysFull[s] = mat.NewDense(plan.batch, k+1)
-	}
-	shardDys := make([][]*mat.Dense, nn.NumShards(plan.batch))
-	for si := range shardDys {
-		lo := si * nn.ShardRows
-		hi := min(lo+nn.ShardRows, plan.batch)
-		shardDys[si] = make([]*mat.Dense, maxWl)
-		for s := 0; s < maxWl; s++ {
-			shardDys[si][s] = dysFull[s].SliceRows(lo, hi)
-		}
-	}
-	ec := newEpochClock(ObsFlavorLSTM, cfg.Progress, cfg.Obs, cfg.Epochs)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		opt.LR = cfg.stepLR(epoch)
-		var totalLoss float64
-		var totalSteps int
-		// Stateful truncated BPTT: each window continues the B parallel
-		// segments from the previous window's final state, so the state
-		// distribution matches long free-running generation.
-		st := m.Net.NewState(plan.batch)
-		for w := 0; w < plan.windows; w++ {
-			wl := plan.windowLen(w)
-			var batchSteps int
-			for s := 0; s < wl; s++ {
-				x := xs[s]
-				x.Zero()
-				tg := targets[s]
-				vd := valids[s]
-				clear(tg)
-				clear(vd)
-				for row := 0; row < plan.batch; row++ {
-					t, ok := plan.step(row, w, s)
-					if !ok {
-						continue
-					}
-					prev := eob
-					if t > 0 {
-						prev = toks[t-1].Token
-					}
-					day := trace.DayOfHistory(toks[t].Period)
-					m.encodeFlavorInput(x.Row(row), prev, toks[t].Period, day)
-					tg[row] = toks[t].Token
-					vd[row] = true
-					batchSteps++
-				}
-			}
-			// Normalize gradients by the number of contributing steps so
-			// the learning rate is scale-free. The count is known before
-			// the forward pass, so each shard scales its own gradients
-			// and no cross-shard barrier is needed between loss and BPTT.
-			var norm float64
-			if batchSteps > 0 {
-				norm = 1 / float64(batchSteps)
-			}
-			loss, steps := sharded.RunWindow(xs[:wl], st, func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
-				// Shards write disjoint row ranges of the shared slabs.
-				dys := shardDys[lo/nn.ShardRows][:len(ys)]
-				var shardLoss float64
-				var shardN int
-				for s, y := range ys {
-					l, n := nn.SoftmaxCEInto(y, targets[s][lo:hi], valids[s][lo:hi], dys[s])
-					shardLoss += l
-					shardN += n
-				}
-				if batchSteps == 0 {
-					return nil, shardLoss, shardN
-				}
-				for _, d := range dys {
-					mat.Scale(norm, d.Data)
-				}
-				return dys, shardLoss, shardN
-			})
-			totalLoss += loss
-			totalSteps += steps
-			if batchSteps == 0 {
-				continue
-			}
-			opt.Step(m.Net.Params())
-		}
-		var devLoss float64
-		var hasDev bool
-		if (epoch+1)%cfg.DevEvery == 0 || epoch == cfg.Epochs-1 {
-			devLoss, hasDev = checkDev()
-		}
-		var mean float64
-		if totalSteps > 0 {
-			mean = totalLoss / float64(totalSteps)
-		}
-		ec.emit(epoch, mean, totalSteps, opt, devLoss, hasDev)
-		ck.save(epoch+1, false, m.Net, opt, m.Net.Params(), bestDev, bestSnap, g.State())
-	}
-	if bestSnap != nil {
-		if err := m.Net.UnmarshalBinary(bestSnap); err != nil {
-			panic(fmt.Sprintf("core: restore best flavor snapshot: %v", err))
-		}
-	}
-	ck.save(cfg.Epochs, true, m.Net, opt, m.Net.Params(), bestDev, bestSnap, g.State())
+	runBPTT(cfg, task)
 	return m
 }
 

@@ -2,15 +2,13 @@ package core
 
 import (
 	"repro/internal/features"
-	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
 // GRUFlavorModel is the stage-2 model with a GRU instead of an LSTM —
-// the third arm of the §7 architecture ablation. Training mirrors
-// TrainFlavor (stateful truncated BPTT, step LR schedule).
+// the third arm of the §7 architecture ablation.
 type GRUFlavorModel struct {
 	Net         *nn.GRU
 	K           int
@@ -23,115 +21,23 @@ type GRUFlavorModel struct {
 func TrainFlavorGRU(tr *trace.Trace, cfg TrainConfig) *GRUFlavorModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
 	m := &GRUFlavorModel{
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
 		HistoryDays: historyDays,
 	}
 	toks := FlavorTokens(tr)
-	inDim := flavorInputDim(k, m.Temporal)
 	g := rng.New(cfg.Seed + 40)
-	m.Net = nn.NewGRU(nn.Config{
-		InputDim:  inDim,
-		HiddenDim: cfg.Hidden,
-		Layers:    cfg.Layers,
-		OutputDim: k + 1,
-	}, g)
-	if len(toks) == 0 {
-		return m
+	task := nextTokenTask(toks, k+1, EOBToken(k), m.Temporal)
+	m.Net = nn.NewGRU(cfg.netConfig(task.inDim, task.outDim), g)
+	task.sgdFit = sgdFit{
+		model: ObsFlavorGRU, prefix: "flavor-gru",
+		fingerprint: cfg.fingerprint(ObsFlavorGRU, len(toks), k, historyDays),
+		net:         m.Net, rng: g,
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = cfg.ClipNorm
-	plan := newSegmentPlan(len(toks), cfg.SeqLen, cfg.BatchSize)
-	eob := EOBToken(k)
-	// Resume before the sharded view (see TrainFlavor).
-	ck := newTrainCheckpointer(cfg.Checkpoint, "flavor-gru",
-		cfg.fingerprint(ObsFlavorGRU, len(toks), k, historyDays))
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, m.Net, opt, m.Net.Params); ok {
-		if w.Done {
-			return m
-		}
-		startEpoch = w.EpochsDone
-	}
-	sharded := nn.NewShardedGRU(m.Net, plan.batch)
-	ec := newEpochClock(ObsFlavorGRU, cfg.Progress, cfg.Obs, cfg.Epochs)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		opt.LR = cfg.stepLR(epoch)
-		var totalLoss float64
-		var totalSteps int
-		st := m.Net.NewState(plan.batch)
-		for w := 0; w < plan.windows; w++ {
-			wl := plan.windowLen(w)
-			xs := make([]*mat.Dense, wl)
-			targets := make([][]int, wl)
-			valids := make([][]bool, wl)
-			var batchSteps int
-			for s := 0; s < wl; s++ {
-				x := mat.NewDense(plan.batch, inDim)
-				tg := make([]int, plan.batch)
-				vd := make([]bool, plan.batch)
-				for row := 0; row < plan.batch; row++ {
-					t, ok := plan.step(row, w, s)
-					if !ok {
-						continue
-					}
-					prev := eob
-					if t > 0 {
-						prev = toks[t-1].Token
-					}
-					day := trace.DayOfHistory(toks[t].Period)
-					encodeFlavorInputInto(x.Row(row), k, m.Temporal, prev, toks[t].Period, day)
-					tg[row] = toks[t].Token
-					vd[row] = true
-					batchSteps++
-				}
-				xs[s] = x
-				targets[s] = tg
-				valids[s] = vd
-			}
-			var norm float64
-			if batchSteps > 0 {
-				norm = 1 / float64(batchSteps)
-			}
-			loss, steps := sharded.RunWindow(xs, st, func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
-				dys := make([]*mat.Dense, len(ys))
-				var shardLoss float64
-				var shardN int
-				for s, y := range ys {
-					l, d, n := nn.SoftmaxCE(y, targets[s][lo:hi], valids[s][lo:hi])
-					shardLoss += l
-					shardN += n
-					dys[s] = d
-				}
-				if batchSteps == 0 {
-					return nil, shardLoss, shardN
-				}
-				for _, d := range dys {
-					mat.Scale(norm, d.Data)
-				}
-				return dys, shardLoss, shardN
-			})
-			totalLoss += loss
-			totalSteps += steps
-			if batchSteps == 0 {
-				continue
-			}
-			opt.Step(m.Net.Params())
-		}
-		var mean float64
-		if totalSteps > 0 {
-			mean = totalLoss / float64(totalSteps)
-		}
-		ec.emit(epoch, mean, totalSteps, opt, 0, false)
-		ck.save(epoch+1, false, m.Net, opt, m.Net.Params(), 0, nil, g.State())
-	}
-	ck.save(cfg.Epochs, true, m.Net, opt, m.Net.Params(), 0, nil, g.State())
+	task.shard = shardGRU(m.Net)
+	runBPTT(cfg, task)
 	return m
 }
 

@@ -75,10 +75,7 @@ type TransformerFlavorModel struct {
 func TrainFlavorTransformer(tr *trace.Trace, cfg TransformerTrainConfig) *TransformerFlavorModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
 	m := &TransformerFlavorModel{
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
@@ -99,60 +96,46 @@ func TrainFlavorTransformer(tr *trace.Trace, cfg TransformerTrainConfig) *Transf
 	if len(toks) == 0 {
 		return m
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.ClipNorm = cfg.ClipNorm
-	eob := EOBToken(k)
-	ck := newTrainCheckpointer(cfg.Checkpoint, "flavor-transformer",
-		cfg.fingerprint(len(toks), k, historyDays))
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, m.Net, opt, m.Net.Params); ok {
-		if w.Done {
-			return m
-		}
-		startEpoch = w.EpochsDone
+	// Same inputs and targets as the LSTM's next-token task.
+	encode := nextTokenTask(toks, k+1, EOBToken(k), m.Temporal).encode
+	// The shared epoch skeleton reads its knobs from a TrainConfig; the
+	// Transformer has no weight decay, dev selection or LR schedule.
+	shared := TrainConfig{
+		Epochs: cfg.Epochs, LR: cfg.LR, ClipNorm: cfg.ClipNorm,
+		Progress: cfg.Progress, Obs: cfg.Obs, Checkpoint: cfg.Checkpoint,
 	}
-	ec := newEpochClock(ObsFlavorTransformer, cfg.Progress, cfg.Obs, cfg.Epochs)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		var totalLoss float64
-		var totalSteps int
-		for start := 0; start < len(toks); start += cfg.MaxLen {
-			end := start + cfg.MaxLen
-			if end > len(toks) {
-				end = len(toks)
-			}
-			T := end - start
-			x := mat.NewDense(T, inDim)
-			targets := make([]int, T)
-			for s := 0; s < T; s++ {
-				t := start + s
-				prev := eob
-				if t > 0 {
-					prev = toks[t-1].Token
+	fit := sgdFit{
+		model: ObsFlavorTransformer, prefix: "flavor-transformer",
+		fingerprint: cfg.fingerprint(len(toks), k, historyDays),
+		net:         m.Net, rng: g,
+	}
+	constLR := func(int) float64 { return cfg.LR }
+	runEpochs(shared, fit, constLR, func(opt *nn.Adam) func() (float64, int) {
+		// One epoch: stateless teacher forcing over MaxLen-sized windows.
+		return func() (totalLoss float64, totalSteps int) {
+			for start := 0; start < len(toks); start += cfg.MaxLen {
+				T := min(cfg.MaxLen, len(toks)-start)
+				x := mat.NewDense(T, inDim)
+				targets := make([]int, T)
+				for s := range targets {
+					encode(x.Row(s), start+s)
+					targets[s] = toks[start+s].Token
 				}
-				day := trace.DayOfHistory(toks[t].Period)
-				encodeFlavorInputInto(x.Row(s), k, m.Temporal, prev, toks[t].Period, day)
-				targets[s] = toks[t].Token
+				m.Net.ZeroGrads()
+				out, cache := m.Net.Forward(x)
+				l, d, n := nn.SoftmaxCE(out, targets, nil)
+				if n == 0 {
+					continue
+				}
+				totalLoss += l
+				totalSteps += n
+				mat.Scale(1/float64(n), d.Data)
+				m.Net.Backward(cache, d)
+				opt.Step(m.Net.Params())
 			}
-			m.Net.ZeroGrads()
-			out, cache := m.Net.Forward(x)
-			l, d, n := nn.SoftmaxCE(out, targets, nil)
-			if n == 0 {
-				continue
-			}
-			totalLoss += l
-			totalSteps += n
-			mat.Scale(1/float64(n), d.Data)
-			m.Net.Backward(cache, d)
-			opt.Step(m.Net.Params())
+			return totalLoss, totalSteps
 		}
-		var mean float64
-		if totalSteps > 0 {
-			mean = totalLoss / float64(totalSteps)
-		}
-		ec.emit(epoch, mean, totalSteps, opt, 0, false)
-		ck.save(epoch+1, false, m.Net, opt, m.Net.Params(), 0, nil, g.State())
-	}
-	ck.save(cfg.Epochs, true, m.Net, opt, m.Net.Params(), 0, nil, g.State())
+	})
 	return m
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/features"
-	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -62,103 +61,23 @@ func (m *JointModel) encodeInput(dst []float64, prevToken, period, dohDay int) {
 func TrainJoint(tr *trace.Trace, cfg TrainConfig) *JointModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
 	m := &JointModel{
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
 		HistoryDays: historyDays,
 	}
 	toks := jointTokens(tr)
-	inDim := m.inputDim()
 	g := rng.New(cfg.Seed + 20)
-	m.Net = nn.NewLSTM(nn.Config{
-		InputDim:  inDim,
-		HiddenDim: cfg.Hidden,
-		Layers:    cfg.Layers,
-		OutputDim: k + 2,
-	}, g)
-	if len(toks) == 0 {
-		return m
+	task := nextTokenTask(toks, k+2, m.jointEOP(), m.Temporal)
+	m.Net = nn.NewLSTM(cfg.netConfig(task.inDim, task.outDim), g)
+	task.sgdFit = sgdFit{
+		model: ObsJointLSTM, prefix: "joint-lstm",
+		fingerprint: cfg.fingerprint(ObsJointLSTM, len(toks), k, historyDays),
+		net:         m.Net, rng: g,
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = cfg.ClipNorm
-	plan := newSegmentPlan(len(toks), cfg.SeqLen, cfg.BatchSize)
-	eop := m.jointEOP()
-	ck := newTrainCheckpointer(cfg.Checkpoint, "joint-lstm",
-		cfg.fingerprint(ObsJointLSTM, len(toks), k, historyDays))
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, m.Net, opt, m.Net.Params); ok {
-		if w.Done {
-			return m
-		}
-		startEpoch = w.EpochsDone
-	}
-	ec := newEpochClock(ObsJointLSTM, cfg.Progress, cfg.Obs, cfg.Epochs)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		opt.LR = cfg.stepLR(epoch)
-		var totalLoss float64
-		var totalSteps int
-		st := m.Net.NewState(plan.batch)
-		for w := 0; w < plan.windows; w++ {
-			wl := plan.windowLen(w)
-			xs := make([]*mat.Dense, wl)
-			targets := make([][]int, wl)
-			valids := make([][]bool, wl)
-			var batchSteps int
-			for s := 0; s < wl; s++ {
-				x := mat.NewDense(plan.batch, inDim)
-				tg := make([]int, plan.batch)
-				vd := make([]bool, plan.batch)
-				for row := 0; row < plan.batch; row++ {
-					t, ok := plan.step(row, w, s)
-					if !ok {
-						continue
-					}
-					prev := eop
-					if t > 0 {
-						prev = toks[t-1].Token
-					}
-					day := trace.DayOfHistory(toks[t].Period)
-					m.encodeInput(x.Row(row), prev, toks[t].Period, day)
-					tg[row] = toks[t].Token
-					vd[row] = true
-					batchSteps++
-				}
-				xs[s] = x
-				targets[s] = tg
-				valids[s] = vd
-			}
-			m.Net.ZeroGrads()
-			ys, cache := m.Net.Forward(xs, st)
-			dys := make([]*mat.Dense, wl)
-			for s, y := range ys {
-				l, d, n := nn.SoftmaxCE(y, targets[s], valids[s])
-				totalLoss += l
-				totalSteps += n
-				dys[s] = d
-			}
-			if batchSteps == 0 {
-				continue
-			}
-			norm := 1 / float64(batchSteps)
-			for _, d := range dys {
-				mat.Scale(norm, d.Data)
-			}
-			m.Net.Backward(cache, dys)
-			opt.Step(m.Net.Params())
-		}
-		var mean float64
-		if totalSteps > 0 {
-			mean = totalLoss / float64(totalSteps)
-		}
-		ec.emit(epoch, mean, totalSteps, opt, 0, false)
-		ck.save(epoch+1, false, m.Net, opt, m.Net.Params(), 0, nil, g.State())
-	}
-	ck.save(cfg.Epochs, true, m.Net, opt, m.Net.Params(), 0, nil, g.State())
+	task.shard = shardLSTM(m.Net)
+	runBPTT(cfg, task)
 	return m
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -79,184 +78,59 @@ func lifetimeTargets(target, mask []float64, step LifetimeStep) {
 func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *LifetimeModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
+	j := bins.J()
 	m := &LifetimeModel{
 		Bins:        bins,
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
-		LifeFeat:    features.LifetimeFeatures{Bins: bins.J()},
+		LifeFeat:    features.LifetimeFeatures{Bins: j},
 		HistoryDays: historyDays,
 	}
 	steps := LifetimeSteps(tr, bins)
-	inDim := lifetimeInputDim(k, m.Temporal, m.LifeFeat)
 	g := rng.New(cfg.Seed + 1)
-	m.Net = nn.NewLSTM(nn.Config{
-		InputDim:  inDim,
-		HiddenDim: cfg.Hidden,
-		Layers:    cfg.Layers,
-		OutputDim: bins.J(),
-	}, g)
-	if len(steps) == 0 {
-		return m
+	task := lifetimeTask(steps, k, m.Temporal, m.LifeFeat)
+	m.Net = nn.NewLSTM(cfg.netConfig(task.inDim, j), g)
+	task.sgdFit = sgdFit{
+		model: ObsLifetimeHazard, prefix: "lifetime-hazard",
+		fingerprint: cfg.fingerprint(ObsLifetimeHazard, len(steps), k, historyDays),
+		net:         m.Net, rng: g,
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = cfg.ClipNorm
-	plan := newSegmentPlan(len(steps), cfg.SeqLen, cfg.BatchSize)
-	j := bins.J()
-	var devSteps []LifetimeStep
-	if cfg.Dev != nil {
-		devSteps = LifetimeSteps(cfg.Dev, bins)
-	}
-	bestDev := math.Inf(1)
-	var bestSnap []byte
-	checkDev := func() (float64, bool) {
-		if len(devSteps) == 0 {
-			return 0, false
+	task.shard = shardLSTM(m.Net)
+	task.outDim = j
+	// The masked-BCE output count of a job is its number of unmasked bins
+	// (lifetimeTargets).
+	task.outputs = func(t int) int {
+		if steps[t].Censored {
+			return steps[t].Bin
 		}
-		ev := EvaluateLifetime(NewLSTMLifetimePredictor(m), devSteps, bins, cfg.DevOffset)
-		if ev.BCE < bestDev {
-			bestDev = ev.BCE
-			if snap, err := m.Net.MarshalBinary(); err == nil {
-				bestSnap = snap
-			}
-		}
-		return ev.BCE, true
+		return steps[t].Bin + 1
 	}
-	// Resume before the sharded view (see TrainFlavor).
-	ck := newTrainCheckpointer(cfg.Checkpoint, "lifetime-hazard",
-		cfg.fingerprint(ObsLifetimeHazard, len(steps), k, historyDays))
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, m.Net, opt, m.Net.Params); ok {
-		if w.Done {
-			return m
-		}
-		startEpoch = w.EpochsDone
-		bestDev, bestSnap = w.BestDev, w.BestSnap
-	}
-	sharded := nn.NewShardedLSTM(m.Net, plan.batch)
-	// Reused window buffers (see TrainFlavor): per-step input, target and
-	// mask slabs plus a full-batch gradient slab, all with persistent
-	// per-shard row views so the sharded callback allocates nothing.
-	maxWl := 0
-	for w := 0; w < plan.windows; w++ {
-		if wl := plan.windowLen(w); wl > maxWl {
-			maxWl = wl
-		}
-	}
-	xs := make([]*mat.Dense, maxWl)
-	targets := make([]*mat.Dense, maxWl)
-	masks := make([]*mat.Dense, maxWl)
-	dysFull := make([]*mat.Dense, maxWl)
-	for s := 0; s < maxWl; s++ {
-		xs[s] = mat.NewDense(plan.batch, inDim)
-		targets[s] = mat.NewDense(plan.batch, j)
-		masks[s] = mat.NewDense(plan.batch, j)
-		dysFull[s] = mat.NewDense(plan.batch, j)
-	}
-	nShards := nn.NumShards(plan.batch)
-	shardDys := make([][]*mat.Dense, nShards)
-	shardTg := make([][]*mat.Dense, nShards)
-	shardMk := make([][]*mat.Dense, nShards)
-	for si := 0; si < nShards; si++ {
-		lo := si * nn.ShardRows
-		hi := min(lo+nn.ShardRows, plan.batch)
-		shardDys[si] = make([]*mat.Dense, maxWl)
-		shardTg[si] = make([]*mat.Dense, maxWl)
-		shardMk[si] = make([]*mat.Dense, maxWl)
-		for s := 0; s < maxWl; s++ {
-			shardDys[si][s] = dysFull[s].SliceRows(lo, hi)
-			shardTg[si][s] = targets[s].SliceRows(lo, hi)
-			shardMk[si][s] = masks[s].SliceRows(lo, hi)
-		}
-	}
-	ec := newEpochClock(ObsLifetimeHazard, cfg.Progress, cfg.Obs, cfg.Epochs)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		opt.LR = cfg.stepLR(epoch)
-		var totalLoss float64
-		var totalOutputs int
-		// Stateful truncated BPTT (see TrainFlavor).
-		st := m.Net.NewState(plan.batch)
-		for w := 0; w < plan.windows; w++ {
-			wl := plan.windowLen(w)
-			// The masked-BCE output count is a function of the targets
-			// alone, so tally it while encoding: the gradient scale is
-			// then known before the sharded forward/backward pass.
-			var batchOutputs int
-			for s := 0; s < wl; s++ {
-				x, tg, mk := xs[s], targets[s], masks[s]
-				x.Zero()
-				tg.Zero()
-				mk.Zero()
-				for row := 0; row < plan.batch; row++ {
-					t, ok := plan.step(row, w, s)
-					if !ok {
-						continue // zero mask: no loss
-					}
-					prevBin, prevCens := -1, false
-					if t > 0 {
-						prevBin, prevCens = steps[t-1].Bin, steps[t-1].Censored
-					}
-					day := trace.DayOfHistory(steps[t].Period)
-					m.encodeLifetimeInput(x.Row(row), steps[t], day, prevBin, prevCens)
-					lifetimeTargets(tg.Row(row), mk.Row(row), steps[t])
-					for _, mv := range mk.Row(row) {
-						if mv != 0 {
-							batchOutputs++
-						}
-					}
-				}
-			}
-			var norm float64
-			if batchOutputs > 0 {
-				norm = 1 / float64(batchOutputs)
-			}
-			loss, outputs := sharded.RunWindow(xs[:wl], st, func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
-				si := lo / nn.ShardRows
-				dys := shardDys[si][:len(ys)]
-				var shardLoss float64
-				var shardN int
-				for s, y := range ys {
-					l, n := nn.MaskedBCEWithLogitsInto(y, shardTg[si][s], shardMk[si][s], dys[s])
-					shardLoss += l
-					shardN += n
-				}
-				if batchOutputs == 0 {
-					return nil, shardLoss, shardN
-				}
-				for _, d := range dys {
-					mat.Scale(norm, d.Data)
-				}
-				return dys, shardLoss, shardN
-			})
-			totalLoss += loss
-			totalOutputs += outputs
-			if batchOutputs == 0 {
+	// One target row and one mask row per batch row; a shard fills and
+	// reads only its own rows, one step at a time.
+	tgt, msk := mat.NewDense(cfg.BatchSize, j), mat.NewDense(cfg.BatchSize, j)
+	task.loss = func(lo int, ts []int, y, dy *mat.Dense) float64 {
+		hi := lo + len(ts)
+		tg := mat.Dense{Rows: len(ts), Cols: j, Data: tgt.Data[lo*j : hi*j]}
+		mk := mat.Dense{Rows: len(ts), Cols: j, Data: msk.Data[lo*j : hi*j]}
+		for r, t := range ts {
+			if t < 0 {
+				clear(mk.Row(r)) // zero mask: no loss
 				continue
 			}
-			opt.Step(m.Net.Params())
+			lifetimeTargets(tg.Row(r), mk.Row(r), steps[t])
 		}
-		var devLoss float64
-		var hasDev bool
-		if (epoch+1)%cfg.DevEvery == 0 || epoch == cfg.Epochs-1 {
-			devLoss, hasDev = checkDev()
-		}
-		var mean float64
-		if totalOutputs > 0 {
-			mean = totalLoss / float64(totalOutputs)
-		}
-		ec.emit(epoch, mean, totalOutputs, opt, devLoss, hasDev)
-		ck.save(epoch+1, false, m.Net, opt, m.Net.Params(), bestDev, bestSnap, g.State())
+		loss, _ := nn.MaskedBCEWithLogitsInto(y, &tg, &mk, dy)
+		return loss
 	}
-	if bestSnap != nil {
-		if err := m.Net.UnmarshalBinary(bestSnap); err != nil {
-			panic(fmt.Sprintf("core: restore best lifetime snapshot: %v", err))
+	if cfg.Dev != nil {
+		if devSteps := LifetimeSteps(cfg.Dev, bins); len(devSteps) > 0 {
+			task.dev = func() float64 {
+				return EvaluateLifetime(NewLSTMLifetimePredictor(m), devSteps, bins, cfg.DevOffset).BCE
+			}
 		}
 	}
-	ck.save(cfg.Epochs, true, m.Net, opt, m.Net.Params(), bestDev, bestSnap, g.State())
+	runBPTT(cfg, task)
 	return m
 }
 

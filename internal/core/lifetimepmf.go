@@ -28,41 +28,30 @@ type PMFLifetimeModel struct {
 // pmfLoss computes the negative log-likelihood and dLogits for one
 // step's softmax logits under the discrete-time survival likelihood:
 // -log f(k) for an event in bin k, -log Σ_{j>=c} f(j) for censoring at
-// bin c. Returns the loss (0 and nil gradient contribution if the
-// censored tail is the whole distribution, which carries no
-// information).
+// bin c. Returns the loss (0 and a zero gradient if the censored tail
+// is the whole distribution, which carries no information). dLogits
+// doubles as the probability scratch, so the call allocates nothing.
 func pmfLoss(logits []float64, step LifetimeStep, dLogits []float64) float64 {
-	probs := nn.Softmax(logits)
-	if !step.Censored {
-		k := step.Bin
-		for j, p := range probs {
-			ind := 0.0
-			if j == k {
-				ind = 1
-			}
-			dLogits[j] = p - ind
-		}
-		return -math.Log(math.Max(probs[k], 1e-300))
-	}
-	if step.Bin == 0 {
+	if step.Censored && step.Bin == 0 {
 		// Censored before surviving any full bin: no information.
-		for j := range dLogits {
-			dLogits[j] = 0
-		}
+		clear(dLogits)
 		return 0
 	}
+	probs := dLogits
+	nn.SoftmaxInto(logits, probs)
+	if !step.Censored {
+		loss := -math.Log(math.Max(probs[step.Bin], 1e-300))
+		probs[step.Bin] -= 1 // p - onehot
+		return loss
+	}
 	var tail float64
-	for j := step.Bin; j < len(probs); j++ {
-		tail += probs[j]
+	for _, p := range probs[step.Bin:] {
+		tail += p
 	}
 	tail = math.Max(tail, 1e-300)
 	// d/dz_j of -log Σ_{i>=c} p_i = p_j - p_j·1[j>=c]/tail.
-	for j, p := range probs {
-		in := 0.0
-		if j >= step.Bin {
-			in = 1
-		}
-		dLogits[j] = p - p*in/tail
+	for j := step.Bin; j < len(probs); j++ {
+		probs[j] -= probs[j] / tail
 	}
 	return -math.Log(tail)
 }
@@ -72,106 +61,38 @@ func pmfLoss(logits []float64, step LifetimeStep, dLogits []float64) float64 {
 func TrainLifetimePMF(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *PMFLifetimeModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := int(tr.Days() + 0.999)
-	if historyDays < 1 {
-		historyDays = 1
-	}
+	historyDays := historyDaysOf(tr)
+	j := bins.J()
 	m := &PMFLifetimeModel{
 		Bins:        bins,
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
-		LifeFeat:    features.LifetimeFeatures{Bins: bins.J()},
+		LifeFeat:    features.LifetimeFeatures{Bins: j},
 		HistoryDays: historyDays,
 	}
 	steps := LifetimeSteps(tr, bins)
-	inDim := lifetimeInputDim(k, m.Temporal, m.LifeFeat)
 	g := rng.New(cfg.Seed + 50)
-	m.Net = nn.NewLSTM(nn.Config{
-		InputDim:  inDim,
-		HiddenDim: cfg.Hidden,
-		Layers:    cfg.Layers,
-		OutputDim: bins.J(),
-	}, g)
-	if len(steps) == 0 {
-		return m
+	task := lifetimeTask(steps, k, m.Temporal, m.LifeFeat)
+	m.Net = nn.NewLSTM(cfg.netConfig(task.inDim, j), g)
+	task.sgdFit = sgdFit{
+		model: ObsLifetimePMF, prefix: "lifetime-pmf",
+		fingerprint: cfg.fingerprint(ObsLifetimePMF, len(steps), k, historyDays),
+		net:         m.Net, rng: g,
 	}
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = cfg.ClipNorm
-	plan := newSegmentPlan(len(steps), cfg.SeqLen, cfg.BatchSize)
-	j := bins.J()
-	ck := newTrainCheckpointer(cfg.Checkpoint, "lifetime-pmf",
-		cfg.fingerprint(ObsLifetimePMF, len(steps), k, historyDays))
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, m.Net, opt, m.Net.Params); ok {
-		if w.Done {
-			return m
-		}
-		startEpoch = w.EpochsDone
-	}
-	ec := newEpochClock(ObsLifetimePMF, cfg.Progress, cfg.Obs, cfg.Epochs)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		opt.LR = cfg.stepLR(epoch)
-		var totalLoss float64
-		var totalSteps int
-		st := m.Net.NewState(plan.batch)
-		for w := 0; w < plan.windows; w++ {
-			wl := plan.windowLen(w)
-			xs := make([]*mat.Dense, wl)
-			stepAt := make([][]*LifetimeStep, wl)
-			for s := 0; s < wl; s++ {
-				x := mat.NewDense(plan.batch, inDim)
-				rows := make([]*LifetimeStep, plan.batch)
-				for row := 0; row < plan.batch; row++ {
-					t, ok := plan.step(row, w, s)
-					if !ok {
-						continue
-					}
-					prevBin, prevCens := -1, false
-					if t > 0 {
-						prevBin, prevCens = steps[t-1].Bin, steps[t-1].Censored
-					}
-					day := trace.DayOfHistory(steps[t].Period)
-					encodeLifetimeInputInto(x.Row(row), k, m.Temporal, m.LifeFeat, steps[t], day, prevBin, prevCens)
-					rows[row] = &steps[t]
-				}
-				xs[s] = x
-				stepAt[s] = rows
-			}
-			m.Net.ZeroGrads()
-			ys, cache := m.Net.Forward(xs, st)
-			dys := make([]*mat.Dense, wl)
-			var nSteps int
-			for s, y := range ys {
-				d := mat.NewDense(plan.batch, j)
-				for row := 0; row < plan.batch; row++ {
-					if stepAt[s][row] == nil {
-						continue
-					}
-					totalLoss += pmfLoss(y.Row(row), *stepAt[s][row], d.Row(row))
-					nSteps++
-				}
-				dys[s] = d
-			}
-			totalSteps += nSteps
-			if nSteps == 0 {
+	task.shard = shardLSTM(m.Net)
+	task.outDim = j
+	task.loss = func(_ int, ts []int, y, dy *mat.Dense) float64 {
+		var loss float64
+		for r, t := range ts {
+			if t < 0 {
+				clear(dy.Row(r))
 				continue
 			}
-			norm := 1 / float64(nSteps)
-			for _, d := range dys {
-				mat.Scale(norm, d.Data)
-			}
-			m.Net.Backward(cache, dys)
-			opt.Step(m.Net.Params())
+			loss += pmfLoss(y.Row(r), steps[t], dy.Row(r))
 		}
-		var mean float64
-		if totalSteps > 0 {
-			mean = totalLoss / float64(totalSteps)
-		}
-		ec.emit(epoch, mean, totalSteps, opt, 0, false)
-		ck.save(epoch+1, false, m.Net, opt, m.Net.Params(), 0, nil, g.State())
+		return loss
 	}
-	ck.save(cfg.Epochs, true, m.Net, opt, m.Net.Params(), 0, nil, g.State())
+	runBPTT(cfg, task)
 	return m
 }
 

@@ -33,15 +33,13 @@ type epochClock struct {
 	start    time.Time
 }
 
-// newEpochClock starts the wall clock for the first epoch. It takes the
-// hook fields directly (rather than a TrainConfig) because the
-// Transformer loop carries them on its own config type.
-func newEpochClock(model string, progress func(epoch int, loss float64), sink obs.EpochSink, epochs int) *epochClock {
+// newEpochClock starts the wall clock for the first epoch.
+func newEpochClock(model string, cfg TrainConfig) *epochClock {
 	return &epochClock{
 		model:    model,
-		progress: progress,
-		sink:     sink,
-		epochs:   epochs,
+		progress: cfg.Progress,
+		sink:     cfg.Obs,
+		epochs:   cfg.Epochs,
 		start:    time.Now(),
 	}
 }

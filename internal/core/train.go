@@ -1,0 +1,295 @@
+package core
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/features"
+	"repro/internal/mat"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/trace"
+)
+
+// The one training driver (DESIGN.md §6.3.1). The paper trains every
+// network with one recipe — teacher forcing, stateful truncated BPTT,
+// Adam with clipping, a step LR schedule (§2.2–2.3, §4.2) — and §7's
+// ablations swap only the cell or the output head. runEpochs is the
+// outer skeleton every SGD fit shares; runBPTT is the single window
+// loop under it. A Train* function builds its model and network and
+// describes what differs as an sgdFit / bpttTask.
+
+// sgdFit identifies one fit to the epoch skeleton.
+type sgdFit struct {
+	model       string   // obs.EpochEvent model name (telemetry.go)
+	prefix      string   // checkpoint file prefix
+	fingerprint string   // resume-compatibility string
+	net         netCodec // the network being trained
+	// rng is the weight-init stream; its position rides in every
+	// checkpoint (trainCkptV1.RNG).
+	rng *rng.RNG
+	// dev, if non-nil, returns the teacher-forced development-set loss;
+	// the best-scoring weights are restored when training ends.
+	dev func() float64
+}
+
+// runEpochs is the epoch loop: Adam set-up, resume, LR schedule, one
+// call of the fit's epoch function, development-set selection,
+// telemetry and checkpoints. prepare runs once, after any resume —
+// UnmarshalBinary swaps the net's parameter storage, so everything that
+// captures references to it (shadow networks, shard views) must be built
+// afterwards — and returns the function that trains one epoch and
+// reports its summed loss and the number of loss terms behind it.
+func runEpochs(cfg TrainConfig, f sgdFit, lr func(epoch int) float64, prepare func(opt *nn.Adam) func() (float64, int)) {
+	opt := nn.NewAdam(cfg.LR)
+	opt.WeightDecay = cfg.WeightDecay
+	opt.ClipNorm = cfg.ClipNorm
+	bestDev := math.Inf(1)
+	var bestSnap []byte
+	ck := newTrainCheckpointer(cfg.Checkpoint, f.prefix, f.fingerprint)
+	startEpoch := 0
+	if w, ok := ck.resume(cfg.Checkpoint, f.net, opt); ok {
+		if w.Done {
+			return
+		}
+		startEpoch = w.EpochsDone
+		bestDev, bestSnap = w.BestDev, w.BestSnap
+	}
+	trainEpoch := prepare(opt)
+	ec := newEpochClock(f.model, cfg)
+	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+		opt.LR = lr(epoch)
+		loss, n := trainEpoch()
+		var devLoss float64
+		hasDev := f.dev != nil && ((epoch+1)%cfg.DevEvery == 0 || epoch == cfg.Epochs-1)
+		if hasDev {
+			devLoss = f.dev()
+			if devLoss < bestDev {
+				bestDev = devLoss
+				if snap, err := f.net.MarshalBinary(); err == nil {
+					bestSnap = snap
+				}
+			}
+		}
+		var mean float64
+		if n > 0 {
+			mean = loss / float64(n)
+		}
+		ec.emit(epoch, mean, n, opt, devLoss, hasDev)
+		ck.save(epoch+1, false, f.net, opt, bestDev, bestSnap, f.rng.State())
+	}
+	if bestSnap != nil {
+		if err := f.net.UnmarshalBinary(bestSnap); err != nil {
+			panic(fmt.Sprintf("core: restore best %s snapshot: %v", f.model, err))
+		}
+	}
+	ck.save(cfg.Epochs, true, f.net, opt, bestDev, bestSnap, f.rng.State())
+}
+
+// bpttTask is everything that distinguishes one recurrent fit from
+// another: the stream it is teacher-forced over and the loss on the
+// head's logits. Stream positions t run over [0, n).
+type bpttTask struct {
+	sgdFit
+	n             int // stream length (tokens or jobs)
+	inDim, outDim int
+	// shard builds the sharded view of the net for a batch width.
+	shard func(batch int) windowFn
+	// encode writes position t's input features into the zeroed row x.
+	encode func(x []float64, t int)
+	// outputs is the number of loss terms position t contributes — the
+	// unit gradients are normalised in. nil means one per position.
+	outputs func(t int) int
+	// loss returns the summed loss of one shard at one step and writes
+	// its gradient into dy. ts[r] is the stream position behind row r of
+	// the logits y, or -1 for a padding row, which must get no loss and a
+	// zero gradient. lo is the shard's first batch row, for tasks that
+	// keep per-row scratch. Shards call it concurrently.
+	loss func(lo int, ts []int, y, dy *mat.Dense) float64
+}
+
+// windowFn runs one BPTT window on the sharded view of a recurrent
+// net — the cell-type seam of the window loop. fresh starts every
+// segment from the zero state (the first window of an epoch); otherwise
+// the segments continue from the previous window's final state.
+type windowFn func(xs []*mat.Dense, fresh bool, dys nn.ShardDys) (loss float64, count int)
+
+func shardLSTM(net *nn.LSTM) func(batch int) windowFn {
+	return func(batch int) windowFn {
+		sh := nn.NewShardedLSTM(net, batch)
+		var st *nn.State
+		return func(xs []*mat.Dense, fresh bool, dys nn.ShardDys) (float64, int) {
+			if fresh {
+				st = net.NewState(batch)
+			}
+			return sh.RunWindow(xs, st, dys)
+		}
+	}
+}
+
+func shardGRU(net *nn.GRU) func(batch int) windowFn {
+	return func(batch int) windowFn {
+		sh := nn.NewShardedGRU(net, batch)
+		var st *nn.GRUState
+		return func(xs []*mat.Dense, fresh bool, dys nn.ShardDys) (float64, int) {
+			if fresh {
+				st = net.NewState(batch)
+			}
+			return sh.RunWindow(xs, st, dys)
+		}
+	}
+}
+
+// runBPTT trains t's network by stateful truncated BPTT: the stream is
+// cut into batch contiguous segments (segmentPlan), and each window
+// continues every segment from the previous window's final state, so
+// the state distribution seen in training matches long free-running
+// generation.
+func runBPTT(cfg TrainConfig, t bpttTask) {
+	if t.n == 0 {
+		return
+	}
+	if t.outputs == nil {
+		t.outputs = func(int) int { return 1 }
+	}
+	runEpochs(cfg, t.sgdFit, cfg.stepLR, func(opt *nn.Adam) func() (float64, int) {
+		plan := newSegmentPlan(t.n, cfg.SeqLen, cfg.BatchSize)
+		runWindow := t.shard(plan.batch)
+		// Window buffers are allocated once and reused by every window of
+		// every epoch: per step, the batch inputs, the stream position
+		// behind each row, and one full-batch gradient slab with
+		// persistent per-shard row views for the sharded backward pass.
+		// Each window rewrites them completely. Only the last window can
+		// be short, so the first is as long as any.
+		maxWl := plan.windowLen(0)
+		xs := make([]*mat.Dense, maxWl)
+		pos := make([][]int, maxWl)
+		dysFull := make([]*mat.Dense, maxWl)
+		for s := range xs {
+			xs[s] = mat.NewDense(plan.batch, t.inDim)
+			pos[s] = make([]int, plan.batch)
+			dysFull[s] = mat.NewDense(plan.batch, t.outDim)
+		}
+		shardDys := make([][]*mat.Dense, nn.NumShards(plan.batch))
+		for si := range shardDys {
+			lo := si * nn.ShardRows
+			hi := min(lo+nn.ShardRows, plan.batch)
+			shardDys[si] = make([]*mat.Dense, maxWl)
+			for s := range shardDys[si] {
+				shardDys[si][s] = dysFull[s].SliceRows(lo, hi)
+			}
+		}
+		// Gradients are normalised by the window's loss-term count so the
+		// learning rate is scale-free. The count is a function of the
+		// targets alone, so it is tallied while encoding: each shard then
+		// scales its own gradients and no cross-shard barrier sits
+		// between the loss and the backward pass.
+		var outputs int
+		var norm float64
+		shardLoss := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
+			// Shards write disjoint row ranges of the shared slabs.
+			dys := shardDys[lo/nn.ShardRows][:len(ys)]
+			var loss float64
+			for s, y := range ys {
+				loss += t.loss(lo, pos[s][lo:hi], y, dys[s])
+			}
+			if outputs == 0 {
+				return nil, loss, 0
+			}
+			for _, d := range dys {
+				mat.Scale(norm, d.Data)
+			}
+			return dys, loss, 0
+		}
+		return func() (totalLoss float64, total int) {
+			for w := 0; w < plan.windows; w++ {
+				wl := plan.windowLen(w)
+				outputs = 0
+				for s := 0; s < wl; s++ {
+					x, ts := xs[s], pos[s]
+					x.Zero()
+					for row := range ts {
+						p, ok := plan.step(row, w, s)
+						if !ok {
+							ts[row] = -1
+							continue
+						}
+						ts[row] = p
+						t.encode(x.Row(row), p)
+						outputs += t.outputs(p)
+					}
+				}
+				norm = 0
+				if outputs > 0 {
+					norm = 1 / float64(outputs)
+				}
+				loss, _ := runWindow(xs[:wl], w == 0, shardLoss)
+				totalLoss += loss
+				total += outputs
+				if outputs > 0 {
+					opt.Step(t.net.Params())
+				}
+			}
+			return totalLoss, total
+		}
+	})
+}
+
+// historyDaysOf is the training window's length in whole days (at least
+// one): the span of the day-of-history feature block.
+func historyDaysOf(tr *trace.Trace) int {
+	return max(int(tr.Days()+0.999), 1)
+}
+
+// netConfig sizes a recurrent network from the shared hyperparameters.
+func (c TrainConfig) netConfig(inDim, outDim int) nn.Config {
+	return nn.Config{InputDim: inDim, HiddenDim: c.Hidden, Layers: c.Layers, OutputDim: outDim}
+}
+
+// nextTokenTask is the stream half of a next-token fit over toks: the
+// input at position t is the one-hot of the previous token (start
+// before the first) over vocab classes plus the temporal features of
+// t's period, and the loss is softmax cross-entropy on toks[t].Token.
+func nextTokenTask(toks []FlavorToken, vocab, start int, temporal features.Temporal) bpttTask {
+	return bpttTask{
+		n:     len(toks),
+		inDim: vocab + temporal.Dim(), outDim: vocab,
+		encode: func(x []float64, t int) {
+			prev := start
+			if t > 0 {
+				prev = toks[t-1].Token
+			}
+			features.OneHot(x[:vocab], prev)
+			temporal.Encode(x[vocab:], toks[t].Period, trace.DayOfHistory(toks[t].Period))
+		},
+		loss: func(_ int, ts []int, y, dy *mat.Dense) float64 {
+			var targets [nn.ShardRows]int
+			var valid [nn.ShardRows]bool
+			for r, t := range ts {
+				if t >= 0 {
+					targets[r], valid[r] = toks[t].Token, true
+				}
+			}
+			loss, _ := nn.SoftmaxCEInto(y, targets[:len(ts)], valid[:len(ts)], dy)
+			return loss
+		},
+	}
+}
+
+// lifetimeTask is the stream half of a lifetime fit over steps: the
+// input at position t describes job t and the realized lifetime of job
+// t-1 (§2.3.3). The caller adds the head: outDim, loss and outputs.
+func lifetimeTask(steps []LifetimeStep, k int, temporal features.Temporal, lf features.LifetimeFeatures) bpttTask {
+	return bpttTask{
+		n:     len(steps),
+		inDim: lifetimeInputDim(k, temporal, lf),
+		encode: func(x []float64, t int) {
+			prevBin, prevCens := -1, false
+			if t > 0 {
+				prevBin, prevCens = steps[t-1].Bin, steps[t-1].Censored
+			}
+			day := trace.DayOfHistory(steps[t].Period)
+			encodeLifetimeInputInto(x, k, temporal, lf, steps[t], day, prevBin, prevCens)
+		},
+	}
+}

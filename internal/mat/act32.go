@@ -15,8 +15,7 @@ import "math"
 // the portable path reproduced exactly by fma32. The clamp bounds are
 // chosen so the scale factor is always a normal float32: no overflow,
 // underflow, or denormal branches exist in either path. These kernels
-// use FMA unconditionally (like the f64 expAVX2) regardless of
-// SetFastMath, which only selects the GEMM accumulation contract.
+// use FMA (like the f64 expAVX2); the GEMMs that feed them never do.
 //
 // Accuracy: the reduced-range polynomial is Cephes' expf (~2 ulp), so
 // sigmoid and tanh land within a few float32 ulps of the correctly

@@ -36,52 +36,7 @@ func MulAddBatched(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("mat: MulAddBatched shape mismatch")
 	}
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	n4 := n &^ 3
-	if useBatchASM && n4 > 0 {
-		gemmAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], m, k, n)
-	} else {
-		mulAddJTiles(dst, a, b, n4)
-	}
-	// Column tail the 4-wide kernels do not cover. Ascending k keeps it
-	// bit-identical to the reference kernel.
-	for j := n4; j < n; j++ {
-		for i := 0; i < m; i++ {
-			arow := a.Row(i)
-			s := dst.Data[i*n+j]
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * b.Data[kk*n+j]
-			}
-			dst.Data[i*n+j] = s
-		}
-	}
-}
-
-// mulAddJTiles is the portable batched GEMM kernel: per dst row,
-// 4-column tiles held in registers across the k sweep (the same
-// schedule the assembly kernel vectorizes). Covers columns [0, n4).
-func mulAddJTiles(dst, a, b *Dense, n4 int) {
-	n := b.Cols
-	k := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j+4 <= n4; j += 4 {
-			s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-			for kk := 0; kk < k; kk++ {
-				al := arow[kk]
-				brow := b.Data[kk*n+j : kk*n+j+4]
-				s0 += al * brow[0]
-				s1 += al * brow[1]
-				s2 += al * brow[2]
-				s3 += al * brow[3]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-		}
-	}
+	gemmRaw(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 }
 
 // ExpSlice sets dst[i] = math.Exp(x[i]) for every i, bit-for-bit —

@@ -10,13 +10,6 @@ package mat
 //go:noescape
 func gemm32AVX2(dst, a, b *float32, m, k, n int)
 
-// gemm32FMA is gemm32AVX2 with each multiply-add fused into a single
-// VFMADD231PS rounding — the SetFastMath(true) variant, reproduced
-// exactly by the portable fma32. Implemented in batch32_amd64.s.
-//
-//go:noescape
-func gemm32FMA(dst, a, b *float32, m, k, n int)
-
 // sigmoid32AVX2 sets dst[i] = 1/(1+exp(-x[i])) for i in [0, n), n a
 // positive multiple of 8, bit-identical to the portable sigmoid32 in
 // act32.go. Implemented in batch32_amd64.s.
@@ -46,16 +39,3 @@ func gemmPacked32AVX2(dst, a, p *float32, m, k, n int)
 //
 //go:noescape
 func gemmPacked8AVX2(dst, a, p *float32, m, k, n int)
-
-// gemmPacked32FMA is gemmPacked32AVX2 with each multiply-add fused into
-// one VFMADD231PS rounding — the SetFastMath(true) variant, reproduced
-// exactly by the portable fma32. Implemented in batch32_amd64.s.
-//
-//go:noescape
-func gemmPacked32FMA(dst, a, p *float32, m, k, n int)
-
-// gemmPacked8FMA is the fused 8-column narrow-tile variant.
-// Implemented in batch32_amd64.s.
-//
-//go:noescape
-func gemmPacked8FMA(dst, a, p *float32, m, k, n int)

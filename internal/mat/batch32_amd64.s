@@ -1,14 +1,9 @@
-// AVX2 float32 GEMM kernels for the f32 serving fast path (DESIGN.md
-// §6.4). Both are eight-lane transcriptions of the float64 gemmAVX2
-// schedule — 32-column register tiles with an 8-column cleanup tile,
-// k innermost and ascending — and both are verified element-for-element
-// against the portable fallbacks in mat32_test.go:
-//
-//   - gemm32AVX2 uses separate VMULPS+VADDPS, matching the fallback's
-//     plain float32 multiply-then-add rounding.
-//
-//   - gemm32FMA fuses each term with VFMADD231PS (one rounding per
-//     term), matching the fallback's software fma32 exactly.
+// AVX2 float32 GEMM kernel for the f32 serving fast path (DESIGN.md
+// §6.4): an eight-lane transcription of the float64 gemmAVX2 schedule —
+// 32-column register tiles with an 8-column cleanup tile, k innermost
+// and ascending — with separate VMULPS+VADDPS, matching the portable
+// fallback's plain float32 multiply-then-add rounding. Verified
+// element-for-element against that fallback in mat32_test.go.
 
 #include "textflag.h"
 
@@ -100,91 +95,6 @@ sgrowiend:
 	JNZ  sgrowi
 
 sgdone:
-	VZEROUPPER
-	RET
-
-// func gemm32FMA(dst, a, b *float32, m, k, n int)
-//
-// gemm32AVX2 with every multiply-add fused: one VFMADD231PS rounding
-// per accumulated term (the SetFastMath contract).
-TEXT ·gemm32FMA(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ m+24(FP), CX
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-
-	TESTQ CX, CX
-	JLE   fgdone
-	TESTQ R9, R9
-	JLE   fgdone
-
-	MOVQ R10, R11 // R11 = (n &^ 7) * 4: 8-wide column limit, bytes
-	ANDQ $-8, R11
-	SHLQ $2, R11
-	MOVQ R10, R12 // R12 = (n &^ 31) * 4: 32-wide column limit, bytes
-	ANDQ $-32, R12
-	SHLQ $2, R12
-	SHLQ $2, R10  // R10 = n*4: dst/b row stride, bytes
-
-fgrowi:
-	XORQ BX, BX // j, bytes
-
-fgj32:
-	CMPQ BX, R12
-	JGE  fgj8
-	VMOVUPS (DI)(BX*1), Y0
-	VMOVUPS 32(DI)(BX*1), Y1
-	VMOVUPS 64(DI)(BX*1), Y2
-	VMOVUPS 96(DI)(BX*1), Y3
-	LEAQ    (DX)(BX*1), R13 // &b[0][j]
-	MOVQ    SI, AX          // &a[i][0]
-	MOVQ    R9, R8          // k countdown
-
-fgk32:
-	VBROADCASTSS (AX), Y4
-	VFMADD231PS  (R13), Y4, Y0
-	VFMADD231PS  32(R13), Y4, Y1
-	VFMADD231PS  64(R13), Y4, Y2
-	VFMADD231PS  96(R13), Y4, Y3
-	ADDQ         $4, AX
-	ADDQ         R10, R13
-	DECQ         R8
-	JNZ          fgk32
-	VMOVUPS      Y0, (DI)(BX*1)
-	VMOVUPS      Y1, 32(DI)(BX*1)
-	VMOVUPS      Y2, 64(DI)(BX*1)
-	VMOVUPS      Y3, 96(DI)(BX*1)
-	ADDQ         $128, BX
-	JMP          fgj32
-
-fgj8:
-	CMPQ BX, R11
-	JGE  fgrowiend
-	VMOVUPS (DI)(BX*1), Y0
-	LEAQ    (DX)(BX*1), R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
-
-fgk8:
-	VBROADCASTSS (AX), Y4
-	VFMADD231PS  (R13), Y4, Y0
-	ADDQ         $4, AX
-	ADDQ         R10, R13
-	DECQ         R8
-	JNZ          fgk8
-	VMOVUPS      Y0, (DI)(BX*1)
-	ADDQ         $32, BX
-	JMP          fgj8
-
-fgrowiend:
-	ADDQ R10, DI        // next dst row
-	LEAQ (SI)(R9*4), SI // next a row
-	DECQ CX
-	JNZ  fgrowi
-
-fgdone:
 	VZEROUPPER
 	RET
 
@@ -280,12 +190,10 @@ tanhloop:
 	RET
 
 // Packed-panel f32 tile kernels (DESIGN.md §6.5): the eight-lane
-// counterparts of gemmPacked16AVX2/gemmPacked4AVX2, one pair per
-// accumulation contract. Each processes ONE j-tile of a packed panel
-// across all m activation rows with sequential panel loads; the
-// no-FMA pair matches mulAddPackedTile32's separate multiply-then-add
-// rounding, the FMA pair matches mulAddPackedTileFMA32's single fused
-// rounding per term (SetFastMath).
+// counterparts of gemmPacked16AVX2/gemmPacked4AVX2. Each processes ONE
+// j-tile of a packed panel across all m activation rows with sequential
+// panel loads, matching mulAddPackedTile32's separate
+// multiply-then-add rounding.
 
 // func gemmPacked32AVX2(dst, a, p *float32, m, k, n int)
 //
@@ -367,81 +275,5 @@ sp8k:
 	LEAQ         (SI)(R9*4), SI
 	DECQ         CX
 	JNZ          sp8row
-	VZEROUPPER
-	RET
-
-// func gemmPacked32FMA(dst, a, p *float32, m, k, n int)
-//
-// gemmPacked32AVX2 with each multiply-add fused into one VFMADD231PS
-// rounding per term (the SetFastMath contract).
-TEXT ·gemmPacked32FMA(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ p+16(FP), DX
-	MOVQ m+24(FP), CX
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-	SHLQ $2, R10
-
-fp32row:
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	MOVQ    DX, R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
-
-fp32k:
-	VBROADCASTSS (AX), Y4
-	VFMADD231PS  (R13), Y4, Y0
-	VFMADD231PS  32(R13), Y4, Y1
-	VFMADD231PS  64(R13), Y4, Y2
-	VFMADD231PS  96(R13), Y4, Y3
-	ADDQ         $4, AX
-	ADDQ         $128, R13
-	DECQ         R8
-	JNZ          fp32k
-	VMOVUPS      Y0, (DI)
-	VMOVUPS      Y1, 32(DI)
-	VMOVUPS      Y2, 64(DI)
-	VMOVUPS      Y3, 96(DI)
-	ADDQ         R10, DI
-	LEAQ         (SI)(R9*4), SI
-	DECQ         CX
-	JNZ          fp32row
-	VZEROUPPER
-	RET
-
-// func gemmPacked8FMA(dst, a, p *float32, m, k, n int)
-//
-// The fused 8-column narrow-tile variant.
-TEXT ·gemmPacked8FMA(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ p+16(FP), DX
-	MOVQ m+24(FP), CX
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-	SHLQ $2, R10
-
-fp8row:
-	VMOVUPS (DI), Y0
-	MOVQ    DX, R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
-
-fp8k:
-	VBROADCASTSS (AX), Y4
-	VFMADD231PS  (R13), Y4, Y0
-	ADDQ         $4, AX
-	ADDQ         $32, R13
-	DECQ         R8
-	JNZ          fp8k
-	VMOVUPS      Y0, (DI)
-	ADDQ         R10, DI
-	LEAQ         (SI)(R9*4), SI
-	DECQ         CX
-	JNZ          fp8row
 	VZEROUPPER
 	RET

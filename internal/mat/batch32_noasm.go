@@ -10,10 +10,6 @@ func gemm32AVX2(dst, a, b *float32, m, k, n int) {
 	panic("mat: gemm32AVX2 without assembly kernel")
 }
 
-func gemm32FMA(dst, a, b *float32, m, k, n int) {
-	panic("mat: gemm32FMA without assembly kernel")
-}
-
 func sigmoid32AVX2(dst, x *float32, n int) {
 	panic("mat: sigmoid32AVX2 without assembly kernel")
 }
@@ -28,12 +24,4 @@ func gemmPacked32AVX2(dst, a, p *float32, m, k, n int) {
 
 func gemmPacked8AVX2(dst, a, p *float32, m, k, n int) {
 	panic("mat: gemmPacked8AVX2 without assembly kernel")
-}
-
-func gemmPacked32FMA(dst, a, p *float32, m, k, n int) {
-	panic("mat: gemmPacked32FMA without assembly kernel")
-}
-
-func gemmPacked8FMA(dst, a, p *float32, m, k, n int) {
-	panic("mat: gemmPacked8FMA without assembly kernel")
 }

@@ -16,10 +16,7 @@ import (
 // assembly, portable fallback, any tiling — accumulates each dst
 // element's k terms in ascending order with one float32 rounding per
 // multiply and one per add, so results are bit-identical across paths
-// and independent of batch composition. The optional FMA mode (see
-// SetFastMath) fuses each multiply-add into a single rounding; it is a
-// different, equally deterministic contract, and the portable fallback
-// reproduces it exactly via fma32.
+// and independent of batch composition.
 
 // Dense32 is a row-major matrix of float32.
 type Dense32 struct {
@@ -68,32 +65,11 @@ func (m *Dense) Dense32() *Dense32 {
 	return out
 }
 
-// fastMath selects the FMA variants of the f32 kernels. It is written
-// once at startup (the -fast-math flag) before any engine exists;
-// flipping it mid-flight would change decode bytes, so it is not
-// synchronized.
-var fastMath bool
-
-// SetFastMath selects (on=true) or deselects the fused-multiply-add f32
-// GEMM variant. FMA halves the rounding steps per accumulation term —
-// slightly different low bits, typically slightly more accurate — and
-// removes the separate-add dependency from the inner loop. The no-FMA
-// path is the default because its portable fallback is plain float32
-// arithmetic on any compiler; results under FMA remain deterministic
-// and are reproduced exactly by the fallback's software fma32. Call
-// before building engines; see DESIGN.md §6.4 for the policy.
-func SetFastMath(on bool) { fastMath = on }
-
-// FastMath reports whether the FMA f32 kernel variant is selected.
-func FastMath() bool { return fastMath }
-
 // MulAddBatched32 computes dst += a * b in float32, the serving
 // fast-path counterpart of MulAddBatched: single-goroutine, AVX2
 // 8-lane on amd64 (twice MulAddBatched's vector width), register-tiled
-// portable fallback elsewhere, bit-identical across all paths. Under
-// SetFastMath(true) every multiply-add term is fused (one rounding);
-// otherwise product and sum round separately, matching the fallback's
-// plain float32 expression.
+// portable fallback elsewhere, bit-identical across all paths: product
+// and sum round separately, the fallback's plain float32 expression.
 func MulAddBatched32(dst, a, b *Dense32) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("mat: MulAddBatched32 shape mismatch")
@@ -103,25 +79,6 @@ func MulAddBatched32(dst, a, b *Dense32) {
 		return
 	}
 	n8 := n &^ 7
-	if fastMath {
-		if useBatchASM && n8 > 0 {
-			gemm32FMA(&dst.Data[0], &a.Data[0], &b.Data[0], m, k, n)
-		} else {
-			mulAddJTilesFMA32(dst, a, b, n8)
-		}
-		// Column tail beyond the 8-wide kernels, same FMA contract.
-		for j := n8; j < n; j++ {
-			for i := 0; i < m; i++ {
-				arow := a.Row(i)
-				s := dst.Data[i*n+j]
-				for kk := 0; kk < k; kk++ {
-					s = fma32(arow[kk], b.Data[kk*n+j], s)
-				}
-				dst.Data[i*n+j] = s
-			}
-		}
-		return
-	}
 	if useBatchASM && n8 > 0 {
 		gemm32AVX2(&dst.Data[0], &a.Data[0], &b.Data[0], m, k, n)
 	} else {
@@ -169,44 +126,14 @@ func mulAddJTiles32(dst, a, b *Dense32, n8 int) {
 	}
 }
 
-// mulAddJTilesFMA32 is the portable FMA-mode kernel: identical schedule,
-// every term accumulated through fma32 so the bits match gemm32FMA's
-// VFMADD231PS exactly.
-func mulAddJTilesFMA32(dst, a, b *Dense32, n8 int) {
-	n := b.Cols
-	k := a.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j+8 <= n8; j += 8 {
-			s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-			s4, s5, s6, s7 := drow[j+4], drow[j+5], drow[j+6], drow[j+7]
-			for kk := 0; kk < k; kk++ {
-				al := arow[kk]
-				brow := b.Data[kk*n+j : kk*n+j+8]
-				s0 = fma32(al, brow[0], s0)
-				s1 = fma32(al, brow[1], s1)
-				s2 = fma32(al, brow[2], s2)
-				s3 = fma32(al, brow[3], s3)
-				s4 = fma32(al, brow[4], s4)
-				s5 = fma32(al, brow[5], s5)
-				s6 = fma32(al, brow[6], s6)
-				s7 = fma32(al, brow[7], s7)
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7
-		}
-	}
-}
-
 // fma32 returns a*b+c with a single float32 rounding — exactly what
 // VFMADD231PS computes per lane — in portable Go. The float64 product
 // is exact (24+24 significand bits fit in 53), but rounding the double
 // sum straight to float32 would double-round; instead the sum is taken
 // round-to-odd at double precision (sticky the inexact low bits into
 // the last significand bit), after which the final float32 rounding is
-// correct for every input (53 ≥ 24+2). Used only on the FMA-mode
-// fallback path, where exactness beats speed.
+// correct for every input (53 ≥ 24+2). Used only by the portable f32
+// exp (act32.go), where exactness beats speed.
 func fma32(a, b, c float32) float32 {
 	p := float64(a) * float64(b) // exact: 48-bit significand
 	s := p + float64(c)
@@ -245,14 +172,8 @@ func MulAddSparse32(dst, a, b *Dense32) {
 				continue
 			}
 			brow := b.Data[k*n : k*n+n]
-			if fastMath {
-				for j, bv := range brow {
-					drow[j] = fma32(av, bv, drow[j])
-				}
-			} else {
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
+			for j, bv := range brow {
+				drow[j] += av * bv
 			}
 		}
 	}

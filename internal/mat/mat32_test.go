@@ -17,27 +17,14 @@ func dense32Rand(r, c int, seed int64) *Dense32 {
 	return m
 }
 
-// withFastMath runs f under both kernel contracts (separate rounding
-// and fused multiply-add), restoring the global afterwards.
-func withFastMath(t *testing.T, f func(t *testing.T)) {
-	for _, on := range []bool{false, true} {
-		name := "nofma"
-		if on {
-			name = "fma"
-		}
-		t.Run(name, func(t *testing.T) {
-			saved := fastMath
-			SetFastMath(on)
-			defer SetFastMath(saved)
-			f(t)
-		})
-	}
-}
+// noFMA runs f as the "nofma" subtest. The f32 GEMMs have one rounding
+// contract — a separately rounded multiply and add per term — and the
+// subtest name says which; it is unchanged from when a fused variant
+// sat beside it, so the test IDs stay comparable across commits.
+func noFMA(t *testing.T, f func(t *testing.T)) { t.Run("nofma", f) }
 
-// mulAddBatched32Ref is the naive triple loop under the active
-// contract: ascending k, one rounding per multiply and add (no-FMA) or
-// one fused rounding per term (FMA, via fma32 — itself pinned against
-// exact arithmetic in TestFMA32Exact). Both kernel paths must match it
+// mulAddBatched32Ref is the naive triple loop: ascending k, one
+// rounding per multiply and add. Both kernel paths must match it
 // bit-for-bit, which transitively makes asm and fallback identical.
 func mulAddBatched32Ref(dst, a, b *Dense32) {
 	m, k, n := a.Rows, a.Cols, b.Cols
@@ -45,11 +32,7 @@ func mulAddBatched32Ref(dst, a, b *Dense32) {
 		for j := 0; j < n; j++ {
 			s := dst.Data[i*n+j]
 			for kk := 0; kk < k; kk++ {
-				if fastMath {
-					s = fma32(a.Data[i*k+kk], b.Data[kk*n+j], s)
-				} else {
-					s += a.Data[i*k+kk] * b.Data[kk*n+j]
-				}
+				s += a.Data[i*k+kk] * b.Data[kk*n+j]
 			}
 			dst.Data[i*n+j] = s
 		}
@@ -58,11 +41,9 @@ func mulAddBatched32Ref(dst, a, b *Dense32) {
 
 // TestMulAddBatched32BitExact checks MulAddBatched32 against the naive
 // reference over shapes exercising the 32-wide tiles, the 8-wide
-// cleanup, and the scalar column tail — on both kernel paths and under
-// both rounding contracts. On AVX2 hosts the FMA run also pins the
-// software fma32 against hardware VFMADD231PS across every element.
+// cleanup, and the scalar column tail — on both kernel paths.
 func TestMulAddBatched32BitExact(t *testing.T) {
-	withFastMath(t, func(t *testing.T) {
+	noFMA(t, func(t *testing.T) {
 		withBatchASM(t, func(t *testing.T) {
 			shapes := [][3]int{
 				{8, 24, 96}, {1, 24, 96}, {64, 24, 96}, // decode gate panels
@@ -92,9 +73,9 @@ func TestMulAddBatched32BitExact(t *testing.T) {
 
 // TestMulAddSparse32Matches checks the zero-skipping kernel against
 // MulAddBatched32's reference on one-hot rows (where skipped terms are
-// exact zeros, the two are bit-identical under either contract).
+// exact zeros, the two are bit-identical).
 func TestMulAddSparse32Matches(t *testing.T) {
-	withFastMath(t, func(t *testing.T) {
+	noFMA(t, func(t *testing.T) {
 		g := rng.New(7)
 		a := NewDense32(9, 26)
 		for i := 0; i < a.Rows; i++ {
@@ -280,23 +261,18 @@ func TestExpSlice32Alias(t *testing.T) {
 }
 
 // TestBatchKernels32NoAlloc pins the f32 serving kernels at zero
-// allocations under both contracts.
+// allocations.
 func TestBatchKernels32NoAlloc(t *testing.T) {
 	a := dense32Rand(8, 24, 1)
 	b := dense32Rand(24, 96, 2)
 	dst := NewDense32(8, 96)
 	x := dense32Rand(1, 96, 3).Data
 	y := make([]float32, 96)
-	for _, on := range []bool{false, true} {
-		saved := fastMath
-		SetFastMath(on)
-		if n := testing.AllocsPerRun(100, func() {
-			MulAddBatched32(dst, a, b)
-			ExpSlice32(y, x)
-		}); n != 0 {
-			t.Fatalf("fastMath=%v: f32 kernels allocated %v per run", on, n)
-		}
-		SetFastMath(saved)
+	if n := testing.AllocsPerRun(100, func() {
+		MulAddBatched32(dst, a, b)
+		ExpSlice32(y, x)
+	}); n != 0 {
+		t.Fatalf("f32 kernels allocated %v per run", n)
 	}
 }
 
@@ -304,21 +280,6 @@ func BenchmarkMulAddBatched32DecodeShape(b *testing.B) {
 	a := dense32Rand(8, 24, 1)
 	bm := dense32Rand(24, 96, 2)
 	dst := NewDense32(8, 96)
-	b.SetBytes(4 * int64(len(a.Data)+len(bm.Data)+len(dst.Data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddBatched32(dst, a, bm)
-	}
-}
-
-func BenchmarkMulAddBatched32FMADecodeShape(b *testing.B) {
-	a := dense32Rand(8, 24, 1)
-	bm := dense32Rand(24, 96, 2)
-	dst := NewDense32(8, 96)
-	saved := fastMath
-	SetFastMath(true)
-	defer SetFastMath(saved)
 	b.SetBytes(4 * int64(len(a.Data)+len(bm.Data)+len(dst.Data)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -25,8 +25,7 @@ import (
 // Bit-compatibility: the panel layout permutes only the ADDRESS of
 // each B element, never the accumulation order. Every packed kernel —
 // assembly and portable — accumulates each dst element's k terms in
-// ascending k with a separate multiply and add (or one fused rounding
-// per term under the f32 SetFastMath contract), exactly like
+// ascending k with a separate multiply and add, exactly like
 // MulAddBatched/MulAddBatched32. Packing therefore cannot change a
 // single output bit, which is what lets the decode engines switch
 // panels on and off (REPRO_NOPACK) without perturbing a trace.
@@ -341,9 +340,7 @@ func (p *PackedDense32) String() string {
 }
 
 // MulAddPacked32 computes dst += a * b against a float32 panel,
-// bit-identically to MulAddBatched32 on the unpacked matrix under both
-// accumulation contracts (separate rounding by default; one fused
-// rounding per term under SetFastMath, reproduced portably by fma32).
+// bit-identically to MulAddBatched32 on the unpacked matrix.
 func MulAddPacked32(dst, a *Dense32, b *PackedDense32) {
 	MulAddPackedEpi32(dst, a, b, nil)
 }
@@ -358,19 +355,13 @@ func MulAddPackedEpi32(dst, a *Dense32, b *PackedDense32, epi func(j0, j1 int)) 
 	m, k, n := a.Rows, a.Cols, b.Cols
 	nw, nn := n&^(panelWide32-1), n&^(panelNarrow32-1)
 	run := m > 0 && k > 0
-	fma := fastMath
 	off := 0
 	for j0 := 0; j0 < nw; j0 += panelWide32 {
 		if run {
 			tile := b.data[off : off+k*panelWide32]
-			switch {
-			case useBatchASM && fma:
-				gemmPacked32FMA(&dst.Data[j0], &a.Data[0], &tile[0], m, k, n)
-			case useBatchASM:
+			if useBatchASM {
 				gemmPacked32AVX2(&dst.Data[j0], &a.Data[0], &tile[0], m, k, n)
-			case fma:
-				mulAddPackedTileFMA32(dst.Data[j0:], a.Data, tile, m, k, n, panelWide32)
-			default:
+			} else {
 				mulAddPackedTile32(dst.Data[j0:], a.Data, tile, m, k, n, panelWide32)
 			}
 		}
@@ -382,14 +373,9 @@ func MulAddPackedEpi32(dst, a *Dense32, b *PackedDense32, epi func(j0, j1 int)) 
 	for j0 := nw; j0 < nn; j0 += panelNarrow32 {
 		if run {
 			tile := b.data[off : off+k*panelNarrow32]
-			switch {
-			case useBatchASM && fma:
-				gemmPacked8FMA(&dst.Data[j0], &a.Data[0], &tile[0], m, k, n)
-			case useBatchASM:
+			if useBatchASM {
 				gemmPacked8AVX2(&dst.Data[j0], &a.Data[0], &tile[0], m, k, n)
-			case fma:
-				mulAddPackedTileFMA32(dst.Data[j0:], a.Data, tile, m, k, n, panelNarrow32)
-			default:
+			} else {
 				mulAddPackedTile32(dst.Data[j0:], a.Data, tile, m, k, n, panelNarrow32)
 			}
 		}
@@ -405,14 +391,8 @@ func MulAddPackedEpi32(dst, a *Dense32, b *PackedDense32, epi func(j0, j1 int)) 
 				for i := 0; i < m; i++ {
 					arow := a.Data[i*k : i*k+k]
 					s := dst.Data[i*n+j]
-					if fma {
-						for kk, av := range arow {
-							s = fma32(av, col[kk], s)
-						}
-					} else {
-						for kk, av := range arow {
-							s += av * col[kk]
-						}
+					for kk, av := range arow {
+						s += av * col[kk]
 					}
 					dst.Data[i*n+j] = s
 				}
@@ -445,33 +425,6 @@ func mulAddPackedTile32(dst, a []float32, tile []float32, m, k, n, w int) {
 				s5 += av * trow[5]
 				s6 += av * trow[6]
 				s7 += av * trow[7]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7
-		}
-	}
-}
-
-// mulAddPackedTileFMA32 is the FMA-contract portable tile kernel: one
-// fused rounding per term via fma32, bit-identical to the VFMADD231PS
-// assembly tiles.
-func mulAddPackedTileFMA32(dst, a []float32, tile []float32, m, k, n, w int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : i*k+k]
-		drow := dst[i*n : i*n+w]
-		for j := 0; j+8 <= w; j += 8 {
-			s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-			s4, s5, s6, s7 := drow[j+4], drow[j+5], drow[j+6], drow[j+7]
-			for kk, av := range arow {
-				trow := tile[kk*w+j : kk*w+j+8]
-				s0 = fma32(av, trow[0], s0)
-				s1 = fma32(av, trow[1], s1)
-				s2 = fma32(av, trow[2], s2)
-				s3 = fma32(av, trow[3], s3)
-				s4 = fma32(av, trow[4], s4)
-				s5 = fma32(av, trow[5], s5)
-				s6 = fma32(av, trow[6], s6)
-				s7 = fma32(av, trow[7], s7)
 			}
 			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7

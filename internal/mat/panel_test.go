@@ -74,11 +74,10 @@ func TestMulAddPackedBitExact(t *testing.T) {
 	})
 }
 
-// TestMulAddPacked32BitExact is the float32 pin, under both rounding
-// contracts (the FMA tiles only run with SetFastMath).
+// TestMulAddPacked32BitExact is the float32 pin.
 func TestMulAddPacked32BitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
-		withFastMath(t, func(t *testing.T) {
+		noFMA(t, func(t *testing.T) {
 			for _, sh := range panelShapes {
 				m, k, n := sh[0], sh[1], sh[2]
 				a := dense32Rand(m, k, 1)

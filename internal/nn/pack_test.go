@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/mat"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
@@ -55,40 +54,33 @@ func TestFleetPackedMatchesUnpacked(t *testing.T) {
 	}
 }
 
-// TestFleet32PackedMatchesUnpacked is the f32 pin, under both kernel
-// rounding contracts (the FMA panel tiles only run with fast-math).
+// TestFleet32PackedMatchesUnpacked is the f32 pin.
 func TestFleet32PackedMatchesUnpacked(t *testing.T) {
-	for _, fm := range []bool{false, true} {
-		saved := mat.FastMath()
-		mat.SetFastMath(fm)
-		defer mat.SetFastMath(saved)
-		cfgs := []Config{
-			{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5},
-			{InputDim: 7, HiddenDim: 5, Layers: 2, OutputDim: 3},
+	cfgs := []Config{
+		{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5},
+		{InputDim: 7, HiddenDim: 5, Layers: 2, OutputDim: 3},
+	}
+	for _, cfg := range cfgs {
+		net := NewLSTM(cfg, rng.New(11)).Convert32()
+		ref := net.NewFleet32(4)
+		pf := net.NewFleet32Packed(4, net.Pack())
+		const streams = 5
+		rows := make([]int, streams)
+		prows := make([]int, streams)
+		for s := 0; s < streams; s++ {
+			rows[s] = ref.Admit()
+			prows[s] = pf.Admit()
 		}
-		for _, cfg := range cfgs {
-			net := NewLSTM(cfg, rng.New(11)).Convert32()
-			ref := net.NewFleet32(4)
-			pf := net.NewFleet32Packed(4, net.Pack())
-			const streams = 5
-			rows := make([]int, streams)
-			prows := make([]int, streams)
+		for step := 0; step < 10; step++ {
 			for s := 0; s < streams; s++ {
-				rows[s] = ref.Admit()
-				prows[s] = pf.Admit()
+				fleetInput(ref.InputRow(s), s, step)
+				fleetInput(pf.InputRow(s), s, step)
 			}
-			for step := 0; step < 10; step++ {
-				for s := 0; s < streams; s++ {
-					fleetInput(ref.InputRow(s), s, step)
-					fleetInput(pf.InputRow(s), s, step)
-				}
-				want := ref.Step(rows)
-				got := pf.Step(prows)
-				for i := range want.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("fastmath=%v cfg %+v step %d: logit %d differs packed vs unpacked",
-							fm, cfg, step, i)
-					}
+			want := ref.Step(rows)
+			got := pf.Step(prows)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("cfg %+v step %d: logit %d differs packed vs unpacked", cfg, step, i)
 				}
 			}
 		}

@@ -1,15 +1,22 @@
 #!/bin/sh
-# gofmt and vet over the whole module, then the
-# race-detection tier for the packages that carry production
-# concurrency (the parallel execution layer and everything threaded
-# through it, the metrics registry, the HTTP service with hot model
-# reload, the continuous-batching decode engine, the checkpoint
-# store, the request-trace ring, the fidelity drift monitor, and the
-# workload spec/record layer), plus
-# the end-to-end determinism and crash-recovery regression
-# tests (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume),
-# plus a pure-Go kernel tier (REPRO_NOASM under -race) and a
-# short-budget fuzz tier over the untrusted decode surfaces.
+# The full pre-merge check, in the order of the final echo:
+#   - gofmt and vet over the whole module;
+#   - the race-detection tier for the packages that carry production
+#     concurrency (the parallel execution layer and everything threaded
+#     through it, the metrics registry, the HTTP service with hot model
+#     reload, the continuous-batching decode engine, the checkpoint
+#     store, the request-trace ring, the fidelity drift monitor, and the
+#     workload spec/record layer);
+#   - the end-to-end determinism and crash-recovery regression tests
+#     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
+#   - the sharded-decode tier at GOMAXPROCS=4;
+#   - a pure-Go kernel tier (REPRO_NOASM under -race);
+#   - the packed-panel parity tier (REPRO_NOPACK under -race, and
+#     REPRO_NOPACK+REPRO_NOASM);
+#   - the allocation pins (decode round, fleet step, training window,
+#     par snapshot, Table 4 sweep), which run without -race;
+#   - a short-budget fuzz tier over the untrusted decode surfaces;
+#   - the non-test line count of internal/{core,nn,mat} (scripts/loc.sh).
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -47,16 +54,17 @@ REPRO_NOASM=1 go test -race ./internal/mat ./internal/nn ./internal/core
 # floor every other configuration is measured against.
 REPRO_NOPACK=1 go test -race ./internal/mat ./internal/nn ./internal/core
 REPRO_NOPACK=1 REPRO_NOASM=1 go test \
-	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet' \
+	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden' \
 	./internal/core .
 REPRO_NOPACK=1 go test -run 'TestHotReloadRepacksPanels' ./internal/server
 
 # Memory-discipline pins: the fleet round path, the fleet step kernel,
 # and the par Snapshot poll must stay allocation-free in steady state,
-# and the Table4 survival-MSE sweep must hold its pooled-curve
-# allocation budget (AllocsPerRun pins run without -race; the race
-# runtime's instrumentation allocates).
-go test -run 'TestTracingDisabledRoundAllocs' ./internal/core
+# every BPTT fit's training window must allocate no more than the
+# flavor LSTM's, and the Table4 survival-MSE sweep must hold its
+# pooled-curve allocation budget (AllocsPerRun pins run without -race;
+# the race runtime's instrumentation allocates).
+go test -run 'TestTracingDisabledRoundAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/core
 go test -run 'TestFleetStepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
 go test -run 'TestTable4SurvivalAllocs' ./internal/experiments
@@ -75,4 +83,5 @@ else
 	echo "check.sh: go toolchain lacks -fuzz; skipping fuzz tier"
 fi
 
-echo "check.sh: gofmt + vet + race + noasm + nopack + determinism + sharded + alloc pins + resume + fuzz OK"
+sh scripts/loc.sh
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz OK"
