@@ -466,25 +466,16 @@ func BenchmarkGenerateShardedLSTM64x8(b *testing.B) { benchGenerateSharded(b, 64
 
 // BenchmarkReplayDecode times the trace-replay path end to end
 // (DESIGN.md §9): parse a recorded generation from its versioned JSON
-// record, regenerate it through the serial decode engine from the
-// recorded seed/window/scale, and verify VM-by-VM agreement with the
-// recorded bytes. Compare against BenchmarkGenerateTraceLSTM to read
-// off the record parse + verify overhead on top of raw decode.
+// record, regenerate it through the serial decoder (Model.Generate,
+// the code this row has always measured) from the recorded
+// seed/window, and verify VM-by-VM agreement with the recorded bytes.
+// Compare against BenchmarkGenerateTraceLSTM to read off the record
+// parse + verify overhead on top of raw decode.
 func BenchmarkReplayDecode(b *testing.B) {
 	c := benchAzure(b)
 	m := c.Model()
-	eng, err := core.NewGenEngine(m, core.EngineSpec{Kind: "serial"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
 	const seed = 7
-	tr, err := eng.Generate(ctx, rng.New(seed), c.TestW, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr = core.WithCatalog(tr, c.Full.Flavors)
+	tr := core.WithCatalog(m.Generate(rng.New(seed), c.TestW), c.Full.Flavors)
 	data, err := workload.NewRecord("bench", "serial", "f64",
 		workload.ModelTag(m), seed, c.TestW, 1, tr).Marshal()
 	if err != nil {
@@ -497,11 +488,7 @@ func BenchmarkReplayDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		replayed, err := workload.Replay(ctx, eng, rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rec.Verify(replayed); err != nil {
+		if err := rec.Verify(m.Generate(rng.New(rec.Seed), rec.Window())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -560,7 +547,10 @@ func BenchmarkGenerateShardedLSTM64x4F32(b *testing.B) { benchGenerateShardedF32
 // phase boundaries.
 func benchServeDecode(b *testing.B, traced bool) {
 	c := benchAzure(b)
-	eng := core.NewEngine(c.Model(), 0, 8)
+	eng, err := core.NewGenEngine(c.Model(), core.EngineSpec{MaxBatch: 8, Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer eng.Close()
 	tc := rtrace.NewTracer(256)
 	g := rng.New(1)

@@ -39,20 +39,19 @@
 // Concurrent POST /generate requests are coalesced into shared decode
 // batches (continuous batching, DESIGN.md §6.2): -batch-window is how
 // long a request waits for others to join its batch, -max-batch caps
-// the streams decoded together across all shards. -engine selects the
-// decode engine from the registry: serial, or batched (sharded is a
-// synonym), which runs -decode-shards continuous-batching schedulers —
-// by default one per core — behind a router that sends each request to
-// the shard with the fewest in flight (DESIGN.md §6.2); -decode-shards
-// 1 is a single scheduler. The startup and reload log lines and the
-// decode.shards gauge on GET /metrics report the count in use.
-// Responses stay byte-identical to serial decodes of the same seed
-// regardless of engine kind, batching, or shard count.
+// the streams decoded together across all shards. The engine runs
+// -decode-shards continuous-batching schedulers — by default one per
+// core — behind a router that sends each request to the shard with the
+// fewest in flight (DESIGN.md §6.2); -decode-shards 1 is a single
+// scheduler. The startup and reload log lines and the decode.shards
+// gauge on GET /metrics report the count in use. Responses stay
+// byte-identical to serial decodes of the same seed regardless of
+// batching or shard count.
 //
 // -precision f32 serves through the float32 fast path (DESIGN.md
 // §6.4): the LSTM step GEMMs run on f32 weight slabs for higher
 // decode throughput. Responses remain deterministic per seed and
-// identical across engine kinds, but differ (within validated
+// identical across shard counts, but differ (within validated
 // tolerances) from the f64 reference; the divergence is measured
 // against the f64 path at startup and on every hot reload, and a
 // model outside tolerance refuses to serve.
@@ -183,8 +182,7 @@ func main() {
 	epochs := flag.Int("epochs", 40, "training epochs")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long /generate waits to coalesce concurrent requests into one decode batch")
 	maxBatch := flag.Int("max-batch", 64, "max concurrent decode streams, split evenly across the shards")
-	engineKind := flag.String("engine", "batched", "decode engine: serial, or batched (sharded is a synonym)")
-	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards for -engine batched/sharded (0: one per core, at most -max-batch; 1: a single scheduler)")
+	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards (0: one per core, at most -max-batch; 1: a single scheduler)")
 	precision := flag.String("precision", "f64", "decode numeric width: f64 (bit-exact reference) or f32 (fast path, validated at publish)")
 	traceBuffer := flag.Int("trace-buffer", 256, "request traces kept for GET /debug/traces (0 disables request tracing)")
 	fidelityWindow := flag.Int("fidelity-window", 64, "served traces in the fidelity drift monitor's sliding window (0 disables the monitor)")
@@ -196,10 +194,7 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain timeout on SIGINT/SIGTERM")
 	flag.Parse()
 
-	// Validate the engine selection before paying for training.
-	if !core.ValidEngineKind(*engineKind) {
-		log.Fatalf("traced: unknown -engine %q (have %v)", *engineKind, core.EngineKinds())
-	}
+	// Validate the engine configuration before paying for training.
 	if !core.ValidPrecision(*precision) {
 		log.Fatalf("traced: unknown -precision %q (have %v)", *precision, core.Precisions())
 	}
@@ -362,16 +357,12 @@ func main() {
 	s.TrainInfo = trainInfo
 	s.BatchWindow = *batchWindow
 	s.MaxBatch = *maxBatch
-	s.EngineKind = *engineKind
 	s.DecodeShards = *decodeShards
 	s.Precision = *precision
 	defer s.Close()
 	// What decodes, for the startup and reload log lines: the shard count
 	// is fixed by the flags and the core count, so it survives reloads.
-	engineDesc := *engineKind + " " + *precision
-	if core.EngineKind(*engineKind) != core.EngineSerial {
-		engineDesc = fmt.Sprintf("%s x %d shards, %s", *engineKind, s.DecodeShardCount(), *precision)
-	}
+	engineDesc := fmt.Sprintf("%s x %d shards, %s", core.EngineBatched, s.DecodeShardCount(), *precision)
 
 	if spec != nil {
 		s.Workload = spec.Summary()
@@ -389,9 +380,9 @@ func main() {
 		}
 		defer recorder.Close()
 		modelTag.Store(workload.ModelTag(model))
-		engine, prec := *engineKind, *precision
+		prec := *precision
 		s.OnTrace = func(seed int64, w trace.Window, scale float64, tr *trace.Trace) {
-			rec := workload.NewRecord("generate", engine, prec, modelTag.Load().(string), seed, w, scale, tr)
+			rec := workload.NewRecord("generate", core.EngineBatched, prec, modelTag.Load().(string), seed, w, scale, tr)
 			if err := recorder.Append(rec); err != nil {
 				log.Printf("traced: record: %v", err)
 			}

@@ -134,7 +134,10 @@ func TestObservabilityIsReadOnly(t *testing.T) {
 		// request tracing attached (spans recorded at every pipeline
 		// phase) and folds the result into a fidelity drift monitor; the
 		// bare arm runs the identical decode with both disabled.
-		eng := core.NewEngine(m, 0, 8)
+		eng, err := core.NewGenEngine(m, core.EngineSpec{MaxBatch: 8, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx := context.Background()
 		var tracer *rtrace.Tracer
 		var rt *rtrace.Trace

@@ -258,7 +258,7 @@ func (s *genStream) consumeLifetime(logits, hz []float64) {
 // compaction mirrored into the owner tables.
 type fleetEngine struct {
 	m      *Model
-	ff, lf nn.StepFleet // f64 nn.Fleet or f32 nn.Fleet32, per Precision
+	ff, lf nn.StepFleet // nn.Fleet[float64] or nn.Fleet32, per Precision
 
 	streams []*genStream
 	fOwner  []*genStream // flavor fleet row -> stream
@@ -277,28 +277,31 @@ func newFleetEngine(m *Model, capacity int, prec Precision) *fleetEngine {
 		probs: make([]float64, m.Flavor.K+1),
 		hz:    make([]float64, m.Lifetime.Bins.J()),
 	}
-	if prec.normalize() == PrecisionF32 {
-		// PrepareF32/PreparePackedF32 are idempotent and cached on the
-		// model; callers that fan fleet construction out across
-		// goroutines (generateBatchSharded, the engine router) prepare
-		// them up front.
-		// Nil panels (REPRO_NOPACK) fall through to unpacked fleets.
-		f32 := m.PrepareF32()
-		var pf, pl *nn.PackedLSTM32
-		if pp := m.PreparePackedF32(); pp != nil {
-			pf, pl = pp.Flavor, pp.Lifetime
-		}
-		e.ff = f32.Flavor.NewFleet32Packed(capacity, pf)
-		e.lf = f32.Lifetime.NewFleet32Packed(capacity, pl)
-	} else {
-		var pf, pl *nn.PackedLSTM
-		if pp := m.PreparePacked(); pp != nil {
-			pf, pl = pp.Flavor, pp.Lifetime
-		}
-		e.ff = m.Flavor.Net.NewFleetPacked(capacity, pf)
-		e.lf = m.Lifetime.Net.NewFleetPacked(capacity, pl)
-	}
+	e.ff, e.lf = m.newFleets(capacity, prec)
 	return e
+}
+
+// newFleets is the one place decode fleets are built: the flavor and
+// the lifetime fleet of one engine at prec, on panel-packed weights
+// unless REPRO_NOPACK turned packing off (nil panels fall through to
+// unpacked fleets). Every engine steps what this returns, and so does
+// ValidateF32's calibration, so the kernels validated at publish are
+// the kernels served. The Prepare* caches are idempotent but
+// unsynchronized; callers that fan construction out across goroutines
+// (generateBatchSharded, the engine router) run prepareDecode first.
+func (m *Model) newFleets(capacity int, prec Precision) (flavor, lifetime nn.StepFleet) {
+	if prec.normalize() == PrecisionF32 {
+		w, p := m.PrepareF32(), m.PreparePackedF32()
+		if p == nil {
+			p = &ModelPacked[float32]{}
+		}
+		return w.Flavor.NewFleet32Packed(capacity, p.Flavor), w.Lifetime.NewFleet32Packed(capacity, p.Lifetime)
+	}
+	p := m.PreparePacked()
+	if p == nil {
+		p = &ModelPacked[float64]{}
+	}
+	return m.Flavor.Net.NewFleetPacked(capacity, p.Flavor), m.Lifetime.Net.NewFleetPacked(capacity, p.Lifetime)
 }
 
 func (e *fleetEngine) active() int { return len(e.streams) }
@@ -441,9 +444,10 @@ func (m *Model) GenerateBatch(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 // GenerateBatchF32 is GenerateBatch on the float32 fast path: the same
 // continuous-batching schedule, but the fleet steps run on f32 weight
 // slabs (DESIGN.md §6.4). Results are deterministic per seed and
-// independent of batch composition — identical across the serial,
-// batched, and sharded f32 engines — but not byte-identical to the f64
-// path; ValidateF32 bounds the distributional divergence.
+// independent of batch composition — a one-stream call is the f32
+// oracle every f32 engine and shard count is tested against — but not
+// byte-identical to the f64 path; ValidateF32 bounds the distributional
+// divergence.
 func (m *Model) GenerateBatchF32(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 	out := make([]*trace.Trace, len(gs))
 	if len(gs) == 0 {
@@ -536,8 +540,7 @@ func (r *engineReq) traceAdmit(s *genStream) {
 // its own RNG (so every response is byte-identical to the serial path).
 // New requests join the running batch between steps; an idle engine
 // waits up to Window for more arrivals before stepping a fresh batch.
-// The registry's batched and sharded kinds run one Engine per core
-// behind engineRouter (shard.go).
+// NewGenEngine runs one Engine per core behind engineRouter (shard.go).
 type Engine struct {
 	m        *Model
 	window   time.Duration
@@ -552,16 +555,6 @@ type Engine struct {
 	closed bool
 }
 
-// NewEngine starts the engine's scheduler goroutine on the bit-exact
-// f64 path. window is how long an idle engine waits for more requests
-// before stepping (0: step immediately; overlapping requests still
-// coalesce); maxBatch caps concurrent streams (0: a default of 64).
-// The engine registry selects the f32 fast path via
-// EngineSpec.Precision (newEngine).
-func NewEngine(m *Model, window time.Duration, maxBatch int) *Engine {
-	return newEngine(m, window, maxBatch, PrecisionF64)
-}
-
 // prepareDecode converts (f32) and packs the serving weights for prec.
 // The caches it fills are unsynchronized, so everything that fans fleet
 // construction out across goroutines calls it first.
@@ -574,6 +567,10 @@ func (m *Model) prepareDecode(prec Precision) {
 	}
 }
 
+// newEngine starts one scheduler goroutine at prec. window is how long
+// an idle engine waits for more requests before stepping (0: step
+// immediately; overlapping requests still coalesce); maxBatch caps
+// concurrent streams (0: a default of 64).
 func newEngine(m *Model, window time.Duration, maxBatch int, prec Precision) *Engine {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxStreams

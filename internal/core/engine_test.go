@@ -114,7 +114,7 @@ func TestEngineConcurrentMatchesSerial(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := NewEngine(m, time.Millisecond, 4)
+	e := newEngine(m, time.Millisecond, 4, PrecisionF64)
 	defer e.Close()
 	const n = 16
 	var wg sync.WaitGroup
@@ -152,7 +152,7 @@ func TestEngineScale(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := NewEngine(m, 0, 8)
+	e := newEngine(m, 0, 8, PrecisionF64)
 	defer e.Close()
 	tr, err := e.Generate(context.Background(), rng.New(42), w, 3)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestEngineCancellation(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: 4 * trace.PeriodsPerDay}
-	e := NewEngine(m, 0, 4)
+	e := newEngine(m, 0, 4, PrecisionF64)
 	defer e.Close()
 
 	dead, cancel := context.WithCancel(context.Background())
@@ -215,7 +215,7 @@ func TestEngineClose(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := NewEngine(m, 0, 2)
+	e := newEngine(m, 0, 2, PrecisionF64)
 	if _, err := e.Generate(context.Background(), rng.New(1), w, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -35,16 +35,16 @@ type Model struct {
 	MaxJobsPerPeriod int
 
 	// f32 caches the float32 weight conversion built by PrepareF32.
-	// Shallow Model copies (the serial engine copies the Model by value
-	// to override RateScale) share the conversion through this pointer,
+	// Shallow Model copies (callers copy the Model by value to override
+	// RateScale) share the conversion through this pointer,
 	// so PrepareF32 on the original covers every copy.
 	f32 *ModelF32
 
 	// packed and packed32 cache the panel-packed serving weights built
 	// by PreparePacked/PreparePackedF32 (pack.go), shared across shallow
 	// copies the same way.
-	packed   *ModelPacked
-	packed32 *ModelPacked32
+	packed   *ModelPacked[float64]
+	packed32 *ModelPacked[float32]
 }
 
 // ModelOptions bundles the knobs for training the full model.

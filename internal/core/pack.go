@@ -7,14 +7,14 @@ import (
 )
 
 // Publish-time packed serving weights (DESIGN.md §6.5). Alongside the
-// f32 conversion, snapshot publish packs each decode weight matrix
-// once into cache-blocked panels; every decode fleet — serial-f32,
-// batched, and sharded, both precisions — then steps on panels with
-// the bias/activation epilogue fused into the GEMM tails. Packing is a
-// bit-exact address permutation (see mat.PackedDense), so packed and
-// unpacked engines emit byte-identical traces; training and the scalar
-// serial f64 reference path keep the unpacked matrices as the honest
-// baseline the packed paths are pinned against.
+// f32 conversion, snapshot publish packs each decode weight matrix once
+// into cache-blocked panels; every decode fleet, at both precisions,
+// then steps on panels with the bias/activation epilogue fused into the
+// GEMM tails. Packing is a bit-exact address permutation (see
+// mat.Packed), so packed and unpacked engines emit byte-identical
+// traces; training and the scalar serial f64 reference path keep the
+// unpacked matrices as the honest baseline the packed paths are pinned
+// against.
 
 // packDisabled is the REPRO_NOPACK kill-switch: any non-empty value
 // makes the Prepare* functions return nil panels, dropping every fleet
@@ -24,17 +24,10 @@ import (
 // not a const, so in-package tests can force either path.
 var packDisabled = os.Getenv("REPRO_NOPACK") != ""
 
-// ModelPacked holds the panel-packed f64 decode weights of the model's
-// two LSTMs.
-type ModelPacked struct {
-	Flavor   *nn.PackedLSTM
-	Lifetime *nn.PackedLSTM
-}
-
-// ModelPacked32 holds the panel-packed weights of the f32 conversion.
-type ModelPacked32 struct {
-	Flavor   *nn.PackedLSTM32
-	Lifetime *nn.PackedLSTM32
+// ModelPacked holds the panel-packed decode weights of the model's two
+// LSTMs at one element type: float64, or the f32 conversion's.
+type ModelPacked[T float32 | float64] struct {
+	Flavor, Lifetime *nn.PackedLSTM[T]
 }
 
 // PreparePacked packs the model's f64 decode weights once and caches
@@ -45,12 +38,12 @@ type ModelPacked32 struct {
 // engine constructors and the batch entry points call it eagerly.
 // Hot reload republishes a fresh Model value whose cache starts nil,
 // so reloaded weights are always freshly packed.
-func (m *Model) PreparePacked() *ModelPacked {
+func (m *Model) PreparePacked() *ModelPacked[float64] {
 	if packDisabled {
 		return nil
 	}
 	if m.packed == nil {
-		m.packed = &ModelPacked{
+		m.packed = &ModelPacked[float64]{
 			Flavor:   m.Flavor.Net.Pack(),
 			Lifetime: m.Lifetime.Net.Pack(),
 		}
@@ -62,13 +55,13 @@ func (m *Model) PreparePacked() *ModelPacked {
 // if needed) once and caches the result. Returns nil under
 // REPRO_NOPACK. Same sharing and publish-before-fan-out contract as
 // PreparePacked.
-func (m *Model) PreparePackedF32() *ModelPacked32 {
+func (m *Model) PreparePackedF32() *ModelPacked[float32] {
 	if packDisabled {
 		return nil
 	}
 	if m.packed32 == nil {
 		f32 := m.PrepareF32()
-		m.packed32 = &ModelPacked32{
+		m.packed32 = &ModelPacked[float32]{
 			Flavor:   f32.Flavor.Pack(),
 			Lifetime: f32.Lifetime.Pack(),
 		}

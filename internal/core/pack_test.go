@@ -57,7 +57,7 @@ func TestPreparePackedCachingAndKillSwitch(t *testing.T) {
 	// Structural pin: the default fleet engines really step on panels
 	// (both precisions), and the kill-switch really drops them.
 	fe := newFleetEngine(m, 1, PrecisionF64)
-	if !fe.ff.(*nn.Fleet).Packed() || !fe.lf.(*nn.Fleet).Packed() {
+	if !fe.ff.(*nn.Fleet[float64]).Packed() || !fe.lf.(*nn.Fleet[float64]).Packed() {
 		t.Fatal("f64 fleet engine is not stepping on packed panels")
 	}
 	fe32 := newFleetEngine(m, 1, PrecisionF32)
@@ -65,17 +65,19 @@ func TestPreparePackedCachingAndKillSwitch(t *testing.T) {
 		t.Fatal("f32 fleet engine is not stepping on packed panels")
 	}
 	packDisabled = true
-	fe = newFleetEngine(m, 1, PrecisionF64)
-	if fe.ff.(*nn.Fleet).Packed() || fe.lf.(*nn.Fleet).Packed() {
+	fe, fe32 = newFleetEngine(m, 1, PrecisionF64), newFleetEngine(m, 1, PrecisionF32)
+	if fe.ff.(*nn.Fleet[float64]).Packed() || fe.lf.(*nn.Fleet[float64]).Packed() ||
+		fe32.ff.(*nn.Fleet32).Packed() || fe32.lf.(*nn.Fleet32).Packed() {
 		t.Fatal("REPRO_NOPACK fleet engine still stepping on panels")
 	}
 }
 
-// TestPackedDecodeByteIdentity is the tentpole acceptance pin inside
-// the process: every engine kind × precision produces byte-identical
-// traces with packing on and off (the REPRO_NOASM legs of the same
-// matrix run via the scripts/check.sh environment tiers). The f64
-// serial engine doubles as the honest unpacked scalar reference.
+// TestPackedDecodeByteIdentity is the packing acceptance pin inside the
+// process: the engine and the batch entry points, at both precisions,
+// produce byte-identical traces with packing on and off (the
+// REPRO_NOASM legs of the same matrix run via the scripts/check.sh
+// environment tiers), and at f64 both equal the scalar unpacked
+// Model.Generate.
 func TestPackedDecodeByteIdentity(t *testing.T) {
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	const n = 5
@@ -85,38 +87,28 @@ func TestPackedDecodeByteIdentity(t *testing.T) {
 		seeds[i] = src.Int63()
 	}
 
-	type cell struct {
-		kind EngineKind
-		prec Precision
-	}
-	var cells []cell
-	for _, kind := range EngineKinds() {
-		for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
-			cells = append(cells, cell{kind, prec})
-		}
-	}
-
 	// Decode the full matrix plus the batch entry points under one
 	// kill-switch state. A fresh model per state keeps cache contents
 	// honest (a stale shared cache could mask a broken rebuild).
 	decodeAll := func(t *testing.T) map[string][][]byte {
 		m := tinyGenModel()
 		got := make(map[string][][]byte)
-		for _, c := range cells {
-			eng, err := NewGenEngine(m, EngineSpec{Kind: c.kind, MaxBatch: 4, Shards: 2, Precision: c.prec})
+		for _, seed := range seeds {
+			got["serial/f64"] = append(got["serial/f64"], traceBytes(t, m.Generate(rng.New(seed), w)))
+		}
+		for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+			eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2, Precision: prec})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", c.kind, c.prec, err)
+				t.Fatalf("%s: %v", prec, err)
 			}
-			var out [][]byte
 			for _, seed := range seeds {
 				tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", c.kind, c.prec, err)
+					t.Fatalf("%s: %v", prec, err)
 				}
-				out = append(out, traceBytes(t, tr))
+				got["engine/"+string(prec)] = append(got["engine/"+string(prec)], traceBytes(t, tr))
 			}
 			eng.Close()
-			got[string(c.kind)+"/"+string(c.prec)] = out
 		}
 		for _, tr := range m.GenerateBatch(splitStreams(7, n), w) {
 			got["batch/f64"] = append(got["batch/f64"], traceBytes(t, tr))
@@ -139,6 +131,11 @@ func TestPackedDecodeByteIdentity(t *testing.T) {
 
 	if len(packed) != len(unpacked) {
 		t.Fatalf("cell count mismatch: %d vs %d", len(packed), len(unpacked))
+	}
+	for i, want := range unpacked["serial/f64"] {
+		if !bytes.Equal(packed["engine/f64"][i], want) {
+			t.Fatalf("stream %d: packed f64 engine differs from Model.Generate", i)
+		}
 	}
 	for key, want := range unpacked {
 		got := packed[key]

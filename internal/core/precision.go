@@ -12,9 +12,9 @@ import (
 
 // Float32 serving fast path (DESIGN.md §6.4): the decode engines can
 // run their LSTM step GEMMs in float32 (nn.Fleet32) instead of the
-// bit-exact float64 reference (nn.Fleet). The f32 path keeps every
-// determinism property — per-stream bytes independent of batch
-// composition, engine kind, and worker count — but trades bit-parity
+// bit-exact float64 reference (nn.Fleet[float64]). The f32 path keeps
+// every determinism property — per-stream bytes independent of batch
+// composition, shard count, and worker count — but trades bit-parity
 // with the f64 path for roughly 2× arithmetic density. Everything
 // around the nets (arrival GLM, samplers, softmax/sigmoid heads,
 // survival math) stays float64, so divergence enters only through the
@@ -45,8 +45,7 @@ func (p Precision) normalize() Precision {
 }
 
 // ValidPrecision reports whether name selects a known precision (""
-// is valid and means f64, mirroring ValidEngineKind's treatment of
-// the default).
+// is valid and means f64).
 func ValidPrecision(name string) bool {
 	switch Precision(name) {
 	case "", PrecisionF64, PrecisionF32:
@@ -131,21 +130,24 @@ type F32Report struct {
 // by teacher forcing: both nets receive the identical input sequence
 // (tokens sampled from the f64 distributions by a fixed-seed RNG), so
 // the comparison isolates numeric divergence from sampling divergence.
-// steps <= 0 selects the calibration default.
+// The four fleets come from newFleets, the constructor every engine
+// uses, so what is measured is the served kernels — panel-packed unless
+// REPRO_NOPACK — not an unpacked stand-in. steps <= 0 selects the
+// calibration default.
 func (m *Model) F32Divergence(steps int) F32Report {
 	if steps <= 0 {
 		steps = calibrationSteps
 	}
-	f32 := m.PrepareF32()
 	g := rng.New(calibrationSeed)
 	rep := F32Report{Steps: steps}
 	rows := []int{0}
+	ff64, lf64 := m.newFleets(1, PrecisionF64)
+	ff32, lf32 := m.newFleets(1, PrecisionF32)
+	for _, f := range []nn.StepFleet{ff64, lf64, ff32, lf32} {
+		f.Admit()
+	}
 
 	// Flavor stage: free-run the f64 chain, shadow it with the f32 net.
-	ff64 := m.Flavor.Net.NewFleet(1)
-	ff32 := f32.Flavor.NewFleet32(1)
-	ff64.Admit()
-	ff32.Admit()
 	k := m.Flavor.K
 	probs64 := make([]float64, k+1)
 	probs32 := make([]float64, k+1)
@@ -173,10 +175,6 @@ func (m *Model) F32Divergence(steps int) F32Report {
 
 	// Lifetime stage: teacher-forced job steps with f64-sampled bins
 	// fed back into both nets.
-	lf64 := m.Lifetime.Net.NewFleet(1)
-	lf32 := f32.Lifetime.NewFleet32(1)
-	lf64.Admit()
-	lf32.Admit()
 	j := m.Lifetime.Bins.J()
 	hz64 := make([]float64, j)
 	hz32 := make([]float64, j)

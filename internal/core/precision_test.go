@@ -19,11 +19,11 @@ func tinyGenModel() *Model {
 	return &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 }
 
-// TestPrecisionRegistryMatrix drives every (engine kind × precision)
-// cell of the registry over the same seeds and pins the two
-// determinism contracts: f64 engines are byte-identical to the serial
-// Model.Generate, and f32 engines of every kind are byte-identical to
-// each other (GenerateBatchF32 is the f32 reference).
+// TestPrecisionRegistryMatrix drives the engine at every precision and
+// shard setting over the same seeds and pins the two determinism
+// contracts: an f64 engine is byte-identical to the serial
+// Model.Generate, and an f32 engine to the one-stream GenerateBatchF32
+// (the f32 reference) — whatever the shard count.
 func TestPrecisionRegistryMatrix(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
@@ -43,38 +43,35 @@ func TestPrecisionRegistryMatrix(t *testing.T) {
 	// fast path structurally: the f32 fleet engine must be running
 	// nn.Fleet32 steps, not the f64 fleets.
 	fe := newFleetEngine(m, 1, PrecisionF32)
-	if _, ok := fe.ff.(*nn.Fleet32); !ok {
-		t.Fatalf("f32 fleet engine is stepping %T, want *nn.Fleet32", fe.ff)
-	}
-	if _, ok := fe.lf.(*nn.Fleet32); !ok {
-		t.Fatalf("f32 fleet engine is stepping %T, want *nn.Fleet32", fe.lf)
+	for _, f := range []nn.StepFleet{fe.ff, fe.lf} {
+		if _, ok := f.(*nn.Fleet32); !ok {
+			t.Fatalf("f32 fleet engine is stepping %T, want *nn.Fleet32", f)
+		}
 	}
 	// Shards: 0 is the default the server runs — one scheduler per par
 	// worker, capped by MaxBatch — so at 8 workers those cells decode on
 	// four shards.
 	defer par.SetProcs(par.SetProcs(8))
-	for _, kind := range EngineKinds() {
-		for _, prec := range []Precision{"", PrecisionF64, PrecisionF32} {
-			for _, shards := range []int{0, 2} {
-				eng, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4, Shards: shards, Precision: prec})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", kind, prec, err)
-				}
-				want := f64Ref
-				if prec == PrecisionF32 {
-					want = f32Ref
-				}
-				for i, seed := range seeds {
-					tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
-					if err != nil {
-						t.Fatalf("%s/%s seed %d: %v", kind, prec, seed, err)
-					}
-					if got := traceBytes(t, tr); !bytes.Equal(got, want[i]) {
-						t.Fatalf("%s/%s shards=%d stream %d: trace differs from the %s reference", kind, prec, shards, i, prec.normalize())
-					}
-				}
-				eng.Close()
+	for _, prec := range []Precision{"", PrecisionF64, PrecisionF32} {
+		for _, shards := range []int{0, 1, 2} {
+			eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: shards, Precision: prec})
+			if err != nil {
+				t.Fatalf("%q: %v", prec, err)
 			}
+			want := f64Ref
+			if prec == PrecisionF32 {
+				want = f32Ref
+			}
+			for i, seed := range seeds {
+				tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
+				if err != nil {
+					t.Fatalf("%q seed %d: %v", prec, seed, err)
+				}
+				if got := traceBytes(t, tr); !bytes.Equal(got, want[i]) {
+					t.Fatalf("%q shards=%d stream %d: trace differs from the %s reference", prec, shards, i, prec.normalize())
+				}
+			}
+			eng.Close()
 		}
 	}
 	if _, err := NewGenEngine(m, EngineSpec{Precision: "f16"}); err == nil {
@@ -151,6 +148,35 @@ func TestValidateF32RejectsBrokenConversion(t *testing.T) {
 	}
 }
 
+// TestValidateF32RejectsStalePanels plants f32 panels packed from other
+// weights of the same shapes — what a publish that re-converted but did
+// not re-pack would serve — beside a correct f32 conversion. Every f32
+// engine steps on those panels, so the publish-time gate has to step on
+// them too: a calibration over unpacked stand-in fleets accepts this
+// model. Under REPRO_NOPACK nobody serves the panels, and the same model
+// validates.
+func TestValidateF32RejectsStalePanels(t *testing.T) {
+	saved := packDisabled
+	defer func() { packDisabled = saved }()
+	packDisabled = false
+
+	m := tinyGenModel()
+	if _, err := m.ValidateF32(); err != nil {
+		t.Fatalf("freshly packed model: %v", err)
+	}
+	m.packed32 = &ModelPacked[float32]{
+		Flavor:   nn.NewLSTM(m.Flavor.Net.Cfg, rng.New(1001)).Convert32().Pack(),
+		Lifetime: nn.NewLSTM(m.Lifetime.Net.Cfg, rng.New(1002)).Convert32().Pack(),
+	}
+	if rep, err := m.ValidateF32(); err == nil {
+		t.Fatalf("ValidateF32 accepted stale f32 panels (report %+v)", rep)
+	}
+	packDisabled = true
+	if _, err := m.ValidateF32(); err != nil {
+		t.Fatalf("REPRO_NOPACK serves no panels, yet: %v", err)
+	}
+}
+
 // TestEngineF32ConcurrentDeterministic exercises the f32 batched
 // engine under concurrency: every response must equal the f32
 // reference decode of its seed regardless of batching. Run under
@@ -158,7 +184,7 @@ func TestValidateF32RejectsBrokenConversion(t *testing.T) {
 func TestEngineF32ConcurrentDeterministic(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	eng, err := NewGenEngine(m, EngineSpec{Kind: EngineBatched, Window: time.Millisecond, MaxBatch: 4, Precision: PrecisionF32})
+	eng, err := NewGenEngine(m, EngineSpec{Window: time.Millisecond, MaxBatch: 4, Precision: PrecisionF32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func generateTraced(t *testing.T, eng GenEngine, tc *rtrace.Tracer, seed int64, 
 
 // TestTracedDecodeByteIdentity is the tracing half of the determinism
 // contract: attaching a request trace must not change a single response
-// byte on any engine kind, while the finished trace carries the
+// byte at any shard count, while the finished trace carries the
 // pipeline-phase spans.
 func TestTracedDecodeByteIdentity(t *testing.T) {
 	m := shardTestModel()
@@ -35,53 +35,42 @@ func TestTracedDecodeByteIdentity(t *testing.T) {
 	const seed = 4242
 	want := traceBytes(t, m.Generate(rng.New(seed), w))
 
-	for _, kind := range []EngineKind{EngineSerial, EngineBatched, EngineSharded} {
-		eng, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4, Shards: 2})
+	for _, shards := range []int{1, 2} {
+		eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Untraced request first, then a traced one with the same seed.
 		plain, perr := eng.Generate(context.Background(), rng.New(seed), w, 0)
 		if perr != nil {
-			t.Fatalf("kind %q untraced: %v", kind, perr)
+			t.Fatalf("shards=%d untraced: %v", shards, perr)
 		}
 		if !bytes.Equal(traceBytes(t, plain), want) {
-			t.Fatalf("kind %q: untraced trace differs from serial", kind)
+			t.Fatalf("shards=%d: untraced trace differs from serial", shards)
 		}
 		tc := rtrace.NewTracer(4)
 		got, fin := generateTraced(t, eng, tc, seed, w)
 		eng.Close()
 		if !bytes.Equal(got, want) {
-			t.Fatalf("kind %q: traced response differs from untraced (tracing is not read-only)", kind)
+			t.Fatalf("shards=%d: traced response differs from untraced (tracing is not read-only)", shards)
 		}
 
-		// Span structure: every engine emits a decode span; the batching
-		// engines also emit queue and coalesce.
-		if d, ok := fin.SpanDur("decode"); !ok || d < 0 {
-			t.Fatalf("kind %q: missing decode span (spans=%+v)", kind, fin.Spans)
+		// Span structure: queue, coalesce, and a decode span that counts
+		// the rounds the stream rode in.
+		for _, name := range []string{"queue", "coalesce", "decode"} {
+			if d, ok := fin.SpanDur(name); !ok || d < 0 {
+				t.Fatalf("shards=%d: missing %s span (spans=%+v)", shards, name, fin.Spans)
+			}
 		}
-		if kind != EngineSerial {
-			if _, ok := fin.SpanDur("queue"); !ok {
-				t.Fatalf("kind %q: missing queue span", kind)
-			}
-			if _, ok := fin.SpanDur("coalesce"); !ok {
-				t.Fatalf("kind %q: missing coalesce span", kind)
-			}
-			for _, sp := range fin.Spans {
-				if sp.Name == "decode" && sp.Steps <= 0 {
-					t.Fatalf("kind %q: decode span has %d rounds, want > 0", kind, sp.Steps)
-				}
+		for _, sp := range fin.Spans {
+			if sp.Name == "decode" && sp.Steps <= 0 {
+				t.Fatalf("shards=%d: decode span has %d rounds, want > 0", shards, sp.Steps)
 			}
 		}
 		// The router annotates the shard it chose; with nothing else in
-		// flight that is the tie-break, shard 0. The serial engine has no
-		// shards and leaves the trace unannotated.
-		wantShard := 0
-		if kind == EngineSerial {
-			wantShard = -1
-		}
-		if fin.Shard != wantShard {
-			t.Fatalf("kind %q: trace annotated shard %d, want %d", kind, fin.Shard, wantShard)
+		// flight that is the tie-break, shard 0.
+		if fin.Shard != 0 {
+			t.Fatalf("shards=%d: trace annotated shard %d, want 0", shards, fin.Shard)
 		}
 	}
 }
@@ -95,7 +84,7 @@ func TestTracedDecodeByteIdentity(t *testing.T) {
 func TestTracedSpansTileRequest(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
-	eng := NewEngine(m, 0, 4)
+	eng := newEngine(m, 0, 4, PrecisionF64)
 	defer eng.Close()
 	tc := rtrace.NewTracer(4)
 	_, fin := generateTraced(t, eng, tc, 777, w)
@@ -130,7 +119,7 @@ func findSpan(t *testing.T, f rtrace.Finished, name string) rtrace.Span {
 func TestTracedCancelledStream(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 4000 * trace.PeriodsPerDay} // effectively unbounded
-	eng := NewEngine(m, 0, 4)
+	eng := newEngine(m, 0, 4, PrecisionF64)
 	defer eng.Close()
 	tc := rtrace.NewTracer(4)
 	tr := tc.StartTrace()

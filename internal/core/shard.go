@@ -65,13 +65,12 @@ func (m *Model) generateBatchSharded(gs []*rng.RNG, w trace.Window, shards int, 
 	return out
 }
 
-// engineRouter is the serving engine behind both the batched and the
-// sharded registry kinds: K Engines (one scheduler goroutine and one
-// fleet each) that run free of each other — no shared round, no
-// barrier — and a placement rule. Every Generate goes to the shard with
-// the fewest requests in flight (routed and not yet returned; ties to
-// the lowest index), so a wave of N concurrent requests spreads N/K per
-// core and a lone request always lands on warm shard 0.
+// engineRouter is the serving engine: K Engines (one scheduler
+// goroutine and one fleet each) that run free of each other — no shared
+// round, no barrier — and a placement rule. Every Generate goes to the
+// shard with the fewest requests in flight (routed and not yet returned;
+// ties to the lowest index), so a wave of N concurrent requests spreads
+// N/K per core and a lone request always lands on warm shard 0.
 //
 // Per-shard telemetry lands in EngineSpec.Obs: decode.shards (K),
 // decode.shard_occupancy.<k> (requests in flight on shard k right now)

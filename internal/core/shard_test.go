@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,7 +171,7 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	reg := obs.NewRegistry()
 	const shards = 3
-	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSharded, Window: time.Millisecond, MaxBatch: 6, Shards: shards, Obs: reg})
+	e, err := NewGenEngine(m, EngineSpec{Window: time.Millisecond, MaxBatch: 6, Shards: shards, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestRouterBalancesInFlight(t *testing.T) {
 	const n = 64
 	for _, shards := range []int{2, 4} {
 		reg := obs.NewRegistry()
-		e, err := NewGenEngine(m, EngineSpec{Kind: EngineBatched, MaxBatch: n, Shards: shards, Obs: reg})
+		e, err := NewGenEngine(m, EngineSpec{MaxBatch: n, Shards: shards, Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestRouterBalancesInFlight(t *testing.T) {
 func TestShardedEngineScale(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSharded, MaxBatch: 8, Shards: 2})
+	e, err := NewGenEngine(m, EngineSpec{MaxBatch: 8, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestShardedEngineScale(t *testing.T) {
 func TestShardedEngineCloseAndCancel(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSharded, MaxBatch: 4, Shards: 2})
+	e, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,34 +308,25 @@ func TestShardedEngineCloseAndCancel(t *testing.T) {
 	}
 }
 
-// TestEngineRegistry covers the registry surface: every kind
-// constructs an engine whose output is byte-identical to the others,
-// "" defaults to batched, unknown kinds error, and the enumeration/
-// validation helpers agree.
+// TestEngineRegistry covers what is left of the registry surface: ""
+// and "batched" name the one engine kind, whose output is byte-identical
+// to the serial reference at any scale; the two retired kinds and an
+// unknown one are errors that name the valid kind.
 func TestEngineRegistry(t *testing.T) {
-	kinds := EngineKinds()
-	if len(kinds) != 3 {
-		t.Fatalf("EngineKinds() = %v, want 3 kinds", kinds)
-	}
-	for _, k := range []EngineKind{EngineSerial, EngineBatched, EngineSharded} {
-		if !ValidEngineKind(string(k)) {
-			t.Fatalf("ValidEngineKind(%q) = false", k)
+	m := shardTestModel()
+	for _, kind := range []string{"serial", "sharded", "warp-drive"} {
+		_, err := NewGenEngine(m, EngineSpec{Kind: kind})
+		if err == nil || !strings.Contains(err.Error(), `"`+EngineBatched+`"`) {
+			t.Fatalf("NewGenEngine kind %q: err = %v, want one naming %q", kind, err, EngineBatched)
 		}
 	}
-	if ValidEngineKind("warp-drive") {
-		t.Fatal(`ValidEngineKind("warp-drive") = true`)
-	}
-	if _, err := NewGenEngine(shardTestModel(), EngineSpec{Kind: "warp-drive"}); err == nil {
-		t.Fatal("NewGenEngine with unknown kind: err = nil")
-	}
 
-	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	want := traceBytes(t, m.Generate(rng.New(7), w))
 	ms := *m
 	ms.RateScale = 2
 	wantScaled := traceBytes(t, ms.Generate(rng.New(7), w))
-	for _, kind := range []EngineKind{"", EngineSerial, EngineBatched, EngineSharded} {
+	for _, kind := range []string{"", EngineBatched} {
 		e, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4, Shards: 2})
 		if err != nil {
 			t.Fatalf("kind %q: %v", kind, err)
@@ -354,17 +346,5 @@ func TestEngineRegistry(t *testing.T) {
 			t.Fatalf("kind %q: scaled trace differs from serial RateScale path", kind)
 		}
 		e.Close()
-	}
-
-	// The serial engine honours an already-cancelled context.
-	e, err := NewGenEngine(m, EngineSpec{Kind: EngineSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.Generate(dead, rng.New(7), w, 0); err != context.Canceled {
-		t.Fatalf("serial pre-cancelled: err = %v, want context.Canceled", err)
 	}
 }

@@ -192,7 +192,7 @@ tanhloop:
 // Packed-panel f32 tile kernels (DESIGN.md §6.5): the eight-lane
 // counterparts of gemmPacked16AVX2/gemmPacked4AVX2. Each processes ONE
 // j-tile of a packed panel across all m activation rows with sequential
-// panel loads, matching mulAddPackedTile32's separate
+// panel loads, matching mulAddTile's separate
 // multiply-then-add rounding.
 
 // func gemmPacked32AVX2(dst, a, p *float32, m, k, n int)

@@ -2,9 +2,9 @@
 
 package mat
 
-// Without assembly kernels MulAddBatched32 uses the portable tiled
-// fallbacks in mat32.go, which are bit-identical (and the reference the
-// assembly is tested against).
+// Without assembly kernels the float32 GEMMs and activations use their
+// portable fallbacks (batch.go, panel.go, act32.go), which are
+// bit-identical (and the reference the assembly is tested against).
 
 func gemm32AVX2(dst, a, b *float32, m, k, n int) {
 	panic("mat: gemm32AVX2 without assembly kernel")

@@ -1,7 +1,8 @@
 // Package mat provides small dense linear-algebra primitives used by the
-// neural-network and regression packages. Matrices are row-major float64
-// and sized once; all operations check dimensions and panic on mismatch,
-// since a shape error is always a programming bug in this codebase.
+// neural-network and regression packages. Matrices are row-major and
+// sized once — float64 everywhere but the f32 serving path — and all
+// operations check dimensions and panic on mismatch, since a shape error
+// is always a programming bug in this codebase.
 package mat
 
 import (
@@ -27,70 +28,99 @@ func gemmGrain(rowFlops int) int {
 	return parMinFlops/rowFlops + 1
 }
 
-// Dense is a row-major matrix of float64.
-type Dense struct {
+// Matrix is a row-major matrix of float64 or float32. The two element
+// types share every shape operation and, in the decode kernels, one
+// generic body each (batch.go, panel.go); everything that trains or
+// regresses is written against Dense alone.
+type Matrix[T float32 | float64] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// NewDense allocates a zeroed r-by-c matrix.
-func NewDense(r, c int) *Dense {
+// Dense is the float64 matrix: training, regression and the bit-exact
+// decode path.
+type Dense = Matrix[float64]
+
+// Dense32 is the float32 matrix of the f32 serving fast path (DESIGN.md
+// §6.4): inference only, at twice the float64 kernels' AVX2 lane width,
+// trading bounded output divergence (validated at snapshot publish) for
+// throughput. Training never touches it.
+type Dense32 = Matrix[float32]
+
+func newMatrix[T float32 | float64](r, c int) *Matrix[T] {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
+	return &Matrix[T]{Rows: r, Cols: c, Data: make([]T, r*c)}
 }
 
+// NewDense allocates a zeroed r-by-c matrix.
+func NewDense(r, c int) *Dense { return newMatrix[float64](r, c) }
+
+// NewDense32 allocates a zeroed r-by-c float32 matrix.
+func NewDense32(r, c int) *Dense32 { return newMatrix[float32](r, c) }
+
 // FromSlice wraps data (not copied) as an r-by-c matrix.
-func FromSlice(r, c int, data []float64) *Dense {
+func FromSlice[T float32 | float64](r, c int, data []T) *Matrix[T] {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("mat: FromSlice %dx%d needs %d elements, got %d", r, c, r*c, len(data)))
 	}
-	return &Dense{Rows: r, Cols: c, Data: data}
+	return &Matrix[T]{Rows: r, Cols: c, Data: data}
 }
 
 // At returns the element at row i, column j.
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Matrix[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Matrix[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
-func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Matrix[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.Rows, m.Cols)
+func (m *Matrix[T]) Clone() *Matrix[T] {
+	out := newMatrix[T](m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
 
+// Dense32 returns a rounded float32 copy of m (round-to-nearest-even
+// per element). This is the weight-slab conversion the f32 serving path
+// performs once at snapshot publish.
+func (m *Matrix[T]) Dense32() *Dense32 {
+	out := NewDense32(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
 // Zero sets all elements of m to zero.
-func (m *Dense) Zero() {
+func (m *Matrix[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets all elements of m to v.
-func (m *Dense) Fill(v float64) {
+func (m *Matrix[T]) Fill(v T) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
 // SameShape reports whether m and n have identical dimensions.
-func (m *Dense) SameShape(n *Dense) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
+func (m *Matrix[T]) SameShape(n *Matrix[T]) bool { return m.Rows == n.Rows && m.Cols == n.Cols }
 
 // SliceRows returns a view (not a copy) of rows [lo, hi).
-func (m *Dense) SliceRows(lo, hi int) *Dense {
+func (m *Matrix[T]) SliceRows(lo, hi int) *Matrix[T] {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("mat: SliceRows [%d,%d) of %v", lo, hi, m))
 	}
-	return &Dense{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+	return &Matrix[T]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
-func (m *Dense) String() string {
+func (m *Matrix[T]) String() string {
 	return fmt.Sprintf("Dense(%dx%d)", m.Rows, m.Cols)
 }
 
@@ -142,8 +172,9 @@ func MulAdd(dst, a, b *Dense) {
 // MulAddSparse computes dst += a * b, skipping zero elements of a. It
 // is the right kernel when a's rows are mostly zero (one-hot token and
 // feature encodings); on dense data the per-element branch mispredicts
-// and MulAdd is faster.
-func MulAddSparse(dst, a, b *Dense) {
+// and MulAdd is faster. The decode fleets call it one row at a time, at
+// either element type, which always takes the serial path.
+func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddSparse shape mismatch %v * %v -> %v", a, b, dst))
 	}
@@ -160,7 +191,7 @@ func MulAddSparse(dst, a, b *Dense) {
 // mulAddSparseRows computes dst[lo:hi] += a[lo:hi] * b skipping zero
 // a-elements. Named helper rather than a closure hoisted above the
 // serial/parallel branch, so the serial fast path stays allocation-free.
-func mulAddSparseRows(dst, a, b *Dense, lo, hi int) {
+func mulAddSparseRows[T float32 | float64](dst, a, b *Matrix[T], lo, hi int) {
 	n := b.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
@@ -281,7 +312,7 @@ func mulABTRows(dst, a, b *Dense, lo, hi int) {
 }
 
 // AddBiasRows adds bias vector b to every row of m in place.
-func AddBiasRows(m *Dense, b []float64) {
+func AddBiasRows[T float32 | float64](m *Matrix[T], b []T) {
 	if len(b) != m.Cols {
 		panic(fmt.Sprintf("mat: AddBiasRows bias len %d != cols %d", len(b), m.Cols))
 	}
@@ -351,7 +382,7 @@ func Axpy(alpha float64, x, y []float64) {
 // bench_test.go). The straight range loop ships because it is simpler
 // and the compiler eliminates its bounds checks, which the unroll's
 // double length guard defeats.
-func axpy(alpha float64, x, y []float64) {
+func axpy[T float32 | float64](alpha T, x, y []T) {
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}

@@ -39,7 +39,7 @@ func mulAddBatched32Ref(dst, a, b *Dense32) {
 	}
 }
 
-// TestMulAddBatched32BitExact checks MulAddBatched32 against the naive
+// TestMulAddBatched32BitExact checks float32 MulAddBatched against the naive
 // reference over shapes exercising the 32-wide tiles, the 8-wide
 // cleanup, and the scalar column tail — on both kernel paths.
 func TestMulAddBatched32BitExact(t *testing.T) {
@@ -59,7 +59,7 @@ func TestMulAddBatched32BitExact(t *testing.T) {
 				got := NewDense32(m, n)
 				copy(got.Data, want.Data)
 				mulAddBatched32Ref(want, a, b)
-				MulAddBatched32(got, a, b)
+				MulAddBatched(got, a, b)
 				for i := range want.Data {
 					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 						t.Fatalf("%dx%dx%d: elem %d: got %x want %x",
@@ -72,7 +72,7 @@ func TestMulAddBatched32BitExact(t *testing.T) {
 }
 
 // TestMulAddSparse32Matches checks the zero-skipping kernel against
-// MulAddBatched32's reference on one-hot rows (where skipped terms are
+// the float32 MulAddBatched reference on one-hot rows (where skipped terms are
 // exact zeros, the two are bit-identical).
 func TestMulAddSparse32Matches(t *testing.T) {
 	noFMA(t, func(t *testing.T) {
@@ -86,7 +86,7 @@ func TestMulAddSparse32Matches(t *testing.T) {
 		got := NewDense32(9, 96)
 		copy(got.Data, want.Data)
 		mulAddBatched32Ref(want, a, b)
-		MulAddSparse32(got, a, b)
+		MulAddSparse(got, a, b)
 		for i := range want.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("elem %d: got %v want %v", i, got.Data[i], want.Data[i])
@@ -269,7 +269,7 @@ func TestBatchKernels32NoAlloc(t *testing.T) {
 	x := dense32Rand(1, 96, 3).Data
 	y := make([]float32, 96)
 	if n := testing.AllocsPerRun(100, func() {
-		MulAddBatched32(dst, a, b)
+		MulAddBatched(dst, a, b)
 		ExpSlice32(y, x)
 	}); n != 0 {
 		t.Fatalf("f32 kernels allocated %v per run", n)
@@ -284,7 +284,7 @@ func BenchmarkMulAddBatched32DecodeShape(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulAddBatched32(dst, a, bm)
+		MulAddBatched(dst, a, bm)
 	}
 }
 

@@ -82,49 +82,6 @@ func transposeInto(dst []float64, a *Dense) {
 	}
 }
 
-// gemmRaw computes dst += a·b over raw row-major slices (m×kk, kk×n,
-// m×n), each element's k terms ascending: the AVX2 kernel where
-// enabled, the 4-column register tiles otherwise, and a scalar column
-// tail — all bit-identical to MulAdd's rounding sequence.
-func gemmRaw(dst, a, b []float64, m, kk, n int) {
-	if m == 0 || kk == 0 || n == 0 {
-		return
-	}
-	n4 := n &^ 3
-	if n4 > 0 {
-		if useBatchASM {
-			gemmAVX2(&dst[0], &a[0], &b[0], m, kk, n)
-		} else {
-			for i := 0; i < m; i++ {
-				arow := a[i*kk : i*kk+kk]
-				drow := dst[i*n : i*n+n]
-				for j := 0; j+4 <= n4; j += 4 {
-					s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-					for k := 0; k < kk; k++ {
-						al := arow[k]
-						brow := b[k*n+j : k*n+j+4]
-						s0 += al * brow[0]
-						s1 += al * brow[1]
-						s2 += al * brow[2]
-						s3 += al * brow[3]
-					}
-					drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-				}
-			}
-		}
-	}
-	for j := n4; j < n; j++ {
-		for i := 0; i < m; i++ {
-			arow := a[i*kk : i*kk+kk]
-			s := dst[i*n+j]
-			for k := 0; k < kk; k++ {
-				s += arow[k] * b[k*n+j]
-			}
-			dst[i*n+j] = s
-		}
-	}
-}
-
 // mulATBPacked computes dst += aᵀ·b by transposing a once into pooled
 // scratch and running the contiguous kernel, row-parallel above the
 // parallel threshold. Bit-identical to MulATB's small-shape paths.

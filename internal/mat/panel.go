@@ -13,27 +13,27 @@ import (
 // weight matrices every round; MulAddBatched streams those matrices
 // row-major, so every k step loads B with an n-element stride and a
 // gate slab wider than L1 is re-fetched from L2 once per activation
-// row. PackedDense/PackedDense32 convert a weight matrix once — at
-// snapshot publish — into j-tile-major panels: the columns are split
-// into register-width tiles (16 then 4 float64 columns; 32 then 8
-// float32 columns; a column-major tail below that), and each tile
-// stores its k rows contiguously. The packed kernels then sweep one
-// tile across all activation rows with sequential panel loads, so a
-// tile (k×16 float64 = 8 KB at k=64) stays L1-resident for the whole
-// row sweep instead of the full matrix streaming from L2 per row.
+// row. Packed converts a weight matrix once — at snapshot publish —
+// into j-tile-major panels: the columns are split into register-width
+// tiles (16 then 4 float64 columns; 32 then 8 float32 columns; a
+// column-major tail below that), and each tile stores its k rows
+// contiguously. The packed kernels then sweep one tile across all
+// activation rows with sequential panel loads, so a tile (k×16 float64
+// = 8 KB at k=64) stays L1-resident for the whole row sweep instead of
+// the full matrix streaming from L2 per row.
 //
 // Bit-compatibility: the panel layout permutes only the ADDRESS of
 // each B element, never the accumulation order. Every packed kernel —
 // assembly and portable — accumulates each dst element's k terms in
 // ascending k with a separate multiply and add, exactly like
-// MulAddBatched/MulAddBatched32. Packing therefore cannot change a
-// single output bit, which is what lets the decode engines switch
-// panels on and off (REPRO_NOPACK) without perturbing a trace.
+// MulAddBatched. Packing therefore cannot change a single output bit,
+// which is what lets the decode engines switch panels on and off
+// (REPRO_NOPACK) without perturbing a trace.
 //
-// The epilogue variants (MulAddPackedEpi*) call back after each
-// finished j-tile so the caller can apply its bias/activation pass
-// while the tile is still hot in L1, instead of a second full sweep
-// over the output slab; see the function comments for the contract.
+// One generic body serves both element types. What differs per type is
+// the tile width — four AVX2 registers wide, one register narrow, so
+// 16/4 float64 and 32/8 float32 columns (lanes) — and the assembly tile
+// kernels mulAddPackedRows calls for each.
 
 // usePackedB gates the packed-B dispatch inside MulAdd and the packed
 // decode panels built by internal/core. Setting REPRO_NOPACK (to any
@@ -44,124 +44,95 @@ import (
 // not a const, so in-package tests can force either path.
 var usePackedB = os.Getenv("REPRO_NOPACK") == ""
 
-// Panel tile widths. The wide tile matches the widest register block
-// of the batched kernels (4 YMM accumulators); the narrow tile matches
-// their cleanup block (1 YMM). Columns beyond the narrow multiple are
-// stored column-major so the scalar tail loop also gets contiguous
-// loads.
-const (
-	panelWide64   = 16
-	panelNarrow64 = 4
-	panelWide32   = 32
-	panelNarrow32 = 8
-)
-
-// alignedFloats returns an n-element slice whose backing array starts
-// on a cache-line boundary, so panels never straddle or falsely share
-// a line with a neighboring allocation. Alignment changes addresses
-// only, never values.
-func alignedFloats(n int) []float64 {
-	const pad = cacheLineBytes / 8
-	raw := make([]float64, n+pad)
-	off := 0
-	if n > 0 {
-		addr := uintptr(unsafe.Pointer(&raw[0]))
-		if rem := addr % cacheLineBytes; rem != 0 {
-			off = int((cacheLineBytes - rem) / 8)
-		}
-	}
-	return raw[off : off+n]
-}
-
-func alignedFloats32(n int) []float32 {
-	const pad = cacheLineBytes / 4
-	raw := make([]float32, n+pad)
-	off := 0
-	if n > 0 {
-		addr := uintptr(unsafe.Pointer(&raw[0]))
-		if rem := addr % cacheLineBytes; rem != 0 {
-			off = int((cacheLineBytes - rem) / 4)
-		}
-	}
-	return raw[off : off+n]
-}
-
 const cacheLineBytes = 64
 
-// PackedDense is a float64 weight matrix converted once into
-// j-tile-major panels for the packed decode kernels. It is immutable
-// after Pack and safe to share across goroutines and fleets.
-type PackedDense struct {
-	Rows, Cols int // shape of the original (k×n) matrix
-	data       []float64
+// alignedFloats returns an n-element zeroed slice whose backing array
+// starts on a cache-line boundary. The Go allocator only guarantees
+// element alignment, which lets two small slabs land on the same line;
+// over-allocating by one line and slicing at the aligned offset means a
+// panel never straddles a line it need not, and two decode fleets
+// stepped on different cores never falsely share one. Alignment
+// changes addresses only, never values.
+func alignedFloats[T float32 | float64](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	raw := make([]T, n+cacheLineBytes/size)
+	off := 0
+	if rem := int(uintptr(unsafe.Pointer(&raw[0])) % cacheLineBytes); rem != 0 {
+		off = (cacheLineBytes - rem) / size
+	}
+	return raw[off : off+n]
 }
+
+// NewAligned allocates a zeroed r-by-c matrix on a cache-line boundary
+// (see alignedFloats): the slab allocator of the decode fleets.
+func NewAligned[T float32 | float64](r, c int) *Matrix[T] {
+	return FromSlice(r, c, alignedFloats[T](r*c))
+}
+
+// Packed is a weight matrix converted once into j-tile-major panels
+// for the packed decode kernels. It is immutable after Pack and safe to
+// share across goroutines and fleets.
+type Packed[T float32 | float64] struct {
+	Rows, Cols int // shape of the original (k×n) matrix
+	data       []T
+}
+
+// PackedDense and PackedDense32 are the two panel types in use.
+type (
+	PackedDense   = Packed[float64]
+	PackedDense32 = Packed[float32]
+)
 
 // Pack converts m into cache-blocked panels (see the file comment for
 // the layout). The conversion is a pure copy — every element keeps its
 // value — and allocates once; call it at publish time, not per GEMM.
-func (m *Dense) Pack() *PackedDense {
-	p := &PackedDense{Rows: m.Rows, Cols: m.Cols, data: alignedFloats(m.Rows * m.Cols)}
-	packPanelInto(p.data, m)
+func (m *Matrix[T]) Pack() *Packed[T] {
+	p := &Packed[T]{Rows: m.Rows, Cols: m.Cols, data: alignedFloats[T](m.Rows * m.Cols)}
+	panelCopy(p.data, m.Data, m.Rows, m.Cols, false)
 	return p
 }
 
-func (p *PackedDense) String() string {
-	return fmt.Sprintf("PackedDense(%dx%d)", p.Rows, p.Cols)
-}
+// Pack32 is Pack. The name survives because bench/ packs its float32
+// probe matrix through it and the harness is frozen; it goes with the
+// next PR allowed to edit bench/.
+func (m *Matrix[T]) Pack32() *Packed[T] { return m.Pack() }
 
-// packPanelInto writes b's elements into dst in panel order: wide
-// (16-column) tiles first, then narrow (4-column) tiles, then the
-// column-major tail, each tile k-major. len(dst) must be b.Rows*b.Cols.
-func packPanelInto(dst []float64, b *Dense) {
-	k, n := b.Rows, b.Cols
-	nw, nn := n&^(panelWide64-1), n&^(panelNarrow64-1)
-	off := 0
-	for j0 := 0; j0 < nw; j0 += panelWide64 {
-		for kk := 0; kk < k; kk++ {
-			copy(dst[off:off+panelWide64], b.Data[kk*n+j0:kk*n+j0+panelWide64])
-			off += panelWide64
-		}
-	}
-	for j0 := nw; j0 < nn; j0 += panelNarrow64 {
-		for kk := 0; kk < k; kk++ {
-			copy(dst[off:off+panelNarrow64], b.Data[kk*n+j0:kk*n+j0+panelNarrow64])
-			off += panelNarrow64
-		}
-	}
-	for j := nn; j < n; j++ {
-		for kk := 0; kk < k; kk++ {
-			dst[off] = b.Data[kk*n+j]
-			off++
-		}
-	}
+func (p *Packed[T]) String() string {
+	return fmt.Sprintf("PackedDense(%dx%d)", p.Rows, p.Cols)
 }
 
 // Unpack returns the original row-major matrix (a fresh copy), the
 // exact inverse of Pack. Used by tests and diagnostics.
-func (p *PackedDense) Unpack() *Dense {
-	out := NewDense(p.Rows, p.Cols)
-	k, n := p.Rows, p.Cols
-	nw, nn := n&^(panelWide64-1), n&^(panelNarrow64-1)
-	off := 0
-	for j0 := 0; j0 < nw; j0 += panelWide64 {
-		for kk := 0; kk < k; kk++ {
-			copy(out.Data[kk*n+j0:kk*n+j0+panelWide64], p.data[off:off+panelWide64])
-			off += panelWide64
-		}
-	}
-	for j0 := nw; j0 < nn; j0 += panelNarrow64 {
-		for kk := 0; kk < k; kk++ {
-			copy(out.Data[kk*n+j0:kk*n+j0+panelNarrow64], p.data[off:off+panelNarrow64])
-			off += panelNarrow64
-		}
-	}
-	for j := nn; j < n; j++ {
-		for kk := 0; kk < k; kk++ {
-			out.Data[kk*n+j] = p.data[off]
-			off++
-		}
-	}
+func (p *Packed[T]) Unpack() *Matrix[T] {
+	out := newMatrix[T](p.Rows, p.Cols)
+	panelCopy(p.data, out.Data, p.Rows, p.Cols, true)
 	return out
+}
+
+// panelCopy moves a k×n matrix between row-major order (rm) and panel
+// order: wide tiles first, then narrow tiles, then the column-major
+// tail (a tail column is a tile of width 1), each tile k-major. It
+// packs rm into panel, or with unpack set writes panel back into rm.
+// Both slices hold k*n elements.
+func panelCopy[T float32 | float64](panel, rm []T, k, n int, unpack bool) {
+	narrow := lanes[T]()
+	off, w := 0, 4*narrow
+	for j0 := 0; j0 < n; j0 += w {
+		if j0+w > n { // past the last tile of this width: narrow, then tail columns
+			if w = narrow; j0+w > n {
+				w = 1
+			}
+		}
+		for kk := 0; kk < k; kk++ {
+			p, r := panel[off:off+w], rm[kk*n+j0:kk*n+j0+w]
+			if unpack {
+				copy(r, p)
+			} else {
+				copy(p, r)
+			}
+			off += w
+		}
+	}
 }
 
 // MulAddPacked computes dst += a * b against a packed panel,
@@ -169,20 +140,25 @@ func (p *PackedDense) Unpack() *Dense {
 // ascending-k accumulation per element, separate multiply and add.
 // Single-goroutine, like MulAddBatched — the decode scheduler owns its
 // own concurrency.
-func MulAddPacked(dst, a *Dense, b *PackedDense) {
+func MulAddPacked[T float32 | float64](dst, a *Matrix[T], b *Packed[T]) {
 	MulAddPackedEpi(dst, a, b, nil)
 }
+
+// MulAddPacked32 is MulAddPacked; like Pack32, the name is kept for the
+// frozen bench/ harness only.
+func MulAddPacked32(dst, a *Dense32, b *PackedDense32) { MulAddPacked(dst, a, b) }
 
 // MulAddPackedEpi is MulAddPacked with a fused epilogue: after the
 // columns [j0, j1) of every dst row have received their full
 // accumulation, epi(j0, j1) is invoked — while those columns are still
-// hot in cache — before the kernel moves to the next tile. The calls
-// partition [0, b.Cols) in ascending order (wide tiles, narrow tiles,
-// then one call for the scalar tail, when each is non-empty). A nil
-// epi is MulAddPacked. The epilogue must only touch dst columns
-// [j0, j1); it runs even when a has zero rows, so bias-style epilogues
-// need no special casing.
-func MulAddPackedEpi(dst, a *Dense, b *PackedDense, epi func(j0, j1 int)) {
+// hot in cache — before the kernel moves to the next tile, so the
+// caller can apply its bias/activation pass there instead of in a
+// second sweep over the output slab. The calls partition [0, b.Cols)
+// in ascending order (wide tiles, narrow tiles, then one call for the
+// scalar tail, when each is non-empty). A nil epi is MulAddPacked. The
+// epilogue must only touch dst columns [j0, j1); it runs even when a
+// has zero rows, so bias-style epilogues need no special casing.
+func MulAddPackedEpi[T float32 | float64](dst, a *Matrix[T], b *Packed[T], epi func(j0, j1 int)) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddPacked shape mismatch %v * %v -> %v", a, b, dst))
 	}
@@ -193,73 +169,78 @@ func MulAddPackedEpi(dst, a *Dense, b *PackedDense, epi func(j0, j1 int)) {
 // epilogue (nil allowed) sees every tile of the column range once,
 // regardless of the row range — callers that split rows across workers
 // must pass epi only from one range (MulAdd's dispatch passes nil).
-func mulAddPackedRows(dst, a *Dense, b *PackedDense, lo, hi int, epi func(j0, j1 int)) {
+func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, hi int, epi func(j0, j1 int)) {
 	m := hi - lo
 	k, n := b.Rows, b.Cols
-	nw, nn := n&^(panelWide64-1), n&^(panelNarrow64-1)
 	run := m > 0 && k > 0
-	var ad, dd []float64
+	var ad, dd []T
 	if run {
 		ad = a.Data[lo*k : hi*k]
 		dd = dst.Data[lo*n : hi*n]
 	}
-	off := 0
-	for j0 := 0; j0 < nw; j0 += panelWide64 {
+	narrow := lanes[T]()
+	off, j0, w := 0, 0, 4*narrow
+	for ; j0+narrow <= n; j0 += w { // wide tiles while they fit, then narrow ones
+		if j0+w > n {
+			w = narrow
+		}
 		if run {
-			tile := b.data[off : off+k*panelWide64]
-			if useBatchASM {
-				gemmPacked16AVX2(&dd[j0], &ad[0], &tile[0], m, k, n)
+			tile := b.data[off : off+k*w]
+			if !useBatchASM {
+				mulAddTile(dd[j0:], ad, tile, m, k, n, w)
 			} else {
-				mulAddPackedTile(dd[j0:], ad, tile, m, k, n, panelWide64)
-			}
-		}
-		off += k * panelWide64
-		if epi != nil {
-			epi(j0, j0+panelWide64)
-		}
-	}
-	for j0 := nw; j0 < nn; j0 += panelNarrow64 {
-		if run {
-			tile := b.data[off : off+k*panelNarrow64]
-			if useBatchASM {
-				gemmPacked4AVX2(&dd[j0], &ad[0], &tile[0], m, k, n)
-			} else {
-				mulAddPackedTile(dd[j0:], ad, tile, m, k, n, panelNarrow64)
-			}
-		}
-		off += k * panelNarrow64
-		if epi != nil {
-			epi(j0, j0+panelNarrow64)
-		}
-	}
-	if nn < n {
-		for j := nn; j < n; j++ {
-			if run {
-				col := b.data[off : off+k]
-				for i := 0; i < m; i++ {
-					arow := ad[i*k : i*k+k]
-					s := dd[i*n+j]
-					for kk, av := range arow {
-						s += av * col[kk]
-					}
-					dd[i*n+j] = s
+				// The assembly tile kernel of T and w, called directly: a
+				// helper, a func value or a type switch here costs a few
+				// nanoseconds per tile, which shows at one activation
+				// row. The size test is a constant in each instantiation,
+				// and it is what licenses the pointer casts.
+				dp, ap, tp := unsafe.Pointer(&dd[j0]), unsafe.Pointer(&ad[0]), unsafe.Pointer(&tile[0])
+				switch is64, wide := unsafe.Sizeof(dd[0]) == 8, w > narrow; {
+				case is64 && wide:
+					gemmPacked16AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
+				case is64:
+					gemmPacked4AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
+				case wide:
+					gemmPacked32AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
+				default:
+					gemmPacked8AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
 				}
 			}
-			off += k
 		}
+		off += k * w
 		if epi != nil {
-			epi(nn, n)
+			epi(j0, j0+w)
 		}
+	}
+	if j0 == n {
+		return
+	}
+	for j := j0; run && j < n; j++ {
+		col := b.data[off : off+k]
+		for i := 0; i < m; i++ {
+			arow := ad[i*k : i*k+k]
+			s := dd[i*n+j]
+			for kk, av := range arow {
+				s += av * col[kk]
+			}
+			dd[i*n+j] = s
+		}
+		off += k
+	}
+	if epi != nil {
+		epi(j0, n)
 	}
 }
 
-// mulAddPackedTile is the portable packed-tile kernel: one w-column
-// j-tile (w a multiple of 4) swept across m rows in 4-column register
+// mulAddTile is the portable tile kernel, the one register-tiled loop
+// behind both the packed and the unpacked GEMM: columns [0, w&^3) of
+// one w-column block of B swept across m rows in 4-column register
 // groups, k innermost and ascending with separate multiply and add —
-// the exact rounding sequence of mulAddJTiles, so assembly on/off
-// cannot change bits. dst is addressed at the tile's first column with
-// row stride n; tile is the k×w panel block.
-func mulAddPackedTile(dst, a, tile []float64, m, k, n, w int) {
+// the rounding sequence the assembly kernels vectorize, so assembly
+// on/off cannot change bits. dst is addressed at the block's first
+// column with row stride n; tile is the k×w block, a packed panel tile
+// or (w = n) a whole row-major matrix.
+func mulAddTile[T float32 | float64](dst, a, tile []T, m, k, n, w int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : i*k+k]
 		drow := dst[i*n : i*n+w]
@@ -288,7 +269,7 @@ func mulAddPackedB(dst, a, b *Dense) {
 	k, n := b.Rows, b.Cols
 	sp := packGet(k * n)
 	pb := PackedDense{Rows: k, Cols: n, data: *sp}
-	packPanelInto(pb.data, b)
+	panelCopy(pb.data, b.Data, k, n, false)
 	rowFlops := k * n
 	if a.Rows*rowFlops < parMinFlops || par.Procs() == 1 {
 		mulAddPackedRows(dst, a, &pb, 0, a.Rows, nil)
@@ -298,136 +279,4 @@ func mulAddPackedB(dst, a, b *Dense) {
 		})
 	}
 	packPut(sp)
-}
-
-// PackedDense32 is the float32 counterpart of PackedDense: 32-column
-// wide tiles, 8-column narrow tiles, column-major tail, each k-major.
-// Immutable after Pack32 and safe to share.
-type PackedDense32 struct {
-	Rows, Cols int
-	data       []float32
-}
-
-// Pack32 converts m into float32 panels (see PackedDense).
-func (m *Dense32) Pack32() *PackedDense32 {
-	p := &PackedDense32{Rows: m.Rows, Cols: m.Cols, data: alignedFloats32(m.Rows * m.Cols)}
-	k, n := m.Rows, m.Cols
-	nw, nn := n&^(panelWide32-1), n&^(panelNarrow32-1)
-	off := 0
-	for j0 := 0; j0 < nw; j0 += panelWide32 {
-		for kk := 0; kk < k; kk++ {
-			copy(p.data[off:off+panelWide32], m.Data[kk*n+j0:kk*n+j0+panelWide32])
-			off += panelWide32
-		}
-	}
-	for j0 := nw; j0 < nn; j0 += panelNarrow32 {
-		for kk := 0; kk < k; kk++ {
-			copy(p.data[off:off+panelNarrow32], m.Data[kk*n+j0:kk*n+j0+panelNarrow32])
-			off += panelNarrow32
-		}
-	}
-	for j := nn; j < n; j++ {
-		for kk := 0; kk < k; kk++ {
-			p.data[off] = m.Data[kk*n+j]
-			off++
-		}
-	}
-	return p
-}
-
-func (p *PackedDense32) String() string {
-	return fmt.Sprintf("PackedDense32(%dx%d)", p.Rows, p.Cols)
-}
-
-// MulAddPacked32 computes dst += a * b against a float32 panel,
-// bit-identically to MulAddBatched32 on the unpacked matrix.
-func MulAddPacked32(dst, a *Dense32, b *PackedDense32) {
-	MulAddPackedEpi32(dst, a, b, nil)
-}
-
-// MulAddPackedEpi32 is MulAddPacked32 with the fused tile epilogue;
-// see MulAddPackedEpi for the callback contract (here the partition is
-// 32-column tiles, 8-column tiles, then the scalar tail).
-func MulAddPackedEpi32(dst, a *Dense32, b *PackedDense32, epi func(j0, j1 int)) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulAddPacked32 shape mismatch %v * %v -> %v", a, b, dst))
-	}
-	m, k, n := a.Rows, a.Cols, b.Cols
-	nw, nn := n&^(panelWide32-1), n&^(panelNarrow32-1)
-	run := m > 0 && k > 0
-	off := 0
-	for j0 := 0; j0 < nw; j0 += panelWide32 {
-		if run {
-			tile := b.data[off : off+k*panelWide32]
-			if useBatchASM {
-				gemmPacked32AVX2(&dst.Data[j0], &a.Data[0], &tile[0], m, k, n)
-			} else {
-				mulAddPackedTile32(dst.Data[j0:], a.Data, tile, m, k, n, panelWide32)
-			}
-		}
-		off += k * panelWide32
-		if epi != nil {
-			epi(j0, j0+panelWide32)
-		}
-	}
-	for j0 := nw; j0 < nn; j0 += panelNarrow32 {
-		if run {
-			tile := b.data[off : off+k*panelNarrow32]
-			if useBatchASM {
-				gemmPacked8AVX2(&dst.Data[j0], &a.Data[0], &tile[0], m, k, n)
-			} else {
-				mulAddPackedTile32(dst.Data[j0:], a.Data, tile, m, k, n, panelNarrow32)
-			}
-		}
-		off += k * panelNarrow32
-		if epi != nil {
-			epi(j0, j0+panelNarrow32)
-		}
-	}
-	if nn < n {
-		for j := nn; j < n; j++ {
-			if run {
-				col := b.data[off : off+k]
-				for i := 0; i < m; i++ {
-					arow := a.Data[i*k : i*k+k]
-					s := dst.Data[i*n+j]
-					for kk, av := range arow {
-						s += av * col[kk]
-					}
-					dst.Data[i*n+j] = s
-				}
-			}
-			off += k
-		}
-		if epi != nil {
-			epi(nn, n)
-		}
-	}
-}
-
-// mulAddPackedTile32 is the portable f32 packed-tile kernel (8-column
-// register groups, separate multiply and add) — the schedule the
-// assembly tile kernels vectorize, bit-identical to mulAddJTiles32.
-func mulAddPackedTile32(dst, a []float32, tile []float32, m, k, n, w int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : i*k+k]
-		drow := dst[i*n : i*n+w]
-		for j := 0; j+8 <= w; j += 8 {
-			s0, s1, s2, s3 := drow[j], drow[j+1], drow[j+2], drow[j+3]
-			s4, s5, s6, s7 := drow[j+4], drow[j+5], drow[j+6], drow[j+7]
-			for kk, av := range arow {
-				trow := tile[kk*w+j : kk*w+j+8]
-				s0 += av * trow[0]
-				s1 += av * trow[1]
-				s2 += av * trow[2]
-				s3 += av * trow[3]
-				s4 += av * trow[4]
-				s5 += av * trow[5]
-				s6 += av * trow[6]
-				s7 += av * trow[7]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7
-		}
-	}
 }

@@ -85,7 +85,7 @@ func TestMulAddPacked32BitExact(t *testing.T) {
 				want := dense32Rand(m, n, 3)
 				got := NewDense32(m, n)
 				copy(got.Data, want.Data)
-				MulAddBatched32(want, a, b)
+				MulAddBatched(want, a, b)
 				MulAddPacked32(got, a, b.Pack32())
 				for i := range want.Data {
 					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -153,7 +153,7 @@ func TestMulAddPackedEpi32Partition(t *testing.T) {
 			b := dense32Rand(k, n, 5)
 			got := dense32Rand(m, n, 6)
 			next := 0
-			MulAddPackedEpi32(got, a, b.Pack32(), func(j0, j1 int) {
+			MulAddPackedEpi(got, a, b.Pack32(), func(j0, j1 int) {
 				if j0 != next || j1 <= j0 || j1 > n {
 					t.Fatalf("%dx%dx%d: epi segment [%d,%d), want start %d", m, k, n, j0, j1, next)
 				}

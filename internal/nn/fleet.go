@@ -2,10 +2,124 @@ package nn
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/mat"
 )
+
+// This file is the batched decode fleet (DESIGN.md §6.2), written once
+// over the element type: Fleet[float64] is the bit-exact serving path
+// and Fleet[float32] the fast one (§6.4), each optionally stepping on
+// panel-packed weights (§6.5). What differs per type is confined to
+// three places: where the step weights come from (stepWeights), the gate
+// activation kernels (activate / tanh below), and the assembly behind
+// internal/mat's generic GEMMs.
+
+// StepFleet is the decode-fleet surface the batching engines drive;
+// both Fleet instantiations implement it behind a float64 facade —
+// InputRow hands out f64 staging rows and Step returns f64 logits — so
+// the decode scheduler and samplers in internal/core are
+// precision-blind. See Fleet for the row-index protocol.
+type StepFleet interface {
+	Rows() int
+	Admit() int
+	Retire(row int) (moved int)
+	InputRow(i int) []float64
+	Step(rows []int) *mat.Dense
+}
+
+// stepLayer is one layer's step weights. Gate order within the 4H
+// dimension is input, forget, cell (g), output, as in lstmLayer.
+type stepLayer[T float32 | float64] struct {
+	first  bool           // layer 0: input may be a sparse feature encoding
+	wx, wh *mat.Matrix[T] // [in x 4H], [H x 4H]
+	b      []T            // [4H]
+}
+
+// stepWeights is everything one decode step reads of a network, at
+// element type T. At float64 it is a view: the matrices are the
+// trainable LSTM's own, so a fleet steps on exactly the weights
+// StepForward does. At float32 it is LSTM32's frozen, rounded copy.
+type stepWeights[T float32 | float64] struct {
+	cfg    Config
+	layers []stepLayer[T]
+	wy     *mat.Matrix[T] // [H x OutputDim]
+	by     []T            // [OutputDim]
+}
+
+// stepWeights returns the f64 view of the network's decode weights.
+func (n *LSTM) stepWeights() *stepWeights[float64] {
+	w := &stepWeights[float64]{cfg: n.Cfg, wy: n.wy.Value, by: n.by.Value.Row(0)}
+	for _, l := range n.layers {
+		w.layers = append(w.layers, stepLayer[float64]{l.first, l.wx.Value, l.wh.Value, l.b.Value.Row(0)})
+	}
+	return w
+}
+
+// LSTM32 is a frozen float32 snapshot of an LSTM's weights for the f32
+// serving path. It holds no gradients and cannot train; build one per
+// published model snapshot with Convert32.
+type LSTM32 struct {
+	w *stepWeights[float32]
+}
+
+// Convert32 returns a float32 copy of the network's weights, each
+// element rounded once (to nearest even). The copy is immutable by
+// convention and safe to share across fleets and goroutines.
+func (n *LSTM) Convert32() *LSTM32 {
+	w := &stepWeights[float32]{cfg: n.Cfg, wy: n.wy.Value.Dense32(), by: n.by.Value.Dense32().Data}
+	for _, l := range n.layers {
+		w.layers = append(w.layers, stepLayer[float32]{
+			l.first, l.wx.Value.Dense32(), l.wh.Value.Dense32(), l.b.Value.Dense32().Data,
+		})
+	}
+	return &LSTM32{w}
+}
+
+// PackedLSTM is a publish-time conversion of a network's decode
+// matrices (wx, wh, wy) into cache-blocked panels for the packed step
+// kernels (DESIGN.md §6.5); biases stay plain slices, applied by the
+// fused tile epilogues. Packing copies values bit-for-bit and the
+// packed kernels accumulate in exactly the unpacked order, so a fleet
+// running on panels emits byte-identical traces — panels change where
+// weights live, never what they compute. Training never reads it: the
+// optimizer updates the unpacked Params, and serving snapshots re-pack
+// from those.
+//
+// A PackedLSTM is immutable after Pack and safe to share across fleets
+// and goroutines; build one per published snapshot (internal/core
+// caches it next to the model's f32 conversion) and rebuild on hot
+// reload — a reloaded model value starts with an empty cache, so stale
+// panels cannot survive a weight swap.
+type PackedLSTM[T float32 | float64] struct {
+	layers []packedLayer[T]
+	wy     *mat.Packed[T] // [H x OutputDim]
+}
+
+// packedLayer holds one layer's panel-packed step matrices.
+type packedLayer[T float32 | float64] struct {
+	wx, wh *mat.Packed[T] // [in x 4H], [H x 4H]
+}
+
+// Fleet32 and PackedLSTM32 name the float32 instantiations.
+type (
+	Fleet32      = Fleet[float32]
+	PackedLSTM32 = PackedLSTM[float32]
+)
+
+func (w *stepWeights[T]) pack() *PackedLSTM[T] {
+	p := &PackedLSTM[T]{wy: w.wy.Pack()}
+	for _, l := range w.layers {
+		p.layers = append(p.layers, packedLayer[T]{l.wx.Pack(), l.wh.Pack()})
+	}
+	return p
+}
+
+// Pack converts the network's decode weights into panels. Call at
+// snapshot publish; the result is valid until the weights change.
+func (n *LSTM) Pack() *PackedLSTM[float64] { return n.stepWeights().pack() }
+
+// Pack converts the f32 snapshot's decode weights into panels.
+func (n *LSTM32) Pack() *PackedLSTM32 { return n.w.pack() }
 
 // Fleet is the batched stateful counterpart of StepForward: it owns
 // per-layer hidden/cell state for many concurrent decode streams as
@@ -15,142 +129,177 @@ import (
 // slabs by swap-remove so every batched GEMM runs over contiguous
 // rows.
 //
-// Per stream, a Fleet step is bit-identical to StepForward on a
-// dedicated State: every GEMM kernel — including the vectorized
+// Per stream, a Fleet[float64] step is bit-identical to StepForward on
+// a dedicated State: every GEMM kernel — including the vectorized
 // MulAddBatched — accumulates each output element's k-terms in
 // ascending order regardless of batch size, blocking, or worker count;
 // the vectorized gate activations compute exactly the scalar loop's
 // operations (vecact.go); and layer 0 re-applies StepForward's
 // sparse-row dispatch so skip-zero kernel choices match row for row.
+// A Fleet[float32] step keeps every one of those properties among f32
+// steps — deterministic, and independent of which other streams share
+// the batch — and gives up only bit-parity with the f64 path: state
+// lives in f32 slabs, GEMMs and activations run the native f32 kernels,
+// and outputs diverge within the tolerance validated at snapshot
+// publish (core.ValidateF32).
 //
 // A Fleet is not safe for concurrent use; the decode scheduler in
 // internal/core drives it from one goroutine. Distinct Fleets, however,
-// may be stepped concurrently (the sharded decode engine runs one per
-// shard): every slab and scratch buffer is owned by its Fleet alone and
-// starts on a 64-byte boundary (alignedDense), so two shards never
-// share — truly or falsely — a cache line. Steady-state Step calls
-// allocate nothing (scratch grows only when Admit outgrows capacity).
-type Fleet struct {
-	net *LSTM
+// may be stepped concurrently (the decode engine runs one per shard):
+// every slab and scratch buffer is owned by its Fleet alone and starts
+// on a 64-byte boundary (mat.NewAligned), so two shards never share —
+// truly or falsely — a cache line; alignment changes addresses, never
+// values. Steady-state Step calls allocate nothing (scratch grows only
+// when Admit outgrows capacity).
+type Fleet[T float32 | float64] struct {
+	w   *stepWeights[T]
 	n   int // live streams (rows 0..n-1 of h/c)
 	cap int // slab capacity in rows
 
 	// Persistent per-stream state, one row per stream, per layer.
-	h, c []*mat.Dense // [cap x H]
+	h, c []*mat.Matrix[T] // [cap x H]
 
-	// Step scratch: gathered inputs/state for the stepping subset, all
-	// sized to cap and viewed down to the subset size per call.
-	x      *mat.Dense   // gathered step inputs [cap x InputDim]
-	gh, gc []*mat.Dense // gathered per-layer state [cap x H]
-	z      *mat.Dense   // gate pre-activations [cap x 4H]
-	y      *mat.Dense   // head output [cap x OutputDim]
+	// The float64 facade: staged step inputs and returned logits. xt and
+	// yt are what the step itself reads and writes — x and y themselves
+	// at float64, narrowed and widened copies otherwise (cast).
+	x, y   *mat.Dense     // [cap x InputDim], [cap x OutputDim]
+	xt, yt *mat.Matrix[T] // same shapes
+	cast   bool
+
+	// Step scratch, sized to cap and viewed down to the subset per call:
+	// gathered per-layer state and gate pre-activations.
+	gh, gc []*mat.Matrix[T] // [cap x H]
+	z      *mat.Matrix[T]   // [cap x 4H]
 
 	// Preallocated view headers so Step performs no allocation: k-row
 	// prefixes of the scratch slabs plus 1-row cursors for the layer-0
-	// per-row dispatch.
-	xv, zv, yv mat.Dense
-	ghv, gcv   []mat.Dense
-	rx, rz     mat.Dense
+	// per-row dispatch (rx on the f64 staging row, which decides sparse
+	// vs dense at either element type).
+	xv, yv       mat.Dense
+	xtv, ytv, zv mat.Matrix[T]
+	ghv, gcv     []mat.Matrix[T]
+	rx           mat.Dense
+	rxt, rz      mat.Matrix[T]
 
-	// Gate-loop scratch for the vectorized activations: tanh exp
-	// arguments and the tanh(c) output, one hidden row each.
-	ts, tc []float64
+	// Gate-loop scratch, one hidden row each: the tanh(c) output, and
+	// the exp arguments of the f64 tanh (vecact.go; unused at float32).
+	tc []T
+	ts []float64
 
-	// Packed serving weights and the fused tile epilogues bound to them
-	// (pack.go); nil on an unpacked fleet. Set by NewFleetPacked only —
-	// the epilogue closures are prebuilt there so Step stays
-	// allocation-free.
-	panels  *PackedLSTM
+	// Packed serving weights and the fused tile epilogues bound to them;
+	// nil on an unpacked fleet. The epilogue closures are built once at
+	// construction so Step stays allocation-free.
+	panels  *PackedLSTM[T]
 	epis    []func(j0, j1 int)
 	headEpi func(j0, j1 int)
 }
 
-// NewFleet returns an empty fleet with initial capacity for the given
-// number of streams (it grows as needed).
-func (n *LSTM) NewFleet(capacity int) *Fleet {
-	if capacity < 1 {
-		capacity = 1
+// newFleet is the one fleet constructor: an empty fleet over w with
+// room for capacity streams (it grows as needed), stepping on panels p
+// when p is non-nil — the step GEMMs bound to the packed kernels and
+// the bias/gate-activation pass fused into their tile epilogues,
+// bit-identical to the unpacked fleet. p must be w's current weights,
+// packed: the kernels check its shapes, nothing can check its values
+// here, and panels of other or older weights decode wrong traces —
+// which is why core.ValidateF32 steps the packed fleets at publish.
+func newFleet[T float32 | float64](w *stepWeights[T], capacity int, p *PackedLSTM[T]) *Fleet[T] {
+	f := &Fleet[T]{w: w}
+	f.alloc(max(capacity, 1))
+	if p == nil {
+		return f
 	}
-	f := &Fleet{net: n}
-	f.alloc(capacity)
+	f.panels = p
+	// Each epilogue reads the current subset through the fleet's
+	// preallocated view headers (f.zv / f.ytv), which Step points at the
+	// gathered rows before the packed GEMM runs.
+	f.epis = make([]func(int, int), len(w.layers))
+	for l := range w.layers {
+		f.epis[l] = f.gateEpi(l)
+	}
+	f.headEpi = f.headBiasEpi()
 	return f
 }
 
-// cacheLine is the assumed cache-line (and AVX-friendly) granule for
-// slab alignment.
-const cacheLine = 64
-
-// alignedDense returns an r x c Dense whose backing array starts on a
-// cacheLine boundary. The Go allocator only guarantees 8-byte alignment
-// for []float64, which lets two small slabs from different fleets land
-// on the same line; over-allocating by one line and slicing at the
-// aligned offset removes that false sharing between concurrently
-// stepped shards. Alignment never changes values, only addresses, so
-// decode bytes are unaffected.
-func alignedDense(r, c int) *mat.Dense {
-	n := r * c
-	const pad = cacheLine / 8 // float64s per line
-	raw := make([]float64, n+pad)
-	off := 0
-	if n > 0 {
-		addr := uintptr(unsafe.Pointer(&raw[0]))
-		if rem := addr % cacheLine; rem != 0 {
-			off = int((cacheLine - rem) / 8)
-		}
-	}
-	return mat.FromSlice(r, c, raw[off:off+n])
+// NewFleet returns an empty unpacked fleet with initial capacity for
+// the given number of streams.
+func (n *LSTM) NewFleet(capacity int) *Fleet[float64] {
+	return newFleet(n.stepWeights(), capacity, nil)
 }
+
+// NewFleetPacked is NewFleet stepping on panels p, which must have been
+// packed from this network; a nil p yields a plain unpacked fleet,
+// which is how REPRO_NOPACK falls through.
+func (n *LSTM) NewFleetPacked(capacity int, p *PackedLSTM[float64]) *Fleet[float64] {
+	return newFleet(n.stepWeights(), capacity, p)
+}
+
+// NewFleet32 and NewFleet32Packed are the same two constructors over
+// the converted f32 weights.
+func (n *LSTM32) NewFleet32(capacity int) *Fleet32 { return newFleet(n.w, capacity, nil) }
+
+func (n *LSTM32) NewFleet32Packed(capacity int, p *PackedLSTM32) *Fleet32 {
+	return newFleet(n.w, capacity, p)
+}
+
+// Packed reports whether this fleet steps on panel-packed weights
+// (false on plain NewFleet fleets and under REPRO_NOPACK). Diagnostic
+// only — packed and unpacked fleets are byte-identical.
+func (f *Fleet[T]) Packed() bool { return f.panels != nil }
 
 // alloc (re)creates the slabs at the given row capacity, preserving
 // the first f.n rows of the persistent state. Every slab is allocated
 // cache-line-aligned and owned exclusively by this fleet, so per-shard
 // fleets stepped in parallel contend on nothing.
-func (f *Fleet) alloc(capacity int) {
-	cfg := f.net.Cfg
-	nl := len(f.net.layers)
-	h := make([]*mat.Dense, nl)
-	c := make([]*mat.Dense, nl)
+func (f *Fleet[T]) alloc(capacity int) {
+	cfg := f.w.cfg
+	nl := len(f.w.layers)
+	h := make([]*mat.Matrix[T], nl)
+	c := make([]*mat.Matrix[T], nl)
+	f.gh = make([]*mat.Matrix[T], nl)
+	f.gc = make([]*mat.Matrix[T], nl)
 	for l := 0; l < nl; l++ {
-		h[l] = alignedDense(capacity, cfg.HiddenDim)
-		c[l] = alignedDense(capacity, cfg.HiddenDim)
+		h[l] = mat.NewAligned[T](capacity, cfg.HiddenDim)
+		c[l] = mat.NewAligned[T](capacity, cfg.HiddenDim)
 		if f.n > 0 {
 			copy(h[l].Data, f.h[l].Data[:f.n*cfg.HiddenDim])
 			copy(c[l].Data, f.c[l].Data[:f.n*cfg.HiddenDim])
 		}
+		f.gh[l] = mat.NewAligned[T](capacity, cfg.HiddenDim)
+		f.gc[l] = mat.NewAligned[T](capacity, cfg.HiddenDim)
 	}
 	f.h, f.c = h, c
 	f.cap = capacity
-	f.x = alignedDense(capacity, cfg.InputDim)
-	f.gh = make([]*mat.Dense, nl)
-	f.gc = make([]*mat.Dense, nl)
-	for l := 0; l < nl; l++ {
-		f.gh[l] = alignedDense(capacity, cfg.HiddenDim)
-		f.gc[l] = alignedDense(capacity, cfg.HiddenDim)
+	f.x = mat.NewAligned[float64](capacity, cfg.InputDim)
+	f.y = mat.NewAligned[float64](capacity, cfg.OutputDim)
+	if xt, ok := any(f.x).(*mat.Matrix[T]); ok {
+		f.xt, f.yt = xt, any(f.y).(*mat.Matrix[T])
+	} else {
+		f.cast = true
+		f.xt = mat.NewAligned[T](capacity, cfg.InputDim)
+		f.yt = mat.NewAligned[T](capacity, cfg.OutputDim)
 	}
-	f.z = alignedDense(capacity, 4*cfg.HiddenDim)
-	f.y = alignedDense(capacity, cfg.OutputDim)
-	f.ghv = make([]mat.Dense, nl)
-	f.gcv = make([]mat.Dense, nl)
+	f.z = mat.NewAligned[T](capacity, 4*cfg.HiddenDim)
+	f.ghv = make([]mat.Matrix[T], nl)
+	f.gcv = make([]mat.Matrix[T], nl)
+	f.tc = make([]T, cfg.HiddenDim)
 	f.ts = make([]float64, cfg.HiddenDim)
-	f.tc = make([]float64, cfg.HiddenDim)
 }
 
 // Rows returns the number of live streams.
-func (f *Fleet) Rows() int { return f.n }
+func (f *Fleet[T]) Rows() int { return f.n }
 
 // Admit adds a stream with zero initial state and returns its row
 // index. The index stays valid until the stream retires or a later
 // Retire moves it (see Retire's return value).
-func (f *Fleet) Admit() int {
+func (f *Fleet[T]) Admit() int {
 	if f.n == f.cap {
 		f.alloc(2 * f.cap)
 	}
 	row := f.n
 	f.n++
-	hd := f.net.Cfg.HiddenDim
 	for l := range f.h {
-		clear(f.h[l].Row(row)[:hd])
-		clear(f.c[l].Row(row)[:hd])
+		clear(f.h[l].Row(row))
+		clear(f.c[l].Row(row))
 	}
 	return row
 }
@@ -161,7 +310,7 @@ func (f *Fleet) Admit() int {
 // the caller can re-point whichever stream owned it; -1 means nothing
 // moved. State copies are exact, so compaction never perturbs decode
 // results.
-func (f *Fleet) Retire(row int) (moved int) {
+func (f *Fleet[T]) Retire(row int) (moved int) {
 	if row < 0 || row >= f.n {
 		panic(fmt.Sprintf("nn: Fleet.Retire row %d of %d", row, f.n))
 	}
@@ -178,38 +327,130 @@ func (f *Fleet) Retire(row int) (moved int) {
 	return moved
 }
 
-// InputRow returns the i-th input buffer for the next Step call (slot
-// i feeds rows[i]). The caller must fully overwrite it before Step.
-func (f *Fleet) InputRow(i int) []float64 { return f.x.Row(i) }
+// InputRow returns the i-th float64 input buffer for the next Step call
+// (slot i feeds rows[i]). The caller must fully overwrite it before
+// Step.
+func (f *Fleet[T]) InputRow(i int) []float64 { return f.x.Row(i) }
 
 // viewRows points header v at the first k rows of m.
-func viewRows(v *mat.Dense, m *mat.Dense, k int) *mat.Dense {
+func viewRows[T float32 | float64](v, m *mat.Matrix[T], k int) *mat.Matrix[T] {
 	v.Rows, v.Cols = k, m.Cols
 	v.Data = m.Data[:k*m.Cols]
 	return v
 }
 
 // viewRow points header v at row i of m.
-func viewRow(v *mat.Dense, m *mat.Dense, i int) *mat.Dense {
+func viewRow[T float32 | float64](v, m *mat.Matrix[T], i int) *mat.Matrix[T] {
 	v.Rows, v.Cols = 1, m.Cols
-	v.Data = m.Data[i*m.Cols : (i+1)*m.Cols]
+	v.Data = m.Row(i)
 	return v
+}
+
+// activate and tanh are the gate activations, the one part of a step
+// that is a different algorithm per element type. At float64 they are
+// vecact.go's kernels, which reproduce StepForward's math.Exp-based
+// scalar loop bit for bit; at float32 they are mat/act32.go's native
+// eight-lane kernels (assembly and portable fallback bit-identical to
+// each other, any length, exact aliasing allowed), because widening
+// each gate row to the four-lane f64 exp would cost the f32 path most
+// of its advantage.
+//
+// activate applies the gate nonlinearities to columns [j0, j1) of every
+// row of z: sigmoid on the i/f/o segments, tanh on the g segment. The
+// range may straddle gate boundaries, so each activation runs on its
+// intersection with [j0, j1); the g intersection is at most one hidden
+// row wide, so f.ts always fits the f64 tanh scratch. The type switch
+// sits above the row loop and the arms call the kernels directly: a
+// packed step activates ~12 (tile, row) pairs per row and layer, and a
+// per-call switch behind two helper levels showed end to end.
+func (f *Fleet[T]) activate(z *mat.Matrix[T], j0, j1 int) {
+	hd := f.w.cfg.HiddenDim
+	sig := [2][2]int{{j0, min(j1, 2*hd)}, {max(j0, 3*hd), j1}} // i/f gates, o gate
+	gLo, gHi := max(j0, 2*hd), min(j1, 3*hd)                   // g gate
+	switch z := any(z).(type) {
+	case *mat.Dense:
+		for i := 0; i < z.Rows; i++ {
+			row := z.Row(i)
+			for _, s := range sig {
+				if s[0] < s[1] {
+					vecSigmoid(row[s[0]:s[1]])
+				}
+			}
+			if gLo < gHi {
+				vecTanhInto(row[gLo:gHi], row[gLo:gHi], f.ts)
+			}
+		}
+	case *mat.Dense32:
+		for i := 0; i < z.Rows; i++ {
+			row := z.Row(i)
+			for _, s := range sig {
+				if s[0] < s[1] {
+					mat.SigmoidSlice32(row[s[0]:s[1]], row[s[0]:s[1]])
+				}
+			}
+			if gLo < gHi {
+				mat.TanhSlice32(row[gLo:gHi], row[gLo:gHi])
+			}
+		}
+	}
+}
+
+// tanh sets dst = tanh(x) for one row; dst may alias x.
+func (f *Fleet[T]) tanh(dst, x []T) {
+	switch v := any(x).(type) {
+	case []float64:
+		vecTanhInto(any(dst).([]float64), v, f.ts)
+	case []float32:
+		mat.TanhSlice32(any(dst).([]float32), v)
+	}
+}
+
+// gateEpi returns layer l's fused epilogue: for gate columns [j0, j1)
+// of every gathered row, add the bias and apply the gate nonlinearity
+// while the tile is still hot in L1. Activations and bias adds are
+// elementwise, so applying them per tile computes exactly what the
+// unpacked path's whole-slab AddBiasRows + activation sweep computes.
+func (f *Fleet[T]) gateEpi(l int) func(j0, j1 int) {
+	bias := f.w.layers[l].b
+	return func(j0, j1 int) {
+		for i := 0; i < f.zv.Rows; i++ {
+			zrow := f.zv.Row(i)
+			for j := j0; j < j1; j++ {
+				zrow[j] += bias[j]
+			}
+		}
+		f.activate(&f.zv, j0, j1)
+	}
+}
+
+// headBiasEpi returns the head epilogue: add the output bias to the
+// finished logit columns of every gathered row.
+func (f *Fleet[T]) headBiasEpi() func(j0, j1 int) {
+	bias := f.w.by
+	return func(j0, j1 int) {
+		for i := 0; i < f.ytv.Rows; i++ {
+			yrow := f.ytv.Row(i)
+			for j := j0; j < j1; j++ {
+				yrow[j] += bias[j]
+			}
+		}
+	}
 }
 
 // Step advances the streams in rows[i] (i = 0..len(rows)-1) by one
 // LSTM step, consuming input slot i for rows[i], and returns the
-// [len(rows) x OutputDim] logits (row i for rows[i]; valid until the
-// next Step). Rows not listed are untouched. The subset is gathered
-// into contiguous scratch, advanced through shared batched GEMMs, and
-// scattered back; per stream the result is bit-identical to
-// StepForward.
-func (f *Fleet) Step(rows []int) *mat.Dense {
+// [len(rows) x OutputDim] logits as float64 (row i for rows[i]; valid
+// until the next Step). Rows not listed are untouched. The subset is
+// gathered into contiguous scratch, advanced through shared batched
+// GEMMs, and scattered back; per stream the result is independent of
+// the rest of the batch, and at float64 bit-identical to StepForward.
+func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 	k := len(rows)
+	out := viewRows(&f.yv, f.y, k)
 	if k == 0 {
-		return viewRows(&f.yv, f.y, 0)
+		return out
 	}
-	net := f.net
-	hd := net.Cfg.HiddenDim
+	hd := f.w.cfg.HiddenDim
 
 	// Gather the subset's state into contiguous rows.
 	for l := range f.h {
@@ -221,88 +462,82 @@ func (f *Fleet) Step(rows []int) *mat.Dense {
 		}
 	}
 
-	in := viewRows(&f.xv, f.x, k)
+	in64 := viewRows(&f.xv, f.x, k)
+	in := viewRows(&f.xtv, f.xt, k)
+	if f.cast {
+		// Narrow the staged f64 inputs once; the one-hot and bounded-scalar
+		// encodings the decode path feeds are exactly representable, so
+		// this rounds nothing in practice.
+		for i, v := range in64.Data {
+			in.Data[i] = T(v)
+		}
+	}
 	Z := viewRows(&f.zv, f.z, k)
-	for l, layer := range net.layers {
-		var pw *packedLayer
+	for l, layer := range f.w.layers {
+		var pw *packedLayer[T]
 		if f.panels != nil {
 			pw = &f.panels.layers[l]
 		}
 		Z.Zero()
 		if layer.first {
 			// Replicate StepForward's per-row kernel dispatch: each
-			// stream's input chooses sparse vs dense exactly as its
-			// serial step would. Sparse rows read the unpacked matrix
+			// stream's staged f64 input chooses sparse vs dense exactly as
+			// its serial step would. Sparse rows read the unpacked matrix
 			// (the skip-zero kernel needs row-major B); dense rows take
 			// the panel, which computes identical bits.
 			for i := 0; i < k; i++ {
-				xr := viewRow(&f.rx, in, i)
+				xr := viewRow(&f.rxt, in, i)
 				zr := viewRow(&f.rz, Z, i)
-				if sparseEnough(xr) {
-					mat.MulAddSparse(zr, xr, layer.wx.Value)
+				if sparseEnough(viewRow(&f.rx, in64, i)) {
+					mat.MulAddSparse(zr, xr, layer.wx)
 				} else if pw != nil {
 					mat.MulAddPacked(zr, xr, pw.wx)
 				} else {
-					mat.MulAddBatched(zr, xr, layer.wx.Value)
+					mat.MulAddBatched(zr, xr, layer.wx)
 				}
 			}
 		} else if pw != nil {
 			mat.MulAddPacked(Z, in, pw.wx)
 		} else {
-			mat.MulAddBatched(Z, in, layer.wx.Value)
+			mat.MulAddBatched(Z, in, layer.wx)
 		}
 		H := viewRows(&f.ghv[l], f.gh[l], k)
 		C := viewRows(&f.gcv[l], f.gc[l], k)
 		if pw != nil {
 			// Packed recurrent GEMM with the bias + gate nonlinearities
-			// fused into the tile epilogue (pack.go): each finished gate
-			// segment is activated while still hot in L1 instead of a
-			// second sweep over the whole (k x 4H) slab. Elementwise math
-			// in the unpacked order — identical bits.
+			// fused into the tile epilogue: each finished gate segment is
+			// activated while still hot in L1 instead of in a second sweep
+			// over the whole (k x 4H) slab. Elementwise math in the
+			// unpacked order — identical bits.
 			mat.MulAddPackedEpi(Z, H, pw.wh, f.epis[l])
-			for i := 0; i < k; i++ {
-				zrow := Z.Row(i)
-				hrow, crow := H.Row(i), C.Row(i)
-				for j := 0; j < hd; j++ {
-					crow[j] = zrow[hd+j]*crow[j] + zrow[j]*zrow[2*hd+j]
-				}
-				vecTanhInto(f.tc, crow, f.ts)
-				for j := 0; j < hd; j++ {
-					hrow[j] = zrow[3*hd+j] * f.tc[j]
-				}
-			}
-			in = H
-			continue
+		} else {
+			mat.MulAddBatched(Z, H, layer.wh)
+			mat.AddBiasRows(Z, layer.b)
+			f.activate(Z, 0, 4*hd)
 		}
-		mat.MulAddBatched(Z, H, layer.wh.Value)
-		mat.AddBiasRows(Z, layer.b.Value.Row(0))
-		// Gate nonlinearities via the vectorized activations. Per
-		// element these compute exactly what StepForward's scalar loop
-		// computes — i/f/o sigmoids, g and cell tanhs, and the same
-		// mul/add order in the c and h updates — see vecact.go.
+		// Per element the activations and the c and h updates compute
+		// exactly what StepForward's scalar loop computes, in the same
+		// mul/add order.
 		for i := 0; i < k; i++ {
 			zrow := Z.Row(i)
 			hrow, crow := H.Row(i), C.Row(i)
-			vecSigmoid(zrow[:2*hd])                             // i and f gates
-			vecTanhInto(zrow[2*hd:3*hd], zrow[2*hd:3*hd], f.ts) // g gate
-			vecSigmoid(zrow[3*hd:])                             // o gate
 			for j := 0; j < hd; j++ {
 				crow[j] = zrow[hd+j]*crow[j] + zrow[j]*zrow[2*hd+j]
 			}
-			vecTanhInto(f.tc, crow, f.ts)
+			f.tanh(f.tc, crow)
 			for j := 0; j < hd; j++ {
 				hrow[j] = zrow[3*hd+j] * f.tc[j]
 			}
 		}
 		in = H
 	}
-	Y := viewRows(&f.yv, f.y, k)
+	Y := viewRows(&f.ytv, f.yt, k)
 	Y.Zero()
 	if f.panels != nil {
 		mat.MulAddPackedEpi(Y, in, f.panels.wy, f.headEpi)
 	} else {
-		mat.MulAddBatched(Y, in, net.wy.Value)
-		mat.AddBiasRows(Y, net.by.Value.Row(0))
+		mat.MulAddBatched(Y, in, f.w.wy)
+		mat.AddBiasRows(Y, f.w.by)
 	}
 
 	// Scatter the advanced state back to the streams' home rows.
@@ -314,5 +549,12 @@ func (f *Fleet) Step(rows []int) *mat.Dense {
 			copy(cl.Row(r), gc.Row(i))
 		}
 	}
-	return Y
+	if f.cast {
+		// Widen the logits for the precision-blind consumers (softmax,
+		// sampling, and tracing all stay f64).
+		for i, v := range Y.Data {
+			out.Data[i] = float64(v)
+		}
+	}
+	return out
 }

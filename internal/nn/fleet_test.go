@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -10,6 +13,55 @@ import (
 
 func fleetTestNet() *LSTM {
 	return NewLSTM(Config{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5}, rng.New(7))
+}
+
+// fleetCell is one {element type} × {weight layout} instantiation of
+// the fleet. The protocol tests below are written once against
+// StepFleet and run over the cells, so the f32 and the packed fleets
+// are held to exactly the contract the f64 unpacked one is.
+type fleetCell struct {
+	name string
+	// fleet builds the fleet under test over net's weights.
+	fleet func(net *LSTM, capacity int) StepFleet
+	// solo returns a fresh single-stream reference decoder: the scalar
+	// StepForward at f64 (bit-identity with the serial path), a dedicated
+	// one-row unpacked fleet at f32 (batch-composition invariance — f32
+	// has no serial decoder; its bits are pinned by golden_test.go).
+	solo func(net *LSTM) func(x []float64) []float64
+}
+
+func stepForwardSolo(net *LSTM) func(x []float64) []float64 {
+	st := net.NewState(1)
+	return func(x []float64) []float64 { return net.StepForward(x, st) }
+}
+
+func fleet32Solo(net *LSTM) func(x []float64) []float64 {
+	f := net.Convert32().NewFleet32(1)
+	f.Admit()
+	return func(x []float64) []float64 {
+		copy(f.InputRow(0), x)
+		return f.Step([]int{0}).Row(0)
+	}
+}
+
+var fleetCells = []fleetCell{
+	{"f64/unpacked", func(net *LSTM, c int) StepFleet { return net.NewFleet(c) }, stepForwardSolo},
+	{"f64/packed", func(net *LSTM, c int) StepFleet { return net.NewFleetPacked(c, net.Pack()) }, stepForwardSolo},
+	{"f32/unpacked", func(net *LSTM, c int) StepFleet { return net.Convert32().NewFleet32(c) }, fleet32Solo},
+	{"f32/packed", func(net *LSTM, c int) StepFleet {
+		n32 := net.Convert32()
+		return n32.NewFleet32Packed(c, n32.Pack())
+	}, fleet32Solo},
+}
+
+// forFleetCells runs body as a subtest of every cell whose name
+// contains pattern ("f64", "f32", "/packed", ...).
+func forFleetCells(t *testing.T, pattern string, body func(t *testing.T, c fleetCell)) {
+	for _, c := range fleetCells {
+		if strings.Contains(c.name, pattern) {
+			t.Run(c.name, func(t *testing.T) { body(t, c) })
+		}
+	}
 }
 
 // fleetInput writes a deterministic step input for stream s at step t.
@@ -27,18 +79,28 @@ func fleetInput(dst []float64, s, t int) {
 	}
 }
 
-// TestFleetMatchesStepForward drives interleaved subsets of streams
-// through Fleet.Step and asserts every logit is bit-identical to the
-// same stream advanced alone via StepForward.
-func TestFleetMatchesStepForward(t *testing.T) {
+// checkLogits fails unless got and want agree bit for bit.
+func checkLogits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s logit %d: fleet %v, reference %v", what, j, got[j], want[j])
+		}
+	}
+}
+
+// testFleetMatchesSolo drives interleaved subsets of streams through
+// one shared fleet and asserts every logit is bit-identical to the same
+// stream advanced alone by the cell's reference decoder.
+func testFleetMatchesSolo(t *testing.T, c fleetCell) {
 	net := fleetTestNet()
 	const streams = 6
-	f := net.NewFleet(streams)
-	refs := make([]*State, streams)
+	f := c.fleet(net, streams)
+	solo := make([]func([]float64) []float64, streams)
 	rows := make([]int, streams)
 	for s := 0; s < streams; s++ {
 		rows[s] = f.Admit()
-		refs[s] = net.NewState(1)
+		solo[s] = c.solo(net)
 	}
 	steps := make([]int, streams) // per-stream step counter
 	ref := make([]float64, net.Cfg.InputDim)
@@ -60,32 +122,40 @@ func TestFleetMatchesStepForward(t *testing.T) {
 		y := f.Step(batch)
 		for i, s := range sub {
 			fleetInput(ref, s, steps[s])
-			want := net.StepForward(ref, refs[s])
-			got := y.Row(i)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("round %d stream %d logit %d: fleet %v, serial %v", round, s, j, got[j], want[j])
-				}
-			}
+			checkLogits(t, fmt.Sprintf("round %d stream %d", round, s), y.Row(i), solo[s](ref))
 			steps[s]++
 		}
 	}
 }
 
-// TestFleetRetireCompaction retires streams mid-decode (first, middle,
-// last rows) and checks the swap-remove bookkeeping: surviving streams
-// keep producing StepForward-identical logits from their moved rows.
-func TestFleetRetireCompaction(t *testing.T) {
+// TestFleetMatchesStepForward: per stream, a float64 fleet step —
+// unpacked or on panels — is bit-identical to the scalar StepForward.
+func TestFleetMatchesStepForward(t *testing.T) {
+	forFleetCells(t, "f64", testFleetMatchesSolo)
+}
+
+// TestFleet32BatchCompositionInvariant: the f32 path trades bit-parity
+// with f64, never determinism or batch-composition invariance — every
+// stream's logits equal those of a dedicated single-stream f32 fleet.
+func TestFleet32BatchCompositionInvariant(t *testing.T) {
+	forFleetCells(t, "f32", testFleetMatchesSolo)
+}
+
+// testFleetRetireCompaction retires streams mid-decode (first, middle,
+// last rows) from a fleet that also has to grow, and checks the
+// swap-remove bookkeeping: surviving streams keep producing
+// reference-identical logits from their moved rows.
+func testFleetRetireCompaction(t *testing.T, c fleetCell) {
 	net := fleetTestNet()
 	const streams = 5
-	f := net.NewFleet(2) // force growth too
-	refs := make([]*State, streams)
+	f := c.fleet(net, 2) // force growth too
+	solo := make([]func([]float64) []float64, streams)
 	rows := make([]int, streams)
 	owner := make(map[int]int) // fleet row -> stream
 	for s := 0; s < streams; s++ {
 		rows[s] = f.Admit()
 		owner[rows[s]] = s
-		refs[s] = net.NewState(1)
+		solo[s] = c.solo(net)
 	}
 	live := map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true}
 	steps := make([]int, streams)
@@ -107,12 +177,7 @@ func TestFleetRetireCompaction(t *testing.T) {
 		y := f.Step(batch)
 		for i, s := range sub {
 			fleetInput(ref, s, steps[s])
-			want := net.StepForward(ref, refs[s])
-			for j := range want {
-				if y.Row(i)[j] != want[j] {
-					t.Fatalf("stream %d logit %d: fleet %v, serial %v", s, j, y.Row(i)[j], want[j])
-				}
-			}
+			checkLogits(t, fmt.Sprintf("stream %d", s), y.Row(i), solo[s](ref))
 			steps[s]++
 		}
 	}
@@ -144,14 +209,24 @@ func TestFleetRetireCompaction(t *testing.T) {
 	}
 }
 
-// TestFleetStepAllocFree pins the batched decode step at zero
+func TestFleetRetireCompaction(t *testing.T) {
+	forFleetCells(t, "f64", testFleetRetireCompaction)
+}
+
+func TestFleet32RetireCompaction(t *testing.T) {
+	forFleetCells(t, "f32", testFleetRetireCompaction)
+}
+
+// testFleetStepAllocFree pins the batched decode step at zero
 // steady-state allocations (serial kernels; the parallel fan-out
-// allocates its bounded per-region scratch like every par path).
-func TestFleetStepAllocFree(t *testing.T) {
+// allocates its bounded per-region scratch like every par path). On a
+// packed fleet that also pins the panels and epilogue closures as
+// built at construction, never per step; at either element type, that
+// the generic kernels' type-switch dispatches do not escape.
+func testFleetStepAllocFree(t *testing.T, c fleetCell) {
 	defer par.SetProcs(par.SetProcs(1))
-	net := fleetTestNet()
 	const streams = 8
-	f := net.NewFleet(streams)
+	f := c.fleet(fleetTestNet(), streams)
 	batch := make([]int, streams)
 	for s := 0; s < streams; s++ {
 		batch[s] = f.Admit()
@@ -180,8 +255,148 @@ func TestFleetStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestFleetSlabsCacheAligned checks every persistent and scratch slab
-// of a fleet starts on a 64-byte boundary (awkward capacities
+// The three alloc pins cover the four cells between them; the packed
+// f32 step is what the f32 engine serves. scripts/check.sh runs them
+// without -race (the race runtime's instrumentation allocates).
+func TestFleetStepAllocFree(t *testing.T) {
+	forFleetCells(t, "f64/unpacked", testFleetStepAllocFree)
+}
+
+func TestFleet32StepAllocFree(t *testing.T) {
+	forFleetCells(t, "f32/unpacked", testFleetStepAllocFree)
+}
+
+func TestFleetPackedStepAllocFree(t *testing.T) {
+	forFleetCells(t, "/packed", testFleetStepAllocFree)
+}
+
+// fleetShapes are the network shapes of the layout- and
+// precision-parity tests: small ones that exercise the wide tiles, the
+// narrow cleanup tiles and the head's scalar column tail at both
+// element types, then the library default (hidden 48 × 2) and the
+// paper's network (hidden 200 × 2), where the gate slab outgrows L1 and
+// the panels are measured to win.
+var fleetShapes = []Config{
+	{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5},
+	{InputDim: 7, HiddenDim: 5, Layers: 2, OutputDim: 3},
+	{InputDim: 11, HiddenDim: 12, Layers: 1, OutputDim: 17},
+	{InputDim: 30, HiddenDim: 48, Layers: 2, OutputDim: 17},
+	{InputDim: 30, HiddenDim: 200, Layers: 2, OutputDim: 17},
+}
+
+// testFleetPackedMatchesUnpacked pins byte-identity between a packed
+// fleet (panel GEMMs + fused epilogues) and the unpacked fleet of the
+// same element type across stepped batches.
+func testFleetPackedMatchesUnpacked(t *testing.T, prec string) {
+	cell := func(name string) fleetCell {
+		for _, c := range fleetCells {
+			if c.name == name {
+				return c
+			}
+		}
+		panic("no fleet cell " + name)
+	}
+	unpacked, packed := cell(prec+"/unpacked"), cell(prec+"/packed")
+	for _, cfg := range fleetShapes {
+		net := NewLSTM(cfg, rng.New(7))
+		ref, pf := unpacked.fleet(net, 4), packed.fleet(net, 4)
+		const streams = 6
+		rows := make([]int, streams)
+		prows := make([]int, streams)
+		for s := 0; s < streams; s++ {
+			rows[s] = ref.Admit()
+			prows[s] = pf.Admit()
+		}
+		for step := 0; step < 12; step++ {
+			// Interleaved subsets so gather/scatter and batch composition
+			// invariance are exercised too.
+			var batch, pbatch []int
+			for s := 0; s < streams; s++ {
+				if (s+step)%3 == 0 {
+					continue
+				}
+				i := len(batch)
+				fleetInput(ref.InputRow(i), s, step)
+				fleetInput(pf.InputRow(i), s, step)
+				batch = append(batch, rows[s])
+				pbatch = append(pbatch, prows[s])
+			}
+			want := ref.Step(batch)
+			got := pf.Step(pbatch)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("cfg %+v step %d: logit %d differs packed vs unpacked", cfg, step, i)
+				}
+			}
+		}
+	}
+}
+
+func TestFleetPackedMatchesUnpacked(t *testing.T) {
+	testFleetPackedMatchesUnpacked(t, "f64")
+}
+
+func TestFleet32PackedMatchesUnpacked(t *testing.T) {
+	testFleetPackedMatchesUnpacked(t, "f32")
+}
+
+// TestFleet32TracksF64 bounds the f32 fleet's logit divergence from the
+// bit-exact f64 fleet over a multi-step decode, at every fleetShapes
+// size. This is a smoke bound on raw logits (the serving-level
+// distribution tolerance is validated in core.ValidateF32); f32 weights
+// carry ~1e-7 relative error and the gate nonlinearities are
+// contraction maps, so drift stays small over any window the decode
+// path uses.
+func TestFleet32TracksF64(t *testing.T) {
+	for _, cfg := range fleetShapes {
+		net := NewLSTM(cfg, rng.New(7))
+		const streams = 4
+		f64fleet := net.NewFleet(streams)
+		f32fleet := net.Convert32().NewFleet32(streams)
+		batch := make([]int, streams)
+		for s := 0; s < streams; s++ {
+			batch[s] = f64fleet.Admit()
+			f32fleet.Admit()
+		}
+		const tol = 1e-4
+		for round := 0; round < 96; round++ {
+			for i := range batch {
+				fleetInput(f64fleet.InputRow(i), i, round)
+				fleetInput(f32fleet.InputRow(i), i, round)
+			}
+			y64 := f64fleet.Step(batch)
+			y32 := f32fleet.Step(batch)
+			for i, v := range y64.Data {
+				if d := math.Abs(v - y32.Data[i]); d > tol || math.IsNaN(d) {
+					t.Fatalf("%+v round %d logit %d: f64 %v f32 %v (|Δ|=%g > %g)", cfg, round, i, v, y32.Data[i], d, tol)
+				}
+			}
+		}
+	}
+}
+
+// checkSlabsAligned fails unless every persistent and scratch slab of f
+// starts on a 64-byte boundary.
+func checkSlabsAligned[T float32 | float64](t *testing.T, f *Fleet[T], capacity int) {
+	t.Helper()
+	check := func(i int, p unsafe.Pointer) {
+		if addr := uintptr(p); addr%64 != 0 {
+			t.Fatalf("capacity %d slab %d: address %#x not 64-byte aligned", capacity, i, addr)
+		}
+	}
+	check(0, unsafe.Pointer(&f.x.Data[0]))
+	check(1, unsafe.Pointer(&f.y.Data[0]))
+	slabs := []*[]T{&f.xt.Data, &f.yt.Data, &f.z.Data}
+	for l := range f.h {
+		slabs = append(slabs, &f.h[l].Data, &f.c[l].Data, &f.gh[l].Data, &f.gc[l].Data)
+	}
+	for i, s := range slabs {
+		check(i+2, unsafe.Pointer(&(*s)[0]))
+	}
+}
+
+// TestFleetSlabsCacheAligned checks every slab of a fleet, at either
+// element type, starts on a 64-byte boundary (awkward capacities
 // included), so fleets owned by different decode shards can never
 // falsely share a cache line — and that alignment does not perturb a
 // single logit vs StepForward (covered by the Matches test running on
@@ -189,19 +404,8 @@ func TestFleetStepAllocFree(t *testing.T) {
 func TestFleetSlabsCacheAligned(t *testing.T) {
 	net := fleetTestNet()
 	for _, capacity := range []int{1, 2, 3, 7, 8, 64} {
-		f := net.NewFleet(capacity)
-		slabs := [][]float64{f.x.Data, f.z.Data, f.y.Data}
-		for l := range f.h {
-			slabs = append(slabs, f.h[l].Data, f.c[l].Data, f.gh[l].Data, f.gc[l].Data)
-		}
-		for i, s := range slabs {
-			if len(s) == 0 {
-				continue
-			}
-			if addr := uintptr(unsafe.Pointer(&s[0])); addr%cacheLine != 0 {
-				t.Fatalf("capacity %d slab %d: address %#x not %d-byte aligned", capacity, i, addr, cacheLine)
-			}
-		}
+		checkSlabsAligned(t, net.NewFleet(capacity), capacity)
+		checkSlabsAligned(t, net.Convert32().NewFleet32(capacity), capacity)
 	}
 }
 
@@ -216,7 +420,7 @@ func TestFleetConcurrentShards(t *testing.T) {
 	const shards = 4
 	const streams = 3 // per shard
 	const rounds = 30
-	fleets := make([]*Fleet, shards)
+	fleets := make([]StepFleet, shards)
 	refs := make([][]*State, shards)
 	bad := make([]bool, shards)
 	for k := range fleets {
@@ -273,10 +477,17 @@ func TestFleetAdmitZeroState(t *testing.T) {
 	fleetInput(f.InputRow(0), 4, 0)
 	y := f.Step([]int{r1})
 	fleetInput(in, 4, 0)
-	want := net.StepForward(in, ref)
-	for j := range want {
-		if y.Row(0)[j] != want[j] {
-			t.Fatalf("logit %d: %v vs %v", j, y.Row(0)[j], want[j])
-		}
+	checkLogits(t, "re-admitted stream", y.Row(0), net.StepForward(in, ref))
+}
+
+// TestNewFleetPackedNilPanels pins the REPRO_NOPACK fall-through: a
+// nil panel set yields a plain unpacked fleet.
+func TestNewFleetPackedNilPanels(t *testing.T) {
+	net := fleetTestNet()
+	if f := net.NewFleetPacked(2, nil); f.Packed() || f.epis != nil || f.headEpi != nil {
+		t.Fatal("nil panels must yield an unpacked fleet")
+	}
+	if g := net.Convert32().NewFleet32Packed(2, nil); g.Packed() || g.epis != nil || g.headEpi != nil {
+		t.Fatal("nil panels must yield an unpacked f32 fleet")
 	}
 }

@@ -37,13 +37,12 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	testHotReloadUnderLoad(t, func(*Server) {})
 }
 
-// TestHotReloadUnderLoadSharded is the same guarantee with the sharded
-// decode engine: reload must drain and replay across all shards
+// TestHotReloadUnderLoadSharded is the same guarantee with four decode
+// shards pinned: reload must drain and replay across all shards
 // without dropping or changing a request, and the engine rebuilt after
 // the swap must come back sharded. Run with -race via scripts/check.sh.
 func TestHotReloadUnderLoadSharded(t *testing.T) {
 	testHotReloadUnderLoad(t, func(s *Server) {
-		s.EngineKind = string(core.EngineSharded)
 		s.DecodeShards = 4
 	})
 }
@@ -319,8 +318,8 @@ func TestReloadEndpoint(t *testing.T) {
 // server configured for the f32 fast path reports it in /model, serves
 // deterministically, and keeps serving f32 across hot reloads (the
 // rebuilt engine inherits the spec), with response bytes unchanged by
-// the swap. A bad precision surfaces as a clean engine error, like a
-// bad engine kind.
+// the swap. A bad precision surfaces as a clean engine error (a 500,
+// not a panic or a hang).
 func TestPrecisionSurvivesReload(t *testing.T) {
 	s := freshServer(t)
 	s.BatchWindow = 0

@@ -54,11 +54,10 @@ type GenerateRequest struct {
 // Server wraps a trained model with HTTP handlers. It is safe for
 // concurrent use: the model weights are read-only after construction
 // and concurrent /generate requests are coalesced into shared decode
-// batches by a core.GenEngine selected from the engine registry via
-// EngineKind — serial, or batched/sharded (one implementation: a
-// continuous-batching scheduler per core behind a least-loaded router,
-// DESIGN.md §6.2); per-request seeded RNGs keep every response
-// byte-identical to a serial decode of that seed regardless of kind.
+// batches by a core.GenEngine (a continuous-batching scheduler per core
+// behind a least-loaded router, DESIGN.md §6.2); per-request seeded
+// RNGs keep every response byte-identical to a serial decode of that
+// seed.
 //
 // The serving snapshot (model + catalog + engine) can be hot-swapped at
 // runtime via Reload (wired to POST /-/reload and SIGHUP by cmd/traced)
@@ -88,19 +87,15 @@ type Server struct {
 	// MaxBatch caps concurrent decode streams across all shards (default
 	// 64; set before the first request).
 	MaxBatch int
-	// EngineKind selects the decode engine from core's registry:
-	// "serial", "batched" (default), or "sharded", a synonym of batched
-	// (set before the first request; also applies to engines rebuilt on
-	// hot-reload).
-	EngineKind string
 	// DecodeShards is the number of decode scheduler shards (<= 0 means
 	// one per core, see core.EngineSpec.ShardCount; 1 is a single
-	// scheduler); ignored by the serial kind.
+	// scheduler). Set before the first request; also applies to engines
+	// rebuilt on hot-reload.
 	DecodeShards int
-	// Precision selects the decode numeric width for every engine kind
-	// ("" or "f64": bit-exact reference; "f32": the float32 fast path,
-	// DESIGN.md §6.4). Set before the first request; like EngineKind it
-	// survives hot reloads — engines rebuilt on Reload keep it.
+	// Precision selects the decode numeric width ("" or "f64": bit-exact
+	// reference; "f32": the float32 fast path, DESIGN.md §6.4). Set
+	// before the first request; it survives hot reloads — engines
+	// rebuilt on Reload keep it.
 	Precision string
 	// TrainInfo optionally carries training-run metadata (cloud, epochs,
 	// seed, wall time, journal path) surfaced under "train" at /metrics.
@@ -200,10 +195,10 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // snapshot returns a consistent (model, catalog, engine) triple, lazily
 // building the configured decode engine for the current model on first
-// use (so BatchWindow/MaxBatch/EngineKind/DecodeShards can be tuned
+// use (so BatchWindow/MaxBatch/DecodeShards/Precision can be tuned
 // after New). The same spec is used for engines rebuilt on hot-reload,
-// so the engine kind survives Reload; a bad EngineKind surfaces here as
-// an error rather than at construction.
+// so the configuration survives Reload; a bad Precision surfaces here
+// as an error rather than at construction.
 func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -224,7 +219,6 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 // knobs at engine-build time.
 func (s *Server) engineSpec() core.EngineSpec {
 	return core.EngineSpec{
-		Kind:      core.EngineKind(s.EngineKind),
 		Window:    s.BatchWindow,
 		MaxBatch:  s.MaxBatch,
 		Shards:    s.DecodeShards,
@@ -233,9 +227,9 @@ func (s *Server) engineSpec() core.EngineSpec {
 	}
 }
 
-// DecodeShardCount is the number of scheduler shards the batched and
-// sharded engine kinds run under the current knobs (the decode.shards
-// gauge once the first request has built the engine).
+// DecodeShardCount is the number of scheduler shards the engine runs
+// under the current knobs (the decode.shards gauge once the first
+// request has built the engine).
 func (s *Server) DecodeShardCount() int { return s.engineSpec().ShardCount() }
 
 // currentModel returns the serving model without starting an engine.

@@ -335,7 +335,7 @@ func TestGenerateCancelledCounter(t *testing.T) {
 	}
 }
 
-// TestMetricsShardGauges serves /generate through the sharded engine
+// TestMetricsShardGauges serves /generate through a two-shard engine
 // and asserts the shard gauges surface in GET /metrics: decode.shards
 // reporting K, every decode.shard_occupancy.<k> /
 // decode.streams_per_shard.<k> gauge present, assignments totalling the served requests, and
@@ -344,7 +344,6 @@ func TestMetricsShardGauges(t *testing.T) {
 	shared := testServer(t)
 	s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
 	const shards = 2
-	s.EngineKind = string(core.EngineSharded)
 	s.DecodeShards = shards
 	s.BatchWindow = 0
 	defer s.Close()
@@ -395,13 +394,12 @@ func TestMetricsShardGauges(t *testing.T) {
 	}
 }
 
-// TestShardedServerMatchesBatched pins engine-kind transparency at the
-// HTTP layer: the same (seed, periods) request served by a sharded
-// server returns byte-identical responses to the default batched one.
+// TestShardedServerMatchesBatched pins shard-count transparency at the
+// HTTP layer: the same (seed, periods) request served by a four-shard
+// server returns byte-identical responses to the default one.
 func TestShardedServerMatchesBatched(t *testing.T) {
 	shared := testServer(t)
 	s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
-	s.EngineKind = string(core.EngineSharded)
 	s.DecodeShards = 4
 	defer s.Close()
 	body := `{"periods": 24, "seed": 77, "format": "json"}`
@@ -412,19 +410,6 @@ func TestShardedServerMatchesBatched(t *testing.T) {
 	}
 	if a.Body.String() != b.Body.String() {
 		t.Fatal("sharded server response differs from batched server for the same seed")
-	}
-}
-
-// TestBadEngineKind checks a misconfigured engine kind surfaces as a
-// clean 500 on /generate, not a panic or a hang.
-func TestBadEngineKind(t *testing.T) {
-	shared := testServer(t)
-	s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
-	s.EngineKind = "warp-drive"
-	defer s.Close()
-	rec := do(t, s.Handler(), "POST", "/generate", `{"periods": 12, "seed": 1}`)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("bad engine kind: status %d, want 500: %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -22,7 +22,6 @@ func tracedServer(t *testing.T, withFidelity bool) (*Server, *obs.Registry) {
 	base := testServer(t)
 	reg := obs.NewRegistry()
 	s := NewWithRegistry(base.currentModel(), base.catalog, reg)
-	s.EngineKind = "sharded"
 	s.DecodeShards = 2
 	s.BatchWindow = time.Millisecond
 	s.Tracer = rtrace.NewTracer(16)

@@ -50,7 +50,7 @@ func TestWorkloadSpecSurvivesHotReloadUnderLoad(t *testing.T) {
 	}
 	tag := workload.ModelTag(s.currentModel())
 	s.OnTrace = func(seed int64, w trace.Window, scale float64, tr *trace.Trace) {
-		if err := recorder.Append(workload.NewRecord("generate", s.EngineKind, s.Precision, tag, seed, w, scale, tr)); err != nil {
+		if err := recorder.Append(workload.NewRecord("generate", core.EngineBatched, s.Precision, tag, seed, w, scale, tr)); err != nil {
 			t.Errorf("record: %v", err)
 		}
 	}

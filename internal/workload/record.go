@@ -19,10 +19,11 @@ import (
 
 // Trace record/replay (DESIGN.md §9): a versioned JSON format capturing
 // what a decode produced together with everything needed to reproduce
-// it — the seed, window, rate scale, engine kind/precision, and a model
-// tag binding the record to the weights that generated it. Replay
-// regenerates through any registered engine; the registry's contract
-// (all kinds byte-identical per (seed, window, scale)) makes the
+// it — the seed, window, rate scale, engine/precision labels, and a
+// model tag binding the record to the weights that generated it. Replay
+// regenerates through a decode engine; the engine contract (bytes are a
+// function of (seed, window, scale) alone, whatever the batching or
+// shard count, and equal to the serial Model.Generate) makes the
 // replayed trace byte-identical to the recorded one, and Verify checks
 // exactly that, VM by VM.
 
@@ -220,8 +221,8 @@ func (r *Record) Window() trace.Window {
 
 // Replay regenerates the record through eng at the recorded seed,
 // window, and scale. With the model that produced the record (compare
-// ModelTag), the result is byte-identical to r regardless of engine
-// kind — the registry contract the replay tests pin.
+// ModelTag), the result is byte-identical to r however the engine is
+// sharded — the contract the replay tests pin.
 func Replay(ctx context.Context, eng core.GenEngine, r *Record) (*trace.Trace, error) {
 	return eng.Generate(ctx, rng.New(r.Seed), r.Window(), r.Scale)
 }

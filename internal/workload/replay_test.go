@@ -44,13 +44,12 @@ func replayModel(t testing.TB) *core.Model {
 	return testModel
 }
 
-func newEngine(t *testing.T, m *core.Model, kind core.EngineKind) core.GenEngine {
+func newEngine(t *testing.T, m *core.Model, shards int) core.GenEngine {
 	t.Helper()
 	eng, err := core.NewGenEngine(m, core.EngineSpec{
-		Kind:     kind,
 		Window:   time.Millisecond,
 		MaxBatch: 4,
-		Shards:   2,
+		Shards:   shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +58,9 @@ func newEngine(t *testing.T, m *core.Model, kind core.EngineKind) core.GenEngine
 }
 
 // TestReplayByteIdentityAcrossEngines is the acceptance criterion: a
-// trace recorded from one engine replays byte-identically through the
-// same seed on every registered engine kind.
+// trace recorded from the serial oracle (Model.Generate) replays
+// byte-identically through the same seed on the serial path again, on a
+// single-scheduler engine, and on a sharded one.
 func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 	m := replayModel(t)
 	tag := ModelTag(m)
@@ -71,16 +71,11 @@ func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 	w := trace.Window{Start: start, End: start + 36}
 	const seed, scale = 99, 1.0
 
-	src := newEngine(t, m, core.EngineSerial)
-	tr, err := src.Generate(context.Background(), rng.New(seed), w, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
+	tr := m.Generate(rng.New(seed), w)
 	if len(tr.VMs) == 0 {
 		t.Fatal("recorded trace is empty; widen the window")
 	}
-	rec := NewRecord("test", string(core.EngineSerial), "f64", tag, seed, w, scale, tr)
+	rec := NewRecord("test", "serial", "f64", tag, seed, w, scale, tr)
 
 	// The record survives serialization before replay — the on-disk
 	// round trip is part of the pinned path.
@@ -93,16 +88,21 @@ func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, kind := range core.EngineKinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			eng := newEngine(t, m, kind)
+	t.Run("serial", func(t *testing.T) {
+		if err := rec2.Verify(m.Generate(rng.New(rec2.Seed), w)); err != nil {
+			t.Fatalf("serial re-decode diverges from the round-tripped record: %v", err)
+		}
+	})
+	for name, shards := range map[string]int{"batched": 1, "sharded": 2} {
+		t.Run(name, func(t *testing.T) {
+			eng := newEngine(t, m, shards)
 			defer eng.Close()
 			got, err := Replay(context.Background(), eng, rec2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := rec2.Verify(got); err != nil {
-				t.Fatalf("replay on %s diverges: %v", kind, err)
+				t.Fatalf("replay on %d shard(s) diverges: %v", shards, err)
 			}
 		})
 	}
@@ -114,13 +114,13 @@ func TestReplayWrongSeedDiverges(t *testing.T) {
 	m := replayModel(t)
 	start := m.Flavor.HistoryDays * trace.PeriodsPerDay
 	w := trace.Window{Start: start, End: start + 36}
-	eng := newEngine(t, m, core.EngineSerial)
+	eng := newEngine(t, m, 1)
 	defer eng.Close()
 	tr, err := eng.Generate(context.Background(), rng.New(5), w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecord("test", "serial", "f64", ModelTag(m), 5, w, 0, tr)
+	rec := NewRecord("test", core.EngineBatched, "f64", ModelTag(m), 5, w, 0, tr)
 	rec.Seed = 6
 	got, err := Replay(context.Background(), eng, rec)
 	if err != nil {

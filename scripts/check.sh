@@ -13,10 +13,12 @@
 #   - a pure-Go kernel tier (REPRO_NOASM under -race);
 #   - the packed-panel parity tier (REPRO_NOPACK under -race, and
 #     REPRO_NOPACK+REPRO_NOASM);
-#   - the allocation pins (decode round, fleet step, training window,
-#     par snapshot, Table 4 sweep), which run without -race;
+#   - the allocation pins (decode round, fleet step in all four
+#     {f64, f32} x {unpacked, packed} cells, training window, par
+#     snapshot, Table 4 sweep), which run without -race;
 #   - a short-budget fuzz tier over the untrusted decode surfaces;
-#   - the non-test line count of internal/{core,nn,mat} (scripts/loc.sh).
+#   - the line-count ratchet over internal/{core,nn,mat}
+#     (scripts/loc.sh fails when the tree outgrows its recorded ceiling).
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -40,9 +42,9 @@ GOMAXPROCS=4 go test -race \
 
 # Pure-Go kernel tier (DESIGN.md §6.4): REPRO_NOASM forces every
 # assembly kernel onto its portable fallback, so the bit-identity
-# contracts (f64 decode determinism, f32 cross-engine identity, GEMM
-# and activation parity) are proven on the exact code non-amd64 hosts
-# run — under -race, which the assembly paths cannot be.
+# contracts (f64 decode determinism, the f32 golden bits and shard
+# invariance, GEMM and activation parity) are proven on the exact code
+# non-amd64 hosts run — under -race, which the assembly paths cannot be.
 REPRO_NOASM=1 go test -race ./internal/mat ./internal/nn ./internal/core
 
 # Packed-panel parity tier (DESIGN.md §6.5): REPRO_NOPACK drops every
@@ -54,18 +56,20 @@ REPRO_NOASM=1 go test -race ./internal/mat ./internal/nn ./internal/core
 # floor every other configuration is measured against.
 REPRO_NOPACK=1 go test -race ./internal/mat ./internal/nn ./internal/core
 REPRO_NOPACK=1 REPRO_NOASM=1 go test \
-	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden' \
-	./internal/core .
+	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden|TestF32TraceGolden|TestFleet32LogitsGolden' \
+	./internal/core ./internal/nn .
 REPRO_NOPACK=1 go test -run 'TestHotReloadRepacksPanels' ./internal/server
 
-# Memory-discipline pins: the fleet round path, the fleet step kernel,
-# and the par Snapshot poll must stay allocation-free in steady state,
+# Memory-discipline pins: the fleet round path, the fleet step kernel at
+# both element types packed and unpacked (one generic body; its
+# per-type dispatches must not escape), and the par Snapshot poll must
+# stay allocation-free in steady state,
 # every BPTT fit's training window must allocate no more than the
 # flavor LSTM's, and the Table4 survival-MSE sweep must hold its
 # pooled-curve allocation budget (AllocsPerRun pins run without -race;
 # the race runtime's instrumentation allocates).
 go test -run 'TestTracingDisabledRoundAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/core
-go test -run 'TestFleetStepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
+go test -run 'TestFleetStepAllocFree|TestFleet32StepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
 go test -run 'TestTable4SurvivalAllocs' ./internal/experiments
 
@@ -84,4 +88,4 @@ else
 fi
 
 sh scripts/loc.sh
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + loc ratchet OK"
