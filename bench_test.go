@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -412,9 +411,11 @@ func BenchmarkGenerateTraceLSTM(b *testing.B) {
 }
 
 // benchGenerateBatch times the continuous-batching decode engine at a
-// fixed concurrent stream count; compare streams/s against the serial
-// BenchmarkGenerateTraceLSTM baseline (the ISSUE 4 acceptance bar is
-// ≥2× at 8 streams).
+// fixed concurrent stream count on one fleet (shards = 1: the
+// single-core baseline the Sharded rows are read against, which
+// GenerateBatch itself stopped being when it went to every core);
+// compare streams/s against the serial BenchmarkGenerateTraceLSTM
+// baseline (the ISSUE 4 acceptance bar is ≥2× at 8 streams).
 func benchGenerateBatch(b *testing.B, streams int) {
 	c := benchAzure(b)
 	m := c.Model()
@@ -426,7 +427,7 @@ func benchGenerateBatch(b *testing.B, streams int) {
 		for j := range gs {
 			gs[j] = g.Split()
 		}
-		m.GenerateBatch(gs, c.TestW)
+		m.GenerateBatchSharded(gs, c.TestW, 1)
 	}
 	b.ReportMetric(float64(b.N*streams)/b.Elapsed().Seconds(), "streams/s")
 }
@@ -510,7 +511,7 @@ func benchGenerateBatchF32(b *testing.B, streams int) {
 		for j := range gs {
 			gs[j] = g.Split()
 		}
-		m.GenerateBatchF32(gs, c.TestW)
+		m.GenerateBatchShardedF32(gs, c.TestW, 1)
 	}
 	b.ReportMetric(float64(b.N*streams)/b.Elapsed().Seconds(), "streams/s")
 }
@@ -585,7 +586,7 @@ func BenchmarkServeDecodeTracingOn(b *testing.B)  { benchServeDecode(b, true) }
 func benchEngineWave64(b *testing.B, shards int) {
 	c := benchAzure(b)
 	const streams = 64
-	eng, err := core.NewGenEngine(c.Model(), core.EngineSpec{Window: 2 * time.Millisecond, MaxBatch: streams, Shards: shards})
+	eng, err := core.NewGenEngine(c.Model(), core.EngineSpec{MaxBatch: streams, Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}

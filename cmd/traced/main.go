@@ -7,7 +7,7 @@
 //	traced [-addr :8080] [-cloud azure|huawei] [-days 9] [-seed 1]
 //	traced -model model.bin -flavors azure
 //	traced -journal run.jsonl -debug-addr :6060
-//	traced -batch-window 2ms -max-batch 64
+//	traced -max-batch 64
 //	traced -decode-shards 8
 //	traced -precision f32
 //	traced -checkpoint-dir ckpt/ -checkpoint-every 5 -resume
@@ -37,16 +37,17 @@
 // /generate requests.
 //
 // Concurrent POST /generate requests are coalesced into shared decode
-// batches (continuous batching, DESIGN.md §6.2): -batch-window is how
-// long a request waits for others to join its batch, -max-batch caps
-// the streams decoded together across all shards. The engine runs
-// -decode-shards continuous-batching schedulers — by default one per
-// core — behind a router that sends each request to the shard with the
-// fewest in flight (DESIGN.md §6.2); -decode-shards 1 is a single
-// scheduler. The startup and reload log lines and the decode.shards
-// gauge on GET /metrics report the count in use. Responses stay
-// byte-identical to serial decodes of the same seed regardless of
-// batching or shard count.
+// batches (continuous batching, DESIGN.md §6.2): a request joins the
+// streams its shard is already stepping in the round after it arrives
+// and never waits for company; -max-batch caps the streams decoded
+// together across all shards. The engine runs -decode-shards
+// continuous-batching schedulers — by default one per core — behind a
+// router that sends each request to the shard with the fewest in
+// flight (DESIGN.md §6.2); -decode-shards 1 is a single scheduler. The
+// startup and reload log lines and the decode.shards gauge on GET
+// /metrics report the count in use. Responses stay byte-identical to
+// serial decodes of the same seed regardless of batching or shard
+// count.
 //
 // -precision f32 serves through the float32 fast path (DESIGN.md
 // §6.4): the LSTM step GEMMs run on f32 weight slabs for higher
@@ -180,7 +181,6 @@ func main() {
 	modelPath := flag.String("model", "", "load a serialized model instead of training")
 	hidden := flag.Int("hidden", 24, "LSTM hidden units")
 	epochs := flag.Int("epochs", 40, "training epochs")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long /generate waits to coalesce concurrent requests into one decode batch")
 	maxBatch := flag.Int("max-batch", 64, "max concurrent decode streams, split evenly across the shards")
 	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards (0: one per core, at most -max-batch; 1: a single scheduler)")
 	precision := flag.String("precision", "f64", "decode numeric width: f64 (bit-exact reference) or f32 (fast path, validated at publish)")
@@ -355,7 +355,6 @@ func main() {
 
 	s := server.NewWithRegistry(model, cfg.Flavors, reg)
 	s.TrainInfo = trainInfo
-	s.BatchWindow = *batchWindow
 	s.MaxBatch = *maxBatch
 	s.DecodeShards = *decodeShards
 	s.Precision = *precision

@@ -35,13 +35,12 @@ func tinyGenModels() (*FlavorModel, *LifetimeModel) {
 	return fm, lm
 }
 
-// TestGenerationStepAllocFree pins the generation hot path: after the
-// pooled decoder states exist, one flavor-decode step and one
-// lifetime-hazard step must allocate nothing.
+// TestGenerationStepAllocFree pins the generation hot path: once the
+// decoder states exist, one flavor-decode step and one lifetime-hazard
+// step must allocate nothing.
 func TestGenerationStepAllocFree(t *testing.T) {
 	fm, lm := tinyGenModels()
-	fs := fm.acquireFlavorState()
-	defer fm.releaseFlavorState(fs)
+	fs := fm.newFlavorState()
 	fs.probs(0, 0) // size the step scratch
 	fs.observe(1)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -50,8 +49,7 @@ func TestGenerationStepAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("flavor decode step allocates %v times, want 0", allocs)
 	}
-	ls := lm.acquireLifetimeState()
-	defer lm.releaseLifetimeState(ls)
+	ls := lm.newLifetimeState()
 	step := LifetimeStep{Period: 1, Flavor: 1, BatchSize: 2}
 	ls.hazard(step, 0)
 	ls.observe(2, false)
@@ -63,52 +61,47 @@ func TestGenerationStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestPooledStateResetMatchesFresh verifies the sync.Pool recycling is
-// invisible: a reused (reset) decoder state must produce bit-identical
-// probabilities to a freshly constructed one.
+// TestPooledStateResetMatchesFresh verifies reset (what the
+// predictors' Reset reuses a state through) is invisible: a dirtied and
+// reset decoder state must produce bit-identical probabilities to a
+// freshly constructed one.
 func TestPooledStateResetMatchesFresh(t *testing.T) {
 	fm, lm := tinyGenModels()
 
-	// Dirty a state, release it, and re-acquire (usually the same
-	// object back; either way it must behave like new).
-	dirty := fm.acquireFlavorState()
+	reused := fm.newFlavorState()
 	for i := 0; i < 7; i++ {
-		dirty.probs(i%4, 0)
-		dirty.observe(i % (fm.K + 1))
+		reused.probs(i%4, 0)
+		reused.observe(i % (fm.K + 1))
 	}
-	fm.releaseFlavorState(dirty)
-	pooled := fm.acquireFlavorState()
-	defer fm.releaseFlavorState(pooled)
+	reused.reset()
 	fresh := fm.newFlavorState()
 	for i := 0; i < 5; i++ {
-		got := pooled.probs(i, 1)
+		got := reused.probs(i, 1)
 		want := fresh.probs(i, 1)
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("step %d: pooled probs[%d]=%v, fresh %v", i, j, got[j], want[j])
+				t.Fatalf("step %d: reused probs[%d]=%v, fresh %v", i, j, got[j], want[j])
 			}
 		}
-		pooled.observe(i % (fm.K + 1))
+		reused.observe(i % (fm.K + 1))
 		fresh.observe(i % (fm.K + 1))
 	}
 
-	ldirty := lm.acquireLifetimeState()
-	ldirty.hazard(LifetimeStep{Period: 0, Flavor: 1, BatchSize: 3}, 1)
-	ldirty.observe(4, true)
-	lm.releaseLifetimeState(ldirty)
-	lpooled := lm.acquireLifetimeState()
-	defer lm.releaseLifetimeState(lpooled)
+	lreused := lm.newLifetimeState()
+	lreused.hazard(LifetimeStep{Period: 0, Flavor: 1, BatchSize: 3}, 1)
+	lreused.observe(4, true)
+	lreused.reset()
 	lfresh := lm.newLifetimeState()
 	for i := 0; i < 5; i++ {
 		step := LifetimeStep{Period: i, Flavor: i % lm.K, BatchSize: 2}
-		got := lpooled.hazard(step, 0)
+		got := lreused.hazard(step, 0)
 		want := lfresh.hazard(step, 0)
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("step %d: pooled hazard[%d]=%v, fresh %v", i, j, got[j], want[j])
+				t.Fatalf("step %d: reused hazard[%d]=%v, fresh %v", i, j, got[j], want[j])
 			}
 		}
-		lpooled.observe(i%3, i%2 == 0)
+		lreused.observe(i%3, i%2 == 0)
 		lfresh.observe(i%3, i%2 == 0)
 	}
 }

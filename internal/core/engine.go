@@ -96,6 +96,7 @@ type genStream struct {
 	// per-round cost of disabled tracing is one pointer test. Spans are
 	// only written from the scheduler goroutine that owns the stream.
 	tr        *rtrace.Trace
+	submitted time.Time // when Engine.Generate was called
 	admitted  time.Time // when the scheduler admitted the stream
 	firstStep time.Time // first fleet round that stepped the stream
 	rounds    int64     // fleet rounds this stream participated in
@@ -307,7 +308,7 @@ func (m *Model) newFleets(capacity int, prec Precision) (flavor, lifetime nn.Ste
 func (e *fleetEngine) active() int { return len(e.streams) }
 
 // admit registers a stream and assigns its fleet rows (zero state, the
-// fresh-state condition of the pooled serial decoders).
+// fresh-state condition of the serial decoders).
 func (e *fleetEngine) admit(s *genStream) {
 	s.frow = e.ff.Admit()
 	s.lrow = e.lf.Admit()
@@ -390,9 +391,11 @@ func (e *fleetEngine) round() []*genStream {
 		}
 		if s.tr != nil {
 			// Close out the stream's span pair: coalesce covers admission
-			// to the first step (batch-window + shard-queue wait), decode
-			// covers the stepped rounds. A stream aborted before its first
-			// step gets an empty decode span anchored at retirement.
+			// to the first stepped round — the rest of the between-rounds
+			// drain, since a round in flight when the request arrived is
+			// queue time — and decode covers the stepped rounds. A stream
+			// aborted before its first step gets an empty decode span
+			// anchored at retirement.
 			now := time.Now()
 			first := s.firstStep
 			if first.IsZero() {
@@ -427,36 +430,24 @@ func (e *fleetEngine) round() []*genStream {
 const defaultMaxStreams = 64
 
 // GenerateBatch decodes one trace per RNG through the continuous
-// -batching engine. Each returned trace is byte-identical to
-// m.Generate(gs[i], w): streams are admitted in order up to the fleet
-// cap, retired as they finish, and replaced from the remaining queue
-// every step. Implements BatchGenerator.
+// -batching engine on every core (GenerateBatchSharded with one shard
+// per par worker). Each returned trace is byte-identical to
+// m.Generate(gs[i], w): per shard, streams are admitted in order up to
+// the fleet cap, retired as they finish, and replaced from the
+// remaining queue every step. Implements BatchGenerator.
 func (m *Model) GenerateBatch(gs []*rng.RNG, w trace.Window) []*trace.Trace {
-	out := make([]*trace.Trace, len(gs))
-	if len(gs) == 0 {
-		return out
-	}
-	m.PreparePacked()
-	m.decodeQueue(gs, 0, 1, w, out, PrecisionF64)
-	return out
+	return m.generateBatchSharded(gs, w, 0, PrecisionF64)
 }
 
 // GenerateBatchF32 is GenerateBatch on the float32 fast path: the same
 // continuous-batching schedule, but the fleet steps run on f32 weight
 // slabs (DESIGN.md §6.4). Results are deterministic per seed and
-// independent of batch composition — a one-stream call is the f32
-// oracle every f32 engine and shard count is tested against — but not
+// independent of batch composition and shard count — a one-stream call
+// is the f32 oracle every f32 engine is tested against — but not
 // byte-identical to the f64 path; ValidateF32 bounds the distributional
 // divergence.
 func (m *Model) GenerateBatchF32(gs []*rng.RNG, w trace.Window) []*trace.Trace {
-	out := make([]*trace.Trace, len(gs))
-	if len(gs) == 0 {
-		return out
-	}
-	m.PrepareF32()
-	m.PreparePackedF32()
-	m.decodeQueue(gs, 0, 1, w, out, PrecisionF32)
-	return out
+	return m.generateBatchSharded(gs, w, 0, PrecisionF32)
 }
 
 // decodeQueue decodes the streams gs[first], gs[first+stride], ... to
@@ -464,7 +455,7 @@ func (m *Model) GenerateBatchF32(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 // to the fleet cap, retired as they finish, and replaced from the
 // remainder every round. Each finished trace lands in out at the
 // stream's gs index, and no other slot of out is touched — which is
-// what lets GenerateBatchSharded run one queue per residue class
+// what lets generateBatchSharded run one queue per residue class
 // concurrently under the par contract.
 func (m *Model) decodeQueue(gs []*rng.RNG, first, stride int, w trace.Window, out []*trace.Trace, prec Precision) {
 	n := (len(gs) - first + stride - 1) / stride
@@ -497,57 +488,22 @@ type engineResult struct {
 	err error
 }
 
-type engineReq struct {
-	g     *rng.RNG
-	w     trace.Window
-	scale float64
-	ctx   context.Context
-	done  chan engineResult
-
-	// Tracing: tr is the request's trace (nil when untraced), submitted
-	// the instant Generate enqueued the request; admitReq turns the gap
-	// into the "queue" span.
-	tr        *rtrace.Trace
-	submitted time.Time
-}
-
-// newEngineReq builds a request, picking up the caller's trace from ctx.
-func newEngineReq(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) *engineReq {
-	req := &engineReq{g: g, w: w, scale: scale, ctx: ctx, done: make(chan engineResult, 1)}
-	if tr := rtrace.FromContext(ctx); tr != nil {
-		req.tr = tr
-		req.submitted = time.Now()
-	}
-	return req
-}
-
-// traceAdmit records the request's queue wait and hands the trace to
-// the admitted stream. The call site is the scheduler's admitReq, so
-// span writes stay on one goroutine per request.
-func (r *engineReq) traceAdmit(s *genStream) {
-	if r.tr == nil {
-		return
-	}
-	now := time.Now()
-	r.tr.Add("queue", r.submitted, now.Sub(r.submitted))
-	s.tr = r.tr
-	s.admitted = now
-}
-
 // Engine is the one serving decode scheduler: a goroutine that owns a
 // fleetEngine. Concurrent Generate calls coalesce into its fleet, each
 // stream advancing through the same batched step GEMMs while keeping
 // its own RNG (so every response is byte-identical to the serial path).
-// New requests join the running batch between steps; an idle engine
-// waits up to Window for more arrivals before stepping a fresh batch.
-// NewGenEngine runs one Engine per core behind engineRouter (shard.go).
+// Admission is continuous and is the only batching mechanism: requests
+// that have queued join the fleet between rounds, and an idle engine
+// steps a lone request in the round after it arrives — per-row cost is
+// flat in batch width (DESIGN.md §6.2), so waiting for company buys
+// nothing. NewGenEngine runs one Engine per core behind engineRouter
+// (shard.go).
 type Engine struct {
 	m        *Model
-	window   time.Duration
 	maxBatch int
 	prec     Precision
 
-	reqs chan *engineReq
+	reqs chan *genStream
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -567,11 +523,9 @@ func (m *Model) prepareDecode(prec Precision) {
 	}
 }
 
-// newEngine starts one scheduler goroutine at prec. window is how long
-// an idle engine waits for more requests before stepping (0: step
-// immediately; overlapping requests still coalesce); maxBatch caps
+// newEngine starts one scheduler goroutine at prec; maxBatch caps
 // concurrent streams (0: a default of 64).
-func newEngine(m *Model, window time.Duration, maxBatch int, prec Precision) *Engine {
+func newEngine(m *Model, maxBatch int, prec Precision) *Engine {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxStreams
 	}
@@ -581,10 +535,9 @@ func newEngine(m *Model, window time.Duration, maxBatch int, prec Precision) *En
 	m.prepareDecode(prec)
 	e := &Engine{
 		m:        m,
-		window:   window,
 		maxBatch: maxBatch,
 		prec:     prec,
-		reqs:     make(chan *engineReq, 4*maxBatch),
+		reqs:     make(chan *genStream, 4*maxBatch),
 		quit:     make(chan struct{}),
 	}
 	e.wg.Add(1)
@@ -603,25 +556,37 @@ func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	req := newEngineReq(ctx, g, w, scale)
+	if scale == 0 {
+		scale = 1
+	}
+	// A traced request's "queue" span starts here, so it still covers
+	// the stream set-up below.
+	tr := rtrace.FromContext(ctx)
+	var submitted time.Time
+	if tr != nil {
+		submitted = time.Now()
+	}
 	e.mu.RLock()
-	closed := e.closed
-	if !closed {
-		// Submitting under the read lock orders every send before
-		// Close's drain: a request either gets a result or
-		// ErrEngineClosed, never silence.
-		select {
-		case e.reqs <- req:
-		case <-ctx.Done():
-			e.mu.RUnlock()
-			return nil, ctx.Err()
-		}
+	if e.closed {
+		e.mu.RUnlock()
+		return nil, ErrEngineClosed // before the stream exists: g is untouched
+	}
+	// The stream's up-front draws and first-period set-up run here, on
+	// the caller's goroutine, so they never stall the streams the
+	// scheduler is stepping.
+	s := e.m.newGenStream(g, w, scale, ctx)
+	s.done, s.tr, s.submitted = make(chan engineResult, 1), tr, submitted
+	// Submitting under the read lock orders every send before Close's
+	// drain: a request either gets a result or ErrEngineClosed, never
+	// silence.
+	select {
+	case e.reqs <- s:
+	case <-ctx.Done():
+		e.mu.RUnlock()
+		return nil, ctx.Err()
 	}
 	e.mu.RUnlock()
-	if closed {
-		return nil, ErrEngineClosed
-	}
-	res := <-req.done
+	res := <-s.done
 	return res.tr, res.err
 }
 
@@ -655,44 +620,28 @@ func (e *Engine) isClosed() bool {
 	}
 }
 
-func (e *Engine) admitReq(fe *fleetEngine, r *engineReq) {
-	if r.ctx != nil && r.ctx.Err() != nil {
-		r.done <- engineResult{err: r.ctx.Err()}
+// admitReq moves a queued stream into the fleet unless its caller has
+// already gone away. It runs on the scheduler goroutine, which is what
+// keeps a traced stream's span writes on one goroutine: the time since
+// Generate was called becomes its "queue" span.
+func admitReq(fe *fleetEngine, s *genStream) {
+	if err := s.ctx.Err(); err != nil {
+		s.done <- engineResult{err: err}
 		return
 	}
-	scale := r.scale
-	if scale == 0 {
-		scale = 1
+	if s.tr != nil {
+		now := time.Now()
+		s.tr.Add("queue", s.submitted, now.Sub(s.submitted))
+		s.admitted = now
 	}
-	s := e.m.newGenStream(r.g, r.w, scale, r.ctx)
-	s.done = r.done
-	r.traceAdmit(s)
 	fe.admit(s)
 }
 
-// waitWindow collects arrivals for up to the configured window after
-// the first request lands on an idle engine, so near-simultaneous
-// requests share one batch from their very first step.
-func (e *Engine) waitWindow(fe *fleetEngine) {
-	if e.window <= 0 {
-		return
-	}
-	timer := time.NewTimer(e.window)
-	defer timer.Stop()
-	for fe.active() < e.maxBatch {
-		select {
-		case r := <-e.reqs:
-			e.admitReq(fe, r)
-		case <-timer.C:
-			return
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// loop is the scheduler: admit whatever has arrived (blocking only
-// when idle), run one fleet round, deliver retirements, repeat.
+// loop is the scheduler: block for a request only when the fleet is
+// empty, admit whatever else has queued without blocking, run one fleet
+// round, deliver retirements, repeat. The idle and the busy case share
+// the one non-blocking drain, so a lone request is stepped in the round
+// after it arrives and latecomers join between rounds.
 func (e *Engine) loop() {
 	defer e.wg.Done()
 	fe := newFleetEngine(e.m, e.maxBatch, e.prec)
@@ -702,20 +651,17 @@ func (e *Engine) loop() {
 			case <-e.quit:
 				e.drainQueue()
 				return
-			case r := <-e.reqs:
-				e.admitReq(fe, r)
-				e.waitWindow(fe)
+			case s := <-e.reqs:
+				admitReq(fe, s)
 			}
-		} else if !e.isClosed() {
-			// Continuous admission: latecomers join between steps.
-			admitting := true
-			for admitting && fe.active() < e.maxBatch {
-				select {
-				case r := <-e.reqs:
-					e.admitReq(fe, r)
-				default:
-					admitting = false
-				}
+		}
+		// A closed engine finishes what it holds and admits no more.
+		for admitting := !e.isClosed(); admitting && fe.active() < e.maxBatch; {
+			select {
+			case s := <-e.reqs:
+				admitReq(fe, s)
+			default:
+				admitting = false
 			}
 		}
 		for _, s := range fe.round() {
@@ -728,8 +674,8 @@ func (e *Engine) loop() {
 func (e *Engine) drainQueue() {
 	for {
 		select {
-		case r := <-e.reqs:
-			r.done <- engineResult{err: ErrEngineClosed}
+		case s := <-e.reqs:
+			s.done <- engineResult{err: ErrEngineClosed}
 		default:
 			return
 		}

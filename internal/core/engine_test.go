@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,7 +115,7 @@ func TestEngineConcurrentMatchesSerial(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := newEngine(m, time.Millisecond, 4, PrecisionF64)
+	e := newEngine(m, 4, PrecisionF64)
 	defer e.Close()
 	const n = 16
 	var wg sync.WaitGroup
@@ -152,7 +153,7 @@ func TestEngineScale(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := newEngine(m, 0, 8, PrecisionF64)
+	e := newEngine(m, 8, PrecisionF64)
 	defer e.Close()
 	tr, err := e.Generate(context.Background(), rng.New(42), w, 3)
 	if err != nil {
@@ -172,7 +173,7 @@ func TestEngineCancellation(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: 4 * trace.PeriodsPerDay}
-	e := newEngine(m, 0, 4, PrecisionF64)
+	e := newEngine(m, 4, PrecisionF64)
 	defer e.Close()
 
 	dead, cancel := context.WithCancel(context.Background())
@@ -209,20 +210,122 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
+// TestIdleEngineDoesNotWait pins the deleted coalescing window: an idle
+// engine steps a lone request in the round after it arrives, whatever
+// EngineSpec.Window says — the field is accepted and ignored. With the
+// window honoured this request would sit out the hour.
+func TestIdleEngineDoesNotWait(t *testing.T) {
+	m := shardTestModel()
+	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
+	eng, err := NewGenEngine(m, EngineSpec{Window: time.Hour, MaxBatch: 4, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got := make(chan engineResult, 1)
+	go func() {
+		tr, err := eng.Generate(ctx, rng.New(31), w, 0)
+		got <- engineResult{tr, err}
+	}()
+	select {
+	case res := <-got:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if !bytes.Equal(traceBytes(t, res.tr), traceBytes(t, m.Generate(rng.New(31), w))) {
+			t.Fatal("idle-engine trace differs from serial")
+		}
+	case <-ctx.Done():
+		t.Fatal("a lone request on an idle engine was still waiting after 10s")
+	}
+}
+
+// steppedCtx reports when the scheduler is stepping its stream: the
+// engine polls Err once at admission and once per round after that, so
+// the second call proves the stream is in the fleet.
+type steppedCtx struct {
+	context.Context
+	polls   atomic.Int32
+	stepped chan struct{}
+}
+
+func (c *steppedCtx) Err() error {
+	if c.polls.Add(1) == 2 {
+		close(c.stepped)
+	}
+	return c.Context.Err()
+}
+
+// TestLatecomerJoinsRunningBatch pins continuous admission, the one
+// batching mechanism: while a stream that cannot finish (400 days, held
+// until cancelled) is being stepped on a one-shard engine, a one-day
+// request must be admitted between rounds and return byte-identical to
+// serial before the held stream goes away.
+func TestLatecomerJoinsRunningBatch(t *testing.T) {
+	m := shardTestModel()
+	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	base, release := context.WithCancel(context.Background())
+	defer release()
+	held := &steppedCtx{Context: base, stepped: make(chan struct{})}
+	heldErr := make(chan error, 1)
+	go func() {
+		_, err := eng.Generate(held, rng.New(1), trace.Window{Start: 0, End: 400 * trace.PeriodsPerDay}, 0)
+		heldErr <- err
+	}()
+	select {
+	case <-held.stepped:
+	case err := <-heldErr:
+		t.Fatalf("held stream returned before it was cancelled: %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
+	tr, err := eng.Generate(ctx, rng.New(2), w, 0)
+	if err != nil {
+		t.Fatalf("latecomer did not join the running batch: %v", err)
+	}
+	if !bytes.Equal(traceBytes(t, tr), traceBytes(t, m.Generate(rng.New(2), w))) {
+		t.Fatal("latecomer trace differs from serial")
+	}
+	select {
+	case err := <-heldErr:
+		t.Fatalf("held stream returned before it was cancelled: %v", err)
+	default:
+	}
+	release()
+	if err := <-heldErr; err != context.Canceled {
+		t.Fatalf("held stream: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestEngineClose checks queued and post-Close requests fail with
-// ErrEngineClosed and Close is idempotent.
+// ErrEngineClosed, that a refused call leaves its RNG untouched (so the
+// caller can replay the same generator elsewhere), and that Close is
+// idempotent.
 func TestEngineClose(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := newEngine(m, 0, 2, PrecisionF64)
+	e := newEngine(m, 2, PrecisionF64)
 	if _, err := e.Generate(context.Background(), rng.New(1), w, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Generate(context.Background(), rng.New(2), w, 0); err != ErrEngineClosed {
+	g := rng.New(2)
+	if _, err := e.Generate(context.Background(), g, w, 0); err != ErrEngineClosed {
 		t.Fatalf("post-close: err = %v, want ErrEngineClosed", err)
+	}
+	if g.Int63() != rng.New(2).Int63() {
+		t.Fatal("a call refused with ErrEngineClosed consumed draws from its RNG")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -102,12 +101,6 @@ type FlavorModel struct {
 	K           int // number of flavors (EOB token index = K)
 	Temporal    features.Temporal
 	HistoryDays int
-
-	// statePool recycles decoding states across Generate calls (and
-	// concurrent server requests), so steady-state generation performs
-	// no per-call state allocation. Guarded by the pool itself;
-	// FlavorModel must be shared by pointer once generation starts.
-	statePool sync.Pool
 }
 
 // flavorInputDim returns the input feature dimensionality: previous
@@ -176,21 +169,6 @@ func (m *FlavorModel) newFlavorState() *flavorState {
 		out:   make([]float64, m.K+1),
 	}
 }
-
-// acquireFlavorState returns a pooled decoding state reset to the
-// fresh-state condition. Pair with releaseFlavorState so generation
-// stops allocating LSTM state per call once the pool is warm.
-func (m *FlavorModel) acquireFlavorState() *flavorState {
-	if s, ok := m.statePool.Get().(*flavorState); ok {
-		s.reset()
-		return s
-	}
-	return m.newFlavorState()
-}
-
-// releaseFlavorState recycles a state obtained from acquireFlavorState.
-// The caller must not use s afterwards.
-func (m *FlavorModel) releaseFlavorState(s *flavorState) { m.statePool.Put(s) }
 
 // reset restores the fresh-state condition: zero LSTM state, previous
 // token = EOB.

@@ -118,10 +118,8 @@ func (m *Model) maxJobs() int {
 // which reproduces a serial sweep exactly at any worker count.
 func (m *Model) Generate(g *rng.RNG, w trace.Window) *trace.Trace {
 	out := &trace.Trace{Flavors: &trace.FlavorSet{Defs: m.flavorDefs()}, Periods: w.Periods()}
-	fs := m.Flavor.acquireFlavorState()
-	defer m.Flavor.releaseFlavorState(fs)
-	ls := m.Lifetime.acquireLifetimeState()
-	defer m.Lifetime.releaseLifetimeState(ls)
+	fs := m.Flavor.newFlavorState()
+	ls := m.Lifetime.newLifetimeState()
 	eob := EOBToken(m.Flavor.K)
 	nextUser := 0
 	id := 0

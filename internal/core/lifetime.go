@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/mat"
@@ -23,10 +22,6 @@ type LifetimeModel struct {
 	Temporal    features.Temporal
 	LifeFeat    features.LifetimeFeatures
 	HistoryDays int
-
-	// statePool recycles decoding states across Generate calls (and
-	// concurrent server requests); see FlavorModel.statePool.
-	statePool sync.Pool
 }
 
 // lifetimeInputDim: temporal + current flavor one-hot + batch-size
@@ -155,20 +150,6 @@ func (m *LifetimeModel) newLifetimeState() *lifetimeState {
 		out:     make([]float64, m.Bins.J()),
 	}
 }
-
-// acquireLifetimeState returns a pooled decoding state reset to the
-// fresh-state condition. Pair with releaseLifetimeState.
-func (m *LifetimeModel) acquireLifetimeState() *lifetimeState {
-	if s, ok := m.statePool.Get().(*lifetimeState); ok {
-		s.reset()
-		return s
-	}
-	return m.newLifetimeState()
-}
-
-// releaseLifetimeState recycles a state obtained from
-// acquireLifetimeState. The caller must not use s afterwards.
-func (m *LifetimeModel) releaseLifetimeState(s *lifetimeState) { m.statePool.Put(s) }
 
 // reset restores the fresh-state condition: zero LSTM state, no
 // previous job.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/par"
@@ -80,9 +79,9 @@ func TestPrecisionRegistryMatrix(t *testing.T) {
 }
 
 // TestGenerateBatchF32ShardInvariance pins the f32 batch-composition
-// contract: sharded f32 decode is byte-identical to the flat f32 batch
-// at every shard count (the same invariance the f64 sharding rests
-// on).
+// contract: sharded f32 decode is byte-identical to the single-fleet
+// f32 batch at every shard count, the every-core default (0) included
+// (the same invariance the f64 sharding rests on).
 func TestGenerateBatchF32ShardInvariance(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
@@ -99,12 +98,12 @@ func TestGenerateBatchF32ShardInvariance(t *testing.T) {
 		}
 		return gs
 	}
-	ref := m.GenerateBatchF32(mkStreams(), w)
-	for _, shards := range []int{1, 2, 3, 4} {
+	ref := m.GenerateBatchShardedF32(mkStreams(), w, 1)
+	for _, shards := range []int{0, 2, 3, 4} {
 		out := m.GenerateBatchShardedF32(mkStreams(), w, shards)
 		for i := range out {
 			if !bytes.Equal(traceBytes(t, out[i]), traceBytes(t, ref[i])) {
-				t.Fatalf("shards=%d stream %d: sharded f32 trace differs from flat f32 batch", shards, i)
+				t.Fatalf("shards=%d stream %d: sharded f32 trace differs from the single-fleet f32 batch", shards, i)
 			}
 		}
 	}
@@ -184,7 +183,7 @@ func TestValidateF32RejectsStalePanels(t *testing.T) {
 func TestEngineF32ConcurrentDeterministic(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	eng, err := NewGenEngine(m, EngineSpec{Window: time.Millisecond, MaxBatch: 4, Precision: PrecisionF32})
+	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Precision: PrecisionF32})
 	if err != nil {
 		t.Fatal(err)
 	}

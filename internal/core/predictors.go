@@ -475,8 +475,7 @@ func EvaluateLifetime(pred LifetimePredictor, steps []LifetimeStep, bins surviva
 // test sequence under teacher forcing — the per-job survival curves used
 // by the Table 4 Survival-MSE evaluation.
 func (m *LifetimeModel) TeacherForcedHazards(steps []LifetimeStep, offset int) [][]float64 {
-	st := m.acquireLifetimeState()
-	defer m.releaseLifetimeState(st)
+	st := m.newLifetimeState()
 	out := make([][]float64, len(steps))
 	for i, step := range steps {
 		abs := offset + step.Period

@@ -33,9 +33,14 @@ const EngineBatched = "batched"
 
 // EngineSpec bundles the knobs NewGenEngine needs. Precision selects
 // the fleet numeric width ("" means f64, the bit-exact default).
+// Window is accepted and ignored: the idle coalescing wait it used to
+// set is deleted (continuous admission is the one batching mechanism,
+// DESIGN.md §6.2), and the field is still declared only because the
+// frozen repo benchmark sets it by name; it leaves with the next PR
+// allowed to edit bench/.
 type EngineSpec struct {
 	Kind      string        // "" or EngineBatched
-	Window    time.Duration // idle coalescing wait, per shard
+	Window    time.Duration // ignored; see above
 	MaxBatch  int           // concurrent streams across all shards; <= 0 means 64
 	Shards    int           // scheduler shards; <= 0 means one per par worker
 	Obs       *obs.Registry // sink for the decode.* shard gauges; may be nil

@@ -84,7 +84,7 @@ func TestTracedDecodeByteIdentity(t *testing.T) {
 func TestTracedSpansTileRequest(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
-	eng := newEngine(m, 0, 4, PrecisionF64)
+	eng := newEngine(m, 4, PrecisionF64)
 	defer eng.Close()
 	tc := rtrace.NewTracer(4)
 	_, fin := generateTraced(t, eng, tc, 777, w)
@@ -119,7 +119,7 @@ func findSpan(t *testing.T, f rtrace.Finished, name string) rtrace.Span {
 func TestTracedCancelledStream(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 4000 * trace.PeriodsPerDay} // effectively unbounded
-	eng := newEngine(m, 0, 4, PrecisionF64)
+	eng := newEngine(m, 4, PrecisionF64)
 	defer eng.Close()
 	tc := rtrace.NewTracer(4)
 	tr := tc.StartTrace()

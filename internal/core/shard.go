@@ -28,23 +28,22 @@ func shardCount(shards, slots int) int {
 	return min(shards, slots)
 }
 
-// GenerateBatchSharded decodes one trace per RNG like GenerateBatch,
-// but deals the streams round-robin by index across `shards` fleet
-// engines (<= 0: one per par worker) and runs the shard queues
-// concurrently through internal/par. Each returned trace is
-// byte-identical to m.Generate(gs[i], w) — and therefore to
-// GenerateBatch — at any shard count and any REPRO_PROCS: shard queues
-// write only their own streams' output slots, and per-stream bytes
-// never depend on batch composition.
+// GenerateBatchSharded decodes one trace per RNG: it deals the streams
+// round-robin by index across `shards` fleet engines (<= 0: one per par
+// worker, which is what GenerateBatch passes; 1: the single-fleet
+// reference) and runs the shard queues concurrently through
+// internal/par. Each returned trace is byte-identical to
+// m.Generate(gs[i], w) at any shard count and any REPRO_PROCS: shard
+// queues write only their own streams' output slots, and per-stream
+// bytes never depend on batch composition.
 func (m *Model) GenerateBatchSharded(gs []*rng.RNG, w trace.Window, shards int) []*trace.Trace {
 	return m.generateBatchSharded(gs, w, shards, PrecisionF64)
 }
 
 // GenerateBatchShardedF32 is GenerateBatchSharded on the float32 fast
 // path: identical sharding and scheduling, f32 fleet steps. Per-stream
-// results are byte-identical to GenerateBatchF32 at any shard count
-// (the f32 path keeps the batch-composition invariance the sharding
-// contract rests on).
+// results are byte-identical at any shard count (the f32 path keeps the
+// batch-composition invariance the sharding contract rests on).
 func (m *Model) GenerateBatchShardedF32(gs []*rng.RNG, w trace.Window, shards int) []*trace.Trace {
 	return m.generateBatchSharded(gs, w, shards, PrecisionF32)
 }
@@ -101,7 +100,7 @@ func newEngineRouter(m *Model, spec EngineSpec) *engineRouter {
 	}
 	reg.Gauge("decode.shards").Set(int64(k))
 	for i := range r.shards {
-		r.shards[i] = newEngine(m, spec.Window, perShard, spec.Precision)
+		r.shards[i] = newEngine(m, perShard, spec.Precision)
 	}
 	return r
 }

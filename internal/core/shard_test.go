@@ -171,7 +171,7 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	reg := obs.NewRegistry()
 	const shards = 3
-	e, err := NewGenEngine(m, EngineSpec{Window: time.Millisecond, MaxBatch: 6, Shards: shards, Obs: reg})
+	e, err := NewGenEngine(m, EngineSpec{MaxBatch: 6, Shards: shards, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ type CapacityResult struct {
 
 // sampleCPUSeries generates n traces and returns their total-CPU
 // series. Generators that support continuous batching decode all n
-// streams through shared step GEMMs; the rest sample in parallel from
-// pre-split RNG streams. Both paths produce the same traces as a
+// streams through shared step GEMMs, one fleet per core; the rest
+// sample in parallel from pre-split RNG streams. Both paths produce the same traces as a
 // serial run, sample for sample.
 func sampleCPUSeries(c *Cloud, gen core.Generator, n int, seed int64) [][]float64 {
 	gs := splitStreams(rng.New(seed), n)

@@ -24,7 +24,6 @@ func fuzzHandler(t testing.TB) http.Handler {
 		s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
 		s.MaxPeriods = 8
 		s.MaxScale = 4
-		s.BatchWindow = 0
 		fuzzH = s.Handler()
 	})
 	return fuzzH

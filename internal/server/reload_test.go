@@ -49,7 +49,6 @@ func TestHotReloadUnderLoadSharded(t *testing.T) {
 
 func testHotReloadUnderLoad(t *testing.T, configure func(*Server)) {
 	s := freshServer(t)
-	s.BatchWindow = 0
 	configure(s)
 	h := s.Handler()
 
@@ -113,7 +112,6 @@ func TestReloadWithEveryShardBusy(t *testing.T) {
 	s := freshServer(t)
 	const shards = 4
 	s.DecodeShards = shards
-	s.BatchWindow = 0
 	defer s.Close()
 	h := s.Handler()
 
@@ -182,7 +180,6 @@ func TestReloadWithEveryShardBusy(t *testing.T) {
 // packed panels. Run with -race via scripts/check.sh.
 func TestHotReloadRepacksPanels(t *testing.T) {
 	s := freshServer(t)
-	s.BatchWindow = 0
 	h := s.Handler()
 
 	const seed, periods = 5, 24
@@ -322,7 +319,6 @@ func TestReloadEndpoint(t *testing.T) {
 // not a panic or a hang).
 func TestPrecisionSurvivesReload(t *testing.T) {
 	s := freshServer(t)
-	s.BatchWindow = 0
 	s.Precision = string(core.PrecisionF32)
 	h := s.Handler()
 

@@ -81,9 +81,6 @@ type Server struct {
 	// ReloadFunc, if set, is invoked by POST /-/reload to produce a new
 	// serving snapshot; on success the server swaps to it atomically.
 	ReloadFunc func() (*core.Model, *trace.FlavorSet, error)
-	// BatchWindow is how long /generate waits for more requests to join
-	// its decode batch (default 2ms; set before the first request).
-	BatchWindow time.Duration
 	// MaxBatch caps concurrent decode streams across all shards (default
 	// 64; set before the first request).
 	MaxBatch int
@@ -151,7 +148,7 @@ type Server struct {
 	// Phase-level latency breakdown, fed from finished request traces
 	// (populated only while a Tracer is attached).
 	queueLat    *obs.Histogram // admission-queue wait
-	coalesceLat *obs.Histogram // batch-window / shard-queue coalesce wait
+	coalesceLat *obs.Histogram // admission to first stepped round
 	decodeLat   *obs.Histogram // fleet decode rounds
 }
 
@@ -171,7 +168,6 @@ func NewWithRegistry(model *core.Model, catalog *trace.FlavorSet, reg *obs.Regis
 		MaxScale:       1e6,
 		MaxStartPeriod: 1000 * 365 * trace.PeriodsPerDay,
 		MaxBodyBytes:   1 << 20,
-		BatchWindow:    2 * time.Millisecond,
 		MaxBatch:       64,
 		seeds:          rng.New(time.Now().UnixNano()),
 		started:        time.Now(),
@@ -195,7 +191,7 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // snapshot returns a consistent (model, catalog, engine) triple, lazily
 // building the configured decode engine for the current model on first
-// use (so BatchWindow/MaxBatch/DecodeShards/Precision can be tuned
+// use (so MaxBatch/DecodeShards/Precision can be tuned
 // after New). The same spec is used for engines rebuilt on hot-reload,
 // so the configuration survives Reload; a bad Precision surfaces here
 // as an error rather than at construction.
@@ -219,7 +215,6 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 // knobs at engine-build time.
 func (s *Server) engineSpec() core.EngineSpec {
 	return core.EngineSpec{
-		Window:    s.BatchWindow,
 		MaxBatch:  s.MaxBatch,
 		Shards:    s.DecodeShards,
 		Obs:       s.reg,
@@ -524,8 +519,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		ctx = rtrace.NewContext(ctx, rt)
 	}
 	// Decode through the shared continuous-batching engine: this request
-	// joins whatever batch forms within BatchWindow, but its dedicated
-	// seeded RNG keeps the result byte-identical to a serial decode.
+	// joins whatever streams its shard is already stepping, but its
+	// dedicated seeded RNG keeps the result byte-identical to a serial
+	// decode.
 	// If a hot reload swaps the engine while this request is still
 	// queued, the engine fails it with ErrEngineClosed and the loop
 	// replays it on the new engine with a fresh RNG at the same seed —

@@ -345,7 +345,6 @@ func TestMetricsShardGauges(t *testing.T) {
 	s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
 	const shards = 2
 	s.DecodeShards = shards
-	s.BatchWindow = 0
 	defer s.Close()
 	h := s.Handler()
 

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"regexp"
 	"testing"
-	"time"
 
 	"repro/internal/fidelity"
 	"repro/internal/obs"
@@ -23,7 +22,6 @@ func tracedServer(t *testing.T, withFidelity bool) (*Server, *obs.Registry) {
 	reg := obs.NewRegistry()
 	s := NewWithRegistry(base.currentModel(), base.catalog, reg)
 	s.DecodeShards = 2
-	s.BatchWindow = time.Millisecond
 	s.Tracer = rtrace.NewTracer(16)
 	if withFidelity {
 		ref := fidelity.ReferenceFromTrace(

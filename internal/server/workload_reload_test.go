@@ -32,7 +32,6 @@ func TestWorkloadSpecSurvivesHotReloadUnderLoad(t *testing.T) {
 	}
 
 	s := freshServer(t)
-	s.BatchWindow = 0
 	// The spec-driven scenario: its compiled catalog is the serving
 	// catalog and its summary is echoed on /metrics. (The mixed preset
 	// rides the azure16 catalog, so the shared test model's flavor

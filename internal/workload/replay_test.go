@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -47,7 +46,6 @@ func replayModel(t testing.TB) *core.Model {
 func newEngine(t *testing.T, m *core.Model, shards int) core.GenEngine {
 	t.Helper()
 	eng, err := core.NewGenEngine(m, core.EngineSpec{
-		Window:   time.Millisecond,
 		MaxBatch: 4,
 		Shards:   shards,
 	})

@@ -17,6 +17,8 @@
 #     {f64, f32} x {unpacked, packed} cells, training window, par
 #     snapshot, Table 4 sweep), which run without -race;
 #   - a short-budget fuzz tier over the untrusted decode surfaces;
+#   - the repo benchmark's -quick smoke on each workload (the frozen
+#     harness exits non-zero when an output digest no longer matches);
 #   - the line-count ratchet over internal/{core,nn,mat}
 #     (scripts/loc.sh fails when the tree outgrows its recorded ceiling).
 # Run from the repository root: scripts/check.sh
@@ -87,5 +89,13 @@ else
 	echo "check.sh: go toolchain lacks -fuzz; skipping fuzz tier"
 fi
 
+# Repo-benchmark smoke: bench/ is frozen between benchmark PRs and calls
+# exported names across internal/*, so a PR that changes an API or a
+# byte it digests should learn so here, not from the pipeline. -quick
+# runs each workload once (< 1 s) and exits non-zero on `correct: false`.
+for w in serve_day serve_open_mixed bulk_mc64 train_fit; do
+	go run ./bench -workload "$w" -quick >/dev/null
+done
+
 sh scripts/loc.sh
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + loc ratchet OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + bench smoke + loc ratchet OK"

@@ -8,10 +8,14 @@
 # which are the totals of the last PR that lowered them. A PR that
 # shrinks the tree lowers the ceilings to its own totals; a PR that must
 # grow it raises them in the same diff and says why in CHANGES.md.
+#
+# The last line is the module-wide non-test Go count outside bench/
+# (the frozen benchmark harness): printed, not gated, so deletions
+# outside internal/{core,nn,mat} show up somewhere too.
 # Run from the repository root: scripts/loc.sh
 set -eu
 
-ceiling_go=8877
+ceiling_go=8783
 ceiling_asm=695
 
 total_go=0
@@ -25,6 +29,8 @@ for pkg in core nn mat; do
 	total_asm=$((total_asm + asm_lines))
 done
 printf 'loc: %-14s %6d go %5d asm (ceiling %d go %d asm)\n' total "$total_go" "$total_asm" "$ceiling_go" "$ceiling_asm"
+module_go=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
+printf 'loc: %-14s %6d go (every non-test .go file outside bench/; not gated)\n' module "$module_go"
 if [ "$total_go" -gt "$ceiling_go" ] || [ "$total_asm" -gt "$ceiling_asm" ]; then
 	echo "loc.sh: internal/{core,nn,mat} grew past its ceiling" >&2
 	exit 1
