@@ -425,8 +425,10 @@ func (e *fleetEngine) round() []*genStream {
 }
 
 // defaultMaxStreams bounds how many streams decode concurrently in one
-// fleet; past ~64 rows the step GEMMs stop gaining from extra batch
-// and the admission wave just delays first results.
+// fleet. It is a memory and fairness cap, not a throughput knob: a
+// step's cost per row is flat at any batch width (ROADMAP, "the
+// batching puzzle"), so a wider fleet decodes no faster and a larger
+// admission wave just delays first results.
 const defaultMaxStreams = 64
 
 // GenerateBatch decodes one trace per RNG through the continuous

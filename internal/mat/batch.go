@@ -86,6 +86,47 @@ func gemmRaw[T float32 | float64](dst, a, b []T, m, kk, n int) {
 	}
 }
 
+// rowSum adds the listed terms of one input row into one dst row:
+// dst[j] += x[k]·b[k*n+j] for k = idx[0], idx[1], … (ascending, all
+// x[k] != 0, len(idx) > 0) and every j in [0, n), n = len(dst). A term
+// with x[k] == 1 adds the b row as it is — multiplying by 1.0 is exact,
+// so skipping it changes no bit — and any other value is a separately
+// rounded multiply and add. The AVX2 kernel of T keeps a block of dst
+// columns in registers across the whole list, so dst is loaded and
+// stored once per block instead of once per term; the loop below is the
+// same per-element operation sequence, as the portable body (all
+// columns) and as the assembly's scalar column tail.
+func rowSum[T float32 | float64](dst, x, b []T, idx []uint8) {
+	n := len(dst)
+	nv := 0
+	if useBatchASM {
+		if nv = n &^ (lanes[T]() - 1); nv > 0 {
+			switch d := any(dst).(type) {
+			case []float64:
+				rowSumAVX2(&d[0], &any(x).([]float64)[0], &any(b).([]float64)[0], n, &idx[0], len(idx))
+			case []float32:
+				rowSum32AVX2(&d[0], &any(x).([]float32)[0], &any(b).([]float32)[0], n, &idx[0], len(idx))
+			}
+		}
+	}
+	if nv == n {
+		return
+	}
+	tail := dst[nv:]
+	for _, k := range idx {
+		v, brow := x[k], b[int(k)*n+nv:int(k)*n+n]
+		if v == 1 {
+			for j, bv := range brow {
+				tail[j] += bv
+			}
+		} else {
+			for j, bv := range brow {
+				tail[j] += v * bv
+			}
+		}
+	}
+}
+
 // ExpSlice sets dst[i] = math.Exp(x[i]) for every i, bit-for-bit —
 // including overflow to +Inf, denormal and underflow results, and the
 // NaN/±Inf special cases. dst and x may alias exactly. On amd64 with

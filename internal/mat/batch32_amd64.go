@@ -10,6 +10,13 @@ package mat
 //go:noescape
 func gemm32AVX2(dst, a, b *float32, m, k, n int)
 
+// rowSum32AVX2 is rowSumAVX2 in float32: eight lanes, up to 96 dst
+// columns in registers, columns [0, n&^7). Implemented in
+// batch32_amd64.s.
+//
+//go:noescape
+func rowSum32AVX2(dst, x, b *float32, n int, idx *uint8, cnt int)
+
 // sigmoid32AVX2 sets dst[i] = 1/(1+exp(-x[i])) for i in [0, n), n a
 // positive multiple of 8, bit-identical to the portable sigmoid32 in
 // act32.go. Implemented in batch32_amd64.s.

@@ -277,3 +277,192 @@ sp8k:
 	JNZ          sp8row
 	VZEROUPPER
 	RET
+
+// func rowSum32AVX2(dst, x, b *float32, n int, idx *uint8, cnt int)
+//
+// The layer-0 row-sum kernel (DESIGN.md §6.2): dst[j] += Σ_e x[k]·b[k*n+j],
+// k = idx[e] for e ascending in [0, cnt), over columns [0, n&^7), in
+// 96-column blocks of twelve accumulators, then 32- and 8-column blocks.
+// A block stays in registers across the whole list. A term whose x[k]
+// is exactly 1.0 is a bare VADDPS; any other is VMULPS then VADDPS, never
+// FMA. cnt must be positive.
+TEXT ·rowSum32AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), R10
+	MOVQ R10, R11 // R11 = (n &^ 7) * 4: column limit, bytes
+	ANDQ $-8, R11
+	SHLQ $2, R11
+	SHLQ $2, R10  // R10 = n*4: b row stride, bytes
+	XORQ BX, BX   // j, bytes
+
+srj96:
+	LEAQ 384(BX), AX
+	CMPQ AX, R11
+	JGT  srj32
+	VMOVUPS (DI)(BX*1), Y0
+	VMOVUPS 32(DI)(BX*1), Y1
+	VMOVUPS 64(DI)(BX*1), Y2
+	VMOVUPS 96(DI)(BX*1), Y3
+	VMOVUPS 128(DI)(BX*1), Y4
+	VMOVUPS 160(DI)(BX*1), Y5
+	VMOVUPS 192(DI)(BX*1), Y6
+	VMOVUPS 224(DI)(BX*1), Y7
+	VMOVUPS 256(DI)(BX*1), Y8
+	VMOVUPS 288(DI)(BX*1), Y9
+	VMOVUPS 320(DI)(BX*1), Y10
+	VMOVUPS 352(DI)(BX*1), Y11
+	LEAQ    (DX)(BX*1), R13 // &b[0][j]
+	MOVQ    idx+32(FP), R8
+	MOVQ    cnt+40(FP), R9
+
+srk96:
+	MOVBLZX (R8), AX
+	LEAQ    (SI)(AX*4), CX // &x[k]
+	IMULQ   R10, AX
+	ADDQ    R13, AX         // &b[k][j]
+	CMPL    (CX), $0x3F800000 // bits of 1.0
+	JNE     srm96
+	VADDPS  (AX), Y0, Y0
+	VADDPS  32(AX), Y1, Y1
+	VADDPS  64(AX), Y2, Y2
+	VADDPS  96(AX), Y3, Y3
+	VADDPS  128(AX), Y4, Y4
+	VADDPS  160(AX), Y5, Y5
+	VADDPS  192(AX), Y6, Y6
+	VADDPS  224(AX), Y7, Y7
+	VADDPS  256(AX), Y8, Y8
+	VADDPS  288(AX), Y9, Y9
+	VADDPS  320(AX), Y10, Y10
+	VADDPS  352(AX), Y11, Y11
+
+srn96:
+	INCQ R8
+	DECQ R9
+	JNZ  srk96
+	VMOVUPS Y0, (DI)(BX*1)
+	VMOVUPS Y1, 32(DI)(BX*1)
+	VMOVUPS Y2, 64(DI)(BX*1)
+	VMOVUPS Y3, 96(DI)(BX*1)
+	VMOVUPS Y4, 128(DI)(BX*1)
+	VMOVUPS Y5, 160(DI)(BX*1)
+	VMOVUPS Y6, 192(DI)(BX*1)
+	VMOVUPS Y7, 224(DI)(BX*1)
+	VMOVUPS Y8, 256(DI)(BX*1)
+	VMOVUPS Y9, 288(DI)(BX*1)
+	VMOVUPS Y10, 320(DI)(BX*1)
+	VMOVUPS Y11, 352(DI)(BX*1)
+	ADDQ    $384, BX
+	JMP     srj96
+
+srm96:
+	VBROADCASTSS (CX), Y12
+	VMULPS       (AX), Y12, Y13
+	VADDPS       Y13, Y0, Y0
+	VMULPS       32(AX), Y12, Y14
+	VADDPS       Y14, Y1, Y1
+	VMULPS       64(AX), Y12, Y13
+	VADDPS       Y13, Y2, Y2
+	VMULPS       96(AX), Y12, Y14
+	VADDPS       Y14, Y3, Y3
+	VMULPS       128(AX), Y12, Y13
+	VADDPS       Y13, Y4, Y4
+	VMULPS       160(AX), Y12, Y14
+	VADDPS       Y14, Y5, Y5
+	VMULPS       192(AX), Y12, Y13
+	VADDPS       Y13, Y6, Y6
+	VMULPS       224(AX), Y12, Y14
+	VADDPS       Y14, Y7, Y7
+	VMULPS       256(AX), Y12, Y13
+	VADDPS       Y13, Y8, Y8
+	VMULPS       288(AX), Y12, Y14
+	VADDPS       Y14, Y9, Y9
+	VMULPS       320(AX), Y12, Y13
+	VADDPS       Y13, Y10, Y10
+	VMULPS       352(AX), Y12, Y14
+	VADDPS       Y14, Y11, Y11
+	JMP          srn96
+
+srj32:
+	LEAQ 128(BX), AX
+	CMPQ AX, R11
+	JGT  srj8
+	VMOVUPS (DI)(BX*1), Y0
+	VMOVUPS 32(DI)(BX*1), Y1
+	VMOVUPS 64(DI)(BX*1), Y2
+	VMOVUPS 96(DI)(BX*1), Y3
+	LEAQ    (DX)(BX*1), R13 // &b[0][j]
+	MOVQ    idx+32(FP), R8
+	MOVQ    cnt+40(FP), R9
+
+srk32:
+	MOVBLZX (R8), AX
+	LEAQ    (SI)(AX*4), CX // &x[k]
+	IMULQ   R10, AX
+	ADDQ    R13, AX         // &b[k][j]
+	CMPL    (CX), $0x3F800000 // bits of 1.0
+	JNE     srm32
+	VADDPS  (AX), Y0, Y0
+	VADDPS  32(AX), Y1, Y1
+	VADDPS  64(AX), Y2, Y2
+	VADDPS  96(AX), Y3, Y3
+
+srn32:
+	INCQ R8
+	DECQ R9
+	JNZ  srk32
+	VMOVUPS Y0, (DI)(BX*1)
+	VMOVUPS Y1, 32(DI)(BX*1)
+	VMOVUPS Y2, 64(DI)(BX*1)
+	VMOVUPS Y3, 96(DI)(BX*1)
+	ADDQ    $128, BX
+	JMP     srj32
+
+srm32:
+	VBROADCASTSS (CX), Y12
+	VMULPS       (AX), Y12, Y13
+	VADDPS       Y13, Y0, Y0
+	VMULPS       32(AX), Y12, Y14
+	VADDPS       Y14, Y1, Y1
+	VMULPS       64(AX), Y12, Y13
+	VADDPS       Y13, Y2, Y2
+	VMULPS       96(AX), Y12, Y14
+	VADDPS       Y14, Y3, Y3
+	JMP          srn32
+
+srj8:
+	LEAQ 32(BX), AX
+	CMPQ AX, R11
+	JGT  srdone
+	VMOVUPS (DI)(BX*1), Y0
+	LEAQ    (DX)(BX*1), R13 // &b[0][j]
+	MOVQ    idx+32(FP), R8
+	MOVQ    cnt+40(FP), R9
+
+srk8:
+	MOVBLZX (R8), AX
+	LEAQ    (SI)(AX*4), CX // &x[k]
+	IMULQ   R10, AX
+	ADDQ    R13, AX         // &b[k][j]
+	CMPL    (CX), $0x3F800000 // bits of 1.0
+	JNE     srm8
+	VADDPS  (AX), Y0, Y0
+
+srn8:
+	INCQ R8
+	DECQ R9
+	JNZ  srk8
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     srj8
+
+srm8:
+	VBROADCASTSS (CX), Y12
+	VMULPS       (AX), Y12, Y13
+	VADDPS       Y13, Y0, Y0
+	JMP          srn8
+
+srdone:
+	VZEROUPPER
+	RET

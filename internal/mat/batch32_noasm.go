@@ -10,6 +10,10 @@ func gemm32AVX2(dst, a, b *float32, m, k, n int) {
 	panic("mat: gemm32AVX2 without assembly kernel")
 }
 
+func rowSum32AVX2(dst, x, b *float32, n int, idx *uint8, cnt int) {
+	panic("mat: rowSum32AVX2 without assembly kernel")
+}
+
 func sigmoid32AVX2(dst, x *float32, n int) {
 	panic("mat: sigmoid32AVX2 without assembly kernel")
 }

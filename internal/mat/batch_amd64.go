@@ -29,6 +29,17 @@ func gemmAVX2(dst, a, b *float64, m, k, n int)
 //go:noescape
 func expAVX2(dst, x *float64, n int)
 
+// rowSumAVX2 is the layer-0 row-sum kernel (mulAddSparseRows): for the
+// cnt > 0 listed columns k = idx[e] of one input row x, ascending, it
+// adds x[k]·b[k*n+j] into dst[j] for j in [0, n&^3), holding up to 48
+// dst columns in registers across the whole list. x[k] == 1 is a bare
+// VADDPD (the product with 1.0 is exact, so it is skipped); any other
+// value is VMULPD then VADDPD, never FMA. Columns n&^3..n-1 are the
+// caller's job. Implemented in batch_amd64.s.
+//
+//go:noescape
+func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int)
+
 // gemmPacked16AVX2 accumulates one 16-column packed panel tile into dst
 // for m activation rows: dst[i*n+j] += Σ_k a[i*k+k′]·p[k′*16+j], j in
 // [0, 16), with dst addressed at the tile's first column. Same

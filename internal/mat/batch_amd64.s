@@ -414,3 +414,193 @@ p4k:
 	JNZ          p4row
 	VZEROUPPER
 	RET
+
+// func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int)
+//
+// The layer-0 row-sum kernel (DESIGN.md §6.2): dst[j] += Σ_e x[k]·b[k*n+j],
+// k = idx[e] for e ascending in [0, cnt), over columns [0, n&^3), in
+// 48-column blocks of twelve accumulators, then 16- and 4-column blocks.
+// A block stays in registers across the whole list. A term whose x[k]
+// is exactly 1.0 is a bare VADDPD; any other is VMULPD then VADDPD, never
+// FMA. cnt must be positive.
+TEXT ·rowSumAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), R10
+	MOVQ $0x3FF0000000000000, R12 // bits of 1.0
+	MOVQ R10, R11 // R11 = (n &^ 3) * 8: column limit, bytes
+	ANDQ $-4, R11
+	SHLQ $3, R11
+	SHLQ $3, R10  // R10 = n*8: b row stride, bytes
+	XORQ BX, BX   // j, bytes
+
+rj48:
+	LEAQ 384(BX), AX
+	CMPQ AX, R11
+	JGT  rj16
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD 32(DI)(BX*1), Y1
+	VMOVUPD 64(DI)(BX*1), Y2
+	VMOVUPD 96(DI)(BX*1), Y3
+	VMOVUPD 128(DI)(BX*1), Y4
+	VMOVUPD 160(DI)(BX*1), Y5
+	VMOVUPD 192(DI)(BX*1), Y6
+	VMOVUPD 224(DI)(BX*1), Y7
+	VMOVUPD 256(DI)(BX*1), Y8
+	VMOVUPD 288(DI)(BX*1), Y9
+	VMOVUPD 320(DI)(BX*1), Y10
+	VMOVUPD 352(DI)(BX*1), Y11
+	LEAQ    (DX)(BX*1), R13 // &b[0][j]
+	MOVQ    idx+32(FP), R8
+	MOVQ    cnt+40(FP), R9
+
+rk48:
+	MOVBLZX (R8), AX
+	LEAQ    (SI)(AX*8), CX // &x[k]
+	IMULQ   R10, AX
+	ADDQ    R13, AX         // &b[k][j]
+	CMPQ    (CX), R12
+	JNE     rm48
+	VADDPD  (AX), Y0, Y0
+	VADDPD  32(AX), Y1, Y1
+	VADDPD  64(AX), Y2, Y2
+	VADDPD  96(AX), Y3, Y3
+	VADDPD  128(AX), Y4, Y4
+	VADDPD  160(AX), Y5, Y5
+	VADDPD  192(AX), Y6, Y6
+	VADDPD  224(AX), Y7, Y7
+	VADDPD  256(AX), Y8, Y8
+	VADDPD  288(AX), Y9, Y9
+	VADDPD  320(AX), Y10, Y10
+	VADDPD  352(AX), Y11, Y11
+
+rn48:
+	INCQ R8
+	DECQ R9
+	JNZ  rk48
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	VMOVUPD Y4, 128(DI)(BX*1)
+	VMOVUPD Y5, 160(DI)(BX*1)
+	VMOVUPD Y6, 192(DI)(BX*1)
+	VMOVUPD Y7, 224(DI)(BX*1)
+	VMOVUPD Y8, 256(DI)(BX*1)
+	VMOVUPD Y9, 288(DI)(BX*1)
+	VMOVUPD Y10, 320(DI)(BX*1)
+	VMOVUPD Y11, 352(DI)(BX*1)
+	ADDQ    $384, BX
+	JMP     rj48
+
+rm48:
+	VBROADCASTSD (CX), Y12
+	VMULPD       (AX), Y12, Y13
+	VADDPD       Y13, Y0, Y0
+	VMULPD       32(AX), Y12, Y14
+	VADDPD       Y14, Y1, Y1
+	VMULPD       64(AX), Y12, Y13
+	VADDPD       Y13, Y2, Y2
+	VMULPD       96(AX), Y12, Y14
+	VADDPD       Y14, Y3, Y3
+	VMULPD       128(AX), Y12, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       160(AX), Y12, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       192(AX), Y12, Y13
+	VADDPD       Y13, Y6, Y6
+	VMULPD       224(AX), Y12, Y14
+	VADDPD       Y14, Y7, Y7
+	VMULPD       256(AX), Y12, Y13
+	VADDPD       Y13, Y8, Y8
+	VMULPD       288(AX), Y12, Y14
+	VADDPD       Y14, Y9, Y9
+	VMULPD       320(AX), Y12, Y13
+	VADDPD       Y13, Y10, Y10
+	VMULPD       352(AX), Y12, Y14
+	VADDPD       Y14, Y11, Y11
+	JMP          rn48
+
+rj16:
+	LEAQ 128(BX), AX
+	CMPQ AX, R11
+	JGT  rj4
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD 32(DI)(BX*1), Y1
+	VMOVUPD 64(DI)(BX*1), Y2
+	VMOVUPD 96(DI)(BX*1), Y3
+	LEAQ    (DX)(BX*1), R13 // &b[0][j]
+	MOVQ    idx+32(FP), R8
+	MOVQ    cnt+40(FP), R9
+
+rk16:
+	MOVBLZX (R8), AX
+	LEAQ    (SI)(AX*8), CX // &x[k]
+	IMULQ   R10, AX
+	ADDQ    R13, AX         // &b[k][j]
+	CMPQ    (CX), R12
+	JNE     rm16
+	VADDPD  (AX), Y0, Y0
+	VADDPD  32(AX), Y1, Y1
+	VADDPD  64(AX), Y2, Y2
+	VADDPD  96(AX), Y3, Y3
+
+rn16:
+	INCQ R8
+	DECQ R9
+	JNZ  rk16
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	VMOVUPD Y2, 64(DI)(BX*1)
+	VMOVUPD Y3, 96(DI)(BX*1)
+	ADDQ    $128, BX
+	JMP     rj16
+
+rm16:
+	VBROADCASTSD (CX), Y12
+	VMULPD       (AX), Y12, Y13
+	VADDPD       Y13, Y0, Y0
+	VMULPD       32(AX), Y12, Y14
+	VADDPD       Y14, Y1, Y1
+	VMULPD       64(AX), Y12, Y13
+	VADDPD       Y13, Y2, Y2
+	VMULPD       96(AX), Y12, Y14
+	VADDPD       Y14, Y3, Y3
+	JMP          rn16
+
+rj4:
+	LEAQ 32(BX), AX
+	CMPQ AX, R11
+	JGT  rdone
+	VMOVUPD (DI)(BX*1), Y0
+	LEAQ    (DX)(BX*1), R13 // &b[0][j]
+	MOVQ    idx+32(FP), R8
+	MOVQ    cnt+40(FP), R9
+
+rk4:
+	MOVBLZX (R8), AX
+	LEAQ    (SI)(AX*8), CX // &x[k]
+	IMULQ   R10, AX
+	ADDQ    R13, AX         // &b[k][j]
+	CMPQ    (CX), R12
+	JNE     rm4
+	VADDPD  (AX), Y0, Y0
+
+rn4:
+	INCQ R8
+	DECQ R9
+	JNZ  rk4
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	JMP     rj4
+
+rm4:
+	VBROADCASTSD (CX), Y12
+	VMULPD       (AX), Y12, Y13
+	VADDPD       Y13, Y0, Y0
+	JMP          rn4
+
+rdone:
+	VZEROUPPER
+	RET

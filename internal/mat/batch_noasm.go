@@ -12,6 +12,10 @@ func gemmAVX2(dst, a, b *float64, m, k, n int) {
 	panic("mat: gemmAVX2 without assembly kernel")
 }
 
+func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int) {
+	panic("mat: rowSumAVX2 without assembly kernel")
+}
+
 func expAVX2(dst, x *float64, n int) {
 	panic("mat: expAVX2 without assembly kernel")
 }

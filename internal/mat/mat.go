@@ -136,8 +136,8 @@ func Mul(dst, a, b *Dense) {
 
 // MulAdd computes dst += a * b with the dense kernel, row-parallel
 // above the size threshold, with no per-element zero test (dense data
-// makes that branch a mispredict; sparse inputs such as one-hot feature
-// rows should call MulAddSparse instead). Every path accumulates each
+// makes that branch a mispredict; layer-0 feature encodings — one-hots,
+// thermometers — call MulAddSparse instead). Every path accumulates each
 // dst element's k terms in ascending order with a separately rounded
 // multiply and add, so the dispatch below can never change a bit.
 func MulAdd(dst, a, b *Dense) {
@@ -169,11 +169,17 @@ func MulAdd(dst, a, b *Dense) {
 	})
 }
 
-// MulAddSparse computes dst += a * b, skipping zero elements of a. It
-// is the right kernel when a's rows are mostly zero (one-hot token and
-// feature encodings); on dense data the per-element branch mispredicts
-// and MulAdd is faster. The decode fleets call it one row at a time, at
-// either element type, which always takes the serial path.
+// MulAddSparse computes dst += a * b, skipping zero elements of a: each
+// row of a is scanned once for its non-zeros and the selected rows of b
+// are summed into dst by the row-sum kernel (rowSum), so a row costs
+// what its non-zeros cost — a 61-of-151 thermometer row as much as a
+// one-hot — and a fully dense row costs the dense product plus the
+// scan. It is the layer-0 kernel of every forward path. On finite b the
+// result is MulAdd's bit for bit when dst holds no -0 (a skipped term
+// would have added ±0; every dst element still takes its kept terms in
+// ascending k); on a non-finite b element the skipped 0·Inf terms are
+// the one difference. Row-parallel above the size threshold, like
+// MulAdd.
 func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddSparse shape mismatch %v * %v -> %v", a, b, dst))
@@ -188,19 +194,47 @@ func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 	})
 }
 
+// MulAddSparseBatched is MulAddSparse on the calling goroutine at any
+// size, allocation-free — what MulAddBatched is to MulAdd, for the
+// decode fleets' layer 0.
+func MulAddSparseBatched[T float32 | float64](dst, a, b *Matrix[T]) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MulAddSparseBatched shape mismatch %v * %v -> %v", a, b, dst))
+	}
+	mulAddSparseRows(dst, a, b, 0, a.Rows)
+}
+
+// sparseChunk is how many columns of a row are scanned per rowSum call:
+// a chunk's non-zero columns fit a uint8 index list on the stack, so
+// the kernel needs no heap and no scratch parameter. Chunks run in
+// ascending order and dst round-trips through memory exactly between
+// them, so chunking cannot reorder an element's sum.
+const sparseChunk = 256
+
 // mulAddSparseRows computes dst[lo:hi] += a[lo:hi] * b skipping zero
 // a-elements. Named helper rather than a closure hoisted above the
 // serial/parallel branch, so the serial fast path stays allocation-free.
 func mulAddSparseRows[T float32 | float64](dst, a, b *Matrix[T], lo, hi int) {
 	n := b.Cols
+	var idx [sparseChunk]uint8
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+		for k0 := 0; k0 < len(arow); k0 += sparseChunk {
+			x := arow[k0:min(k0+sparseChunk, len(arow))]
+			// Store every column, keep the non-zero ones: the conditional
+			// increment compiles branch-free, and where a row's runs of ones
+			// begin and end is not something a predictor can learn.
+			cnt := 0
+			for k, v := range x {
+				idx[uint8(cnt)] = uint8(k)
+				if v != 0 {
+					cnt++
+				}
 			}
-			axpy(av, b.Data[k*n:k*n+n], drow)
+			if cnt > 0 {
+				rowSum(drow, x, b.Data[k0*n:], idx[:cnt])
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -103,5 +105,58 @@ func BenchmarkGRUStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.StepForward(x, st)
+	}
+}
+
+// BenchmarkFleetStepShapes steps the two decode networks of the 9-day
+// fixture with the rows their encoders produce, because a step's cost
+// is set by layer 0's non-zeros and the two differ fivefold: the flavor
+// LSTM (57-wide input: previous-token one-hot + temporal, 12 non-zero)
+// and the lifetime LSTM (fleetLifetimeShape: 151-wide, 53–61 non-zero).
+// Rows 1 and 64 bracket the engine's batch widths; ns/op is one Step.
+func BenchmarkFleetStepShapes(b *testing.B) {
+	flavorShape := Config{InputDim: 57, HiddenDim: 24, Layers: 2, OutputDim: 17}
+	shapes := []struct {
+		name string
+		cfg  Config
+		row  func(dst []float64, s, t int)
+	}{
+		{"flavor", flavorShape, func(dst []float64, s, t int) {
+			clear(dst)
+			dst[(s+t)%17] = 1 // previous token
+			u := 7*s + 3*t
+			dst[17+u%24] = 1 // hour of day
+			dst[41+u%7] = 1  // day of week
+			for j := 48; j < 57; j++ {
+				dst[j] = 1 // generation encodes the last history day
+			}
+		}},
+		{"lifetime", fleetLifetimeShape, lifetimeRow},
+	}
+	for _, sh := range shapes {
+		net := NewLSTM(sh.cfg, rng.New(1))
+		for _, rows := range []int{1, 64} {
+			for _, c := range fleetCells {
+				prec, ok := strings.CutSuffix(c.name, "/packed")
+				if !ok {
+					continue // the engines serve the packed fleets
+				}
+				b.Run(fmt.Sprintf("%s/rows%d/%s", sh.name, rows, prec), func(b *testing.B) {
+					f := c.fleet(net, rows)
+					batch := make([]int, rows)
+					for s := range batch {
+						batch[s] = f.Admit()
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for s := range batch {
+							sh.row(f.InputRow(s), s, i)
+						}
+						f.Step(batch)
+					}
+				})
+			}
+		}
 	}
 }

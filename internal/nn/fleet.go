@@ -30,7 +30,7 @@ type StepFleet interface {
 // stepLayer is one layer's step weights. Gate order within the 4H
 // dimension is input, forget, cell (g), output, as in lstmLayer.
 type stepLayer[T float32 | float64] struct {
-	first  bool           // layer 0: input may be a sparse feature encoding
+	first  bool           // layer 0: the input is a feature encoding, stepped by row sums
 	wx, wh *mat.Matrix[T] // [in x 4H], [H x 4H]
 	b      []T            // [4H]
 }
@@ -95,9 +95,11 @@ type PackedLSTM[T float32 | float64] struct {
 	wy     *mat.Packed[T] // [H x OutputDim]
 }
 
-// packedLayer holds one layer's panel-packed step matrices.
+// packedLayer holds one layer's panel-packed step matrices. Layer 0
+// has no wx panel: its input product is a row sum over the row-major
+// matrix (Fleet.Step), so a panel would never be read.
 type packedLayer[T float32 | float64] struct {
-	wx, wh *mat.Packed[T] // [in x 4H], [H x 4H]
+	wx, wh *mat.Packed[T] // [in x 4H] (nil on layer 0), [H x 4H]
 }
 
 // Fleet32 and PackedLSTM32 name the float32 instantiations.
@@ -109,7 +111,11 @@ type (
 func (w *stepWeights[T]) pack() *PackedLSTM[T] {
 	p := &PackedLSTM[T]{wy: w.wy.Pack()}
 	for _, l := range w.layers {
-		p.layers = append(p.layers, packedLayer[T]{l.wx.Pack(), l.wh.Pack()})
+		pl := packedLayer[T]{wh: l.wh.Pack()}
+		if !l.first {
+			pl.wx = l.wx.Pack()
+		}
+		p.layers = append(p.layers, pl)
 	}
 	return p
 }
@@ -134,8 +140,8 @@ func (n *LSTM32) Pack() *PackedLSTM32 { return n.w.pack() }
 // MulAddBatched — accumulates each output element's k-terms in
 // ascending order regardless of batch size, blocking, or worker count;
 // the vectorized gate activations compute exactly the scalar loop's
-// operations (vecact.go); and layer 0 re-applies StepForward's
-// sparse-row dispatch so skip-zero kernel choices match row for row.
+// operations (vecact.go); and layer 0 runs StepForward's skip-zero
+// row-sum kernel on every row, so the two skip the same terms.
 // A Fleet[float32] step keeps every one of those properties among f32
 // steps — deterministic, and independent of which other streams share
 // the batch — and gives up only bit-parity with the f64 path: state
@@ -172,14 +178,10 @@ type Fleet[T float32 | float64] struct {
 	z      *mat.Matrix[T]   // [cap x 4H]
 
 	// Preallocated view headers so Step performs no allocation: k-row
-	// prefixes of the scratch slabs plus 1-row cursors for the layer-0
-	// per-row dispatch (rx on the f64 staging row, which decides sparse
-	// vs dense at either element type).
-	xv, yv       mat.Dense
+	// prefixes of the staging and scratch slabs.
+	yv           mat.Dense
 	xtv, ytv, zv mat.Matrix[T]
 	ghv, gcv     []mat.Matrix[T]
-	rx           mat.Dense
-	rxt, rz      mat.Matrix[T]
 
 	// Gate-loop scratch, one hidden row each: the tanh(c) output, and
 	// the exp arguments of the f64 tanh (vecact.go; unused at float32).
@@ -339,13 +341,6 @@ func viewRows[T float32 | float64](v, m *mat.Matrix[T], k int) *mat.Matrix[T] {
 	return v
 }
 
-// viewRow points header v at row i of m.
-func viewRow[T float32 | float64](v, m *mat.Matrix[T], i int) *mat.Matrix[T] {
-	v.Rows, v.Cols = 1, m.Cols
-	v.Data = m.Row(i)
-	return v
-}
-
 // activate and tanh are the gate activations, the one part of a step
 // that is a different algorithm per element type. At float64 they are
 // vecact.go's kernels, which reproduce StepForward's math.Exp-based
@@ -462,13 +457,12 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 		}
 	}
 
-	in64 := viewRows(&f.xv, f.x, k)
 	in := viewRows(&f.xtv, f.xt, k)
 	if f.cast {
 		// Narrow the staged f64 inputs once; the one-hot and bounded-scalar
 		// encodings the decode path feeds are exactly representable, so
 		// this rounds nothing in practice.
-		for i, v := range in64.Data {
+		for i, v := range f.x.Data[:len(in.Data)] {
 			in.Data[i] = T(v)
 		}
 	}
@@ -479,26 +473,15 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 			pw = &f.panels.layers[l]
 		}
 		Z.Zero()
-		if layer.first {
-			// Replicate StepForward's per-row kernel dispatch: each
-			// stream's staged f64 input chooses sparse vs dense exactly as
-			// its serial step would. Sparse rows read the unpacked matrix
-			// (the skip-zero kernel needs row-major B); dense rows take
-			// the panel, which computes identical bits.
-			for i := 0; i < k; i++ {
-				xr := viewRow(&f.rxt, in, i)
-				zr := viewRow(&f.rz, Z, i)
-				if sparseEnough(viewRow(&f.rx, in64, i)) {
-					mat.MulAddSparse(zr, xr, layer.wx)
-				} else if pw != nil {
-					mat.MulAddPacked(zr, xr, pw.wx)
-				} else {
-					mat.MulAddBatched(zr, xr, layer.wx)
-				}
-			}
-		} else if pw != nil {
+		switch {
+		case layer.first:
+			// Layer 0 sums the weight rows its input selects, as
+			// StepForward does — every row, sparse or not, packed fleet or
+			// not (the row-sum kernel reads the row-major matrix).
+			mat.MulAddSparseBatched(Z, in, layer.wx)
+		case pw != nil:
 			mat.MulAddPacked(Z, in, pw.wx)
-		} else {
+		default:
 			mat.MulAddBatched(Z, in, layer.wx)
 		}
 		H := viewRows(&f.ghv[l], f.gh[l], k)

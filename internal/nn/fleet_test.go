@@ -15,6 +15,44 @@ func fleetTestNet() *LSTM {
 	return NewLSTM(Config{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5}, rng.New(7))
 }
 
+// fleetLifetimeShape is the lifetime/hazard LSTM of the 9-day fixture:
+// a 151-wide input (40 temporal + 16 flavor one-hot + 1 batch-size
+// scalar + 2×47 previous-lifetime columns) that lifetimeRow fills the
+// way core's encoder does — one-hots and survival ("thermometer") runs,
+// ~40 % non-zero, all of them 1.0 but the scalar. Every decode round of
+// a lifetime-phase stream steps this shape.
+var fleetLifetimeShape = Config{InputDim: 151, HiddenDim: 24, Layers: 2, OutputDim: 47}
+
+// fleetNets are the networks of the per-stream identity, alloc-pin and
+// concurrent-shard tests: the small mixed one-hot / dense protocol net
+// and the lifetime shape.
+func fleetNets() []*LSTM {
+	return []*LSTM{fleetTestNet(), NewLSTM(fleetLifetimeShape, rng.New(7))}
+}
+
+// lifetimeRow writes a lifetime-shaped step input for stream s at step
+// t: 53–61 non-zeros of 151, as features.LifetimeFeatures encodes a
+// terminated previous job (bins 0..b survived, bins b.. terminated).
+// No RNG, so the alloc pins can call it inside the measured loop.
+func lifetimeRow(dst []float64, s, t int) {
+	clear(dst)
+	u := 7*s + 3*t
+	dst[u%24] = 1   // hour of day
+	dst[24+u%7] = 1 // day of week
+	for j := 0; j <= u%9; j++ {
+		dst[31+j] = 1 // history day, survival-encoded
+	}
+	dst[40+u%16] = 1                       // flavor
+	dst[56] = math.Log1p(float64(1 + u%5)) // batch size: the one real-valued column
+	bin := (5 * u) % 47
+	for j := 0; j <= bin; j++ {
+		dst[57+j] = 1 // previous lifetime bin, survival-encoded
+	}
+	for j := bin; j < 47; j++ {
+		dst[104+j] = 1 // previous termination indicators
+	}
+}
+
 // fleetCell is one {element type} × {weight layout} instantiation of
 // the fleet. The protocol tests below are written once against
 // StepFleet and run over the cells, so the f32 and the packed fleets
@@ -65,9 +103,15 @@ func forFleetCells(t *testing.T, pattern string, body func(t *testing.T, c fleet
 }
 
 // fleetInput writes a deterministic step input for stream s at step t.
-// Odd streams get one-hot rows (sparse kernel dispatch), even streams
-// dense rows, so both layer-0 paths are exercised in one batch.
+// On the lifetime shape every stream gets a lifetime-shaped row. On any
+// other, odd streams get one-hot rows and even streams dense rows, so
+// one batch mixes the cheapest and the costliest input of layer 0's
+// row-sum kernel.
 func fleetInput(dst []float64, s, t int) {
+	if len(dst) == fleetLifetimeShape.InputDim {
+		lifetimeRow(dst, s, t)
+		return
+	}
 	clear(dst)
 	if s%2 == 1 {
 		dst[(s+t)%len(dst)] = 1
@@ -93,7 +137,12 @@ func checkLogits(t *testing.T, what string, got, want []float64) {
 // one shared fleet and asserts every logit is bit-identical to the same
 // stream advanced alone by the cell's reference decoder.
 func testFleetMatchesSolo(t *testing.T, c fleetCell) {
-	net := fleetTestNet()
+	for _, net := range fleetNets() {
+		testFleetMatchesSoloOn(t, c, net)
+	}
+}
+
+func testFleetMatchesSoloOn(t *testing.T, c fleetCell, net *LSTM) {
 	const streams = 6
 	f := c.fleet(net, streams)
 	solo := make([]func([]float64) []float64, streams)
@@ -226,32 +275,41 @@ func TestFleet32RetireCompaction(t *testing.T) {
 func testFleetStepAllocFree(t *testing.T, c fleetCell) {
 	defer par.SetProcs(par.SetProcs(1))
 	const streams = 8
-	f := c.fleet(fleetTestNet(), streams)
-	batch := make([]int, streams)
-	for s := 0; s < streams; s++ {
-		batch[s] = f.Admit()
-	}
-	for i := range batch {
-		fleetInput(f.InputRow(i), i, 0)
-	}
-	f.Step(batch) // warm the scratch
-	if allocs := testing.AllocsPerRun(100, func() {
+	for _, net := range fleetNets() {
+		f := c.fleet(net, streams)
+		batch := make([]int, streams)
+		for s := 0; s < streams; s++ {
+			batch[s] = f.Admit()
+		}
 		for i := range batch {
-			// Alloc-free input refresh (fleetInput's dense branch seeds
-			// an RNG, which allocates); half one-hot, half dense.
-			in := f.InputRow(i)
-			clear(in)
-			if i%2 == 1 {
-				in[i%len(in)] = 1
-			} else {
-				for j := range in {
-					in[j] = float64(i*7+j) * 0.125
+			fleetInput(f.InputRow(i), i, 0)
+		}
+		f.Step(batch) // warm the scratch
+		step := 0
+		if allocs := testing.AllocsPerRun(100, func() {
+			step++
+			for i := range batch {
+				// Alloc-free input refresh (fleetInput's dense branch seeds
+				// an RNG, which allocates): lifetime-shaped rows on that
+				// shape, else half one-hot, half dense.
+				in := f.InputRow(i)
+				if len(in) == fleetLifetimeShape.InputDim {
+					lifetimeRow(in, i, step)
+					continue
+				}
+				clear(in)
+				if i%2 == 1 {
+					in[i%len(in)] = 1
+				} else {
+					for j := range in {
+						in[j] = float64(i*7+j) * 0.125
+					}
 				}
 			}
+			f.Step(batch)
+		}); allocs != 0 {
+			t.Fatalf("%+v: fleet step allocates %v times, want 0", net.Cfg, allocs)
 		}
-		f.Step(batch)
-	}); allocs != 0 {
-		t.Fatalf("fleet step allocates %v times, want 0", allocs)
 	}
 }
 
@@ -273,15 +331,17 @@ func TestFleetPackedStepAllocFree(t *testing.T) {
 // fleetShapes are the network shapes of the layout- and
 // precision-parity tests: small ones that exercise the wide tiles, the
 // narrow cleanup tiles and the head's scalar column tail at both
-// element types, then the library default (hidden 48 × 2) and the
+// element types, then the library default (hidden 48 × 2), the
 // paper's network (hidden 200 × 2), where the gate slab outgrows L1 and
-// the panels are measured to win.
+// the panels are measured to win, and the lifetime shape with its
+// lifetime-shaped rows.
 var fleetShapes = []Config{
 	{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5},
 	{InputDim: 7, HiddenDim: 5, Layers: 2, OutputDim: 3},
 	{InputDim: 11, HiddenDim: 12, Layers: 1, OutputDim: 17},
 	{InputDim: 30, HiddenDim: 48, Layers: 2, OutputDim: 17},
 	{InputDim: 30, HiddenDim: 200, Layers: 2, OutputDim: 17},
+	fleetLifetimeShape,
 }
 
 // testFleetPackedMatchesUnpacked pins byte-identity between a packed
@@ -416,7 +476,12 @@ func TestFleetSlabsCacheAligned(t *testing.T) {
 // the "distinct Fleets may be stepped concurrently" contract.
 func TestFleetConcurrentShards(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(8))
-	net := fleetTestNet()
+	for _, net := range fleetNets() {
+		testFleetConcurrentShards(t, net)
+	}
+}
+
+func testFleetConcurrentShards(t *testing.T, net *LSTM) {
 	const shards = 4
 	const streams = 3 // per shard
 	const rounds = 30
@@ -454,9 +519,45 @@ func TestFleetConcurrentShards(t *testing.T) {
 	}
 	for k, b := range bad {
 		if b {
-			t.Fatalf("shard %d diverged from serial StepForward under concurrent stepping", k)
+			t.Fatalf("%+v: shard %d diverged from serial StepForward under concurrent stepping", net.Cfg, k)
 		}
 	}
+}
+
+// TestFleetSkipsNonFiniteWeightsLikeStepForward pins why the serial
+// oracle and the fleets had to move to the row-sum kernel together: a
+// zero input never touches its layer-0 weight row, so non-finite values
+// in rows no input selects stay out of both decoders' sums, and the
+// engine's logits stay finite and bit-identical to StepForward's — on
+// unpacked and packed fleets alike (a dense product would turn every
+// gate of both into NaN).
+func TestFleetSkipsNonFiniteWeightsLikeStepForward(t *testing.T) {
+	net := NewLSTM(fleetLifetimeShape, rng.New(7))
+	// Columns 47..55 are flavors 7..15; the streams below stay on flavors
+	// 0..6 (lifetimeRow: 7s+3t mod 16 for s = 0, t < 3 is 0, 3, 6), so no
+	// input selects these weight rows.
+	wx := net.layers[0].wx.Value
+	for k := 47; k < 56; k++ {
+		wx.Row(k)[k] = math.Inf(1 - 2*(k%2))
+		wx.Row(k)[k+1] = math.NaN()
+	}
+	forFleetCells(t, "f64", func(t *testing.T, c fleetCell) {
+		f := c.fleet(net, 1)
+		row := f.Admit()
+		st := net.NewState(1)
+		ref := make([]float64, net.Cfg.InputDim)
+		for step := 0; step < 3; step++ {
+			lifetimeRow(f.InputRow(0), 0, step)
+			lifetimeRow(ref, 0, step)
+			got, want := f.Step([]int{row}).Row(0), net.StepForward(ref, st)
+			checkLogits(t, fmt.Sprintf("step %d", step), got, want)
+			for j, v := range got {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("step %d logit %d = %v: an unselected weight row reached the sum", step, j, v)
+				}
+			}
+		}
+	})
 }
 
 // TestFleetAdmitZeroState checks a freshly admitted stream behaves as

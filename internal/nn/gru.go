@@ -177,7 +177,7 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 		// zh = hPrev Wh per step (candidate recurrent term needs the
 		// reset gate applied after Wh's n-block, so blocks stay split).
 		ZX := ar.slab(T*b, 3*h, true)
-		if layer.first && sparseEnough(layerX) {
+		if layer.first {
 			mat.MulAddSparse(ZX, layerX, layer.wx.Value)
 		} else {
 			mat.MulAdd(ZX, layerX, layer.wx.Value)
@@ -352,7 +352,7 @@ func (n *GRU) StepForward(x []float64, st *GRUState) []float64 {
 	for l, layer := range n.layers {
 		zx, zh := st.zx, st.zh
 		zx.Zero()
-		if layer.first && sparseEnough(in) {
+		if layer.first {
 			mat.MulAddSparse(zx, in, layer.wx.Value)
 		} else {
 			mat.MulAdd(zx, in, layer.wx.Value)

@@ -92,7 +92,7 @@ func refLSTMPass(n *LSTM, xs []*mat.Dense, st *State, dys []*mat.Dense) *refLSTM
 		G, O := mat.NewDense(T*b, h), mat.NewDense(T*b, h)
 		TC := mat.NewDense(T*b, h)
 		Z := mat.NewDense(T*b, 4*h)
-		refMulAdd(Z, layerX, layer.wx.Value, layer.first && sparseEnough(layerX))
+		refMulAdd(Z, layerX, layer.wx.Value, layer.first)
 		for t := 0; t < T; t++ {
 			zt := Z.SliceRows(t*b, (t+1)*b)
 			refMulAdd(zt, H.SliceRows(t*b, (t+1)*b), layer.wh.Value, false)
@@ -199,7 +199,7 @@ func refGRUPass(n *GRU, xs []*mat.Dense, st *GRUState, dys []*mat.Dense) *refGRU
 		R, Zg := mat.NewDense(T*b, h), mat.NewDense(T*b, h)
 		Cc, RH := mat.NewDense(T*b, h), mat.NewDense(T*b, h)
 		ZX := mat.NewDense(T*b, 3*h)
-		refMulAdd(ZX, layerX, layer.wx.Value, layer.first && sparseEnough(layerX))
+		refMulAdd(ZX, layerX, layer.wx.Value, layer.first)
 		mat.AddBiasRows(ZX, layer.b.Value.Row(0))
 		zh := mat.NewDense(b, 3*h)
 		for t := 0; t < T; t++ {

@@ -259,11 +259,7 @@ func (t *Transformer) Forward(x *mat.Dense) (*mat.Dense, *tCache) {
 	cache := ar.tCacheFor(len(t.blocks))
 	cache.T, cache.input = T, x
 	h := ar.slab(T, d, true)
-	if sparseEnough(x) {
-		mat.MulAddSparse(h, x, t.wEmb.Value)
-	} else {
-		mat.MulAdd(h, x, t.wEmb.Value)
-	}
+	mat.MulAddSparse(h, x, t.wEmb.Value)
 	mat.AddBiasRows(h, t.bEmb.Value.Row(0))
 	for i := 0; i < T; i++ {
 		mat.Axpy(1, t.pos.Value.Row(i), h.Row(i))

@@ -155,6 +155,26 @@ awk '
 					n, pk[n], np[n], pk[n] / np[n]
 	}' "$TMP"
 
+# Step cost by network (DESIGN.md §6.2): one Fleet.Step of the flavor
+# LSTM and of the lifetime LSTM on the rows their encoders produce, per
+# row. Layer 0 costs what its input's non-zeros cost (12 of 57 against
+# 53-61 of 151), and the repo benchmark's nn.fleet_step_us_* probes
+# step only the flavor net with a one-hot row, so this is the one place
+# the lifetime step's cost is visible.
+awk '
+	/^BenchmarkFleetStepShapes\// {
+		name = $1; sub(/-[0-9]+$/, "", name)
+		split(name, p, "/"); rows = p[3]; sub(/^rows/, "", rows)
+		us[p[2] "/" p[3] "/" p[4]] = $3 / 1000 / rows
+	}
+	END {
+		for (k in us) if (k ~ /^lifetime\//) {
+			f = k; sub(/^lifetime/, "flavor", f)
+			if (f in us)
+				printf "bench.sh: fleet step us/row %s: lifetime %.2f vs flavor %.2f\n", substr(k, 10), us[k], us[f]
+		}
+	}' "$TMP"
+
 # Last-wins dedup by row name: the iteration-floor decode re-runs above
 # append rows whose names collide with the single-shot rows from the
 # main block; keep only the final occurrence of each name (order

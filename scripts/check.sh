@@ -16,7 +16,8 @@
 #   - the allocation pins (decode round, fleet step in all four
 #     {f64, f32} x {unpacked, packed} cells, training window, par
 #     snapshot, Table 4 sweep), which run without -race;
-#   - a short-budget fuzz tier over the untrusted decode surfaces;
+#   - a short-budget fuzz tier over the untrusted decode surfaces and
+#     the packed and row-sum kernels;
 #   - the repo benchmark's -quick smoke on each workload (the frozen
 #     harness exits non-zero when an output digest no longer matches);
 #   - the line-count ratchet over internal/{core,nn,mat}
@@ -83,6 +84,7 @@ if go help testflag 2>/dev/null | grep -q -- '-fuzz '; then
 	go test -run '^$' -fuzz 'FuzzSnapshotDecodeF32$' -fuzztime 10s ./internal/core
 	go test -run '^$' -fuzz FuzzGenerateRequest -fuzztime 10s ./internal/server
 	go test -run '^$' -fuzz FuzzMulAddPacked -fuzztime 10s ./internal/mat
+	go test -run '^$' -fuzz FuzzMulAddSparse -fuzztime 10s ./internal/mat
 	go test -run '^$' -fuzz 'FuzzWorkloadSpec$' -fuzztime 10s ./internal/workload
 	go test -run '^$' -fuzz 'FuzzTraceReplay$' -fuzztime 10s ./internal/workload
 else

@@ -15,8 +15,8 @@
 # Run from the repository root: scripts/loc.sh
 set -eu
 
-ceiling_go=8783
-ceiling_asm=695
+ceiling_go=8866
+ceiling_asm=1074
 
 total_go=0
 total_asm=0
