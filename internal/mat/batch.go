@@ -13,9 +13,9 @@ import (
 // layer; they instead vectorize within one core (AVX2 on amd64, with a
 // register-blocked pure-Go fallback elsewhere). Every kernel here is
 // bit-identical to its reference counterpart — MulAdd for the GEMM,
-// math.Exp for ExpSlice — which is what lets the batched decode path
-// promise byte-identical traces to serial decode (see the exactness
-// tests in batch_test.go).
+// math.Exp and math.Tanh for ExpSlice, SigmoidSlice and TanhSlice —
+// which is what lets the batched decode path promise byte-identical
+// traces to serial decode (see the exactness tests in batch_test.go).
 
 // useBatchASM gates the assembly kernels. It is a variable (not a
 // const) so exactness tests can force the fallback path; outside tests
@@ -130,21 +130,95 @@ func rowSum[T float32 | float64](dst, x, b []T, idx []uint8) {
 // ExpSlice sets dst[i] = math.Exp(x[i]) for every i, bit-for-bit —
 // including overflow to +Inf, denormal and underflow results, and the
 // NaN/±Inf special cases. dst and x may alias exactly. On amd64 with
-// AVX2+FMA the bulk runs four lanes at a time through a vector
-// transcription of math.Exp's FMA path; everywhere else (and for the
-// length tail) it calls math.Exp.
+// AVX2+FMA every element, the length tail included, runs through a
+// four-lane transcription of math.Exp's FMA path (vec4); everywhere
+// else it calls math.Exp.
 func ExpSlice(dst, x []float64) {
 	if len(dst) != len(x) {
 		panic("mat: ExpSlice length mismatch")
 	}
-	i := 0
 	if useBatchASM {
-		if n4 := len(x) &^ 3; n4 > 0 {
-			expAVX2(&dst[0], &x[0], n4)
-			i = n4
-		}
+		vec4(exp4, dst, x)
+		return
 	}
-	for ; i < len(x); i++ {
-		dst[i] = math.Exp(x[i])
+	for i, v := range x {
+		dst[i] = math.Exp(v)
+	}
+}
+
+// kernel4 names one of the four-lane f64 activation kernels. vec4 takes
+// the name, not a func value, so its calls are direct and its stack
+// vector does not escape.
+type kernel4 int
+
+const (
+	exp4 kernel4 = iota
+	sigmoid4
+	tanh4
+)
+
+func (k kernel4) run(dst, x *float64, n int) {
+	switch k {
+	case exp4:
+		expAVX2(dst, x, n)
+	case sigmoid4:
+		sigmoidAVX2(dst, x, n)
+	case tanh4:
+		tanhAVX2(dst, x, n)
+	}
+}
+
+// vec4 runs kernel k over x: the whole vectors in place, then the last
+// len(x)%4 elements through a zero-padded stack vector (the kernels
+// take whole vectors only, and 0 is an ordinary input to all of them),
+// so no element falls back to a scalar call.
+func vec4(k kernel4, dst, x []float64) {
+	n4 := len(x) &^ 3
+	if n4 > 0 {
+		k.run(&dst[0], &x[0], n4)
+	}
+	if n4 < len(x) {
+		var pad [4]float64
+		copy(pad[:], x[n4:])
+		k.run(&pad[0], &pad[0], 4)
+		copy(dst[n4:], pad[:])
+	}
+}
+
+// SigmoidSlice sets dst[i] = 1/(1+math.Exp(-x[i])) for every i, bit for
+// bit (NaN payloads included), at any length; dst and x may alias
+// exactly. It and TanhSlice are the float64 gate activations of every
+// forward path: reproducing the scalar reference itself is what keeps
+// batched decode byte-identical to StepForward. On amd64 with AVX2+FMA
+// the whole expression is fused around expAVX2's body in registers
+// (sigmoidAVX2); everywhere else it is the scalar expression. The
+// float32 counterparts are SigmoidSlice32 / TanhSlice32 (act32.go), a
+// different algorithm.
+func SigmoidSlice(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("mat: SigmoidSlice length mismatch")
+	}
+	if useBatchASM {
+		vec4(sigmoid4, dst, x)
+		return
+	}
+	for i, v := range x {
+		dst[i] = 1 / (1 + math.Exp(-v))
+	}
+}
+
+// TanhSlice sets dst[i] = math.Tanh(x[i]) for every i, bit for bit
+// (signed zeros, saturation, NaN payloads), under SigmoidSlice's
+// contract (tanhAVX2).
+func TanhSlice(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("mat: TanhSlice length mismatch")
+	}
+	if useBatchASM {
+		vec4(tanh4, dst, x)
+		return
+	}
+	for i, v := range x {
+		dst[i] = math.Tanh(v)
 	}
 }

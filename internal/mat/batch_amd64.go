@@ -29,6 +29,19 @@ func gemmAVX2(dst, a, b *float64, m, k, n int)
 //go:noescape
 func expAVX2(dst, x *float64, n int)
 
+// sigmoidAVX2 sets dst[i] = 1/(1+math.Exp(-x[i])), bit for bit, under
+// expAVX2's contract. Implemented in batch_amd64.s.
+//
+//go:noescape
+func sigmoidAVX2(dst, x *float64, n int)
+
+// tanhAVX2 sets dst[i] = math.Tanh(x[i]) (the pure-Go tanh: amd64 has no
+// assembly one), bit for bit, under expAVX2's contract. Implemented in
+// batch_amd64.s.
+//
+//go:noescape
+func tanhAVX2(dst, x *float64, n int)
+
 // rowSumAVX2 is the layer-0 row-sum kernel (mulAddSparseRows): for the
 // cnt > 0 listed columns k = idx[e] of one input row x, ascending, it
 // adds x[k]·b[k*n+j] into dst[j] for j in [0, n&^3), holding up to 48

@@ -1,6 +1,6 @@
 // AVX2 kernels for the continuous-batching decode path (DESIGN.md
-// §6.2). Both kernels are bit-identical to their portable references
-// and are verified against them element-for-element in batch_test.go:
+// §6.2). Every kernel is bit-identical to its portable reference and is
+// verified against it element-for-element in batch_test.go:
 //
 //   - gemmAVX2 accumulates each dst element's k terms in ascending
 //     order with separate VMULPD+VADDPD. No FMA: the scalar reference
@@ -9,11 +9,14 @@
 //
 //   - expAVX2 is a four-lane transcription of math.Exp's amd64 FMA
 //     path (exp_amd64.s, the Shibata/SLEEF reduction): the same FMA
-//     reduction, polynomial, squaring chain, and two-step denormal
-//     ldexp, instruction for instruction, with the scalar code's
-//     branches (overflow, underflow, denormal, NaN, ±Inf) turned into
-//     masked blends. It is used only when the CPU also makes math.Exp
-//     take that path (see haveBatchASM), so the two always agree.
+//     reduction, polynomial, squaring chain and ldexp product,
+//     instruction for instruction. A vector whose lanes all have |x| <=
+//     708 takes none of the scalar code's branches and runs only that;
+//     any other vector also runs those branches (overflow, underflow,
+//     the two-step denormal ldexp, NaN, ±Inf) as masked blends. It is
+//     used only when the CPU also makes math.Exp take the FMA path (see
+//     haveBatchASM), so the two always agree. sigmoidAVX2 and tanhAVX2
+//     fuse 1/(1+Exp(-x)) and math.Tanh around the same body.
 
 #include "textflag.h"
 
@@ -237,89 +240,244 @@ DATA expc<>+696(SB)/4, $0x00000000
 DATA expc<>+700(SB)/4, $0xFFF00000
 GLOBL expc<>+0(SB), RODATA, $704
 
+// Scalar constants of the activation kernels, broadcast into registers
+// before each loop (the 32-byte rows of expc<> are the memory operands).
+DATA actc<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF // abs mask
+DATA actc<>+8(SB)/8, $708.0              // fast-path bound on |x|
+DATA actc<>+16(SB)/4, $0x00000000        // sign mask (split to fit the int range)
+DATA actc<>+20(SB)/4, $0x80000000
+DATA actc<>+24(SB)/8, $0.625                      // math.Tanh's polynomial cutoff
+DATA actc<>+32(SB)/8, $44.014845965556527147994   // 0.5*MAXLOG, its saturation cutoff
+DATA actc<>+40(SB)/8, $-9.64399179425052238628e-1 // tanhP[0..2]
+DATA actc<>+48(SB)/8, $-9.92877231001918586564e1
+DATA actc<>+56(SB)/8, $-1.61468768441708447952e3
+DATA actc<>+64(SB)/8, $1.12811678491632931402e2   // tanhQ[0..2]
+DATA actc<>+72(SB)/8, $2.23548839060100448583e3
+DATA actc<>+80(SB)/8, $4.84406305325125486048e3
+GLOBL actc<>+0(SB), RODATA, $88
+
+// EXPCORE is archExp's FMA path between its tests on x and its stores,
+// with no branch taken, four lanes at a time: Y0 = x in; Y0 = f =
+// exp(x - k·ln2), Y7 = biased = k+1023 (int64 lanes) and Y11 = f·2^k
+// out; clobbers Y1-Y3 and Y13. Argument reduction k = round(x·log2(e))
+// by the split-constant FNMAs and r /= 16, the FMA Horner Taylor
+// polynomial, exp(r)-1 through the squaring chain f = f*(f+2) four
+// times (the last fused with the final +1), and the scalar code's
+// lastStep product f * float64frombits(biased<<52).
+#define EXPCORE \
+	VMULPD       expc<>+0(SB), Y0, Y1 \
+	VCVTPD2DQY   Y1, X13 \
+	VCVTDQ2PD    X13, Y3 \
+	VFNMADD231PD expc<>+64(SB), Y3, Y0 \
+	VFNMADD231PD expc<>+96(SB), Y3, Y0 \
+	VMULPD       expc<>+128(SB), Y0, Y0 \
+	VMOVUPD      expc<>+160(SB), Y1 \
+	VFMADD213PD  expc<>+192(SB), Y0, Y1 \
+	VFMADD213PD  expc<>+224(SB), Y0, Y1 \
+	VFMADD213PD  expc<>+256(SB), Y0, Y1 \
+	VFMADD213PD  expc<>+288(SB), Y0, Y1 \
+	VFMADD213PD  expc<>+320(SB), Y0, Y1 \
+	VFMADD213PD  expc<>+352(SB), Y0, Y1 \
+	VFMADD213PD  expc<>+384(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0 \
+	VADDPD       expc<>+416(SB), Y0, Y2 \
+	VMULPD       Y2, Y0, Y0 \
+	VADDPD       expc<>+416(SB), Y0, Y2 \
+	VMULPD       Y2, Y0, Y0 \
+	VADDPD       expc<>+416(SB), Y0, Y2 \
+	VMULPD       Y2, Y0, Y0 \
+	VADDPD       expc<>+416(SB), Y0, Y2 \
+	VFMADD213PD  expc<>+384(SB), Y2, Y0 \
+	VPMOVSXDQ    X13, Y7 \
+	VPADDQ       expc<>+448(SB), Y7, Y7 \
+	VPSLLQ       $52, Y7, Y11 \
+	VMULPD       Y11, Y0, Y11
+
+// EXPNORMAL is the whole of Exp for a vector whose lanes are all normal:
+// x in Y0 gives Exp(x) in Y11 by EXPCORE and nothing else. It keeps x in
+// Y12 for EXPSLOW and leaves "every lane has |x| <= 708" in the flags
+// (EQ when so; Y14 = abs mask, Y15 = 708). The test is false for NaN
+// and ±Inf and bounds k to [-1021, 1021]; f is in [0.70, 1.42], so
+// biased is in [2, 2044] and f·2^k is a normal number: archExp takes
+// none of its branches on any lane. On NE the caller runs EXPSLOW, which
+// overwrites the lanes that needed one.
+#define EXPNORMAL \
+	VMOVAPD   Y0, Y12 \
+	VANDPD    Y14, Y0, Y1 \
+	VCMPPD    $18, Y15, Y1, Y1 \
+	VMOVMSKPD Y1, AX \
+	EXPCORE \
+	CMPL      AX, $15
+
+// EXPSLOW finishes a vector with a lane outside [-708, 708] the way the
+// scalar code's branches do, as masked blends over EXPNORMAL's result
+// (Y0 = f, Y7 = biased, Y11 = the lastStep product, Y12 = x; clobbers
+// Y2-Y4 and Y7-Y10). Lanes with biased > 0x7FE overflow to +Inf; lanes
+// with biased <= 0 rescale through the scalar code's two-step denormal
+// product, underflowing to 0 below biased = -52. Then the tests archExp
+// makes on x itself, in its precedence order: x > Overflow (+Inf, which
+// also catches +Inf itself), x == -Inf (0), and NaN (x unchanged,
+// payload kept) last.
+//
+// The denormal product is computed only here because it is speculative
+// on every lane: at k = 4 the first factor's bits (k+2045)<<52 wrap into
+// the sign bit and read -2^-1022, so with f < 1 (x in [2.43, 2.77)) the
+// product f·(-2^-1022) really is denormal — a microcode assist on every
+// such vector while this body ran unconditionally.
+#define EXPSLOW \
+	VMOVDQU   expc<>+480(SB), Y8 \
+	VPCMPGTQ  Y7, Y8, Y8 \
+	VMOVDQU   expc<>+512(SB), Y9 \
+	VPCMPGTQ  Y7, Y9, Y9 \
+	VPCMPGTQ  expc<>+544(SB), Y7, Y10 \
+	VPADDQ    expc<>+576(SB), Y7, Y7 \
+	VPSLLQ    $52, Y7, Y7 \
+	VMULPD    Y7, Y0, Y7 \
+	VMULPD    expc<>+608(SB), Y7, Y7 \
+	VBLENDVPD Y8, Y7, Y11, Y11 \
+	VXORPD    Y2, Y2, Y2 \
+	VBLENDVPD Y9, Y2, Y11, Y11 \
+	VMOVUPD   expc<>+640(SB), Y3 \
+	VBLENDVPD Y10, Y3, Y11, Y11 \
+	VCMPPD    $30, expc<>+32(SB), Y12, Y4 \
+	VBLENDVPD Y4, Y3, Y11, Y11 \
+	VCMPPD    $0, expc<>+672(SB), Y12, Y4 \
+	VBLENDVPD Y4, Y2, Y11, Y11 \
+	VCMPPD    $3, Y12, Y12, Y4 \
+	VBLENDVPD Y4, Y12, Y11, Y11
+
 // func expAVX2(dst, x *float64, n int)
 //
 // dst[i] = Exp(x[i]) for i in [0, n), n a positive multiple of 4.
-// Four-lane transcription of archExp's FMA path; see the file comment.
 TEXT ·expAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $2, CX
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $2, CX
+	VBROADCASTSD actc<>+0(SB), Y14
+	VBROADCASTSD actc<>+8(SB), Y15
 
 eloop:
 	VMOVUPD (SI), Y0
-	VMOVUPD Y0, Y12 // original bits for the NaN lanes
+	EXPNORMAL
+	JNE     eslow
 
-	// Special-case masks, from the unmodified input: NaN (return x),
-	// -Inf (return 0), and x > Overflow (return +Inf; also catches
-	// +Inf itself, which the scalar code returns unchanged).
-	VCMPPD $3, Y0, Y0, Y5            // unordered: NaN lanes
-	VCMPPD $0, expc<>+672(SB), Y0, Y6 // x == -Inf
-	VCMPPD $30, expc<>+32(SB), Y0, Y4 // x > Overflow (GT_OQ: false for NaN)
+estore:
+	VMOVUPD Y11, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     eloop
+	VZEROUPPER
+	RET
 
-	// Argument reduction: k = round(x*log2(e)); r = x - k*ln2 via the
-	// split-constant FNMAs; r /= 16.
-	VMULPD       expc<>+0(SB), Y0, Y1
-	VCVTPD2DQY   Y1, X13
-	VCVTDQ2PD    X13, Y3
-	VFNMADD231PD expc<>+64(SB), Y3, Y0
-	VFNMADD231PD expc<>+96(SB), Y3, Y0
-	VMULPD       expc<>+128(SB), Y0, Y0
+eslow:
+	EXPSLOW
+	JMP estore
 
-	// Taylor polynomial, FMA Horner, then exp(r)-1 via the squaring
-	// chain f = f*(f+2) four times (last fused with the final +1).
-	VMOVUPD     expc<>+160(SB), Y1
-	VFMADD213PD expc<>+192(SB), Y0, Y1
-	VFMADD213PD expc<>+224(SB), Y0, Y1
-	VFMADD213PD expc<>+256(SB), Y0, Y1
-	VFMADD213PD expc<>+288(SB), Y0, Y1
-	VFMADD213PD expc<>+320(SB), Y0, Y1
-	VFMADD213PD expc<>+352(SB), Y0, Y1
-	VFMADD213PD expc<>+384(SB), Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      expc<>+416(SB), Y0, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      expc<>+416(SB), Y0, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      expc<>+416(SB), Y0, Y2
-	VMULPD      Y2, Y0, Y0
-	VADDPD      expc<>+416(SB), Y0, Y2
-	VFMADD213PD expc<>+384(SB), Y2, Y0
+// func sigmoidAVX2(dst, x *float64, n int)
+//
+// dst[i] = 1/(1+Exp(-x[i])) for i in [0, n), n a positive multiple of
+// 4: the sign flip, expAVX2's body on -x, then VADDPD and a correctly
+// rounded VDIVPD, as the scalar expression rounds.
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $2, CX
+	VBROADCASTSD actc<>+0(SB), Y14
+	VBROADCASTSD actc<>+8(SB), Y15
+	VBROADCASTSD actc<>+16(SB), Y5
+	VMOVUPD      expc<>+384(SB), Y6
 
-	// Vector ldexp: biased = k + 1023. Lanes with biased > 0x7FE
-	// overflow to +Inf; lanes with biased <= 0 rescale through the
-	// scalar code's two-step denormal product (underflowing to 0 below
-	// biased = -52); the rest scale by 2^k directly.
-	VPMOVSXDQ X13, Y7
-	VPADDQ    expc<>+448(SB), Y7, Y7
-	VMOVDQU   expc<>+480(SB), Y8
-	VPCMPGTQ  Y7, Y8, Y8               // biased <= 0: denormal lanes
-	VMOVDQU   expc<>+512(SB), Y9
-	VPCMPGTQ  Y7, Y9, Y9               // biased < -52: underflow lanes
-	VPCMPGTQ  expc<>+544(SB), Y7, Y10  // biased > 0x7FE: overflow lanes
-	VPSLLQ    $52, Y7, Y11
-	VMULPD    Y11, Y0, Y11             // normal lanes: f * 2^k
-	VPADDQ    expc<>+576(SB), Y7, Y7
-	VPSLLQ    $52, Y7, Y7
-	VMULPD    Y7, Y0, Y7
-	VMULPD    expc<>+608(SB), Y7, Y7   // denormal lanes: (f*2^(k+2045)) * 2^-1022
+sloop:
+	VXORPD (SI), Y5, Y0 // -x
+	EXPNORMAL
+	JNE    sslow
 
-	// Compose, in the scalar code's precedence order (NaN last).
-	VBLENDVPD Y8, Y7, Y11, Y0
-	VXORPD    Y2, Y2, Y2
-	VBLENDVPD Y9, Y2, Y0, Y0
-	VMOVUPD   expc<>+640(SB), Y3
-	VBLENDVPD Y10, Y3, Y0, Y0
-	VBLENDVPD Y4, Y3, Y0, Y0
-	VBLENDVPD Y6, Y2, Y0, Y0
-	VBLENDVPD Y5, Y12, Y0, Y0
+sstore:
+	VADDPD  Y6, Y11, Y11 // 1 + e
+	VDIVPD  Y11, Y6, Y11 // 1 / (1 + e)
+	VMOVUPD Y11, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     sloop
+	VZEROUPPER
+	RET
+
+sslow:
+	EXPSLOW
+	JMP sstore
+
+// func tanhAVX2(dst, x *float64, n int)
+//
+// dst[i] = math.Tanh(x[i]) for i in [0, n), n a positive multiple of 4:
+// the pure-Go tanh's three branches evaluated on every lane and blended,
+// with VMULPD/VADDPD wherever it multiplies and adds (the compiler does
+// not fuse them) and its one division per element as ONE VDIVPD over the
+// blended operands q = 2/(s+1) or x·s2·P(s2)/Q(s2): 1-q where |x| >=
+// 0.625 (s = Exp(2|x|)), x+q below it (NaN lanes land here and come out
+// NaN), 1 above 0.5·MAXLOG, and x's sign bit ORed onto all three — which
+// is "z = -z if x < 0" for the first and last, restores Tanh(-0) = -0
+// (x+q is +0 there) and changes nothing else. Exp runs on min(2|x|, 708),
+// which is 708 for NaN and 2|x| itself wherever s is used (2|x| <=
+// MAXLOG), so every lane is normal: EXPCORE alone, no test, no EXPSLOW.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $2, CX
+	VBROADCASTSD actc<>+0(SB), Y14
+	VBROADCASTSD actc<>+8(SB), Y15
+	VBROADCASTSD actc<>+40(SB), Y4 // P0, P1, P2
+	VBROADCASTSD actc<>+48(SB), Y5
+	VBROADCASTSD actc<>+56(SB), Y6
+	VBROADCASTSD actc<>+64(SB), Y8 // Q0, Q1, Q2
+	VBROADCASTSD actc<>+72(SB), Y9
+	VBROADCASTSD actc<>+80(SB), Y10
+
+tloop:
+	VMOVUPD (SI), Y12
+	VANDPD  Y14, Y12, Y0
+	VADDPD  Y0, Y0, Y0
+	VMINPD  Y15, Y0, Y0   // min(2|x|, 708); 708 on NaN
+	EXPCORE               // s in Y11
+	VANDPD  Y14, Y12, Y13 // z = |x|
+
+	VMULPD       Y12, Y12, Y1 // s2 = x*x
+	VMULPD       Y1, Y4, Y2
+	VADDPD       Y5, Y2, Y2
+	VMULPD       Y1, Y2, Y2
+	VADDPD       Y6, Y2, Y2   // P = (P0*s2+P1)*s2+P2
+	VADDPD       Y8, Y1, Y3
+	VMULPD       Y1, Y3, Y3
+	VADDPD       Y9, Y3, Y3
+	VMULPD       Y1, Y3, Y3
+	VADDPD       Y10, Y3, Y3  // Q = ((s2+Q0)*s2+Q1)*s2+Q2
+	VMULPD       Y1, Y12, Y1
+	VMULPD       Y2, Y1, Y1   // x*s2*P
+	VBROADCASTSD actc<>+24(SB), Y2
+	VCMPPD       $29, Y2, Y13, Y2           // z >= 0.625
+	VADDPD       expc<>+384(SB), Y11, Y11
+	VBLENDVPD    Y2, Y11, Y3, Y3            // s+1 : Q
+	VBLENDVPD    Y2, expc<>+416(SB), Y1, Y1 // 2 : x*s2*P
+	VDIVPD       Y3, Y1, Y1                 // q
+	VADDPD       Y1, Y12, Y3                // x + q
+	VMOVUPD      expc<>+384(SB), Y7
+	VSUBPD       Y1, Y7, Y0                 // 1 - q
+	VBLENDVPD    Y2, Y0, Y3, Y0
+	VBROADCASTSD actc<>+32(SB), Y3
+	VCMPPD       $30, Y3, Y13, Y3           // z > 0.5*MAXLOG
+	VBLENDVPD    Y3, Y7, Y0, Y0
+	VANDNPD      Y12, Y14, Y1               // x's sign bit
+	VORPD        Y1, Y0, Y0
 
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	DECQ    CX
-	JNZ     eloop
+	JNZ     tloop
 	VZEROUPPER
 	RET
 

@@ -3,9 +3,9 @@
 package mat
 
 // haveBatchASM reports whether assembly batched-decode kernels exist
-// for this architecture. Without them MulAddBatched and ExpSlice use
-// the portable fallbacks in batch.go, which are bit-identical (and the
-// reference the assembly is tested against).
+// for this architecture. Without them MulAddBatched, ExpSlice,
+// SigmoidSlice and TanhSlice use the portable bodies in batch.go, which
+// are bit-identical (and the reference the assembly is tested against).
 func haveBatchASM() bool { return false }
 
 func gemmAVX2(dst, a, b *float64, m, k, n int) {
@@ -18,6 +18,14 @@ func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int) {
 
 func expAVX2(dst, x *float64, n int) {
 	panic("mat: expAVX2 without assembly kernel")
+}
+
+func sigmoidAVX2(dst, x *float64, n int) {
+	panic("mat: sigmoidAVX2 without assembly kernel")
+}
+
+func tanhAVX2(dst, x *float64, n int) {
+	panic("mat: tanhAVX2 without assembly kernel")
 }
 
 func gemmPacked16AVX2(dst, a, p *float64, m, k, n int) {

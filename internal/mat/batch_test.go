@@ -3,6 +3,8 @@ package mat
 import (
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // withBatchASM runs f twice when assembly kernels are available — once
@@ -95,10 +97,88 @@ func expCases() []float64 {
 	return cases
 }
 
+// gateKernels are the three f64 activation kernels with the scalar
+// expressions they must reproduce bit for bit.
+var gateKernels = []struct {
+	name  string
+	slice func(dst, x []float64)
+	ref   func(float64) float64
+}{
+	{"exp", ExpSlice, math.Exp},
+	{"sigmoid", SigmoidSlice, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+	{"tanh", TanhSlice, math.Tanh},
+}
+
+// checkGateBits runs slice over x, not aliased and then in place, and
+// compares every element's bits with ref.
+func checkGateBits(t *testing.T, name string, slice func(dst, x []float64), ref func(float64) float64, x []float64) {
+	t.Helper()
+	dst := make([]float64, len(x))
+	slice(dst, x)
+	inPlace := append([]float64(nil), x...)
+	slice(inPlace, inPlace)
+	for i, v := range x {
+		want := math.Float64bits(ref(v))
+		if got := math.Float64bits(dst[i]); got != want {
+			t.Fatalf("%s(%v) [elem %d of %d] = %x, want %x", name, v, i, len(x), got, want)
+		}
+		if got := math.Float64bits(inPlace[i]); got != want {
+			t.Fatalf("%s(%v) [elem %d of %d, aliased] = %x, want %x", name, v, i, len(x), got, want)
+		}
+	}
+}
+
+// ulps returns v with its two neighbours.
+func ulps(v float64) []float64 {
+	return []float64{math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1))}
+}
+
+// gateEdges are the inputs at which some kernel changes path or branch,
+// each with both signs (sigmoid exponentiates -x): the non-finites (a
+// quiet and a signaling NaN, payloads kept), signed zeros, the fast
+// path's |x| <= 708 bound and math.Exp's Overflow and Underflow cutoffs
+// to the ulp, a denormal-result input, the k = 4 band whose speculative
+// denormal product was a microcode assist, and math.Tanh's 0.625 and
+// 0.5*MAXLOG branch edges to the ulp.
+func gateEdges() []float64 {
+	edges := []float64{
+		math.Float64frombits(0x7FF8000000000abc), math.Float64frombits(0x7FF0000000000abc),
+		math.Inf(1), 0, 740, 745.2, 2.43, 2.5, 2.6, 2.7, 2.7699,
+	}
+	for _, c := range []float64{708, 7.09782712893383973096e+02, 7.45133219101941108420e+02, 0.625, 0.5 * 8.8029691931113054295988e+01} {
+		edges = append(edges, ulps(c)...)
+	}
+	for _, v := range edges {
+		edges = append(edges, -v)
+	}
+	return edges
+}
+
+// gateWindows is the fast/slow path matrix: four-lane windows of normal
+// values, as they are (the all-normal path) and with exactly one lane
+// replaced by each edge at each of the four lane positions (the slow
+// body, with three lanes that must come out as the fast path would have
+// made them), laid end to end on vector boundaries.
+func gateWindows() []float64 {
+	normal := [][4]float64{{0.3, -1.7, 2.6, -2.6}, {-6.5, 11, 0.001, 40}, {700, -700, 1.3, -1.3}}
+	var x []float64
+	for _, w := range normal {
+		x = append(x, w[:]...)
+		for _, e := range gateEdges() {
+			for lane := 0; lane < 4; lane++ {
+				v := w
+				v[lane] = e
+				x = append(x, v[:]...)
+			}
+		}
+	}
+	return x
+}
+
 // TestExpSliceBitExact checks ExpSlice against math.Exp bit-for-bit
 // over every branch of the scalar implementation, in bulk (so the
 // vector path runs) and with the inputs rotated so each case visits
-// every lane.
+// every lane; then over the fast/slow path matrix.
 func TestExpSliceBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
 		cases := expCases()
@@ -107,16 +187,62 @@ func TestExpSliceBitExact(t *testing.T) {
 			for i, v := range cases {
 				x[(i+rot)%len(x)] = v
 			}
-			dst := make([]float64, len(x))
-			ExpSlice(dst, x)
-			for i, v := range x {
-				want := math.Exp(v)
-				if math.Float64bits(dst[i]) != math.Float64bits(want) {
-					t.Fatalf("rot %d: Exp(%v) = %x, want %x",
-						rot, v, math.Float64bits(dst[i]), math.Float64bits(want))
+			checkGateBits(t, "Exp", ExpSlice, math.Exp, x)
+		}
+		checkGateBits(t, "Exp", ExpSlice, math.Exp, gateWindows())
+	})
+}
+
+// TestGateActivationsBitExact checks SigmoidSlice and TanhSlice at
+// float64 against 1/(1+math.Exp(-x)) and math.Tanh: the path matrix,
+// every math.Exp branch, and each edge at every offset of lengths 1..19
+// so it visits the padded tail vector at each of its lanes.
+func TestGateActivationsBitExact(t *testing.T) {
+	withBatchASM(t, func(t *testing.T) {
+		for _, k := range gateKernels[1:] {
+			checkGateBits(t, k.name, k.slice, k.ref, gateWindows())
+			checkGateBits(t, k.name, k.slice, k.ref, expCases())
+			edges := gateEdges()
+			for n := 1; n <= 19; n++ {
+				x := make([]float64, n)
+				for e := 0; e < len(edges); e += n {
+					for i := range x {
+						x[i] = edges[(e+i)%len(edges)]
+					}
+					checkGateBits(t, k.name, k.slice, k.ref, x)
 				}
+				for i := range x {
+					x[i] = float64(i) - 0.37*float64(n) // ordinary values, all-normal tail
+				}
+				checkGateBits(t, k.name, k.slice, k.ref, x)
 			}
 		}
+	})
+}
+
+// FuzzGateActivations feeds arbitrary float64 bit patterns, at lengths
+// 1..40, through ExpSlice, SigmoidSlice and TanhSlice on both kernel
+// tiers and bit-compares with the scalar oracles. Each input is four
+// patterns spread over the slice with a normal filler between them.
+func FuzzGateActivations(f *testing.F) {
+	bits := math.Float64bits
+	f.Add(uint8(4), bits(2.6), bits(-2.6), bits(1.3), bits(0.3))
+	f.Add(uint8(7), bits(math.NaN()), bits(708), bits(-708), bits(math.Inf(-1)))
+	f.Add(uint8(19), bits(math.Nextafter(708, 709)), bits(-740), bits(0.625), bits(math.Copysign(0, -1)))
+	f.Add(uint8(40), uint64(0x7FF0000000000abc), bits(709.782712893384), bits(44.014845965556524), bits(-745.2))
+	f.Fuzz(func(t *testing.T, n uint8, a, b, c, d uint64) {
+		x := make([]float64, 1+int(n)%40)
+		for i := range x {
+			x[i] = 0.25 * float64(i-len(x)/2)
+		}
+		for i, p := range []uint64{a, b, c, d} {
+			x[(i*7+int(n)/40)%len(x)] = math.Float64frombits(p)
+		}
+		withBatchASM(t, func(t *testing.T) {
+			for _, k := range gateKernels {
+				checkGateBits(t, k.name, k.slice, k.ref, x)
+			}
+		})
 	})
 }
 
@@ -173,6 +299,31 @@ func BenchmarkExpSlice96(b *testing.B) {
 		ExpSlice(dst, x)
 	}
 }
+
+// benchGate times one activation over n inputs uniform in [lo, hi).
+func benchGate(b *testing.B, slice func(dst, x []float64), n int, lo, hi float64) {
+	g := rng.New(1)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = lo + g.Float64()*(hi-lo)
+	}
+	dst := make([]float64, n)
+	b.SetBytes(8 * 2 * int64(n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slice(dst, x)
+	}
+}
+
+// BenchmarkExpSliceAssistBand96 pins the k = 4, f < 1 band in which the
+// kernel's speculative denormal product used to take a microcode assist
+// on every vector (16-19 ns/elem against 3-4 typical, before PR 20).
+func BenchmarkExpSliceAssistBand96(b *testing.B) { benchGate(b, ExpSlice, 96, 2.43, 2.77) }
+
+// The fused gate kernels at the decode shapes: one 96-wide i/f/o gate
+// segment, one 24-wide g segment.
+func BenchmarkSigmoidSlice96(b *testing.B) { benchGate(b, SigmoidSlice, 96, -6, 6) }
+func BenchmarkTanhSlice24(b *testing.B)    { benchGate(b, TanhSlice, 24, -3, 3) }
 
 func BenchmarkExpScalar96(b *testing.B) {
 	x := denseRand(1, 96, 1).Data

@@ -36,43 +36,3 @@ func fma32(a, b, c float32) float32 {
 	}
 	return float32(s)
 }
-
-// expChunk32 is the widening buffer length of ExpSlice32 — a multiple
-// of 4 (the f64 vector kernel's lane granule) small enough to stay on
-// the stack.
-const expChunk32 = 128
-
-// ExpSlice32 sets dst[i] = float32(math.Exp(float64(x[i]))) for every
-// i: each f32 input is widened (exact), exponentiated at full double
-// precision, and rounded once back to float32 — a correctly rounded f32
-// exp for all practical purposes, with identical bits on every path.
-// On amd64 the bulk widens through a stack chunk into the 4-lane
-// expAVX2 kernel; elsewhere (and for the tail) it calls math.Exp. dst
-// and x may alias exactly.
-func ExpSlice32(dst, x []float32) {
-	if len(dst) != len(x) {
-		panic("mat: ExpSlice32 length mismatch")
-	}
-	i := 0
-	if useBatchASM {
-		var buf [expChunk32]float64
-		for i+4 <= len(x) {
-			n := len(x) - i
-			if n > expChunk32 {
-				n = expChunk32
-			}
-			n &^= 3
-			for j := 0; j < n; j++ {
-				buf[j] = float64(x[i+j])
-			}
-			expAVX2(&buf[0], &buf[0], n)
-			for j := 0; j < n; j++ {
-				dst[i+j] = float32(buf[j])
-			}
-			i += n
-		}
-	}
-	for ; i < len(x); i++ {
-		dst[i] = float32(math.Exp(float64(x[i])))
-	}
-}

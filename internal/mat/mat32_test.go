@@ -187,79 +187,6 @@ func TestFMA32Exact(t *testing.T) {
 	}
 }
 
-// exp32Cases covers every float32-relevant branch of exp: the ordinary
-// range, the overflow cutoff (≈88.72), the denormal-result band and
-// underflow (≈-103.97), and the specials.
-func exp32Cases() []float32 {
-	cases := []float32{
-		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, -0.5, 1e-9, -1e-9,
-		80, -80, 87.3, -87.3,
-		88.72283, 88.722839, 88.7229, 89, 100, 1000,
-		-87.33654, -87.4, -100,
-		-103.97, -103.972084, -103.9721, -104, -200,
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-		math.Float32frombits(0x00000001), math.Float32frombits(0x80000001),
-	}
-	for x := float32(-105); x < -86; x += 0.0078125 {
-		cases = append(cases, x)
-	}
-	for x := float32(88); x < 89.5; x += 0.00390625 {
-		cases = append(cases, x)
-	}
-	s := uint64(321)
-	for i := 0; i < 20000; i++ {
-		s = s*6364136223846793005 + 1442695040888963407
-		cases = append(cases, float32((float64(s>>11)/float64(1<<53)-0.5)*240)) // [-120, 120)
-	}
-	return cases
-}
-
-// TestExpSlice32BitExact checks ExpSlice32 against its documented
-// definition float32(math.Exp(float64(x))) bit-for-bit, rotated so
-// every case visits every lane and chunk position.
-func TestExpSlice32BitExact(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		cases := exp32Cases()
-		for rot := 0; rot < 4; rot++ {
-			x := make([]float32, len(cases))
-			for i, v := range cases {
-				x[(i+rot)%len(x)] = v
-			}
-			dst := make([]float32, len(x))
-			ExpSlice32(dst, x)
-			for i, v := range x {
-				want := float32(math.Exp(float64(v)))
-				if math.Float32bits(dst[i]) != math.Float32bits(want) {
-					t.Fatalf("rot %d: Exp32(%v) = %x, want %x",
-						rot, v, math.Float32bits(dst[i]), math.Float32bits(want))
-				}
-			}
-		}
-	})
-}
-
-// TestExpSlice32Alias checks the documented exact-alias contract across
-// a chunk boundary.
-func TestExpSlice32Alias(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		x := make([]float32, expChunk32+9)
-		g := rng.New(5)
-		for i := range x {
-			x[i] = float32(g.NormFloat64())
-		}
-		want := make([]float32, len(x))
-		for i, v := range x {
-			want[i] = float32(math.Exp(float64(v)))
-		}
-		ExpSlice32(x, x)
-		for i := range x {
-			if math.Float32bits(x[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("elem %d: got %v want %v", i, x[i], want[i])
-			}
-		}
-	})
-}
-
 // TestBatchKernels32NoAlloc pins the f32 serving kernels at zero
 // allocations.
 func TestBatchKernels32NoAlloc(t *testing.T) {
@@ -270,7 +197,7 @@ func TestBatchKernels32NoAlloc(t *testing.T) {
 	y := make([]float32, 96)
 	if n := testing.AllocsPerRun(100, func() {
 		MulAddBatched(dst, a, b)
-		ExpSlice32(y, x)
+		SigmoidSlice32(y, x)
 	}); n != 0 {
 		t.Fatalf("f32 kernels allocated %v per run", n)
 	}
@@ -285,15 +212,5 @@ func BenchmarkMulAddBatched32DecodeShape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulAddBatched(dst, a, bm)
-	}
-}
-
-func BenchmarkExpSlice32_96(b *testing.B) {
-	x := dense32Rand(1, 96, 1).Data
-	dst := make([]float32, 96)
-	b.SetBytes(4 * 2 * 96)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ExpSlice32(dst, x)
 	}
 }

@@ -183,10 +183,8 @@ type Fleet[T float32 | float64] struct {
 	xtv, ytv, zv mat.Matrix[T]
 	ghv, gcv     []mat.Matrix[T]
 
-	// Gate-loop scratch, one hidden row each: the tanh(c) output, and
-	// the exp arguments of the f64 tanh (vecact.go; unused at float32).
+	// Gate-loop scratch, one hidden row: the tanh(c) output.
 	tc []T
-	ts []float64
 
 	// Packed serving weights and the fused tile epilogues bound to them;
 	// nil on an unpacked fleet. The epilogue closures are built once at
@@ -284,7 +282,6 @@ func (f *Fleet[T]) alloc(capacity int) {
 	f.ghv = make([]mat.Matrix[T], nl)
 	f.gcv = make([]mat.Matrix[T], nl)
 	f.tc = make([]T, cfg.HiddenDim)
-	f.ts = make([]float64, cfg.HiddenDim)
 }
 
 // Rows returns the number of live streams.
@@ -343,21 +340,20 @@ func viewRows[T float32 | float64](v, m *mat.Matrix[T], k int) *mat.Matrix[T] {
 
 // activate and tanh are the gate activations, the one part of a step
 // that is a different algorithm per element type. At float64 they are
-// vecact.go's kernels, which reproduce StepForward's math.Exp-based
-// scalar loop bit for bit; at float32 they are mat/act32.go's native
-// eight-lane kernels (assembly and portable fallback bit-identical to
-// each other, any length, exact aliasing allowed), because widening
-// each gate row to the four-lane f64 exp would cost the f32 path most
-// of its advantage.
+// mat.SigmoidSlice / mat.TanhSlice, which reproduce StepForward's
+// math.Exp-based scalar loop bit for bit; at float32 they are
+// mat/act32.go's native eight-lane kernels, because widening each gate
+// row to the four-lane f64 exp would cost the f32 path most of its
+// advantage. All four are assembly plus a bit-identical portable body,
+// any length, exact aliasing allowed.
 //
 // activate applies the gate nonlinearities to columns [j0, j1) of every
 // row of z: sigmoid on the i/f/o segments, tanh on the g segment. The
 // range may straddle gate boundaries, so each activation runs on its
-// intersection with [j0, j1); the g intersection is at most one hidden
-// row wide, so f.ts always fits the f64 tanh scratch. The type switch
-// sits above the row loop and the arms call the kernels directly: a
-// packed step activates ~12 (tile, row) pairs per row and layer, and a
-// per-call switch behind two helper levels showed end to end.
+// intersection with [j0, j1). The type switch sits above the row loop
+// and the arms call the kernels directly: a packed step activates ~12
+// (tile, row) pairs per row and layer, and a per-call switch behind two
+// helper levels showed end to end.
 func (f *Fleet[T]) activate(z *mat.Matrix[T], j0, j1 int) {
 	hd := f.w.cfg.HiddenDim
 	sig := [2][2]int{{j0, min(j1, 2*hd)}, {max(j0, 3*hd), j1}} // i/f gates, o gate
@@ -368,11 +364,11 @@ func (f *Fleet[T]) activate(z *mat.Matrix[T], j0, j1 int) {
 			row := z.Row(i)
 			for _, s := range sig {
 				if s[0] < s[1] {
-					vecSigmoid(row[s[0]:s[1]])
+					mat.SigmoidSlice(row[s[0]:s[1]], row[s[0]:s[1]])
 				}
 			}
 			if gLo < gHi {
-				vecTanhInto(row[gLo:gHi], row[gLo:gHi], f.ts)
+				mat.TanhSlice(row[gLo:gHi], row[gLo:gHi])
 			}
 		}
 	case *mat.Dense32:
@@ -394,7 +390,7 @@ func (f *Fleet[T]) activate(z *mat.Matrix[T], j0, j1 int) {
 func (f *Fleet[T]) tanh(dst, x []T) {
 	switch v := any(x).(type) {
 	case []float64:
-		vecTanhInto(any(dst).([]float64), v, f.ts)
+		mat.TanhSlice(any(dst).([]float64), v)
 	case []float32:
 		mat.TanhSlice32(any(dst).([]float32), v)
 	}

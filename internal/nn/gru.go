@@ -157,7 +157,6 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 	}
 	cache.x = X
 
-	ts := ar.fslice(h) // tanh exp scratch for the gate loop
 	layerX := X
 	for l, layer := range n.layers {
 		H := ar.slab((T+1)*b, h, false)
@@ -194,15 +193,15 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 				zxr, zhr := zxt.Row(row), zh.Row(row)
 				rr, zr, cr := R.Row(gRow), Zg.Row(gRow), Cc.Row(gRow)
 				hp, hr, rhr := H.Row(gRow), H.Row(gRow+b), RH.Row(gRow)
-				// Gate nonlinearities via the vectorized activations
-				// (vecact.go), in place on the cache rows: per element
-				// exactly StepForward's scalar expressions.
+				// Gate nonlinearities via the vectorized activations, in
+				// place on the cache rows: per element exactly
+				// StepForward's scalar expressions.
 				for j := 0; j < h; j++ {
 					rr[j] = zxr[j] + zhr[j]
 					zr[j] = zxr[h+j] + zhr[h+j]
 				}
-				vecSigmoid(rr)
-				vecSigmoid(zr)
+				mat.SigmoidSlice(rr, rr)
+				mat.SigmoidSlice(zr, zr)
 				// Candidate: n = tanh(zx_n + r ⊙ zh_n) — the "v3" GRU
 				// variant (also used by cuDNN) where the reset gate
 				// applies after the recurrent matmul; rh stashes zh_n
@@ -211,7 +210,7 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 					rhr[j] = zhr[2*h+j]
 					cr[j] = zxr[2*h+j] + rr[j]*zhr[2*h+j]
 				}
-				vecTanhInto(cr, cr, ts)
+				mat.TanhSlice(cr, cr)
 				for j := 0; j < h; j++ {
 					hr[j] = (1-zr[j])*cr[j] + zr[j]*hp[j]
 				}

@@ -275,7 +275,6 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	}
 	cache.x = X
 
-	ts := ar.fslice(h) // tanh exp scratch for the gate loop
 	layerX := X
 	for l, layer := range n.layers {
 		// H and C hold blocks 0..T; block 0 is the incoming state,
@@ -317,8 +316,8 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 			mat.AddBiasRows(zt, bias)
 			// Gate nonlinearities via the vectorized activations, written
 			// straight into the cache rows. Per element these compute
-			// exactly what StepForward's scalar loop computes (vecact.go),
-			// as Fleet.Step's do.
+			// exactly what StepForward's scalar loop computes, as
+			// Fleet.Step's do.
 			for r := 0; r < b; r++ {
 				row := t*b + r
 				zrow := zt.Row(r)
@@ -328,14 +327,14 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 				crow := C.Row(row + b)
 				hrow := H.Row(row + b)
 				tcrow := TC.Row(row)
-				SigmoidIntoVec(zrow[:h], irow)
-				SigmoidIntoVec(zrow[h:2*h], frow)
-				vecTanhInto(grow, zrow[2*h:3*h], ts)
-				SigmoidIntoVec(zrow[3*h:], orow)
+				mat.SigmoidSlice(irow, zrow[:h])
+				mat.SigmoidSlice(frow, zrow[h:2*h])
+				mat.TanhSlice(grow, zrow[2*h:3*h])
+				mat.SigmoidSlice(orow, zrow[3*h:])
 				for j := 0; j < h; j++ {
 					crow[j] = frow[j]*cprow[j] + irow[j]*grow[j]
 				}
-				vecTanhInto(tcrow, crow, ts)
+				mat.TanhSlice(tcrow, crow)
 				for j := 0; j < h; j++ {
 					hrow[j] = orow[j] * tcrow[j]
 				}

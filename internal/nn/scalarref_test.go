@@ -345,9 +345,9 @@ func randFill(g *rng.RNG, ms []*mat.Dense) {
 // Forward/Backward to the scalar reference passes above, bit for bit:
 // every cache slab, the outputs, the final state and every gradient,
 // at batch widths on both sides of the one-row training shard and
-// hidden sizes that are and are not a multiple of the 4-lane ExpSlice
-// kernel (h=5 runs its scalar tail), from a nonzero initial state,
-// over dense and one-hot inputs.
+// hidden sizes that are and are not a multiple of the 4-lane gate
+// kernels (h=5 runs their padded tail vector), from a nonzero initial
+// state, over dense and one-hot inputs.
 func TestForwardBackwardMatchesScalarReference(t *testing.T) {
 	const inDim, outDim, T = 9, 6, 5
 	for _, b := range []int{1, 3, 8} {

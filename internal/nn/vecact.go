@@ -7,81 +7,15 @@ import (
 	"repro/internal/mat"
 )
 
-// Vectorized activation kernels for the continuous-batching decode
-// path (DESIGN.md §6.2). Each one computes exactly what its scalar
-// counterpart computes — same elementary operations on the same
-// values in the same order, with mat.ExpSlice standing in bit-for-bit
-// for math.Exp — so swapping them into the batched path cannot perturb
-// a single sampled trace. The serial path keeps the scalar reference
+// Vectorized output heads for the continuous-batching decode path
+// (DESIGN.md §6.2). Each one computes exactly what its scalar
+// counterpart computes — same elementary operations on the same values
+// in the same order, with mat.ExpSlice standing in bit-for-bit for
+// math.Exp — so swapping them into the batched path cannot perturb a
+// single sampled trace. The serial path keeps the scalar reference
 // implementations; the exactness tests in vecact_test.go compare the
-// two element-for-element.
-
-// vecSigmoid applies sigmoid in place: v[i] = 1/(1+Exp(-v[i])), the
-// exact expression of the scalar sigmoid helper.
-func vecSigmoid(v []float64) {
-	for i, x := range v {
-		v[i] = -x
-	}
-	mat.ExpSlice(v, v)
-	for i, e := range v {
-		v[i] = 1 / (1 + e)
-	}
-}
-
-// Coefficients of math.Tanh's rational approximation (math/tanh.go,
-// from the Cephes library), reproduced so vecTanhInto can evaluate the
-// identical polynomial on the sub-0.625 branch.
-const (
-	tanhP0 = -9.64399179425052238628e-1
-	tanhP1 = -9.92877231001918586564e1
-	tanhP2 = -1.61468768441708447952e3
-	tanhQ0 = 1.12811678491632931402e2
-	tanhQ1 = 2.23548839060100448583e3
-	tanhQ2 = 4.84406305325125486048e3
-
-	tanhMaxlog = 8.8029691931113054295988e+01 // log(2**127), math.Tanh's saturation cutoff
-)
-
-// vecTanhInto sets dst[i] = math.Tanh(x[i]) bit-for-bit, batching the
-// Exp calls of the |x| >= 0.625 branch through mat.ExpSlice. scratch
-// needs len(x); dst may alias x exactly.
-func vecTanhInto(dst, x, scratch []float64) {
-	if len(dst) != len(x) || len(scratch) < len(x) {
-		panic(fmt.Sprintf("nn: vecTanhInto lens dst %d x %d scratch %d", len(dst), len(x), len(scratch)))
-	}
-	scratch = scratch[:len(x)]
-	for i, v := range x {
-		scratch[i] = 2 * math.Abs(v)
-	}
-	// Speculative for the poly and saturation lanes (harmlessly +Inf
-	// past the cutoff); exact for the branch that uses it.
-	mat.ExpSlice(scratch, scratch)
-	for i, v := range x {
-		z := math.Abs(v)
-		switch {
-		case z > 0.5*tanhMaxlog:
-			if v < 0 {
-				dst[i] = -1
-			} else {
-				dst[i] = 1
-			}
-		case z >= 0.625:
-			s := scratch[i] // == math.Exp(2*z)
-			r := 1 - 2/(s+1)
-			if v < 0 {
-				r = -r
-			}
-			dst[i] = r
-		default:
-			if v == 0 {
-				dst[i] = v // preserves ±0 like math.Tanh
-				continue
-			}
-			s := v * v
-			dst[i] = v + v*s*((tanhP0*s+tanhP1)*s+tanhP2)/(((s+tanhQ0)*s+tanhQ1)*s+tanhQ2)
-		}
-	}
-}
+// two element-for-element. (The gate activations are mat.SigmoidSlice
+// and mat.TanhSlice, called directly.)
 
 // SoftmaxIntoVec writes the probabilities into out exactly as
 // SoftmaxInto does — log-softmax with the same ascending-index
@@ -114,17 +48,5 @@ func SoftmaxIntoVec(logits, out []float64) {
 }
 
 // SigmoidIntoVec writes elementwise sigmoids into out exactly as
-// SigmoidInto does, with the Exp calls vectorized. out must not alias
-// logits.
-func SigmoidIntoVec(logits, out []float64) {
-	if len(out) != len(logits) {
-		panic(fmt.Sprintf("nn: SigmoidIntoVec dst len %d, want %d", len(out), len(logits)))
-	}
-	for i, v := range logits {
-		out[i] = -v
-	}
-	mat.ExpSlice(out, out)
-	for i, e := range out {
-		out[i] = 1 / (1 + e)
-	}
-}
+// SigmoidInto does, through the fused mat.SigmoidSlice kernel.
+func SigmoidIntoVec(logits, out []float64) { mat.SigmoidSlice(out, logits) }

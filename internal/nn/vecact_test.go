@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/rng"
 )
 
@@ -19,6 +20,14 @@ func actCases() []float64 {
 		700, -700, 710, -710, 745.2, -745.2,
 		math.Inf(1), math.Inf(-1), math.NaN(),
 	}
+	// The kernels' branch and path edges to the ulp: math.Tanh's
+	// polynomial and saturation cutoffs, the f64 exp fast path's bound
+	// and math.Exp's overflow cutoff (sigmoid exponentiates -x).
+	for _, c := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01, 708, 7.09782712893383973096e+02} {
+		for _, v := range []float64{math.Nextafter(c, 0), c, math.Nextafter(c, math.Inf(1))} {
+			cases = append(cases, v, -v)
+		}
+	}
 	g := rng.New(7)
 	for i := 0; i < 5000; i++ {
 		cases = append(cases, (g.Float64()-0.5)*30)
@@ -29,37 +38,40 @@ func actCases() []float64 {
 	return cases
 }
 
-func TestVecSigmoidBitExact(t *testing.T) {
+// checkGate compares slice with the scalar reference ref bit for bit,
+// not aliased and in place, over all of actCases and over windows of
+// every length 1..19 sliding across its leading edge cases (so each
+// visits the kernels' padded tail vector).
+func checkGate(t *testing.T, name string, slice func(dst, x []float64), ref func(float64) float64) {
+	t.Helper()
+	check := func(x []float64) {
+		t.Helper()
+		dst := make([]float64, len(x))
+		slice(dst, x)
+		v := append([]float64(nil), x...)
+		slice(v, v)
+		for i, xv := range x {
+			want := math.Float64bits(ref(xv))
+			if math.Float64bits(dst[i]) != want || math.Float64bits(v[i]) != want {
+				t.Fatalf("%s(%v) len %d = %x, aliased %x, want %x", name, xv, len(x), math.Float64bits(dst[i]), math.Float64bits(v[i]), want)
+			}
+		}
+	}
 	x := actCases()
-	v := append([]float64(nil), x...)
-	vecSigmoid(v)
-	for i, xv := range x {
-		want := sigmoid(xv)
-		if math.Float64bits(v[i]) != math.Float64bits(want) {
-			t.Fatalf("sigmoid(%v) = %x, want %x", xv, math.Float64bits(v[i]), math.Float64bits(want))
+	check(x)
+	for n := 1; n <= 19; n++ {
+		for lo := 0; lo+n <= 64; lo++ {
+			check(x[lo : lo+n])
 		}
 	}
 }
 
+func TestVecSigmoidBitExact(t *testing.T) {
+	checkGate(t, "sigmoid", mat.SigmoidSlice, sigmoid)
+}
+
 func TestVecTanhBitExact(t *testing.T) {
-	x := actCases()
-	dst := make([]float64, len(x))
-	scratch := make([]float64, len(x))
-	vecTanhInto(dst, x, scratch)
-	for i, xv := range x {
-		want := math.Tanh(xv)
-		if math.Float64bits(dst[i]) != math.Float64bits(want) {
-			t.Fatalf("tanh(%v) = %x, want %x", xv, math.Float64bits(dst[i]), math.Float64bits(want))
-		}
-	}
-	// Exact-alias form, as the fleet gate loop uses it.
-	v := append([]float64(nil), x...)
-	vecTanhInto(v, v, scratch)
-	for i, xv := range x {
-		if math.Float64bits(v[i]) != math.Float64bits(math.Tanh(xv)) {
-			t.Fatalf("aliased tanh(%v) = %v, want %v", xv, v[i], math.Tanh(xv))
-		}
-	}
+	checkGate(t, "tanh", mat.TanhSlice, math.Tanh)
 }
 
 func TestSoftmaxIntoVecBitExact(t *testing.T) {
@@ -99,7 +111,6 @@ func TestSigmoidIntoVecBitExact(t *testing.T) {
 
 func TestVecActNoAlloc(t *testing.T) {
 	v := make([]float64, 96)
-	scratch := make([]float64, 96)
 	logits := make([]float64, 47)
 	out := make([]float64, 47)
 	g := rng.New(3)
@@ -110,8 +121,8 @@ func TestVecActNoAlloc(t *testing.T) {
 		logits[i] = (g.Float64() - 0.5) * 10
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		vecSigmoid(v)
-		vecTanhInto(v, v, scratch)
+		mat.SigmoidSlice(v, v)
+		mat.TanhSlice(v, v)
 		SoftmaxIntoVec(logits, out)
 		SigmoidIntoVec(logits, out)
 	}); n != 0 {

@@ -175,6 +175,20 @@ awk '
 		}
 	}' "$TMP"
 
+# Exp cost per element (DESIGN.md §6.2): the f64 exp kernel on ordinary
+# gate pre-activations and on the k = 4 band in which its speculative
+# denormal product used to take a microcode assist on every vector
+# (16-19 against 3-4 ns/elem before PR 20). The two must read alike.
+awk '
+	/^BenchmarkExpSlice96(-[0-9]+)? /           { typ = $3 / 96 }
+	/^BenchmarkExpSliceAssistBand96(-[0-9]+)? / { band = $3 / 96 }
+	END {
+		if (typ > 0 && band > 0)
+			printf "bench.sh: exp ns/elem typical / assist-band: %.2f / %.2f\n", typ, band
+		else
+			print "bench.sh: exp ns/elem pair missing from run" > "/dev/stderr"
+	}' "$TMP"
+
 # Last-wins dedup by row name: the iteration-floor decode re-runs above
 # append rows whose names collide with the single-shot rows from the
 # main block; keep only the final occurrence of each name (order

@@ -85,6 +85,7 @@ if go help testflag 2>/dev/null | grep -q -- '-fuzz '; then
 	go test -run '^$' -fuzz FuzzGenerateRequest -fuzztime 10s ./internal/server
 	go test -run '^$' -fuzz FuzzMulAddPacked -fuzztime 10s ./internal/mat
 	go test -run '^$' -fuzz FuzzMulAddSparse -fuzztime 10s ./internal/mat
+	go test -run '^$' -fuzz FuzzGateActivations -fuzztime 10s ./internal/mat
 	go test -run '^$' -fuzz 'FuzzWorkloadSpec$' -fuzztime 10s ./internal/workload
 	go test -run '^$' -fuzz 'FuzzTraceReplay$' -fuzztime 10s ./internal/workload
 else
