@@ -9,8 +9,8 @@ import (
 // Publish-time packed serving weights (DESIGN.md §6.5). Alongside the
 // f32 conversion, snapshot publish packs each decode weight matrix once
 // into cache-blocked panels; every decode fleet, at both precisions,
-// then steps on panels with the bias/activation epilogue fused into the
-// GEMM tails. Packing is a bit-exact address permutation (see
+// then runs its dense step GEMMs on panels. Packing is a bit-exact
+// address permutation (see
 // mat.Packed), so packed and unpacked engines emit byte-identical
 // traces; training and the scalar serial f64 reference path keep the
 // unpacked matrices as the honest baseline the packed paths are pinned

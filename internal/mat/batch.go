@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"unsafe"
@@ -13,9 +14,10 @@ import (
 // layer; they instead vectorize within one core (AVX2 on amd64, with a
 // register-blocked pure-Go fallback elsewhere). Every kernel here is
 // bit-identical to its reference counterpart — MulAdd for the GEMM,
-// math.Exp and math.Tanh for ExpSlice, SigmoidSlice and TanhSlice —
-// which is what lets the batched decode path promise byte-identical
-// traces to serial decode (see the exactness tests in batch_test.go).
+// math.Exp and math.Tanh for ExpSlice, SigmoidSlice and TanhSlice, the
+// scalar gate loop of nn's StepForward for LSTMCell — which is what lets
+// the batched decode path promise byte-identical traces to serial
+// decode (see the exactness tests in batch_test.go).
 
 // useBatchASM gates the assembly kernels. It is a variable (not a
 // const) so exactness tests can force the fallback path; outside tests
@@ -220,5 +222,70 @@ func TanhSlice(dst, x []float64) {
 	}
 	for i, v := range x {
 		dst[i] = math.Tanh(v)
+	}
+}
+
+// LSTMCell is one LSTM layer's step from its finished gate GEMMs to the
+// next layer, every row in one call: z (rows × 4H gate pre-activations,
+// gate order i, f, g, o) gets bias added and is activated in place —
+// sigmoid on i, f and o, tanh on g — then c = f·c + i·g and h =
+// o·tanh(c) on the rows × H state matrices, the products and the sum
+// rounded separately as nn's scalar StepForward rounds them. At float64
+// with the assembly on and H a multiple of 4 that is one fused kernel
+// (lstmCellAVX2); everywhere else — REPRO_NOASM, other architectures,
+// odd H, float32 — it is the portable body below: the bias sweep, the
+// whole-segment activation calls, and the c / h loops. The two agree bit
+// for bit on finite values, and a NaN comes out NaN of both (which
+// payload survives a sum of two NaNs is the compiler's operand order in
+// one and the hardware's in the other, and not a contract).
+//
+// The activations are the one part that is a different algorithm per
+// element type: at float64 SigmoidSlice / TanhSlice, which reproduce the
+// math.Exp-based scalar loop bit for bit; at float32 act32.go's native
+// eight-lane kernels, because widening each gate row to the four-lane
+// f64 exp would cost the f32 path most of its advantage.
+func LSTMCell[T float32 | float64](z *Matrix[T], bias []T, c, h *Matrix[T]) {
+	hd := c.Cols
+	if z.Cols != 4*hd || len(bias) != 4*hd || h.Cols != hd || c.Rows != z.Rows || h.Rows != z.Rows {
+		panic(fmt.Sprintf("mat: LSTMCell shape mismatch z %v bias %d c %v h %v", z, len(bias), c, h))
+	}
+	if z.Rows == 0 || hd == 0 {
+		return
+	}
+	if zd, ok := any(z).(*Dense); ok && useBatchASM && hd%4 == 0 {
+		lstmCellAVX2(&zd.Data[0], &any(bias).([]float64)[0], &any(c).(*Dense).Data[0], &any(h).(*Dense).Data[0], z.Rows, hd)
+		return
+	}
+	AddBiasRows(z, bias)
+	switch z := any(z).(type) {
+	case *Dense:
+		for i := 0; i < z.Rows; i++ {
+			row := z.Row(i)
+			SigmoidSlice(row[:2*hd], row[:2*hd])
+			TanhSlice(row[2*hd:3*hd], row[2*hd:3*hd])
+			SigmoidSlice(row[3*hd:], row[3*hd:])
+		}
+	case *Dense32:
+		for i := 0; i < z.Rows; i++ {
+			row := z.Row(i)
+			SigmoidSlice32(row[:2*hd], row[:2*hd])
+			TanhSlice32(row[2*hd:3*hd], row[2*hd:3*hd])
+			SigmoidSlice32(row[3*hd:], row[3*hd:])
+		}
+	}
+	for i := 0; i < z.Rows; i++ {
+		zrow, crow, hrow := z.Row(i), c.Row(i), h.Row(i)
+		for j := 0; j < hd; j++ {
+			crow[j] = zrow[hd+j]*crow[j] + zrow[j]*zrow[2*hd+j]
+		}
+		switch cr := any(crow).(type) { // hrow holds tanh(c) until o scales it
+		case []float64:
+			TanhSlice(any(hrow).([]float64), cr)
+		case []float32:
+			TanhSlice32(any(hrow).([]float32), cr)
+		}
+		for j := 0; j < hd; j++ {
+			hrow[j] = zrow[3*hd+j] * hrow[j]
+		}
 	}
 }

@@ -42,6 +42,16 @@ func sigmoidAVX2(dst, x *float64, n int)
 //go:noescape
 func tanhAVX2(dst, x *float64, n int)
 
+// lstmCellAVX2 is LSTMCell's kernel: for m > 0 rows of gate
+// pre-activations z (4·hd wide), cell state c and hidden output h (hd
+// wide, hd a positive multiple of 4) it adds the bias b to z, applies
+// the gate activations in place, and updates c and h — sigmoidAVX2's and
+// tanhAVX2's bodies and separate VMULPD / VADDPD, so finite inputs give
+// the portable body's bits. Implemented in batch_amd64.s.
+//
+//go:noescape
+func lstmCellAVX2(z, b, c, h *float64, m, hd int)
+
 // rowSumAVX2 is the layer-0 row-sum kernel (mulAddSparseRows): for the
 // cnt > 0 listed columns k = idx[e] of one input row x, ascending, it
 // adds x[k]·b[k*n+j] into dst[j] for j in [0, n&^3), holding up to 48

@@ -17,6 +17,10 @@
 //     used only when the CPU also makes math.Exp take the FMA path (see
 //     haveBatchASM), so the two always agree. sigmoidAVX2 and tanhAVX2
 //     fuse 1/(1+Exp(-x)) and math.Tanh around the same body.
+//
+//   - lstmCellAVX2 is a whole LSTM cell for all rows of a decode step:
+//     the bias add, those two bodies over the gate segments, and the
+//     c / h updates in separate VMULPD and VADDPD.
 
 #include "textflag.h"
 
@@ -410,19 +414,66 @@ sslow:
 	EXPSLOW
 	JMP sstore
 
+// TANHBODY is math.Tanh (the pure-Go one: amd64 has no assembly tanh) on
+// four lanes: x in Y12 gives Tanh(x) in Y0; clobbers Y1-Y3, Y7, Y11 and
+// Y13, and reads Y14 = abs mask, Y15 = 708, Y4-Y6 = tanhP[0..2] and
+// Y8-Y10 = tanhQ[0..2]. Its three branches are evaluated on every lane
+// and blended, with VMULPD/VADDPD wherever it multiplies and adds (the
+// compiler does not fuse them) and its one division per element as ONE
+// VDIVPD over the blended operands q = 2/(s+1) or x·s2·P(s2)/Q(s2): 1-q
+// where |x| >= 0.625 (s = Exp(2|x|)), x+q below it (NaN lanes land here
+// and come out NaN), 1 above 0.5·MAXLOG, and x's sign bit ORed onto all
+// three — which is "z = -z if x < 0" for the first and last, restores
+// Tanh(-0) = -0 (x+q is +0 there) and changes nothing else. Exp runs on
+// min(2|x|, 708), which is 708 for NaN and 2|x| itself wherever s is used
+// (2|x| <= MAXLOG), so every lane is normal: EXPCORE alone, no test, no
+// EXPSLOW.
+#define TANHBODY \
+	VANDPD       Y14, Y12, Y0 \
+	VADDPD       Y0, Y0, Y0 \
+	VMINPD       Y15, Y0, Y0 \
+	EXPCORE \
+	VANDPD       Y14, Y12, Y13 \
+	VMULPD       Y12, Y12, Y1 \
+	VMULPD       Y1, Y4, Y2 \
+	VADDPD       Y5, Y2, Y2 \
+	VMULPD       Y1, Y2, Y2 \
+	VADDPD       Y6, Y2, Y2 \
+	VADDPD       Y8, Y1, Y3 \
+	VMULPD       Y1, Y3, Y3 \
+	VADDPD       Y9, Y3, Y3 \
+	VMULPD       Y1, Y3, Y3 \
+	VADDPD       Y10, Y3, Y3 \
+	VMULPD       Y1, Y12, Y1 \
+	VMULPD       Y2, Y1, Y1 \
+	VBROADCASTSD actc<>+24(SB), Y2 \
+	VCMPPD       $29, Y2, Y13, Y2 \
+	VADDPD       expc<>+384(SB), Y11, Y11 \
+	VBLENDVPD    Y2, Y11, Y3, Y3 \
+	VBLENDVPD    Y2, expc<>+416(SB), Y1, Y1 \
+	VDIVPD       Y3, Y1, Y1 \
+	VADDPD       Y1, Y12, Y3 \
+	VMOVUPD      expc<>+384(SB), Y7 \
+	VSUBPD       Y1, Y7, Y0 \
+	VBLENDVPD    Y2, Y0, Y3, Y0 \
+	VBROADCASTSD actc<>+32(SB), Y3 \
+	VCMPPD       $30, Y3, Y13, Y3 \
+	VBLENDVPD    Y3, Y7, Y0, Y0 \
+	VANDNPD      Y12, Y14, Y1 \
+	VORPD        Y1, Y0, Y0
+
+// TANHCONSTS loads TANHBODY's polynomial coefficients.
+#define TANHCONSTS \
+	VBROADCASTSD actc<>+40(SB), Y4 \
+	VBROADCASTSD actc<>+48(SB), Y5 \
+	VBROADCASTSD actc<>+56(SB), Y6 \
+	VBROADCASTSD actc<>+64(SB), Y8 \
+	VBROADCASTSD actc<>+72(SB), Y9 \
+	VBROADCASTSD actc<>+80(SB), Y10
+
 // func tanhAVX2(dst, x *float64, n int)
 //
-// dst[i] = math.Tanh(x[i]) for i in [0, n), n a positive multiple of 4:
-// the pure-Go tanh's three branches evaluated on every lane and blended,
-// with VMULPD/VADDPD wherever it multiplies and adds (the compiler does
-// not fuse them) and its one division per element as ONE VDIVPD over the
-// blended operands q = 2/(s+1) or x·s2·P(s2)/Q(s2): 1-q where |x| >=
-// 0.625 (s = Exp(2|x|)), x+q below it (NaN lanes land here and come out
-// NaN), 1 above 0.5·MAXLOG, and x's sign bit ORed onto all three — which
-// is "z = -z if x < 0" for the first and last, restores Tanh(-0) = -0
-// (x+q is +0 there) and changes nothing else. Exp runs on min(2|x|, 708),
-// which is 708 for NaN and 2|x| itself wherever s is used (2|x| <=
-// MAXLOG), so every lane is normal: EXPCORE alone, no test, no EXPSLOW.
+// dst[i] = math.Tanh(x[i]) for i in [0, n), n a positive multiple of 4.
 TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
@@ -430,49 +481,11 @@ TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
 	SHRQ         $2, CX
 	VBROADCASTSD actc<>+0(SB), Y14
 	VBROADCASTSD actc<>+8(SB), Y15
-	VBROADCASTSD actc<>+40(SB), Y4 // P0, P1, P2
-	VBROADCASTSD actc<>+48(SB), Y5
-	VBROADCASTSD actc<>+56(SB), Y6
-	VBROADCASTSD actc<>+64(SB), Y8 // Q0, Q1, Q2
-	VBROADCASTSD actc<>+72(SB), Y9
-	VBROADCASTSD actc<>+80(SB), Y10
+	TANHCONSTS
 
 tloop:
 	VMOVUPD (SI), Y12
-	VANDPD  Y14, Y12, Y0
-	VADDPD  Y0, Y0, Y0
-	VMINPD  Y15, Y0, Y0   // min(2|x|, 708); 708 on NaN
-	EXPCORE               // s in Y11
-	VANDPD  Y14, Y12, Y13 // z = |x|
-
-	VMULPD       Y12, Y12, Y1 // s2 = x*x
-	VMULPD       Y1, Y4, Y2
-	VADDPD       Y5, Y2, Y2
-	VMULPD       Y1, Y2, Y2
-	VADDPD       Y6, Y2, Y2   // P = (P0*s2+P1)*s2+P2
-	VADDPD       Y8, Y1, Y3
-	VMULPD       Y1, Y3, Y3
-	VADDPD       Y9, Y3, Y3
-	VMULPD       Y1, Y3, Y3
-	VADDPD       Y10, Y3, Y3  // Q = ((s2+Q0)*s2+Q1)*s2+Q2
-	VMULPD       Y1, Y12, Y1
-	VMULPD       Y2, Y1, Y1   // x*s2*P
-	VBROADCASTSD actc<>+24(SB), Y2
-	VCMPPD       $29, Y2, Y13, Y2           // z >= 0.625
-	VADDPD       expc<>+384(SB), Y11, Y11
-	VBLENDVPD    Y2, Y11, Y3, Y3            // s+1 : Q
-	VBLENDVPD    Y2, expc<>+416(SB), Y1, Y1 // 2 : x*s2*P
-	VDIVPD       Y3, Y1, Y1                 // q
-	VADDPD       Y1, Y12, Y3                // x + q
-	VMOVUPD      expc<>+384(SB), Y7
-	VSUBPD       Y1, Y7, Y0                 // 1 - q
-	VBLENDVPD    Y2, Y0, Y3, Y0
-	VBROADCASTSD actc<>+32(SB), Y3
-	VCMPPD       $30, Y3, Y13, Y3           // z > 0.5*MAXLOG
-	VBLENDVPD    Y3, Y7, Y0, Y0
-	VANDNPD      Y12, Y14, Y1               // x's sign bit
-	VORPD        Y1, Y0, Y0
-
+	TANHBODY
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
@@ -480,6 +493,107 @@ tloop:
 	JNZ     tloop
 	VZEROUPPER
 	RET
+
+// func lstmCellAVX2(z, b, c, h *float64, m, hd int)
+//
+// Everything between a layer's recurrent GEMM and the next layer, for m
+// rows of gate pre-activations z (4·hd wide, gate order i, f, g, o),
+// cell state c and hidden output h (hd wide), hd a positive multiple of
+// 4, m positive. Per row: z += b, then sigmoidAVX2's loop over [0, 2·hd)
+// and again over [3·hd, 4·hd), TANHBODY over [2·hd, 3·hd) — z is left
+// holding the activated gates — then c = (f·c) + (i·g) and h = o·Tanh(c),
+// each a separate VMULPD / VADDPD in the Go loop's operand grouping (no
+// FMA outside EXPCORE). For finite inputs that is, bit for bit,
+// AddBiasRows + SigmoidSlice / TanhSlice + LSTMCell's portable loops.
+// Which payload survives when two NaNs meet in (f·c) + (i·g) or z + b is
+// the hardware's first-operand rule here and the compiler's operand
+// order there — not a contract; a NaN stays a NaN in both.
+//
+// The g-gate tanh and the cell tanh are separate loops on purpose:
+// chained in one iteration the ~250-cycle dependency no longer fits the
+// reorder window and consecutive vectors stop overlapping. A row is
+// finished before the next starts, so it stays in L1 across the loops.
+TEXT ·lstmCellAVX2(SB), NOSPLIT, $0-48
+	MOVQ         z+0(FP), DI
+	MOVQ         b+8(FP), SI
+	MOVQ         c+16(FP), DX
+	MOVQ         h+24(FP), R8
+	MOVQ         m+32(FP), CX
+	MOVQ         hd+40(FP), R9
+	SHLQ         $3, R9 // one gate segment, bytes
+	VBROADCASTSD actc<>+0(SB), Y14
+	VBROADCASTSD actc<>+8(SB), Y15
+
+crow:
+	// The sigmoid and tanh constants share Y5 and Y6 (EXPSLOW clobbers the
+	// rest), so each row reloads them.
+	VBROADCASTSD actc<>+16(SB), Y5
+	VMOVUPD      expc<>+384(SB), Y6
+	XORQ         BX, BX          // column, bytes
+	LEAQ         (R9)(R9*1), R10 // segment end: 2·hd, then 4·hd
+
+csig:
+	VMOVUPD (DI)(BX*1), Y0
+	VADDPD  (SI)(BX*1), Y0, Y0
+	VXORPD  Y5, Y0, Y0 // -(z + b)
+	EXPNORMAL
+	JNE     csigslow
+
+csigstore:
+	VADDPD  Y6, Y11, Y11 // 1 + e
+	VDIVPD  Y11, Y6, Y11 // 1 / (1 + e)
+	VMOVUPD Y11, (DI)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R10
+	JLT     csig
+	LEAQ    (R9)(R9*2), BX  // the o gate starts at 3·hd
+	CMPQ    R10, BX         // below it: that was [0, 2·hd), run [3·hd, 4·hd)
+	LEAQ    (BX)(R9*1), R10 // (LEAQ leaves the flags alone)
+	JLT     csig
+
+	TANHCONSTS
+	LEAQ (R9)(R9*1), BX
+	LEAQ (BX)(R9*1), R10
+
+cg:
+	VMOVUPD (DI)(BX*1), Y12
+	VADDPD  (SI)(BX*1), Y12, Y12
+	TANHBODY
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R10
+	JLT     cg
+
+	XORQ BX, BX
+	LEAQ (DI)(R9*1), R11  // f
+	LEAQ (R11)(R9*1), R12 // g
+	LEAQ (R12)(R9*1), R13 // o
+
+cc:
+	VMOVUPD (R11)(BX*1), Y0
+	VMULPD  (DX)(BX*1), Y0, Y0  // f·c
+	VMOVUPD (DI)(BX*1), Y1
+	VMULPD  (R12)(BX*1), Y1, Y1 // i·g
+	VADDPD  Y1, Y0, Y12
+	VMOVUPD Y12, (DX)(BX*1)
+	TANHBODY
+	VMULPD  (R13)(BX*1), Y0, Y0 // o·Tanh(c)
+	VMOVUPD Y0, (R8)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R9
+	JLT     cc
+
+	LEAQ (DI)(R9*4), DI
+	ADDQ R9, DX
+	ADDQ R9, R8
+	DECQ CX
+	JNZ  crow
+	VZEROUPPER
+	RET
+
+csigslow:
+	EXPSLOW
+	JMP csigstore
 
 // Packed-panel tile kernels (DESIGN.md §6.5). Each processes ONE
 // j-tile of a packed weight panel across all m activation rows, with

@@ -4,8 +4,9 @@ package mat
 
 // haveBatchASM reports whether assembly batched-decode kernels exist
 // for this architecture. Without them MulAddBatched, ExpSlice,
-// SigmoidSlice and TanhSlice use the portable bodies in batch.go, which
-// are bit-identical (and the reference the assembly is tested against).
+// SigmoidSlice, TanhSlice and LSTMCell use the portable bodies in
+// batch.go, which are bit-identical (and the reference the assembly is
+// tested against).
 func haveBatchASM() bool { return false }
 
 func gemmAVX2(dst, a, b *float64, m, k, n int) {
@@ -26,6 +27,10 @@ func sigmoidAVX2(dst, x *float64, n int) {
 
 func tanhAVX2(dst, x *float64, n int) {
 	panic("mat: tanhAVX2 without assembly kernel")
+}
+
+func lstmCellAVX2(z, b, c, h *float64, m, hd int) {
+	panic("mat: lstmCellAVX2 without assembly kernel")
 }
 
 func gemmPacked16AVX2(dst, a, p *float64, m, k, n int) {

@@ -246,6 +246,138 @@ func FuzzGateActivations(f *testing.F) {
 	})
 }
 
+// lstmCellRef is the scalar composition LSTMCell must reproduce, one
+// row: the bias add, 1/(1+math.Exp(-x)) and math.Tanh, and the c / h
+// updates with every product and sum rounded on its own (the
+// conversions forbid a fused multiply-add on any architecture).
+func lstmCellRef(z, bias, c, h []float64) {
+	hd := len(c)
+	for j := range z {
+		z[j] += bias[j]
+		if j/hd == 2 {
+			z[j] = math.Tanh(z[j])
+		} else {
+			z[j] = 1 / (1 + math.Exp(-z[j]))
+		}
+	}
+	for j := range c {
+		c[j] = float64(z[hd+j]*c[j]) + float64(z[j]*z[2*hd+j])
+		h[j] = z[3*hd+j] * math.Tanh(c[j])
+	}
+}
+
+// checkLSTMCell runs LSTMCell over copies of z and c in calls of m rows
+// and compares z, c and h with lstmCellRef row by row: bits wherever the
+// reference is not NaN, NaN-ness where it is (see LSTMCell).
+func checkLSTMCell(t *testing.T, z *Dense, bias []float64, c *Dense, m int) {
+	t.Helper()
+	hd := c.Cols
+	gz, gc, gh := z.Clone(), c.Clone(), NewDense(c.Rows, hd)
+	for lo := 0; lo < z.Rows; lo += m {
+		hi := min(lo+m, z.Rows)
+		LSTMCell(FromSlice(hi-lo, 4*hd, gz.Data[lo*4*hd:hi*4*hd]), bias,
+			FromSlice(hi-lo, hd, gc.Data[lo*hd:hi*hd]), FromSlice(hi-lo, hd, gh.Data[lo*hd:hi*hd]))
+	}
+	wz, wc, wh := z.Clone(), c.Clone(), NewDense(c.Rows, hd)
+	for i := 0; i < z.Rows; i++ {
+		lstmCellRef(wz.Row(i), bias, wc.Row(i), wh.Row(i))
+	}
+	for _, p := range []struct {
+		name      string
+		got, want *Dense
+	}{{"z", gz, wz}, {"c", gc, wc}, {"h", gh, wh}} {
+		for i, w := range p.want.Data {
+			g := p.got.Data[i]
+			if math.IsNaN(w) != math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("hd %d m %d: %s[%d][%d] = %x, want %x", hd, m, p.name,
+					i/p.want.Cols, i%p.want.Cols, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestLSTMCellBitExact checks LSTMCell against the scalar composition
+// at hidden sizes that give the gate loops one vector, several, and a
+// non-multiple of the GEMM tile, in calls of 1, 3 and 64 rows: random
+// normal rows, then every gateEdges value planted — at each of the four
+// lane positions of an otherwise normal row — in each gate segment and
+// in c, under a bias of -0 (the exact additive identity, so the edge
+// itself reaches the activation) and under a random one, and (bias being
+// shared by a call's rows) in each segment of the bias, so the fused
+// loops visit the slow exp body and both tanh cut-offs with normal lanes
+// beside them.
+func TestLSTMCellBitExact(t *testing.T) {
+	withBatchASM(t, func(t *testing.T) {
+		edges := gateEdges()
+		for _, hd := range []int{4, 8, 24, 28, 200} {
+			plant := func(e, lane int) int { return 4*(e%(hd/4)) + lane }
+			const random = 64
+			z := denseRand(random+len(edges)*5*4, 4*hd, int64(hd))
+			c := denseRand(z.Rows, hd, int64(hd)+1)
+			bias := denseRand(1, 4*hd, int64(hd)+2).Data
+			negZero := make([]float64, 4*hd)
+			for j := range negZero {
+				negZero[j] = math.Copysign(0, -1)
+			}
+			row := random
+			for e, v := range edges {
+				for lane := 0; lane < 4; lane++ {
+					for seg := 0; seg < 4; seg++ {
+						z.Row(row)[seg*hd+plant(e, lane)] = v
+						row++
+					}
+					c.Row(row)[plant(e, lane)] = v
+					row++
+				}
+			}
+			for _, m := range []int{1, 3, 64} {
+				checkLSTMCell(t, z, negZero, c, m)
+				checkLSTMCell(t, z, bias, c, m)
+			}
+			zb, cb := denseRand(3, 4*hd, int64(hd)+3), denseRand(3, hd, int64(hd)+4)
+			for e, v := range edges {
+				for lane := 0; lane < 4; lane++ {
+					for seg := 0; seg < 4; seg++ {
+						b := append([]float64(nil), bias...)
+						b[seg*hd+plant(e, lane)] = v
+						checkLSTMCell(t, zb, b, cb, 3)
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzLSTMCell feeds arbitrary float64 bit patterns — one into each gate
+// segment, the bias and c of a single otherwise ordinary row, hidden 4
+// to 40 — through LSTMCell on both tiers against the scalar composition.
+func FuzzLSTMCell(f *testing.F) {
+	bits := math.Float64bits
+	f.Add(uint8(0), bits(2.6), bits(-2.6), bits(0.3), bits(1.3), bits(0.1), bits(-0.7))
+	f.Add(uint8(5), bits(math.NaN()), bits(708), bits(0.625), bits(math.Inf(-1)), bits(-745.2), bits(44.014845965556524))
+	f.Add(uint8(9), bits(math.Nextafter(708, 709)), bits(-740), bits(math.Copysign(0, -1)), uint64(0x7FF0000000000abc), bits(709.782712893384), bits(math.Inf(1)))
+	f.Add(uint8(23), bits(-709.78271289338397), bits(1e-320), bits(-0.625), bits(745.2), bits(1e300), bits(-1e300))
+	f.Fuzz(func(t *testing.T, n uint8, i, fg, g, o, b, cv uint64) {
+		hd := 4 * (1 + int(n)%10)
+		z, c := NewDense(1, 4*hd), NewDense(1, hd)
+		bias := make([]float64, 4*hd)
+		for j := range z.Data {
+			z.Data[j] = 0.25 * float64(j%17-8)
+			bias[j] = 0.125 * float64(j%5-2)
+		}
+		for j := range c.Data {
+			c.Data[j] = 0.5 * float64(j%7-3)
+		}
+		at := int(n) / 10 % hd
+		for seg, p := range []uint64{i, fg, g, o} {
+			z.Data[seg*hd+(at+seg)%hd] = math.Float64frombits(p)
+		}
+		bias[(at*5)%(4*hd)] = math.Float64frombits(b)
+		c.Data[(at+2)%hd] = math.Float64frombits(cv)
+		withBatchASM(t, func(t *testing.T) { checkLSTMCell(t, z, bias, c, 1) })
+	})
+}
+
 // TestExpSliceAlias checks the documented exact-alias contract.
 func TestExpSliceAlias(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
@@ -270,9 +402,11 @@ func TestBatchKernelsNoAlloc(t *testing.T) {
 	dst := NewDense(8, 96)
 	x := denseRand(1, 96, 3).Data
 	y := make([]float64, 96)
+	c, h := denseRand(8, 24, 4), NewDense(8, 24)
 	if n := testing.AllocsPerRun(100, func() {
 		MulAddBatched(dst, a, b)
 		ExpSlice(y, x)
+		LSTMCell(dst, x, c, h)
 	}); n != 0 {
 		t.Fatalf("batched kernels allocated %v per run", n)
 	}

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -184,5 +185,23 @@ func TestUnrolledVariantsBitExact(t *testing.T) {
 				t.Fatalf("n=%d: axpy mismatch at %d: %v vs %v", n, i, y[i], y2[i])
 			}
 		}
+	}
+}
+
+// BenchmarkLSTMCell24 is LSTMCell at the decode hidden size on fresh
+// normal pre-activations, one row and a 64-row batch; ns/op is one call
+// (scripts/bench.sh prints it per row).
+func BenchmarkLSTMCell24(b *testing.B) {
+	for _, m := range []int{1, 64} {
+		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
+			pre, z := denseRand(m, 96, 1), NewDense(m, 96)
+			bias := denseRand(1, 96, 2).Data
+			c, h := denseRand(m, 24, 3), NewDense(m, 24)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(z.Data, pre.Data)
+				LSTMCell(z, bias, c, h)
+			}
+		})
 	}
 }

@@ -141,81 +141,56 @@ func panelCopy[T float32 | float64](panel, rm []T, k, n int, unpack bool) {
 // Single-goroutine, like MulAddBatched — the decode scheduler owns its
 // own concurrency.
 func MulAddPacked[T float32 | float64](dst, a *Matrix[T], b *Packed[T]) {
-	MulAddPackedEpi(dst, a, b, nil)
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MulAddPacked shape mismatch %v * %v -> %v", a, b, dst))
+	}
+	mulAddPackedRows(dst, a, b, 0, a.Rows)
 }
 
 // MulAddPacked32 is MulAddPacked; like Pack32, the name is kept for the
 // frozen bench/ harness only.
 func MulAddPacked32(dst, a *Dense32, b *PackedDense32) { MulAddPacked(dst, a, b) }
 
-// MulAddPackedEpi is MulAddPacked with a fused epilogue: after the
-// columns [j0, j1) of every dst row have received their full
-// accumulation, epi(j0, j1) is invoked — while those columns are still
-// hot in cache — before the kernel moves to the next tile, so the
-// caller can apply its bias/activation pass there instead of in a
-// second sweep over the output slab. The calls partition [0, b.Cols)
-// in ascending order (wide tiles, narrow tiles, then one call for the
-// scalar tail, when each is non-empty). A nil epi is MulAddPacked. The
-// epilogue must only touch dst columns [j0, j1); it runs even when a
-// has zero rows, so bias-style epilogues need no special casing.
-func MulAddPackedEpi[T float32 | float64](dst, a *Matrix[T], b *Packed[T], epi func(j0, j1 int)) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulAddPacked shape mismatch %v * %v -> %v", a, b, dst))
-	}
-	mulAddPackedRows(dst, a, b, 0, a.Rows, epi)
-}
-
-// mulAddPackedRows runs the packed kernel over dst rows [lo, hi). The
-// epilogue (nil allowed) sees every tile of the column range once,
-// regardless of the row range — callers that split rows across workers
-// must pass epi only from one range (MulAdd's dispatch passes nil).
-func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, hi int, epi func(j0, j1 int)) {
+// mulAddPackedRows runs the packed kernel over dst rows [lo, hi), one
+// panel tile at a time across all of them.
+func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, hi int) {
 	m := hi - lo
 	k, n := b.Rows, b.Cols
-	run := m > 0 && k > 0
-	var ad, dd []T
-	if run {
-		ad = a.Data[lo*k : hi*k]
-		dd = dst.Data[lo*n : hi*n]
+	if m <= 0 || k == 0 {
+		return
 	}
+	ad := a.Data[lo*k : hi*k]
+	dd := dst.Data[lo*n : hi*n]
 	narrow := lanes[T]()
 	off, j0, w := 0, 0, 4*narrow
 	for ; j0+narrow <= n; j0 += w { // wide tiles while they fit, then narrow ones
 		if j0+w > n {
 			w = narrow
 		}
-		if run {
-			tile := b.data[off : off+k*w]
-			if !useBatchASM {
-				mulAddTile(dd[j0:], ad, tile, m, k, n, w)
-			} else {
-				// The assembly tile kernel of T and w, called directly: a
-				// helper, a func value or a type switch here costs a few
-				// nanoseconds per tile, which shows at one activation
-				// row. The size test is a constant in each instantiation,
-				// and it is what licenses the pointer casts.
-				dp, ap, tp := unsafe.Pointer(&dd[j0]), unsafe.Pointer(&ad[0]), unsafe.Pointer(&tile[0])
-				switch is64, wide := unsafe.Sizeof(dd[0]) == 8, w > narrow; {
-				case is64 && wide:
-					gemmPacked16AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
-				case is64:
-					gemmPacked4AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
-				case wide:
-					gemmPacked32AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
-				default:
-					gemmPacked8AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
-				}
+		tile := b.data[off : off+k*w]
+		if !useBatchASM {
+			mulAddTile(dd[j0:], ad, tile, m, k, n, w)
+		} else {
+			// The assembly tile kernel of T and w, called directly: a
+			// helper, a func value or a type switch here costs a few
+			// nanoseconds per tile, which shows at one activation row.
+			// The size test is a constant in each instantiation, and it
+			// is what licenses the pointer casts.
+			dp, ap, tp := unsafe.Pointer(&dd[j0]), unsafe.Pointer(&ad[0]), unsafe.Pointer(&tile[0])
+			switch is64, wide := unsafe.Sizeof(dd[0]) == 8, w > narrow; {
+			case is64 && wide:
+				gemmPacked16AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
+			case is64:
+				gemmPacked4AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
+			case wide:
+				gemmPacked32AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
+			default:
+				gemmPacked8AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
 			}
 		}
 		off += k * w
-		if epi != nil {
-			epi(j0, j0+w)
-		}
 	}
-	if j0 == n {
-		return
-	}
-	for j := j0; run && j < n; j++ {
+	for j := j0; j < n; j++ {
 		col := b.data[off : off+k]
 		for i := 0; i < m; i++ {
 			arow := ad[i*k : i*k+k]
@@ -226,9 +201,6 @@ func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, 
 			dd[i*n+j] = s
 		}
 		off += k
-	}
-	if epi != nil {
-		epi(j0, n)
 	}
 }
 
@@ -272,10 +244,10 @@ func mulAddPackedB(dst, a, b *Dense) {
 	panelCopy(pb.data, b.Data, k, n, false)
 	rowFlops := k * n
 	if a.Rows*rowFlops < parMinFlops || par.Procs() == 1 {
-		mulAddPackedRows(dst, a, &pb, 0, a.Rows, nil)
+		mulAddPackedRows(dst, a, &pb, 0, a.Rows)
 	} else {
 		par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-			mulAddPackedRows(dst, a, &pb, lo, hi, nil)
+			mulAddPackedRows(dst, a, &pb, lo, hi)
 		})
 	}
 	packPut(sp)

@@ -98,74 +98,6 @@ func TestMulAddPacked32BitExact(t *testing.T) {
 	})
 }
 
-// TestMulAddPackedEpiPartition pins the epilogue contract: the calls
-// partition [0, n) in ascending order, fire exactly once per tile, see
-// fully-accumulated columns, and run even for zero activation rows.
-func TestMulAddPackedEpiPartition(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		for _, sh := range panelShapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := denseRand(m, k, 4)
-			b := denseRand(k, n, 5)
-			want := denseRand(m, n, 6)
-			got := want.Clone()
-			MulAddBatched(want, a, b)
-
-			next := 0
-			MulAddPackedEpi(got, a, b.Pack(), func(j0, j1 int) {
-				if j0 != next || j1 <= j0 || j1 > n {
-					t.Fatalf("%dx%dx%d: epi segment [%d,%d), want start %d", m, k, n, j0, j1, next)
-				}
-				next = j1
-				// Columns [j0, j1) must already hold their final GEMM
-				// value when the epilogue sees them.
-				for i := 0; i < m; i++ {
-					for j := j0; j < j1; j++ {
-						if math.Float64bits(got.Data[i*n+j]) != math.Float64bits(want.Data[i*n+j]) {
-							t.Fatalf("%dx%dx%d: epi [%d,%d): col %d not finished", m, k, n, j0, j1, j)
-						}
-					}
-				}
-			})
-			if next != n {
-				t.Fatalf("%dx%dx%d: epi covered [0,%d), want [0,%d)", m, k, n, next, n)
-			}
-
-			// Zero activation rows: the GEMM is a no-op but bias-style
-			// epilogues still need the full partition.
-			empty := NewDense(0, n)
-			ea := NewDense(0, k)
-			next = 0
-			MulAddPackedEpi(empty, ea, b.Pack(), func(j0, j1 int) { next = j1 })
-			if next != n {
-				t.Fatalf("%dx%dx%d: zero-row epi stopped at %d", m, k, n, next)
-			}
-		}
-	})
-}
-
-// TestMulAddPackedEpi32Partition is the float32 partition pin.
-func TestMulAddPackedEpi32Partition(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		for _, sh := range panelShapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := dense32Rand(m, k, 4)
-			b := dense32Rand(k, n, 5)
-			got := dense32Rand(m, n, 6)
-			next := 0
-			MulAddPackedEpi(got, a, b.Pack32(), func(j0, j1 int) {
-				if j0 != next || j1 <= j0 || j1 > n {
-					t.Fatalf("%dx%dx%d: epi segment [%d,%d), want start %d", m, k, n, j0, j1, next)
-				}
-				next = j1
-			})
-			if next != n {
-				t.Fatalf("%dx%dx%d: epi covered [0,%d), want [0,%d)", m, k, n, next, n)
-			}
-		}
-	})
-}
-
 // TestMulAddPackedDispatchBitExact pins that MulAdd produces identical
 // bits whether or not the packed-B dispatch is taken, at shapes
 // straddling packMinFlops (the training/BPTT sizes the dispatch
@@ -201,9 +133,8 @@ func TestMulAddPackedDispatchBitExact(t *testing.T) {
 }
 
 // FuzzMulAddPacked feeds random shapes and data through the packed f64
-// kernel and bit-compares against the unpacked batched reference —
-// both assembly and portable, with and without a fused epilogue doing
-// a bias-style rewrite of each finished segment.
+// kernel followed by a bias sweep — the fleet's head — and bit-compares
+// against the unpacked batched reference, both assembly and portable.
 func FuzzMulAddPacked(f *testing.F) {
 	f.Add(uint8(8), uint8(24), uint8(96), int64(1))
 	f.Add(uint8(64), uint8(64), uint8(255), int64(2))
@@ -223,23 +154,12 @@ func FuzzMulAddPacked(f *testing.F) {
 
 		want := base.Clone()
 		MulAddBatched(want, a, b)
-		for i := 0; i < m; i++ {
-			row := want.Row(i)
-			for j, bv := range bias {
-				row[j] += bv
-			}
-		}
+		AddBiasRows(want, bias)
 
 		withBatchASM(t, func(t *testing.T) {
 			got := base.Clone()
-			MulAddPackedEpi(got, a, p, func(j0, j1 int) {
-				for i := 0; i < m; i++ {
-					row := got.Row(i)
-					for j := j0; j < j1; j++ {
-						row[j] += bias[j]
-					}
-				}
-			})
+			MulAddPacked(got, a, p)
+			AddBiasRows(got, bias)
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("%dx%dx%d: elem %d: got %x want %x",

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -112,16 +111,23 @@ func BenchmarkGRUStep(b *testing.B) {
 // fixture with the rows their encoders produce, because a step's cost
 // is set by layer 0's non-zeros and the two differ fivefold: the flavor
 // LSTM (57-wide input: previous-token one-hot + temporal, 12 non-zero)
-// and the lifetime LSTM (fleetLifetimeShape: 151-wide, 53–61 non-zero).
-// Rows 1 and 64 bracket the engine's batch widths; ns/op is one Step.
+// and the lifetime LSTM (fleetLifetimeShape: 151-wide, 53–61 non-zero),
+// then the lifetime LSTM at the paper's hidden 200, the size at which
+// the packed panels are measured to win. Rows 1 and 64 bracket the
+// engine's batch widths; ns/op is one Step. Every fleet cell runs, so
+// the unpacked ÷ packed ratio ROADMAP's packing verdict rests on reads
+// off adjacent rows.
 func BenchmarkFleetStepShapes(b *testing.B) {
 	flavorShape := Config{InputDim: 57, HiddenDim: 24, Layers: 2, OutputDim: 17}
+	lifetime200 := fleetLifetimeShape
+	lifetime200.HiddenDim = 200
 	shapes := []struct {
 		name string
 		cfg  Config
+		rows []int
 		row  func(dst []float64, s, t int)
 	}{
-		{"flavor", flavorShape, func(dst []float64, s, t int) {
+		{"flavor", flavorShape, []int{1, 64}, func(dst []float64, s, t int) {
 			clear(dst)
 			dst[(s+t)%17] = 1 // previous token
 			u := 7*s + 3*t
@@ -131,17 +137,14 @@ func BenchmarkFleetStepShapes(b *testing.B) {
 				dst[j] = 1 // generation encodes the last history day
 			}
 		}},
-		{"lifetime", fleetLifetimeShape, lifetimeRow},
+		{"lifetime", fleetLifetimeShape, []int{1, 64}, lifetimeRow},
+		{"lifetime200", lifetime200, []int{1, 8, 64}, lifetimeRow},
 	}
 	for _, sh := range shapes {
 		net := NewLSTM(sh.cfg, rng.New(1))
-		for _, rows := range []int{1, 64} {
+		for _, rows := range sh.rows {
 			for _, c := range fleetCells {
-				prec, ok := strings.CutSuffix(c.name, "/packed")
-				if !ok {
-					continue // the engines serve the packed fleets
-				}
-				b.Run(fmt.Sprintf("%s/rows%d/%s", sh.name, rows, prec), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/rows%d/%s", sh.name, rows, c.name), func(b *testing.B) {
 					f := c.fleet(net, rows)
 					batch := make([]int, rows)
 					for s := range batch {

@@ -10,9 +10,8 @@ import (
 // over the element type: Fleet[float64] is the bit-exact serving path
 // and Fleet[float32] the fast one (§6.4), each optionally stepping on
 // panel-packed weights (§6.5). What differs per type is confined to
-// three places: where the step weights come from (stepWeights), the gate
-// activation kernels (activate / tanh below), and the assembly behind
-// internal/mat's generic GEMMs.
+// two places: where the step weights come from (stepWeights) and the
+// kernels behind internal/mat's generic GEMMs and LSTMCell.
 
 // StepFleet is the decode-fleet surface the batching engines drive;
 // both Fleet instantiations implement it behind a float64 facade —
@@ -77,8 +76,8 @@ func (n *LSTM) Convert32() *LSTM32 {
 
 // PackedLSTM is a publish-time conversion of a network's decode
 // matrices (wx, wh, wy) into cache-blocked panels for the packed step
-// kernels (DESIGN.md §6.5); biases stay plain slices, applied by the
-// fused tile epilogues. Packing copies values bit-for-bit and the
+// kernels (DESIGN.md §6.5); biases stay plain slices, added after the
+// GEMMs on either layout. Packing copies values bit-for-bit and the
 // packed kernels accumulate in exactly the unpacked order, so a fleet
 // running on panels emits byte-identical traces — panels change where
 // weights live, never what they compute. Training never reads it: the
@@ -139,9 +138,9 @@ func (n *LSTM32) Pack() *PackedLSTM32 { return n.w.pack() }
 // a dedicated State: every GEMM kernel — including the vectorized
 // MulAddBatched — accumulates each output element's k-terms in
 // ascending order regardless of batch size, blocking, or worker count;
-// the vectorized gate activations compute exactly the scalar loop's
-// operations (vecact.go); and layer 0 runs StepForward's skip-zero
-// row-sum kernel on every row, so the two skip the same terms.
+// mat.LSTMCell computes exactly the scalar gate loop's operations; and
+// layer 0 runs StepForward's skip-zero row-sum kernel on every row, so
+// the two skip the same terms.
 // A Fleet[float32] step keeps every one of those properties among f32
 // steps — deterministic, and independent of which other streams share
 // the batch — and gives up only bit-parity with the f64 path: state
@@ -183,40 +182,20 @@ type Fleet[T float32 | float64] struct {
 	xtv, ytv, zv mat.Matrix[T]
 	ghv, gcv     []mat.Matrix[T]
 
-	// Gate-loop scratch, one hidden row: the tanh(c) output.
-	tc []T
-
-	// Packed serving weights and the fused tile epilogues bound to them;
-	// nil on an unpacked fleet. The epilogue closures are built once at
-	// construction so Step stays allocation-free.
-	panels  *PackedLSTM[T]
-	epis    []func(j0, j1 int)
-	headEpi func(j0, j1 int)
+	// Packed serving weights; nil on an unpacked fleet.
+	panels *PackedLSTM[T]
 }
 
 // newFleet is the one fleet constructor: an empty fleet over w with
 // room for capacity streams (it grows as needed), stepping on panels p
-// when p is non-nil — the step GEMMs bound to the packed kernels and
-// the bias/gate-activation pass fused into their tile epilogues,
+// when p is non-nil — the dense step GEMMs bound to the packed kernels,
 // bit-identical to the unpacked fleet. p must be w's current weights,
 // packed: the kernels check its shapes, nothing can check its values
 // here, and panels of other or older weights decode wrong traces —
 // which is why core.ValidateF32 steps the packed fleets at publish.
 func newFleet[T float32 | float64](w *stepWeights[T], capacity int, p *PackedLSTM[T]) *Fleet[T] {
-	f := &Fleet[T]{w: w}
+	f := &Fleet[T]{w: w, panels: p}
 	f.alloc(max(capacity, 1))
-	if p == nil {
-		return f
-	}
-	f.panels = p
-	// Each epilogue reads the current subset through the fleet's
-	// preallocated view headers (f.zv / f.ytv), which Step points at the
-	// gathered rows before the packed GEMM runs.
-	f.epis = make([]func(int, int), len(w.layers))
-	for l := range w.layers {
-		f.epis[l] = f.gateEpi(l)
-	}
-	f.headEpi = f.headBiasEpi()
 	return f
 }
 
@@ -281,7 +260,6 @@ func (f *Fleet[T]) alloc(capacity int) {
 	f.z = mat.NewAligned[T](capacity, 4*cfg.HiddenDim)
 	f.ghv = make([]mat.Matrix[T], nl)
 	f.gcv = make([]mat.Matrix[T], nl)
-	f.tc = make([]T, cfg.HiddenDim)
 }
 
 // Rows returns the number of live streams.
@@ -338,96 +316,6 @@ func viewRows[T float32 | float64](v, m *mat.Matrix[T], k int) *mat.Matrix[T] {
 	return v
 }
 
-// activate and tanh are the gate activations, the one part of a step
-// that is a different algorithm per element type. At float64 they are
-// mat.SigmoidSlice / mat.TanhSlice, which reproduce StepForward's
-// math.Exp-based scalar loop bit for bit; at float32 they are
-// mat/act32.go's native eight-lane kernels, because widening each gate
-// row to the four-lane f64 exp would cost the f32 path most of its
-// advantage. All four are assembly plus a bit-identical portable body,
-// any length, exact aliasing allowed.
-//
-// activate applies the gate nonlinearities to columns [j0, j1) of every
-// row of z: sigmoid on the i/f/o segments, tanh on the g segment. The
-// range may straddle gate boundaries, so each activation runs on its
-// intersection with [j0, j1). The type switch sits above the row loop
-// and the arms call the kernels directly: a packed step activates ~12
-// (tile, row) pairs per row and layer, and a per-call switch behind two
-// helper levels showed end to end.
-func (f *Fleet[T]) activate(z *mat.Matrix[T], j0, j1 int) {
-	hd := f.w.cfg.HiddenDim
-	sig := [2][2]int{{j0, min(j1, 2*hd)}, {max(j0, 3*hd), j1}} // i/f gates, o gate
-	gLo, gHi := max(j0, 2*hd), min(j1, 3*hd)                   // g gate
-	switch z := any(z).(type) {
-	case *mat.Dense:
-		for i := 0; i < z.Rows; i++ {
-			row := z.Row(i)
-			for _, s := range sig {
-				if s[0] < s[1] {
-					mat.SigmoidSlice(row[s[0]:s[1]], row[s[0]:s[1]])
-				}
-			}
-			if gLo < gHi {
-				mat.TanhSlice(row[gLo:gHi], row[gLo:gHi])
-			}
-		}
-	case *mat.Dense32:
-		for i := 0; i < z.Rows; i++ {
-			row := z.Row(i)
-			for _, s := range sig {
-				if s[0] < s[1] {
-					mat.SigmoidSlice32(row[s[0]:s[1]], row[s[0]:s[1]])
-				}
-			}
-			if gLo < gHi {
-				mat.TanhSlice32(row[gLo:gHi], row[gLo:gHi])
-			}
-		}
-	}
-}
-
-// tanh sets dst = tanh(x) for one row; dst may alias x.
-func (f *Fleet[T]) tanh(dst, x []T) {
-	switch v := any(x).(type) {
-	case []float64:
-		mat.TanhSlice(any(dst).([]float64), v)
-	case []float32:
-		mat.TanhSlice32(any(dst).([]float32), v)
-	}
-}
-
-// gateEpi returns layer l's fused epilogue: for gate columns [j0, j1)
-// of every gathered row, add the bias and apply the gate nonlinearity
-// while the tile is still hot in L1. Activations and bias adds are
-// elementwise, so applying them per tile computes exactly what the
-// unpacked path's whole-slab AddBiasRows + activation sweep computes.
-func (f *Fleet[T]) gateEpi(l int) func(j0, j1 int) {
-	bias := f.w.layers[l].b
-	return func(j0, j1 int) {
-		for i := 0; i < f.zv.Rows; i++ {
-			zrow := f.zv.Row(i)
-			for j := j0; j < j1; j++ {
-				zrow[j] += bias[j]
-			}
-		}
-		f.activate(&f.zv, j0, j1)
-	}
-}
-
-// headBiasEpi returns the head epilogue: add the output bias to the
-// finished logit columns of every gathered row.
-func (f *Fleet[T]) headBiasEpi() func(j0, j1 int) {
-	bias := f.w.by
-	return func(j0, j1 int) {
-		for i := 0; i < f.ytv.Rows; i++ {
-			yrow := f.ytv.Row(i)
-			for j := j0; j < j1; j++ {
-				yrow[j] += bias[j]
-			}
-		}
-	}
-}
-
 // Step advances the streams in rows[i] (i = 0..len(rows)-1) by one
 // LSTM step, consuming input slot i for rows[i], and returns the
 // [len(rows) x OutputDim] logits as float64 (row i for rows[i]; valid
@@ -441,7 +329,6 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 	if k == 0 {
 		return out
 	}
-	hd := f.w.cfg.HiddenDim
 
 	// Gather the subset's state into contiguous rows.
 	for l := range f.h {
@@ -481,43 +368,25 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 			mat.MulAddBatched(Z, in, layer.wx)
 		}
 		H := viewRows(&f.ghv[l], f.gh[l], k)
-		C := viewRows(&f.gcv[l], f.gc[l], k)
 		if pw != nil {
-			// Packed recurrent GEMM with the bias + gate nonlinearities
-			// fused into the tile epilogue: each finished gate segment is
-			// activated while still hot in L1 instead of in a second sweep
-			// over the whole (k x 4H) slab. Elementwise math in the
-			// unpacked order — identical bits.
-			mat.MulAddPackedEpi(Z, H, pw.wh, f.epis[l])
+			mat.MulAddPacked(Z, H, pw.wh)
 		} else {
 			mat.MulAddBatched(Z, H, layer.wh)
-			mat.AddBiasRows(Z, layer.b)
-			f.activate(Z, 0, 4*hd)
 		}
-		// Per element the activations and the c and h updates compute
-		// exactly what StepForward's scalar loop computes, in the same
-		// mul/add order.
-		for i := 0; i < k; i++ {
-			zrow := Z.Row(i)
-			hrow, crow := H.Row(i), C.Row(i)
-			for j := 0; j < hd; j++ {
-				crow[j] = zrow[hd+j]*crow[j] + zrow[j]*zrow[2*hd+j]
-			}
-			f.tanh(f.tc, crow)
-			for j := 0; j < hd; j++ {
-				hrow[j] = zrow[3*hd+j] * f.tc[j]
-			}
-		}
+		// Bias, gate activations and the c / h updates for every gathered
+		// row: per element exactly what StepForward's scalar loop
+		// computes, in the same mul/add order.
+		mat.LSTMCell(Z, layer.b, viewRows(&f.gcv[l], f.gc[l], k), H)
 		in = H
 	}
 	Y := viewRows(&f.ytv, f.yt, k)
 	Y.Zero()
 	if f.panels != nil {
-		mat.MulAddPackedEpi(Y, in, f.panels.wy, f.headEpi)
+		mat.MulAddPacked(Y, in, f.panels.wy)
 	} else {
 		mat.MulAddBatched(Y, in, f.w.wy)
-		mat.AddBiasRows(Y, f.w.by)
 	}
+	mat.AddBiasRows(Y, f.w.by)
 
 	// Scatter the advanced state back to the streams' home rows.
 	for l := range f.h {

@@ -269,9 +269,9 @@ func TestFleet32RetireCompaction(t *testing.T) {
 // testFleetStepAllocFree pins the batched decode step at zero
 // steady-state allocations (serial kernels; the parallel fan-out
 // allocates its bounded per-region scratch like every par path). On a
-// packed fleet that also pins the panels and epilogue closures as
-// built at construction, never per step; at either element type, that
-// the generic kernels' type-switch dispatches do not escape.
+// packed fleet that also pins the panels as built at construction,
+// never per step; at either element type, that the generic kernels'
+// type-switch dispatches do not escape.
 func testFleetStepAllocFree(t *testing.T, c fleetCell) {
 	defer par.SetProcs(par.SetProcs(1))
 	const streams = 8
@@ -331,7 +331,9 @@ func TestFleetPackedStepAllocFree(t *testing.T) {
 // fleetShapes are the network shapes of the layout- and
 // precision-parity tests: small ones that exercise the wide tiles, the
 // narrow cleanup tiles and the head's scalar column tail at both
-// element types, then the library default (hidden 48 × 2), the
+// element types (hidden 5 is not a multiple of 4, so its f64 fleets run
+// mat.LSTMCell's portable body; the three-layer one takes the cell
+// kernel past layer 1), then the library default (hidden 48 × 2), the
 // paper's network (hidden 200 × 2), where the gate slab outgrows L1 and
 // the panels are measured to win, and the lifetime shape with its
 // lifetime-shaped rows.
@@ -339,14 +341,15 @@ var fleetShapes = []Config{
 	{InputDim: 9, HiddenDim: 8, Layers: 2, OutputDim: 5},
 	{InputDim: 7, HiddenDim: 5, Layers: 2, OutputDim: 3},
 	{InputDim: 11, HiddenDim: 12, Layers: 1, OutputDim: 17},
+	{InputDim: 13, HiddenDim: 16, Layers: 3, OutputDim: 6},
 	{InputDim: 30, HiddenDim: 48, Layers: 2, OutputDim: 17},
 	{InputDim: 30, HiddenDim: 200, Layers: 2, OutputDim: 17},
 	fleetLifetimeShape,
 }
 
 // testFleetPackedMatchesUnpacked pins byte-identity between a packed
-// fleet (panel GEMMs + fused epilogues) and the unpacked fleet of the
-// same element type across stepped batches.
+// fleet (panel GEMMs) and the unpacked fleet of the same element type
+// across stepped batches.
 func testFleetPackedMatchesUnpacked(t *testing.T, prec string) {
 	cell := func(name string) fleetCell {
 		for _, c := range fleetCells {
@@ -585,10 +588,10 @@ func TestFleetAdmitZeroState(t *testing.T) {
 // nil panel set yields a plain unpacked fleet.
 func TestNewFleetPackedNilPanels(t *testing.T) {
 	net := fleetTestNet()
-	if f := net.NewFleetPacked(2, nil); f.Packed() || f.epis != nil || f.headEpi != nil {
+	if f := net.NewFleetPacked(2, nil); f.Packed() {
 		t.Fatal("nil panels must yield an unpacked fleet")
 	}
-	if g := net.Convert32().NewFleet32Packed(2, nil); g.Packed() || g.epis != nil || g.headEpi != nil {
+	if g := net.Convert32().NewFleet32Packed(2, nil); g.Packed() {
 		t.Fatal("nil panels must yield an unpacked f32 fleet")
 	}
 }

@@ -160,12 +160,13 @@ awk '
 # row. Layer 0 costs what its input's non-zeros cost (12 of 57 against
 # 53-61 of 151), and the repo benchmark's nn.fleet_step_us_* probes
 # step only the flavor net with a one-hot row, so this is the one place
-# the lifetime step's cost is visible.
+# the lifetime step's cost is visible. Every {f64, f32} x {unpacked,
+# packed} cell has its own line.
 awk '
 	/^BenchmarkFleetStepShapes\// {
 		name = $1; sub(/-[0-9]+$/, "", name)
 		split(name, p, "/"); rows = p[3]; sub(/^rows/, "", rows)
-		us[p[2] "/" p[3] "/" p[4]] = $3 / 1000 / rows
+		us[p[2] "/" p[3] "/" p[4] "/" p[5]] = $3 / 1000 / rows
 	}
 	END {
 		for (k in us) if (k ~ /^lifetime\//) {
@@ -173,6 +174,20 @@ awk '
 			if (f in us)
 				printf "bench.sh: fleet step us/row %s: lifetime %.2f vs flavor %.2f\n", substr(k, 10), us[k], us[f]
 		}
+	}' "$TMP"
+
+# Cell cost per row (DESIGN.md §6.2): the fused f64 LSTM cell (bias +
+# gate activations + c / h update) at the decode hidden size, one row
+# and a 64-row batch. The two must read alike: the kernel is bound by
+# its exp / tanh dependency chains, not by the call.
+awk '
+	/^BenchmarkLSTMCell24\/m1(-[0-9]+)? /  { one = $3 }
+	/^BenchmarkLSTMCell24\/m64(-[0-9]+)? / { many = $3 / 64 }
+	END {
+		if (one > 0 && many > 0)
+			printf "bench.sh: cell ns/row (hd 24) m1 / m64: %.0f / %.0f\n", one, many
+		else
+			print "bench.sh: cell ns/row pair missing from run" > "/dev/stderr"
 	}' "$TMP"
 
 # Exp cost per element (DESIGN.md §6.2): the f64 exp kernel on ordinary

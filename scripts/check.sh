@@ -17,9 +17,10 @@
 #     {f64, f32} x {unpacked, packed} cells, training window, par
 #     snapshot, Table 4 sweep), which run without -race;
 #   - a short-budget fuzz tier over the untrusted decode surfaces and
-#     the packed and row-sum kernels;
+#     the packed, row-sum, activation and cell kernels;
 #   - the repo benchmark's -quick smoke on each workload (the frozen
-#     harness exits non-zero when an output digest no longer matches);
+#     harness exits non-zero when an output digest no longer matches),
+#     and one -quick pair of scripts/pairs.sh against HEAD;
 #   - the line-count ratchet over internal/{core,nn,mat}
 #     (scripts/loc.sh fails when the tree outgrows its recorded ceiling).
 # Run from the repository root: scripts/check.sh
@@ -53,10 +54,11 @@ REPRO_NOASM=1 go test -race ./internal/mat ./internal/nn ./internal/core
 # Packed-panel parity tier (DESIGN.md §6.5): REPRO_NOPACK drops every
 # decode fleet and forward GEMM back to the unpacked kernels; the same
 # byte-identity suites must pass, proving the kill-switch cannot change
-# a trace. The -race leg also races the packed kernels (epilogue
-# closures run inside concurrently stepped per-shard fleets), and the
-# combined NOASM+NOPACK leg pins the fully-portable, fully-unpacked
-# floor every other configuration is measured against.
+# a trace. The -race leg races the unpacked fleets the way the default
+# -race legs above race the packed ones (per-shard fleets stepped
+# concurrently, sharing only the immutable weights), and the combined
+# NOASM+NOPACK leg pins the fully-portable, fully-unpacked floor every
+# other configuration is measured against.
 REPRO_NOPACK=1 go test -race ./internal/mat ./internal/nn ./internal/core
 REPRO_NOPACK=1 REPRO_NOASM=1 go test \
 	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden|TestF32TraceGolden|TestFleet32LogitsGolden' \
@@ -86,6 +88,7 @@ if go help testflag 2>/dev/null | grep -q -- '-fuzz '; then
 	go test -run '^$' -fuzz FuzzMulAddPacked -fuzztime 10s ./internal/mat
 	go test -run '^$' -fuzz FuzzMulAddSparse -fuzztime 10s ./internal/mat
 	go test -run '^$' -fuzz FuzzGateActivations -fuzztime 10s ./internal/mat
+	go test -run '^$' -fuzz FuzzLSTMCell -fuzztime 10s ./internal/mat
 	go test -run '^$' -fuzz 'FuzzWorkloadSpec$' -fuzztime 10s ./internal/workload
 	go test -run '^$' -fuzz 'FuzzTraceReplay$' -fuzztime 10s ./internal/workload
 else
@@ -99,6 +102,13 @@ fi
 for w in serve_day serve_open_mixed bulk_mc64 train_fit; do
 	go run ./bench -workload "$w" -quick >/dev/null
 done
+
+# The paired-measurement tool on one -quick pair (a few seconds): HEAD
+# against the working tree, which also fails when an uncommitted change
+# moved the workload's output digest. Skipped outside a git checkout.
+if git rev-parse -q --verify HEAD >/dev/null 2>&1; then
+	sh scripts/pairs.sh HEAD bulk_mc64 1 1 -quick >/dev/null
+fi
 
 sh scripts/loc.sh
 echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + bench smoke + loc ratchet OK"

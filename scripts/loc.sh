@@ -15,8 +15,8 @@
 # Run from the repository root: scripts/loc.sh
 set -eu
 
-ceiling_go=8837
-ceiling_asm=1232
+ceiling_go=8760
+ceiling_asm=1346
 
 total_go=0
 total_asm=0
