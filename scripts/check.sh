@@ -10,9 +10,11 @@
 #   - the end-to-end determinism and crash-recovery regression tests
 #     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
 #   - the sharded-decode tier at GOMAXPROCS=4;
-#   - a pure-Go kernel tier (REPRO_NOASM under -race);
-#   - the packed-panel parity tier (REPRO_NOPACK under -race, and
-#     REPRO_NOPACK+REPRO_NOASM);
+#   - a pure-Go kernel tier (REPRO_NOASM: internal/mat and internal/nn
+#     under -race, the goldens and decode determinism suites without);
+#   - the packed-panel parity tier (REPRO_NOPACK: internal/mat and
+#     internal/nn under -race, and REPRO_NOPACK+REPRO_NOASM on the
+#     goldens), every leg of both tiers with -count=1;
 #   - the allocation pins (decode round, fleet step in all four
 #     {f64, f32} x {unpacked, packed} cells, training window, par
 #     snapshot, Table 4 sweep), which run without -race;
@@ -22,7 +24,10 @@
 #     harness exits non-zero when an output digest no longer matches),
 #     and one -quick pair of scripts/pairs.sh against HEAD;
 #   - the line-count ratchet over internal/{core,nn,mat}
-#     (scripts/loc.sh fails when the tree outgrows its recorded ceiling).
+#     (scripts/loc.sh fails when the tree outgrows its recorded ceiling);
+#   - the caller-less export gate (scripts/deadcode fails on an exported
+#     name nothing outside its package's tests refers to, unless
+#     scripts/deadcode/allow.txt, which may only shrink, lists it).
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -48,22 +53,31 @@ GOMAXPROCS=4 go test -race \
 # assembly kernel onto its portable fallback, so the bit-identity
 # contracts (f64 decode determinism, the f32 golden bits and shard
 # invariance, GEMM and activation parity) are proven on the exact code
-# non-amd64 hosts run — under -race, which the assembly paths cannot be.
-REPRO_NOASM=1 go test -race ./internal/mat ./internal/nn ./internal/core
+# non-amd64 hosts run. The kernels and the fleets run under -race, which
+# the assembly paths cannot be; internal/core's goldens and decode
+# determinism suites run without it (under -race on the portable kernels
+# they take four minutes, the whole package seven).
+#
+# -count=1 on every leg of this tier and the next: both variables are
+# read at package init, before the test log starts recording, so the
+# test cache cannot tell these runs from the default -race leg above and
+# answers them "(cached)" without it. -short skips internal/mat's paired
+# timing tests, which measure the assembly.
+goldens='TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden|TestF32TraceGolden|TestFleet32LogitsGolden'
+REPRO_NOASM=1 go test -race -count=1 -short ./internal/mat ./internal/nn
+REPRO_NOASM=1 go test -count=1 -run "$goldens" ./internal/core ./internal/nn .
 
 # Packed-panel parity tier (DESIGN.md §6.5): REPRO_NOPACK drops every
 # decode fleet and forward GEMM back to the unpacked kernels; the same
 # byte-identity suites must pass, proving the kill-switch cannot change
-# a trace. The -race leg races the unpacked fleets the way the default
-# -race legs above race the packed ones (per-shard fleets stepped
-# concurrently, sharing only the immutable weights), and the combined
-# NOASM+NOPACK leg pins the fully-portable, fully-unpacked floor every
-# other configuration is measured against.
-REPRO_NOPACK=1 go test -race ./internal/mat ./internal/nn ./internal/core
-REPRO_NOPACK=1 REPRO_NOASM=1 go test \
-	-run 'TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden|TestF32TraceGolden|TestFleet32LogitsGolden' \
-	./internal/core ./internal/nn .
-REPRO_NOPACK=1 go test -run 'TestHotReloadRepacksPanels' ./internal/server
+# a trace. The -race leg races the unpacked fleets in internal/nn
+# (internal/core's are raced by the default -race leg, where
+# TestPackedDecodeByteIdentity flips the switch in-process), and
+# the combined NOASM+NOPACK leg pins the fully-portable, fully-unpacked
+# floor every other configuration is measured against.
+REPRO_NOPACK=1 go test -race -count=1 -short ./internal/mat ./internal/nn
+REPRO_NOPACK=1 REPRO_NOASM=1 go test -count=1 -run "$goldens" ./internal/core ./internal/nn .
+REPRO_NOPACK=1 go test -count=1 -run 'TestHotReloadRepacksPanels' ./internal/server
 
 # Memory-discipline pins: the fleet round path, the fleet step kernel at
 # both element types packed and unpacked (one generic body; its
@@ -111,4 +125,5 @@ if git rev-parse -q --verify HEAD >/dev/null 2>&1; then
 fi
 
 sh scripts/loc.sh
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + bench smoke + loc ratchet OK"
+go run ./scripts/deadcode >/dev/null
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + bench smoke + loc ratchet + deadcode OK"
