@@ -361,7 +361,7 @@ func main() {
 	defer s.Close()
 	// What decodes, for the startup and reload log lines: the shard count
 	// is fixed by the flags and the core count, so it survives reloads.
-	engineDesc := fmt.Sprintf("%s x %d shards, %s", core.EngineBatched, s.DecodeShardCount(), *precision)
+	engineDesc := fmt.Sprintf("%s x %d shards, %s, %s kernels", core.EngineBatched, s.DecodeShardCount(), *precision, server.Kernels())
 
 	if spec != nil {
 		s.Workload = spec.Summary()

@@ -3,12 +3,14 @@ package repro
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fidelity"
+	"repro/internal/mat/mattest"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -193,7 +195,11 @@ func TestObservabilityIsReadOnly(t *testing.T) {
 // traces serially (Model.Generate per seed), batched
 // (Model.GenerateBatch over all seeds at once), and batched on a model
 // resumed from a mid-training checkpoint must all produce byte-identical
-// JSON per seed.
+// JSON per seed, on the assembly and on the portable kernels. Sampling
+// hides a last-bit difference in a logit, so the trained flavor net's
+// packed fleet is also stepped beside the scalar StepForward and its raw
+// logits compared bit for bit — with StepForward, and across the two
+// tiers (a bug both decoders of one tier share moves both).
 func TestBatchedFleetDecodeDeterminism(t *testing.T) {
 	train, catalog, testW := resumeFixture(t)
 	dir := t.TempDir()
@@ -218,23 +224,52 @@ func TestBatchedFleetDecodeDeterminism(t *testing.T) {
 		return gs
 	}
 
-	serial := make([][]byte, len(seeds))
-	for i, s := range seeds {
-		serial[i] = encode(base.Generate(rng.New(s), testW))
-		if len(serial[i]) == 0 {
-			t.Fatalf("seed %d: empty serial trace", s)
+	var firstLogits []float64 // the fleet logits of the first tier that ran
+	mattest.BothTiers(t, func(t *testing.T) {
+		serial := make([][]byte, len(seeds))
+		for i, s := range seeds {
+			serial[i] = encode(base.Generate(rng.New(s), testW))
+			if len(serial[i]) == 0 {
+				t.Fatalf("seed %d: empty serial trace", s)
+			}
 		}
-	}
-	batched := base.GenerateBatch(newGens(), testW)
-	resumedBatched := resumed.GenerateBatch(newGens(), testW)
-	for i, s := range seeds {
-		if got := encode(batched[i]); !bytes.Equal(serial[i], got) {
-			t.Errorf("seed %d: batched decode differs from serial (%d vs %d bytes)", s, len(got), len(serial[i]))
+		batched := base.GenerateBatch(newGens(), testW)
+		resumedBatched := resumed.GenerateBatch(newGens(), testW)
+		for i, s := range seeds {
+			if got := encode(batched[i]); !bytes.Equal(serial[i], got) {
+				t.Errorf("seed %d: batched decode differs from serial (%d vs %d bytes)", s, len(got), len(serial[i]))
+			}
+			if got := encode(resumedBatched[i]); !bytes.Equal(serial[i], got) {
+				t.Errorf("seed %d: batched decode on resumed model differs from serial on baseline", s)
+			}
 		}
-		if got := encode(resumedBatched[i]); !bytes.Equal(serial[i], got) {
-			t.Errorf("seed %d: batched decode on resumed model differs from serial on baseline", s)
+
+		net := base.Flavor.Net
+		fleet, st := net.NewFleetPacked(1, net.Pack()), net.NewState(1)
+		fleet.Admit()
+		var logits []float64
+		for step := 0; step < 32; step++ {
+			x := fleet.InputRow(0)
+			clear(x)
+			x[step%len(x)], x[(7*step+3)%len(x)] = 1, 0.5
+			want := net.StepForward(x, st)
+			got := fleet.Step([]int{0}).Row(0)
+			logits = append(logits, got...)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("step %d: fleet logit %d = %x, StepForward %x", step, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
 		}
-	}
+		if firstLogits == nil {
+			firstLogits = logits
+		}
+		for i, want := range firstLogits {
+			if math.Float64bits(logits[i]) != math.Float64bits(want) {
+				t.Fatalf("fleet logit %d differs across kernel tiers", i)
+			}
+		}
+	})
 }
 
 // TestDeterminismExperimentsSweep covers the experiment-layer fan-outs

@@ -283,25 +283,18 @@ func newFleetEngine(m *Model, capacity int, prec Precision) *fleetEngine {
 }
 
 // newFleets is the one place decode fleets are built: the flavor and
-// the lifetime fleet of one engine at prec, on panel-packed weights
-// unless REPRO_NOPACK turned packing off (nil panels fall through to
-// unpacked fleets). Every engine steps what this returns, and so does
-// ValidateF32's calibration, so the kernels validated at publish are
-// the kernels served. The Prepare* caches are idempotent but
-// unsynchronized; callers that fan construction out across goroutines
+// the lifetime fleet of one engine at prec, on panel-packed weights.
+// Every engine steps what this returns, and so does ValidateF32's
+// calibration, so the kernels validated at publish are the kernels
+// served. The Prepare* caches are idempotent but unsynchronized;
+// callers that fan construction out across goroutines
 // (generateBatchSharded, the engine router) run prepareDecode first.
 func (m *Model) newFleets(capacity int, prec Precision) (flavor, lifetime nn.StepFleet) {
 	if prec.normalize() == PrecisionF32 {
 		w, p := m.PrepareF32(), m.PreparePackedF32()
-		if p == nil {
-			p = &ModelPacked[float32]{}
-		}
 		return w.Flavor.NewFleet32Packed(capacity, p.Flavor), w.Lifetime.NewFleet32Packed(capacity, p.Lifetime)
 	}
 	p := m.PreparePacked()
-	if p == nil {
-		p = &ModelPacked[float64]{}
-	}
 	return m.Flavor.Net.NewFleetPacked(capacity, p.Flavor), m.Lifetime.Net.NewFleetPacked(capacity, p.Lifetime)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/mat/mattest"
 	"repro/internal/trace"
 )
 
@@ -13,10 +14,10 @@ import (
 // is pinned to the serial Model.Generate on every run; the f32 decode
 // was pinned only to itself within one build until these constants. Like
 // the nn-level logit hashes (nn.TestFleet32LogitsGolden) they must hold
-// under every kernel tier scripts/check.sh runs — default, REPRO_NOASM,
-// REPRO_NOPACK, both. The trained entry also moves if the fixture's
-// training bits move, which TestTrainedSnapshotGolden's tiny fits watch
-// for; never re-record either to make a decode refactor pass.
+// on the assembly and on the portable kernels, and the test runs both.
+// The trained entry also moves if the fixture's training bits move,
+// which TestTrainedSnapshotGolden's tiny fits watch for; never re-record
+// either to make a decode refactor pass.
 const (
 	goldenF32TracesTiny    = "74d8a726d32b3ad3b7b6be0a7f50955963d05933acc77e008988ead661e84bc9"
 	goldenF32TracesTrained = "e9354f7e9e57b05b82c1ee996032bb25a125dc04ffeec86d26b1ac261c181ffd"
@@ -37,11 +38,13 @@ func f32TraceDigest(t *testing.T, m *Model, seed int64, n int, w trace.Window) s
 // hidden-24 fixture, where f32 logits genuinely differ from f64.
 func TestF32TraceGolden(t *testing.T) {
 	day := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	if got := f32TraceDigest(t, tinyGenModel(), 20210521, 8, day); got != goldenF32TracesTiny {
-		t.Errorf("tiny model: f32 traces sha256 %s, want %s", got, goldenF32TracesTiny)
-	}
 	f := getFixture(t)
-	if got := f32TraceDigest(t, f.model, 321, 6, f.testW); got != goldenF32TracesTrained {
-		t.Errorf("trained fixture: f32 traces sha256 %s, want %s", got, goldenF32TracesTrained)
-	}
+	mattest.BothTiersUnraced(t, func(t *testing.T) {
+		if got := f32TraceDigest(t, tinyGenModel(), 20210521, 8, day); got != goldenF32TracesTiny {
+			t.Errorf("tiny model: f32 traces sha256 %s, want %s", got, goldenF32TracesTiny)
+		}
+		if got := f32TraceDigest(t, f.model, 321, 6, f.testW); got != goldenF32TracesTrained {
+			t.Errorf("trained fixture: f32 traces sha256 %s, want %s", got, goldenF32TracesTrained)
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -190,6 +188,3 @@ func (s *flavorState) probs(period, dohDay int) []float64 {
 
 // observe records the realized token (teacher forcing / sampling).
 func (s *flavorState) observe(token int) { s.prev = token }
-
-// Perplexity is a convenience: exp of mean NLL.
-func Perplexity(nll float64) float64 { return math.Exp(nll) }

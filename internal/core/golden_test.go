@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mat/mattest"
 	"repro/internal/nn"
 	"repro/internal/par"
 	"repro/internal/survival"
@@ -19,11 +20,10 @@ import (
 // that introduced this test (before the training kernels moved off the
 // scalar paths). They are constants of the numerics, not of the build:
 // the determinism suites compare REPRO_PROCS 1 vs 8 inside one binary,
-// this test compares every later commit — and every kernel tier
-// scripts/check.sh runs it under (default, REPRO_NOASM, REPRO_NOPACK,
-// both) — against the same bits. A kernel or training-loop change that
-// moves one is a change of results and must say so; never re-record to
-// make a refactor pass.
+// this test compares every later commit — on the assembly and on the
+// portable kernels — against the same bits. A kernel or training-loop
+// change that moves one is a change of results and must say so; never
+// re-record to make a refactor pass.
 const (
 	goldenFlavorLSTM   = "51459c67b829b12e17cd02f8d03f469eb137be3a7e4d3e0aaab092dce05d460c"
 	goldenLifetimeLSTM = "a63186789b14b63c858377400bc21ff257b3a144e33f94cf49a4ec91ea950a0e"
@@ -71,7 +71,7 @@ func weightBytes(params []*nn.Param) []byte {
 // TestTrainedSnapshotGolden fits a tiny network with every SGD training
 // entry point (1-day "mixed" history, hidden 8 × 2, 2 epochs, fixed
 // seed) and compares sha256 of each network's MarshalBinary with the
-// recorded constants, at one worker and at eight.
+// recorded constants, at one worker and at eight, on both kernel tiers.
 func TestTrainedSnapshotGolden(t *testing.T) {
 	spec := workload.Preset("mixed")
 	spec.Days = 1
@@ -107,14 +107,16 @@ func TestTrainedSnapshotGolden(t *testing.T) {
 			return weightBytes(core.TrainJoint(history, tc).Net.Params())
 		}},
 	}
-	for _, procs := range []int{1, 8} {
-		prev := par.SetProcs(procs)
-		for _, f := range fits {
-			sum := sha256.Sum256(f.fit())
-			if got := hex.EncodeToString(sum[:]); got != f.want {
-				t.Errorf("%s at %d workers: weights sha256 %s, want %s", f.name, procs, got, f.want)
+	mattest.BothTiersUnraced(t, func(t *testing.T) {
+		for _, procs := range []int{1, 8} {
+			prev := par.SetProcs(procs)
+			for _, f := range fits {
+				sum := sha256.Sum256(f.fit())
+				if got := hex.EncodeToString(sum[:]); got != f.want {
+					t.Errorf("%s at %d workers: weights sha256 %s, want %s", f.name, procs, got, f.want)
+				}
 			}
+			par.SetProcs(prev)
 		}
-		par.SetProcs(prev)
-	}
+	})
 }

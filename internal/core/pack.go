@@ -1,28 +1,15 @@
 package core
 
-import (
-	"os"
-
-	"repro/internal/nn"
-)
+import "repro/internal/nn"
 
 // Publish-time packed serving weights (DESIGN.md §6.5). Alongside the
 // f32 conversion, snapshot publish packs each decode weight matrix once
 // into cache-blocked panels; every decode fleet, at both precisions,
 // then runs its dense step GEMMs on panels. Packing is a bit-exact
-// address permutation (see
-// mat.Packed), so packed and unpacked engines emit byte-identical
-// traces; training and the scalar serial f64 reference path keep the
-// unpacked matrices as the honest baseline the packed paths are pinned
-// against.
-
-// packDisabled is the REPRO_NOPACK kill-switch: any non-empty value
-// makes the Prepare* functions return nil panels, dropping every fleet
-// back to the unpacked kernels. Because packed and unpacked decode are
-// bit-identical, flipping it never changes emitted traces —
-// scripts/check.sh proves that with a REPRO_NOPACK=1 tier. A variable,
-// not a const, so in-package tests can force either path.
-var packDisabled = os.Getenv("REPRO_NOPACK") != ""
+// address permutation (see mat.Packed), so packed and unpacked fleets
+// emit byte-identical traces; training and the scalar serial f64
+// reference path keep the unpacked matrices as the honest baseline the
+// packed paths are pinned against.
 
 // ModelPacked holds the panel-packed decode weights of the model's two
 // LSTMs at one element type: float64, or the f32 conversion's.
@@ -32,16 +19,13 @@ type ModelPacked[T float32 | float64] struct {
 
 // PreparePacked packs the model's f64 decode weights once and caches
 // the result on the model; later calls (and shallow Model copies,
-// which share the cache pointer) return the same panels. Returns nil
-// under REPRO_NOPACK. Like PrepareF32, the first call mutates the
-// model and must happen before the model is shared across goroutines —
-// engine constructors and the batch entry points call it eagerly.
-// Hot reload republishes a fresh Model value whose cache starts nil,
-// so reloaded weights are always freshly packed.
+// which share the cache pointer) return the same panels. Like
+// PrepareF32, the first call mutates the model and must happen before
+// the model is shared across goroutines — engine constructors and the
+// batch entry points call it eagerly. Hot reload republishes a fresh
+// Model value whose cache starts nil, so reloaded weights are always
+// freshly packed.
 func (m *Model) PreparePacked() *ModelPacked[float64] {
-	if packDisabled {
-		return nil
-	}
 	if m.packed == nil {
 		m.packed = &ModelPacked[float64]{
 			Flavor:   m.Flavor.Net.Pack(),
@@ -52,13 +36,9 @@ func (m *Model) PreparePacked() *ModelPacked[float64] {
 }
 
 // PreparePackedF32 packs the f32 weight conversion (building it first
-// if needed) once and caches the result. Returns nil under
-// REPRO_NOPACK. Same sharing and publish-before-fan-out contract as
-// PreparePacked.
+// if needed) once and caches the result. Same sharing and
+// publish-before-fan-out contract as PreparePacked.
 func (m *Model) PreparePackedF32() *ModelPacked[float32] {
-	if packDisabled {
-		return nil
-	}
 	if m.packed32 == nil {
 		f32 := m.PrepareF32()
 		m.packed32 = &ModelPacked[float32]{

@@ -3,36 +3,19 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
+	"repro/internal/mat/mattest"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
-// withPackDisabled runs f with the REPRO_NOPACK kill-switch forced to
-// the given state, restoring it afterwards.
-func withPackDisabled(t *testing.T, disabled bool, f func(t *testing.T)) {
-	saved := packDisabled
-	packDisabled = disabled
-	defer func() { packDisabled = saved }()
-	name := "pack"
-	if disabled {
-		name = "nopack"
-	}
-	t.Run(name, f)
-}
-
-// TestPreparePackedCachingAndKillSwitch pins the publish-time cache
-// contract: panels are built once and shared, and REPRO_NOPACK yields
-// nil panels (so fleets fall back to unpacked weights) without
-// touching an existing cache.
-func TestPreparePackedCachingAndKillSwitch(t *testing.T) {
+// TestPreparePackedCaching pins the publish-time cache contract: panels
+// are built once and shared, and the fleet engines step on them.
+func TestPreparePackedCaching(t *testing.T) {
 	m := tinyGenModel()
-	saved := packDisabled
-	defer func() { packDisabled = saved }()
-
-	packDisabled = false
 	p1 := m.PreparePacked()
 	if p1 == nil || p1.Flavor == nil || p1.Lifetime == nil {
 		t.Fatal("PreparePacked returned incomplete panels")
@@ -45,17 +28,8 @@ func TestPreparePackedCachingAndKillSwitch(t *testing.T) {
 		t.Fatal("PreparePackedF32 cache broken")
 	}
 
-	packDisabled = true
-	if m.PreparePacked() != nil || m.PreparePackedF32() != nil {
-		t.Fatal("REPRO_NOPACK must yield nil panels")
-	}
-	packDisabled = false
-	if m.PreparePacked() != p1 {
-		t.Fatal("re-enabling packing must restore the cached panels")
-	}
-
-	// Structural pin: the default fleet engines really step on panels
-	// (both precisions), and the kill-switch really drops them.
+	// Structural pin: the fleet engines really step on panels (both
+	// precisions).
 	fe := newFleetEngine(m, 1, PrecisionF64)
 	if !fe.ff.(*nn.Fleet[float64]).Packed() || !fe.lf.(*nn.Fleet[float64]).Packed() {
 		t.Fatal("f64 fleet engine is not stepping on packed panels")
@@ -64,45 +38,35 @@ func TestPreparePackedCachingAndKillSwitch(t *testing.T) {
 	if !fe32.ff.(*nn.Fleet32).Packed() || !fe32.lf.(*nn.Fleet32).Packed() {
 		t.Fatal("f32 fleet engine is not stepping on packed panels")
 	}
-	packDisabled = true
-	fe, fe32 = newFleetEngine(m, 1, PrecisionF64), newFleetEngine(m, 1, PrecisionF32)
-	if fe.ff.(*nn.Fleet[float64]).Packed() || fe.lf.(*nn.Fleet[float64]).Packed() ||
-		fe32.ff.(*nn.Fleet32).Packed() || fe32.lf.(*nn.Fleet32).Packed() {
-		t.Fatal("REPRO_NOPACK fleet engine still stepping on panels")
-	}
 }
 
 // TestPackedDecodeByteIdentity is the packing acceptance pin inside the
 // process: the engine and the batch entry points, at both precisions,
-// produce byte-identical traces with packing on and off (the
-// REPRO_NOASM legs of the same matrix run via the scripts/check.sh
-// environment tiers), and at f64 both equal the scalar unpacked
-// Model.Generate.
+// decode on panels; at f64 every cell equals the scalar unpacked
+// Model.Generate of the same streams (serial/f64), at f32 the engine
+// and the sharded batch equal the single-fleet batch — and every cell,
+// the serial reference included, is byte-identical on the assembly and
+// on the portable kernels.
 func TestPackedDecodeByteIdentity(t *testing.T) {
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	const n = 5
-	seeds := make([]int64, n)
-	src := rng.New(41)
-	for i := range seeds {
-		seeds[i] = src.Int63()
-	}
+	streams := func() []*rng.RNG { return splitStreams(7, n) }
 
-	// Decode the full matrix plus the batch entry points under one
-	// kill-switch state. A fresh model per state keeps cache contents
-	// honest (a stale shared cache could mask a broken rebuild).
+	// A fresh model per tier keeps cache contents honest (a stale shared
+	// cache could mask a broken rebuild).
 	decodeAll := func(t *testing.T) map[string][][]byte {
 		m := tinyGenModel()
 		got := make(map[string][][]byte)
-		for _, seed := range seeds {
-			got["serial/f64"] = append(got["serial/f64"], traceBytes(t, m.Generate(rng.New(seed), w)))
+		for _, g := range streams() {
+			got["serial/f64"] = append(got["serial/f64"], traceBytes(t, m.Generate(g, w)))
 		}
 		for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
 			eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2, Precision: prec})
 			if err != nil {
 				t.Fatalf("%s: %v", prec, err)
 			}
-			for _, seed := range seeds {
-				tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
+			for _, g := range streams() {
+				tr, err := eng.Generate(context.Background(), g, w, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", prec, err)
 				}
@@ -110,42 +74,97 @@ func TestPackedDecodeByteIdentity(t *testing.T) {
 			}
 			eng.Close()
 		}
-		for _, tr := range m.GenerateBatch(splitStreams(7, n), w) {
+		for _, tr := range m.GenerateBatch(streams(), w) {
 			got["batch/f64"] = append(got["batch/f64"], traceBytes(t, tr))
 		}
-		for _, tr := range m.GenerateBatchSharded(splitStreams(7, n), w, 3) {
+		for _, tr := range m.GenerateBatchSharded(streams(), w, 3) {
 			got["shardbatch/f64"] = append(got["shardbatch/f64"], traceBytes(t, tr))
 		}
-		for _, tr := range m.GenerateBatchF32(splitStreams(7, n), w) {
+		for _, tr := range m.GenerateBatchF32(streams(), w) {
 			got["batch/f32"] = append(got["batch/f32"], traceBytes(t, tr))
 		}
-		for _, tr := range m.GenerateBatchShardedF32(splitStreams(7, n), w, 3) {
+		for _, tr := range m.GenerateBatchShardedF32(streams(), w, 3) {
 			got["shardbatch/f32"] = append(got["shardbatch/f32"], traceBytes(t, tr))
 		}
 		return got
 	}
-
-	var packed, unpacked map[string][][]byte
-	withPackDisabled(t, false, func(t *testing.T) { packed = decodeAll(t) })
-	withPackDisabled(t, true, func(t *testing.T) { unpacked = decodeAll(t) })
-
-	if len(packed) != len(unpacked) {
-		t.Fatalf("cell count mismatch: %d vs %d", len(packed), len(unpacked))
-	}
-	for i, want := range unpacked["serial/f64"] {
-		if !bytes.Equal(packed["engine/f64"][i], want) {
-			t.Fatalf("stream %d: packed f64 engine differs from Model.Generate", i)
-		}
-	}
-	for key, want := range unpacked {
-		got := packed[key]
+	sameStreams := func(t *testing.T, what string, got, want [][]byte) {
 		if len(got) != len(want) {
-			t.Fatalf("%s: stream count mismatch", key)
+			t.Fatalf("%s: %d streams, want %d", what, len(got), len(want))
 		}
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%s stream %d: packed decode differs from unpacked", key, i)
+				t.Fatalf("%s: stream %d differs", what, i)
 			}
 		}
 	}
+
+	var first map[string][][]byte // the cells of the first tier that ran
+	mattest.BothTiersUnraced(t, func(t *testing.T) {
+		got := decodeAll(t)
+		for _, key := range []string{"engine/f64", "batch/f64", "shardbatch/f64"} {
+			sameStreams(t, key+" vs serial/f64", got[key], got["serial/f64"])
+		}
+		for _, key := range []string{"engine/f32", "shardbatch/f32"} {
+			sameStreams(t, key+" vs batch/f32", got[key], got["batch/f32"])
+		}
+		if first == nil {
+			first = got
+			return
+		}
+		for key, want := range first {
+			sameStreams(t, key+" across kernel tiers", got[key], want)
+		}
+	})
+}
+
+// TestServedFleetLogitsTierParity is the bit-level twin of the
+// byte-identity suites: sampling hides a last-bit difference in a logit
+// (a trace moves only when a draw lands within an ulp of a bin edge), so
+// trace bytes cannot tell a kernel that rounds once where the reference
+// rounds twice. This steps the fleets newFleets serves — untrained tiny
+// model and trained fixture, both precisions — over encoder-shaped rows
+// and compares raw logits: the f64 fleets bit for bit with the scalar
+// StepForward, and every fleet across the kernel tiers.
+func TestServedFleetLogitsTierParity(t *testing.T) {
+	models := map[string]*Model{"tiny": tinyGenModel(), "trained": getFixture(t).model}
+	first := make(map[string][]float64) // model/precision -> logits of the first tier that ran
+	mattest.BothTiers(t, func(t *testing.T) {
+		for name, m := range models {
+			for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+				ff, lf := m.newFleets(1, prec)
+				ff.Admit()
+				lf.Admit()
+				fst, lst := m.Flavor.Net.NewState(1), m.Lifetime.Net.NewState(1)
+				var logits []float64
+				step := func(f nn.StepFleet, net *nn.LSTM, st *nn.State) {
+					want := net.StepForward(f.InputRow(0), st)
+					got := f.Step([]int{0}).Row(0)
+					logits = append(logits, got...)
+					for j := range want {
+						if prec == PrecisionF64 && math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s: f64 fleet logit %d = %x, StepForward %x", name, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+						}
+					}
+				}
+				k, bins := m.Flavor.K, m.Lifetime.Bins.J()
+				for i := 0; i < 48; i++ {
+					m.Flavor.encodeFlavorInput(ff.InputRow(0), i%(k+1), i, i%3)
+					step(ff, m.Flavor.Net, fst)
+					ls := LifetimeStep{Period: i, Flavor: i % k, BatchSize: 1 + i%5}
+					m.Lifetime.encodeLifetimeInput(lf.InputRow(0), ls, i%3, i%bins, i%7 == 0)
+					step(lf, m.Lifetime.Net, lst)
+				}
+				key := name + "/" + string(prec)
+				if first[key] == nil {
+					first[key] = logits
+				}
+				for i, want := range first[key] {
+					if math.Float64bits(logits[i]) != math.Float64bits(want) {
+						t.Fatalf("%s: logit %d differs across kernel tiers", key, i)
+					}
+				}
+			}
+		}
+	})
 }

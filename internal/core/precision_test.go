@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/mat/mattest"
 	"repro/internal/nn"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -22,8 +23,13 @@ func tinyGenModel() *Model {
 // shard setting over the same seeds and pins the two determinism
 // contracts: an f64 engine is byte-identical to the serial
 // Model.Generate, and an f32 engine to the one-stream GenerateBatchF32
-// (the f32 reference) — whatever the shard count.
+// (the f32 reference) — whatever the shard count, on the assembly and
+// on the portable kernels.
 func TestPrecisionRegistryMatrix(t *testing.T) {
+	mattest.BothTiersUnraced(t, testPrecisionRegistryMatrix)
+}
+
+func testPrecisionRegistryMatrix(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	const n = 6
@@ -152,13 +158,8 @@ func TestValidateF32RejectsBrokenConversion(t *testing.T) {
 // not re-pack would serve — beside a correct f32 conversion. Every f32
 // engine steps on those panels, so the publish-time gate has to step on
 // them too: a calibration over unpacked stand-in fleets accepts this
-// model. Under REPRO_NOPACK nobody serves the panels, and the same model
-// validates.
+// model.
 func TestValidateF32RejectsStalePanels(t *testing.T) {
-	saved := packDisabled
-	defer func() { packDisabled = saved }()
-	packDisabled = false
-
 	m := tinyGenModel()
 	if _, err := m.ValidateF32(); err != nil {
 		t.Fatalf("freshly packed model: %v", err)
@@ -169,10 +170,6 @@ func TestValidateF32RejectsStalePanels(t *testing.T) {
 	}
 	if rep, err := m.ValidateF32(); err == nil {
 		t.Fatalf("ValidateF32 accepted stale f32 panels (report %+v)", rep)
-	}
-	packDisabled = true
-	if _, err := m.ValidateF32(); err != nil {
-		t.Fatalf("REPRO_NOPACK serves no panels, yet: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mat/mattest"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -71,7 +72,9 @@ func generateAll(t *testing.T, eng GenEngine, gs []*rng.RNG, w trace.Window) [][
 // submission, f64 and f32 — is byte-identical per stream to the serial
 // oracle, at REPRO_PROCS=1 and 8. Which shard the router picks depends
 // on goroutine timing; the bytes must not. scripts/check.sh re-runs it
-// under -race at GOMAXPROCS=4.
+// under -race at GOMAXPROCS=4. Assembly kernels only: the portable pass
+// triples its cost, and the trained twin below and
+// TestPackedDecodeByteIdentity hold the same engines to both tiers.
 func TestShardedDecodeDeterminism(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
@@ -136,26 +139,29 @@ func TestShardedDecodeDeterminism(t *testing.T) {
 
 // TestShardedDecodeDeterminismTrained runs the sharded equivalence on
 // the trained integration fixture, so the claim also holds with real
-// weights and real flavor/lifetime dynamics.
+// weights and real flavor/lifetime dynamics, on the assembly and on the
+// portable kernels.
 func TestShardedDecodeDeterminismTrained(t *testing.T) {
 	f := getFixture(t)
 	m := f.model
 	const n = 16
-	serial := make([][]byte, n)
-	func() {
-		defer par.SetProcs(par.SetProcs(1))
-		for i, g := range splitStreams(321, n) {
-			serial[i] = traceBytes(t, m.Generate(g, f.testW))
-		}
-	}()
-	defer par.SetProcs(par.SetProcs(8))
-	for _, shards := range []int{2, 8} {
-		for i, tr := range m.GenerateBatchSharded(splitStreams(321, n), f.testW, shards) {
-			if !bytes.Equal(traceBytes(t, tr), serial[i]) {
-				t.Fatalf("shards=%d stream %d differs from serial", shards, i)
+	mattest.BothTiersUnraced(t, func(t *testing.T) {
+		serial := make([][]byte, n)
+		func() {
+			defer par.SetProcs(par.SetProcs(1))
+			for i, g := range splitStreams(321, n) {
+				serial[i] = traceBytes(t, m.Generate(g, f.testW))
+			}
+		}()
+		defer par.SetProcs(par.SetProcs(8))
+		for _, shards := range []int{2, 8} {
+			for i, tr := range m.GenerateBatchSharded(splitStreams(321, n), f.testW, shards) {
+				if !bytes.Equal(traceBytes(t, tr), serial[i]) {
+					t.Fatalf("shards=%d stream %d differs from serial", shards, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestShardedEngineMatchesSerial fires concurrent requests (more than

@@ -19,15 +19,32 @@ import (
 // the batched decode path promise byte-identical traces to serial
 // decode (see the exactness tests in batch_test.go).
 
-// useBatchASM gates the assembly kernels. It is a variable (not a
-// const) so exactness tests can force the fallback path; outside tests
-// it is written once at init. Setting REPRO_NOASM (to any non-empty
-// value) disables the assembly even where the CPU supports it, so CI
-// can exercise the portable fallbacks under instrumentation the asm
-// escapes (scripts/check.sh runs such a tier under -race); because
-// every fallback is bit-identical to its kernel, the flag never
-// changes results.
+// useBatchASM gates the assembly kernels: the one kernel-tier switch of
+// the process, a plain bool every kernel entry branches on. It starts
+// true where the CPU has the kernels, unless REPRO_NOASM is set (to any
+// non-empty value) — the runtime escape hatch, read here and nowhere
+// else. Every portable body is bit-identical to its kernel, so the tier
+// never changes results; tests hold both tiers to that in-process
+// through SetPortable.
 var useBatchASM = haveBatchASM() && os.Getenv("REPRO_NOASM") == ""
+
+// Portable reports whether the portable pure-Go kernels are in use
+// rather than the AVX2 assembly.
+func Portable() bool { return !useBatchASM }
+
+// SetPortable selects the portable kernels (true) or, where the CPU has
+// them, the assembly kernels (false) — the programmatic equivalent of
+// REPRO_NOASM — and returns the previous setting so callers can restore
+// it:
+//
+//	defer mat.SetPortable(mat.SetPortable(true))
+//
+// The switch is unsynchronized: call it only while no kernel is running.
+func SetPortable(on bool) bool {
+	prev := !useBatchASM
+	useBatchASM = !on && haveBatchASM()
+	return prev
+}
 
 // MulAddBatched computes dst += a * b, bit-identically to MulAdd: each
 // dst element accumulates its k terms in ascending order with a

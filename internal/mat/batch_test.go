@@ -1,7 +1,11 @@
 package mat
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -12,20 +16,42 @@ import (
 // exactness property is checked on both paths.
 func withBatchASM(t *testing.T, f func(t *testing.T)) {
 	t.Run("fallback", func(t *testing.T) {
-		saved := useBatchASM
-		useBatchASM = false
-		defer func() { useBatchASM = saved }()
+		defer SetPortable(SetPortable(true))
 		f(t)
 	})
 	if !haveBatchASM() {
 		return
 	}
 	t.Run("asm", func(t *testing.T) {
-		saved := useBatchASM
-		useBatchASM = true
-		defer func() { useBatchASM = saved }()
+		defer SetPortable(SetPortable(false))
 		f(t)
 	})
+}
+
+// TestPortableEnvEscapeHatch proves REPRO_NOASM, the one environment
+// read of the kernel tier, by re-executing this test binary with the
+// variable set (to this test's name: any non-empty value counts, and
+// the value is how the child knows itself). The child must report the
+// portable tier; the parent reports the assembly tier wherever the CPU
+// has the kernels and nobody set the variable for it.
+func TestPortableEnvEscapeHatch(t *testing.T) {
+	env := os.Getenv("REPRO_NOASM")
+	if env == t.Name() {
+		fmt.Printf("child portable=%v\n", Portable())
+		return
+	}
+	if want := env != "" || !haveBatchASM(); Portable() != want {
+		t.Fatalf("Portable() = %v, want %v (REPRO_NOASM=%q, haveBatchASM %v)", Portable(), want, env, haveBatchASM())
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.v")
+	cmd.Env = append(os.Environ(), "REPRO_NOASM="+t.Name())
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "child portable=true") {
+		t.Fatalf("child under REPRO_NOASM is not on the portable tier:\n%s", out)
+	}
 }
 
 // TestMulAddBatchedBitExact checks MulAddBatched against the axpy-row

@@ -10,20 +10,12 @@ import (
 // Micro-benchmarks backing the DESIGN.md "Parallel execution" numbers:
 // dense vs sparse GEMM kernels (the dense path dropped its per-element
 // zero test; the sparse path keeps it for one-hot inputs) and the
-// shipped straight-loop Dot/Axpy against the rejected 4-way unrolled
-// variants. Both sides of each pair run the same vector length.
+// straight-loop Dot/Axpy kernels.
 //
 // Caveat: on hosts with unstable clocks, consecutive benchmark blocks
-// drift enough to swamp a ~5% kernel delta. The Dot/Axpy decisions come
-// from paired alternating-median timing (variants interleaved
-// round-robin in one process, TestPairedKernelMeasure), which cancels
-// the drift: as direct in-package calls the straight dot wins by
-// nearly 2× in every build measured, while axpy shows no robust
-// difference (the sign flips with code layout between builds), so the
-// simpler straight loop ships there too. The compiler eliminates
-// bounds checks from the range loops; the manual unrolls keep theirs
-// and gain nothing on the serial dependency chain dot is pinned to
-// for bit-exact summation order.
+// drift enough to swamp a ~5% kernel delta; a speed claim is made from
+// alternating pairs (scripts/pairs.sh), not from two blocks of this
+// file.
 
 func denseRand(r, c int, seed int64) *Dense {
 	g := rng.New(seed)
@@ -75,38 +67,6 @@ func BenchmarkMulAddSparseKernelOneHot(b *testing.B) {
 	benchMulAdd(b, oneHotRows(64, 256, 1), MulAddSparse)
 }
 
-// dotUnrolled4 and axpyUnrolled4 are the rejected 4-way manual
-// unrolls, kept only as benchmark baselines for the shipped straight
-// loops (the accumulation order is identical, so either variant would
-// be bit-exact — the choice is purely a speed call).
-func dotUnrolled4(a, b []float64) float64 {
-	var s float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s += a[i] * b[i]
-		s += a[i+1] * b[i+1]
-		s += a[i+2] * b[i+2]
-		s += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func axpyUnrolled4(alpha float64, x, y []float64) {
-	i := 0
-	for ; i+4 <= len(x) && i+4 <= len(y); i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
 const vecLen = 1024
 
 // BenchmarkDot times the shipped kernel exactly as the GEMM inner
@@ -126,21 +86,6 @@ func BenchmarkDot(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkDotUnrolled times the rejected 4-way unroll at the same
-// vector length.
-func BenchmarkDotUnrolled(b *testing.B) {
-	x := denseRand(1, vecLen, 1).Data
-	y := denseRand(1, vecLen, 2).Data
-	b.SetBytes(8 * 2 * vecLen)
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += dotUnrolled4(x, y)
-	}
-	_ = sink
-}
-
 // BenchmarkAxpy times the shipped kernel as the GEMM inner loops
 // consume it (direct call of the package-private straight loop).
 func BenchmarkAxpy(b *testing.B) {
@@ -151,40 +96,6 @@ func BenchmarkAxpy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		axpy(1e-9, x, y)
-	}
-}
-
-// BenchmarkAxpyUnrolled times the rejected 4-way unroll at the same
-// vector length.
-func BenchmarkAxpyUnrolled(b *testing.B) {
-	x := denseRand(1, vecLen, 1).Data
-	y := denseRand(1, vecLen, 2).Data
-	b.SetBytes(8 * 2 * vecLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		axpyUnrolled4(1e-9, x, y)
-	}
-}
-
-// TestUnrolledVariantsBitExact pins the claim above: the rejected
-// unrolls compute bit-identical results to the shipped straight loops,
-// including at lengths that exercise the unroll tail.
-func TestUnrolledVariantsBitExact(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 4, 7, 64, 1023} {
-		x := denseRand(1, n+1, 1).Data[:n]
-		y := denseRand(1, n+1, 2).Data[:n]
-		if got, want := dotUnrolled4(x, y), Dot(x, y); got != want {
-			t.Fatalf("n=%d: dotUnrolled4=%v, Dot=%v", n, got, want)
-		}
-		y2 := append([]float64(nil), y...)
-		Axpy(0.37, x, y)
-		axpyUnrolled4(0.37, x, y2)
-		for i := range y {
-			if y[i] != y2[i] {
-				t.Fatalf("n=%d: axpy mismatch at %d: %v vs %v", n, i, y[i], y2[i])
-			}
-		}
 	}
 }
 

@@ -124,18 +124,8 @@ func (m *Matrix[T]) String() string {
 	return fmt.Sprintf("Dense(%dx%d)", m.Rows, m.Cols)
 }
 
-// Mul computes dst = a * b. dst must be a.Rows x b.Cols and must not
-// alias a or b. The k-inner loop is ordered for sequential access.
-func Mul(dst, a, b *Dense) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: Mul shape mismatch %v * %v -> %v", a, b, dst))
-	}
-	dst.Zero()
-	MulAdd(dst, a, b)
-}
-
 // MulAdd computes dst += a * b with the dense kernel, row-parallel
-// above the size threshold, with no per-element zero test (dense data
+// above parMinFlops, with no per-element zero test (dense data
 // makes that branch a mispredict; layer-0 feature encodings — one-hots,
 // thermometers — call MulAddSparse instead). Every path accumulates each
 // dst element's k terms in ascending order with a separately rounded
@@ -146,27 +136,21 @@ func MulAdd(dst, a, b *Dense) {
 	}
 	k, n := a.Cols, b.Cols
 	rowFlops := k * n
-	if usePackedB && a.Rows*rowFlops >= packMinFlops {
+	if a.Rows*rowFlops >= packMinFlops {
 		// Above the threshold the transpose-packed backward kernels
 		// use, repack B into panel scratch and run the packed tile
-		// kernel: contiguous panel loads amortised over the row sweep
-		// (TestPairedForwardGEMMMeasure).
+		// kernel: contiguous panel loads amortised over the row sweep.
 		mulAddPackedB(dst, a, b)
 		return
 	}
 	// Below it — the one-row recurrent products of a training shard and
-	// of StepForward (1×H · H×4H), and everything under REPRO_NOPACK —
-	// the product runs unpacked on the batched-decode kernel: B is read
-	// once per row either way, so there is nothing for a pack pass to
-	// amortise, and gemmRaw's register tiles (AVX2, or the portable
-	// 4-column tiles) beat a store-and-reload axpy sweep per k.
-	if a.Rows*rowFlops < parMinFlops {
-		gemmRaw(dst.Data, a.Data, b.Data, a.Rows, k, n)
-		return
-	}
-	par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-		gemmRaw(dst.Data[lo*n:hi*n], a.Data[lo*k:hi*k], b.Data, hi-lo, k, n)
-	})
+	// of StepForward (1×H · H×4H) — the product runs unpacked on the
+	// batched-decode kernel: B is read once per row either way, so there
+	// is nothing for a pack pass to amortise, and gemmRaw's register
+	// tiles (AVX2, or the portable 4-column tiles) beat a
+	// store-and-reload axpy sweep per k. packMinFlops is below
+	// parMinFlops, so nothing this small is worth a goroutine hand-off.
+	gemmRaw(dst.Data, a.Data, b.Data, a.Rows, k, n)
 }
 
 // MulAddSparse computes dst += a * b, skipping zero elements of a: each
@@ -384,12 +368,10 @@ func Dot(a, b []float64) float64 {
 // summation order is what keeps every GEMM path — serial, blocked, or
 // row-parallel — bit-identical, so a multi-accumulator split is off
 // the table here. With the dependency chain serial either way, a
-// 4-way manual unroll buys nothing and in fact runs nearly 2× slower
+// 4-way manual unroll buys nothing and in fact ran nearly 2× slower
 // on this host by paired alternating-median measurement of direct
 // in-package calls (the compiler already eliminates the bounds checks
-// from the range loop; see TestPairedKernelMeasure and BenchmarkDot*
-// in bench_test.go, where the rejected unrolled variant is kept
-// honest at the same length).
+// from the range loop).
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, av := range a {
@@ -412,10 +394,9 @@ func Axpy(alpha float64, x, y []float64) {
 // a 4-way manual unroll: paired alternating-median timing of direct
 // in-package calls swings ±20% between otherwise-identical builds as
 // unrelated edits move code layout, with neither variant robustly
-// ahead (see TestPairedKernelMeasure and BenchmarkAxpy* in
-// bench_test.go). The straight range loop ships because it is simpler
-// and the compiler eliminates its bounds checks, which the unroll's
-// double length guard defeats.
+// ahead. The straight range loop ships because it is simpler and the
+// compiler eliminates its bounds checks, which the unroll's double
+// length guard defeats.
 func axpy[T float32 | float64](alpha T, x, y []T) {
 	for i, xv := range x {
 		y[i] += alpha * xv
@@ -465,16 +446,6 @@ func AddTo(dst, a, b *Dense) {
 	}
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
-	}
-}
-
-// HadamardAdd computes dst += a ⊙ b element-wise.
-func HadamardAdd(dst, a, b *Dense) {
-	if !dst.SameShape(a) || !dst.SameShape(b) {
-		panic("mat: HadamardAdd shape mismatch")
-	}
-	for i, v := range a.Data {
-		dst.Data[i] += v * b.Data[i]
 	}
 }
 

@@ -86,11 +86,17 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// mul computes dst = a * b through MulAdd on a zeroed dst.
+func mul(dst, a, b *Dense) {
+	dst.Zero()
+	MulAdd(dst, a, b)
+}
+
 func TestMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	dst := NewDense(2, 2)
-	Mul(dst, a, b)
+	mul(dst, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if dst.Data[i] != w {
@@ -105,7 +111,7 @@ func TestMulShapePanics(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	Mul(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
+	mul(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
 }
 
 // naive reference implementations for property checks
@@ -137,7 +143,7 @@ func TestMulAgainstReferenceRandom(t *testing.T) {
 		m, k, n := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
 		a, b := randDense(r, m, k), randDense(r, k, n)
 		got := NewDense(m, n)
-		Mul(got, a, b)
+		mul(got, a, b)
 		want := refMul(a, b)
 		for i := range got.Data {
 			if !almostEq(got.Data[i], want.Data[i], 1e-12) {
@@ -247,17 +253,13 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestAddToHadamardAdd(t *testing.T) {
+func TestAddTo(t *testing.T) {
 	a := FromSlice(1, 2, []float64{1, 2})
 	b := FromSlice(1, 2, []float64{3, 4})
 	dst := NewDense(1, 2)
 	AddTo(dst, a, b)
 	if dst.At(0, 0) != 4 || dst.At(0, 1) != 6 {
 		t.Fatalf("AddTo wrong: %v", dst.Data)
-	}
-	HadamardAdd(dst, a, b)
-	if dst.At(0, 0) != 4+3 || dst.At(0, 1) != 6+8 {
-		t.Fatalf("HadamardAdd wrong: %v", dst.Data)
 	}
 }
 
@@ -333,11 +335,11 @@ func TestMulDistributiveQuick(t *testing.T) {
 		ab := NewDense(2, 2)
 		AddTo(ab, a, b)
 		lhs := NewDense(2, 2)
-		Mul(lhs, ab, c)
+		mul(lhs, ab, c)
 		r1 := NewDense(2, 2)
-		Mul(r1, a, c)
+		mul(r1, a, c)
 		r2 := NewDense(2, 2)
-		Mul(r2, b, c)
+		mul(r2, b, c)
 		for i := range lhs.Data {
 			if !almostEq(lhs.Data[i], r1.Data[i]+r2.Data[i], 1e-6) {
 				return false

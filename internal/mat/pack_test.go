@@ -2,9 +2,7 @@ package mat
 
 import (
 	"math"
-	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/par"
 )
@@ -111,7 +109,7 @@ func TestPackedSteadyStateNoAlloc(t *testing.T) {
 	if par.Procs() > 1 {
 		t.Skip("parallel path allocates its par.For closure by design")
 	}
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race-mode sync.Pool.Put randomly drops items, so the pool is not allocation-free under the detector")
 	}
 	a := denseRand(768, 48, 1)
@@ -128,50 +126,6 @@ func TestPackedSteadyStateNoAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("packed backward GEMMs allocated %v per run", n)
 	}
-}
-
-// TestPairedBackwardGEMMMeasure reports drift-resistant paired timings
-// of the packed backward GEMMs against the pre-pack loops at the BPTT
-// gradient shapes (SeqLen·Batch = 768 activation rows against the
-// 4H-wide gate panels of the default H=48 config). Variants alternate
-// round-robin in one process and per-round medians are compared, the
-// same methodology as TestPairedKernelMeasure. Run with -v; never fails.
-func TestPairedBackwardGEMMMeasure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing measurement, skipped in -short")
-	}
-	const rows, h = 768, 48
-	a := denseRand(rows, h, 1)    // layer activations
-	g := denseRand(rows, 4*h, 2)  // gate-panel gradient
-	wgrad := NewDense(h, 4*h)     // weight gradient (ATB dst)
-	wh := denseRand(h, 4*h, 3)    // recurrent weights as n×k for ABT
-	gw := denseRand(rows, 4*h, 4) // upstream gradient (ABT a)
-	dh := NewDense(rows, h)       // hidden gradient (ABT dst)
-
-	const rounds, iters = 120, 8
-	measure := func(f func()) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			f()
-		}
-		return time.Since(start)
-	}
-	median := func(ds []time.Duration) time.Duration {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		return ds[len(ds)/2]
-	}
-
-	var atbOld, atbPacked, abtOld, abtPacked []time.Duration
-	for r := 0; r < rounds; r++ {
-		atbOld = append(atbOld, measure(func() { mulATBRef(wgrad, a, g) }))
-		atbPacked = append(atbPacked, measure(func() { mulATBPacked(wgrad, a, g) }))
-		abtOld = append(abtOld, measure(func() { mulABTRef(dh, gw, wh) }))
-		abtPacked = append(abtPacked, measure(func() { mulABTPacked(dh, gw, wh) }))
-	}
-	t.Logf("MulATB %dx%dx%d  loop   median %v per %d calls", rows, h, 4*h, median(atbOld), iters)
-	t.Logf("MulATB %dx%dx%d  packed median %v per %d calls", rows, h, 4*h, median(atbPacked), iters)
-	t.Logf("MulABT %dx%dx%d  loop   median %v per %d calls", rows, 4*h, h, median(abtOld), iters)
-	t.Logf("MulABT %dx%dx%d  packed median %v per %d calls", rows, 4*h, h, median(abtPacked), iters)
 }
 
 func BenchmarkMulATBPackedBPTTShape(b *testing.B) {
@@ -202,35 +156,33 @@ func BenchmarkMulABTPackedBPTTShape(b *testing.B) {
 // the shapes a one-row training shard and StepForward produce, with
 // column tails (n mod 4 ≠ 0), a single column, and k on both sides of
 // the oracle's 64-term block edge — on the assembly and portable
-// kernels, packed dispatch on and off, at one worker and at eight (the
-// largest shapes cross parMinFlops, so the unpacked tier takes the
-// row-parallel gemmRaw path), into a nonzero dst.
+// kernels, at one worker and at eight (the largest shapes cross
+// packMinFlops and then parMinFlops, so they take the repacked path
+// serial and row-parallel), into a nonzero dst.
 func TestMulAddSmallShapesBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
-		withPackedB(t, func(t *testing.T) {
-			for _, procs := range []int{1, 8} {
-				prev := par.SetProcs(procs)
-				for m := 1; m <= 9; m++ {
-					for _, k := range []int{1, 7, 24, 64, 65} {
-						for _, n := range []int{1, 3, 4, 17, 96, 97} {
-							a := denseRand(m, k, 1)
-							b := denseRand(k, n, 2)
-							want := denseRand(m, n, 3)
-							got := want.Clone()
-							mulAddRows(want, a, b, 0, m)
-							MulAdd(got, a, b)
-							for i := range want.Data {
-								if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-									t.Fatalf("%dx%dx%d at %d workers: elem %d: got %x want %x", m, k, n, procs,
-										i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
-								}
+		for _, procs := range []int{1, 8} {
+			prev := par.SetProcs(procs)
+			for m := 1; m <= 9; m++ {
+				for _, k := range []int{1, 7, 24, 64, 65} {
+					for _, n := range []int{1, 3, 4, 17, 96, 97} {
+						a := denseRand(m, k, 1)
+						b := denseRand(k, n, 2)
+						want := denseRand(m, n, 3)
+						got := want.Clone()
+						mulAddRows(want, a, b, 0, m)
+						MulAdd(got, a, b)
+						for i := range want.Data {
+							if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+								t.Fatalf("%dx%dx%d at %d workers: elem %d: got %x want %x", m, k, n, procs,
+									i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 							}
 						}
 					}
 				}
-				par.SetProcs(prev)
 			}
-		})
+			par.SetProcs(prev)
+		}
 	})
 }
 
@@ -262,35 +214,33 @@ func TestMulAddOnTransposeMatchesMulABT(t *testing.T) {
 		}
 	}
 	withBatchASM(t, func(t *testing.T) {
-		withPackedB(t, func(t *testing.T) {
-			shapes := [][3]int{ // {m, k, n}: a is m×k, b is n×k
-				{1, 96, 24}, {1, 72, 24}, {3, 96, 24}, {8, 192, 48}, // per-step dz·whᵀ
-				{1, 1, 1}, {1, 20, 5}, {2, 7, 3}, {5, 65, 17}, {768, 17, 24},
-			}
-			for _, sh := range shapes {
-				m, k, n := sh[0], sh[1], sh[2]
-				for _, special := range []bool{false, true} {
-					a := denseRand(m, k, 1)
-					b := denseRand(n, k, 2)
-					if special {
-						plant(a, 3)
-						plant(b, 7)
-					}
-					bT := NewDense(k, n)
-					TransposeInto(bT, b)
-					want, got, viaMulABT := NewDense(m, n), NewDense(m, n), NewDense(m, n)
-					mulABTRef(want, a, b)
-					MulAdd(got, a, bT)
-					MulABT(viaMulABT, a, b)
-					for i := range want.Data {
-						if bitsDiffer(got.Data[i], want.Data[i]) || bitsDiffer(viaMulABT.Data[i], want.Data[i]) {
-							t.Fatalf("%dx%dx%d special=%v: elem %d: MulAdd %x MulABT %x want %x",
-								m, k, n, special, i, math.Float64bits(got.Data[i]),
-								math.Float64bits(viaMulABT.Data[i]), math.Float64bits(want.Data[i]))
-						}
+		shapes := [][3]int{ // {m, k, n}: a is m×k, b is n×k
+			{1, 96, 24}, {1, 72, 24}, {3, 96, 24}, {8, 192, 48}, // per-step dz·whᵀ
+			{1, 1, 1}, {1, 20, 5}, {2, 7, 3}, {5, 65, 17}, {768, 17, 24},
+		}
+		for _, sh := range shapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, special := range []bool{false, true} {
+				a := denseRand(m, k, 1)
+				b := denseRand(n, k, 2)
+				if special {
+					plant(a, 3)
+					plant(b, 7)
+				}
+				bT := NewDense(k, n)
+				TransposeInto(bT, b)
+				want, got, viaMulABT := NewDense(m, n), NewDense(m, n), NewDense(m, n)
+				mulABTRef(want, a, b)
+				MulAdd(got, a, bT)
+				MulABT(viaMulABT, a, b)
+				for i := range want.Data {
+					if bitsDiffer(got.Data[i], want.Data[i]) || bitsDiffer(viaMulABT.Data[i], want.Data[i]) {
+						t.Fatalf("%dx%dx%d special=%v: elem %d: MulAdd %x MulABT %x want %x",
+							m, k, n, special, i, math.Float64bits(got.Data[i]),
+							math.Float64bits(viaMulABT.Data[i]), math.Float64bits(want.Data[i]))
 					}
 				}
 			}
-		})
+		}
 	})
 }

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"os"
 	"unsafe"
 
 	"repro/internal/par"
@@ -27,22 +26,13 @@ import (
 // assembly and portable — accumulates each dst element's k terms in
 // ascending k with a separate multiply and add, exactly like
 // MulAddBatched. Packing therefore cannot change a single output bit,
-// which is what lets the decode engines switch panels on and off
-// (REPRO_NOPACK) without perturbing a trace.
+// which is what lets a packed fleet be pinned against an unpacked one
+// and against the scalar decode path.
 //
 // One generic body serves both element types. What differs per type is
 // the tile width — four AVX2 registers wide, one register narrow, so
 // 16/4 float64 and 32/8 float32 columns (lanes) — and the assembly tile
 // kernels mulAddPackedRows calls for each.
-
-// usePackedB gates the packed-B dispatch inside MulAdd and the packed
-// decode panels built by internal/core. Setting REPRO_NOPACK (to any
-// non-empty value) forces every consumer back onto the unpacked
-// kernels; because the packed paths are bit-identical, the flag never
-// changes results — it exists as a kill-switch and so CI can prove the
-// identity (scripts/check.sh runs a REPRO_NOPACK=1 tier). A variable,
-// not a const, so in-package tests can force either path.
-var usePackedB = os.Getenv("REPRO_NOPACK") == ""
 
 const cacheLineBytes = 64
 
@@ -88,7 +78,7 @@ type (
 // value — and allocates once; call it at publish time, not per GEMM.
 func (m *Matrix[T]) Pack() *Packed[T] {
 	p := &Packed[T]{Rows: m.Rows, Cols: m.Cols, data: alignedFloats[T](m.Rows * m.Cols)}
-	panelCopy(p.data, m.Data, m.Rows, m.Cols, false)
+	panelCopy(p.data, m.Data, m.Rows, m.Cols)
 	return p
 }
 
@@ -101,20 +91,11 @@ func (p *Packed[T]) String() string {
 	return fmt.Sprintf("PackedDense(%dx%d)", p.Rows, p.Cols)
 }
 
-// Unpack returns the original row-major matrix (a fresh copy), the
-// exact inverse of Pack. Used by tests and diagnostics.
-func (p *Packed[T]) Unpack() *Matrix[T] {
-	out := newMatrix[T](p.Rows, p.Cols)
-	panelCopy(p.data, out.Data, p.Rows, p.Cols, true)
-	return out
-}
-
-// panelCopy moves a k×n matrix between row-major order (rm) and panel
-// order: wide tiles first, then narrow tiles, then the column-major
-// tail (a tail column is a tile of width 1), each tile k-major. It
-// packs rm into panel, or with unpack set writes panel back into rm.
-// Both slices hold k*n elements.
-func panelCopy[T float32 | float64](panel, rm []T, k, n int, unpack bool) {
+// panelCopy packs the k×n row-major matrix rm into panel order: wide
+// tiles first, then narrow tiles, then the column-major tail (a tail
+// column is a tile of width 1), each tile k-major. Both slices hold k*n
+// elements.
+func panelCopy[T float32 | float64](panel, rm []T, k, n int) {
 	narrow := lanes[T]()
 	off, w := 0, 4*narrow
 	for j0 := 0; j0 < n; j0 += w {
@@ -124,12 +105,7 @@ func panelCopy[T float32 | float64](panel, rm []T, k, n int, unpack bool) {
 			}
 		}
 		for kk := 0; kk < k; kk++ {
-			p, r := panel[off:off+w], rm[kk*n+j0:kk*n+j0+w]
-			if unpack {
-				copy(r, p)
-			} else {
-				copy(p, r)
-			}
+			copy(panel[off:off+w], rm[kk*n+j0:kk*n+j0+w])
 			off += w
 		}
 	}
@@ -234,14 +210,14 @@ func mulAddTile[T float32 | float64](dst, a, tile []T, m, k, n, w int) {
 // panel scratch, then run the packed kernel row-parallel. The pack pass
 // costs one extra sweep over b, amortized across a.Rows row sweeps that
 // each replace strided B loads with contiguous L1-resident tiles;
-// paired measurement at the training and BPTT shapes shows the
-// crossover sits below packMinFlops (TestPairedForwardGEMMMeasure).
+// paired measurement at the training and BPTT shapes put the crossover
+// below packMinFlops.
 // Bit-identical to mulAddRows: same ascending-k order per element.
 func mulAddPackedB(dst, a, b *Dense) {
 	k, n := b.Rows, b.Cols
 	sp := packGet(k * n)
 	pb := PackedDense{Rows: k, Cols: n, data: *sp}
-	panelCopy(pb.data, b.Data, k, n, false)
+	panelCopy(pb.data, b.Data, k, n)
 	rowFlops := k * n
 	if a.Rows*rowFlops < parMinFlops || par.Procs() == 1 {
 		mulAddPackedRows(dst, a, &pb, 0, a.Rows)

@@ -2,6 +2,6 @@
 
 package mat
 
-// raceEnabled reports whether the race detector is compiled in; see
+// RaceEnabled reports whether the race detector is compiled in; see
 // race_on.go.
-const raceEnabled = false
+const RaceEnabled = false

@@ -25,9 +25,6 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Steps returns how many optimization steps have been applied.
-func (a *Adam) Steps() int { return a.t }
-
 // LastGradNorm returns the pre-clip global gradient L2 norm observed at
 // the most recent Step. The norm is only computed when ClipNorm > 0
 // (clipping already pays for the pass over the gradients); it reads 0

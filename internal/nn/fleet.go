@@ -206,8 +206,7 @@ func (n *LSTM) NewFleet(capacity int) *Fleet[float64] {
 }
 
 // NewFleetPacked is NewFleet stepping on panels p, which must have been
-// packed from this network; a nil p yields a plain unpacked fleet,
-// which is how REPRO_NOPACK falls through.
+// packed from this network; a nil p yields a plain unpacked fleet.
 func (n *LSTM) NewFleetPacked(capacity int, p *PackedLSTM[float64]) *Fleet[float64] {
 	return newFleet(n.stepWeights(), capacity, p)
 }
@@ -221,8 +220,8 @@ func (n *LSTM32) NewFleet32Packed(capacity int, p *PackedLSTM32) *Fleet32 {
 }
 
 // Packed reports whether this fleet steps on panel-packed weights
-// (false on plain NewFleet fleets and under REPRO_NOPACK). Diagnostic
-// only — packed and unpacked fleets are byte-identical.
+// (false on plain NewFleet fleets). Diagnostic only — packed and
+// unpacked fleets are byte-identical.
 func (f *Fleet[T]) Packed() bool { return f.panels != nil }
 
 // alloc (re)creates the slabs at the given row capacity, preserving

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/mat/mattest"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
@@ -93,11 +94,14 @@ var fleetCells = []fleetCell{
 }
 
 // forFleetCells runs body as a subtest of every cell whose name
-// contains pattern ("f64", "f32", "/packed", ...).
+// contains pattern ("f64", "f32", "/packed", ...), on the assembly and
+// on the portable kernels.
 func forFleetCells(t *testing.T, pattern string, body func(t *testing.T, c fleetCell)) {
 	for _, c := range fleetCells {
 		if strings.Contains(c.name, pattern) {
-			t.Run(c.name, func(t *testing.T) { body(t, c) })
+			t.Run(c.name, func(t *testing.T) {
+				mattest.BothTiers(t, func(t *testing.T) { body(t, c) })
+			})
 		}
 	}
 }
@@ -396,11 +400,11 @@ func testFleetPackedMatchesUnpacked(t *testing.T, prec string) {
 }
 
 func TestFleetPackedMatchesUnpacked(t *testing.T) {
-	testFleetPackedMatchesUnpacked(t, "f64")
+	mattest.BothTiers(t, func(t *testing.T) { testFleetPackedMatchesUnpacked(t, "f64") })
 }
 
 func TestFleet32PackedMatchesUnpacked(t *testing.T) {
-	testFleetPackedMatchesUnpacked(t, "f32")
+	mattest.BothTiers(t, func(t *testing.T) { testFleetPackedMatchesUnpacked(t, "f32") })
 }
 
 // TestFleet32TracksF64 bounds the f32 fleet's logit divergence from the
@@ -476,12 +480,15 @@ func TestFleetSlabsCacheAligned(t *testing.T) {
 // concurrently through par (the sharded decode engine's access
 // pattern) and checks every stream on every shard stays bit-identical
 // to its serial StepForward reference. Run under -race this also pins
-// the "distinct Fleets may be stepped concurrently" contract.
+// the "distinct Fleets may be stepped concurrently" contract — on the
+// portable kernels, the tier the detector can see into.
 func TestFleetConcurrentShards(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(8))
-	for _, net := range fleetNets() {
-		testFleetConcurrentShards(t, net)
-	}
+	mattest.BothTiers(t, func(t *testing.T) {
+		for _, net := range fleetNets() {
+			testFleetConcurrentShards(t, net)
+		}
+	})
 }
 
 func testFleetConcurrentShards(t *testing.T, net *LSTM) {
@@ -584,7 +591,7 @@ func TestFleetAdmitZeroState(t *testing.T) {
 	checkLogits(t, "re-admitted stream", y.Row(0), net.StepForward(in, ref))
 }
 
-// TestNewFleetPackedNilPanels pins the REPRO_NOPACK fall-through: a
+// TestNewFleetPackedNilPanels pins newFleet's nil-panels contract: a
 // nil panel set yields a plain unpacked fleet.
 func TestNewFleetPackedNilPanels(t *testing.T) {
 	net := fleetTestNet()

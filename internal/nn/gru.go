@@ -66,15 +66,6 @@ func NewGRU(cfg Config, g *rng.RNG) *GRU {
 // Params returns all learnable parameters.
 func (n *GRU) Params() []*Param { return n.params }
 
-// NumParams returns the scalar parameter count.
-func (n *GRU) NumParams() int {
-	total := 0
-	for _, p := range n.params {
-		total += len(p.Value.Data)
-	}
-	return total
-}
-
 // ZeroGrads clears gradients.
 func (n *GRU) ZeroGrads() {
 	for _, p := range n.params {

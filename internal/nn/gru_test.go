@@ -18,8 +18,12 @@ func TestNewGRUShapes(t *testing.T) {
 		t.Fatalf("layers %d", len(n.layers))
 	}
 	want := 3*15 + 5*15 + 15 + 5*15 + 5*15 + 15 + 5*4 + 4
-	if n.NumParams() != want {
-		t.Fatalf("NumParams %d, want %d", n.NumParams(), want)
+	got := 0
+	for _, p := range n.Params() {
+		got += len(p.Value.Data)
+	}
+	if got != want {
+		t.Fatalf("%d parameters, want %d", got, want)
 	}
 }
 

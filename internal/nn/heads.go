@@ -67,13 +67,6 @@ func SoftmaxCEInto(logits *mat.Dense, targets []int, valid []bool, dLogits *mat.
 	return loss, count
 }
 
-// LogSoftmax returns the log-probabilities for one logit vector.
-func LogSoftmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	LogSoftmaxInto(logits, out)
-	return out
-}
-
 // LogSoftmaxInto writes the log-probabilities into out (same length as
 // logits; aliasing logits is allowed).
 func LogSoftmaxInto(logits, out []float64) {
@@ -147,13 +140,6 @@ func MaskedBCEWithLogitsInto(logits, targets, mask, dLogits *mat.Dense) (loss fl
 		count++
 	}
 	return loss, count
-}
-
-// Sigmoid applies the logistic function element-wise to a copy of x.
-func Sigmoid(x []float64) []float64 {
-	out := make([]float64, len(x))
-	SigmoidInto(x, out)
-	return out
 }
 
 // SigmoidInto applies the logistic function element-wise into out (same

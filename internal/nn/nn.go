@@ -165,16 +165,6 @@ func (n *LSTM) NewState(b int) *State {
 	return s
 }
 
-// Clone deep-copies the state (scratch buffers are not carried over).
-func (s *State) Clone() *State {
-	out := &State{}
-	for i := range s.H {
-		out.H = append(out.H, s.H[i].Clone())
-		out.C = append(out.C, s.C[i].Clone())
-	}
-	return out
-}
-
 // Zero clears the state in place.
 func (s *State) Zero() {
 	for i := range s.H {

@@ -363,7 +363,7 @@ func TestForwardBackwardMatchesScalarReference(t *testing.T) {
 					st := n.NewState(b)
 					randFill(g, st.H)
 					randFill(g, st.C)
-					ref := refLSTMPass(n, xs, st.Clone(), dys)
+					ref := refLSTMPass(n, xs, cloneState(st), dys)
 
 					n.ZeroGrads()
 					ys, cache := n.Forward(xs, st)

@@ -156,8 +156,8 @@ func TestOptStateRoundTrip(t *testing.T) {
 	if err := UnmarshalOptState(optBlob, optB, b.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if optB.Steps() != optA.Steps() {
-		t.Fatalf("restored step counter %d, want %d", optB.Steps(), optA.Steps())
+	if optB.t != optA.t {
+		t.Fatalf("restored step counter %d, want %d", optB.t, optA.t)
 	}
 
 	// Continue both nets identically; they must stay byte-identical.
@@ -177,7 +177,7 @@ func TestOptStateRejectsCorruptInput(t *testing.T) {
 	n := NewLSTM(cfg, rng.New(3))
 	opt := NewAdam(1e-2)
 	trainFewSteps(t, n, opt, 3)
-	stepsBefore := opt.Steps()
+	stepsBefore := opt.t
 
 	good, err := MarshalOptState(opt, n.Params())
 	if err != nil {
@@ -205,7 +205,7 @@ func TestOptStateRejectsCorruptInput(t *testing.T) {
 		if err := UnmarshalOptState(data, opt, n.Params()); err == nil {
 			t.Errorf("%s: corrupt opt state decoded without error", name)
 		}
-		if opt.Steps() != stepsBefore {
+		if opt.t != stepsBefore {
 			t.Fatalf("%s: failed decode mutated the step counter", name)
 		}
 	}

@@ -78,17 +78,6 @@ func (n *GRU) ShadowGrads() *GRU {
 	return s
 }
 
-// SliceRows returns a view of rows [lo, hi) of the state. The view
-// aliases s's storage until Forward replaces the per-layer matrices.
-func (s *State) SliceRows(lo, hi int) *State {
-	out := &State{}
-	for i := range s.H {
-		out.H = append(out.H, s.H[i].SliceRows(lo, hi))
-		out.C = append(out.C, s.C[i].SliceRows(lo, hi))
-	}
-	return out
-}
-
 // CopyRows copies the (hi-lo)-row state src into rows [lo, hi) of s.
 func (s *State) CopyRows(lo, hi int, src *State) {
 	for i := range s.H {
@@ -97,15 +86,6 @@ func (s *State) CopyRows(lo, hi int, src *State) {
 		c = s.C[i].Cols
 		copy(s.C[i].Data[lo*c:hi*c], src.C[i].Data)
 	}
-}
-
-// SliceRows returns a view of rows [lo, hi) of the GRU state.
-func (s *GRUState) SliceRows(lo, hi int) *GRUState {
-	out := &GRUState{}
-	for i := range s.H {
-		out.H = append(out.H, s.H[i].SliceRows(lo, hi))
-	}
-	return out
 }
 
 // CopyRows copies the (hi-lo)-row state src into rows [lo, hi) of s.

@@ -121,15 +121,6 @@ func NewTransformer(cfg TransformerConfig, g *rng.RNG) *Transformer {
 // Params returns all learnable parameters.
 func (t *Transformer) Params() []*Param { return t.params }
 
-// NumParams returns the total scalar parameter count.
-func (t *Transformer) NumParams() int {
-	n := 0
-	for _, p := range t.params {
-		n += len(p.Value.Data)
-	}
-	return n
-}
-
 // ZeroGrads clears all gradients.
 func (t *Transformer) ZeroGrads() {
 	for _, p := range t.params {
@@ -510,6 +501,3 @@ func (w *TWindow) Append(x []float64) []float64 {
 	out, _ := w.t.Forward(&w.win)
 	return out.Row(T - 1)
 }
-
-// Len returns the current window length.
-func (w *TWindow) Len() int { return w.n }

@@ -38,7 +38,7 @@ func TestTransformerForwardShapes(t *testing.T) {
 	if cache.T != 6 {
 		t.Fatalf("cache T %d", cache.T)
 	}
-	if tr.NumParams() == 0 || len(tr.Params()) == 0 {
+	if len(tr.Params()) == 0 {
 		t.Fatal("no params")
 	}
 }
@@ -185,8 +185,8 @@ func TestTransformerWindowMatchesForward(t *testing.T) {
 			}
 		}
 	}
-	if w.Len() != T {
-		t.Fatalf("window len %d", w.Len())
+	if w.n != T {
+		t.Fatalf("window len %d", w.n)
 	}
 }
 
@@ -198,8 +198,8 @@ func TestTransformerWindowSlides(t *testing.T) {
 	w := tr.NewWindow()
 	for s := 0; s < 10; s++ {
 		w.Append([]float64{float64(s), 1})
-		if w.Len() > 4 {
-			t.Fatalf("window exceeded MaxLen: %d", w.Len())
+		if w.n > 4 {
+			t.Fatalf("window exceeded MaxLen: %d", w.n)
 		}
 	}
 }

@@ -178,22 +178,9 @@ func (n *GRU) workspace() *Workspace {
 	return n.ws
 }
 
-// ReleaseWorkspace is the GRU counterpart of LSTM.ReleaseWorkspace.
-func (n *GRU) ReleaseWorkspace() {
-	releaseWorkspace(n.ws)
-	n.ws = nil
-}
-
 func (t *Transformer) workspace() *Workspace {
 	if t.ws == nil {
 		t.ws = acquireWorkspace()
 	}
 	return t.ws
-}
-
-// ReleaseWorkspace is the Transformer counterpart of
-// LSTM.ReleaseWorkspace.
-func (t *Transformer) ReleaseWorkspace() {
-	releaseWorkspace(t.ws)
-	t.ws = nil
 }

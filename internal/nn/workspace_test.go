@@ -101,7 +101,7 @@ func TestWorkspaceFreeList(t *testing.T) {
 			}
 		}
 	}
-	m.ReleaseWorkspace()
+	releaseWorkspace(m.ws)
 	n.ReleaseWorkspace()
 }
 

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fidelity"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -394,6 +395,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Kernels names the kernel tier this process decodes on, as GET /model
+// and the startup log report it: "avx2" (the amd64 assembly kernels) or
+// "portable" (pure Go: REPRO_NOASM is set, or the CPU lacks AVX2+FMA).
+// The bytes served are the same on both.
+func Kernels() string {
+	if mat.Portable() {
+		return "portable"
+	}
+	return "avx2"
+}
+
 func (s *Server) modelMeta() map[string]any {
 	m := s.currentModel()
 	if m == nil {
@@ -412,6 +424,7 @@ func (s *Server) modelMeta() map[string]any {
 		"max_periods":    s.MaxPeriods,
 		"period_seconds": trace.PeriodSeconds,
 		"precision":      precision,
+		"kernels":        Kernels(),
 	}
 }
 

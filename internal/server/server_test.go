@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/survival"
@@ -83,6 +84,20 @@ func TestModelInfo(t *testing.T) {
 	}
 	if resp["lifetime_bins"].(float64) != 47 {
 		t.Fatalf("resp: %v", resp)
+	}
+	// The kernel tier is reported as it stands: "avx2" wherever the
+	// assembly kernels run, "portable" once the process is switched off
+	// them.
+	want := "avx2"
+	if mat.Portable() {
+		want = "portable"
+	}
+	if resp["kernels"] != want {
+		t.Fatalf("kernels = %v, want %q", resp["kernels"], want)
+	}
+	defer mat.SetPortable(mat.SetPortable(true))
+	if body := do(t, h, "GET", "/model", "").Body.String(); !strings.Contains(body, `"kernels":"portable"`) {
+		t.Fatalf("portable tier not reported: %s", body)
 	}
 }
 

@@ -10,9 +10,8 @@
 # Run from the repository root: scripts/bench.sh [benchtime]
 #
 # Caveat: on hosts with unstable clocks, ns/op deltas under ~10% between
-# separate benchmark blocks are noise; for kernel-level decisions use
-# the paired measurement instead:
-#   go test ./internal/mat -run TestPairedKernelMeasure -v
+# separate benchmark blocks are noise; a speed claim is made from
+# alternating pairs of the repo benchmark instead (scripts/pairs.sh).
 # allocs/op deltas are exact counts and carry no such noise.
 set -eu
 
@@ -70,15 +69,6 @@ for G in 2 4 8; do
 		awk -v g="$G" '/^Benchmark/ { $1 = $1 "@gomaxprocs=" g; print; print > "/dev/stderr" }' >> "$TMP"
 done
 
-# Packed-panel reference rows (DESIGN.md §6.5): re-run the decode group
-# with the REPRO_NOPACK kill-switch so the baseline always carries the
-# unpacked twin of every decode row. Rows are suffixed @nopack and use
-# the same fixed iteration floor for a fair pairing.
-echo "bench.sh: decode-fleet benchmarks with REPRO_NOPACK=1 (unpacked weights)"
-REPRO_NOPACK=1 go test -run '^$' -bench 'GenerateBatchLSTM|GenerateShardedLSTM' \
-	-benchmem -benchtime 3x . | \
-	awk '/^Benchmark/ { $1 = $1 "@nopack"; print; print > "/dev/stderr" }' >> "$TMP"
-
 # Precision delta (DESIGN.md §6.4): the f32 serving fast path is only
 # worth its tolerance budget if it actually outruns f64, so report the
 # streams/s ratio of each F32 decode row against its f64 twin (the row
@@ -132,27 +122,6 @@ awk -v ncpu="$NCPU" '
 				ncpu, k, one, k / one
 		else
 			print "bench.sh: engine wave64 pair missing from run" > "/dev/stderr"
-	}' "$TMP"
-
-# Packed-vs-unpacked delta (DESIGN.md §6.5): report each decode row's
-# streams/s against its @nopack twin from the kill-switch re-run above,
-# so a packed-kernel regression (or a host where packing loses) is
-# visible at a glance next to the f32-vs-f64 and tracing deltas. Both
-# legs come from the same -benchtime 3x iteration floor.
-awk '
-	/^BenchmarkGenerate(Batch|Sharded)LSTM[^ ]*@nopack / {
-		name = $1; sub(/@nopack$/, "", name); sub(/-[0-9]+$/, "", name)
-		for (i = 4; i <= NF; i++) if ($i == "streams/s") np[name] = $(i-1)
-	}
-	/^BenchmarkGenerate(Batch|Sharded)LSTM[^ ]* / && $1 !~ /@/ {
-		name = $1; sub(/-[0-9]+$/, "", name)
-		for (i = 4; i <= NF; i++) if ($i == "streams/s") pk[name] = $(i-1)
-	}
-	END {
-		for (n in np)
-			if (n in pk && np[n] > 0)
-				printf "bench.sh: packed vs unpacked: %s %.2f streams/s vs %.2f (%.2fx)\n", \
-					n, pk[n], np[n], pk[n] / np[n]
 	}' "$TMP"
 
 # Step cost by network (DESIGN.md §6.2): one Fleet.Step of the flavor

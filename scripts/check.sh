@@ -10,11 +10,6 @@
 #   - the end-to-end determinism and crash-recovery regression tests
 #     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
 #   - the sharded-decode tier at GOMAXPROCS=4;
-#   - a pure-Go kernel tier (REPRO_NOASM: internal/mat and internal/nn
-#     under -race, the goldens and decode determinism suites without);
-#   - the packed-panel parity tier (REPRO_NOPACK: internal/mat and
-#     internal/nn under -race, and REPRO_NOPACK+REPRO_NOASM on the
-#     goldens), every leg of both tiers with -count=1;
 #   - the allocation pins (decode round, fleet step in all four
 #     {f64, f32} x {unpacked, packed} cells, training window, par
 #     snapshot, Table 4 sweep), which run without -race;
@@ -28,6 +23,12 @@
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
+# There is no kernel-tier leg: the suites iterate the assembly and the
+# portable kernels in-process (mat.SetPortable, mattest.BothTiers), so
+# every `go test` below — the -race ones included, where the portable
+# kernels of internal/mat and internal/nn are what the detector sees —
+# proves asm = portable, and internal/mat re-executes itself under
+# REPRO_NOASM to prove the escape hatch.
 # Run from the repository root: scripts/check.sh
 set -eu
 
@@ -48,36 +49,6 @@ GOMAXPROCS=4 go test -race \
 GOMAXPROCS=4 go test -race \
 	-run 'TestHotReloadUnderLoad|TestReloadWithEveryShardBusy|TestMetricsShardGauges|TestShardedServerMatchesBatched' \
 	./internal/server
-
-# Pure-Go kernel tier (DESIGN.md §6.4): REPRO_NOASM forces every
-# assembly kernel onto its portable fallback, so the bit-identity
-# contracts (f64 decode determinism, the f32 golden bits and shard
-# invariance, GEMM and activation parity) are proven on the exact code
-# non-amd64 hosts run. The kernels and the fleets run under -race, which
-# the assembly paths cannot be; internal/core's goldens and decode
-# determinism suites run without it (under -race on the portable kernels
-# they take four minutes, the whole package seven).
-#
-# -count=1 on every leg of this tier and the next: both variables are
-# read at package init, before the test log starts recording, so the
-# test cache cannot tell these runs from the default -race leg above and
-# answers them "(cached)" without it. -short skips internal/mat's paired
-# timing tests, which measure the assembly.
-goldens='TestShardedDecodeDeterminism|TestPrecisionRegistryMatrix|TestPackedDecode|TestBatchedFleet|TestTrainedSnapshotGolden|TestF32TraceGolden|TestFleet32LogitsGolden'
-REPRO_NOASM=1 go test -race -count=1 -short ./internal/mat ./internal/nn
-REPRO_NOASM=1 go test -count=1 -run "$goldens" ./internal/core ./internal/nn .
-
-# Packed-panel parity tier (DESIGN.md §6.5): REPRO_NOPACK drops every
-# decode fleet and forward GEMM back to the unpacked kernels; the same
-# byte-identity suites must pass, proving the kill-switch cannot change
-# a trace. The -race leg races the unpacked fleets in internal/nn
-# (internal/core's are raced by the default -race leg, where
-# TestPackedDecodeByteIdentity flips the switch in-process), and
-# the combined NOASM+NOPACK leg pins the fully-portable, fully-unpacked
-# floor every other configuration is measured against.
-REPRO_NOPACK=1 go test -race -count=1 -short ./internal/mat ./internal/nn
-REPRO_NOPACK=1 REPRO_NOASM=1 go test -count=1 -run "$goldens" ./internal/core ./internal/nn .
-REPRO_NOPACK=1 go test -count=1 -run 'TestHotReloadRepacksPanels' ./internal/server
 
 # Memory-discipline pins: the fleet round path, the fleet step kernel at
 # both element types packed and unpacked (one generic body; its
@@ -126,4 +97,4 @@ fi
 
 sh scripts/loc.sh
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + noasm + nopack + alloc pins + fuzz + bench smoke + loc ratchet + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + deadcode OK"
