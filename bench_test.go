@@ -308,7 +308,7 @@ func benchLSTMTrain(b *testing.B, procs int) {
 		targets[s] = tg
 	}
 	opt := nn.NewAdam(1e-3)
-	sharded := nn.NewShardedLSTM(net, batch)
+	sharded := nn.NewSharded(net, batch)
 	b.SetBytes(8 * steps * batch * 64)
 	b.ReportAllocs()
 	b.ResetTimer()

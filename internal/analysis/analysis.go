@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/survival"
 	"repro/internal/trace"
 )
 
@@ -346,26 +345,4 @@ func fmtDur(seconds float64) string {
 	default:
 		return fmt.Sprintf("%.1fd", seconds/86400)
 	}
-}
-
-// BinHistogram returns the distribution of uncensored lifetimes over
-// the given bin layout (proportions).
-func BinHistogram(tr *trace.Trace, bins survival.Bins) []float64 {
-	counts := make([]int, bins.J())
-	total := 0
-	for _, vm := range tr.VMs {
-		if vm.Censored {
-			continue
-		}
-		counts[bins.Index(vm.Duration)]++
-		total++
-	}
-	out := make([]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
 }

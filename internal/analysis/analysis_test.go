@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -174,25 +173,6 @@ func TestCharacterizeAndRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestBinHistogram(t *testing.T) {
-	tr := smallTrace(t)
-	bins := survival.PaperBins()
-	h := BinHistogram(tr, bins)
-	if len(h) != bins.J() {
-		t.Fatalf("len %d", len(h))
-	}
-	var sum float64
-	for _, v := range h {
-		if v < 0 {
-			t.Fatal("negative proportion")
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("histogram sums to %v", sum)
 	}
 }
 

@@ -107,11 +107,17 @@ func flavorInputDim(k int, temporal features.Temporal) int {
 	return (k + 1) + temporal.Dim()
 }
 
-// encodeFlavorInput writes the step input: one-hot of the previous token
-// and the temporal features of the current period.
+// encodeFlavorInputInto writes a flavor net's step input over k flavors:
+// one-hot of the previous token and the temporal features of the current
+// period.
+func encodeFlavorInputInto(dst []float64, k int, temporal features.Temporal, prevToken, period, dohDay int) {
+	features.OneHot(dst[:k+1], prevToken)
+	temporal.Encode(dst[k+1:], period, dohDay)
+}
+
+// encodeFlavorInput is encodeFlavorInputInto for m.
 func (m *FlavorModel) encodeFlavorInput(dst []float64, prevToken, period, dohDay int) {
-	features.OneHot(dst[:m.K+1], prevToken)
-	m.Temporal.Encode(dst[m.K+1:], period, dohDay)
+	encodeFlavorInputInto(dst, m.K, m.Temporal, prevToken, period, dohDay)
 }
 
 // TrainFlavor trains the flavor LSTM on the training trace by teacher
@@ -135,7 +141,6 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 		fingerprint: cfg.fingerprint(ObsFlavorLSTM, len(toks), k, historyDays),
 		net:         m.Net, rng: g,
 	}
-	task.shard = shardLSTM(m.Net)
 	if cfg.Dev != nil {
 		if devToks := FlavorTokens(cfg.Dev); len(devToks) > 0 {
 			task.dev = func() float64 {
@@ -148,40 +153,50 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 }
 
 // flavorState is the streaming decoder state for generation and
-// teacher-forced evaluation.
+// teacher-forced evaluation of a recurrent flavor network, whichever its
+// cell.
 type flavorState struct {
-	m     *FlavorModel
-	st    *nn.State
-	prev  int
-	input []float64
-	out   []float64 // probs result buffer, overwritten each step
+	net      nn.Recurrent
+	k        int
+	temporal features.Temporal
+	st       *nn.State
+	prev     int
+	input    []float64
+	out      []float64 // probs result buffer, overwritten each step
 }
 
-// newFlavorState returns a fresh decoding state (previous token = EOB).
-func (m *FlavorModel) newFlavorState() *flavorState {
+// newFlavorState returns a fresh decoding state (previous token = EOB)
+// for a flavor network over k flavors.
+func newFlavorState(net nn.Recurrent, k int, temporal features.Temporal) *flavorState {
 	return &flavorState{
-		m:     m,
-		st:    m.Net.NewState(1),
-		prev:  EOBToken(m.K),
-		input: make([]float64, flavorInputDim(m.K, m.Temporal)),
-		out:   make([]float64, m.K+1),
+		net:      net,
+		k:        k,
+		temporal: temporal,
+		st:       net.NewState(1),
+		prev:     EOBToken(k),
+		input:    make([]float64, flavorInputDim(k, temporal)),
+		out:      make([]float64, k+1),
 	}
 }
 
-// reset restores the fresh-state condition: zero LSTM state, previous
-// token = EOB.
-func (s *flavorState) reset() {
-	s.st.Zero()
-	s.prev = EOBToken(s.m.K)
+func (m *FlavorModel) newFlavorState() *flavorState {
+	return newFlavorState(m.Net, m.K, m.Temporal)
 }
 
-// probs advances the LSTM one step and returns the distribution over the
-// next token given the current period and DOH day. The returned slice is
-// the state's reusable buffer: it is overwritten by the next probs call,
-// and callers may mutate it in place (the what-if tilt does).
+// reset restores the fresh-state condition: zero recurrent state,
+// previous token = EOB.
+func (s *flavorState) reset() {
+	s.st.Zero()
+	s.prev = EOBToken(s.k)
+}
+
+// probs advances the network one step and returns the distribution over
+// the next token given the current period and DOH day. The returned
+// slice is the state's reusable buffer: it is overwritten by the next
+// probs call, and callers may mutate it in place (the what-if tilt does).
 func (s *flavorState) probs(period, dohDay int) []float64 {
-	s.m.encodeFlavorInput(s.input, s.prev, period, dohDay)
-	logits := s.m.Net.StepForward(s.input, s.st)
+	encodeFlavorInputInto(s.input, s.k, s.temporal, s.prev, period, dohDay)
+	logits := s.net.StepForward(s.input, s.st)
 	nn.SoftmaxInto(logits, s.out)
 	return s.out
 }

@@ -36,49 +36,6 @@ func TrainFlavorGRU(tr *trace.Trace, cfg TrainConfig) *GRUFlavorModel {
 		fingerprint: cfg.fingerprint(ObsFlavorGRU, len(toks), k, historyDays),
 		net:         m.Net, rng: g,
 	}
-	task.shard = shardGRU(m.Net)
 	runBPTT(cfg, task)
 	return m
 }
-
-// GRUFlavorPredictor adapts the GRU model to the FlavorPredictor
-// interface.
-type GRUFlavorPredictor struct {
-	m     *GRUFlavorModel
-	st    *nn.GRUState
-	prev  int
-	input []float64
-	out   []float64 // probs buffer, overwritten each step
-}
-
-// NewGRUFlavorPredictor wraps m.
-func NewGRUFlavorPredictor(m *GRUFlavorModel) *GRUFlavorPredictor {
-	p := &GRUFlavorPredictor{m: m}
-	p.Reset()
-	return p
-}
-
-// Name implements FlavorPredictor.
-func (p *GRUFlavorPredictor) Name() string { return "GRU" }
-
-// Reset implements FlavorPredictor.
-func (p *GRUFlavorPredictor) Reset() {
-	p.st = p.m.Net.NewState(1)
-	p.prev = EOBToken(p.m.K)
-	p.input = make([]float64, flavorInputDim(p.m.K, p.m.Temporal))
-	p.out = make([]float64, p.m.K+1)
-}
-
-// Probs implements FlavorPredictor. The result is the predictor's
-// reusable buffer, overwritten by the next call.
-func (p *GRUFlavorPredictor) Probs(absPeriod int) []float64 {
-	encodeFlavorInputInto(p.input, p.m.K, p.m.Temporal, p.prev, absPeriod, trace.DayOfHistory(absPeriod))
-	nn.SoftmaxInto(p.m.Net.StepForward(p.input, p.st), p.out)
-	return p.out
-}
-
-// Predict implements FlavorPredictor (see LSTM wrapper caveat).
-func (p *GRUFlavorPredictor) Predict(absPeriod int) int { return argmax(p.Probs(absPeriod)) }
-
-// Observe implements FlavorPredictor.
-func (p *GRUFlavorPredictor) Observe(token int) { p.prev = token }

@@ -139,13 +139,6 @@ func TrainFlavorTransformer(tr *trace.Trace, cfg TransformerTrainConfig) *Transf
 	return m
 }
 
-// encodeFlavorInputInto is the shared flavor-step encoding without a
-// FlavorModel receiver.
-func encodeFlavorInputInto(dst []float64, k int, temporal features.Temporal, prevToken, period, dohDay int) {
-	features.OneHot(dst[:k+1], prevToken)
-	temporal.Encode(dst[k+1:], period, dohDay)
-}
-
 // TransformerFlavorPredictor adapts the model to the FlavorPredictor
 // interface for Table 2-style evaluation. It decodes with a sliding
 // MaxLen context window.

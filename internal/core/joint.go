@@ -76,7 +76,6 @@ func TrainJoint(tr *trace.Trace, cfg TrainConfig) *JointModel {
 		fingerprint: cfg.fingerprint(ObsJointLSTM, len(toks), k, historyDays),
 		net:         m.Net, rng: g,
 	}
-	task.shard = shardLSTM(m.Net)
 	runBPTT(cfg, task)
 	return m
 }

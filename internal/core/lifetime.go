@@ -91,7 +91,6 @@ func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *Lifeti
 		fingerprint: cfg.fingerprint(ObsLifetimeHazard, len(steps), k, historyDays),
 		net:         m.Net, rng: g,
 	}
-	task.shard = shardLSTM(m.Net)
 	task.outDim = j
 	// The masked-BCE output count of a job is its number of unmasked bins
 	// (lifetimeTargets).

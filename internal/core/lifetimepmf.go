@@ -79,7 +79,6 @@ func TrainLifetimePMF(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *PMF
 		fingerprint: cfg.fingerprint(ObsLifetimePMF, len(steps), k, historyDays),
 		net:         m.Net, rng: g,
 	}
-	task.shard = shardLSTM(m.Net)
 	task.outDim = j
 	task.loss = func(_ int, ts []int, y, dy *mat.Dense) float64 {
 		var loss float64

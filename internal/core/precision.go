@@ -120,10 +120,6 @@ type F32Report struct {
 	// MaxSurvivalDiff is the max |Δ| of the survival curves implied by
 	// the per-step hazards.
 	MaxSurvivalDiff float64
-	// MaxRateDiff is the max |Δ| of the per-period arrival rates. It
-	// is identically zero: the arrival GLM is shared float64 code on
-	// both paths (ModelF32 has no arrival member to diverge).
-	MaxRateDiff float64
 }
 
 // F32Divergence measures the f32 path's drift from the f64 reference
@@ -218,8 +214,6 @@ func (m *Model) ValidateF32() (F32Report, error) {
 		return rep, fmt.Errorf("core: f32 hazard divergence %g exceeds tolerance %g", rep.MaxHazardDiff, float64(F32HazardTol))
 	case !(rep.MaxSurvivalDiff <= F32SurvivalTol):
 		return rep, fmt.Errorf("core: f32 survival divergence %g exceeds tolerance %g", rep.MaxSurvivalDiff, float64(F32SurvivalTol))
-	case rep.MaxRateDiff != 0:
-		return rep, fmt.Errorf("core: f32 arrival rate divergence %g, want exactly 0", rep.MaxRateDiff)
 	}
 	return rep, nil
 }

@@ -118,9 +118,9 @@ func TestGenerateBatchF32ShardInvariance(t *testing.T) {
 // TestF32DivergenceWithinTolerance is the property test for the
 // published precision policy, on the trained integration fixture: the
 // teacher-forced f32 divergence of flavor probabilities, hazards, and
-// survival curves stays within the documented tolerances, arrival
-// rates diverge by exactly zero, and the measurement is not vacuous
-// (a trained f32 net must differ from f64 somewhere).
+// survival curves stays within the documented tolerances, and the
+// measurement is not vacuous (a trained f32 net must differ from f64
+// somewhere).
 func TestF32DivergenceWithinTolerance(t *testing.T) {
 	f := getFixture(t)
 	rep, err := f.model.ValidateF32()
@@ -129,9 +129,6 @@ func TestF32DivergenceWithinTolerance(t *testing.T) {
 	}
 	if rep.MaxProbDiff == 0 || rep.MaxHazardDiff == 0 {
 		t.Fatalf("f32 divergence identically zero (prob %v, hazard %v): comparison is vacuous", rep.MaxProbDiff, rep.MaxHazardDiff)
-	}
-	if rep.MaxRateDiff != 0 {
-		t.Fatalf("arrival-rate divergence %v, want exactly 0 (shared f64 GLM)", rep.MaxRateDiff)
 	}
 	t.Logf("f32 divergence over %d steps: prob %.3g (tol %g), hazard %.3g (tol %g), survival %.3g (tol %g)",
 		rep.Steps, rep.MaxProbDiff, float64(F32ProbTol), rep.MaxHazardDiff, float64(F32HazardTol),

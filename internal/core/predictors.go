@@ -139,40 +139,46 @@ func (r *RepeatFlavor) Predict(int) int {
 // Observe implements FlavorPredictor.
 func (r *RepeatFlavor) Observe(token int) { r.prev = token }
 
-// LSTMFlavorPredictor wraps the trained flavor LSTM for teacher-forced
-// evaluation.
-type LSTMFlavorPredictor struct {
-	m  *FlavorModel
-	st *flavorState
+// rnnFlavorPredictor wraps a trained recurrent flavor network, LSTM or
+// GRU, for teacher-forced evaluation.
+type rnnFlavorPredictor struct {
+	name string
+	st   *flavorState
 }
 
-// NewLSTMFlavorPredictor wraps m.
-func NewLSTMFlavorPredictor(m *FlavorModel) *LSTMFlavorPredictor {
-	return &LSTMFlavorPredictor{m: m, st: m.newFlavorState()}
+// NewLSTMFlavorPredictor wraps the flavor LSTM m.
+func NewLSTMFlavorPredictor(m *FlavorModel) FlavorPredictor {
+	return &rnnFlavorPredictor{"LSTM", m.newFlavorState()}
+}
+
+// NewGRUFlavorPredictor wraps the flavor GRU m.
+func NewGRUFlavorPredictor(m *GRUFlavorModel) FlavorPredictor {
+	return &rnnFlavorPredictor{"GRU", newFlavorState(m.Net, m.K, m.Temporal)}
 }
 
 // Name implements FlavorPredictor.
-func (l *LSTMFlavorPredictor) Name() string { return "LSTM" }
+func (p *rnnFlavorPredictor) Name() string { return p.name }
 
 // Reset implements FlavorPredictor (in place; no reallocation).
-func (l *LSTMFlavorPredictor) Reset() { l.st.reset() }
+func (p *rnnFlavorPredictor) Reset() { p.st.reset() }
 
 // Probs implements FlavorPredictor. The DOH day is the period's actual
 // day, clamped to the training history (i.e. the last training day for
-// test periods beyond it).
-func (l *LSTMFlavorPredictor) Probs(absPeriod int) []float64 {
-	return l.st.probs(absPeriod, trace.DayOfHistory(absPeriod))
+// test periods beyond it). The result is the predictor's reusable
+// buffer, overwritten by the next call.
+func (p *rnnFlavorPredictor) Probs(absPeriod int) []float64 {
+	return p.st.probs(absPeriod, trace.DayOfHistory(absPeriod))
 }
 
 // Predict implements FlavorPredictor. Callers must use the Probs result
-// via EvaluateFlavor; Predict alone would advance the LSTM twice, so it
-// is only meaningful for non-probabilistic baselines.
-func (l *LSTMFlavorPredictor) Predict(absPeriod int) int {
-	return argmax(l.Probs(absPeriod))
+// via EvaluateFlavor; Predict alone would advance the network twice, so
+// it is only meaningful for non-probabilistic baselines.
+func (p *rnnFlavorPredictor) Predict(absPeriod int) int {
+	return argmax(p.Probs(absPeriod))
 }
 
 // Observe implements FlavorPredictor.
-func (l *LSTMFlavorPredictor) Observe(token int) { l.st.observe(token) }
+func (p *rnnFlavorPredictor) Observe(token int) { p.st.observe(token) }
 
 func argmax(xs []float64) int {
 	best := 0

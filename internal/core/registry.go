@@ -51,20 +51,24 @@ type EngineSpec struct {
 // spec: Shards, or one per internal/par worker when that is <= 0, and
 // never more than MaxBatch. It is a pure function of the spec and
 // par.Procs(), so it is the same before and after a hot reload.
-func (spec EngineSpec) ShardCount() int {
-	k, _ := spec.shards()
-	return k
-}
+func (spec EngineSpec) ShardCount() int { return len(spec.shardCaps()) }
 
-// shards resolves the router's shape: the shard count and each shard's
-// stream cap, ceil(MaxBatch / count).
-func (spec EngineSpec) shards() (count, perShard int) {
+// shardCaps resolves the router's shape: one stream cap per shard,
+// summing to exactly MaxBatch — MaxBatch / count each, and one more on
+// the first MaxBatch % count shards.
+func (spec EngineSpec) shardCaps() []int {
 	maxBatch := spec.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxStreams
 	}
-	count = shardCount(spec.Shards, maxBatch)
-	return count, (maxBatch + count - 1) / count
+	caps := make([]int, shardCount(spec.Shards, maxBatch))
+	for i := range caps {
+		caps[i] = maxBatch / len(caps)
+		if i < maxBatch%len(caps) {
+			caps[i]++
+		}
+	}
+	return caps
 }
 
 // NewGenEngine builds the decode engine at spec.Precision ("" selects

@@ -87,7 +87,8 @@ type engineRouter struct {
 }
 
 func newEngineRouter(m *Model, spec EngineSpec) *engineRouter {
-	k, perShard := spec.shards()
+	caps := spec.shardCaps()
+	k := len(caps)
 	reg := spec.Obs
 	if reg == nil {
 		reg = obs.NewRegistry() // private sink keeps Generate guard-free
@@ -100,7 +101,7 @@ func newEngineRouter(m *Model, spec EngineSpec) *engineRouter {
 	}
 	reg.Gauge("decode.shards").Set(int64(k))
 	for i := range r.shards {
-		r.shards[i] = newEngine(m, perShard, spec.Precision)
+		r.shards[i] = newEngine(m, caps[i], spec.Precision)
 	}
 	return r
 }

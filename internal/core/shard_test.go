@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -264,6 +265,38 @@ func TestRouterBalancesInFlight(t *testing.T) {
 			t.Errorf("K=%d: occupancy sums to %d (max %d) after the last Generate returned, want 0", shards, sum, hi)
 		}
 		e.Close()
+	}
+}
+
+// TestShardCapsSumToMaxBatch pins MaxBatch as the cap across all shards
+// when the shard count does not divide it: the router's engines admit
+// MaxBatch / K streams each and one more on the first MaxBatch % K,
+// never ceil(MaxBatch / K) apiece (10 over 4 shards used to admit 12).
+func TestShardCapsSumToMaxBatch(t *testing.T) {
+	m := shardTestModel()
+	for _, c := range []struct {
+		maxBatch, shards int
+		want             []int
+	}{
+		{10, 4, []int{3, 3, 2, 2}},
+		{64, 3, []int{22, 21, 21}},
+		{7, 2, []int{4, 3}},
+		{6, 4, []int{2, 2, 1, 1}},
+		{3, 8, []int{1, 1, 1}},
+		{0, 3, []int{22, 21, 21}}, // MaxBatch <= 0 means 64
+	} {
+		e, err := NewGenEngine(m, EngineSpec{MaxBatch: c.maxBatch, Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, s := range e.(*engineRouter).shards {
+			got = append(got, s.maxBatch)
+		}
+		e.Close()
+		if !slices.Equal(got, c.want) {
+			t.Errorf("MaxBatch %d over %d shards: per-shard caps %v, want %v", c.maxBatch, c.shards, got, c.want)
+		}
 	}
 }
 

@@ -93,8 +93,6 @@ type bpttTask struct {
 	sgdFit
 	n             int // stream length (tokens or jobs)
 	inDim, outDim int
-	// shard builds the sharded view of the net for a batch width.
-	shard func(batch int) windowFn
 	// encode writes position t's input features into the zeroed row x.
 	encode func(x []float64, t int)
 	// outputs is the number of loss terms position t contributes — the
@@ -108,43 +106,12 @@ type bpttTask struct {
 	loss func(lo int, ts []int, y, dy *mat.Dense) float64
 }
 
-// windowFn runs one BPTT window on the sharded view of a recurrent
-// net — the cell-type seam of the window loop. fresh starts every
-// segment from the zero state (the first window of an epoch); otherwise
-// the segments continue from the previous window's final state.
-type windowFn func(xs []*mat.Dense, fresh bool, dys nn.ShardDys) (loss float64, count int)
-
-func shardLSTM(net *nn.LSTM) func(batch int) windowFn {
-	return func(batch int) windowFn {
-		sh := nn.NewShardedLSTM(net, batch)
-		var st *nn.State
-		return func(xs []*mat.Dense, fresh bool, dys nn.ShardDys) (float64, int) {
-			if fresh {
-				st = net.NewState(batch)
-			}
-			return sh.RunWindow(xs, st, dys)
-		}
-	}
-}
-
-func shardGRU(net *nn.GRU) func(batch int) windowFn {
-	return func(batch int) windowFn {
-		sh := nn.NewShardedGRU(net, batch)
-		var st *nn.GRUState
-		return func(xs []*mat.Dense, fresh bool, dys nn.ShardDys) (float64, int) {
-			if fresh {
-				st = net.NewState(batch)
-			}
-			return sh.RunWindow(xs, st, dys)
-		}
-	}
-}
-
-// runBPTT trains t's network by stateful truncated BPTT: the stream is
-// cut into batch contiguous segments (segmentPlan), and each window
-// continues every segment from the previous window's final state, so
-// the state distribution seen in training matches long free-running
-// generation.
+// runBPTT trains t's network — an nn.Recurrent, whichever its cell —
+// by stateful truncated BPTT: the stream is cut into batch contiguous
+// segments (segmentPlan), and each window continues every segment from
+// the previous window's final state, so the state distribution seen in
+// training matches long free-running generation. The first window of
+// an epoch starts every segment from the zero state.
 func runBPTT(cfg TrainConfig, t bpttTask) {
 	if t.n == 0 {
 		return
@@ -154,7 +121,8 @@ func runBPTT(cfg TrainConfig, t bpttTask) {
 	}
 	runEpochs(cfg, t.sgdFit, cfg.stepLR, func(opt *nn.Adam) func() (float64, int) {
 		plan := newSegmentPlan(t.n, cfg.SeqLen, cfg.BatchSize)
-		runWindow := t.shard(plan.batch)
+		net := t.net.(nn.Recurrent)
+		sharded, st := nn.NewSharded(net, plan.batch), net.NewState(plan.batch)
 		// Window buffers are allocated once and reused by every window of
 		// every epoch: per step, the batch inputs, the stream position
 		// behind each row, and one full-batch gradient slab with
@@ -223,7 +191,10 @@ func runBPTT(cfg TrainConfig, t bpttTask) {
 				if outputs > 0 {
 					norm = 1 / float64(outputs)
 				}
-				loss, _ := runWindow(xs[:wl], w == 0, shardLoss)
+				if w == 0 {
+					st.Zero()
+				}
+				loss, _ := sharded.RunWindow(xs[:wl], st, shardLoss)
 				totalLoss += loss
 				total += outputs
 				if outputs > 0 {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
-	"strings"
 )
 
 // Fprintln helpers render each experiment's result in the paper's table
@@ -156,27 +154,4 @@ func RenderHeads(w io.Writer, cloud string, rows []HeadRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-20s %8.3f %11.1f%%\n", r.Head, r.BCE, r.OneBestErr*100)
 	}
-}
-
-// Sparkline renders values as a unicode mini-chart (for terminal
-// inspection of arrival/capacity series).
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(blocks)-1))
-		}
-		b.WriteRune(blocks[idx])
-	}
-	return b.String()
 }

@@ -143,38 +143,3 @@ func MeanCRPS(samples [][]float64, actual []float64) float64 {
 	}
 	return total / float64(n)
 }
-
-// Histogram buckets values into counts over edges: count[i] holds values
-// in [edges[i], edges[i+1]); values beyond the last edge land in the
-// final bucket.
-func Histogram(xs []float64, edges []float64) []int {
-	if len(edges) < 2 {
-		panic("metrics: Histogram needs at least 2 edges")
-	}
-	counts := make([]int, len(edges)-1)
-	for _, v := range xs {
-		idx := sort.SearchFloat64s(edges[1:], math.Nextafter(v, math.Inf(1)))
-		if idx >= len(counts) {
-			idx = len(counts) - 1
-		}
-		counts[idx]++
-	}
-	return counts
-}
-
-// Proportions normalizes integer counts to fractions summing to 1
-// (all-zero input yields all zeros).
-func Proportions(counts []int) []float64 {
-	var total int
-	for _, c := range counts {
-		total += c
-	}
-	out := make([]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
-}

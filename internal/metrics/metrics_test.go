@@ -112,23 +112,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogramAndProportions(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 10}
-	counts := Histogram(xs, []float64{0, 1, 2, 3})
-	// [0,1): 0, 0.5 -> 2; [1,2): 1, 1.5 -> 2; [2,3): 10 clamps to last -> 1.
-	if counts[0] != 2 || counts[1] != 2 || counts[2] != 1 {
-		t.Fatalf("histogram = %v", counts)
-	}
-	props := Proportions(counts)
-	if math.Abs(props[0]-0.4) > 1e-12 {
-		t.Fatalf("proportions = %v", props)
-	}
-	zero := Proportions([]int{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatal("all-zero proportions should be zeros")
-	}
-}
-
 func TestCRPSDegenerateForecast(t *testing.T) {
 	// A point forecast's CRPS is its absolute error.
 	samples := []float64{5, 5, 5, 5}
@@ -185,13 +168,4 @@ func TestCRPSPanics(t *testing.T) {
 			f()
 		}()
 	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Histogram([]float64{1}, []float64{0})
 }

@@ -27,7 +27,7 @@ type StepFleet interface {
 }
 
 // stepLayer is one layer's step weights. Gate order within the 4H
-// dimension is input, forget, cell (g), output, as in lstmLayer.
+// dimension is input, forget, cell (g), output, as in the LSTM.
 type stepLayer[T float32 | float64] struct {
 	first  bool           // layer 0: the input is a feature encoding, stepped by row sums
 	wx, wh *mat.Matrix[T] // [in x 4H], [H x 4H]

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/mat"
@@ -9,156 +8,49 @@ import (
 )
 
 // GRU is a stacked gated-recurrent-unit network with a linear output
-// head — a lighter-weight alternative recurrent architecture (§7 of the
-// paper discusses architecture choice; the GRU ablation bench compares
-// it against the LSTM). The API mirrors LSTM: Forward/Backward over
-// step-major minibatches, StepForward for generation. Like the LSTM,
-// Forward/Backward scratch comes from a per-network Workspace and the
-// same validity/reentrancy rules apply.
-type GRU struct {
-	Cfg    Config
-	layers []*gruLayer
-	wy     *Param
-	by     *Param
-	params []*Param
-	ws     *Workspace // Forward/Backward scratch arenas, lazily acquired
-}
-
-// gruLayer holds one layer's parameters. Gate order within the 3H
-// dimension is reset (r), update (z), candidate (n).
-type gruLayer struct {
-	in, hidden int
-	first      bool   // layer 0: input may be a sparse feature encoding
-	wx         *Param // [in x 3H]
-	wh         *Param // [H x 3H]
-	b          *Param // [1 x 3H]
-}
+// head — the lighter-weight cell of §7's architecture ablation. It is
+// the LSTM's layer stack with a different cell: gate order within the
+// 3H dimension is reset (r), update (z), candidate (n), and its State
+// carries no C. Forward/Backward scratch comes from the same per-network
+// Workspace under the same validity and reentrancy rules.
+type GRU struct{ stack }
 
 // NewGRU constructs a GRU network with Xavier-uniform weights.
-func NewGRU(cfg Config, g *rng.RNG) *GRU {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
-	n := &GRU{Cfg: cfg}
-	in := cfg.InputDim
-	for l := 0; l < cfg.Layers; l++ {
-		layer := &gruLayer{
-			in:     in,
-			hidden: cfg.HiddenDim,
-			first:  l == 0,
-			wx:     newParam(fmt.Sprintf("g%d.wx", l), in, 3*cfg.HiddenDim),
-			wh:     newParam(fmt.Sprintf("g%d.wh", l), cfg.HiddenDim, 3*cfg.HiddenDim),
-			b:      newParam(fmt.Sprintf("g%d.b", l), 1, 3*cfg.HiddenDim),
-		}
-		xavierInit(layer.wx.Value, in, cfg.HiddenDim, g)
-		xavierInit(layer.wh.Value, cfg.HiddenDim, cfg.HiddenDim, g)
-		n.layers = append(n.layers, layer)
-		n.params = append(n.params, layer.wx, layer.wh, layer.b)
-		in = cfg.HiddenDim
-	}
-	n.wy = newParam("ghead.wy", cfg.HiddenDim, cfg.OutputDim)
-	n.by = newParam("ghead.by", 1, cfg.OutputDim)
-	xavierInit(n.wy.Value, cfg.HiddenDim, cfg.OutputDim, g)
-	n.params = append(n.params, n.wy, n.by)
-	return n
-}
+func NewGRU(cfg Config, g *rng.RNG) *GRU { return &GRU{newStack(cfg, g, false)} }
 
-// Params returns all learnable parameters.
-func (n *GRU) Params() []*Param { return n.params }
-
-// ZeroGrads clears gradients.
-func (n *GRU) ZeroGrads() {
-	for _, p := range n.params {
-		p.ZeroGrad()
-	}
-}
-
-// GRUState holds per-layer hidden activations. The same aliasing rules
-// as LSTM State apply: after Forward the entries view the workspace;
-// StepForward updates them in place using state-owned scratch.
-type GRUState struct {
-	H []*mat.Dense
-
-	zx, zh, y *mat.Dense // StepForward scratch, lazily sized
-	xh        mat.Dense
-}
-
-// NewState returns a zero state for batch size b.
-func (n *GRU) NewState(b int) *GRUState {
-	s := &GRUState{}
-	for range n.layers {
-		s.H = append(s.H, mat.NewDense(b, n.Cfg.HiddenDim))
-	}
-	return s
-}
-
-// GRUCache is the forward cache; like the LSTM Cache it lives in the
-// workspace arena of the Forward call that filled it, sequence-fused
-// into row-block slabs.
+// GRUCache is the GRU's forward cache, with seqCache's arena validity
+// and sequence-fused layout.
 type GRUCache struct {
-	steps int
-	batch int
-	ar    *arena
-
-	x       *mat.Dense   // packed layer-0 input [T·B x InputDim]
-	h       []*mat.Dense // per layer [(T+1)·B x H]; block 0 is the initial state
+	seqCache
 	r, z, c []*mat.Dense // per layer gate/candidate activations [T·B x H]
 	rh      []*mat.Dense // per layer cached zh_n (candidate recurrent pre-gate) [T·B x H]
-	ys      []*mat.Dense
 }
 
-// T returns the cached step count.
-func (c *GRUCache) T() int { return c.steps }
-
 // gruCache returns the arena's embedded GRUCache, resized for nl layers.
-func (a *arena) gruCacheFor(nl int) *GRUCache {
-	c := &a.gruCache
-	c.ar = a
-	c.x = nil
-	if cap(c.h) < nl {
-		c.h = make([]*mat.Dense, nl)
-		c.r = make([]*mat.Dense, nl)
-		c.z = make([]*mat.Dense, nl)
-		c.c = make([]*mat.Dense, nl)
-		c.rh = make([]*mat.Dense, nl)
-	}
-	c.h, c.r, c.z = c.h[:nl], c.r[:nl], c.z[:nl]
-	c.c, c.rh = c.c[:nl], c.rh[:nl]
+func (a *arena) gruCache(nl int) *GRUCache {
+	c := &a.gCache
+	fitLayers(nl, &c.h, &c.r, &c.z, &c.c, &c.rh)
 	return c
 }
 
 // Forward runs the network over xs, mirroring LSTM.Forward (including
 // the workspace validity contract on everything it returns).
-func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
+func (n *GRU) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *GRUCache) {
 	if len(xs) == 0 {
 		return nil, &GRUCache{}
 	}
-	T := len(xs)
-	b := xs[0].Rows
-	h := n.Cfg.HiddenDim
-	id := n.Cfg.InputDim
-	nl := len(n.layers)
 	ar := n.workspace().flip()
-	cache := ar.gruCacheFor(nl)
-	cache.steps, cache.batch = T, b
-
-	X := ar.slab(T*b, id, false)
-	for t, x := range xs {
-		copy(X.Data[t*b*id:(t+1)*b*id], x.Data)
+	cache := ar.gruCache(len(n.layers))
+	n.begin(&cache.seqCache, ar, xs)
+	T, b, h := cache.steps, cache.batch, n.Cfg.HiddenDim
+	var sH []*mat.Dense
+	if st != nil {
+		sH = st.H
 	}
-	cache.x = X
 
-	layerX := X
+	layerX := cache.x
 	for l, layer := range n.layers {
-		H := ar.slab((T+1)*b, h, false)
-		if st != nil {
-			if st.H[l].Rows != b || st.H[l].Cols != h {
-				panic(fmt.Sprintf("nn: GRU state layer %d is %dx%d, want %dx%d", l, st.H[l].Rows, st.H[l].Cols, b, h))
-			}
-			copy(H.Data[:b*h], st.H[l].Data)
-		} else {
-			clear(H.Data[:b*h])
-		}
+		H := stateSlab(ar, sH, l, T, b, h)
 		R := ar.slab(T*b, h, false)
 		Zg := ar.slab(T*b, h, false)
 		Cc := ar.slab(T*b, h, false)
@@ -167,11 +59,7 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 		// zh = hPrev Wh per step (candidate recurrent term needs the
 		// reset gate applied after Wh's n-block, so blocks stay split).
 		ZX := ar.slab(T*b, 3*h, true)
-		if layer.first {
-			mat.MulAddSparse(ZX, layerX, layer.wx.Value)
-		} else {
-			mat.MulAdd(ZX, layerX, layer.wx.Value)
-		}
+		layer.project(ZX, layerX)
 		mat.AddBiasRows(ZX, layer.b.Value.Row(0))
 		zh := ar.slab(b, 3*h, false)
 		for t := 0; t < T; t++ {
@@ -215,56 +103,27 @@ func (n *GRU) Forward(xs []*mat.Dense, st *GRUState) ([]*mat.Dense, *GRUCache) {
 		}
 		layerX = ar.view(H, b, (T+1)*b)
 	}
-
-	Y := ar.slab(T*b, n.Cfg.OutputDim, true)
-	mat.MulAdd(Y, layerX, n.wy.Value)
-	mat.AddBiasRows(Y, n.by.Value.Row(0))
-	ys := cache.ys[:0]
-	for t := 0; t < T; t++ {
-		ys = append(ys, ar.view(Y, t*b, (t+1)*b))
-	}
-	cache.ys = ys
-	return ys, cache
+	return n.head(&cache.seqCache, layerX), cache
 }
 
 // Backward runs truncated backpropagation through time, accumulating
 // parameter gradients via sequence-fused GEMMs like LSTM.Backward.
 func (n *GRU) Backward(cache *GRUCache, dys []*mat.Dense) {
-	if len(dys) != cache.T() {
-		panic(fmt.Sprintf("nn: GRU Backward got %d grads for %d steps", len(dys), cache.T()))
-	}
-	if cache.T() == 0 {
+	DH := n.headBackward(&cache.seqCache, dys)
+	if DH == nil {
 		return
 	}
-	T := cache.steps
-	b := cache.batch
-	h := n.Cfg.HiddenDim
-	od := n.Cfg.OutputDim
-	nl := len(n.layers)
-	ar := cache.ar
-
-	DY := ar.slab(T*b, od, false)
-	for t, dy := range dys {
-		copy(DY.Data[t*b*od:(t+1)*b*od], dy.Data)
-	}
-	hTop := ar.view(cache.h[nl-1], b, (T+1)*b)
-	mat.MulATB(n.wy.Grad, hTop, DY)
-	mat.SumRows(n.by.Grad.Row(0), DY)
-
-	DH := ar.slab(T*b, h, true)
-	mat.MulABT(DH, DY, n.wy.Value)
-
+	T, b, h, ar := cache.steps, cache.batch, n.Cfg.HiddenDim, cache.ar
 	DZX := ar.slab(T*b, 3*h, false) // fully written per layer
 	DZH := ar.slab(T*b, 3*h, false)
 	dpg := ar.slab(b, h, false)   // gate-path gradient to hPrev at step t
 	dhrec := ar.slab(b, h, false) // carried recurrent hidden gradient
 	whT := ar.slab(3*h, h, false) // whᵀ of the current layer (see LSTM.Backward)
-	for l := nl - 1; l >= 0; l-- {
-		layer := n.layers[l]
+	for l := len(n.layers) - 1; l >= 0; l-- {
 		HP := cache.h[l]
 		R, Zg, Cc, RH := cache.r[l], cache.z[l], cache.c[l], cache.rh[l]
 		dhrec.Zero()
-		mat.TransposeInto(whT, layer.wh.Value)
+		mat.TransposeInto(whT, n.layers[l].wh.Value)
 		for t := T - 1; t >= 0; t-- {
 			dpg.Zero()
 			for row := 0; row < b; row++ {
@@ -302,51 +161,20 @@ func (n *GRU) Backward(cache *GRUCache, dys []*mat.Dense) {
 				mat.Axpy(1, dpg.Data, dhrec.Data)
 			}
 		}
-		var xl *mat.Dense
-		if l == 0 {
-			xl = cache.x
-		} else {
-			xl = ar.view(cache.h[l-1], b, (T+1)*b)
-		}
-		if layer.first && sparseEnough(xl) {
-			mat.MulATBSparse(layer.wx.Grad, xl, DZX)
-		} else {
-			mat.MulATB(layer.wx.Grad, xl, DZX)
-		}
-		mat.SumRows(layer.b.Grad.Row(0), DZX)
-		mat.MulATB(layer.wh.Grad, ar.view(cache.h[l], 0, T*b), DZH)
-		if l > 0 {
-			DH.Zero()
-			mat.MulABT(DH, DZX, layer.wx.Value)
-		}
+		n.layerGrads(&cache.seqCache, l, DZX, DZH, DH)
 	}
 }
 
 // StepForward runs one batch-1 inference step; the returned logits are
 // valid until the next StepForward on the same state. Safe to call
 // concurrently on one network with distinct states.
-func (n *GRU) StepForward(x []float64, st *GRUState) []float64 {
-	if len(x) != n.Cfg.InputDim {
-		panic(fmt.Sprintf("nn: GRU StepForward input len %d, want %d", len(x), n.Cfg.InputDim))
-	}
+func (n *GRU) StepForward(x []float64, st *State) []float64 {
+	in := n.stepIn(x, st, 3)
 	h := n.Cfg.HiddenDim
-	if st.zx == nil || st.zx.Cols != 3*h {
-		st.zx = mat.NewDense(1, 3*h)
-		st.zh = mat.NewDense(1, 3*h)
-	}
-	if st.y == nil || st.y.Cols != n.Cfg.OutputDim {
-		st.y = mat.NewDense(1, n.Cfg.OutputDim)
-	}
-	st.xh.Rows, st.xh.Cols, st.xh.Data = 1, len(x), x
-	in := &st.xh
 	for l, layer := range n.layers {
-		zx, zh := st.zx, st.zh
+		zx, zh := st.z, st.zh
 		zx.Zero()
-		if layer.first {
-			mat.MulAddSparse(zx, in, layer.wx.Value)
-		} else {
-			mat.MulAdd(zx, in, layer.wx.Value)
-		}
+		layer.project(zx, in)
 		mat.AddBiasRows(zx, layer.b.Value.Row(0))
 		zh.Zero()
 		mat.MulAdd(zh, st.H[l], layer.wh.Value)
@@ -360,8 +188,5 @@ func (n *GRU) StepForward(x []float64, st *GRUState) []float64 {
 		}
 		in = st.H[l]
 	}
-	st.y.Zero()
-	mat.MulAdd(st.y, in, n.wy.Value)
-	mat.AddBiasRows(st.y, n.by.Value.Row(0))
-	return st.y.Row(0)
+	return n.stepOut(st)
 }

@@ -52,7 +52,7 @@ func TestGRUStepMatchesForward(t *testing.T) {
 	}
 }
 
-func TestGRUStateCarry(t *testing.T) {
+func TestGRUForwardStateCarries(t *testing.T) {
 	n := tinyGRU(4)
 	xs := randInputs(rng.New(5), 4, 2, 3)
 	// Forward outputs stay valid only until the next-but-one Forward on

@@ -131,9 +131,11 @@ func TestStepForwardMatchesForward(t *testing.T) {
 // cloneState deep-copies a state (scratch buffers are not carried over).
 func cloneState(s *State) *State {
 	out := &State{}
-	for i := range s.H {
-		out.H = append(out.H, s.H[i].Clone())
-		out.C = append(out.C, s.C[i].Clone())
+	for _, m := range s.H {
+		out.H = append(out.H, m.Clone())
+	}
+	for _, m := range s.C {
+		out.C = append(out.C, m.Clone())
 	}
 	return out
 }

@@ -188,7 +188,7 @@ type refGRU struct {
 	grads          map[*Param]*mat.Dense
 }
 
-func refGRUPass(n *GRU, xs []*mat.Dense, st *GRUState, dys []*mat.Dense) *refGRU {
+func refGRUPass(n *GRU, xs []*mat.Dense, st *State, dys []*mat.Dense) *refGRU {
 	T, b, h := len(xs), xs[0].Rows, n.Cfg.HiddenDim
 	ref := &refGRU{}
 	X := packSteps(xs)
@@ -391,11 +391,7 @@ func TestForwardBackwardMatchesScalarReference(t *testing.T) {
 					dys := randInputs(g, T, b, outDim)
 					st := n.NewState(b)
 					randFill(g, st.H)
-					init := &GRUState{}
-					for _, m := range st.H {
-						init.H = append(init.H, m.Clone())
-					}
-					ref := refGRUPass(n, xs, init, dys)
+					ref := refGRUPass(n, xs, cloneState(st), dys)
 
 					n.ZeroGrads()
 					ys, cache := n.Forward(xs, st)

@@ -129,43 +129,30 @@ func unmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func
 }
 
 // MarshalBinary serializes the network configuration and weights.
-func (n *LSTM) MarshalBinary() ([]byte, error) {
-	return marshalParams(n.Cfg, n.params)
+func (s *stack) MarshalBinary() ([]byte, error) {
+	return marshalParams(s.Cfg, s.params)
 }
 
 // UnmarshalBinary restores a network previously serialized with
 // MarshalBinary. The receiver's architecture is replaced.
-func (n *LSTM) UnmarshalBinary(data []byte) error {
-	var cfg Config
-	var fresh *LSTM
-	err := unmarshalParams(data, &cfg, checkLSTMConfig, func(c Config) []*Param {
-		fresh = NewLSTM(c, rng.New(0)) // init values are overwritten
-		return fresh.params
-	})
-	if err != nil {
-		return err
-	}
-	*n = *fresh
-	return nil
-}
-
-// MarshalBinary serializes the GRU's configuration and weights.
-func (n *GRU) MarshalBinary() ([]byte, error) {
-	return marshalParams(n.Cfg, n.params)
-}
+func (n *LSTM) UnmarshalBinary(data []byte) error { return n.unmarshal(data, true) }
 
 // UnmarshalBinary restores a GRU serialized with MarshalBinary.
-func (n *GRU) UnmarshalBinary(data []byte) error {
+func (n *GRU) UnmarshalBinary(data []byte) error { return n.unmarshal(data, false) }
+
+// unmarshal decodes a stack of the given cell; a failed decode leaves
+// the receiver untouched.
+func (s *stack) unmarshal(data []byte, cell bool) error {
 	var cfg Config
-	var fresh *GRU
+	var fresh stack
 	err := unmarshalParams(data, &cfg, checkLSTMConfig, func(c Config) []*Param {
-		fresh = NewGRU(c, rng.New(0))
+		fresh = newStack(c, rng.New(0), cell) // init values are overwritten
 		return fresh.params
 	})
 	if err != nil {
 		return err
 	}
-	*n = *fresh
+	*s = fresh
 	return nil
 }
 

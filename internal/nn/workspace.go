@@ -41,9 +41,9 @@ type arena struct {
 	nv     int          // views handed out since reset
 	nf     int          // float slices handed out since reset
 
-	cache    Cache    // reusable LSTM forward cache (one per arena)
-	gruCache GRUCache // reusable GRU forward cache
-	tCache   tCache   // reusable Transformer forward cache
+	cache  Cache    // reusable LSTM forward cache (one per arena)
+	gCache GRUCache // reusable GRU forward cache
+	tCache tCache   // reusable Transformer forward cache
 }
 
 func (a *arena) reset() { a.nb, a.nv, a.nf = 0, 0, 0 }
@@ -155,27 +155,20 @@ func releaseWorkspace(ws *Workspace) {
 	workspaceFreeList.mu.Unlock()
 }
 
-func (n *LSTM) workspace() *Workspace {
-	if n.ws == nil {
-		n.ws = acquireWorkspace()
+func (s *stack) workspace() *Workspace {
+	if s.ws == nil {
+		s.ws = acquireWorkspace()
 	}
-	return n.ws
+	return s.ws
 }
 
 // ReleaseWorkspace returns the network's scratch arenas to the package
 // free list. Call it when retiring a network whose buffers are no
 // longer referenced (states and ys obtained from Forward alias the
 // workspace). Safe to call on a network that never ran.
-func (n *LSTM) ReleaseWorkspace() {
-	releaseWorkspace(n.ws)
-	n.ws = nil
-}
-
-func (n *GRU) workspace() *Workspace {
-	if n.ws == nil {
-		n.ws = acquireWorkspace()
-	}
-	return n.ws
+func (s *stack) ReleaseWorkspace() {
+	releaseWorkspace(s.ws)
+	s.ws = nil
 }
 
 func (t *Transformer) workspace() *Workspace {

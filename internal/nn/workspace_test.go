@@ -153,8 +153,8 @@ func TestForwardBackwardSteadyStateAllocs(t *testing.T) {
 }
 
 // TestShardedRunWindowSteadyStateAllocs pins the sharded training
-// window at its historical allocation count: the par.Do task closure
-// RunWindow itself creates and nothing from the shards'
+// window, for both cells, at its historical allocation count: the
+// method value s.shard RunWindow hands par.Do and nothing from the shards'
 // Forward/Backward — the per-layer whᵀ slab and the gate loop's tanh
 // scratch come from each shadow's arena. One worker, so par.Do spawns
 // nothing; shapes below the pack threshold, so no pooled scratch (which
@@ -173,16 +173,12 @@ func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
 			return shardDys[lo], 0, 0
 		}
 		cfg := Config{InputDim: inDim, HiddenDim: hidden, Layers: 2, OutputDim: outDim}
-		var run func()
-		if arch == "lstm" {
-			net := NewLSTM(cfg, rng.New(42))
-			drv, st := NewShardedLSTM(net, batch), net.NewState(batch)
-			run = func() { drv.RunWindow(xs, st, dys) }
-		} else {
-			net := NewGRU(cfg, rng.New(42))
-			drv, st := NewShardedGRU(net, batch), net.NewState(batch)
-			run = func() { drv.RunWindow(xs, st, dys) }
+		var net Recurrent = NewLSTM(cfg, rng.New(42))
+		if arch == "gru" {
+			net = NewGRU(cfg, rng.New(42))
 		}
+		drv, st := NewSharded(net, batch), net.NewState(batch)
+		run := func() { drv.RunWindow(xs, st, dys) }
 		run()
 		run() // warm both arenas of every shadow
 		if allocs := testing.AllocsPerRun(20, run); allocs > 1 {

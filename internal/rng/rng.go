@@ -109,9 +109,6 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
@@ -209,14 +206,6 @@ func (g *RNG) Categorical(weights []float64) int {
 // LogNormal samples exp(N(mu, sigma)).
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.r.NormFloat64())
-}
-
-// Exponential samples from Exp(rate).
-func (g *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential requires rate > 0")
-	}
-	return g.r.ExpFloat64() / rate
 }
 
 // Gamma samples from Gamma(shape, scale) with mean shape*scale using
@@ -343,6 +332,3 @@ func (a *Alias) Sample(g *RNG) int {
 	}
 	return a.alias[i]
 }
-
-// Len returns the number of categories in the table.
-func (a *Alias) Len() int { return len(a.prob) }

@@ -20,7 +20,7 @@ func drainMixed(g *RNG, rounds int) []float64 {
 			out = append(out, float64(p))
 		}
 		out = append(out, g.LogNormal(1, 0.5))
-		out = append(out, g.Exponential(2))
+		out = append(out, g.r.ExpFloat64()/2)
 	}
 	return out
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -393,21 +392,4 @@ func RunTuple(tr *trace.Trace, events []Event, tp Tuple, g *rng.RNG) PackResult 
 		Alg:     Algorithms()[tp.AlgIndex],
 		Start:   start,
 	}, g)
-}
-
-// RunTuples packs the trace under every tuple, in parallel when the
-// worker pool allows. Each tuple draws from its own RNG stream split
-// from g serially in tuple order before the fan-out, and results are
-// returned indexed by tuple, so the output is identical at any worker
-// count.
-func RunTuples(tr *trace.Trace, events []Event, tuples []Tuple, g *rng.RNG) []PackResult {
-	gs := make([]*rng.RNG, len(tuples))
-	for i := range gs {
-		gs[i] = g.Split()
-	}
-	out := make([]PackResult, len(tuples))
-	par.Do(len(tuples), func(i int) {
-		out[i] = RunTuple(tr, events, tuples[i], gs[i])
-	})
-	return out
 }

@@ -92,9 +92,6 @@ func (b Bins) Lo(j int) float64 { return b.Edges[j] }
 // Hi returns the upper edge of bin j.
 func (b Bins) Hi(j int) float64 { return b.Edges[j+1] }
 
-// Mid returns the midpoint of bin j.
-func (b Bins) Mid(j int) float64 { return (b.Edges[j] + b.Edges[j+1]) / 2 }
-
 // Horizon returns the final (catch-all) upper edge.
 func (b Bins) Horizon() float64 { return b.Edges[len(b.Edges)-1] }
 
@@ -188,23 +185,18 @@ func KaplanMeierCensoredAsEvents(obs []Observation, bins Bins) []float64 {
 	return KaplanMeier(conv, bins)
 }
 
-// KaplanMeierGrouped estimates one discrete hazard per group key (the
-// paper's per-flavor KM baseline). Groups absent at estimation time fall
-// back to the pooled hazard, which is stored under key -1.
-// KaplanMeierGrouped is KaplanMeierGroupedShrunk with no shrinkage.
-func KaplanMeierGrouped(obs []Observation, groups []int, bins Bins) map[int][]float64 {
-	return KaplanMeierGroupedShrunk(obs, groups, bins, 0)
-}
-
-// KaplanMeierGroupedShrunk estimates per-group hazards with empirical-
-// Bayes shrinkage toward the pooled hazard: each group's per-bin hazard
-// is (events + tau*pooled) / (atRisk + tau). Shrinkage keeps sparse
+// KaplanMeierGroupedShrunk estimates one discrete hazard per group key
+// (the paper's per-flavor KM baseline is tau = 0). Groups absent at
+// estimation time fall back to the pooled hazard, which is stored under
+// key -1. With tau > 0 it shrinks toward the pooled hazard empirical-
+// Bayes style: each group's per-bin hazard is
+// (events + tau*pooled) / (atRisk + tau). Shrinkage keeps sparse
 // groups' hazards away from the degenerate 0/1 estimates that explode
 // the BCE metric at small sample sizes; at the paper's million-VM scale
 // tau is irrelevant, which is why the paper does not need it.
 func KaplanMeierGroupedShrunk(obs []Observation, groups []int, bins Bins, tau float64) map[int][]float64 {
 	if len(obs) != len(groups) {
-		panic("survival: KaplanMeierGrouped length mismatch")
+		panic("survival: KaplanMeierGroupedShrunk length mismatch")
 	}
 	pooled := KaplanMeier(obs, bins)
 	byGroup := make(map[int][]Observation)
@@ -311,17 +303,10 @@ const (
 	CDI
 )
 
-// SurvivalAt evaluates the survival function S(t) implied by a discrete
-// hazard at continuous time t under the given interpolation. It
-// converts the hazard on every call; loops that evaluate one hazard at
-// many times should convert once and use SurvivalCurveAt.
-func SurvivalAt(t float64, hazard []float64, bins Bins, interp Interpolation) float64 {
-	return SurvivalCurveAt(t, HazardToSurvival(hazard), bins, interp)
-}
-
-// SurvivalCurveAt is SurvivalAt on a precomputed survival curve s
-// (HazardToSurvival of the hazard), the allocation-free form for grid
-// sweeps.
+// SurvivalCurveAt evaluates the survival function S(t) at continuous
+// time t under the given interpolation, from the discrete survival curve
+// s (HazardToSurvival of a hazard). Convert a hazard once and call this
+// per time: it allocates nothing.
 func SurvivalCurveAt(t float64, s []float64, bins Bins, interp Interpolation) float64 {
 	if t < 0 {
 		return 1

@@ -214,7 +214,7 @@ func TestKaplanMeierGrouped(t *testing.T) {
 	b := UniformBins(2, 2)
 	obs := []Observation{{Duration: 0.5}, {Duration: 1.5}, {Duration: 0.5}}
 	groups := []int{0, 0, 1}
-	m := KaplanMeierGrouped(obs, groups, b)
+	m := KaplanMeierGroupedShrunk(obs, groups, b, 0)
 	if len(m) != 3 { // groups 0, 1 and pooled -1
 		t.Fatalf("got %d groups", len(m))
 	}
@@ -252,26 +252,31 @@ func TestContinuousKMWithCensoring(t *testing.T) {
 	}
 }
 
+// survivalAt is S(t) straight from a discrete hazard.
+func survivalAt(t float64, hazard []float64, bins Bins, interp Interpolation) float64 {
+	return SurvivalCurveAt(t, HazardToSurvival(hazard), bins, interp)
+}
+
 func TestSurvivalAtSteppedAndCDI(t *testing.T) {
 	b := UniformBins(2, 2) // bins [0,1), [1,2)
 	h := []float64{0.5, 1}
 	// S(bin0)=0.5, S(bin1)=0.
-	if got := SurvivalAt(0.5, h, b, Stepped); got != 1 {
+	if got := survivalAt(0.5, h, b, Stepped); got != 1 {
 		t.Errorf("stepped S(0.5) = %v, want 1 (no terminations until edge)", got)
 	}
-	if got := SurvivalAt(1, h, b, Stepped); got != 0.5 {
+	if got := survivalAt(1, h, b, Stepped); got != 0.5 {
 		t.Errorf("stepped S(1) = %v, want 0.5", got)
 	}
-	if got := SurvivalAt(0.5, h, b, CDI); math.Abs(got-0.75) > 1e-12 {
+	if got := survivalAt(0.5, h, b, CDI); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("CDI S(0.5) = %v, want 0.75", got)
 	}
-	if got := SurvivalAt(1.5, h, b, CDI); math.Abs(got-0.25) > 1e-12 {
+	if got := survivalAt(1.5, h, b, CDI); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("CDI S(1.5) = %v, want 0.25", got)
 	}
-	if got := SurvivalAt(-1, h, b, CDI); got != 1 {
+	if got := survivalAt(-1, h, b, CDI); got != 1 {
 		t.Errorf("S(-1) = %v, want 1", got)
 	}
-	if got := SurvivalAt(99, h, b, CDI); got != 0 {
+	if got := survivalAt(99, h, b, CDI); got != 0 {
 		t.Errorf("S beyond horizon = %v, want 0", got)
 	}
 }
@@ -289,7 +294,7 @@ func TestSurvivalAtMonotoneQuick(t *testing.T) {
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		return SurvivalAt(t1, h, b, CDI) >= SurvivalAt(t2, h, b, CDI)-1e-12
+		return survivalAt(t1, h, b, CDI) >= survivalAt(t2, h, b, CDI)-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -370,7 +375,7 @@ func TestEmptySurvivalMSE(t *testing.T) {
 
 func TestBinAccessors(t *testing.T) {
 	b := UniformBins(4, 8)
-	if b.Lo(1) != 2 || b.Hi(1) != 4 || b.Mid(1) != 3 {
-		t.Fatalf("accessors wrong: %v %v %v", b.Lo(1), b.Hi(1), b.Mid(1))
+	if b.Lo(1) != 2 || b.Hi(1) != 4 {
+		t.Fatalf("accessors wrong: %v %v", b.Lo(1), b.Hi(1))
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,25 +68,4 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// WriteJSONGz writes the gzip-compressed JSON form — the format for
-// sharing multi-million-VM traces.
-func (t *Trace) WriteJSONGz(w io.Writer) error {
-	gz := gzip.NewWriter(w)
-	if err := t.WriteJSON(gz); err != nil {
-		gz.Close()
-		return err
-	}
-	return gz.Close()
-}
-
-// ReadJSONGz parses a trace written by WriteJSONGz.
-func ReadJSONGz(r io.Reader) (*Trace, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: gzip: %w", err)
-	}
-	defer gz.Close()
-	return ReadJSON(gz)
 }

@@ -32,29 +32,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONGzRoundTrip(t *testing.T) {
-	tr := sample()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONGz(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONGz(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.VMs) != len(tr.VMs) {
-		t.Fatalf("VMs %d", len(got.VMs))
-	}
-	// Compression should actually compress a repetitive trace.
-	var plain bytes.Buffer
-	if err := tr.WriteJSON(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= plain.Len() {
-		t.Logf("note: gz %d >= plain %d (tiny input)", buf.Len(), plain.Len())
-	}
-}
-
 func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("{bad")); err == nil {
 		t.Fatal("expected parse error")
@@ -66,11 +43,5 @@ func TestReadJSONErrors(t *testing.T) {
 	bad := `{"version":1,"periods":2,"flavors":[{"Name":"a","CPU":1,"MemGB":1}],"vms":[{"id":0,"user":0,"flavor":5,"start":0,"duration_s":1}]}`
 	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
 		t.Fatal("expected validation error")
-	}
-}
-
-func TestReadJSONGzNotGzip(t *testing.T) {
-	if _, err := ReadJSONGz(strings.NewReader("plain text")); err == nil {
-		t.Fatal("expected gzip error")
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/glm"
-	"repro/internal/mat"
 	"repro/internal/survival"
 	"repro/internal/trace"
 )
@@ -156,32 +154,4 @@ func dohCoverage(train, dev *trace.Trace, devOffset int, p float64, samples int)
 	m.DOH.GeomP = p
 	m.DOH.Mode = 1 // features.DOHGeometric
 	return core.ArrivalCoverageOn(m, dev, devOffset, samples), nil
-}
-
-// ElasticNetGrid tunes a Poisson regression's full elastic-net penalty
-// (l1, l2) on held-out NLL given raw feature/count matrices — the
-// general-purpose form used outside the arrival pipeline.
-func ElasticNetGrid(x *mat.Dense, y []float64, xDev *mat.Dense, yDev []float64, l1s, l2s []float64) ([]Result, error) {
-	if len(l1s) == 0 || len(l2s) == 0 {
-		return nil, fmt.Errorf("tune: empty grid")
-	}
-	var results []Result
-	for _, l1 := range l1s {
-		for _, l2 := range l2s {
-			opt := glm.Options{Solver: glm.ProxGrad, L1: l1, L2: l2, MaxIter: 2000}
-			if l1 == 0 {
-				opt = glm.Options{Solver: glm.IRLS, L2: l2}
-			}
-			m, err := glm.Fit(x, y, opt)
-			if err != nil {
-				return nil, fmt.Errorf("tune: l1=%v l2=%v: %w", l1, l2, err)
-			}
-			results = append(results, Result{
-				Params: map[string]float64{"l1": l1, "l2": l2},
-				Score:  m.NLL(xDev, yDev),
-			})
-		}
-	}
-	byScore(results)
-	return results, nil
 }

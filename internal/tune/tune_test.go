@@ -1,14 +1,10 @@
 package tune
 
 import (
-	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/glm"
-	"repro/internal/mat"
-	"repro/internal/rng"
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -116,43 +112,5 @@ func TestDOHGeomGrid(t *testing.T) {
 	}
 	if _, err := DOHGeomGrid(train, dev, off, []float64{2}, 10); err == nil {
 		t.Fatal("expected p-range error")
-	}
-}
-
-func TestElasticNetGrid(t *testing.T) {
-	g := rng.New(5)
-	mk := func(n int) (*mat.Dense, []float64) {
-		x := mat.NewDense(n, 3)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			row := x.Row(i)
-			for j := range row {
-				row[j] = g.Uniform(-1, 1)
-			}
-			mu := math.Exp(0.8*row[0] - 0.5*row[1] + 1)
-			y[i] = float64(g.Poisson(mu))
-		}
-		return x, y
-	}
-	xTr, yTr := mk(1500)
-	xDev, yDev := mk(500)
-	results, err := ElasticNetGrid(xTr, yTr, xDev, yDev, []float64{0, 5}, []float64{0.01, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results %d", len(results))
-	}
-	// Extreme ridge must lose to the light penalties.
-	if results[0].Params["l2"] == 1000 {
-		t.Errorf("over-penalized candidate won: %+v", results[0])
-	}
-	// Sanity: the winner's dev NLL is no worse than an unregularized fit.
-	base, err := glm.Fit(xTr, yTr, glm.Options{Solver: glm.IRLS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Score > base.NLL(xDev, yDev)+0.05 {
-		t.Errorf("grid winner %v worse than unregularized %v", results[0].Score, base.NLL(xDev, yDev))
 	}
 }
