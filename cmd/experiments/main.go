@@ -115,19 +115,10 @@ func main() {
 	case *workloadSpec != "":
 		// Declarative scenario: one cloud, compiled from the spec. The
 		// catalog decides which preset's experiment slots it fills.
-		spec := workload.Preset(*workloadSpec)
-		if spec == nil {
-			data, err := os.ReadFile(*workloadSpec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: -workload-spec %q is neither a preset (%v) nor a readable file: %v\n",
-					*workloadSpec, workload.PresetNames(), err)
-				os.Exit(1)
-			}
-			spec, err = workload.ParseSpec(data)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
+		spec, err := workload.Load(*workloadSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
 		}
 		cfg, err := spec.Compile()
 		if err != nil {

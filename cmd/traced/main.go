@@ -220,19 +220,10 @@ func main() {
 	// (training, flavors catalog, hot reload) is spec-agnostic.
 	var spec *workload.Spec
 	if *workloadSpec != "" {
-		spec = workload.Preset(*workloadSpec)
-		if spec == nil {
-			data, err := os.ReadFile(*workloadSpec)
-			if err != nil {
-				log.Fatalf("traced: -workload-spec %q is neither a preset (%v) nor a readable file: %v",
-					*workloadSpec, workload.PresetNames(), err)
-			}
-			spec, err = workload.ParseSpec(data)
-			if err != nil {
-				log.Fatalf("traced: %v", err)
-			}
-		}
 		var err error
+		if spec, err = workload.Load(*workloadSpec); err != nil {
+			log.Fatalf("traced: %v", err)
+		}
 		cfg, err = spec.Compile()
 		if err != nil {
 			log.Fatalf("traced: compile workload spec: %v", err)

@@ -51,23 +51,6 @@ func outputWriter(path string) (io.Writer, func()) {
 	return f, func() { f.Close() }
 }
 
-// loadSpec resolves -workload-spec: preset name first, then file path.
-func loadSpec(arg string) *workload.Spec {
-	if spec := workload.Preset(arg); spec != nil {
-		return spec
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		fatalf("-workload-spec %q is neither a preset (%v) nor a readable file: %v",
-			arg, workload.PresetNames(), err)
-	}
-	spec, err := workload.ParseSpec(data)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return spec
-}
-
 // replay re-emits recorded traces as CSV without touching a model.
 func replay(path string, w io.Writer) {
 	f, err := os.Open(path)
@@ -118,8 +101,10 @@ func main() {
 
 	var cfg synth.Config
 	if *workloadSpec != "" {
-		spec := loadSpec(*workloadSpec)
-		var err error
+		spec, err := workload.Load(*workloadSpec)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		cfg, err = spec.Compile()
 		if err != nil {
 			fatalf("compile workload spec: %v", err)

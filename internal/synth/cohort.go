@@ -5,30 +5,26 @@ import (
 	"math"
 
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // ArrivalSampler draws the number of batches arriving in one period
 // given the scheduled mean lambda for that period. A nil sampler means
-// the Poisson process the legacy single-cohort path uses; the workload
-// layer supplies bursty Gamma-mixed and Weibull-renewal samplers.
+// a Poisson process; the workload layer supplies bursty Gamma-mixed and
+// Weibull-renewal samplers.
 type ArrivalSampler func(g *rng.RNG, lambda float64) int
 
 // Cohort is one heterogeneous client population inside a Config: its
-// share of the aggregate arrival rate, its own arrival process, and
-// fully resolved batch/lifetime/population parameters (the workload
-// spec compiler fills unset overrides from the Config base values).
-// Cohorts make scenario diversity a first-class input (ROADMAP item 1):
-// a spec can mix a steady interactive cohort, a bursty batch cohort,
-// and a heavy-tailed GPU cohort over one flavor catalog.
+// share of the aggregate arrival rate, its own arrival process, and a
+// fully resolved Population (the workload spec compiler fills unset
+// overrides from the Config base values). Cohorts make scenario
+// diversity a first-class input (ROADMAP item 1): a spec can mix a
+// steady interactive cohort, a bursty batch cohort, and a heavy-tailed
+// GPU cohort over one flavor catalog.
 type Cohort struct {
 	Name string
 	// RateFraction is this cohort's share of Config.BaseRate; fractions
 	// across cohorts must sum to ~1 so BaseRate keeps its meaning.
 	RateFraction float64
-	// Users is the cohort population size; user IDs are numbered
-	// globally, cohorts occupying consecutive ID ranges.
-	Users int
 	// Arrival draws per-period batch counts (nil = Poisson).
 	Arrival ArrivalSampler
 	// SLOClass labels the cohort's traffic ("critical", "batch", ...);
@@ -36,42 +32,42 @@ type Cohort struct {
 	// /metrics echo carry it for downstream schedulers.
 	SLOClass string
 
-	// Population structure (zero values are invalid; the compiler
-	// resolves them from the base config).
-	UserZipf      float64
-	FavoriteCount int
-	Persistence   float64
-
-	// Batch structure.
-	BatchSizeMean   float64
-	RepeatFlavorP   float64
-	RepeatLifetimeP float64
-	TemplateP       float64
-
-	// Lifetimes.
-	LifeMuMin, LifeMuMax float64
-	LifeSigma            float64
+	// Population is the cohort's own (zero values are invalid); user IDs
+	// are numbered globally, cohorts occupying consecutive ID ranges.
+	Population
 
 	// FlavorSubset restricts this cohort's favorite flavors to the
-	// given catalog indices (nil = whole catalog): the knob behind
-	// "flavor distribution overrides" (e.g. a GPU-only cohort).
+	// given distinct catalog indices (nil = whole catalog): the knob
+	// behind "flavor distribution overrides" (e.g. a GPU-only cohort).
 	FlavorSubset []int
 }
 
-// validateCohorts panics on structurally invalid cohort configs —
-// mirrors the legacy Generate panic contract; the workload spec layer
-// returns errors long before reaching here.
-func (c Config) validateCohorts() {
+// baseCohort is the one cohort a config without Cohorts generates.
+func (c Config) baseCohort() Cohort {
+	return Cohort{Name: c.Name, RateFraction: 1, Population: c.Population}
+}
+
+// validate panics on a structurally invalid config; the workload spec
+// layer returns errors long before reaching here.
+func (c Config) validate() {
+	if c.Days <= 0 || c.Flavors == nil || c.Flavors.K() == 0 {
+		panic(fmt.Sprintf("synth: invalid config %+v", c.Name))
+	}
 	var frac float64
 	for i, co := range c.Cohorts {
 		if co.Users <= 0 || co.RateFraction <= 0 || co.FavoriteCount <= 0 ||
 			co.BatchSizeMean < 1 || co.LifeMuMax < co.LifeMuMin {
 			panic(fmt.Sprintf("synth: invalid cohort %d (%q) in %s", i, co.Name, c.Name))
 		}
+		seen := make(map[int]bool, len(co.FlavorSubset))
 		for _, f := range co.FlavorSubset {
 			if f < 0 || f >= c.Flavors.K() {
 				panic(fmt.Sprintf("synth: cohort %q flavor index %d outside catalog [0,%d)", co.Name, f, c.Flavors.K()))
 			}
+			if seen[f] {
+				panic(fmt.Sprintf("synth: cohort %q lists flavor index %d twice", co.Name, f))
+			}
+			seen[f] = true
 		}
 		frac += co.RateFraction
 	}
@@ -81,139 +77,40 @@ func (c Config) validateCohorts() {
 }
 
 // cohortState is the per-cohort generation state: its user population,
-// its private RNG streams, and its recent-user persistence window.
+// its private RNG streams, its rate factor, and its recent-user
+// persistence window.
 type cohortState struct {
 	cfg     Cohort
 	userOff int // global ID of this cohort's first user
 	users   []user
 	alias   *rng.Alias
-	recent  []int // recent user IDs (global numbering)
+	recent  []int   // recent user IDs (global numbering)
+	rate    float64 // multiplies the period's schedule into its lambda
 
 	arrivalG *rng.RNG
 	batchG   *rng.RNG
 	lifeG    *rng.RNG
 }
 
-// generateCohorts is the multi-cohort ground-truth process. Each
-// cohort draws from its own Split-derived RNG streams, so cohorts are
-// statistically independent and appending a new cohort to a spec never
-// perturbs the bytes generated for the existing ones (pinned by
-// TestCohortStreamIndependence). Per period, cohorts emit batches in
-// declaration order, keeping the trace sorted and deterministic.
-func (c Config) generateCohorts(seed int64) *trace.Trace {
-	c.validateCohorts()
-	g := rng.New(seed)
-
-	// Global structure shared by all cohorts: the flavor→lifetime
-	// shifts and the per-day random effects.
-	flavorShift := make([]float64, c.Flavors.K())
-	if c.FlavorLifeEffect != 0 {
-		shiftG := g.Split()
-		for f := range flavorShift {
-			flavorShift[f] = c.FlavorLifeEffect * shiftG.NormFloat64()
-		}
+// newCohortState splits a cohort's four streams from g (users, arrival,
+// batch, lifetime, in that order) and builds its population.
+func (c Config) newCohortState(g *rng.RNG, co Cohort, userOff int) *cohortState {
+	st := &cohortState{cfg: co, userOff: userOff, rate: c.BaseRate * co.RateFraction}
+	st.users = c.makeCohortUsers(g.Split(), co)
+	st.arrivalG = g.Split()
+	st.batchG = g.Split()
+	st.lifeG = g.Split()
+	weights := make([]float64, len(st.users))
+	for j, u := range st.users {
+		weights[j] = u.weight
 	}
-	dayG := g.Split()
-	dayEffects := make([]float64, c.Days)
-	for d := range dayEffects {
-		dayEffects[d] = math.Exp(c.DayEffect * dayG.NormFloat64())
-	}
-
-	states := make([]*cohortState, len(c.Cohorts))
-	userOff := 0
-	for i, co := range c.Cohorts {
-		cg := g.Split()
-		st := &cohortState{cfg: co, userOff: userOff}
-		st.users = c.makeCohortUsers(cg.Split(), co)
-		st.arrivalG = cg.Split()
-		st.batchG = cg.Split()
-		st.lifeG = cg.Split()
-		weights := make([]float64, len(st.users))
-		for j, u := range st.users {
-			weights[j] = u.weight
-		}
-		st.alias = rng.NewAlias(weights)
-		states[i] = st
-		userOff += co.Users
-	}
-
-	periods := c.Days * trace.PeriodsPerDay
-	tr := &trace.Trace{Flavors: c.Flavors, Periods: periods}
-	const recentCap = 6
-	id := 0
-	for p := 0; p < periods; p++ {
-		day := trace.DayOfHistory(p)
-		sched := c.diurnal(trace.HourOfDay(p)) * c.weekly(trace.DayOfWeek(p)) * dayEffects[day]
-		if c.Growth != nil {
-			sched *= c.Growth(day)
-		}
-		for _, st := range states {
-			co := st.cfg
-			lambda := c.BaseRate * co.RateFraction * sched
-			var n int
-			if co.Arrival != nil {
-				n = co.Arrival(st.arrivalG, lambda)
-			} else {
-				n = st.arrivalG.Poisson(lambda)
-			}
-			for b := 0; b < n; b++ {
-				var uid int
-				if len(st.recent) > 0 && st.batchG.Bernoulli(co.Persistence) {
-					if st.batchG.Bernoulli(0.5) {
-						uid = st.recent[len(st.recent)-1]
-					} else {
-						uid = st.recent[st.batchG.Intn(len(st.recent))]
-					}
-				} else {
-					uid = st.userOff + st.alias.Sample(st.batchG)
-				}
-				st.recent = append(st.recent, uid)
-				if len(st.recent) > recentCap {
-					st.recent = st.recent[1:]
-				}
-				u := st.users[uid-st.userOff]
-				size := 1 + st.batchG.Geometric(1/u.batchMean)
-				templated := co.TemplateP > 0 && st.batchG.Bernoulli(co.TemplateP)
-				prevFlavor := -1
-				prevLife := -1.0
-				for v := 0; v < size; v++ {
-					var flavor int
-					if templated {
-						flavor = u.favorites[v%len(u.favorites)]
-					} else if prevFlavor >= 0 && st.batchG.Bernoulli(co.RepeatFlavorP) {
-						flavor = prevFlavor
-					} else {
-						flavor = u.favorites[st.batchG.Categorical(u.favWeight)]
-					}
-					life := prevLife
-					if life < 0 || !st.lifeG.Bernoulli(co.RepeatLifetimeP) {
-						mu := u.lifeMu + flavorShift[flavor]
-						if c.LifeShift != nil {
-							mu += c.LifeShift(day)
-						}
-						life = st.lifeG.LogNormal(mu, u.lifeSigma)
-					} else {
-						life *= st.lifeG.Uniform(0.9, 1.1)
-					}
-					tr.VMs = append(tr.VMs, trace.VM{
-						ID:       id,
-						User:     uid,
-						Flavor:   flavor,
-						Start:    p,
-						Duration: life,
-					})
-					id++
-					prevFlavor, prevLife = flavor, life
-				}
-			}
-		}
-	}
-	return tr
+	st.alias = rng.NewAlias(weights)
+	return st
 }
 
-// makeCohortUsers builds a cohort's population: like makeUsers but with
-// the cohort's own Zipf skew, favorite count, batch/lifetime parameters,
-// and (optionally) a restricted flavor subset for favorites.
+// makeCohortUsers builds a cohort's users from its Population, drawing
+// distinct favorites from its flavor subset (the whole catalog if nil),
+// at most one per flavor on offer.
 func (c Config) makeCohortUsers(g *rng.RNG, co Cohort) []user {
 	catalog := co.FlavorSubset
 	if catalog == nil {
@@ -228,6 +125,7 @@ func (c Config) makeCohortUsers(g *rng.RNG, co Cohort) []user {
 		favCount = k
 	}
 	globalPop := rng.ZipfWeights(k, 1.0)
+	// Shuffle so flavor index order is not popularity order.
 	perm := g.Perm(k)
 	popularity := make([]float64, k)
 	for i, p := range perm {
@@ -247,6 +145,7 @@ func (c Config) makeCohortUsers(g *rng.RNG, co Cohort) []user {
 			}
 			seen[f] = true
 			u.favorites = append(u.favorites, f)
+			// Geometric preference decay across favorites.
 			u.favWeight = append(u.favWeight, math.Pow(0.3, float64(len(u.favWeight))))
 		}
 		u.batchMean = math.Max(1, co.BatchSizeMean*g.Uniform(0.5, 1.5))

@@ -17,26 +17,27 @@ func threeCohorts() Config {
 	cfg.BaseRate = 6
 	cfg.Cohorts = []Cohort{
 		{
-			Name: "interactive", RateFraction: 0.5, Users: 60,
-			SLOClass: "critical",
-			UserZipf: 1.1, FavoriteCount: 3, Persistence: 0.45,
-			BatchSizeMean: 2.0, RepeatFlavorP: 0.85, RepeatLifetimeP: 0.8, TemplateP: 0.35,
-			LifeMuMin: math.Log(8 * 60), LifeMuMax: math.Log(86400), LifeSigma: 1.0,
+			Name: "interactive", RateFraction: 0.5, SLOClass: "critical",
+			Population: Population{
+				Users: 60, UserZipf: 1.1, FavoriteCount: 3, Persistence: 0.45,
+				BatchSizeMean: 2.0, RepeatFlavorP: 0.85, RepeatLifetimeP: 0.8, TemplateP: 0.35,
+				LifeMuMin: math.Log(8 * 60), LifeMuMax: math.Log(86400), LifeSigma: 1.0,
+			},
 		},
 		{
-			Name: "batch", RateFraction: 0.3, Users: 30,
-			SLOClass: "batch",
+			Name: "batch", RateFraction: 0.3, SLOClass: "batch",
 			Arrival: func(g *rng.RNG, lambda float64) int {
 				// Bursty: Poisson with a unit-mean Gamma rate multiplier.
 				return g.Poisson(lambda * g.Gamma(0.25, 4))
 			},
-			UserZipf: 1.3, FavoriteCount: 2, Persistence: 0.5,
-			BatchSizeMean: 4.0, RepeatFlavorP: 0.9, RepeatLifetimeP: 0.85, TemplateP: 0.1,
-			LifeMuMin: math.Log(3600), LifeMuMax: math.Log(4 * 86400), LifeSigma: 1.2,
+			Population: Population{
+				Users: 30, UserZipf: 1.3, FavoriteCount: 2, Persistence: 0.5,
+				BatchSizeMean: 4.0, RepeatFlavorP: 0.9, RepeatLifetimeP: 0.85, TemplateP: 0.1,
+				LifeMuMin: math.Log(3600), LifeMuMax: math.Log(4 * 86400), LifeSigma: 1.2,
+			},
 		},
 		{
-			Name: "gpu", RateFraction: 0.2, Users: 10,
-			SLOClass: "best-effort",
+			Name: "gpu", RateFraction: 0.2, SLOClass: "best-effort",
 			Arrival: func(g *rng.RNG, lambda float64) int {
 				// Regular: Weibull-renewal-style underdispersed counts.
 				n := 0
@@ -47,9 +48,11 @@ func threeCohorts() Config {
 				}
 				return n
 			},
-			UserZipf: 1.0, FavoriteCount: 2, Persistence: 0.3,
-			BatchSizeMean: 1.5, RepeatFlavorP: 0.95, RepeatLifetimeP: 0.9, TemplateP: 0,
-			LifeMuMin: math.Log(6 * 3600), LifeMuMax: math.Log(8 * 86400), LifeSigma: 0.8,
+			Population: Population{
+				Users: 10, UserZipf: 1.0, FavoriteCount: 2, Persistence: 0.3,
+				BatchSizeMean: 1.5, RepeatFlavorP: 0.95, RepeatLifetimeP: 0.9, TemplateP: 0,
+				LifeMuMin: math.Log(6 * 3600), LifeMuMax: math.Log(8 * 86400), LifeSigma: 0.8,
+			},
 			FlavorSubset: []int{12, 13, 14, 15},
 		},
 	}
@@ -194,19 +197,22 @@ func TestCohortStreamIndependence(t *testing.T) {
 	}
 }
 
-// TestLegacyPathUntouchedByCohortSupport guards the refactor: a config
-// with no cohorts must generate exactly the bytes it did before cohort
-// support existed (cross-checked against the seeded AzureLike trace the
-// rest of the suite depends on).
-func TestLegacyPathUntouchedByCohortSupport(t *testing.T) {
+// TestGenerateRejectsHangingPopulations: inputs whose favorite
+// sampling could never finish either generate (favorites are clamped to
+// the flavors on offer) or panic (a repeated subset index).
+func TestGenerateRejectsHangingPopulations(t *testing.T) {
 	cfg := AzureLike()
-	cfg.Days = 2
-	cfg.Users = 40
-	cfg.BaseRate = 1.5
-	a := cfg.Generate(3)
-	cfg.Cohorts = nil // explicit: empty means legacy
-	b := cfg.Generate(3)
-	if !bytes.Equal(traceBytes(t, a), traceBytes(t, b)) {
-		t.Fatal("legacy path changed")
+	cfg.Days, cfg.Users, cfg.BaseRate = 1, 10, 1
+	cfg.FavoriteCount = cfg.Flavors.K() + 1
+	if err := cfg.Generate(1).Validate(); err != nil {
+		t.Fatal(err)
 	}
+	cohorts := threeCohorts()
+	cohorts.Cohorts[2].FlavorSubset = []int{15, 15}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a repeated flavor subset index did not panic")
+		}
+	}()
+	cohorts.Generate(1)
 }

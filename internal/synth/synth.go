@@ -6,7 +6,9 @@
 // random effects ("every day is unique"), long-range user persistence,
 // workload growth with change-points, heavy-tailed lifetimes — so that
 // the paper's experiments, which measure whether each model recovers
-// that structure, remain meaningful without the original bytes.
+// that structure, remain meaningful without the original bytes. One
+// cohort process (cohort.go) generates every Config; a Config without
+// Cohorts is its one-cohort case.
 package synth
 
 import (
@@ -19,9 +21,8 @@ import (
 
 // Config is the full parameterization of the ground-truth process.
 type Config struct {
-	Name  string
-	Days  int // history length
-	Users int
+	Name string
+	Days int // history length
 
 	Flavors *trace.FlavorSet
 
@@ -34,7 +35,34 @@ type Config struct {
 	// (identity if nil). HuaweiLike uses fast growth that levels off.
 	Growth func(day int) float64
 
-	// User population.
+	// Population is the user/batch/lifetime block of the single
+	// population a config without Cohorts generates.
+	Population
+
+	// FlavorLifeEffect scales per-flavor log-lifetime shifts, planting
+	// the flavor→lifetime correlation that makes the paper's per-flavor
+	// Kaplan-Meier baseline beat the pooled one (Table 3).
+	FlavorLifeEffect float64
+
+	// Cohorts splits the arrivals across heterogeneous client
+	// populations (cohort.go): each cohort gets its own rate share,
+	// arrival process, and Population, while BaseRate, the
+	// diurnal/weekly/growth schedules, DayEffect, and FlavorLifeEffect
+	// stay global. Empty Cohorts is the one-cohort case: the base
+	// Population at rate fraction 1 with Poisson arrivals.
+	Cohorts []Cohort
+	// LifeShift returns an additive shift to the log-lifetime for a
+	// given day (identity if nil). HuaweiLike shortens lifetimes over
+	// the history, planting the regime change that defeats whole-history
+	// empirical baselines in Figure 8.
+	LifeShift func(day int) float64
+}
+
+// Population is one client population's parameters: its users, the
+// structure of its batches, and its lifetime profiles. Config carries
+// one for the no-cohort case and every Cohort carries its own.
+type Population struct {
+	Users         int     // population size
 	UserZipf      float64 // activity skew across users
 	FavoriteCount int     // favorite flavors per user
 	Persistence   float64 // probability a batch comes from a recently active user
@@ -54,23 +82,6 @@ type Config struct {
 	// Lifetimes: per-user log-normal profiles.
 	LifeMuMin, LifeMuMax float64 // user-level mean log-lifetime range (seconds)
 	LifeSigma            float64 // within-user log-lifetime spread
-	// FlavorLifeEffect scales per-flavor log-lifetime shifts, planting
-	// the flavor→lifetime correlation that makes the paper's per-flavor
-	// Kaplan-Meier baseline beat the pooled one (Table 3).
-	FlavorLifeEffect float64
-
-	// Cohorts, when non-empty, switches Generate to the multi-cohort
-	// process (cohort.go): each cohort gets its own rate share, arrival
-	// process, and population/batch/lifetime parameters, while BaseRate,
-	// the diurnal/weekly/growth schedules, DayEffect, and
-	// FlavorLifeEffect stay global. Empty Cohorts runs the legacy
-	// single-population path byte-for-byte unchanged.
-	Cohorts []Cohort
-	// LifeShift returns an additive shift to the log-lifetime for a
-	// given day (identity if nil). HuaweiLike shortens lifetimes over
-	// the history, planting the regime change that defeats whole-history
-	// empirical baselines in Figure 8.
-	LifeShift func(day int) float64
 }
 
 // AzureFlavors builds the 16-flavor Azure-like catalog (4 CPU sizes ×
@@ -130,24 +141,26 @@ func HuaweiFlavors() *trace.FlavorSet {
 // noticeable day-to-day variation.
 func AzureLike() Config {
 	return Config{
-		Name:             "AzureLike",
-		Days:             30,
-		Users:            400,
-		Flavors:          AzureFlavors(),
-		BaseRate:         5,
-		DiurnalAmp:       0.45,
-		WeekendDip:       0.6,
-		DayEffect:        0.30,
-		UserZipf:         1.1,
-		FavoriteCount:    3,
-		Persistence:      0.45,
-		BatchSizeMean:    2.6,
-		RepeatFlavorP:    0.85,
-		RepeatLifetimeP:  0.8,
-		TemplateP:        0.35,
-		LifeMuMin:        math.Log(8 * 60),    // 8 minutes
-		LifeMuMax:        math.Log(2 * 86400), // 2 days
-		LifeSigma:        1.0,
+		Name:       "AzureLike",
+		Days:       30,
+		Flavors:    AzureFlavors(),
+		BaseRate:   5,
+		DiurnalAmp: 0.45,
+		WeekendDip: 0.6,
+		DayEffect:  0.30,
+		Population: Population{
+			Users:           400,
+			UserZipf:        1.1,
+			FavoriteCount:   3,
+			Persistence:     0.45,
+			BatchSizeMean:   2.6,
+			RepeatFlavorP:   0.85,
+			RepeatLifetimeP: 0.8,
+			TemplateP:       0.35,
+			LifeMuMin:       math.Log(8 * 60),    // 8 minutes
+			LifeMuMax:       math.Log(2 * 86400), // 2 days
+			LifeSigma:       1.0,
+		},
 		FlavorLifeEffect: 0.7,
 	}
 }
@@ -158,24 +171,26 @@ func AzureLike() Config {
 // change behind Figure 8).
 func HuaweiLike() Config {
 	cfg := Config{
-		Name:             "HuaweiLike",
-		Days:             60, // scaled stand-in for the paper's 10 months
-		Users:            300,
-		Flavors:          HuaweiFlavors(),
-		BaseRate:         1.6,
-		DiurnalAmp:       0.3,
-		WeekendDip:       0.75,
-		DayEffect:        0.15,
-		UserZipf:         1.2,
-		FavoriteCount:    2,
-		Persistence:      0.5,
-		BatchSizeMean:    3.2,
-		RepeatFlavorP:    0.92,
-		RepeatLifetimeP:  0.85,
-		TemplateP:        0.25,
-		LifeMuMin:        math.Log(20 * 60),
-		LifeMuMax:        math.Log(8 * 86400),
-		LifeSigma:        1.0,
+		Name:       "HuaweiLike",
+		Days:       60, // scaled stand-in for the paper's 10 months
+		Flavors:    HuaweiFlavors(),
+		BaseRate:   1.6,
+		DiurnalAmp: 0.3,
+		WeekendDip: 0.75,
+		DayEffect:  0.15,
+		Population: Population{
+			Users:           300,
+			UserZipf:        1.2,
+			FavoriteCount:   2,
+			Persistence:     0.5,
+			BatchSizeMean:   3.2,
+			RepeatFlavorP:   0.92,
+			RepeatLifetimeP: 0.85,
+			TemplateP:       0.25,
+			LifeMuMin:       math.Log(20 * 60),
+			LifeMuMax:       math.Log(8 * 86400),
+			LifeSigma:       1.0,
+		},
 		FlavorLifeEffect: 0.5,
 	}
 	days := float64(cfg.Days)
@@ -207,23 +222,35 @@ type user struct {
 // Generate runs the ground-truth process and returns the full-history
 // trace. The trace is uncensored (every VM has its true duration);
 // apply trace.Slice to impose observation windows.
+//
+// Every cohort draws from its own Split-derived RNG streams, so cohorts
+// are statistically independent and appending a new cohort to a config
+// never perturbs the bytes generated for the existing ones (pinned by
+// TestCohortStreamIndependence). Per period, cohorts emit batches in
+// declaration order, keeping the trace sorted and deterministic.
 func (c Config) Generate(seed int64) *trace.Trace {
-	if len(c.Cohorts) > 0 {
-		if c.Days <= 0 || c.Flavors == nil || c.Flavors.K() == 0 {
-			panic(fmt.Sprintf("synth: invalid config %+v", c.Name))
-		}
-		return c.generateCohorts(seed)
+	oneCohort := len(c.Cohorts) == 0
+	if oneCohort {
+		c.Cohorts = []Cohort{c.baseCohort()}
 	}
-	if c.Days <= 0 || c.Users <= 0 || c.Flavors == nil || c.Flavors.K() == 0 {
-		panic(fmt.Sprintf("synth: invalid config %+v", c.Name))
-	}
+	c.validate()
 	g := rng.New(seed)
-	users := c.makeUsers(g.Split())
-	arrivalG := g.Split()
-	batchG := g.Split()
-	lifeG := g.Split()
 
-	// Per-flavor lifetime shifts (flavor→lifetime correlation).
+	states := make([]*cohortState, len(c.Cohorts))
+	lead := 1.0 // leading factor of each period's rate schedule
+	var dayG *rng.RNG
+	if oneCohort {
+		// A config without cohorts keeps the stream layout and rate
+		// product order it had before cohorts existed, which every
+		// trained golden depends on: the population's streams split
+		// first, the flavor shifts after, the day effects drawn from
+		// the arrival stream, and the rate computed as
+		// BaseRate·diurnal·weekly·dayEffect·growth.
+		states[0] = c.newCohortState(g, c.Cohorts[0], 0)
+		lead, states[0].rate, dayG = c.BaseRate, 1, states[0].arrivalG
+	}
+	// Global structure shared by all cohorts: the flavor→lifetime
+	// shifts and the per-day random effects ("every day is unique").
 	flavorShift := make([]float64, c.Flavors.K())
 	if c.FlavorLifeEffect != 0 {
 		shiftG := g.Split()
@@ -231,128 +258,100 @@ func (c Config) Generate(seed int64) *trace.Trace {
 			flavorShift[f] = c.FlavorLifeEffect * shiftG.NormFloat64()
 		}
 	}
-
-	// Per-day random effects ("every day is unique").
+	if !oneCohort {
+		dayG = g.Split()
+		userOff := 0
+		for i, co := range c.Cohorts {
+			states[i] = c.newCohortState(g.Split(), co, userOff)
+			userOff += co.Users
+		}
+	}
 	dayEffects := make([]float64, c.Days)
 	for d := range dayEffects {
-		dayEffects[d] = math.Exp(c.DayEffect * arrivalG.NormFloat64())
+		dayEffects[d] = math.Exp(c.DayEffect * dayG.NormFloat64())
 	}
 
 	periods := c.Days * trace.PeriodsPerDay
 	tr := &trace.Trace{Flavors: c.Flavors, Periods: periods}
-	userWeights := make([]float64, len(users))
-	for i, u := range users {
-		userWeights[i] = u.weight
-	}
-	userAlias := rng.NewAlias(userWeights)
-
-	// Recently active users: a small FIFO that implements cross-period
-	// persistence (long-range correlation).
-	var recent []int
 	// A short recency window concentrates cross-batch persistence on the
 	// last few users, matching the strong short-range reuse the paper
 	// documents (Figure 9: most requests reuse one of the last few
 	// flavor types).
 	const recentCap = 6
-
 	id := 0
 	for p := 0; p < periods; p++ {
 		day := trace.DayOfHistory(p)
-		lambda := c.BaseRate * c.diurnal(trace.HourOfDay(p)) * c.weekly(trace.DayOfWeek(p)) * dayEffects[day]
+		sched := lead * c.diurnal(trace.HourOfDay(p)) * c.weekly(trace.DayOfWeek(p)) * dayEffects[day]
 		if c.Growth != nil {
-			lambda *= c.Growth(day)
+			sched *= c.Growth(day)
 		}
-		n := arrivalG.Poisson(lambda)
-		for b := 0; b < n; b++ {
-			var uid int
-			if len(recent) > 0 && batchG.Bernoulli(c.Persistence) {
-				// Half of persistent batches come from the immediately
-				// previous batch's user (users submit several batches in
-				// a row), the rest from the recent-user window.
-				if batchG.Bernoulli(0.5) {
-					uid = recent[len(recent)-1]
-				} else {
-					uid = recent[batchG.Intn(len(recent))]
-				}
+		for _, st := range states {
+			co := st.cfg
+			lambda := st.rate * sched
+			var n int
+			if co.Arrival != nil {
+				n = co.Arrival(st.arrivalG, lambda)
 			} else {
-				uid = userAlias.Sample(batchG)
+				n = st.arrivalG.Poisson(lambda)
 			}
-			recent = append(recent, uid)
-			if len(recent) > recentCap {
-				recent = recent[1:]
-			}
-			u := users[uid]
-			size := 1 + batchG.Geometric(1/u.batchMean)
-			templated := c.TemplateP > 0 && batchG.Bernoulli(c.TemplateP)
-			prevFlavor := -1
-			prevLife := -1.0
-			for v := 0; v < size; v++ {
-				var flavor int
-				if templated {
-					// Templated deployment: cycle the user's favorites
-					// in order (web+db+cache-style pods).
-					flavor = u.favorites[v%len(u.favorites)]
-				} else if prevFlavor >= 0 && batchG.Bernoulli(c.RepeatFlavorP) {
-					flavor = prevFlavor
-				} else {
-					flavor = u.favorites[batchG.Categorical(u.favWeight)]
-				}
-				life := prevLife
-				if life < 0 || !lifeG.Bernoulli(c.RepeatLifetimeP) {
-					mu := u.lifeMu + flavorShift[flavor]
-					if c.LifeShift != nil {
-						mu += c.LifeShift(day)
+			for b := 0; b < n; b++ {
+				var uid int
+				if len(st.recent) > 0 && st.batchG.Bernoulli(co.Persistence) {
+					// Half of persistent batches come from the immediately
+					// previous batch's user (users submit several batches
+					// in a row), the rest from the recent-user window.
+					if st.batchG.Bernoulli(0.5) {
+						uid = st.recent[len(st.recent)-1]
+					} else {
+						uid = st.recent[st.batchG.Intn(len(st.recent))]
 					}
-					life = lifeG.LogNormal(mu, u.lifeSigma)
 				} else {
-					life *= lifeG.Uniform(0.9, 1.1)
+					uid = st.userOff + st.alias.Sample(st.batchG)
 				}
-				tr.VMs = append(tr.VMs, trace.VM{
-					ID:       id,
-					User:     uid,
-					Flavor:   flavor,
-					Start:    p,
-					Duration: life,
-				})
-				id++
-				prevFlavor, prevLife = flavor, life
+				st.recent = append(st.recent, uid)
+				if len(st.recent) > recentCap {
+					st.recent = st.recent[1:]
+				}
+				u := st.users[uid-st.userOff]
+				size := 1 + st.batchG.Geometric(1/u.batchMean)
+				templated := co.TemplateP > 0 && st.batchG.Bernoulli(co.TemplateP)
+				prevFlavor := -1
+				prevLife := -1.0
+				for v := 0; v < size; v++ {
+					var flavor int
+					if templated {
+						// Templated deployment: cycle the user's favorites
+						// in order (web+db+cache-style pods).
+						flavor = u.favorites[v%len(u.favorites)]
+					} else if prevFlavor >= 0 && st.batchG.Bernoulli(co.RepeatFlavorP) {
+						flavor = prevFlavor
+					} else {
+						flavor = u.favorites[st.batchG.Categorical(u.favWeight)]
+					}
+					life := prevLife
+					if life < 0 || !st.lifeG.Bernoulli(co.RepeatLifetimeP) {
+						mu := u.lifeMu + flavorShift[flavor]
+						if c.LifeShift != nil {
+							mu += c.LifeShift(day)
+						}
+						life = st.lifeG.LogNormal(mu, u.lifeSigma)
+					} else {
+						life *= st.lifeG.Uniform(0.9, 1.1)
+					}
+					tr.VMs = append(tr.VMs, trace.VM{
+						ID:       id,
+						User:     uid,
+						Flavor:   flavor,
+						Start:    p,
+						Duration: life,
+					})
+					id++
+					prevFlavor, prevLife = flavor, life
+				}
 			}
 		}
 	}
 	return tr
-}
-
-func (c Config) makeUsers(g *rng.RNG) []user {
-	k := c.Flavors.K()
-	globalPop := rng.ZipfWeights(k, 1.0)
-	// Shuffle so flavor index order is not popularity order.
-	perm := g.Perm(k)
-	popularity := make([]float64, k)
-	for i, p := range perm {
-		popularity[i] = globalPop[p]
-	}
-	popAlias := rng.NewAlias(popularity)
-	users := make([]user, c.Users)
-	zipf := rng.ZipfWeights(c.Users, c.UserZipf)
-	for i := range users {
-		u := &users[i]
-		u.weight = zipf[i]
-		seen := map[int]bool{}
-		for len(u.favorites) < c.FavoriteCount {
-			f := popAlias.Sample(g)
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
-			u.favorites = append(u.favorites, f)
-			// Geometric preference decay across favorites.
-			u.favWeight = append(u.favWeight, math.Pow(0.3, float64(len(u.favWeight))))
-		}
-		u.batchMean = math.Max(1, c.BatchSizeMean*g.Uniform(0.5, 1.5))
-		u.lifeMu = g.Uniform(c.LifeMuMin, c.LifeMuMax)
-		u.lifeSigma = c.LifeSigma * g.Uniform(0.7, 1.3)
-	}
-	return users
 }
 
 func (c Config) diurnal(hour int) float64 {

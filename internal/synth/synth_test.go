@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -250,6 +252,37 @@ func TestStandardSplit(t *testing.T) {
 	}
 	if test.End != 30*trace.PeriodsPerDay {
 		t.Fatalf("test = %+v", test)
+	}
+}
+
+// TestGenerateGolden pins the simulator's bytes directly: the SHA-256
+// of the JSON trace each config generates. Every trained golden and
+// benchmark digest downstream depends on these bits, so the constants
+// are never re-recorded to make a change pass; a change that moves them
+// changes the ground truth.
+func TestGenerateGolden(t *testing.T) {
+	azure := AzureLike()
+	azure.Days = 4
+	huawei := HuaweiLike()
+	huawei.Days = 6
+	cases := []struct {
+		name string
+		cfg  Config
+		seed int64
+		sha  string
+	}{
+		{"azure", azure, 1, "c40c9967fce9b3ab55bcbb96bceb928d0c11d914915960ced766e68c19ac77df"},
+		{"azure", azure, 20210521, "c3f8642295a635a25ebcd0338c8567f2ce355046fc13dcccb70465bb8b02331f"},
+		{"huawei", huawei, 1, "59adb7ae0bdc7b5cec763c406566453c44c0fab0daf44f95ef332da02a9e2ec8"},
+		{"huawei", huawei, 20210521, "2233ff57eb62266b4cd2ed18355360c42bfa04f87b335d03705b013ca016bc0a"},
+		{"cohorts", threeCohorts(), 1, "962b4e431a2b55500ce9a134b3ef2a9d4a3e8a74280c2434c53850e72fee2029"},
+		{"cohorts", threeCohorts(), 20210521, "6d327b52966abe1163ad077f9dce95dbca92ca455175ba0dee7a86d74c68c35b"},
+	}
+	for _, tc := range cases {
+		sum := sha256.Sum256(traceBytes(t, tc.cfg.Generate(tc.seed)))
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("%s seed %d: trace sha256 %s, want %s", tc.name, tc.seed, got, tc.sha)
+		}
 	}
 }
 

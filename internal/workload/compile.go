@@ -8,12 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Compile lowers a validated spec to a synth.Config. Specs with no
-// cohorts compile to the legacy single-population process — the named
-// presets reproduce the hardcoded AzureLike()/HuaweiLike() configs
-// exactly (pinned by golden_test.go) — while specs with cohorts fill
-// every cohort's unset blocks from the base and compile each arrival
-// process to its sampler.
+// Compile lowers a validated spec to a synth.Config. The base blocks
+// become the config's own Population, which is all a spec without
+// cohorts generates from — the named presets reproduce the hardcoded
+// AzureLike()/HuaweiLike() configs exactly (pinned by golden_test.go).
+// Each cohort's Population is the base blocks with its overrides
+// swapped in, and each arrival process compiles to its sampler.
 func (s *Spec) Compile() (synth.Config, error) {
 	if err := s.Validate(); err != nil {
 		return synth.Config{}, err
@@ -22,25 +22,16 @@ func (s *Spec) Compile() (synth.Config, error) {
 	if err != nil {
 		return synth.Config{}, err
 	}
+	life := LifetimeOverride{MuMinSeconds: s.Lifetime.MuMinSeconds, MuMaxSeconds: s.Lifetime.MuMaxSeconds, Sigma: s.Lifetime.Sigma}
 	cfg := synth.Config{
 		Name:             s.Name,
 		Days:             s.Days,
-		Users:            s.Users,
 		Flavors:          fs,
 		BaseRate:         s.Arrival.BaseRate,
 		DiurnalAmp:       s.Arrival.DiurnalAmplitude,
 		WeekendDip:       s.Arrival.WeekendDip,
 		DayEffect:        s.Arrival.DayEffectSigma,
-		UserZipf:         s.Population.Zipf,
-		FavoriteCount:    s.Population.FavoriteCount,
-		Persistence:      s.Population.Persistence,
-		BatchSizeMean:    s.Batch.SizeMean,
-		RepeatFlavorP:    s.Batch.RepeatFlavorP,
-		RepeatLifetimeP:  s.Batch.RepeatLifetimeP,
-		TemplateP:        s.Batch.TemplateP,
-		LifeMuMin:        math.Log(s.Lifetime.MuMinSeconds),
-		LifeMuMax:        math.Log(s.Lifetime.MuMaxSeconds),
-		LifeSigma:        s.Lifetime.Sigma,
+		Population:       population(s.Users, s.Population, s.Batch, life),
 		FlavorLifeEffect: s.Lifetime.FlavorEffect,
 	}
 	days := float64(s.Days)
@@ -58,8 +49,6 @@ func (s *Spec) Compile() (synth.Config, error) {
 	for i, d := range fs.Defs {
 		names[i] = d.Name
 	}
-	// Cohorts that omit "users" split the spec-level pool by rate
-	// fraction (at least one user each).
 	cohorts := make([]synth.Cohort, len(s.Cohorts))
 	for i := range s.Cohorts {
 		co := &s.Cohorts[i]
@@ -71,46 +60,51 @@ func (s *Spec) Compile() (synth.Config, error) {
 		if err != nil {
 			return synth.Config{}, err
 		}
+		// Cohorts that omit "users" split the spec-level pool by rate
+		// fraction (at least one user each).
 		users := co.Users
 		if users == 0 {
-			users = int(math.Round(co.RateFraction * float64(s.Users)))
-			if users < 1 {
-				users = 1
-			}
+			users = max(1, int(math.Round(co.RateFraction*float64(s.Users))))
 		}
-		batch := s.Batch
-		if co.Batch != nil {
-			batch = *co.Batch
-		}
-		pop := s.Population
+		pop, batch, coLife := s.Population, s.Batch, life
 		if co.Population != nil {
 			pop = *co.Population
 		}
-		muMin, muMax, sigma := s.Lifetime.MuMinSeconds, s.Lifetime.MuMaxSeconds, s.Lifetime.Sigma
+		if co.Batch != nil {
+			batch = *co.Batch
+		}
 		if co.Lifetime != nil {
-			muMin, muMax, sigma = co.Lifetime.MuMinSeconds, co.Lifetime.MuMaxSeconds, co.Lifetime.Sigma
+			coLife = *co.Lifetime
 		}
 		cohorts[i] = synth.Cohort{
-			Name:            co.Name,
-			RateFraction:    co.RateFraction,
-			Users:           users,
-			Arrival:         sampler,
-			SLOClass:        co.SLOClass,
-			UserZipf:        pop.Zipf,
-			FavoriteCount:   pop.FavoriteCount,
-			Persistence:     pop.Persistence,
-			BatchSizeMean:   batch.SizeMean,
-			RepeatFlavorP:   batch.RepeatFlavorP,
-			RepeatLifetimeP: batch.RepeatLifetimeP,
-			TemplateP:       batch.TemplateP,
-			LifeMuMin:       math.Log(muMin),
-			LifeMuMax:       math.Log(muMax),
-			LifeSigma:       sigma,
-			FlavorSubset:    subset,
+			Name:         co.Name,
+			RateFraction: co.RateFraction,
+			Arrival:      sampler,
+			SLOClass:     co.SLOClass,
+			Population:   population(users, pop, batch, coLife),
+			FlavorSubset: subset,
 		}
 	}
 	cfg.Cohorts = cohorts
 	return cfg, nil
+}
+
+// population lowers one population's blocks to synth's form, moving
+// the lifetime bounds to log space.
+func population(users int, pop PopulationSpec, batch BatchSpec, life LifetimeOverride) synth.Population {
+	return synth.Population{
+		Users:           users,
+		UserZipf:        pop.Zipf,
+		FavoriteCount:   pop.FavoriteCount,
+		Persistence:     pop.Persistence,
+		BatchSizeMean:   batch.SizeMean,
+		RepeatFlavorP:   batch.RepeatFlavorP,
+		RepeatLifetimeP: batch.RepeatLifetimeP,
+		TemplateP:       batch.TemplateP,
+		LifeMuMin:       math.Log(life.MuMinSeconds),
+		LifeMuMax:       math.Log(life.MuMaxSeconds),
+		LifeSigma:       life.Sigma,
+	}
 }
 
 // FlavorSet materializes the spec's flavor catalog.

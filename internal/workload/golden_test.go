@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -109,6 +111,35 @@ func TestPresetCompilesToHardcoded(t *testing.T) {
 			}
 			configsEquivalent(t, got, tc.want(), 17)
 		})
+	}
+}
+
+// TestMixedPresetTraceGolden pins the bytes the mixed preset generates:
+// the SHA-256 of the JSON trace at two seeds. The benchmark fixture is
+// this preset, so these constants are never re-recorded to make a
+// change pass.
+func TestMixedPresetTraceGolden(t *testing.T) {
+	spec := Preset("mixed")
+	spec.Days = 4
+	cfg, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seed int64
+		sha  string
+	}{
+		{1, "dc619d5819875739c2cbc8df72bddb0b9ccd5bad1924749b2c5143008fb460b8"},
+		{20210521, "c133ad45f94b1a82c76edc37c883a7b52508ef012112bad3bc5d007152f3a6d9"},
+	} {
+		var buf bytes.Buffer
+		if err := cfg.Generate(tc.seed).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("seed %d: trace sha256 %s, want %s", tc.seed, got, tc.sha)
+		}
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"strings"
 )
 
@@ -52,7 +54,7 @@ type Spec struct {
 	Name    string `json:"name"`
 	// Days is the history length the scenario generates/trains on.
 	Days int `json:"days"`
-	// Users is the population size (base path), or the default pool the
+	// Users is the population size (a spec without cohorts), or the pool the
 	// compiler splits by rate fraction for cohorts that omit "users".
 	Users      int            `json:"users"`
 	Flavors    FlavorsSpec    `json:"flavors"`
@@ -192,6 +194,25 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Load resolves a -workload-spec argument: the named preset, else the
+// spec file at that path. The file is read through a LimitReader, so an
+// oversized one fails on the MaxSpecBytes cap without being read whole.
+func Load(arg string) (*Spec, error) {
+	if spec := Preset(arg); spec != nil {
+		return spec, nil
+	}
+	f, err := os.Open(arg)
+	if err != nil {
+		return nil, fmt.Errorf("workload: spec %q is neither a preset %v nor a readable file: %w", arg, PresetNames(), err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, MaxSpecBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("workload: read spec %s: %w", arg, err)
+	}
+	return ParseSpec(data)
 }
 
 // Marshal serializes the spec as indented JSON (the golden-file and
@@ -544,11 +565,16 @@ func cohortFlavorSubset(co *CohortSpec, names []string) ([]int, error) {
 		}
 		return subset, nil
 	}
+	seen := make(map[int]bool, len(co.FlavorNames))
 	for _, n := range co.FlavorNames {
 		i, ok := index[n]
 		if !ok {
 			return nil, fmt.Errorf("workload: cohort %q references unknown flavor %q", co.Name, n)
 		}
+		if seen[i] {
+			return nil, fmt.Errorf("workload: cohort %q lists flavor %q twice", co.Name, n)
+		}
+		seen[i] = true
 		subset = append(subset, i)
 	}
 	return subset, nil

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -145,6 +148,60 @@ func TestCompileFlavorResolution(t *testing.T) {
 	spec.Cohorts[2].FlavorNames = []string{"A8r7", "nope"}
 	if _, err := spec.Compile(); err == nil || !strings.Contains(err.Error(), "unknown flavor") {
 		t.Fatalf("err = %v, want unknown-flavor error", err)
+	}
+}
+
+// TestLoad: a preset name wins, a path is read and parsed, and an
+// oversized or missing file is an error.
+func TestLoad(t *testing.T) {
+	if spec, err := Load("mixed"); err != nil || spec.Name != "MixedCohorts" {
+		t.Fatalf("Load(mixed) = %v, %v", spec, err)
+	}
+	dir := t.TempDir()
+	data, err := Preset("huawei-like").Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "spec.json")
+	big := filepath.Join(dir, "big.json")
+	if err := os.WriteFile(good, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(big, append(data, bytes.Repeat([]byte(" "), MaxSpecBytes)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if spec, err := Load(good); err != nil || spec.Name != "HuaweiLike" {
+		t.Fatalf("Load(file) = %v, %v", spec, err)
+	}
+	for path, want := range map[string]string{big: "cap", filepath.Join(dir, "none.json"): "neither a preset"} {
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Load(%s) err = %v, want substring %q", path, err, want)
+		}
+	}
+}
+
+// TestHangSpecsReturn:the two specs that once hung synth.Generate are
+// now rejected with an error naming the cause, or compile and generate.
+func TestHangSpecsReturn(t *testing.T) {
+	specs := hangSpecs(t)
+	dup, err := ParseSpec(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dup.Compile(); err == nil || !strings.Contains(err.Error(), `cohort "gpu" lists flavor "A8r14" twice`) {
+		t.Fatalf("err = %v, want repeated-flavor error", err)
+	}
+	few, err := ParseSpec(specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := few.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := cfg.Generate(1)
+	if err := tr.Validate(); err != nil || len(tr.VMs) == 0 {
+		t.Fatalf("generated %d VMs, err %v", len(tr.VMs), err)
 	}
 }
 

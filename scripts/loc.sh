@@ -17,7 +17,7 @@ set -eu
 
 ceiling_go=8335
 ceiling_asm=1346
-ceiling_module=19174
+ceiling_module=19059
 
 total_go=0
 total_asm=0
