@@ -414,8 +414,8 @@ func BenchmarkGenerateTraceLSTM(b *testing.B) {
 // fixed concurrent stream count on one fleet (shards = 1: the
 // single-core baseline the Sharded rows are read against, which
 // GenerateBatch itself stopped being when it went to every core);
-// compare streams/s against the serial BenchmarkGenerateTraceLSTM
-// baseline (the ISSUE 4 acceptance bar is ≥2× at 8 streams).
+// compare streams/s against BenchmarkGenerateTraceLSTM, one
+// Model.Generate at a time (a one-stream fleet).
 func benchGenerateBatch(b *testing.B, streams int) {
 	c := benchAzure(b)
 	m := c.Model()
@@ -467,8 +467,7 @@ func BenchmarkGenerateShardedLSTM64x8(b *testing.B) { benchGenerateSharded(b, 64
 
 // BenchmarkReplayDecode times the trace-replay path end to end
 // (DESIGN.md §9): parse a recorded generation from its versioned JSON
-// record, regenerate it through the serial decoder (Model.Generate,
-// the code this row has always measured) from the recorded
+// record, regenerate it with Model.Generate from the recorded
 // seed/window, and verify VM-by-VM agreement with the recorded bytes.
 // Compare against BenchmarkGenerateTraceLSTM to read off the record
 // parse + verify overhead on top of raw decode.

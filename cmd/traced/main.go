@@ -46,8 +46,8 @@
 // flight (DESIGN.md §6.2); -decode-shards 1 is a single scheduler. The
 // startup and reload log lines and the decode.shards gauge on GET
 // /metrics report the count in use. Responses stay byte-identical to
-// serial decodes of the same seed regardless of batching or shard
-// count.
+// the one-stream decode (core.Model.Generate) of the same seed
+// regardless of batching or shard count.
 //
 // -precision f32 serves through the float32 fast path (DESIGN.md
 // §6.4): the LSTM step GEMMs run on f32 weight slabs for higher

@@ -192,7 +192,7 @@ func TestObservabilityIsReadOnly(t *testing.T) {
 
 // TestBatchedFleetDecodeDeterminism extends the determinism contract to
 // the continuous-batching decode path: generating a fleet of seeded
-// traces serially (Model.Generate per seed), batched
+// traces one stream at a time (Model.Generate per seed), batched
 // (Model.GenerateBatch over all seeds at once), and batched on a model
 // resumed from a mid-training checkpoint must all produce byte-identical
 // JSON per seed, on the assembly and on the portable kernels. Sampling
@@ -226,21 +226,21 @@ func TestBatchedFleetDecodeDeterminism(t *testing.T) {
 
 	var firstLogits []float64 // the fleet logits of the first tier that ran
 	mattest.BothTiers(t, func(t *testing.T) {
-		serial := make([][]byte, len(seeds))
+		oneStream := make([][]byte, len(seeds))
 		for i, s := range seeds {
-			serial[i] = encode(base.Generate(rng.New(s), testW))
-			if len(serial[i]) == 0 {
-				t.Fatalf("seed %d: empty serial trace", s)
+			oneStream[i] = encode(base.Generate(rng.New(s), testW))
+			if len(oneStream[i]) == 0 {
+				t.Fatalf("seed %d: empty one-stream trace", s)
 			}
 		}
 		batched := base.GenerateBatch(newGens(), testW)
 		resumedBatched := resumed.GenerateBatch(newGens(), testW)
 		for i, s := range seeds {
-			if got := encode(batched[i]); !bytes.Equal(serial[i], got) {
-				t.Errorf("seed %d: batched decode differs from serial (%d vs %d bytes)", s, len(got), len(serial[i]))
+			if got := encode(batched[i]); !bytes.Equal(oneStream[i], got) {
+				t.Errorf("seed %d: batched decode differs from one-stream Generate (%d vs %d bytes)", s, len(got), len(oneStream[i]))
 			}
-			if got := encode(resumedBatched[i]); !bytes.Equal(serial[i], got) {
-				t.Errorf("seed %d: batched decode on resumed model differs from serial on baseline", s)
+			if got := encode(resumedBatched[i]); !bytes.Equal(oneStream[i], got) {
+				t.Errorf("seed %d: batched decode on resumed model differs from one-stream Generate on baseline", s)
 			}
 		}
 

@@ -35,9 +35,10 @@ func tinyGenModels() (*FlavorModel, *LifetimeModel) {
 	return fm, lm
 }
 
-// TestGenerationStepAllocFree pins the generation hot path: once the
-// decoder states exist, one flavor-decode step and one lifetime-hazard
-// step must allocate nothing.
+// TestGenerationStepAllocFree pins the teacher-forced step path the
+// predictors and dev-set evaluation run (generation's twin is
+// TestFleetEngineSteadyStateAllocs): once the states exist, one flavor
+// step and one lifetime-hazard step must allocate nothing.
 func TestGenerationStepAllocFree(t *testing.T) {
 	fm, lm := tinyGenModels()
 	fs := fm.newFlavorState()

@@ -162,9 +162,8 @@ func (m *ArrivalModel) Rate(period, dohDay int) float64 {
 }
 
 // RateInto is Rate with caller-owned feature scratch (len must be
-// featureDim()), so per-period rate queries on decode hot paths — the
-// serial generator and every genStream period transition — allocate
-// nothing. The scratch is fully overwritten; values are identical to
+// featureDim()), so per-period rate queries on the decode hot path —
+// every genStream period transition — allocate nothing. The scratch is fully overwritten; values are identical to
 // Rate's.
 func (m *ArrivalModel) RateInto(scratch []float64, period, dohDay int) float64 {
 	m.encode(scratch, period, dohDay)

@@ -68,9 +68,9 @@ type trainCkptV1 struct {
 	// restores the same best-scoring weights at the end.
 	BestDev  float64
 	BestSnap []byte
-	// RNG is the weight-init RNG stream position at save time, so the
-	// full stream state survives a resume even if a future loop draws
-	// training-time randomness.
+	// RNG is the weight-init RNG stream position at save time. It is
+	// recorded, not restored: no loop draws from that stream after
+	// weight init, so a resume has nothing to replay.
 	RNG rng.State
 }
 

@@ -13,23 +13,24 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the continuous-batching decode engine (DESIGN.md §6.2):
-// Model.Generate's sequential three-stage loop, unrolled into an
-// explicit per-stream state machine (genStream) so many independent
-// generations advance together through shared batched LSTM step GEMMs
-// (nn.Fleet). The scheduler admits newly arrived streams and retires
-// finished ones every fleet-step instead of padding to the longest
-// sequence or decoding one stream at a time.
+// This file is the decoder (DESIGN.md §6.2): the paper's three-stage
+// process (§2.4) as an explicit per-stream state machine (genStream),
+// and the continuous-batching engine that advances many independent
+// streams together through shared batched LSTM step GEMMs (nn.Fleet).
+// The scheduler admits newly arrived streams and retires finished ones
+// every fleet-step instead of padding to the longest sequence.
+// Model.Generate is the one-stream case; there is no other decode loop.
 //
-// Determinism contract: each stream owns its RNG and consumes draws in
-// exactly the order Model.Generate does, and a Fleet step is
-// bit-identical per row to the serial StepForward, so every batched
-// trace is byte-identical to m.Generate(g, w) regardless of batch
-// composition, admission order, or worker count.
+// Determinism contract: each stream owns its RNG and draws from it in
+// a fixed order, and a Fleet step is bit-identical per row to the
+// scalar StepForward, so every trace is byte-identical to the one-stream
+// m.Generate(g, w) regardless of batch composition, admission order,
+// shard count or worker count. Generate's bytes are pinned across
+// commits by TestGenerateTraceGolden.
 
 // BatchGenerator is implemented by generators that can decode many
 // independent traces through shared batched step GEMMs. Results must
-// be element-wise identical to calling Generate(gs[i], w) serially.
+// be element-wise identical to calling Generate(gs[i], w) one at a time.
 type BatchGenerator interface {
 	GenerateBatch(gs []*rng.RNG, w trace.Window) []*trace.Trace
 }
@@ -43,16 +44,19 @@ const (
 	phaseDone                        // trace complete (or aborted)
 )
 
-// genSpan mirrors Generate's batchSpan: one non-empty batch as a span
-// over the period's shared flavor buffer.
+// genSpan is one non-empty batch as a span over the period's shared
+// flavor buffer; the buffers are reused across periods, so steady-state
+// decoding allocates nothing per batch or per job.
 type genSpan struct {
 	user, lo, hi int
 }
 
-// genStream is one in-flight Generate call unrolled into resumable
-// state: everything the serial loop keeps on its stack, plus the
-// fleet rows holding its LSTM state. All RNG draws happen in consume*
-// and startPeriod in exactly the serial order.
+// genStream is one trace being generated, as resumable state: the
+// period / batch / job cursors of the three-stage process, plus the
+// fleet rows holding its LSTM state. All RNG draws happen in
+// newGenStream, startPeriod and consume*: per period, the DOH day on a
+// new day, the batch count, then per flavor step the token, and per job
+// the lifetime bin and duration.
 type genStream struct {
 	m     *Model
 	g     *rng.RNG
@@ -66,7 +70,7 @@ type genStream struct {
 	frow  int // flavor fleet row
 	lrow  int // lifetime fleet row
 
-	// Period loop state (Generate's locals).
+	// Period loop state.
 	p        int // current period
 	dohDay   int
 	curDay   int
@@ -106,9 +110,9 @@ type genStream struct {
 	done chan engineResult
 }
 
-// newGenStream starts one generation: it performs the serial loop's
-// up-front draws (initial DOH day) and advances to the first period
-// with work, so the stream is immediately steppable (or already done).
+// newGenStream starts one generation: it draws the initial DOH day and
+// advances to the first period with work, so the stream is immediately
+// steppable (or already done).
 func (m *Model) newGenStream(g *rng.RNG, w trace.Window, scale float64, ctx context.Context) *genStream {
 	s := &genStream{
 		m:       m,
@@ -128,9 +132,10 @@ func (m *Model) newGenStream(g *rng.RNG, w trace.Window, scale float64, ctx cont
 	return s
 }
 
-// startPeriod advances to the next period with at least one batch,
-// drawing DOH days and batch counts exactly as the serial loop does;
-// it parks the stream in phaseDone when the window is exhausted.
+// startPeriod advances to the next period with at least one batch: on
+// each new day it draws the day's DOH day (shared by all three stages
+// for coherence), then the period's Poisson batch count. It parks the
+// stream in phaseDone when the window is exhausted.
 func (s *genStream) startPeriod() {
 	m := s.m
 	for s.p++; s.p < s.w.End; s.p++ {
@@ -154,18 +159,19 @@ func (s *genStream) startPeriod() {
 	s.phase = phaseDone
 }
 
-// encodeFlavor writes the next flavor-step input (the flavorState
-// encoding with this stream's previous token).
+// encodeFlavor writes the next flavor-step input: the stream's previous
+// token and the period's temporal features.
 func (s *genStream) encodeFlavor(dst []float64) {
 	s.m.Flavor.encodeFlavorInput(dst, s.prevTok, s.p, s.dohDay)
 }
 
 // consumeFlavor finishes one flavor step from the head logits: sample
-// the token (serial draw order: softmax, tilt, Categorical, then the
-// max-jobs override), record it, and roll the period machine forward.
+// the token (softmax, tilt, Categorical, then the max-jobs override,
+// which forces EOB but still spends the draw), record it, and roll the
+// period machine forward.
 func (s *genStream) consumeFlavor(logits, probs []float64) {
 	m := s.m
-	// Vectorized but bit-identical to the serial path's SoftmaxInto.
+	// Vectorized but bit-identical to nn.SoftmaxInto.
 	nn.SoftmaxIntoVec(logits, probs)
 	if !m.Tilt.isZero() {
 		m.Tilt.apply(probs, m.Flavor.K)
@@ -184,7 +190,7 @@ func (s *genStream) consumeFlavor(logits, probs []float64) {
 	s.eobCount++
 	// An EOB with no preceding jobs yields an empty batch, which is not
 	// representable in the trace; it still counts toward the period's
-	// batch total so generation terminates (same as the serial loop).
+	// batch total so generation terminates.
 	if len(s.flavors) > s.curLo {
 		s.spans = append(s.spans, genSpan{user: s.curUser, lo: s.curLo, hi: len(s.flavors)})
 	}
@@ -216,13 +222,13 @@ func (s *genStream) encodeLifetime(dst []float64) {
 	s.m.Lifetime.encodeLifetimeInput(dst, s.lifetimeStep(), s.dohDay, s.prevBin, s.prevCens)
 }
 
-// consumeLifetime finishes one lifetime step: sample the bin and
-// duration (serial draw order), emit the VM, and advance the span
-// cursors, returning to the period machine when the period's jobs are
-// done.
+// consumeLifetime finishes one lifetime step: sample the bin, then the
+// duration within it (a uniform draw unless Interp is Stepped), emit
+// the VM, and advance the span cursors, returning to the period machine
+// when the period's jobs are done.
 func (s *genStream) consumeLifetime(logits, hz []float64) {
 	m := s.m
-	// Vectorized but bit-identical to the serial path's SigmoidInto.
+	// Vectorized but bit-identical to nn.SigmoidInto.
 	nn.SigmoidIntoVec(logits, hz)
 	bin := survival.SampleBin(hz, s.g)
 	s.prevBin, s.prevCens = bin, false
@@ -286,9 +292,8 @@ func newFleetEngine(m *Model, capacity int, prec Precision) *fleetEngine {
 // the lifetime fleet of one engine at prec, on panel-packed weights.
 // Every engine steps what this returns, and so does ValidateF32's
 // calibration, so the kernels validated at publish are the kernels
-// served. The Prepare* caches are idempotent but unsynchronized;
-// callers that fan construction out across goroutines
-// (generateBatchSharded, the engine router) run prepareDecode first.
+// served. It is safe for concurrent use: the Prepare* caches build
+// under prepareMu.
 func (m *Model) newFleets(capacity int, prec Precision) (flavor, lifetime nn.StepFleet) {
 	if prec.normalize() == PrecisionF32 {
 		w, p := m.PrepareF32(), m.PreparePackedF32()
@@ -300,8 +305,8 @@ func (m *Model) newFleets(capacity int, prec Precision) (flavor, lifetime nn.Ste
 
 func (e *fleetEngine) active() int { return len(e.streams) }
 
-// admit registers a stream and assigns its fleet rows (zero state, the
-// fresh-state condition of the serial decoders).
+// admit registers a stream and assigns its fleet rows (zero state: a
+// fresh stream's LSTMs start from zero, as in training).
 func (e *fleetEngine) admit(s *genStream) {
 	s.frow = e.ff.Admit()
 	s.lrow = e.lf.Admit()
@@ -426,10 +431,10 @@ const defaultMaxStreams = 64
 
 // GenerateBatch decodes one trace per RNG through the continuous
 // -batching engine on every core (GenerateBatchSharded with one shard
-// per par worker). Each returned trace is byte-identical to
-// m.Generate(gs[i], w): per shard, streams are admitted in order up to
-// the fleet cap, retired as they finish, and replaced from the
-// remaining queue every step. Implements BatchGenerator.
+// per par worker). Each returned trace is byte-identical to the
+// one-stream m.Generate(gs[i], w): per shard, streams are admitted in
+// order up to the fleet cap, retired as they finish, and replaced from
+// the remaining queue every step. Implements BatchGenerator.
 func (m *Model) GenerateBatch(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 	return m.generateBatchSharded(gs, w, 0, PrecisionF64)
 }
@@ -446,12 +451,13 @@ func (m *Model) GenerateBatchF32(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 }
 
 // decodeQueue decodes the streams gs[first], gs[first+stride], ... to
-// completion through one fleetEngine: they are admitted in that order up
-// to the fleet cap, retired as they finish, and replaced from the
-// remainder every round. Each finished trace lands in out at the
-// stream's gs index, and no other slot of out is touched — which is
-// what lets generateBatchSharded run one queue per residue class
-// concurrently under the par contract.
+// completion through one fleetEngine on the calling goroutine: they are
+// admitted in that order up to the fleet cap, retired as they finish,
+// and replaced from the remainder every round. Each finished trace
+// lands in out at the stream's gs index, and no other slot of out is
+// touched — which is what lets generateBatchSharded run one queue per
+// residue class concurrently under the par contract. Model.Generate is
+// the one-stream queue.
 func (m *Model) decodeQueue(gs []*rng.RNG, first, stride int, w trace.Window, out []*trace.Trace, prec Precision) {
 	n := (len(gs) - first + stride - 1) / stride
 	if n <= 0 {
@@ -486,7 +492,8 @@ type engineResult struct {
 // Engine is the one serving decode scheduler: a goroutine that owns a
 // fleetEngine. Concurrent Generate calls coalesce into its fleet, each
 // stream advancing through the same batched step GEMMs while keeping
-// its own RNG (so every response is byte-identical to the serial path).
+// its own RNG (so every response is byte-identical to the one-stream
+// Model.Generate).
 // Admission is continuous and is the only batching mechanism: requests
 // that have queued join the fleet between rounds, and an idle engine
 // steps a lone request in the round after it arrives — per-row cost is
@@ -506,18 +513,6 @@ type Engine struct {
 	closed bool
 }
 
-// prepareDecode converts (f32) and packs the serving weights for prec.
-// The caches it fills are unsynchronized, so everything that fans fleet
-// construction out across goroutines calls it first.
-func (m *Model) prepareDecode(prec Precision) {
-	if prec.normalize() == PrecisionF32 {
-		m.PrepareF32() // unconditionally: packing is skippable, f32 is not
-		m.PreparePackedF32()
-	} else {
-		m.PreparePacked()
-	}
-}
-
 // newEngine starts one scheduler goroutine at prec; maxBatch caps
 // concurrent streams (0: a default of 64).
 func newEngine(m *Model, maxBatch int, prec Precision) *Engine {
@@ -525,9 +520,6 @@ func newEngine(m *Model, maxBatch int, prec Precision) *Engine {
 		maxBatch = defaultMaxStreams
 	}
 	prec = prec.normalize()
-	// Before the scheduler goroutine (or any engine sharing this model)
-	// can race on the caches.
-	m.prepareDecode(prec)
 	e := &Engine{
 		m:        m,
 		maxBatch: maxBatch,
@@ -543,7 +535,7 @@ func newEngine(m *Model, maxBatch int, prec Precision) *Engine {
 // Generate decodes one trace through the shared batch, blocking until
 // its stream retires. scale multiplies the arrival rate (0 means 1,
 // matching Model.RateScale). It is safe for concurrent use; the
-// result for a given (g, w, scale) is byte-identical to the serial
+// result for a given (g, w, scale) is byte-identical to the one-stream
 // m.Generate with Model.RateScale = scale. On context cancellation
 // the stream is aborted at the next fleet step and ctx.Err() is
 // returned.

@@ -41,38 +41,37 @@ func testArrivalModel(rate float64) *ArrivalModel {
 }
 
 // TestGenerateBatchMatchesSerial pins the tentpole determinism claim
-// on the trained integration fixture: batched decode at sizes 1, 8 and
-// 64 is byte-identical to the serial per-stream path, at 1 worker and
-// at 8.
+// on the trained integration fixture: 64 streams decoded in batches of
+// 64 and of 8, at 1 worker and at 8, are byte-identical per stream. The
+// first streams are the golden table's trained/testW row, so every
+// batch is held to the one-stream Model.Generate through that constant
+// rather than through 64 more decodes.
 func TestGenerateBatchMatchesSerial(t *testing.T) {
 	f := getFixture(t)
-	m := f.model
-	const maxStreams = 64
-	serial := make([][]byte, maxStreams)
-	// Serial reference at 1 worker.
-	func() {
-		defer par.SetProcs(par.SetProcs(1))
-		src := rng.New(123)
-		for i := 0; i < maxStreams; i++ {
-			serial[i] = traceBytes(t, m.Generate(src.Split(), f.testW))
-		}
-	}()
+	row := goldenRow(t, trainedGoldens(f), "trained/testW")
+	const n = 64
+	var first [][]byte
 	for _, procs := range []int{1, 8} {
-		for _, size := range []int{1, 8, 64} {
+		for _, size := range []int{n, 8} {
 			func() {
 				defer par.SetProcs(par.SetProcs(procs))
-				src := rng.New(123)
-				streams := make([]*rng.RNG, maxStreams)
-				for i := range streams {
-					streams[i] = src.Split()
+				streams := splitStreams(row.seed, n)
+				got := make([][]byte, 0, n)
+				for lo := 0; lo < n; lo += size {
+					for _, tr := range f.model.GenerateBatch(streams[lo:min(lo+size, n)], row.w) {
+						got = append(got, traceBytes(t, tr))
+					}
 				}
-				for lo := 0; lo < maxStreams; lo += size {
-					hi := min(lo+size, maxStreams)
-					out := m.GenerateBatch(streams[lo:hi], f.testW)
-					for i, tr := range out {
-						if got := traceBytes(t, tr); !bytes.Equal(got, serial[lo+i]) {
-							t.Fatalf("procs=%d size=%d stream %d: batched trace differs from serial", procs, size, lo+i)
-						}
+				if first == nil {
+					if d := digest(got[:row.n]); d != row.want {
+						t.Fatalf("procs=%d size=%d: first %d streams sha256 %s, want the %s row's %s", procs, size, row.n, d, row.name, row.want)
+					}
+					first = got
+					return
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], first[i]) {
+						t.Fatalf("procs=%d size=%d stream %d: batched trace differs from procs=1 size=%d", procs, size, i, n)
 					}
 				}
 			}()
@@ -80,37 +79,25 @@ func TestGenerateBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGenerateBatchUntrained runs the same equivalence on untrained
-// tiny models (fast path, no fixture training) including a tilt and a
-// max-jobs cap so the override and what-if draw order is covered.
+// TestGenerateBatchUntrained holds batched decode on the untrained tiny
+// model (no fixture training) with a tilt and a max-jobs cap to the
+// golden table's tiny/tilt+cap5 row, so the override and what-if draw
+// order are pinned on the batched path too.
 func TestGenerateBatchUntrained(t *testing.T) {
-	fm, lm := tinyGenModels()
-	arr := testArrivalModel(1.5)
-	m := &Model{Arrival: arr, Flavor: fm, Lifetime: lm, MaxJobsPerPeriod: 5,
-		Tilt: WhatIf{EOBFactor: 0.8, FlavorFactors: []float64{1.2, 0.9, 1}}}
-	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
-	const n = 9
-	serial := make([][]byte, n)
-	src := rng.New(5)
-	for i := range serial {
-		serial[i] = traceBytes(t, m.Generate(src.Split(), w))
+	r := goldenRow(t, tinyGoldens(), "tiny/tilt+cap5")
+	var got [][]byte
+	for _, tr := range r.m.GenerateBatch(splitStreams(r.seed, r.n), r.w) {
+		got = append(got, traceBytes(t, tr))
 	}
-	src = rng.New(5)
-	gs := make([]*rng.RNG, n)
-	for i := range gs {
-		gs[i] = src.Split()
-	}
-	for i, tr := range m.GenerateBatch(gs, w) {
-		if !bytes.Equal(traceBytes(t, tr), serial[i]) {
-			t.Fatalf("stream %d: batched trace differs from serial", i)
-		}
+	if d := digest(got); d != r.want {
+		t.Fatalf("batched traces sha256 %s, want the %s row's %s", d, r.name, r.want)
 	}
 }
 
 // TestEngineConcurrentMatchesSerial fires concurrent Engine.Generate
 // calls (more than maxBatch, to exercise queueing and continuous
-// admission) and checks every response against its serial decode. Run
-// under -race via scripts/check.sh.
+// admission) and checks every response against the one-stream
+// Model.Generate of its seed. Run under -race via scripts/check.sh.
 func TestEngineConcurrentMatchesSerial(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
@@ -142,13 +129,13 @@ func TestEngineConcurrentMatchesSerial(t *testing.T) {
 		}
 		want := traceBytes(t, m.Generate(rng.New(int64(100+i)), w))
 		if !bytes.Equal(got[i], want) {
-			t.Fatalf("request %d: coalesced trace differs from serial", i)
+			t.Fatalf("request %d: coalesced trace differs from one-stream Generate", i)
 		}
 	}
 }
 
-// TestEngineScale checks the per-request scale knob matches the serial
-// RateScale semantics (0 means 1).
+// TestEngineScale checks the per-request scale knob matches
+// Model.RateScale on the one-stream Generate (0 means 1).
 func TestEngineScale(t *testing.T) {
 	fm, lm := tinyGenModels()
 	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
@@ -162,7 +149,7 @@ func TestEngineScale(t *testing.T) {
 	ms := *m
 	ms.RateScale = 3
 	if !bytes.Equal(traceBytes(t, tr), traceBytes(t, ms.Generate(rng.New(42), w))) {
-		t.Fatal("scaled engine trace differs from serial RateScale path")
+		t.Fatal("scaled engine trace differs from one-stream Generate at that RateScale")
 	}
 }
 
@@ -206,7 +193,7 @@ func TestEngineCancellation(t *testing.T) {
 		t.Fatalf("unaffected stream: %v", okErr)
 	}
 	if !bytes.Equal(traceBytes(t, okTr), traceBytes(t, m.Generate(rng.New(3), w))) {
-		t.Fatal("stream sharing a batch with a cancelled one diverged from serial")
+		t.Fatal("stream sharing a batch with a cancelled one diverged from one-stream Generate")
 	}
 }
 
@@ -235,7 +222,7 @@ func TestIdleEngineDoesNotWait(t *testing.T) {
 			t.Fatal(res.err)
 		}
 		if !bytes.Equal(traceBytes(t, res.tr), traceBytes(t, m.Generate(rng.New(31), w))) {
-			t.Fatal("idle-engine trace differs from serial")
+			t.Fatal("idle-engine trace differs from one-stream Generate")
 		}
 	case <-ctx.Done():
 		t.Fatal("a lone request on an idle engine was still waiting after 10s")
@@ -262,7 +249,7 @@ func (c *steppedCtx) Err() error {
 // batching mechanism: while a stream that cannot finish (400 days, held
 // until cancelled) is being stepped on a one-shard engine, a one-day
 // request must be admitted between rounds and return byte-identical to
-// serial before the held stream goes away.
+// the one-stream Generate before the held stream goes away.
 func TestLatecomerJoinsRunningBatch(t *testing.T) {
 	m := shardTestModel()
 	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 1})
@@ -293,7 +280,7 @@ func TestLatecomerJoinsRunningBatch(t *testing.T) {
 		t.Fatalf("latecomer did not join the running batch: %v", err)
 	}
 	if !bytes.Equal(traceBytes(t, tr), traceBytes(t, m.Generate(rng.New(2), w))) {
-		t.Fatal("latecomer trace differs from serial")
+		t.Fatal("latecomer trace differs from one-stream Generate")
 	}
 	select {
 	case err := <-heldErr:

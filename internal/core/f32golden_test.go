@@ -10,11 +10,13 @@ import (
 )
 
 // Trace-byte hashes of GenerateBatchF32 for fixed seeds, recorded on the
-// last commit with a hand-written Fleet32 (PR 16's tree). The f64 decode
-// is pinned to the serial Model.Generate on every run; the f32 decode
-// was pinned only to itself within one build until these constants. Like
-// the nn-level logit hashes (nn.TestFleet32LogitsGolden) they must hold
-// on the assembly and on the portable kernels, and the test runs both.
+// last commit with a hand-written Fleet32: the f32 twin of the f64 table
+// in generate_golden_test.go, which pins Model.Generate.
+// At these seeds the f32 traces happen to equal the f64 ones (sampling
+// hides the f32 logits' last-bit drift), so two f64 rows carry the same
+// constants; the f32 decode is still pinned on its own path. Like the
+// nn-level logit hashes (nn.TestFleet32LogitsGolden) they must hold on
+// the assembly and on the portable kernels, and the test runs both.
 // The trained entry also moves if the fixture's training bits move,
 // which TestTrainedSnapshotGolden's tiny fits watch for; never re-record
 // either to make a decode refactor pass.

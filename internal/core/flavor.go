@@ -152,9 +152,10 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 	return m
 }
 
-// flavorState is the streaming decoder state for generation and
-// teacher-forced evaluation of a recurrent flavor network, whichever its
-// cell.
+// flavorState is the step-by-step state for teacher-forced evaluation
+// of a recurrent flavor network, whichever its cell: one scalar
+// StepForward per token. Generation does not use it; it decodes on
+// fleets (genStream, engine.go).
 type flavorState struct {
 	net      nn.Recurrent
 	k        int
@@ -165,7 +166,7 @@ type flavorState struct {
 	out      []float64 // probs result buffer, overwritten each step
 }
 
-// newFlavorState returns a fresh decoding state (previous token = EOB)
+// newFlavorState returns a fresh state (previous token = EOB)
 // for a flavor network over k flavors.
 func newFlavorState(net nn.Recurrent, k int, temporal features.Temporal) *flavorState {
 	return &flavorState{
@@ -192,8 +193,8 @@ func (s *flavorState) reset() {
 
 // probs advances the network one step and returns the distribution over
 // the next token given the current period and DOH day. The returned
-// slice is the state's reusable buffer: it is overwritten by the next
-// probs call, and callers may mutate it in place (the what-if tilt does).
+// slice is the state's reusable buffer, overwritten by the next probs
+// call.
 func (s *flavorState) probs(period, dohDay int) []float64 {
 	encodeFlavorInputInto(s.input, s.k, s.temporal, s.prev, period, dohDay)
 	logits := s.net.StepForward(s.input, s.st)
@@ -201,5 +202,5 @@ func (s *flavorState) probs(period, dohDay int) []float64 {
 	return s.out
 }
 
-// observe records the realized token (teacher forcing / sampling).
+// observe records the realized token (teacher forcing).
 func (s *flavorState) observe(token int) { s.prev = token }

@@ -37,7 +37,8 @@ type Model struct {
 	// f32 caches the float32 weight conversion built by PrepareF32.
 	// Shallow Model copies (callers copy the Model by value to override
 	// RateScale) share the conversion through this pointer,
-	// so PrepareF32 on the original covers every copy.
+	// so PrepareF32 on the original covers every copy. All three caches
+	// are filled lazily under prepareMu (pack.go).
 	f32 *ModelF32
 
 	// packed and packed32 cache the panel-packed serving weights built
@@ -111,99 +112,19 @@ func (m *Model) maxJobs() int {
 // sequences (§4.2). One DOH day is sampled per generated day and shared
 // by all three stages for coherence.
 //
-// Generate only mutates its own decoding state and draws only from g,
-// so concurrent calls with distinct RNGs are safe; the experiment layer
-// exploits this by fanning Monte-Carlo samples out over pre-split
-// streams (one g.Split() per sample, split serially in sample order),
-// which reproduces a serial sweep exactly at any worker count.
+// The process is genStream's (engine.go): Generate is the one-stream
+// case of the fleet engine at f64, decoded on the calling goroutine, so
+// it opens no parallel region inside callers that already fan out.
+// Generate draws only from g and builds its own fleet, so concurrent
+// calls with distinct RNGs are safe, on a fresh model too (the serving
+// caches it reads are built under a lock); the experiment layer exploits
+// this by fanning Monte-Carlo samples out over pre-split streams (one
+// g.Split() per sample, split serially in sample order), which
+// reproduces a serial sweep exactly at any worker count.
 func (m *Model) Generate(g *rng.RNG, w trace.Window) *trace.Trace {
-	out := &trace.Trace{Flavors: &trace.FlavorSet{Defs: m.flavorDefs()}, Periods: w.Periods()}
-	fs := m.Flavor.newFlavorState()
-	ls := m.Lifetime.newLifetimeState()
-	eob := EOBToken(m.Flavor.K)
-	nextUser := 0
-	id := 0
-	dohDay := m.Arrival.DOH.Sample(g)
-	curDay := -1
-	// Decoded batches are spans over one shared flavor buffer; both are
-	// reused across periods so steady-state decoding allocates nothing
-	// per batch or per job.
-	type batchSpan struct {
-		user, lo, hi int
-	}
-	var spans []batchSpan
-	var flavors []int
-	arrF := make([]float64, m.Arrival.featureDim())
-	for p := w.Start; p < w.End; p++ {
-		if d := trace.DayOfHistory(p); d != curDay {
-			curDay = d
-			dohDay = m.Arrival.DOH.Sample(g)
-		}
-		nBatches := g.Poisson(m.Arrival.RateInto(arrF, p, dohDay) * m.rateScale())
-		if nBatches == 0 {
-			continue
-		}
-		// Stage 2: decode flavors until nBatches EOB tokens.
-		spans = spans[:0]
-		flavors = flavors[:0]
-		curUser, curLo := nextUser, 0
-		nextUser++
-		jobs, eobCount := 0, 0
-		for eobCount < nBatches {
-			probs := fs.probs(p, dohDay)
-			if !m.Tilt.isZero() {
-				m.Tilt.apply(probs, m.Flavor.K)
-			}
-			tok := g.Categorical(probs)
-			if jobs >= m.maxJobs() {
-				tok = eob
-			}
-			fs.observe(tok)
-			if tok != eob {
-				flavors = append(flavors, tok)
-				jobs++
-				continue
-			}
-			eobCount++
-			// An EOB with no preceding jobs yields an empty batch, which
-			// is not representable in the trace; it still counts toward
-			// the period's batch total so generation terminates.
-			if len(flavors) > curLo {
-				spans = append(spans, batchSpan{user: curUser, lo: curLo, hi: len(flavors)})
-			}
-			curUser, curLo = nextUser, len(flavors)
-			nextUser++
-		}
-		// Stage 3: lifetimes for the period's jobs, in order.
-		for _, b := range spans {
-			size := b.hi - b.lo
-			for _, fl := range flavors[b.lo:b.hi] {
-				step := LifetimeStep{
-					Period:    p,
-					Flavor:    fl,
-					BatchSize: size,
-				}
-				hz := ls.hazard(step, dohDay)
-				bin := survival.SampleBin(hz, g)
-				ls.observe(bin, false)
-				var dur float64
-				if m.Interp == survival.Stepped {
-					dur = m.Lifetime.Bins.Hi(bin)
-				} else {
-					dur = g.Uniform(m.Lifetime.Bins.Lo(bin), m.Lifetime.Bins.Hi(bin))
-				}
-				out.VMs = append(out.VMs, trace.VM{
-					ID:       id,
-					User:     b.user,
-					Flavor:   fl,
-					Start:    p - w.Start,
-					Duration: dur,
-				})
-				id++
-			}
-		}
-	}
-	return out
+	out := make([]*trace.Trace, 1)
+	m.decodeQueue([]*rng.RNG{g}, 0, 1, w, out, PrecisionF64)
+	return out[0]
 }
 
 func (m *Model) flavorDefs() []trace.FlavorDef {

@@ -128,8 +128,10 @@ func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *Lifeti
 	return m
 }
 
-// lifetimeState is the streaming decoder state for generation and
-// teacher-forced evaluation.
+// lifetimeState is the step-by-step state for teacher-forced
+// evaluation of the hazard LSTM: one scalar StepForward per job.
+// Generation does not use it; it decodes on fleets (genStream,
+// engine.go).
 type lifetimeState struct {
 	m        *LifetimeModel
 	st       *nn.State
@@ -168,8 +170,7 @@ func (s *lifetimeState) hazard(step LifetimeStep, dohDay int) []float64 {
 	return s.out
 }
 
-// observe records the realized (or sampled) lifetime bin of the job just
-// scored.
+// observe records the realized lifetime bin of the job just scored.
 func (s *lifetimeState) observe(bin int, censored bool) {
 	s.prevBin, s.prevCens = bin, censored
 }

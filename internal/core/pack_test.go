@@ -40,13 +40,15 @@ func TestPreparePackedCaching(t *testing.T) {
 	}
 }
 
-// TestPackedDecodeByteIdentity is the packing acceptance pin inside the
+// TestPackedDecodeByteIdentity is the cross-path pin inside the
 // process: the engine and the batch entry points, at both precisions,
-// decode on panels; at f64 every cell equals the scalar unpacked
-// Model.Generate of the same streams (serial/f64), at f32 the engine
-// and the sharded batch equal the single-fleet batch — and every cell,
-// the serial reference included, is byte-identical on the assembly and
-// on the portable kernels.
+// decode on panels; at f64 every cell equals the one-stream
+// Model.Generate of the same streams (generate/f64), at f32 the engine
+// and the sharded batch equal the single-fleet batch — and every cell is
+// byte-identical on the assembly and on the portable kernels. Every cell
+// steps packed panels, Generate included; packed against unpacked is
+// pinned at the logits (TestServedFleetLogitsTierParity holds the packed
+// fleets to the scalar StepForward bit for bit).
 func TestPackedDecodeByteIdentity(t *testing.T) {
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	const n = 5
@@ -58,7 +60,7 @@ func TestPackedDecodeByteIdentity(t *testing.T) {
 		m := tinyGenModel()
 		got := make(map[string][][]byte)
 		for _, g := range streams() {
-			got["serial/f64"] = append(got["serial/f64"], traceBytes(t, m.Generate(g, w)))
+			got["generate/f64"] = append(got["generate/f64"], traceBytes(t, m.Generate(g, w)))
 		}
 		for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
 			eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2, Precision: prec})
@@ -103,7 +105,7 @@ func TestPackedDecodeByteIdentity(t *testing.T) {
 	mattest.BothTiersUnraced(t, func(t *testing.T) {
 		got := decodeAll(t)
 		for _, key := range []string{"engine/f64", "batch/f64", "shardbatch/f64"} {
-			sameStreams(t, key+" vs serial/f64", got[key], got["serial/f64"])
+			sameStreams(t, key+" vs generate/f64", got[key], got["generate/f64"])
 		}
 		for _, key := range []string{"engine/f32", "shardbatch/f32"} {
 			sameStreams(t, key+" vs batch/f32", got[key], got["batch/f32"])

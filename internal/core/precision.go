@@ -26,8 +26,11 @@ import (
 type Precision string
 
 const (
-	// PrecisionF64 is the bit-exact reference path: every decode is
-	// byte-identical to the serial Model.Generate.
+	// PrecisionF64 is the reference path, the one Model.Generate runs:
+	// every f64 decode — any batch, shard count or engine — is
+	// byte-identical to the one-stream Generate of its seed. Its fleet
+	// logits equal the scalar StepForward bit for bit, and its trace bytes
+	// are pinned across commits by TestGenerateTraceGolden.
 	PrecisionF64 Precision = "f64"
 	// PrecisionF32 runs the fleet step GEMMs on float32 weight slabs
 	// (converted once at PrepareF32). All f32 engines of one model
@@ -68,11 +71,16 @@ type ModelF32 struct {
 
 // PrepareF32 converts the model's LSTM weights to float32 slabs once
 // and caches the result on the model; later calls (and shallow Model
-// copies, which share the cache pointer) return the same conversion.
-// The first call mutates the model and must happen before the model is
-// shared across goroutines — engine constructors and the batch entry
-// points call it eagerly for exactly that reason.
+// copies made after it, which share the cache pointer) return the same
+// conversion. It is safe for concurrent use (prepareMu, pack.go).
 func (m *Model) PrepareF32() *ModelF32 {
+	prepareMu.Lock()
+	defer prepareMu.Unlock()
+	return m.prepareF32Locked()
+}
+
+// prepareF32Locked is PrepareF32 for a caller that holds prepareMu.
+func (m *Model) prepareF32Locked() *ModelF32 {
 	if m.f32 == nil {
 		m.f32 = &ModelF32{
 			Flavor:   m.Flavor.Net.Convert32(),

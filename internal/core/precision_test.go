@@ -21,10 +21,10 @@ func tinyGenModel() *Model {
 
 // TestPrecisionRegistryMatrix drives the engine at every precision and
 // shard setting over the same seeds and pins the two determinism
-// contracts: an f64 engine is byte-identical to the serial
+// contracts: an f64 engine is byte-identical to the one-stream
 // Model.Generate, and an f32 engine to the one-stream GenerateBatchF32
-// (the f32 reference) — whatever the shard count, on the assembly and
-// on the portable kernels.
+// — whatever the shard count, on the assembly and on the portable
+// kernels.
 func TestPrecisionRegistryMatrix(t *testing.T) {
 	mattest.BothTiersUnraced(t, testPrecisionRegistryMatrix)
 }

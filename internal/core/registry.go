@@ -11,16 +11,17 @@ import (
 )
 
 // GenEngine is a serving decode engine: concurrent Generate calls,
-// each byte-identical to the serial Model.Generate of its seed with
-// Model.RateScale = scale (0 meaning 1). Close fails queued requests
-// with ErrEngineClosed and releases the engine's resources.
+// each byte-identical to the one-stream decode of its seed at the
+// engine's precision — Model.Generate with Model.RateScale = scale (0
+// meaning 1) at f64, a one-stream GenerateBatchF32 at f32. Close fails
+// queued requests with ErrEngineClosed and releases the engine's
+// resources.
 //
 // There is one engine kind: continuous batching on every core, one
 // Engine per shard behind the least-loaded router (DESIGN.md §6.2;
-// Shards: 1 is the single-scheduler, single-fleet engine). Serial
-// decode is not an engine: Model.Generate (f64) and a one-stream
-// GenerateBatchF32 (f32) are the oracles the engine's bytes are tested
-// against, and what a caller that wants no batching calls directly.
+// Shards: 1 is the single-scheduler, single-fleet engine). A caller
+// that wants no scheduler calls Model.Generate, the same decoder on one
+// stream.
 type GenEngine interface {
 	Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*trace.Trace, error)
 	Close()
@@ -73,8 +74,9 @@ func (spec EngineSpec) shardCaps() []int {
 
 // NewGenEngine builds the decode engine at spec.Precision ("" selects
 // f64). An unknown kind or precision is an error — surfaced at
-// startup/reload, never mid-request. The serving weights are converted
-// (f32) and packed here, before any scheduler goroutine exists.
+// startup/reload, never mid-request. Each shard's scheduler builds its
+// fleets as it starts; the serving weights they step on are converted
+// (f32) and packed once per model, by whichever shard gets there first.
 func NewGenEngine(m *Model, spec EngineSpec) (GenEngine, error) {
 	if spec.Kind != "" && spec.Kind != EngineBatched {
 		return nil, fmt.Errorf("core: unknown engine kind %q (the one engine kind is %q)", spec.Kind, EngineBatched)

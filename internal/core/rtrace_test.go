@@ -46,7 +46,7 @@ func TestTracedDecodeByteIdentity(t *testing.T) {
 			t.Fatalf("shards=%d untraced: %v", shards, perr)
 		}
 		if !bytes.Equal(traceBytes(t, plain), want) {
-			t.Fatalf("shards=%d: untraced trace differs from serial", shards)
+			t.Fatalf("shards=%d: untraced trace differs from one-stream Generate", shards)
 		}
 		tc := rtrace.NewTracer(4)
 		got, fin := generateTraced(t, eng, tc, seed, w)

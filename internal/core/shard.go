@@ -16,7 +16,8 @@ import (
 // the serving router (engineRouter). A fleetEngine's output is
 // bit-identical per stream regardless of batch composition, so which
 // shard decodes a stream is a scheduling choice — it changes which
-// streams share a step GEMM, never a single output byte.
+// streams share a step GEMM, never a single output byte; the bytes are
+// those of the one-stream Model.Generate of the same RNG.
 
 // shardCount resolves a requested shard count: <= 0 means one per
 // internal/par worker (so REPRO_PROCS=1 is the single-fleet path), and
@@ -30,12 +31,12 @@ func shardCount(shards, slots int) int {
 
 // GenerateBatchSharded decodes one trace per RNG: it deals the streams
 // round-robin by index across `shards` fleet engines (<= 0: one per par
-// worker, which is what GenerateBatch passes; 1: the single-fleet
-// reference) and runs the shard queues concurrently through
-// internal/par. Each returned trace is byte-identical to
-// m.Generate(gs[i], w) at any shard count and any REPRO_PROCS: shard
-// queues write only their own streams' output slots, and per-stream
-// bytes never depend on batch composition.
+// worker, which is what GenerateBatch passes; 1: one fleet for all)
+// and runs the shard queues concurrently through internal/par. Each
+// returned trace is byte-identical to the one-stream m.Generate(gs[i],
+// w) at any shard count and any REPRO_PROCS: shard queues write only
+// their own streams' output slots, and per-stream bytes never depend on
+// batch composition.
 func (m *Model) GenerateBatchSharded(gs []*rng.RNG, w trace.Window, shards int) []*trace.Trace {
 	return m.generateBatchSharded(gs, w, shards, PrecisionF64)
 }
@@ -53,10 +54,6 @@ func (m *Model) generateBatchSharded(gs []*rng.RNG, w trace.Window, shards int, 
 	if len(gs) == 0 {
 		return out
 	}
-	// Pack (and for f32, convert) the serving weights before the shard
-	// queues fan out: the per-shard fleet constructors read the caches
-	// concurrently.
-	m.prepareDecode(prec)
 	k := shardCount(shards, len(gs))
 	par.Do(k, func(i int) {
 		m.decodeQueue(gs, i, k, w, out, prec)

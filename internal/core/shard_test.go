@@ -70,44 +70,45 @@ func generateAll(t *testing.T, eng GenEngine, gs []*rng.RNG, w trace.Window) [][
 // way of spreading streams over fleets — the offline batch, the offline
 // round-robin shards at K=1, 2, 8, and the serving router (the default
 // batched kind) at its default K and at K=1, 2, 8 under concurrent
-// submission, f64 and f32 — is byte-identical per stream to the serial
-// oracle, at REPRO_PROCS=1 and 8. Which shard the router picks depends
-// on goroutine timing; the bytes must not. scripts/check.sh re-runs it
-// under -race at GOMAXPROCS=4. Assembly kernels only: the portable pass
-// triples its cost, and the trained twin below and
-// TestPackedDecodeByteIdentity hold the same engines to both tiers.
+// submission, f64 and f32 — is byte-identical per stream to the
+// one-stream decode at that precision, at REPRO_PROCS=1 and 8. Which
+// shard the router picks depends on goroutine timing; the bytes must
+// not. scripts/check.sh re-runs it under -race at GOMAXPROCS=4.
+// Assembly kernels only: the portable pass triples its cost, and the
+// trained twin below and TestPackedDecodeByteIdentity hold the same
+// engines to both tiers.
 func TestShardedDecodeDeterminism(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
 	const n = 24
 	const seed = 99
 
-	oracle := map[Precision][][]byte{PrecisionF64: make([][]byte, n), PrecisionF32: make([][]byte, n)}
+	// The one-stream decodes: Model.Generate at f64, a one-row f32 fleet
+	// at f32.
+	oneStream := map[Precision][][]byte{PrecisionF64: make([][]byte, n), PrecisionF32: make([][]byte, n)}
 	func() {
 		defer par.SetProcs(par.SetProcs(1))
 		for i, g := range splitStreams(seed, n) {
-			oracle[PrecisionF64][i] = traceBytes(t, m.Generate(g, w))
+			oneStream[PrecisionF64][i] = traceBytes(t, m.Generate(g, w))
 		}
-		// There is no scalar f32 decoder: a one-row f32 fleet is the
-		// reference every f32 engine matches.
 		for i, g := range splitStreams(seed, n) {
-			oracle[PrecisionF32][i] = traceBytes(t, m.GenerateBatchF32([]*rng.RNG{g}, w)[0])
+			oneStream[PrecisionF32][i] = traceBytes(t, m.GenerateBatchF32([]*rng.RNG{g}, w)[0])
 		}
 	}()
-	serial := oracle[PrecisionF64]
+	want := oneStream[PrecisionF64]
 
 	for _, procs := range []int{1, 8} {
 		func() {
 			defer par.SetProcs(par.SetProcs(procs))
 			for i, tr := range m.GenerateBatch(splitStreams(seed, n), w) {
-				if !bytes.Equal(traceBytes(t, tr), serial[i]) {
-					t.Fatalf("procs=%d batched stream %d differs from serial", procs, i)
+				if !bytes.Equal(traceBytes(t, tr), want[i]) {
+					t.Fatalf("procs=%d batched stream %d differs from one-stream Generate", procs, i)
 				}
 			}
 			for _, shards := range []int{1, 2, 8} {
 				for i, tr := range m.GenerateBatchSharded(splitStreams(seed, n), w, shards) {
-					if !bytes.Equal(traceBytes(t, tr), serial[i]) {
-						t.Fatalf("procs=%d shards=%d stream %d differs from serial", procs, shards, i)
+					if !bytes.Equal(traceBytes(t, tr), want[i]) {
+						t.Fatalf("procs=%d shards=%d stream %d differs from one-stream Generate", procs, shards, i)
 					}
 				}
 			}
@@ -128,8 +129,8 @@ func TestShardedDecodeDeterminism(t *testing.T) {
 					got := generateAll(t, eng, splitStreams(seed, n), w)
 					eng.Close()
 					for i := range got {
-						if !bytes.Equal(got[i], oracle[prec][i]) {
-							t.Fatalf("procs=%d %s engine K=%d stream %d differs from the serial oracle", procs, prec, wantK, i)
+						if !bytes.Equal(got[i], oneStream[prec][i]) {
+							t.Fatalf("procs=%d %s engine K=%d stream %d differs from the one-stream decode", procs, prec, wantK, i)
 						}
 					}
 				}
@@ -141,24 +142,25 @@ func TestShardedDecodeDeterminism(t *testing.T) {
 // TestShardedDecodeDeterminismTrained runs the sharded equivalence on
 // the trained integration fixture, so the claim also holds with real
 // weights and real flavor/lifetime dynamics, on the assembly and on the
-// portable kernels.
+// portable kernels. Its first six streams are the golden table's
+// trained/testW row.
 func TestShardedDecodeDeterminismTrained(t *testing.T) {
 	f := getFixture(t)
 	m := f.model
 	const n = 16
 	mattest.BothTiersUnraced(t, func(t *testing.T) {
-		serial := make([][]byte, n)
+		oneStream := make([][]byte, n)
 		func() {
 			defer par.SetProcs(par.SetProcs(1))
 			for i, g := range splitStreams(321, n) {
-				serial[i] = traceBytes(t, m.Generate(g, f.testW))
+				oneStream[i] = traceBytes(t, m.Generate(g, f.testW))
 			}
 		}()
 		defer par.SetProcs(par.SetProcs(8))
 		for _, shards := range []int{2, 8} {
 			for i, tr := range m.GenerateBatchSharded(splitStreams(321, n), f.testW, shards) {
-				if !bytes.Equal(traceBytes(t, tr), serial[i]) {
-					t.Fatalf("shards=%d stream %d differs from serial", shards, i)
+				if !bytes.Equal(traceBytes(t, tr), oneStream[i]) {
+					t.Fatalf("shards=%d stream %d differs from one-stream Generate", shards, i)
 				}
 			}
 		}
@@ -167,8 +169,9 @@ func TestShardedDecodeDeterminismTrained(t *testing.T) {
 
 // TestShardedEngineMatchesSerial fires concurrent requests (more than
 // the total cap, exercising per-shard queueing and continuous
-// admission) through the router and checks every response against its
-// serial decode, plus the gauge bookkeeping afterwards: decode.shards
+// admission) through the router and checks every response against the
+// one-stream Model.Generate of its seed, plus the gauge bookkeeping
+// afterwards: decode.shards
 // reports K, every request was routed to exactly one shard, and
 // occupancy is back to zero. Which shard served which seed is the
 // router's business (TestRouterBalancesInFlight pins the policy). Run
@@ -191,7 +194,7 @@ func TestShardedEngineMatchesSerial(t *testing.T) {
 	for i, got := range generateAll(t, e, gs, w) {
 		want := traceBytes(t, m.Generate(rng.New(int64(200+i)), w))
 		if !bytes.Equal(got, want) {
-			t.Fatalf("request %d: sharded trace differs from serial", i)
+			t.Fatalf("request %d: sharded trace differs from one-stream Generate", i)
 		}
 	}
 	snap := reg.Snapshot()
@@ -300,9 +303,9 @@ func TestShardCapsSumToMaxBatch(t *testing.T) {
 	}
 }
 
-// TestShardedEngineScale pins the per-request scale knob against the
-// serial RateScale semantics, as TestEngineScale does for the batched
-// engine.
+// TestShardedEngineScale pins the per-request scale knob against
+// Model.RateScale on the one-stream Generate, as TestEngineScale does
+// for a single Engine.
 func TestShardedEngineScale(t *testing.T) {
 	m := shardTestModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
@@ -318,7 +321,7 @@ func TestShardedEngineScale(t *testing.T) {
 	ms := *m
 	ms.RateScale = 3
 	if !bytes.Equal(traceBytes(t, tr), traceBytes(t, ms.Generate(rng.New(42), w))) {
-		t.Fatal("scaled sharded trace differs from serial RateScale path")
+		t.Fatal("scaled sharded trace differs from one-stream Generate at that RateScale")
 	}
 }
 
@@ -349,7 +352,7 @@ func TestShardedEngineCloseAndCancel(t *testing.T) {
 
 // TestEngineRegistry covers what is left of the registry surface: ""
 // and "batched" name the one engine kind, whose output is byte-identical
-// to the serial reference at any scale; the two retired kinds and an
+// to the one-stream Model.Generate at any scale; the two retired kinds and an
 // unknown one are errors that name the valid kind.
 func TestEngineRegistry(t *testing.T) {
 	m := shardTestModel()
@@ -375,14 +378,14 @@ func TestEngineRegistry(t *testing.T) {
 			t.Fatalf("kind %q: %v", kind, err)
 		}
 		if !bytes.Equal(traceBytes(t, tr), want) {
-			t.Fatalf("kind %q: trace differs from serial reference", kind)
+			t.Fatalf("kind %q: trace differs from one-stream Generate", kind)
 		}
 		tr, err = e.Generate(context.Background(), rng.New(7), w, 2)
 		if err != nil {
 			t.Fatalf("kind %q scaled: %v", kind, err)
 		}
 		if !bytes.Equal(traceBytes(t, tr), wantScaled) {
-			t.Fatalf("kind %q: scaled trace differs from serial RateScale path", kind)
+			t.Fatalf("kind %q: scaled trace differs from one-stream Generate at that RateScale", kind)
 		}
 		e.Close()
 	}

@@ -111,7 +111,7 @@ func Figure9(c *Cloud) (actual []float64, results []ReuseResult) {
 		hists := make([][]float64, n)
 		if bg, ok := gen.(core.BatchGenerator); ok {
 			// Batched decode through shared step GEMMs; per-stream
-			// results are identical to the serial path below.
+			// results are identical to the per-sample Generate below.
 			for s, tr := range bg.GenerateBatch(gs, c.TestW) {
 				hists[s] = sched.ReuseHistogram(sched.ReuseDistances(tr))
 			}

@@ -12,7 +12,7 @@ import (
 // counterpart computes — same elementary operations on the same values
 // in the same order, with mat.ExpSlice standing in bit-for-bit for
 // math.Exp — so swapping them into the batched path cannot perturb a
-// single sampled trace. The serial path keeps the scalar reference
+// single sampled trace. The teacher-forced predictors keep the scalar
 // implementations; the exactness tests in vecact_test.go compare the
 // two element-for-element. (The gate activations are mat.SigmoidSlice
 // and mat.TanhSlice, called directly.)

@@ -5,15 +5,14 @@
 package rng
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
 
-// RNG wraps a seeded PRNG with workload-modeling samplers. Its stream
-// position is checkpointable: every consumer draws through a counting
-// source, so State/Restore can reproduce the exact mid-stream state by
-// reseeding and replaying the counted source draws (DESIGN.md §8).
+// RNG wraps a seeded PRNG with workload-modeling samplers. Every
+// consumer draws through a counting source, so State reports the exact
+// stream position as (seed, source draws); training checkpoints record
+// it (DESIGN.md §8).
 type RNG struct {
 	r       *rand.Rand
 	src     countingSource
@@ -44,20 +43,12 @@ func (c *countingSource) Seed(seed int64) {
 	c.s.Seed(seed)
 }
 
-// State is a serializable snapshot of an RNG's stream position. It is
-// tiny (a seed and a draw count) and restores bit-exactly: an RNG
-// restored from a State produces the same subsequent draws as the
-// original would have.
+// State is a serializable snapshot of an RNG's stream position: the
+// seed and the number of source draws taken since seeding.
 type State struct {
 	Seed  int64
 	Draws uint64
 }
-
-// maxRestoreDraws bounds how many source draws Restore will replay.
-// Restoring is O(draws); states from verified checkpoints are far below
-// this, and refusing absurd counts keeps corrupt (but checksummed-past)
-// input from turning into an unbounded replay loop.
-const maxRestoreDraws = 1 << 36
 
 // New returns an RNG seeded with seed.
 func New(seed int64) *RNG {
@@ -70,21 +61,6 @@ func New(seed int64) *RNG {
 // State returns the RNG's current stream position.
 func (g *RNG) State() State {
 	return State{Seed: g.seedVal, Draws: g.src.draws}
-}
-
-// Restore reconstructs an RNG at the exact stream position captured by
-// st: reseed, then replay the counted source draws. Returns an error
-// (never hangs) when the draw count exceeds the replay budget.
-func Restore(st State) (*RNG, error) {
-	if st.Draws > maxRestoreDraws {
-		return nil, fmt.Errorf("rng: refusing to replay %d draws (limit %d)", st.Draws, uint64(maxRestoreDraws))
-	}
-	g := New(st.Seed)
-	for i := uint64(0); i < st.Draws; i++ {
-		g.src.s.Int63()
-	}
-	g.src.draws = st.Draws
-	return g, nil
 }
 
 // Split derives an independent child RNG from this one. Use it to give

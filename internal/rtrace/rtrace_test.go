@@ -1,9 +1,7 @@
 package rtrace
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -116,33 +114,6 @@ func TestRingWrap(t *testing.T) {
 	last2 := tc.Tail(2)
 	if len(last2) != 2 || last2[1].ID != ids[9] || last2[0].ID != ids[8] {
 		t.Fatalf("Tail(2) = %v", last2)
-	}
-}
-
-func TestJSONLExportAndStream(t *testing.T) {
-	var stream bytes.Buffer
-	tc := NewTracer(8)
-	tc.StreamTo(&stream)
-	tr := tc.StartTrace()
-	tr.Add("decode", tr.start, time.Millisecond)
-	tc.Finish(tr)
-
-	var batch bytes.Buffer
-	if err := tc.WriteJSONL(&batch); err != nil {
-		t.Fatal(err)
-	}
-	for name, buf := range map[string]*bytes.Buffer{"stream": &stream, "batch": &batch} {
-		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-		if len(lines) != 1 {
-			t.Fatalf("%s: %d lines, want 1", name, len(lines))
-		}
-		var f Finished
-		if err := json.Unmarshal([]byte(lines[0]), &f); err != nil {
-			t.Fatalf("%s: bad JSONL line: %v", name, err)
-		}
-		if f.ID != tr.ID() || len(f.Spans) != 1 || f.Spans[0].Name != "decode" {
-			t.Fatalf("%s: decoded %+v", name, f)
-		}
 	}
 }
 

@@ -173,11 +173,10 @@ func TestReloadWithEveryShardBusy(t *testing.T) {
 // across a weight swap: a reload that actually changes the model must
 // serve the NEW model's bytes immediately after the swap, with zero
 // dropped or torn requests while it happens. The reference bytes come
-// from the new model's scalar serial decode — the unpacked honest
-// baseline — so a rebuilt engine reusing stale panels (or packing the
-// old weights) could not pass: the packed decode is bit-exact, and the
-// only way to produce the new bytes through packed fleets is freshly
-// packed panels. Run with -race via scripts/check.sh.
+// from the new model's one-stream Model.Generate, so a rebuilt engine
+// reusing stale panels (or packing the old weights) could not pass: the
+// only way to produce the new bytes is panels packed from the new
+// weights. Run with -race via scripts/check.sh.
 func TestHotReloadRepacksPanels(t *testing.T) {
 	s := freshServer(t)
 	h := s.Handler()
@@ -244,8 +243,8 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The settled server must serve from freshly packed new-model
-	// panels: exactly the new model's unpacked serial reference bytes.
+	// The settled server must serve from new-model panels: exactly the
+	// new model's one-stream reference bytes.
 	rec = do(t, h, "POST", "/generate", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-reload: status %d: %s", rec.Code, rec.Body.String())
@@ -255,9 +254,8 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 	}
 }
 
-// refF64Bytes decodes one stream through the model's scalar serial
-// reference path (Model.Generate, unpacked weights) and serializes it
-// the way /generate does.
+// refF64Bytes decodes one stream with the model's one-stream
+// Model.Generate and serializes it the way /generate does.
 func refF64Bytes(t *testing.T, s *Server, m *core.Model, seed int64, periods int) string {
 	t.Helper()
 	start := m.Flavor.HistoryDays * trace.PeriodsPerDay

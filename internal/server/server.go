@@ -57,8 +57,8 @@ type GenerateRequest struct {
 // and concurrent /generate requests are coalesced into shared decode
 // batches by a core.GenEngine (a continuous-batching scheduler per core
 // behind a least-loaded router, DESIGN.md §6.2); per-request seeded
-// RNGs keep every response byte-identical to a serial decode of that
-// seed.
+// RNGs keep every response byte-identical to the one-stream decode
+// (core.Model.Generate) of that seed.
 //
 // The serving snapshot (model + catalog + engine) can be hot-swapped at
 // runtime via Reload (wired to POST /-/reload and SIGHUP by cmd/traced)

@@ -286,7 +286,7 @@ func TestMetricsCountersAdvance(t *testing.T) {
 
 // TestGenerateConcurrentCoalesced fires many concurrent POST /generate
 // requests so they coalesce into shared decode batches, then checks
-// each response byte-for-byte against a serial decode of its seed —
+// each response byte-for-byte against the one-stream decode of its seed —
 // the server-level version of the engine determinism contract. Runs
 // under -race via scripts/check.sh.
 func TestGenerateConcurrentCoalesced(t *testing.T) {
@@ -318,7 +318,7 @@ func TestGenerateConcurrentCoalesced(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bodies[i] != buf.String() {
-			t.Fatalf("request %d: coalesced response differs from serial decode", i)
+			t.Fatalf("request %d: coalesced response differs from one-stream Generate", i)
 		}
 	}
 }

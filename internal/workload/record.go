@@ -23,7 +23,7 @@ import (
 // model tag binding the record to the weights that generated it. Replay
 // regenerates through a decode engine; the engine contract (bytes are a
 // function of (seed, window, scale) alone, whatever the batching or
-// shard count, and equal to the serial Model.Generate) makes the
+// shard count, and equal to the one-stream Model.Generate) makes the
 // replayed trace byte-identical to the recorded one, and Verify checks
 // exactly that, VM by VM.
 

@@ -56,9 +56,10 @@ func newEngine(t *testing.T, m *core.Model, shards int) core.GenEngine {
 }
 
 // TestReplayByteIdentityAcrossEngines is the acceptance criterion: a
-// trace recorded from the serial oracle (Model.Generate) replays
-// byte-identically through the same seed on the serial path again, on a
-// single-scheduler engine, and on a sharded one.
+// trace recorded from the one-stream Model.Generate (the record's
+// engine label is "serial") replays byte-identically through the same
+// seed on Generate again, on a single-scheduler engine, and on a
+// sharded one.
 func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 	m := replayModel(t)
 	tag := ModelTag(m)
@@ -88,7 +89,7 @@ func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 
 	t.Run("serial", func(t *testing.T) {
 		if err := rec2.Verify(m.Generate(rng.New(rec2.Seed), w)); err != nil {
-			t.Fatalf("serial re-decode diverges from the round-tripped record: %v", err)
+			t.Fatalf("one-stream re-decode diverges from the round-tripped record: %v", err)
 		}
 	})
 	for name, shards := range map[string]int{"batched": 1, "sharded": 2} {

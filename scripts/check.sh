@@ -4,7 +4,9 @@
 #   - the race-detection tier for the packages that carry production
 #     concurrency (the parallel execution layer and everything threaded
 #     through it, the metrics registry, the HTTP service with hot model
-#     reload, the continuous-batching decode engine, the checkpoint
+#     reload, the continuous-batching decode engine and concurrent
+#     Model.Generate on a model whose serving caches are still unbuilt
+#     (internal/core's TestConcurrentGenerate), the checkpoint
 #     store, the request-trace ring, the fidelity drift monitor, and the
 #     workload spec/record layer);
 #   - the end-to-end determinism and crash-recovery regression tests
