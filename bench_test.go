@@ -754,7 +754,7 @@ func BenchmarkGRUStepForward(b *testing.B) {
 }
 
 func BenchmarkTransformerWindowStep(b *testing.B) {
-	net := nn.NewTransformer(nn.TransformerConfig{
+	net := experiments.NewTransformer(experiments.TransformerConfig{
 		InputDim: 64, ModelDim: 48, Heads: 4, FFDim: 96, Layers: 2,
 		OutputDim: 17, MaxLen: 64,
 	}, rng.New(1))
@@ -772,7 +772,7 @@ func BenchmarkTransformerWindowStep(b *testing.B) {
 }
 
 func BenchmarkTransformerForwardSeq(b *testing.B) {
-	net := nn.NewTransformer(nn.TransformerConfig{
+	net := experiments.NewTransformer(experiments.TransformerConfig{
 		InputDim: 64, ModelDim: 48, Heads: 4, FFDim: 96, Layers: 2,
 		OutputDim: 17, MaxLen: 64,
 	}, rng.New(1))

@@ -69,7 +69,7 @@ func TrainArrival(tr *trace.Trace, opt ArrivalOptions) (*ArrivalModel, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown arrival kind %d", opt.Kind)
 	}
-	historyDays := historyDaysOf(tr)
+	historyDays := HistoryDays(tr)
 	m := &ArrivalModel{
 		Kind:        opt.Kind,
 		UseDOH:      opt.UseDOH,

@@ -18,8 +18,8 @@ import (
 // weights, the Adam moment vectors and step counter, the epoch cursor,
 // the dev-selection state, and the RNG stream state — everything needed
 // for a resumed run to reach byte-identical final weights and traces.
-// One spec (one directory) serves all seven fits: each writes under its
-// own file prefix, so a full TrainModel run checkpoints its arrival,
+// One spec (one directory) serves every fit: each writes under its own
+// file prefix, so a full TrainModel run checkpoints its arrival,
 // flavor, and lifetime stages side by side.
 type CheckpointSpec struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
@@ -75,7 +75,8 @@ type trainCkptV1 struct {
 }
 
 // netCodec is the slice of the network API training and checkpointing
-// need; all three architectures (LSTM, GRU, Transformer) satisfy it.
+// need: the LSTM and the GRU satisfy it, and so does the Transformer of
+// internal/experiments.
 type netCodec interface {
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary([]byte) error
@@ -232,21 +233,14 @@ func (t *trainCheckpointer) countErr() {
 	}
 }
 
-// fingerprint builds the resume-compatibility string for an LSTM/GRU
-// loop from everything that shapes the training trajectory: model name,
+// fingerprint builds the resume-compatibility string for an SGD fit
+// from everything that shapes the training trajectory: model name,
 // hyperparameters, and input data shape.
 func (c TrainConfig) fingerprint(model string, dataLen, k, historyDays int) string {
 	return fmt.Sprintf("%s|h%d l%d s%d b%d e%d lr%g wd%g cn%g seed%d de%d do%d dev%t|n%d k%d hd%d",
 		model, c.Hidden, c.Layers, c.SeqLen, c.BatchSize, c.Epochs, c.LR,
 		c.WeightDecay, c.ClipNorm, c.Seed, c.DevEvery, c.DevOffset, c.Dev != nil,
 		dataLen, k, historyDays)
-}
-
-// fingerprint is the TransformerTrainConfig counterpart.
-func (c TransformerTrainConfig) fingerprint(dataLen, k, historyDays int) string {
-	return fmt.Sprintf("%s|d%d h%d f%d l%d m%d e%d lr%g cn%g seed%d|n%d k%d hd%d",
-		ObsFlavorTransformer, c.ModelDim, c.Heads, c.FFDim, c.Layers, c.MaxLen,
-		c.Epochs, c.LR, c.ClipNorm, c.Seed, dataLen, k, historyDays)
 }
 
 // arrivalCkptV1 is the gob payload of a fitted-arrival checkpoint. The

@@ -67,7 +67,8 @@ func cutCheckpoints(t *testing.T, src string, maxSeq int) string {
 const ckptTestEpochs = 3
 
 // TestTrainLoopsResumeBitExact is the per-loop crash/resume property:
-// for each of the six network training loops, (1) enabling
+// for each of this package's network training loops (internal/experiments
+// has the ablation fits' twin), (1) enabling
 // checkpointing does not perturb the trained weights, and (2) a run
 // killed at ANY epoch boundary and resumed from disk reaches weights
 // byte-identical to the uninterrupted run.
@@ -102,31 +103,6 @@ func TestTrainLoopsResumeBitExact(t *testing.T) {
 		}},
 		{"lifetime-hazard", func(spec *CheckpointSpec) []byte {
 			b, err := TrainLifetime(tr, bins, baseCfg(spec)).Net.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		{"lifetime-pmf", func(spec *CheckpointSpec) []byte {
-			b, err := TrainLifetimePMF(tr, bins, baseCfg(spec)).Net.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		{"joint-lstm", func(spec *CheckpointSpec) []byte {
-			b, err := TrainJoint(tr, baseCfg(spec)).Net.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		{"flavor-transformer", func(spec *CheckpointSpec) []byte {
-			cfg := TransformerTrainConfig{
-				ModelDim: 8, Heads: 2, Layers: 1, MaxLen: 16,
-				Epochs: ckptTestEpochs, Seed: 3, Checkpoint: spec,
-			}
-			b, err := TrainFlavorTransformer(tr, cfg).Net.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,11 +26,12 @@ type TrainConfig struct {
 	// epoch.
 	Progress func(epoch int, loss float64)
 	// Obs, if non-nil, receives a structured obs.EpochEvent after each
-	// epoch from every training loop sharing this config (flavor
-	// LSTM/GRU, lifetime hazard/PMF, joint; the Transformer and arrival
-	// GLM carry the hook on their own option structs) — the uniform
-	// telemetry hook (DESIGN.md §7). Strictly observational: enabling it
-	// cannot change trained weights or generated traces.
+	// epoch from every training loop given this config (the flavor
+	// LSTM and GRU, the lifetime hazard LSTM, and the ablation fits of
+	// internal/experiments; the arrival GLM carries the hook on
+	// ArrivalOptions) — the uniform telemetry hook (DESIGN.md §7).
+	// Strictly observational: enabling it cannot change trained weights
+	// or generated traces.
 	Obs obs.EpochSink
 	// Dev, if non-nil, enables development-set model selection (§4.2:
 	// hyperparameters and stopping are tuned on the development window):
@@ -107,17 +108,17 @@ func flavorInputDim(k int, temporal features.Temporal) int {
 	return (k + 1) + temporal.Dim()
 }
 
-// encodeFlavorInputInto writes a flavor net's step input over k flavors:
+// EncodeFlavorInput writes a flavor net's step input over k flavors:
 // one-hot of the previous token and the temporal features of the current
 // period.
-func encodeFlavorInputInto(dst []float64, k int, temporal features.Temporal, prevToken, period, dohDay int) {
+func EncodeFlavorInput(dst []float64, k int, temporal features.Temporal, prevToken, period, dohDay int) {
 	features.OneHot(dst[:k+1], prevToken)
 	temporal.Encode(dst[k+1:], period, dohDay)
 }
 
-// encodeFlavorInput is encodeFlavorInputInto for m.
+// encodeFlavorInput is EncodeFlavorInput for m.
 func (m *FlavorModel) encodeFlavorInput(dst []float64, prevToken, period, dohDay int) {
-	encodeFlavorInputInto(dst, m.K, m.Temporal, prevToken, period, dohDay)
+	EncodeFlavorInput(dst, m.K, m.Temporal, prevToken, period, dohDay)
 }
 
 // TrainFlavor trains the flavor LSTM on the training trace by teacher
@@ -126,7 +127,7 @@ func (m *FlavorModel) encodeFlavorInput(dst []float64, prevToken, period, dohDay
 func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := historyDaysOf(tr)
+	historyDays := HistoryDays(tr)
 	m := &FlavorModel{
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
@@ -134,13 +135,8 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 	}
 	toks := FlavorTokens(tr)
 	g := rng.New(cfg.Seed)
-	task := nextTokenTask(toks, k+1, EOBToken(k), m.Temporal)
-	m.Net = nn.NewLSTM(cfg.netConfig(task.inDim, task.outDim), g)
-	task.sgdFit = sgdFit{
-		model: ObsFlavorLSTM, prefix: "flavor-lstm",
-		fingerprint: cfg.fingerprint(ObsFlavorLSTM, len(toks), k, historyDays),
-		net:         m.Net, rng: g,
-	}
+	task := NextTokenTask(toks, k+1, EOBToken(k), m.Temporal)
+	m.Net = nn.NewLSTM(task.NetConfig(cfg), g)
 	if cfg.Dev != nil {
 		if devToks := FlavorTokens(cfg.Dev); len(devToks) > 0 {
 			task.dev = func() float64 {
@@ -148,7 +144,7 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 			}
 		}
 	}
-	runBPTT(cfg, task)
+	task.RunBPTT(cfg, tr, ObsFlavorLSTM, m.Net, g)
 	return m
 }
 
@@ -196,7 +192,7 @@ func (s *flavorState) reset() {
 // slice is the state's reusable buffer, overwritten by the next probs
 // call.
 func (s *flavorState) probs(period, dohDay int) []float64 {
-	encodeFlavorInputInto(s.input, s.k, s.temporal, s.prev, period, dohDay)
+	EncodeFlavorInput(s.input, s.k, s.temporal, s.prev, period, dohDay)
 	logits := s.net.StepForward(s.input, s.st)
 	nn.SoftmaxInto(logits, s.out)
 	return s.out

@@ -21,7 +21,7 @@ type GRUFlavorModel struct {
 func TrainFlavorGRU(tr *trace.Trace, cfg TrainConfig) *GRUFlavorModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := historyDaysOf(tr)
+	historyDays := HistoryDays(tr)
 	m := &GRUFlavorModel{
 		K:           k,
 		Temporal:    features.Temporal{HistoryDays: historyDays},
@@ -29,13 +29,8 @@ func TrainFlavorGRU(tr *trace.Trace, cfg TrainConfig) *GRUFlavorModel {
 	}
 	toks := FlavorTokens(tr)
 	g := rng.New(cfg.Seed + 40)
-	task := nextTokenTask(toks, k+1, EOBToken(k), m.Temporal)
-	m.Net = nn.NewGRU(cfg.netConfig(task.inDim, task.outDim), g)
-	task.sgdFit = sgdFit{
-		model: ObsFlavorGRU, prefix: "flavor-gru",
-		fingerprint: cfg.fingerprint(ObsFlavorGRU, len(toks), k, historyDays),
-		net:         m.Net, rng: g,
-	}
-	runBPTT(cfg, task)
+	task := NextTokenTask(toks, k+1, EOBToken(k), m.Temporal)
+	m.Net = nn.NewGRU(task.NetConfig(cfg), g)
+	task.RunBPTT(cfg, tr, ObsFlavorGRU, m.Net, g)
 	return m
 }

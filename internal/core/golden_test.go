@@ -3,14 +3,11 @@ package core_test
 import (
 	"crypto/sha256"
 	"encoding"
-	"encoding/binary"
 	"encoding/hex"
-	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mat/mattest"
-	"repro/internal/nn"
 	"repro/internal/par"
 	"repro/internal/survival"
 	"repro/internal/workload"
@@ -28,22 +25,12 @@ const (
 	goldenFlavorLSTM   = "51459c67b829b12e17cd02f8d03f469eb137be3a7e4d3e0aaab092dce05d460c"
 	goldenLifetimeLSTM = "a63186789b14b63c858377400bc21ff257b3a144e33f94cf49a4ec91ea950a0e"
 	goldenFlavorGRU    = "0c966a95de4fcbdb147c9e372926a21a40e55f106289644dcd90ebfce02fd2a9"
-	// The three above hash MarshalBinary, a gob stream, and gob numbers
-	// types in the order a process first encodes them: those blobs hold
-	// still only while nn.Config is the first type the test binary
-	// encodes — true of a full run and of this test alone, not of every
-	// -run selection. The entries below hash the parameter bits
-	// themselves (weightBytes), which no test order can move.
-	//
-	// Recorded on the last commit with seven separate training loops,
-	// before the Transformer moved under the shared epoch skeleton.
-	goldenFlavorTransformer = "f00604c8e13eb3e191e6b9296dff3eab71321b2068b617cda8fe1a3f77daa7f2"
-	// Recorded on the commit that moved the PMF and joint fits from a
-	// full-batch Forward/Backward onto the sharded window runner: the
-	// per-shard gradient regrouping changed their low bits once, by
-	// design. Pinned like the rest from there on.
-	goldenLifetimePMF = "87fc87e5370d33060819e45c11db4e197b2269befc58e49d9ff85c4212001b36"
-	goldenJointLSTM   = "6264f43c13123a773d80cd27a216086914ad8308d2fe3d17b44040a855b945d0"
+	// These hash MarshalBinary, a gob stream, and gob numbers types in
+	// the order a process first encodes them: the blobs hold still only
+	// while nn.Config is the first type the test binary encodes — true of
+	// a full run and of this test alone, not of every -run selection.
+	// The ablation fits' twins (internal/experiments, TestAblationGolden)
+	// hash the parameter bits themselves, which no test order can move.
 )
 
 // snapshotBytes is a network's MarshalBinary blob.
@@ -55,23 +42,11 @@ func snapshotBytes(t *testing.T, net encoding.BinaryMarshaler) []byte {
 	return blob
 }
 
-// weightBytes is every parameter's name and float64 bits, in
-// construction order.
-func weightBytes(params []*nn.Param) []byte {
-	var out []byte
-	for _, p := range params {
-		out = append(out, p.Name...)
-		for _, v := range p.Value.Data {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-	}
-	return out
-}
-
 // TestTrainedSnapshotGolden fits a tiny network with every SGD training
-// entry point (1-day "mixed" history, hidden 8 × 2, 2 epochs, fixed
-// seed) and compares sha256 of each network's MarshalBinary with the
-// recorded constants, at one worker and at eight, on both kernel tiers.
+// entry point of this package (1-day "mixed" history, hidden 8 × 2, 2
+// epochs, fixed seed) and compares sha256 of each network's
+// MarshalBinary with the recorded constants, at one worker and at
+// eight, on both kernel tiers.
 func TestTrainedSnapshotGolden(t *testing.T) {
 	spec := workload.Preset("mixed")
 	spec.Days = 1
@@ -94,17 +69,6 @@ func TestTrainedSnapshotGolden(t *testing.T) {
 		}},
 		{"flavor_gru", goldenFlavorGRU, func() []byte {
 			return snapshotBytes(t, core.TrainFlavorGRU(history, tc).Net)
-		}},
-		{"flavor_transformer", goldenFlavorTransformer, func() []byte {
-			return weightBytes(core.TrainFlavorTransformer(history, core.TransformerTrainConfig{
-				ModelDim: 8, Heads: 2, Layers: 2, Epochs: 2, Seed: 7,
-			}).Net.Params())
-		}},
-		{"lifetime_pmf", goldenLifetimePMF, func() []byte {
-			return weightBytes(core.TrainLifetimePMF(history, survival.PaperBins(), tc).Net.Params())
-		}},
-		{"joint_lstm", goldenJointLSTM, func() []byte {
-			return weightBytes(core.TrainJoint(history, tc).Net.Params())
 		}},
 	}
 	mattest.BothTiersUnraced(t, func(t *testing.T) {

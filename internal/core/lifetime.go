@@ -34,12 +34,12 @@ func lifetimeInputDim(k int, temporal features.Temporal, lf features.LifetimeFea
 // encodeLifetimeInput writes the step input for a job. prevBin < 0
 // encodes "no previous job".
 func (m *LifetimeModel) encodeLifetimeInput(dst []float64, step LifetimeStep, dohDay, prevBin int, prevCensored bool) {
-	encodeLifetimeInputInto(dst, m.K, m.Temporal, m.LifeFeat, step, dohDay, prevBin, prevCensored)
+	EncodeLifetimeInput(dst, m.K, m.Temporal, m.LifeFeat, step, dohDay, prevBin, prevCensored)
 }
 
-// encodeLifetimeInputInto is the receiver-free form shared by the hazard
-// and PMF lifetime heads.
-func encodeLifetimeInputInto(dst []float64, k int, temporal features.Temporal, lf features.LifetimeFeatures, step LifetimeStep, dohDay, prevBin int, prevCensored bool) {
+// EncodeLifetimeInput is the receiver-free form of encodeLifetimeInput
+// over k flavors.
+func EncodeLifetimeInput(dst []float64, k int, temporal features.Temporal, lf features.LifetimeFeatures, step LifetimeStep, dohDay, prevBin int, prevCensored bool) {
 	td := temporal.Dim()
 	temporal.Encode(dst[:td], step.Period, dohDay)
 	features.OneHot(dst[td:td+k], step.Flavor)
@@ -73,7 +73,7 @@ func lifetimeTargets(target, mask []float64, step LifetimeStep) {
 func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *LifetimeModel {
 	cfg = cfg.withDefaults()
 	k := tr.Flavors.K()
-	historyDays := historyDaysOf(tr)
+	historyDays := HistoryDays(tr)
 	j := bins.J()
 	m := &LifetimeModel{
 		Bins:        bins,
@@ -84,26 +84,10 @@ func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *Lifeti
 	}
 	steps := LifetimeSteps(tr, bins)
 	g := rng.New(cfg.Seed + 1)
-	task := lifetimeTask(steps, k, m.Temporal, m.LifeFeat)
-	m.Net = nn.NewLSTM(cfg.netConfig(task.inDim, j), g)
-	task.sgdFit = sgdFit{
-		model: ObsLifetimeHazard, prefix: "lifetime-hazard",
-		fingerprint: cfg.fingerprint(ObsLifetimeHazard, len(steps), k, historyDays),
-		net:         m.Net, rng: g,
-	}
-	task.outDim = j
-	// The masked-BCE output count of a job is its number of unmasked bins
-	// (lifetimeTargets).
-	task.outputs = func(t int) int {
-		if steps[t].Censored {
-			return steps[t].Bin
-		}
-		return steps[t].Bin + 1
-	}
 	// One target row and one mask row per batch row; a shard fills and
 	// reads only its own rows, one step at a time.
 	tgt, msk := mat.NewDense(cfg.BatchSize, j), mat.NewDense(cfg.BatchSize, j)
-	task.loss = func(lo int, ts []int, y, dy *mat.Dense) float64 {
+	task := LifetimeTask(steps, k, m.Temporal, m.LifeFeat).WithHead(j, func(lo int, ts []int, y, dy *mat.Dense) float64 {
 		hi := lo + len(ts)
 		tg := mat.Dense{Rows: len(ts), Cols: j, Data: tgt.Data[lo*j : hi*j]}
 		mk := mat.Dense{Rows: len(ts), Cols: j, Data: msk.Data[lo*j : hi*j]}
@@ -116,7 +100,16 @@ func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *Lifeti
 		}
 		loss, _ := nn.MaskedBCEWithLogitsInto(y, &tg, &mk, dy)
 		return loss
+	})
+	// The masked-BCE output count of a job is its number of unmasked bins
+	// (lifetimeTargets).
+	task.outputs = func(t int) int {
+		if steps[t].Censored {
+			return steps[t].Bin
+		}
+		return steps[t].Bin + 1
 	}
+	m.Net = nn.NewLSTM(task.NetConfig(cfg), g)
 	if cfg.Dev != nil {
 		if devSteps := LifetimeSteps(cfg.Dev, bins); len(devSteps) > 0 {
 			task.dev = func() float64 {
@@ -124,7 +117,7 @@ func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *Lifeti
 			}
 		}
 	}
-	runBPTT(cfg, task)
+	task.RunBPTT(cfg, tr, ObsLifetimeHazard, m.Net, g)
 	return m
 }
 

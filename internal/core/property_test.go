@@ -20,7 +20,7 @@ func TestFlavorInputEncodingQuick(t *testing.T) {
 		tok := int(tokRaw) % (k + 1)
 		period := int(periodRaw)
 		day := int(dayRaw) % 7
-		encodeFlavorInputInto(dst, k, temporal, tok, period, day)
+		EncodeFlavorInput(dst, k, temporal, tok, period, day)
 		// Exactly one hot bit in the token block.
 		ones := 0
 		for _, v := range dst[:k+1] {

@@ -10,13 +10,10 @@ import (
 // Model names used in obs.EpochEvent, one per training loop, so journal
 // consumers can compare runs across architectures (DESIGN.md §7).
 const (
-	ObsFlavorLSTM        = "flavor_lstm"
-	ObsFlavorGRU         = "flavor_gru"
-	ObsFlavorTransformer = "flavor_transformer"
-	ObsLifetimeHazard    = "lifetime_hazard"
-	ObsLifetimePMF       = "lifetime_pmf"
-	ObsJointLSTM         = "joint_lstm"
-	ObsArrivalGLM        = "arrival_glm"
+	ObsFlavorLSTM     = "flavor_lstm"
+	ObsFlavorGRU      = "flavor_gru"
+	ObsLifetimeHazard = "lifetime_hazard"
+	ObsArrivalGLM     = "arrival_glm"
 )
 
 // epochClock tracks per-epoch wall time and emits the uniform telemetry

@@ -12,7 +12,7 @@ import (
 )
 
 // telemetryTrace builds a tiny training trace shared by the telemetry
-// tests (training five networks, so keep it small).
+// tests (training several networks, so keep it small).
 func telemetryTrace() *trace.Trace {
 	cfg := synth.AzureLike()
 	cfg.Days = 2
@@ -37,9 +37,10 @@ func (r *recorder) EpochDone(e obs.EpochEvent) {
 	r.events[e.Model] = append(r.events[e.Model], e)
 }
 
-// TestAllTrainingLoopsEmitEpochEvents is the satellite guarantee that
-// no training loop is silent: each of the seven fits routes per-epoch
-// telemetry through the shared obs hook.
+// TestAllTrainingLoopsEmitEpochEvents is the guarantee that no training
+// loop is silent: each of this package's fits routes per-epoch telemetry
+// through the shared obs hook (internal/experiments has the ablation
+// fits' twin).
 func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	tr := telemetryTrace()
 	rec := newRecorder()
@@ -52,23 +53,15 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	TrainFlavor(tr, cfg)
 	TrainFlavorGRU(tr, cfg)
 	TrainLifetime(tr, bins, cfg)
-	TrainLifetimePMF(tr, bins, cfg)
-	TrainJoint(tr, cfg)
-	TrainFlavorTransformer(tr, TransformerTrainConfig{
-		ModelDim: 8, Heads: 2, Layers: 1, MaxLen: 16, Epochs: 2, Seed: 3, Obs: rec,
-	})
 	if _, err := TrainArrival(tr, ArrivalOptions{Kind: BatchArrivals, Obs: rec}); err != nil {
 		t.Fatalf("arrival: %v", err)
 	}
 
 	wantEpochs := map[string]int{
-		ObsFlavorLSTM:        2,
-		ObsFlavorGRU:         2,
-		ObsLifetimeHazard:    2,
-		ObsLifetimePMF:       2,
-		ObsJointLSTM:         2,
-		ObsFlavorTransformer: 2,
-		ObsArrivalGLM:        1,
+		ObsFlavorLSTM:     2,
+		ObsFlavorGRU:      2,
+		ObsLifetimeHazard: 2,
+		ObsArrivalGLM:     1,
 	}
 	for model, want := range wantEpochs {
 		evs := rec.events[model]
@@ -93,7 +86,7 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	}
 	// The recurrent loops clip gradients, so the recorded norm and LR
 	// must be populated.
-	for _, model := range []string{ObsFlavorLSTM, ObsFlavorGRU, ObsLifetimeHazard, ObsLifetimePMF, ObsJointLSTM} {
+	for _, model := range []string{ObsFlavorLSTM, ObsFlavorGRU, ObsLifetimeHazard} {
 		for _, e := range rec.events[model] {
 			if e.GradNorm <= 0 {
 				t.Errorf("%s epoch %d: grad_norm = %v, want > 0", model, e.Epoch, e.GradNorm)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/features"
 	"repro/internal/mat"
@@ -15,14 +16,16 @@ import (
 // network with one recipe — teacher forcing, stateful truncated BPTT,
 // Adam with clipping, a step LR schedule (§2.2–2.3, §4.2) — and §7's
 // ablations swap only the cell or the output head. runEpochs is the
-// outer skeleton every SGD fit shares; runBPTT is the single window
+// outer skeleton every SGD fit shares; RunBPTT is the single window
 // loop under it. A Train* function builds its model and network and
-// describes what differs as an sgdFit / bpttTask.
+// describes what differs as a BPTTTask. The ablation fits in
+// internal/experiments drive the same two loops through the exported
+// task (BPTTTask.RunBPTT, BPTTTask.RunEpochs).
 
-// sgdFit identifies one fit to the epoch skeleton.
+// sgdFit identifies one fit to the epoch skeleton. Its checkpoint files
+// are prefixed with the model name, '_' written '-'.
 type sgdFit struct {
 	model       string   // obs.EpochEvent model name (telemetry.go)
-	prefix      string   // checkpoint file prefix
 	fingerprint string   // resume-compatibility string
 	net         netCodec // the network being trained
 	// rng is the weight-init stream; its position rides in every
@@ -46,7 +49,7 @@ func runEpochs(cfg TrainConfig, f sgdFit, lr func(epoch int) float64, prepare fu
 	opt.ClipNorm = cfg.ClipNorm
 	bestDev := math.Inf(1)
 	var bestSnap []byte
-	ck := newTrainCheckpointer(cfg.Checkpoint, f.prefix, f.fingerprint)
+	ck := newTrainCheckpointer(cfg.Checkpoint, strings.ReplaceAll(f.model, "_", "-"), f.fingerprint)
 	startEpoch := 0
 	if w, ok := ck.resume(cfg.Checkpoint, f.net, opt); ok {
 		if w.Done {
@@ -86,10 +89,11 @@ func runEpochs(cfg TrainConfig, f sgdFit, lr func(epoch int) float64, prepare fu
 	ck.save(cfg.Epochs, true, f.net, opt, bestDev, bestSnap, f.rng.State())
 }
 
-// bpttTask is everything that distinguishes one recurrent fit from
+// BPTTTask is everything that distinguishes one recurrent fit from
 // another: the stream it is teacher-forced over and the loss on the
-// head's logits. Stream positions t run over [0, n).
-type bpttTask struct {
+// head's logits. Stream positions t run over [0, n). NextTokenTask and
+// LifetimeTask build one; WithHead sets a lifetime task's head.
+type BPTTTask struct {
 	sgdFit
 	n             int // stream length (tokens or jobs)
 	inDim, outDim int
@@ -106,13 +110,25 @@ type bpttTask struct {
 	loss func(lo int, ts []int, y, dy *mat.Dense) float64
 }
 
-// runBPTT trains t's network — an nn.Recurrent, whichever its cell —
-// by stateful truncated BPTT: the stream is cut into batch contiguous
-// segments (segmentPlan), and each window continues every segment from
-// the previous window's final state, so the state distribution seen in
-// training matches long free-running generation. The first window of
-// an epoch starts every segment from the zero state.
-func runBPTT(cfg TrainConfig, t bpttTask) {
+// identify names the fit of net, drawn from g, on t's stream of the
+// training trace tr under the obs model name model.
+func (t *BPTTTask) identify(cfg TrainConfig, tr *trace.Trace, model string, net netCodec, g *rng.RNG) {
+	t.model, t.net, t.rng = model, net, g
+	t.fingerprint = cfg.fingerprint(model, t.n, tr.Flavors.K(), HistoryDays(tr))
+}
+
+// RunBPTT trains net — an nn.Recurrent, whichever its cell, built from
+// t.NetConfig(cfg) and drawn from the weight-init stream g — on t's
+// stream of the training trace tr, reporting and checkpointing under
+// the obs model name model, by stateful truncated BPTT: the stream is
+// cut into batch contiguous segments (segmentPlan), and each window
+// continues every segment from the previous window's final state, so
+// the state distribution seen in training matches long free-running
+// generation. The first window of an epoch starts every segment from
+// the zero state.
+func (t BPTTTask) RunBPTT(cfg TrainConfig, tr *trace.Trace, model string, net nn.Recurrent, g *rng.RNG) {
+	cfg = cfg.withDefaults()
+	t.identify(cfg, tr, model, net.(netCodec), g) // both cells are codecs
 	if t.n == 0 {
 		return
 	}
@@ -121,7 +137,6 @@ func runBPTT(cfg TrainConfig, t bpttTask) {
 	}
 	runEpochs(cfg, t.sgdFit, cfg.stepLR, func(opt *nn.Adam) func() (float64, int) {
 		plan := newSegmentPlan(t.n, cfg.SeqLen, cfg.BatchSize)
-		net := t.net.(nn.Recurrent)
 		sharded, st := nn.NewSharded(net, plan.batch), net.NewState(plan.batch)
 		// Window buffers are allocated once and reused by every window of
 		// every epoch: per step, the batch inputs, the stream position
@@ -206,23 +221,45 @@ func runBPTT(cfg TrainConfig, t bpttTask) {
 	})
 }
 
-// historyDaysOf is the training window's length in whole days (at least
+// RunEpochs trains net, a network outside nn's recurrent stack drawn
+// from g, on t's stream of tr under the epoch skeleton at the constant
+// learning rate cfg.LR, reporting and checkpointing under model. epoch
+// trains one epoch with opt and returns its summed loss and loss-term
+// count. There is no weight decay and no development-set selection, so
+// cfg's WeightDecay and Dev are ignored, and so are SeqLen and
+// BatchSize: epoch lays out its own windows.
+func (t BPTTTask) RunEpochs(cfg TrainConfig, tr *trace.Trace, model string, net netCodec, g *rng.RNG, epoch func(opt *nn.Adam) (float64, int)) {
+	cfg = cfg.withDefaults()
+	t.identify(cfg, tr, model, net, g)
+	if t.n == 0 {
+		return
+	}
+	cfg.WeightDecay = 0
+	constLR := func(int) float64 { return cfg.LR }
+	runEpochs(cfg, t.sgdFit, constLR, func(opt *nn.Adam) func() (float64, int) {
+		return func() (float64, int) { return epoch(opt) }
+	})
+}
+
+// HistoryDays is the training window's length in whole days (at least
 // one): the span of the day-of-history feature block.
-func historyDaysOf(tr *trace.Trace) int {
+func HistoryDays(tr *trace.Trace) int {
 	return max(int(tr.Days()+0.999), 1)
 }
 
-// netConfig sizes a recurrent network from the shared hyperparameters.
-func (c TrainConfig) netConfig(inDim, outDim int) nn.Config {
-	return nn.Config{InputDim: inDim, HiddenDim: c.Hidden, Layers: c.Layers, OutputDim: outDim}
+// NetConfig sizes t's network from cfg's hyperparameters (defaults
+// filled in).
+func (t BPTTTask) NetConfig(cfg TrainConfig) nn.Config {
+	cfg = cfg.withDefaults()
+	return nn.Config{InputDim: t.inDim, HiddenDim: cfg.Hidden, Layers: cfg.Layers, OutputDim: t.outDim}
 }
 
-// nextTokenTask is the stream half of a next-token fit over toks: the
+// NextTokenTask is the stream half of a next-token fit over toks: the
 // input at position t is the one-hot of the previous token (start
 // before the first) over vocab classes plus the temporal features of
 // t's period, and the loss is softmax cross-entropy on toks[t].Token.
-func nextTokenTask(toks []FlavorToken, vocab, start int, temporal features.Temporal) bpttTask {
-	return bpttTask{
+func NextTokenTask(toks []FlavorToken, vocab, start int, temporal features.Temporal) BPTTTask {
+	return BPTTTask{
 		n:     len(toks),
 		inDim: vocab + temporal.Dim(), outDim: vocab,
 		encode: func(x []float64, t int) {
@@ -247,11 +284,12 @@ func nextTokenTask(toks []FlavorToken, vocab, start int, temporal features.Tempo
 	}
 }
 
-// lifetimeTask is the stream half of a lifetime fit over steps: the
+// LifetimeTask is the stream half of a lifetime fit over steps: the
 // input at position t describes job t and the realized lifetime of job
-// t-1 (§2.3.3). The caller adds the head: outDim, loss and outputs.
-func lifetimeTask(steps []LifetimeStep, k int, temporal features.Temporal, lf features.LifetimeFeatures) bpttTask {
-	return bpttTask{
+// t-1 (§2.3.3). The caller adds the head (WithHead) and, for a loss
+// with more than one term per job, outputs.
+func LifetimeTask(steps []LifetimeStep, k int, temporal features.Temporal, lf features.LifetimeFeatures) BPTTTask {
+	return BPTTTask{
 		n:     len(steps),
 		inDim: lifetimeInputDim(k, temporal, lf),
 		encode: func(x []float64, t int) {
@@ -260,7 +298,14 @@ func lifetimeTask(steps []LifetimeStep, k int, temporal features.Temporal, lf fe
 				prevBin, prevCens = steps[t-1].Bin, steps[t-1].Censored
 			}
 			day := trace.DayOfHistory(steps[t].Period)
-			encodeLifetimeInputInto(x, k, temporal, lf, steps[t], day, prevBin, prevCens)
+			EncodeLifetimeInput(x, k, temporal, lf, steps[t], day, prevBin, prevCens)
 		},
 	}
+}
+
+// WithHead returns t with an outDim-wide head trained on loss, under
+// the contract of BPTTTask's loss field.
+func (t BPTTTask) WithHead(outDim int, loss func(lo int, ts []int, y, dy *mat.Dense) float64) BPTTTask {
+	t.outDim, t.loss = outDim, loss
+	return t
 }

@@ -2,6 +2,15 @@ package experiments
 
 import "repro/internal/core"
 
+// Model names the ablation fits report in obs.EpochEvent, beside core's
+// (core.ObsFlavorLSTM and the rest); each fit's checkpoint files are
+// prefixed with its name, '_' written '-'.
+const (
+	ObsFlavorTransformer = "flavor_transformer"
+	ObsLifetimePMF       = "lifetime_pmf"
+	ObsJointLSTM         = "joint_lstm"
+)
+
 // HeadRow is one parameterization's row in the §2.3.1 hazard-vs-PMF
 // lifetime-head comparison.
 type HeadRow struct {
@@ -19,8 +28,8 @@ func PMFvsHazard(c *Cloud) []HeadRow {
 	offset := c.TestW.Start
 	hz := core.EvaluateLifetime(core.NewLSTMLifetimePredictor(c.Model().Lifetime), steps, c.Bins, offset)
 	tc := c.Scale.Train
-	pmfModel := core.TrainLifetimePMF(c.Train, c.Bins, tc)
-	pmf := core.EvaluateLifetime(core.NewPMFLifetimePredictor(pmfModel), steps, c.Bins, offset)
+	pmfModel := TrainLifetimePMF(c.Train, c.Bins, tc)
+	pmf := core.EvaluateLifetime(NewPMFLifetimePredictor(pmfModel), steps, c.Bins, offset)
 	km := core.EvaluateLifetime(core.NewKMLifetime(c.Train, c.Bins), steps, c.Bins, offset)
 	return []HeadRow{
 		{Head: "Overall KM", BCE: km.BCE, OneBestErr: km.OneBestErr},
@@ -56,8 +65,9 @@ func ArchitectureAblation(c *Cloud) []ArchRow {
 	grue := core.EvaluateFlavor(core.NewGRUFlavorPredictor(gru), toks, offset)
 	rows = append(rows, ArchRow{Arch: "GRU", NLL: grue.NLL, OneBestErr: grue.OneBestErr})
 
-	tf := core.TrainFlavorTransformer(c.Train, core.TransformerTrainConfig{Seed: c.Scale.Seed})
-	tfe := core.EvaluateFlavor(core.NewTransformerFlavorPredictor(tf), toks, offset)
+	// The Transformer keeps its own size and schedule, not the LSTM's.
+	tf := TrainFlavorTransformer(c.Train, core.TrainConfig{Hidden: 32, Layers: 2, Epochs: 15, Seed: c.Scale.Seed})
+	tfe := core.EvaluateFlavor(NewTransformerFlavorPredictor(tf), toks, offset)
 	rows = append(rows, ArchRow{Arch: "Transformer", NLL: tfe.NLL, OneBestErr: tfe.OneBestErr})
 	return rows
 }

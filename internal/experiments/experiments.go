@@ -4,6 +4,12 @@
 // regenerates one table or figure and returns a structured result that
 // cmd/experiments renders in the paper's format and bench_test.go runs
 // as a benchmark.
+//
+// The models that exist only for the paper's design comparisons live
+// here rather than in internal/core, which serves: the causal
+// Transformer flavor model (§7), the softmax-PMF lifetime head (§2.3.1)
+// and the single-LSTM joint model with end-of-period tokens (§7). They
+// train through core's one driver (core.BPTTTask).
 package experiments
 
 import (

@@ -34,7 +34,9 @@ type Param struct {
 	m, v  *mat.Dense // Adam first/second moment estimates
 }
 
-func newParam(name string, r, c int) *Param {
+// NewParam returns a zeroed r×c parameter with its gradient and Adam
+// moment buffers.
+func NewParam(name string, r, c int) *Param {
 	return &Param{
 		Name:  name,
 		Value: mat.NewDense(r, c),

@@ -18,9 +18,10 @@ type paramBlob struct {
 	Values []float64
 }
 
-// marshalParams encodes a parameter list (with any gob-encodable config)
-// into the shared snapshot wire format.
-func marshalParams[C any](cfg C, params []*Param) ([]byte, error) {
+// MarshalParams encodes a parameter list (with any gob-encodable config)
+// into the shared snapshot wire format. Networks built outside this
+// package from NewParam serialize through it too.
+func MarshalParams[C any](cfg C, params []*Param) ([]byte, error) {
 	blobs := make([]paramBlob, 0, len(params))
 	for _, p := range params {
 		vals := make([]float64, len(p.Value.Data))
@@ -74,32 +75,11 @@ func checkLSTMConfig(c Config) error {
 	return nil
 }
 
-// checkTransformerConfig is the transformer-shaped counterpart of
-// checkLSTMConfig.
-func checkTransformerConfig(c TransformerConfig) error {
-	if err := c.validate(); err != nil {
-		return err
-	}
-	if c.InputDim > maxSnapshotDim || c.ModelDim > maxSnapshotDim ||
-		c.Heads > maxSnapshotDim || c.FFDim > maxSnapshotDim ||
-		c.Layers > maxSnapshotDim || c.OutputDim > maxSnapshotDim ||
-		c.MaxLen > maxSnapshotDim {
-		return fmt.Errorf("nn: snapshot config dimensions exceed limit %d: %+v", maxSnapshotDim, c)
-	}
-	in, d, f, od := int64(c.InputDim), int64(c.ModelDim), int64(c.FFDim), int64(c.OutputDim)
-	total := in*d + d + int64(c.MaxLen)*d // embedding + positions
-	total += int64(c.Layers) * (4*d*d + 2*d*f + f + 5*d)
-	total += 2*d + d*od + od // final LN + head
-	if total > maxSnapshotParams {
-		return fmt.Errorf("nn: snapshot config implies %d params, limit %d", total, maxSnapshotParams)
-	}
-	return nil
-}
-
-// unmarshalParams decodes the wire format into cfg, validates it with
+// UnmarshalParams decodes the wire format into cfg, validates it with
 // check before any construction, and copies the values into the freshly
-// constructed params (matched by name).
-func unmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func(C) []*Param) error {
+// constructed params (matched by name). check must bound every dimension
+// fresh sizes an allocation from, as checkLSTMConfig does.
+func UnmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func(C) []*Param) error {
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(cfg); err != nil {
 		return fmt.Errorf("nn: unmarshal config: %w", err)
@@ -130,7 +110,7 @@ func unmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func
 
 // MarshalBinary serializes the network configuration and weights.
 func (s *stack) MarshalBinary() ([]byte, error) {
-	return marshalParams(s.Cfg, s.params)
+	return MarshalParams(s.Cfg, s.params)
 }
 
 // UnmarshalBinary restores a network previously serialized with
@@ -145,7 +125,7 @@ func (n *GRU) UnmarshalBinary(data []byte) error { return n.unmarshal(data, fals
 func (s *stack) unmarshal(data []byte, cell bool) error {
 	var cfg Config
 	var fresh stack
-	err := unmarshalParams(data, &cfg, checkLSTMConfig, func(c Config) []*Param {
+	err := UnmarshalParams(data, &cfg, checkLSTMConfig, func(c Config) []*Param {
 		fresh = newStack(c, rng.New(0), cell) // init values are overwritten
 		return fresh.params
 	})
@@ -225,25 +205,5 @@ func UnmarshalOptState(data []byte, opt *Adam, params []*Param) error {
 		copy(p.m.Data, b.M)
 		copy(p.v.Data, b.V)
 	}
-	return nil
-}
-
-// MarshalBinary serializes the Transformer's configuration and weights.
-func (t *Transformer) MarshalBinary() ([]byte, error) {
-	return marshalParams(t.Cfg, t.params)
-}
-
-// UnmarshalBinary restores a Transformer serialized with MarshalBinary.
-func (t *Transformer) UnmarshalBinary(data []byte) error {
-	var cfg TransformerConfig
-	var fresh *Transformer
-	err := unmarshalParams(data, &cfg, checkTransformerConfig, func(c TransformerConfig) []*Param {
-		fresh = NewTransformer(c, rng.New(0))
-		return fresh.params
-	})
-	if err != nil {
-		return err
-	}
-	*t = *fresh
 	return nil
 }

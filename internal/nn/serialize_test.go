@@ -63,25 +63,6 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-func TestUnmarshalTransformerRejectsCorruptInput(t *testing.T) {
-	cases := map[string][]byte{
-		"garbage":   []byte{0x42, 0x00, 0xFF},
-		"zero dims": encodeSnapshot(t, TransformerConfig{}, nil),
-		"heads do not divide model dim": encodeSnapshot(t,
-			TransformerConfig{InputDim: 3, ModelDim: 10, Heads: 3, FFDim: 8, Layers: 1, OutputDim: 2, MaxLen: 16}, nil),
-		"huge dims": encodeSnapshot(t,
-			TransformerConfig{InputDim: 1 << 20, ModelDim: 1 << 20, Heads: 1 << 20, FFDim: 1 << 20, Layers: 1 << 20, OutputDim: 1 << 20, MaxLen: 1 << 20}, nil),
-		"oom dims within per-dim cap": encodeSnapshot(t,
-			TransformerConfig{InputDim: 4, ModelDim: 1 << 13, Heads: 2, FFDim: 1 << 15, Layers: 1 << 10, OutputDim: 2, MaxLen: 8}, nil),
-	}
-	for name, data := range cases {
-		var tr Transformer
-		if err := tr.UnmarshalBinary(data); err == nil {
-			t.Errorf("Transformer %s: decoded without error", name)
-		}
-	}
-}
-
 // TestUnmarshalErrorLeavesReceiverUsable checks that a failed decode
 // does not corrupt an existing in-memory model (the hot-reload path
 // relies on this: a bad snapshot must not take down the serving model).

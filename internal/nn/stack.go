@@ -55,12 +55,12 @@ func newStack(cfg Config, g *rng.RNG, cell bool) stack {
 	for l := 0; l < cfg.Layers; l++ {
 		ly := &layer{
 			first: l == 0,
-			wx:    newParam(fmt.Sprintf("%s%d.wx", lp, l), in, gates*h),
-			wh:    newParam(fmt.Sprintf("%s%d.wh", lp, l), h, gates*h),
-			b:     newParam(fmt.Sprintf("%s%d.b", lp, l), 1, gates*h),
+			wx:    NewParam(fmt.Sprintf("%s%d.wx", lp, l), in, gates*h),
+			wh:    NewParam(fmt.Sprintf("%s%d.wh", lp, l), h, gates*h),
+			b:     NewParam(fmt.Sprintf("%s%d.b", lp, l), 1, gates*h),
 		}
-		xavierInit(ly.wx.Value, in, h, g)
-		xavierInit(ly.wh.Value, h, h, g)
+		XavierInit(ly.wx.Value, in, h, g)
+		XavierInit(ly.wh.Value, h, h, g)
 		if cell {
 			for j := h; j < 2*h; j++ {
 				ly.b.Value.Set(0, j, 1) // forget gate bias
@@ -70,14 +70,16 @@ func newStack(cfg Config, g *rng.RNG, cell bool) stack {
 		s.params = append(s.params, ly.wx, ly.wh, ly.b)
 		in = h
 	}
-	s.wy = newParam(hp+".wy", h, cfg.OutputDim)
-	s.by = newParam(hp+".by", 1, cfg.OutputDim)
-	xavierInit(s.wy.Value, h, cfg.OutputDim, g)
+	s.wy = NewParam(hp+".wy", h, cfg.OutputDim)
+	s.by = NewParam(hp+".by", 1, cfg.OutputDim)
+	XavierInit(s.wy.Value, h, cfg.OutputDim, g)
 	s.params = append(s.params, s.wy, s.by)
 	return s
 }
 
-func xavierInit(w *mat.Dense, fanIn, fanOut int, g *rng.RNG) {
+// XavierInit fills w with Xavier-uniform draws from g for a layer of the
+// given fan-in and fan-out, in storage order.
+func XavierInit(w *mat.Dense, fanIn, fanOut int, g *rng.RNG) {
 	bound := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range w.Data {
 		w.Data[i] = g.Uniform(-bound, bound)

@@ -43,7 +43,6 @@ type arena struct {
 
 	cache  Cache    // reusable LSTM forward cache (one per arena)
 	gCache GRUCache // reusable GRU forward cache
-	tCache tCache   // reusable Transformer forward cache
 }
 
 func (a *arena) reset() { a.nb, a.nv, a.nf = 0, 0, 0 }
@@ -169,11 +168,4 @@ func (s *stack) workspace() *Workspace {
 func (s *stack) ReleaseWorkspace() {
 	releaseWorkspace(s.ws)
 	s.ws = nil
-}
-
-func (t *Transformer) workspace() *Workspace {
-	if t.ws == nil {
-		t.ws = acquireWorkspace()
-	}
-	return t.ws
 }

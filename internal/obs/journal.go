@@ -159,9 +159,10 @@ func (j *Journal) Close() error {
 }
 
 // EpochEvent is the uniform per-epoch training telemetry record every
-// training loop emits (flavor LSTM/GRU/Transformer, lifetime
-// hazard/PMF, joint LSTM, and — as a single-epoch convergence record —
-// the arrival GLM), so runs are comparable across models.
+// training loop emits (core's flavor LSTM/GRU and lifetime hazard LSTM,
+// the ablation fits of internal/experiments, and — as a single-epoch
+// convergence record — the arrival GLM), so runs are comparable across
+// models.
 type EpochEvent struct {
 	Model    string  // loop identity, e.g. "flavor_lstm"
 	Epoch    int     // 0-based epoch index

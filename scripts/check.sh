@@ -13,15 +13,18 @@
 #     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
 #   - the sharded-decode tier at GOMAXPROCS=4;
 #   - the allocation pins (decode round, fleet step in all four
-#     {f64, f32} x {unpacked, packed} cells, training window, par
-#     snapshot, Table 4 sweep), which run without -race;
+#     {f64, f32} x {unpacked, packed} cells, training window of every
+#     BPTT fit, par snapshot, Table 4 sweep), which run without -race;
 #   - a short-budget fuzz tier over the untrusted decode surfaces and
 #     the packed, row-sum, activation and cell kernels;
 #   - the repo benchmark's -quick smoke on each workload (the frozen
 #     harness exits non-zero when an output digest no longer matches),
 #     and one -quick pair of scripts/pairs.sh against HEAD;
 #   - the line-count ratchet over internal/{core,nn,mat}
-#     (scripts/loc.sh fails when the tree outgrows its recorded ceiling);
+#     (scripts/loc.sh fails when the tree outgrows its recorded ceiling),
+#     and the rule that the ablation models (the Transformer, the PMF
+#     lifetime head, the joint EOP model) stay out of internal/core and
+#     internal/nn;
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -63,7 +66,7 @@ GOMAXPROCS=4 go test -race \
 go test -run 'TestTracingDisabledRoundAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/core
 go test -run 'TestFleetStepAllocFree|TestFleet32StepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
-go test -run 'TestTable4SurvivalAllocs' ./internal/experiments
+go test -run 'TestTable4SurvivalAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/experiments
 
 # Short-budget fuzz tier: each target gets a few seconds of coverage-
 # guided input on top of its checked-in seed corpus. Skipped cleanly on
@@ -98,5 +101,12 @@ if git rev-parse -q --verify HEAD >/dev/null 2>&1; then
 fi
 
 sh scripts/loc.sh
+# The ablation models live in internal/experiments (DESIGN.md §6.3.1):
+# no non-test file of the serving packages may declare one again.
+if grep -nE '^(type|func) .*([Tt]ransformer|TWindow|tCache|PMF|[Pp]mf|Joint|\bjoint)' \
+	$(find internal/core internal/nn -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: an ablation model is declared in internal/core or internal/nn" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + ablation placement + deadcode OK"
