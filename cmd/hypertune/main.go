@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 	dev := full.Slice(trace.Window{Start: devOff, End: full.Periods}, 0)
 	fmt.Printf("tuning on %s: %d train VMs, %d dev VMs\n\n", cfg.Name, len(train.VMs), len(dev.VMs))
 
-	report := func(name string, results []tune.Result, err error) {
+	report := func(name string, results []experiments.GridResult, err error) {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hypertune: %s: %v\n", name, err)
 			os.Exit(1)
@@ -54,21 +54,21 @@ func main() {
 	want := func(s string) bool { return *stage == "all" || *stage == s }
 	start := time.Now()
 	if want("arrival") {
-		res, err := tune.ArrivalGrid(train, dev, devOff, []float64{0.01, 0.1, 1, 10})
+		res, err := experiments.ArrivalGrid(train, dev, devOff, []float64{0.01, 0.1, 1, 10})
 		report("arrival L2", res, err)
 	}
 	if want("doh") {
-		res, err := tune.DOHGeomGrid(train, dev, devOff, []float64{1.0 / 14, 1.0 / 7, 1.0 / 3, 0.9}, 200)
+		res, err := experiments.DOHGeomGrid(train, dev, devOff, []float64{1.0 / 14, 1.0 / 7, 1.0 / 3, 0.9}, 200)
 		report("DOH geometric p (score = 1 - coverage)", res, err)
 	}
 	base := core.TrainConfig{Hidden: 24, Layers: 2, SeqLen: 64, BatchSize: 8, Epochs: 25, Seed: *seed}
 	if want("flavor") {
-		res, err := tune.FlavorGrid(train, dev, devOff, base,
+		res, err := experiments.FlavorGrid(train, dev, devOff, base,
 			[]float64{3e-3, 8e-3}, []float64{0, 1e-4})
 		report("flavor LSTM (lr, wd)", res, err)
 	}
 	if want("lifetime") {
-		res, err := tune.LifetimeGrid(train, dev, devOff, survival.PaperBins(), base,
+		res, err := experiments.LifetimeGrid(train, dev, devOff, survival.PaperBins(), base,
 			[]float64{3e-3, 8e-3}, []float64{0, 1e-4})
 		report("lifetime LSTM (lr, wd)", res, err)
 	}

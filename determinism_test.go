@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/fidelity"
 	"repro/internal/mat/mattest"
 	"repro/internal/obs"
@@ -286,7 +287,7 @@ func TestDeterminismExperimentsSweep(t *testing.T) {
 
 	run := func(procs int) []byte {
 		defer par.SetProcs(par.SetProcs(procs))
-		naive, err := core.NewNaiveGenerator(full.Slice(trace.Window{Start: 0, End: testW.Start}, 0), survival.PaperBins())
+		naive, err := experiments.NewNaiveGenerator(full.Slice(trace.Window{Start: 0, End: testW.Start}, 0), survival.PaperBins())
 		if err != nil {
 			t.Fatalf("procs=%d: fit naive: %v", procs, err)
 		}

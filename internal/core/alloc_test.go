@@ -41,7 +41,7 @@ func tinyGenModels() (*FlavorModel, *LifetimeModel) {
 // step and one lifetime-hazard step must allocate nothing.
 func TestGenerationStepAllocFree(t *testing.T) {
 	fm, lm := tinyGenModels()
-	fs := fm.newFlavorState()
+	fs := newFlavorState(fm.Net, fm.K, fm.Temporal)
 	fs.probs(0, 0) // size the step scratch
 	fs.observe(1)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -69,13 +69,13 @@ func TestGenerationStepAllocFree(t *testing.T) {
 func TestPooledStateResetMatchesFresh(t *testing.T) {
 	fm, lm := tinyGenModels()
 
-	reused := fm.newFlavorState()
+	reused := newFlavorState(fm.Net, fm.K, fm.Temporal)
 	for i := 0; i < 7; i++ {
 		reused.probs(i%4, 0)
 		reused.observe(i % (fm.K + 1))
 	}
 	reused.reset()
-	fresh := fm.newFlavorState()
+	fresh := newFlavorState(fm.Net, fm.K, fm.Temporal)
 	for i := 0; i < 5; i++ {
 		got := reused.probs(i, 1)
 		want := fresh.probs(i, 1)
@@ -109,13 +109,13 @@ func TestPooledStateResetMatchesFresh(t *testing.T) {
 
 // TestTrainingWindowSteadyStateAllocs is the training-side twin of
 // nn's TestShardedRunWindowSteadyStateAllocs: every BPTT fit runs the
-// same window loop, so a steady-state GRU or hazard window allocates no
-// more than a flavor-LSTM window does (before the shared driver the GRU
-// loop built three fresh matrices per step of every window;
-// internal/experiments holds the PMF and joint fits to the same bound). Allocations per window are the extra mallocs
-// of one more epoch over the windows in it; two-step windows keep
-// every shape under the pack threshold (no pooled scratch) and make
-// the epoch's one fresh state a small fraction of a window's count.
+// same window loop, so a steady-state hazard window allocates no more
+// than a flavor-LSTM window does (internal/experiments holds the GRU,
+// PMF and joint fits to the same bound). Allocations per window are the
+// extra mallocs of one more epoch over the windows in it; two-step
+// windows keep every shape under the pack threshold (no pooled scratch)
+// and make the epoch's one fresh state a small fraction of a window's
+// count.
 func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
 	sc := synth.AzureLike()
@@ -139,7 +139,6 @@ func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 		n    int
 		fit  func(TrainConfig)
 	}{
-		{"flavor_gru", nTok, func(c TrainConfig) { TrainFlavorGRU(tr, c) }},
 		{"lifetime_hazard", nJobs, func(c TrainConfig) { TrainLifetime(tr, bins, c) }},
 	} {
 		// Counts are whole numbers per window; the half absorbs the

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/features"
 	"repro/internal/glm"
 	"repro/internal/mat"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -174,32 +172,4 @@ func (m *ArrivalModel) RateInto(scratch []float64, period, dohDay int) float64 {
 // per the model's sampler (§2.1.2).
 func (m *ArrivalModel) SampleCount(g *rng.RNG, period int) int {
 	return g.Poisson(m.Rate(period, m.DOH.Sample(g)))
-}
-
-// ArrivalCoverageOn computes the fraction of a held-out trace's
-// per-period counts covered by the model's 90% prediction interval
-// (sampling the DOH day per draw) — the §5.1 coverage metric, exposed
-// for development-set tuning.
-func ArrivalCoverageOn(m *ArrivalModel, held *trace.Trace, offset, samples int) float64 {
-	g := rng.New(12345)
-	var counts []int
-	if m.Kind == BatchArrivals {
-		counts = held.BatchCounts()
-	} else {
-		counts = held.ArrivalCounts()
-	}
-	sampled := make([][]float64, samples)
-	for s := range sampled {
-		row := make([]float64, len(counts))
-		for p := range counts {
-			row[p] = float64(m.SampleCount(g, offset+p))
-		}
-		sampled[s] = row
-	}
-	actual := make([]float64, len(counts))
-	for p, c := range counts {
-		actual[p] = float64(c)
-	}
-	iv := metrics.PredictionIntervals(sampled, 0.9)
-	return metrics.Coverage(actual, iv)
 }

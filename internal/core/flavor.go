@@ -26,8 +26,8 @@ type TrainConfig struct {
 	// epoch.
 	Progress func(epoch int, loss float64)
 	// Obs, if non-nil, receives a structured obs.EpochEvent after each
-	// epoch from every training loop given this config (the flavor
-	// LSTM and GRU, the lifetime hazard LSTM, and the ablation fits of
+	// epoch from every training loop given this config (the flavor and
+	// lifetime hazard LSTMs, and the ablation fits of
 	// internal/experiments; the arrival GLM carries the hook on
 	// ArrivalOptions) — the uniform telemetry hook (DESIGN.md §7).
 	// Strictly observational: enabling it cannot change trained weights
@@ -174,10 +174,6 @@ func newFlavorState(net nn.Recurrent, k int, temporal features.Temporal) *flavor
 		input:    make([]float64, flavorInputDim(k, temporal)),
 		out:      make([]float64, k+1),
 	}
-}
-
-func (m *FlavorModel) newFlavorState() *flavorState {
-	return newFlavorState(m.Net, m.K, m.Temporal)
 }
 
 // reset restores the fresh-state condition: zero recurrent state,

@@ -145,160 +145,3 @@ func WithCatalog(tr *trace.Trace, fs *trace.FlavorSet) *trace.Trace {
 	out.Flavors = fs
 	return &out
 }
-
-// NaiveGenerator is the traditional baseline (§6): independent VM
-// arrivals from a Poisson regression, i.i.d. flavors from the training
-// multinomial, i.i.d. lifetimes from the per-flavor Kaplan-Meier.
-type NaiveGenerator struct {
-	Arrival   *ArrivalModel // VM-level counts, no DOH by default
-	Flavors   *trace.FlavorSet
-	flavorW   *rng.Alias
-	lifetimes *PerFlavorKMLifetime
-	bins      survival.Bins
-	RateScale float64
-}
-
-// NewNaiveGenerator fits the Naive baseline on the training trace.
-func NewNaiveGenerator(tr *trace.Trace, bins survival.Bins) (*NaiveGenerator, error) {
-	arr, err := TrainArrival(tr, ArrivalOptions{Kind: VMArrivals, UseDOH: false})
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]float64, tr.Flavors.K())
-	for i := range counts {
-		counts[i] = 1e-9
-	}
-	for _, vm := range tr.VMs {
-		counts[vm.Flavor]++
-	}
-	return &NaiveGenerator{
-		Arrival:   arr,
-		Flavors:   tr.Flavors,
-		flavorW:   rng.NewAlias(counts),
-		lifetimes: NewPerFlavorKMLifetime(tr, bins),
-		bins:      bins,
-	}, nil
-}
-
-// Name implements Generator.
-func (n *NaiveGenerator) Name() string { return "Naive" }
-
-// Generate implements Generator: every VM is its own single-job batch
-// from a fresh user (full independence).
-func (n *NaiveGenerator) Generate(g *rng.RNG, w trace.Window) *trace.Trace {
-	scale := n.RateScale
-	if scale == 0 {
-		scale = 1
-	}
-	out := &trace.Trace{Flavors: n.Flavors, Periods: w.Periods()}
-	id := 0
-	for p := w.Start; p < w.End; p++ {
-		count := g.Poisson(n.Arrival.Rate(p, 0) * scale)
-		for v := 0; v < count; v++ {
-			fl := n.flavorW.Sample(g)
-			hz := n.lifetimes.Hazard(LifetimeStep{Flavor: fl}, 0)
-			dur := survival.SampleDuration(hz, n.bins, g, survival.CDI)
-			out.VMs = append(out.VMs, trace.VM{
-				ID: id, User: id, Flavor: fl, Start: p - w.Start, Duration: dur,
-			})
-			id++
-		}
-	}
-	return out
-}
-
-// SimpleBatchGenerator is the paper's non-RNN batch-aware baseline (§6):
-// batch arrivals from the proposed Poisson regression, batch sizes from
-// the empirical training distribution, one flavor and one lifetime
-// shared by the whole batch.
-type SimpleBatchGenerator struct {
-	Arrival   *ArrivalModel
-	Flavors   *trace.FlavorSet
-	sizes     *rng.Alias
-	sizeVals  []int
-	flavorW   *rng.Alias
-	lifetimes *PerFlavorKMLifetime
-	bins      survival.Bins
-	RateScale float64
-}
-
-// NewSimpleBatchGenerator fits the SimpleBatch baseline on the training
-// trace.
-func NewSimpleBatchGenerator(tr *trace.Trace, bins survival.Bins) (*SimpleBatchGenerator, error) {
-	arr, err := TrainArrival(tr, ArrivalOptions{
-		Kind:   BatchArrivals,
-		UseDOH: true,
-		DOH:    features.DOHSampler{Mode: features.DOHGeometric, GeomP: 1.0 / 7.0},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Empirical batch-size distribution (sorted for determinism).
-	sizeCounts := map[int]int{}
-	maxSize := 0
-	for _, batches := range tr.PeriodBatches() {
-		for _, b := range batches {
-			sizeCounts[len(b.Indices)]++
-			if len(b.Indices) > maxSize {
-				maxSize = len(b.Indices)
-			}
-		}
-	}
-	var vals []int
-	var weights []float64
-	for s := 1; s <= maxSize; s++ {
-		if c := sizeCounts[s]; c > 0 {
-			vals = append(vals, s)
-			weights = append(weights, float64(c))
-		}
-	}
-	if len(vals) == 0 {
-		vals, weights = []int{1}, []float64{1}
-	}
-	counts := make([]float64, tr.Flavors.K())
-	for i := range counts {
-		counts[i] = 1e-9
-	}
-	for _, vm := range tr.VMs {
-		counts[vm.Flavor]++
-	}
-	return &SimpleBatchGenerator{
-		Arrival:   arr,
-		Flavors:   tr.Flavors,
-		sizes:     rng.NewAlias(weights),
-		sizeVals:  vals,
-		flavorW:   rng.NewAlias(counts),
-		lifetimes: NewPerFlavorKMLifetime(tr, bins),
-		bins:      bins,
-	}, nil
-}
-
-// Name implements Generator.
-func (s *SimpleBatchGenerator) Name() string { return "SimpleBatch" }
-
-// Generate implements Generator.
-func (s *SimpleBatchGenerator) Generate(g *rng.RNG, w trace.Window) *trace.Trace {
-	scale := s.RateScale
-	if scale == 0 {
-		scale = 1
-	}
-	out := &trace.Trace{Flavors: s.Flavors, Periods: w.Periods()}
-	id, user := 0, 0
-	for p := w.Start; p < w.End; p++ {
-		nBatches := g.Poisson(s.Arrival.Rate(p, s.Arrival.DOH.Sample(g)) * scale)
-		for b := 0; b < nBatches; b++ {
-			size := s.sizeVals[s.sizes.Sample(g)]
-			fl := s.flavorW.Sample(g)
-			hz := s.lifetimes.Hazard(LifetimeStep{Flavor: fl}, 0)
-			dur := survival.SampleDuration(hz, s.bins, g, survival.CDI)
-			for v := 0; v < size; v++ {
-				out.VMs = append(out.VMs, trace.VM{
-					ID: id, User: user, Flavor: fl, Start: p - w.Start, Duration: dur,
-				})
-				id++
-			}
-			user++
-		}
-	}
-	return out
-}

@@ -24,13 +24,13 @@ import (
 const (
 	goldenFlavorLSTM   = "51459c67b829b12e17cd02f8d03f469eb137be3a7e4d3e0aaab092dce05d460c"
 	goldenLifetimeLSTM = "a63186789b14b63c858377400bc21ff257b3a144e33f94cf49a4ec91ea950a0e"
-	goldenFlavorGRU    = "0c966a95de4fcbdb147c9e372926a21a40e55f106289644dcd90ebfce02fd2a9"
 	// These hash MarshalBinary, a gob stream, and gob numbers types in
 	// the order a process first encodes them: the blobs hold still only
 	// while nn.Config is the first type the test binary encodes — true of
 	// a full run and of this test alone, not of every -run selection.
-	// The ablation fits' twins (internal/experiments, TestAblationGolden)
-	// hash the parameter bits themselves, which no test order can move.
+	// The GRU and ablation fits' twins (internal/experiments,
+	// TestAblationGolden) hash the parameter bits themselves, which no
+	// test order can move.
 )
 
 // snapshotBytes is a network's MarshalBinary blob.
@@ -66,9 +66,6 @@ func TestTrainedSnapshotGolden(t *testing.T) {
 		}},
 		{"lifetime_lstm", goldenLifetimeLSTM, func() []byte {
 			return snapshotBytes(t, core.TrainLifetime(history, survival.PaperBins(), tc).Net)
-		}},
-		{"flavor_gru", goldenFlavorGRU, func() []byte {
-			return snapshotBytes(t, core.TrainFlavorGRU(history, tc).Net)
 		}},
 	}
 	mattest.BothTiersUnraced(t, func(t *testing.T) {

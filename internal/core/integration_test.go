@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -111,65 +110,6 @@ func TestArrivalVMKindCountsMore(t *testing.T) {
 	}
 }
 
-// TestFlavorLSTMBeatsBaselines is the Table 2 shape check: on held-out
-// data the LSTM should achieve lower NLL than Multinomial and lower
-// 1-best error than RepeatFlav.
-func TestFlavorLSTMBeatsBaselines(t *testing.T) {
-	f := getFixture(t)
-	toks := FlavorTokens(f.test)
-	if len(toks) < 200 {
-		t.Fatalf("test stream too short: %d", len(toks))
-	}
-	offset := f.testW.Start
-	lstm := EvaluateFlavor(NewLSTMFlavorPredictor(f.model.Flavor), toks, offset)
-	multi := EvaluateFlavor(NewMultinomialFlavor(f.train), toks, offset)
-	uni := EvaluateFlavor(&UniformFlavor{K: f.train.Flavors.K()}, toks, offset)
-	repeat := EvaluateFlavor(NewRepeatFlavor(f.train), toks, offset)
-
-	if math.Abs(uni.NLL-math.Log(17)) > 1e-9 {
-		t.Errorf("uniform NLL = %v, want ln17", uni.NLL)
-	}
-	if !(lstm.NLL < multi.NLL) {
-		t.Errorf("LSTM NLL %v should beat multinomial %v", lstm.NLL, multi.NLL)
-	}
-	if !(multi.NLL < uni.NLL) {
-		t.Errorf("multinomial NLL %v should beat uniform %v", multi.NLL, uni.NLL)
-	}
-	if !(lstm.OneBestErr < multi.OneBestErr) {
-		t.Errorf("LSTM 1-best %v should beat multinomial %v", lstm.OneBestErr, multi.OneBestErr)
-	}
-	if !(repeat.OneBestErr < multi.OneBestErr) {
-		t.Errorf("RepeatFlav 1-best %v should beat multinomial %v", repeat.OneBestErr, multi.OneBestErr)
-	}
-}
-
-// TestLifetimeLSTMBeatsBaselines is the Table 3 shape check.
-func TestLifetimeLSTMBeatsBaselines(t *testing.T) {
-	f := getFixture(t)
-	steps := LifetimeSteps(f.test, f.bins)
-	offset := f.testW.Start
-	lstm := EvaluateLifetime(NewLSTMLifetimePredictor(f.model.Lifetime), steps, f.bins, offset)
-	km := EvaluateLifetime(NewKMLifetime(f.train, f.bins), steps, f.bins, offset)
-	coin := EvaluateLifetime(&CoinFlipLifetime{J: f.bins.J()}, steps, f.bins, offset)
-	repeat := EvaluateLifetime(NewRepeatLifetime(f.train, f.bins), steps, f.bins, offset)
-
-	if math.Abs(coin.BCE-math.Log(2)) > 1e-9 {
-		t.Errorf("coin flip BCE = %v, want ln2", coin.BCE)
-	}
-	if !(km.BCE < coin.BCE) {
-		t.Errorf("KM BCE %v should beat coin flip %v", km.BCE, coin.BCE)
-	}
-	if !(lstm.BCE < km.BCE) {
-		t.Errorf("LSTM BCE %v should beat KM %v", lstm.BCE, km.BCE)
-	}
-	if !(lstm.OneBestErr < km.OneBestErr) {
-		t.Errorf("LSTM 1-best %v should beat KM %v", lstm.OneBestErr, km.OneBestErr)
-	}
-	if !(repeat.OneBestErr < km.OneBestErr) {
-		t.Errorf("RepeatLifetime 1-best %v should beat KM %v", repeat.OneBestErr, km.OneBestErr)
-	}
-}
-
 func TestGenerateValidAndPlausible(t *testing.T) {
 	f := getFixture(t)
 	g := rng.New(7)
@@ -215,82 +155,6 @@ func TestGenerateRateScale(t *testing.T) {
 	ratio := float64(nScaled) / float64(nBase)
 	if ratio < 3 || ratio > 8 {
 		t.Fatalf("5x scale produced ratio %v (%d vs %d)", ratio, nScaled, nBase)
-	}
-}
-
-func TestNaiveGenerator(t *testing.T) {
-	f := getFixture(t)
-	naive, err := NewNaiveGenerator(f.train, f.bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := naive.Generate(rng.New(5), f.testW)
-	if err := gen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(gen.VMs) == 0 {
-		t.Fatal("no VMs")
-	}
-	// Naive VMs are singleton batches: every VM its own user.
-	for _, batches := range gen.PeriodBatches() {
-		for _, b := range batches {
-			if len(b.Indices) != 1 {
-				t.Fatal("naive batches must be singletons")
-			}
-		}
-	}
-	if naive.Name() != "Naive" {
-		t.Fatal("name")
-	}
-}
-
-func TestSimpleBatchGenerator(t *testing.T) {
-	f := getFixture(t)
-	sb, err := NewSimpleBatchGenerator(f.train, f.bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := sb.Generate(rng.New(5), f.testW)
-	if err := gen.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(gen.VMs) == 0 {
-		t.Fatal("no VMs")
-	}
-	// Every batch shares one flavor and one lifetime.
-	for _, batches := range gen.PeriodBatches() {
-		for _, b := range batches {
-			for _, idx := range b.Indices[1:] {
-				if gen.VMs[idx].Flavor != gen.VMs[b.Indices[0]].Flavor {
-					t.Fatal("SimpleBatch batch flavors must match")
-				}
-				if gen.VMs[idx].Duration != gen.VMs[b.Indices[0]].Duration {
-					t.Fatal("SimpleBatch batch lifetimes must match")
-				}
-			}
-		}
-	}
-}
-
-func TestTeacherForcedHazards(t *testing.T) {
-	f := getFixture(t)
-	steps := LifetimeSteps(f.test, f.bins)
-	if len(steps) > 50 {
-		steps = steps[:50]
-	}
-	hz := f.model.Lifetime.TeacherForcedHazards(steps, f.testW.Start)
-	if len(hz) != len(steps) {
-		t.Fatalf("got %d hazards", len(hz))
-	}
-	for i, h := range hz {
-		if len(h) != f.bins.J() {
-			t.Fatalf("hazard %d len %d", i, len(h))
-		}
-		for _, v := range h {
-			if v < 0 || v > 1 {
-				t.Fatalf("hazard out of range: %v", v)
-			}
-		}
 	}
 }
 

@@ -1,69 +1,10 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/survival"
 )
-
-func TestUniformFlavor(t *testing.T) {
-	u := &UniformFlavor{K: 16}
-	p := u.Probs(0)
-	if len(p) != 17 {
-		t.Fatalf("len %d", len(p))
-	}
-	if math.Abs(p[0]-1.0/17.0) > 1e-12 {
-		t.Fatalf("probs %v", p[0])
-	}
-	// Uniform NLL over 17 classes is ln 17 = 2.83 (Table 2, Azure).
-	ev := EvaluateFlavor(u, []FlavorToken{{0, 3}, {0, 16}}, 0)
-	if math.Abs(ev.NLL-math.Log(17)) > 1e-9 {
-		t.Fatalf("uniform NLL = %v, want ln17", ev.NLL)
-	}
-}
-
-func TestMultinomialFlavor(t *testing.T) {
-	tr := tinyTrace()
-	m := NewMultinomialFlavor(tr)
-	p := m.Probs(0)
-	var sum float64
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("probs sum %v", sum)
-	}
-	// Token counts: flavor0 x2, flavor1 x2, EOB x3 -> EOB is mode.
-	if m.Predict(0) != 2 {
-		t.Fatalf("mode = %d", m.Predict(0))
-	}
-}
-
-func TestRepeatFlavor(t *testing.T) {
-	tr := tinyTrace()
-	r := NewRepeatFlavor(tr)
-	if r.Probs(0) != nil {
-		t.Fatal("RepeatFlav must be non-probabilistic")
-	}
-	// At start (prev = EOB) it defaults to the most frequent flavor
-	// (flavors 0 and 1 tie at two VMs each; ties keep the lower index).
-	if r.Predict(0) != 0 {
-		t.Fatalf("default after EOB = %d, want most frequent flavor", r.Predict(0))
-	}
-	r.Observe(1)
-	if r.Predict(0) != 1 {
-		t.Fatal("should repeat previous flavor")
-	}
-	r.Observe(EOBToken(2))
-	if r.Predict(0) == EOBToken(2) {
-		t.Fatal("after EOB must not predict EOB")
-	}
-	r.Reset()
-	if r.Predict(0) != 0 {
-		t.Fatal("reset should restore EOB state")
-	}
-}
 
 // perfectFlavor is a test predictor that is told the answers.
 type perfectFlavor struct {
@@ -92,85 +33,30 @@ func TestEvaluateFlavorPerfect(t *testing.T) {
 }
 
 func TestEvaluateFlavorEmpty(t *testing.T) {
-	ev := EvaluateFlavor(&UniformFlavor{K: 2}, nil, 0)
+	ev := EvaluateFlavor(&perfectFlavor{k: 2}, nil, 0)
 	if ev.Steps != 0 || ev.NLL != 0 {
 		t.Fatalf("empty eval = %+v", ev)
 	}
 }
 
-func TestCoinFlipLifetime(t *testing.T) {
-	c := &CoinFlipLifetime{J: 4}
-	h := c.Hazard(LifetimeStep{}, 0)
-	for _, v := range h {
-		if v != 0.5 {
-			t.Fatalf("hazard %v", h)
-		}
-	}
-	// BCE of coin flip is ln 2 = 0.693 (Table 3).
-	steps := []LifetimeStep{{Bin: 2}}
-	ev := EvaluateLifetime(c, steps, survival.UniformBins(4, 4), 0)
-	if math.Abs(ev.BCE-math.Log(2)) > 1e-12 {
-		t.Fatalf("coin flip BCE = %v, want ln2", ev.BCE)
-	}
-}
+// coinFlip is a test predictor with a 50% hazard in each of j bins.
+type coinFlip struct{ j int }
 
-func TestKMLifetimePredictors(t *testing.T) {
-	tr := tinyTrace()
-	bins := survival.PaperBins()
-	km := NewKMLifetime(tr, bins)
-	h := km.Hazard(LifetimeStep{}, 0)
-	if len(h) != bins.J() {
-		t.Fatalf("hazard len %d", len(h))
+func (c coinFlip) Name() string { return "CoinFlip" }
+func (c coinFlip) Reset()       {}
+func (c coinFlip) Hazard(LifetimeStep, int) []float64 {
+	h := make([]float64, c.j)
+	for i := range h {
+		h[i] = 0.5
 	}
-	pf := NewPerFlavorKMLifetime(tr, bins)
-	h0 := pf.Hazard(LifetimeStep{Flavor: 0}, 0)
-	h1 := pf.Hazard(LifetimeStep{Flavor: 1}, 0)
-	// Flavor 0 VMs die in small bins, flavor 1 in very large bins: the
-	// per-flavor hazards must differ.
-	same := true
-	for i := range h0 {
-		if h0[i] != h1[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("per-flavor hazards identical")
-	}
-	// Unknown flavor falls back to pooled.
-	hu := pf.Hazard(LifetimeStep{Flavor: 99}, 0)
-	pooled := km.Hazard(LifetimeStep{}, 0)
-	for i := range hu {
-		if hu[i] != pooled[i] {
-			t.Fatal("unknown flavor should use pooled hazard")
-		}
-	}
+	return h
 }
-
-func TestRepeatLifetime(t *testing.T) {
-	tr := tinyTrace()
-	bins := survival.PaperBins()
-	r := NewRepeatLifetime(tr, bins)
-	if r.Hazard(LifetimeStep{}, 0) != nil {
-		t.Fatal("RepeatLifetime must be non-probabilistic")
-	}
-	kmBest := NewKMLifetime(tr, bins).best
-	if got := r.PredictBin(LifetimeStep{FirstInBatch: true}); got != kmBest {
-		t.Fatalf("first-in-batch predict = %d, want KM mode %d", got, kmBest)
-	}
-	r.Observe(LifetimeStep{Bin: 7})
-	if got := r.PredictBin(LifetimeStep{}); got != 7 {
-		t.Fatalf("repeat predict = %d", got)
-	}
-	// First job of a new batch defaults to KM even with history.
-	if got := r.PredictBin(LifetimeStep{FirstInBatch: true}); got != kmBest {
-		t.Fatalf("new-batch predict = %d", got)
-	}
-}
+func (c coinFlip) PredictBin(LifetimeStep) int { return 0 }
+func (c coinFlip) Observe(LifetimeStep)        {}
 
 func TestEvaluateLifetimeCensoredExcludedFromOneBest(t *testing.T) {
 	bins := survival.UniformBins(4, 4)
-	c := &CoinFlipLifetime{J: 4}
+	c := coinFlip{j: 4}
 	steps := []LifetimeStep{
 		{Bin: 0},                 // uncensored: coin-flip PMF mode is bin 0 -> correct
 		{Bin: 2, Censored: true}, // censored: must not count toward 1-best

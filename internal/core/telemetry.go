@@ -11,7 +11,6 @@ import (
 // consumers can compare runs across architectures (DESIGN.md §7).
 const (
 	ObsFlavorLSTM     = "flavor_lstm"
-	ObsFlavorGRU      = "flavor_gru"
 	ObsLifetimeHazard = "lifetime_hazard"
 	ObsArrivalGLM     = "arrival_glm"
 )

@@ -39,8 +39,8 @@ func (r *recorder) EpochDone(e obs.EpochEvent) {
 
 // TestAllTrainingLoopsEmitEpochEvents is the guarantee that no training
 // loop is silent: each of this package's fits routes per-epoch telemetry
-// through the shared obs hook (internal/experiments has the ablation
-// fits' twin).
+// through the shared obs hook (internal/experiments has the GRU and
+// ablation fits' twin).
 func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	tr := telemetryTrace()
 	rec := newRecorder()
@@ -51,7 +51,6 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	bins := survival.PaperBins()
 
 	TrainFlavor(tr, cfg)
-	TrainFlavorGRU(tr, cfg)
 	TrainLifetime(tr, bins, cfg)
 	if _, err := TrainArrival(tr, ArrivalOptions{Kind: BatchArrivals, Obs: rec}); err != nil {
 		t.Fatalf("arrival: %v", err)
@@ -59,7 +58,6 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 
 	wantEpochs := map[string]int{
 		ObsFlavorLSTM:     2,
-		ObsFlavorGRU:      2,
 		ObsLifetimeHazard: 2,
 		ObsArrivalGLM:     1,
 	}
@@ -86,7 +84,7 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	}
 	// The recurrent loops clip gradients, so the recorded norm and LR
 	// must be populated.
-	for _, model := range []string{ObsFlavorLSTM, ObsFlavorGRU, ObsLifetimeHazard} {
+	for _, model := range []string{ObsFlavorLSTM, ObsLifetimeHazard} {
 		for _, e := range rec.events[model] {
 			if e.GradNorm <= 0 {
 				t.Errorf("%s epoch %d: grad_norm = %v, want > 0", model, e.Epoch, e.GradNorm)

@@ -2,9 +2,14 @@
 // generative workload model (§2) — a Poisson-regression batch-arrival
 // model, an LSTM flavor-sequence model with end-of-batch tokens, and an
 // LSTM lifetime model parameterizing a censoring-aware discrete hazard —
-// together with the end-to-end trace generator (§2.4) and every baseline
-// the paper evaluates against (Naive, SimpleBatch, Uniform, Multinomial,
-// RepeatFlav, CoinFlip, Kaplan-Meier variants, RepeatLifetime).
+// together with its training (§4.2), the end-to-end trace generator and
+// the decode engines that serve it (§2.4), and the teacher-forced
+// evaluation its development-set selection scores with. The baselines
+// the paper measures it against (Naive, SimpleBatch, Uniform,
+// Multinomial, RepeatFlav, CoinFlip, Kaplan-Meier variants,
+// RepeatLifetime) and its ablation models live in internal/experiments,
+// which evaluates them through this package's FlavorPredictor and
+// LifetimePredictor interfaces.
 package core
 
 import (
@@ -43,7 +48,7 @@ func FlavorTokens(tr *trace.Trace) []FlavorToken {
 // with everything the hazard LSTM conditions on (§2.3.3). The sequence
 // contains only jobs (no EOB tokens); batch boundaries are conveyed by
 // the BatchSize feature and the FirstInBatch flag used by the
-// RepeatLifetime baseline.
+// RepeatLifetime baseline (internal/experiments).
 type LifetimeStep struct {
 	Period       int
 	Flavor       int

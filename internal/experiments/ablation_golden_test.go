@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -43,6 +44,33 @@ const (
 	goldenTransformerProbs = "5dc3be6e027da12db51fe00b9dd2b314b39e8f15ca65d61529594d048943057e"
 	goldenPMFHazard        = "c089de793c4898be1ceed1917309c176995fc0584cbb8baefe8838cb26406afa"
 	goldenJointCounts      = "388cd3793900d2203155153e7d4727dcfad8f64face35613ce88c7fd4e6621a5"
+
+	// Recorded, like the output hashes above, by running this file
+	// against internal/core's names on the last commit where the GRU fit,
+	// the baselines and the evaluation helpers lived there. There the GRU
+	// weights of the same fit also hashed, through MarshalBinary, to
+	// core's old goldenFlavorGRU (0c966a95…); these rows replace it. The
+	// GRU predictor's Probs are taken over the history's token stream,
+	// the Naive and SimpleBatch traces are the JSON of Generate over the
+	// history window for seeds 1 and 2, each baseline predictor's row is
+	// Probs (or Predict) over the token stream and Hazard (or
+	// PredictBin) over LifetimeSteps, the teacher-forced row is the
+	// hazard LSTM's hazards over LifetimeSteps, and the DOH row is
+	// DOHGeomGrid's (p, 1 - coverage) pairs on the history cut 3:1 into
+	// training and development windows.
+	goldenFlavorGRU   = "ca264ab989e99faaebc10604e86bfb4a78f2577306a431a402eeb29ee9591fa4"
+	goldenGRUProbs    = "86a6822befd9b8f40112ab0c53a6080d680e8c1f0287acfb0efc0f0520f4c258"
+	goldenNaive       = "d7dc9a9ecaf4577895dea12374a2bf8b45461601fd9edad7feb19b42e3b0a29a"
+	goldenSimpleBatch = "f3aa16f8765f96c186033bcbbe0a9798d67034b810f412a7272df6e318d55a08"
+	goldenUniform     = "a380a5ad728b0853178917336d6a618181ddef82a679eb584970563a22f4a8f0"
+	goldenMultinomial = "6e01af7233e325cba184f247d4d2b0b1177cdf45deac77426c206a1ecd7d6835"
+	goldenRepeatFlav  = "5e810c8d5973622e3a6bf19edb80544f490e8764b21dc87560468233289d29c0"
+	goldenCoinFlip    = "59573a77a7860a45f01198ef95b1ede5afe5ec3eaa46683899b54c10bf561fd6"
+	goldenOverallKM   = "64d5f60bd52e2fdd102d8c20dce67f8e16986e78b37a9b60a51d3b788924729d"
+	goldenPerFlavorKM = "2b7835d39972018b4dc8926cb31aa53e5741e3f97329e7adce9246cef608fde1"
+	goldenRepeatLife  = "46e013de17bbc2568f5e5ce3f2d2bad251b744d41ef170fa3891fd0c5dab21d8"
+	goldenTeacherHaz  = "67b703f2232b2a626f0a16f6c54cccc9653c972060e01f60c5cd51e1e2ab7914"
+	goldenDOHGrid     = "08ca55e80187eb39ce5189c98b8b045407d68f697ca0f1aa211c930934f21dc8"
 )
 
 // weightBytes is every parameter's name and float64 bits, in
@@ -68,10 +96,12 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestAblationGolden fits each ablation model on a 1-day "mixed"
-// history (hidden 8 × 2, 2 epochs, seed 7) and compares the sha256 of
-// its weights with the recorded constants at one worker and at eight,
-// and of its outputs at one, on both kernel tiers.
+// TestAblationGolden fits the GRU and each ablation model on a 1-day
+// "mixed" history (hidden 8 × 2, 2 epochs, seed 7) and compares the
+// sha256 of its weights with the recorded constants at one worker and
+// at eight, and of its outputs at one, on both kernel tiers; at one
+// worker it also pins the outputs of the baselines and the evaluation
+// helpers on the same history.
 func TestAblationGolden(t *testing.T) {
 	spec := workload.Preset("mixed")
 	spec.Days = 1
@@ -82,33 +112,27 @@ func TestAblationGolden(t *testing.T) {
 	history := cfg.Generate(20210521)
 	tc := core.TrainConfig{Hidden: 8, Layers: 2, Epochs: 2, Seed: 7}
 	bins := survival.PaperBins()
+	toks := core.FlavorTokens(history)
+	steps := core.LifetimeSteps(history, bins)
 	fits := []struct {
 		name, weights, outputs string
 		// fit trains the model and returns its parameters and a function
 		// computing its outputs.
 		fit func() ([]*nn.Param, func() []float64)
 	}{
+		{"flavor_gru", goldenFlavorGRU, goldenGRUProbs, func() ([]*nn.Param, func() []float64) {
+			m := trainFlavorGRU(history, tc)
+			return m.net.Params(), func() []float64 { return flavorOutputs(m.predictor(), toks) }
+		}},
 		{"flavor_transformer", goldenFlavorTransformer, goldenTransformerProbs, func() ([]*nn.Param, func() []float64) {
 			m := TrainFlavorTransformer(history, tc)
 			return m.Net.Params(), func() (out []float64) {
-				p := NewTransformerFlavorPredictor(m)
-				for _, tok := range core.FlavorTokens(history) {
-					out = append(out, p.Probs(tok.Period)...)
-					p.Observe(tok.Token)
-				}
-				return out
+				return flavorOutputs(NewTransformerFlavorPredictor(m), toks)
 			}
 		}},
 		{"lifetime_pmf", goldenLifetimePMF, goldenPMFHazard, func() ([]*nn.Param, func() []float64) {
 			m := TrainLifetimePMF(history, bins, tc)
-			return m.Net.Params(), func() (out []float64) {
-				p := NewPMFLifetimePredictor(m)
-				for _, s := range core.LifetimeSteps(history, bins) {
-					out = append(out, p.Hazard(s, s.Period)...)
-					p.Observe(s)
-				}
-				return out
-			}
+			return m.Net.Params(), func() []float64 { return lifetimeOutputs(NewPMFLifetimePredictor(m), steps) }
 		}},
 		{"joint_lstm", goldenJointLSTM, goldenJointCounts, func() ([]*nn.Param, func() []float64) {
 			m := TrainJoint(history, tc)
@@ -121,6 +145,54 @@ func TestAblationGolden(t *testing.T) {
 				}
 				return out
 			}
+		}},
+	}
+	window := trace.Window{Start: 0, End: history.Periods}
+	traces := func(g core.Generator, err error) []byte {
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, seed := range []int64{1, 2} {
+			if err := g.Generate(rng.New(seed), window).WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	flavors := func(p core.FlavorPredictor) []byte { return appendFloats(nil, flavorOutputs(p, toks)) }
+	lifetimes := func(p core.LifetimePredictor) []byte { return appendFloats(nil, lifetimeOutputs(p, steps)) }
+	outputs := []struct {
+		name, want string
+		out        func() []byte
+	}{
+		{"naive", goldenNaive, func() []byte { return traces(NewNaiveGenerator(history, bins)) }},
+		{"simple_batch", goldenSimpleBatch, func() []byte { return traces(newSimpleBatchGenerator(history, bins)) }},
+		{"uniform", goldenUniform, func() []byte { return flavors(&uniformFlavor{k: history.Flavors.K()}) }},
+		{"multinomial", goldenMultinomial, func() []byte { return flavors(newMultinomialFlavor(history)) }},
+		{"repeat_flavor", goldenRepeatFlav, func() []byte { return flavors(newRepeatFlavor(history)) }},
+		{"coin_flip", goldenCoinFlip, func() []byte { return lifetimes(&coinFlipLifetime{j: bins.J()}) }},
+		{"overall_km", goldenOverallKM, func() []byte { return lifetimes(newKMLifetime(history, bins)) }},
+		{"per_flavor_km", goldenPerFlavorKM, func() []byte { return lifetimes(newPerFlavorKMLifetime(history, bins)) }},
+		{"repeat_lifetime", goldenRepeatLife, func() []byte { return lifetimes(newRepeatLifetime(history, bins)) }},
+		{"teacher_forced", goldenTeacherHaz, func() (out []byte) {
+			for _, h := range teacherForcedHazards(core.TrainLifetime(history, bins, tc), steps, 0) {
+				out = appendFloats(out, h)
+			}
+			return out
+		}},
+		{"doh_grid", goldenDOHGrid, func() (out []byte) {
+			cut := history.Periods * 3 / 4
+			train := history.Slice(trace.Window{Start: 0, End: cut}, 0)
+			dev := history.Slice(trace.Window{Start: cut, End: history.Periods}, 0)
+			res, err := DOHGeomGrid(train, dev, cut, []float64{1.0 / 7, 0.9}, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				out = appendFloats(out, []float64{r.Params["p"], r.Score})
+			}
+			return out
 		}},
 	}
 	mattest.BothTiersUnraced(t, func(t *testing.T) {
@@ -138,7 +210,45 @@ func TestAblationGolden(t *testing.T) {
 					t.Errorf("%s: outputs sha256 %s, want %s", f.name, got, f.outputs)
 				}
 			}
+			if procs == 1 {
+				for _, o := range outputs {
+					if got := sha(o.out()); got != o.want {
+						t.Errorf("%s: outputs sha256 %s, want %s", o.name, got, o.want)
+					}
+				}
+			}
 			par.SetProcs(prev)
 		}
 	})
+}
+
+// flavorOutputs runs p teacher-forced over toks (offset 0) and returns
+// each step's Probs, or its Predict for a non-probabilistic predictor.
+func flavorOutputs(p core.FlavorPredictor, toks []core.FlavorToken) (out []float64) {
+	p.Reset()
+	for _, tok := range toks {
+		if probs := p.Probs(tok.Period); probs != nil {
+			out = append(out, probs...)
+		} else {
+			out = append(out, float64(p.Predict(tok.Period)))
+		}
+		p.Observe(tok.Token)
+	}
+	return out
+}
+
+// lifetimeOutputs runs p teacher-forced over steps (offset 0) and
+// returns each step's Hazard, or its PredictBin for a non-probabilistic
+// predictor.
+func lifetimeOutputs(p core.LifetimePredictor, steps []core.LifetimeStep) (out []float64) {
+	p.Reset()
+	for _, s := range steps {
+		if h := p.Hazard(s, s.Period); h != nil {
+			out = append(out, h...)
+		} else {
+			out = append(out, float64(p.PredictBin(s)))
+		}
+		p.Observe(s)
+	}
+	return out
 }

@@ -1,11 +1,18 @@
 package experiments
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/features"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/trace"
+)
 
 // Model names the ablation fits report in obs.EpochEvent, beside core's
 // (core.ObsFlavorLSTM and the rest); each fit's checkpoint files are
 // prefixed with its name, '_' written '-'.
 const (
+	ObsFlavorGRU         = "flavor_gru"
 	ObsFlavorTransformer = "flavor_transformer"
 	ObsLifetimePMF       = "lifetime_pmf"
 	ObsJointLSTM         = "joint_lstm"
@@ -30,7 +37,7 @@ func PMFvsHazard(c *Cloud) []HeadRow {
 	tc := c.Scale.Train
 	pmfModel := TrainLifetimePMF(c.Train, c.Bins, tc)
 	pmf := core.EvaluateLifetime(NewPMFLifetimePredictor(pmfModel), steps, c.Bins, offset)
-	km := core.EvaluateLifetime(core.NewKMLifetime(c.Train, c.Bins), steps, c.Bins, offset)
+	km := core.EvaluateLifetime(newKMLifetime(c.Train, c.Bins), steps, c.Bins, offset)
 	return []HeadRow{
 		{Head: "Overall KM", BCE: km.BCE, OneBestErr: km.OneBestErr},
 		{Head: "LSTM (hazard head)", BCE: hz.BCE, OneBestErr: hz.OneBestErr},
@@ -46,23 +53,23 @@ type ArchRow struct {
 	OneBestErr float64
 }
 
-// ArchitectureAblation compares the LSTM flavor model against a causal
-// Transformer trained on the same token stream (§7: "Transformers ...
-// could be used in place of the LSTMs"), with the training multinomial
-// as the floor.
+// ArchitectureAblation compares the LSTM flavor model against a GRU and
+// a causal Transformer trained on the same token stream (§7:
+// "Transformers ... could be used in place of the LSTMs"), with the
+// training multinomial as the floor.
 func ArchitectureAblation(c *Cloud) []ArchRow {
 	toks := core.FlavorTokens(c.Test)
 	offset := c.TestW.Start
 	var rows []ArchRow
 
-	multi := core.EvaluateFlavor(core.NewMultinomialFlavor(c.Train), toks, offset)
+	multi := core.EvaluateFlavor(newMultinomialFlavor(c.Train), toks, offset)
 	rows = append(rows, ArchRow{Arch: "Multinomial", NLL: multi.NLL, OneBestErr: multi.OneBestErr})
 
 	lstm := core.EvaluateFlavor(core.NewLSTMFlavorPredictor(c.Model().Flavor), toks, offset)
 	rows = append(rows, ArchRow{Arch: "LSTM", NLL: lstm.NLL, OneBestErr: lstm.OneBestErr})
 
-	gru := core.TrainFlavorGRU(c.Train, c.Scale.Train)
-	grue := core.EvaluateFlavor(core.NewGRUFlavorPredictor(gru), toks, offset)
+	gru := trainFlavorGRU(c.Train, c.Scale.Train)
+	grue := core.EvaluateFlavor(gru.predictor(), toks, offset)
 	rows = append(rows, ArchRow{Arch: "GRU", NLL: grue.NLL, OneBestErr: grue.OneBestErr})
 
 	// The Transformer keeps its own size and schedule, not the LSTM's.
@@ -70,4 +77,30 @@ func ArchitectureAblation(c *Cloud) []ArchRow {
 	tfe := core.EvaluateFlavor(NewTransformerFlavorPredictor(tf), toks, offset)
 	rows = append(rows, ArchRow{Arch: "Transformer", NLL: tfe.NLL, OneBestErr: tfe.OneBestErr})
 	return rows
+}
+
+// gruFlavorModel is the stage-2 model with a GRU instead of an LSTM —
+// the GRU arm of the §7 architecture ablation.
+type gruFlavorModel struct {
+	net      *nn.GRU
+	k        int
+	temporal features.Temporal
+}
+
+// trainFlavorGRU trains the GRU flavor model with the LSTM's recipe and
+// hyperparameters on the same token stream, from the weight-init stream
+// cfg.Seed + 40 (DESIGN.md §6.3.1).
+func trainFlavorGRU(tr *trace.Trace, cfg core.TrainConfig) *gruFlavorModel {
+	k := tr.Flavors.K()
+	m := &gruFlavorModel{k: k, temporal: features.Temporal{HistoryDays: core.HistoryDays(tr)}}
+	g := rng.New(cfg.Seed + 40)
+	task := core.NextTokenTask(core.FlavorTokens(tr), k+1, core.EOBToken(k), m.temporal)
+	m.net = nn.NewGRU(task.NetConfig(cfg), g)
+	task.RunBPTT(cfg, tr, ObsFlavorGRU, m.net, g)
+	return m
+}
+
+// predictor wraps m for teacher-forced evaluation.
+func (m *gruFlavorModel) predictor() core.FlavorPredictor {
+	return core.NewRecurrentFlavorPredictor("GRU", m.net, m.k, m.temporal)
 }

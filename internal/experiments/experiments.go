@@ -5,11 +5,16 @@
 // cmd/experiments renders in the paper's format and bench_test.go runs
 // as a benchmark.
 //
-// The models that exist only for the paper's design comparisons live
-// here rather than in internal/core, which serves: the causal
-// Transformer flavor model (§7), the softmax-PMF lifetime head (§2.3.1)
-// and the single-LSTM joint model with end-of-period tokens (§7). They
-// train through core's one driver (core.BPTTTask).
+// What the paper measures its model against lives here rather than in
+// internal/core, which fits and serves the model: the baseline
+// predictors of Tables 2 and 3 and the Naive and SimpleBatch generators
+// of §6 (baselines.go, generators.go), the §4.2 development-set grid
+// searches (tune.go), the classical forecasters of the §7 forecasting
+// contrast (forecastcmp.go), and the models that exist only for the
+// paper's design comparisons: the GRU flavor model and the causal
+// Transformer (§7), the softmax-PMF lifetime head (§2.3.1) and the
+// single-LSTM joint model with end-of-period tokens (§7). The fitted
+// comparators train through core's one driver (core.BPTTTask).
 package experiments
 
 import (
@@ -109,8 +114,8 @@ type Cloud struct {
 	Bins       survival.Bins
 	model      *core.Model
 	modelNoDOH *core.Model
-	naive      *core.NaiveGenerator
-	simple     *core.SimpleBatchGenerator
+	naive      core.Generator
+	simple     core.Generator
 }
 
 // NewCloud generates the ground-truth history and carves the windows.
@@ -198,9 +203,9 @@ func (c *Cloud) ModelNoDOH() *core.Model {
 }
 
 // Naive returns the fitted Naive baseline generator.
-func (c *Cloud) Naive() *core.NaiveGenerator {
+func (c *Cloud) Naive() core.Generator {
 	if c.naive == nil {
-		n, err := core.NewNaiveGenerator(c.Train, c.Bins)
+		n, err := NewNaiveGenerator(c.Train, c.Bins)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: naive %s: %v", c.ID, err))
 		}
@@ -210,9 +215,9 @@ func (c *Cloud) Naive() *core.NaiveGenerator {
 }
 
 // SimpleBatch returns the fitted SimpleBatch baseline generator.
-func (c *Cloud) SimpleBatch() *core.SimpleBatchGenerator {
+func (c *Cloud) SimpleBatch() core.Generator {
 	if c.simple == nil {
-		s, err := core.NewSimpleBatchGenerator(c.Train, c.Bins)
+		s, err := newSimpleBatchGenerator(c.Train, c.Bins)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: simplebatch %s: %v", c.ID, err))
 		}

@@ -307,7 +307,7 @@ func TestTenXScaling(t *testing.T) {
 func TestHuaweiUniformNLL(t *testing.T) {
 	c := huawei(t)
 	toks := core.FlavorTokens(c.Test)
-	ev := core.EvaluateFlavor(&core.UniformFlavor{K: c.Train.Flavors.K()}, toks, c.TestW.Start)
+	ev := core.EvaluateFlavor(&uniformFlavor{k: c.Train.Flavors.K()}, toks, c.TestW.Start)
 	if math.Abs(ev.NLL-math.Log(260)) > 1e-9 {
 		t.Fatalf("uniform NLL %v != ln260", ev.NLL)
 	}

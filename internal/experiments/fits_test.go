@@ -18,8 +18,8 @@ import (
 	"repro/internal/trace"
 )
 
-// The ablation fits' rows of internal/core's training-driver tests: they
-// run the same driver, so they make the same promises.
+// The GRU and ablation fits' rows of internal/core's training-driver
+// tests: they run the same driver, so they make the same promises.
 
 // fitTrace is a tiny 2-day Azure-like history, cut into a training
 // slice and a dev slice (as core's checkpoint tests cut it).
@@ -31,7 +31,7 @@ func fitTrace() (tr, dev *trace.Trace, devOffset int) {
 	return full.Slice(trace.Window{Start: 0, End: cut}, 0), full.Slice(trace.Window{Start: cut, End: full.Periods}, 0), cut
 }
 
-// ablationFit is one ablation model's fit on a trace, returning its
+// ablationFit is one comparator model's fit on a trace, returning its
 // network's snapshot.
 type ablationFit struct {
 	model string
@@ -47,6 +47,7 @@ func ablationFits(t *testing.T, tr *trace.Trace) []ablationFit {
 	}
 	bins := survival.PaperBins()
 	return []ablationFit{
+		{ObsFlavorGRU, func(c core.TrainConfig) []byte { return snap(trainFlavorGRU(tr, c).net.MarshalBinary()) }},
 		{ObsFlavorTransformer, func(c core.TrainConfig) []byte { return snap(TrainFlavorTransformer(tr, c).Net.MarshalBinary()) }},
 		{ObsLifetimePMF, func(c core.TrainConfig) []byte { return snap(TrainLifetimePMF(tr, bins, c).Net.MarshalBinary()) }},
 		{ObsJointLSTM, func(c core.TrainConfig) []byte { return snap(TrainJoint(tr, c).Net.MarshalBinary()) }},
@@ -85,7 +86,7 @@ func cutCheckpoints(t *testing.T, src string, maxSeq int) string {
 	return dst
 }
 
-// TestTrainLoopsResumeBitExact: for each ablation fit, enabling
+// TestTrainLoopsResumeBitExact: for each comparator fit, enabling
 // checkpointing does not perturb the trained weights, and a run killed
 // at any epoch boundary and resumed from disk reaches weights
 // byte-identical to the uninterrupted run.
@@ -134,7 +135,7 @@ func (r *recorder) EpochDone(e obs.EpochEvent) {
 	r.events[e.Model] = append(r.events[e.Model], e)
 }
 
-// TestAllTrainingLoopsEmitEpochEvents: no ablation fit is silent; each
+// TestAllTrainingLoopsEmitEpochEvents: no comparator fit is silent; each
 // routes per-epoch telemetry, learning rate and clipped gradient norm
 // included, through the shared obs hook.
 func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
@@ -163,11 +164,11 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	}
 }
 
-// TestTrainingWindowSteadyStateAllocs holds the PMF and joint fits to
-// internal/core's bound: they run the same window loop, so a
-// steady-state window of either allocates no more than a flavor-LSTM
-// window does. Allocations per window are the extra mallocs of one more
-// epoch over the windows in it.
+// TestTrainingWindowSteadyStateAllocs holds the GRU, PMF and joint fits
+// to internal/core's bound: they run the same window loop, so a
+// steady-state window of any of them allocates no more than a
+// flavor-LSTM window does. Allocations per window are the extra mallocs
+// of one more epoch over the windows in it.
 func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
 	sc := synth.AzureLike()
@@ -187,12 +188,14 @@ func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 		windows := (segLen + cfg.SeqLen - 1) / cfg.SeqLen
 		return (allocs(2) - allocs(1)) / float64(windows)
 	}
-	base := perWindow(len(core.FlavorTokens(tr)), func(c core.TrainConfig) { core.TrainFlavor(tr, c) })
+	nTok := len(core.FlavorTokens(tr))
+	base := perWindow(nTok, func(c core.TrainConfig) { core.TrainFlavor(tr, c) })
 	for _, f := range []struct {
 		name string
 		n    int
 		fit  func(core.TrainConfig)
 	}{
+		{ObsFlavorGRU, nTok, func(c core.TrainConfig) { trainFlavorGRU(tr, c) }},
 		{ObsLifetimePMF, len(core.LifetimeSteps(tr, bins)), func(c core.TrainConfig) { TrainLifetimePMF(tr, bins, c) }},
 		{ObsJointLSTM, len(jointTokens(tr)), func(c core.TrainConfig) { TrainJoint(tr, c) }},
 	} {

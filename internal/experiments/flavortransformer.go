@@ -126,14 +126,7 @@ func (p *TransformerFlavorPredictor) Probs(absPeriod int) []float64 {
 // Predict implements core.FlavorPredictor. As with the LSTM wrapper, use
 // Probs via core.EvaluateFlavor; Predict would advance the window twice.
 func (p *TransformerFlavorPredictor) Predict(absPeriod int) int {
-	probs := p.Probs(absPeriod)
-	best := 0
-	for i, v := range probs {
-		if v > probs[best] {
-			best = i
-		}
-	}
-	return best
+	return argmax(p.Probs(absPeriod))
 }
 
 // Observe implements core.FlavorPredictor.

@@ -111,7 +111,7 @@ func TestPMFLifetimeModelTrains(t *testing.T) {
 
 	steps := core.LifetimeSteps(test, bins)
 	pmf := core.EvaluateLifetime(NewPMFLifetimePredictor(m), steps, bins, testW.Start)
-	km := core.EvaluateLifetime(core.NewKMLifetime(train, bins), steps, bins, testW.Start)
+	km := core.EvaluateLifetime(newKMLifetime(train, bins), steps, bins, testW.Start)
 	if !(pmf.BCE < km.BCE) {
 		t.Errorf("PMF-head BCE %v should beat KM %v", pmf.BCE, km.BCE)
 	}

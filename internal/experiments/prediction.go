@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/survival"
+	"repro/internal/trace"
 )
 
 // ArrivalCoverage is the result of an arrival-forecast experiment
@@ -20,8 +23,37 @@ type ArrivalCoverage struct {
 	Coverage  float64
 }
 
-// arrivalCoverage samples counts per test period and computes 90%
-// interval coverage (§5.1: 500 samples per period).
+// sampleArrivals is the §5.1 coverage metric behind Figures 4–6 and the
+// DOH grid search: it draws, samples times from g, m's count for every
+// period of the held-out trace held (whose first period is absolute
+// period offset; the DOH day is sampled per draw), and returns the 90%
+// prediction intervals, held's counts of what m models (batches or VMs)
+// and their coverage.
+func sampleArrivals(m *core.ArrivalModel, held *trace.Trace, offset, samples int, g *rng.RNG) ([]metrics.Interval, []float64, float64) {
+	var counts []int
+	if m.Kind == core.BatchArrivals {
+		counts = held.BatchCounts()
+	} else {
+		counts = held.ArrivalCounts()
+	}
+	sampled := make([][]float64, samples)
+	for s := range sampled {
+		row := make([]float64, len(counts))
+		for p := range row {
+			row[p] = float64(m.SampleCount(g, offset+p))
+		}
+		sampled[s] = row
+	}
+	actual := make([]float64, len(counts))
+	for p, v := range counts {
+		actual[p] = float64(v)
+	}
+	iv := metrics.PredictionIntervals(sampled, 0.9)
+	return iv, actual, metrics.Coverage(actual, iv)
+}
+
+// arrivalCoverage fits the arrival model and covers the test window
+// (§5.1: 500 samples per period).
 func arrivalCoverage(c *Cloud, kind core.ArrivalKind, useDOH bool, mode features.DOHMode) ArrivalCoverage {
 	opt := core.ArrivalOptions{Kind: kind, UseDOH: useDOH,
 		DOH: features.DOHSampler{Mode: mode, GeomP: 1.0 / 7.0}}
@@ -29,33 +61,8 @@ func arrivalCoverage(c *Cloud, kind core.ArrivalKind, useDOH bool, mode features
 	if err != nil {
 		panic(err)
 	}
-	g := rng.New(c.Scale.Seed + 77)
-	periods := c.TestW.Periods()
-	samples := make([][]float64, c.Scale.Samples)
-	for s := range samples {
-		row := make([]float64, periods)
-		for p := 0; p < periods; p++ {
-			row[p] = float64(m.SampleCount(g, c.TestW.Start+p))
-		}
-		samples[s] = row
-	}
-	var counts []int
-	if kind == core.BatchArrivals {
-		counts = c.Test.BatchCounts()
-	} else {
-		counts = c.Test.ArrivalCounts()
-	}
-	actual := make([]float64, periods)
-	for p, v := range counts {
-		actual[p] = float64(v)
-	}
-	iv := metrics.PredictionIntervals(samples, 0.9)
-	res := ArrivalCoverage{
-		Cloud:     c.ID.String(),
-		Intervals: iv,
-		Actual:    actual,
-		Coverage:  metrics.Coverage(actual, iv),
-	}
+	res := ArrivalCoverage{Cloud: c.ID.String()}
+	res.Intervals, res.Actual, res.Coverage = sampleArrivals(m, c.Test, c.TestW.Start, c.Scale.Samples, rng.New(c.Scale.Seed+77))
 	if kind == core.BatchArrivals {
 		res.Kind = "batch"
 	} else {
@@ -105,9 +112,9 @@ type Table2Row struct {
 func Table2(c *Cloud) []Table2Row {
 	toks := core.FlavorTokens(c.Test)
 	preds := []core.FlavorPredictor{
-		&core.UniformFlavor{K: c.Train.Flavors.K()},
-		core.NewMultinomialFlavor(c.Train),
-		core.NewRepeatFlavor(c.Train),
+		&uniformFlavor{k: c.Train.Flavors.K()},
+		newMultinomialFlavor(c.Train),
+		newRepeatFlavor(c.Train),
 		core.NewLSTMFlavorPredictor(c.Model().Flavor),
 	}
 	rows := make([]Table2Row, 0, len(preds))
@@ -132,10 +139,10 @@ type Table3Row struct {
 func Table3(c *Cloud) []Table3Row {
 	steps := core.LifetimeSteps(c.Test, c.Bins)
 	preds := []core.LifetimePredictor{
-		&core.CoinFlipLifetime{J: c.Bins.J()},
-		core.NewKMLifetime(c.Train, c.Bins),
-		core.NewPerFlavorKMLifetime(c.Train, c.Bins),
-		core.NewRepeatLifetime(c.Train, c.Bins),
+		&coinFlipLifetime{j: c.Bins.J()},
+		newKMLifetime(c.Train, c.Bins),
+		newPerFlavorKMLifetime(c.Train, c.Bins),
+		newRepeatLifetime(c.Train, c.Bins),
 		core.NewLSTMLifetimePredictor(c.Model().Lifetime),
 	}
 	rows := make([]Table3Row, 0, len(preds))
@@ -171,14 +178,7 @@ func Table4(c *Cloud) []Table4Row {
 	// censored (the paper's Azure test window, at 5.7 days with 3.2%
 	// censoring, has the same property at its native scale).
 	extended := c.Full.Slice(c.TestW, 30*86400)
-	obs := make([]survival.Observation, len(extended.VMs))
-	for i, vm := range extended.VMs {
-		obs[i] = survival.Observation{Duration: vm.Duration, Censored: vm.Censored}
-	}
-	trainObs := make([]survival.Observation, len(c.Train.VMs))
-	for i, vm := range c.Train.VMs {
-		trainObs[i] = survival.Observation{Duration: vm.Duration, Censored: vm.Censored}
-	}
+	obs, trainObs := observations(extended), observations(c.Train)
 	var rows []Table4Row
 	addKM := func(bins survival.Bins, disc string, interp survival.Interpolation, iname string) {
 		// One curve conversion per table, not one per (subject, grid
@@ -205,7 +205,7 @@ func Table4(c *Cloud) []Table4Row {
 	// paper's ~3% censoring the model sees essentially true previous
 	// lifetimes, which the 1-day scaled window would otherwise hide.
 	steps := core.LifetimeSteps(extended, c.Bins)
-	hazards := c.Model().Lifetime.TeacherForcedHazards(steps, c.TestW.Start)
+	hazards := teacherForcedHazards(c.Model().Lifetime, steps, c.TestW.Start)
 	// Convert every subject's hazard to its survival curve exactly once
 	// (one slab, J floats per subject) instead of per grid time — this
 	// was ~19 GB of duplicate HazardToSurvival allocations per Table4
@@ -229,6 +229,21 @@ func Table4(c *Cloud) []Table4Row {
 	return rows
 }
 
+// teacherForcedHazards is the hazard LSTM's hazard for every step of a
+// test sequence whose first period is absolute period offset, under
+// teacher forcing — the per-job survival curves of the Table 4
+// Survival-MSE evaluation.
+func teacherForcedHazards(m *core.LifetimeModel, steps []core.LifetimeStep, offset int) [][]float64 {
+	p := core.NewLSTMLifetimePredictor(m)
+	out := make([][]float64, len(steps))
+	for i, step := range steps {
+		// Hazard reuses one buffer; clone to keep every step.
+		out[i] = slices.Clone(p.Hazard(step, offset+step.Period))
+		p.Observe(step)
+	}
+	return out
+}
+
 // CensoringRow is one row of the §5.3 censoring-handling ablation.
 type CensoringRow struct {
 	Variant string
@@ -239,10 +254,7 @@ type CensoringRow struct {
 // in §5.3: proper censoring-aware KM, discarding censored VMs, and
 // treating censoring times as terminations.
 func CensoringAblation(c *Cloud) []CensoringRow {
-	trainObs := make([]survival.Observation, len(c.Train.VMs))
-	for i, vm := range c.Train.VMs {
-		trainObs[i] = survival.Observation{Duration: vm.Duration, Censored: vm.Censored}
-	}
+	trainObs := observations(c.Train)
 	steps := core.LifetimeSteps(c.Test, c.Bins)
 	variants := []struct {
 		name string

@@ -199,29 +199,22 @@ func newFleet[T float32 | float64](w *stepWeights[T], capacity int, p *PackedLST
 	return f
 }
 
-// NewFleet returns an empty unpacked fleet with initial capacity for
-// the given number of streams.
-func (n *LSTM) NewFleet(capacity int) *Fleet[float64] {
-	return newFleet(n.stepWeights(), capacity, nil)
-}
-
-// NewFleetPacked is NewFleet stepping on panels p, which must have been
-// packed from this network; a nil p yields a plain unpacked fleet.
+// NewFleetPacked returns an empty fleet with initial capacity for the
+// given number of streams, stepping on panels p, which must have been
+// packed from this network; a nil p yields an unpacked fleet, the
+// reference the packed one is pinned against.
 func (n *LSTM) NewFleetPacked(capacity int, p *PackedLSTM[float64]) *Fleet[float64] {
 	return newFleet(n.stepWeights(), capacity, p)
 }
 
-// NewFleet32 and NewFleet32Packed are the same two constructors over
-// the converted f32 weights.
-func (n *LSTM32) NewFleet32(capacity int) *Fleet32 { return newFleet(n.w, capacity, nil) }
-
+// NewFleet32Packed is NewFleetPacked over the converted f32 weights.
 func (n *LSTM32) NewFleet32Packed(capacity int, p *PackedLSTM32) *Fleet32 {
 	return newFleet(n.w, capacity, p)
 }
 
 // Packed reports whether this fleet steps on panel-packed weights
-// (false on plain NewFleet fleets). Diagnostic only — packed and
-// unpacked fleets are byte-identical.
+// (false on a fleet built with nil panels). Diagnostic only — packed
+// and unpacked fleets are byte-identical.
 func (f *Fleet[T]) Packed() bool { return f.panels != nil }
 
 // alloc (re)creates the slabs at the given row capacity, preserving

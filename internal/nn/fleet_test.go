@@ -75,7 +75,7 @@ func stepForwardSolo(net *LSTM) func(x []float64) []float64 {
 }
 
 func fleet32Solo(net *LSTM) func(x []float64) []float64 {
-	f := net.Convert32().NewFleet32(1)
+	f := net.Convert32().NewFleet32Packed(1, nil)
 	f.Admit()
 	return func(x []float64) []float64 {
 		copy(f.InputRow(0), x)
@@ -84,9 +84,9 @@ func fleet32Solo(net *LSTM) func(x []float64) []float64 {
 }
 
 var fleetCells = []fleetCell{
-	{"f64/unpacked", func(net *LSTM, c int) StepFleet { return net.NewFleet(c) }, stepForwardSolo},
+	{"f64/unpacked", func(net *LSTM, c int) StepFleet { return net.NewFleetPacked(c, nil) }, stepForwardSolo},
 	{"f64/packed", func(net *LSTM, c int) StepFleet { return net.NewFleetPacked(c, net.Pack()) }, stepForwardSolo},
-	{"f32/unpacked", func(net *LSTM, c int) StepFleet { return net.Convert32().NewFleet32(c) }, fleet32Solo},
+	{"f32/unpacked", func(net *LSTM, c int) StepFleet { return net.Convert32().NewFleet32Packed(c, nil) }, fleet32Solo},
 	{"f32/packed", func(net *LSTM, c int) StepFleet {
 		n32 := net.Convert32()
 		return n32.NewFleet32Packed(c, n32.Pack())
@@ -418,8 +418,8 @@ func TestFleet32TracksF64(t *testing.T) {
 	for _, cfg := range fleetShapes {
 		net := NewLSTM(cfg, rng.New(7))
 		const streams = 4
-		f64fleet := net.NewFleet(streams)
-		f32fleet := net.Convert32().NewFleet32(streams)
+		f64fleet := net.NewFleetPacked(streams, nil)
+		f32fleet := net.Convert32().NewFleet32Packed(streams, nil)
 		batch := make([]int, streams)
 		for s := 0; s < streams; s++ {
 			batch[s] = f64fleet.Admit()
@@ -471,8 +471,8 @@ func checkSlabsAligned[T float32 | float64](t *testing.T, f *Fleet[T], capacity 
 func TestFleetSlabsCacheAligned(t *testing.T) {
 	net := fleetTestNet()
 	for _, capacity := range []int{1, 2, 3, 7, 8, 64} {
-		checkSlabsAligned(t, net.NewFleet(capacity), capacity)
-		checkSlabsAligned(t, net.Convert32().NewFleet32(capacity), capacity)
+		checkSlabsAligned(t, net.NewFleetPacked(capacity, nil), capacity)
+		checkSlabsAligned(t, net.Convert32().NewFleet32Packed(capacity, nil), capacity)
 	}
 }
 
@@ -499,7 +499,7 @@ func testFleetConcurrentShards(t *testing.T, net *LSTM) {
 	refs := make([][]*State, shards)
 	bad := make([]bool, shards)
 	for k := range fleets {
-		fleets[k] = net.NewFleet(streams)
+		fleets[k] = net.NewFleetPacked(streams, nil)
 		refs[k] = make([]*State, streams)
 		for s := 0; s < streams; s++ {
 			fleets[k].Admit()
@@ -575,7 +575,7 @@ func TestFleetSkipsNonFiniteWeightsLikeStepForward(t *testing.T) {
 // stream's state.
 func TestFleetAdmitZeroState(t *testing.T) {
 	net := fleetTestNet()
-	f := net.NewFleet(2)
+	f := net.NewFleetPacked(2, nil)
 	r0 := f.Admit()
 	in := make([]float64, net.Cfg.InputDim)
 	for step := 0; step < 3; step++ {

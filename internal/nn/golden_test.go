@@ -97,7 +97,7 @@ func TestFleet32LogitsGolden(t *testing.T) {
 	mattest.BothTiers(t, func(t *testing.T) {
 		for cfg, want := range goldenFleet32Logits {
 			net32 := NewLSTM(cfg, rng.New(7)).Convert32()
-			if got := fleetProtocolDigest(net32.NewFleet32(2)); got != want {
+			if got := fleetProtocolDigest(net32.NewFleet32Packed(2, nil)); got != want {
 				t.Errorf("%+v unpacked: logits sha256 %s, want %s", cfg, got, want)
 			}
 			if got := fleetProtocolDigest(net32.NewFleet32Packed(2, net32.Pack())); got != want {

@@ -133,11 +133,29 @@ func (j *Journal) CountInto(reg *Registry) {
 	}
 }
 
-// StartSpan starts a journal-only timer (see Registry.StartSpan for
-// the histogram-backed variant). Safe on a nil journal: the returned
-// span still measures wall time but emits nothing.
+// Span is a phase-level timer that emits a "span" journal event with
+// its wall time on End.
+type Span struct {
+	name  string
+	start time.Time
+	j     *Journal
+}
+
+// StartSpan starts a span. Safe on a nil journal: the returned span
+// still measures wall time but emits nothing.
 func (j *Journal) StartSpan(name string) *Span {
 	return &Span{name: name, start: time.Now(), j: j}
+}
+
+// End stops the span, emits its event, and returns the elapsed wall
+// time.
+func (s *Span) End() time.Duration {
+	d := time.Since(s.start)
+	s.j.Event("span", map[string]any{
+		"name":    s.name,
+		"wall_ms": float64(d.Microseconds()) / 1000,
+	})
+	return d
 }
 
 // Err returns the first write or marshal error, if any.

@@ -1,6 +1,6 @@
 // Package obs is the repository's instrumentation layer: atomic
-// counters and gauges, fixed-bucket histograms, span timers, and a
-// structured JSONL run journal (journal.go). It is stdlib-only and
+// counters and gauges, fixed-bucket histograms, and a structured JSONL
+// run journal with phase span timers (journal.go). It is stdlib-only and
 // deliberately read-only with respect to the rest of the system — no
 // obs call ever touches an RNG stream or model state, so enabling
 // instrumentation cannot change generated traces or trained weights
@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -119,9 +118,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Snapshot returns a consistent-enough copy for reporting (individual
 // fields are atomically read; cross-field skew of in-flight updates is
 // acceptable for monitoring).
@@ -157,14 +153,6 @@ type HistogramSnapshot struct {
 	P50    float64   `json:"p50"`
 	P90    float64   `json:"p90"`
 	P99    float64   `json:"p99"`
-}
-
-// Mean returns Sum/Count (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Quantile returns an approximate q-quantile (0 < q < 1) by linear
@@ -310,46 +298,4 @@ type Snapshot struct {
 	Gauges      map[string]int64             `json:"gauges,omitempty"`
 	FloatGauges map[string]float64           `json:"float_gauges,omitempty"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Span is a phase-level timer: started against a Registry (recording
-// into the histogram "span.<name>.seconds") and/or a Journal (emitting
-// a "span" event with the wall time on End). A Span with neither
-// backend is a plain stopwatch.
-type Span struct {
-	name  string
-	start time.Time
-	h     *Histogram
-	j     *Journal
-}
-
-// StartSpan starts a timer recording into this registry's
-// "span.<name>.seconds" histogram.
-func (r *Registry) StartSpan(name string) *Span {
-	return &Span{
-		name:  name,
-		start: time.Now(),
-		h:     r.Histogram("span."+name+".seconds", LatencyBuckets),
-	}
-}
-
-// WithJournal additionally emits a "span" journal event on End. A nil
-// journal is a no-op.
-func (s *Span) WithJournal(j *Journal) *Span {
-	s.j = j
-	return s
-}
-
-// End stops the span, records its backends, and returns the elapsed
-// wall time.
-func (s *Span) End() time.Duration {
-	d := time.Since(s.start)
-	if s.h != nil {
-		s.h.Observe(d.Seconds())
-	}
-	s.j.Event("span", map[string]any{
-		"name":    s.name,
-		"wall_ms": float64(d.Microseconds()) / 1000,
-	})
-	return d
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -13,19 +12,18 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
 // Trace record/replay (DESIGN.md §9): a versioned JSON format capturing
 // what a decode produced together with everything needed to reproduce
 // it — the seed, window, rate scale, engine/precision labels, and a
-// model tag binding the record to the weights that generated it. Replay
-// regenerates through a decode engine; the engine contract (bytes are a
-// function of (seed, window, scale) alone, whatever the batching or
-// shard count, and equal to the one-stream Model.Generate) makes the
-// replayed trace byte-identical to the recorded one, and Verify checks
-// exactly that, VM by VM.
+// model tag binding the record to the weights that generated it. A
+// replay is a decode engine's Generate at the record's seed, Window and
+// Scale; the engine contract (bytes are a function of (seed, window,
+// scale) alone, whatever the batching or shard count, and equal to the
+// one-stream Model.Generate) makes the replayed trace byte-identical to
+// the recorded one, and Verify checks exactly that, VM by VM.
 
 // RecordVersion is the current trace-record format version.
 const RecordVersion = 1
@@ -170,16 +168,6 @@ func ReadRecord(r io.Reader) (*Record, error) {
 	return rec, nil
 }
 
-// ReadRecordFile reads a record from path.
-func ReadRecordFile(path string) (*Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadRecord(f)
-}
-
 // Marshal serializes the record as a single JSON document.
 func (r *Record) Marshal() ([]byte, error) {
 	return json.Marshal(r)
@@ -217,14 +205,6 @@ func (r *Record) Trace() *trace.Trace {
 // Window returns the recorded generation window.
 func (r *Record) Window() trace.Window {
 	return trace.Window{Start: r.Start, End: r.Start + r.Periods}
-}
-
-// Replay regenerates the record through eng at the recorded seed,
-// window, and scale. With the model that produced the record (compare
-// ModelTag), the result is byte-identical to r however the engine is
-// sharded — the contract the replay tests pin.
-func Replay(ctx context.Context, eng core.GenEngine, r *Record) (*trace.Trace, error) {
-	return eng.Generate(ctx, rng.New(r.Seed), r.Window(), r.Scale)
 }
 
 // Verify checks that tr reproduces the record exactly: same VM count
@@ -278,7 +258,6 @@ func ModelTag(m *core.Model) string {
 type Recorder struct {
 	mu sync.Mutex
 	w  io.WriteCloser
-	n  int
 }
 
 // OpenRecorder creates (or truncates) a JSONL record sink at path.
@@ -300,21 +279,8 @@ func (rc *Recorder) Append(r *Record) error {
 	if rc.w == nil {
 		return nil
 	}
-	if _, err := r.WriteTo(rc.w); err != nil {
-		return err
-	}
-	rc.n++
-	return nil
-}
-
-// Count returns the number of records appended so far.
-func (rc *Recorder) Count() int {
-	if rc == nil {
-		return 0
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.n
+	_, err := r.WriteTo(rc.w)
+	return err
 }
 
 // Close flushes and closes the sink. Further Appends are no-ops.

@@ -126,9 +126,6 @@ func TestRecorderJSONL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rc.Count() != 3 {
-		t.Fatalf("count = %d", rc.Count())
-	}
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 	// The zero/nil Recorder is a no-op sink.
 	var nilRC *Recorder
-	if err := nilRC.Append(rec); err != nil || nilRC.Count() != 0 || nilRC.Close() != nil {
+	if err := nilRC.Append(rec); err != nil || nilRC.Close() != nil {
 		t.Fatal("nil Recorder should be inert")
 	}
 }

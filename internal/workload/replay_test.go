@@ -96,7 +96,7 @@ func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng := newEngine(t, m, shards)
 			defer eng.Close()
-			got, err := Replay(context.Background(), eng, rec2)
+			got, err := eng.Generate(context.Background(), rng.New(rec2.Seed), rec2.Window(), rec2.Scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestReplayWrongSeedDiverges(t *testing.T) {
 	}
 	rec := NewRecord("test", core.EngineBatched, "f64", ModelTag(m), 5, w, 0, tr)
 	rec.Seed = 6
-	got, err := Replay(context.Background(), eng, rec)
+	got, err := eng.Generate(context.Background(), rng.New(rec.Seed), rec.Window(), rec.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}

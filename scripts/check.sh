@@ -22,9 +22,11 @@
 #     and one -quick pair of scripts/pairs.sh against HEAD;
 #   - the line-count ratchet over internal/{core,nn,mat}
 #     (scripts/loc.sh fails when the tree outgrows its recorded ceiling),
-#     and the rule that the ablation models (the Transformer, the PMF
-#     lifetime head, the joint EOP model) stay out of internal/core and
-#     internal/nn;
+#     and the rule that the paper's comparators stay out of the serving
+#     packages: the ablation models (the Transformer, the PMF lifetime
+#     head, the joint EOP model) out of internal/core and internal/nn, the
+#     baselines, the GRU fit and the evaluation-only helpers out of
+#     internal/core;
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -101,12 +103,19 @@ if git rev-parse -q --verify HEAD >/dev/null 2>&1; then
 fi
 
 sh scripts/loc.sh
-# The ablation models live in internal/experiments (DESIGN.md §6.3.1):
-# no non-test file of the serving packages may declare one again.
+# The paper's comparators live in internal/experiments (DESIGN.md
+# §6.3.1): no non-test file of the serving packages may declare an
+# ablation model again, nor one of internal/core a baseline, the GRU fit
+# or an arrival-coverage or teacher-forcing evaluation helper.
 if grep -nE '^(type|func) .*([Tt]ransformer|TWindow|tCache|PMF|[Pp]mf|Joint|\bjoint)' \
 	$(find internal/core internal/nn -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
 	echo "check.sh: an ablation model is declared in internal/core or internal/nn" >&2
 	exit 1
 fi
+if grep -niE '^(type|func) .*(naive|simplebatch|(uniform|multinomial|repeat)flavor|coinflip|kmlifetime|repeatlifetime|gruflavor|flavorgru|arrivalcoverage|teacherforced)' \
+	$(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: a baseline, the GRU fit or an evaluation-only helper is declared in internal/core" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + ablation placement + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + deadcode OK"
