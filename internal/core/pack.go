@@ -10,10 +10,9 @@ import (
 // f32 conversion, each decode weight matrix is packed once into
 // cache-blocked panels; every decode fleet, at both precisions, then
 // runs its dense step GEMMs on panels. Packing is a bit-exact address
-// permutation (see mat.Packed), so packed and unpacked fleets emit
-// byte-identical traces; training and the teacher-forced predictors keep
-// the unpacked matrices, and the scalar StepForward is the reference the
-// packed fleets are pinned against.
+// permutation (see mat.Packed); training and the teacher-forced
+// predictors keep the row-major matrices, and the scalar StepForward is
+// the reference the f64 fleets are pinned against, logit for logit.
 
 // ModelPacked holds the panel-packed decode weights of the model's two
 // LSTMs at one element type: float64, or the f32 conversion's.

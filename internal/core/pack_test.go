@@ -13,7 +13,8 @@ import (
 )
 
 // TestPreparePackedCaching pins the publish-time cache contract: panels
-// are built once and shared, and the fleet engines step on them.
+// are built once and shared (every fleet steps on them; nn.NewFleetPacked
+// panics without).
 func TestPreparePackedCaching(t *testing.T) {
 	m := tinyGenModel()
 	p1 := m.PreparePacked()
@@ -26,17 +27,6 @@ func TestPreparePackedCaching(t *testing.T) {
 	p32 := m.PreparePackedF32()
 	if p32 == nil || m.PreparePackedF32() != p32 {
 		t.Fatal("PreparePackedF32 cache broken")
-	}
-
-	// Structural pin: the fleet engines really step on panels (both
-	// precisions).
-	fe := newFleetEngine(m, 1, PrecisionF64)
-	if !fe.ff.(*nn.Fleet[float64]).Packed() || !fe.lf.(*nn.Fleet[float64]).Packed() {
-		t.Fatal("f64 fleet engine is not stepping on packed panels")
-	}
-	fe32 := newFleetEngine(m, 1, PrecisionF32)
-	if !fe32.ff.(*nn.Fleet32).Packed() || !fe32.lf.(*nn.Fleet32).Packed() {
-		t.Fatal("f32 fleet engine is not stepping on packed panels")
 	}
 }
 

@@ -135,8 +135,7 @@ type F32Report struct {
 // (tokens sampled from the f64 distributions by a fixed-seed RNG), so
 // the comparison isolates numeric divergence from sampling divergence.
 // The four fleets come from newFleets, the constructor every engine
-// uses, so what is measured is the served kernels — panel-packed — not
-// an unpacked stand-in. steps <= 0 selects the calibration default.
+// uses, so what is measured is the served kernels. steps <= 0 selects the calibration default.
 func (m *Model) F32Divergence(steps int) F32Report {
 	if steps <= 0 {
 		steps = calibrationSteps

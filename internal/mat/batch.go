@@ -46,49 +46,30 @@ func SetPortable(on bool) bool {
 	return prev
 }
 
-// MulAddBatched computes dst += a * b, bit-identically to MulAdd: each
-// dst element accumulates its k terms in ascending order with a
-// separately rounded multiply and add, so blocking, vectorization, and
-// the fallback all produce the same bits. It stays on the calling
-// goroutine regardless of size — the batched decode scheduler owns its
-// own concurrency — and is tuned for the decode shapes (tens of rows,
-// gate panels a few hundred columns wide). At float32 the AVX2 kernel
-// runs eight lanes, twice the float64 width.
-func MulAddBatched[T float32 | float64](dst, a, b *Matrix[T]) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("mat: MulAddBatched shape mismatch")
-	}
-	gemmRaw(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
-}
-
 // lanes is the AVX2 register width in elements of T — 4 float64, 8
-// float32. The assembly GEMMs cover whole registers of columns, and the
-// packed panels are tiled in the same unit (panel.go).
+// float32. The assembly kernels cover whole registers of columns, and
+// the packed panels are tiled in the same unit (panel.go).
 func lanes[T float32 | float64]() int {
 	var z T
 	return 32 / int(unsafe.Sizeof(z))
 }
 
-// gemmRaw computes dst += a·b over raw row-major slices (m×kk, kk×n,
-// m×n), each element's k terms ascending: the AVX2 kernel of T where
-// enabled, the portable 4-column register tiles otherwise (row-major b
-// is one n-column tile to mulAddTile), and a scalar column tail — all
+// gemmRaw computes dst += a·b over raw row-major float64 slices (m×kk,
+// kk×n, m×n), each element's k terms ascending: gemmAVX2 where enabled,
+// the portable 4-column register tiles otherwise (row-major b is one
+// n-column tile to mulAddTile), and a scalar column tail — all
 // bit-identical to MulAdd's rounding sequence, because no path ever
-// splits or reorders one element's sum. The type switch lands on the
-// per-type assembly; everything else is one body.
-func gemmRaw[T float32 | float64](dst, a, b []T, m, kk, n int) {
+// splits or reorders one element's sum. It is the training GEMMs'
+// row-major kernel (MulAdd's small products, MulATB / MulABT); decode
+// steps on panels (MulAddPacked).
+func gemmRaw(dst, a, b []float64, m, kk, n int) {
 	if m == 0 || kk == 0 || n == 0 {
 		return
 	}
 	nv := n &^ 3 // columns [0, nv) run tiled, [nv, n) through the scalar tail
 	if useBatchASM {
-		if nv = n &^ (lanes[T]() - 1); nv > 0 {
-			switch d := any(dst).(type) {
-			case []float64:
-				gemmAVX2(&d[0], &any(a).([]float64)[0], &any(b).([]float64)[0], m, kk, n)
-			case []float32:
-				gemm32AVX2(&d[0], &any(a).([]float32)[0], &any(b).([]float32)[0], m, kk, n)
-			}
+		if nv > 0 {
+			gemmAVX2(&dst[0], &a[0], &b[0], m, kk, n)
 		}
 	} else {
 		mulAddTile(dst, a, b, m, kk, n, n)

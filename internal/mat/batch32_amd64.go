@@ -1,15 +1,5 @@
 package mat
 
-// gemm32AVX2 computes dst[i*n+j] += Σ_k a[i*k+k′]·b[k′*n+j] in float32
-// for all m rows and columns [0, n&^7), eight lanes per YMM register —
-// twice gemmAVX2's width — accumulating each element's k terms in
-// ascending order with separate VMULPS+VADDPS (no FMA, matching the
-// portable fallback's plain float32 expression). Columns n&^7..n-1 are
-// the caller's job. Implemented in batch32_amd64.s.
-//
-//go:noescape
-func gemm32AVX2(dst, a, b *float32, m, k, n int)
-
 // rowSum32AVX2 is rowSumAVX2 in float32: eight lanes, up to 96 dst
 // columns in registers, columns [0, n&^7). Implemented in
 // batch32_amd64.s.
@@ -31,18 +21,15 @@ func sigmoid32AVX2(dst, x *float32, n int)
 //go:noescape
 func tanh32AVX2(dst, x *float32, n int)
 
-// gemmPacked32AVX2 accumulates one 32-column packed panel tile into dst
-// for m activation rows: dst[i*n+j] += Σ_k a[i*k+k′]·p[k′*32+j], j in
-// [0, 32), with dst addressed at the tile's first column. Same
-// ascending-k separate-VMULPS+VADDPS schedule as gemm32AVX2, so results
-// are bit-identical; only the panel loads are contiguous. m and k must
-// be positive. Implemented in batch32_amd64.s.
+// gemmPacked32AVX2 is gemmPacked16AVX2 in float32: a group of tiles in
+// [1, 3] consecutive 32-column packed panel tiles, eight lanes per
+// register, separate VMULPS+VADDPS. Implemented in batch32_amd64.s.
 //
 //go:noescape
-func gemmPacked32AVX2(dst, a, p *float32, m, k, n int)
+func gemmPacked32AVX2(dst, a, p *float32, m, k, n, tiles int)
 
-// gemmPacked8AVX2 is the 8-column narrow-tile variant of
-// gemmPacked32AVX2. Implemented in batch32_amd64.s.
+// gemmPacked8AVX2 is gemmPacked32AVX2 over 8-column narrow tiles.
+// Implemented in batch32_amd64.s.
 //
 //go:noescape
-func gemmPacked8AVX2(dst, a, p *float32, m, k, n int)
+func gemmPacked8AVX2(dst, a, p *float32, m, k, n, tiles int)

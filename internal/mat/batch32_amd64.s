@@ -1,102 +1,10 @@
-// AVX2 float32 GEMM kernel for the f32 serving fast path (DESIGN.md
-// §6.4): an eight-lane transcription of the float64 gemmAVX2 schedule —
-// 32-column register tiles with an 8-column cleanup tile, k innermost
-// and ascending — with separate VMULPS+VADDPS, matching the portable
-// fallback's plain float32 multiply-then-add rounding. Verified
-// element-for-element against that fallback in mat32_test.go.
+// AVX2 float32 kernels for the f32 serving fast path (DESIGN.md §6.4):
+// the eight-lane gate activations, the packed-panel group kernels and
+// the layer-0 row sum. Each is verified element-for-element against its
+// portable float32 body (act32.go, panel.go, batch.go) in the mat
+// tests.
 
 #include "textflag.h"
-
-// func gemm32AVX2(dst, a, b *float32, m, k, n int)
-//
-// dst[i][j] += sum_k a[i][k]*b[k][j] over columns [0, n&^7), with
-// 32-column register tiles and an 8-column cleanup tile. The k loop is
-// innermost and ascending, and every product feeds a separate add.
-TEXT ·gemm32AVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ m+24(FP), CX
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-
-	TESTQ CX, CX
-	JLE   sgdone
-	TESTQ R9, R9
-	JLE   sgdone
-
-	MOVQ R10, R11 // R11 = (n &^ 7) * 4: 8-wide column limit, bytes
-	ANDQ $-8, R11
-	SHLQ $2, R11
-	MOVQ R10, R12 // R12 = (n &^ 31) * 4: 32-wide column limit, bytes
-	ANDQ $-32, R12
-	SHLQ $2, R12
-	SHLQ $2, R10  // R10 = n*4: dst/b row stride, bytes
-
-sgrowi:
-	XORQ BX, BX // j, bytes
-
-sgj32:
-	CMPQ BX, R12
-	JGE  sgj8
-	VMOVUPS (DI)(BX*1), Y0
-	VMOVUPS 32(DI)(BX*1), Y1
-	VMOVUPS 64(DI)(BX*1), Y2
-	VMOVUPS 96(DI)(BX*1), Y3
-	LEAQ    (DX)(BX*1), R13 // &b[0][j]
-	MOVQ    SI, AX          // &a[i][0]
-	MOVQ    R9, R8          // k countdown
-
-sgk32:
-	VBROADCASTSS (AX), Y4
-	VMULPS       (R13), Y4, Y5
-	VADDPS       Y5, Y0, Y0
-	VMULPS       32(R13), Y4, Y6
-	VADDPS       Y6, Y1, Y1
-	VMULPS       64(R13), Y4, Y7
-	VADDPS       Y7, Y2, Y2
-	VMULPS       96(R13), Y4, Y8
-	VADDPS       Y8, Y3, Y3
-	ADDQ         $4, AX
-	ADDQ         R10, R13
-	DECQ         R8
-	JNZ          sgk32
-	VMOVUPS      Y0, (DI)(BX*1)
-	VMOVUPS      Y1, 32(DI)(BX*1)
-	VMOVUPS      Y2, 64(DI)(BX*1)
-	VMOVUPS      Y3, 96(DI)(BX*1)
-	ADDQ         $128, BX
-	JMP          sgj32
-
-sgj8:
-	CMPQ BX, R11
-	JGE  sgrowiend
-	VMOVUPS (DI)(BX*1), Y0
-	LEAQ    (DX)(BX*1), R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
-
-sgk8:
-	VBROADCASTSS (AX), Y4
-	VMULPS       (R13), Y4, Y5
-	VADDPS       Y5, Y0, Y0
-	ADDQ         $4, AX
-	ADDQ         R10, R13
-	DECQ         R8
-	JNZ          sgk8
-	VMOVUPS      Y0, (DI)(BX*1)
-	ADDQ         $32, BX
-	JMP          sgj8
-
-sgrowiend:
-	ADDQ R10, DI        // next dst row
-	LEAQ (SI)(R9*4), SI // next a row
-	DECQ CX
-	JNZ  sgrowi
-
-sgdone:
-	VZEROUPPER
-	RET
 
 // Eight-lane f32 activation kernels for the decode fleet's gates
 // (act32.go holds the shared constant table ·exp32Consts and the
@@ -189,92 +97,209 @@ tanhloop:
 	VZEROUPPER
 	RET
 
-// Packed-panel f32 tile kernels (DESIGN.md §6.5): the eight-lane
-// counterparts of gemmPacked16AVX2/gemmPacked4AVX2. Each processes ONE
-// j-tile of a packed panel across all m activation rows with sequential
-// panel loads, matching mulAddTile's separate
+// Packed-panel f32 group kernels (DESIGN.md §6.5): the eight-lane
+// counterparts of gemmPacked16AVX2/gemmPacked4AVX2. Each sweeps a group
+// of one to three consecutive j-tiles of a packed panel across all m
+// activation rows with sequential panel loads, every tile's
+// accumulators in registers at once, matching mulAddTile's separate
 // multiply-then-add rounding.
 
-// func gemmPacked32AVX2(dst, a, p *float32, m, k, n int)
+// S32STEP is one k step of one 32-column tile: the panel row at P times
+// the broadcast a[i][kk] in Y12, into accumulators A0-A3; P advances
+// one 128-byte panel row.
+#define S32STEP(P, A0, A1, A2, A3) \
+	VMULPS (P), Y12, Y13   \
+	VADDPS Y13, A0, A0     \
+	VMULPS 32(P), Y12, Y14 \
+	VADDPS Y14, A1, A1     \
+	VMULPS 64(P), Y12, Y15 \
+	VADDPS Y15, A2, A2     \
+	VMULPS 96(P), Y12, Y13 \
+	VADDPS Y13, A3, A3     \
+	ADDQ   $128, P
+
+#define S32LOAD(off, A0, A1, A2, A3) \
+	VMOVUPS off(DI), A0    \
+	VMOVUPS off+32(DI), A1 \
+	VMOVUPS off+64(DI), A2 \
+	VMOVUPS off+96(DI), A3
+
+#define S32STORE(off, A0, A1, A2, A3) \
+	VMOVUPS A0, off(DI)    \
+	VMOVUPS A1, off+32(DI) \
+	VMOVUPS A2, off+64(DI) \
+	VMOVUPS A3, off+96(DI)
+
+// SROWSTART resets the per-row cursors: R13, R14 and R11 at the group's
+// first, second and third tile (R12 bytes apart), AX at &a[i][0], R8 =
+// the k countdown.
+#define SROWSTART \
+	MOVQ DX, R13          \
+	LEAQ (DX)(R12*1), R14 \
+	LEAQ (DX)(R12*2), R11 \
+	MOVQ SI, AX           \
+	MOVQ R9, R8
+
+// SROWEND steps to the next dst row (R10 bytes on) and a row (k*4
+// bytes on) and loops to label while rows remain.
+#define SROWEND(label) \
+	ADDQ R10, DI        \
+	LEAQ (SI)(R9*4), SI \
+	DECQ CX             \
+	JNZ  label
+
+// func gemmPacked32AVX2(dst, a, p *float32, m, k, n, tiles int)
 //
-// dst[i*n + j] += Σ_kk a[i*k + kk] * p[kk*32 + j] for i in [0, m),
-// j in [0, 32). dst row stride n*4 bytes; a rows contiguous (k*4
-// bytes); p is one k×32 panel tile (rows 128 bytes apart, sequential).
-TEXT ·gemmPacked32AVX2(SB), NOSPLIT, $0-48
+// dst[i*n + j] += Σ_kk a[i*k + kk] * p[t*k*32 + kk*32 + j%32], t = j/32,
+// for i in [0, m), j in [0, 32·tiles), tiles in [1, 3]. dst row stride
+// n*4 bytes; a rows contiguous (k*4 bytes); p is the group's tiles,
+// k×32 each, back to back. m and k must be positive.
+TEXT ·gemmPacked32AVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ p+16(FP), DX
 	MOVQ m+24(FP), CX
 	MOVQ k+32(FP), R9
 	MOVQ n+40(FP), R10
+	MOVQ tiles+48(FP), BX
 	SHLQ $2, R10 // dst row stride, bytes
+	MOVQ R9, R12
+	SHLQ $7, R12 // tile stride in the panel, k*128 bytes
+	CMPQ BX, $2
+	JLT  sp32t1
+	JEQ  sp32t2
 
-sp32row:
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	MOVQ    DX, R13 // panel cursor, reset per row
-	MOVQ    SI, AX  // &a[i][0]
-	MOVQ    R9, R8  // k countdown
+sp32t3:
+	S32LOAD(0, Y0, Y1, Y2, Y3)
+	S32LOAD(128, Y4, Y5, Y6, Y7)
+	S32LOAD(256, Y8, Y9, Y10, Y11)
+	SROWSTART
 
-sp32k:
-	VBROADCASTSS (AX), Y4
-	VMULPS       (R13), Y4, Y5
-	VADDPS       Y5, Y0, Y0
-	VMULPS       32(R13), Y4, Y6
-	VADDPS       Y6, Y1, Y1
-	VMULPS       64(R13), Y4, Y7
-	VADDPS       Y7, Y2, Y2
-	VMULPS       96(R13), Y4, Y8
-	VADDPS       Y8, Y3, Y3
+sp32k3:
+	VBROADCASTSS (AX), Y12
+	S32STEP(R13, Y0, Y1, Y2, Y3)
+	S32STEP(R14, Y4, Y5, Y6, Y7)
+	S32STEP(R11, Y8, Y9, Y10, Y11)
 	ADDQ         $4, AX
-	ADDQ         $128, R13
 	DECQ         R8
-	JNZ          sp32k
-	VMOVUPS      Y0, (DI)
-	VMOVUPS      Y1, 32(DI)
-	VMOVUPS      Y2, 64(DI)
-	VMOVUPS      Y3, 96(DI)
-	ADDQ         R10, DI        // next dst row
-	LEAQ         (SI)(R9*4), SI // next a row
-	DECQ         CX
-	JNZ          sp32row
+	JNZ          sp32k3
+	S32STORE(0, Y0, Y1, Y2, Y3)
+	S32STORE(128, Y4, Y5, Y6, Y7)
+	S32STORE(256, Y8, Y9, Y10, Y11)
+	SROWEND(sp32t3)
 	VZEROUPPER
 	RET
 
-// func gemmPacked8AVX2(dst, a, p *float32, m, k, n int)
+sp32t2:
+	S32LOAD(0, Y0, Y1, Y2, Y3)
+	S32LOAD(128, Y4, Y5, Y6, Y7)
+	SROWSTART
+
+sp32k2:
+	VBROADCASTSS (AX), Y12
+	S32STEP(R13, Y0, Y1, Y2, Y3)
+	S32STEP(R14, Y4, Y5, Y6, Y7)
+	ADDQ         $4, AX
+	DECQ         R8
+	JNZ          sp32k2
+	S32STORE(0, Y0, Y1, Y2, Y3)
+	S32STORE(128, Y4, Y5, Y6, Y7)
+	SROWEND(sp32t2)
+	VZEROUPPER
+	RET
+
+sp32t1:
+	S32LOAD(0, Y0, Y1, Y2, Y3)
+	SROWSTART
+
+sp32k1:
+	VBROADCASTSS (AX), Y12
+	S32STEP(R13, Y0, Y1, Y2, Y3)
+	ADDQ         $4, AX
+	DECQ         R8
+	JNZ          sp32k1
+	S32STORE(0, Y0, Y1, Y2, Y3)
+	SROWEND(sp32t1)
+	VZEROUPPER
+	RET
+
+// S8STEP is S32STEP for an 8-column tile: one accumulator, 32-byte
+// panel rows.
+#define S8STEP(P, A) \
+	VMULPS (P), Y12, Y13 \
+	VADDPS Y13, A, A     \
+	ADDQ   $32, P
+
+// func gemmPacked8AVX2(dst, a, p *float32, m, k, n, tiles int)
 //
-// The 8-column narrow-tile variant: one YMM accumulator, panel rows
-// 32 bytes apart.
-TEXT ·gemmPacked8AVX2(SB), NOSPLIT, $0-48
+// gemmPacked32AVX2 over a group of 8-column narrow tiles (k×8 each,
+// 32-byte panel rows), tiles in [1, 3].
+TEXT ·gemmPacked8AVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ p+16(FP), DX
 	MOVQ m+24(FP), CX
 	MOVQ k+32(FP), R9
 	MOVQ n+40(FP), R10
-	SHLQ $2, R10
+	MOVQ tiles+48(FP), BX
+	SHLQ $2, R10 // dst row stride, bytes
+	MOVQ R9, R12
+	SHLQ $5, R12 // tile stride in the panel, k*32 bytes
+	CMPQ BX, $2
+	JLT  sp8t1
+	JEQ  sp8t2
 
-sp8row:
+sp8t3:
 	VMOVUPS (DI), Y0
-	MOVQ    DX, R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	SROWSTART
 
-sp8k:
-	VBROADCASTSS (AX), Y4
-	VMULPS       (R13), Y4, Y5
-	VADDPS       Y5, Y0, Y0
+sp8k3:
+	VBROADCASTSS (AX), Y12
+	S8STEP(R13, Y0)
+	S8STEP(R14, Y1)
+	S8STEP(R11, Y2)
 	ADDQ         $4, AX
-	ADDQ         $32, R13
 	DECQ         R8
-	JNZ          sp8k
+	JNZ          sp8k3
 	VMOVUPS      Y0, (DI)
-	ADDQ         R10, DI
-	LEAQ         (SI)(R9*4), SI
-	DECQ         CX
-	JNZ          sp8row
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	SROWEND(sp8t3)
+	VZEROUPPER
+	RET
+
+sp8t2:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	SROWSTART
+
+sp8k2:
+	VBROADCASTSS (AX), Y12
+	S8STEP(R13, Y0)
+	S8STEP(R14, Y1)
+	ADDQ         $4, AX
+	DECQ         R8
+	JNZ          sp8k2
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	SROWEND(sp8t2)
+	VZEROUPPER
+	RET
+
+sp8t1:
+	VMOVUPS (DI), Y0
+	SROWSTART
+
+sp8k1:
+	VBROADCASTSS (AX), Y12
+	S8STEP(R13, Y0)
+	ADDQ         $4, AX
+	DECQ         R8
+	JNZ          sp8k1
+	VMOVUPS      Y0, (DI)
+	SROWEND(sp8t1)
 	VZEROUPPER
 	RET
 

@@ -63,18 +63,20 @@ func lstmCellAVX2(z, b, c, h *float64, m, hd int)
 //go:noescape
 func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int)
 
-// gemmPacked16AVX2 accumulates one 16-column packed panel tile into dst
-// for m activation rows: dst[i*n+j] += Σ_k a[i*k+k′]·p[k′*16+j], j in
-// [0, 16), with dst addressed at the tile's first column. Same
+// gemmPacked16AVX2 accumulates a group of tiles in [1, 3] consecutive
+// 16-column packed panel tiles into dst for m activation rows:
+// dst[i*n+j] += Σ_k a[i*k+k′]·p[t*k*16+k′*16+j%16], t = j/16, j in
+// [0, 16·tiles), with dst addressed at the group's first column. Same
 // ascending-k separate-VMULPD+VADDPD schedule as gemmAVX2, so results
-// are bit-identical; only the panel loads are contiguous. m and k must
-// be positive. Implemented in batch_amd64.s.
+// are bit-identical; only the panel loads are contiguous, and the
+// group's accumulators are all in registers at once. m and k must be
+// positive. Implemented in batch_amd64.s.
 //
 //go:noescape
-func gemmPacked16AVX2(dst, a, p *float64, m, k, n int)
+func gemmPacked16AVX2(dst, a, p *float64, m, k, n, tiles int)
 
-// gemmPacked4AVX2 is the 4-column narrow-tile variant of
-// gemmPacked16AVX2. Implemented in batch_amd64.s.
+// gemmPacked4AVX2 is gemmPacked16AVX2 over 4-column narrow tiles.
+// Implemented in batch_amd64.s.
 //
 //go:noescape
-func gemmPacked4AVX2(dst, a, p *float64, m, k, n int)
+func gemmPacked4AVX2(dst, a, p *float64, m, k, n, tiles int)

@@ -595,95 +595,216 @@ csigslow:
 	EXPSLOW
 	JMP csigstore
 
-// Packed-panel tile kernels (DESIGN.md §6.5). Each processes ONE
-// j-tile of a packed weight panel across all m activation rows, with
-// the panel's k rows loaded sequentially (the tile is k-major and
-// contiguous), so after the first activation row the whole tile serves
-// from L1. The accumulation schedule is gemmAVX2's — k innermost and
-// ascending, separate VMULPD+VADDPD per term — so packing cannot
-// change a single output bit.
+// Packed-panel group kernels (DESIGN.md §6.5). Each sweeps a group of
+// one to three consecutive j-tiles of a packed weight panel across all
+// m activation rows. The tiles of a group sit back to back in the panel
+// (k×16 or k×4 each, k-major) and their columns are adjacent in dst, so
+// one call holds all of the group's accumulators in registers at once:
+// at one activation row a 16-column tile alone is four dependent add
+// chains, and three tiles are twelve that overlap. The accumulation
+// schedule is gemmAVX2's — k innermost and ascending, separate
+// VMULPD+VADDPD per term — so neither packing nor grouping can change a
+// single output bit.
 
-// func gemmPacked16AVX2(dst, a, p *float64, m, k, n int)
+// P16STEP is one k step of one 16-column tile: the panel row at P times
+// the broadcast a[i][kk] in Y12, into accumulators A0-A3 (Y13-Y15 are
+// the product temporaries); P advances one 128-byte panel row.
+#define P16STEP(P, A0, A1, A2, A3) \
+	VMULPD (P), Y12, Y13   \
+	VADDPD Y13, A0, A0     \
+	VMULPD 32(P), Y12, Y14 \
+	VADDPD Y14, A1, A1     \
+	VMULPD 64(P), Y12, Y15 \
+	VADDPD Y15, A2, A2     \
+	VMULPD 96(P), Y12, Y13 \
+	VADDPD Y13, A3, A3     \
+	ADDQ   $128, P
+
+// P16LOAD and P16STORE move one 16-column tile's accumulators A0-A3
+// from and to the dst row at DI, off bytes in.
+#define P16LOAD(off, A0, A1, A2, A3) \
+	VMOVUPD off(DI), A0    \
+	VMOVUPD off+32(DI), A1 \
+	VMOVUPD off+64(DI), A2 \
+	VMOVUPD off+96(DI), A3
+
+#define P16STORE(off, A0, A1, A2, A3) \
+	VMOVUPD A0, off(DI)    \
+	VMOVUPD A1, off+32(DI) \
+	VMOVUPD A2, off+64(DI) \
+	VMOVUPD A3, off+96(DI)
+
+// PROWSTART resets the per-row cursors: R13, R14 and R11 at the group's
+// first, second and third tile (R12 bytes apart), AX at &a[i][0], R8 =
+// the k countdown.
+#define PROWSTART \
+	MOVQ DX, R13           \
+	LEAQ (DX)(R12*1), R14  \
+	LEAQ (DX)(R12*2), R11  \
+	MOVQ SI, AX            \
+	MOVQ R9, R8
+
+// PROWEND steps to the next dst row (R10 bytes on) and a row (k*8
+// bytes on) and loops to label while rows remain.
+#define PROWEND(label) \
+	ADDQ R10, DI          \
+	LEAQ (SI)(R9*8), SI   \
+	DECQ CX               \
+	JNZ  label
+
+// func gemmPacked16AVX2(dst, a, p *float64, m, k, n, tiles int)
 //
-// dst[i*n + j] += Σ_kk a[i*k + kk] * p[kk*16 + j] for i in [0, m),
-// j in [0, 16). dst is addressed at the tile's first column (row
-// stride n*8 bytes); a rows are contiguous (stride k*8 bytes); p is
-// one k×16 panel tile (rows 128 bytes apart, sequential).
-TEXT ·gemmPacked16AVX2(SB), NOSPLIT, $0-48
+// dst[i*n + j] += Σ_kk a[i*k + kk] * p[t*k*16 + kk*16 + j%16], t = j/16,
+// for i in [0, m), j in [0, 16·tiles), tiles in [1, 3]. dst is addressed
+// at the group's first column (row stride n*8 bytes); a rows are
+// contiguous (stride k*8 bytes); p is the group's tiles, k×16 each, back
+// to back. m and k must be positive.
+TEXT ·gemmPacked16AVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ p+16(FP), DX
 	MOVQ m+24(FP), CX
 	MOVQ k+32(FP), R9
 	MOVQ n+40(FP), R10
+	MOVQ tiles+48(FP), BX
 	SHLQ $3, R10 // dst row stride, bytes
+	MOVQ R9, R12
+	SHLQ $7, R12 // tile stride in the panel, k*128 bytes
+	CMPQ BX, $2
+	JLT  p16t1
+	JEQ  p16t2
 
-p16row:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	MOVQ    DX, R13 // panel cursor, reset per row
-	MOVQ    SI, AX  // &a[i][0]
-	MOVQ    R9, R8  // k countdown
+p16t3:
+	P16LOAD(0, Y0, Y1, Y2, Y3)
+	P16LOAD(128, Y4, Y5, Y6, Y7)
+	P16LOAD(256, Y8, Y9, Y10, Y11)
+	PROWSTART
 
-p16k:
-	VBROADCASTSD (AX), Y4
-	VMULPD       (R13), Y4, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       32(R13), Y4, Y6
-	VADDPD       Y6, Y1, Y1
-	VMULPD       64(R13), Y4, Y7
-	VADDPD       Y7, Y2, Y2
-	VMULPD       96(R13), Y4, Y8
-	VADDPD       Y8, Y3, Y3
+p16k3:
+	VBROADCASTSD (AX), Y12
+	P16STEP(R13, Y0, Y1, Y2, Y3)
+	P16STEP(R14, Y4, Y5, Y6, Y7)
+	P16STEP(R11, Y8, Y9, Y10, Y11)
 	ADDQ         $8, AX
-	ADDQ         $128, R13
 	DECQ         R8
-	JNZ          p16k
-	VMOVUPD      Y0, (DI)
-	VMOVUPD      Y1, 32(DI)
-	VMOVUPD      Y2, 64(DI)
-	VMOVUPD      Y3, 96(DI)
-	ADDQ         R10, DI        // next dst row
-	LEAQ         (SI)(R9*8), SI // next a row
-	DECQ         CX
-	JNZ          p16row
+	JNZ          p16k3
+	P16STORE(0, Y0, Y1, Y2, Y3)
+	P16STORE(128, Y4, Y5, Y6, Y7)
+	P16STORE(256, Y8, Y9, Y10, Y11)
+	PROWEND(p16t3)
 	VZEROUPPER
 	RET
 
-// func gemmPacked4AVX2(dst, a, p *float64, m, k, n int)
+p16t2:
+	P16LOAD(0, Y0, Y1, Y2, Y3)
+	P16LOAD(128, Y4, Y5, Y6, Y7)
+	PROWSTART
+
+p16k2:
+	VBROADCASTSD (AX), Y12
+	P16STEP(R13, Y0, Y1, Y2, Y3)
+	P16STEP(R14, Y4, Y5, Y6, Y7)
+	ADDQ         $8, AX
+	DECQ         R8
+	JNZ          p16k2
+	P16STORE(0, Y0, Y1, Y2, Y3)
+	P16STORE(128, Y4, Y5, Y6, Y7)
+	PROWEND(p16t2)
+	VZEROUPPER
+	RET
+
+p16t1:
+	P16LOAD(0, Y0, Y1, Y2, Y3)
+	PROWSTART
+
+p16k1:
+	VBROADCASTSD (AX), Y12
+	P16STEP(R13, Y0, Y1, Y2, Y3)
+	ADDQ         $8, AX
+	DECQ         R8
+	JNZ          p16k1
+	P16STORE(0, Y0, Y1, Y2, Y3)
+	PROWEND(p16t1)
+	VZEROUPPER
+	RET
+
+// P4STEP is P16STEP for a 4-column tile: one accumulator, 32-byte panel
+// rows.
+#define P4STEP(P, A) \
+	VMULPD (P), Y12, Y13 \
+	VADDPD Y13, A, A     \
+	ADDQ   $32, P
+
+// func gemmPacked4AVX2(dst, a, p *float64, m, k, n, tiles int)
 //
-// The 4-column narrow-tile variant of gemmPacked16AVX2: one YMM
-// accumulator, panel rows 32 bytes apart.
-TEXT ·gemmPacked4AVX2(SB), NOSPLIT, $0-48
+// gemmPacked16AVX2 over a group of 4-column narrow tiles (k×4 each,
+// 32-byte panel rows), tiles in [1, 3].
+TEXT ·gemmPacked4AVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ p+16(FP), DX
 	MOVQ m+24(FP), CX
 	MOVQ k+32(FP), R9
 	MOVQ n+40(FP), R10
+	MOVQ tiles+48(FP), BX
 	SHLQ $3, R10 // dst row stride, bytes
+	MOVQ R9, R12
+	SHLQ $5, R12 // tile stride in the panel, k*32 bytes
+	CMPQ BX, $2
+	JLT  p4t1
+	JEQ  p4t2
 
-p4row:
+p4t3:
 	VMOVUPD (DI), Y0
-	MOVQ    DX, R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	PROWSTART
 
-p4k:
-	VBROADCASTSD (AX), Y4
-	VMULPD       (R13), Y4, Y5
-	VADDPD       Y5, Y0, Y0
+p4k3:
+	VBROADCASTSD (AX), Y12
+	P4STEP(R13, Y0)
+	P4STEP(R14, Y1)
+	P4STEP(R11, Y2)
 	ADDQ         $8, AX
-	ADDQ         $32, R13
 	DECQ         R8
-	JNZ          p4k
+	JNZ          p4k3
 	VMOVUPD      Y0, (DI)
-	ADDQ         R10, DI
-	LEAQ         (SI)(R9*8), SI
-	DECQ         CX
-	JNZ          p4row
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	PROWEND(p4t3)
+	VZEROUPPER
+	RET
+
+p4t2:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	PROWSTART
+
+p4k2:
+	VBROADCASTSD (AX), Y12
+	P4STEP(R13, Y0)
+	P4STEP(R14, Y1)
+	ADDQ         $8, AX
+	DECQ         R8
+	JNZ          p4k2
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	PROWEND(p4t2)
+	VZEROUPPER
+	RET
+
+p4t1:
+	VMOVUPD (DI), Y0
+	PROWSTART
+
+p4k1:
+	VBROADCASTSD (AX), Y12
+	P4STEP(R13, Y0)
+	ADDQ         $8, AX
+	DECQ         R8
+	JNZ          p4k1
+	VMOVUPD      Y0, (DI)
+	PROWEND(p4t1)
 	VZEROUPPER
 	RET
 

@@ -3,10 +3,10 @@
 package mat
 
 // haveBatchASM reports whether assembly batched-decode kernels exist
-// for this architecture. Without them MulAddBatched, ExpSlice,
+// for this architecture. Without them the GEMMs, ExpSlice,
 // SigmoidSlice, TanhSlice and LSTMCell use the portable bodies in
-// batch.go, which are bit-identical (and the reference the assembly is
-// tested against).
+// batch.go and panel.go, which are bit-identical (and the reference the
+// assembly is tested against).
 func haveBatchASM() bool { return false }
 
 func gemmAVX2(dst, a, b *float64, m, k, n int) {
@@ -33,10 +33,10 @@ func lstmCellAVX2(z, b, c, h *float64, m, hd int) {
 	panic("mat: lstmCellAVX2 without assembly kernel")
 }
 
-func gemmPacked16AVX2(dst, a, p *float64, m, k, n int) {
+func gemmPacked16AVX2(dst, a, p *float64, m, k, n, tiles int) {
 	panic("mat: gemmPacked16AVX2 without assembly kernel")
 }
 
-func gemmPacked4AVX2(dst, a, p *float64, m, k, n int) {
+func gemmPacked4AVX2(dst, a, p *float64, m, k, n, tiles int) {
 	panic("mat: gemmPacked4AVX2 without assembly kernel")
 }

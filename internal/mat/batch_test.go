@@ -54,37 +54,6 @@ func TestPortableEnvEscapeHatch(t *testing.T) {
 	}
 }
 
-// TestMulAddBatchedBitExact checks MulAddBatched against the axpy-row
-// oracle (MulAdd, which the serial decode path uses, now shares the
-// batched kernel at small shapes and is pinned to the same oracle by
-// TestMulAddSmallShapesBitExact), over shapes that exercise the
-// 16-wide tiles, the 4-wide cleanup, and the scalar column tail.
-func TestMulAddBatchedBitExact(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		shapes := [][3]int{
-			{8, 24, 96}, {1, 24, 96}, {64, 24, 96}, // decode gate panels
-			{8, 24, 18}, {8, 24, 48}, // head shapes
-			{7, 23, 97}, {3, 5, 3}, {2, 1, 1}, // tails everywhere
-			{5, 31, 16}, {1, 1, 17}, {9, 2, 130},
-		}
-		for _, sh := range shapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := denseRand(m, k, 1)
-			b := denseRand(k, n, 2)
-			want := denseRand(m, n, 3)
-			got := want.Clone()
-			mulAddRows(want, a, b, 0, m)
-			MulAddBatched(got, a, b)
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%dx%dx%d: elem %d: got %x want %x",
-						m, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
-				}
-			}
-		}
-	})
-}
-
 // expCases returns inputs that exercise every branch of math.Exp: the
 // ordinary range, both sides of the overflow cutoff, the denormal
 // result band, underflow, and the non-finite specials.
@@ -421,7 +390,7 @@ func TestExpSliceAlias(t *testing.T) {
 	})
 }
 
-// TestBatchKernelsNoAlloc pins the batched kernels at zero allocations.
+// TestBatchKernelsNoAlloc pins the decode kernels at zero allocations.
 func TestBatchKernelsNoAlloc(t *testing.T) {
 	a := denseRand(8, 24, 1)
 	b := denseRand(24, 96, 2)
@@ -429,24 +398,13 @@ func TestBatchKernelsNoAlloc(t *testing.T) {
 	x := denseRand(1, 96, 3).Data
 	y := make([]float64, 96)
 	c, h := denseRand(8, 24, 4), NewDense(8, 24)
+	p := b.Pack()
 	if n := testing.AllocsPerRun(100, func() {
-		MulAddBatched(dst, a, b)
+		MulAddPacked(dst, a, p)
 		ExpSlice(y, x)
 		LSTMCell(dst, x, c, h)
 	}); n != 0 {
 		t.Fatalf("batched kernels allocated %v per run", n)
-	}
-}
-
-func BenchmarkMulAddBatchedDecodeShape(b *testing.B) {
-	a := denseRand(8, 24, 1)
-	bm := denseRand(24, 96, 2)
-	dst := NewDense(8, 96)
-	b.SetBytes(8 * int64(len(a.Data)+len(bm.Data)+len(dst.Data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddBatched(dst, a, bm)
 	}
 }
 

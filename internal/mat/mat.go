@@ -144,8 +144,8 @@ func MulAdd(dst, a, b *Dense) {
 		return
 	}
 	// Below it — the one-row recurrent products of a training shard and
-	// of StepForward (1×H · H×4H) — the product runs unpacked on the
-	// batched-decode kernel: B is read once per row either way, so there
+	// of StepForward (1×H · H×4H) — the product runs on the row-major
+	// kernel: B is read once per row either way, so there
 	// is nothing for a pack pass to amortise, and gemmRaw's register
 	// tiles (AVX2, or the portable 4-column tiles) beat a
 	// store-and-reload axpy sweep per k. packMinFlops is below
@@ -179,8 +179,8 @@ func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 }
 
 // MulAddSparseBatched is MulAddSparse on the calling goroutine at any
-// size, allocation-free — what MulAddBatched is to MulAdd, for the
-// decode fleets' layer 0.
+// size, allocation-free: the decode fleets' layer 0, whose scheduler
+// owns its own concurrency.
 func MulAddSparseBatched[T float32 | float64](dst, a, b *Matrix[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddSparseBatched shape mismatch %v * %v -> %v", a, b, dst))

@@ -23,10 +23,10 @@ func dense32Rand(r, c int, seed int64) *Dense32 {
 // sat beside it, so the test IDs stay comparable across commits.
 func noFMA(t *testing.T, f func(t *testing.T)) { t.Run("nofma", f) }
 
-// mulAddBatched32Ref is the naive triple loop: ascending k, one
+// mulAdd32Ref is the naive triple loop: ascending k, one
 // rounding per multiply and add. Both kernel paths must match it
 // bit-for-bit, which transitively makes asm and fallback identical.
-func mulAddBatched32Ref(dst, a, b *Dense32) {
+func mulAdd32Ref(dst, a, b *Dense32) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -39,40 +39,8 @@ func mulAddBatched32Ref(dst, a, b *Dense32) {
 	}
 }
 
-// TestMulAddBatched32BitExact checks float32 MulAddBatched against the naive
-// reference over shapes exercising the 32-wide tiles, the 8-wide
-// cleanup, and the scalar column tail — on both kernel paths.
-func TestMulAddBatched32BitExact(t *testing.T) {
-	noFMA(t, func(t *testing.T) {
-		withBatchASM(t, func(t *testing.T) {
-			shapes := [][3]int{
-				{8, 24, 96}, {1, 24, 96}, {64, 24, 96}, // decode gate panels
-				{8, 24, 18}, {8, 24, 48}, // head shapes
-				{7, 23, 97}, {3, 5, 3}, {2, 1, 1}, // tails everywhere
-				{5, 31, 40}, {1, 1, 17}, {9, 2, 130}, {4, 16, 33},
-			}
-			for _, sh := range shapes {
-				m, k, n := sh[0], sh[1], sh[2]
-				a := dense32Rand(m, k, 1)
-				b := dense32Rand(k, n, 2)
-				want := dense32Rand(m, n, 3)
-				got := NewDense32(m, n)
-				copy(got.Data, want.Data)
-				mulAddBatched32Ref(want, a, b)
-				MulAddBatched(got, a, b)
-				for i := range want.Data {
-					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("%dx%dx%d: elem %d: got %x want %x",
-							m, k, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
-					}
-				}
-			}
-		})
-	})
-}
-
 // TestMulAddSparse32Matches checks the zero-skipping kernel against
-// the float32 MulAddBatched reference on one-hot rows (where skipped terms are
+// the naive float32 reference on one-hot rows (where skipped terms are
 // exact zeros, the two are bit-identical).
 func TestMulAddSparse32Matches(t *testing.T) {
 	noFMA(t, func(t *testing.T) {
@@ -85,7 +53,7 @@ func TestMulAddSparse32Matches(t *testing.T) {
 		want := dense32Rand(9, 96, 3)
 		got := NewDense32(9, 96)
 		copy(got.Data, want.Data)
-		mulAddBatched32Ref(want, a, b)
+		mulAdd32Ref(want, a, b)
 		MulAddSparse(got, a, b)
 		for i := range want.Data {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -195,22 +163,11 @@ func TestBatchKernels32NoAlloc(t *testing.T) {
 	dst := NewDense32(8, 96)
 	x := dense32Rand(1, 96, 3).Data
 	y := make([]float32, 96)
+	p := b.Pack()
 	if n := testing.AllocsPerRun(100, func() {
-		MulAddBatched(dst, a, b)
+		MulAddPacked(dst, a, p)
 		SigmoidSlice32(y, x)
 	}); n != 0 {
 		t.Fatalf("f32 kernels allocated %v per run", n)
-	}
-}
-
-func BenchmarkMulAddBatched32DecodeShape(b *testing.B) {
-	a := dense32Rand(8, 24, 1)
-	bm := dense32Rand(24, 96, 2)
-	dst := NewDense32(8, 96)
-	b.SetBytes(4 * int64(len(a.Data)+len(bm.Data)+len(dst.Data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddBatched(dst, a, bm)
 	}
 }

@@ -9,30 +9,31 @@ import (
 
 // Publish-time packed weight panels (DESIGN.md §6.5). The decode hot
 // path multiplies small activation batches against the same immutable
-// weight matrices every round; MulAddBatched streams those matrices
-// row-major, so every k step loads B with an n-element stride and a
-// gate slab wider than L1 is re-fetched from L2 once per activation
-// row. Packed converts a weight matrix once — at snapshot publish —
+// weight matrices every round; a row-major sweep of those matrices
+// loads B with an n-element stride at every k step and re-fetches a
+// gate slab wider than L1 from L2 once per activation row. Packed
+// converts a weight matrix once — at snapshot publish —
 // into j-tile-major panels: the columns are split into register-width
 // tiles (16 then 4 float64 columns; 32 then 8 float32 columns; a
 // column-major tail below that), and each tile stores its k rows
-// contiguously. The packed kernels then sweep one tile across all
-// activation rows with sequential panel loads, so a tile (k×16 float64
-// = 8 KB at k=64) stays L1-resident for the whole row sweep instead of
-// the full matrix streaming from L2 per row.
+// contiguously. The packed kernels then sweep a group of one to three
+// adjacent tiles across all activation rows with sequential panel
+// loads, so the group (k×16 float64 = 8 KB a tile at k=64) stays
+// L1-resident for the whole row sweep instead of the full matrix
+// streaming from L2 per row.
 //
 // Bit-compatibility: the panel layout permutes only the ADDRESS of
 // each B element, never the accumulation order. Every packed kernel —
-// assembly and portable — accumulates each dst element's k terms in
-// ascending k with a separate multiply and add, exactly like
-// MulAddBatched. Packing therefore cannot change a single output bit,
-// which is what lets a packed fleet be pinned against an unpacked one
-// and against the scalar decode path.
+// assembly and portable, one tile or a group — accumulates each dst
+// element's k terms in ascending k with a separate multiply and add,
+// exactly like the scalar oracle mulAddRows. Packing therefore cannot
+// change a single output bit, which is what lets a packed fleet be
+// pinned against the scalar decode path (StepForward).
 //
 // One generic body serves both element types. What differs per type is
 // the tile width — four AVX2 registers wide, one register narrow, so
-// 16/4 float64 and 32/8 float32 columns (lanes) — and the assembly tile
-// kernels mulAddPackedRows calls for each.
+// 16/4 float64 and 32/8 float32 columns (lanes) — and the assembly
+// group kernels mulAddPackedRows calls for each.
 
 const cacheLineBytes = 64
 
@@ -112,10 +113,10 @@ func panelCopy[T float32 | float64](panel, rm []T, k, n int) {
 }
 
 // MulAddPacked computes dst += a * b against a packed panel,
-// bit-identically to MulAddBatched on the unpacked matrix: same
-// ascending-k accumulation per element, separate multiply and add.
-// Single-goroutine, like MulAddBatched — the decode scheduler owns its
-// own concurrency.
+// bit-identically to MulAdd on the row-major matrix: same ascending-k
+// accumulation per element, separate multiply and add. It stays on the
+// calling goroutine at any size — the decode scheduler owns its own
+// concurrency.
 func MulAddPacked[T float32 | float64](dst, a *Matrix[T], b *Packed[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddPacked shape mismatch %v * %v -> %v", a, b, dst))
@@ -127,8 +128,30 @@ func MulAddPacked[T float32 | float64](dst, a *Matrix[T], b *Packed[T]) {
 // frozen bench/ harness only.
 func MulAddPacked32(dst, a *Dense32, b *PackedDense32) { MulAddPacked(dst, a, b) }
 
-// mulAddPackedRows runs the packed kernel over dst rows [lo, hi), one
-// panel tile at a time across all of them.
+// groupL1Bytes bounds the panel one kernel call sweeps across more than
+// two activation rows: a group of tiles serves the second and later rows
+// from L1 only while its panel fits there beside the a and dst rows. A
+// 48-column group at k = 200 (77 KB) does not, and ran 17 % slower than
+// one tile a call at 64 rows.
+const groupL1Bytes = 32 << 10
+
+// groupTiles is how many consecutive tiles of tileBytes panel bytes each
+// one kernel call takes at m activation rows: three at m <= 2, where the
+// panel is read at most twice and residency buys nothing, otherwise as
+// many as fit in groupL1Bytes, from one to three.
+func groupTiles(m, tileBytes int) int {
+	if m <= 2 {
+		return 3
+	}
+	return max(1, min(3, groupL1Bytes/tileBytes))
+}
+
+// mulAddPackedRows runs the packed kernels over dst rows [lo, hi): the
+// wide tiles in groups of up to three per kernel call (groupTiles), the
+// narrow tiles (at most three) the same way, then the tail columns as
+// interleaved chains. A group holds all its tiles' accumulators at once,
+// so at one activation row a 96-column f64 gate matrix is two calls of
+// twelve independent add chains instead of six calls of four.
 func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, hi int) {
 	m := hi - lo
 	k, n := b.Rows, b.Cols
@@ -138,50 +161,98 @@ func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, 
 	ad := a.Data[lo*k : hi*k]
 	dd := dst.Data[lo*n : hi*n]
 	narrow := lanes[T]()
-	off, j0, w := 0, 0, 4*narrow
-	for ; j0+narrow <= n; j0 += w { // wide tiles while they fit, then narrow ones
-		if j0+w > n {
-			w = narrow
-		}
-		tile := b.data[off : off+k*w]
-		if !useBatchASM {
-			mulAddTile(dd[j0:], ad, tile, m, k, n, w)
-		} else {
-			// The assembly tile kernel of T and w, called directly: a
-			// helper, a func value or a type switch here costs a few
-			// nanoseconds per tile, which shows at one activation row.
-			// The size test is a constant in each instantiation, and it
-			// is what licenses the pointer casts.
-			dp, ap, tp := unsafe.Pointer(&dd[j0]), unsafe.Pointer(&ad[0]), unsafe.Pointer(&tile[0])
-			switch is64, wide := unsafe.Sizeof(dd[0]) == 8, w > narrow; {
-			case is64 && wide:
-				gemmPacked16AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
-			case is64:
-				gemmPacked4AVX2((*float64)(dp), (*float64)(ap), (*float64)(tp), m, k, n)
-			case wide:
-				gemmPacked32AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
-			default:
-				gemmPacked8AVX2((*float32)(dp), (*float32)(ap), (*float32)(tp), m, k, n)
+	off, j0 := 0, 0
+	for w := 4 * narrow; w >= narrow; w /= 4 { // wide tiles, then narrow ones
+		g := groupTiles(m, k*w*int(unsafe.Sizeof(dd[0])))
+		for tiles := (n - j0) / w; tiles > 0; {
+			t := min(g, tiles)
+			group := b.data[off : off+t*k*w]
+			if !useBatchASM {
+				for i := 0; i < t; i++ {
+					mulAddTile(dd[j0+i*w:], ad, group[i*k*w:(i+1)*k*w], m, k, n, w)
+				}
+			} else {
+				// The assembly group kernel of T and w, called directly: a
+				// helper, a func value or a type switch here costs a few
+				// nanoseconds per call, which shows at one activation row.
+				// The size test is a constant in each instantiation, and it
+				// is what licenses the pointer casts.
+				dp, ap, gp := unsafe.Pointer(&dd[j0]), unsafe.Pointer(&ad[0]), unsafe.Pointer(&group[0])
+				switch is64, wide := unsafe.Sizeof(dd[0]) == 8, w > narrow; {
+				case is64 && wide:
+					gemmPacked16AVX2((*float64)(dp), (*float64)(ap), (*float64)(gp), m, k, n, t)
+				case is64:
+					gemmPacked4AVX2((*float64)(dp), (*float64)(ap), (*float64)(gp), m, k, n, t)
+				case wide:
+					gemmPacked32AVX2((*float32)(dp), (*float32)(ap), (*float32)(gp), m, k, n, t)
+				default:
+					gemmPacked8AVX2((*float32)(dp), (*float32)(ap), (*float32)(gp), m, k, n, t)
+				}
 			}
+			j0 += t * w
+			off += t * k * w
+			tiles -= t
 		}
-		off += k * w
 	}
-	for j := j0; j < n; j++ {
-		col := b.data[off : off+k]
-		for i := 0; i < m; i++ {
-			arow := ad[i*k : i*k+k]
-			s := dd[i*n+j]
-			for kk, av := range arow {
-				s += av * col[kk]
-			}
-			dd[i*n+j] = s
-		}
-		off += k
+	if j0 < n {
+		mulAddTail(dd[j0:], ad, b.data[off:], m, k, n, n-j0)
 	}
 }
 
+// mulAddTail adds a panel's t tail columns (column-major, k elements
+// each, at cols) into dst columns [0, t) for m rows. At one row a
+// column's sum is a chain of k dependent adds, so three or four columns
+// go in one pass of four interleaved chains (dot4), which costs about
+// what one chain does; three columns run their last one twice and the
+// spare chain's sum, computed exactly like the real one, is stored
+// over it. One or two columns left run a chain each: a spare chain per
+// real one measured slower. Every sum is the tiles' ascending-k
+// separate multiply and add. The f64 tails of the decode heads (one
+// and three columns) are one pass each.
+func mulAddTail[T float32 | float64](dst, a, cols []T, m, k, n, t int) {
+	for c := 0; c < t; {
+		if t-c < 3 {
+			col := cols[c*k:][:k]
+			for i := 0; i < m; i++ {
+				s := dst[i*n+c]
+				for kk, av := range a[i*k:][:k] {
+					s += av * col[kk]
+				}
+				dst[i*n+c] = s
+			}
+			c++
+			continue
+		}
+		e := min(3, t-1-c) // the pass's last column, relative to c
+		c0, c1, c2, c3 := cols[c*k:][:k], cols[(c+1)*k:][:k], cols[(c+2)*k:][:k], cols[(c+e)*k:][:k]
+		for i := 0; i < m; i++ {
+			d := dst[i*n+c:][:e+1]
+			d[0], d[1], d[2], d[e] = dot4(a[i*k:][:k], c0, c1, c2, c3, d[0], d[1], d[2], d[e])
+		}
+		c += 4
+	}
+}
+
+// dot4 returns s_j + Σ a[kk]·c_j[kk] for four columns c_j (each at
+// least len(a) long), kk ascending, the four chains interleaved. It is
+// not inlined: on its own the loop keeps its index and all four sums in
+// registers, where inlined into mulAddTail the index spilled to the
+// stack and each step waited on a store and a reload.
+//
+//go:noinline
+func dot4[T float32 | float64](a, c0, c1, c2, c3 []T, s0, s1, s2, s3 T) (T, T, T, T) {
+	c0, c1, c2, c3 = c0[:len(a)], c1[:len(a)], c2[:len(a)], c3[:len(a)]
+	for kk, av := range a {
+		s0 += av * c0[kk]
+		s1 += av * c1[kk]
+		s2 += av * c2[kk]
+		s3 += av * c3[kk]
+	}
+	return s0, s1, s2, s3
+}
+
 // mulAddTile is the portable tile kernel, the one register-tiled loop
-// behind both the packed and the unpacked GEMM: columns [0, w&^3) of
+// behind both the packed and the row-major GEMM: columns [0, w&^3) of
 // one w-column block of B swept across m rows in 4-column register
 // groups, k innermost and ascending with separate multiply and add —
 // the rounding sequence the assembly kernels vectorize, so assembly

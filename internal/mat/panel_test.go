@@ -1,33 +1,46 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
-// panelShapes exercises every region of the panel layout: multiple
-// wide tiles, the narrow cleanup tiles, the scalar column tail, and
-// degenerate edges (single row/col, k=1, wide-only, tail-only). The
-// decode shapes (gates 4h=96/256, heads 18/48) are included verbatim.
-var panelShapes = [][3]int{
-	{8, 24, 96}, {1, 24, 96}, {64, 24, 96}, {64, 64, 256},
-	{8, 24, 18}, {8, 24, 48}, {64, 64, 64},
-	{7, 23, 97}, {3, 5, 3}, {2, 1, 1}, {5, 31, 16}, {1, 1, 17},
-	{9, 2, 130}, {4, 6, 35}, {6, 3, 7}, {2, 2, 39}, {3, 4, 40},
+// packedWidths are the output widths of the packed-walk pins, per
+// element type: every count of wide tiles in one kernel call (1–3, and
+// several calls), of narrow tiles (0–3) and every tail length, plus the
+// decode shapes (gates 4h = 96, the lifetime head 47, hidden 200's 800).
+var packedWidths = map[bool][]int{ // keyed by "is float32"
+	false: {1, 2, 3, 4, 8, 16, 17, 26, 32, 47, 48, 96, 99, 111, 800},
+	true:  {1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 33, 52, 64, 95, 96, 192, 199, 223, 1600},
 }
 
-// TestMulAddPackedBitExact pins the packed f64 kernel against
-// MulAddBatched on the unpacked matrix — the panel layout must not
-// change a single output bit, on the assembly and portable paths.
+// forPackedShapes calls f on every m × k × n the packed walk
+// distinguishes: one and two rows (always three tiles a call), three and
+// 64 (as many as stay L1-resident), k from 1 to 200 (where one wide tile
+// alone is 25 KB), and the widths above.
+func forPackedShapes(f32 bool, f func(m, k, n int)) {
+	for _, m := range []int{1, 2, 3, 64} {
+		for _, k := range []int{1, 24, 200} {
+			for _, n := range packedWidths[f32] {
+				f(m, k, n)
+			}
+		}
+	}
+}
+
+// TestMulAddPackedBitExact pins the packed f64 walk against the scalar
+// axpy-row oracle (mulAddRows) — neither the panel layout nor the tile
+// grouping may change a single output bit — on the assembly and portable
+// paths.
 func TestMulAddPackedBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
-		for _, sh := range panelShapes {
-			m, k, n := sh[0], sh[1], sh[2]
+		forPackedShapes(false, func(m, k, n int) {
 			a := denseRand(m, k, 1)
 			b := denseRand(k, n, 2)
 			want := denseRand(m, n, 3)
 			got := want.Clone()
-			MulAddBatched(want, a, b)
+			mulAddRows(want, a, b, 0, m)
 			MulAddPacked(got, a, b.Pack())
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
@@ -35,22 +48,22 @@ func TestMulAddPackedBitExact(t *testing.T) {
 						m, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 				}
 			}
-		}
+		})
 	})
 }
 
-// TestMulAddPacked32BitExact is the float32 pin.
+// TestMulAddPacked32BitExact is the float32 pin, against the naive
+// float32 loop.
 func TestMulAddPacked32BitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
 		noFMA(t, func(t *testing.T) {
-			for _, sh := range panelShapes {
-				m, k, n := sh[0], sh[1], sh[2]
+			forPackedShapes(true, func(m, k, n int) {
 				a := dense32Rand(m, k, 1)
 				b := dense32Rand(k, n, 2)
 				want := dense32Rand(m, n, 3)
 				got := NewDense32(m, n)
 				copy(got.Data, want.Data)
-				MulAddBatched(want, a, b)
+				mulAdd32Ref(want, a, b)
 				MulAddPacked32(got, a, b.Pack32())
 				for i := range want.Data {
 					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -58,7 +71,7 @@ func TestMulAddPacked32BitExact(t *testing.T) {
 							m, k, n, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
 					}
 				}
-			}
+			})
 		})
 	})
 }
@@ -119,16 +132,20 @@ func TestMulAddPackedDispatchBitExact(t *testing.T) {
 }
 
 // FuzzMulAddPacked feeds random shapes and data through the packed f64
-// kernel followed by a bias sweep — the fleet's head — and bit-compares
-// against the unpacked batched reference, both assembly and portable.
+// walk followed by a bias sweep — the fleet's head — and through the
+// f32 walk, bit-comparing against the scalar oracles (mulAddRows, the
+// naive f32 loop), both assembly and portable.
 func FuzzMulAddPacked(f *testing.F) {
-	f.Add(uint8(8), uint8(24), uint8(96), int64(1))
-	f.Add(uint8(64), uint8(64), uint8(255), int64(2))
-	f.Add(uint8(1), uint8(1), uint8(1), int64(3))
-	f.Add(uint8(7), uint8(23), uint8(97), int64(4))
-	f.Add(uint8(3), uint8(2), uint8(17), int64(5))
-	f.Fuzz(func(t *testing.T, mm, kk, nn uint8, seed int64) {
-		m, k, n := int(mm)%65, int(kk)%65, int(nn)%130
+	f.Add(uint8(8), uint16(24), uint16(96), int64(1))
+	f.Add(uint8(64), uint16(64), uint16(255), int64(2))
+	f.Add(uint8(1), uint16(1), uint16(1), int64(3))
+	f.Add(uint8(7), uint16(23), uint16(97), int64(4))
+	f.Add(uint8(3), uint16(2), uint16(17), int64(5))
+	f.Add(uint8(1), uint16(24), uint16(96), int64(6))
+	f.Add(uint8(2), uint16(24), uint16(47), int64(7))
+	f.Add(uint8(1), uint16(200), uint16(800), int64(8))
+	f.Fuzz(func(t *testing.T, mm uint8, kk, nn uint16, seed int64) {
+		m, k, n := int(mm)%65, int(kk)%257, int(nn)%1025
 		if m == 0 || k == 0 || n == 0 {
 			return
 		}
@@ -137,10 +154,14 @@ func FuzzMulAddPacked(f *testing.F) {
 		base := denseRand(m, n, seed+2)
 		bias := denseRand(1, n, seed+3).Data
 		p := b.Pack()
-
 		want := base.Clone()
-		MulAddBatched(want, a, b)
+		mulAddRows(want, a, b, 0, m)
 		AddBiasRows(want, bias)
+
+		a32, b32, base32 := a.Dense32(), b.Dense32(), base.Dense32()
+		p32 := b32.Pack()
+		want32 := base32.Clone()
+		mulAdd32Ref(want32, a32, b32)
 
 		withBatchASM(t, func(t *testing.T) {
 			got := base.Clone()
@@ -152,6 +173,38 @@ func FuzzMulAddPacked(f *testing.F) {
 						m, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 				}
 			}
+			got32 := base32.Clone()
+			MulAddPacked(got32, a32, p32)
+			for i := range want32.Data {
+				if math.Float32bits(got32.Data[i]) != math.Float32bits(want32.Data[i]) {
+					t.Fatalf("f32 %dx%dx%d: elem %d: got %x want %x",
+						m, k, n, i, math.Float32bits(got32.Data[i]), math.Float32bits(want32.Data[i]))
+				}
+			}
 		})
 	})
+}
+
+// BenchmarkMulAddPackedDecode times one packed GEMM at the decode shapes:
+// the hidden-24 gate matrix (k 24, n 96), the lifetime head (24 × 47,
+// every group count of the walk in one matrix) and the hidden-200 gate
+// matrix (200 × 800), at one, two and 64 activation rows.
+func BenchmarkMulAddPackedDecode(b *testing.B) {
+	for _, sh := range [][2]int{{24, 96}, {24, 47}, {200, 800}} {
+		k, n := sh[0], sh[1]
+		for _, m := range []int{1, 2, 64} {
+			b.Run(fmt.Sprintf("f64/%dx%dx%d", m, k, n), func(b *testing.B) {
+				a, p, dst := denseRand(m, k, 1), denseRand(k, n, 2).Pack(), NewDense(m, n)
+				for i := 0; i < b.N; i++ {
+					MulAddPacked(dst, a, p)
+				}
+			})
+			b.Run(fmt.Sprintf("f32/%dx%dx%d", m, k, n), func(b *testing.B) {
+				a, p, dst := dense32Rand(m, k, 1), dense32Rand(k, n, 2).Pack(), NewDense32(m, n)
+				for i := 0; i < b.N; i++ {
+					MulAddPacked(dst, a, p)
+				}
+			})
+		}
+	}
 }

@@ -121,7 +121,7 @@ func sameBits[T float32 | float64](x, y T) bool {
 // testMulAddSparseParity pins the row-sum kernel, at element type T and
 // on whichever kernel tier is enabled, to the scalar ascending-k oracle
 // and — the data being finite and dst free of -0 — to the dense
-// MulAddBatched: over output widths covering the widest register block,
+// product (MulAddPacked): over output widths covering the widest register block,
 // both narrower ones and the scalar tail at either type, and input
 // widths on both sides of the sparseChunk boundary. MulAddSparse runs
 // row-parallel at most of these sizes and MulAddSparseBatched never, so
@@ -134,7 +134,7 @@ func testMulAddSparseParity[T float32 | float64](t *testing.T) {
 			base := randMatrix[T](a.Rows, n, 3)
 			want, dense := base.Clone(), base.Clone()
 			mulAddSparseRef(want, a, b)
-			MulAddBatched(dense, a, b)
+			MulAddPacked(dense, a, b.Pack())
 			for name, kernel := range map[string]func(dst, a, b *Matrix[T]){
 				"MulAddSparse": MulAddSparse[T], "MulAddSparseBatched": MulAddSparseBatched[T],
 			} {

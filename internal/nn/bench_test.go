@@ -114,9 +114,7 @@ func BenchmarkGRUStep(b *testing.B) {
 // and the lifetime LSTM (fleetLifetimeShape: 151-wide, 53–61 non-zero),
 // then the lifetime LSTM at the paper's hidden 200, the size at which
 // the packed panels are measured to win. Rows 1 and 64 bracket the
-// engine's batch widths; ns/op is one Step. Every fleet cell runs, so
-// the unpacked ÷ packed ratio ROADMAP's packing verdict rests on reads
-// off adjacent rows.
+// engine's batch widths; ns/op is one Step, at f64 and at f32.
 func BenchmarkFleetStepShapes(b *testing.B) {
 	flavorShape := Config{InputDim: 57, HiddenDim: 24, Layers: 2, OutputDim: 17}
 	lifetime200 := fleetLifetimeShape

@@ -8,8 +8,8 @@ import (
 
 // This file is the batched decode fleet (DESIGN.md §6.2), written once
 // over the element type: Fleet[float64] is the bit-exact serving path
-// and Fleet[float32] the fast one (§6.4), each optionally stepping on
-// panel-packed weights (§6.5). What differs per type is confined to
+// and Fleet[float32] the fast one (§6.4), each stepping on panel-packed
+// weights (§6.5). What differs per type is confined to
 // two places: where the step weights come from (stepWeights) and the
 // kernels behind internal/mat's generic GEMMs and LSTMCell.
 
@@ -35,9 +35,11 @@ type stepLayer[T float32 | float64] struct {
 }
 
 // stepWeights is everything one decode step reads of a network, at
-// element type T. At float64 it is a view: the matrices are the
-// trainable LSTM's own, so a fleet steps on exactly the weights
-// StepForward does. At float32 it is LSTM32's frozen, rounded copy.
+// element type T: layer 0's input matrix and the biases directly, the
+// other matrices through their panels (pack). At float64 it is a view:
+// the matrices are the trainable LSTM's own, so a fleet steps on exactly
+// the weights StepForward does. At float32 it is LSTM32's frozen,
+// rounded copy.
 type stepWeights[T float32 | float64] struct {
 	cfg    Config
 	layers []stepLayer[T]
@@ -77,10 +79,10 @@ func (n *LSTM) Convert32() *LSTM32 {
 // PackedLSTM is a publish-time conversion of a network's decode
 // matrices (wx, wh, wy) into cache-blocked panels for the packed step
 // kernels (DESIGN.md §6.5); biases stay plain slices, added after the
-// GEMMs on either layout. Packing copies values bit-for-bit and the
-// packed kernels accumulate in exactly the unpacked order, so a fleet
-// running on panels emits byte-identical traces — panels change where
-// weights live, never what they compute. Training never reads it: the
+// GEMMs. Packing copies values bit-for-bit and the packed kernels
+// accumulate in exactly the row-major order, so a fleet's logits equal
+// StepForward's — panels change where weights live, never what they
+// compute. Training never reads it: the
 // optimizer updates the unpacked Params, and serving snapshots re-pack
 // from those.
 //
@@ -135,9 +137,9 @@ func (n *LSTM32) Pack() *PackedLSTM32 { return n.w.pack() }
 // rows.
 //
 // Per stream, a Fleet[float64] step is bit-identical to StepForward on
-// a dedicated State: every GEMM kernel — including the vectorized
-// MulAddBatched — accumulates each output element's k-terms in
-// ascending order regardless of batch size, blocking, or worker count;
+// a dedicated State: the packed GEMM, like every GEMM kernel,
+// accumulates each output element's k-terms in ascending order
+// regardless of batch size, tile grouping, or worker count;
 // mat.LSTMCell computes exactly the scalar gate loop's operations; and
 // layer 0 runs StepForward's skip-zero row-sum kernel on every row, so
 // the two skip the same terms.
@@ -182,18 +184,20 @@ type Fleet[T float32 | float64] struct {
 	xtv, ytv, zv mat.Matrix[T]
 	ghv, gcv     []mat.Matrix[T]
 
-	// Packed serving weights; nil on an unpacked fleet.
+	// Packed serving weights: every step GEMM but layer 0's reads these.
 	panels *PackedLSTM[T]
 }
 
 // newFleet is the one fleet constructor: an empty fleet over w with
-// room for capacity streams (it grows as needed), stepping on panels p
-// when p is non-nil — the dense step GEMMs bound to the packed kernels,
-// bit-identical to the unpacked fleet. p must be w's current weights,
-// packed: the kernels check its shapes, nothing can check its values
-// here, and panels of other or older weights decode wrong traces —
-// which is why core.ValidateF32 steps the packed fleets at publish.
+// room for capacity streams (it grows as needed), stepping on panels p.
+// p must be w's current weights, packed: the kernels check its shapes,
+// nothing can check its values here, and panels of other or older
+// weights decode wrong traces — which is why core.ValidateF32 steps the
+// packed fleets at publish. A nil p panics: there is no row-major fleet.
 func newFleet[T float32 | float64](w *stepWeights[T], capacity int, p *PackedLSTM[T]) *Fleet[T] {
+	if p == nil {
+		panic("nn: a fleet needs its network's packed panels")
+	}
 	f := &Fleet[T]{w: w, panels: p}
 	f.alloc(max(capacity, 1))
 	return f
@@ -201,8 +205,7 @@ func newFleet[T float32 | float64](w *stepWeights[T], capacity int, p *PackedLST
 
 // NewFleetPacked returns an empty fleet with initial capacity for the
 // given number of streams, stepping on panels p, which must have been
-// packed from this network; a nil p yields an unpacked fleet, the
-// reference the packed one is pinned against.
+// packed from this network (Pack); a nil p panics.
 func (n *LSTM) NewFleetPacked(capacity int, p *PackedLSTM[float64]) *Fleet[float64] {
 	return newFleet(n.stepWeights(), capacity, p)
 }
@@ -211,11 +214,6 @@ func (n *LSTM) NewFleetPacked(capacity int, p *PackedLSTM[float64]) *Fleet[float
 func (n *LSTM32) NewFleet32Packed(capacity int, p *PackedLSTM32) *Fleet32 {
 	return newFleet(n.w, capacity, p)
 }
-
-// Packed reports whether this fleet steps on panel-packed weights
-// (false on a fleet built with nil panels). Diagnostic only — packed
-// and unpacked fleets are byte-identical.
-func (f *Fleet[T]) Packed() bool { return f.panels != nil }
 
 // alloc (re)creates the slabs at the given row capacity, preserving
 // the first f.n rows of the persistent state. Every slab is allocated
@@ -343,28 +341,18 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 	}
 	Z := viewRows(&f.zv, f.z, k)
 	for l, layer := range f.w.layers {
-		var pw *packedLayer[T]
-		if f.panels != nil {
-			pw = &f.panels.layers[l]
-		}
+		pw := &f.panels.layers[l]
 		Z.Zero()
-		switch {
-		case layer.first:
+		if layer.first {
 			// Layer 0 sums the weight rows its input selects, as
-			// StepForward does — every row, sparse or not, packed fleet or
-			// not (the row-sum kernel reads the row-major matrix).
+			// StepForward does — every row, sparse or not (the row-sum
+			// kernel reads the row-major matrix; there is no layer-0 panel).
 			mat.MulAddSparseBatched(Z, in, layer.wx)
-		case pw != nil:
+		} else {
 			mat.MulAddPacked(Z, in, pw.wx)
-		default:
-			mat.MulAddBatched(Z, in, layer.wx)
 		}
 		H := viewRows(&f.ghv[l], f.gh[l], k)
-		if pw != nil {
-			mat.MulAddPacked(Z, H, pw.wh)
-		} else {
-			mat.MulAddBatched(Z, H, layer.wh)
-		}
+		mat.MulAddPacked(Z, H, pw.wh)
 		// Bias, gate activations and the c / h updates for every gathered
 		// row: per element exactly what StepForward's scalar loop
 		// computes, in the same mul/add order.
@@ -373,11 +361,7 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 	}
 	Y := viewRows(&f.ytv, f.yt, k)
 	Y.Zero()
-	if f.panels != nil {
-		mat.MulAddPacked(Y, in, f.panels.wy)
-	} else {
-		mat.MulAddBatched(Y, in, f.w.wy)
-	}
+	mat.MulAddPacked(Y, in, f.panels.wy)
 	mat.AddBiasRows(Y, f.w.by)
 
 	// Scatter the advanced state back to the streams' home rows.

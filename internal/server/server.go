@@ -143,6 +143,7 @@ type Server struct {
 	reloads   *obs.Counter   // successful hot reloads
 	reloadErr *obs.Counter   // failed reload attempts
 	retried   *obs.Counter   // generates replayed onto a fresh engine
+	writeErr  *obs.Counter   // generates whose body failed mid-encode
 	sampleLat *obs.Histogram // model sampling phase of /generate
 	encodeLat *obs.Histogram // serialization phase of /generate
 
@@ -178,6 +179,7 @@ func NewWithRegistry(model *core.Model, catalog *trace.FlavorSet, reg *obs.Regis
 		reloads:        reg.Counter("reload.success"),
 		reloadErr:      reg.Counter("reload.errors"),
 		retried:        reg.Counter("generate.engine_retries"),
+		writeErr:       reg.Counter("generate.write_errors"),
 		sampleLat:      reg.Histogram("generate.sample.seconds", obs.LatencyBuckets),
 		encodeLat:      reg.Histogram("generate.encode.seconds", obs.LatencyBuckets),
 		queueLat:       reg.Histogram("generate.phase.queue.seconds", obs.LatencyBuckets),
@@ -598,17 +600,20 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-Seed", fmt.Sprint(seed))
 	w.Header().Set("X-Trace-VMs", fmt.Sprint(len(tr.VMs)))
 	encodeStart := time.Now()
+	var err error
 	switch req.Format {
 	case "", "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		if err := tr.WriteCSV(w); err != nil {
-			httpError(w, http.StatusInternalServerError, "write: %v", err)
-		}
+		err = tr.WriteCSV(w)
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
-		if err := tr.WriteJSON(w); err != nil {
-			httpError(w, http.StatusInternalServerError, "write: %v", err)
-		}
+		err = tr.WriteJSON(w)
+	}
+	if err != nil {
+		// The body has started (usually the client went away): the 200 is
+		// sent, and anything written now would only append to the body it
+		// cut short. Count the failure and write nothing more.
+		s.writeErr.Inc()
 	}
 	encodeDur := time.Since(encodeStart)
 	s.encodeLat.Observe(encodeDur.Seconds())

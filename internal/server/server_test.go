@@ -350,6 +350,70 @@ func TestGenerateCancelledCounter(t *testing.T) {
 	}
 }
 
+// failingWriter is a ResponseWriter whose connection breaks after limit
+// body bytes: the write that crosses the limit and every later one fail.
+// It records what a handler does once its body has started.
+type failingWriter struct {
+	header     http.Header
+	limit, n   int
+	failed     bool
+	lateWrites int // Write calls after the failing one
+	lateHeader int // WriteHeader calls once a body byte was offered
+}
+
+var errClientGone = fmt.Errorf("client gone")
+
+func (w *failingWriter) Header() http.Header { return w.header }
+
+func (w *failingWriter) WriteHeader(int) {
+	if w.n > 0 || w.failed {
+		w.lateHeader++
+	}
+}
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.failed {
+		w.lateWrites++
+		return 0, errClientGone
+	}
+	if w.n+len(b) > w.limit {
+		took := w.limit - w.n
+		w.n, w.failed = w.limit, true
+		return took, errClientGone
+	}
+	w.n += len(b)
+	return len(b), nil
+}
+
+// TestGenerateWriteErrorStopsResponse breaks the connection part-way
+// through a /generate body in both formats: the handler must write
+// nothing after the failing write (no error object appended to the cut
+// body, no second WriteHeader) and count the failure once on
+// generate.write_errors.
+func TestGenerateWriteErrorStopsResponse(t *testing.T) {
+	shared := testServer(t)
+	for _, format := range []string{"csv", "json"} {
+		t.Run(format, func(t *testing.T) {
+			s := New(shared.model, shared.catalog) // a registry of its own
+			w := &failingWriter{header: http.Header{}, limit: 100}
+			body := fmt.Sprintf(`{"periods": %d, "seed": 7, "format": %q}`, trace.PeriodsPerDay, format)
+			s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/generate", strings.NewReader(body)))
+			if !w.failed {
+				t.Fatalf("body of %d bytes never reached the %d-byte limit", w.n, w.limit)
+			}
+			if w.lateWrites != 0 {
+				t.Errorf("%d writes after the failing one, want none", w.lateWrites)
+			}
+			if w.lateHeader != 0 {
+				t.Errorf("%d WriteHeader calls after the body started, want none", w.lateHeader)
+			}
+			if got := s.Metrics().Counter("generate.write_errors").Value(); got != 1 {
+				t.Errorf("generate.write_errors = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestMetricsShardGauges serves /generate through a two-shard engine
 // and asserts the shard gauges surface in GET /metrics: decode.shards
 // reporting K, every decode.shard_occupancy.<k> /

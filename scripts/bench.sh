@@ -129,8 +129,8 @@ awk -v ncpu="$NCPU" '
 # row. Layer 0 costs what its input's non-zeros cost (12 of 57 against
 # 53-61 of 151), and the repo benchmark's nn.fleet_step_us_* probes
 # step only the flavor net with a one-hot row, so this is the one place
-# the lifetime step's cost is visible. Every {f64, f32} x {unpacked,
-# packed} cell has its own line.
+# the lifetime step's cost is visible. The f64 and the f32 cell each
+# have their own line.
 awk '
 	/^BenchmarkFleetStepShapes\// {
 		name = $1; sub(/-[0-9]+$/, "", name)

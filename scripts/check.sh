@@ -12,9 +12,9 @@
 #   - the end-to-end determinism and crash-recovery regression tests
 #     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
 #   - the sharded-decode tier at GOMAXPROCS=4;
-#   - the allocation pins (decode round, fleet step in all four
-#     {f64, f32} x {unpacked, packed} cells, training window of every
-#     BPTT fit, par snapshot, Table 4 sweep), which run without -race;
+#   - the allocation pins (decode round, fleet step at both element
+#     types at 1, 2 and 8 rows, training window of every BPTT fit, par
+#     snapshot, Table 4 sweep), which run without -race;
 #   - a short-budget fuzz tier over the untrusted decode surfaces and
 #     the packed, row-sum, activation and cell kernels;
 #   - the repo benchmark's -quick smoke on each workload (the frozen
@@ -26,7 +26,9 @@
 #     packages: the ablation models (the Transformer, the PMF lifetime
 #     head, the joint EOP model) out of internal/core and internal/nn, the
 #     baselines, the GRU fit and the evaluation-only helpers out of
-#     internal/core;
+#     internal/core; and the rule that decode has one weight layout (no
+#     row-major fleet GEMM, f32 row-major kernel or nil-panels branch in
+#     internal/{core,nn,mat});
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -58,8 +60,8 @@ GOMAXPROCS=4 go test -race \
 	./internal/server
 
 # Memory-discipline pins: the fleet round path, the fleet step kernel at
-# both element types packed and unpacked (one generic body; its
-# per-type dispatches must not escape), and the par Snapshot poll must
+# both element types and at one, two and eight rows (one generic body;
+# its per-type dispatches must not escape), and the par Snapshot poll must
 # stay allocation-free in steady state,
 # every BPTT fit's training window must allocate no more than the
 # flavor LSTM's, and the Table4 survival-MSE sweep must hold its
@@ -117,5 +119,13 @@ if grep -niE '^(type|func) .*(naive|simplebatch|(uniform|multinomial|repeat)flav
 	echo "check.sh: a baseline, the GRU fit or an evaluation-only helper is declared in internal/core" >&2
 	exit 1
 fi
+# One decode weight layout (DESIGN.md §6.5): fleets step on packed
+# panels only, so no non-test file of the serving packages may bring
+# back the row-major decode GEMM, its f32 kernel or a nil-panels branch.
+if grep -nE 'MulAddBatched|gemm32AVX2|panels == nil' \
+	$(find internal/core internal/nn internal/mat -maxdepth 1 \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'); then
+	echo "check.sh: the row-major decode fleet tier is back in internal/{core,nn,mat}" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one decode layout + deadcode OK"

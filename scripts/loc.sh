@@ -15,9 +15,9 @@
 # Run from the repository root: scripts/loc.sh
 set -eu
 
-ceiling_go=6780
-ceiling_asm=1346
-ceiling_module=18714
+ceiling_go=6800
+ceiling_asm=1492
+ceiling_module=18739
 
 total_go=0
 total_asm=0
