@@ -26,23 +26,14 @@ type HeadRow struct {
 	OneBestErr float64
 }
 
-// PMFvsHazard reproduces the §2.3.1 design comparison: parameterizing
-// the discrete hazard (the paper's choice, following Kvamme & Borgan's
-// "slightly better") versus a softmax PMF head trained with the
-// censored-tail likelihood.
-func PMFvsHazard(c *Cloud) []HeadRow {
-	steps := core.LifetimeSteps(c.Test, c.Bins)
-	offset := c.TestW.Start
-	hz := core.EvaluateLifetime(core.NewLSTMLifetimePredictor(c.Model().Lifetime), steps, c.Bins, offset)
-	tc := c.Scale.Train
-	pmfModel := TrainLifetimePMF(c.Train, c.Bins, tc)
-	pmf := core.EvaluateLifetime(NewPMFLifetimePredictor(pmfModel), steps, c.Bins, offset)
-	km := core.EvaluateLifetime(newKMLifetime(c.Train, c.Bins), steps, c.Bins, offset)
-	return []HeadRow{
-		{Head: "Overall KM", BCE: km.BCE, OneBestErr: km.OneBestErr},
-		{Head: "LSTM (hazard head)", BCE: hz.BCE, OneBestErr: hz.OneBestErr},
-		{Head: "LSTM (PMF head)", BCE: pmf.BCE, OneBestErr: pmf.OneBestErr},
-	}
+// pmfRow is the PMF-head row of the §2.3.1 design comparison:
+// parameterizing the discrete hazard (the paper's choice, following
+// Kvamme & Borgan's "slightly better") versus a softmax PMF head trained
+// with the censored-tail likelihood. The other rows are Table 3's.
+func pmfRow(c *Cloud) HeadRow {
+	m := TrainLifetimePMF(c.Train, c.Bins, c.Scale.Train)
+	ev := core.EvaluateLifetime(NewPMFLifetimePredictor(m), core.LifetimeSteps(c.Test, c.Bins), c.Bins, c.TestW.Start)
+	return HeadRow{Head: "LSTM (PMF head)", BCE: ev.BCE, OneBestErr: ev.OneBestErr}
 }
 
 // ArchRow is one architecture's row in the §7 sequence-architecture
@@ -53,30 +44,20 @@ type ArchRow struct {
 	OneBestErr float64
 }
 
-// ArchitectureAblation compares the LSTM flavor model against a GRU and
-// a causal Transformer trained on the same token stream (§7:
-// "Transformers ... could be used in place of the LSTMs"), with the
-// training multinomial as the floor.
-func ArchitectureAblation(c *Cloud) []ArchRow {
-	toks := core.FlavorTokens(c.Test)
-	offset := c.TestW.Start
-	var rows []ArchRow
+// gruRow and transformerRow are the §7 sequence-architecture
+// ablation's own rows: a GRU and a causal Transformer trained on the
+// LSTM's token stream ("Transformers ... could be used in place of the
+// LSTMs"). Its Multinomial floor and LSTM rows are Table 2's.
+func gruRow(c *Cloud) ArchRow {
+	ev := core.EvaluateFlavor(trainFlavorGRU(c.Train, c.Scale.Train).predictor(), core.FlavorTokens(c.Test), c.TestW.Start)
+	return ArchRow{Arch: "GRU", NLL: ev.NLL, OneBestErr: ev.OneBestErr}
+}
 
-	multi := core.EvaluateFlavor(newMultinomialFlavor(c.Train), toks, offset)
-	rows = append(rows, ArchRow{Arch: "Multinomial", NLL: multi.NLL, OneBestErr: multi.OneBestErr})
-
-	lstm := core.EvaluateFlavor(core.NewLSTMFlavorPredictor(c.Model().Flavor), toks, offset)
-	rows = append(rows, ArchRow{Arch: "LSTM", NLL: lstm.NLL, OneBestErr: lstm.OneBestErr})
-
-	gru := trainFlavorGRU(c.Train, c.Scale.Train)
-	grue := core.EvaluateFlavor(gru.predictor(), toks, offset)
-	rows = append(rows, ArchRow{Arch: "GRU", NLL: grue.NLL, OneBestErr: grue.OneBestErr})
-
+func transformerRow(c *Cloud) ArchRow {
 	// The Transformer keeps its own size and schedule, not the LSTM's.
 	tf := TrainFlavorTransformer(c.Train, core.TrainConfig{Hidden: 32, Layers: 2, Epochs: 15, Seed: c.Scale.Seed})
-	tfe := core.EvaluateFlavor(NewTransformerFlavorPredictor(tf), toks, offset)
-	rows = append(rows, ArchRow{Arch: "Transformer", NLL: tfe.NLL, OneBestErr: tfe.OneBestErr})
-	return rows
+	ev := core.EvaluateFlavor(NewTransformerFlavorPredictor(tf), core.FlavorTokens(c.Test), c.TestW.Start)
+	return ArchRow{Arch: "Transformer", NLL: ev.NLL, OneBestErr: ev.OneBestErr}
 }
 
 // gruFlavorModel is the stage-2 model with a GRU instead of an LSTM —

@@ -7,15 +7,8 @@ import "testing"
 // clearly better than the order-free multinomial — with the (dev-tuned)
 // LSTM remaining the reference.
 func TestArchitectureAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy: trains LSTM and Transformer flavor models")
-	}
-	rows := ArchitectureAblation(azure(t))
-	byName := map[string]ArchRow{}
-	for _, r := range rows {
-		byName[r.Arch] = r
-	}
-	multi, lstm, gru, tf := byName["Multinomial"], byName["LSTM"], byName["GRU"], byName["Transformer"]
+	get := byName(azureResults(t).Arch, func(r ArchRow) string { return r.Arch })
+	multi, lstm, gru, tf := get["Multinomial"], get["LSTM"], get["GRU"], get["Transformer"]
 	if !(tf.NLL < multi.NLL) {
 		t.Errorf("transformer NLL %v should beat multinomial %v", tf.NLL, multi.NLL)
 	}
@@ -37,17 +30,8 @@ func TestArchitectureAblation(t *testing.T) {
 // beat KM, and the hazard head (the paper's choice) does not trail the
 // PMF head meaningfully.
 func TestPMFvsHazard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy: trains two lifetime LSTMs")
-	}
-	rows := PMFvsHazard(azure(t))
-	byName := map[string]HeadRow{}
-	for _, r := range rows {
-		byName[r.Head] = r
-	}
-	km := byName["Overall KM"]
-	hz := byName["LSTM (hazard head)"]
-	pmf := byName["LSTM (PMF head)"]
+	get := byName(azureResults(t).Heads, func(r HeadRow) string { return r.Head })
+	km, hz, pmf := get["Overall KM"], get["LSTM (hazard head)"], get["LSTM (PMF head)"]
 	if !(hz.BCE < km.BCE) || !(pmf.BCE < km.BCE) {
 		t.Errorf("both heads should beat KM: hazard %v pmf %v km %v", hz.BCE, pmf.BCE, km.BCE)
 	}

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -27,52 +25,6 @@ func tinyTrace() *trace.Trace {
 			{ID: 3, User: 3, Flavor: 1, Start: 2, Duration: 50, Censored: true},
 		},
 	}
-}
-
-// fixture is a small AzureLike history with the three-stage model
-// trained on its training window, shared by the tests that score the
-// baselines against the LSTMs.
-type fixture struct {
-	train *trace.Trace
-	test  *trace.Trace
-	testW trace.Window
-	bins  survival.Bins
-	model *core.Model
-}
-
-var (
-	fixOnce sync.Once
-	fix     *fixture
-)
-
-func getFixture(t *testing.T) *fixture {
-	t.Helper()
-	fixOnce.Do(func() {
-		cfg := synth.AzureLike()
-		cfg.Days = 4
-		cfg.Users = 80
-		cfg.BaseRate = 2
-		full := cfg.Generate(42)
-		trainW, _, testW := synth.StandardSplit(cfg.Days)
-		f := &fixture{
-			train: full.Slice(trainW, 0),
-			test:  full.Slice(testW, 0),
-			testW: testW,
-			bins:  survival.PaperBins(),
-		}
-		m, err := core.TrainModel(f.train, core.ModelOptions{Bins: f.bins, Train: core.TrainConfig{
-			Hidden: 24, Layers: 2, SeqLen: 64, BatchSize: 8, Epochs: 60, LR: 8e-3, Seed: 1,
-		}})
-		if err != nil {
-			panic(err)
-		}
-		f.model = m
-		fix = f
-	})
-	if fix == nil {
-		t.Fatal("fixture failed to initialize")
-	}
-	return fix
 }
 
 func TestUniformFlavor(t *testing.T) {
@@ -201,72 +153,13 @@ func TestRepeatLifetime(t *testing.T) {
 	}
 }
 
-// TestFlavorLSTMBeatsBaselines is the Table 2 shape check: on held-out
-// data the LSTM should achieve lower NLL than Multinomial and lower
-// 1-best error than RepeatFlav.
-func TestFlavorLSTMBeatsBaselines(t *testing.T) {
-	f := getFixture(t)
-	toks := core.FlavorTokens(f.test)
-	if len(toks) < 200 {
-		t.Fatalf("test stream too short: %d", len(toks))
-	}
-	offset := f.testW.Start
-	lstm := core.EvaluateFlavor(core.NewLSTMFlavorPredictor(f.model.Flavor), toks, offset)
-	multi := core.EvaluateFlavor(newMultinomialFlavor(f.train), toks, offset)
-	uni := core.EvaluateFlavor(&uniformFlavor{k: f.train.Flavors.K()}, toks, offset)
-	repeat := core.EvaluateFlavor(newRepeatFlavor(f.train), toks, offset)
-
-	if math.Abs(uni.NLL-math.Log(17)) > 1e-9 {
-		t.Errorf("uniform NLL = %v, want ln17", uni.NLL)
-	}
-	if !(lstm.NLL < multi.NLL) {
-		t.Errorf("LSTM NLL %v should beat multinomial %v", lstm.NLL, multi.NLL)
-	}
-	if !(multi.NLL < uni.NLL) {
-		t.Errorf("multinomial NLL %v should beat uniform %v", multi.NLL, uni.NLL)
-	}
-	if !(lstm.OneBestErr < multi.OneBestErr) {
-		t.Errorf("LSTM 1-best %v should beat multinomial %v", lstm.OneBestErr, multi.OneBestErr)
-	}
-	if !(repeat.OneBestErr < multi.OneBestErr) {
-		t.Errorf("RepeatFlav 1-best %v should beat multinomial %v", repeat.OneBestErr, multi.OneBestErr)
-	}
-}
-
-// TestLifetimeLSTMBeatsBaselines is the Table 3 shape check.
-func TestLifetimeLSTMBeatsBaselines(t *testing.T) {
-	f := getFixture(t)
-	steps := core.LifetimeSteps(f.test, f.bins)
-	offset := f.testW.Start
-	lstm := core.EvaluateLifetime(core.NewLSTMLifetimePredictor(f.model.Lifetime), steps, f.bins, offset)
-	km := core.EvaluateLifetime(newKMLifetime(f.train, f.bins), steps, f.bins, offset)
-	coin := core.EvaluateLifetime(&coinFlipLifetime{j: f.bins.J()}, steps, f.bins, offset)
-	repeat := core.EvaluateLifetime(newRepeatLifetime(f.train, f.bins), steps, f.bins, offset)
-
-	if math.Abs(coin.BCE-math.Log(2)) > 1e-9 {
-		t.Errorf("coin flip BCE = %v, want ln2", coin.BCE)
-	}
-	if !(km.BCE < coin.BCE) {
-		t.Errorf("KM BCE %v should beat coin flip %v", km.BCE, coin.BCE)
-	}
-	if !(lstm.BCE < km.BCE) {
-		t.Errorf("LSTM BCE %v should beat KM %v", lstm.BCE, km.BCE)
-	}
-	if !(lstm.OneBestErr < km.OneBestErr) {
-		t.Errorf("LSTM 1-best %v should beat KM %v", lstm.OneBestErr, km.OneBestErr)
-	}
-	if !(repeat.OneBestErr < km.OneBestErr) {
-		t.Errorf("RepeatLifetime 1-best %v should beat KM %v", repeat.OneBestErr, km.OneBestErr)
-	}
-}
-
 func TestNaiveGenerator(t *testing.T) {
-	f := getFixture(t)
-	naive, err := NewNaiveGenerator(f.train, f.bins)
+	c := azure()
+	naive, err := NewNaiveGenerator(c.Train, c.Bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := naive.Generate(rng.New(5), f.testW)
+	gen := naive.Generate(rng.New(5), c.TestW)
 	if err := gen.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +180,12 @@ func TestNaiveGenerator(t *testing.T) {
 }
 
 func TestSimpleBatchGenerator(t *testing.T) {
-	f := getFixture(t)
-	sb, err := newSimpleBatchGenerator(f.train, f.bins)
+	c := azure()
+	sb, err := newSimpleBatchGenerator(c.Train, c.Bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := sb.Generate(rng.New(5), f.testW)
+	gen := sb.Generate(rng.New(5), c.TestW)
 	if err := gen.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,17 +208,17 @@ func TestSimpleBatchGenerator(t *testing.T) {
 }
 
 func TestTeacherForcedHazards(t *testing.T) {
-	f := getFixture(t)
-	steps := core.LifetimeSteps(f.test, f.bins)
+	c := azure()
+	steps := core.LifetimeSteps(c.Test, c.Bins)
 	if len(steps) > 50 {
 		steps = steps[:50]
 	}
-	hz := teacherForcedHazards(f.model.Lifetime, steps, f.testW.Start)
+	hz := teacherForcedHazards(c.Model().Lifetime, steps, c.TestW.Start)
 	if len(hz) != len(steps) {
 		t.Fatalf("got %d hazards", len(hz))
 	}
 	for i, h := range hz {
-		if len(h) != f.bins.J() {
+		if len(h) != c.Bins.J() {
 			t.Fatalf("hazard %d len %d", i, len(h))
 		}
 		for _, v := range h {

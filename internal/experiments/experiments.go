@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/par"
 	"repro/internal/survival"
 	"repro/internal/synth"
@@ -38,9 +37,9 @@ type Scale struct {
 	// HuaweiExtraDays extends the Huawei test-window censoring horizon
 	// (§3.2's two extra months of monitoring, scaled).
 	HuaweiExtraDays int
-	Samples         int // sampled traces / Poisson draws per figure (paper: 500)
-	Tuples          int // packing tuples for Table 5 / Figure 10 (paper: 500)
-	Train           core.TrainConfig
+	Samples         int              // sampled traces / Poisson draws per figure (paper: 500)
+	Tuples          int              // packing tuples for Table 5 / Figure 10 (paper: 500)
+	Train           core.TrainConfig `json:"-"` // recorded as Results.Recipe
 	Seed            int64
 }
 
@@ -101,21 +100,20 @@ func (c CloudID) String() string {
 // Cloud is a prepared dataset: the ground-truth history, its windows and
 // slices, and (once Model/Baselines are called) the trained generators.
 type Cloud struct {
-	ID         CloudID
-	Scale      Scale
-	Cfg        synth.Config
-	Full       *trace.Trace
-	TrainW     trace.Window
-	DevW       trace.Window
-	TestW      trace.Window
-	Train      *trace.Trace
-	Dev        *trace.Trace
-	Test       *trace.Trace
-	Bins       survival.Bins
-	model      *core.Model
-	modelNoDOH *core.Model
-	naive      core.Generator
-	simple     core.Generator
+	ID     CloudID
+	Scale  Scale
+	Cfg    synth.Config
+	Full   *trace.Trace
+	TrainW trace.Window
+	DevW   trace.Window
+	TestW  trace.Window
+	Train  *trace.Trace
+	Dev    *trace.Trace
+	Test   *trace.Trace
+	Bins   survival.Bins
+	model  *core.Model
+	naive  core.Generator
+	simple core.Generator
 }
 
 // NewCloud generates the ground-truth history and carves the windows.
@@ -187,19 +185,6 @@ func (c *Cloud) Model() *core.Model {
 		c.model = m
 	}
 	return c.model
-}
-
-// ModelNoDOH returns a model variant whose generator always encodes the
-// last history day instead of sampling DOH days — the Figure 8 ablation.
-func (c *Cloud) ModelNoDOH() *core.Model {
-	if c.modelNoDOH == nil {
-		base := *c.Model()
-		arr := *base.Arrival
-		arr.DOH.Mode = features.DOHLastDay
-		base.Arrival = &arr
-		c.modelNoDOH = &base
-	}
-	return c.modelNoDOH
 }
 
 // Naive returns the fitted Naive baseline generator.

@@ -1,131 +1,95 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// ExportSeries writes a TSV file with one row per period: time (days),
+// exportSeries writes a TSV file with one row per period: time (days),
 // interval lo/median/hi, and the actual value — the plot data behind the
 // arrival and capacity figures (4-8). Columns are gnuplot- and
 // pandas-friendly.
-func ExportSeries(path string, intervals []metrics.Interval, actual []float64) error {
+func exportSeries(path string, intervals []metrics.Interval, actual []float64) error {
 	if len(intervals) != len(actual) {
 		return fmt.Errorf("experiments: export length mismatch %d vs %d", len(intervals), len(actual))
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "days\tlo\tmedian\thi\tactual"); err != nil {
-		return err
-	}
-	for p := range actual {
+	var b strings.Builder
+	b.WriteString("days\tlo\tmedian\thi\tactual\n")
+	for p, iv := range intervals {
 		days := float64(p) / float64(trace.PeriodsPerDay)
-		if _, err := fmt.Fprintf(f, "%.4f\t%g\t%g\t%g\t%g\n",
-			days, intervals[p].Lo, intervals[p].Median, intervals[p].Hi, actual[p]); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%.4f\t%g\t%g\t%g\t%g\n", days, iv.Lo, iv.Median, iv.Hi, actual[p])
 	}
-	return nil
+	return os.WriteFile(path, []byte(b.String()), 0o666)
 }
 
-// ExportReuse writes the Figure 9 reuse-distance distributions as TSV:
+// exportReuse writes the Figure 9 reuse-distance distributions as TSV:
 // one row per bucket, one column per source.
-func ExportReuse(path string, actual []float64, results []ReuseResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+func exportReuse(path string, fig *ReuseFigure) error {
+	var b strings.Builder
+	b.WriteString("bucket\tactual")
+	for _, r := range fig.Generators {
+		b.WriteString("\t" + r.Generator)
 	}
-	defer f.Close()
-	header := "bucket\tactual"
-	for _, r := range results {
-		header += "\t" + r.Generator
-	}
-	if _, err := fmt.Fprintln(f, header); err != nil {
-		return err
-	}
-	labels := []string{"0", "1", "2", "3", "4", "5", "6+"}
-	for i, lab := range labels {
-		row := fmt.Sprintf("%s\t%g", lab, actual[i])
-		for _, r := range results {
-			row += fmt.Sprintf("\t%g", r.Mean[i])
-		}
-		if _, err := fmt.Fprintln(f, row); err != nil {
-			return err
+	for i, lab := range []string{"0", "1", "2", "3", "4", "5", "6+"} {
+		fmt.Fprintf(&b, "\n%s\t%g", lab, fig.Actual[i])
+		for _, r := range fig.Generators {
+			fmt.Fprintf(&b, "\t%g", r.Mean[i])
 		}
 	}
-	return nil
+	b.WriteString("\n")
+	return os.WriteFile(path, []byte(b.String()), 0o666)
 }
 
-// ExportFFAR writes the Figure 10 scatter data as TSV: one row per
+// exportFFAR writes the Figure 10 scatter data as TSV: one row per
 // packing with its source, CPU FFAR, and memory FFAR.
-func ExportFFAR(path string, results []PackingResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "source\tcpu_ffar\tmem_ffar\tlimiting"); err != nil {
-		return err
-	}
+func exportFFAR(path string, results []PackingResult) error {
+	var b strings.Builder
+	b.WriteString("source\tcpu_ffar\tmem_ffar\tlimiting\n")
 	for _, r := range results {
 		for _, p := range r.FFARs {
-			if _, err := fmt.Fprintf(f, "%s\t%g\t%g\t%g\n", r.Source, p.CPUFFAR, p.MemFFAR, p.Limiting); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "%s\t%g\t%g\t%g\n", r.Source, p.CPUFFAR, p.MemFFAR, p.Limiting)
 		}
 	}
-	return nil
+	return os.WriteFile(path, []byte(b.String()), 0o666)
 }
 
-// ExportAll regenerates the plot-data files for every figure into dir
+// ExportAll writes the plot data behind every figure res holds into dir
 // (created if needed): fig4/fig5 (batch arrivals), fig6 (VM arrivals),
-// fig7/fig8 (capacity), fig9 (reuse), fig10 (packing scatter).
-func ExportAll(dir string, clouds ...*Cloud) error {
+// fig7/fig8 (capacity), fig9 (reuse), fig10 (packing scatter). It runs
+// nothing; a section res lacks writes no file.
+func ExportAll(dir string, res *Results) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	FitAll(clouds...)
-	for _, c := range clouds {
-		tag := "azure"
-		figA, figC := "fig4", "fig7"
-		if c.ID == Huawei {
-			tag = "huawei"
-			figA, figC = "fig5", "fig8"
+	for _, r := range res.Clouds {
+		tag, figA, figC, arrivals, caps := "azure", "fig4", "fig7", r.Figure4, r.Figure7
+		if r.Cloud == Huawei.String() {
+			tag, figA, figC, arrivals, caps = "huawei", "fig5", "fig8", r.Figure5, r.Figure8
 		}
-		sampled, _ := Figure4(c)
-		if err := ExportSeries(filepath.Join(dir, figA+"_"+tag+"_batch_arrivals.tsv"),
-			sampled.Intervals, sampled.Actual); err != nil {
-			return err
+		path := func(fig, what string) string { return filepath.Join(dir, fig+"_"+tag+"_"+what+".tsv") }
+		var errs []error
+		if arrivals != nil {
+			errs = append(errs, exportSeries(path(figA, "batch_arrivals"), arrivals[0].Intervals, arrivals[0].Actual))
 		}
-		noDOH, _ := Figure6(c)
-		if err := ExportSeries(filepath.Join(dir, "fig6_"+tag+"_vm_arrivals.tsv"),
-			noDOH.Intervals, noDOH.Actual); err != nil {
-			return err
+		if r.Figure6 != nil {
+			errs = append(errs, exportSeries(path("fig6", "vm_arrivals"), r.Figure6[0].Intervals, r.Figure6[0].Actual))
 		}
-		var caps []CapacityResult
-		if c.ID == Huawei {
-			caps = Figure8(c)
-		} else {
-			caps = Figure7(c)
+		for _, c := range caps {
+			errs = append(errs, exportSeries(path(figC, "capacity_"+sanitize(c.Generator)), c.Forecast.Intervals, c.Forecast.Actual))
 		}
-		for _, r := range caps {
-			name := fmt.Sprintf("%s_%s_capacity_%s.tsv", figC, tag, sanitize(r.Generator))
-			if err := ExportSeries(filepath.Join(dir, name), r.Forecast.Intervals, r.Forecast.Actual); err != nil {
-				return err
-			}
+		if r.Figure9 != nil {
+			errs = append(errs, exportReuse(path("fig9", "reuse"), r.Figure9))
 		}
-		actual, reuse := Figure9(c)
-		if err := ExportReuse(filepath.Join(dir, "fig9_"+tag+"_reuse.tsv"), actual, reuse); err != nil {
-			return err
+		if r.Table5 != nil {
+			errs = append(errs, exportFFAR(path("fig10", "ffar"), r.Table5))
 		}
-		if err := ExportFFAR(filepath.Join(dir, "fig10_"+tag+"_ffar.tsv"), Table5(c)); err != nil {
+		if err := errors.Join(errs...); err != nil {
 			return err
 		}
 	}

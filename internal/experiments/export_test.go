@@ -14,7 +14,7 @@ func TestExportSeries(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.tsv")
 	iv := []metrics.Interval{{Lo: 1, Median: 2, Hi: 3}, {Lo: 4, Median: 5, Hi: 6}}
-	if err := ExportSeries(path, iv, []float64{2.5, 5.5}); err != nil {
+	if err := exportSeries(path, iv, []float64{2.5, 5.5}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -34,7 +34,7 @@ func TestExportSeries(t *testing.T) {
 }
 
 func TestExportSeriesMismatch(t *testing.T) {
-	if err := ExportSeries(filepath.Join(t.TempDir(), "x"), nil, []float64{1}); err == nil {
+	if err := exportSeries(filepath.Join(t.TempDir(), "x"), nil, []float64{1}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -45,7 +45,7 @@ func TestExportReuse(t *testing.T) {
 	actual := make([]float64, sched.ReuseBuckets)
 	actual[0] = 0.5
 	res := []ReuseResult{{Generator: "LSTM", Mean: make([]float64, sched.ReuseBuckets)}}
-	if err := ExportReuse(path, actual, res); err != nil {
+	if err := exportReuse(path, &ReuseFigure{Actual: actual, Generators: res}); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
@@ -62,7 +62,7 @@ func TestExportFFAR(t *testing.T) {
 		Source: "Test data",
 		FFARs:  []sched.PackResult{{CPUFFAR: 0.9, MemFFAR: 0.5, Limiting: 0.9}},
 	}}
-	if err := ExportFFAR(path, res); err != nil {
+	if err := exportFFAR(path, res); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
@@ -77,42 +77,49 @@ func TestSanitize(t *testing.T) {
 	}
 }
 
-// TestExportAll writes every figure's plot data for the (already
-// trained) Azure cloud.
+// TestExportAll writes both clouds' plot data from the shared record,
+// running nothing, and checks every file is there with its rows.
 func TestExportAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy: runs every figure experiment")
-	}
+	res := results(t)
 	dir := t.TempDir()
-	if err := ExportAll(dir, azure(t)); err != nil {
+	if err := ExportAll(dir, res); err != nil {
 		t.Fatal(err)
+	}
+	az, hw := clouds()[0].TestW.Periods(), clouds()[1].TestW.Periods()
+	packings := 4 * SmallScale().Tuples // three generators and the test data
+	// Each file's data rows.
+	want := map[string]int{
+		"fig4_azure_batch_arrivals.tsv":                   az,
+		"fig6_azure_vm_arrivals.tsv":                      az,
+		"fig7_azure_capacity_Naive.tsv":                   az,
+		"fig7_azure_capacity_SimpleBatch.tsv":             az,
+		"fig7_azure_capacity_LSTM.tsv":                    az,
+		"fig9_azure_reuse.tsv":                            sched.ReuseBuckets,
+		"fig10_azure_ffar.tsv":                            packings,
+		"fig5_huawei_batch_arrivals.tsv":                  hw,
+		"fig6_huawei_vm_arrivals.tsv":                     hw,
+		"fig8_huawei_capacity_Naive.tsv":                  hw,
+		"fig8_huawei_capacity_SimpleBatch.tsv":            hw,
+		"fig8_huawei_capacity_LSTM.tsv":                   hw,
+		"fig8_huawei_capacity_LSTM__no_DOH_sampling_.tsv": hw,
+		"fig9_huawei_reuse.tsv":                           sched.ReuseBuckets,
+		"fig10_huawei_ffar.tsv":                           packings,
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
-	for _, e := range entries {
-		names[e.Name()] = true
+	if len(entries) != len(want) {
+		t.Errorf("%d files exported, want %d", len(entries), len(want))
 	}
-	for _, want := range []string{
-		"fig4_azure_batch_arrivals.tsv",
-		"fig6_azure_vm_arrivals.tsv",
-		"fig9_azure_reuse.tsv",
-		"fig10_azure_ffar.tsv",
-	} {
-		if !names[want] {
-			t.Errorf("missing export %q (have %v)", want, names)
+	for name, rows := range want {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
 		}
-	}
-	// At least one capacity series per generator.
-	foundCapacity := false
-	for n := range names {
-		if strings.HasPrefix(n, "fig7_azure_capacity_") {
-			foundCapacity = true
+		if got := strings.Count(string(data), "\n") - 1; got != rows {
+			t.Errorf("%s: %d data rows, want %d", name, got, rows)
 		}
-	}
-	if !foundCapacity {
-		t.Error("missing capacity exports")
 	}
 }

@@ -16,12 +16,13 @@ type ForecastRow struct {
 	MAPE     float64
 }
 
-// ForecastVsGenerative compares classical time-series forecasters of the
+// forecastVsGenerative compares classical time-series forecasters of the
 // aggregate total-CPU series against the generative LSTM's
 // trace-sampled prediction intervals on the same test window and
-// coverage metric. The forecasters see the observed aggregate series up
-// to the test window; the generative model sees individual jobs.
-func ForecastVsGenerative(c *Cloud) []ForecastRow {
+// coverage metric: lstm, Figure 7's LSTM row. The forecasters see the
+// observed aggregate series up to the test window; the generative model
+// sees individual jobs.
+func forecastVsGenerative(c *Cloud, lstm CapacityResult) []ForecastRow {
 	full := capacity.FullSeries(c.Full)
 	trainSeries := full[:c.TestW.Start]
 	actual := full[c.TestW.Start:c.TestW.End]
@@ -52,8 +53,6 @@ func ForecastVsGenerative(c *Cloud) []ForecastRow {
 
 	// Generative model on the same footing: sampled traces plus the
 	// carried-over load.
-	gen := CapacityPlanning(c, c.Generators()[2:3]) // LSTM only
-	lstm := gen[0]
 	med := make([]float64, horizon)
 	for i, iv := range lstm.Forecast.Intervals {
 		med[i] = iv.Median
@@ -109,13 +108,17 @@ func (s *seasonalNaive) forecast(h int) []float64 {
 	return out
 }
 
+// hwAlpha, hwBeta and hwGamma are Holt-Winters' level, trend and
+// season smoothing factors; variables, so 1-hwAlpha is a float64
+// subtraction (exact constant arithmetic could round it differently).
+var hwAlpha, hwBeta, hwGamma = 0.3, 0.05, 0.2
+
 // holtWinters is additive triple exponential smoothing.
 type holtWinters struct {
-	period             int
-	alpha, beta, gamma float64 // smoothing factors; zero means defaults
-	level, trend       float64
-	seasonal           []float64
-	n                  int // length of the fitted series; 0 before fit
+	period       int
+	level, trend float64
+	seasonal     []float64
+	n            int // length of the fitted series; 0 before fit
 }
 
 func (hw *holtWinters) name() string { return "HoltWinters" }
@@ -127,15 +130,6 @@ func (hw *holtWinters) fit(series []float64) error {
 	}
 	if len(series) < 2*m {
 		return fmt.Errorf("experiments: need at least two seasons (%d), got %d", 2*m, len(series))
-	}
-	if hw.alpha == 0 {
-		hw.alpha = 0.3
-	}
-	if hw.beta == 0 {
-		hw.beta = 0.05
-	}
-	if hw.gamma == 0 {
-		hw.gamma = 0.2
 	}
 	// Initialize from the first two seasons.
 	var s1, s2 float64
@@ -155,9 +149,9 @@ func (hw *holtWinters) fit(series []float64) error {
 	for t, y := range series {
 		si := t % m
 		prevLevel := hw.level
-		hw.level = hw.alpha*(y-hw.seasonal[si]) + (1-hw.alpha)*(hw.level+hw.trend)
-		hw.trend = hw.beta*(hw.level-prevLevel) + (1-hw.beta)*hw.trend
-		hw.seasonal[si] = hw.gamma*(y-hw.level) + (1-hw.gamma)*hw.seasonal[si]
+		hw.level = hwAlpha*(y-hw.seasonal[si]) + (1-hwAlpha)*(hw.level+hw.trend)
+		hw.trend = hwBeta*(hw.level-prevLevel) + (1-hwBeta)*hw.trend
+		hw.seasonal[si] = hwGamma*(y-hw.level) + (1-hwGamma)*hw.seasonal[si]
 	}
 	hw.n = len(series)
 	return nil
@@ -183,12 +177,14 @@ func (hw *holtWinters) forecast(h int) []float64 {
 type probabilistic struct {
 	base  forecaster
 	level float64 // central interval mass (e.g. 0.9)
-	// backtests is the number of held-out backtest folds (default 4).
-	backtests int
 
 	loQ, hiQ float64 // residual quantiles
 	fitted   bool
 }
+
+// backtestFolds is the number of held-out folds probabilistic.fit
+// backtests.
+const backtestFolds = 4
 
 // fit fits the base forecaster on the full series and estimates residual
 // quantiles from rolling-origin backtests.
@@ -196,12 +192,8 @@ func (p *probabilistic) fit(series []float64, horizon int) error {
 	if p.level <= 0 || p.level >= 1 {
 		return fmt.Errorf("experiments: level %v outside (0,1)", p.level)
 	}
-	folds := p.backtests
-	if folds <= 0 {
-		folds = 4
-	}
 	var residuals []float64
-	for f := 1; f <= folds; f++ {
+	for f := 1; f <= backtestFolds; f++ {
 		cut := len(series) - f*horizon
 		if cut < horizon {
 			break

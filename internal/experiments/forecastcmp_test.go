@@ -13,25 +13,21 @@ import (
 // the classical aggregate-series forecasters, because it models the
 // job-level process rather than a single aggregate.
 func TestForecastVsGenerative(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy: trains the LSTM and samples traces")
-	}
-	rows := ForecastVsGenerative(azure(t))
+	rows := azureResults(t).Forecast
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := map[string]ForecastRow{}
 	for _, r := range rows {
-		byName[r.Method] = r
 		if r.Coverage < 0 || r.Coverage > 1 {
 			t.Errorf("%s coverage %v out of range", r.Method, r.Coverage)
 		}
 	}
-	lstm := byName["Generative LSTM"]
+	get := byName(rows, func(r ForecastRow) string { return r.Method })
+	lstm := get["Generative LSTM"]
 	for _, classical := range []string{"SeasonalNaive", "HoltWinters"} {
-		if lstm.MAPE >= byName[classical].MAPE {
+		if lstm.MAPE >= get[classical].MAPE {
 			t.Errorf("generative MAPE %v should beat %s %v",
-				lstm.MAPE, classical, byName[classical].MAPE)
+				lstm.MAPE, classical, get[classical].MAPE)
 		}
 	}
 }

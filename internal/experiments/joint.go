@@ -17,7 +17,7 @@ import (
 // arrival counts to the stage-1 Poisson regression. The paper reports
 // generation was "exquisitely sensitive to the timely sampling of these
 // tokens"; this implementation exists to reproduce that observation
-// (JointVsStaged).
+// (jointVsStaged).
 type JointModel struct {
 	Net         *nn.LSTM
 	K           int // flavors; EOB = K, EOP = K+1
@@ -140,11 +140,11 @@ type JointResult struct {
 	JointDispersion  float64
 }
 
-// JointVsStaged reproduces the paper's §7 observation that delegating
+// jointVsStaged reproduces the paper's §7 observation that delegating
 // arrival counts to EOP tokens is fragile compared to an explicit
 // arrival-rate stage. Both models train on the same window; each
 // generates Samples/4 count series over the test window.
-func JointVsStaged(c *Cloud) JointResult {
+func jointVsStaged(c *Cloud) JointResult {
 	tc := c.Scale.Train
 	joint := TrainJoint(c.Train, tc)
 	staged := c.Model()

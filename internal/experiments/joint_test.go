@@ -16,10 +16,7 @@ import (
 // whose count distribution drifts (the paper found it "exquisitely
 // sensitive to the timely sampling of these tokens").
 func TestJointVsStaged(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy: trains the joint LSTM")
-	}
-	res := JointVsStaged(azure(t))
+	res := azureResults(t).Joint
 	if res.ActualMean <= 0 {
 		t.Fatalf("degenerate actual mean: %+v", res)
 	}

@@ -15,8 +15,9 @@ import (
 // PMFLifetimeModel parameterizes the lifetime PMF with a softmax instead
 // of the per-bin hazard logistic — the alternative §2.3.1 discusses
 // (Kvamme & Borgan found the hazard form "slightly better"; the
-// PMFvsHazard experiment reproduces the comparison). The censored-data
-// likelihood under a PMF head is the tail mass Σ_{j>=c} f(j).
+// lifetime-head ablation, pmfRow, reproduces the comparison). The
+// censored-data likelihood under a PMF head is the tail mass
+// Σ_{j>=c} f(j).
 type PMFLifetimeModel struct {
 	Net         *nn.LSTM
 	Bins        survival.Bins

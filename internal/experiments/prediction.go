@@ -16,10 +16,10 @@ import (
 // window and their coverage of the true counts.
 type ArrivalCoverage struct {
 	Cloud     string
-	Kind      string // "batch" or "VM"
-	DOH       string // "sampled" or "last-day" or "none"
-	Intervals []metrics.Interval
-	Actual    []float64
+	Kind      string             // "batch" or "VM"
+	DOH       string             // "sampled" or "last-day" or "none"
+	Intervals []metrics.Interval `json:"-"`
+	Actual    []float64          `json:"-"`
 	Coverage  float64
 }
 

@@ -68,48 +68,38 @@ func ArrivalGrid(train, dev *trace.Trace, devOffset int, l2s []float64) ([]GridR
 // explicitly, without per-epoch snapshots, so candidates are compared on
 // their final weights).
 func FlavorGrid(train, dev *trace.Trace, devOffset int, base core.TrainConfig, lrs, wds []float64) ([]GridResult, error) {
-	if len(lrs) == 0 || len(wds) == 0 {
-		return nil, fmt.Errorf("experiments: empty grid")
-	}
 	devToks := core.FlavorTokens(dev)
-	var results []GridResult
-	for _, lr := range lrs {
-		for _, wd := range wds {
-			cfg := base
-			cfg.LR = lr
-			cfg.WeightDecay = wd
-			cfg.Dev = nil
-			m := core.TrainFlavor(train, cfg)
-			ev := core.EvaluateFlavor(core.NewLSTMFlavorPredictor(m), devToks, devOffset)
-			results = append(results, GridResult{
-				Params: map[string]float64{"lr": lr, "wd": wd},
-				Score:  ev.NLL,
-			})
-		}
-	}
-	byScore(results)
-	return results, nil
+	return lrWDGrid(base, lrs, wds, func(cfg core.TrainConfig) float64 {
+		m := core.TrainFlavor(train, cfg)
+		return core.EvaluateFlavor(core.NewLSTMFlavorPredictor(m), devToks, devOffset).NLL
+	})
 }
 
 // LifetimeGrid tunes the lifetime LSTM's learning rate and weight decay
-// on dev-window BCE.
+// on dev-window BCE, as FlavorGrid does the flavor LSTM's.
 func LifetimeGrid(train, dev *trace.Trace, devOffset int, bins survival.Bins, base core.TrainConfig, lrs, wds []float64) ([]GridResult, error) {
+	devSteps := core.LifetimeSteps(dev, bins)
+	return lrWDGrid(base, lrs, wds, func(cfg core.TrainConfig) float64 {
+		m := core.TrainLifetime(train, bins, cfg)
+		return core.EvaluateLifetime(core.NewLSTMLifetimePredictor(m), devSteps, bins, devOffset).BCE
+	})
+}
+
+// lrWDGrid scores every (learning rate, weight decay) pair on base's
+// other fields, without dev-set selection, and returns all candidates,
+// best first.
+func lrWDGrid(base core.TrainConfig, lrs, wds []float64, score func(core.TrainConfig) float64) ([]GridResult, error) {
 	if len(lrs) == 0 || len(wds) == 0 {
 		return nil, fmt.Errorf("experiments: empty grid")
 	}
-	devSteps := core.LifetimeSteps(dev, bins)
 	var results []GridResult
 	for _, lr := range lrs {
 		for _, wd := range wds {
 			cfg := base
-			cfg.LR = lr
-			cfg.WeightDecay = wd
-			cfg.Dev = nil
-			m := core.TrainLifetime(train, bins, cfg)
-			ev := core.EvaluateLifetime(core.NewLSTMLifetimePredictor(m), devSteps, bins, devOffset)
+			cfg.LR, cfg.WeightDecay, cfg.Dev = lr, wd, nil
 			results = append(results, GridResult{
 				Params: map[string]float64{"lr": lr, "wd": wd},
-				Score:  ev.BCE,
+				Score:  score(cfg),
 			})
 		}
 	}

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/capacity"
 	"repro/internal/core"
+	"repro/internal/features"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -27,28 +29,30 @@ func splitStreams(g *rng.RNG, n int) []*rng.RNG {
 type CapacityResult struct {
 	Generator string
 	Coverage  float64
-	Forecast  capacity.Forecast
+	Forecast  capacity.Forecast `json:"-"`
 }
 
-// sampleCPUSeries generates n traces and returns their total-CPU
-// series. Generators that support continuous batching decode all n
-// streams through shared step GEMMs, one fleet per core; the rest
-// sample in parallel from pre-split RNG streams. Both paths produce the same traces as a
-// serial run, sample for sample.
-func sampleCPUSeries(c *Cloud, gen core.Generator, n int, seed int64) [][]float64 {
-	gs := splitStreams(rng.New(seed), n)
-	out := make([][]float64, n)
+// sampleTraces draws one test-window trace from gen per stream of gs.
+// Generators that support continuous batching decode every stream
+// through shared step GEMMs, one fleet per core; the rest sample in
+// parallel. Both paths produce the same traces as a serial run, stream
+// for stream.
+func sampleTraces(c *Cloud, gen core.Generator, gs []*rng.RNG) []*trace.Trace {
 	if bg, ok := gen.(core.BatchGenerator); ok {
-		trs := bg.GenerateBatch(gs, c.TestW)
-		for i, tr := range trs {
-			out[i] = capacity.TotalCPUSeries(core.WithCatalog(tr, c.Full.Flavors))
-		}
-		return out
+		return bg.GenerateBatch(gs, c.TestW)
 	}
-	par.Do(n, func(i int) {
-		tr := core.WithCatalog(gen.Generate(gs[i], c.TestW), c.Full.Flavors)
-		out[i] = capacity.TotalCPUSeries(tr)
-	})
+	trs := make([]*trace.Trace, len(gs))
+	par.Do(len(gs), func(i int) { trs[i] = gen.Generate(gs[i], c.TestW) })
+	return trs
+}
+
+// sampleCPUSeries generates n traces from pre-split streams of seed and
+// returns their total-CPU series.
+func sampleCPUSeries(c *Cloud, gen core.Generator, n int, seed int64) [][]float64 {
+	out := make([][]float64, n)
+	for i, tr := range sampleTraces(c, gen, splitStreams(rng.New(seed), n)) {
+		out[i] = capacity.TotalCPUSeries(core.WithCatalog(tr, c.Full.Flavors))
+	}
 	return out
 }
 
@@ -77,8 +81,13 @@ func Figure7(c *Cloud) []CapacityResult {
 // no-DOH LSTM ablation the paper reports (92.8% with DOH sampling vs
 // 61.9% without).
 func Figure8(c *Cloud) []CapacityResult {
-	noDOH := c.ModelNoDOH()
-	gens := append(c.Generators(), namedGenerator{noDOH, "LSTM (no DOH sampling)"})
+	// The ablation's generator always encodes the last history day
+	// instead of sampling DOH days.
+	noDOH := *c.Model()
+	arr := *noDOH.Arrival
+	arr.DOH.Mode = features.DOHLastDay
+	noDOH.Arrival = &arr
+	gens := append(c.Generators(), namedGenerator{&noDOH, "LSTM (no DOH sampling)"})
 	return CapacityPlanning(c, gens)
 }
 
@@ -99,51 +108,40 @@ type ReuseResult struct {
 	Max       []float64
 }
 
+// ReuseFigure is Figure 9: the test data's reuse-distance distribution
+// and each generator's.
+type ReuseFigure struct {
+	Actual     []float64
+	Generators []ReuseResult
+}
+
 // Figure9 computes reuse-distance distributions for the actual test data
 // and for samples from each generator.
-func Figure9(c *Cloud) (actual []float64, results []ReuseResult) {
-	actual = sched.ReuseHistogram(sched.ReuseDistances(c.Test))
+func Figure9(c *Cloud) ReuseFigure {
+	fig := ReuseFigure{Actual: sched.ReuseHistogram(sched.ReuseDistances(c.Test))}
 	for gi, gen := range c.Generators() {
 		// Reuse distributions are stable across samples; a fraction of
 		// the capacity-planning sample count suffices.
 		n := c.Scale.Samples/5 + 1
 		gs := splitStreams(rng.New(c.Scale.Seed+int64(2000+gi)), n)
-		hists := make([][]float64, n)
-		if bg, ok := gen.(core.BatchGenerator); ok {
-			// Batched decode through shared step GEMMs; per-stream
-			// results are identical to the per-sample Generate below.
-			for s, tr := range bg.GenerateBatch(gs, c.TestW) {
-				hists[s] = sched.ReuseHistogram(sched.ReuseDistances(tr))
+		res := ReuseResult{Generator: gen.Name()}
+		for _, tr := range sampleTraces(c, gen, gs) {
+			h := sched.ReuseHistogram(sched.ReuseDistances(tr))
+			if res.Mean == nil {
+				res.Min, res.Max, res.Mean = slices.Clone(h), slices.Clone(h), make([]float64, len(h))
 			}
-		} else {
-			par.Do(n, func(s int) {
-				tr := gen.Generate(gs[s], c.TestW)
-				hists[s] = sched.ReuseHistogram(sched.ReuseDistances(tr))
-			})
-		}
-		minH := make([]float64, sched.ReuseBuckets)
-		maxH := make([]float64, sched.ReuseBuckets)
-		sumH := make([]float64, sched.ReuseBuckets)
-		for i := range minH {
-			minH[i] = math.Inf(1)
-			maxH[i] = math.Inf(-1)
-		}
-		for _, h := range hists {
 			for i, v := range h {
-				minH[i] = math.Min(minH[i], v)
-				maxH[i] = math.Max(maxH[i], v)
-				sumH[i] += v
+				res.Min[i] = math.Min(res.Min[i], v)
+				res.Max[i] = math.Max(res.Max[i], v)
+				res.Mean[i] += v
 			}
 		}
-		mean := make([]float64, sched.ReuseBuckets)
-		for i := range mean {
-			mean[i] = sumH[i] / float64(n)
+		for i := range res.Mean {
+			res.Mean[i] /= float64(n)
 		}
-		results = append(results, ReuseResult{
-			Generator: gen.Name(), Min: minH, Mean: mean, Max: maxH,
-		})
+		fig.Generators = append(fig.Generators, res)
 	}
-	return actual, results
+	return fig
 }
 
 // PackingResult summarizes Table 5 / Figure 10 for one trace source:
@@ -151,7 +149,7 @@ func Figure9(c *Cloud) (actual []float64, results []ReuseResult) {
 // packings exceeding 0.95.
 type PackingResult struct {
 	Source string
-	FFARs  []sched.PackResult
+	FFARs  []sched.PackResult `json:"-"`
 	Median float64
 	Frac95 float64
 }

@@ -17,7 +17,7 @@ set -eu
 
 ceiling_go=6800
 ceiling_asm=1492
-ceiling_module=18739
+ceiling_module=18738
 
 total_go=0
 total_asm=0
