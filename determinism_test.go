@@ -3,7 +3,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fidelity"
-	"repro/internal/mat/mattest"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -189,88 +187,6 @@ func TestObservabilityIsReadOnly(t *testing.T) {
 	if len(tOn) == 0 {
 		t.Fatal("empty serialized trace")
 	}
-}
-
-// TestBatchedFleetDecodeDeterminism extends the determinism contract to
-// the continuous-batching decode path: generating a fleet of seeded
-// traces one stream at a time (Model.Generate per seed), batched
-// (Model.GenerateBatch over all seeds at once), and batched on a model
-// resumed from a mid-training checkpoint must all produce byte-identical
-// JSON per seed, on the assembly and on the portable kernels. Sampling
-// hides a last-bit difference in a logit, so the trained flavor net's
-// packed fleet is also stepped beside the scalar StepForward and its raw
-// logits compared bit for bit — with StepForward, and across the two
-// tiers (a bug both decoders of one tier share moves both).
-func TestBatchedFleetDecodeDeterminism(t *testing.T) {
-	train, catalog, testW := resumeFixture(t)
-	dir := t.TempDir()
-	base := trainFullModel(t, train, &core.CheckpointSpec{Dir: dir, Every: 1, Keep: -1})
-	resumed := trainFullModel(t, train, &core.CheckpointSpec{
-		Dir: cutDir(t, dir, 1), Every: 1, Keep: -1, Resume: true,
-	})
-
-	seeds := []int64{101, 102, 103, 104, 105, 106}
-	encode := func(tr *trace.Trace) []byte {
-		var buf bytes.Buffer
-		if err := core.WithCatalog(tr, catalog).WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	newGens := func() []*rng.RNG {
-		gs := make([]*rng.RNG, len(seeds))
-		for i, s := range seeds {
-			gs[i] = rng.New(s)
-		}
-		return gs
-	}
-
-	var firstLogits []float64 // the fleet logits of the first tier that ran
-	mattest.BothTiers(t, func(t *testing.T) {
-		oneStream := make([][]byte, len(seeds))
-		for i, s := range seeds {
-			oneStream[i] = encode(base.Generate(rng.New(s), testW))
-			if len(oneStream[i]) == 0 {
-				t.Fatalf("seed %d: empty one-stream trace", s)
-			}
-		}
-		batched := base.GenerateBatch(newGens(), testW)
-		resumedBatched := resumed.GenerateBatch(newGens(), testW)
-		for i, s := range seeds {
-			if got := encode(batched[i]); !bytes.Equal(oneStream[i], got) {
-				t.Errorf("seed %d: batched decode differs from one-stream Generate (%d vs %d bytes)", s, len(got), len(oneStream[i]))
-			}
-			if got := encode(resumedBatched[i]); !bytes.Equal(oneStream[i], got) {
-				t.Errorf("seed %d: batched decode on resumed model differs from one-stream Generate on baseline", s)
-			}
-		}
-
-		net := base.Flavor.Net
-		fleet, st := net.NewFleetPacked(1, net.Pack()), net.NewState(1)
-		fleet.Admit()
-		var logits []float64
-		for step := 0; step < 32; step++ {
-			x := fleet.InputRow(0)
-			clear(x)
-			x[step%len(x)], x[(7*step+3)%len(x)] = 1, 0.5
-			want := net.StepForward(x, st)
-			got := fleet.Step([]int{0}).Row(0)
-			logits = append(logits, got...)
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("step %d: fleet logit %d = %x, StepForward %x", step, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
-				}
-			}
-		}
-		if firstLogits == nil {
-			firstLogits = logits
-		}
-		for i, want := range firstLogits {
-			if math.Float64bits(logits[i]) != math.Float64bits(want) {
-				t.Fatalf("fleet logit %d differs across kernel tiers", i)
-			}
-		}
-	})
 }
 
 // TestDeterminismExperimentsSweep covers the experiment-layer fan-outs

@@ -35,6 +35,13 @@ func tinyGenModels() (*FlavorModel, *LifetimeModel) {
 	return fm, lm
 }
 
+// tinyGenModel is the untrained tiny three-stage model the decode tests
+// share: a constant-rate arrival model over tinyGenModels' two networks.
+func tinyGenModel() *Model {
+	fm, lm := tinyGenModels()
+	return &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
+}
+
 // TestGenerationStepAllocFree pins the teacher-forced step path the
 // predictors and dev-set evaluation run (generation's twin is
 // TestFleetEngineSteadyStateAllocs): once the states exist, one flavor

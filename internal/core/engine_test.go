@@ -40,125 +40,11 @@ func testArrivalModel(rate float64) *ArrivalModel {
 	return m
 }
 
-// TestGenerateBatchMatchesSerial pins the tentpole determinism claim
-// on the trained integration fixture: 64 streams decoded in batches of
-// 64 and of 8, at 1 worker and at 8, are byte-identical per stream. The
-// first streams are the golden table's trained/testW row, so every
-// batch is held to the one-stream Model.Generate through that constant
-// rather than through 64 more decodes.
-func TestGenerateBatchMatchesSerial(t *testing.T) {
-	f := getFixture(t)
-	row := goldenRow(t, trainedGoldens(f), "trained/testW")
-	const n = 64
-	var first [][]byte
-	for _, procs := range []int{1, 8} {
-		for _, size := range []int{n, 8} {
-			func() {
-				defer par.SetProcs(par.SetProcs(procs))
-				streams := splitStreams(row.seed, n)
-				got := make([][]byte, 0, n)
-				for lo := 0; lo < n; lo += size {
-					for _, tr := range f.model.GenerateBatch(streams[lo:min(lo+size, n)], row.w) {
-						got = append(got, traceBytes(t, tr))
-					}
-				}
-				if first == nil {
-					if d := digest(got[:row.n]); d != row.want {
-						t.Fatalf("procs=%d size=%d: first %d streams sha256 %s, want the %s row's %s", procs, size, row.n, d, row.name, row.want)
-					}
-					first = got
-					return
-				}
-				for i := range got {
-					if !bytes.Equal(got[i], first[i]) {
-						t.Fatalf("procs=%d size=%d stream %d: batched trace differs from procs=1 size=%d", procs, size, i, n)
-					}
-				}
-			}()
-		}
-	}
-}
-
-// TestGenerateBatchUntrained holds batched decode on the untrained tiny
-// model (no fixture training) with a tilt and a max-jobs cap to the
-// golden table's tiny/tilt+cap5 row, so the override and what-if draw
-// order are pinned on the batched path too.
-func TestGenerateBatchUntrained(t *testing.T) {
-	r := goldenRow(t, tinyGoldens(), "tiny/tilt+cap5")
-	var got [][]byte
-	for _, tr := range r.m.GenerateBatch(splitStreams(r.seed, r.n), r.w) {
-		got = append(got, traceBytes(t, tr))
-	}
-	if d := digest(got); d != r.want {
-		t.Fatalf("batched traces sha256 %s, want the %s row's %s", d, r.name, r.want)
-	}
-}
-
-// TestEngineConcurrentMatchesSerial fires concurrent Engine.Generate
-// calls (more than maxBatch, to exercise queueing and continuous
-// admission) and checks every response against the one-stream
-// Model.Generate of its seed. Run under -race via scripts/check.sh.
-func TestEngineConcurrentMatchesSerial(t *testing.T) {
-	fm, lm := tinyGenModels()
-	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := newEngine(m, 4, PrecisionF64)
-	defer e.Close()
-	const n = 16
-	var wg sync.WaitGroup
-	got := make([][]byte, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr, err := e.Generate(context.Background(), rng.New(int64(100+i)), w, 0)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var buf bytes.Buffer
-			_ = tr.WriteJSON(&buf)
-			got[i] = buf.Bytes()
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		want := traceBytes(t, m.Generate(rng.New(int64(100+i)), w))
-		if !bytes.Equal(got[i], want) {
-			t.Fatalf("request %d: coalesced trace differs from one-stream Generate", i)
-		}
-	}
-}
-
-// TestEngineScale checks the per-request scale knob matches
-// Model.RateScale on the one-stream Generate (0 means 1).
-func TestEngineScale(t *testing.T) {
-	fm, lm := tinyGenModels()
-	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e := newEngine(m, 8, PrecisionF64)
-	defer e.Close()
-	tr, err := e.Generate(context.Background(), rng.New(42), w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := *m
-	ms.RateScale = 3
-	if !bytes.Equal(traceBytes(t, tr), traceBytes(t, ms.Generate(rng.New(42), w))) {
-		t.Fatal("scaled engine trace differs from one-stream Generate at that RateScale")
-	}
-}
-
 // TestEngineCancellation submits a request with an already-cancelled
 // context plus one cancelled mid-flight; both must return ctx errors
 // while other streams complete normally.
 func TestEngineCancellation(t *testing.T) {
-	fm, lm := tinyGenModels()
-	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: 4 * trace.PeriodsPerDay}
 	e := newEngine(m, 4, PrecisionF64)
 	defer e.Close()
@@ -202,7 +88,7 @@ func TestEngineCancellation(t *testing.T) {
 // EngineSpec.Window says — the field is accepted and ignored. With the
 // window honoured this request would sit out the hour.
 func TestIdleEngineDoesNotWait(t *testing.T) {
-	m := shardTestModel()
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	eng, err := NewGenEngine(m, EngineSpec{Window: time.Hour, MaxBatch: 4, Shards: 1})
 	if err != nil {
@@ -251,7 +137,7 @@ func (c *steppedCtx) Err() error {
 // request must be admitted between rounds and return byte-identical to
 // the one-stream Generate before the held stream goes away.
 func TestLatecomerJoinsRunningBatch(t *testing.T) {
-	m := shardTestModel()
+	m := tinyGenModel()
 	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +184,7 @@ func TestLatecomerJoinsRunningBatch(t *testing.T) {
 // caller can replay the same generator elsewhere), and that Close is
 // idempotent.
 func TestEngineClose(t *testing.T) {
-	fm, lm := tinyGenModels()
-	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	e := newEngine(m, 2, PrecisionF64)
 	if _, err := e.Generate(context.Background(), rng.New(1), w, 0); err != nil {
@@ -322,8 +207,7 @@ func TestEngineClose(t *testing.T) {
 // warmed streams with preallocated outputs must stay at zero.
 func TestFleetEngineSteadyStateAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
-	fm, lm := tinyGenModels()
-	m := &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: 400 * trace.PeriodsPerDay} // long-lived streams
 	e := newFleetEngine(m, 8, PrecisionF64)
 	src := rng.New(77)

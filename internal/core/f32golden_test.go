@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"testing"
 
 	"repro/internal/mat/mattest"
@@ -25,28 +23,27 @@ const (
 	goldenF32TracesTrained = "e9354f7e9e57b05b82c1ee996032bb25a125dc04ffeec86d26b1ac261c181ffd"
 )
 
-// f32TraceDigest is the sha256 of the JSON bytes of n f32-decoded
-// traces, streams split from one seed.
-func f32TraceDigest(t *testing.T, m *Model, seed int64, n int, w trace.Window) string {
-	h := sha256.New()
-	for _, tr := range m.GenerateBatchF32(splitStreams(seed, n), w) {
-		h.Write(traceBytes(t, tr))
+// f32Goldens are the f32 rows: on the untrained tiny model every engine
+// test uses, and, given the fixture, on the trained hidden-24 model,
+// where f32 logits genuinely differ from f64.
+func f32Goldens(f *fixture) []generateGolden {
+	day := trace.Window{Start: 0, End: trace.PeriodsPerDay}
+	rows := []generateGolden{{"f32/tiny", tinyGenModel(), day, 20210521, 8, goldenF32TracesTiny}}
+	if f != nil {
+		rows = append(rows, generateGolden{"f32/trained", f.model, f.testW, 321, 6, goldenF32TracesTrained})
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return rows
 }
 
-// TestF32TraceGolden pins the f32 decode's bytes across commits: on the
-// untrained tiny model every engine test uses, and on the trained
-// hidden-24 fixture, where f32 logits genuinely differ from f64.
+// TestF32TraceGolden pins the f32 decode's bytes across commits: the
+// JSON of each row's streams, decoded by one GenerateBatchF32 call.
 func TestF32TraceGolden(t *testing.T) {
-	day := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	f := getFixture(t)
 	mattest.BothTiersUnraced(t, func(t *testing.T) {
-		if got := f32TraceDigest(t, tinyGenModel(), 20210521, 8, day); got != goldenF32TracesTiny {
-			t.Errorf("tiny model: f32 traces sha256 %s, want %s", got, goldenF32TracesTiny)
-		}
-		if got := f32TraceDigest(t, f.model, 321, 6, f.testW); got != goldenF32TracesTrained {
-			t.Errorf("trained fixture: f32 traces sha256 %s, want %s", got, goldenF32TracesTrained)
+		for _, r := range f32Goldens(f) {
+			if d := digest(traceAll(t, r.m.GenerateBatchF32(splitStreams(r.seed, r.n), r.w))); d != r.want {
+				t.Errorf("%s: f32 traces sha256 %s, want %s", r.name, d, r.want)
+			}
 		}
 	})
 }

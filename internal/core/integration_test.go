@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/survival"
 	"repro/internal/synth"
@@ -28,8 +29,14 @@ var (
 	fix     *fixture
 )
 
+// getFixture skips under the race detector, so no -race leg fits the
+// model: the fit takes ~13x longer there and races nothing that the
+// -race legs do not already cover.
 func getFixture(t *testing.T) *fixture {
 	t.Helper()
+	if mat.RaceEnabled {
+		t.Skip("needs the trained fixture, which is not fitted under -race; training's concurrency is raced by internal/nn's sharded-trainer tests and the root package's TestDeterminismAcrossWorkerCounts")
+	}
 	fixOnce.Do(func() {
 		cfg := synth.AzureLike()
 		cfg.Days = 4

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"math"
 	"testing"
 
 	"repro/internal/mat/mattest"
 	"repro/internal/nn"
-	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // TestPreparePackedCaching pins the publish-time cache contract: panels
@@ -28,86 +24,6 @@ func TestPreparePackedCaching(t *testing.T) {
 	if p32 == nil || m.PreparePackedF32() != p32 {
 		t.Fatal("PreparePackedF32 cache broken")
 	}
-}
-
-// TestPackedDecodeByteIdentity is the cross-path pin inside the
-// process: the engine and the batch entry points, at both precisions,
-// decode on panels; at f64 every cell equals the one-stream
-// Model.Generate of the same streams (generate/f64), at f32 the engine
-// and the sharded batch equal the single-fleet batch — and every cell is
-// byte-identical on the assembly and on the portable kernels. Every cell
-// steps packed panels, Generate included; packed against unpacked is
-// pinned at the logits (TestServedFleetLogitsTierParity holds the packed
-// fleets to the scalar StepForward bit for bit).
-func TestPackedDecodeByteIdentity(t *testing.T) {
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	const n = 5
-	streams := func() []*rng.RNG { return splitStreams(7, n) }
-
-	// A fresh model per tier keeps cache contents honest (a stale shared
-	// cache could mask a broken rebuild).
-	decodeAll := func(t *testing.T) map[string][][]byte {
-		m := tinyGenModel()
-		got := make(map[string][][]byte)
-		for _, g := range streams() {
-			got["generate/f64"] = append(got["generate/f64"], traceBytes(t, m.Generate(g, w)))
-		}
-		for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
-			eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2, Precision: prec})
-			if err != nil {
-				t.Fatalf("%s: %v", prec, err)
-			}
-			for _, g := range streams() {
-				tr, err := eng.Generate(context.Background(), g, w, 0)
-				if err != nil {
-					t.Fatalf("%s: %v", prec, err)
-				}
-				got["engine/"+string(prec)] = append(got["engine/"+string(prec)], traceBytes(t, tr))
-			}
-			eng.Close()
-		}
-		for _, tr := range m.GenerateBatch(streams(), w) {
-			got["batch/f64"] = append(got["batch/f64"], traceBytes(t, tr))
-		}
-		for _, tr := range m.GenerateBatchSharded(streams(), w, 3) {
-			got["shardbatch/f64"] = append(got["shardbatch/f64"], traceBytes(t, tr))
-		}
-		for _, tr := range m.GenerateBatchF32(streams(), w) {
-			got["batch/f32"] = append(got["batch/f32"], traceBytes(t, tr))
-		}
-		for _, tr := range m.GenerateBatchShardedF32(streams(), w, 3) {
-			got["shardbatch/f32"] = append(got["shardbatch/f32"], traceBytes(t, tr))
-		}
-		return got
-	}
-	sameStreams := func(t *testing.T, what string, got, want [][]byte) {
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d streams, want %d", what, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("%s: stream %d differs", what, i)
-			}
-		}
-	}
-
-	var first map[string][][]byte // the cells of the first tier that ran
-	mattest.BothTiersUnraced(t, func(t *testing.T) {
-		got := decodeAll(t)
-		for _, key := range []string{"engine/f64", "batch/f64", "shardbatch/f64"} {
-			sameStreams(t, key+" vs generate/f64", got[key], got["generate/f64"])
-		}
-		for _, key := range []string{"engine/f32", "shardbatch/f32"} {
-			sameStreams(t, key+" vs batch/f32", got[key], got["batch/f32"])
-		}
-		if first == nil {
-			first = got
-			return
-		}
-		for key, want := range first {
-			sameStreams(t, key+" across kernel tiers", got[key], want)
-		}
-	})
 }
 
 // TestServedFleetLogitsTierParity is the bit-level twin of the

@@ -1,117 +1,26 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"testing"
 
-	"repro/internal/mat/mattest"
 	"repro/internal/nn"
-	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
-// tinyGenModel assembles the untrained tiny three-stage model the
-// engine tests use, as a full Model.
-func tinyGenModel() *Model {
-	fm, lm := tinyGenModels()
-	return &Model{Arrival: testArrivalModel(1.5), Flavor: fm, Lifetime: lm}
-}
-
-// TestPrecisionRegistryMatrix drives the engine at every precision and
-// shard setting over the same seeds and pins the two determinism
-// contracts: an f64 engine is byte-identical to the one-stream
-// Model.Generate, and an f32 engine to the one-stream GenerateBatchF32
-// — whatever the shard count, on the assembly and on the portable
-// kernels.
-func TestPrecisionRegistryMatrix(t *testing.T) {
-	mattest.BothTiersUnraced(t, testPrecisionRegistryMatrix)
-}
-
-func testPrecisionRegistryMatrix(t *testing.T) {
+// TestPrecisionRegistry guards the f32 fast path structurally, since
+// sampling can mask f32 logit drift (the tiny model's f32 bytes equal
+// its f64 ones): an f32 fleet engine steps nn.Fleet32 fleets, not the
+// f64 ones. An unknown precision is a NewGenEngine error.
+func TestPrecisionRegistry(t *testing.T) {
 	m := tinyGenModel()
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	const n = 6
-	seeds := make([]int64, n)
-	f64Ref := make([][]byte, n)
-	f32Ref := make([][]byte, n)
-	src := rng.New(77)
-	for i := range seeds {
-		seeds[i] = src.Int63()
-		f64Ref[i] = traceBytes(t, m.Generate(rng.New(seeds[i]), w))
-		out := m.GenerateBatchF32([]*rng.RNG{rng.New(seeds[i])}, w)
-		f32Ref[i] = traceBytes(t, out[0])
-	}
-	// Sampling can mask tiny logit drift (an untrained model's f32
-	// bytes often coincide with f64), so guard against a disconnected
-	// fast path structurally: the f32 fleet engine must be running
-	// nn.Fleet32 steps, not the f64 fleets.
 	fe := newFleetEngine(m, 1, PrecisionF32)
 	for _, f := range []nn.StepFleet{fe.ff, fe.lf} {
 		if _, ok := f.(*nn.Fleet32); !ok {
 			t.Fatalf("f32 fleet engine is stepping %T, want *nn.Fleet32", f)
 		}
 	}
-	// Shards: 0 is the default the server runs — one scheduler per par
-	// worker, capped by MaxBatch — so at 8 workers those cells decode on
-	// four shards.
-	defer par.SetProcs(par.SetProcs(8))
-	for _, prec := range []Precision{"", PrecisionF64, PrecisionF32} {
-		for _, shards := range []int{0, 1, 2} {
-			eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: shards, Precision: prec})
-			if err != nil {
-				t.Fatalf("%q: %v", prec, err)
-			}
-			want := f64Ref
-			if prec == PrecisionF32 {
-				want = f32Ref
-			}
-			for i, seed := range seeds {
-				tr, err := eng.Generate(context.Background(), rng.New(seed), w, 0)
-				if err != nil {
-					t.Fatalf("%q seed %d: %v", prec, seed, err)
-				}
-				if got := traceBytes(t, tr); !bytes.Equal(got, want[i]) {
-					t.Fatalf("%q shards=%d stream %d: trace differs from the %s reference", prec, shards, i, prec.normalize())
-				}
-			}
-			eng.Close()
-		}
-	}
 	if _, err := NewGenEngine(m, EngineSpec{Precision: "f16"}); err == nil {
 		t.Fatal("NewGenEngine accepted unknown precision f16")
-	}
-}
-
-// TestGenerateBatchF32ShardInvariance pins the f32 batch-composition
-// contract: sharded f32 decode is byte-identical to the single-fleet
-// f32 batch at every shard count, the every-core default (0) included
-// (the same invariance the f64 sharding rests on).
-func TestGenerateBatchF32ShardInvariance(t *testing.T) {
-	m := tinyGenModel()
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	const n = 12
-	src := rng.New(99)
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = src.Int63()
-	}
-	mkStreams := func() []*rng.RNG {
-		gs := make([]*rng.RNG, n)
-		for i, s := range seeds {
-			gs[i] = rng.New(s)
-		}
-		return gs
-	}
-	ref := m.GenerateBatchShardedF32(mkStreams(), w, 1)
-	for _, shards := range []int{0, 2, 3, 4} {
-		out := m.GenerateBatchShardedF32(mkStreams(), w, shards)
-		for i := range out {
-			if !bytes.Equal(traceBytes(t, out[i]), traceBytes(t, ref[i])) {
-				t.Fatalf("shards=%d stream %d: sharded f32 trace differs from the single-fleet f32 batch", shards, i)
-			}
-		}
 	}
 }
 
@@ -167,53 +76,5 @@ func TestValidateF32RejectsStalePanels(t *testing.T) {
 	}
 	if rep, err := m.ValidateF32(); err == nil {
 		t.Fatalf("ValidateF32 accepted stale f32 panels (report %+v)", rep)
-	}
-}
-
-// TestEngineF32ConcurrentDeterministic exercises the f32 batched
-// engine under concurrency: every response must equal the f32
-// reference decode of its seed regardless of batching. Run under
-// -race via scripts/check.sh.
-func TestEngineF32ConcurrentDeterministic(t *testing.T) {
-	m := tinyGenModel()
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Precision: PrecisionF32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	const n = 12
-	refs := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		out := m.GenerateBatchF32([]*rng.RNG{rng.New(int64(i + 1))}, w)
-		refs[i] = traceBytes(t, out[0])
-	}
-	errs := make(chan error, n)
-	results := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			tr, err := eng.Generate(context.Background(), rng.New(int64(i+1)), w, 0)
-			if err != nil {
-				errs <- err
-				return
-			}
-			var buf bytes.Buffer
-			if err := tr.WriteJSON(&buf); err != nil {
-				errs <- err
-				return
-			}
-			results[i] = buf.Bytes()
-			errs <- nil
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range results {
-		if !bytes.Equal(results[i], refs[i]) {
-			t.Fatalf("stream %d: concurrent f32 decode differs from f32 reference", i)
-		}
 	}
 }

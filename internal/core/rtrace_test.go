@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -12,82 +11,28 @@ import (
 	"repro/internal/trace"
 )
 
-// generateTraced runs one request through eng with a fresh request
-// trace and returns the response bytes plus the finished trace record.
-func generateTraced(t *testing.T, eng GenEngine, tc *rtrace.Tracer, seed int64, w trace.Window) ([]byte, rtrace.Finished) {
-	t.Helper()
-	tr := tc.StartTrace()
-	ctx := rtrace.NewContext(context.Background(), tr)
-	out, err := eng.Generate(ctx, rng.New(seed), w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return traceBytes(t, out), tc.Finish(tr)
-}
-
-// TestTracedDecodeByteIdentity is the tracing half of the determinism
-// contract: attaching a request trace must not change a single response
-// byte at any shard count, while the finished trace carries the
-// pipeline-phase spans.
-func TestTracedDecodeByteIdentity(t *testing.T) {
-	m := shardTestModel()
-	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	const seed = 4242
-	want := traceBytes(t, m.Generate(rng.New(seed), w))
-
-	for _, shards := range []int{1, 2} {
-		eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Untraced request first, then a traced one with the same seed.
-		plain, perr := eng.Generate(context.Background(), rng.New(seed), w, 0)
-		if perr != nil {
-			t.Fatalf("shards=%d untraced: %v", shards, perr)
-		}
-		if !bytes.Equal(traceBytes(t, plain), want) {
-			t.Fatalf("shards=%d: untraced trace differs from one-stream Generate", shards)
-		}
-		tc := rtrace.NewTracer(4)
-		got, fin := generateTraced(t, eng, tc, seed, w)
-		eng.Close()
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: traced response differs from untraced (tracing is not read-only)", shards)
-		}
-
-		// Span structure: queue, coalesce, and a decode span that counts
-		// the rounds the stream rode in.
-		for _, name := range []string{"queue", "coalesce", "decode"} {
-			if d, ok := fin.SpanDur(name); !ok || d < 0 {
-				t.Fatalf("shards=%d: missing %s span (spans=%+v)", shards, name, fin.Spans)
-			}
-		}
-		for _, sp := range fin.Spans {
-			if sp.Name == "decode" && sp.Steps <= 0 {
-				t.Fatalf("shards=%d: decode span has %d rounds, want > 0", shards, sp.Steps)
-			}
-		}
-		// The router annotates the shard it chose; with nothing else in
-		// flight that is the tie-break, shard 0.
-		if fin.Shard != 0 {
-			t.Fatalf("shards=%d: trace annotated shard %d, want 0", shards, fin.Shard)
-		}
-	}
-}
-
 // TestTracedSpansTileRequest pins the span accounting the /debug/traces
 // endpoint relies on: queue, coalesce, and decode are contiguous (each
 // span starts where the previous ended) so their sum accounts for the
-// engine-side wall time of the request. The queue span itself starts a
-// hair after trace start — the caller's pre-submit work — which is the
-// only gap allowed.
+// engine-side wall time of the request, and the decode span counts the
+// rounds the stream rode in. The queue span itself starts a hair after
+// trace start — the caller's pre-submit work — which is the only gap
+// allowed. The router annotates the shard it chose; with nothing else
+// in flight that is the tie-break, shard 0.
 func TestTracedSpansTileRequest(t *testing.T) {
-	m := shardTestModel()
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
-	eng := newEngine(m, 4, PrecisionF64)
+	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer eng.Close()
 	tc := rtrace.NewTracer(4)
-	_, fin := generateTraced(t, eng, tc, 777, w)
+	tr := tc.StartTrace()
+	if _, err := eng.Generate(rtrace.NewContext(context.Background(), tr), rng.New(777), w, 0); err != nil {
+		t.Fatal(err)
+	}
+	fin := tc.Finish(tr)
 
 	cursor := findSpan(t, fin, "queue").StartNS
 	for _, name := range []string{"queue", "coalesce", "decode"} {
@@ -99,6 +44,12 @@ func TestTracedSpansTileRequest(t *testing.T) {
 			t.Fatalf("span %q has negative duration %d", name, sp.DurNS)
 		}
 		cursor = sp.StartNS + sp.DurNS
+	}
+	if rounds := findSpan(t, fin, "decode").Steps; rounds <= 0 {
+		t.Fatalf("decode span has %d rounds, want > 0", rounds)
+	}
+	if fin.Shard != 0 {
+		t.Fatalf("trace annotated shard %d, want 0", fin.Shard)
 	}
 }
 
@@ -117,7 +68,7 @@ func findSpan(t *testing.T, f rtrace.Finished, name string) rtrace.Span {
 // out its spans (empty decode if it never stepped), so cancelled
 // requests don't leave dangling traces.
 func TestTracedCancelledStream(t *testing.T) {
-	m := shardTestModel()
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: 4000 * trace.PeriodsPerDay} // effectively unbounded
 	eng := newEngine(m, 4, PrecisionF64)
 	defer eng.Close()
@@ -143,7 +94,7 @@ func TestTracedCancelledStream(t *testing.T) {
 // collapses to one pointer test per stream per round.
 func TestTracingDisabledRoundAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
-	m := shardTestModel()
+	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: 400 * trace.PeriodsPerDay} // long-lived streams
 	fe := newFleetEngine(m, 8, PrecisionF64)
 	src := rng.New(177)

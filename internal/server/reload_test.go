@@ -185,7 +185,7 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 	body := fmt.Sprintf(`{"periods": %d, "seed": %d, "format": "json"}`, periods, seed)
 
 	oldModel := s.currentModel()
-	oldWant := refF64Bytes(t, s, oldModel, seed, periods)
+	oldWant := refBytes(t, s, oldModel, core.PrecisionF64, seed, periods)
 	rec := do(t, h, "POST", "/generate", body)
 	if rec.Code != http.StatusOK || rec.Body.String() != oldWant {
 		t.Fatalf("pre-reload serve mismatch (status %d)", rec.Code)
@@ -208,7 +208,7 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 			}
 		}
 	}
-	newWant := refF64Bytes(t, s, newModel, seed, periods)
+	newWant := refBytes(t, s, newModel, core.PrecisionF64, seed, periods)
 	if newWant == oldWant {
 		t.Fatal("perturbed model decodes identically; the reload check would be vacuous")
 	}
@@ -254,15 +254,21 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 	}
 }
 
-// refF64Bytes decodes one stream with the model's one-stream
-// Model.Generate and serializes it the way /generate does.
-func refF64Bytes(t *testing.T, s *Server, m *core.Model, seed int64, periods int) string {
+// refBytes decodes one stream of m with the one-stream decode at prec —
+// Model.Generate at f64, a one-stream GenerateBatchF32 at f32 — and
+// serializes it the way /generate does.
+func refBytes(t *testing.T, s *Server, m *core.Model, prec core.Precision, seed int64, periods int) string {
 	t.Helper()
 	start := m.Flavor.HistoryDays * trace.PeriodsPerDay
 	w := trace.Window{Start: start, End: start + periods}
-	tr := core.WithCatalog(m.Generate(rng.New(seed), w), s.catalog)
+	var tr *trace.Trace
+	if prec == core.PrecisionF32 {
+		tr = m.GenerateBatchF32([]*rng.RNG{rng.New(seed)}, w)[0]
+	} else {
+		tr = m.Generate(rng.New(seed), w)
+	}
 	var buf strings.Builder
-	if err := tr.WriteJSON(&buf); err != nil {
+	if err := core.WithCatalog(tr, s.catalog).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -336,7 +342,7 @@ func TestPrecisionSurvivesReload(t *testing.T) {
 	}
 	// The engine the first request built must be an f32 decode: its
 	// response equals the model's own f32 reference bytes.
-	ref := refF32Bytes(t, s, 7, 24)
+	ref := refBytes(t, s, s.currentModel(), core.PrecisionF32, 7, 24)
 	if before.Body.String() != ref {
 		t.Fatal("served f32 response differs from the model's f32 reference decode")
 	}
@@ -356,22 +362,6 @@ func TestPrecisionSurvivesReload(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("bad precision: status %d, want 500", rec.Code)
 	}
-}
-
-// refF32Bytes decodes one stream through the model's f32 reference
-// path (GenerateBatchF32) and serializes it the way /generate does.
-func refF32Bytes(t *testing.T, s *Server, seed int64, periods int) string {
-	t.Helper()
-	m := s.currentModel()
-	start := m.Flavor.HistoryDays * trace.PeriodsPerDay
-	w := trace.Window{Start: start, End: start + periods}
-	out := m.GenerateBatchF32([]*rng.RNG{rng.New(seed)}, w)
-	tr := core.WithCatalog(out[0], s.catalog)
-	var buf strings.Builder
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
 }
 
 // TestGenerateRejectsHostileRequests pins the request-validation caps:

@@ -472,22 +472,24 @@ func TestMetricsShardGauges(t *testing.T) {
 	}
 }
 
-// TestShardedServerMatchesBatched pins shard-count transparency at the
-// HTTP layer: the same (seed, periods) request served by a four-shard
-// server returns byte-identical responses to the default one.
-func TestShardedServerMatchesBatched(t *testing.T) {
+// TestShardedServerMatchesOneStreamDecode pins shard-count transparency
+// at the HTTP layer: a four-shard server answers a (seed, periods)
+// request with the one-stream decode of that seed and window at its
+// precision, serialized the way /generate does, at f64 and at f32.
+func TestShardedServerMatchesOneStreamDecode(t *testing.T) {
 	shared := testServer(t)
-	s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
-	s.DecodeShards = 4
-	defer s.Close()
-	body := `{"periods": 24, "seed": 77, "format": "json"}`
-	a := do(t, shared.Handler(), "POST", "/generate", body)
-	b := do(t, s.Handler(), "POST", "/generate", body)
-	if a.Code != http.StatusOK || b.Code != http.StatusOK {
-		t.Fatalf("status %d / %d", a.Code, b.Code)
-	}
-	if a.Body.String() != b.Body.String() {
-		t.Fatal("sharded server response differs from batched server for the same seed")
+	for _, prec := range []core.Precision{core.PrecisionF64, core.PrecisionF32} {
+		s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
+		s.DecodeShards = 4
+		s.Precision = string(prec)
+		rec := do(t, s.Handler(), "POST", "/generate", `{"periods": 24, "seed": 77, "format": "json"}`)
+		s.Close()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", prec, rec.Code, rec.Body.String())
+		}
+		if rec.Body.String() != refBytes(t, s, s.currentModel(), prec, 77, 24) {
+			t.Fatalf("%s: four-shard server response differs from the one-stream decode of the same seed", prec)
+		}
 	}
 }
 
