@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,8 +32,13 @@ import (
 //	THEN  the sha256 of the n traces' JSON is the row's recorded digest.
 //
 // Each contractRow is one such decode, and its oracle is always the
-// recorded constant, never another path.
+// recorded constant, never another path. The table is written once;
+// each row names the test that runs it, so every claim the contract
+// carries (batch equals one-stream, shard invariance, engine equals
+// one-stream at each precision, the per-request scale, tracing) is a
+// test of its own over its rows, all through runContract.
 type contractRow struct {
+	test   string    // the test that runs the row
 	path   string    // "batch", "sharded", "engine" or "engine+trace"
 	prec   Precision // "" (engine rows) is the f64 default
 	shards int       // K: the shards argument or EngineSpec.Shards; 0 is one per par worker
@@ -41,61 +47,84 @@ type contractRow struct {
 	golden string    // the golden row whose digest the streams must equal
 }
 
+// contractTests are the tests that run the contract's rows.
+var contractTests = []string{
+	"TestDecodeContract",
+	"TestGenerateBatchMatchesSerial",
+	"TestGenerateBatchUntrained",
+	"TestPackedDecodeByteIdentity",
+	"TestShardedDecodeDeterminism",
+	"TestShardedDecodeDeterminismTrained",
+	"TestGenerateBatchF32ShardInvariance",
+	"TestEngineConcurrentMatchesSerial",
+	"TestShardedEngineMatchesSerial",
+	"TestPrecisionRegistryMatrix",
+	"TestEngineF32ConcurrentDeterministic",
+	"TestEngineScale",
+	"TestShardedEngineScale",
+	"TestTracedDecodeByteIdentity",
+}
+
 // contractRows is the table: every path at every shard count and
 // precision on the tiny model, and each path once more on the knobs and
 // on the trained weights.
 func contractRows() []contractRow {
-	f64 := []string{"tiny/day", "tiny/tilt+cap5", "trained/testW"}
-	f32 := []string{"f32/tiny", "f32/trained"}
-	goldensAt := func(p Precision) []string {
-		if p == PrecisionF32 {
-			return f32
-		}
-		return f64
-	}
 	var rows []contractRow
-	// The offline paths: every golden row in one batch at one worker and
-	// at eight, and in chunks (batch composition); every shard count on
-	// the tiny model, and the knobs and the trained weights sharded.
-	for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
-		for _, golden := range goldensAt(prec) {
-			for _, procs := range []int{1, 8} {
-				rows = append(rows, contractRow{path: "batch", prec: prec, procs: procs, golden: golden})
-			}
-		}
-		for _, k := range []int{0, 1, 2, 3, 8} {
-			rows = append(rows, contractRow{path: "sharded", prec: prec, shards: k, procs: 8, golden: goldensAt(prec)[0]})
-		}
+	add := func(test string, r contractRow) {
+		r.test = test
+		rows = append(rows, r)
 	}
-	rows = append(rows,
-		contractRow{path: "batch", prec: PrecisionF64, procs: 8, chunk: 4, golden: "tiny/tilt+cap5"}, // calls of 4, 4 and 1
-		contractRow{path: "batch", prec: PrecisionF32, procs: 8, chunk: 1, golden: "f32/tiny"},       // the one-stream f32 decode
-		contractRow{path: "sharded", prec: PrecisionF64, shards: 3, procs: 8, golden: "tiny/tilt+cap5"},
-		contractRow{path: "sharded", prec: PrecisionF64, shards: 2, procs: 8, golden: "trained/testW"},
-		contractRow{path: "sharded", prec: PrecisionF32, shards: 2, procs: 8, golden: "f32/trained"},
-	)
+	ks := []int{0, 1, 2, 3, 8}
 
-	// The serving engine. Every K and precision on the tiny model (K = 0
-	// at one worker too, where it is the single scheduler); the per-request
-	// rate scale on tiny/scale3; the knobs and the trained weights at K = 2;
-	// and a request trace attached at K = 1 and 2.
-	for _, prec := range []Precision{"", PrecisionF64, PrecisionF32} {
-		tiny := goldensAt(prec)[0]
-		rows = append(rows, contractRow{path: "engine", prec: prec, procs: 1, golden: tiny})
-		for _, k := range []int{0, 1, 2, 3, 8} {
-			rows = append(rows, contractRow{path: "engine", prec: prec, shards: k, procs: 8, golden: tiny})
+	// The offline batch: every golden row in one call at one worker and
+	// at eight, and in chunks (batch composition).
+	for _, procs := range []int{1, 8} {
+		for _, golden := range []string{"tiny/day", "trained/testW"} {
+			add("TestGenerateBatchMatchesSerial", contractRow{path: "batch", prec: PrecisionF64, procs: procs, golden: golden})
+		}
+		add("TestGenerateBatchUntrained", contractRow{path: "batch", prec: PrecisionF64, procs: procs, golden: "tiny/tilt+cap5"})
+		for _, golden := range []string{"f32/tiny", "f32/trained"} {
+			add("TestPackedDecodeByteIdentity", contractRow{path: "batch", prec: PrecisionF32, procs: procs, golden: golden})
 		}
 	}
-	rows = append(rows,
-		contractRow{path: "engine", prec: PrecisionF64, shards: 1, procs: 8, golden: "tiny/scale3"},
-		contractRow{path: "engine", prec: PrecisionF64, shards: 3, procs: 8, golden: "tiny/scale3"},
-		contractRow{path: "engine", prec: PrecisionF64, shards: 2, procs: 8, golden: "tiny/tilt+cap5"},
-		contractRow{path: "engine", prec: PrecisionF64, shards: 2, procs: 8, golden: "trained/testW"},
-		contractRow{path: "engine", prec: PrecisionF32, shards: 2, procs: 8, golden: "f32/trained"},
-	)
-	for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+	add("TestDecodeContract", contractRow{path: "batch", prec: PrecisionF64, procs: 8, chunk: 4, golden: "tiny/tilt+cap5"}) // calls of 4, 4 and 1
+	add("TestDecodeContract", contractRow{path: "batch", prec: PrecisionF32, procs: 8, chunk: 1, golden: "f32/tiny"})       // the one-stream f32 decode
+
+	// The sharded batch: every shard count on the tiny model, and the
+	// knobs and the trained weights sharded.
+	for _, k := range ks {
+		add("TestShardedDecodeDeterminism", contractRow{path: "sharded", prec: PrecisionF64, shards: k, procs: 8, golden: "tiny/day"})
+		add("TestGenerateBatchF32ShardInvariance", contractRow{path: "sharded", prec: PrecisionF32, shards: k, procs: 8, golden: "f32/tiny"})
+	}
+	add("TestShardedDecodeDeterminism", contractRow{path: "sharded", prec: PrecisionF64, shards: 3, procs: 8, golden: "tiny/tilt+cap5"})
+	add("TestShardedDecodeDeterminismTrained", contractRow{path: "sharded", prec: PrecisionF64, shards: 2, procs: 8, golden: "trained/testW"})
+	add("TestShardedDecodeDeterminismTrained", contractRow{path: "sharded", prec: PrecisionF32, shards: 2, procs: 8, golden: "f32/trained"})
+
+	// The serving engine. Every K on the tiny model at the default
+	// precision and at each named one (K = 0 at one worker too, where it
+	// is the single scheduler); the knobs and the trained weights at
+	// K = 2; the per-request rate scale on tiny/scale3; and a request
+	// trace attached at K = 1 and 2.
+	for _, procs := range []int{1, 8} {
+		add("TestEngineConcurrentMatchesSerial", contractRow{path: "engine", procs: procs, golden: "tiny/day"})
+		add("TestPrecisionRegistryMatrix", contractRow{path: "engine", prec: PrecisionF64, procs: procs, golden: "tiny/day"})
+		add("TestEngineF32ConcurrentDeterministic", contractRow{path: "engine", prec: PrecisionF32, procs: procs, golden: "f32/tiny"})
+	}
+	for _, k := range ks[1:] {
+		add("TestShardedEngineMatchesSerial", contractRow{path: "engine", shards: k, procs: 8, golden: "tiny/day"})
+		add("TestPrecisionRegistryMatrix", contractRow{path: "engine", prec: PrecisionF64, shards: k, procs: 8, golden: "tiny/day"})
+		add("TestEngineF32ConcurrentDeterministic", contractRow{path: "engine", prec: PrecisionF32, shards: k, procs: 8, golden: "f32/tiny"})
+	}
+	add("TestEngineConcurrentMatchesSerial", contractRow{path: "engine", prec: PrecisionF64, shards: 2, procs: 8, golden: "tiny/tilt+cap5"})
+	add("TestEngineConcurrentMatchesSerial", contractRow{path: "engine", prec: PrecisionF64, shards: 2, procs: 8, golden: "trained/testW"})
+	add("TestEngineF32ConcurrentDeterministic", contractRow{path: "engine", prec: PrecisionF32, shards: 2, procs: 8, golden: "f32/trained"})
+	add("TestEngineScale", contractRow{path: "engine", prec: PrecisionF64, procs: 8, golden: "tiny/scale3"})
+	for _, k := range []int{1, 3} {
+		add("TestShardedEngineScale", contractRow{path: "engine", prec: PrecisionF64, shards: k, procs: 8, golden: "tiny/scale3"})
+	}
+	for _, tiny := range []contractRow{{prec: PrecisionF64, golden: "tiny/day"}, {prec: PrecisionF32, golden: "f32/tiny"}} {
 		for _, k := range []int{1, 2} {
-			rows = append(rows, contractRow{path: "engine+trace", prec: prec, shards: k, procs: 8, golden: goldensAt(prec)[0]})
+			add("TestTracedDecodeByteIdentity", contractRow{path: "engine+trace", prec: tiny.prec, shards: k, procs: 8, golden: tiny.golden})
 		}
 	}
 	return rows
@@ -163,15 +192,26 @@ func (r contractRow) decode(t *testing.T, g generateGolden) [][]byte {
 	return generateAll(t, eng, gs, g.w, g.m.RateScale, tc)
 }
 
-// TestDecodeContract decodes every contractRow and compares the digest
-// of its streams with its golden row's, on both kernel tiers. Under
-// -race only the concurrent rows run, on the assembly kernels.
-func TestDecodeContract(t *testing.T) {
+// runContract decodes the contract rows that name t's test and compares
+// the digest of each row's streams with its golden row's, on both kernel
+// tiers. Under -race only the concurrent rows run, on the assembly
+// kernels, and the trained fixture is not fitted.
+func runContract(t *testing.T) {
+	var rows []contractRow
+	trained := false
+	for _, r := range contractRows() {
+		if r.test == t.Name() {
+			rows = append(rows, r)
+			trained = trained || strings.Contains(r.golden, "trained")
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no contract rows name %s", t.Name())
+	}
 	var f *fixture
-	if !mat.RaceEnabled {
+	if trained && !mat.RaceEnabled {
 		f = getFixture(t)
 	}
-	rows := contractRows()
 	mattest.BothTiersUnraced(t, func(t *testing.T) {
 		// Fresh tiny models per tier, so no tier decodes on caches
 		// another built.
@@ -200,6 +240,68 @@ func TestDecodeContract(t *testing.T) {
 		}
 	})
 }
+
+// TestDecodeContract checks that every row of the table names one of
+// the contract's tests, so none goes unrun, and decodes its own rows:
+// batch composition, the streams split over calls of a few each.
+func TestDecodeContract(t *testing.T) {
+	for _, r := range contractRows() {
+		if !slices.Contains(contractTests, r.test) {
+			t.Errorf("row %v names %s, which is not one of contractTests", r, r.test)
+		}
+	}
+	runContract(t)
+}
+
+// TestGenerateBatchMatchesSerial: GenerateBatch of the streams in one
+// call, at one worker and at eight, on the tiny and the trained model.
+func TestGenerateBatchMatchesSerial(t *testing.T) { runContract(t) }
+
+// TestGenerateBatchUntrained: GenerateBatch on the tiny model with a
+// flavor tilt and a job cap, so the override and what-if draw order hold
+// on the batched path too.
+func TestGenerateBatchUntrained(t *testing.T) { runContract(t) }
+
+// TestPackedDecodeByteIdentity: GenerateBatchF32 on packed panels, on
+// the tiny and the trained model.
+func TestPackedDecodeByteIdentity(t *testing.T) { runContract(t) }
+
+// TestShardedDecodeDeterminism: GenerateBatchSharded at every shard
+// count, the every-core default (0) included, and on the knobs.
+func TestShardedDecodeDeterminism(t *testing.T) { runContract(t) }
+
+// TestShardedDecodeDeterminismTrained: the sharded batch at both
+// precisions on the trained weights.
+func TestShardedDecodeDeterminismTrained(t *testing.T) { runContract(t) }
+
+// TestGenerateBatchF32ShardInvariance: GenerateBatchShardedF32 at every
+// shard count.
+func TestGenerateBatchF32ShardInvariance(t *testing.T) { runContract(t) }
+
+// TestEngineConcurrentMatchesSerial: concurrent requests, more than the
+// batch cap, through the default engine and the f64 engine on the knobs
+// and the trained weights.
+func TestEngineConcurrentMatchesSerial(t *testing.T) { runContract(t) }
+
+// TestShardedEngineMatchesSerial: the default engine at K = 1, 2, 3, 8.
+func TestShardedEngineMatchesSerial(t *testing.T) { runContract(t) }
+
+// TestEngineF32ConcurrentDeterministic: the f32 engine at every K, on
+// the tiny and the trained model.
+func TestEngineF32ConcurrentDeterministic(t *testing.T) { runContract(t) }
+
+// TestEngineScale: the per-request rate scale through one engine
+// equals Model.RateScale.
+func TestEngineScale(t *testing.T) { runContract(t) }
+
+// TestShardedEngineScale: the per-request rate scale through K = 1 and
+// 3 shards.
+func TestShardedEngineScale(t *testing.T) { runContract(t) }
+
+// TestTracedDecodeByteIdentity: a request trace attached changes no
+// byte, at both precisions and K = 1 and 2 (TestTracedSpansTileRequest
+// checks the spans it records).
+func TestTracedDecodeByteIdentity(t *testing.T) { runContract(t) }
 
 // splitStreams returns n child RNGs split serially from one seed —
 // fresh for every decode, since decoding consumes the streams.

@@ -7,11 +7,12 @@ import (
 	"repro/internal/rng"
 )
 
-// TestPrecisionRegistry guards the f32 fast path structurally, since
-// sampling can mask f32 logit drift (the tiny model's f32 bytes equal
-// its f64 ones): an f32 fleet engine steps nn.Fleet32 fleets, not the
-// f64 ones. An unknown precision is a NewGenEngine error.
-func TestPrecisionRegistry(t *testing.T) {
+// TestPrecisionRegistryMatrix guards the f32 fast path structurally,
+// since sampling can mask f32 logit drift (the tiny model's f32 bytes
+// equal its f64 ones): an f32 fleet engine steps nn.Fleet32 fleets, not
+// the f64 ones. An unknown precision is a NewGenEngine error. Then it
+// runs its decode contract rows: the engine named f64 at every K.
+func TestPrecisionRegistryMatrix(t *testing.T) {
 	m := tinyGenModel()
 	fe := newFleetEngine(m, 1, PrecisionF32)
 	for _, f := range []nn.StepFleet{fe.ff, fe.lf} {
@@ -22,6 +23,7 @@ func TestPrecisionRegistry(t *testing.T) {
 	if _, err := NewGenEngine(m, EngineSpec{Precision: "f16"}); err == nil {
 		t.Fatal("NewGenEngine accepted unknown precision f16")
 	}
+	runContract(t)
 }
 
 // TestF32DivergenceWithinTolerance is the property test for the

@@ -34,7 +34,7 @@
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
 # The -race legs run concurrency, not arithmetic: the detector finds
 # races, not wrong bits. The decode contract (internal/core's
-# TestDecodeContract, DESIGN.md §5) runs only its concurrent rows there,
+# contract_test.go, DESIGN.md §5) runs only its concurrent rows there,
 # the serving engine on the tiny model, and skips the rest; no -race leg
 # fits internal/core's trained fixture (getFixture skips), because the
 # fit's concurrency is raced by internal/nn's sharded-trainer tests and
@@ -62,7 +62,7 @@ go test -race -run 'TestDeterminism|TestObservability|TestKillAndResume' .
 # step on multiple cores, so force GOMAXPROCS=4 regardless of the host
 # default.
 GOMAXPROCS=4 go test -race \
-	-run 'TestDecodeContract|TestShardedEngine|TestRouterBalancesInFlight|TestFleetConcurrentShards' \
+	-run 'TestEngineConcurrent|TestShardedEngine|TestEngineF32Concurrent|TestPrecisionRegistryMatrix|TestTracedDecode|TestRouterBalancesInFlight|TestFleetConcurrentShards' \
 	./internal/core ./internal/nn
 GOMAXPROCS=4 go test -race \
 	-run 'TestHotReloadUnderLoad|TestReloadWithEveryShardBusy|TestMetricsShardGauges|TestShardedServerMatchesOneStreamDecode' \
