@@ -61,21 +61,17 @@
 // finished request traces in a ring — every /generate answers with an
 // X-Trace-Id header and GET /debug/traces serves the span trees (queue,
 // coalesce, decode, encode per request); 0 disables tracing entirely.
-// -fidelity-window N streams every served trace through the live drift
-// monitor (flavor NLL, survival MSE, batch-arrival deviance against a
-// reference captured at snapshot-publish time), surfacing fidelity.*
-// gauges and a drift flag on GET /metrics; 0 disables it. Both are
-// read-only: enabling them changes no response bytes.
+// Tracing is read-only: enabling it changes no response bytes.
 //
 // Endpoints: GET /healthz, GET /readyz, GET /model, GET /metrics,
 // GET /debug/traces, POST /generate (see internal/server for the
 // request schema). -journal writes a JSONL telemetry journal (per-epoch
 // training events, phase spans; write failures surface as
-// obs.journal_errors on /metrics); the optional -debug-addr listener
-// exposes net/http/pprof under /debug/pprof/ and expvar (including the
-// metrics registry and parallel layer counters) under /debug/vars.
-// SIGINT/SIGTERM drain in-flight requests via http.Server.Shutdown
-// before exiting.
+// obs.journal_errors on /metrics, and the first one is logged at
+// shutdown); the optional -debug-addr listener exposes net/http/pprof
+// under /debug/pprof/ and expvar (including the metrics registry and
+// parallel layer counters) under /debug/vars. SIGINT/SIGTERM drain
+// in-flight requests via http.Server.Shutdown before exiting.
 package main
 
 import (
@@ -94,10 +90,8 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/fidelity"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/rng"
 	"repro/internal/rtrace"
 	"repro/internal/server"
 	"repro/internal/survival"
@@ -143,21 +137,6 @@ func loadServing(dir string) (*core.Model, error) {
 	return m, nil
 }
 
-// calibrationSeed is the fixed RNG seed for fidelity-reference decodes
-// of a loaded or reloaded model. It is a dedicated stream created with
-// rng.New — never split from serving seeds — so capturing a reference
-// cannot perturb a single served byte.
-const calibrationSeed = 0x5EED
-
-// fidelityReference fingerprints a model by decoding a two-day
-// calibration window at the end of its training history: the
-// distribution the monitor will compare live traffic against.
-func fidelityReference(m *core.Model) fidelity.Reference {
-	start := m.Flavor.HistoryDays * trace.PeriodsPerDay
-	w := trace.Window{Start: start, End: start + 2*trace.PeriodsPerDay}
-	return fidelity.ReferenceFromTrace(m.Generate(rng.New(calibrationSeed), w), survival.PaperBins().Edges)
-}
-
 // loadModelFile reads a model serialized with MarshalBinary from disk.
 func loadModelFile(path string) (*core.Model, error) {
 	blob, err := os.ReadFile(path)
@@ -185,7 +164,6 @@ func main() {
 	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards (0: one per core, at most -max-batch; 1: a single scheduler)")
 	precision := flag.String("precision", "f64", "decode numeric width: f64 (bit-exact reference) or f32 (fast path, validated at publish)")
 	traceBuffer := flag.Int("trace-buffer", 256, "request traces kept for GET /debug/traces (0 disables request tracing)")
-	fidelityWindow := flag.Int("fidelity-window", 64, "served traces in the fidelity drift monitor's sliding window (0 disables the monitor)")
 	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (training epochs, phase spans) to this path")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training checkpoints and the published serving snapshot")
 	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint every N training epochs (with -checkpoint-dir)")
@@ -207,6 +185,11 @@ func main() {
 			log.Fatalf("traced: open journal: %v", err)
 		}
 		defer journal.Close()
+		defer func() {
+			if n := journal.Dropped(); n > 0 {
+				log.Printf("traced: journal lost %d line(s); first error: %v", n, journal.Err())
+			}
+		}()
 		log.Printf("journaling telemetry to %s", *journalPath)
 	}
 
@@ -254,10 +237,6 @@ func main() {
 		"seed":  *seed,
 	}
 	var model *core.Model
-	// fidRef is the drift monitor's reference fingerprint: the real
-	// training data when we trained here, else a calibration decode of
-	// the loaded model.
-	var fidRef *fidelity.Reference
 	if *modelPath != "" {
 		var err error
 		model, err = loadModelFile(*modelPath)
@@ -296,12 +275,6 @@ func main() {
 		span.End()
 		wall := time.Since(start).Round(time.Second)
 		log.Printf("trained in %v", wall)
-		if *fidelityWindow > 0 {
-			// The training window itself is the paper's reference: served
-			// traffic is scored against the data the model was fitted on.
-			ref := fidelity.ReferenceFromTrace(train, survival.PaperBins().Edges)
-			fidRef = &ref
-		}
 		trainInfo["source"] = "trained"
 		trainInfo["days"] = *days
 		trainInfo["hidden"] = *hidden
@@ -384,16 +357,6 @@ func main() {
 		s.Tracer = rtrace.NewTracer(*traceBuffer)
 		log.Printf("request tracing on: ring of %d traces at GET /debug/traces", *traceBuffer)
 	}
-	var fid *fidelity.Monitor
-	if *fidelityWindow > 0 {
-		if fidRef == nil {
-			ref := fidelityReference(model)
-			fidRef = &ref
-		}
-		fid = fidelity.NewMonitor(*fidRef, fidelity.Config{Window: *fidelityWindow}, reg)
-		s.Fidelity = fid
-		log.Printf("fidelity drift monitor on: window of %d traces, gauges at GET /metrics", *fidelityWindow)
-	}
 
 	// Hot-reload source: prefer an explicit -model file, else the newest
 	// serving snapshot published into the checkpoint directory. Both
@@ -425,19 +388,6 @@ func main() {
 				return nil, nil, err
 			}
 			return m, catalog, nil
-		}
-	}
-	if fid != nil && reloadSrc != nil {
-		// A hot-swapped model is a new distribution: re-fingerprint it and
-		// reset the drift window, so live traffic is scored against the
-		// model actually serving it.
-		inner := reloadSrc
-		reloadSrc = func() (*core.Model, *trace.FlavorSet, error) {
-			m, catalog, err := inner()
-			if err == nil {
-				fid.SetReference(fidelityReference(m))
-			}
-			return m, catalog, err
 		}
 	}
 	if recorder != nil && reloadSrc != nil {

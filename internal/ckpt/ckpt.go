@@ -230,12 +230,3 @@ func (s *Store) LoadLatest(prefix string) (payload []byte, seq int, skipped int,
 	}
 	return nil, 0, skipped, ErrNotFound
 }
-
-// Load reads and verifies one specific checkpoint version.
-func (s *Store) Load(prefix string, seq int) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(s.Dir, fileName(prefix, seq)))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: read: %w", err)
-	}
-	return Decode(data)
-}

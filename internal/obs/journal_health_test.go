@@ -81,23 +81,6 @@ func TestJournalCountIntoNilJournal(t *testing.T) {
 	}
 }
 
-// TestFloatGauge: set/get round-trip and snapshot exposure.
-func TestFloatGauge(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.FloatGauge("fidelity.flavor_kl")
-	g.Set(0.125)
-	if got := g.Value(); got != 0.125 {
-		t.Fatalf("value = %v, want 0.125", got)
-	}
-	if again := reg.FloatGauge("fidelity.flavor_kl"); again != g {
-		t.Fatal("FloatGauge is not get-or-create")
-	}
-	snap := reg.Snapshot()
-	if got := snap.FloatGauges["fidelity.flavor_kl"]; got != 0.125 {
-		t.Fatalf("snapshot float gauge = %v, want 0.125", got)
-	}
-}
-
 // TestHistogramSnapshotQuantiles: p50/p90/p99 ride along with every
 // snapshot and are consistent with Quantile.
 func TestHistogramSnapshotQuantiles(t *testing.T) {

@@ -45,17 +45,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// FloatGauge is an atomic instantaneous float64 value, for metrics
-// that are genuinely continuous (fidelity divergences, ratios) where
-// scaling into an integer Gauge would obscure the units.
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // atomicFloat accumulates a float64 with compare-and-swap on its bits.
 type atomicFloat struct{ bits atomic.Uint64 }
 
@@ -187,20 +176,18 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 // mutex-protected; the returned metric pointers are lock-free to
 // update, so callers resolve names once and keep the pointer.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	floatGauges map[string]*FloatGauge
-	histograms  map[string]*Histogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    map[string]*Counter{},
-		gauges:      map[string]*Gauge{},
-		floatGauges: map[string]*FloatGauge{},
-		histograms:  map[string]*Histogram{},
+		counters:   map[string]*Counter{},
+		gauges:     map[string]*Gauge{},
+		histograms: map[string]*Histogram{},
 	}
 }
 
@@ -224,18 +211,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
-	}
-	return g
-}
-
-// FloatGauge returns the named float gauge, creating it on first use.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.floatGauges[name]
-	if !ok {
-		g = &FloatGauge{}
-		r.floatGauges[name] = g
 	}
 	return g
 }
@@ -272,19 +247,15 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{
-		Counters:    make(map[string]int64, len(r.counters)),
-		Gauges:      make(map[string]int64, len(r.gauges)),
-		FloatGauges: make(map[string]float64, len(r.floatGauges)),
-		Histograms:  make(map[string]HistogramSnapshot, len(r.histograms)),
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]int64, len(r.gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-	}
-	for name, g := range r.floatGauges {
-		s.FloatGauges[name] = g.Value()
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
@@ -294,8 +265,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Snapshot is the point-in-time view of a Registry.
 type Snapshot struct {
-	Counters    map[string]int64             `json:"counters,omitempty"`
-	Gauges      map[string]int64             `json:"gauges,omitempty"`
-	FloatGauges map[string]float64           `json:"float_gauges,omitempty"`
-	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Gauges     map[string]int64             `json:"gauges,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -387,5 +388,46 @@ func TestGenerateRejectsHostileRequests(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, rec.Code)
 		}
+	}
+}
+
+// fullDisk is a journal sink on a full disk: every write fails.
+type fullDisk struct{}
+
+func (fullDisk) Write([]byte) (int, error) { return 0, syscall.ENOSPC }
+
+// TestJournalFailureKeepsServing is the journal drill: a -journal whose
+// writes fail (ENOSPC here) loses its lines, but the loss shows on GET
+// /metrics as obs.journal_errors and obs.journal_dropped_lines, and
+// /generate keeps answering. The wiring is cmd/traced's: the journal
+// counts into the registry the server publishes.
+func TestJournalFailureKeepsServing(t *testing.T) {
+	journal := obs.NewJournal(fullDisk{})
+	reg := obs.NewRegistry()
+	journal.CountInto(reg)
+	shared := testServer(t)
+	s := NewWithRegistry(shared.currentModel(), shared.catalog, reg)
+	t.Cleanup(s.Close)
+	h := s.Handler()
+
+	const n = 5
+	for i := 0; i < n; i++ {
+		journal.Event("epoch", map[string]any{"i": i})
+	}
+	if rec := do(t, h, "POST", "/generate", `{"periods": 12, "seed": 7}`); rec.Code != http.StatusOK {
+		t.Fatalf("generate with a failing journal = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := do(t, h, "GET", "/metrics", "")
+	var resp struct {
+		Metrics obs.Snapshot `json:"metrics"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Metrics.Counters["obs.journal_errors"]; got != n {
+		t.Errorf("obs.journal_errors = %d, want %d", got, n)
+	}
+	if got := resp.Metrics.Gauges["obs.journal_dropped_lines"]; got != n {
+		t.Errorf("obs.journal_dropped_lines = %d, want %d", got, n)
 	}
 }

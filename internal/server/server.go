@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fidelity"
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -118,11 +117,6 @@ type Server struct {
 	// generate.phase.* histograms. nil disables tracing: no IDs, no
 	// spans, and a zero-alloc hot path (DESIGN.md §7).
 	Tracer *rtrace.Tracer
-	// Fidelity, when set (before the first request), streams every
-	// served trace through the live drift monitor; its fidelity.*
-	// gauges publish through the shared registry and its status under
-	// the "fidelity" key of GET /metrics. nil disables monitoring.
-	Fidelity *fidelity.Monitor
 
 	// reloading is raised for the duration of a hot reload, flipping
 	// GET /readyz to 503 while the snapshot swap is in progress.
@@ -470,9 +464,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"model":    s.modelMeta(),
 		"train":    s.TrainInfo,
 	}
-	if s.Fidelity != nil {
-		payload["fidelity"] = s.Fidelity.Snapshot()
-	}
 	if s.Workload != nil {
 		payload["workload"] = s.Workload
 	}
@@ -584,11 +575,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.served++
 	s.mu.Unlock()
-
-	// Fidelity: fold the served trace into the drift window before
-	// encoding (the monitor only reads; the trace is immutable from
-	// here). The request's scale normalizes the expected arrival rate.
-	s.Fidelity.ObserveTrace(tr, req.Scale)
 
 	// Record/replay hook: hand the served trace and the parameters that
 	// reproduce it to the recorder before encoding, so a recorded

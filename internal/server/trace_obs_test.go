@@ -6,32 +6,20 @@ import (
 	"regexp"
 	"testing"
 
-	"repro/internal/fidelity"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/rtrace"
-	"repro/internal/survival"
-	"repro/internal/trace"
 )
 
 // tracedServer builds a private server around the shared trained model
-// with request tracing (and optionally fidelity monitoring) attached.
-func tracedServer(t *testing.T, withFidelity bool) (*Server, *obs.Registry) {
+// with request tracing attached.
+func tracedServer(t *testing.T) *Server {
 	t.Helper()
 	base := testServer(t)
-	reg := obs.NewRegistry()
-	s := NewWithRegistry(base.currentModel(), base.catalog, reg)
+	s := New(base.currentModel(), base.catalog)
 	s.DecodeShards = 2
 	s.Tracer = rtrace.NewTracer(16)
-	if withFidelity {
-		ref := fidelity.ReferenceFromTrace(
-			base.currentModel().Generate(rng.New(12345), trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}),
-			survival.PaperBins().Edges,
-		)
-		s.Fidelity = fidelity.NewMonitor(ref, fidelity.Config{Window: 8}, reg)
-	}
 	t.Cleanup(s.Close)
-	return s, reg
+	return s
 }
 
 type tracesResponse struct {
@@ -48,7 +36,7 @@ type tracesResponse struct {
 // best of up to five requests), and the response bytes are identical to
 // an untraced server's.
 func TestGenerateTracedEndToEnd(t *testing.T) {
-	s, _ := tracedServer(t, false)
+	s := tracedServer(t)
 	h := s.Handler()
 	const body = `{"periods": 288, "seed": 41, "format": "json"}`
 
@@ -128,7 +116,7 @@ func TestGenerateTracedEndToEnd(t *testing.T) {
 // generate.phase.* histograms, and every histogram snapshot carries
 // derived p50/p90/p99.
 func TestPhaseHistogramsOnMetrics(t *testing.T) {
-	s, _ := tracedServer(t, false)
+	s := tracedServer(t)
 	h := s.Handler()
 	for i := 0; i < 3; i++ {
 		if rec := do(t, h, "POST", "/generate", `{"periods": 48, "seed": 21}`); rec.Code != http.StatusOK {
@@ -216,55 +204,4 @@ func TestReadyz(t *testing.T) {
 		t.Fatalf("mid-reload readyz = %d, want 503", rec.Code)
 	}
 	s.reloading.Store(false)
-}
-
-// TestFidelityOnMetrics: served traffic flows into the drift monitor
-// and surfaces on /metrics as both the "fidelity" status block and the
-// fidelity.* gauges in the shared registry.
-func TestFidelityOnMetrics(t *testing.T) {
-	s, reg := tracedServer(t, true)
-	h := s.Handler()
-	for i := 0; i < 2; i++ {
-		if rec := do(t, h, "POST", "/generate", `{"periods": 288, "seed": 61}`); rec.Code != http.StatusOK {
-			t.Fatalf("status %d", rec.Code)
-		}
-	}
-	rec := do(t, h, "GET", "/metrics", "")
-	var resp struct {
-		Fidelity *fidelity.Status `json:"fidelity"`
-		Metrics  obs.Snapshot     `json:"metrics"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Fidelity == nil {
-		t.Fatal("/metrics missing fidelity block")
-	}
-	if resp.Fidelity.WindowTraces != 2 {
-		t.Fatalf("fidelity window traces = %d, want 2", resp.Fidelity.WindowTraces)
-	}
-	if resp.Fidelity.FlavorNLL <= 0 {
-		t.Fatalf("fidelity NLL = %v, want > 0", resp.Fidelity.FlavorNLL)
-	}
-	for _, g := range []string{"fidelity.flavor_nll", "fidelity.flavor_kl", "fidelity.survival_mse", "fidelity.arrival_deviance"} {
-		if _, ok := resp.Metrics.FloatGauges[g]; !ok {
-			t.Fatalf("gauge %q missing from /metrics", g)
-		}
-	}
-	if _, ok := resp.Metrics.Gauges["fidelity.drift"]; !ok {
-		t.Fatal("fidelity.drift gauge missing from /metrics")
-	}
-	if got := reg.Counter("fidelity.observed_traces").Value(); got != 2 {
-		t.Fatalf("observed_traces = %d, want 2", got)
-	}
-
-	// A fidelity-disabled server serves /metrics without the block.
-	plain := do(t, testServer(t).Handler(), "GET", "/metrics", "")
-	var plainResp map[string]json.RawMessage
-	if err := json.Unmarshal(plain.Body.Bytes(), &plainResp); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plainResp["fidelity"]; ok {
-		t.Fatal("fidelity block present on a monitor-less server")
-	}
 }

@@ -186,7 +186,7 @@ func (r *Record) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Trace reconstitutes the recorded trace (for feeding experiments or
-// fidelity checks without touching a model).
+// re-emitting it without touching a model).
 func (r *Record) Trace() *trace.Trace {
 	tr := &trace.Trace{Periods: r.Periods, VMs: make([]trace.VM, len(r.VMs))}
 	for i, vm := range r.VMs {

@@ -7,8 +7,8 @@
 #     reload, the continuous-batching decode engine and concurrent
 #     Model.Generate on a model whose serving caches are still unbuilt
 #     (internal/core's TestConcurrentGenerate), the checkpoint
-#     store, the request-trace ring, the fidelity drift monitor, and the
-#     workload spec/record layer);
+#     store, the request-trace ring, and the workload spec/record
+#     layer);
 #   - the end-to-end determinism and crash-recovery regression tests
 #     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
 #   - the sharded-decode tier at GOMAXPROCS=4;
@@ -54,7 +54,7 @@ test -z "$(gofmt -l .)" || { echo "check.sh: gofmt -l . lists:"; gofmt -l .; exi
 go vet ./...
 go test -race ./internal/par ./internal/mat ./internal/nn ./internal/obs \
 	./internal/server ./internal/core ./internal/ckpt ./internal/rng \
-	./internal/rtrace ./internal/fidelity ./internal/workload
+	./internal/rtrace ./internal/workload
 go test -race -run 'TestDeterminism|TestObservability|TestKillAndResume' .
 
 # Sharded decode tier (DESIGN.md §6.2): the determinism, placement and

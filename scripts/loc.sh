@@ -17,7 +17,7 @@ set -eu
 
 ceiling_go=6800
 ceiling_asm=1492
-ceiling_module=18738
+ceiling_module=18173
 
 total_go=0
 total_asm=0
