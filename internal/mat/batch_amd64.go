@@ -52,7 +52,7 @@ func tanhAVX2(dst, x *float64, n int)
 //go:noescape
 func lstmCellAVX2(z, b, c, h *float64, m, hd int)
 
-// rowSumAVX2 is the layer-0 row-sum kernel (mulAddSparseRows): for the
+// rowSumAVX2 is the layer-0 row-sum kernel (MulAddSparse): for the
 // cnt > 0 listed columns k = idx[e] of one input row x, ascending, it
 // adds x[k]·b[k*n+j] into dst[j] for j in [0, n&^3), holding up to 48
 // dst columns in registers across the whole list. x[k] == 1 is a bare

@@ -2,31 +2,16 @@
 // neural-network and regression packages. Matrices are row-major and
 // sized once — float64 everywhere but the f32 serving path — and all
 // operations check dimensions and panic on mismatch, since a shape error
-// is always a programming bug in this codebase.
+// is always a programming bug in this codebase. Every kernel runs on the
+// calling goroutine: concurrency belongs to the callers (the training
+// shards' and the experiment tasks' par.Do, the decode schedulers), so a
+// product never opens a parallel region of its own.
 package mat
 
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/par"
 )
-
-// parMinFlops is the multiply-add count below which a product stays on
-// the serial path (goroutine hand-off costs more than the work below
-// it). It cannot affect results: every dst element accumulates its
-// k-terms in ascending order on the serial and the row-parallel paths
-// alike, so the kernels are bit-identical at any worker count.
-const parMinFlops = 1 << 15
-
-// gemmGrain returns the minimum rows per parallel chunk so each worker
-// gets at least parMinFlops of work.
-func gemmGrain(rowFlops int) int {
-	if rowFlops <= 0 {
-		return 1
-	}
-	return parMinFlops/rowFlops + 1
-}
 
 // Matrix is a row-major matrix of float64 or float32. The two element
 // types share every shape operation and, in the decode kernels, one
@@ -124,12 +109,12 @@ func (m *Matrix[T]) String() string {
 	return fmt.Sprintf("Dense(%dx%d)", m.Rows, m.Cols)
 }
 
-// MulAdd computes dst += a * b with the dense kernel, row-parallel
-// above parMinFlops, with no per-element zero test (dense data
-// makes that branch a mispredict; layer-0 feature encodings — one-hots,
-// thermometers — call MulAddSparse instead). Every path accumulates each
-// dst element's k terms in ascending order with a separately rounded
-// multiply and add, so the dispatch below can never change a bit.
+// MulAdd computes dst += a * b with the dense kernel, with no
+// per-element zero test (dense data makes that branch a mispredict;
+// layer-0 feature encodings — one-hots, thermometers — call
+// MulAddSparse instead). Every path accumulates each dst element's k
+// terms in ascending order with a separately rounded multiply and add,
+// so the dispatch below can never change a bit.
 func MulAdd(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAdd shape mismatch %v * %v -> %v", a, b, dst))
@@ -148,8 +133,7 @@ func MulAdd(dst, a, b *Dense) {
 	// kernel: B is read once per row either way, so there
 	// is nothing for a pack pass to amortise, and gemmRaw's register
 	// tiles (AVX2, or the portable 4-column tiles) beat a
-	// store-and-reload axpy sweep per k. packMinFlops is below
-	// parMinFlops, so nothing this small is worth a goroutine hand-off.
+	// store-and-reload axpy sweep per k.
 	gemmRaw(dst.Data, a.Data, b.Data, a.Rows, k, n)
 }
 
@@ -162,46 +146,14 @@ func MulAdd(dst, a, b *Dense) {
 // result is MulAdd's bit for bit when dst holds no -0 (a skipped term
 // would have added ±0; every dst element still takes its kept terms in
 // ascending k); on a non-finite b element the skipped 0·Inf terms are
-// the one difference. Row-parallel above the size threshold, like
-// MulAdd.
+// the one difference. Allocation-free at any size.
 func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddSparse shape mismatch %v * %v -> %v", a, b, dst))
 	}
-	rowFlops := a.Cols * b.Cols
-	if a.Rows*rowFlops < parMinFlops {
-		mulAddSparseRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-		mulAddSparseRows(dst, a, b, lo, hi)
-	})
-}
-
-// MulAddSparseBatched is MulAddSparse on the calling goroutine at any
-// size, allocation-free: the decode fleets' layer 0, whose scheduler
-// owns its own concurrency.
-func MulAddSparseBatched[T float32 | float64](dst, a, b *Matrix[T]) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulAddSparseBatched shape mismatch %v * %v -> %v", a, b, dst))
-	}
-	mulAddSparseRows(dst, a, b, 0, a.Rows)
-}
-
-// sparseChunk is how many columns of a row are scanned per rowSum call:
-// a chunk's non-zero columns fit a uint8 index list on the stack, so
-// the kernel needs no heap and no scratch parameter. Chunks run in
-// ascending order and dst round-trips through memory exactly between
-// them, so chunking cannot reorder an element's sum.
-const sparseChunk = 256
-
-// mulAddSparseRows computes dst[lo:hi] += a[lo:hi] * b skipping zero
-// a-elements. Named helper rather than a closure hoisted above the
-// serial/parallel branch, so the serial fast path stays allocation-free.
-func mulAddSparseRows[T float32 | float64](dst, a, b *Matrix[T], lo, hi int) {
 	n := b.Cols
 	var idx [sparseChunk]uint8
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
 		for k0 := 0; k0 < len(arow); k0 += sparseChunk {
@@ -223,13 +175,18 @@ func mulAddSparseRows[T float32 | float64](dst, a, b *Matrix[T], lo, hi int) {
 	}
 }
 
+// sparseChunk is how many columns of a row are scanned per rowSum call:
+// a chunk's non-zero columns fit a uint8 index list on the stack, so
+// the kernel needs no heap and no scratch parameter. Chunks run in
+// ascending order and dst round-trips through memory exactly between
+// them, so chunking cannot reorder an element's sum.
+const sparseChunk = 256
+
 // MulATB computes dst += aᵀ * b (a is kxm, b is kxn, dst is mxn).
 // Above packMinFlops it packs aᵀ once and runs the cache-blocked
-// batched kernel (see pack.go). Below, the serial path streams a and b
-// row-major (k outer); the parallel path partitions dst rows, paying a
-// strided read of a's columns to keep writes disjoint. All paths
-// accumulate each dst element's k terms in ascending order, so they
-// are bit-identical.
+// batched kernel (see pack.go). Below, it streams a and b row-major
+// (k outer). Both paths accumulate each dst element's k terms in
+// ascending order, so they are bit-identical.
 func MulATB(dst, a, b *Dense) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulATB shape mismatch %vᵀ * %v -> %v", a, b, dst))
@@ -239,25 +196,13 @@ func MulATB(dst, a, b *Dense) {
 		mulATBPacked(dst, a, b)
 		return
 	}
-	rowFlops := a.Rows * n
-	if m*rowFlops < parMinFlops || par.Procs() == 1 {
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)
-			brow := b.Data[k*n : k*n+n]
-			for i, av := range arow {
-				axpy(av, brow, dst.Row(i))
-			}
+	for k := 0; k < a.Rows; k++ {
+		arow := a.Row(k)
+		brow := b.Data[k*n : k*n+n]
+		for i, av := range arow {
+			axpy(av, brow, dst.Row(i))
 		}
-		return
 	}
-	par.For(m, gemmGrain(rowFlops), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dst.Row(i)
-			for k := 0; k < a.Rows; k++ {
-				axpy(a.Data[k*m+i], b.Data[k*n:k*n+n], drow)
-			}
-		}
-	})
 }
 
 // MulATBSparse computes dst += aᵀ * b, skipping zero elements of a —
@@ -280,10 +225,10 @@ func MulATBSparse(dst, a, b *Dense) {
 	}
 }
 
-// MulABT computes dst += a * bᵀ (a is mxk, b is nxk, dst is mxn),
-// row-parallel above the size threshold. Above packMinFlops it packs
-// bᵀ once and runs the cache-blocked batched kernel through a zeroed
-// panel, bit-identical to the dot-then-add reference (see pack.go).
+// MulABT computes dst += a * bᵀ (a is mxk, b is nxk, dst is mxn), each
+// dot product rounded before its one add into dst. Above packMinFlops
+// it packs bᵀ once and runs the cache-blocked batched kernel through a
+// zeroed panel, bit-identical to the dot-then-add loop (see pack.go).
 func MulABT(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulABT shape mismatch %v * %vᵀ -> %v", a, b, dst))
@@ -292,14 +237,13 @@ func MulABT(dst, a, b *Dense) {
 		mulABTPacked(dst, a, b)
 		return
 	}
-	rowFlops := a.Cols * b.Rows
-	if a.Rows*rowFlops < parMinFlops {
-		mulABTRows(dst, a, b, 0, a.Rows)
-		return
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			drow[j] += dot(arow, b.Row(j))
+		}
 	}
-	par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-		mulABTRows(dst, a, b, lo, hi)
-	})
 }
 
 // TransposeInto sets dst = aᵀ (dst is a.Cols x a.Rows and must not
@@ -314,19 +258,6 @@ func TransposeInto(dst, a *Dense) {
 		panic(fmt.Sprintf("mat: TransposeInto shape mismatch %vᵀ -> %v", a, dst))
 	}
 	transposeInto(dst.Data, a)
-}
-
-// mulABTRows computes dst[lo:hi] += a[lo:hi] * bᵀ. Kept as a named
-// helper (not a closure hoisted above the serial/parallel branch) so
-// the serial fast path does not heap-allocate a closure per call.
-func mulABTRows(dst, a, b *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] += dot(arow, b.Row(j))
-		}
-	}
 }
 
 // AddBiasRows adds bias vector b to every row of m in place.
@@ -365,8 +296,8 @@ func Dot(a, b []float64) float64 {
 
 // dot is the unchecked kernel behind Dot. The adds stay sequential
 // into one accumulator on purpose: the strict ascending-index
-// summation order is what keeps every GEMM path — serial, blocked, or
-// row-parallel — bit-identical, so a multi-accumulator split is off
+// summation order is what keeps every GEMM path — row-major, blocked,
+// or packed — bit-identical, so a multi-accumulator split is off
 // the table here. With the dependency chain serial either way, a
 // 4-way manual unroll buys nothing and in fact ran nearly 2× slower
 // on this host by paired alternating-median measurement of direct

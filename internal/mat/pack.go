@@ -1,17 +1,16 @@
 package mat
 
-import (
-	"sync"
-
-	"repro/internal/par"
-)
+import "sync"
 
 // Packed cache-blocked backward GEMM fast paths. MulATB and MulABT feed
 // BPTT's gradient products ((T·b)-row activations against gate panels);
 // above packMinFlops they transpose one operand once into pooled
 // scratch and then run the batched AVX2 kernel (gemmAVX2, or its tiled
 // portable fallback) over contiguous rows, instead of the strided
-// axpy/dot loops the small-shape paths keep.
+// axpy/dot loops the small-shape paths keep. Like every kernel in the
+// package they run on the calling goroutine at any size; the concurrent
+// callers are the training shards, one per row, which is why the
+// scratch is pooled rather than global (packPool).
 //
 // Bit-compatibility: both fast paths reproduce the small-shape paths'
 // bits exactly, so the threshold (and any future retuning of it) can
@@ -82,55 +81,34 @@ func transposeInto(dst []float64, a *Dense) {
 }
 
 // mulATBPacked computes dst += aᵀ·b by transposing a once into pooled
-// scratch and running the contiguous kernel, row-parallel above the
-// parallel threshold. Bit-identical to MulATB's small-shape paths.
+// scratch and running the contiguous kernel. Bit-identical to MulATB's
+// small-shape path.
 func mulATBPacked(dst, a, b *Dense) {
 	m, n, kk := a.Cols, b.Cols, a.Rows
 	sp := packGet(m * kk)
 	at := *sp
 	transposeInto(at, a)
-	rowFlops := kk * n
-	if m*rowFlops < parMinFlops || par.Procs() == 1 {
-		gemmRaw(dst.Data, at, b.Data, m, kk, n)
-	} else {
-		par.For(m, gemmGrain(rowFlops), func(lo, hi int) {
-			gemmRaw(dst.Data[lo*n:hi*n], at[lo*kk:hi*kk], b.Data, hi-lo, kk, n)
-		})
-	}
+	gemmRaw(dst.Data, at, b.Data, m, kk, n)
 	packPut(sp)
 }
 
-// mulABTPanelRows computes dst[lo:hi] += a[lo:hi]·bt through a zeroed
-// pooled panel, preserving MulABT's dot-then-add rounding (see the file
-// comment). Named helper so the serial path allocates no closure.
-func mulABTPanelRows(dst, a *Dense, bt []float64, lo, hi, kk, n int) {
-	pp := packGet((hi - lo) * n)
-	p := *pp
-	clear(p)
-	gemmRaw(p, a.Data[lo*kk:hi*kk], bt, hi-lo, kk, n)
-	d := dst.Data[lo*n : hi*n]
-	for i, v := range p {
-		d[i] += v
-	}
-	packPut(pp)
-}
-
 // mulABTPacked computes dst += a·bᵀ by transposing b once into pooled
-// scratch and running the contiguous kernel per row panel,
-// row-parallel above the parallel threshold. Bit-identical to MulABT's
-// small-shape paths for every dst (zeroed or not).
+// scratch and running the contiguous kernel into a zeroed pooled panel,
+// which is then added to dst: that keeps MulABT's dot-then-add rounding
+// (see the file comment), bit-identical to its small-shape path for
+// every dst (zeroed or not).
 func mulABTPacked(dst, a, b *Dense) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
 	sp := packGet(kk * n)
 	bt := *sp
 	transposeInto(bt, b)
-	rowFlops := kk * n
-	if m*rowFlops < parMinFlops || par.Procs() == 1 {
-		mulABTPanelRows(dst, a, bt, 0, m, kk, n)
-	} else {
-		par.For(m, gemmGrain(rowFlops), func(lo, hi int) {
-			mulABTPanelRows(dst, a, bt, lo, hi, kk, n)
-		})
+	pp := packGet(m * n)
+	p := *pp
+	clear(p)
+	gemmRaw(p, a.Data, bt, m, kk, n)
+	for i, v := range p {
+		dst.Data[i] += v
 	}
+	packPut(pp)
 	packPut(sp)
 }

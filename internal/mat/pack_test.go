@@ -3,8 +3,6 @@ package mat
 import (
 	"math"
 	"testing"
-
-	"repro/internal/par"
 )
 
 // mulATBRef is the pre-pack serial MulATB loop (k outer, axpy rows),
@@ -102,13 +100,10 @@ func TestMulABTPackedBitExact(t *testing.T) {
 	})
 }
 
-// TestPackedSteadyStateNoAlloc pins the packed serial paths at zero
+// TestPackedSteadyStateNoAlloc pins the packed paths at zero
 // steady-state allocations (one warm call fills the pool; afterwards
 // every buffer is recycled).
 func TestPackedSteadyStateNoAlloc(t *testing.T) {
-	if par.Procs() > 1 {
-		t.Skip("parallel path allocates its par.For closure by design")
-	}
 	if RaceEnabled {
 		t.Skip("race-mode sync.Pool.Put randomly drops items, so the pool is not allocation-free under the detector")
 	}
@@ -156,32 +151,27 @@ func BenchmarkMulABTPackedBPTTShape(b *testing.B) {
 // the shapes a one-row training shard and StepForward produce, with
 // column tails (n mod 4 ≠ 0), a single column, and k on both sides of
 // the oracle's 64-term block edge — on the assembly and portable
-// kernels, at one worker and at eight (the largest shapes cross
-// packMinFlops and then parMinFlops, so they take the repacked path
-// serial and row-parallel), into a nonzero dst.
+// kernels (the largest shapes cross packMinFlops, so they take the
+// repacked path), into a nonzero dst.
 func TestMulAddSmallShapesBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
-		for _, procs := range []int{1, 8} {
-			prev := par.SetProcs(procs)
-			for m := 1; m <= 9; m++ {
-				for _, k := range []int{1, 7, 24, 64, 65} {
-					for _, n := range []int{1, 3, 4, 17, 96, 97} {
-						a := denseRand(m, k, 1)
-						b := denseRand(k, n, 2)
-						want := denseRand(m, n, 3)
-						got := want.Clone()
-						mulAddRows(want, a, b, 0, m)
-						MulAdd(got, a, b)
-						for i := range want.Data {
-							if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-								t.Fatalf("%dx%dx%d at %d workers: elem %d: got %x want %x", m, k, n, procs,
-									i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
-							}
+		for m := 1; m <= 9; m++ {
+			for _, k := range []int{1, 7, 24, 64, 65} {
+				for _, n := range []int{1, 3, 4, 17, 96, 97} {
+					a := denseRand(m, k, 1)
+					b := denseRand(k, n, 2)
+					want := denseRand(m, n, 3)
+					got := want.Clone()
+					mulAddRows(want, a, b, 0, m)
+					MulAdd(got, a, b)
+					for i := range want.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("%dx%dx%d: elem %d: got %x want %x", m, k, n,
+								i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 						}
 					}
 				}
 			}
-			par.SetProcs(prev)
 		}
 	})
 }

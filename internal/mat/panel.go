@@ -3,8 +3,6 @@ package mat
 import (
 	"fmt"
 	"unsafe"
-
-	"repro/internal/par"
 )
 
 // Publish-time packed weight panels (DESIGN.md §6.5). The decode hot
@@ -121,7 +119,7 @@ func MulAddPacked[T float32 | float64](dst, a *Matrix[T], b *Packed[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddPacked shape mismatch %v * %v -> %v", a, b, dst))
 	}
-	mulAddPackedRows(dst, a, b, 0, a.Rows)
+	mulAddPackedRows(dst, a, b)
 }
 
 // MulAddPacked32 is MulAddPacked; like Pack32, the name is kept for the
@@ -146,20 +144,18 @@ func groupTiles(m, tileBytes int) int {
 	return max(1, min(3, groupL1Bytes/tileBytes))
 }
 
-// mulAddPackedRows runs the packed kernels over dst rows [lo, hi): the
+// mulAddPackedRows runs the packed kernels over every dst row: the
 // wide tiles in groups of up to three per kernel call (groupTiles), the
 // narrow tiles (at most three) the same way, then the tail columns as
 // interleaved chains. A group holds all its tiles' accumulators at once,
 // so at one activation row a 96-column f64 gate matrix is two calls of
 // twelve independent add chains instead of six calls of four.
-func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T], lo, hi int) {
-	m := hi - lo
-	k, n := b.Rows, b.Cols
-	if m <= 0 || k == 0 {
+func mulAddPackedRows[T float32 | float64](dst, a *Matrix[T], b *Packed[T]) {
+	m, k, n := a.Rows, b.Rows, b.Cols
+	if m == 0 || k == 0 {
 		return
 	}
-	ad := a.Data[lo*k : hi*k]
-	dd := dst.Data[lo*n : hi*n]
+	ad, dd := a.Data, dst.Data
 	narrow := lanes[T]()
 	off, j0 := 0, 0
 	for w := 4 * narrow; w >= narrow; w /= 4 { // wide tiles, then narrow ones
@@ -278,7 +274,7 @@ func mulAddTile[T float32 | float64](dst, a, tile []T, m, k, n, w int) {
 }
 
 // mulAddPackedB is MulAdd's forward fast path: pack b once into pooled
-// panel scratch, then run the packed kernel row-parallel. The pack pass
+// panel scratch, then run the packed kernel over all of a. The pack pass
 // costs one extra sweep over b, amortized across a.Rows row sweeps that
 // each replace strided B loads with contiguous L1-resident tiles;
 // paired measurement at the training and BPTT shapes put the crossover
@@ -289,13 +285,6 @@ func mulAddPackedB(dst, a, b *Dense) {
 	sp := packGet(k * n)
 	pb := PackedDense{Rows: k, Cols: n, data: *sp}
 	panelCopy(pb.data, b.Data, k, n)
-	rowFlops := k * n
-	if a.Rows*rowFlops < parMinFlops || par.Procs() == 1 {
-		mulAddPackedRows(dst, a, &pb, 0, a.Rows)
-	} else {
-		par.For(a.Rows, gemmGrain(rowFlops), func(lo, hi int) {
-			mulAddPackedRows(dst, a, &pb, lo, hi)
-		})
-	}
+	mulAddPackedRows(dst, a, &pb)
 	packPut(sp)
 }

@@ -123,9 +123,7 @@ func sameBits[T float32 | float64](x, y T) bool {
 // and — the data being finite and dst free of -0 — to the dense
 // product (MulAddPacked): over output widths covering the widest register block,
 // both narrower ones and the scalar tail at either type, and input
-// widths on both sides of the sparseChunk boundary. MulAddSparse runs
-// row-parallel at most of these sizes and MulAddSparseBatched never, so
-// both entry points are compared.
+// widths on both sides of the sparseChunk boundary.
 func testMulAddSparseParity[T float32 | float64](t *testing.T) {
 	for _, n := range []int{3, 4, 17, 47, 96, 192, 800} {
 		for _, k := range []int{1, 26, 151, 255, 256, 257, 600} {
@@ -135,16 +133,12 @@ func testMulAddSparseParity[T float32 | float64](t *testing.T) {
 			want, dense := base.Clone(), base.Clone()
 			mulAddSparseRef(want, a, b)
 			MulAddPacked(dense, a, b.Pack())
-			for name, kernel := range map[string]func(dst, a, b *Matrix[T]){
-				"MulAddSparse": MulAddSparse[T], "MulAddSparseBatched": MulAddSparseBatched[T],
-			} {
-				got := base.Clone()
-				kernel(got, a, b)
-				for i := range got.Data {
-					if !sameBits(got.Data[i], want.Data[i]) || !sameBits(got.Data[i], dense.Data[i]) {
-						t.Fatalf("%s k=%d n=%d row %q col %d: got %v, oracle %v, dense %v",
-							name, k, n, sparsePatterns[i/n], i%n, got.Data[i], want.Data[i], dense.Data[i])
-					}
+			got := base.Clone()
+			MulAddSparse(got, a, b)
+			for i := range got.Data {
+				if !sameBits(got.Data[i], want.Data[i]) || !sameBits(got.Data[i], dense.Data[i]) {
+					t.Fatalf("k=%d n=%d row %q col %d: got %v, oracle %v, dense %v",
+						k, n, sparsePatterns[i/n], i%n, got.Data[i], want.Data[i], dense.Data[i])
 				}
 			}
 		}
@@ -166,7 +160,7 @@ func TestMulAddSparseSkipsNonFinite(t *testing.T) {
 		a := sparseInput[float64](151, 1)
 		b := randMatrix[float64](151, 96, 2)
 		clean := NewDense(a.Rows, 96)
-		MulAddSparseBatched(clean, a, b)
+		MulAddSparse(clean, a, b)
 		for i := 0; i < a.Rows; i++ {
 			// Poison every weight row this input row does not select.
 			pb := b.Clone()
@@ -177,7 +171,7 @@ func TestMulAddSparseSkipsNonFinite(t *testing.T) {
 				}
 			}
 			got := NewDense(1, 96)
-			MulAddSparseBatched(got, a.SliceRows(i, i+1), pb)
+			MulAddSparse(got, a.SliceRows(i, i+1), pb)
 			for j, v := range got.Data {
 				if !sameBits(v, clean.At(i, j)) {
 					t.Fatalf("row %q col %d: %v with unselected rows poisoned, %v clean", sparsePatterns[i], j, v, clean.At(i, j))

@@ -347,7 +347,7 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 			// Layer 0 sums the weight rows its input selects, as
 			// StepForward does — every row, sparse or not (the row-sum
 			// kernel reads the row-major matrix; there is no layer-0 panel).
-			mat.MulAddSparseBatched(Z, in, layer.wx)
+			mat.MulAddSparse(Z, in, layer.wx)
 		} else {
 			mat.MulAddPacked(Z, in, pw.wx)
 		}

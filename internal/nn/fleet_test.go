@@ -438,7 +438,7 @@ func unpackedSolo[T float32 | float64](w *stepWeights[T]) func(x []float64) []fl
 		for l, layer := range w.layers {
 			z.Zero()
 			if layer.first {
-				mat.MulAddSparseBatched(z, in, layer.wx)
+				mat.MulAddSparse(z, in, layer.wx)
 			} else {
 				refMulAddRowMajor(z, in, layer.wx)
 			}

@@ -77,14 +77,15 @@ func NewLSTM(cfg Config, g *rng.RNG) *LSTM { return &LSTM{newStack(cfg, g, true)
 // with seqCache's arena validity and sequence-fused layout.
 type Cache struct {
 	seqCache
-	c                 []*mat.Dense // per layer cell state [(T+1)·B x H]; block 0 is the initial state
-	i, f, g, o, tanhC []*mat.Dense // per layer gate activations [T·B x H]
+	c     []*mat.Dense // per layer cell state [(T+1)·B x H]; block 0 is the initial state
+	z     []*mat.Dense // per layer gate activations [T·B x 4H], in i, f, g, o order
+	tanhC []*mat.Dense // per layer tanh of the new cell state [T·B x H]
 }
 
 // lstmCache returns the arena's embedded Cache, resized for nl layers.
 func (a *arena) lstmCache(nl int) *Cache {
 	c := &a.cache
-	fitLayers(nl, &c.h, &c.c, &c.i, &c.f, &c.g, &c.o, &c.tanhC)
+	fitLayers(nl, &c.h, &c.c, &c.z, &c.tanhC)
 	return c
 }
 
@@ -117,11 +118,6 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 		// H and C hold blocks 0..T; block 0 is the incoming state.
 		H := stateSlab(ar, sH, l, T, b, h)
 		C := stateSlab(ar, sC, l, T, b, h)
-		I := ar.slab(T*b, h, false)
-		F := ar.slab(T*b, h, false)
-		G := ar.slab(T*b, h, false)
-		O := ar.slab(T*b, h, false)
-		TC := ar.slab(T*b, h, false)
 		// Sequence-fused input projection: all T steps' x·Wx in one
 		// GEMM. The recurrent term and bias are added per step below,
 		// preserving the per-element accumulation order (x-terms,
@@ -131,39 +127,18 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 		bias := layer.b.Value.Row(0)
 		for t := 0; t < T; t++ {
 			zt := ar.view(Z, t*b, (t+1)*b)
-			hPrev := ar.view(H, t*b, (t+1)*b)
-			mat.MulAdd(zt, hPrev, layer.wh.Value)
-			mat.AddBiasRows(zt, bias)
-			// Gate nonlinearities via the vectorized activations, written
-			// straight into the cache rows. Per element these compute
-			// exactly what StepForward's scalar loop computes, as
-			// Fleet.Step's do.
-			for r := 0; r < b; r++ {
-				row := t*b + r
-				zrow := zt.Row(r)
-				irow, frow := I.Row(row), F.Row(row)
-				grow, orow := G.Row(row), O.Row(row)
-				cprow := C.Row(row) // block t: previous cell
-				crow := C.Row(row + b)
-				hrow := H.Row(row + b)
-				tcrow := TC.Row(row)
-				mat.SigmoidSlice(irow, zrow[:h])
-				mat.SigmoidSlice(frow, zrow[h:2*h])
-				mat.TanhSlice(grow, zrow[2*h:3*h])
-				mat.SigmoidSlice(orow, zrow[3*h:])
-				for j := 0; j < h; j++ {
-					crow[j] = frow[j]*cprow[j] + irow[j]*grow[j]
-				}
-				mat.TanhSlice(tcrow, crow)
-				for j := 0; j < h; j++ {
-					hrow[j] = orow[j] * tcrow[j]
-				}
-			}
+			mat.MulAdd(zt, ar.view(H, t*b, (t+1)*b), layer.wh.Value)
+			// The decode cell kernel, as Fleet.Step runs it: bias, gate
+			// activations in place (Z becomes the gate cache) and the
+			// c / h update of block t+1, which starts as a copy of block t.
+			copy(C.Data[(t+1)*b*h:(t+2)*b*h], C.Data[t*b*h:(t+1)*b*h])
+			mat.LSTMCell(zt, bias, ar.view(C, (t+1)*b, (t+2)*b), ar.view(H, (t+1)*b, (t+2)*b))
 		}
+		// The cell kernel folds tanh(c) into h; Backward needs it alone.
+		TC := ar.slab(T*b, h, false)
+		mat.TanhSlice(TC.Data, C.Data[b*h:])
 		cache.h[l], cache.c[l] = H, C
-		cache.i[l], cache.f[l] = I, F
-		cache.g[l], cache.o[l] = G, O
-		cache.tanhC[l] = TC
+		cache.z[l], cache.tanhC[l] = Z, TC
 		if st != nil {
 			st.H[l] = ar.view(H, T*b, (T+1)*b)
 			st.C[l] = ar.view(C, T*b, (T+1)*b)
@@ -200,10 +175,7 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	// (see mat.TransposeInto).
 	whT := ar.slab(4*h, h, false)
 	for l := len(n.layers) - 1; l >= 0; l-- {
-		C := cache.c[l]
-		I, F := cache.i[l], cache.f[l]
-		G, O := cache.g[l], cache.o[l]
-		TC := cache.tanhC[l]
+		C, Z, TC := cache.c[l], cache.z[l], cache.tanhC[l]
 		dc.Zero()
 		dhrec.Zero()
 		mat.TransposeInto(whT, n.layers[l].wh.Value)
@@ -211,8 +183,8 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 			for r := 0; r < b; r++ {
 				row := t*b + r
 				dhRow, recRow, dcRow := DH.Row(row), dhrec.Row(r), dc.Row(r)
-				iRow, fRow := I.Row(row), F.Row(row)
-				gRow, oRow := G.Row(row), O.Row(row)
+				zRow := Z.Row(row)
+				iRow, fRow, gRow, oRow := zRow[:h], zRow[h:2*h], zRow[2*h:3*h], zRow[3*h:]
 				tcRow, cpRow := TC.Row(row), C.Row(row) // block t: previous cell
 				dzRow := DZ.Row(row)
 				for j := 0; j < h; j++ {

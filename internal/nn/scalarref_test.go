@@ -302,6 +302,20 @@ func sameBits(t *testing.T, what string, got, want *mat.Dense) {
 	}
 }
 
+// gateBlock copies column block k (width h) of every layer's gate slab
+// out into a [T·B x H] matrix: the LSTM cache keeps its i, f, g and o
+// activations as the four blocks of one slab.
+func gateBlock(zs []*mat.Dense, k, h int) []*mat.Dense {
+	out := make([]*mat.Dense, len(zs))
+	for l, z := range zs {
+		out[l] = mat.NewDense(z.Rows, h)
+		for r := 0; r < z.Rows; r++ {
+			copy(out[l].Row(r), z.Row(r)[k*h:(k+1)*h])
+		}
+	}
+	return out
+}
+
 func sameBitsAll(t *testing.T, what string, got, want []*mat.Dense) {
 	t.Helper()
 	for l := range want {
@@ -370,10 +384,10 @@ func TestForwardBackwardMatchesScalarReference(t *testing.T) {
 					n.Backward(cache, dys)
 					sameBitsAll(t, "h", cache.h, ref.h)
 					sameBitsAll(t, "c", cache.c, ref.c)
-					sameBitsAll(t, "i", cache.i, ref.i)
-					sameBitsAll(t, "f", cache.f, ref.f)
-					sameBitsAll(t, "g", cache.g, ref.g)
-					sameBitsAll(t, "o", cache.o, ref.o)
+					sameBitsAll(t, "i", gateBlock(cache.z, 0, h), ref.i)
+					sameBitsAll(t, "f", gateBlock(cache.z, 1, h), ref.f)
+					sameBitsAll(t, "g", gateBlock(cache.z, 2, h), ref.g)
+					sameBitsAll(t, "o", gateBlock(cache.z, 3, h), ref.o)
 					sameBitsAll(t, "tanhC", cache.tanhC, ref.tanhC)
 					sameBits(t, "ys", packSteps(ys), ref.y)
 					for l := range st.H {

@@ -127,62 +127,136 @@ func TestStepForwardAllocFree(t *testing.T) {
 	}
 }
 
+// The training shape: the fixture's flavor net (16 flavors + EOB, the
+// 40 temporal features; hidden 24 x 2 layers) over a default BPTT
+// window (core.TrainConfig's SeqLen 96 and BatchSize 8).
+var fitCfg = Config{InputDim: 57, HiddenDim: 24, Layers: 2, OutputDim: 17}
+
+const fitSteps, fitBatch = 96, 8
+
+// fitInputs returns one training-shaped window of flavor-net inputs: a
+// one-hot token and a one-hot temporal feature per row.
+func fitInputs() []*mat.Dense {
+	tokens := fitCfg.OutputDim
+	xs := make([]*mat.Dense, fitSteps)
+	for t := range xs {
+		xs[t] = mat.NewDense(fitBatch, fitCfg.InputDim)
+		for r := 0; r < fitBatch; r++ {
+			xs[t].Set(r, (t+r)%tokens, 1)
+			xs[t].Set(r, tokens+(7*t+r)%(fitCfg.InputDim-tokens), 1)
+		}
+	}
+	return xs
+}
+
+// allocCase is one shape of the steady-state allocation pins, run under
+// procs workers. A sharded window may allocate windowAllocs times: the
+// method value s.shard RunWindow hands par.Do, and at two workers
+// par.Do's spawn of them. The training shape's products take the packed
+// kernels, whose pooled scratch the race detector makes lossy, so it
+// skips under -race.
+type allocCase struct {
+	name         string
+	cfg          Config
+	xs           []*mat.Dense
+	procs        int
+	windowAllocs float64
+	pooled       bool
+}
+
+func allocCases() []allocCase {
+	return []allocCase{
+		{"small", Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, randInputs(rng.New(40), 6, 4, 3), 1, 1, false},
+		{"fit", fitCfg, fitInputs(), 2, 7, true},
+	}
+}
+
+func (c allocCase) skipRace(t *testing.T) {
+	if c.pooled && mat.RaceEnabled {
+		t.Skip("race-mode sync.Pool.Put randomly drops items, so pooled pack scratch allocates under the detector")
+	}
+}
+
 // TestForwardBackwardSteadyStateAllocs pins the training hot path: once
 // both arenas of the double-buffered workspace are grown, a full
-// Forward/Backward cycle performs no allocation at all. (The problem is
-// sized below the kernels' parallel threshold; above it, par.For's
-// fork/join bookkeeping allocates a bounded amount per call.)
+// Forward/Backward cycle performs no allocation at all, at a small
+// shape and at the training shape.
 func TestForwardBackwardSteadyStateAllocs(t *testing.T) {
-	n := NewLSTM(Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, rng.New(39))
-	g := rng.New(40)
-	const steps, batch = 6, 4
-	xs := randInputs(g, steps, batch, 3)
-	dys := make([]*mat.Dense, steps)
-	for s := range dys {
-		dys[s] = mat.NewDense(batch, 4)
+	for _, tc := range allocCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.skipRace(t)
+			defer par.SetProcs(par.SetProcs(tc.procs))
+			n := NewLSTM(tc.cfg, rng.New(39))
+			dys := make([]*mat.Dense, len(tc.xs))
+			for s := range dys {
+				dys[s] = mat.NewDense(tc.xs[0].Rows, tc.cfg.OutputDim)
+			}
+			pass := func() {
+				_, cache := n.Forward(tc.xs, nil)
+				n.Backward(cache, dys)
+			}
+			pass()
+			pass() // warm both arenas
+			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+				t.Fatalf("steady-state Forward/Backward allocates %v times, want 0", allocs)
+			}
+		})
 	}
-	pass := func() {
-		_, cache := n.Forward(xs, nil)
-		n.Backward(cache, dys)
+}
+
+// shardDys returns RunWindow's loss callback for xs's window: fixed
+// random output gradients per one-row shard.
+func shardDys(g *rng.RNG, xs []*mat.Dense, outDim int) ShardDys {
+	perShard := make([][]*mat.Dense, xs[0].Rows)
+	for si := range perShard {
+		perShard[si] = randInputs(g, len(xs), 1, outDim)
 	}
-	pass()
-	pass() // warm both arenas
-	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
-		t.Fatalf("steady-state Forward/Backward allocates %v times, want 0", allocs)
+	return func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
+		return perShard[lo], 0, 0
 	}
 }
 
 // TestShardedRunWindowSteadyStateAllocs pins the sharded training
-// window, for both cells, at its historical allocation count: the
-// method value s.shard RunWindow hands par.Do and nothing from the shards'
-// Forward/Backward — the per-layer whᵀ slab and the gate loop's tanh
-// scratch come from each shadow's arena. One worker, so par.Do spawns
-// nothing; shapes below the pack threshold, so no pooled scratch (which
-// the race detector makes lossy) is involved.
+// window, for both cells. Nothing from the shards' Forward/Backward
+// allocates — the per-layer whᵀ slab and the gate scratch come from each
+// shadow's arena — so what is left is the fan-out itself.
 func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
-	defer par.SetProcs(par.SetProcs(1))
-	const inDim, hidden, outDim, steps, batch = 3, 5, 4, 6, 4
-	for _, arch := range []string{"lstm", "gru"} {
-		g := rng.New(41)
-		xs := randInputs(g, steps, batch, inDim)
-		shardDys := make([][]*mat.Dense, batch)
-		for si := range shardDys {
-			shardDys[si] = randInputs(g, steps, 1, outDim)
+	for _, tc := range allocCases() {
+		for _, arch := range []string{"lstm", "gru"} {
+			t.Run(tc.name+"/"+arch, func(t *testing.T) {
+				tc.skipRace(t)
+				defer par.SetProcs(par.SetProcs(tc.procs))
+				var net Recurrent = NewLSTM(tc.cfg, rng.New(42))
+				if arch == "gru" {
+					net = NewGRU(tc.cfg, rng.New(42))
+				}
+				batch := tc.xs[0].Rows
+				drv, st := NewSharded(net, batch), net.NewState(batch)
+				dys := shardDys(rng.New(41), tc.xs, tc.cfg.OutputDim)
+				run := func() { drv.RunWindow(tc.xs, st, dys) }
+				run()
+				run() // warm both arenas of every shadow
+				if allocs := testing.AllocsPerRun(20, run); allocs > tc.windowAllocs {
+					t.Errorf("steady-state RunWindow allocates %v times, want <= %v", allocs, tc.windowAllocs)
+				}
+			})
 		}
-		dys := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
-			return shardDys[lo], 0, 0
-		}
-		cfg := Config{InputDim: inDim, HiddenDim: hidden, Layers: 2, OutputDim: outDim}
-		var net Recurrent = NewLSTM(cfg, rng.New(42))
-		if arch == "gru" {
-			net = NewGRU(cfg, rng.New(42))
-		}
-		drv, st := NewSharded(net, batch), net.NewState(batch)
-		run := func() { drv.RunWindow(xs, st, dys) }
-		run()
-		run() // warm both arenas of every shadow
-		if allocs := testing.AllocsPerRun(20, run); allocs > 1 {
-			t.Errorf("%s: steady-state RunWindow allocates %v times, want <= 1", arch, allocs)
-		}
+	}
+}
+
+// TestRunWindowIsOneRegion pins the training window's parallelism: at
+// the training shape under two workers, the shard fan-out is the only
+// parallel region one RunWindow opens — no kernel inside a shard forks
+// one of its own.
+func TestRunWindowIsOneRegion(t *testing.T) {
+	defer par.SetProcs(par.SetProcs(2))
+	xs := fitInputs()
+	net := NewLSTM(fitCfg, rng.New(43))
+	drv, st := NewSharded(net, fitBatch), net.NewState(fitBatch)
+	dys := shardDys(rng.New(44), xs, fitCfg.OutputDim)
+	before := par.Snapshot().Regions
+	drv.RunWindow(xs, st, dys)
+	if got := par.Snapshot().Regions - before; got != 1 {
+		t.Fatalf("one RunWindow opened %d parallel regions, want 1", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package par is the deterministic parallel execution layer: a bounded
 // worker scheme with a process-wide worker count (REPRO_PROCS env
-// override, runtime.NumCPU() default) and helpers for running
-// independent index-addressed tasks concurrently. Process-wide
+// override, runtime.NumCPU() default) and Do, the one helper for
+// running independent index-addressed tasks concurrently. Process-wide
 // utilization counters (regions, tasks, worker busy/spawn-wait time)
 // are exposed via Snapshot for the observability layer (/metrics,
 // expvar).
@@ -19,8 +19,9 @@
 // Model.Generate inside a parallel Monte-Carlo sweep) would deadlock a
 // fixed-size shared pool, while per-call workers compose freely and the
 // spawn cost (~1µs) is negligible at the granularity this repository
-// parallelizes (training shards, trace samples, packing trials, GEMM
-// row blocks).
+// parallelizes (training shards, experiment tasks, trace samples,
+// packing trials). Linear-algebra kernels never open a region of their
+// own: inside a training window the shard fan-out is the only one.
 package par
 
 import (
@@ -178,35 +179,4 @@ func Do(n int, fn func(i int)) {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-}
-
-// For splits [0, n) into at most Procs() contiguous chunks of at least
-// grain elements each and runs fn(lo, hi) on each chunk. It is meant for
-// row-range kernels where every row's result is independent of the
-// chunking (so the boundaries — which do depend on the worker count —
-// cannot affect the output). With one worker, or when n does not exceed
-// grain, fn(0, n) runs inline.
-func For(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	w := Procs()
-	if w <= 1 || n <= grain {
-		fn(0, n)
-		return
-	}
-	chunks := (n + grain - 1) / grain
-	if chunks > w {
-		chunks = w
-	}
-	Do(chunks, func(c int) {
-		lo := c * n / chunks
-		hi := (c + 1) * n / chunks
-		if lo < hi {
-			fn(lo, hi)
-		}
-	})
 }

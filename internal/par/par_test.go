@@ -1,7 +1,6 @@
 package par
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,43 +93,6 @@ func TestDoPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-}
-
-func TestForCoversRangeDisjointly(t *testing.T) {
-	for _, w := range []int{1, 2, 7} {
-		for _, n := range []int{1, 5, 64, 1001} {
-			defer SetProcs(SetProcs(w))
-			counts := make([]int32, n)
-			For(n, 4, func(lo, hi int) {
-				if lo >= hi || lo < 0 || hi > n {
-					panic(fmt.Sprintf("bad range [%d,%d) of %d", lo, hi, n))
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&counts[i], 1)
-				}
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("procs=%d n=%d: index %d covered %d times", w, n, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestForRespectsGrain(t *testing.T) {
-	defer SetProcs(SetProcs(8))
-	// n <= grain must run as a single inline chunk.
-	chunks := 0
-	For(16, 32, func(lo, hi int) {
-		chunks++
-		if lo != 0 || hi != 16 {
-			t.Fatalf("expected single chunk [0,16), got [%d,%d)", lo, hi)
-		}
-	})
-	if chunks != 1 {
-		t.Fatalf("chunks = %d", chunks)
-	}
 }
 
 func TestSnapshotCountersAdvance(t *testing.T) {

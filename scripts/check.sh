@@ -70,14 +70,16 @@ GOMAXPROCS=4 go test -race \
 
 # Memory-discipline pins: the fleet round path, the fleet step kernel at
 # both element types and at one, two and eight rows (one generic body;
-# its per-type dispatches must not escape), and the par Snapshot poll must
-# stay allocation-free in steady state,
+# its per-type dispatches must not escape), the LSTM's Forward/Backward at
+# the training shape, and the par Snapshot poll must stay allocation-free
+# in steady state, a sharded training window must open one parallel
+# region and allocate only its fan-out,
 # every BPTT fit's training window must allocate no more than the
 # flavor LSTM's, and the Table4 survival-MSE sweep must hold its
 # pooled-curve allocation budget (AllocsPerRun pins run without -race;
 # the race runtime's instrumentation allocates).
 go test -run 'TestTracingDisabledRoundAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/core
-go test -run 'TestFleetStepAllocFree|TestFleet32StepAllocFree|TestFleetPackedStepAllocFree' ./internal/nn
+go test -run 'TestFleetStepAllocFree|TestFleet32StepAllocFree|TestFleetPackedStepAllocFree|TestForwardBackwardSteadyStateAllocs|TestShardedRunWindowSteadyStateAllocs|TestRunWindowIsOneRegion' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
 go test -run 'TestTable4SurvivalAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/experiments
 

@@ -15,9 +15,9 @@
 # Run from the repository root: scripts/loc.sh
 set -eu
 
-ceiling_go=6800
+ceiling_go=6670
 ceiling_asm=1492
-ceiling_module=18173
+ceiling_module=18013
 
 total_go=0
 total_asm=0
