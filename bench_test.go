@@ -740,54 +740,6 @@ func BenchmarkPMFHead(b *testing.B) {
 	}
 }
 
-// Architecture ablation benches: per-step inference cost of the three
-// sequence architectures at equal capacity-ish settings.
-func BenchmarkGRUStepForward(b *testing.B) {
-	net := nn.NewGRU(nn.Config{InputDim: 64, HiddenDim: 48, Layers: 2, OutputDim: 17}, rng.New(1))
-	st := net.NewState(1)
-	x := make([]float64, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.StepForward(x, st)
-	}
-}
-
-func BenchmarkTransformerWindowStep(b *testing.B) {
-	net := experiments.NewTransformer(experiments.TransformerConfig{
-		InputDim: 64, ModelDim: 48, Heads: 4, FFDim: 96, Layers: 2,
-		OutputDim: 17, MaxLen: 64,
-	}, rng.New(1))
-	w := net.NewWindow()
-	x := make([]float64, 64)
-	// Pre-fill the window so each timed step pays the full-context cost.
-	for i := 0; i < 64; i++ {
-		w.Append(x)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Append(x)
-	}
-}
-
-func BenchmarkTransformerForwardSeq(b *testing.B) {
-	net := experiments.NewTransformer(experiments.TransformerConfig{
-		InputDim: 64, ModelDim: 48, Heads: 4, FFDim: 96, Layers: 2,
-		OutputDim: 17, MaxLen: 64,
-	}, rng.New(1))
-	g := rng.New(2)
-	x := mat.NewDense(64, 64)
-	for i := range x.Data {
-		x.Data[i] = g.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x)
-	}
-}
-
 func BenchmarkTraceSliceCensor(b *testing.B) {
 	c := benchAzure(b)
 	w := trace.Window{Start: 0, End: c.Full.Periods / 2}

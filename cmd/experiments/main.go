@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-full] [-cloud azure|huawei|both] [-exp all|table1|fig4|fig5|fig6|table2|table3|table4|fig7|fig8|fig9|table5|tenx|censoring|joint|forecast|arch|heads] [-seed N] [-journal run.jsonl] [-results out.json] [-export dir]
+//	experiments [-full] [-cloud azure|huawei|both] [-exp all|table1|fig4|fig5|fig6|table2|table3|table4|fig7|fig8|fig9|table5|tenx|censoring|joint|forecast|heads] [-seed N] [-journal run.jsonl] [-results out.json] [-export dir]
 //	experiments -workload-spec mixed -exp table2
 //	experiments -replay-trace served.jsonl -exp table2,fig9
 //
@@ -69,12 +69,19 @@ func main() {
 	cloud := flag.String("cloud", "both", "azure, huawei, or both")
 	workloadSpec := flag.String("workload-spec", "", "run one declarative scenario instead of the -cloud presets: a preset name (azure-like, huawei-like, mixed) or a JSON spec file")
 	replayTrace := flag.String("replay-trace", "", "use the first record in this file (workload record format) as the ground-truth history instead of generating one")
-	exp := flag.String("exp", "all", "comma-separated experiments to run (all, table1, fig4, fig5, fig6, table2, table3, table4, fig7, fig8, fig9, table5, tenx, censoring, joint, forecast, arch, heads)")
+	exp := flag.String("exp", "all", "comma-separated experiments to run (all, table1, fig4, fig5, fig6, table2, table3, table4, fig7, fig8, fig9, table5, tenx, censoring, joint, forecast, heads)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	export := flag.String("export", "", "also write per-figure TSV plot data into this directory")
 	resultsPath := flag.String("results", "", "also write the results record (every table's numbers, as JSON) to this path")
 	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (per-epoch training events, phase spans) to this path")
 	flag.Parse()
+	// Run over no clouds fits nothing and only checks the names, so an
+	// unknown -exp entry exits before any work.
+	exps := strings.Split(*exp, ",")
+	if _, err := experiments.Run(exps); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	scale := experiments.SmallScale()
 	if *full {
@@ -141,7 +148,8 @@ func main() {
 	fitSpan.End()
 	fmt.Printf("Prepared and fitted %d synthetic cloud(s) in %v\n\n", len(clouds), time.Since(start).Round(time.Millisecond))
 
-	res := experiments.Run(strings.Split(*exp, ","), clouds...)
+	res, err := experiments.Run(exps, clouds...)
+	check(err, "run")
 	experiments.Render(os.Stdout, res)
 	if *resultsPath != "" {
 		b, err := res.JSON()

@@ -117,8 +117,8 @@ func TestPooledStateResetMatchesFresh(t *testing.T) {
 // TestTrainingWindowSteadyStateAllocs is the training-side twin of
 // nn's TestShardedRunWindowSteadyStateAllocs: every BPTT fit runs the
 // same window loop, so a steady-state hazard window allocates no more
-// than a flavor-LSTM window does (internal/experiments holds the GRU,
-// PMF and joint fits to the same bound). Allocations per window are the
+// than a flavor-LSTM window does (internal/experiments holds the PMF
+// and joint fits to the same bound). Allocations per window are the
 // extra mallocs of one more epoch over the windows in it; two-step
 // windows keep every shape under the pack threshold (no pooled scratch)
 // and make the epoch's one fresh state a small fraction of a window's

@@ -74,15 +74,6 @@ type trainCkptV1 struct {
 	RNG rng.State
 }
 
-// netCodec is the slice of the network API training and checkpointing
-// need: the LSTM and the GRU satisfy it, and so does the Transformer of
-// internal/experiments.
-type netCodec interface {
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary([]byte) error
-	Params() []*nn.Param
-}
-
 // trainCheckpointer drives checkpoint saves and resume for one training
 // loop. A nil *trainCheckpointer is valid and does nothing, so loops
 // call its methods unconditionally.
@@ -134,7 +125,7 @@ func newTrainCheckpointer(spec *CheckpointSpec, prefix, fingerprint string) *tra
 // fresh. Restore order matters: the net is restored before the
 // optimizer so moment shapes are matched against the restored params,
 // and callers must resume before deriving sharded views from the net.
-func (t *trainCheckpointer) resume(spec *CheckpointSpec, net netCodec, opt *nn.Adam) (trainCkptV1, bool) {
+func (t *trainCheckpointer) resume(spec *CheckpointSpec, net *nn.LSTM, opt *nn.Adam) (trainCkptV1, bool) {
 	var zero trainCkptV1
 	if t == nil || spec == nil || !spec.Resume {
 		return zero, false
@@ -177,7 +168,7 @@ func (t *trainCheckpointer) reject() {
 // save writes one checkpoint if the cadence (or done) calls for it.
 // Failures are counted but do not abort training: a checkpointing
 // problem must never take down a run that would otherwise finish.
-func (t *trainCheckpointer) save(epochsDone int, done bool, net netCodec, opt *nn.Adam, bestDev float64, bestSnap []byte, g rng.State) {
+func (t *trainCheckpointer) save(epochsDone int, done bool, net *nn.LSTM, opt *nn.Adam, bestDev float64, bestSnap []byte, g rng.State) {
 	if t == nil {
 		return
 	}

@@ -68,7 +68,7 @@ const ckptTestEpochs = 3
 
 // TestTrainLoopsResumeBitExact is the per-loop crash/resume property:
 // for each of this package's network training loops (internal/experiments
-// has the GRU and ablation fits' twin), (1) enabling
+// has the ablation fits' twin), (1) enabling
 // checkpointing does not perturb the trained weights, and (2) a run
 // killed at ANY epoch boundary and resumed from disk reaches weights
 // byte-identical to the uninterrupted run.

@@ -149,11 +149,10 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 }
 
 // flavorState is the step-by-step state for teacher-forced evaluation
-// of a recurrent flavor network, whichever its cell: one scalar
-// StepForward per token. Generation does not use it; it decodes on
-// fleets (genStream, engine.go).
+// of the flavor LSTM: one scalar StepForward per token. Generation does
+// not use it; it decodes on fleets (genStream, engine.go).
 type flavorState struct {
-	net      nn.Recurrent
+	net      *nn.LSTM
 	k        int
 	temporal features.Temporal
 	st       *nn.State
@@ -163,8 +162,8 @@ type flavorState struct {
 }
 
 // newFlavorState returns a fresh state (previous token = EOB)
-// for a flavor network over k flavors.
-func newFlavorState(net nn.Recurrent, k int, temporal features.Temporal) *flavorState {
+// for a flavor LSTM over k flavors.
+func newFlavorState(net *nn.LSTM, k int, temporal features.Temporal) *flavorState {
 	return &flavorState{
 		net:      net,
 		k:        k,

@@ -28,7 +28,7 @@ const (
 	// the order a process first encodes them: the blobs hold still only
 	// while nn.Config is the first type the test binary encodes — true of
 	// a full run and of this test alone, not of every -run selection.
-	// The GRU and ablation fits' twins (internal/experiments,
+	// The ablation fits' twins (internal/experiments,
 	// TestAblationGolden) hash the parameter bits themselves, which no
 	// test order can move.
 )

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/features"
-	"repro/internal/nn"
 	"repro/internal/survival"
 	"repro/internal/trace"
 )
@@ -23,47 +21,40 @@ type FlavorPredictor interface {
 	Observe(token int)
 }
 
-// rnnFlavorPredictor wraps a trained recurrent flavor network, whichever
-// its cell, for teacher-forced evaluation.
-type rnnFlavorPredictor struct {
-	name string
-	st   *flavorState
-}
-
-// NewRecurrentFlavorPredictor wraps a trained flavor network over k
-// flavors, whichever its cell, reporting as the system name.
-func NewRecurrentFlavorPredictor(name string, net nn.Recurrent, k int, temporal features.Temporal) FlavorPredictor {
-	return &rnnFlavorPredictor{name, newFlavorState(net, k, temporal)}
+// lstmFlavorPredictor wraps the trained flavor LSTM for teacher-forced
+// evaluation.
+type lstmFlavorPredictor struct {
+	st *flavorState
 }
 
 // NewLSTMFlavorPredictor wraps the flavor LSTM m.
 func NewLSTMFlavorPredictor(m *FlavorModel) FlavorPredictor {
-	return NewRecurrentFlavorPredictor("LSTM", m.Net, m.K, m.Temporal)
+	return &lstmFlavorPredictor{newFlavorState(m.Net, m.K, m.Temporal)}
 }
 
 // Name implements FlavorPredictor.
-func (p *rnnFlavorPredictor) Name() string { return p.name }
+func (p *lstmFlavorPredictor) Name() string { return "LSTM" }
 
 // Reset implements FlavorPredictor (in place; no reallocation).
-func (p *rnnFlavorPredictor) Reset() { p.st.reset() }
+func (p *lstmFlavorPredictor) Reset() { p.st.reset() }
 
 // Probs implements FlavorPredictor. The DOH day is the period's actual
 // day, clamped to the training history (i.e. the last training day for
 // test periods beyond it). The result is the predictor's reusable
 // buffer, overwritten by the next call.
-func (p *rnnFlavorPredictor) Probs(absPeriod int) []float64 {
+func (p *lstmFlavorPredictor) Probs(absPeriod int) []float64 {
 	return p.st.probs(absPeriod, trace.DayOfHistory(absPeriod))
 }
 
 // Predict implements FlavorPredictor. Callers must use the Probs result
 // via EvaluateFlavor; Predict alone would advance the network twice, so
 // it is only meaningful for non-probabilistic baselines.
-func (p *rnnFlavorPredictor) Predict(absPeriod int) int {
+func (p *lstmFlavorPredictor) Predict(absPeriod int) int {
 	return argmax(p.Probs(absPeriod))
 }
 
 // Observe implements FlavorPredictor.
-func (p *rnnFlavorPredictor) Observe(token int) { p.st.observe(token) }
+func (p *lstmFlavorPredictor) Observe(token int) { p.st.observe(token) }
 
 func argmax(xs []float64) int {
 	best := 0

@@ -39,8 +39,8 @@ func (r *recorder) EpochDone(e obs.EpochEvent) {
 
 // TestAllTrainingLoopsEmitEpochEvents is the guarantee that no training
 // loop is silent: each of this package's fits routes per-epoch telemetry
-// through the shared obs hook (internal/experiments has the GRU and
-// ablation fits' twin).
+// through the shared obs hook (internal/experiments has the ablation
+// fits' twin).
 func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	tr := telemetryTrace()
 	rec := newRecorder()

@@ -14,87 +14,18 @@ import (
 
 // The one training driver (DESIGN.md §6.3.1). The paper trains every
 // network with one recipe — teacher forcing, stateful truncated BPTT,
-// Adam with clipping, a step LR schedule (§2.2–2.3, §4.2) — and §7's
-// ablations swap only the cell or the output head. runEpochs is the
-// outer skeleton every SGD fit shares; RunBPTT is the single window
-// loop under it. A Train* function builds its model and network and
-// describes what differs as a BPTTTask. The ablation fits in
-// internal/experiments drive the same two loops through the exported
-// task (BPTTTask.RunBPTT, BPTTTask.RunEpochs).
-
-// sgdFit identifies one fit to the epoch skeleton. Its checkpoint files
-// are prefixed with the model name, '_' written '-'.
-type sgdFit struct {
-	model       string   // obs.EpochEvent model name (telemetry.go)
-	fingerprint string   // resume-compatibility string
-	net         netCodec // the network being trained
-	// rng is the weight-init stream; its position rides in every
-	// checkpoint (trainCkptV1.RNG).
-	rng *rng.RNG
-	// dev, if non-nil, returns the teacher-forced development-set loss;
-	// the best-scoring weights are restored when training ends.
-	dev func() float64
-}
-
-// runEpochs is the epoch loop: Adam set-up, resume, LR schedule, one
-// call of the fit's epoch function, development-set selection,
-// telemetry and checkpoints. prepare runs once, after any resume —
-// UnmarshalBinary swaps the net's parameter storage, so everything that
-// captures references to it (shadow networks, shard views) must be built
-// afterwards — and returns the function that trains one epoch and
-// reports its summed loss and the number of loss terms behind it.
-func runEpochs(cfg TrainConfig, f sgdFit, lr func(epoch int) float64, prepare func(opt *nn.Adam) func() (float64, int)) {
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = cfg.ClipNorm
-	bestDev := math.Inf(1)
-	var bestSnap []byte
-	ck := newTrainCheckpointer(cfg.Checkpoint, strings.ReplaceAll(f.model, "_", "-"), f.fingerprint)
-	startEpoch := 0
-	if w, ok := ck.resume(cfg.Checkpoint, f.net, opt); ok {
-		if w.Done {
-			return
-		}
-		startEpoch = w.EpochsDone
-		bestDev, bestSnap = w.BestDev, w.BestSnap
-	}
-	trainEpoch := prepare(opt)
-	ec := newEpochClock(f.model, cfg)
-	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		opt.LR = lr(epoch)
-		loss, n := trainEpoch()
-		var devLoss float64
-		hasDev := f.dev != nil && ((epoch+1)%cfg.DevEvery == 0 || epoch == cfg.Epochs-1)
-		if hasDev {
-			devLoss = f.dev()
-			if devLoss < bestDev {
-				bestDev = devLoss
-				if snap, err := f.net.MarshalBinary(); err == nil {
-					bestSnap = snap
-				}
-			}
-		}
-		var mean float64
-		if n > 0 {
-			mean = loss / float64(n)
-		}
-		ec.emit(epoch, mean, n, opt, devLoss, hasDev)
-		ck.save(epoch+1, false, f.net, opt, bestDev, bestSnap, f.rng.State())
-	}
-	if bestSnap != nil {
-		if err := f.net.UnmarshalBinary(bestSnap); err != nil {
-			panic(fmt.Sprintf("core: restore best %s snapshot: %v", f.model, err))
-		}
-	}
-	ck.save(cfg.Epochs, true, f.net, opt, bestDev, bestSnap, f.rng.State())
-}
+// Adam with clipping, a step LR schedule (§2.2–2.3, §4.2) — and §2.3.1
+// and §7's ablations swap only the output head or the stream. RunBPTT
+// is that recipe: the epoch loop and the window loop under it. A Train*
+// function builds its model and network and describes what differs as
+// a BPTTTask. The ablation fits in internal/experiments drive the same
+// loop through the exported task.
 
 // BPTTTask is everything that distinguishes one recurrent fit from
 // another: the stream it is teacher-forced over and the loss on the
 // head's logits. Stream positions t run over [0, n). NextTokenTask and
 // LifetimeTask build one; WithHead sets a lifetime task's head.
 type BPTTTask struct {
-	sgdFit
 	n             int // stream length (tokens or jobs)
 	inDim, outDim int
 	// encode writes position t's input features into the zeroed row x.
@@ -108,137 +39,159 @@ type BPTTTask struct {
 	// zero gradient. lo is the shard's first batch row, for tasks that
 	// keep per-row scratch. Shards call it concurrently.
 	loss func(lo int, ts []int, y, dy *mat.Dense) float64
+	// dev, if non-nil, returns the teacher-forced development-set loss;
+	// the best-scoring weights are restored when training ends.
+	dev func() float64
 }
 
-// identify names the fit of net, drawn from g, on t's stream of the
-// training trace tr under the obs model name model.
-func (t *BPTTTask) identify(cfg TrainConfig, tr *trace.Trace, model string, net netCodec, g *rng.RNG) {
-	t.model, t.net, t.rng = model, net, g
-	t.fingerprint = cfg.fingerprint(model, t.n, tr.Flavors.K(), HistoryDays(tr))
-}
-
-// RunBPTT trains net — an nn.Recurrent, whichever its cell, built from
-// t.NetConfig(cfg) and drawn from the weight-init stream g — on t's
-// stream of the training trace tr, reporting and checkpointing under
-// the obs model name model, by stateful truncated BPTT: the stream is
-// cut into batch contiguous segments (segmentPlan), and each window
-// continues every segment from the previous window's final state, so
-// the state distribution seen in training matches long free-running
-// generation. The first window of an epoch starts every segment from
-// the zero state.
-func (t BPTTTask) RunBPTT(cfg TrainConfig, tr *trace.Trace, model string, net nn.Recurrent, g *rng.RNG) {
+// RunBPTT trains net — built from t.NetConfig(cfg) and drawn from the
+// weight-init stream g, whose position rides in every checkpoint — on
+// t's stream of the training trace tr, reporting under the obs model
+// name model and checkpointing under files prefixed with it ('_'
+// written '-'), by stateful truncated BPTT: the stream is cut into
+// batch contiguous segments (segmentPlan), and each window continues
+// every segment from the previous window's final state, so the state
+// distribution seen in training matches long free-running generation.
+// The first window of an epoch starts every segment from the zero
+// state. Each epoch sets the step LR schedule's rate, trains every
+// window, scores the development set when due, and emits telemetry and
+// a checkpoint.
+func (t BPTTTask) RunBPTT(cfg TrainConfig, tr *trace.Trace, model string, net *nn.LSTM, g *rng.RNG) {
 	cfg = cfg.withDefaults()
-	t.identify(cfg, tr, model, net.(netCodec), g) // both cells are codecs
 	if t.n == 0 {
 		return
 	}
 	if t.outputs == nil {
 		t.outputs = func(int) int { return 1 }
 	}
-	runEpochs(cfg, t.sgdFit, cfg.stepLR, func(opt *nn.Adam) func() (float64, int) {
-		plan := newSegmentPlan(t.n, cfg.SeqLen, cfg.BatchSize)
-		sharded, st := nn.NewSharded(net, plan.batch), net.NewState(plan.batch)
-		// Window buffers are allocated once and reused by every window of
-		// every epoch: per step, the batch inputs, the stream position
-		// behind each row, and one full-batch gradient slab with
-		// persistent per-shard row views for the sharded backward pass.
-		// Each window rewrites them completely. Only the last window can
-		// be short, so the first is as long as any.
-		maxWl := plan.windowLen(0)
-		xs := make([]*mat.Dense, maxWl)
-		pos := make([][]int, maxWl)
-		dysFull := make([]*mat.Dense, maxWl)
-		for s := range xs {
-			xs[s] = mat.NewDense(plan.batch, t.inDim)
-			pos[s] = make([]int, plan.batch)
-			dysFull[s] = mat.NewDense(plan.batch, t.outDim)
+	opt := nn.NewAdam(cfg.LR)
+	opt.WeightDecay = cfg.WeightDecay
+	opt.ClipNorm = cfg.ClipNorm
+	bestDev := math.Inf(1)
+	var bestSnap []byte
+	fingerprint := cfg.fingerprint(model, t.n, tr.Flavors.K(), HistoryDays(tr))
+	ck := newTrainCheckpointer(cfg.Checkpoint, strings.ReplaceAll(model, "_", "-"), fingerprint)
+	startEpoch := 0
+	// Resume before anything captures references to the net's parameter
+	// storage: UnmarshalBinary swaps it, so the sharded view (shadow
+	// networks, shard views) is built afterwards.
+	if w, ok := ck.resume(cfg.Checkpoint, net, opt); ok {
+		if w.Done {
+			return
 		}
-		shardDys := make([][]*mat.Dense, nn.NumShards(plan.batch))
-		for si := range shardDys {
-			lo := si * nn.ShardRows
-			hi := min(lo+nn.ShardRows, plan.batch)
-			shardDys[si] = make([]*mat.Dense, maxWl)
-			for s := range shardDys[si] {
-				shardDys[si][s] = dysFull[s].SliceRows(lo, hi)
-			}
-		}
-		// Gradients are normalised by the window's loss-term count so the
-		// learning rate is scale-free. The count is a function of the
-		// targets alone, so it is tallied while encoding: each shard then
-		// scales its own gradients and no cross-shard barrier sits
-		// between the loss and the backward pass.
-		var outputs int
-		var norm float64
-		shardLoss := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
-			// Shards write disjoint row ranges of the shared slabs.
-			dys := shardDys[lo/nn.ShardRows][:len(ys)]
-			var loss float64
-			for s, y := range ys {
-				loss += t.loss(lo, pos[s][lo:hi], y, dys[s])
-			}
-			if outputs == 0 {
-				return nil, loss, 0
-			}
-			for _, d := range dys {
-				mat.Scale(norm, d.Data)
-			}
-			return dys, loss, 0
-		}
-		return func() (totalLoss float64, total int) {
-			for w := 0; w < plan.windows; w++ {
-				wl := plan.windowLen(w)
-				outputs = 0
-				for s := 0; s < wl; s++ {
-					x, ts := xs[s], pos[s]
-					x.Zero()
-					for row := range ts {
-						p, ok := plan.step(row, w, s)
-						if !ok {
-							ts[row] = -1
-							continue
-						}
-						ts[row] = p
-						t.encode(x.Row(row), p)
-						outputs += t.outputs(p)
-					}
-				}
-				norm = 0
-				if outputs > 0 {
-					norm = 1 / float64(outputs)
-				}
-				if w == 0 {
-					st.Zero()
-				}
-				loss, _ := sharded.RunWindow(xs[:wl], st, shardLoss)
-				totalLoss += loss
-				total += outputs
-				if outputs > 0 {
-					opt.Step(t.net.Params())
-				}
-			}
-			return totalLoss, total
-		}
-	})
-}
-
-// RunEpochs trains net, a network outside nn's recurrent stack drawn
-// from g, on t's stream of tr under the epoch skeleton at the constant
-// learning rate cfg.LR, reporting and checkpointing under model. epoch
-// trains one epoch with opt and returns its summed loss and loss-term
-// count. There is no weight decay and no development-set selection, so
-// cfg's WeightDecay and Dev are ignored, and so are SeqLen and
-// BatchSize: epoch lays out its own windows.
-func (t BPTTTask) RunEpochs(cfg TrainConfig, tr *trace.Trace, model string, net netCodec, g *rng.RNG, epoch func(opt *nn.Adam) (float64, int)) {
-	cfg = cfg.withDefaults()
-	t.identify(cfg, tr, model, net, g)
-	if t.n == 0 {
-		return
+		startEpoch = w.EpochsDone
+		bestDev, bestSnap = w.BestDev, w.BestSnap
 	}
-	cfg.WeightDecay = 0
-	constLR := func(int) float64 { return cfg.LR }
-	runEpochs(cfg, t.sgdFit, constLR, func(opt *nn.Adam) func() (float64, int) {
-		return func() (float64, int) { return epoch(opt) }
-	})
+
+	plan := newSegmentPlan(t.n, cfg.SeqLen, cfg.BatchSize)
+	sharded, st := nn.NewSharded(net, plan.batch), net.NewState(plan.batch)
+	// Window buffers are allocated once and reused by every window of
+	// every epoch: per step, the batch inputs, the stream position
+	// behind each row, and one full-batch gradient slab with persistent
+	// per-shard row views for the sharded backward pass. Each window
+	// rewrites them completely. Only the last window can be short, so
+	// the first is as long as any.
+	maxWl := plan.windowLen(0)
+	xs := make([]*mat.Dense, maxWl)
+	pos := make([][]int, maxWl)
+	dysFull := make([]*mat.Dense, maxWl)
+	for s := range xs {
+		xs[s] = mat.NewDense(plan.batch, t.inDim)
+		pos[s] = make([]int, plan.batch)
+		dysFull[s] = mat.NewDense(plan.batch, t.outDim)
+	}
+	shardDys := make([][]*mat.Dense, nn.NumShards(plan.batch))
+	for si := range shardDys {
+		lo := si * nn.ShardRows
+		hi := min(lo+nn.ShardRows, plan.batch)
+		shardDys[si] = make([]*mat.Dense, maxWl)
+		for s := range shardDys[si] {
+			shardDys[si][s] = dysFull[s].SliceRows(lo, hi)
+		}
+	}
+	// Gradients are normalised by the window's loss-term count so the
+	// learning rate is scale-free. The count is a function of the
+	// targets alone, so it is tallied while encoding: each shard then
+	// scales its own gradients and no cross-shard barrier sits between
+	// the loss and the backward pass.
+	var outputs int
+	var norm float64
+	shardLoss := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
+		// Shards write disjoint row ranges of the shared slabs.
+		dys := shardDys[lo/nn.ShardRows][:len(ys)]
+		var loss float64
+		for s, y := range ys {
+			loss += t.loss(lo, pos[s][lo:hi], y, dys[s])
+		}
+		if outputs == 0 {
+			return nil, loss, 0
+		}
+		for _, d := range dys {
+			mat.Scale(norm, d.Data)
+		}
+		return dys, loss, 0
+	}
+
+	ec := newEpochClock(model, cfg)
+	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
+		opt.LR = cfg.stepLR(epoch)
+		var totalLoss float64
+		var total int
+		for w := 0; w < plan.windows; w++ {
+			wl := plan.windowLen(w)
+			outputs = 0
+			for s := 0; s < wl; s++ {
+				x, ts := xs[s], pos[s]
+				x.Zero()
+				for row := range ts {
+					p, ok := plan.step(row, w, s)
+					if !ok {
+						ts[row] = -1
+						continue
+					}
+					ts[row] = p
+					t.encode(x.Row(row), p)
+					outputs += t.outputs(p)
+				}
+			}
+			norm = 0
+			if outputs > 0 {
+				norm = 1 / float64(outputs)
+			}
+			if w == 0 {
+				st.Zero()
+			}
+			loss, _ := sharded.RunWindow(xs[:wl], st, shardLoss)
+			totalLoss += loss
+			total += outputs
+			if outputs > 0 {
+				opt.Step(net.Params())
+			}
+		}
+		var devLoss float64
+		hasDev := t.dev != nil && ((epoch+1)%cfg.DevEvery == 0 || epoch == cfg.Epochs-1)
+		if hasDev {
+			devLoss = t.dev()
+			if devLoss < bestDev {
+				bestDev = devLoss
+				if snap, err := net.MarshalBinary(); err == nil {
+					bestSnap = snap
+				}
+			}
+		}
+		var mean float64
+		if total > 0 {
+			mean = totalLoss / float64(total)
+		}
+		ec.emit(epoch, mean, total, opt, devLoss, hasDev)
+		ck.save(epoch+1, false, net, opt, bestDev, bestSnap, g.State())
+	}
+	if bestSnap != nil {
+		if err := net.UnmarshalBinary(bestSnap); err != nil {
+			panic(fmt.Sprintf("core: restore best %s snapshot: %v", model, err))
+		}
+	}
+	ck.save(cfg.Epochs, true, net, opt, bestDev, bestSnap, g.State())
 }
 
 // HistoryDays is the training window's length in whole days (at least

@@ -25,41 +25,31 @@ import (
 // kernel or training-driver change that moves one is a change of results
 // and must say so; never re-record to make a refactor pass.
 const (
-	// The weights hash every parameter's name and float64 bits.
-	// Recorded on the last commit with seven separate training loops,
-	// before the Transformer moved under the shared epoch skeleton.
-	goldenFlavorTransformer = "f00604c8e13eb3e191e6b9296dff3eab71321b2068b617cda8fe1a3f77daa7f2"
-	// Recorded on the commit that moved the PMF and joint fits from a
+	// The weights hash every parameter's name and float64 bits,
+	// recorded on the commit that moved the PMF and joint fits from a
 	// full-batch Forward/Backward onto the sharded window runner: the
 	// per-shard gradient regrouping changed their low bits once, by
 	// design. Pinned like the rest from there on.
 	goldenLifetimePMF = "87fc87e5370d33060819e45c11db4e197b2269befc58e49d9ff85c4212001b36"
 	goldenJointLSTM   = "6264f43c13123a773d80cd27a216086914ad8308d2fe3d17b44040a855b945d0"
 
-	// The outputs hash float64 bits, recorded while the three models
-	// still lived in internal/core and internal/nn: the Transformer
-	// predictor's Probs over the history's token stream, the PMF
-	// predictor's Hazard over its LifetimeSteps, and GenerateCounts over
-	// the history's window for seeds 1 and 2 at the default cap.
-	goldenTransformerProbs = "5dc3be6e027da12db51fe00b9dd2b314b39e8f15ca65d61529594d048943057e"
-	goldenPMFHazard        = "c089de793c4898be1ceed1917309c176995fc0584cbb8baefe8838cb26406afa"
-	goldenJointCounts      = "388cd3793900d2203155153e7d4727dcfad8f64face35613ce88c7fd4e6621a5"
+	// The outputs hash float64 bits, recorded while the models still
+	// lived in internal/core and internal/nn: the PMF predictor's Hazard
+	// over its LifetimeSteps, and GenerateCounts over the history's
+	// window for seeds 1 and 2 at the default cap.
+	goldenPMFHazard   = "c089de793c4898be1ceed1917309c176995fc0584cbb8baefe8838cb26406afa"
+	goldenJointCounts = "388cd3793900d2203155153e7d4727dcfad8f64face35613ce88c7fd4e6621a5"
 
 	// Recorded, like the output hashes above, by running this file
-	// against internal/core's names on the last commit where the GRU fit,
-	// the baselines and the evaluation helpers lived there. There the GRU
-	// weights of the same fit also hashed, through MarshalBinary, to
-	// core's old goldenFlavorGRU (0c966a95…); these rows replace it. The
-	// GRU predictor's Probs are taken over the history's token stream,
-	// the Naive and SimpleBatch traces are the JSON of Generate over the
-	// history window for seeds 1 and 2, each baseline predictor's row is
+	// against internal/core's names on the last commit where the
+	// baselines and the evaluation helpers lived there. The Naive and
+	// SimpleBatch traces are the JSON of Generate over the history
+	// window for seeds 1 and 2, each baseline predictor's row is
 	// Probs (or Predict) over the token stream and Hazard (or
 	// PredictBin) over LifetimeSteps, the teacher-forced row is the
 	// hazard LSTM's hazards over LifetimeSteps, and the DOH row is
 	// DOHGeomGrid's (p, 1 - coverage) pairs on the history cut 3:1 into
 	// training and development windows.
-	goldenFlavorGRU   = "ca264ab989e99faaebc10604e86bfb4a78f2577306a431a402eeb29ee9591fa4"
-	goldenGRUProbs    = "86a6822befd9b8f40112ab0c53a6080d680e8c1f0287acfb0efc0f0520f4c258"
 	goldenNaive       = "d7dc9a9ecaf4577895dea12374a2bf8b45461601fd9edad7feb19b42e3b0a29a"
 	goldenSimpleBatch = "f3aa16f8765f96c186033bcbbe0a9798d67034b810f412a7272df6e318d55a08"
 	goldenUniform     = "a380a5ad728b0853178917336d6a618181ddef82a679eb584970563a22f4a8f0"
@@ -96,7 +86,7 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestAblationGolden fits the GRU and each ablation model on a 1-day
+// TestAblationGolden fits each ablation model on a 1-day
 // "mixed" history (hidden 8 × 2, 2 epochs, seed 7) and compares the
 // sha256 of its weights with the recorded constants at one worker and
 // at eight, and of its outputs at one, on both kernel tiers; at one
@@ -120,16 +110,6 @@ func TestAblationGolden(t *testing.T) {
 		// computing its outputs.
 		fit func() ([]*nn.Param, func() []float64)
 	}{
-		{"flavor_gru", goldenFlavorGRU, goldenGRUProbs, func() ([]*nn.Param, func() []float64) {
-			m := trainFlavorGRU(history, tc)
-			return m.net.Params(), func() []float64 { return flavorOutputs(m.predictor(), toks) }
-		}},
-		{"flavor_transformer", goldenFlavorTransformer, goldenTransformerProbs, func() ([]*nn.Param, func() []float64) {
-			m := TrainFlavorTransformer(history, tc)
-			return m.Net.Params(), func() (out []float64) {
-				return flavorOutputs(NewTransformerFlavorPredictor(m), toks)
-			}
-		}},
 		{"lifetime_pmf", goldenLifetimePMF, goldenPMFHazard, func() ([]*nn.Param, func() []float64) {
 			m := TrainLifetimePMF(history, bins, tc)
 			return m.Net.Params(), func() []float64 { return lifetimeOutputs(NewPMFLifetimePredictor(m), steps) }

@@ -11,10 +11,9 @@
 // of §6 (baselines.go, generators.go), the §4.2 development-set grid
 // searches (tune.go), the classical forecasters of the §7 forecasting
 // contrast (forecastcmp.go), and the models that exist only for the
-// paper's design comparisons: the GRU flavor model and the causal
-// Transformer (§7), the softmax-PMF lifetime head (§2.3.1) and the
-// single-LSTM joint model with end-of-period tokens (§7). The fitted
-// comparators train through core's one driver (core.BPTTTask).
+// paper's design comparisons: the softmax-PMF lifetime head (§2.3.1)
+// and the single-LSTM joint model with end-of-period tokens (§7). The
+// fitted comparators train through core's one driver (core.BPTTTask).
 package experiments
 
 import (

@@ -36,9 +36,10 @@ func results(t *testing.T) *Results {
 	if testing.Short() {
 		t.Skip("heavy: the record fits both SmallScale clouds and runs every experiment")
 	}
-	recordOnce.Do(func() { record = Run([]string{"all"}, clouds()...) })
+	var err error
+	recordOnce.Do(func() { record, err = Run([]string{"all"}, clouds()...) })
 	if record == nil {
-		t.Fatal("the results record failed to compute")
+		t.Fatalf("the results record failed to compute: %v", err)
 	}
 	return record
 }

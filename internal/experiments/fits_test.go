@@ -18,8 +18,7 @@ import (
 	"repro/internal/trace"
 )
 
-// The GRU and ablation fits' rows of internal/core's training-driver
-// tests: they run the same driver, so they make the same promises.
+// The ablation fits' rows of internal/core's training-driver tests: they run the same driver, so they make the same promises.
 
 // fitTrace is a tiny 2-day Azure-like history, cut into a training
 // slice and a dev slice (as core's checkpoint tests cut it).
@@ -47,8 +46,6 @@ func ablationFits(t *testing.T, tr *trace.Trace) []ablationFit {
 	}
 	bins := survival.PaperBins()
 	return []ablationFit{
-		{ObsFlavorGRU, func(c core.TrainConfig) []byte { return snap(trainFlavorGRU(tr, c).net.MarshalBinary()) }},
-		{ObsFlavorTransformer, func(c core.TrainConfig) []byte { return snap(TrainFlavorTransformer(tr, c).Net.MarshalBinary()) }},
 		{ObsLifetimePMF, func(c core.TrainConfig) []byte { return snap(TrainLifetimePMF(tr, bins, c).Net.MarshalBinary()) }},
 		{ObsJointLSTM, func(c core.TrainConfig) []byte { return snap(TrainJoint(tr, c).Net.MarshalBinary()) }},
 	}
@@ -164,7 +161,7 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 	}
 }
 
-// TestTrainingWindowSteadyStateAllocs holds the GRU, PMF and joint fits
+// TestTrainingWindowSteadyStateAllocs holds the PMF and joint fits
 // to internal/core's bound: they run the same window loop, so a
 // steady-state window of any of them allocates no more than a
 // flavor-LSTM window does. Allocations per window are the extra mallocs
@@ -195,7 +192,6 @@ func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 		n    int
 		fit  func(core.TrainConfig)
 	}{
-		{ObsFlavorGRU, nTok, func(c core.TrainConfig) { trainFlavorGRU(tr, c) }},
 		{ObsLifetimePMF, len(core.LifetimeSteps(tr, bins)), func(c core.TrainConfig) { TrainLifetimePMF(tr, bins, c) }},
 		{ObsJointLSTM, len(jointTokens(tr)), func(c core.TrainConfig) { TrainJoint(tr, c) }},
 	} {

@@ -135,11 +135,6 @@ func Render(w io.Writer, res *Results) {
 				p("  %-18s %9.1f%% %7.1f%%\n", f.Method, f.Coverage*100, f.MAPE*100)
 			}
 		})
-		section(r.Arch != nil, scores("Architecture ablation ("+name+"): flavor-sequence modeling", "  ", "Architecture", 14, "NLL", len(r.Arch),
-			func(i int) (string, string, float64) {
-				a := r.Arch[i]
-				return a.Arch, fmt.Sprintf("%.2f", a.NLL), a.OneBestErr
-			}))
 		section(r.Heads != nil, scores("Lifetime-head ablation ("+name+"): hazard vs PMF parameterization", "  ", "Head", 20, "BCE", len(r.Heads),
 			func(i int) (string, string, float64) {
 				h := r.Heads[i]

@@ -11,6 +11,11 @@ import (
 	"repro/internal/trace"
 )
 
+// ObsJointLSTM is the joint fit's model name in obs.EpochEvent, beside
+// core's (core.ObsFlavorLSTM and the rest); its checkpoint files are
+// prefixed with it, '_' written '-'.
+const ObsJointLSTM = "joint_lstm"
+
 // JointModel is the §7 "single LSTM" alternative the paper considered
 // and rejected: one network controls the number of batches per period by
 // emitting a special end-of-period (EOP) token, instead of delegating

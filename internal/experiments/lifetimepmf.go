@@ -12,6 +12,29 @@ import (
 	"repro/internal/trace"
 )
 
+// ObsLifetimePMF is the PMF-head fit's model name in obs.EpochEvent,
+// beside core's (core.ObsLifetimeHazard and the rest); its checkpoint
+// files are prefixed with it, '_' written '-'.
+const ObsLifetimePMF = "lifetime_pmf"
+
+// HeadRow is one parameterization's row in the §2.3.1 hazard-vs-PMF
+// lifetime-head comparison.
+type HeadRow struct {
+	Head       string
+	BCE        float64
+	OneBestErr float64
+}
+
+// pmfRow is the PMF-head row of the §2.3.1 design comparison:
+// parameterizing the discrete hazard (the paper's choice, following
+// Kvamme & Borgan's "slightly better") versus a softmax PMF head trained
+// with the censored-tail likelihood. The other rows are Table 3's.
+func pmfRow(c *Cloud) HeadRow {
+	m := TrainLifetimePMF(c.Train, c.Bins, c.Scale.Train)
+	ev := core.EvaluateLifetime(NewPMFLifetimePredictor(m), core.LifetimeSteps(c.Test, c.Bins), c.Bins, c.TestW.Start)
+	return HeadRow{Head: "LSTM (PMF head)", BCE: ev.BCE, OneBestErr: ev.OneBestErr}
+}
+
 // PMFLifetimeModel parameterizes the lifetime PMF with a softmax instead
 // of the per-bin hazard logistic — the alternative §2.3.1 discusses
 // (Kvamme & Borgan found the hazard form "slightly better"; the

@@ -122,3 +122,17 @@ func TestPMFLifetimeModelTrains(t *testing.T) {
 		t.Errorf("PMF head %v too far behind hazard head %v", pmf.BCE, hazard.BCE)
 	}
 }
+
+// TestPMFvsHazard checks the §2.3.1 head comparison: both neural heads
+// beat KM, and the hazard head (the paper's choice) does not trail the
+// PMF head meaningfully.
+func TestPMFvsHazard(t *testing.T) {
+	get := byName(azureResults(t).Heads, func(r HeadRow) string { return r.Head })
+	km, hz, pmf := get["Overall KM"], get["LSTM (hazard head)"], get["LSTM (PMF head)"]
+	if !(hz.BCE < km.BCE) || !(pmf.BCE < km.BCE) {
+		t.Errorf("both heads should beat KM: hazard %v pmf %v km %v", hz.BCE, pmf.BCE, km.BCE)
+	}
+	if hz.BCE > pmf.BCE*1.15 {
+		t.Errorf("hazard head %v should not trail PMF head %v (paper: slightly better)", hz.BCE, pmf.BCE)
+	}
+}

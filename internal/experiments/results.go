@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 
 	"repro/internal/par"
@@ -47,20 +48,26 @@ type CloudResults struct {
 	TenX      *TenXResult       `json:",omitempty"`
 	Joint     *JointResult      `json:",omitempty"` // Azure, like the three below
 	Forecast  []ForecastRow     `json:",omitempty"`
-	Arch      []ArchRow         `json:",omitempty"`
 	Heads     []HeadRow         `json:",omitempty"`
 }
 
 // Run computes the selected experiments over the clouds and returns the
-// record. exps holds cmd/experiments' -exp names ("all" selects every
-// one; surrounding space is ignored). After the fits, each cloud's paper
-// sections and each extension fit run as parallel tasks; every task
-// draws only from its own seeded streams and writes only its own
-// fields, so the record does not depend on the worker count.
-func Run(exps []string, clouds ...*Cloud) *Results {
+// record. exps holds cmd/experiments' -exp names: "all" selects every
+// experiment, "table1" the dataset table, and the rest are the names in
+// paperSections and extensions; surrounding space is ignored. Any other
+// name is an error, returned before anything is fitted. After the fits,
+// each cloud's paper sections and each extension fit run as parallel
+// tasks; every task draws only from its own seeded streams and writes
+// only its own fields, so the record does not depend on the worker
+// count.
+func Run(exps []string, clouds ...*Cloud) (*Results, error) {
 	want := map[string]bool{}
 	for _, e := range exps {
-		want[strings.TrimSpace(e)] = true
+		name := strings.TrimSpace(e)
+		if !known(name) {
+			return nil, fmt.Errorf("experiments: unknown experiment %q", name)
+		}
+		want[name] = true
 	}
 	sel := func(name string) bool { return want["all"] || want[name] }
 	FitAll(clouds...)
@@ -78,10 +85,23 @@ func Run(exps []string, clouds ...*Cloud) *Results {
 	for i, c := range clouds {
 		r := &CloudResults{Cloud: c.ID.String()}
 		res.Clouds[i] = r
-		papers = append(papers, func() { paperSections(c, r, sel) })
-		if c.ID == Azure {
-			f, join := extensions(c, r, sel)
-			fits, joins = append(fits, f...), append(joins, join)
+		papers = append(papers, func() {
+			for _, s := range paperSections {
+				if (s.cloud == anyCloud || s.cloud == c.ID) && sel(s.name) {
+					s.run(c, r)
+				}
+			}
+		})
+		for _, e := range extensions {
+			if c.ID != Azure || !sel(e.name) {
+				continue
+			}
+			if e.fit != nil {
+				fits = append(fits, func() { e.fit(c, r) })
+			}
+			if e.join != nil {
+				joins = append(joins, func() { e.join(c, r) })
+			}
 		}
 	}
 	tasks := append(fits, papers...) // the fits are the longest tasks
@@ -89,73 +109,79 @@ func Run(exps []string, clouds ...*Cloud) *Results {
 	for _, join := range joins {
 		join()
 	}
-	return res
+	return res, nil
 }
 
-// paperSections computes one cloud's selected tables and figures of the
-// paper, each for the cloud the paper reports it on.
-func paperSections(c *Cloud, r *CloudResults, sel func(string) bool) {
-	azure := c.ID == Azure
-	pair := func(a, b ArrivalCoverage) []ArrivalCoverage { return []ArrivalCoverage{a, b} }
-	for _, s := range []struct {
-		name string
-		on   bool
-		run  func()
-	}{
-		{"fig4", azure, func() { r.Figure4 = pair(Figure4(c)) }},
-		{"fig5", !azure, func() { r.Figure5 = pair(Figure5(c)) }},
-		{"fig6", true, func() { r.Figure6 = pair(Figure6(c)) }},
-		{"table2", true, func() { r.Table2 = Table2(c) }},
-		{"table3", true, func() { r.Table3 = Table3(c) }},
-		{"table4", azure, func() { r.Table4 = Table4(c) }},
-		{"censoring", true, func() { r.Censoring = CensoringAblation(c) }},
-		{"fig7", azure, func() { r.Figure7 = Figure7(c) }},
-		{"fig8", !azure, func() { r.Figure8 = Figure8(c) }},
-		{"fig9", true, func() { fig := Figure9(c); r.Figure9 = &fig }},
-		{"table5", true, func() { r.Table5 = Table5(c) }},
-		{"tenx", true, func() { tx := TenX(c); r.TenX = &tx }},
-	} {
-		if s.on && sel(s.name) {
-			s.run()
+// known reports whether Run selects on name.
+func known(name string) bool {
+	if name == "all" || name == "table1" {
+		return true
+	}
+	for _, s := range paperSections {
+		if s.name == name {
+			return true
 		}
 	}
+	for _, e := range extensions {
+		if e.name == name {
+			return true
+		}
+	}
+	return false
 }
 
-// extensions returns the selected extension experiments' fits as tasks,
-// and the join that completes their tables once the paper sections are
-// in: the Multinomial and LSTM architecture rows are Table 2's, the
-// Overall KM and hazard-head rows Table 3's, and the generative
-// forecast row is Figure 7's LSTM, so each quantity has one number. A
-// repeated table the run did not select is computed, not recorded.
-func extensions(c *Cloud, r *CloudResults, sel func(string) bool) (fits []func(), join func()) {
-	if sel("arch") {
-		r.Arch = make([]ArchRow, 4)
-		fits = append(fits, func() { r.Arch[3] = transformerRow(c) }, func() { r.Arch[2] = gruRow(c) })
-	}
-	if sel("joint") {
-		r.Joint = new(JointResult)
-		fits = append(fits, func() { *r.Joint = jointVsStaged(c) })
-	}
-	if sel("heads") {
-		r.Heads = make([]HeadRow, 3)
-		fits = append(fits, func() { r.Heads[2] = pmfRow(c) })
-	}
-	return fits, func() {
-		if sel("forecast") {
-			r.Forecast = forecastVsGenerative(c, rowsOf(r.Figure7, Figure7, c)[2]) // Naive, SimpleBatch, LSTM
-		}
-		if r.Arch != nil {
-			t2 := rowsOf(r.Table2, Table2, c) // Uniform, Multinomial, RepeatFlav, LSTM
-			for i, t := range []Table2Row{t2[1], t2[3]} {
-				r.Arch[i] = ArchRow{Arch: t.System, NLL: t.NLL, OneBestErr: t.OneBestErr}
-			}
-		}
-		if r.Heads != nil {
+// anyCloud marks a paper section reported for every cloud.
+const anyCloud CloudID = -1
+
+// paperSections are the paper's tables and figures, by -exp name, each
+// computed for the cloud the paper reports it on (or for every cloud).
+// One task runs a cloud's selected sections in this order.
+var paperSections = []struct {
+	name  string
+	cloud CloudID
+	run   func(c *Cloud, r *CloudResults)
+}{
+	{"fig4", Azure, func(c *Cloud, r *CloudResults) { r.Figure4 = coverPair(Figure4(c)) }},
+	{"fig5", Huawei, func(c *Cloud, r *CloudResults) { r.Figure5 = coverPair(Figure5(c)) }},
+	{"fig6", anyCloud, func(c *Cloud, r *CloudResults) { r.Figure6 = coverPair(Figure6(c)) }},
+	{"table2", anyCloud, func(c *Cloud, r *CloudResults) { r.Table2 = Table2(c) }},
+	{"table3", anyCloud, func(c *Cloud, r *CloudResults) { r.Table3 = Table3(c) }},
+	{"table4", Azure, func(c *Cloud, r *CloudResults) { r.Table4 = Table4(c) }},
+	{"censoring", anyCloud, func(c *Cloud, r *CloudResults) { r.Censoring = CensoringAblation(c) }},
+	{"fig7", Azure, func(c *Cloud, r *CloudResults) { r.Figure7 = Figure7(c) }},
+	{"fig8", Huawei, func(c *Cloud, r *CloudResults) { r.Figure8 = Figure8(c) }},
+	{"fig9", anyCloud, func(c *Cloud, r *CloudResults) { fig := Figure9(c); r.Figure9 = &fig }},
+	{"table5", anyCloud, func(c *Cloud, r *CloudResults) { r.Table5 = Table5(c) }},
+	{"tenx", anyCloud, func(c *Cloud, r *CloudResults) { tx := TenX(c); r.TenX = &tx }},
+}
+
+func coverPair(a, b ArrivalCoverage) []ArrivalCoverage { return []ArrivalCoverage{a, b} }
+
+// extensions are the experiments beyond the paper's tables, by -exp
+// name, run on Azure only. fit, if set, is the extension's own fit, run
+// as a task beside the paper sections; join, if set, completes its
+// table once the paper sections are in: the Overall KM and hazard-head
+// rows are Table 3's, and the generative forecast row is Figure 7's
+// LSTM, so each quantity has one number. A repeated table the run did
+// not select is computed, not recorded.
+var extensions = []struct {
+	name string
+	fit  func(c *Cloud, r *CloudResults)
+	join func(c *Cloud, r *CloudResults)
+}{
+	{name: "joint", fit: func(c *Cloud, r *CloudResults) { j := jointVsStaged(c); r.Joint = &j }},
+	{name: "forecast", join: func(c *Cloud, r *CloudResults) {
+		r.Forecast = forecastVsGenerative(c, rowsOf(r.Figure7, Figure7, c)[2]) // Naive, SimpleBatch, LSTM
+	}},
+	{
+		name: "heads",
+		fit:  func(c *Cloud, r *CloudResults) { r.Heads = []HeadRow{2: pmfRow(c)} },
+		join: func(c *Cloud, r *CloudResults) {
 			t3 := rowsOf(r.Table3, Table3, c) // CoinFlip, Overall KM, Per-flavor KM, RepeatLifetime, LSTM
 			r.Heads[0] = HeadRow{Head: "Overall KM", BCE: t3[1].BCE, OneBestErr: t3[1].OneBestErr}
 			r.Heads[1] = HeadRow{Head: "LSTM (hazard head)", BCE: t3[4].BCE, OneBestErr: t3[4].OneBestErr}
-		}
-	}
+		},
+	},
 }
 
 // rowsOf is rows, or compute(c)'s when the run did not record them.

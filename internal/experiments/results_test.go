@@ -91,6 +91,24 @@ func TestResultsGolden(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownNames checks that Run fails on an -exp name it
+// does not dispatch on, naming it, before it fits anything.
+func TestRunRejectsUnknownNames(t *testing.T) {
+	c := NewCloud(Azure, Scale{AzureDays: 5, AzureUsers: 10, AzureRate: 1, Seed: 1})
+	for _, exps := range [][]string{{"arch"}, {"table2 ", "nope"}} {
+		res, err := Run(exps, c)
+		if err == nil || res != nil {
+			t.Fatalf("Run(%q) = %v, %v; want an error", exps, res, err)
+		}
+		if bad := fmt.Sprintf("%q", strings.TrimSpace(exps[len(exps)-1])); !strings.Contains(err.Error(), bad) {
+			t.Errorf("Run(%q) error %q does not name %s", exps, err, bad)
+		}
+	}
+	if c.model != nil || c.naive != nil || c.simple != nil {
+		t.Error("Run fitted the cloud before rejecting the names")
+	}
+}
+
 // docRow is one row of a table in EXPERIMENTS.md: its label (first
 // cell) and its measured cells, bold markers dropped.
 type docRow struct {
@@ -208,9 +226,6 @@ func docExpected(res *Results) []docRow {
 	add("joint (EOP tokens)", f2(j.JointMean), f2(j.JointDispersion), pct(j.JointErr))
 	for _, row := range az.Forecast {
 		add(row.Method, pct(row.Coverage), pct(row.MAPE))
-	}
-	for _, row := range az.Arch {
-		add(row.Arch, f2(row.NLL), pct(row.OneBestErr))
 	}
 	for _, row := range az.Heads {
 		add(row.Head, fmt.Sprintf("%.3f", row.BCE), pct(row.OneBestErr))

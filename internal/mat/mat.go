@@ -370,16 +370,6 @@ func MaxAbs(x []float64) float64 {
 	return m
 }
 
-// AddTo computes dst = a + b element-wise over equal-shape matrices.
-func AddTo(dst, a, b *Dense) {
-	if !dst.SameShape(a) || !dst.SameShape(b) {
-		panic("mat: AddTo shape mismatch")
-	}
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
-}
-
 // SolveCholesky solves the symmetric positive-definite system A x = b in
 // place, returning x. A is modified (its lower triangle holds the
 // Cholesky factor on return). Returns false if A is not positive

@@ -253,16 +253,6 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestAddTo(t *testing.T) {
-	a := FromSlice(1, 2, []float64{1, 2})
-	b := FromSlice(1, 2, []float64{3, 4})
-	dst := NewDense(1, 2)
-	AddTo(dst, a, b)
-	if dst.At(0, 0) != 4 || dst.At(0, 1) != 6 {
-		t.Fatalf("AddTo wrong: %v", dst.Data)
-	}
-}
-
 func TestSolveCholeskyKnown(t *testing.T) {
 	// A = [[4,2],[2,3]], b = [2,1] -> x = [0.5, 0]
 	a := FromSlice(2, 2, []float64{4, 2, 2, 3})
@@ -333,7 +323,9 @@ func TestMulDistributiveQuick(t *testing.T) {
 			}
 		}
 		ab := NewDense(2, 2)
-		AddTo(ab, a, b)
+		for i, v := range a.Data {
+			ab.Data[i] = v + b.Data[i]
+		}
 		lhs := NewDense(2, 2)
 		mul(lhs, ab, c)
 		r1 := NewDense(2, 2)

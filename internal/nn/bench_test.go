@@ -75,38 +75,6 @@ func BenchmarkLSTMStep(b *testing.B) {
 	}
 }
 
-func BenchmarkGRUForwardBackward(b *testing.B) {
-	net := NewGRU(Config{InputDim: 64, HiddenDim: 48, Layers: 2, OutputDim: 17}, rng.New(1))
-	xs := benchInputs(32, 8)
-	st := net.NewState(8)
-	dys := make([]*mat.Dense, len(xs))
-	for s := range dys {
-		dys[s] = mat.NewDense(8, 17)
-		for j := range dys[s].Data {
-			dys[s].Data[j] = 0.01
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		_, cache := net.Forward(xs, st)
-		net.Backward(cache, dys)
-	}
-}
-
-func BenchmarkGRUStep(b *testing.B) {
-	net := NewGRU(Config{InputDim: 64, HiddenDim: 48, Layers: 2, OutputDim: 17}, rng.New(1))
-	st := net.NewState(1)
-	x := make([]float64, 64)
-	x[3] = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.StepForward(x, st)
-	}
-}
-
 // BenchmarkFleetStepShapes steps the two decode networks of the 9-day
 // fixture with the rows their encoders produce, because a step's cost
 // is set by layer 0's non-zeros and the two differ fivefold: the flavor

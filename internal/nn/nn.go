@@ -1,14 +1,13 @@
 // Package nn is a from-scratch neural-network substrate standing in for
-// the PyTorch stack the paper trained with. It provides multi-layer LSTM
-// and GRU networks over one shared layer stack (stack.go) with full
-// backpropagation-through-time, a linear output head, softmax
-// cross-entropy and masked binary-cross-entropy-with-logits losses (the
-// two heads the paper's flavor and lifetime models use), an Adam
-// optimizer with decoupled weight decay, the deterministic sharded
-// trainer, and the batched decode fleets. Training is float64 on the
-// stdlib only; the f32 fleets serve a rounded copy of the trained
-// weights (fleet.go). Gradients are verified against numerical
-// differentiation in the package tests.
+// the PyTorch stack the paper trained with. It provides a multi-layer
+// LSTM (stack.go, nn.go) with full backpropagation-through-time, a
+// linear output head, softmax cross-entropy and masked
+// binary-cross-entropy-with-logits losses (the two heads the paper's
+// flavor and lifetime models use), an Adam optimizer with decoupled
+// weight decay, the deterministic sharded trainer, and the batched
+// decode fleets. Training is float64 on the stdlib only; the f32 fleets
+// serve a rounded copy of the trained weights (fleet.go). Gradients are
+// verified against numerical differentiation in the package tests.
 //
 // Forward/Backward scratch comes from a per-network Workspace (see
 // workspace.go), so the steady-state training hot path is
@@ -22,7 +21,6 @@ import (
 	"math"
 
 	"repro/internal/mat"
-	"repro/internal/rng"
 )
 
 // Param is one learnable tensor together with its gradient accumulator
@@ -34,9 +32,9 @@ type Param struct {
 	m, v  *mat.Dense // Adam first/second moment estimates
 }
 
-// NewParam returns a zeroed r×c parameter with its gradient and Adam
+// newParam returns a zeroed r×c parameter with its gradient and Adam
 // moment buffers.
-func NewParam(name string, r, c int) *Param {
+func newParam(name string, r, c int) *Param {
 	return &Param{
 		Name:  name,
 		Value: mat.NewDense(r, c),
@@ -49,8 +47,8 @@ func NewParam(name string, r, c int) *Param {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Config describes a recurrent network: stacked LSTM or GRU layers
-// followed by a linear head producing OutputDim scores per step.
+// Config describes a network: stacked LSTM layers followed by a linear
+// head producing OutputDim scores per step.
 type Config struct {
 	InputDim  int
 	HiddenDim int
@@ -67,26 +65,13 @@ func (c Config) validate() error {
 
 // LSTM is a stacked LSTM network with a linear output head. Gate order
 // within the 4H dimension is input, forget, cell (g), output.
-type LSTM struct{ stack }
-
-// NewLSTM constructs a network with Xavier-uniform weights (forget-gate
-// biases initialized to +1, the standard trick for gradient flow).
-func NewLSTM(cfg Config, g *rng.RNG) *LSTM { return &LSTM{newStack(cfg, g, true)} }
-
-// Cache stores everything LSTM.Forward computed that Backward consumes,
-// with seqCache's arena validity and sequence-fused layout.
-type Cache struct {
-	seqCache
-	c     []*mat.Dense // per layer cell state [(T+1)·B x H]; block 0 is the initial state
-	z     []*mat.Dense // per layer gate activations [T·B x 4H], in i, f, g, o order
-	tanhC []*mat.Dense // per layer tanh of the new cell state [T·B x H]
-}
-
-// lstmCache returns the arena's embedded Cache, resized for nl layers.
-func (a *arena) lstmCache(nl int) *Cache {
-	c := &a.cache
-	fitLayers(nl, &c.h, &c.c, &c.z, &c.tanhC)
-	return c
+type LSTM struct {
+	Cfg    Config
+	layers []*layer
+	wy     *Param // [H x OutputDim]
+	by     *Param // [1 x OutputDim]
+	params []*Param
+	ws     *Workspace // Forward/Backward scratch arenas, lazily acquired
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -106,7 +91,7 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	}
 	ar := n.workspace().flip()
 	cache := ar.lstmCache(len(n.layers))
-	n.begin(&cache.seqCache, ar, xs)
+	n.begin(cache, ar, xs)
 	T, b, h := cache.steps, cache.batch, n.Cfg.HiddenDim
 	var sH, sC []*mat.Dense
 	if st != nil {
@@ -145,7 +130,7 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 		}
 		layerX = ar.view(H, b, (T+1)*b)
 	}
-	return n.head(&cache.seqCache, layerX), cache
+	return n.head(cache, layerX), cache
 }
 
 // Backward runs backpropagation-through-time. dys holds the gradient of
@@ -160,7 +145,7 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	// DH holds, for the layer currently being processed, the gradient
 	// arriving from above at every step: from the head for the top
 	// layer, then from layer l's input projection for layer l-1.
-	DH := n.headBackward(&cache.seqCache, dys)
+	DH := n.headBackward(cache, dys)
 	if DH == nil {
 		return
 	}
@@ -210,7 +195,7 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 				mat.MulAdd(dhrec, dzt, whT)
 			}
 		}
-		n.layerGrads(&cache.seqCache, l, DZ, DZ, DH)
+		n.layerGrads(cache, l, DZ, DH)
 	}
 }
 
@@ -220,7 +205,7 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 // All scratch lives on the state, so concurrent StepForward calls on one
 // network are safe as long as each goroutine uses its own state.
 func (n *LSTM) StepForward(x []float64, st *State) []float64 {
-	in := n.stepIn(x, st, 4)
+	in := n.stepIn(x, st)
 	h := n.Cfg.HiddenDim
 	for l, layer := range n.layers {
 		z := st.z

@@ -385,7 +385,7 @@ func TestAdamReducesLossOnRegression(t *testing.T) {
 }
 
 func TestAdamClipNorm(t *testing.T) {
-	p := NewParam("w", 1, 2)
+	p := newParam("w", 1, 2)
 	p.Grad.Data[0], p.Grad.Data[1] = 30, 40 // norm 50
 	a := NewAdam(0.1)
 	a.ClipNorm = 5
@@ -397,7 +397,7 @@ func TestAdamClipNorm(t *testing.T) {
 }
 
 func TestAdamWeightDecayShrinksWeights(t *testing.T) {
-	p := NewParam("w", 1, 1)
+	p := newParam("w", 1, 1)
 	p.Value.Data[0] = 10
 	// Zero gradient: only decay acts.
 	a := NewAdam(0.1)
@@ -450,7 +450,7 @@ func TestBackwardEmptySequence(t *testing.T) {
 }
 
 func TestAdamZeroGradientNoChange(t *testing.T) {
-	p := NewParam("w", 1, 3)
+	p := newParam("w", 1, 3)
 	p.Value.Data[0], p.Value.Data[1], p.Value.Data[2] = 1, -2, 3
 	before := append([]float64(nil), p.Value.Data...)
 	a := NewAdam(0.1)

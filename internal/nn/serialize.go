@@ -18,19 +18,18 @@ type paramBlob struct {
 	Values []float64
 }
 
-// MarshalParams encodes a parameter list (with any gob-encodable config)
-// into the shared snapshot wire format. Networks built outside this
-// package from NewParam serialize through it too.
-func MarshalParams[C any](cfg C, params []*Param) ([]byte, error) {
-	blobs := make([]paramBlob, 0, len(params))
-	for _, p := range params {
+// MarshalBinary serializes the network configuration and weights: the
+// gob of Cfg, then of the params in construction order.
+func (n *LSTM) MarshalBinary() ([]byte, error) {
+	blobs := make([]paramBlob, 0, len(n.params))
+	for _, p := range n.params {
 		vals := make([]float64, len(p.Value.Data))
 		copy(vals, p.Value.Data)
 		blobs = append(blobs, paramBlob{Name: p.Name, Values: vals})
 	}
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(cfg); err != nil {
+	if err := enc.Encode(n.Cfg); err != nil {
 		return nil, fmt.Errorf("nn: marshal config: %w", err)
 	}
 	if err := enc.Encode(blobs); err != nil {
@@ -52,9 +51,9 @@ const (
 	maxSnapshotParams = 1 << 26
 )
 
-// checkLSTMConfig validates a decoded LSTM/GRU config against the
-// snapshot bounds: validate() rejects non-positive dims, the caps
-// reject dimensions large enough to make construction itself a DoS.
+// checkLSTMConfig validates a decoded LSTM config against the snapshot
+// bounds: validate() rejects non-positive dims, the caps reject
+// dimensions large enough to make construction itself a DoS.
 func checkLSTMConfig(c Config) error {
 	if err := c.validate(); err != nil {
 		return err
@@ -63,8 +62,7 @@ func checkLSTMConfig(c Config) error {
 		c.Layers > maxSnapshotDim || c.OutputDim > maxSnapshotDim {
 		return fmt.Errorf("nn: snapshot config dimensions exceed limit %d: %+v", maxSnapshotDim, c)
 	}
-	// Parameter-count bound (LSTM is the largest of the two recurrent
-	// architectures; the same estimate safely over-covers the GRU).
+	// Parameter-count bound.
 	in, h, od := int64(c.InputDim), int64(c.HiddenDim), int64(c.OutputDim)
 	total := (in+h)*4*h + 4*h // layer 0
 	total += int64(c.Layers-1) * (2*h*4*h + 4*h)
@@ -75,16 +73,17 @@ func checkLSTMConfig(c Config) error {
 	return nil
 }
 
-// UnmarshalParams decodes the wire format into cfg, validates it with
-// check before any construction, and copies the values into the freshly
-// constructed params (matched by name). check must bound every dimension
-// fresh sizes an allocation from, as checkLSTMConfig does.
-func UnmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func(C) []*Param) error {
+// UnmarshalBinary restores a network previously serialized with
+// MarshalBinary; the receiver's architecture is replaced. The config is
+// validated with checkLSTMConfig before anything is sized from it, and
+// a failed decode leaves the receiver untouched.
+func (n *LSTM) UnmarshalBinary(data []byte) error {
 	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(cfg); err != nil {
+	var cfg Config
+	if err := dec.Decode(&cfg); err != nil {
 		return fmt.Errorf("nn: unmarshal config: %w", err)
 	}
-	if err := check(*cfg); err != nil {
+	if err := checkLSTMConfig(cfg); err != nil {
 		return fmt.Errorf("nn: unmarshal: %w", err)
 	}
 	var blobs []paramBlob
@@ -95,7 +94,8 @@ func UnmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func
 	for _, b := range blobs {
 		values[b.Name] = b.Values
 	}
-	for _, p := range fresh(*cfg) {
+	fresh := NewLSTM(cfg, rng.New(0)) // init values are overwritten
+	for _, p := range fresh.params {
 		vals, ok := values[p.Name]
 		if !ok {
 			return fmt.Errorf("nn: unmarshal: missing param %q", p.Name)
@@ -105,34 +105,7 @@ func UnmarshalParams[C any](data []byte, cfg *C, check func(C) error, fresh func
 		}
 		copy(p.Value.Data, vals)
 	}
-	return nil
-}
-
-// MarshalBinary serializes the network configuration and weights.
-func (s *stack) MarshalBinary() ([]byte, error) {
-	return MarshalParams(s.Cfg, s.params)
-}
-
-// UnmarshalBinary restores a network previously serialized with
-// MarshalBinary. The receiver's architecture is replaced.
-func (n *LSTM) UnmarshalBinary(data []byte) error { return n.unmarshal(data, true) }
-
-// UnmarshalBinary restores a GRU serialized with MarshalBinary.
-func (n *GRU) UnmarshalBinary(data []byte) error { return n.unmarshal(data, false) }
-
-// unmarshal decodes a stack of the given cell; a failed decode leaves
-// the receiver untouched.
-func (s *stack) unmarshal(data []byte, cell bool) error {
-	var cfg Config
-	var fresh stack
-	err := UnmarshalParams(data, &cfg, checkLSTMConfig, func(c Config) []*Param {
-		fresh = newStack(c, rng.New(0), cell) // init values are overwritten
-		return fresh.params
-	})
-	if err != nil {
-		return err
-	}
-	*s = fresh
+	*n = *fresh
 	return nil
 }
 

@@ -33,41 +33,6 @@ const ShardRows = 1
 // NumShards returns how many shards a batch of b rows splits into.
 func NumShards(b int) int { return (b + ShardRows - 1) / ShardRows }
 
-// Recurrent is a trainable recurrent network: *LSTM or *GRU. Its
-// unexported methods seal it to this package.
-type Recurrent interface {
-	NewState(b int) *State
-	Params() []*Param
-	ZeroGrads()
-	StepForward(x []float64, st *State) []float64
-	shadow() Recurrent
-	window(xs []*mat.Dense, st *State, lo, hi int, dys ShardDys) (loss float64, count int)
-}
-
-// shadow wraps stack.shadow in the network's own cell.
-func (n *LSTM) shadow() Recurrent { return &LSTM{n.stack.shadow()} }
-func (n *GRU) shadow() Recurrent  { return &GRU{n.stack.shadow()} }
-
-// window is one shard's pass on a shadow: forward over xs from st, the
-// loss gradients of rows [lo, hi), and backward when there are any.
-func (n *LSTM) window(xs []*mat.Dense, st *State, lo, hi int, dys ShardDys) (float64, int) {
-	ys, cache := n.Forward(xs, st)
-	d, loss, count := dys(lo, hi, ys)
-	if d != nil {
-		n.Backward(cache, d)
-	}
-	return loss, count
-}
-
-func (n *GRU) window(xs []*mat.Dense, st *State, lo, hi int, dys ShardDys) (float64, int) {
-	ys, cache := n.Forward(xs, st)
-	d, loss, count := dys(lo, hi, ys)
-	if d != nil {
-		n.Backward(cache, d)
-	}
-	return loss, count
-}
-
 // ShardDys computes the loss gradient for shard rows [lo, hi) given the
 // shard's per-step output logits. It returns the per-step gradients
 // (nil to skip the backward pass, e.g. when the whole window carries no
@@ -87,14 +52,10 @@ type shardViews struct {
 }
 
 // rowViews re-points the headers *hdr at rows [lo, hi) of each of ms
-// and returns the pointer slice *ptr over them (nil when ms is nil, as a
-// GRU's C is). Forward replaces the pointer entries of a state with
-// workspace views, so the headers stay owned by the shard and are
-// rebound next window.
+// and returns the pointer slice *ptr over them. Forward replaces the
+// pointer entries of a state with workspace views, so the headers stay
+// owned by the shard and are rebound next window.
 func rowViews(hdr *[]mat.Dense, ptr *[]*mat.Dense, ms []*mat.Dense, lo, hi int) []*mat.Dense {
-	if ms == nil {
-		return nil
-	}
 	n := len(ms)
 	if cap(*hdr) < n {
 		*hdr, *ptr = make([]mat.Dense, n), make([]*mat.Dense, n)
@@ -109,12 +70,11 @@ func rowViews(hdr *[]mat.Dense, ptr *[]*mat.Dense, ms []*mat.Dense, lo, hi int) 
 	return p
 }
 
-// Sharded drives sharded minibatch training of a recurrent network.
-// Shadows and shard scratch are allocated once and reused across windows
-// and epochs.
+// Sharded drives sharded minibatch training of an LSTM. Shadows and
+// shard scratch are allocated once and reused across windows and epochs.
 type Sharded struct {
-	net     Recurrent
-	shadows []Recurrent
+	net     *LSTM
+	shadows []*LSTM
 	views   []*shardViews
 	losses  []float64
 	counts  []int
@@ -127,7 +87,7 @@ type Sharded struct {
 
 // NewSharded prepares a sharded trainer for batches of up to maxBatch
 // rows.
-func NewSharded(net Recurrent, maxBatch int) *Sharded {
+func NewSharded(net *LSTM, maxBatch int) *Sharded {
 	ns := NumShards(maxBatch)
 	s := &Sharded{net: net, losses: make([]float64, ns), counts: make([]int, ns)}
 	for i := 0; i < ns; i++ {
@@ -170,7 +130,9 @@ func (s *Sharded) RunWindow(xs []*mat.Dense, st *State, dys ShardDys) (loss floa
 	return loss, count
 }
 
-// shard is shard si's part of the current window.
+// shard is shard si's part of the current window: forward on its
+// shadow over the shard rows from their state, the loss gradients of
+// rows [lo, hi), and backward when there are any.
 func (s *Sharded) shard(si int) {
 	lo := si * ShardRows
 	hi := min(lo+ShardRows, s.xs[0].Rows)
@@ -178,7 +140,11 @@ func (s *Sharded) shard(si int) {
 	shadow.ZeroGrads()
 	sv.sst.H = rowViews(&sv.hv, &sv.sH, s.st.H, lo, hi)
 	sv.sst.C = rowViews(&sv.cv, &sv.sC, s.st.C, lo, hi)
-	xs := rowViews(&sv.xv, &sv.xs, s.xs, lo, hi)
-	s.losses[si], s.counts[si] = shadow.window(xs, &sv.sst, lo, hi, s.dys)
+	ys, cache := shadow.Forward(rowViews(&sv.xv, &sv.xs, s.xs, lo, hi), &sv.sst)
+	dys, loss, count := s.dys(lo, hi, ys)
+	if dys != nil {
+		shadow.Backward(cache, dys)
+	}
+	s.losses[si], s.counts[si] = loss, count
 	s.st.CopyRows(lo, hi, &sv.sst)
 }

@@ -8,78 +8,57 @@ import (
 	"repro/internal/rng"
 )
 
-// The layer stack: everything the LSTM and the GRU share (§7's
-// architecture ablation swaps only the cell). Both embed one stack —
-// the layers, the linear head, the parameter list in snapshot order and
-// the Forward/Backward workspace — and differ only in Forward,
-// Backward, StepForward and their caches.
+// The LSTM's layer stack: the layers, the linear head, the parameter
+// list in snapshot order, the state and the forward cache, and the
+// parts of Forward, Backward and StepForward that do not touch the cell
+// (nn.go holds those).
 
-// layer holds one recurrent layer's parameters. The G·H dimension holds
-// the cell's gate blocks: input, forget, cell (g), output for the LSTM
-// (G = 4); reset, update, candidate for the GRU (G = 3).
+// layer holds one LSTM layer's parameters. The 4H dimension holds the
+// gate blocks in input, forget, cell (g), output order.
 type layer struct {
 	first bool   // layer 0: input may be a sparse feature encoding
-	wx    *Param // [in x G·H]
-	wh    *Param // [H x G·H]
-	b     *Param // [1 x G·H]
+	wx    *Param // [in x 4H]
+	wh    *Param // [H x 4H]
+	b     *Param // [1 x 4H]
 }
 
-// stack is a network of stacked recurrent layers under a linear head
-// producing OutputDim scores per step.
-type stack struct {
-	Cfg    Config
-	layers []*layer
-	wy     *Param // [H x OutputDim]
-	by     *Param // [1 x OutputDim]
-	params []*Param
-	ws     *Workspace // Forward/Backward scratch arenas, lazily acquired
-	cell   bool       // the cell carries C (LSTM); a GRU's State has none
-}
-
-// newStack constructs the layers and the head with Xavier-uniform
-// weights, drawn from g in construction order; the LSTM's forget-gate
-// biases start at +1, the standard trick for gradient flow. Parameter
-// names are the snapshot wire format: l<i>.* and head.* for the LSTM,
-// g<i>.* and ghead.* for the GRU.
-func newStack(cfg Config, g *rng.RNG, cell bool) stack {
+// NewLSTM constructs a network with Xavier-uniform weights, drawn from
+// g in construction order; the forget-gate biases start at +1, the
+// standard trick for gradient flow. Parameter names (l<i>.* and head.*)
+// are the snapshot wire format.
+func NewLSTM(cfg Config, g *rng.RNG) *LSTM {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	gates, lp, hp := 3, "g", "ghead"
-	if cell {
-		gates, lp, hp = 4, "l", "head"
-	}
 	h := cfg.HiddenDim
-	s := stack{Cfg: cfg, cell: cell}
+	n := &LSTM{Cfg: cfg}
 	in := cfg.InputDim
 	for l := 0; l < cfg.Layers; l++ {
 		ly := &layer{
 			first: l == 0,
-			wx:    NewParam(fmt.Sprintf("%s%d.wx", lp, l), in, gates*h),
-			wh:    NewParam(fmt.Sprintf("%s%d.wh", lp, l), h, gates*h),
-			b:     NewParam(fmt.Sprintf("%s%d.b", lp, l), 1, gates*h),
+			wx:    newParam(fmt.Sprintf("l%d.wx", l), in, 4*h),
+			wh:    newParam(fmt.Sprintf("l%d.wh", l), h, 4*h),
+			b:     newParam(fmt.Sprintf("l%d.b", l), 1, 4*h),
 		}
-		XavierInit(ly.wx.Value, in, h, g)
-		XavierInit(ly.wh.Value, h, h, g)
-		if cell {
-			for j := h; j < 2*h; j++ {
-				ly.b.Value.Set(0, j, 1) // forget gate bias
-			}
+		xavierInit(ly.wx.Value, in, h, g)
+		xavierInit(ly.wh.Value, h, h, g)
+		for j := h; j < 2*h; j++ {
+			ly.b.Value.Set(0, j, 1) // forget gate bias
 		}
-		s.layers = append(s.layers, ly)
-		s.params = append(s.params, ly.wx, ly.wh, ly.b)
+		n.layers = append(n.layers, ly)
+		n.params = append(n.params, ly.wx, ly.wh, ly.b)
 		in = h
 	}
-	s.wy = NewParam(hp+".wy", h, cfg.OutputDim)
-	s.by = NewParam(hp+".by", 1, cfg.OutputDim)
-	XavierInit(s.wy.Value, h, cfg.OutputDim, g)
-	s.params = append(s.params, s.wy, s.by)
-	return s
+	n.wy = newParam("head.wy", h, cfg.OutputDim)
+	n.by = newParam("head.by", 1, cfg.OutputDim)
+	xavierInit(n.wy.Value, h, cfg.OutputDim, g)
+	n.params = append(n.params, n.wy, n.by)
+	return n
 }
 
-// XavierInit fills w with Xavier-uniform draws from g for a layer of the
+// xavierInit fills w with Xavier-uniform draws from g for a layer of the
 // given fan-in and fan-out, in storage order.
-func XavierInit(w *mat.Dense, fanIn, fanOut int, g *rng.RNG) {
+func xavierInit(w *mat.Dense, fanIn, fanOut int, g *rng.RNG) {
 	bound := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range w.Data {
 		w.Data[i] = g.Uniform(-bound, bound)
@@ -87,68 +66,65 @@ func XavierInit(w *mat.Dense, fanIn, fanOut int, g *rng.RNG) {
 }
 
 // Params returns all learnable parameters (for the optimizer and tests).
-func (s *stack) Params() []*Param { return s.params }
+func (n *LSTM) Params() []*Param { return n.params }
 
 // NumParams returns the total number of scalar parameters.
-func (s *stack) NumParams() int {
+func (n *LSTM) NumParams() int {
 	total := 0
-	for _, p := range s.params {
+	for _, p := range n.params {
 		total += len(p.Value.Data)
 	}
 	return total
 }
 
 // ZeroGrads clears all parameter gradients.
-func (s *stack) ZeroGrads() {
-	for _, p := range s.params {
+func (n *LSTM) ZeroGrads() {
+	for _, p := range n.params {
 		p.ZeroGrad()
 	}
 }
 
-// shadow returns a stack sharing s's weight tensors but with private
+// shadow returns a network sharing n's weight tensors but with private
 // gradient buffers (and, on first use, its own Workspace), for race-free
 // per-shard backward passes. Shadow params carry no Adam moments: only
 // the real network's params ever reach the optimizer.
-func (s *stack) shadow() stack {
+func (n *LSTM) shadow() *LSTM {
 	grad := func(p *Param) *Param {
 		return &Param{Name: p.Name, Value: p.Value, Grad: mat.NewDense(p.Grad.Rows, p.Grad.Cols)}
 	}
-	sh := stack{Cfg: s.Cfg, cell: s.cell}
-	for _, l := range s.layers {
+	sh := &LSTM{Cfg: n.Cfg}
+	for _, l := range n.layers {
 		sl := &layer{first: l.first, wx: grad(l.wx), wh: grad(l.wh), b: grad(l.b)}
 		sh.layers = append(sh.layers, sl)
 		sh.params = append(sh.params, sl.wx, sl.wh, sl.b)
 	}
-	sh.wy, sh.by = grad(s.wy), grad(s.by)
+	sh.wy, sh.by = grad(n.wy), grad(n.by)
 	sh.params = append(sh.params, sh.wy, sh.by)
 	return sh
 }
 
-// State holds per-layer hidden (and, for the LSTM, cell) activations for
-// a batch, used both to carry state across Forward calls and for
-// stepwise generation. A GRU's State has no C. After a Forward call the
-// entries are views into the network's workspace, valid until the
-// next-but-one Forward on that network (Clone them to keep longer).
-// StepForward updates them in place.
+// State holds per-layer hidden and cell activations for a batch, used
+// both to carry state across Forward calls and for stepwise generation.
+// After a Forward call the entries are views into the network's
+// workspace, valid until the next-but-one Forward on that network (Clone
+// them to keep longer). StepForward updates them in place.
 type State struct {
 	H []*mat.Dense // per layer, [B x H]
-	C []*mat.Dense // per layer, [B x H]; nil for a GRU
+	C []*mat.Dense // per layer, [B x H]
 
 	// StepForward scratch, lazily sized. It lives on the state rather
 	// than the network so concurrent generation with distinct states
 	// stays race-free.
-	z, zh, y *mat.Dense
-	xh       mat.Dense
+	z, y *mat.Dense
+	xh   mat.Dense
 }
 
 // NewState returns a zero state for batch size b.
-func (s *stack) NewState(b int) *State {
+func (n *LSTM) NewState(b int) *State {
 	st := &State{}
-	for range s.layers {
-		st.H = append(st.H, mat.NewDense(b, s.Cfg.HiddenDim))
-		if s.cell {
-			st.C = append(st.C, mat.NewDense(b, s.Cfg.HiddenDim))
-		}
+	for range n.layers {
+		st.H = append(st.H, mat.NewDense(b, n.Cfg.HiddenDim))
+		st.C = append(st.C, mat.NewDense(b, n.Cfg.HiddenDim))
 	}
 	return st
 }
@@ -173,23 +149,33 @@ func (s *State) CopyRows(lo, hi int, src *State) {
 	}
 }
 
-// seqCache is what both cells' forward caches hold alike. All matrices
-// are slabs in (or views into) the arena of the Forward call that
-// produced it, so a cache is valid until the next-but-one Forward on the
-// same network. Activations are stored sequence-fused: each slab holds T
-// (or T+1) row-blocks of B rows, block t covering step t.
-type seqCache struct {
+// Cache stores everything Forward computed that Backward consumes. All
+// matrices are slabs in (or views into) the arena of the Forward call
+// that produced it, so a cache is valid until the next-but-one Forward
+// on the same network. Activations are stored sequence-fused: each slab
+// holds T (or T+1) row-blocks of B rows, block t covering step t.
+type Cache struct {
 	steps int
 	batch int
 	ar    *arena
 
-	x  *mat.Dense   // packed layer-0 input [T·B x InputDim]
-	h  []*mat.Dense // per layer [(T+1)·B x H]; block 0 is the initial state
-	ys []*mat.Dense // per-step output views returned by Forward
+	x     *mat.Dense   // packed layer-0 input [T·B x InputDim]
+	h     []*mat.Dense // per layer [(T+1)·B x H]; block 0 is the initial state
+	c     []*mat.Dense // per layer cell state [(T+1)·B x H]; block 0 is the initial state
+	z     []*mat.Dense // per layer gate activations [T·B x 4H], in i, f, g, o order
+	tanhC []*mat.Dense // per layer tanh of the new cell state [T·B x H]
+	ys    []*mat.Dense // per-step output views returned by Forward
 }
 
 // T returns the number of time steps in the cached forward pass.
-func (c *seqCache) T() int { return c.steps }
+func (c *Cache) T() int { return c.steps }
+
+// lstmCache returns the arena's embedded Cache, resized for nl layers.
+func (a *arena) lstmCache(nl int) *Cache {
+	c := &a.cache
+	fitLayers(nl, &c.h, &c.c, &c.z, &c.tanhC)
+	return c
+}
 
 // fitLayers resizes each per-layer slice to nl entries, reallocating
 // only when one grows.
@@ -205,8 +191,8 @@ func fitLayers(nl int, ss ...*[]*mat.Dense) {
 // begin starts a Forward pass on the next arena: it points c at it and
 // packs the step inputs into one [T·B x InputDim] slab so layer 0's
 // input projection runs as a single sequence-fused GEMM.
-func (s *stack) begin(c *seqCache, ar *arena, xs []*mat.Dense) {
-	T, b, id := len(xs), xs[0].Rows, s.Cfg.InputDim
+func (n *LSTM) begin(c *Cache, ar *arena, xs []*mat.Dense) {
+	T, b, id := len(xs), xs[0].Rows, n.Cfg.InputDim
 	c.steps, c.batch, c.ar = T, b, ar
 	X := ar.slab(T*b, id, false)
 	for t, x := range xs {
@@ -249,11 +235,11 @@ func (ly *layer) project(z, x *mat.Dense) {
 // head runs the output layer over the top layer's hidden states top,
 // fused across the sequence (Y = H_top·Wy + by), and returns the
 // per-step [B x OutputDim] views.
-func (s *stack) head(c *seqCache, top *mat.Dense) []*mat.Dense {
+func (n *LSTM) head(c *Cache, top *mat.Dense) []*mat.Dense {
 	ar, T, b := c.ar, c.steps, c.batch
-	Y := ar.slab(T*b, s.Cfg.OutputDim, true)
-	mat.MulAdd(Y, top, s.wy.Value)
-	mat.AddBiasRows(Y, s.by.Value.Row(0))
+	Y := ar.slab(T*b, n.Cfg.OutputDim, true)
+	mat.MulAdd(Y, top, n.wy.Value)
+	mat.AddBiasRows(Y, n.by.Value.Row(0))
 	ys := c.ys[:0]
 	for t := 0; t < T; t++ {
 		ys = append(ys, ar.view(Y, t*b, (t+1)*b))
@@ -266,14 +252,14 @@ func (s *stack) head(c *seqCache, top *mat.Dense) []*mat.Dense {
 // accumulates the head's parameter gradients, and returns the gradient
 // arriving at the top layer's hidden state at every step (nil for an
 // empty pass). Scratch bump-continues on the arena holding the cache.
-func (s *stack) headBackward(c *seqCache, dys []*mat.Dense) *mat.Dense {
+func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense) *mat.Dense {
 	if len(dys) != c.T() {
 		panic(fmt.Sprintf("nn: Backward got %d grads for %d steps", len(dys), c.T()))
 	}
 	if c.T() == 0 {
 		return nil
 	}
-	ar, T, b, od := c.ar, c.steps, c.batch, s.Cfg.OutputDim
+	ar, T, b, od := c.ar, c.steps, c.batch, n.Cfg.OutputDim
 	DY := ar.slab(T*b, od, false)
 	for t, dy := range dys {
 		if dy.Rows != b || dy.Cols != od {
@@ -282,36 +268,34 @@ func (s *stack) headBackward(c *seqCache, dys []*mat.Dense) *mat.Dense {
 		copy(DY.Data[t*b*od:(t+1)*b*od], dy.Data)
 	}
 	hTop := ar.view(c.h[len(c.h)-1], b, (T+1)*b)
-	mat.MulATB(s.wy.Grad, hTop, DY)
-	mat.SumRows(s.by.Grad.Row(0), DY)
-	DH := ar.slab(T*b, s.Cfg.HiddenDim, true)
-	mat.MulABT(DH, DY, s.wy.Value)
+	mat.MulATB(n.wy.Grad, hTop, DY)
+	mat.SumRows(n.by.Grad.Row(0), DY)
+	DH := ar.slab(T*b, n.Cfg.HiddenDim, true)
+	mat.MulABT(DH, DY, n.wy.Value)
 	return DH
 }
 
 // layerGrads accumulates layer l's parameter gradients, sequence-fused
-// over all T steps, from the pre-activation gradients of its input
-// product (dzx: Wx and the bias) and of its recurrent product (dzh: Wh)
-// — one slab for the LSTM, two for the GRU — and, above layer 0,
-// overwrites dh with the gradient arriving at layer l-1's hidden state.
-// Layer 0's Wx gradient takes MulATBSparse's skip branch when its input
-// is sparse enough.
-func (s *stack) layerGrads(c *seqCache, l int, dzx, dzh, dh *mat.Dense) {
-	ly, ar, T, b := s.layers[l], c.ar, c.steps, c.batch
+// over all T steps, from its pre-activation gradients dz and, above
+// layer 0, overwrites dh with the gradient arriving at layer l-1's
+// hidden state. Layer 0's Wx gradient takes MulATBSparse's skip branch
+// when its input is sparse enough.
+func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense) {
+	ly, ar, T, b := n.layers[l], c.ar, c.steps, c.batch
 	xl := c.x
 	if l > 0 {
 		xl = ar.view(c.h[l-1], b, (T+1)*b)
 	}
 	if ly.first && sparseEnough(xl) {
-		mat.MulATBSparse(ly.wx.Grad, xl, dzx)
+		mat.MulATBSparse(ly.wx.Grad, xl, dz)
 	} else {
-		mat.MulATB(ly.wx.Grad, xl, dzx)
+		mat.MulATB(ly.wx.Grad, xl, dz)
 	}
-	mat.MulATB(ly.wh.Grad, ar.view(c.h[l], 0, T*b), dzh)
-	mat.SumRows(ly.b.Grad.Row(0), dzx)
+	mat.MulATB(ly.wh.Grad, ar.view(c.h[l], 0, T*b), dz)
+	mat.SumRows(ly.b.Grad.Row(0), dz)
 	if l > 0 {
 		dh.Zero()
-		mat.MulABT(dh, dzx, ly.wx.Value)
+		mat.MulABT(dh, dz, ly.wx.Value)
 	}
 }
 
@@ -332,18 +316,17 @@ func sparseEnough(m *mat.Dense) bool {
 	return nz*4 < len(m.Data)
 }
 
-// stepIn readies st's scratch for one batch-1 step whose pre-activation
-// is gates·H wide and returns x as a one-row matrix, the first layer's
-// input.
-func (s *stack) stepIn(x []float64, st *State, gates int) *mat.Dense {
-	if len(x) != s.Cfg.InputDim {
-		panic(fmt.Sprintf("nn: StepForward input len %d, want %d", len(x), s.Cfg.InputDim))
+// stepIn readies st's scratch for one batch-1 step and returns x as a
+// one-row matrix, the first layer's input.
+func (n *LSTM) stepIn(x []float64, st *State) *mat.Dense {
+	if len(x) != n.Cfg.InputDim {
+		panic(fmt.Sprintf("nn: StepForward input len %d, want %d", len(x), n.Cfg.InputDim))
 	}
-	if w := gates * s.Cfg.HiddenDim; st.z == nil || st.z.Cols != w {
-		st.z, st.zh = mat.NewDense(1, w), mat.NewDense(1, w)
+	if w := 4 * n.Cfg.HiddenDim; st.z == nil || st.z.Cols != w {
+		st.z = mat.NewDense(1, w)
 	}
-	if st.y == nil || st.y.Cols != s.Cfg.OutputDim {
-		st.y = mat.NewDense(1, s.Cfg.OutputDim)
+	if st.y == nil || st.y.Cols != n.Cfg.OutputDim {
+		st.y = mat.NewDense(1, n.Cfg.OutputDim)
 	}
 	st.xh.Rows, st.xh.Cols, st.xh.Data = 1, len(x), x
 	return &st.xh
@@ -351,9 +334,9 @@ func (s *stack) stepIn(x []float64, st *State, gates int) *mat.Dense {
 
 // stepOut applies the head to the top layer's new state and returns the
 // logits, valid until the next StepForward on st.
-func (s *stack) stepOut(st *State) []float64 {
+func (n *LSTM) stepOut(st *State) []float64 {
 	st.y.Zero()
-	mat.MulAdd(st.y, st.H[len(st.H)-1], s.wy.Value)
-	mat.AddBiasRows(st.y, s.by.Value.Row(0))
+	mat.MulAdd(st.y, st.H[len(st.H)-1], n.wy.Value)
+	mat.AddBiasRows(st.y, n.by.Value.Row(0))
 	return st.y.Row(0)
 }

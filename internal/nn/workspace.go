@@ -41,8 +41,7 @@ type arena struct {
 	nv     int          // views handed out since reset
 	nf     int          // float slices handed out since reset
 
-	cache  Cache    // reusable LSTM forward cache (one per arena)
-	gCache GRUCache // reusable GRU forward cache
+	cache Cache // reusable forward cache (one per arena)
 }
 
 func (a *arena) reset() { a.nb, a.nv, a.nf = 0, 0, 0 }
@@ -154,18 +153,18 @@ func releaseWorkspace(ws *Workspace) {
 	workspaceFreeList.mu.Unlock()
 }
 
-func (s *stack) workspace() *Workspace {
-	if s.ws == nil {
-		s.ws = acquireWorkspace()
+func (n *LSTM) workspace() *Workspace {
+	if n.ws == nil {
+		n.ws = acquireWorkspace()
 	}
-	return s.ws
+	return n.ws
 }
 
 // ReleaseWorkspace returns the network's scratch arenas to the package
 // free list. Call it when retiring a network whose buffers are no
 // longer referenced (states and ys obtained from Forward alias the
 // workspace). Safe to call on a network that never ran.
-func (s *stack) ReleaseWorkspace() {
-	releaseWorkspace(s.ws)
-	s.ws = nil
+func (n *LSTM) ReleaseWorkspace() {
+	releaseWorkspace(n.ws)
+	n.ws = nil
 }

@@ -88,7 +88,7 @@ func TestWorkspaceFreeList(t *testing.T) {
 	if n.ws != nil {
 		t.Fatal("ReleaseWorkspace left the workspace attached")
 	}
-	m := tinyGRU(35)
+	m := NewLSTM(Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, rng.New(35))
 	m.Forward(randInputs(rng.New(36), 3, 2, 3), nil)
 	if m.ws != ws {
 		t.Fatal("released workspace was not reused from the free list")
@@ -116,14 +116,6 @@ func TestStepForwardAllocFree(t *testing.T) {
 		n.StepForward(x, st)
 	}); allocs != 0 {
 		t.Fatalf("LSTM StepForward allocates %v times per step, want 0", allocs)
-	}
-	gn := tinyGRU(38)
-	gst := gn.NewState(1)
-	gn.StepForward(x, gst)
-	if allocs := testing.AllocsPerRun(100, func() {
-		gn.StepForward(x, gst)
-	}); allocs != 0 {
-		t.Fatalf("GRU StepForward allocates %v times per step, want 0", allocs)
 	}
 }
 
@@ -217,30 +209,25 @@ func shardDys(g *rng.RNG, xs []*mat.Dense, outDim int) ShardDys {
 }
 
 // TestShardedRunWindowSteadyStateAllocs pins the sharded training
-// window, for both cells. Nothing from the shards' Forward/Backward
+// window. Nothing from the shards' Forward/Backward
 // allocates — the per-layer whᵀ slab and the gate scratch come from each
 // shadow's arena — so what is left is the fan-out itself.
 func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
 	for _, tc := range allocCases() {
-		for _, arch := range []string{"lstm", "gru"} {
-			t.Run(tc.name+"/"+arch, func(t *testing.T) {
-				tc.skipRace(t)
-				defer par.SetProcs(par.SetProcs(tc.procs))
-				var net Recurrent = NewLSTM(tc.cfg, rng.New(42))
-				if arch == "gru" {
-					net = NewGRU(tc.cfg, rng.New(42))
-				}
-				batch := tc.xs[0].Rows
-				drv, st := NewSharded(net, batch), net.NewState(batch)
-				dys := shardDys(rng.New(41), tc.xs, tc.cfg.OutputDim)
-				run := func() { drv.RunWindow(tc.xs, st, dys) }
-				run()
-				run() // warm both arenas of every shadow
-				if allocs := testing.AllocsPerRun(20, run); allocs > tc.windowAllocs {
-					t.Errorf("steady-state RunWindow allocates %v times, want <= %v", allocs, tc.windowAllocs)
-				}
-			})
-		}
+		t.Run(tc.name+"/lstm", func(t *testing.T) {
+			tc.skipRace(t)
+			defer par.SetProcs(par.SetProcs(tc.procs))
+			net := NewLSTM(tc.cfg, rng.New(42))
+			batch := tc.xs[0].Rows
+			drv, st := NewSharded(net, batch), net.NewState(batch)
+			dys := shardDys(rng.New(41), tc.xs, tc.cfg.OutputDim)
+			run := func() { drv.RunWindow(tc.xs, st, dys) }
+			run()
+			run() // warm both arenas of every shadow
+			if allocs := testing.AllocsPerRun(20, run); allocs > tc.windowAllocs {
+				t.Errorf("steady-state RunWindow allocates %v times, want <= %v", allocs, tc.windowAllocs)
+			}
+		})
 	}
 }
 

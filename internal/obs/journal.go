@@ -177,7 +177,7 @@ func (j *Journal) Close() error {
 }
 
 // EpochEvent is the uniform per-epoch training telemetry record every
-// training loop emits (core's flavor LSTM/GRU and lifetime hazard LSTM,
+// training loop emits (core's flavor LSTM and lifetime hazard LSTM,
 // the ablation fits of internal/experiments, and — as a single-epoch
 // convergence record — the arrival GLM), so runs are comparable across
 // models.

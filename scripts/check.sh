@@ -23,10 +23,12 @@
 #   - the line-count ratchet over internal/{core,nn,mat}
 #     (scripts/loc.sh fails when the tree outgrows its recorded ceiling),
 #     and the rule that the paper's comparators stay out of the serving
-#     packages: the ablation models (the Transformer, the PMF lifetime
-#     head, the joint EOP model) out of internal/core and internal/nn, the
-#     baselines, the GRU fit and the evaluation-only helpers out of
-#     internal/core; and the rule that decode has one weight layout (no
+#     packages: the ablation models (the PMF lifetime head, the joint EOP
+#     model, and the Transformer should it return) out of internal/core
+#     and internal/nn, the baselines, a GRU fit and the evaluation-only
+#     helpers out of internal/core; the rule that internal/nn has one
+#     recurrent cell (no GRU type, Recurrent interface or cell flag);
+#     and the rule that decode has one weight layout (no
 #     row-major fleet GEMM, f32 row-major kernel or nil-panels branch in
 #     internal/{core,nn,mat});
 #   - the caller-less export gate (scripts/deadcode fails on an exported
@@ -130,6 +132,15 @@ if grep -niE '^(type|func) .*(naive|simplebatch|(uniform|multinomial|repeat)flav
 	echo "check.sh: a baseline, the GRU fit or an evaluation-only helper is declared in internal/core" >&2
 	exit 1
 fi
+# One recurrent cell (DESIGN.md §6.3.1): the network is the paper's LSTM,
+# so no non-test file of internal/nn may declare a GRU again, nor the
+# Recurrent interface or the cell flag that let a second cell share the
+# layer stack.
+if grep -nE '^type GRU\b|^type Recurrent interface|\bcell[[:space:]]+bool\b' \
+	$(find internal/nn -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: internal/nn declares a second recurrent cell or a seam for one" >&2
+	exit 1
+fi
 # One decode weight layout (DESIGN.md §6.5): fleets step on packed
 # panels only, so no non-test file of the serving packages may bring
 # back the row-major decode GEMM, its f32 kernel or a nil-panels branch.
@@ -139,4 +150,4 @@ if grep -nE 'MulAddBatched|gemm32AVX2|panels == nil' \
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one decode layout + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + deadcode OK"
