@@ -229,6 +229,11 @@ func MulATBSparse(dst, a, b *Dense) {
 // dot product rounded before its one add into dst. Above packMinFlops
 // it packs bᵀ once and runs the cache-blocked batched kernel through a
 // zeroed panel, bit-identical to the dot-then-add loop (see pack.go).
+// Training no longer calls it: a window's Backward multiplies by weight
+// transposes taken once before its shard fan-out (TransposeInto, then
+// MulAdd on a zeroed dst). Its one caller is the frozen benchmark's
+// mat.abt_us probe, and the next benchmark revision decides whether it
+// stays.
 func MulABT(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulABT shape mismatch %v * %vᵀ -> %v", a, b, dst))
@@ -247,12 +252,12 @@ func MulABT(dst, a, b *Dense) {
 }
 
 // TransposeInto sets dst = aᵀ (dst is a.Cols x a.Rows and must not
-// alias a). A caller that multiplies many small x against one bᵀ —
-// BPTT's per-step recurrent gradient dz_t·whᵀ — transposes once and
-// calls MulAdd(dst, x, bT) on a zeroed dst instead of MulABT per step:
-// from +0 the ascending-k sum is MulABT's dot bit for bit, and adding
-// that dot to +0 returns it unchanged (a sum that starts at +0 can
-// never be -0).
+// alias a). A caller that multiplies many x against one bᵀ — a training
+// window, whose shards' Backward multiply by the same weight transposes
+// at every step and layer — transposes once and calls MulAdd(dst, x,
+// bT) on a zeroed dst instead of MulABT per product: from +0 the
+// ascending-k sum is MulABT's dot bit for bit, and adding that dot to
+// +0 returns it unchanged (a sum that starts at +0 can never be -0).
 func TransposeInto(dst, a *Dense) {
 	if dst.Rows != a.Cols || dst.Cols != a.Rows {
 		panic(fmt.Sprintf("mat: TransposeInto shape mismatch %vᵀ -> %v", a, dst))

@@ -30,9 +30,9 @@ const (
 	// more than the strided reads they remove (paired-measured at the
 	// BPTT shapes, per-call transpose included). It prices that per-call
 	// pass, not the kernel: a caller that hoists the transpose out of its
-	// loop — BPTT's per-step dz·whᵀ, via TransposeInto — calls MulAdd on
-	// the transposed operand, whose small products take the contiguous
-	// kernel at any size (no pass to pay).
+	// loop — a training window's weight transposes, via TransposeInto —
+	// calls MulAdd on the transposed operand, whose small products take
+	// the contiguous kernel at any size (no pass to pay).
 	packMinFlops = 1 << 14
 	// packTile is the square blocking granule of the transpose, sized so
 	// a tile of the source and destination both sit in L1.

@@ -188,8 +188,10 @@ func bitsDiffer(got, want float64) bool {
 	return math.Float64bits(got) != math.Float64bits(want)
 }
 
-// TestMulAddOnTransposeMatchesMulABT pins the identity BPTT's per-step
-// recurrent gradient relies on: on a zeroed dst, MulAdd against an
+// TestMulAddOnTransposeMatchesMulABT pins the identity every product of
+// Backward against a weight's transpose relies on (the per-step
+// recurrent gradient, the layer-input gradient, the head's): on a
+// zeroed dst, MulAdd against an
 // explicitly transposed b gives MulABT's bits (on both sides of its
 // pack threshold) and the dot-then-add reference's, with signed zeros,
 // denormals, infinities and NaNs planted in both operands.
@@ -207,6 +209,10 @@ func TestMulAddOnTransposeMatchesMulABT(t *testing.T) {
 		shapes := [][3]int{ // {m, k, n}: a is m×k, b is n×k
 			{1, 96, 24}, {1, 72, 24}, {3, 96, 24}, {8, 192, 48}, // per-step dz·whᵀ
 			{1, 1, 1}, {1, 20, 5}, {2, 7, 3}, {5, 65, 17}, {768, 17, 24},
+			// The products Backward runs on a window's hoisted transposes,
+			// at a one-row shard's training shape: DZ·Wx₁ᵀ and the flavor
+			// and lifetime heads' DY·Wyᵀ.
+			{96, 96, 24}, {96, 17, 24}, {96, 47, 24},
 		}
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]

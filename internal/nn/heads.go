@@ -50,10 +50,12 @@ func SoftmaxCEInto(logits *mat.Dense, targets []int, valid []bool, dLogits *mat.
 				maxv = v
 			}
 		}
-		var sum float64
 		for j, v := range row {
-			e := math.Exp(v - maxv)
-			probs[j] = e
+			probs[j] = v - maxv
+		}
+		mat.ExpSlice(probs, probs)
+		var sum float64
+		for _, e := range probs {
 			sum += e
 		}
 		inv := 1 / sum
@@ -118,7 +120,9 @@ func MaskedBCEWithLogits(logits, targets, mask *mat.Dense) (loss float64, dLogit
 }
 
 // MaskedBCEWithLogitsInto is MaskedBCEWithLogits writing the gradient
-// into a caller-provided matrix (cleared first).
+// into a caller-provided matrix. exp(-|z|) and σ(z) come from the vector
+// kernels (math.Exp and sigmoid bit for bit), bceChunk logits at a time;
+// the loss still sums in ascending element order.
 func MaskedBCEWithLogitsInto(logits, targets, mask, dLogits *mat.Dense) (loss float64, count int) {
 	if !logits.SameShape(targets) || !logits.SameShape(mask) {
 		panic("nn: MaskedBCEWithLogits shape mismatch")
@@ -126,21 +130,34 @@ func MaskedBCEWithLogitsInto(logits, targets, mask, dLogits *mat.Dense) (loss fl
 	if !logits.SameShape(dLogits) {
 		panic("nn: MaskedBCEWithLogitsInto dst shape mismatch")
 	}
-	dLogits.Zero()
-	for i, z := range logits.Data {
-		m := mask.Data[i]
-		if m == 0 {
-			continue
+	var ex [bceChunk]float64
+	for i0 := 0; i0 < len(logits.Data); i0 += bceChunk {
+		i1 := min(i0+bceChunk, len(logits.Data))
+		zs, d, e := logits.Data[i0:i1], dLogits.Data[i0:i1], ex[:i1-i0]
+		for j, z := range zs {
+			e[j] = -math.Abs(z)
 		}
-		t := targets.Data[i]
-		// Stable: max(z,0) - z*t + log(1+exp(-|z|)).
-		l := math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z)))
-		loss += m * l
-		dLogits.Data[i] = m * (sigmoid(z) - t)
-		count++
+		mat.ExpSlice(e, e)
+		mat.SigmoidSlice(d, zs)
+		for j, z := range zs {
+			m, t := mask.Data[i0+j], targets.Data[i0+j]
+			if m == 0 {
+				d[j] = 0
+				continue
+			}
+			// Stable: max(z,0) - z*t + log(1+exp(-|z|)).
+			l := math.Max(z, 0) - z*t + math.Log1p(e[j])
+			loss += m * l
+			d[j] = m * (d[j] - t)
+			count++
+		}
 	}
 	return loss, count
 }
+
+// bceChunk is how many logits MaskedBCEWithLogitsInto exponentiates per
+// kernel call: a lifetime head's row (47 bins) in one.
+const bceChunk = 64
 
 // SigmoidInto applies the logistic function element-wise into out (same
 // length as x; aliasing is allowed).

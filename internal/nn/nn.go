@@ -71,7 +71,8 @@ type LSTM struct {
 	wy     *Param // [H x OutputDim]
 	by     *Param // [1 x OutputDim]
 	params []*Param
-	ws     *Workspace // Forward/Backward scratch arenas, lazily acquired
+	ws     *Workspace   // Forward/Backward scratch arenas, lazily acquired
+	plan   backwardPlan // a direct Backward's transposed weights
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -140,12 +141,21 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 //
 // Scratch bump-continues on the arena holding the cache, and parameter
 // gradients for Wx, Wh and the head accumulate via sequence-fused GEMMs
-// over the whole window rather than one small GEMM per step.
+// over the whole window rather than one small GEMM per step. The
+// weights are transposed afresh on every call; a sharded window
+// transposes them once for all its shards instead.
 func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
+	n.transposeWeights(&n.plan)
+	n.plan.sparseX = cache.T() > 0 && sparseEnough(cache.x)
+	n.backward(cache, dys, &n.plan)
+}
+
+// backward is Backward against the plan p, which it only reads.
+func (n *LSTM) backward(cache *Cache, dys []*mat.Dense, p *backwardPlan) {
 	// DH holds, for the layer currently being processed, the gradient
 	// arriving from above at every step: from the head for the top
 	// layer, then from layer l's input projection for layer l-1.
-	DH := n.headBackward(cache, dys)
+	DH := n.headBackward(cache, dys, p)
 	if DH == nil {
 		return
 	}
@@ -153,17 +163,10 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	DZ := ar.slab(T*b, 4*h, false) // pre-activation grads, fully written per layer
 	dc := ar.slab(b, h, false)     // carried cell gradient
 	dhrec := ar.slab(b, h, false)  // carried recurrent hidden gradient
-	// whᵀ of the layer being processed, transposed once per layer: the
-	// per-step recurrent gradient dz_t·whᵀ is a b-row product far under
-	// the size at which MulABT's own per-call transpose pays for itself.
-	// Into the freshly zeroed dhrec, MulAdd on whᵀ gives MulABT's bits
-	// (see mat.TransposeInto).
-	whT := ar.slab(4*h, h, false)
 	for l := len(n.layers) - 1; l >= 0; l-- {
 		C, Z, TC := cache.c[l], cache.z[l], cache.tanhC[l]
 		dc.Zero()
 		dhrec.Zero()
-		mat.TransposeInto(whT, n.layers[l].wh.Value)
 		for t := T - 1; t >= 0; t-- {
 			for r := 0; r < b; r++ {
 				row := t*b + r
@@ -188,14 +191,15 @@ func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 					dcRow[j] = dcj * fRow[j]
 				}
 			}
-			// Recurrent gradient into step t-1.
+			// Recurrent gradient into step t-1: dz_t·whᵀ into the zeroed
+			// dhrec.
 			if t > 0 {
 				dzt := ar.view(DZ, t*b, (t+1)*b)
 				dhrec.Zero()
-				mat.MulAdd(dhrec, dzt, whT)
+				mat.MulAdd(dhrec, dzt, p.whT[l])
 			}
 		}
-		n.layerGrads(cache, l, DZ, DH)
+		n.layerGrads(cache, l, DZ, DH, p)
 	}
 }
 

@@ -248,11 +248,44 @@ func (n *LSTM) head(c *Cache, top *mat.Dense) []*mat.Dense {
 	return ys
 }
 
+// backwardPlan is what Backward holds constant over a window: the
+// transposed weights its products against a weight's transpose multiply
+// by — each as MulAdd into a zeroed destination, MulABT's bits (see
+// mat.TransposeInto) without MulABT's per-call transpose — and the
+// kernel layer 0's weight gradient takes. A sharded window fills one
+// plan before its fan-out and every shard reads it; a direct Backward
+// refreshes the network's own.
+type backwardPlan struct {
+	whT, wxT []*mat.Dense // per layer [4H x H] and [4H x in]; wxT[0] is unused
+	wyT      *mat.Dense   // [OutputDim x H]
+	sparseX  bool         // layer 0's Wx gradient takes MulATBSparse
+}
+
+// transposeWeights refreshes p's transposes from n's current weights,
+// allocating them on first use.
+func (n *LSTM) transposeWeights(p *backwardPlan) {
+	if p.wyT == nil {
+		for _, ly := range n.layers {
+			p.whT = append(p.whT, mat.NewDense(ly.wh.Value.Cols, ly.wh.Value.Rows))
+			p.wxT = append(p.wxT, mat.NewDense(ly.wx.Value.Cols, ly.wx.Value.Rows))
+		}
+		p.wxT[0] = nil
+		p.wyT = mat.NewDense(n.wy.Value.Cols, n.wy.Value.Rows)
+	}
+	for l, ly := range n.layers {
+		mat.TransposeInto(p.whT[l], ly.wh.Value)
+		if l > 0 {
+			mat.TransposeInto(p.wxT[l], ly.wx.Value)
+		}
+	}
+	mat.TransposeInto(p.wyT, n.wy.Value)
+}
+
 // headBackward starts Backward: it packs the output gradients dys,
 // accumulates the head's parameter gradients, and returns the gradient
 // arriving at the top layer's hidden state at every step (nil for an
 // empty pass). Scratch bump-continues on the arena holding the cache.
-func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense) *mat.Dense {
+func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense, p *backwardPlan) *mat.Dense {
 	if len(dys) != c.T() {
 		panic(fmt.Sprintf("nn: Backward got %d grads for %d steps", len(dys), c.T()))
 	}
@@ -271,7 +304,7 @@ func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense) *mat.Dense {
 	mat.MulATB(n.wy.Grad, hTop, DY)
 	mat.SumRows(n.by.Grad.Row(0), DY)
 	DH := ar.slab(T*b, n.Cfg.HiddenDim, true)
-	mat.MulABT(DH, DY, n.wy.Value)
+	mat.MulAdd(DH, DY, p.wyT)
 	return DH
 }
 
@@ -279,14 +312,14 @@ func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense) *mat.Dense {
 // over all T steps, from its pre-activation gradients dz and, above
 // layer 0, overwrites dh with the gradient arriving at layer l-1's
 // hidden state. Layer 0's Wx gradient takes MulATBSparse's skip branch
-// when its input is sparse enough.
-func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense) {
+// when the plan says its input is sparse.
+func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense, p *backwardPlan) {
 	ly, ar, T, b := n.layers[l], c.ar, c.steps, c.batch
 	xl := c.x
 	if l > 0 {
 		xl = ar.view(c.h[l-1], b, (T+1)*b)
 	}
-	if ly.first && sparseEnough(xl) {
+	if ly.first && p.sparseX {
 		mat.MulATBSparse(ly.wx.Grad, xl, dz)
 	} else {
 		mat.MulATB(ly.wx.Grad, xl, dz)
@@ -295,25 +328,31 @@ func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense) {
 	mat.SumRows(ly.b.Grad.Row(0), dz)
 	if l > 0 {
 		dh.Zero()
-		mat.MulABT(dh, dz, ly.wx.Value)
+		mat.MulAdd(dh, dz, p.wxT[l])
 	}
 }
 
-// sparseEnough reports whether fewer than a quarter of m's entries are
-// nonzero — the threshold at which Backward sends layer 0's weight
-// gradient Xᵀ·DZ through MulATBSparse's skip branch instead of the
-// packed dense MulATB. True for one-hot token windows (the flavor net);
-// false for every lifetime window, whose thermometer encoding is ~40 %
-// non-zero (61 of 151 columns). The forward paths do not ask: layer 0
-// always runs the row-sum kernel, whose cost is its non-zeros.
-func sparseEnough(m *mat.Dense) bool {
-	nz := 0
-	for _, v := range m.Data {
-		if v != 0 {
-			nz++
+// sparseEnough reports whether fewer than a quarter of the entries of
+// ms are nonzero — the threshold at which Backward sends layer 0's
+// weight gradient Xᵀ·DZ through MulATBSparse's skip branch instead of
+// the packed dense MulATB. True for one-hot token windows (the flavor
+// net); false for every lifetime window, whose thermometer encoding is
+// ~40 % non-zero (61 of 151 columns). The two kernels agree bit for bit
+// on finite data, so the choice is made once per sharded fit (on its
+// first window's full batch) or per direct Backward, never per shard.
+// The forward paths do not ask: layer 0 always runs the row-sum kernel,
+// whose cost is its non-zeros.
+func sparseEnough(ms ...*mat.Dense) bool {
+	nz, total := 0, 0
+	for _, m := range ms {
+		for _, v := range m.Data {
+			if v != 0 {
+				nz++
+			}
 		}
+		total += len(m.Data)
 	}
-	return nz*4 < len(m.Data)
+	return nz*4 < total
 }
 
 // stepIn readies st's scratch for one batch-1 step and returns x as a

@@ -1,10 +1,12 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/mat/mattest"
 	"repro/internal/rng"
 )
 
@@ -128,4 +130,126 @@ func TestVecActNoAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("vector activations allocated %v per run", n)
 	}
+}
+
+// refSoftmaxCE and refMaskedBCE are the loss heads' scalar expressions:
+// math.Exp and sigmoid per element, the loss summed in ascending order.
+func refSoftmaxCE(logits *mat.Dense, targets []int, valid []bool, d *mat.Dense) (loss float64, count int) {
+	d.Zero()
+	for r := 0; r < logits.Rows; r++ {
+		if valid != nil && !valid[r] {
+			continue
+		}
+		row, probs := logits.Row(r), d.Row(r)
+		maxv := row[0]
+		for _, v := range row[1:] {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sum float64
+		for j, v := range row {
+			probs[j] = math.Exp(v - maxv)
+			sum += probs[j]
+		}
+		inv := 1 / sum
+		for j := range probs {
+			probs[j] *= inv
+		}
+		loss += -math.Log(math.Max(probs[targets[r]], 1e-300))
+		probs[targets[r]] -= 1
+		count++
+	}
+	return loss, count
+}
+
+func refMaskedBCE(logits, targets, mask, d *mat.Dense) (loss float64, count int) {
+	d.Zero()
+	for i, z := range logits.Data {
+		m, t := mask.Data[i], targets.Data[i]
+		if m == 0 {
+			continue
+		}
+		loss += m * (math.Max(z, 0) - z*t + math.Log1p(math.Exp(-math.Abs(z))))
+		d.Data[i] = m * (sigmoid(z) - t)
+		count++
+	}
+	return loss, count
+}
+
+// headSpecials are the logits planted among normal draws: signed
+// zeros, denormals, infinities and NaN.
+var headSpecials = []float64{0, math.Copysign(0, -1), 5e-324, -2.2e-310, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// sameHeadBits compares a head's results, any two NaNs equal: the adds
+// that meet two NaNs keep whichever operand the compiler put first.
+func sameHeadBits(t *testing.T, what string, loss, wantLoss float64, count, wantCount int, d, want *mat.Dense) {
+	t.Helper()
+	differ := func(a, b float64) bool {
+		return !(math.IsNaN(a) && math.IsNaN(b)) && math.Float64bits(a) != math.Float64bits(b)
+	}
+	if differ(loss, wantLoss) || count != wantCount {
+		t.Fatalf("%s: loss %v count %d, scalar %v %d", what, loss, count, wantLoss, wantCount)
+	}
+	for i, w := range want.Data {
+		if differ(d.Data[i], w) {
+			t.Fatalf("%s: grad[%d] %x, scalar %x", what, i, math.Float64bits(d.Data[i]), math.Float64bits(w))
+		}
+	}
+}
+
+// TestLossHeadsMatchScalar pins SoftmaxCEInto and
+// MaskedBCEWithLogitsInto, which exponentiate on the vector kernels, to
+// their scalar expressions bit for bit on both tiers: at the flavor and
+// lifetime head widths and one wider than a BCE chunk, on normal rows
+// and rows with one special planted per row position, with padding
+// rows (softmax) and partly masked, fully masked and weighted rows
+// (BCE).
+func TestLossHeadsMatchScalar(t *testing.T) {
+	mattest.BothTiers(t, func(t *testing.T) {
+		g := rng.New(12)
+		for _, k := range []int{17, 47, 150} {
+			const rows = 9
+			logits := mat.NewDense(rows, k)
+			for i := range logits.Data {
+				logits.Data[i] = (g.Float64() - 0.5) * 40
+			}
+			for r := 1; r < rows; r++ {
+				logits.Set(r, (r*7)%k, headSpecials[(r-1)%len(headSpecials)])
+			}
+			targets, valid := make([]int, rows), make([]bool, rows)
+			tg, mk := mat.NewDense(rows, k), mat.NewDense(rows, k)
+			for r := 0; r < rows; r++ {
+				targets[r], valid[r] = g.Intn(k), r%4 != 3
+				for j := 0; j < k; j++ {
+					tg.Set(r, j, float64(g.Intn(2)))
+					switch {
+					case r == 5: // a fully masked (padding) row
+					case r == 6:
+						mk.Set(r, j, 0.5)
+					case j <= (r*k)/rows:
+						mk.Set(r, j, 1)
+					}
+				}
+			}
+			got, want := mat.NewDense(rows, k), mat.NewDense(rows, k)
+			loss, count := SoftmaxCEInto(logits, targets, valid, got)
+			wl, wc := refSoftmaxCE(logits, targets, valid, want)
+			sameHeadBits(t, fmt.Sprintf("softmax k=%d", k), loss, wl, count, wc, got, want)
+			loss, count = MaskedBCEWithLogitsInto(logits, tg, mk, got)
+			wl, wc = refMaskedBCE(logits, tg, mk, want)
+			sameHeadBits(t, fmt.Sprintf("bce k=%d", k), loss, wl, count, wc, got, want)
+			// Row by row too, so every special meets a loss that is still
+			// finite before it.
+			for r := 0; r < rows; r++ {
+				one := func(m *mat.Dense) *mat.Dense { return m.SliceRows(r, r+1) }
+				loss, count = MaskedBCEWithLogitsInto(one(logits), one(tg), one(mk), one(got))
+				wl, wc = refMaskedBCE(one(logits), one(tg), one(mk), one(want))
+				sameHeadBits(t, fmt.Sprintf("bce k=%d row %d", k, r), loss, wl, count, wc, got, want)
+				loss, count = SoftmaxCEInto(one(logits), targets[r:r+1], nil, one(got))
+				wl, wc = refSoftmaxCE(one(logits), targets[r:r+1], nil, one(want))
+				sameHeadBits(t, fmt.Sprintf("softmax k=%d row %d", k, r), loss, wl, count, wc, got, want)
+			}
+		}
+	})
 }

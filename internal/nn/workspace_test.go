@@ -209,9 +209,11 @@ func shardDys(g *rng.RNG, xs []*mat.Dense, outDim int) ShardDys {
 }
 
 // TestShardedRunWindowSteadyStateAllocs pins the sharded training
-// window. Nothing from the shards' Forward/Backward
-// allocates — the per-layer whᵀ slab and the gate scratch come from each
-// shadow's arena — so what is left is the fan-out itself.
+// window. Nothing from the shards' Forward/Backward allocates — the gate
+// scratch comes from each shadow's arena, and the weight transposes
+// every shard reads are the trainer's, refreshed in place before the
+// fan-out — and the in-order commit only takes a mutex, so what is left
+// is the fan-out itself.
 func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
 	for _, tc := range allocCases() {
 		t.Run(tc.name+"/lstm", func(t *testing.T) {

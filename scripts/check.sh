@@ -28,9 +28,10 @@
 #     and internal/nn, the baselines, a GRU fit and the evaluation-only
 #     helpers out of internal/core; the rule that internal/nn has one
 #     recurrent cell (no GRU type, Recurrent interface or cell flag);
-#     and the rule that decode has one weight layout (no
+#     the rule that decode has one weight layout (no
 #     row-major fleet GEMM, f32 row-major kernel or nil-panels branch in
-#     internal/{core,nn,mat});
+#     internal/{core,nn,mat}); and the rule that training transposes a
+#     weight once per window (no mat.MulABT call in internal/{core,nn});
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -149,5 +150,14 @@ if grep -nE 'MulAddBatched|gemm32AVX2|panels == nil' \
 	echo "check.sh: the row-major decode fleet tier is back in internal/{core,nn,mat}" >&2
 	exit 1
 fi
+# One weight transpose per training window (DESIGN.md §6.3): Backward
+# multiplies by the window's hoisted transposes through MulAdd, so no
+# non-test file of internal/{core,nn} may call MulABT, whose per-call
+# transpose the shards would each pay again.
+if grep -n 'mat\.MulABT(' \
+	$(find internal/core internal/nn -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: internal/{core,nn} calls mat.MulABT; multiply by a hoisted transpose instead" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + deadcode OK"
