@@ -7,8 +7,6 @@
 //	traced [-addr :8080] [-cloud azure|huawei] [-days 9] [-seed 1]
 //	traced -model model.bin -flavors azure
 //	traced -journal run.jsonl -debug-addr :6060
-//	traced -max-batch 64
-//	traced -decode-shards 8
 //	traced -precision f32
 //	traced -checkpoint-dir ckpt/ -checkpoint-every 5 -resume
 //	traced -workload-spec mixed
@@ -39,15 +37,20 @@
 // Concurrent POST /generate requests are coalesced into shared decode
 // batches (continuous batching, DESIGN.md §6.2): a request joins the
 // streams its shard is already stepping in the round after it arrives
-// and never waits for company; -max-batch caps the streams decoded
-// together across all shards. The engine runs -decode-shards
-// continuous-batching schedulers — by default one per core — behind a
-// router that sends each request to the shard with the fewest in
-// flight (DESIGN.md §6.2); -decode-shards 1 is a single scheduler. The
-// startup and reload log lines and the decode.shards gauge on GET
-// /metrics report the count in use. Responses stay byte-identical to
-// the one-stream decode (core.Model.Generate) of the same seed
-// regardless of batching or shard count.
+// and never waits for company; at most 64 streams decode together
+// across all shards. The engine runs one continuous-batching scheduler
+// per internal/par worker (one per core; REPRO_PROCS=1 is a single
+// scheduler) behind a router that sends each request to the shard with
+// the fewest in flight (DESIGN.md §6.2). The startup and reload log
+// lines and the decode.shards gauge on GET /metrics report the count in
+// use. Responses stay byte-identical to the one-stream decode
+// (core.Model.Generate) of the same seed regardless of batching or
+// shard count.
+//
+// The served model and the flavor catalog (from -cloud or
+// -workload-spec) must list the same number of flavors: a mismatched
+// pair is refused at startup, and a hot reload that would produce one
+// is rejected while the current snapshot keeps serving.
 //
 // -precision f32 serves through the float32 fast path (DESIGN.md
 // §6.4): the LSTM step GEMMs run on f32 weight slabs for higher
@@ -160,8 +163,6 @@ func main() {
 	modelPath := flag.String("model", "", "load a serialized model instead of training")
 	hidden := flag.Int("hidden", 24, "LSTM hidden units")
 	epochs := flag.Int("epochs", 40, "training epochs")
-	maxBatch := flag.Int("max-batch", 64, "max concurrent decode streams, split evenly across the shards")
-	decodeShards := flag.Int("decode-shards", 0, "decode scheduler shards (0: one per core, at most -max-batch; 1: a single scheduler)")
 	precision := flag.String("precision", "f64", "decode numeric width: f64 (bit-exact reference) or f32 (fast path, validated at publish)")
 	traceBuffer := flag.Int("trace-buffer", 256, "request traces kept for GET /debug/traces (0 disables request tracing)")
 	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (training epochs, phase spans) to this path")
@@ -296,6 +297,9 @@ func main() {
 	if *journalPath != "" {
 		trainInfo["journal"] = *journalPath
 	}
+	if err := server.CheckCatalog(model, cfg.Flavors); err != nil {
+		log.Fatalf("traced: %v (-cloud / -workload-spec must name the catalog the model was trained on)", err)
+	}
 
 	// The f32 fast path is validated against the f64 reference before a
 	// single request is served: a broken kernel or weight conversion
@@ -319,13 +323,11 @@ func main() {
 
 	s := server.NewWithRegistry(model, cfg.Flavors, reg)
 	s.TrainInfo = trainInfo
-	s.MaxBatch = *maxBatch
-	s.DecodeShards = *decodeShards
 	s.Precision = *precision
 	defer s.Close()
 	// What decodes, for the startup and reload log lines: the shard count
-	// is fixed by the flags and the core count, so it survives reloads.
-	engineDesc := fmt.Sprintf("%s x %d shards, %s, %s kernels", core.EngineBatched, s.DecodeShardCount(), *precision, server.Kernels())
+	// is fixed by the par worker count, so it survives reloads.
+	engineDesc := fmt.Sprintf("%s x %d shards, %s, %s kernels", core.EngineBatched, core.EngineSpec{}.ShardCount(), *precision, server.Kernels())
 
 	if spec != nil {
 		s.Workload = spec.Summary()
@@ -413,7 +415,11 @@ func main() {
 					journal.Event("reload_failed", map[string]any{"error": err.Error()})
 					continue
 				}
-				s.Reload(m, catalog)
+				if err := s.Reload(m, catalog); err != nil {
+					log.Printf("traced: SIGHUP reload refused, keeping current model: %v", err)
+					journal.Event("reload_failed", map[string]any{"error": err.Error()})
+					continue
+				}
 				log.Printf("SIGHUP: reloaded serving model (%d flavors; decode engine %s)", m.Flavor.K, engineDesc)
 				journal.Event("reloaded", map[string]any{"flavors": m.Flavor.K})
 			}

@@ -129,10 +129,13 @@ func TestObservabilityIsReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Decode through the serving engine. The observed arm runs with
-		// request tracing attached (spans recorded at every pipeline
-		// phase); the bare arm runs the identical decode without it.
-		eng, err := core.NewGenEngine(m, core.EngineSpec{MaxBatch: 8, Shards: 1})
+		// Decode through the serving engine, one scheduler (one par
+		// worker). The observed arm runs with request tracing attached
+		// (spans recorded at every pipeline phase); the bare arm runs the
+		// identical decode without it.
+		prev := par.SetProcs(1)
+		eng, err := core.NewGenEngine(m, core.EngineSpec{MaxBatch: 8})
+		par.SetProcs(prev)
 		if err != nil {
 			t.Fatal(err)
 		}

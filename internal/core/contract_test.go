@@ -24,11 +24,12 @@ import (
 //	      a model with its knobs, a window, and n streams split serially
 //	      from one seed;
 //	WHEN  the streams are decoded by any path at the row's precision:
-//	      GenerateBatch{,F32} in one call or in chunks,
-//	      GenerateBatchSharded{,F32} at any shard count, or concurrent
-//	      requests through NewGenEngine at any shard count, a batch cap
-//	      below n and the rate scale passed per request, with or without
-//	      a request trace; at any REPRO_PROCS, on either kernel tier;
+//	      GenerateBatch or GenerateBatchShardedF32 in one call or in
+//	      chunks, the batch dealt over any number of shards, or
+//	      concurrent requests through NewGenEngine at any shard count
+//	      (one per par worker when it is built), a batch cap below n
+//	      and the rate scale passed per request, with or without a
+//	      request trace; at any REPRO_PROCS, on either kernel tier;
 //	THEN  the sha256 of the n traces' JSON is the row's recorded digest.
 //
 // Each contractRow is one such decode, and its oracle is always the
@@ -41,7 +42,7 @@ type contractRow struct {
 	test   string    // the test that runs the row
 	path   string    // "batch", "sharded", "engine" or "engine+trace"
 	prec   Precision // "" (engine rows) is the f64 default
-	shards int       // K: the shards argument or EngineSpec.Shards; 0 is one per par worker
+	shards int       // K: the sharded batch's shards, or the par.SetProcs an engine is built at; 0 is procs
 	procs  int       // par.SetProcs for the decode: REPRO_PROCS
 	chunk  int       // batch rows: streams per GenerateBatch call; 0 is all n at once
 	golden string    // the golden row whose digest the streams must equal
@@ -77,7 +78,8 @@ func contractRows() []contractRow {
 	ks := []int{0, 1, 2, 3, 8}
 
 	// The offline batch: every golden row in one call at one worker and
-	// at eight, and in chunks (batch composition).
+	// at eight (one shard per worker), the tiny model at two and three
+	// too, and in chunks (batch composition).
 	for _, procs := range []int{1, 8} {
 		for _, golden := range []string{"tiny/day", "trained/testW"} {
 			add("TestGenerateBatchMatchesSerial", contractRow{path: "batch", prec: PrecisionF64, procs: procs, golden: golden})
@@ -87,11 +89,17 @@ func contractRows() []contractRow {
 			add("TestPackedDecodeByteIdentity", contractRow{path: "batch", prec: PrecisionF32, procs: procs, golden: golden})
 		}
 	}
+	for _, procs := range []int{2, 3} {
+		add("TestGenerateBatchMatchesSerial", contractRow{path: "batch", prec: PrecisionF64, procs: procs, golden: "tiny/day"})
+	}
 	add("TestDecodeContract", contractRow{path: "batch", prec: PrecisionF64, procs: 8, chunk: 4, golden: "tiny/tilt+cap5"}) // calls of 4, 4 and 1
 	add("TestDecodeContract", contractRow{path: "batch", prec: PrecisionF32, procs: 8, chunk: 1, golden: "f32/tiny"})       // the one-stream f32 decode
 
 	// The sharded batch: every shard count on the tiny model, and the
-	// knobs and the trained weights sharded.
+	// knobs and the trained weights sharded. GenerateBatchShardedF32
+	// takes the shard count; at f64 the rows deal the batch through the
+	// same unexported decode GenerateBatch calls with one shard per
+	// worker.
 	for _, k := range ks {
 		add("TestShardedDecodeDeterminism", contractRow{path: "sharded", prec: PrecisionF64, shards: k, procs: 8, golden: "tiny/day"})
 		add("TestGenerateBatchF32ShardInvariance", contractRow{path: "sharded", prec: PrecisionF32, shards: k, procs: 8, golden: "f32/tiny"})
@@ -100,11 +108,12 @@ func contractRows() []contractRow {
 	add("TestShardedDecodeDeterminismTrained", contractRow{path: "sharded", prec: PrecisionF64, shards: 2, procs: 8, golden: "trained/testW"})
 	add("TestShardedDecodeDeterminismTrained", contractRow{path: "sharded", prec: PrecisionF32, shards: 2, procs: 8, golden: "f32/trained"})
 
-	// The serving engine. Every K on the tiny model at the default
-	// precision and at each named one (K = 0 at one worker too, where it
-	// is the single scheduler); the knobs and the trained weights at
-	// K = 2; the per-request rate scale on tiny/scale3; and a request
-	// trace attached at K = 1 and 2.
+	// The serving engine, which runs one shard per par worker: K is the
+	// worker count it is built at. Every K on the tiny model at the
+	// default precision and at each named one (K = 0 at one worker too,
+	// where it is the single scheduler); the knobs and the trained
+	// weights at K = 2; the per-request rate scale on tiny/scale3; and a
+	// request trace attached at K = 1 and 2.
 	for _, procs := range []int{1, 8} {
 		add("TestEngineConcurrentMatchesSerial", contractRow{path: "engine", procs: procs, golden: "tiny/day"})
 		add("TestPrecisionRegistryMatrix", contractRow{path: "engine", prec: PrecisionF64, procs: procs, golden: "tiny/day"})
@@ -162,7 +171,7 @@ func (r contractRow) decode(t *testing.T, g generateGolden) [][]byte {
 	case "batch":
 		batch := g.m.GenerateBatch
 		if f32 {
-			batch = g.m.GenerateBatchF32
+			batch = func(gs []*rng.RNG, w trace.Window) []*trace.Trace { return g.m.GenerateBatchShardedF32(gs, w, 0) }
 		}
 		chunk := cmp.Or(r.chunk, g.n)
 		var out [][]byte
@@ -171,16 +180,18 @@ func (r contractRow) decode(t *testing.T, g generateGolden) [][]byte {
 		}
 		return out
 	case "sharded":
-		sharded := g.m.GenerateBatchSharded
 		if f32 {
-			sharded = g.m.GenerateBatchShardedF32
+			return traceAll(t, g.m.GenerateBatchShardedF32(gs, g.w, r.shards))
 		}
-		return traceAll(t, sharded(gs, g.w, r.shards))
+		return traceAll(t, g.m.generateBatchSharded(gs, g.w, r.shards, PrecisionF64))
 	}
 	// The engine takes the rate scale per request, so its model carries
-	// none: an engine that ignored the request's scale would show.
+	// none: an engine that ignored the request's scale would show. Its
+	// shard count is the par worker count it is built at.
 	m := withKnobs(g.m, g.m.Tilt, 0, g.m.MaxJobsPerPeriod)
-	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: g.n - 1, Shards: r.shards, Precision: r.prec})
+	par.SetProcs(cmp.Or(r.shards, r.procs))
+	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: g.n - 1, Precision: r.prec})
+	par.SetProcs(r.procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +265,8 @@ func TestDecodeContract(t *testing.T) {
 }
 
 // TestGenerateBatchMatchesSerial: GenerateBatch of the streams in one
-// call, at one worker and at eight, on the tiny and the trained model.
+// call, at one worker and at eight, on the tiny and the trained model,
+// and at two and three workers on the tiny one.
 func TestGenerateBatchMatchesSerial(t *testing.T) { runContract(t) }
 
 // TestGenerateBatchUntrained: GenerateBatch on the tiny model with a
@@ -262,11 +274,11 @@ func TestGenerateBatchMatchesSerial(t *testing.T) { runContract(t) }
 // on the batched path too.
 func TestGenerateBatchUntrained(t *testing.T) { runContract(t) }
 
-// TestPackedDecodeByteIdentity: GenerateBatchF32 on packed panels, on
-// the tiny and the trained model.
+// TestPackedDecodeByteIdentity: GenerateBatchShardedF32 with one shard
+// per worker on packed panels, on the tiny and the trained model.
 func TestPackedDecodeByteIdentity(t *testing.T) { runContract(t) }
 
-// TestShardedDecodeDeterminism: GenerateBatchSharded at every shard
+// TestShardedDecodeDeterminism: the f64 batch dealt over every shard
 // count, the every-core default (0) included, and on the knobs.
 func TestShardedDecodeDeterminism(t *testing.T) { runContract(t) }
 
@@ -283,7 +295,8 @@ func TestGenerateBatchF32ShardInvariance(t *testing.T) { runContract(t) }
 // and the trained weights.
 func TestEngineConcurrentMatchesSerial(t *testing.T) { runContract(t) }
 
-// TestShardedEngineMatchesSerial: the default engine at K = 1, 2, 3, 8.
+// TestShardedEngineMatchesSerial: the default engine built at K = 1,
+// 2, 3, 8 workers.
 func TestShardedEngineMatchesSerial(t *testing.T) { runContract(t) }
 
 // TestEngineF32ConcurrentDeterministic: the f32 engine at every K, on

@@ -430,24 +430,15 @@ func (e *fleetEngine) round() []*genStream {
 const defaultMaxStreams = 64
 
 // GenerateBatch decodes one trace per RNG through the continuous
-// -batching engine on every core (GenerateBatchSharded with one shard
-// per par worker). Each returned trace is byte-identical to the
-// one-stream m.Generate(gs[i], w): per shard, streams are admitted in
-// order up to the fleet cap, retired as they finish, and replaced from
-// the remaining queue every step. Implements BatchGenerator.
+// -batching engine on every core: the streams are dealt round-robin
+// across one fleet per par worker (never more fleets than streams).
+// Each returned trace is byte-identical to the one-stream
+// m.Generate(gs[i], w) at any REPRO_PROCS: per shard, streams are
+// admitted in order up to the fleet cap, retired as they finish, and
+// replaced from the remaining queue every step. Implements
+// BatchGenerator.
 func (m *Model) GenerateBatch(gs []*rng.RNG, w trace.Window) []*trace.Trace {
 	return m.generateBatchSharded(gs, w, 0, PrecisionF64)
-}
-
-// GenerateBatchF32 is GenerateBatch on the float32 fast path: the same
-// continuous-batching schedule, but the fleet steps run on f32 weight
-// slabs (DESIGN.md §6.4). Results are deterministic per seed and
-// independent of batch composition and shard count — a one-stream call
-// is the f32 oracle every f32 engine is tested against — but not
-// byte-identical to the f64 path; ValidateF32 bounds the distributional
-// divergence.
-func (m *Model) GenerateBatchF32(gs []*rng.RNG, w trace.Window) []*trace.Trace {
-	return m.generateBatchSharded(gs, w, 0, PrecisionF32)
 }
 
 // decodeQueue decodes the streams gs[first], gs[first+stride], ... to

@@ -90,7 +90,8 @@ func TestEngineCancellation(t *testing.T) {
 func TestIdleEngineDoesNotWait(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	eng, err := NewGenEngine(m, EngineSpec{Window: time.Hour, MaxBatch: 4, Shards: 1})
+	defer par.SetProcs(par.SetProcs(1))
+	eng, err := NewGenEngine(m, EngineSpec{Window: time.Hour, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,8 @@ func (c *steppedCtx) Err() error {
 // the one-stream Generate before the held stream goes away.
 func TestLatecomerJoinsRunningBatch(t *testing.T) {
 	m := tinyGenModel()
-	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 1})
+	defer par.SetProcs(par.SetProcs(1))
+	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

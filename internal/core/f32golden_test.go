@@ -7,8 +7,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Trace-byte hashes of GenerateBatchF32 for fixed seeds, recorded on the
-// last commit with a hand-written Fleet32: the f32 twin of the f64 table
+// Trace-byte hashes of GenerateBatchShardedF32 for fixed seeds, recorded
+// on the last commit with a hand-written Fleet32: the f32 twin of the f64 table
 // in generate_golden_test.go, which pins Model.Generate.
 // At these seeds the f32 traces happen to equal the f64 ones (sampling
 // hides the f32 logits' last-bit drift), so two f64 rows carry the same
@@ -36,12 +36,12 @@ func f32Goldens(f *fixture) []generateGolden {
 }
 
 // TestF32TraceGolden pins the f32 decode's bytes across commits: the
-// JSON of each row's streams, decoded by one GenerateBatchF32 call.
+// JSON of each row's streams, decoded by one GenerateBatchShardedF32 call.
 func TestF32TraceGolden(t *testing.T) {
 	f := getFixture(t)
 	mattest.BothTiersUnraced(t, func(t *testing.T) {
 		for _, r := range f32Goldens(f) {
-			if d := digest(traceAll(t, r.m.GenerateBatchF32(splitStreams(r.seed, r.n), r.w))); d != r.want {
+			if d := digest(traceAll(t, r.m.GenerateBatchShardedF32(splitStreams(r.seed, r.n), r.w, 0))); d != r.want {
 				t.Errorf("%s: f32 traces sha256 %s, want %s", r.name, d, r.want)
 			}
 		}

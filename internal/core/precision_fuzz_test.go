@@ -46,7 +46,7 @@ func FuzzSnapshotDecodeF32(f *testing.F) {
 		decode := func(mm *Model) []byte {
 			mm = &Model{Arrival: mm.Arrival, Flavor: mm.Flavor, Lifetime: mm.Lifetime,
 				Interp: mm.Interp, RateScale: scale, f32: mm.f32}
-			out := mm.GenerateBatchF32([]*rng.RNG{rng.New(seed)}, w)
+			out := mm.GenerateBatchShardedF32([]*rng.RNG{rng.New(seed)}, w, 0)
 			var buf bytes.Buffer
 			if err := out[0].WriteJSON(&buf); err != nil {
 				t.Fatal(err)
@@ -61,7 +61,7 @@ func FuzzSnapshotDecodeF32(f *testing.F) {
 			t.Fatal("f32 decode of the restored snapshot differs from the original model")
 		}
 		// Structural validity of the decoded trace.
-		out := m.GenerateBatchF32([]*rng.RNG{rng.New(seed)}, w)
+		out := m.GenerateBatchShardedF32([]*rng.RNG{rng.New(seed)}, w, 0)
 		for _, vm := range out[0].VMs {
 			if vm.Start < 0 || vm.Start >= w.Periods() {
 				t.Fatalf("VM start %d outside window of %d periods", vm.Start, w.Periods())

@@ -13,15 +13,15 @@ import (
 // GenEngine is a serving decode engine: concurrent Generate calls,
 // each byte-identical to the one-stream decode of its seed at the
 // engine's precision — Model.Generate with Model.RateScale = scale (0
-// meaning 1) at f64, a one-stream GenerateBatchF32 at f32. Close fails
-// queued requests with ErrEngineClosed and releases the engine's
+// meaning 1) at f64, a one-stream GenerateBatchShardedF32 at f32. Close
+// fails queued requests with ErrEngineClosed and releases the engine's
 // resources.
 //
 // There is one engine kind: continuous batching on every core, one
-// Engine per shard behind the least-loaded router (DESIGN.md §6.2;
-// Shards: 1 is the single-scheduler, single-fleet engine). A caller
-// that wants no scheduler calls Model.Generate, the same decoder on one
-// stream.
+// Engine per shard behind the least-loaded router (DESIGN.md §6.2; at
+// one internal/par worker it is the single-scheduler, single-fleet
+// engine). A caller that wants no scheduler calls Model.Generate, the
+// same decoder on one stream.
 type GenEngine interface {
 	Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*trace.Trace, error)
 	Close()
@@ -33,25 +33,26 @@ type GenEngine interface {
 const EngineBatched = "batched"
 
 // EngineSpec bundles the knobs NewGenEngine needs. Precision selects
-// the fleet numeric width ("" means f64, the bit-exact default).
-// Window is accepted and ignored: the idle coalescing wait it used to
-// set is deleted (continuous admission is the one batching mechanism,
-// DESIGN.md §6.2), and the field is still declared only because the
-// frozen repo benchmark sets it by name; it leaves with the next PR
-// allowed to edit bench/.
+// the fleet numeric width ("" means f64, the bit-exact default). The
+// shard count is not among them: it is one per internal/par worker
+// (REPRO_PROCS), never more than MaxBatch, because no output byte
+// depends on it. Window is accepted and ignored: the idle coalescing
+// wait it used to set is deleted (continuous admission is the one
+// batching mechanism, DESIGN.md §6.2). Window, Kind and MaxBatch are
+// still declared only because the frozen repo benchmark sets them by
+// name; they leave with the next PR allowed to edit bench/.
 type EngineSpec struct {
 	Kind      string        // "" or EngineBatched
 	Window    time.Duration // ignored; see above
 	MaxBatch  int           // concurrent streams across all shards; <= 0 means 64
-	Shards    int           // scheduler shards; <= 0 means one per par worker
 	Obs       *obs.Registry // sink for the decode.* shard gauges; may be nil
 	Precision Precision     // "" or "f64": bit-exact; "f32": fast path
 }
 
 // ShardCount is the number of scheduler shards the engine runs for this
-// spec: Shards, or one per internal/par worker when that is <= 0, and
-// never more than MaxBatch. It is a pure function of the spec and
-// par.Procs(), so it is the same before and after a hot reload.
+// spec: one per internal/par worker, never more than MaxBatch. It is a
+// pure function of the spec and par.Procs(), so it is the same before
+// and after a hot reload.
 func (spec EngineSpec) ShardCount() int { return len(spec.shardCaps()) }
 
 // shardCaps resolves the router's shape: one stream cap per shard,
@@ -62,7 +63,7 @@ func (spec EngineSpec) shardCaps() []int {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxStreams
 	}
-	caps := make([]int, shardCount(spec.Shards, maxBatch))
+	caps := make([]int, shardCount(maxBatch))
 	for i := range caps {
 		caps[i] = maxBatch / len(caps)
 		if i < maxBatch%len(caps) {

@@ -22,7 +22,8 @@ import (
 func TestTracedSpansTileRequest(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}
-	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2})
+	defer par.SetProcs(par.SetProcs(2))
+	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

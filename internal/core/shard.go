@@ -12,49 +12,45 @@ import (
 )
 
 // This file is multi-core decode (DESIGN.md §6.2): K independent
-// fleetEngines, one per core, offline (GenerateBatchSharded) and behind
-// the serving router (engineRouter). A fleetEngine's output is
-// bit-identical per stream regardless of batch composition, so which
-// shard decodes a stream is a scheduling choice — it changes which
-// streams share a step GEMM, never a single output byte; the bytes are
-// those of the one-stream Model.Generate of the same RNG.
+// fleetEngines, one per core, offline (GenerateBatch,
+// GenerateBatchShardedF32) and behind the serving router
+// (engineRouter). A fleetEngine's output is bit-identical per stream
+// regardless of batch composition, so which shard decodes a stream is a
+// scheduling choice — it changes which streams share a step GEMM, never
+// a single output byte; the bytes are those of the one-stream
+// Model.Generate of the same RNG.
 
-// shardCount resolves a requested shard count: <= 0 means one per
-// internal/par worker (so REPRO_PROCS=1 is the single-fleet path), and
-// there is never more than one shard per stream slot.
-func shardCount(shards, slots int) int {
-	if shards <= 0 {
-		shards = par.Procs()
-	}
-	return min(shards, slots)
-}
+// shardCount is the decode shard count over `slots` stream slots: one
+// per internal/par worker (so REPRO_PROCS=1 is the single-fleet path),
+// and never more than one shard per slot.
+func shardCount(slots int) int { return min(par.Procs(), slots) }
 
-// GenerateBatchSharded decodes one trace per RNG: it deals the streams
-// round-robin by index across `shards` fleet engines (<= 0: one per par
-// worker, which is what GenerateBatch passes; 1: one fleet for all)
-// and runs the shard queues concurrently through internal/par. Each
-// returned trace is byte-identical to the one-stream m.Generate(gs[i],
-// w) at any shard count and any REPRO_PROCS: shard queues write only
-// their own streams' output slots, and per-stream bytes never depend on
-// batch composition.
-func (m *Model) GenerateBatchSharded(gs []*rng.RNG, w trace.Window, shards int) []*trace.Trace {
-	return m.generateBatchSharded(gs, w, shards, PrecisionF64)
-}
-
-// GenerateBatchShardedF32 is GenerateBatchSharded on the float32 fast
-// path: identical sharding and scheduling, f32 fleet steps. Per-stream
-// results are byte-identical at any shard count (the f32 path keeps the
-// batch-composition invariance the sharding contract rests on).
+// GenerateBatchShardedF32 is GenerateBatch on the float32 fast path
+// (DESIGN.md §6.4): the same sharding and scheduling, f32 fleet steps.
+// shards <= 0 means one shard per par worker, as GenerateBatch has; a
+// one-stream call is the f32 oracle every f32 engine is tested against.
+// Per-stream results are deterministic per seed and byte-identical at
+// any shard count and any REPRO_PROCS, but not byte-identical to the
+// f64 path; ValidateF32 bounds the distributional divergence.
 func (m *Model) GenerateBatchShardedF32(gs []*rng.RNG, w trace.Window, shards int) []*trace.Trace {
 	return m.generateBatchSharded(gs, w, shards, PrecisionF32)
 }
 
+// generateBatchSharded deals the streams round-robin by index across
+// `shards` fleet engines (<= 0: one per par worker) and runs the shard
+// queues concurrently through internal/par. Shard queues write only
+// their own streams' output slots, and per-stream bytes never depend on
+// batch composition, so each returned trace is the one-stream decode of
+// gs[i] at any shard count.
 func (m *Model) generateBatchSharded(gs []*rng.RNG, w trace.Window, shards int, prec Precision) []*trace.Trace {
 	out := make([]*trace.Trace, len(gs))
 	if len(gs) == 0 {
 		return out
 	}
-	k := shardCount(shards, len(gs))
+	k := shardCount(len(gs))
+	if shards > 0 {
+		k = min(shards, len(gs))
+	}
 	par.Do(k, func(i int) {
 		m.decodeQueue(gs, i, k, w, out, prec)
 	})

@@ -31,7 +31,9 @@ func TestRouterBalancesInFlight(t *testing.T) {
 	const n = 64
 	for _, shards := range []int{2, 4} {
 		reg := obs.NewRegistry()
-		e, err := NewGenEngine(m, EngineSpec{MaxBatch: n, Shards: shards, Obs: reg})
+		prev := par.SetProcs(shards)
+		e, err := NewGenEngine(m, EngineSpec{MaxBatch: n, Obs: reg})
+		par.SetProcs(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,28 +93,28 @@ func TestRouterBalancesInFlight(t *testing.T) {
 // when the shard count does not divide it: the router's engines admit
 // MaxBatch / K streams each and one more on the first MaxBatch % K,
 // never ceil(MaxBatch / K) apiece (10 over 4 shards used to admit 12).
-// ShardCount, which the server reports before any engine exists, agrees
-// with the engines the router builds, Shards <= 0 meaning one per par
-// worker.
+// K is one shard per par worker, never more than MaxBatch; ShardCount,
+// which traced reports before any engine exists, agrees with the
+// engines the router builds.
 func TestShardCapsSumToMaxBatch(t *testing.T) {
 	m := tinyGenModel()
 	for _, c := range []struct {
-		maxBatch, shards, procs int
-		want                    []int
+		maxBatch, procs int
+		want            []int
 	}{
-		{10, 4, 1, []int{3, 3, 2, 2}},
-		{64, 3, 1, []int{22, 21, 21}},
-		{7, 2, 1, []int{4, 3}},
-		{6, 4, 1, []int{2, 2, 1, 1}},
-		{3, 8, 1, []int{1, 1, 1}},
-		{0, 3, 1, []int{22, 21, 21}}, // MaxBatch <= 0 means 64
-		{16, 0, 8, []int{2, 2, 2, 2, 2, 2, 2, 2}},
-		{16, 0, 1, []int{16}},
+		{10, 4, []int{3, 3, 2, 2}},
+		{64, 3, []int{22, 21, 21}},
+		{7, 2, []int{4, 3}},
+		{6, 4, []int{2, 2, 1, 1}},
+		{3, 8, []int{1, 1, 1}},
+		{0, 3, []int{22, 21, 21}}, // MaxBatch <= 0 means 64
+		{16, 8, []int{2, 2, 2, 2, 2, 2, 2, 2}},
+		{16, 1, []int{16}},
 	} {
 		prev := par.SetProcs(c.procs)
-		spec := EngineSpec{MaxBatch: c.maxBatch, Shards: c.shards}
+		spec := EngineSpec{MaxBatch: c.maxBatch}
 		if got := spec.ShardCount(); got != len(c.want) {
-			t.Errorf("MaxBatch %d, Shards %d at %d workers: ShardCount = %d, want %d", c.maxBatch, c.shards, c.procs, got, len(c.want))
+			t.Errorf("MaxBatch %d at %d workers: ShardCount = %d, want %d", c.maxBatch, c.procs, got, len(c.want))
 		}
 		e, err := NewGenEngine(m, spec)
 		par.SetProcs(prev)
@@ -125,7 +127,7 @@ func TestShardCapsSumToMaxBatch(t *testing.T) {
 		}
 		e.Close()
 		if !slices.Equal(got, c.want) {
-			t.Errorf("MaxBatch %d over %d shards at %d workers: per-shard caps %v, want %v", c.maxBatch, c.shards, c.procs, got, c.want)
+			t.Errorf("MaxBatch %d at %d workers: per-shard caps %v, want %v", c.maxBatch, c.procs, got, c.want)
 		}
 	}
 }
@@ -136,7 +138,8 @@ func TestShardCapsSumToMaxBatch(t *testing.T) {
 func TestShardedEngineCloseAndCancel(t *testing.T) {
 	m := tinyGenModel()
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	e, err := NewGenEngine(m, EngineSpec{MaxBatch: 4, Shards: 2})
+	defer par.SetProcs(par.SetProcs(2))
+	e, err := NewGenEngine(m, EngineSpec{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +176,9 @@ func TestEngineRegistry(t *testing.T) {
 	ms := *m
 	ms.RateScale = 2
 	wantScaled := traceBytes(t, ms.Generate(rng.New(7), w))
+	defer par.SetProcs(par.SetProcs(2))
 	for _, kind := range []string{"", EngineBatched} {
-		e, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4, Shards: 2})
+		e, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4})
 		if err != nil {
 			t.Fatalf("kind %q: %v", kind, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -30,27 +32,24 @@ func freshServer(t *testing.T) *Server {
 // reloading the model while /generate requests are in flight drops no
 // request and changes no response bytes. Run with -race (scripts/
 // check.sh does): the snapshot swap and the engine retry path are
-// exactly where a data race would live.
+// exactly where a data race would live. The engine runs one scheduler
+// per par worker; at one worker it is the single-scheduler engine.
 func TestHotReloadUnderLoad(t *testing.T) {
-	// The default engine runs one scheduler per par worker; pin four so
-	// the reload drains a multi-shard router on any host.
-	defer par.SetProcs(par.SetProcs(4))
-	testHotReloadUnderLoad(t, func(*Server) {})
+	testHotReloadUnderLoad(t, 1)
 }
 
-// TestHotReloadUnderLoadSharded is the same guarantee with four decode
-// shards pinned: reload must drain and replay across all shards
-// without dropping or changing a request, and the engine rebuilt after
-// the swap must come back sharded. Run with -race via scripts/check.sh.
+// TestHotReloadUnderLoadSharded is the same guarantee at four par
+// workers, so four decode shards on any host: reload must drain and
+// replay across all shards without dropping or changing a request, and
+// the engine rebuilt after the swap must come back sharded. Run with
+// -race via scripts/check.sh.
 func TestHotReloadUnderLoadSharded(t *testing.T) {
-	testHotReloadUnderLoad(t, func(s *Server) {
-		s.DecodeShards = 4
-	})
+	testHotReloadUnderLoad(t, 4)
 }
 
-func testHotReloadUnderLoad(t *testing.T, configure func(*Server)) {
+func testHotReloadUnderLoad(t *testing.T, procs int) {
+	defer par.SetProcs(par.SetProcs(procs))
 	s := freshServer(t)
-	configure(s)
 	h := s.Handler()
 
 	body := func(seed int64) string {
@@ -112,7 +111,7 @@ func testHotReloadUnderLoad(t *testing.T, configure func(*Server)) {
 func TestReloadWithEveryShardBusy(t *testing.T) {
 	s := freshServer(t)
 	const shards = 4
-	s.DecodeShards = shards
+	defer par.SetProcs(par.SetProcs(shards))
 	defer s.Close()
 	h := s.Handler()
 
@@ -256,7 +255,7 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 }
 
 // refBytes decodes one stream of m with the one-stream decode at prec —
-// Model.Generate at f64, a one-stream GenerateBatchF32 at f32 — and
+// Model.Generate at f64, a one-stream GenerateBatchShardedF32 at f32 — and
 // serializes it the way /generate does.
 func refBytes(t *testing.T, s *Server, m *core.Model, prec core.Precision, seed int64, periods int) string {
 	t.Helper()
@@ -264,7 +263,7 @@ func refBytes(t *testing.T, s *Server, m *core.Model, prec core.Precision, seed 
 	w := trace.Window{Start: start, End: start + periods}
 	var tr *trace.Trace
 	if prec == core.PrecisionF32 {
-		tr = m.GenerateBatchF32([]*rng.RNG{rng.New(seed)}, w)[0]
+		tr = m.GenerateBatchShardedF32([]*rng.RNG{rng.New(seed)}, w, 0)[0]
 	} else {
 		tr = m.Generate(rng.New(seed), w)
 	}
@@ -313,6 +312,58 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if got := s.reg.Counter("reload.success").Value(); got != 1 {
 		t.Fatalf("reload.success = %d, want 1", got)
+	}
+}
+
+// TestReloadRefusesCatalogMismatch: a snapshot that pairs the model
+// with a flavor catalog of another size (the shared model samples the
+// 16 Azure-like flavors; the Huawei-like catalog is larger) is refused.
+// POST /-/reload answers 500 naming both sizes and counts reload.errors,
+// Reload (the SIGHUP path) returns the error, and the old snapshot keeps
+// serving: a JSON body from /generate still reads back through
+// trace.ReadJSON, which rejects a VM whose flavor is outside the body's
+// catalog.
+func TestReloadRefusesCatalogMismatch(t *testing.T) {
+	s := freshServer(t)
+	defer s.Close()
+	h := s.Handler()
+	model := s.currentModel()
+	other := synth.HuaweiLike().Flavors
+	if other.K() == model.Flavor.K {
+		t.Fatalf("the Huawei-like catalog has the model's %d flavors; the test needs another size", other.K())
+	}
+	sizes := []string{strconv.Itoa(model.Flavor.K), strconv.Itoa(other.K())}
+
+	s.ReloadFunc = func() (*core.Model, *trace.FlavorSet, error) { return model, other, nil }
+	rec := do(t, h, "POST", "/-/reload", "")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("mismatched reload: status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	for _, k := range sizes {
+		if !strings.Contains(rec.Body.String(), k) {
+			t.Errorf("reload error %q does not name size %s", rec.Body.String(), k)
+		}
+	}
+	if err := s.Reload(model, other); err == nil {
+		t.Error("Reload accepted a catalog of another size")
+	}
+	if got := s.reg.Counter("reload.errors").Value(); got != 1 {
+		t.Errorf("reload.errors = %d, want 1", got)
+	}
+	if got := s.reg.Counter("reload.success").Value(); got != 0 {
+		t.Errorf("reload.success = %d, want 0", got)
+	}
+
+	gen := do(t, h, "POST", "/generate", `{"periods": 96, "seed": 5, "format": "json"}`)
+	if gen.Code != http.StatusOK {
+		t.Fatalf("generate after the refused reload: status %d: %s", gen.Code, gen.Body.String())
+	}
+	tr, err := trace.ReadJSON(gen.Body)
+	if err != nil {
+		t.Fatalf("served body does not read back: %v", err)
+	}
+	if len(tr.VMs) == 0 || tr.Flavors.K() != model.Flavor.K {
+		t.Fatalf("served %d VMs over a catalog of %d flavors, want some VMs over %d", len(tr.VMs), tr.Flavors.K(), model.Flavor.K)
 	}
 }
 

@@ -81,14 +81,6 @@ type Server struct {
 	// ReloadFunc, if set, is invoked by POST /-/reload to produce a new
 	// serving snapshot; on success the server swaps to it atomically.
 	ReloadFunc func() (*core.Model, *trace.FlavorSet, error)
-	// MaxBatch caps concurrent decode streams across all shards (default
-	// 64; set before the first request).
-	MaxBatch int
-	// DecodeShards is the number of decode scheduler shards (<= 0 means
-	// one per core, see core.EngineSpec.ShardCount; 1 is a single
-	// scheduler). Set before the first request; also applies to engines
-	// rebuilt on hot-reload.
-	DecodeShards int
 	// Precision selects the decode numeric width ("" or "f64": bit-exact
 	// reference; "f32": the float32 fast path, DESIGN.md §6.4). Set
 	// before the first request; it survives hot reloads — engines
@@ -164,7 +156,6 @@ func NewWithRegistry(model *core.Model, catalog *trace.FlavorSet, reg *obs.Regis
 		MaxScale:       1e6,
 		MaxStartPeriod: 1000 * 365 * trace.PeriodsPerDay,
 		MaxBodyBytes:   1 << 20,
-		MaxBatch:       64,
 		seeds:          rng.New(time.Now().UnixNano()),
 		started:        time.Now(),
 		reg:            reg,
@@ -188,10 +179,12 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // snapshot returns a consistent (model, catalog, engine) triple, lazily
 // building the configured decode engine for the current model on first
-// use (so MaxBatch/DecodeShards/Precision can be tuned
-// after New). The same spec is used for engines rebuilt on hot-reload,
-// so the configuration survives Reload; a bad Precision surfaces here
-// as an error rather than at construction.
+// use (so Precision can be set after New). The same spec is used for
+// engines rebuilt on hot-reload, so the configuration survives Reload;
+// a bad Precision surfaces here as an error rather than at
+// construction. The engine runs one decode shard per internal/par
+// worker (core.EngineSpec.ShardCount): a scheduling choice that changes
+// no response byte, so it is no knob of the server.
 func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,7 +192,7 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 		return nil, nil, nil, errors.New("no model published")
 	}
 	if s.eng == nil {
-		eng, err := core.NewGenEngine(s.model, s.engineSpec())
+		eng, err := core.NewGenEngine(s.model, core.EngineSpec{Obs: s.reg, Precision: core.Precision(s.Precision)})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -208,21 +201,20 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 	return s.model, s.catalog, s.eng, nil
 }
 
-// engineSpec is the decode-engine configuration, read from the exported
-// knobs at engine-build time.
-func (s *Server) engineSpec() core.EngineSpec {
-	return core.EngineSpec{
-		MaxBatch:  s.MaxBatch,
-		Shards:    s.DecodeShards,
-		Obs:       s.reg,
-		Precision: core.Precision(s.Precision),
+// CheckCatalog reports an error, naming both sizes, unless catalog
+// lists exactly the flavors model samples. A trace's flavor indices
+// run over [0, model.Flavor.K) and a served body labels each VM by its
+// catalog entry, so a catalog of another size serves bodies that
+// mislabel every VM or that trace.ReadJSON rejects.
+func CheckCatalog(model *core.Model, catalog *trace.FlavorSet) error {
+	if catalog == nil {
+		return fmt.Errorf("server: no flavor catalog for a model of %d flavors", model.Flavor.K)
 	}
+	if catalog.K() != model.Flavor.K {
+		return fmt.Errorf("server: the model samples %d flavors but the catalog lists %d", model.Flavor.K, catalog.K())
+	}
+	return nil
 }
-
-// DecodeShardCount is the number of scheduler shards the engine runs
-// under the current knobs (the decode.shards gauge once the first
-// request has built the engine).
-func (s *Server) DecodeShardCount() int { return s.engineSpec().ShardCount() }
 
 // currentModel returns the serving model without starting an engine.
 func (s *Server) currentModel() *core.Model {
@@ -235,8 +227,13 @@ func (s *Server) currentModel() *core.Model {
 // the old engine decode to completion before it shuts down; requests
 // still queued there fail with core.ErrEngineClosed and are retried by
 // handleGenerate against the new engine with their original seed, so no
-// request is dropped and no response changes bytes.
-func (s *Server) Reload(model *core.Model, catalog *trace.FlavorSet) {
+// request is dropped and no response changes bytes. A pair that fails
+// CheckCatalog is refused with its error, and the current snapshot
+// keeps serving.
+func (s *Server) Reload(model *core.Model, catalog *trace.FlavorSet) error {
+	if err := CheckCatalog(model, catalog); err != nil {
+		return err
+	}
 	// /readyz reports not-ready for the whole swap (including the old
 	// engine's drain), so load balancers stop routing to a replica
 	// mid-reload.
@@ -252,6 +249,7 @@ func (s *Server) Reload(model *core.Model, catalog *trace.FlavorSet) {
 	if old != nil {
 		old.Close()
 	}
+	return nil
 }
 
 // Close shuts down the decode engine (if one was started), failing any
@@ -424,20 +422,23 @@ func (s *Server) modelMeta() map[string]any {
 	}
 }
 
-// handleReload hot-swaps the serving snapshot via ReloadFunc. Reload
-// failures leave the current snapshot serving untouched.
+// handleReload hot-swaps the serving snapshot via ReloadFunc. A failed
+// ReloadFunc or a snapshot Reload refuses leaves the current snapshot
+// serving untouched and counts in reload.errors.
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if s.ReloadFunc == nil {
 		httpError(w, http.StatusNotImplemented, "no reload source configured")
 		return
 	}
 	model, catalog, err := s.ReloadFunc()
+	if err == nil {
+		err = s.Reload(model, catalog)
+	}
 	if err != nil {
 		s.reloadErr.Inc()
 		httpError(w, http.StatusInternalServerError, "reload: %v", err)
 		return
 	}
-	s.Reload(model, catalog)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "reloaded",
 		"flavors": model.Flavor.K,

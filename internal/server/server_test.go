@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/survival"
 	"repro/internal/synth"
@@ -415,7 +416,7 @@ func TestGenerateWriteErrorStopsResponse(t *testing.T) {
 }
 
 // TestMetricsShardGauges serves /generate through a two-shard engine
-// and asserts the shard gauges surface in GET /metrics: decode.shards
+// (two par workers) and asserts the shard gauges surface in GET /metrics: decode.shards
 // reporting K, every decode.shard_occupancy.<k> /
 // decode.streams_per_shard.<k> gauge present, assignments totalling the served requests, and
 // occupancy drained back to zero.
@@ -423,7 +424,7 @@ func TestMetricsShardGauges(t *testing.T) {
 	shared := testServer(t)
 	s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
 	const shards = 2
-	s.DecodeShards = shards
+	defer par.SetProcs(par.SetProcs(shards))
 	defer s.Close()
 	h := s.Handler()
 
@@ -473,14 +474,14 @@ func TestMetricsShardGauges(t *testing.T) {
 }
 
 // TestShardedServerMatchesOneStreamDecode pins shard-count transparency
-// at the HTTP layer: a four-shard server answers a (seed, periods)
+// at the HTTP layer: a four-shard server (four par workers) answers a (seed, periods)
 // request with the one-stream decode of that seed and window at its
 // precision, serialized the way /generate does, at f64 and at f32.
 func TestShardedServerMatchesOneStreamDecode(t *testing.T) {
 	shared := testServer(t)
+	defer par.SetProcs(par.SetProcs(4))
 	for _, prec := range []core.Precision{core.PrecisionF64, core.PrecisionF32} {
 		s := NewWithRegistry(shared.currentModel(), shared.catalog, obs.NewRegistry())
-		s.DecodeShards = 4
 		s.Precision = string(prec)
 		rec := do(t, s.Handler(), "POST", "/generate", `{"periods": 24, "seed": 77, "format": "json"}`)
 		s.Close()

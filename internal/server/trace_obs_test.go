@@ -7,16 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rtrace"
 )
 
 // tracedServer builds a private server around the shared trained model
-// with request tracing attached.
+// with request tracing attached, decoding on two shards (two par
+// workers, restored when the test ends).
 func tracedServer(t *testing.T) *Server {
 	t.Helper()
 	base := testServer(t)
+	prev := par.SetProcs(2)
+	t.Cleanup(func() { par.SetProcs(prev) })
 	s := New(base.currentModel(), base.catalog)
-	s.DecodeShards = 2
 	s.Tracer = rtrace.NewTracer(16)
 	t.Cleanup(s.Close)
 	return s

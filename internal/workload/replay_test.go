@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/survival"
 	"repro/internal/synth"
@@ -43,12 +44,14 @@ func replayModel(t testing.TB) *core.Model {
 	return testModel
 }
 
+// newEngine builds a serving engine with a cap of four streams and
+// `shards` decode shards: one per par worker, so par runs at `shards`
+// workers while it is built.
 func newEngine(t *testing.T, m *core.Model, shards int) core.GenEngine {
 	t.Helper()
-	eng, err := core.NewGenEngine(m, core.EngineSpec{
-		MaxBatch: 4,
-		Shards:   shards,
-	})
+	prev := par.SetProcs(shards)
+	eng, err := core.NewGenEngine(m, core.EngineSpec{MaxBatch: 4})
+	par.SetProcs(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,10 @@ awk '
 
 # Scheduler-per-core pair (DESIGN.md §6.2): a wave of 64 concurrent
 # Generate calls through the default engine (one scheduler per core)
-# against the same wave at Shards: 1. The gain is only readable next to
-# the host's core count, so the line carries it; with ncpu=1 both rows
-# run one shard and the ratio certifies no regression, nothing more.
+# against the same wave built at one par worker (one shard). The gain
+# is only readable next to the host's core count, so the line carries
+# it; with ncpu=1 both rows run one shard and the ratio certifies no
+# regression, nothing more.
 awk -v ncpu="$NCPU" '
 	/^BenchmarkEngineWave64(-[0-9]+)? /        { for (i = 4; i <= NF; i++) if ($i == "streams/s") k = $(i-1) }
 	/^BenchmarkEngineWave64Shards1(-[0-9]+)? / { for (i = 4; i <= NF; i++) if ($i == "streams/s") one = $(i-1) }

@@ -30,8 +30,11 @@
 #     recurrent cell (no GRU type, Recurrent interface or cell flag);
 #     the rule that decode has one weight layout (no
 #     row-major fleet GEMM, f32 row-major kernel or nil-panels branch in
-#     internal/{core,nn,mat}); and the rule that training transposes a
+#     internal/{core,nn,mat}); the rule that training transposes a
 #     weight once per window (no mat.MulABT call in internal/{core,nn});
+#     and the rule that the decode engine takes its shape from the host
+#     (no shard-count or stream-cap field on core.EngineSpec or
+#     server.Server, no such flag in cmd/traced);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -159,5 +162,19 @@ if grep -n 'mat\.MulABT(' \
 	echo "check.sh: internal/{core,nn} calls mat.MulABT; multiply by a hoisted transpose instead" >&2
 	exit 1
 fi
+# One decode shape (DESIGN.md §6.2): the shard count is par.Procs()
+# (REPRO_PROCS, the one worker-count switch) and the stream cap is 64,
+# because neither changes an output byte. So no non-test file may give
+# core.EngineSpec a Shards field, server.Server a DecodeShards or
+# MaxBatch field, or cmd/traced a -decode-shards or -max-batch flag.
+if grep -nE '^[[:space:]]+Shards[[:space:]]+int\b' \
+	$(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go') ||
+	grep -nE '^[[:space:]]+(DecodeShards|MaxBatch)[[:space:]]+int\b' \
+		$(find internal/server -maxdepth 1 -name '*.go' ! -name '*_test.go') ||
+	grep -nE '"(decode-shards|max-batch)"' \
+		$(find cmd/traced -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: a decode shard-count or stream-cap knob is back; the engine takes its shape from par.Procs()" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + deadcode OK"
