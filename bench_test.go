@@ -27,7 +27,6 @@ import (
 	"repro/internal/rtrace"
 	"repro/internal/sched"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -203,7 +202,7 @@ func BenchmarkCensoringAblation(b *testing.B) {
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkSynthGenerateDay(b *testing.B) {
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 1
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -475,7 +474,7 @@ func BenchmarkReplayDecode(b *testing.B) {
 	const seed = 7
 	tr := core.WithCatalog(m.Generate(rng.New(seed), c.TestW), c.Full.Flavors)
 	data, err := workload.NewRecord("bench", "serial", "f64",
-		workload.ModelTag(m), seed, c.TestW, 1, tr).Marshal()
+		core.ModelTag(m), seed, c.TestW, 1, tr).Marshal()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,13 +1,18 @@
 // Command analyze prints a workload characterization report for a
-// synthetic preset or a trace CSV: arrival dispersion and seasonality,
+// generated scenario or a trace CSV: arrival dispersion and seasonality,
 // batch structure, flavor popularity, lifetime quantiles and censoring,
 // and the inter-job correlations (momentum) that the paper's models
 // exploit.
 //
+// -cloud names the scenario: a workload preset (azure, huawei, mixed)
+// or a JSON spec file (DESIGN.md §9). With -csv it supplies the flavor
+// catalog the trace's flavor indices refer to, so CPU-hour shares
+// weigh each VM by its flavor's CPUs.
+//
 // Usage:
 //
-//	analyze [-cloud azure|huawei] [-days 6] [-seed 1]
-//	analyze -csv trace.csv -flavors 16
+//	analyze [-cloud azure|huawei|mixed|spec.json] [-days 6] [-seed 1]
+//	analyze -csv trace.csv -cloud huawei
 package main
 
 import (
@@ -16,18 +21,21 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
-	cloud := flag.String("cloud", "azure", "azure or huawei preset (ignored with -csv)")
+	cloud := flag.String("cloud", "azure", "scenario: a workload preset (azure, huawei, mixed) or a JSON spec file; its catalog with -csv")
 	days := flag.Int("days", 6, "days of synthetic workload")
 	seed := flag.Int64("seed", 1, "generation seed")
 	csvPath := flag.String("csv", "", "analyze this trace CSV instead of generating")
-	flavors := flag.Int("flavors", 16, "flavor count for -csv input")
 	flag.Parse()
 
+	_, cfg, err := workload.Load(*cloud)
+	if err != nil {
+		fatal(err)
+	}
 	var tr *trace.Trace
 	var name string
 	if *csvPath != "" {
@@ -36,27 +44,12 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		fs := &trace.FlavorSet{}
-		for i := 0; i < *flavors; i++ {
-			fs.Defs = append(fs.Defs, trace.FlavorDef{Name: fmt.Sprintf("f%d", i), CPU: 1, MemGB: 1})
-		}
-		tr, err = trace.ReadCSV(f, fs, 1<<30)
+		tr, err = trace.ReadCSV(f, cfg.Flavors, 0)
 		if err != nil {
 			fatal(err)
 		}
-		max := 0
-		for _, vm := range tr.VMs {
-			if vm.Start > max {
-				max = vm.Start
-			}
-		}
-		tr.Periods = max + 1
 		name = *csvPath
 	} else {
-		cfg := synth.AzureLike()
-		if *cloud == "huawei" {
-			cfg = synth.HuaweiLike()
-		}
 		cfg.Days = *days
 		full := cfg.Generate(*seed)
 		// Impose an observation window so censoring statistics are

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	experiments [-full] [-cloud azure|huawei|both] [-exp all|table1|fig4|fig5|fig6|table2|table3|table4|fig7|fig8|fig9|table5|tenx|censoring|joint|forecast|heads] [-seed N] [-journal run.jsonl] [-results out.json] [-export dir]
-//	experiments -workload-spec mixed -exp table2
+//	experiments [-full] [-cloud both|azure|huawei|mixed|spec.json] [-exp all|table1|fig4|fig5|fig6|table2|table3|table4|fig7|fig8|fig9|table5|tenx|censoring|joint|forecast|heads] [-seed N] [-journal run.jsonl] [-results out.json] [-export dir]
+//	experiments -cloud mixed -exp table2
 //	experiments -replay-trace served.jsonl -exp table2,fig9
 //
 // The default scale is the fast test configuration; -full uses the
@@ -19,14 +19,17 @@
 //
 // followed by a reviewed diff.
 //
-// -workload-spec replaces the hardcoded clouds with one declarative
-// scenario (a preset name or a JSON spec file, DESIGN.md §9); the
-// experiment suite runs over the compiled spec exactly as it does over
-// the presets. -replay-trace goes one step further: the first record
-// in the given file (the workload record format cmd/traced -record and
-// cmd/tracegen -record write) becomes the ground-truth history, so the
-// sched/capacity experiments run against exactly the bytes that were
-// served.
+// -cloud both (the default) runs the azure and huawei workload presets
+// side by side, each resized to the scale; azure or huawei runs one of
+// them. Any other value names one declarative scenario (a preset or a
+// JSON spec file, DESIGN.md §9), run at its own size in the experiment
+// slot of its flavor catalog; the experiment suite runs over the
+// compiled spec exactly as it does over the two clouds. -replay-trace
+// goes one step further: the first record in the given file (the
+// workload record format cmd/traced -record and cmd/tracegen -record
+// write) becomes the ground-truth history of the -cloud scenario's
+// slot (azure for both), so the sched/capacity experiments run against
+// exactly the bytes that were served.
 package main
 
 import (
@@ -66,8 +69,7 @@ func readRecords(path string) ([]*workload.Record, error) {
 
 func main() {
 	full := flag.Bool("full", false, "run the larger FullScale configuration")
-	cloud := flag.String("cloud", "both", "azure, huawei, or both")
-	workloadSpec := flag.String("workload-spec", "", "run one declarative scenario instead of the -cloud presets: a preset name (azure-like, huawei-like, mixed) or a JSON spec file")
+	cloud := flag.String("cloud", "both", "both, or one scenario: a workload preset (azure, huawei, mixed) or a JSON spec file")
 	replayTrace := flag.String("replay-trace", "", "use the first record in this file (workload record format) as the ground-truth history instead of generating one")
 	exp := flag.String("exp", "all", "comma-separated experiments to run (all, table1, fig4, fig5, fig6, table2, table3, table4, fig7, fig8, fig9, table5, tenx, censoring, joint, forecast, heads)")
 	seed := flag.Int64("seed", 1, "experiment seed")
@@ -81,6 +83,21 @@ func main() {
 	if _, err := experiments.Run(exps); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	// Any -cloud value but both is resolved, and an unknown one
+	// rejected, before any work too. The flavor catalog decides which
+	// cloud's experiment slots a scenario fills; a replay under both
+	// takes Azure's.
+	var spec *workload.Spec
+	var cfg synth.Config
+	id := experiments.Azure
+	if *cloud != "both" {
+		var err error
+		spec, cfg, err = workload.Load(*cloud)
+		check(err, "cloud")
+		if spec.Flavors.Catalog == "huawei259" {
+			id = experiments.Huawei
+		}
 	}
 
 	scale := experiments.SmallScale()
@@ -112,36 +129,16 @@ func main() {
 		recs, err := readRecords(*replayTrace)
 		check(err, "replay-trace")
 		tr := recs[0].Trace()
-		id, cfg := experiments.Azure, synth.AzureLike()
-		if *cloud == "huawei" {
-			id, cfg = experiments.Huawei, synth.HuaweiLike()
-		}
-		clouds = append(clouds, experiments.NewCloudFromTrace(id, scale, cfg, tr))
+		clouds = append(clouds, experiments.NewCloudFromTrace(id, scale, tr))
 		fmt.Printf("Replaying %d VMs over %d periods from %s\n", len(tr.VMs), tr.Periods, *replayTrace)
-	case *workloadSpec != "":
-		// Declarative scenario: one cloud, compiled from the spec. The
-		// catalog decides which preset's experiment slots it fills.
-		spec, err := workload.Load(*workloadSpec)
-		check(err, "workload spec")
-		cfg, err := spec.Compile()
-		check(err, "compile workload spec")
-		id := experiments.Azure
-		if spec.Flavors.Catalog == "huawei259" {
-			id = experiments.Huawei
-		}
+	case *cloud == "both":
+		clouds = append(clouds, experiments.NewCloud(experiments.Azure, scale), experiments.NewCloud(experiments.Huawei, scale))
+	case *cloud == "azure" || *cloud == "huawei":
+		// The two clouds keep the scale's sizes.
+		clouds = append(clouds, experiments.NewCloud(id, scale))
+	default:
 		clouds = append(clouds, experiments.NewCloudFromConfig(id, scale, cfg))
 		fmt.Printf("Workload spec %q: %d users, %d cohorts\n", spec.Name, spec.Users, len(spec.Cohorts))
-	default:
-		if *cloud == "azure" || *cloud == "both" {
-			clouds = append(clouds, experiments.NewCloud(experiments.Azure, scale))
-		}
-		if *cloud == "huawei" || *cloud == "both" {
-			clouds = append(clouds, experiments.NewCloud(experiments.Huawei, scale))
-		}
-	}
-	if len(clouds) == 0 {
-		fmt.Fprintln(os.Stderr, "experiments: unknown -cloud value")
-		os.Exit(2)
 	}
 	fitSpan := journal.StartSpan("fit_all")
 	experiments.FitAll(clouds...)

@@ -1,11 +1,13 @@
 // Command hypertune runs the paper's §4.2 development-set grid searches:
 // the ridge penalty for the batch-arrival Poisson regression, the
 // learning rate and weight decay for the flavor and lifetime LSTMs, and
-// the geometric DOH-sampling probability.
+// the geometric DOH-sampling probability, on the -cloud scenario: a
+// workload preset (azure, huawei, mixed) or a JSON spec file
+// (DESIGN.md §9).
 //
 // Usage:
 //
-//	hypertune [-cloud azure|huawei] [-days 9] [-seed 1] [-stage all|arrival|flavor|lifetime|doh]
+//	hypertune [-cloud azure|huawei|mixed|spec.json] [-days 9] [-seed 1] [-stage all|arrival|flavor|lifetime|doh]
 package main
 
 import (
@@ -17,20 +19,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
-	cloud := flag.String("cloud", "azure", "azure or huawei preset")
+	cloud := flag.String("cloud", "azure", "scenario: a workload preset (azure, huawei, mixed) or a JSON spec file")
 	days := flag.Int("days", 9, "history length in days")
 	seed := flag.Int64("seed", 1, "data seed")
 	stage := flag.String("stage", "all", "all, arrival, flavor, lifetime, or doh")
 	flag.Parse()
 
-	cfg := synth.AzureLike()
-	if *cloud == "huawei" {
-		cfg = synth.HuaweiLike()
+	_, cfg, err := workload.Load(*cloud)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hypertune:", err)
+		os.Exit(1)
 	}
 	cfg.Days = *days
 	full := cfg.Generate(*seed)

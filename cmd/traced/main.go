@@ -4,26 +4,24 @@
 //
 // Usage:
 //
-//	traced [-addr :8080] [-cloud azure|huawei] [-days 9] [-seed 1]
-//	traced -model model.bin -flavors azure
+//	traced [-addr :8080] [-cloud azure|huawei|mixed|spec.json] [-days 9] [-seed 1]
+//	traced -model model.bin -cloud azure
 //	traced -journal run.jsonl -debug-addr :6060
 //	traced -precision f32
 //	traced -checkpoint-dir ckpt/ -checkpoint-every 5 -resume
-//	traced -workload-spec mixed
-//	traced -workload-spec examples/workloads/mixed.json -record served.jsonl
+//	traced -cloud mixed
+//	traced -cloud examples/workloads/mixed.json -record served.jsonl
 //
-// -workload-spec replaces -cloud with the declarative workload layer
-// (DESIGN.md §9): its value is either a named preset (azure-like,
-// huawei-like, mixed — the first two compile to exactly the hardcoded
-// -cloud configs) or a path to a JSON spec file describing
-// heterogeneous client cohorts with per-cohort rate fractions, arrival
-// processes (poisson, bursty gamma, weibull), lifetime overrides, and
-// SLO classes. The active spec is echoed under "workload" on GET
-// /metrics and survives hot reloads unchanged. -record appends every
-// served /generate trace — with the seed, window, scale, engine, and
-// model tag that reproduce it — to a JSONL file in the versioned
-// record format that cmd/tracegen -replay and cmd/experiments
-// -replay-trace consume.
+// -cloud names the scenario through the declarative workload layer
+// (DESIGN.md §9): its value is either a workload preset (azure, huawei,
+// mixed) or a path to a JSON spec file describing heterogeneous client
+// cohorts with per-cohort rate fractions, arrival processes (poisson,
+// bursty gamma, weibull), lifetime overrides, and SLO classes. The
+// active spec is echoed under "workload" on GET /metrics and survives
+// hot reloads unchanged. -record appends every served /generate trace
+// — with the seed, window, scale, engine, and model tag that reproduce
+// it — to a JSONL file in the versioned record format that
+// cmd/tracegen -replay and cmd/experiments -replay-trace consume.
 //
 // With -checkpoint-dir set, training writes an atomic, versioned
 // checkpoint (weights + optimizer moments + RNG stream state) every
@@ -47,10 +45,10 @@
 // (core.Model.Generate) of the same seed regardless of batching or
 // shard count.
 //
-// The served model and the flavor catalog (from -cloud or
-// -workload-spec) must list the same number of flavors: a mismatched
-// pair is refused at startup, and a hot reload that would produce one
-// is rejected while the current snapshot keeps serving.
+// The served model and the -cloud scenario's flavor catalog must list
+// the same number of flavors: a mismatched pair is refused at startup,
+// and a hot reload that would produce one is rejected while the current
+// snapshot keeps serving.
 //
 // -precision f32 serves through the float32 fast path (DESIGN.md
 // §6.4): the LSTM step GEMMs run on f32 weight slabs for higher
@@ -98,7 +96,6 @@ import (
 	"repro/internal/rtrace"
 	"repro/internal/server"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -155,8 +152,7 @@ func loadModelFile(path string) (*core.Model, error) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	cloud := flag.String("cloud", "azure", "azure or huawei preset")
-	workloadSpec := flag.String("workload-spec", "", "workload spec: a preset name (azure-like, huawei-like, mixed) or a path to a JSON spec file; overrides -cloud")
+	cloud := flag.String("cloud", "azure", "scenario: a workload preset (azure, huawei, mixed) or a JSON spec file")
 	recordPath := flag.String("record", "", "append every served /generate trace to this JSONL file in the workload record/replay format")
 	days := flag.Int("days", 9, "history length for training")
 	seed := flag.Int64("seed", 1, "data/training seed")
@@ -173,10 +169,17 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain timeout on SIGINT/SIGTERM")
 	flag.Parse()
 
-	// Validate the engine configuration before paying for training.
+	// Validate the engine configuration and the scenario before paying
+	// for training.
 	if !core.ValidPrecision(*precision) {
 		log.Fatalf("traced: unknown -precision %q (have %v)", *precision, core.Precisions())
 	}
+	spec, cfg, err := workload.Load(*cloud)
+	if err != nil {
+		log.Fatalf("traced: %v", err)
+	}
+	log.Printf("workload spec %q: %d users, %d cohorts, catalog of %d flavors",
+		spec.Name, spec.Users, len(spec.Cohorts), cfg.Flavors.K())
 
 	var journal *obs.Journal
 	if *journalPath != "" {
@@ -192,28 +195,6 @@ func main() {
 			}
 		}()
 		log.Printf("journaling telemetry to %s", *journalPath)
-	}
-
-	cfg := synth.AzureLike()
-	if *cloud == "huawei" {
-		cfg = synth.HuaweiLike()
-	}
-	// -workload-spec swaps the hardcoded scenario for a declarative one:
-	// a named preset or a JSON spec file, compiled to the same
-	// synth.Config shape the presets use, so everything downstream
-	// (training, flavors catalog, hot reload) is spec-agnostic.
-	var spec *workload.Spec
-	if *workloadSpec != "" {
-		var err error
-		if spec, err = workload.Load(*workloadSpec); err != nil {
-			log.Fatalf("traced: %v", err)
-		}
-		cfg, err = spec.Compile()
-		if err != nil {
-			log.Fatalf("traced: compile workload spec: %v", err)
-		}
-		log.Printf("workload spec %q: %d users, %d cohorts, catalog of %d flavors",
-			spec.Name, spec.Users, len(spec.Cohorts), cfg.Flavors.K())
 	}
 
 	// One registry carries checkpoint telemetry from training straight
@@ -298,7 +279,7 @@ func main() {
 		trainInfo["journal"] = *journalPath
 	}
 	if err := server.CheckCatalog(model, cfg.Flavors); err != nil {
-		log.Fatalf("traced: %v (-cloud / -workload-spec must name the catalog the model was trained on)", err)
+		log.Fatalf("traced: %v (-cloud must name the catalog the model was trained on)", err)
 	}
 
 	// The f32 fast path is validated against the f64 reference before a
@@ -324,14 +305,12 @@ func main() {
 	s := server.NewWithRegistry(model, cfg.Flavors, reg)
 	s.TrainInfo = trainInfo
 	s.Precision = *precision
+	s.Workload = spec.Summary()
 	defer s.Close()
 	// What decodes, for the startup and reload log lines: the shard count
 	// is fixed by the par worker count, so it survives reloads.
 	engineDesc := fmt.Sprintf("%s x %d shards, %s, %s kernels", core.EngineBatched, core.EngineSpec{}.ShardCount(), *precision, server.Kernels())
 
-	if spec != nil {
-		s.Workload = spec.Summary()
-	}
 	// modelTag fingerprints the serving weights for the record stream;
 	// hot reloads refresh it below so records always name the model
 	// that actually produced them.
@@ -344,7 +323,7 @@ func main() {
 			log.Fatalf("traced: open record sink: %v", err)
 		}
 		defer recorder.Close()
-		modelTag.Store(workload.ModelTag(model))
+		modelTag.Store(core.ModelTag(model))
 		prec := *precision
 		s.OnTrace = func(seed int64, w trace.Window, scale float64, tr *trace.Trace) {
 			rec := workload.NewRecord("generate", core.EngineBatched, prec, modelTag.Load().(string), seed, w, scale, tr)
@@ -398,7 +377,7 @@ func main() {
 		reloadSrc = func() (*core.Model, *trace.FlavorSet, error) {
 			m, catalog, err := inner()
 			if err == nil {
-				modelTag.Store(workload.ModelTag(m))
+				modelTag.Store(core.ModelTag(m))
 			}
 			return m, catalog, err
 		}

@@ -1,20 +1,19 @@
 // Command tracegen trains the three-stage model on a synthetic
-// "historical" trace and emits a generated future trace as CSV on
-// stdout (or to -o). The -scale flag implements the paper's single-knob
-// stress-test scaling (§6.2: "we generated 10X workloads by changing a
-// single line of code").
+// "historical" trace of the -cloud scenario and emits a generated
+// future trace as CSV on stdout (or to -o). The -scale flag implements
+// the paper's single-knob stress-test scaling (§6.2: "we generated 10X
+// workloads by changing a single line of code").
 //
 // Usage:
 //
-//	tracegen [-cloud azure|huawei] [-days N] [-gen-days N] [-scale X] [-seed N] [-o trace.csv] [-v]
-//	tracegen -workload-spec mixed [-record gen.jsonl]
+//	tracegen [-cloud azure|huawei|mixed|spec.json] [-days N] [-gen-days N] [-scale X] [-seed N] [-o trace.csv] [-v]
+//	tracegen -cloud mixed [-record gen.jsonl]
 //	tracegen -replay gen.jsonl
 //
-// -workload-spec replaces -cloud with a declarative scenario: a named
-// preset (azure-like, huawei-like, mixed) or a path to a JSON spec
-// file (DESIGN.md §9). -record writes the generated trace — plus the
-// seed, window, and scale that reproduce it — to a JSONL file in the
-// versioned record format. -replay skips training entirely and
+// -cloud names the scenario: a workload preset (azure, huawei, mixed)
+// or a path to a JSON spec file (DESIGN.md §9). -record writes the
+// generated trace — plus the seed, window, and scale that reproduce it
+// — to a JSONL file in the versioned record format. -replay skips training entirely and
 // re-emits the trace(s) stored in a record file as CSV, so a recorded
 // generation can be piped into downstream tools without the model.
 package main
@@ -29,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -77,8 +75,7 @@ func replay(path string, w io.Writer) {
 }
 
 func main() {
-	cloud := flag.String("cloud", "azure", "azure or huawei preset")
-	workloadSpec := flag.String("workload-spec", "", "workload spec: a preset name (azure-like, huawei-like, mixed) or a JSON spec file; overrides -cloud")
+	cloud := flag.String("cloud", "azure", "scenario: a workload preset (azure, huawei, mixed) or a JSON spec file")
 	recordPath := flag.String("record", "", "also write the generated trace to this JSONL file in the workload record/replay format")
 	replayPath := flag.String("replay", "", "re-emit the traces stored in this record file as CSV and exit (no training)")
 	days := flag.Int("days", 9, "history length in days (training data)")
@@ -91,6 +88,10 @@ func main() {
 	verbose := flag.Bool("v", false, "log training progress to stderr")
 	flag.Parse()
 
+	spec, cfg, err := workload.Load(*cloud)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	w, closeOut := outputWriter(*out)
 	defer closeOut()
 
@@ -99,30 +100,9 @@ func main() {
 		return
 	}
 
-	var cfg synth.Config
-	if *workloadSpec != "" {
-		spec, err := workload.Load(*workloadSpec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cfg, err = spec.Compile()
-		if err != nil {
-			fatalf("compile workload spec: %v", err)
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "workload spec %q: %d users, %d cohorts\n",
-				spec.Name, spec.Users, len(spec.Cohorts))
-		}
-	} else {
-		switch *cloud {
-		case "azure":
-			cfg = synth.AzureLike()
-		case "huawei":
-			cfg = synth.HuaweiLike()
-		default:
-			fmt.Fprintln(os.Stderr, "tracegen: -cloud must be azure or huawei")
-			os.Exit(2)
-		}
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "workload spec %q: %d users, %d cohorts\n",
+			spec.Name, spec.Users, len(spec.Cohorts))
 	}
 	cfg.Days = *days
 
@@ -164,7 +144,7 @@ func main() {
 	if *recordPath != "" {
 		// RateScale is baked into the model here, so the record's scale
 		// is what a replay must pass to Generate to reproduce the bytes.
-		rec := workload.NewRecord("tracegen", "serial", "f64", workload.ModelTag(model),
+		rec := workload.NewRecord("tracegen", "serial", "f64", core.ModelTag(model),
 			genSeed, futureW, *scale, generated)
 		sink, err := workload.OpenRecorder(*recordPath)
 		if err != nil {

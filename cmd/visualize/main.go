@@ -2,12 +2,14 @@
 // paper's Figure 1: one row per 5-minute period, one colored cell per
 // VM (color = flavor, width = lifetime bin index compressed to a digit),
 // batches separated by spaces. It reads a CSV written by tracegen or
-// renders a fresh synthetic trace.
+// renders a fresh synthetic trace of the -cloud scenario: a workload
+// preset (azure, huawei, mixed) or a JSON spec file (DESIGN.md §9).
+// With -csv, -cloud supplies the flavor catalog the CSV refers to.
 //
 // Usage:
 //
-//	visualize [-cloud azure|huawei] [-days 1] [-periods 40] [-seed 7] [-no-color]
-//	visualize -csv trace.csv -flavors 16 -periods 40
+//	visualize [-cloud azure|huawei|mixed|spec.json] [-days 1] [-periods 40] [-seed 7] [-no-color]
+//	visualize -csv trace.csv -cloud azure -periods 40
 package main
 
 import (
@@ -17,20 +19,23 @@ import (
 	"strings"
 
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
-	cloud := flag.String("cloud", "azure", "azure or huawei preset (ignored with -csv)")
+	cloud := flag.String("cloud", "azure", "scenario: a workload preset (azure, huawei, mixed) or a JSON spec file; its catalog with -csv")
 	days := flag.Int("days", 1, "days of synthetic workload to generate")
 	seed := flag.Int64("seed", 7, "generation seed")
 	csvPath := flag.String("csv", "", "render this trace CSV instead of generating")
-	flavors := flag.Int("flavors", 16, "flavor count for -csv input")
 	periodsFlag := flag.Int("periods", 48, "number of periods (rows) to render")
 	noColor := flag.Bool("no-color", false, "disable ANSI colors")
 	flag.Parse()
 
+	_, cfg, err := workload.Load(*cloud)
+	if err != nil {
+		fatal(err)
+	}
 	var tr *trace.Trace
 	switch {
 	case *csvPath != "":
@@ -39,26 +44,11 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		fs := &trace.FlavorSet{}
-		for i := 0; i < *flavors; i++ {
-			fs.Defs = append(fs.Defs, trace.FlavorDef{Name: fmt.Sprintf("f%d", i), CPU: 1, MemGB: 1})
-		}
-		tr, err = trace.ReadCSV(f, fs, 1<<30)
+		tr, err = trace.ReadCSV(f, cfg.Flavors, 0)
 		if err != nil {
 			fatal(err)
 		}
-		max := 0
-		for _, vm := range tr.VMs {
-			if vm.Start > max {
-				max = vm.Start
-			}
-		}
-		tr.Periods = max + 1
 	default:
-		cfg := synth.AzureLike()
-		if *cloud == "huawei" {
-			cfg = synth.HuaweiLike()
-		}
 		cfg.Days = *days
 		tr = cfg.Generate(*seed)
 	}

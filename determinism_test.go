@@ -16,6 +16,7 @@ import (
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestDeterminismAcrossWorkerCounts is the end-to-end enforcement of
@@ -29,7 +30,7 @@ import (
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	run := func(procs int) (flavorW, lifetimeW, traceJSON []byte) {
 		defer par.SetProcs(par.SetProcs(procs))
-		cfg := synth.AzureLike()
+		cfg := workload.PresetConfig("azure")
 		cfg.Days = 3
 		cfg.Users = 60
 		cfg.BaseRate = 1.5
@@ -86,7 +87,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 // byte-identical with observability fully on and fully off.
 func TestObservabilityIsReadOnly(t *testing.T) {
 	run := func(observed bool) (flavorW, lifetimeW, traceJSON []byte) {
-		cfg := synth.AzureLike()
+		cfg := workload.PresetConfig("azure")
 		cfg.Days = 3
 		cfg.Users = 60
 		cfg.BaseRate = 1.5
@@ -187,7 +188,7 @@ func TestObservabilityIsReadOnly(t *testing.T) {
 // cloud; unlike the training test above it exercises the shared-events
 // parallel packing path with per-tuple RNG streams.
 func TestDeterminismExperimentsSweep(t *testing.T) {
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 3
 	cfg.Users = 60
 	cfg.BaseRate = 1.5

@@ -2,6 +2,7 @@
 // history, generate a one-day future trace, and print summary
 // statistics. This is the minimal end-to-end tour of the public API:
 //
+//	workload.PresetConfig  -> a scenario's simulator config
 //	synth.Config.Generate  -> ground-truth history
 //	trace.Trace.Slice      -> observation windows with censoring
 //	core.TrainModel        -> stage 1-3 training (§2 of the paper)
@@ -15,14 +16,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
 	// 1. Build a synthetic "historical" workload (stands in for a real
 	// provider trace; see DESIGN.md for the substitution rationale).
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 8
 	history := cfg.Generate(42)
 	fmt.Printf("history: %d VMs over %.0f days, %d flavors\n",

@@ -5,13 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func smallTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 3
 	cfg.Users = 60
 	cfg.BaseRate = 2
@@ -21,7 +21,7 @@ func smallTrace(t *testing.T) *trace.Trace {
 func TestArrivalsPoissonBaseline(t *testing.T) {
 	// A constant-rate iid Poisson count series should have dispersion
 	// ~1 and autocorrelation ~0.
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 3
 	cfg.Users = 60
 	cfg.BaseRate = 2
@@ -136,7 +136,7 @@ func TestCorrelationsPlantedMomentum(t *testing.T) {
 
 func TestCorrelationsIndependentBaseline(t *testing.T) {
 	// Destroying the correlations should drive the stats down.
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 3
 	cfg.Users = 60
 	cfg.BaseRate = 2

@@ -8,7 +8,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/survival"
-	"repro/internal/synth"
+	"repro/internal/workload"
 )
 
 // tinyGenModels builds untrained (randomly initialized) stage-2/3
@@ -125,7 +125,7 @@ func TestPooledStateResetMatchesFresh(t *testing.T) {
 // count.
 func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
-	sc := synth.AzureLike()
+	sc := workload.PresetConfig("azure")
 	sc.Days, sc.Users, sc.BaseRate = 1, 30, 1.5
 	tr := sc.Generate(5)
 	bins := survival.PaperBins()

@@ -9,15 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // ckptTrace builds the small shared fixture: a train slice plus a dev
 // slice so the flavor loop's dev-selection state is exercised too.
 func ckptTrace(t *testing.T) (tr, dev *trace.Trace, devOffset int) {
 	t.Helper()
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 2
 	cfg.Users = 30
 	cfg.BaseRate = 1.5

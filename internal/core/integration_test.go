@@ -9,6 +9,7 @@ import (
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // fixture trains the full model once on a small AzureLike history and
@@ -38,7 +39,7 @@ func getFixture(t *testing.T) *fixture {
 		t.Skip("needs the trained fixture, which is not fitted under -race; training's concurrency is raced by internal/nn's sharded-trainer tests and the root package's TestDeterminismAcrossWorkerCounts")
 	}
 	fixOnce.Do(func() {
-		cfg := synth.AzureLike()
+		cfg := workload.PresetConfig("azure")
 		cfg.Days = 4
 		cfg.Users = 80
 		cfg.BaseRate = 2

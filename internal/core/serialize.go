@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"repro/internal/features"
@@ -11,6 +13,33 @@ import (
 	"repro/internal/nn"
 	"repro/internal/survival"
 )
+
+// ModelTag derives a short stable tag from the model's flavor-stage
+// weights and dimensions, the model_tag of a workload trace record. Two
+// models trained identically share a tag; any weight difference changes
+// it, so a replay against the wrong model is detectable before the
+// byte-compare fails.
+func ModelTag(m *Model) string {
+	if m == nil || m.Flavor == nil {
+		return ""
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	writeU64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	writeU64(uint64(m.Flavor.K))
+	writeU64(uint64(m.Flavor.HistoryDays))
+	if m.Flavor.Net != nil {
+		for _, p := range m.Flavor.Net.Params() {
+			for _, v := range p.Value.Data {
+				writeU64(math.Float64bits(v))
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // MarshalBinary serializes a trained Model: all three stages plus the
 // metadata needed to rebuild the feature encoders. This is the artifact

@@ -146,3 +146,15 @@ func TestModelSnapshotRejectsCorruptInput(t *testing.T) {
 		}
 	}
 }
+
+// TestModelTagStability: the tag is a pure function of the weights —
+// stable across calls, different for a different model.
+func TestModelTagStability(t *testing.T) {
+	m := tinyModel(t)
+	if ModelTag(m) != ModelTag(m) {
+		t.Fatal("tag not stable")
+	}
+	if ModelTag(nil) != "" {
+		t.Fatal("nil model should tag empty")
+	}
+}

@@ -7,14 +7,14 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // telemetryTrace builds a tiny training trace shared by the telemetry
 // tests (training several networks, so keep it small).
 func telemetryTrace() *trace.Trace {
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 2
 	cfg.Users = 30
 	cfg.BaseRate = 1.5
@@ -100,7 +100,7 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 // one TrainConfig.Obs covers arrival + flavor + lifetime, and dev-set
 // epochs carry a dev loss.
 func TestTrainModelSharesObsAcrossStages(t *testing.T) {
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 2
 	cfg.Users = 30
 	cfg.BaseRate = 1.5

@@ -24,6 +24,7 @@ import (
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Scale selects the experiment size: the scaled-down configuration used
@@ -83,9 +84,9 @@ func FullScale() Scale {
 type CloudID int
 
 const (
-	// Azure is the AzureLike synthetic cloud.
+	// Azure is the synthetic cloud of the azure workload preset.
 	Azure CloudID = iota
-	// Huawei is the HuaweiLike synthetic cloud.
+	// Huawei is the synthetic cloud of the huawei workload preset.
 	Huawei
 )
 
@@ -101,7 +102,6 @@ func (c CloudID) String() string {
 type Cloud struct {
 	ID     CloudID
 	Scale  Scale
-	Cfg    synth.Config
 	Full   *trace.Trace
 	TrainW trace.Window
 	DevW   trace.Window
@@ -115,15 +115,16 @@ type Cloud struct {
 	simple core.Generator
 }
 
-// NewCloud generates the ground-truth history and carves the windows.
+// NewCloud generates the ground-truth history of the cloud's workload
+// preset, resized to the Scale, and carves the windows.
 func NewCloud(id CloudID, s Scale) *Cloud {
 	var cfg synth.Config
 	switch id {
 	case Azure:
-		cfg = synth.AzureLike()
+		cfg = workload.PresetConfig("azure")
 		cfg.Days, cfg.Users, cfg.BaseRate = s.AzureDays, s.AzureUsers, s.AzureRate
 	case Huawei:
-		cfg = synth.HuaweiLike()
+		cfg = workload.PresetConfig("huawei")
 		cfg.Days, cfg.Users, cfg.BaseRate = s.HuaweiDays, s.HuaweiUsers, s.HuaweiRate
 	default:
 		panic(fmt.Sprintf("experiments: unknown cloud %d", id))
@@ -132,20 +133,20 @@ func NewCloud(id CloudID, s Scale) *Cloud {
 }
 
 // NewCloudFromConfig generates the ground-truth history from an
-// arbitrary scenario config — the workload-spec path: cmd/experiments
-// compiles a declarative spec (possibly multi-cohort) and runs the
-// same experiment suite over it that the hardcoded presets get.
+// arbitrary scenario config: cmd/experiments compiles any other -cloud
+// spec (possibly multi-cohort) and runs the same experiment suite over
+// it that the two clouds get.
 func NewCloudFromConfig(id CloudID, s Scale, cfg synth.Config) *Cloud {
 	full := cfg.Generate(s.Seed*1000 + int64(id))
-	return NewCloudFromTrace(id, s, cfg, full)
+	return NewCloudFromTrace(id, s, full)
 }
 
 // NewCloudFromTrace carves windows over an existing ground-truth trace
 // — the trace-replay path: a recorded generation (workload record
 // format) stands in for a fresh synth run, so the sched/capacity
 // experiments run against exactly the bytes that were served. The
-// trace's length, not cfg.Days, determines the windows.
-func NewCloudFromTrace(id CloudID, s Scale, cfg synth.Config, full *trace.Trace) *Cloud {
+// trace's length determines the windows.
+func NewCloudFromTrace(id CloudID, s Scale, full *trace.Trace) *Cloud {
 	days := full.Periods / trace.PeriodsPerDay
 	if days < 3 {
 		panic(fmt.Sprintf("experiments: ground-truth trace spans %d periods; need at least 3 days", full.Periods))
@@ -158,7 +159,6 @@ func NewCloudFromTrace(id CloudID, s Scale, cfg synth.Config, full *trace.Trace)
 	return &Cloud{
 		ID:     id,
 		Scale:  s,
-		Cfg:    cfg,
 		Full:   full,
 		TrainW: trainW,
 		DevW:   devW,

@@ -14,8 +14,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // The ablation fits' rows of internal/core's training-driver tests: they run the same driver, so they make the same promises.
@@ -23,7 +23,7 @@ import (
 // fitTrace is a tiny 2-day Azure-like history, cut into a training
 // slice and a dev slice (as core's checkpoint tests cut it).
 func fitTrace() (tr, dev *trace.Trace, devOffset int) {
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days, cfg.Users, cfg.BaseRate = 2, 30, 1.5
 	full := cfg.Generate(5)
 	cut := full.Periods * 3 / 4
@@ -168,7 +168,7 @@ func TestAllTrainingLoopsEmitEpochEvents(t *testing.T) {
 // of one more epoch over the windows in it.
 func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
-	sc := synth.AzureLike()
+	sc := workload.PresetConfig("azure")
 	sc.Days, sc.Users, sc.BaseRate = 1, 30, 1.5
 	tr := sc.Generate(5)
 	bins := survival.PaperBins()

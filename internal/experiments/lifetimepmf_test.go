@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/survival"
 	"repro/internal/synth"
+	"repro/internal/workload"
 )
 
 func TestPMFLossUncensoredKnown(t *testing.T) {
@@ -98,7 +99,7 @@ func TestPMFLossGradientNumerical(t *testing.T) {
 // beats the pooled KM baseline, like the hazard head, on a 4-day Azure-
 // like history (internal/core's integration fixture).
 func TestPMFLifetimeModelTrains(t *testing.T) {
-	sc := synth.AzureLike()
+	sc := workload.PresetConfig("azure")
 	sc.Days, sc.Users, sc.BaseRate = 4, 80, 2
 	full := sc.Generate(42)
 	trainW, _, testW := synth.StandardSplit(sc.Days)

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 var (
@@ -20,7 +20,7 @@ var (
 func tuneData(t *testing.T) (*trace.Trace, *trace.Trace, int) {
 	t.Helper()
 	tuneOnce.Do(func() {
-		cfg := synth.AzureLike()
+		cfg := workload.PresetConfig("azure")
 		cfg.Days = 4
 		cfg.Users = 80
 		cfg.BaseRate = 2

@@ -328,7 +328,7 @@ func TestReloadRefusesCatalogMismatch(t *testing.T) {
 	defer s.Close()
 	h := s.Handler()
 	model := s.currentModel()
-	other := synth.HuaweiLike().Flavors
+	other := synth.HuaweiFlavors()
 	if other.K() == model.Flavor.K {
 		t.Fatalf("the Huawei-like catalog has the model's %d flavors; the test needs another size", other.K())
 	}

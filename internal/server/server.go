@@ -90,7 +90,7 @@ type Server struct {
 	// seed, wall time, journal path) surfaced under "train" at /metrics.
 	TrainInfo map[string]any
 	// Workload optionally carries the declarative workload-spec summary
-	// the server was configured from (cmd/traced -workload-spec),
+	// the server was configured from (cmd/traced -cloud),
 	// surfaced under "workload" at /metrics. Like TrainInfo it is
 	// read-only after startup and survives hot reloads: a reload swaps
 	// the model, not the scenario that trained it.

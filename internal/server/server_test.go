@@ -17,8 +17,8 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 var (
@@ -30,7 +30,7 @@ var (
 func testServer(t testing.TB) *Server {
 	t.Helper()
 	srvOnce.Do(func() {
-		cfg := synth.AzureLike()
+		cfg := workload.PresetConfig("azure")
 		cfg.Days = 2
 		cfg.Users = 40
 		cfg.BaseRate = 1.5

@@ -47,7 +47,7 @@ func TestWorkloadSpecSurvivesHotReloadUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag := workload.ModelTag(s.currentModel())
+	tag := core.ModelTag(s.currentModel())
 	s.OnTrace = func(seed int64, w trace.Window, scale float64, tr *trace.Trace) {
 		if err := recorder.Append(workload.NewRecord("generate", core.EngineBatched, s.Precision, tag, seed, w, scale, tr)); err != nil {
 			t.Errorf("record: %v", err)

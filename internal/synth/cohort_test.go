@@ -1,4 +1,4 @@
-package synth
+package synth_test
 
 import (
 	"bytes"
@@ -6,19 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // threeCohorts returns a small three-cohort config with distinct
 // arrival processes and rate fractions over the Azure catalog.
-func threeCohorts() Config {
-	cfg := AzureLike()
+func threeCohorts() synth.Config {
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 3
 	cfg.BaseRate = 6
-	cfg.Cohorts = []Cohort{
+	cfg.Cohorts = []synth.Cohort{
 		{
 			Name: "interactive", RateFraction: 0.5, SLOClass: "critical",
-			Population: Population{
+			Population: synth.Population{
 				Users: 60, UserZipf: 1.1, FavoriteCount: 3, Persistence: 0.45,
 				BatchSizeMean: 2.0, RepeatFlavorP: 0.85, RepeatLifetimeP: 0.8, TemplateP: 0.35,
 				LifeMuMin: math.Log(8 * 60), LifeMuMax: math.Log(86400), LifeSigma: 1.0,
@@ -30,7 +32,7 @@ func threeCohorts() Config {
 				// Bursty: Poisson with a unit-mean Gamma rate multiplier.
 				return g.Poisson(lambda * g.Gamma(0.25, 4))
 			},
-			Population: Population{
+			Population: synth.Population{
 				Users: 30, UserZipf: 1.3, FavoriteCount: 2, Persistence: 0.5,
 				BatchSizeMean: 4.0, RepeatFlavorP: 0.9, RepeatLifetimeP: 0.85, TemplateP: 0.1,
 				LifeMuMin: math.Log(3600), LifeMuMax: math.Log(4 * 86400), LifeSigma: 1.2,
@@ -48,7 +50,7 @@ func threeCohorts() Config {
 				}
 				return n
 			},
-			Population: Population{
+			Population: synth.Population{
 				Users: 10, UserZipf: 1.0, FavoriteCount: 2, Persistence: 0.3,
 				BatchSizeMean: 1.5, RepeatFlavorP: 0.95, RepeatLifetimeP: 0.9, TemplateP: 0,
 				LifeMuMin: math.Log(6 * 3600), LifeMuMax: math.Log(8 * 86400), LifeSigma: 0.8,
@@ -163,7 +165,7 @@ func TestCohortFlavorSubset(t *testing.T) {
 func TestCohortStreamIndependence(t *testing.T) {
 	cfg := threeCohorts()
 	two := cfg
-	two.Cohorts = append([]Cohort{}, cfg.Cohorts[:2]...)
+	two.Cohorts = append([]synth.Cohort{}, cfg.Cohorts[:2]...)
 	// Renormalize fractions so the two-cohort config is valid while the
 	// per-cohort lambdas stay identical: scale BaseRate down instead.
 	sum := two.Cohorts[0].RateFraction + two.Cohorts[1].RateFraction
@@ -201,7 +203,7 @@ func TestCohortStreamIndependence(t *testing.T) {
 // sampling could never finish either generate (favorites are clamped to
 // the flavors on offer) or panic (a repeated subset index).
 func TestGenerateRejectsHangingPopulations(t *testing.T) {
-	cfg := AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days, cfg.Users, cfg.BaseRate = 1, 10, 1
 	cfg.FavoriteCount = cfg.Flavors.K() + 1
 	if err := cfg.Generate(1).Validate(); err != nil {

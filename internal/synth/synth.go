@@ -8,7 +8,9 @@
 // the paper's experiments, which measure whether each model recovers
 // that structure, remain meaningful without the original bytes. One
 // cohort process (cohort.go) generates every Config; a Config without
-// Cohorts is its one-cohort case.
+// Cohorts is its one-cohort case. The scenarios standing in for the two
+// clouds are defined once, as internal/workload's presets, which
+// compile to a Config.
 package synth
 
 import (
@@ -32,7 +34,8 @@ type Config struct {
 	WeekendDip float64 // multiplier applied on Saturday/Sunday
 	DayEffect  float64 // sigma of the per-day log-normal random effect
 	// Growth returns the arrival-rate multiplier for a given day
-	// (identity if nil). HuaweiLike uses fast growth that levels off.
+	// (identity if nil). The huawei workload preset grows fast and
+	// levels off.
 	Growth func(day int) float64
 
 	// Population is the user/batch/lifetime block of the single
@@ -52,9 +55,9 @@ type Config struct {
 	// Population at rate fraction 1 with Poisson arrivals.
 	Cohorts []Cohort
 	// LifeShift returns an additive shift to the log-lifetime for a
-	// given day (identity if nil). HuaweiLike shortens lifetimes over
-	// the history, planting the regime change that defeats whole-history
-	// empirical baselines in Figure 8.
+	// given day (identity if nil). The huawei workload preset shortens
+	// lifetimes over the history, planting the regime change that
+	// defeats whole-history empirical baselines in Figure 8.
 	LifeShift func(day int) float64
 }
 
@@ -134,79 +137,6 @@ func HuaweiFlavors() *trace.FlavorSet {
 		i++
 	}
 	return fs
-}
-
-// AzureLike returns the configuration emulating the Azure V1 trace: a
-// 30-day window, 16 flavors, strong diurnal pattern, no growth trend,
-// noticeable day-to-day variation.
-func AzureLike() Config {
-	return Config{
-		Name:       "AzureLike",
-		Days:       30,
-		Flavors:    AzureFlavors(),
-		BaseRate:   5,
-		DiurnalAmp: 0.45,
-		WeekendDip: 0.6,
-		DayEffect:  0.30,
-		Population: Population{
-			Users:           400,
-			UserZipf:        1.1,
-			FavoriteCount:   3,
-			Persistence:     0.45,
-			BatchSizeMean:   2.6,
-			RepeatFlavorP:   0.85,
-			RepeatLifetimeP: 0.8,
-			TemplateP:       0.35,
-			LifeMuMin:       math.Log(8 * 60),    // 8 minutes
-			LifeMuMax:       math.Log(2 * 86400), // 2 days
-			LifeSigma:       1.0,
-		},
-		FlavorLifeEffect: 0.7,
-	}
-}
-
-// HuaweiLike returns the configuration emulating the Huawei Cloud trace:
-// a long window, 259 flavors, lower arrival rate, fast growth that
-// levels off, and lifetimes that shorten over the history (the regime
-// change behind Figure 8).
-func HuaweiLike() Config {
-	cfg := Config{
-		Name:       "HuaweiLike",
-		Days:       60, // scaled stand-in for the paper's 10 months
-		Flavors:    HuaweiFlavors(),
-		BaseRate:   1.6,
-		DiurnalAmp: 0.3,
-		WeekendDip: 0.75,
-		DayEffect:  0.15,
-		Population: Population{
-			Users:           300,
-			UserZipf:        1.2,
-			FavoriteCount:   2,
-			Persistence:     0.5,
-			BatchSizeMean:   3.2,
-			RepeatFlavorP:   0.92,
-			RepeatLifetimeP: 0.85,
-			TemplateP:       0.25,
-			LifeMuMin:       math.Log(20 * 60),
-			LifeMuMax:       math.Log(8 * 86400),
-			LifeSigma:       1.0,
-		},
-		FlavorLifeEffect: 0.5,
-	}
-	days := float64(cfg.Days)
-	cfg.Growth = func(day int) float64 {
-		// Logistic growth from ~0.45x to ~1x, leveled off in the final
-		// quarter of the history.
-		x := float64(day) / days
-		return 0.45 + 0.55/(1+math.Exp(-10*(x-0.45)))
-	}
-	cfg.LifeShift = func(day int) float64 {
-		// Early-history VMs live ~3.3x longer; the shift decays to zero
-		// by three-quarters through the history.
-		x := float64(day) / days
-		return 1.2 * math.Max(0, 1-x/0.75)
-	}
-	return cfg
 }
 
 // user is one member of the simulated population.

@@ -1,4 +1,4 @@
-package synth
+package synth_test
 
 import (
 	"crypto/sha256"
@@ -6,12 +6,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// smallAzure returns a scaled-down AzureLike config for fast tests.
-func smallAzure() Config {
-	cfg := AzureLike()
+// smallAzure returns a scaled-down azure preset config for fast tests.
+func smallAzure() synth.Config {
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 4
 	cfg.Users = 60
 	cfg.BaseRate = 2
@@ -19,14 +21,14 @@ func smallAzure() Config {
 }
 
 func TestFlavorCatalogs(t *testing.T) {
-	if k := AzureFlavors().K(); k != 16 {
+	if k := synth.AzureFlavors().K(); k != 16 {
 		t.Fatalf("Azure flavors = %d, want 16", k)
 	}
-	if k := HuaweiFlavors().K(); k != 259 {
+	if k := synth.HuaweiFlavors().K(); k != 259 {
 		t.Fatalf("Huawei flavors = %d, want 259", k)
 	}
 	names := map[string]bool{}
-	for _, d := range HuaweiFlavors().Defs {
+	for _, d := range synth.HuaweiFlavors().Defs {
 		if names[d.Name] {
 			t.Fatalf("duplicate flavor name %q", d.Name)
 		}
@@ -166,7 +168,7 @@ func TestLifetimeMomentum(t *testing.T) {
 // TestDiurnalPattern verifies arrival seasonality: afternoon rates should
 // exceed pre-dawn rates.
 func TestDiurnalPattern(t *testing.T) {
-	cfg := AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 7
 	cfg.Users = 100
 	cfg.BaseRate = 4
@@ -195,7 +197,7 @@ func TestDiurnalPattern(t *testing.T) {
 // TestHuaweiGrowth verifies the planted growth trend: late-history daily
 // arrivals should exceed early-history arrivals.
 func TestHuaweiGrowth(t *testing.T) {
-	cfg := HuaweiLike()
+	cfg := workload.PresetConfig("huawei")
 	cfg.Days = 40
 	cfg.Users = 80
 	tr := cfg.Generate(6)
@@ -218,7 +220,7 @@ func TestHuaweiGrowth(t *testing.T) {
 
 // TestHuaweiLifetimeRegime verifies early-history lifetimes are longer.
 func TestHuaweiLifetimeRegime(t *testing.T) {
-	cfg := HuaweiLike()
+	cfg := workload.PresetConfig("huawei")
 	cfg.Days = 40
 	cfg.Users = 80
 	tr := cfg.Generate(8)
@@ -243,7 +245,7 @@ func TestHuaweiLifetimeRegime(t *testing.T) {
 }
 
 func TestStandardSplit(t *testing.T) {
-	train, dev, test := StandardSplit(30)
+	train, dev, test := synth.StandardSplit(30)
 	if train.Start != 0 || train.End != 21*trace.PeriodsPerDay {
 		t.Fatalf("train = %+v", train)
 	}
@@ -261,13 +263,13 @@ func TestStandardSplit(t *testing.T) {
 // are never re-recorded to make a change pass; a change that moves them
 // changes the ground truth.
 func TestGenerateGolden(t *testing.T) {
-	azure := AzureLike()
+	azure := workload.PresetConfig("azure")
 	azure.Days = 4
-	huawei := HuaweiLike()
+	huawei := workload.PresetConfig("huawei")
 	huawei.Days = 6
 	cases := []struct {
 		name string
-		cfg  Config
+		cfg  synth.Config
 		seed int64
 		sha  string
 	}{
@@ -292,5 +294,5 @@ func TestGenerateBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Config{}.Generate(1)
+	synth.Config{}.Generate(1)
 }

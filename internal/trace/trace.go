@@ -252,7 +252,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV. The caller supplies the
-// flavor catalog and window length, which the CSV does not carry.
+// flavor catalog and window length, which the CSV does not carry; a
+// window length of 0 ends the window with the last VM's start period.
 func ReadCSV(r io.Reader, flavors *FlavorSet, periods int) (*Trace, error) {
 	cr := csv.NewReader(r)
 	recs, err := cr.ReadAll()
@@ -279,6 +280,9 @@ func ReadCSV(r io.Reader, flavors *FlavorSet, periods int) (*Trace, error) {
 			}
 		}
 		t.VMs = append(t.VMs, VM{ID: id, User: user, Flavor: flavor, Start: start, Duration: dur, Censored: cens})
+		if periods == 0 {
+			t.Periods = max(t.Periods, start+1)
+		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -206,6 +206,17 @@ func TestCSVRoundTrip(t *testing.T) {
 			t.Fatalf("VM %d mismatch: %+v vs %+v", i, got.VMs[i], tr.VMs[i])
 		}
 	}
+	// A window length of 0 ends the window with the last start period.
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadCSV(&buf, tr.Flavors, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tr.VMs[len(tr.VMs)-1].Start + 1; got.Periods != want {
+		t.Fatalf("inferred %d periods, want %d", got.Periods, want)
+	}
 }
 
 func TestReadCSVErrors(t *testing.T) {

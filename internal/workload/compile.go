@@ -10,10 +10,9 @@ import (
 
 // Compile lowers a validated spec to a synth.Config. The base blocks
 // become the config's own Population, which is all a spec without
-// cohorts generates from — the named presets reproduce the hardcoded
-// AzureLike()/HuaweiLike() configs exactly (pinned by golden_test.go).
-// Each cohort's Population is the base blocks with its overrides
-// swapped in, and each arrival process compiles to its sampler.
+// cohorts generates from. Each cohort's Population is the base blocks
+// with its overrides swapped in, and each arrival process compiles to
+// its sampler.
 func (s *Spec) Compile() (synth.Config, error) {
 	if err := s.Validate(); err != nil {
 		return synth.Config{}, err
@@ -125,9 +124,9 @@ func (f *FlavorsSpec) FlavorSet() (*trace.FlavorSet, error) {
 }
 
 // dayFunc compiles a schedule to the day-indexed multiplier/shift form
-// synth.Config carries. The formulas are written to match the hardcoded
-// HuaweiLike closures term for term, so a compiled preset is
-// bit-identical to the hand-written schedule.
+// synth.Config carries. The huawei preset's trace digests
+// (golden_test.go) pin the formulas term for term: reordering one moves
+// the ground truth's bytes.
 func (sc *ScheduleSpec) dayFunc(days float64) func(day int) float64 {
 	switch sc.Kind {
 	case "logistic":

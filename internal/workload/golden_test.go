@@ -7,10 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-
-	"repro/internal/synth"
 )
 
 var update = flag.Bool("update", false, "rewrite golden spec files")
@@ -43,57 +40,19 @@ func TestPresetGoldenFiles(t *testing.T) {
 	}
 }
 
-// configsEquivalent compares two synth.Configs for semantic byte
-// identity despite the func-typed schedule fields: every non-func
-// field must be deeply equal, the schedules must agree pointwise on
-// every day of the history, and — the final arbiter — both configs
-// must generate identical trace bytes from the same seed.
-func configsEquivalent(t *testing.T, got, want synth.Config, seed int64) {
-	t.Helper()
-	gotFlat, wantFlat := got, want
-	gotFlat.Growth, wantFlat.Growth = nil, nil
-	gotFlat.LifeShift, wantFlat.LifeShift = nil, nil
-	if !reflect.DeepEqual(gotFlat, wantFlat) {
-		t.Errorf("config fields differ:\n got %+v\nwant %+v", gotFlat, wantFlat)
-	}
-	if (got.Growth == nil) != (want.Growth == nil) || (got.LifeShift == nil) != (want.LifeShift == nil) {
-		t.Fatalf("schedule presence differs: growth %v/%v lifeshift %v/%v",
-			got.Growth != nil, want.Growth != nil, got.LifeShift != nil, want.LifeShift != nil)
-	}
-	for day := 0; day < want.Days; day++ {
-		if got.Growth != nil {
-			if g, w := got.Growth(day), want.Growth(day); g != w {
-				t.Fatalf("growth(%d) = %v, want %v (must be bit-identical)", day, g, w)
-			}
-		}
-		if got.LifeShift != nil {
-			if g, w := got.LifeShift(day), want.LifeShift(day); g != w {
-				t.Fatalf("lifeshift(%d) = %v, want %v (must be bit-identical)", day, g, w)
-			}
-		}
-	}
-	var gotBuf, wantBuf bytes.Buffer
-	if err := got.Generate(seed).WriteJSON(&gotBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Generate(seed).WriteJSON(&wantBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
-		t.Fatal("compiled config generates different trace bytes than the hardcoded one")
-	}
-}
-
-// TestPresetCompilesToHardcoded: the named presets, round-tripped
-// through their golden JSON, compile to configs byte-identical to the
-// hardcoded synth constructors.
+// TestPresetCompilesToHardcoded: the azure and huawei presets,
+// round-tripped through their golden JSON, compile to the configs the
+// hand-written synth constructors they replaced built. The SHA-256 of
+// the JSON trace each generates at seed 17 was recorded from those
+// constructors before they were deleted; like every simulator digest,
+// it is never re-recorded to make a change pass.
 func TestPresetCompilesToHardcoded(t *testing.T) {
 	cases := []struct {
 		preset string
-		want   func() synth.Config
+		sha    string
 	}{
-		{"azure-like", synth.AzureLike},
-		{"huawei-like", synth.HuaweiLike},
+		{"azure", "a2b3c3ab0493d53ad33b005f9fdaaa36cb1e0cd03a0eac1a58829d8913d93358"},
+		{"huawei", "bb69e90f11c5dc1a2ef3e09ce0d00971dd7c6f2252004abbb4ba7e7ccdb6e4c7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.preset, func(t *testing.T) {
@@ -105,11 +64,18 @@ func TestPresetCompilesToHardcoded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := spec.Compile()
+			cfg, err := spec.Compile()
 			if err != nil {
 				t.Fatal(err)
 			}
-			configsEquivalent(t, got, tc.want(), 17)
+			var buf bytes.Buffer
+			if err := cfg.Generate(17).WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.sha {
+				t.Errorf("trace sha256 %s, want %s", got, tc.sha)
+			}
 		})
 	}
 }

@@ -1,31 +1,46 @@
 package workload
 
-// Named presets. "azure-like" and "huawei-like" compile to the exact
-// hardcoded synth.AzureLike()/HuaweiLike() configs (golden-pinned by
-// golden_test.go); "mixed" is the three-cohort heterogeneous scenario
-// the README documents — interactive Poisson traffic, a bursty Gamma
-// batch tier, and a regular Weibull GPU tier over the Azure catalog.
+import "repro/internal/synth"
+
+// Named presets, the one definition of the scenarios standing in for
+// the paper's two clouds (§3): "azure" for the Azure V1 trace (strong
+// diurnal pattern, no growth) and "huawei" for the Huawei Cloud trace
+// (growth that levels off, lifetimes that shorten over the history —
+// Figure 8's regime change). "mixed" is the README's three-cohort
+// scenario: interactive Poisson traffic, a bursty Gamma batch tier, and
+// a regular Weibull GPU tier over the Azure catalog.
 
 // PresetNames lists the named presets in stable order.
 func PresetNames() []string {
-	return []string{"azure-like", "huawei-like", "mixed"}
+	return []string{"azure", "huawei", "mixed"}
 }
 
 // Preset returns a fresh copy of the named preset spec, or nil if the
 // name is unknown. Callers own the returned spec and may mutate it.
 func Preset(name string) *Spec {
 	switch name {
-	case "azure-like":
-		return azureLikeSpec()
-	case "huawei-like":
-		return huaweiLikeSpec()
+	case "azure":
+		return azureSpec()
+	case "huawei":
+		return huaweiSpec()
 	case "mixed":
 		return mixedSpec()
 	}
 	return nil
 }
 
-func azureLikeSpec() *Spec {
+// PresetConfig is Load for callers that name a preset literally. The
+// presets compile (golden_test.go), so it panics only on a misspelt
+// name, with Load's error listing the presets.
+func PresetConfig(name string) synth.Config {
+	_, cfg, err := Load(name)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+func azureSpec() *Spec {
 	return &Spec{
 		Version: SpecVersion,
 		Name:    "AzureLike",
@@ -58,11 +73,11 @@ func azureLikeSpec() *Spec {
 	}
 }
 
-func huaweiLikeSpec() *Spec {
+func huaweiSpec() *Spec {
 	return &Spec{
 		Version: SpecVersion,
 		Name:    "HuaweiLike",
-		Days:    60,
+		Days:    60, // scaled stand-in for the paper's 10 months
 		Users:   300,
 		Flavors: FlavorsSpec{Catalog: "huawei259"},
 		Arrival: ArrivalBlock{
@@ -104,7 +119,7 @@ func huaweiLikeSpec() *Spec {
 }
 
 func mixedSpec() *Spec {
-	s := azureLikeSpec()
+	s := azureSpec()
 	s.Name = "MixedCohorts"
 	s.Cohorts = []CohortSpec{
 		{

@@ -2,16 +2,13 @@ package workload
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -29,7 +26,7 @@ import (
 const RecordVersion = 1
 
 // MaxRecordBytes bounds a trace-record document (a full 30-day
-// AzureLike generation serializes well under 10 MB).
+// azure-preset generation serializes well under 10 MB).
 const MaxRecordBytes = 64 << 20
 
 // maxRecordVMs caps the declared and actual VM count of a record.
@@ -224,32 +221,6 @@ func (r *Record) Verify(tr *trace.Trace) error {
 		}
 	}
 	return nil
-}
-
-// ModelTag derives a short stable tag from the model's flavor-stage
-// weights and dimensions. Two models trained identically share a tag;
-// any weight difference changes it, so a replay against the wrong
-// model is detectable before the byte-compare fails.
-func ModelTag(m *core.Model) string {
-	if m == nil || m.Flavor == nil {
-		return ""
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeU64(uint64(m.Flavor.K))
-	writeU64(uint64(m.Flavor.HistoryDays))
-	if m.Flavor.Net != nil {
-		for _, p := range m.Flavor.Net.Params() {
-			for _, v := range p.Value.Data {
-				writeU64(math.Float64bits(v))
-			}
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Recorder appends records to a JSONL file, safe for concurrent

@@ -10,7 +10,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/survival"
-	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -24,7 +23,7 @@ var (
 func replayModel(t testing.TB) *core.Model {
 	t.Helper()
 	modelOnce.Do(func() {
-		cfg := synth.AzureLike()
+		cfg := PresetConfig("azure")
 		cfg.Days = 2
 		cfg.Users = 40
 		cfg.BaseRate = 1.5
@@ -65,7 +64,7 @@ func newEngine(t *testing.T, m *core.Model, shards int) core.GenEngine {
 // sharded one.
 func TestReplayByteIdentityAcrossEngines(t *testing.T) {
 	m := replayModel(t)
-	tag := ModelTag(m)
+	tag := core.ModelTag(m)
 	if tag == "" {
 		t.Fatal("empty model tag")
 	}
@@ -122,7 +121,7 @@ func TestReplayWrongSeedDiverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecord("test", core.EngineBatched, "f64", ModelTag(m), 5, w, 0, tr)
+	rec := NewRecord("test", core.EngineBatched, "f64", core.ModelTag(m), 5, w, 0, tr)
 	rec.Seed = 6
 	got, err := eng.Generate(context.Background(), rng.New(rec.Seed), rec.Window(), rec.Scale)
 	if err != nil {
@@ -130,17 +129,5 @@ func TestReplayWrongSeedDiverges(t *testing.T) {
 	}
 	if rec.Verify(got) == nil {
 		t.Fatal("replay at the wrong seed should diverge")
-	}
-}
-
-// TestModelTagStability: the tag is a pure function of the weights —
-// stable across calls, different for a different model.
-func TestModelTagStability(t *testing.T) {
-	m := replayModel(t)
-	if ModelTag(m) != ModelTag(m) {
-		t.Fatal("tag not stable")
-	}
-	if ModelTag(nil) != "" {
-		t.Fatal("nil model should tag empty")
 	}
 }

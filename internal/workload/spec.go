@@ -3,10 +3,11 @@
 // client cohorts — per-cohort rate fractions, arrival processes
 // (Poisson, bursty Gamma, Weibull, all with CV knobs), flavor and
 // lifetime distribution overrides, SLO classes, and diurnal/trend
-// schedules — that compiles to a synth.Config, plus named presets that
-// reproduce the hardcoded AzureLike/HuaweiLike scenarios exactly, and a
-// versioned trace record/replay format (record.go) so traffic emitted
-// by /generate or the experiments can be replayed deterministically.
+// schedules — that compiles to a synth.Config, the named presets that
+// are the only definition of the scenarios standing in for the paper's
+// two clouds (presets.go), and a versioned trace record/replay format
+// (record.go) so traffic emitted by /generate or the experiments can be
+// replayed deterministically.
 //
 // Parsing is strict (unknown fields are errors) and validates before
 // allocating anything proportional to declared sizes: a hostile spec or
@@ -22,6 +23,8 @@ import (
 	"math"
 	"os"
 	"strings"
+
+	"repro/internal/synth"
 )
 
 // SpecVersion is the current workload-spec grammar version. Version 1
@@ -93,8 +96,8 @@ type ArrivalBlock struct {
 }
 
 // ScheduleSpec is a declarative day-indexed schedule: the workload
-// grammar's stand-in for the closed-over Growth/LifeShift functions of
-// the hardcoded presets. Day index is normalized to x = day/days.
+// grammar's form of synth.Config's Growth/LifeShift functions. Day
+// index is normalized to x = day/days.
 type ScheduleSpec struct {
 	// Kind selects the curve: "logistic" (growth that levels off,
 	// base + amplitude/(1+exp(-steepness*(x-midpoint)))) or
@@ -196,23 +199,28 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return s, nil
 }
 
-// Load resolves a -workload-spec argument: the named preset, else the
-// spec file at that path. The file is read through a LimitReader, so an
-// oversized one fails on the MaxSpecBytes cap without being read whole.
-func Load(arg string) (*Spec, error) {
-	if spec := Preset(arg); spec != nil {
-		return spec, nil
+// Load resolves the scenario a command's -cloud flag names — the named
+// preset, else the spec file at that path — and compiles it. The file
+// is read through a LimitReader, so an oversized one fails on the
+// MaxSpecBytes cap without being read whole.
+func Load(arg string) (*Spec, synth.Config, error) {
+	spec := Preset(arg)
+	if spec == nil {
+		f, err := os.Open(arg)
+		if err != nil {
+			return nil, synth.Config{}, fmt.Errorf("workload: spec %q is neither a preset %v nor a readable file: %w", arg, PresetNames(), err)
+		}
+		defer f.Close()
+		data, err := io.ReadAll(io.LimitReader(f, MaxSpecBytes+1))
+		if err != nil {
+			return nil, synth.Config{}, fmt.Errorf("workload: read spec %s: %w", arg, err)
+		}
+		if spec, err = ParseSpec(data); err != nil {
+			return nil, synth.Config{}, err
+		}
 	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return nil, fmt.Errorf("workload: spec %q is neither a preset %v nor a readable file: %w", arg, PresetNames(), err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, MaxSpecBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("workload: read spec %s: %w", arg, err)
-	}
-	return ParseSpec(data)
+	cfg, err := spec.Compile()
+	return spec, cfg, err
 }
 
 // Marshal serializes the spec as indented JSON (the golden-file and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -151,14 +152,15 @@ func TestCompileFlavorResolution(t *testing.T) {
 	}
 }
 
-// TestLoad: a preset name wins, a path is read and parsed, and an
-// oversized or missing file is an error.
+// TestLoad: a preset name wins, a path is read and parsed, the example
+// spec file is the mixed preset, and an oversized or missing file is an
+// error.
 func TestLoad(t *testing.T) {
-	if spec, err := Load("mixed"); err != nil || spec.Name != "MixedCohorts" {
-		t.Fatalf("Load(mixed) = %v, %v", spec, err)
+	if spec, cfg, err := Load("mixed"); err != nil || spec.Name != "MixedCohorts" || len(cfg.Cohorts) != 3 {
+		t.Fatalf("Load(mixed) = %v, %d cohorts, %v", spec, len(cfg.Cohorts), err)
 	}
 	dir := t.TempDir()
-	data, err := Preset("huawei-like").Marshal()
+	data, err := Preset("huawei").Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +172,15 @@ func TestLoad(t *testing.T) {
 	if err := os.WriteFile(big, append(data, bytes.Repeat([]byte(" "), MaxSpecBytes)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if spec, err := Load(good); err != nil || spec.Name != "HuaweiLike" {
+	if spec, cfg, err := Load(good); err != nil || spec.Name != "HuaweiLike" || cfg.Flavors.K() != 259 {
 		t.Fatalf("Load(file) = %v, %v", spec, err)
 	}
+	example := filepath.Join("..", "..", "examples", "workloads", "mixed.json")
+	if spec, _, err := Load(example); err != nil || !reflect.DeepEqual(spec, Preset("mixed")) {
+		t.Fatalf("Load(%s) = %+v, %v; want the mixed preset", example, spec, err)
+	}
 	for path, want := range map[string]string{big: "cap", filepath.Join(dir, "none.json"): "neither a preset"} {
-		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), want) {
+		if _, _, err := Load(path); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Load(%s) err = %v, want substring %q", path, err, want)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 const resumeEpochs = 3
@@ -21,7 +22,7 @@ const resumeEpochs = 3
 // the kill/resume property tests.
 func resumeFixture(t *testing.T) (train *trace.Trace, catalog *trace.FlavorSet, testW trace.Window) {
 	t.Helper()
-	cfg := synth.AzureLike()
+	cfg := workload.PresetConfig("azure")
 	cfg.Days = 3
 	cfg.Users = 60
 	cfg.BaseRate = 1.5

@@ -34,7 +34,10 @@
 #     weight once per window (no mat.MulABT call in internal/{core,nn});
 #     and the rule that the decode engine takes its shape from the host
 #     (no shard-count or stream-cap field on core.EngineSpec or
-#     server.Server, no such flag in cmd/traced);
+#     server.Server, no such flag in cmd/traced); and the rule that
+#     internal/workload's presets are the one scenario definition (no
+#     synth.AzureLike/HuaweiLike, no -workload-spec or -flavors flag, no
+#     internal/core import in internal/workload);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -176,5 +179,18 @@ if grep -nE '^[[:space:]]+Shards[[:space:]]+int\b' \
 	echo "check.sh: a decode shard-count or stream-cap knob is back; the engine takes its shape from par.Procs()" >&2
 	exit 1
 fi
+# One scenario definition (DESIGN.md §9): internal/workload's presets
+# are the only definition of the two clouds and -cloud is the one flag
+# that picks a scenario, so internal/synth may not declare the
+# AzureLike/HuaweiLike constructors again, no command may declare a
+# -workload-spec or -flavors flag (cmd/traced's "flavors" journal key is
+# not a flag), and no non-test file of internal/workload may import
+# internal/core (whose tests build their histories from the presets).
+if grep -nE '^func (AzureLike|HuaweiLike)\(' $(find internal/synth -name '*.go') ||
+	grep -nE 'flag\.[A-Za-z0-9]+\((&[^,]+,[[:space:]]*)?"(workload-spec|flavors)"' $(find cmd -name '*.go') ||
+	grep -n '"repro/internal/core"' $(find internal/workload -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: a second scenario definition or selector is back; the workload presets and -cloud are the only ones" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + deadcode OK"

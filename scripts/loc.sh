@@ -15,9 +15,9 @@
 # Run from the repository root: scripts/loc.sh
 set -eu
 
-ceiling_go=6412
+ceiling_go=6441
 ceiling_asm=1492
-ceiling_module=16857
+ceiling_module=16756
 
 total_go=0
 total_asm=0
