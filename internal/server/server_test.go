@@ -387,29 +387,34 @@ func (w *failingWriter) Write(b []byte) (int, error) {
 }
 
 // TestGenerateWriteErrorStopsResponse breaks the connection part-way
-// through a /generate body in both formats: the handler must write
-// nothing after the failing write (no error object appended to the cut
-// body, no second WriteHeader) and count the failure once on
-// generate.write_errors.
+// through a one-day /generate body in both formats, inside the
+// encoder's first 32 KiB chunk (at 100 bytes) and inside its second (at
+// 40 000): the handler must write nothing after the failing write (no
+// error object appended to the cut body, no second WriteHeader) and
+// count the failure once on generate.write_errors.
 func TestGenerateWriteErrorStopsResponse(t *testing.T) {
 	shared := testServer(t)
 	for _, format := range []string{"csv", "json"} {
 		t.Run(format, func(t *testing.T) {
-			s := New(shared.model, shared.catalog) // a registry of its own
-			w := &failingWriter{header: http.Header{}, limit: 100}
-			body := fmt.Sprintf(`{"periods": %d, "seed": 7, "format": %q}`, trace.PeriodsPerDay, format)
-			s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/generate", strings.NewReader(body)))
-			if !w.failed {
-				t.Fatalf("body of %d bytes never reached the %d-byte limit", w.n, w.limit)
-			}
-			if w.lateWrites != 0 {
-				t.Errorf("%d writes after the failing one, want none", w.lateWrites)
-			}
-			if w.lateHeader != 0 {
-				t.Errorf("%d WriteHeader calls after the body started, want none", w.lateHeader)
-			}
-			if got := s.Metrics().Counter("generate.write_errors").Value(); got != 1 {
-				t.Errorf("generate.write_errors = %d, want 1", got)
+			for _, limit := range []int{100, 40000} {
+				t.Run(fmt.Sprint(limit), func(t *testing.T) {
+					s := New(shared.model, shared.catalog) // a registry of its own
+					w := &failingWriter{header: http.Header{}, limit: limit}
+					body := fmt.Sprintf(`{"periods": %d, "seed": 7, "format": %q}`, trace.PeriodsPerDay, format)
+					s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/generate", strings.NewReader(body)))
+					if !w.failed {
+						t.Fatalf("body of %d bytes never reached the %d-byte limit", w.n, w.limit)
+					}
+					if w.lateWrites != 0 {
+						t.Errorf("%d writes after the failing one, want none", w.lateWrites)
+					}
+					if w.lateHeader != 0 {
+						t.Errorf("%d WriteHeader calls after the body started, want none", w.lateHeader)
+					}
+					if got := s.Metrics().Counter("generate.write_errors").Value(); got != 1 {
+						t.Errorf("generate.write_errors = %d, want 1", got)
+					}
+				})
 			}
 		})
 	}

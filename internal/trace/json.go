@@ -16,6 +16,8 @@ type jsonTrace struct {
 	VMs     []jsonVM    `json:"vms"`
 }
 
+// jsonVM is one VM of the wire format. ReadJSON decodes it; WriteJSON
+// appends the same keys in the same order by hand.
 type jsonVM struct {
 	ID       int     `json:"id"`
 	User     int     `json:"user"`
@@ -26,24 +28,6 @@ type jsonVM struct {
 }
 
 const jsonVersion = 1
-
-// WriteJSON serializes the trace (catalog included) as JSON.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	jt := jsonTrace{
-		Version: jsonVersion,
-		Periods: t.Periods,
-		Flavors: t.Flavors.Defs,
-		VMs:     make([]jsonVM, len(t.VMs)),
-	}
-	for i, vm := range t.VMs {
-		jt.VMs[i] = jsonVM{
-			ID: vm.ID, User: vm.User, Flavor: vm.Flavor,
-			Start: vm.Start, Duration: vm.Duration, Censored: vm.Censored,
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(jt)
-}
 
 // ReadJSON parses a trace written by WriteJSON.
 func ReadJSON(r io.Reader) (*Trace, error) {

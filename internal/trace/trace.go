@@ -9,6 +9,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -209,7 +210,7 @@ func (t *Trace) SortVMs() {
 }
 
 // Validate checks trace invariants: VM periods in range, flavors in
-// range, non-negative durations.
+// range, finite non-negative durations.
 func (t *Trace) Validate() error {
 	for i, vm := range t.VMs {
 		if vm.Start < 0 || vm.Start >= t.Periods {
@@ -218,37 +219,14 @@ func (t *Trace) Validate() error {
 		if vm.Flavor < 0 || vm.Flavor >= t.Flavors.K() {
 			return fmt.Errorf("trace: VM %d flavor %d outside [0,%d)", i, vm.Flavor, t.Flavors.K())
 		}
-		if vm.Duration < 0 {
-			return fmt.Errorf("trace: VM %d negative duration %v", i, vm.Duration)
+		if vm.Duration < 0 || math.IsNaN(vm.Duration) || math.IsInf(vm.Duration, 0) {
+			return fmt.Errorf("trace: VM %d duration %v is negative or not finite", i, vm.Duration)
 		}
 		if i > 0 && t.VMs[i].Start < t.VMs[i-1].Start {
 			return fmt.Errorf("trace: VMs out of order at %d", i)
 		}
 	}
 	return nil
-}
-
-// WriteCSV serializes the trace VMs as CSV with a header row.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "user", "flavor", "start_period", "duration_s", "censored"}); err != nil {
-		return err
-	}
-	for _, vm := range t.VMs {
-		rec := []string{
-			strconv.Itoa(vm.ID),
-			strconv.Itoa(vm.User),
-			strconv.Itoa(vm.Flavor),
-			strconv.Itoa(vm.Start),
-			strconv.FormatFloat(vm.Duration, 'g', -1, 64),
-			strconv.FormatBool(vm.Censored),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // ReadCSV parses a trace written by WriteCSV. The caller supplies the

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -167,10 +168,12 @@ func TestValidate(t *testing.T) {
 	if bad2.Validate() == nil {
 		t.Fatal("expected period error")
 	}
-	bad3 := sample()
-	bad3.VMs[0].Duration = -5
-	if bad3.Validate() == nil {
-		t.Fatal("expected duration error")
+	for _, d := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad3 := sample()
+		bad3.VMs[0].Duration = d
+		if bad3.Validate() == nil {
+			t.Fatalf("expected duration error for %v", d)
+		}
 	}
 }
 
@@ -231,6 +234,13 @@ func TestReadCSVErrors(t *testing.T) {
 	outOfRange := "id,user,flavor,start_period,duration_s,censored\n0,1,9,0,5,false\n"
 	if _, err := ReadCSV(strings.NewReader(outOfRange), fs, 10); err == nil {
 		t.Fatal("expected validate error")
+	}
+	// ParseFloat reads these; JSON cannot hold them, so Validate refuses.
+	for _, d := range []string{"NaN", "+Inf", "Inf", "-Inf"} {
+		row := "id,user,flavor,start_period,duration_s,censored\n0,1,0,0," + d + ",false\n"
+		if _, err := ReadCSV(strings.NewReader(row), fs, 10); err == nil {
+			t.Fatalf("expected validate error for duration %s", d)
+		}
 	}
 }
 

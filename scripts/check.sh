@@ -37,7 +37,9 @@
 #     server.Server, no such flag in cmd/traced); and the rule that
 #     internal/workload's presets are the one scenario definition (no
 #     synth.AzureLike/HuaweiLike, no -workload-spec or -flavors flag, no
-#     internal/core import in internal/workload);
+#     internal/core import in internal/workload); and the rule that
+#     internal/trace has one trace encoder (no csv.NewWriter or
+#     json.NewEncoder in its non-test files);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -192,5 +194,14 @@ if grep -nE '^func (AzureLike|HuaweiLike)\(' $(find internal/synth -name '*.go')
 	echo "check.sh: a second scenario definition or selector is back; the workload presets and -cloud are the only ones" >&2
 	exit 1
 fi
+# One trace encoder (DESIGN.md §7): WriteCSV and WriteJSON append into
+# one fixed 32 KiB chunk, so no non-test file of internal/trace may
+# encode a trace through encoding/csv's writer or encoding/json's
+# encoder, which build a string per field or the whole document.
+if grep -nE 'csv\.NewWriter|json\.NewEncoder' \
+	$(find internal/trace -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: internal/trace encodes through csv.NewWriter or json.NewEncoder; append into the chunk writer instead" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + deadcode OK"

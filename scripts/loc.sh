@@ -17,7 +17,7 @@ set -eu
 
 ceiling_go=6441
 ceiling_asm=1492
-ceiling_module=16756
+ceiling_module=16874
 
 total_go=0
 total_asm=0
