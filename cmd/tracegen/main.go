@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -87,6 +88,10 @@ func main() {
 	epochs := flag.Int("epochs", 40, "training epochs")
 	verbose := flag.Bool("v", false, "log training progress to stderr")
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "tracegen: -scale %v: want a positive finite number\n", *scale)
+		os.Exit(2)
+	}
 
 	spec, cfg, err := workload.Load(*cloud)
 	if err != nil {
@@ -133,17 +138,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trained on %d VMs in %v\n", len(train.VMs), time.Since(start).Round(time.Millisecond))
 	}
 
-	model.RateScale = *scale
+	scaled, err := core.Tilted(model, core.WhatIf{RateScale: *scale})
+	if err != nil {
+		fatalf("%v", err)
+	}
 	futureW := trace.Window{
 		Start: history.Periods,
 		End:   history.Periods + *genDays*trace.PeriodsPerDay,
 	}
 	genSeed := *seed + 1
-	generated := core.WithCatalog(model.Generate(rng.New(genSeed), futureW), cfg.Flavors)
+	generated := core.WithCatalog(scaled.Generate(rng.New(genSeed), futureW), cfg.Flavors)
 
 	if *recordPath != "" {
-		// RateScale is baked into the model here, so the record's scale
-		// is what a replay must pass to Generate to reproduce the bytes.
+		// The record names the unscaled model and the scale: a replay
+		// passing that scale to its Engine.Generate folds the same
+		// intercept + log scale, so it reproduces the bytes.
 		rec := workload.NewRecord("tracegen", "serial", "f64", core.ModelTag(model),
 			genSeed, futureW, *scale, generated)
 		sink, err := workload.OpenRecorder(*recordPath)

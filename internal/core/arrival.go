@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ckpt"
@@ -156,16 +157,19 @@ func (m *ArrivalModel) encode(dst []float64, period, dohDay int) {
 // Rate returns the Poisson mean for a period using the given DOH day
 // (ignored when the model was trained without DOH features).
 func (m *ArrivalModel) Rate(period, dohDay int) float64 {
-	return m.RateInto(make([]float64, m.featureDim()), period, dohDay)
+	x := make([]float64, m.featureDim())
+	m.encode(x, period, dohDay)
+	return m.Reg.Rate(x)
 }
 
-// RateInto is Rate with caller-owned feature scratch (len must be
-// featureDim()), so per-period rate queries on the decode hot path —
-// every genStream period transition — allocate nothing. The scratch is fully overwritten; values are identical to
-// Rate's.
-func (m *ArrivalModel) RateInto(scratch []float64, period, dohDay int) float64 {
+// rateInto is Rate with caller-owned feature scratch (len must be
+// featureDim(), fully overwritten) and the intercept b given:
+// exp(W·x + b). Per-period rate queries on the decode hot path — every
+// genStream period transition — allocate nothing, and a stream passes
+// its rate scale folded into b.
+func (m *ArrivalModel) rateInto(scratch []float64, period, dohDay int, b float64) float64 {
 	m.encode(scratch, period, dohDay)
-	return m.Reg.Rate(scratch)
+	return math.Exp(mat.Dot(m.Reg.W, scratch) + b)
 }
 
 // SampleCount draws an arrival count for a period, sampling the DOH day

@@ -21,15 +21,16 @@ import (
 // The decode contract (DESIGN.md §5), stated once:
 //
 //	GIVEN a golden row of TestGenerateTraceGolden or TestF32TraceGolden:
-//	      a model with its knobs, a window, and n streams split serially
-//	      from one seed;
+//	      a model with its knobs (a what-if folded in by Tilted, a job
+//	      cap), a window, and n streams split serially from one seed;
 //	WHEN  the streams are decoded by any path at the row's precision:
 //	      GenerateBatch or GenerateBatchShardedF32 in one call or in
 //	      chunks, the batch dealt over any number of shards, or
 //	      concurrent requests through NewGenEngine at any shard count
 //	      (one per par worker when it is built), a batch cap below n
-//	      and the rate scale passed per request, with or without a
-//	      request trace; at any REPRO_PROCS, on either kernel tier;
+//	      and the rate scale passed per request instead of folded in,
+//	      with or without a request trace; at any REPRO_PROCS, on
+//	      either kernel tier;
 //	THEN  the sha256 of the n traces' JSON is the row's recorded digest.
 //
 // Each contractRow is one such decode, and its oracle is always the
@@ -185,10 +186,18 @@ func (r contractRow) decode(t *testing.T, g generateGolden) [][]byte {
 		}
 		return traceAll(t, g.m.generateBatchSharded(gs, g.w, r.shards, PrecisionF64))
 	}
-	// The engine takes the rate scale per request, so its model carries
-	// none: an engine that ignored the request's scale would show. Its
-	// shard count is the par worker count it is built at.
-	m := withKnobs(g.m, g.m.Tilt, 0, g.m.MaxJobsPerPeriod)
+	// The engine takes the rate scale per request, so it serves the
+	// row's base with only the tilt folded in: an engine that ignored the
+	// request's scale, or a scale fold that differed from the per-request
+	// one, would show. Its shard count is the par worker count it is
+	// built at.
+	m := g.m
+	if g.what.RateScale != 0 {
+		tilt := g.what
+		tilt.RateScale = 0
+		m = mustTilted(g.base, tilt)
+		m.MaxJobsPerPeriod = g.m.MaxJobsPerPeriod
+	}
 	par.SetProcs(cmp.Or(r.shards, r.procs))
 	eng, err := NewGenEngine(m, EngineSpec{MaxBatch: g.n - 1, Precision: r.prec})
 	par.SetProcs(r.procs)
@@ -200,7 +209,7 @@ func (r contractRow) decode(t *testing.T, g generateGolden) [][]byte {
 	if r.path == "engine+trace" {
 		tc = rtrace.NewTracer(g.n)
 	}
-	return generateAll(t, eng, gs, g.w, g.m.RateScale, tc)
+	return generateAll(t, eng, gs, g.w, g.what.RateScale, tc)
 }
 
 // runContract decodes the contract rows that name t's test and compares
@@ -304,7 +313,7 @@ func TestShardedEngineMatchesSerial(t *testing.T) { runContract(t) }
 func TestEngineF32ConcurrentDeterministic(t *testing.T) { runContract(t) }
 
 // TestEngineScale: the per-request rate scale through one engine
-// equals Model.RateScale.
+// equals the scale folded into the model by Tilted.
 func TestEngineScale(t *testing.T) { runContract(t) }
 
 // TestShardedEngineScale: the per-request rate scale through K = 1 and

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -58,13 +61,13 @@ type genSpan struct {
 // new day, the batch count, then per flavor step the token, and per job
 // the lifetime bin and duration.
 type genStream struct {
-	m     *Model
-	g     *rng.RNG
-	w     trace.Window
-	scale float64
-	out   *trace.Trace
-	ctx   context.Context // optional; non-nil only for served streams
-	err   error           // context error on aborted streams
+	m   *Model
+	g   *rng.RNG
+	w   trace.Window
+	b   float64 // arrival intercept + log scale: the one rate is exp(W·x + b)
+	out *trace.Trace
+	ctx context.Context // optional; non-nil only for served streams
+	err error           // context error on aborted streams
 
 	phase streamPhase
 	frow  int // flavor fleet row
@@ -92,7 +95,7 @@ type genStream struct {
 	prevBin  int
 	prevCens bool
 
-	// Arrival feature scratch for RateInto, so period transitions on
+	// Arrival feature scratch for rateInto, so period transitions on
 	// the decode hot path allocate nothing.
 	arrF []float64
 
@@ -110,15 +113,16 @@ type genStream struct {
 	done chan engineResult
 }
 
-// newGenStream starts one generation: it draws the initial DOH day and
-// advances to the first period with work, so the stream is immediately
-// steppable (or already done).
+// newGenStream starts one generation at the given arrival-rate scale
+// (positive and finite): it draws the initial DOH day and advances to
+// the first period with work, so the stream is immediately steppable
+// (or already done).
 func (m *Model) newGenStream(g *rng.RNG, w trace.Window, scale float64, ctx context.Context) *genStream {
 	s := &genStream{
 		m:       m,
 		g:       g,
 		w:       w,
-		scale:   scale,
+		b:       m.Arrival.Reg.Intercept + math.Log(scale),
 		ctx:     ctx,
 		out:     &trace.Trace{Flavors: &trace.FlavorSet{Defs: m.flavorDefs()}, Periods: w.Periods()},
 		prevTok: EOBToken(m.Flavor.K),
@@ -143,7 +147,7 @@ func (s *genStream) startPeriod() {
 			s.curDay = d
 			s.dohDay = m.Arrival.DOH.Sample(s.g)
 		}
-		nBatches := s.g.Poisson(m.Arrival.RateInto(s.arrF, s.p, s.dohDay) * s.scale)
+		nBatches := s.g.Poisson(m.Arrival.rateInto(s.arrF, s.p, s.dohDay, s.b))
 		if nBatches == 0 {
 			continue
 		}
@@ -166,17 +170,18 @@ func (s *genStream) encodeFlavor(dst []float64) {
 }
 
 // consumeFlavor finishes one flavor step from the head logits: sample
-// the token (softmax, tilt, Categorical, then the max-jobs override,
-// which forces EOB but still spends the draw), record it, and roll the
-// period machine forward.
+// the token (softmax, then Categorical) and take it.
 func (s *genStream) consumeFlavor(logits, probs []float64) {
-	m := s.m
 	// Vectorized but bit-identical to nn.SoftmaxInto.
 	nn.SoftmaxIntoVec(logits, probs)
-	if !m.Tilt.isZero() {
-		m.Tilt.apply(probs, m.Flavor.K)
-	}
-	tok := s.g.Categorical(probs)
+	s.takeFlavor(s.g.Categorical(probs))
+}
+
+// takeFlavor records a sampled flavor token, after the max-jobs
+// override (which forces EOB but has still spent the draw), and rolls
+// the period machine forward.
+func (s *genStream) takeFlavor(tok int) {
+	m := s.m
 	eob := EOBToken(m.Flavor.K)
 	if s.jobs >= m.maxJobs() {
 		tok = eob
@@ -459,7 +464,7 @@ func (m *Model) decodeQueue(gs []*rng.RNG, first, stride int, w trace.Window, ou
 	next, done := first, 0
 	for done < n {
 		for e.active() < capacity && next < len(gs) {
-			s := m.newGenStream(gs[next], w, m.rateScale(), nil)
+			s := m.newGenStream(gs[next], w, 1, nil)
 			s.slot = next
 			e.admit(s)
 			next += stride
@@ -524,18 +529,18 @@ func newEngine(m *Model, maxBatch int, prec Precision) *Engine {
 }
 
 // Generate decodes one trace through the shared batch, blocking until
-// its stream retires. scale multiplies the arrival rate (0 means 1,
-// matching Model.RateScale). It is safe for concurrent use; the
-// result for a given (g, w, scale) is byte-identical to the one-stream
-// m.Generate with Model.RateScale = scale. On context cancellation
-// the stream is aborted at the next fleet step and ctx.Err() is
-// returned.
+// its stream retires. scale multiplies the arrival rate (0 means 1; a
+// negative or non-finite scale is an error). It is safe for concurrent
+// use; the result for a given (g, w, scale) is byte-identical to the
+// one-stream Generate of Tilted(m, WhatIf{RateScale: scale}). On context
+// cancellation the stream is aborted at the next fleet step and
+// ctx.Err() is returned.
 func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*trace.Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if scale == 0 {
-		scale = 1
+	if scale = cmp.Or(scale, 1); !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("core: rate scale %v is not positive and finite", scale)
 	}
 	// A traced request's "queue" span starts here, so it still covers
 	// the stream set-up below.

@@ -40,6 +40,27 @@ func testArrivalModel(rate float64) *ArrivalModel {
 	return m
 }
 
+// TestEngineRejectsInvalidScale: a negative or non-finite rate scale is
+// an error returned to its caller, and the engine keeps serving.
+func TestEngineRejectsInvalidScale(t *testing.T) {
+	m := tinyGenModel()
+	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
+	e := newEngine(m, 4, PrecisionF64)
+	defer e.Close()
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if tr, err := e.Generate(context.Background(), rng.New(1), w, scale); err == nil || tr != nil {
+			t.Errorf("scale %v: Generate = %v, %v; want an error", scale, tr, err)
+		}
+	}
+	tr, err := e.Generate(context.Background(), rng.New(1), w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(traceBytes(t, tr), traceBytes(t, m.Generate(rng.New(1), w))) {
+		t.Fatal("trace after rejected scales differs from one-stream Generate")
+	}
+}
+
 // TestEngineCancellation submits a request with an already-cancelled
 // context plus one cancelled mid-flight; both must return ctx errors
 // while other streams complete normally.

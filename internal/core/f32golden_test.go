@@ -28,9 +28,9 @@ const (
 // where f32 logits genuinely differ from f64.
 func f32Goldens(f *fixture) []generateGolden {
 	day := trace.Window{Start: 0, End: trace.PeriodsPerDay}
-	rows := []generateGolden{{"f32/tiny", tinyGenModel(), day, 20210521, 8, goldenF32TracesTiny}}
+	rows := []generateGolden{golden("f32/tiny", tinyGenModel(), WhatIf{}, 0, day, 20210521, 8, goldenF32TracesTiny)}
 	if f != nil {
-		rows = append(rows, generateGolden{"f32/trained", f.model, f.testW, 321, 6, goldenF32TracesTrained})
+		rows = append(rows, golden("f32/trained", f.model, WhatIf{}, 0, f.testW, 321, 6, goldenF32TracesTrained))
 	}
 	return rows
 }

@@ -28,19 +28,36 @@ import (
 // re-record one to make a decode refactor pass.
 type generateGolden struct {
 	name string
-	m    *Model
+	m    *Model // base with what folded in by Tilted and the job cap set
 	w    trace.Window
 	seed int64
 	n    int
 	want string
+	// The row's knobs. The engine rows serve base with what's tilt
+	// folded in and pass its rate scale per request.
+	base *Model
+	what WhatIf
 }
 
-// withKnobs is a shallow copy of m with the three decode knobs set: the
-// flavor tilt, the arrival-rate scale and the per-period job cap.
-func withKnobs(m *Model, tilt WhatIf, scale float64, maxJobs int) *Model {
-	c := *m
-	c.Tilt, c.RateScale, c.MaxJobsPerPeriod = tilt, scale, maxJobs
-	return &c
+// golden builds a row decoding base with the what-if folded in by
+// Tilted and a per-period job cap of maxJobs (0: the default). A row
+// with neither decodes base itself.
+func golden(name string, base *Model, what WhatIf, maxJobs int, w trace.Window, seed int64, n int, want string) generateGolden {
+	m := base
+	if what.EOBFactor != 0 || what.FlavorFactors != nil || what.RateScale != 0 || maxJobs != 0 {
+		m = mustTilted(base, what)
+		m.MaxJobsPerPeriod = maxJobs
+	}
+	return generateGolden{name: name, m: m, w: w, seed: seed, n: n, want: want, base: base, what: what}
+}
+
+// mustTilted is Tilted for what-ifs a test knows to be valid.
+func mustTilted(m *Model, what WhatIf) *Model {
+	t, err := Tilted(m, what)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // tinyGoldens are the rows on the untrained tiny model, which need no
@@ -50,10 +67,10 @@ func tinyGoldens() []generateGolden {
 	day := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	tilt := WhatIf{EOBFactor: 0.8, FlavorFactors: []float64{1.2, 0.9, 1}}
 	return []generateGolden{
-		{"tiny/day", tinyGenModel(), day, 20210521, 8, "74d8a726d32b3ad3b7b6be0a7f50955963d05933acc77e008988ead661e84bc9"},
-		{"tiny/past-history", tinyGenModel(), trace.Window{Start: 3 * trace.PeriodsPerDay, End: 4 * trace.PeriodsPerDay}, 20210521, 4, "10b8255cac26731b44e5ede569224fba434c525e38208f8f837029d7c3251781"},
-		{"tiny/tilt+cap5", withKnobs(tinyGenModel(), tilt, 0, 5), trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}, 5, 9, "7d858846fb08344828274574d65934a92a5e51f11405cf3b64c786bdab001618"},
-		{"tiny/scale3", withKnobs(tinyGenModel(), WhatIf{}, 3, 0), day, 42, 4, "ee0c3c4d8e315ad657f6f4f827f2ba825be932f172379230fcb086f3c1a4d488"},
+		golden("tiny/day", tinyGenModel(), WhatIf{}, 0, day, 20210521, 8, "74d8a726d32b3ad3b7b6be0a7f50955963d05933acc77e008988ead661e84bc9"),
+		golden("tiny/past-history", tinyGenModel(), WhatIf{}, 0, trace.Window{Start: 3 * trace.PeriodsPerDay, End: 4 * trace.PeriodsPerDay}, 20210521, 4, "10b8255cac26731b44e5ede569224fba434c525e38208f8f837029d7c3251781"),
+		golden("tiny/tilt+cap5", tinyGenModel(), tilt, 5, trace.Window{Start: 0, End: 2 * trace.PeriodsPerDay}, 5, 9, "7d858846fb08344828274574d65934a92a5e51f11405cf3b64c786bdab001618"),
+		golden("tiny/scale3", tinyGenModel(), WhatIf{RateScale: 3}, 0, day, 42, 4, "ee0c3c4d8e315ad657f6f4f827f2ba825be932f172379230fcb086f3c1a4d488"),
 	}
 }
 
@@ -62,9 +79,9 @@ func tinyGoldens() []generateGolden {
 func trainedGoldens(f *fixture) []generateGolden {
 	day := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	return []generateGolden{
-		{"trained/day", f.model, day, 321, 6, "2e5249d2c2763c81fac0d719aeb3a84701e10100741252bf86783d4e077f0998"},
-		{"trained/testW", f.model, f.testW, 321, 6, "e9354f7e9e57b05b82c1ee996032bb25a125dc04ffeec86d26b1ac261c181ffd"},
-		{"trained/tilt+scale3+cap5", withKnobs(f.model, WhatIf{EOBFactor: 0.7}, 3, 5), f.testW, 7, 3, "61e31958f39bf4e77c0a847340c769f824bd01a654166af5160b591bbf4beb86"},
+		golden("trained/day", f.model, WhatIf{}, 0, day, 321, 6, "2e5249d2c2763c81fac0d719aeb3a84701e10100741252bf86783d4e077f0998"),
+		golden("trained/testW", f.model, WhatIf{}, 0, f.testW, 321, 6, "e9354f7e9e57b05b82c1ee996032bb25a125dc04ffeec86d26b1ac261c181ffd"),
+		golden("trained/tilt+scale3+cap5", f.model, WhatIf{EOBFactor: 0.7, RateScale: 3}, 5, f.testW, 7, 3, "61e31958f39bf4e77c0a847340c769f824bd01a654166af5160b591bbf4beb86"),
 	}
 }
 
@@ -115,8 +132,9 @@ func TestGenerateTraceGolden(t *testing.T) {
 			if r.m.MaxJobsPerPeriod == 0 {
 				continue
 			}
-			uncapped := r
-			uncapped.m = withKnobs(r.m, r.m.Tilt, r.m.RateScale, 0)
+			uncapped, um := r, *r.m
+			um.MaxJobsPerPeriod = 0
+			uncapped.m = &um
 			if digest(uncapped.generate(t)) == digest(got) {
 				t.Errorf("%s: the job cap never fired", r.name)
 			}

@@ -24,21 +24,16 @@ type Model struct {
 	Flavor   *FlavorModel
 	Lifetime *LifetimeModel
 	Interp   survival.Interpolation
-	// RateScale multiplies the sampled arrival rate (the single-knob 10×
-	// stress-test of §6.2 and footnote 5). Zero means 1.
-	RateScale float64
-	// Tilt optionally post-processes the flavor LSTM's output
-	// probabilities before sampling (the footnote-5 what-if knobs).
-	Tilt WhatIf
 	// MaxJobsPerPeriod caps runaway flavor sequences; once hit, EOB
 	// tokens are forced. Zero means 2000.
 	MaxJobsPerPeriod int
 
 	// f32 caches the float32 weight conversion built by PrepareF32.
 	// Shallow Model copies (callers copy the Model by value to override
-	// RateScale) share the conversion through this pointer,
-	// so PrepareF32 on the original covers every copy. All three caches
-	// are filled lazily under prepareMu (pack.go).
+	// MaxJobsPerPeriod) share the conversion through this pointer, so
+	// PrepareF32 on the original covers every copy; Tilted's deep copies
+	// start with all three caches empty. The caches are filled lazily
+	// under prepareMu (pack.go).
 	f32 *ModelF32
 
 	// packed and packed32 cache the panel-packed serving weights built
@@ -89,13 +84,6 @@ func TrainModel(tr *trace.Trace, opt ModelOptions) (*Model, error) {
 
 // Name implements Generator.
 func (m *Model) Name() string { return "LSTM" }
-
-func (m *Model) rateScale() float64 {
-	if m.RateScale == 0 {
-		return 1
-	}
-	return m.RateScale
-}
 
 func (m *Model) maxJobs() int {
 	if m.MaxJobsPerPeriod == 0 {

@@ -154,10 +154,8 @@ func TestGenerateValidAndPlausible(t *testing.T) {
 
 func TestGenerateRateScale(t *testing.T) {
 	f := getFixture(t)
-	base := *f.model
-	base.RateScale = 1
-	scaled := *f.model
-	scaled.RateScale = 5
+	base := f.model
+	scaled := mustTilted(f.model, WhatIf{RateScale: 5})
 	nBase := len(base.Generate(rng.New(3), f.testW).VMs)
 	nScaled := len(scaled.Generate(rng.New(3), f.testW).VMs)
 	ratio := float64(nScaled) / float64(nBase)

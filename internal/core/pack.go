@@ -23,9 +23,9 @@ type ModelPacked[T float32 | float64] struct {
 // prepareMu guards the lazy builds of every Model's serving caches (f32,
 // packed, packed32), so concurrent decodes of a fresh model build each
 // cache once and never race on it. It is one package-level lock rather
-// than a sync.Once per Model because Model is copied by value (TenX, the
-// what-if example, the tests), which a lock field would turn into a vet
-// copylocks error. A cache is built once per model and precision; after
+// than a sync.Once per Model because Model is copied by value (to set
+// MaxJobsPerPeriod, in the tests), which a lock field would turn into a
+// vet copylocks error. A cache is built once per model and precision; after
 // that the lock guards a nil check.
 var prepareMu sync.Mutex
 

@@ -11,7 +11,8 @@ import (
 
 // fuzzF32 builds the tiny model once, round-trips it through the
 // serving-snapshot serialization, and prepares both models' f32
-// conversions; the fuzz body only decodes.
+// conversions; the fuzz body folds its scale into fresh copies of each
+// with Tilted and decodes.
 var fuzzF32 = sync.OnceValues(func() (*Model, *Model) {
 	m := tinyGenModel()
 	blob, err := m.MarshalBinary()
@@ -44,9 +45,7 @@ func FuzzSnapshotDecodeF32(f *testing.F) {
 		m, restored := fuzzF32()
 		w := trace.Window{Start: 0, End: 1 + int(periods)%(2*trace.PeriodsPerDay)}
 		decode := func(mm *Model) []byte {
-			mm = &Model{Arrival: mm.Arrival, Flavor: mm.Flavor, Lifetime: mm.Lifetime,
-				Interp: mm.Interp, RateScale: scale, f32: mm.f32}
-			out := mm.GenerateBatchShardedF32([]*rng.RNG{rng.New(seed)}, w, 0)
+			out := mustTilted(mm, WhatIf{RateScale: scale}).GenerateBatchShardedF32([]*rng.RNG{rng.New(seed)}, w, 0)
 			var buf bytes.Buffer
 			if err := out[0].WriteJSON(&buf); err != nil {
 				t.Fatal(err)

@@ -6,8 +6,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/features"
+	"repro/internal/mat/mattest"
+	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/survival"
+	"repro/internal/trace"
 )
 
 // TestFlavorInputEncodingQuick checks the flavor step encoding is a
@@ -106,36 +109,65 @@ func TestLifetimeTargetsQuick(t *testing.T) {
 	}
 }
 
-// TestWhatIfApplyQuick checks tilted distributions remain distributions.
+// TestWhatIfApplyQuick checks that a what-if folded in by Tilted, zero
+// factors included, leaves the flavor head a distribution: at f64 and
+// f32, on both kernel tiers, every step's probabilities sum to 1, and a
+// zero-factor flavor has probability 0 and is never sampled, neither in
+// the steps nor in a decoded trace. Factors that forbid every flavor are
+// an error.
 func TestWhatIfApplyQuick(t *testing.T) {
-	f := func(p1, p2, p3 uint8, eobRaw uint8, f1, f2 uint8) bool {
-		probs := []float64{
-			float64(p1) + 1, float64(p2) + 1, float64(p3) + 1,
-		}
-		var total float64
-		for _, v := range probs {
-			total += v
-		}
-		for i := range probs {
-			probs[i] /= total
-		}
-		w := WhatIf{
-			EOBFactor:     float64(eobRaw)/32 + 0.01,
-			FlavorFactors: []float64{float64(f1) / 64, float64(f2) / 64},
-		}
-		w.apply(probs, 2)
-		var sum float64
-		for _, v := range probs {
-			if v < 0 || math.IsNaN(v) {
-				return false
+	base := tinyGenModel()
+	k := base.Flavor.K
+	w8 := trace.Window{Start: 0, End: 8}
+	mattest.BothTiersUnraced(t, func(t *testing.T) {
+		f := func(eobRaw uint8, raw [3]uint8, seed int64) bool {
+			w := WhatIf{EOBFactor: float64(eobRaw) / 32, FlavorFactors: make([]float64, k)}
+			allowed := false
+			for i, r := range raw {
+				w.FlavorFactors[i] = float64(r%8) / 4 // zero one time in eight
+				allowed = allowed || r%8 != 0
 			}
-			sum += v
+			m, err := Tilted(base, w)
+			if !allowed || err != nil {
+				return !allowed && err != nil
+			}
+			for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+				ff, _ := m.newFleets(1, prec)
+				rows := []int{ff.Admit()}
+				probs := make([]float64, k+1)
+				g := rng.New(seed)
+				tok := EOBToken(k)
+				for p := 0; p < 20; p++ {
+					m.Flavor.encodeFlavorInput(ff.InputRow(0), tok, p, 0)
+					nn.SoftmaxIntoVec(ff.Step(rows).Row(0), probs)
+					var sum float64
+					for i, v := range probs {
+						if v < 0 || math.IsNaN(v) || (i < k && w.FlavorFactors[i] == 0 && v != 0) {
+							return false
+						}
+						sum += v
+					}
+					if math.Abs(sum-1) > 1e-9 {
+						return false
+					}
+					tok = g.Categorical(probs)
+				}
+				tr := m.Generate(rng.New(seed), w8)
+				if prec == PrecisionF32 {
+					tr = m.GenerateBatchShardedF32([]*rng.RNG{rng.New(seed)}, w8, 0)[0]
+				}
+				for _, vm := range tr.VMs {
+					if w.FlavorFactors[vm.Flavor] == 0 {
+						return false
+					}
+				}
+			}
+			return true
 		}
-		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSampleBinQuick checks SampleBin always returns a valid index for

@@ -12,10 +12,10 @@ import (
 
 // GenEngine is a serving decode engine: concurrent Generate calls,
 // each byte-identical to the one-stream decode of its seed at the
-// engine's precision — Model.Generate with Model.RateScale = scale (0
-// meaning 1) at f64, a one-stream GenerateBatchShardedF32 at f32. Close
-// fails queued requests with ErrEngineClosed and releases the engine's
-// resources.
+// engine's precision — Model.Generate of Tilted(m, WhatIf{RateScale:
+// scale}) (0 meaning 1) at f64, a one-stream GenerateBatchShardedF32 of
+// it at f32. Close fails queued requests with ErrEngineClosed and
+// releases the engine's resources.
 //
 // There is one engine kind: continuous batching on every core, one
 // Engine per shard behind the least-loaded router (DESIGN.md §6.2; at

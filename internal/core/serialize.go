@@ -14,28 +14,30 @@ import (
 	"repro/internal/survival"
 )
 
-// ModelTag derives a short stable tag from the model's flavor-stage
-// weights and dimensions, the model_tag of a workload trace record. Two
-// models trained identically share a tag; any weight difference changes
-// it, so a replay against the wrong model is detectable before the
+// ModelTag derives a short stable tag from the model's dimensions and
+// the weights of all three stages (the arrival coefficients and
+// intercept, the flavor net, the lifetime net), the model_tag of a
+// workload trace record. Two models trained identically share a tag; any
+// weight difference changes it, a what-if folded in by Tilted included,
+// so a replay against the wrong model is detectable before the
 // byte-compare fails.
 func ModelTag(m *Model) string {
-	if m == nil || m.Flavor == nil {
+	if m == nil || m.Arrival == nil || m.Flavor == nil || m.Lifetime == nil {
 		return ""
 	}
 	h := fnv.New64a()
 	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	write := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
 	}
-	writeU64(uint64(m.Flavor.K))
-	writeU64(uint64(m.Flavor.HistoryDays))
-	if m.Flavor.Net != nil {
-		for _, p := range m.Flavor.Net.Params() {
-			for _, v := range p.Value.Data {
-				writeU64(math.Float64bits(v))
-			}
+	write(float64(m.Flavor.K), float64(m.Flavor.HistoryDays), m.Arrival.Reg.Intercept)
+	write(m.Arrival.Reg.W...)
+	for _, n := range []*nn.LSTM{m.Flavor.Net, m.Lifetime.Net} {
+		for _, p := range n.Params() {
+			write(p.Value.Data...)
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

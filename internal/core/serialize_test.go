@@ -147,14 +147,32 @@ func TestModelSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestModelTagStability: the tag is a pure function of the weights —
-// stable across calls, different for a different model.
+// TestModelTagStability: the tag is a pure function of the weights of
+// all three stages — stable across calls, different when the arrival
+// intercept or a lifetime weight differs.
 func TestModelTagStability(t *testing.T) {
 	m := tinyModel(t)
-	if ModelTag(m) != ModelTag(m) {
+	tag := ModelTag(m)
+	if ModelTag(m) != tag {
 		t.Fatal("tag not stable")
 	}
 	if ModelTag(nil) != "" {
 		t.Fatal("nil model should tag empty")
+	}
+	b := m.Arrival.Reg.Intercept
+	m.Arrival.Reg.Intercept++
+	if ModelTag(m) == tag {
+		t.Error("tag ignores the arrival intercept")
+	}
+	m.Arrival.Reg.Intercept = b
+	w := m.Lifetime.Net.Params()[0].Value.Data
+	w0 := w[0]
+	w[0]++
+	if ModelTag(m) == tag {
+		t.Error("tag ignores the lifetime weights")
+	}
+	w[0] = w0
+	if ModelTag(m) != tag {
+		t.Fatal("tag not restored with the weights")
 	}
 }

@@ -173,9 +173,7 @@ func TestEngineRegistry(t *testing.T) {
 
 	w := trace.Window{Start: 0, End: trace.PeriodsPerDay}
 	want := traceBytes(t, m.Generate(rng.New(7), w))
-	ms := *m
-	ms.RateScale = 2
-	wantScaled := traceBytes(t, ms.Generate(rng.New(7), w))
+	wantScaled := traceBytes(t, mustTilted(m, WhatIf{RateScale: 2}).Generate(rng.New(7), w))
 	defer par.SetProcs(par.SetProcs(2))
 	for _, kind := range []string{"", EngineBatched} {
 		e, err := NewGenEngine(m, EngineSpec{Kind: kind, MaxBatch: 4})
@@ -194,7 +192,7 @@ func TestEngineRegistry(t *testing.T) {
 			t.Fatalf("kind %q scaled: %v", kind, err)
 		}
 		if !bytes.Equal(traceBytes(t, tr), wantScaled) {
-			t.Fatalf("kind %q: scaled trace differs from one-stream Generate at that RateScale", kind)
+			t.Fatalf("kind %q: scaled trace differs from one-stream Generate of the model with that scale folded in", kind)
 		}
 		e.Close()
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -252,10 +253,11 @@ type TenXResult struct {
 // line of code", footnote 5) and verifies the reuse and FFAR shapes
 // survive, using arrivals-only packings as in the paper's variation.
 func TenX(c *Cloud) TenXResult {
-	base := *c.Model()
-	base.RateScale = 1
-	scaled := *c.Model()
-	scaled.RateScale = 10
+	base := c.Model()
+	scaled, err := core.Tilted(base, core.WhatIf{RateScale: 10})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: tenx %s: %v", c.ID, err))
+	}
 	g := rng.New(c.Scale.Seed + 51)
 	tr1 := core.WithCatalog(base.Generate(g.Split(), c.TestW), c.Full.Flavors)
 	tr10 := core.WithCatalog(scaled.Generate(g.Split(), c.TestW), c.Full.Flavors)

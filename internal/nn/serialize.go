@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -75,8 +76,9 @@ func checkLSTMConfig(c Config) error {
 
 // UnmarshalBinary restores a network previously serialized with
 // MarshalBinary; the receiver's architecture is replaced. The config is
-// validated with checkLSTMConfig before anything is sized from it, and
-// a failed decode leaves the receiver untouched.
+// validated with checkLSTMConfig before anything is sized from it, every
+// weight must be finite (−∞ is allowed in the head bias only), and a
+// failed decode leaves the receiver untouched.
 func (n *LSTM) UnmarshalBinary(data []byte) error {
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	var cfg Config
@@ -102,6 +104,11 @@ func (n *LSTM) UnmarshalBinary(data []byte) error {
 		}
 		if len(vals) != len(p.Value.Data) {
 			return fmt.Errorf("nn: unmarshal: param %q has %d values, want %d", p.Name, len(vals), len(p.Value.Data))
+		}
+		for i, v := range vals { // −∞ in the head bias forbids an output (a what-if)
+			if math.IsNaN(v) || math.IsInf(v, 1) || (math.IsInf(v, -1) && p != fresh.by) {
+				return fmt.Errorf("nn: unmarshal: param %q value %d is %v", p.Name, i, v)
+			}
 		}
 		copy(p.Value.Data, vals)
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,39 @@ func TestUnmarshalRejectsCorruptInput(t *testing.T) {
 		var l LSTM
 		if err := l.UnmarshalBinary(data); err == nil {
 			t.Errorf("LSTM %s: decoded without error", name)
+		}
+	}
+}
+
+// TestUnmarshalRejectsNonFiniteWeights: a NaN or ±Inf weight in any
+// param fails the decode, except −∞ in the head bias — an output a
+// what-if forbids — which round-trips.
+func TestUnmarshalRejectsNonFiniteWeights(t *testing.T) {
+	n := NewLSTM(Config{InputDim: 3, HiddenDim: 4, Layers: 2, OutputDim: 3}, rng.New(5))
+	for _, p := range n.Params() {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			i := len(p.Value.Data) / 2
+			old := p.Value.Data[i]
+			p.Value.Data[i] = bad
+			blob, err := n.MarshalBinary()
+			p.Value.Data[i] = old
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back LSTM
+			err = back.UnmarshalBinary(blob)
+			if p.Name == "head.by" && math.IsInf(bad, -1) {
+				if err != nil {
+					t.Fatalf("head.by entry -Inf: %v", err)
+				}
+				if got := back.HeadBias()[i]; !math.IsInf(got, -1) {
+					t.Fatalf("head.by entry -Inf decoded as %v", got)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s entry %v decoded without error", p.Name, bad)
+			}
 		}
 	}
 }

@@ -68,6 +68,10 @@ func xavierInit(w *mat.Dense, fanIn, fanOut int, g *rng.RNG) {
 // Params returns all learnable parameters (for the optimizer and tests).
 func (n *LSTM) Params() []*Param { return n.params }
 
+// HeadBias returns the output head's bias, one entry per output: the
+// network's own storage, so a write moves that output's every logit.
+func (n *LSTM) HeadBias() []float64 { return n.by.Value.Data }
+
 // NumParams returns the total number of scalar parameters.
 func (n *LSTM) NumParams() int {
 	total := 0

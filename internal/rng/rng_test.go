@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -56,6 +57,27 @@ func TestPoissonZeroAndNegative(t *testing.T) {
 	g := New(1)
 	if g.Poisson(0) != 0 || g.Poisson(-3) != 0 {
 		t.Fatal("Poisson of non-positive mean should be 0")
+	}
+}
+
+// TestPoissonPanicsOnNaNOrInf: a NaN or +Inf mean panics instead of
+// spinning in the rejection sampler. Each call runs in a goroutine under
+// a deadline, so a sampler that loops fails the test rather than hanging.
+func TestPoissonPanicsOnNaNOrInf(t *testing.T) {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1)} {
+		panicked := make(chan bool, 1)
+		go func() {
+			defer func() { panicked <- recover() != nil }()
+			New(1).Poisson(lambda)
+		}()
+		select {
+		case p := <-panicked:
+			if !p {
+				t.Errorf("Poisson(%v) returned instead of panicking", lambda)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Poisson(%v) still running after 5 s", lambda)
+		}
 	}
 }
 

@@ -39,7 +39,10 @@
 #     synth.AzureLike/HuaweiLike, no -workload-spec or -flavors flag, no
 #     internal/core import in internal/workload); and the rule that
 #     internal/trace has one trace encoder (no csv.NewWriter or
-#     json.NewEncoder in its non-test files);
+#     json.NewEncoder in its non-test files); and the rule that a what-if
+#     has one mechanism, core.Tilted's fold into the weights (no RateScale
+#     or Tilt field on core.Model, no run-time WhatIf.apply, no
+#     examples/modelrelease);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -203,5 +206,19 @@ if grep -nE 'csv\.NewWriter|json\.NewEncoder' \
 	echo "check.sh: internal/trace encodes through csv.NewWriter or json.NewEncoder; append into the chunk writer instead" >&2
 	exit 1
 fi
+# One what-if mechanism (DESIGN.md §5): core.Tilted folds a what-if
+# into a copy's weights, so a released snapshot is the whole artifact and
+# decode's one run-time knob is the per-request rate scale. So
+# core.Model may not carry a RateScale or Tilt field again, no non-test
+# file of internal/core may declare the run-time WhatIf.apply, and
+# examples/modelrelease, which had to hand its consumer the knobs, stays
+# deleted (its workflow is TestModelReleaseCarriesWhatIf).
+if awk '/^type Model struct/,/^}/' $(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go') |
+	grep -nE '^[[:space:]]+(RateScale|Tilt)[[:space:]]' ||
+	grep -n 'func (w WhatIf) apply' $(find internal/core -maxdepth 1 -name '*.go' ! -name '*_test.go') ||
+	[ -d examples/modelrelease ]; then
+	echo "check.sh: a run-time what-if knob is back; fold the what-if into the weights with core.Tilted" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + deadcode OK"
