@@ -303,6 +303,9 @@ func main() {
 	}
 
 	s := server.NewWithRegistry(model, cfg.Flavors, reg)
+	if err := model.Arrival.CheckScale(s.MaxScale); err != nil {
+		log.Fatalf("traced: %v", err)
+	}
 	s.TrainInfo = trainInfo
 	s.Precision = *precision
 	s.Workload = spec.Summary()

@@ -172,6 +172,22 @@ func (m *ArrivalModel) rateInto(scratch []float64, period, dohDay int, b float64
 	return math.Exp(mat.Dot(m.Reg.W, scratch) + b)
 }
 
+// CheckScale reports an error when the arrival rate can overflow at a
+// rate scale up to maxScale, where a stream's Poisson draw would panic.
+// Every arrival feature is 0 or 1, so b + log maxScale + Σ max(w, 0)
+// bounds every period's log-rate. It must stay at most 709 (exp(709) ≈
+// 8.2e307), whose margin to the overflow at ~709.78 absorbs rounding.
+func (m *ArrivalModel) CheckScale(maxScale float64) error {
+	bound := m.Reg.Intercept + math.Log(maxScale)
+	for _, w := range m.Reg.W {
+		bound += max(w, 0)
+	}
+	if !(bound <= 709) {
+		return fmt.Errorf("core: arrival log-rate bound %g at scale %g exceeds 709", bound, maxScale)
+	}
+	return nil
+}
+
 // SampleCount draws an arrival count for a period, sampling the DOH day
 // per the model's sampler (§2.1.2).
 func (m *ArrivalModel) SampleCount(g *rng.RNG, period int) int {

@@ -534,7 +534,9 @@ func newEngine(m *Model, maxBatch int, prec Precision) *Engine {
 // use; the result for a given (g, w, scale) is byte-identical to the
 // one-stream Generate of Tilted(m, WhatIf{RateScale: scale}). On context
 // cancellation the stream is aborted at the next fleet step and
-// ctx.Err() is returned.
+// ctx.Err() is returned. A stream whose arrival rate overflows panics
+// in its Poisson draw, so a server bounds the scale and rejects, at
+// load, a model that fails ArrivalModel.CheckScale at that bound.
 func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*trace.Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -542,6 +544,19 @@ func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale
 	if scale = cmp.Or(scale, 1); !(scale > 0) || math.IsInf(scale, 1) {
 		return nil, fmt.Errorf("core: rate scale %v is not positive and finite", scale)
 	}
+	s, err := e.submit(ctx, g, w, scale)
+	if err != nil {
+		return nil, err
+	}
+	res := <-s.done
+	return res.tr, res.err
+}
+
+// submit builds a request's stream and queues it, under the read lock.
+// The deferred unlock releases the lock even when the stream set-up
+// panics, which a leaked read lock would turn into a Close (a reload or
+// a shutdown) that never returns.
+func (e *Engine) submit(ctx context.Context, g *rng.RNG, w trace.Window, scale float64) (*genStream, error) {
 	// A traced request's "queue" span starts here, so it still covers
 	// the stream set-up below.
 	tr := rtrace.FromContext(ctx)
@@ -550,8 +565,8 @@ func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale
 		submitted = time.Now()
 	}
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.RUnlock()
 		return nil, ErrEngineClosed // before the stream exists: g is untouched
 	}
 	// The stream's up-front draws and first-period set-up run here, on
@@ -564,13 +579,10 @@ func (e *Engine) Generate(ctx context.Context, g *rng.RNG, w trace.Window, scale
 	// silence.
 	select {
 	case e.reqs <- s:
+		return s, nil
 	case <-ctx.Done():
-		e.mu.RUnlock()
 		return nil, ctx.Err()
 	}
-	e.mu.RUnlock()
-	res := <-s.done
-	return res.tr, res.err
 }
 
 // Close stops admitting, finishes the in-flight streams, fails any

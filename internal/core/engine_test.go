@@ -224,6 +224,74 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
+// TestEngineCloseAfterPanickingSetUp: a model whose arrival rate
+// overflows at the request's scale panics in the stream set-up's first
+// Poisson draw, on the caller's goroutine. The engine's read lock is
+// released all the same, so the Close after it returns. CheckScale, the
+// load-time guard, rejects that model at that scale, and a positive
+// weight counts toward its bound.
+func TestEngineCloseAfterPanickingSetUp(t *testing.T) {
+	const scale = 1e6
+	if err := testArrivalModel(1.5).CheckScale(scale); err != nil {
+		t.Fatalf("rate 1.5 at scale %g: %v", scale, err)
+	}
+	heavy := testArrivalModel(1)
+	heavy.Reg.W[3] = 800
+	if heavy.CheckScale(1) == nil {
+		t.Error("CheckScale accepted a weight of 800, whose period rate overflows")
+	}
+	m := tinyGenModel()
+	m.Arrival = testArrivalModel(1e305)
+	if m.Arrival.CheckScale(scale) == nil {
+		t.Fatalf("CheckScale accepted rate 1e305 at scale %g", scale)
+	}
+	e := newEngine(m, 2, PrecisionF64)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("stream set-up at an overflowing rate did not panic")
+			}
+		}()
+		e.Generate(context.Background(), rng.New(1), trace.Window{Start: 0, End: trace.PeriodsPerDay}, scale)
+	}()
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked after a panicking stream set-up: the read lock leaked")
+	}
+}
+
+// TestCancelledStreamRetiresNextRound: a stream whose context is
+// cancelled mid-decode leaves the fleet in the very next round, with
+// the context's error, and the streams beside it keep decoding.
+func TestCancelledStreamRetiresNextRound(t *testing.T) {
+	m := tinyGenModel()
+	w := trace.Window{Start: 0, End: 400 * trace.PeriodsPerDay} // long-lived streams
+	fe := newFleetEngine(m, 4, PrecisionF64)
+	ctx, cancel := context.WithCancel(context.Background())
+	victim := m.newGenStream(rng.New(1), w, 1, ctx)
+	fe.admit(victim)
+	fe.admit(m.newGenStream(rng.New(2), w, 1, context.Background()))
+	for i := 0; i < 20; i++ {
+		if len(fe.round()) != 0 {
+			t.Fatal("a stream retired during warm-up; widen the window")
+		}
+	}
+	cancel()
+	retired := fe.round()
+	if len(retired) != 1 || retired[0] != victim || victim.err != context.Canceled {
+		t.Fatalf("the round after the cancel retired %d streams (victim's err %v), want the victim with context.Canceled", len(retired), victim.err)
+	}
+	if fe.active() != 1 || fe.ff.Rows() != 1 || fe.lf.Rows() != 1 {
+		t.Fatalf("after the retirement: %d streams, %d flavor and %d lifetime rows, want 1 each", fe.active(), fe.ff.Rows(), fe.lf.Rows())
+	}
+}
+
 // TestFleetEngineSteadyStateAllocs pins the per-round allocation
 // behavior of a warm fleet round: only the trace VM append and the
 // unavoidable per-stream result growth may allocate, so a round over

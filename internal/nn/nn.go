@@ -90,7 +90,13 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	if len(xs) == 0 {
 		return nil, &Cache{}
 	}
-	ar := n.workspace().flip()
+	return n.forward(n.workspace().flip(), xs, st)
+}
+
+// forward is Forward on the rewound arena ar, which holds every buffer
+// the pass returns: the outputs, the cache and the updated state stay
+// valid until ar is next rewound. xs must not be empty.
+func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	cache := ar.lstmCache(len(n.layers))
 	n.begin(cache, ar, xs)
 	T, b, h := cache.steps, cache.batch, n.Cfg.HiddenDim

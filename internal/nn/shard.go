@@ -2,11 +2,14 @@
 //
 // A minibatch of B independent sequences is split into fixed row-shards
 // (ShardRows rows each — a constant, never a function of the worker
-// count). Each shard runs Forward/Backward on a shadow of the network
-// that shares the weight tensors but owns private gradient buffers (and
-// its own Workspace), so shards never race. What is constant over a
+// count). Each shard runs forward/backward on a shadow of the network
+// that shares the weight tensors but owns private gradient buffers, so
+// shards never race. Its scratch is an arena it borrows from the
+// trainer's free list and hands back once its final state is copied
+// out, so a fit holds one arena per shard running at once, at most
+// min(par.Procs(), shards). What is constant over a
 // window is computed once before the fan-out and shared read-only: the
-// transposed weights every shard's Backward multiplies by, and (once
+// transposed weights every shard's backward multiplies by, and (once
 // per fit, on the first window's full batch) the kernel layer 0's
 // weight gradient takes. As shards finish, the per-shard gradients and
 // losses are committed into the real network in ascending shard order
@@ -16,11 +19,11 @@
 // and every generated trace — is bit-identical for any REPRO_PROCS.
 //
 // All per-window bookkeeping (row-view headers for shard inputs and
-// states, loss/count accumulators, the transposed weights) is allocated
-// once per trainer and rebound each window, keeping the steady-state
-// sharded training loop allocation-free outside the networks' own
-// workspaces, which shadows keep for the trainer's life (DESIGN.md §6.3
-// says why they are not recycled between fits).
+// states, loss/count accumulators, the transposed weights, the arenas)
+// is allocated once per trainer and reused each window, keeping the
+// steady-state sharded training loop allocation-free. The arenas live
+// and die with the trainer (DESIGN.md §6.3 says why they are not
+// recycled between fits).
 package nn
 
 import (
@@ -54,13 +57,13 @@ type ShardDys func(lo, hi int, ys []*mat.Dense) (dys []*mat.Dense, loss float64,
 // shard owns its views exclusively, preserving race freedom.
 type shardViews struct {
 	xv, hv, cv []mat.Dense  // headers over the shard rows of the inputs and the state
-	xs, sH, sC []*mat.Dense // pointer slices over them, handed to Forward
-	sst        State        // shard state handed to Forward
+	xs, sH, sC []*mat.Dense // pointer slices over them, handed to forward
+	sst        State        // shard state handed to forward
 }
 
 // rowViews re-points the headers *hdr at rows [lo, hi) of each of ms
-// and returns the pointer slice *ptr over them. Forward replaces the
-// pointer entries of a state with workspace views, so the headers stay
+// and returns the pointer slice *ptr over them. forward replaces the
+// pointer entries of a state with arena views, so the headers stay
 // owned by the shard and are rebound next window.
 func rowViews(hdr *[]mat.Dense, ptr *[]*mat.Dense, ms []*mat.Dense, lo, hi int) []*mat.Dense {
 	n := len(ms)
@@ -77,8 +80,9 @@ func rowViews(hdr *[]mat.Dense, ptr *[]*mat.Dense, ms []*mat.Dense, lo, hi int) 
 	return p
 }
 
-// Sharded drives sharded minibatch training of an LSTM. Shadows and
-// shard scratch are allocated once and reused across windows and epochs.
+// Sharded drives sharded minibatch training of an LSTM. Shadows, shard
+// bookkeeping and arenas are allocated once and reused across windows
+// and epochs.
 type Sharded struct {
 	net     *LSTM
 	shadows []*LSTM
@@ -93,11 +97,13 @@ type Sharded struct {
 	st  *State
 	dys ShardDys
 
-	// The in-order commit (see commit), guarded by mu: done[r] marks
-	// shard r finished, next is the first shard not yet committed, and
+	// Guarded by mu: the arenas no running shard holds (see takeArena),
+	// and the in-order commit (see commit): done[r] marks shard r
+	// finished, next is the first shard not yet committed, and
 	// committing says a worker holds the commit role. loss and count
 	// are the committed shards' sums.
 	mu         sync.Mutex
+	free       []*arena
 	done       []bool
 	next       int
 	committing bool
@@ -150,7 +156,10 @@ func (s *Sharded) RunWindow(xs []*mat.Dense, st *State, dys ShardDys) (loss floa
 
 // shard is shard si's part of the current window: forward on its
 // shadow over the shard rows from their state, the loss gradients of
-// rows [lo, hi), backward when there are any, and the commit.
+// rows [lo, hi), backward when there are any, and the commit. The
+// shard holds an arena from its forward pass until its final state is
+// copied out; the commit reads the shadow's gradients and the shard's
+// loss and count, none of which live in the arena.
 func (s *Sharded) shard(si int) {
 	lo := si * ShardRows
 	hi := min(lo+ShardRows, s.xs[0].Rows)
@@ -158,27 +167,48 @@ func (s *Sharded) shard(si int) {
 	shadow.ZeroGrads()
 	sv.sst.H = rowViews(&sv.hv, &sv.sH, s.st.H, lo, hi)
 	sv.sst.C = rowViews(&sv.cv, &sv.sC, s.st.C, lo, hi)
-	ys, cache := shadow.Forward(rowViews(&sv.xv, &sv.xs, s.xs, lo, hi), &sv.sst)
+	ar := s.takeArena()
+	ys, cache := shadow.forward(ar, rowViews(&sv.xv, &sv.xs, s.xs, lo, hi), &sv.sst)
 	dys, loss, count := s.dys(lo, hi, ys)
 	if dys != nil {
 		shadow.backward(cache, dys, &s.plan)
 	}
 	s.losses[si], s.counts[si] = loss, count
 	s.st.CopyRows(lo, hi, &sv.sst)
-	s.commit(si)
+	s.commit(si, ar)
 }
 
-// commit marks shard si finished and, unless another worker holds the
-// commit role, takes it: it adds every consecutive finished shard from
-// next on into the net — gradients, loss and count — in ascending
+// takeArena pops a free arena, rewound, or makes one when running
+// shards hold them all, so a trainer makes at most par.Procs(). Which
+// arena a shard gets depends on scheduling and no result does: a shard
+// reads only buffers it has cleared or fully written
+// (TestWorkspaceWarmColdBitIdentical).
+func (s *Sharded) takeArena() *arena {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return &arena{}
+	}
+	ar := s.free[n-1]
+	s.free = s.free[:n-1]
+	ar.reset()
+	return ar
+}
+
+// commit marks shard si finished, puts its arena ar back on the free
+// list and, unless another worker holds the commit role, takes it: it
+// adds every consecutive finished shard from next on into the net —
+// gradients, loss and count — in ascending
 // order, the sequence ((0+P₀)+P₁)+… of a serial reduction after the
 // fan-out, while the shards after them still run. The role is handed
 // back under the lock that marks shards done, so a shard that finishes
 // just as the committer stops finds the role free and commits itself;
 // no worker ever waits for another's shard.
-func (s *Sharded) commit(si int) {
+func (s *Sharded) commit(si int, ar *arena) {
 	s.mu.Lock()
 	s.done[si] = true
+	s.free = append(s.free, ar)
 	if s.committing {
 		s.mu.Unlock()
 		return

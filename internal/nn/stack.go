@@ -89,8 +89,9 @@ func (n *LSTM) ZeroGrads() {
 }
 
 // shadow returns a network sharing n's weight tensors but with private
-// gradient buffers (and, on first use, its own Workspace), for race-free
-// per-shard backward passes. Shadow params carry no Adam moments: only
+// gradient buffers, for race-free per-shard backward passes. It never
+// runs Forward, so it takes no Workspace: Sharded lends each running
+// shard an arena. Shadow params carry no Adam moments: only
 // the real network's params ever reach the optimizer.
 func (n *LSTM) shadow() *LSTM {
 	grad := func(p *Param) *Param {

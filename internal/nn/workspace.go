@@ -16,11 +16,13 @@
 // stored, never how they are computed — kernel call sequence, shapes,
 // and per-element accumulation order are untouched, so reusing buffers
 // is bit-exact with respect to fresh allocation (workspace_test.go
-// proves it). Workspaces are per-network and never shared: sharded
-// training gives every shadow network its own, which is what makes the
-// parallel shard fan-out race-free. Networks lazily take a Workspace
-// from a package free list on first use, so short-lived networks (dev
-// evaluation, ablation sweeps) recycle arenas instead of growing new
+// proves it). Workspaces are per-network and never shared. Sharded
+// training uses none: its shards run on single arenas that the trainer
+// lends out one per running shard (shard.go), so no two running shards
+// share one and the fan-out stays race-free, and a shard's buffers are
+// valid only until it hands its arena back. Networks lazily take a
+// Workspace from a package free list on first use, so a short-lived
+// network that releases its own recycles arenas instead of growing new
 // ones.
 package nn
 

@@ -209,11 +209,12 @@ func shardDys(g *rng.RNG, xs []*mat.Dense, outDim int) ShardDys {
 }
 
 // TestShardedRunWindowSteadyStateAllocs pins the sharded training
-// window. Nothing from the shards' Forward/Backward allocates — the gate
-// scratch comes from each shadow's arena, and the weight transposes
-// every shard reads are the trainer's, refreshed in place before the
-// fan-out — and the in-order commit only takes a mutex, so what is left
-// is the fan-out itself.
+// window. Nothing from the shards' forward/backward allocates — the gate
+// scratch comes from the arena the shard takes from the trainer's free
+// list, and the weight transposes every shard reads are the trainer's,
+// refreshed in place before the fan-out — and the arena hand-off and
+// the in-order commit only take a mutex, so what is left is the fan-out
+// itself.
 func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
 	for _, tc := range allocCases() {
 		t.Run(tc.name+"/lstm", func(t *testing.T) {
@@ -225,11 +226,47 @@ func TestShardedRunWindowSteadyStateAllocs(t *testing.T) {
 			dys := shardDys(rng.New(41), tc.xs, tc.cfg.OutputDim)
 			run := func() { drv.RunWindow(tc.xs, st, dys) }
 			run()
-			run() // warm both arenas of every shadow
+			run() // grow the trainer's arenas to the window's shapes
 			if allocs := testing.AllocsPerRun(20, run); allocs > tc.windowAllocs {
 				t.Errorf("steady-state RunWindow allocates %v times, want <= %v", allocs, tc.windowAllocs)
 			}
 		})
+	}
+}
+
+// TestShardedScratchPerWorker pins the trainer's scratch to the shards
+// that run at once: after flavor- and lifetime-shaped windows at 1, 2
+// and 8 workers, a full batch and a short one, the trainer holds at
+// most min(procs, shards) arenas — exactly one at one worker, where
+// the shards run one after another — all of them back on its free list.
+func TestShardedScratchPerWorker(t *testing.T) {
+	const windows, steps, batch, short = 2, 6, 8, 3
+	for _, cfg := range []Config{
+		{InputDim: 57, HiddenDim: 24, Layers: 2, OutputDim: 17},
+		{InputDim: 151, HiddenDim: 24, Layers: 2, OutputDim: 47},
+	} {
+		xs := commitWindows(cfg.InputDim, windows, steps, batch)
+		for _, procs := range []int{1, 2, 8} {
+			for _, rows := range []int{batch, short} {
+				func() {
+					defer par.SetProcs(par.SetProcs(procs))
+					net := NewLSTM(cfg, rng.New(46))
+					drv, st := NewSharded(net, batch), net.NewState(rows)
+					for w := range xs {
+						win := make([]*mat.Dense, len(xs[w]))
+						for s, x := range xs[w] {
+							win[s] = x.SliceRows(0, rows)
+						}
+						drv.RunWindow(win, st, commitLoss(w))
+					}
+					got, bound := len(drv.free), min(procs, NumShards(rows))
+					if procs == 1 && got != 1 || got > bound {
+						t.Errorf("in %d, %d procs, %d rows: the trainer holds %d arenas, want at most %d (1 at one worker)",
+							cfg.InputDim, procs, rows, got, bound)
+					}
+				}()
+			}
+		}
 	}
 }
 

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -364,6 +369,132 @@ func TestReloadRefusesCatalogMismatch(t *testing.T) {
 	}
 	if len(tr.VMs) == 0 || tr.Flavors.K() != model.Flavor.K {
 		t.Fatalf("served %d VMs over a catalog of %d flavors, want some VMs over %d", len(tr.VMs), tr.Flavors.K(), model.Flavor.K)
+	}
+}
+
+// TestReloadRefusesOverflowingRate: a model whose arrival rate
+// overflows at the server's MaxScale (the Poisson draw of a request at
+// that scale would panic) is refused on reload, and the old snapshot
+// keeps serving; a server built on such a model answers /generate with
+// an engine error, not a panic, and still closes.
+func TestReloadRefusesOverflowingRate(t *testing.T) {
+	s := freshServer(t)
+	defer s.Close()
+	h := s.Handler()
+	model, catalog := s.currentModel(), s.catalog
+	bad, err := core.Tilted(model, core.WhatIf{RateScale: 1e305})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ReloadFunc = func() (*core.Model, *trace.FlavorSet, error) { return bad, catalog, nil }
+	if rec := do(t, h, "POST", "/-/reload", ""); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("overflowing reload: status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if err := s.Reload(bad, catalog); err == nil {
+		t.Error("Reload accepted a model whose rate overflows at MaxScale")
+	}
+	if got := s.reg.Counter("reload.errors").Value(); got != 1 {
+		t.Errorf("reload.errors = %d, want 1", got)
+	}
+	if s.currentModel() != model {
+		t.Error("a refused reload replaced the serving model")
+	}
+	body := `{"periods": 4, "seed": 5}`
+	if rec := do(t, h, "POST", "/generate", body); rec.Code != http.StatusOK {
+		t.Fatalf("generate after the refused reload: status %d: %s", rec.Code, rec.Body.String())
+	}
+
+	direct := NewWithRegistry(bad, catalog, obs.NewRegistry())
+	if rec := do(t, direct.Handler(), "POST", "/generate", body); rec.Code != http.StatusInternalServerError {
+		t.Errorf("generate on an overflowing model: status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	direct.Close()
+}
+
+// TestClientDisconnectMidDecode is the disconnect drill: a client that
+// hangs up while its request decodes has its stream retired (the next
+// round drops it: core's TestCancelledStreamRetiresNextRound), the
+// handler returns without a body and counts http.cancelled rather than
+// an error, the shard's occupancy falls back to zero, and no goroutine
+// outlives the request. It is served over a real connection, so the
+// cancellation comes from the server noticing the closed socket.
+func TestClientDisconnectMidDecode(t *testing.T) {
+	defer par.SetProcs(par.SetProcs(1))
+	s := freshServer(t)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	post := func(ctx context.Context, body string) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/generate", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		return client.Do(req)
+	}
+	gauge := func(name string) int64 { return s.reg.Snapshot().Gauges[name] }
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// A first request starts the engine, whose goroutines belong to the
+	// baseline; the baseline is taken once the count has settled.
+	resp, err := post(context.Background(), `{"periods": 4, "seed": 1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	baseline := runtime.NumGoroutine()
+	for still := 0; still < 5; time.Sleep(20 * time.Millisecond) {
+		if n := runtime.NumGoroutine(); n != baseline {
+			baseline, still = n, 0
+		} else {
+			still++
+		}
+	}
+
+	// Four weeks at a hundred times the rate: minutes of decode, so the
+	// stream is still running when the client goes.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		resp, err := post(ctx, fmt.Sprintf(`{"periods": %d, "seed": 2, "scale": 100}`, s.MaxPeriods))
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("status %d before the client hung up", resp.StatusCode)
+		}
+		done <- err
+	}()
+	waitFor("the stream to decode", func() bool { return gauge("decode.shard_occupancy.0") == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client: %v, want context.Canceled", err)
+	}
+	waitFor("the handler to return", func() bool {
+		return s.reg.Counter("http.cancelled").Value() == 1 && gauge("http.inflight") == 0
+	})
+	if got := gauge("decode.shard_occupancy.0"); got != 0 {
+		t.Errorf("decode.shard_occupancy.0 = %d after the handler returned, want 0", got)
+	}
+	if got := s.reg.Counter("http.errors.generate").Value(); got != 0 {
+		t.Errorf("http.errors.generate = %d, want 0: a hang-up is not a server error", got)
+	}
+	client.CloseIdleConnections()
+	var n int
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if n = runtime.NumGoroutine(); n <= baseline {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the drill, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

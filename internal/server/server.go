@@ -181,10 +181,11 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // building the configured decode engine for the current model on first
 // use (so Precision can be set after New). The same spec is used for
 // engines rebuilt on hot-reload, so the configuration survives Reload;
-// a bad Precision surfaces here as an error rather than at
-// construction. The engine runs one decode shard per internal/par
-// worker (core.EngineSpec.ShardCount): a scheduling choice that changes
-// no response byte, so it is no knob of the server.
+// a bad Precision, or a model whose arrival rate overflows at MaxScale,
+// surfaces here as an error rather than at construction. The engine
+// runs one decode shard per internal/par worker
+// (core.EngineSpec.ShardCount): a scheduling choice that changes no
+// response byte, so it is no knob of the server.
 func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,6 +193,9 @@ func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, erro
 		return nil, nil, nil, errors.New("no model published")
 	}
 	if s.eng == nil {
+		if err := s.model.Arrival.CheckScale(s.MaxScale); err != nil {
+			return nil, nil, nil, err
+		}
 		eng, err := core.NewGenEngine(s.model, core.EngineSpec{Obs: s.reg, Precision: core.Precision(s.Precision)})
 		if err != nil {
 			return nil, nil, nil, err
@@ -228,10 +232,14 @@ func (s *Server) currentModel() *core.Model {
 // still queued there fail with core.ErrEngineClosed and are retried by
 // handleGenerate against the new engine with their original seed, so no
 // request is dropped and no response changes bytes. A pair that fails
-// CheckCatalog is refused with its error, and the current snapshot
-// keeps serving.
+// CheckCatalog, or whose arrival rate overflows at MaxScale
+// (core.ArrivalModel.CheckScale), is refused with its error, and the
+// current snapshot keeps serving.
 func (s *Server) Reload(model *core.Model, catalog *trace.FlavorSet) error {
 	if err := CheckCatalog(model, catalog); err != nil {
+		return err
+	}
+	if err := model.Arrival.CheckScale(s.MaxScale); err != nil {
 		return err
 	}
 	// /readyz reports not-ready for the whole swap (including the old

@@ -42,7 +42,9 @@
 #     json.NewEncoder in its non-test files); and the rule that a what-if
 #     has one mechanism, core.Tilted's fold into the weights (no RateScale
 #     or Tilt field on core.Model, no run-time WhatIf.apply, no
-#     examples/modelrelease);
+#     examples/modelrelease); and the rule that a training fit keeps one
+#     arena per running shard (internal/nn/shard.go never calls the
+#     workspace-flipping LSTM.Forward);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -74,12 +76,13 @@ go test -race -run 'TestDeterminism|TestObservability|TestKillAndResume' .
 # Sharded decode tier (DESIGN.md §6.2): the determinism, placement and
 # hot-reload guarantees must hold when the per-core schedulers genuinely
 # step on multiple cores, so force GOMAXPROCS=4 regardless of the host
-# default.
+# default. The sharded trainer's arena free list, which its running
+# shards share, and the client-disconnect drill run here too.
 GOMAXPROCS=4 go test -race \
-	-run 'TestEngineConcurrent|TestShardedEngine|TestEngineF32Concurrent|TestPrecisionRegistryMatrix|TestTracedDecode|TestRouterBalancesInFlight|TestFleetConcurrentShards' \
+	-run 'TestEngineConcurrent|TestShardedEngine|TestEngineF32Concurrent|TestPrecisionRegistryMatrix|TestTracedDecode|TestRouterBalancesInFlight|TestFleetConcurrentShards|TestShardedScratchPerWorker' \
 	./internal/core ./internal/nn
 GOMAXPROCS=4 go test -race \
-	-run 'TestHotReloadUnderLoad|TestReloadWithEveryShardBusy|TestMetricsShardGauges|TestShardedServerMatchesOneStreamDecode' \
+	-run 'TestHotReloadUnderLoad|TestReloadWithEveryShardBusy|TestMetricsShardGauges|TestShardedServerMatchesOneStreamDecode|TestClientDisconnectMidDecode' \
 	./internal/server
 
 # Memory-discipline pins: the fleet round path, the fleet step kernel at
@@ -220,5 +223,14 @@ if awk '/^type Model struct/,/^}/' $(find internal/core -maxdepth 1 -name '*.go'
 	echo "check.sh: a run-time what-if knob is back; fold the what-if into the weights with core.Tilted" >&2
 	exit 1
 fi
+# One arena per running shard (DESIGN.md §6.1): a shard runs forward on
+# an arena it borrows from the trainer's free list, so a fit holds at
+# most par.Procs() arenas. LSTM.Forward flips the network's own
+# two-arena Workspace, which on the shadows would put two arenas on
+# every shard again, so internal/nn/shard.go may not call it.
+if grep -n '\.Forward(' internal/nn/shard.go; then
+	echo "check.sh: internal/nn/shard.go calls LSTM.Forward; run the shard on a borrowed arena with forward" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + deadcode OK"
