@@ -3,9 +3,16 @@
 //
 // Usage:
 //
-//	experiments [-full] [-cloud both|azure|huawei|mixed|spec.json] [-exp all|table1|fig4|fig5|fig6|table2|table3|table4|fig7|fig8|fig9|table5|tenx|censoring|joint|forecast|heads] [-seed N] [-journal run.jsonl] [-results out.json] [-export dir]
+//	experiments [-full] [-cloud both|azure|huawei|mixed|spec.json] [-exp all|NAME,...] [-seed N] [-journal run.jsonl] [-results out.json] [-export dir]
 //	experiments -cloud mixed -exp table2
 //	experiments -replay-trace served.jsonl -exp table2,fig9
+//	experiments -exp tune
+//
+// -h lists the -exp names (experiments.Names). all is every table and
+// figure of the record; tune, the paper's §4.2 development-set grid
+// searches (the arrival ridge penalty, the geometric DOH probability,
+// the LSTMs' learning rate and weight decay) on each cloud's own train
+// and dev windows, runs only when named.
 //
 // The default scale is the fast test configuration; -full uses the
 // larger configuration (several minutes of LSTM training per cloud).
@@ -71,7 +78,7 @@ func main() {
 	full := flag.Bool("full", false, "run the larger FullScale configuration")
 	cloud := flag.String("cloud", "both", "both, or one scenario: a workload preset (azure, huawei, mixed) or a JSON spec file")
 	replayTrace := flag.String("replay-trace", "", "use the first record in this file (workload record format) as the ground-truth history instead of generating one")
-	exp := flag.String("exp", "all", "comma-separated experiments to run (all, table1, fig4, fig5, fig6, table2, table3, table4, fig7, fig8, fig9, table5, tenx, censoring, joint, forecast, heads)")
+	exp := flag.String("exp", "all", "comma-separated experiments to run ("+strings.Join(experiments.Names(), ", ")+"; all omits tune)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	export := flag.String("export", "", "also write per-figure TSV plot data into this directory")
 	resultsPath := flag.String("results", "", "also write the results record (every table's numbers, as JSON) to this path")

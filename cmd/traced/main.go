@@ -21,7 +21,7 @@
 // hot reloads unchanged. -record appends every served /generate trace
 // — with the seed, window, scale, engine, and model tag that reproduce
 // it — to a JSONL file in the versioned record format that
-// cmd/tracegen -replay and cmd/experiments -replay-trace consume.
+// cmd/tracegen -in and cmd/experiments -replay-trace consume.
 //
 // With -checkpoint-dir set, training writes an atomic, versioned
 // checkpoint (weights + optimizer moments + RNG stream state) every

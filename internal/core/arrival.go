@@ -172,18 +172,18 @@ func (m *ArrivalModel) rateInto(scratch []float64, period, dohDay int, b float64
 	return math.Exp(mat.Dot(m.Reg.W, scratch) + b)
 }
 
-// CheckScale reports an error when the arrival rate can overflow at a
-// rate scale up to maxScale, where a stream's Poisson draw would panic.
-// Every arrival feature is 0 or 1, so b + log maxScale + Σ max(w, 0)
-// bounds every period's log-rate. It must stay at most 709 (exp(709) ≈
-// 8.2e307), whose margin to the overflow at ~709.78 absorbs rounding.
+// CheckScale reports an error when the arrival rate can exceed what
+// rng.Poisson draws (a mean below 2^62, so a count fits an int) at a
+// rate scale up to maxScale. Every arrival feature is 0 or 1, so b + log
+// maxScale + Σ max(w, 0) bounds every period's log-rate; it must stay at
+// most 42.9, ln 2^62 ≈ 42.98 less a margin that absorbs rounding.
 func (m *ArrivalModel) CheckScale(maxScale float64) error {
 	bound := m.Reg.Intercept + math.Log(maxScale)
 	for _, w := range m.Reg.W {
 		bound += max(w, 0)
 	}
-	if !(bound <= 709) {
-		return fmt.Errorf("core: arrival log-rate bound %g at scale %g exceeds 709", bound, maxScale)
+	if !(bound <= 42.9) {
+		return fmt.Errorf("core: arrival log-rate bound %g at scale %g exceeds 42.9 (ln 2^62 ≈ 42.98)", bound, maxScale)
 	}
 	return nil
 }

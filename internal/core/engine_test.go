@@ -266,6 +266,24 @@ func TestEngineCloseAfterPanickingSetUp(t *testing.T) {
 	}
 }
 
+// TestCheckScaleBoundsPoissonMean: CheckScale refuses a log-rate bound
+// past ln 2^62, where rng.Poisson panics, not only past the float
+// overflow at ~709, and a rate at the accepted bound still draws.
+func TestCheckScaleBoundsPoissonMean(t *testing.T) {
+	if err := testArrivalModel(math.Exp(50)).CheckScale(1); err == nil {
+		t.Error("CheckScale accepted intercept 50 at scale 1, a Poisson mean past 2^62")
+	}
+	if err := testArrivalModel(1).CheckScale(math.Exp(50)); err == nil {
+		t.Error("CheckScale accepted scale e^50, a Poisson mean past 2^62")
+	}
+	if err := testArrivalModel(math.Exp(42.9)).CheckScale(1); err != nil {
+		t.Fatalf("intercept 42.9 at scale 1: %v", err)
+	}
+	if k := rng.New(1).Poisson(math.Exp(42.9)); k <= 0 {
+		t.Errorf("Poisson(e^42.9) = %d, want a positive count", k)
+	}
+}
+
 // TestCancelledStreamRetiresNextRound: a stream whose context is
 // cancelled mid-decode leaves the fleet in the very next round, with
 // the context's error, and the streams beside it keep decoding.

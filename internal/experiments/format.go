@@ -140,5 +140,13 @@ func Render(w io.Writer, res *Results) {
 				h := r.Heads[i]
 				return h.Head, fmt.Sprintf("%.3f", h.BCE), h.OneBestErr
 			}))
+		for _, g := range r.Tune {
+			section(true, func() {
+				p("%s grid (%s, best first):\n", g.Grid, name)
+				for _, c := range g.Results {
+					p("  %v  score %.5f\n", c.Params, c.Score)
+				}
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/par"
@@ -49,23 +50,24 @@ type CloudResults struct {
 	Joint     *JointResult      `json:",omitempty"` // Azure, like the three below
 	Forecast  []ForecastRow     `json:",omitempty"`
 	Heads     []HeadRow         `json:",omitempty"`
+	Tune      []TuneGrid        `json:",omitempty"` // §4.2; -exp tune only
 }
 
 // Run computes the selected experiments over the clouds and returns the
-// record. exps holds cmd/experiments' -exp names: "all" selects every
-// experiment, "table1" the dataset table, and the rest are the names in
-// paperSections and extensions; surrounding space is ignored. Any other
-// name is an error, returned before anything is fitted. After the fits,
-// each cloud's paper sections and each extension fit run as parallel
-// tasks; every task draws only from its own seeded streams and writes
-// only its own fields, so the record does not depend on the worker
-// count.
+// record. exps holds cmd/experiments' -exp names (Names); surrounding
+// space is ignored. "all" selects every table and figure of the record
+// but not "tune", the §4.2 grid searches, which only their own name
+// selects. Any other name is an error, returned before anything is
+// fitted. After the fits, each cloud's paper sections, each extension
+// fit and each grid search run as parallel tasks; every task draws only
+// from its own seeded streams and writes only its own fields, so the
+// record does not depend on the worker count.
 func Run(exps []string, clouds ...*Cloud) (*Results, error) {
-	want := map[string]bool{}
+	want, names := map[string]bool{}, Names()
 	for _, e := range exps {
 		name := strings.TrimSpace(e)
-		if !known(name) {
-			return nil, fmt.Errorf("experiments: unknown experiment %q", name)
+		if !slices.Contains(names, name) {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (want %s)", name, strings.Join(names, ", "))
 		}
 		want[name] = true
 	}
@@ -103,6 +105,18 @@ func Run(exps []string, clouds ...*Cloud) (*Results, error) {
 				joins = append(joins, func() { e.join(c, r) })
 			}
 		}
+		if want["tune"] {
+			r.Tune = make([]TuneGrid, len(tuneGrids))
+			for j, g := range tuneGrids {
+				fits = append(fits, func() {
+					grid, err := g.run(c)
+					if err != nil {
+						panic(fmt.Sprintf("experiments: tune %s on %s: %v", g.name, c.ID, err))
+					}
+					r.Tune[j] = TuneGrid{Grid: g.name, Results: grid}
+				})
+			}
+		}
 	}
 	tasks := append(fits, papers...) // the fits are the longest tasks
 	par.Do(len(tasks), func(i int) { tasks[i]() })
@@ -112,22 +126,17 @@ func Run(exps []string, clouds ...*Cloud) (*Results, error) {
 	return res, nil
 }
 
-// known reports whether Run selects on name.
-func known(name string) bool {
-	if name == "all" || name == "table1" {
-		return true
-	}
+// Names are the -exp names Run selects on, in the order the record
+// holds them: all, table1, the paper sections, the extensions and tune.
+func Names() []string {
+	names := []string{"all", "table1"}
 	for _, s := range paperSections {
-		if s.name == name {
-			return true
-		}
+		names = append(names, s.name)
 	}
 	for _, e := range extensions {
-		if e.name == name {
-			return true
-		}
+		names = append(names, e.name)
 	}
-	return false
+	return append(names, "tune")
 }
 
 // anyCloud marks a paper section reported for every cloud.

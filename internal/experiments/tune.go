@@ -17,12 +17,40 @@ import (
 // and learning rate for the LSTM resource/lifetime models, are tuned on
 // the corresponding development sets ... for their stage-specific (and
 // cloud-specific) development data." One grid search per stage, each
-// scoring its candidates on the dev window; cmd/hypertune runs them.
+// scoring its candidates on the dev window; -exp tune runs them
+// (tuneGrids).
 
 // GridResult is one evaluated candidate.
 type GridResult struct {
 	Params map[string]float64
 	Score  float64 // dev loss (lower is better)
+}
+
+// TuneGrid is one grid search of -exp tune: every candidate, best first.
+type TuneGrid struct {
+	Grid    string
+	Results []GridResult
+}
+
+// tuneGrids are the searches of -exp tune, each with its candidates, run
+// on a cloud's own train and dev windows; the LSTM grids train with the
+// scale's recipe and vary only its learning rate and weight decay.
+var tuneGrids = []struct {
+	name string
+	run  func(c *Cloud) ([]GridResult, error)
+}{
+	{"arrival L2", func(c *Cloud) ([]GridResult, error) {
+		return ArrivalGrid(c.Train, c.Dev, c.DevW.Start, []float64{0.01, 0.1, 1, 10})
+	}},
+	{"DOH geometric p (score = 1 - coverage)", func(c *Cloud) ([]GridResult, error) {
+		return DOHGeomGrid(c.Train, c.Dev, c.DevW.Start, []float64{1.0 / 14, 1.0 / 7, 1.0 / 3, 0.9}, 200)
+	}},
+	{"flavor LSTM (lr, wd)", func(c *Cloud) ([]GridResult, error) {
+		return FlavorGrid(c.Train, c.Dev, c.DevW.Start, c.Scale.Train, []float64{3e-3, 8e-3}, []float64{0, 1e-4})
+	}},
+	{"lifetime LSTM (lr, wd)", func(c *Cloud) ([]GridResult, error) {
+		return LifetimeGrid(c.Train, c.Dev, c.DevW.Start, c.Bins, c.Scale.Train, []float64{3e-3, 8e-3}, []float64{0, 1e-4})
+	}},
 }
 
 // byScore sorts results ascending by score.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,5 +114,53 @@ func TestDOHGeomGrid(t *testing.T) {
 	}
 	if _, err := DOHGeomGrid(train, dev, off, []float64{2}, 10); err == nil {
 		t.Fatal("expected p-range error")
+	}
+}
+
+// TestTuneSection: tune is an -exp name Run accepts, and Render prints
+// each grid of a cloud, candidates in record order (best first), in the
+// section format of -exp tune.
+func TestTuneSection(t *testing.T) {
+	if !slices.Contains(Names(), "tune") {
+		t.Fatalf("Names() = %q lacks tune", Names())
+	}
+	if _, err := Run([]string{"tune"}); err != nil {
+		t.Fatal(err)
+	}
+	res := &Results{Clouds: []*CloudResults{{
+		Cloud: "Azure",
+		Tune: []TuneGrid{
+			{Grid: "arrival L2", Results: []GridResult{
+				{Params: map[string]float64{"l2": 10}, Score: -1.50123},
+				{Params: map[string]float64{"l2": 0.01}, Score: -1.48025},
+			}},
+			{Grid: "flavor LSTM (lr, wd)", Results: []GridResult{
+				{Params: map[string]float64{"wd": 0.0001, "lr": 0.003}, Score: 1.622041},
+			}},
+		},
+	}}}
+	var b bytes.Buffer
+	Render(&b, res)
+	want := `arrival L2 grid (Azure, best first):
+  map[l2:10]  score -1.50123
+  map[l2:0.01]  score -1.48025
+
+flavor LSTM (lr, wd) grid (Azure, best first):
+  map[lr:0.003 wd:0.0001]  score 1.62204
+
+`
+	if b.String() != want {
+		t.Errorf("Render printed\n%s\nwant\n%s", b.String(), want)
+	}
+}
+
+// TestAllOmitsTune: -exp all is every table and figure of the record,
+// and the grid searches are not one of them, so the record (and
+// testdata/results.small.json) carries no Tune section.
+func TestAllOmitsTune(t *testing.T) {
+	for _, r := range results(t).Clouds {
+		if r.Tune != nil {
+			t.Errorf("%s: -exp all ran the tune grids", r.Cloud)
+		}
 	}
 }

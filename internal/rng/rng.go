@@ -93,13 +93,16 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 // Poisson samples from a Poisson distribution with mean lambda.
 // Knuth's product method is used for small lambda; for large lambda the
 // PTRS transformed-rejection method of Hörmann (1993) is used. A mean
-// <= 0 yields 0; a NaN or +Inf mean panics (no draw could end it).
+// <= 0 yields 0. A NaN or +Inf mean panics (no draw could end it), and
+// so does a mean of 2^62 or more, whose draws an int cannot be trusted
+// to hold: PTRS converts a float draw near the mean, and past 2^63 that
+// conversion goes negative.
 func (g *RNG) Poisson(lambda float64) int {
 	switch {
 	case lambda <= 0:
 		return 0
-	case math.IsNaN(lambda) || math.IsInf(lambda, 1):
-		panic("rng: Poisson requires a finite mean")
+	case !(lambda < 1<<62):
+		panic("rng: Poisson requires a finite mean below 2^62")
 	case lambda < 30:
 		l := math.Exp(-lambda)
 		k := 0

@@ -61,10 +61,12 @@ func TestPoissonZeroAndNegative(t *testing.T) {
 }
 
 // TestPoissonPanicsOnNaNOrInf: a NaN or +Inf mean panics instead of
-// spinning in the rejection sampler. Each call runs in a goroutine under
-// a deadline, so a sampler that loops fails the test rather than hanging.
+// spinning in the rejection sampler, and so does a finite mean of 2^62
+// or more instead of returning a count that wrapped negative (1e300 once
+// drew math.MinInt64). Each call runs in a goroutine under a deadline,
+// so a sampler that loops fails the test rather than hanging.
 func TestPoissonPanicsOnNaNOrInf(t *testing.T) {
-	for _, lambda := range []float64{math.NaN(), math.Inf(1)} {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), 1e300, 1 << 62} {
 		panicked := make(chan bool, 1)
 		go func() {
 			defer func() { panicked <- recover() != nil }()

@@ -44,7 +44,8 @@
 #     or Tilt field on core.Model, no run-time WhatIf.apply, no
 #     examples/modelrelease); and the rule that a training fit keeps one
 #     arena per running shard (internal/nn/shard.go never calls the
-#     workspace-flipping LSTM.Forward);
+#     workspace-flipping LSTM.Forward); and the rule that there are
+#     three commands (cmd/ holds experiments, traced and tracegen);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -190,12 +191,14 @@ fi
 # One scenario definition (DESIGN.md §9): internal/workload's presets
 # are the only definition of the two clouds and -cloud is the one flag
 # that picks a scenario, so internal/synth may not declare the
-# AzureLike/HuaweiLike constructors again, no command may declare a
-# -workload-spec or -flavors flag (cmd/traced's "flavors" journal key is
-# not a flag), and no non-test file of internal/workload may import
-# internal/core (whose tests build their histories from the presets).
+# AzureLike/HuaweiLike constructors again, none of the three commands
+# (experiments, traced, tracegen) may declare a -workload-spec or
+# -flavors flag, on the flag package or a FlagSet (cmd/traced's
+# "flavors" journal key is not a flag), and no non-test file of
+# internal/workload may import internal/core (whose tests build their
+# histories from the presets).
 if grep -nE '^func (AzureLike|HuaweiLike)\(' $(find internal/synth -name '*.go') ||
-	grep -nE 'flag\.[A-Za-z0-9]+\((&[^,]+,[[:space:]]*)?"(workload-spec|flavors)"' $(find cmd -name '*.go') ||
+	grep -nE '\.[A-Z][A-Za-z0-9]*\((&[^,]+,[[:space:]]*)?"(workload-spec|flavors)"' $(find cmd -name '*.go') ||
 	grep -n '"repro/internal/core"' $(find internal/workload -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
 	echo "check.sh: a second scenario definition or selector is back; the workload presets and -cloud are the only ones" >&2
 	exit 1
@@ -232,5 +235,14 @@ if grep -n '\.Forward(' internal/nn/shard.go; then
 	echo "check.sh: internal/nn/shard.go calls LSTM.Forward; run the shard on a borrowed arena with forward" >&2
 	exit 1
 fi
+# Three commands (DESIGN.md §1): tracegen generates, reads, characterizes
+# and renders traces, experiments runs every table, figure and the §4.2
+# grids, and traced serves. A view over a trace or a fitted cloud is a
+# -report of tracegen or an -exp section, not a fourth command.
+cmds=$(find cmd -mindepth 1 -maxdepth 1 -type d | LC_ALL=C sort | tr '\n' ' ')
+if [ "$cmds" != "cmd/experiments cmd/traced cmd/tracegen " ]; then
+	echo "check.sh: cmd/ holds $cmds; want exactly experiments, traced and tracegen" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + deadcode OK"
+echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + deadcode OK"

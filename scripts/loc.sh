@@ -17,7 +17,7 @@ set -eu
 
 ceiling_go=6526
 ceiling_asm=1492
-ceiling_module=16903
+ceiling_module=16839
 
 total_go=0
 total_asm=0
