@@ -82,7 +82,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	export := flag.String("export", "", "also write per-figure TSV plot data into this directory")
 	resultsPath := flag.String("results", "", "also write the results record (every table's numbers, as JSON) to this path")
-	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (per-epoch training events, phase spans) to this path")
+	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (per-epoch training events) to this path")
 	flag.Parse()
 	// Run over no clouds fits nothing and only checks the names, so an
 	// unknown -exp entry exits before any work.
@@ -147,10 +147,7 @@ func main() {
 		clouds = append(clouds, experiments.NewCloudFromConfig(id, scale, cfg))
 		fmt.Printf("Workload spec %q: %d users, %d cohorts\n", spec.Name, spec.Users, len(spec.Cohorts))
 	}
-	fitSpan := journal.StartSpan("fit_all")
-	experiments.FitAll(clouds...)
-	fitSpan.End()
-	fmt.Printf("Prepared and fitted %d synthetic cloud(s) in %v\n\n", len(clouds), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("Prepared %d synthetic cloud(s) in %v\n\n", len(clouds), time.Since(start).Round(time.Millisecond))
 
 	res, err := experiments.Run(exps, clouds...)
 	check(err, "run")

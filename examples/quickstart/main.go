@@ -70,10 +70,3 @@ func main() {
 			vm.User, def.Name, vm.Start, vm.Duration)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -23,7 +23,7 @@ func telemetryTrace() *trace.Trace {
 }
 
 // recorder collects epoch events, grouped by model name, under a mutex
-// (FitAll-style callers emit concurrently).
+// (experiments.Run fits its clouds concurrently).
 type recorder struct {
 	mu     sync.Mutex
 	events map[string][]obs.EpochEvent

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -214,20 +213,6 @@ func (c *Cloud) SimpleBatch() core.Generator {
 // order: Naive, SimpleBatch, LSTM.
 func (c *Cloud) Generators() []core.Generator {
 	return []core.Generator{c.Naive(), c.SimpleBatch(), c.Model()}
-}
-
-// FitAll trains every cloud's generators up front, fitting the clouds
-// in parallel. Each cloud's fit consumes only its own seeded streams
-// and writes only its own lazy caches, so the fitted models are
-// identical to on-demand fitting — this just overlaps the per-cloud
-// training time before a sequential rendering pass.
-func FitAll(clouds ...*Cloud) {
-	par.Do(len(clouds), func(i int) {
-		c := clouds[i]
-		c.Model()
-		c.Naive()
-		c.SimpleBatch()
-	})
 }
 
 // Table1Row is one dataset row of Table 1.

@@ -58,21 +58,33 @@ type CloudResults struct {
 // space is ignored. "all" selects every table and figure of the record
 // but not "tune", the §4.2 grid searches, which only their own name
 // selects. Any other name is an error, returned before anything is
-// fitted. After the fits, each cloud's paper sections, each extension
+// fitted. Unless every selected name is fit-free, Run first fits each
+// cloud's three generators (Model, Naive, SimpleBatch), the clouds in
+// parallel, because their lazy getters are not safe to call from the
+// tasks that follow. Then each cloud's paper sections, each extension
 // fit and each grid search run as parallel tasks; every task draws only
 // from its own seeded streams and writes only its own fields, so the
 // record does not depend on the worker count.
 func Run(exps []string, clouds ...*Cloud) (*Results, error) {
 	want, names := map[string]bool{}, Names()
+	fit := false
 	for _, e := range exps {
 		name := strings.TrimSpace(e)
 		if !slices.Contains(names, name) {
 			return nil, fmt.Errorf("experiments: unknown experiment %q (want %s)", name, strings.Join(names, ", "))
 		}
 		want[name] = true
+		fit = fit || !slices.Contains(fitFree, name)
 	}
 	sel := func(name string) bool { return want["all"] || want[name] }
-	FitAll(clouds...)
+	if fit {
+		par.Do(len(clouds), func(i int) {
+			c := clouds[i]
+			c.Model()
+			c.Naive()
+			c.SimpleBatch()
+		})
+	}
 	res := &Results{Clouds: make([]*CloudResults, len(clouds))}
 	if len(clouds) > 0 {
 		res.Scale = clouds[0].Scale
@@ -125,6 +137,12 @@ func Run(exps []string, clouds ...*Cloud) (*Results, error) {
 	}
 	return res, nil
 }
+
+// fitFree are the -exp names that read none of a cloud's generators:
+// Table 1 counts VMs, Figures 4-6 and the censoring ablation fit their
+// own arrival models or Kaplan-Meier curves, and the §4.2 grids fit one
+// model per candidate.
+var fitFree = []string{"table1", "fig4", "fig5", "fig6", "censoring", "tune"}
 
 // Names are the -exp names Run selects on, in the order the record
 // holds them: all, table1, the paper sections, the extensions and tune.

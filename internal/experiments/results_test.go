@@ -109,6 +109,22 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestRunTable1FitsNothing checks that Run fits no generator for a
+// selection that reads none: Table 1 only counts each window's VMs.
+func TestRunTable1FitsNothing(t *testing.T) {
+	c := NewCloud(Azure, Scale{AzureDays: 5, AzureUsers: 10, AzureRate: 1, Seed: 1})
+	res, err := Run([]string{"table1"}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Table1) != 1 || res.Table1[0].TrainVMs != len(c.Train.VMs) {
+		t.Errorf("Table1 = %+v, want one row of %d train VMs", res.Table1, len(c.Train.VMs))
+	}
+	if c.model != nil || c.naive != nil || c.simple != nil {
+		t.Error("Run([table1]) fitted the cloud's generators")
+	}
+}
+
 // docRow is one row of a table in EXPERIMENTS.md: its label (first
 // cell) and its measured cells, bold markers dropped.
 type docRow struct {

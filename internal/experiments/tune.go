@@ -53,9 +53,10 @@ var tuneGrids = []struct {
 	}},
 }
 
-// byScore sorts results ascending by score.
+// byScore sorts results ascending by score; tied candidates keep their
+// grid order.
 func byScore(rs []GridResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Score < rs[j].Score })
+	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Score < rs[j].Score })
 }
 
 // ArrivalGrid tunes the Poisson regression's ridge penalty on dev-window

@@ -55,6 +55,24 @@ func TestArrivalGrid(t *testing.T) {
 	}
 }
 
+// TestByScoreKeepsGridOrderOnTies checks that candidates with equal
+// scores stay in grid order, as the DOH grid's p = 1/7 and 1/3 tie at
+// coverage 1 on Azure. The grid is longer than sort's insertion-sort
+// cutoff, so an unstable sort would reorder it.
+func TestByScoreKeepsGridOrderOnTies(t *testing.T) {
+	var rs []GridResult
+	for i := range 40 {
+		rs = append(rs, GridResult{Params: map[string]float64{"i": float64(i)}, Score: float64(i % 3)})
+	}
+	byScore(rs)
+	for k := 1; k < len(rs); k++ {
+		a, b := rs[k-1], rs[k]
+		if a.Score > b.Score || a.Score == b.Score && a.Params["i"] > b.Params["i"] {
+			t.Fatalf("byScore put candidate %v (score %v) before %v (score %v)", a.Params["i"], a.Score, b.Params["i"], b.Score)
+		}
+	}
+}
+
 func TestArrivalGridEmpty(t *testing.T) {
 	train, dev, off := tuneData(t)
 	if _, err := ArrivalGrid(train, dev, off, nil); err == nil {

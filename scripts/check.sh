@@ -1,6 +1,9 @@
 #!/bin/sh
 # The full pre-merge check, in the order of the final echo:
 #   - gofmt and vet over the whole module;
+#   - the doc-name gate: every backticked Go-looking name in README.md,
+#     DESIGN.md, EXPERIMENTS.md and the verify skill names something the
+#     code has, and every DESIGN.md section reference names a heading;
 #   - the race-detection tier for the packages that carry production
 #     concurrency (the parallel execution layer and everything threaded
 #     through it, the metrics registry, the HTTP service with hot model
@@ -46,6 +49,7 @@
 #     arena per running shard (internal/nn/shard.go never calls the
 #     workspace-flipping LSTM.Forward); and the rule that there are
 #     three commands (cmd/ holds experiments, traced and tracegen);
+#   - the quickstart example, run end to end (it must generate VMs);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
 #     scripts/deadcode/allow.txt, which may only shrink, lists it).
@@ -69,6 +73,44 @@ set -eu
 
 test -z "$(gofmt -l .)" || { echo "check.sh: gofmt -l . lists:"; gofmt -l .; exit 1; }
 go vet ./...
+# The docs name only what the code has. (a) A backticked Go-looking name
+# (an identifier or a dotted path, optionally ending in "()") in
+# README.md, DESIGN.md, EXPERIMENTS.md or the verify skill resolves when
+# its last component is a whole word of a tracked .go, .s or .sh file,
+# when it is the X of a BenchmarkX, TestX or FuzzX there, or when it is a
+# tracked path; ALL-CAPS names (environment variables, assembly macros)
+# are skipped. (b) Every "DESIGN.md §N" or "DESIGN §N" in a tracked .go,
+# .sh or .md file, wrapped across a comment line or not, names a heading
+# of DESIGN.md. CHANGES.md, ROADMAP.md and ISSUE.md hold history and
+# plans and are not read. There is no allow-list: a name the code no
+# longer has moves to CHANGES.md or loses its backticks. It runs early
+# because it takes a second and a docs-only change should fail fast.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+	docs=$(mktemp -d)
+	trap 'rm -rf "$docs"' EXIT
+	{
+		git ls-files | sed 's/^/p /'
+		git ls-files -z '*.go' '*.s' '*.sh' | xargs -0 cat | LC_ALL=C tr -cs 'A-Za-z0-9_' '\n' |
+			sed -nE 'p; s/^(Benchmark|Test|Fuzz)(.+)$/\2/p' | LC_ALL=C sort -u | sed 's/^/w /'
+	} >"$docs/known"
+	for f in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+		awk -v f="$f" 'BEGIN { RS = "`" }
+			NR % 2 == 0 && /^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*(\(\))?$/ && /[a-z]/ { print f, $0 }' "$f"
+	done | LC_ALL=C sort -u | awk 'FNR == NR { known[$0] = 1; next }
+		{ n = $2; sub(/\(\)$/, "", n); last = n; sub(/.*\./, "", last)
+		  if (!(("w " last) in known) && !(("p " n) in known)) print $1 ": `" $2 "` names nothing in the code" }' "$docs/known" - >"$docs/bad"
+	sed -nE 's/^#+ ([0-9]+(\.[0-9]+)*)\.? .*/\1/p' DESIGN.md >"$docs/heads"
+	git ls-files '*.go' '*.sh' '*.md' | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md' | while read -r f; do
+		sed -E 's,^[[:space:]]*(//|#)?[[:space:]]*,,' "$f" | tr '\n' ' ' |
+			LC_ALL=C grep -oE 'DESIGN(\.md)? +§[0-9]+(\.[0-9]+)*' | sed -E "s,.*§,$f: §," || true
+	done | awk 'FNR == NR { head[$0] = 1; next }
+		{ n = $2; sub(/^§/, "", n); if (!(n in head)) print $0 " names no DESIGN.md heading" }' "$docs/heads" - >>"$docs/bad"
+	if [ -s "$docs/bad" ]; then
+		cat "$docs/bad" >&2
+		echo "check.sh: the docs name what the code does not have" >&2
+		exit 1
+	fi
+fi
 go test -race ./internal/par ./internal/mat ./internal/nn ./internal/obs \
 	./internal/server ./internal/core ./internal/ckpt ./internal/rng \
 	./internal/rtrace ./internal/workload
@@ -235,7 +277,7 @@ if grep -n '\.Forward(' internal/nn/shard.go; then
 	echo "check.sh: internal/nn/shard.go calls LSTM.Forward; run the shard on a borrowed arena with forward" >&2
 	exit 1
 fi
-# Three commands (DESIGN.md §1): tracegen generates, reads, characterizes
+# Three commands (DESIGN.md §2): tracegen generates, reads, characterizes
 # and renders traces, experiments runs every table, figure and the §4.2
 # grids, and traced serves. A view over a trace or a fitted cloud is a
 # -report of tracegen or an -exp section, not a fourth command.
@@ -244,5 +286,12 @@ if [ "$cmds" != "cmd/experiments cmd/traced cmd/tracegen " ]; then
 	echo "check.sh: cmd/ holds $cmds; want exactly experiments, traced and tracegen" >&2
 	exit 1
 fi
+# The quickstart example is the one example program; it must train,
+# generate a non-empty trace and exit 0 (~10 s).
+qs=$(go run ./examples/quickstart) || { echo "check.sh: go run ./examples/quickstart failed" >&2; exit 1; }
+if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
+	echo "check.sh: examples/quickstart printed no generated VMs" >&2
+	exit 1
+fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + quickstart + deadcode OK"
