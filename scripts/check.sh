@@ -79,10 +79,10 @@ go vet ./...
 # its last component is a whole word of a tracked .go, .s or .sh file,
 # when it is the X of a BenchmarkX, TestX or FuzzX there, or when it is a
 # tracked path; ALL-CAPS names (environment variables, assembly macros)
-# are skipped. (b) Every "DESIGN.md §N" or "DESIGN §N" in a tracked .go,
-# .sh or .md file, wrapped across a comment line or not, names a heading
-# of DESIGN.md. CHANGES.md, ROADMAP.md and ISSUE.md hold history and
-# plans and are not read. There is no allow-list: a name the code no
+# are skipped. (b) Every "DESIGN.md §N" or "DESIGN §N" in a tracked .go
+# or .sh file or in those docs and bench/README.md, wrapped across a
+# comment line or not, names a heading of DESIGN.md. The history and plan
+# documents are not read. There is no allow-list: a name the code no
 # longer has moves to CHANGES.md or loses its backticks. It runs early
 # because it takes a second and a docs-only change should fail fast.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
@@ -100,7 +100,7 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
 		{ n = $2; sub(/\(\)$/, "", n); last = n; sub(/.*\./, "", last)
 		  if (!(("w " last) in known) && !(("p " n) in known)) print $1 ": `" $2 "` names nothing in the code" }' "$docs/known" - >"$docs/bad"
 	sed -nE 's/^#+ ([0-9]+(\.[0-9]+)*)\.? .*/\1/p' DESIGN.md >"$docs/heads"
-	git ls-files '*.go' '*.sh' '*.md' | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md' | while read -r f; do
+	git ls-files '*.go' '*.sh' README.md DESIGN.md EXPERIMENTS.md bench/README.md .claude/skills/verify/SKILL.md | while read -r f; do
 		sed -E 's,^[[:space:]]*(//|#)?[[:space:]]*,,' "$f" | tr '\n' ' ' |
 			LC_ALL=C grep -oE 'DESIGN(\.md)? +§[0-9]+(\.[0-9]+)*' | sed -E "s,.*§,$f: §," || true
 	done | awk 'FNR == NR { head[$0] = 1; next }
