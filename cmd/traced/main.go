@@ -8,7 +8,7 @@
 //	traced -model model.bin -cloud azure
 //	traced -journal run.jsonl -debug-addr :6060
 //	traced -precision f32
-//	traced -checkpoint-dir ckpt/ -checkpoint-every 5 -resume
+//	traced -checkpoint-dir ckpt/ -resume
 //	traced -cloud mixed
 //	traced -cloud examples/workloads/mixed.json -record served.jsonl
 //
@@ -25,12 +25,13 @@
 //
 // With -checkpoint-dir set, training writes an atomic, versioned
 // checkpoint (weights + optimizer moments + RNG stream state) every
-// -checkpoint-every epochs; a process killed mid-training restarts with
-// -resume and reaches byte-identical final weights (DESIGN.md §8). The
-// trained serving snapshot is also published into the checkpoint
-// directory, and SIGHUP (or POST /-/reload) hot-swaps the serving model
-// from the newest published snapshot without dropping in-flight
-// /generate requests.
+// epoch; a process killed mid-training restarts with -resume and
+// reaches byte-identical final weights (DESIGN.md §8). The trained
+// serving snapshot is also published into the checkpoint directory, and
+// SIGHUP (or POST /-/reload) hot-swaps the serving model from the newest
+// intact published snapshot (or re-reads -model) without dropping
+// in-flight /generate requests. Both count reload.success or
+// reload.errors on GET /metrics.
 //
 // Concurrent POST /generate requests are coalesced into shared decode
 // batches (continuous batching, DESIGN.md §6.2): a request joins the
@@ -45,18 +46,19 @@
 // (core.Model.Generate) of the same seed regardless of batching or
 // shard count.
 //
-// The served model and the -cloud scenario's flavor catalog must list
-// the same number of flavors: a mismatched pair is refused at startup,
-// and a hot reload that would produce one is rejected while the current
-// snapshot keeps serving.
+// The startup model and every reloaded one publish through
+// server.Server.Reload, the one gate onto the serving engine (DESIGN.md
+// §8): a model whose flavor count differs from the -cloud catalog's,
+// whose arrival rate overflows at the largest request scale, or, at
+// -precision f32, whose f32 decode strays past the published tolerances
+// exits at startup, and on reload is refused while the current snapshot
+// keeps serving.
 //
 // -precision f32 serves through the float32 fast path (DESIGN.md
 // §6.4): the LSTM step GEMMs run on f32 weight slabs for higher
 // decode throughput. Responses remain deterministic per seed and
 // identical across shard counts, but differ (within validated
-// tolerances) from the f64 reference; the divergence is measured
-// against the f64 path at startup and on every hot reload, and a
-// model outside tolerance refuses to serve.
+// tolerances) from the f64 reference.
 //
 // Observability (DESIGN.md §7): -trace-buffer N keeps the last N
 // finished request traces in a ring — every /generate answers with an
@@ -85,7 +87,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -137,6 +138,26 @@ func loadServing(dir string) (*core.Model, error) {
 	return m, nil
 }
 
+// reloadSource returns what SIGHUP and POST /-/reload re-read, paired
+// with the -cloud catalog: the -model file when one was given, else the
+// newest intact serving snapshot in the checkpoint directory; nil when
+// there is neither.
+func reloadSource(modelPath, ckptDir string, catalog *trace.FlavorSet) func() (*core.Model, *trace.FlavorSet, error) {
+	switch {
+	case modelPath != "":
+		return func() (*core.Model, *trace.FlavorSet, error) {
+			m, err := loadModelFile(modelPath)
+			return m, catalog, err
+		}
+	case ckptDir != "":
+		return func() (*core.Model, *trace.FlavorSet, error) {
+			m, err := loadServing(ckptDir)
+			return m, catalog, err
+		}
+	}
+	return nil
+}
+
 // loadModelFile reads a model serialized with MarshalBinary from disk.
 func loadModelFile(path string) (*core.Model, error) {
 	blob, err := os.ReadFile(path)
@@ -163,7 +184,6 @@ func main() {
 	traceBuffer := flag.Int("trace-buffer", 256, "request traces kept for GET /debug/traces (0 disables request tracing)")
 	journalPath := flag.String("journal", "", "write a JSONL telemetry journal (training epochs, phase spans) to this path")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training checkpoints and the published serving snapshot")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint every N training epochs (with -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "resume training from the newest matching checkpoint in -checkpoint-dir")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener with /debug/pprof/ and /debug/vars")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "drain timeout on SIGINT/SIGTERM")
@@ -208,7 +228,6 @@ func main() {
 	if *ckptDir != "" {
 		ckSpec = &core.CheckpointSpec{
 			Dir:    *ckptDir,
-			Every:  *ckptEvery,
 			Resume: *resume,
 			Obs:    reg,
 		}
@@ -278,34 +297,8 @@ func main() {
 	if *journalPath != "" {
 		trainInfo["journal"] = *journalPath
 	}
-	if err := server.CheckCatalog(model, cfg.Flavors); err != nil {
-		log.Fatalf("traced: %v (-cloud must name the catalog the model was trained on)", err)
-	}
 
-	// The f32 fast path is validated against the f64 reference before a
-	// single request is served: a broken kernel or weight conversion
-	// fails startup, not a downstream consumer. Hot reloads re-validate
-	// below.
-	if core.Precision(*precision) == core.PrecisionF32 {
-		rep, err := model.ValidateF32()
-		if err != nil {
-			log.Fatalf("traced: %v", err)
-		}
-		log.Printf("f32 fast path validated over %d steps: prob|Δ|=%.2e hazard|Δ|=%.2e survival|Δ|=%.2e",
-			rep.Steps, rep.MaxProbDiff, rep.MaxHazardDiff, rep.MaxSurvivalDiff)
-		trainInfo["precision"] = *precision
-		journal.Event("f32_validated", map[string]any{
-			"steps":         rep.Steps,
-			"prob_diff":     rep.MaxProbDiff,
-			"hazard_diff":   rep.MaxHazardDiff,
-			"survival_diff": rep.MaxSurvivalDiff,
-		})
-	}
-
-	s := server.NewWithRegistry(model, cfg.Flavors, reg)
-	if err := model.Arrival.CheckScale(s.MaxScale); err != nil {
-		log.Fatalf("traced: %v", err)
-	}
+	s := server.NewWithRegistry(nil, nil, reg)
 	s.TrainInfo = trainInfo
 	s.Precision = *precision
 	s.Workload = spec.Summary()
@@ -314,22 +307,15 @@ func main() {
 	// is fixed by the par worker count, so it survives reloads.
 	engineDesc := fmt.Sprintf("%s x %d shards, %s, %s kernels", core.EngineBatched, core.EngineSpec{}.ShardCount(), *precision, server.Kernels())
 
-	// modelTag fingerprints the serving weights for the record stream;
-	// hot reloads refresh it below so records always name the model
-	// that actually produced them.
-	var modelTag atomic.Value
-	var recorder *workload.Recorder
 	if *recordPath != "" {
-		var err error
-		recorder, err = workload.OpenRecorder(*recordPath)
+		recorder, err := workload.OpenRecorder(*recordPath)
 		if err != nil {
 			log.Fatalf("traced: open record sink: %v", err)
 		}
 		defer recorder.Close()
-		modelTag.Store(core.ModelTag(model))
 		prec := *precision
-		s.OnTrace = func(seed int64, w trace.Window, scale float64, tr *trace.Trace) {
-			rec := workload.NewRecord("generate", core.EngineBatched, prec, modelTag.Load().(string), seed, w, scale, tr)
+		s.OnTrace = func(tag string, seed int64, w trace.Window, scale float64, tr *trace.Trace) {
+			rec := workload.NewRecord("generate", core.EngineBatched, prec, tag, seed, w, scale, tr)
 			if err := recorder.Append(rec); err != nil {
 				log.Printf("traced: record: %v", err)
 			}
@@ -342,63 +328,18 @@ func main() {
 		log.Printf("request tracing on: ring of %d traces at GET /debug/traces", *traceBuffer)
 	}
 
-	// Hot-reload source: prefer an explicit -model file, else the newest
-	// serving snapshot published into the checkpoint directory. Both
-	// POST /-/reload and SIGHUP go through the same path.
-	var reloadSrc func() (*core.Model, *trace.FlavorSet, error)
-	switch {
-	case *modelPath != "":
-		reloadSrc = func() (*core.Model, *trace.FlavorSet, error) {
-			m, err := loadModelFile(*modelPath)
-			return m, cfg.Flavors, err
-		}
-	case *ckptDir != "":
-		reloadSrc = func() (*core.Model, *trace.FlavorSet, error) {
-			m, err := loadServing(*ckptDir)
-			return m, cfg.Flavors, err
-		}
+	if err := s.Reload(model, cfg.Flavors); err != nil {
+		log.Fatalf("traced: refusing to serve the model: %v", err)
 	}
-	if reloadSrc != nil && core.Precision(*precision) == core.PrecisionF32 {
-		// Re-validate the f32 tolerance on every hot reload: a reloaded
-		// model that drifts past the published bounds is rejected and the
-		// current snapshot keeps serving.
-		inner := reloadSrc
-		reloadSrc = func() (*core.Model, *trace.FlavorSet, error) {
-			m, catalog, err := inner()
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := m.ValidateF32(); err != nil {
-				return nil, nil, err
-			}
-			return m, catalog, nil
-		}
-	}
-	if recorder != nil && reloadSrc != nil {
-		// Keep the record stream's model tag in step with hot swaps.
-		inner := reloadSrc
-		reloadSrc = func() (*core.Model, *trace.FlavorSet, error) {
-			m, catalog, err := inner()
-			if err == nil {
-				modelTag.Store(core.ModelTag(m))
-			}
-			return m, catalog, err
-		}
-	}
-	s.ReloadFunc = reloadSrc
-	if reloadSrc != nil {
+	s.ReloadFunc = reloadSource(*modelPath, *ckptDir, cfg.Flavors)
+	if s.ReloadFunc != nil {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
 		go func() {
 			for range hup {
-				m, catalog, err := reloadSrc()
+				m, err := s.Refresh()
 				if err != nil {
 					log.Printf("traced: SIGHUP reload failed, keeping current model: %v", err)
-					journal.Event("reload_failed", map[string]any{"error": err.Error()})
-					continue
-				}
-				if err := s.Reload(m, catalog); err != nil {
-					log.Printf("traced: SIGHUP reload refused, keeping current model: %v", err)
 					journal.Event("reload_failed", map[string]any{"error": err.Error()})
 					continue
 				}

@@ -14,7 +14,7 @@ import (
 
 // CheckpointSpec enables crash-safe training checkpoints (DESIGN.md §8).
 // When attached to a training config, every loop writes an atomic,
-// checksummed checkpoint at epoch boundaries capturing the model
+// checksummed checkpoint at every epoch boundary capturing the model
 // weights, the Adam moment vectors and step counter, the epoch cursor,
 // the dev-selection state, and the RNG stream state — everything needed
 // for a resumed run to reach byte-identical final weights and traces.
@@ -24,9 +24,6 @@ import (
 type CheckpointSpec struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
 	Dir string
-	// Every saves a checkpoint after every Every-th epoch (default 1).
-	// The final post-training checkpoint is always written.
-	Every int
 	// Keep bounds retained versions per prefix (ckpt.Store semantics:
 	// 0 means 3, negative keeps all).
 	Keep int
@@ -38,14 +35,6 @@ type CheckpointSpec struct {
 	// Obs, if non-nil, receives checkpoint telemetry: bytes written,
 	// save duration, sequence numbers and save timestamps (age).
 	Obs *obs.Registry
-}
-
-// everyN resolves the save cadence.
-func (s *CheckpointSpec) everyN() int {
-	if s == nil || s.Every <= 0 {
-		return 1
-	}
-	return s.Every
 }
 
 // trainCkptV1 is the gob payload inside a training checkpoint frame.
@@ -81,7 +70,6 @@ type trainCheckpointer struct {
 	store  ckpt.Store
 	prefix string
 	fp     string
-	every  int
 
 	saves    *obs.Counter
 	errors   *obs.Counter
@@ -103,7 +91,6 @@ func newTrainCheckpointer(spec *CheckpointSpec, prefix, fingerprint string) *tra
 		store:  ckpt.Store{Dir: spec.Dir, Keep: spec.Keep},
 		prefix: prefix,
 		fp:     fingerprint,
-		every:  spec.everyN(),
 	}
 	if r := spec.Obs; r != nil {
 		t.saves = r.Counter("ckpt_saves_total")
@@ -165,14 +152,11 @@ func (t *trainCheckpointer) reject() {
 	}
 }
 
-// save writes one checkpoint if the cadence (or done) calls for it.
-// Failures are counted but do not abort training: a checkpointing
-// problem must never take down a run that would otherwise finish.
+// save writes one checkpoint. Failures are counted but do not abort
+// training: a checkpointing problem must never take down a run that
+// would otherwise finish.
 func (t *trainCheckpointer) save(epochsDone int, done bool, net *nn.LSTM, opt *nn.Adam, bestDev float64, bestSnap []byte, g rng.State) {
 	if t == nil {
-		return
-	}
-	if !done && epochsDone%t.every != 0 {
 		return
 	}
 	w := trainCkptV1{

@@ -108,14 +108,14 @@ func TestTrainLoopsResumeBitExact(t *testing.T) {
 			want := loop.train(nil)
 
 			dir := t.TempDir()
-			got := loop.train(&CheckpointSpec{Dir: dir, Every: 1, Keep: -1})
+			got := loop.train(&CheckpointSpec{Dir: dir, Keep: -1})
 			if !bytes.Equal(want, got) {
 				t.Fatal("enabling checkpointing changed the trained weights")
 			}
 
 			for k := 1; k < ckptTestEpochs; k++ {
 				resumed := loop.train(&CheckpointSpec{
-					Dir: cutCheckpoints(t, dir, k), Every: 1, Keep: -1, Resume: true,
+					Dir: cutCheckpoints(t, dir, k), Keep: -1, Resume: true,
 				})
 				if !bytes.Equal(want, resumed) {
 					t.Fatalf("resume from epoch boundary %d diverged from uninterrupted run", k)

@@ -103,11 +103,11 @@ func TestTrainLoopsResumeBitExact(t *testing.T) {
 		t.Run(strings.ReplaceAll(f.model, "_", "-"), func(t *testing.T) {
 			want := train(cfg(nil))
 			dir := t.TempDir()
-			if got := train(cfg(&core.CheckpointSpec{Dir: dir, Every: 1, Keep: -1})); !bytes.Equal(want, got) {
+			if got := train(cfg(&core.CheckpointSpec{Dir: dir, Keep: -1})); !bytes.Equal(want, got) {
 				t.Fatal("enabling checkpointing changed the trained weights")
 			}
 			for k := 1; k < epochs; k++ {
-				spec := &core.CheckpointSpec{Dir: cutCheckpoints(t, dir, k), Every: 1, Keep: -1, Resume: true}
+				spec := &core.CheckpointSpec{Dir: cutCheckpoints(t, dir, k), Keep: -1, Resume: true}
 				if !bytes.Equal(want, train(cfg(spec))) {
 					t.Fatalf("resume from epoch boundary %d diverged from uninterrupted run", k)
 				}

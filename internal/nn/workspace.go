@@ -20,15 +20,11 @@
 // training uses none: its shards run on single arenas that the trainer
 // lends out one per running shard (shard.go), so no two running shards
 // share one and the fan-out stays race-free, and a shard's buffers are
-// valid only until it hands its arena back. Networks lazily take a
-// Workspace from a package free list on first use, so a short-lived
-// network that releases its own recycles arenas instead of growing new
-// ones.
+// valid only until it hands its arena back. A network makes its
+// Workspace on first use and keeps it until ReleaseWorkspace.
 package nn
 
 import (
-	"sync"
-
 	"repro/internal/mat"
 )
 
@@ -127,46 +123,17 @@ func (w *Workspace) flip() *arena {
 	return a
 }
 
-// workspaceFreeList recycles Workspaces across network lifetimes. A
-// network takes one lazily on first Forward and keeps it; transient
-// networks can hand theirs back via ReleaseWorkspace.
-var workspaceFreeList struct {
-	mu   sync.Mutex
-	free []*Workspace
-}
-
-func acquireWorkspace() *Workspace {
-	workspaceFreeList.mu.Lock()
-	defer workspaceFreeList.mu.Unlock()
-	if n := len(workspaceFreeList.free); n > 0 {
-		ws := workspaceFreeList.free[n-1]
-		workspaceFreeList.free = workspaceFreeList.free[:n-1]
-		return ws
-	}
-	return &Workspace{}
-}
-
-func releaseWorkspace(ws *Workspace) {
-	if ws == nil {
-		return
-	}
-	workspaceFreeList.mu.Lock()
-	workspaceFreeList.free = append(workspaceFreeList.free, ws)
-	workspaceFreeList.mu.Unlock()
-}
-
 func (n *LSTM) workspace() *Workspace {
 	if n.ws == nil {
-		n.ws = acquireWorkspace()
+		n.ws = &Workspace{}
 	}
 	return n.ws
 }
 
-// ReleaseWorkspace returns the network's scratch arenas to the package
-// free list. Call it when retiring a network whose buffers are no
-// longer referenced (states and ys obtained from Forward alias the
-// workspace). Safe to call on a network that never ran.
+// ReleaseWorkspace detaches the network's scratch arenas so the
+// collector can take them; the next Forward makes a fresh Workspace.
+// States and ys obtained from Forward alias the workspace. Safe to call
+// on a network that never ran.
 func (n *LSTM) ReleaseWorkspace() {
-	releaseWorkspace(n.ws)
 	n.ws = nil
 }

@@ -71,27 +71,20 @@ func TestWorkspaceWarmColdBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkspaceFreeList verifies ReleaseWorkspace returns the buffers
-// to the shared pool: a released workspace is handed to the next
-// network that asks, and a network re-acquires one lazily after
+// TestWorkspaceFreeList verifies ReleaseWorkspace detaches the
+// buffers, and that a network re-acquires a workspace lazily after
 // release without changing results.
 func TestWorkspaceFreeList(t *testing.T) {
 	n := NewLSTM(Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, rng.New(33))
 	xs := randInputs(rng.New(34), 4, 2, 3)
 	before, _ := n.Forward(xs, nil)
 	want := cloneAll(before)
-	ws := n.ws
-	if ws == nil {
+	if n.ws == nil {
 		t.Fatal("Forward did not acquire a workspace")
 	}
 	n.ReleaseWorkspace()
 	if n.ws != nil {
 		t.Fatal("ReleaseWorkspace left the workspace attached")
-	}
-	m := NewLSTM(Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, rng.New(35))
-	m.Forward(randInputs(rng.New(36), 3, 2, 3), nil)
-	if m.ws != ws {
-		t.Fatal("released workspace was not reused from the free list")
 	}
 	after, _ := n.Forward(xs, nil)
 	for s := range after {
@@ -101,7 +94,6 @@ func TestWorkspaceFreeList(t *testing.T) {
 			}
 		}
 	}
-	releaseWorkspace(m.ws)
 	n.ReleaseWorkspace()
 }
 

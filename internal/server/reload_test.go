@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -196,23 +195,9 @@ func TestHotReloadRepacksPanels(t *testing.T) {
 		t.Fatalf("pre-reload serve mismatch (status %d)", rec.Code)
 	}
 
-	// Deep-copy the snapshot and perturb the copy's weights, so the
-	// reload is a real weight swap (the shared test model is untouched).
-	blob, err := oldModel.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newModel := new(core.Model)
-	if err := newModel.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	for _, net := range []interface{ Params() []*nn.Param }{newModel.Flavor.Net, newModel.Lifetime.Net} {
-		for _, p := range net.Params() {
-			for i := range p.Value.Data {
-				p.Value.Data[i] *= 1.25
-			}
-		}
-	}
+	// A perturbed deep copy, so the reload is a real weight swap (the
+	// shared test model is untouched).
+	newModel := scaledCopy(t, oldModel)
 	newWant := refBytes(t, s, newModel, core.PrecisionF64, seed, periods)
 	if newWant == oldWant {
 		t.Fatal("perturbed model decodes identically; the reload check would be vacuous")
@@ -502,8 +487,10 @@ func TestClientDisconnectMidDecode(t *testing.T) {
 // server configured for the f32 fast path reports it in /model, serves
 // deterministically, and keeps serving f32 across hot reloads (the
 // rebuilt engine inherits the spec), with response bytes unchanged by
-// the swap. A bad precision surfaces as a clean engine error (a 500,
-// not a panic or a hang).
+// the swap. A bad precision is refused by the gate: Reload returns its
+// error while the old engine keeps serving the same bytes, and a fresh
+// server answers /generate with a clean engine error (a 500, not a
+// panic or a hang).
 func TestPrecisionSurvivesReload(t *testing.T) {
 	s := freshServer(t)
 	s.Precision = string(core.PrecisionF32)
@@ -540,11 +527,18 @@ func TestPrecisionSurvivesReload(t *testing.T) {
 	}
 
 	s.Precision = "f16"
-	s.Reload(s.currentModel(), s.catalog) // drop the cached engine
-	rec = do(t, h, "POST", "/generate", body)
-	if rec.Code != http.StatusInternalServerError {
+	if err := s.Reload(s.currentModel(), s.catalog); err == nil {
+		t.Fatal("Reload accepted an unknown precision")
+	}
+	if rec = do(t, h, "POST", "/generate", body); rec.Code != http.StatusOK || rec.Body.String() != before.Body.String() {
+		t.Fatalf("after the refused reload: status %d, or the f32 bytes changed", rec.Code)
+	}
+	fresh := NewWithRegistry(s.currentModel(), s.catalog, obs.NewRegistry())
+	fresh.Precision = "f16"
+	if rec = do(t, fresh.Handler(), "POST", "/generate", body); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("bad precision: status %d, want 500", rec.Code)
 	}
+	fresh.Close()
 }
 
 // TestGenerateRejectsHostileRequests pins the request-validation caps:

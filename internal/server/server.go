@@ -59,12 +59,13 @@ type GenerateRequest struct {
 // RNGs keep every response byte-identical to the one-stream decode
 // (core.Model.Generate) of that seed.
 //
-// The serving snapshot (model + catalog + engine) can be hot-swapped at
-// runtime via Reload (wired to POST /-/reload and SIGHUP by cmd/traced)
-// without dropping in-flight /generate batches: streams already decoding
-// on the old engine run to completion, and requests that were still
-// queued transparently retry on the new engine — same seed, so the
-// response bytes are unchanged.
+// The serving snapshot (model + catalog + engine + tag) can be
+// hot-swapped at runtime via Reload (POST /-/reload and cmd/traced's
+// SIGHUP reach it through Refresh) without dropping in-flight /generate
+// batches: streams already decoding on the old engine run to
+// completion, and requests that were still queued transparently retry
+// on the new engine — same seed, so the response bytes are unchanged.
+// Every snapshot passes one gate, publish, before it serves.
 type Server struct {
 	// MaxPeriods bounds a single request (default: 4 weeks).
 	MaxPeriods int
@@ -78,13 +79,14 @@ type Server struct {
 	MaxStartPeriod int
 	// MaxBodyBytes bounds the /generate request body (default 1 MiB).
 	MaxBodyBytes int64
-	// ReloadFunc, if set, is invoked by POST /-/reload to produce a new
-	// serving snapshot; on success the server swaps to it atomically.
+	// ReloadFunc, if set, produces a new serving snapshot for Refresh
+	// (POST /-/reload); Reload publishes it.
 	ReloadFunc func() (*core.Model, *trace.FlavorSet, error)
 	// Precision selects the decode numeric width ("" or "f64": bit-exact
 	// reference; "f32": the float32 fast path, DESIGN.md §6.4). Set
 	// before the first request; it survives hot reloads — engines
-	// rebuilt on Reload keep it.
+	// rebuilt on Reload keep it, and at f32 every snapshot must pass
+	// core.Model.ValidateF32 to serve.
 	Precision string
 	// TrainInfo optionally carries training-run metadata (cloud, epochs,
 	// seed, wall time, journal path) surfaced under "train" at /metrics.
@@ -97,10 +99,11 @@ type Server struct {
 	Workload map[string]any
 	// OnTrace, when set (before the first request), observes every
 	// successfully served /generate trace together with the request
-	// parameters that produced it — the trace record/replay hook
-	// (cmd/traced -record wires it to a workload.Recorder). It runs on
-	// the request goroutine after generation and must not mutate tr.
-	OnTrace func(seed int64, w trace.Window, scale float64, tr *trace.Trace)
+	// parameters that produced it and the core.ModelTag of the snapshot
+	// that decoded it — the trace record/replay hook (cmd/traced -record
+	// wires it to a workload.Recorder). It runs on the request goroutine
+	// after generation and must not mutate tr.
+	OnTrace func(model string, seed int64, w trace.Window, scale float64, tr *trace.Trace)
 	// Tracer, when set (before the first request), threads a request
 	// trace through every /generate: the response carries an X-Trace-Id
 	// header, the engine records queue/coalesce/decode spans, the
@@ -115,9 +118,7 @@ type Server struct {
 	reloading atomic.Bool
 
 	mu      sync.Mutex
-	model   *core.Model
-	catalog *trace.FlavorSet
-	eng     core.GenEngine
+	serving          // the published snapshot; eng is nil until it is built
 	seeds   *rng.RNG // fresh-seed source for requests without a seed
 
 	started time.Time
@@ -140,6 +141,15 @@ type Server struct {
 	decodeLat   *obs.Histogram // fleet decode rounds
 }
 
+// serving is one published snapshot: a model, the catalog its bodies
+// are labelled with, the engine that decodes it and the model's tag.
+type serving struct {
+	model   *core.Model
+	catalog *trace.FlavorSet
+	eng     core.GenEngine
+	tag     string // core.ModelTag(model)
+}
+
 // New builds a server around a trained model and its flavor catalog.
 func New(model *core.Model, catalog *trace.FlavorSet) *Server {
 	return NewWithRegistry(model, catalog, obs.NewRegistry())
@@ -150,8 +160,7 @@ func New(model *core.Model, catalog *trace.FlavorSet) *Server {
 // checkpoint telemetry through the same /metrics snapshot.
 func NewWithRegistry(model *core.Model, catalog *trace.FlavorSet, reg *obs.Registry) *Server {
 	return &Server{
-		model:          model,
-		catalog:        catalog,
+		serving:        serving{model: model, catalog: catalog},
 		MaxPeriods:     28 * trace.PeriodsPerDay,
 		MaxScale:       1e6,
 		MaxStartPeriod: 1000 * 365 * trace.PeriodsPerDay,
@@ -177,40 +186,65 @@ func NewWithRegistry(model *core.Model, catalog *trace.FlavorSet, reg *obs.Regis
 // tests).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// snapshot returns a consistent (model, catalog, engine) triple, lazily
-// building the configured decode engine for the current model on first
-// use (so Precision can be set after New). The same spec is used for
-// engines rebuilt on hot-reload, so the configuration survives Reload;
-// a bad Precision, or a model whose arrival rate overflows at MaxScale,
-// surfaces here as an error rather than at construction. The engine
-// runs one decode shard per internal/par worker
-// (core.EngineSpec.ShardCount): a scheduling choice that changes no
-// response byte, so it is no knob of the server.
-func (s *Server) snapshot() (*core.Model, *trace.FlavorSet, core.GenEngine, error) {
+// snapshot returns the published snapshot, building its engine through
+// publish on first use (so Precision can be set after New). A nil
+// model, or one the gate refuses, surfaces here as an error rather than
+// at construction. The engine runs one decode shard per internal/par
+// worker (core.EngineSpec.ShardCount): a scheduling choice that changes
+// no response byte, so it is no knob of the server.
+func (s *Server) snapshot() (serving, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.model == nil {
-		return nil, nil, nil, errors.New("no model published")
+		return serving{}, errors.New("no model published")
 	}
 	if s.eng == nil {
-		if err := s.model.Arrival.CheckScale(s.MaxScale); err != nil {
-			return nil, nil, nil, err
-		}
-		eng, err := core.NewGenEngine(s.model, core.EngineSpec{Obs: s.reg, Precision: core.Precision(s.Precision)})
+		eng, tag, err := s.publish(s.model, s.catalog)
 		if err != nil {
-			return nil, nil, nil, err
+			return serving{}, err
 		}
-		s.eng = eng
+		s.eng, s.tag = eng, tag
 	}
-	return s.model, s.catalog, s.eng, nil
+	return s.serving, nil
 }
 
-// CheckCatalog reports an error, naming both sizes, unless catalog
+// publish is the one gate between a model and the engine that serves
+// it (DESIGN.md §8). It refuses, with the check's error:
+//   - a catalog of another size than the model's flavor space
+//     (checkCatalog);
+//   - a model whose arrival rate overflows at MaxScale
+//     (core.ArrivalModel.CheckScale);
+//   - at Precision f32, a model outside the published f32 tolerances
+//     (core.Model.ValidateF32);
+//   - an unknown Precision (core.NewGenEngine).
+//
+// Otherwise it returns the model's engine and core.ModelTag.
+func (s *Server) publish(model *core.Model, catalog *trace.FlavorSet) (core.GenEngine, string, error) {
+	if err := checkCatalog(model, catalog); err != nil {
+		return nil, "", err
+	}
+	if err := model.Arrival.CheckScale(s.MaxScale); err != nil {
+		return nil, "", err
+	}
+	prec := core.Precision(s.Precision)
+	if prec == core.PrecisionF32 {
+		if _, err := model.ValidateF32(); err != nil {
+			return nil, "", err
+		}
+	}
+	eng, err := core.NewGenEngine(model, core.EngineSpec{Obs: s.reg, Precision: prec})
+	if err != nil {
+		return nil, "", err
+	}
+	return eng, core.ModelTag(model), nil
+}
+
+// checkCatalog reports an error, naming both sizes, unless catalog
 // lists exactly the flavors model samples. A trace's flavor indices
 // run over [0, model.Flavor.K) and a served body labels each VM by its
 // catalog entry, so a catalog of another size serves bodies that
 // mislabel every VM or that trace.ReadJSON rejects.
-func CheckCatalog(model *core.Model, catalog *trace.FlavorSet) error {
+func checkCatalog(model *core.Model, catalog *trace.FlavorSet) error {
 	if catalog == nil {
 		return fmt.Errorf("server: no flavor catalog for a model of %d flavors", model.Flavor.K)
 	}
@@ -227,37 +261,48 @@ func (s *Server) currentModel() *core.Model {
 	return s.model
 }
 
-// Reload atomically swaps the serving snapshot. In-flight batches on
-// the old engine decode to completion before it shuts down; requests
-// still queued there fail with core.ErrEngineClosed and are retried by
-// handleGenerate against the new engine with their original seed, so no
-// request is dropped and no response changes bytes. A pair that fails
-// CheckCatalog, or whose arrival rate overflows at MaxScale
-// (core.ArrivalModel.CheckScale), is refused with its error, and the
-// current snapshot keeps serving.
+// Reload publishes a new serving snapshot: the pair passes publish and
+// its engine is built before the swap, so a refused pair returns the
+// gate's error and the current snapshot keeps serving, under its own
+// tag. In-flight batches on the old engine decode to completion before
+// it shuts down; requests still queued there fail with
+// core.ErrEngineClosed and are retried by handleGenerate against the
+// new engine with their original seed, so no request is dropped and no
+// response changes bytes.
 func (s *Server) Reload(model *core.Model, catalog *trace.FlavorSet) error {
-	if err := CheckCatalog(model, catalog); err != nil {
+	eng, tag, err := s.publish(model, catalog)
+	if err != nil {
 		return err
 	}
-	if err := model.Arrival.CheckScale(s.MaxScale); err != nil {
-		return err
-	}
-	// /readyz reports not-ready for the whole swap (including the old
-	// engine's drain), so load balancers stop routing to a replica
-	// mid-reload.
+	// /readyz reports not-ready for the swap and the old engine's
+	// drain, so load balancers stop routing to a replica mid-reload.
 	s.reloading.Store(true)
 	defer s.reloading.Store(false)
 	s.mu.Lock()
 	old := s.eng
-	s.model = model
-	s.catalog = catalog
-	s.eng = nil // next request starts an engine for the new model
+	s.serving = serving{model: model, catalog: catalog, eng: eng, tag: tag}
 	s.mu.Unlock()
-	s.reloads.Inc()
 	if old != nil {
 		old.Close()
 	}
 	return nil
+}
+
+// Refresh reloads from ReloadFunc, which must be set: the one reload
+// path of POST /-/reload and cmd/traced's SIGHUP. It counts
+// reload.success, or reload.errors when ReloadFunc fails or Reload
+// refuses its snapshot, and returns the model now serving.
+func (s *Server) Refresh() (*core.Model, error) {
+	model, catalog, err := s.ReloadFunc()
+	if err == nil {
+		err = s.Reload(model, catalog)
+	}
+	if err != nil {
+		s.reloadErr.Inc()
+		return nil, err
+	}
+	s.reloads.Inc()
+	return model, nil
 }
 
 // Close shuts down the decode engine (if one was started), failing any
@@ -408,11 +453,14 @@ func Kernels() string {
 	return "avx2"
 }
 
+// modelMeta describes the serving snapshot, building its engine if no
+// request has yet, so the tag it reports is the one records carry.
 func (s *Server) modelMeta() map[string]any {
-	m := s.currentModel()
-	if m == nil {
-		return map[string]any{"status": "no model published"}
+	cur, err := s.snapshot()
+	if err != nil {
+		return map[string]any{"status": err.Error()}
 	}
+	m := cur.model
 	precision := s.Precision
 	if precision == "" {
 		precision = string(core.PrecisionF64)
@@ -427,23 +475,19 @@ func (s *Server) modelMeta() map[string]any {
 		"period_seconds": trace.PeriodSeconds,
 		"precision":      precision,
 		"kernels":        Kernels(),
+		"tag":            cur.tag,
 	}
 }
 
-// handleReload hot-swaps the serving snapshot via ReloadFunc. A failed
-// ReloadFunc or a snapshot Reload refuses leaves the current snapshot
-// serving untouched and counts in reload.errors.
+// handleReload hot-swaps the serving snapshot through Refresh; a failed
+// reload answers 500 and leaves the current snapshot serving.
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if s.ReloadFunc == nil {
 		httpError(w, http.StatusNotImplemented, "no reload source configured")
 		return
 	}
-	model, catalog, err := s.ReloadFunc()
-	if err == nil {
-		err = s.Reload(model, catalog)
-	}
+	model, err := s.Refresh()
 	if err != nil {
-		s.reloadErr.Inc()
 		httpError(w, http.StatusInternalServerError, "reload: %v", err)
 		return
 	}
@@ -543,11 +587,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// the response bytes do not depend on which engine served it (the
 	// trace honestly accumulates one queue span per attempt).
 	var tr *trace.Trace
-	var catalog *trace.FlavorSet
+	var cur serving
 	var window trace.Window
 	sampleStart := time.Now()
 	for attempt := 0; ; attempt++ {
-		model, cat, eng, err := s.snapshot()
+		var err error
+		cur, err = s.snapshot()
 		if err != nil {
 			s.Tracer.Finish(rt)
 			httpError(w, http.StatusInternalServerError, "engine: %v", err)
@@ -555,12 +600,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 		start := req.StartPeriod
 		if start <= 0 {
-			start = model.Flavor.HistoryDays * trace.PeriodsPerDay
+			start = cur.model.Flavor.HistoryDays * trace.PeriodsPerDay
 		}
 		window = trace.Window{Start: start, End: start + req.Periods}
-		tr, err = eng.Generate(ctx, rng.New(seed), window, req.Scale)
+		tr, err = cur.eng.Generate(ctx, rng.New(seed), window, req.Scale)
 		if err == nil {
-			catalog = cat
 			break
 		}
 		if errors.Is(err, core.ErrEngineClosed) && attempt < 8 {
@@ -579,7 +623,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sampleLat.Observe(time.Since(sampleStart).Seconds())
-	tr = core.WithCatalog(tr, catalog)
+	tr = core.WithCatalog(tr, cur.catalog)
 
 	s.mu.Lock()
 	s.served++
@@ -589,7 +633,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// reproduce it to the recorder before encoding, so a recorded
 	// request is replayable even if the client disconnects mid-encode.
 	if s.OnTrace != nil {
-		s.OnTrace(seed, window, req.Scale, tr)
+		s.OnTrace(cur.tag, seed, window, req.Scale, tr)
 	}
 
 	w.Header().Set("X-Trace-Seed", fmt.Sprint(seed))

@@ -121,7 +121,7 @@ func TestKillAndResumeBitExact(t *testing.T) {
 	// Checkpointing must be trajectory-neutral.
 	dir := t.TempDir()
 	gotModel, gotTrace := trainAndGenerate(t, train, catalog, testW,
-		&core.CheckpointSpec{Dir: dir, Every: 1, Keep: -1})
+		&core.CheckpointSpec{Dir: dir, Keep: -1})
 	if !bytes.Equal(wantModel, gotModel) || !bytes.Equal(wantTrace, gotTrace) {
 		t.Fatal("enabling checkpointing changed the trained model or its traces")
 	}
@@ -132,7 +132,7 @@ func TestKillAndResumeBitExact(t *testing.T) {
 			defer par.SetProcs(par.SetProcs(procs))
 			for k := 1; k < resumeEpochs; k++ {
 				m, tr := trainAndGenerate(t, train, catalog, testW, &core.CheckpointSpec{
-					Dir: cutDir(t, dir, k), Every: 1, Keep: -1, Resume: true,
+					Dir: cutDir(t, dir, k), Keep: -1, Resume: true,
 				})
 				if !bytes.Equal(wantModel, m) {
 					t.Fatalf("model resumed from boundary %d differs from uninterrupted run", k)
@@ -171,7 +171,7 @@ func TestKillAndResumeBitExact(t *testing.T) {
 		}
 	}
 	m, tr := trainAndGenerate(t, train, catalog, testW, &core.CheckpointSpec{
-		Dir: torn, Every: 1, Keep: -1, Resume: true,
+		Dir: torn, Keep: -1, Resume: true,
 	})
 	if !bytes.Equal(wantModel, m) || !bytes.Equal(wantTrace, tr) {
 		t.Fatal("resume after torn checkpoint write diverged from uninterrupted run")

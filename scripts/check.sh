@@ -48,7 +48,9 @@
 #     examples/modelrelease); and the rule that a training fit keeps one
 #     arena per running shard (internal/nn/shard.go never calls the
 #     workspace-flipping LSTM.Forward); and the rule that there are
-#     three commands (cmd/ holds experiments, traced and tracegen);
+#     three commands (cmd/ holds experiments, traced and tracegen); and
+#     the rule that internal/server is the one publish gate (cmd/traced
+#     runs no serving check and keeps no model tag of its own);
 #   - the quickstart example, run end to end (it must generate VMs);
 #   - the caller-less export gate (scripts/deadcode fails on an exported
 #     name nothing outside its package's tests refers to, unless
@@ -76,9 +78,10 @@ go vet ./...
 # The docs name only what the code has. (a) A backticked Go-looking name
 # (an identifier or a dotted path, optionally ending in "()") in
 # README.md, DESIGN.md, EXPERIMENTS.md or the verify skill resolves when
-# its last component is a whole word of a tracked .go, .s or .sh file,
-# when it is the X of a BenchmarkX, TestX or FuzzX there, or when it is a
-# tracked path; ALL-CAPS names (environment variables, assembly macros)
+# its last component is a whole word of the code of a tracked .go, .s or
+# .sh file (comments stripped, so a comment cannot keep a deleted name
+# alive), when it is the X of a BenchmarkX, TestX or FuzzX there, or when
+# it is a tracked path; ALL-CAPS names (environment variables, assembly macros)
 # are skipped. (b) Every "DESIGN.md §N" or "DESIGN §N" in a tracked .go
 # or .sh file or in those docs and bench/README.md, wrapped across a
 # comment line or not, names a heading of DESIGN.md. The history and plan
@@ -90,7 +93,10 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
 	trap 'rm -rf "$docs"' EXIT
 	{
 		git ls-files | sed 's/^/p /'
-		git ls-files -z '*.go' '*.s' '*.sh' | xargs -0 cat | LC_ALL=C tr -cs 'A-Za-z0-9_' '\n' |
+		{
+			git ls-files -z '*.go' '*.s' | xargs -0 sed 's,//.*,,'
+			git ls-files -z '*.sh' | xargs -0 sed -E 's/(^|[[:space:]])#.*//'
+		} | LC_ALL=C tr -cs 'A-Za-z0-9_' '\n' |
 			sed -nE 'p; s/^(Benchmark|Test|Fuzz)(.+)$/\2/p' | LC_ALL=C sort -u | sed 's/^/w /'
 	} >"$docs/known"
 	for f in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
@@ -286,6 +292,16 @@ if [ "$cmds" != "cmd/experiments cmd/traced cmd/tracegen " ]; then
 	echo "check.sh: cmd/ holds $cmds; want exactly experiments, traced and tracegen" >&2
 	exit 1
 fi
+# One publish gate (DESIGN.md §8): server.Server.Reload, and the first
+# engine build of a server made with New, run every check a model must
+# pass to serve and tag the snapshot they accept. So no non-test file of
+# cmd/traced may run the catalog, rate-scale or f32 check itself, or
+# keep a model tag of its own beside the server's.
+if grep -nE 'CheckCatalog|CheckScale|ValidateF32|atomic\.Value' \
+	$(find cmd/traced -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: cmd/traced checks or tags a model itself; publish it through server.Server.Reload" >&2
+	exit 1
+fi
 # The quickstart example is the one example program; it must train,
 # generate a non-empty trace and exit 0 (~10 s).
 qs=$(go run ./examples/quickstart) || { echo "check.sh: go run ./examples/quickstart failed" >&2; exit 1; }
@@ -294,4 +310,4 @@ if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + quickstart + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
