@@ -142,11 +142,12 @@ func MulAdd(dst, a, b *Dense) {
 // are summed into dst by the row-sum kernel (rowSum), so a row costs
 // what its non-zeros cost — a 61-of-151 thermometer row as much as a
 // one-hot — and a fully dense row costs the dense product plus the
-// scan. It is the layer-0 kernel of every forward path. On finite b the
-// result is MulAdd's bit for bit when dst holds no -0 (a skipped term
-// would have added ±0; every dst element still takes its kept terms in
-// ascending k); on a non-finite b element the skipped 0·Inf terms are
-// the one difference. Allocation-free at any size.
+// scan. It is the layer-0 kernel of every forward path and of
+// training's layer-0 weight gradient. On finite b the result is
+// MulAdd's bit for bit when dst holds no -0 (a skipped term would have
+// added ±0; every dst element still takes its kept terms in ascending
+// k); on a non-finite b element the skipped 0·Inf terms are the one
+// difference. Allocation-free at any size.
 func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAddSparse shape mismatch %v * %v -> %v", a, b, dst))
@@ -205,26 +206,6 @@ func MulATB(dst, a, b *Dense) {
 	}
 }
 
-// MulATBSparse computes dst += aᵀ * b, skipping zero elements of a —
-// the gradient-side counterpart of MulAddSparse (a is then a one-hot
-// input batch and almost every term vanishes).
-func MulATBSparse(dst, a, b *Dense) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulATBSparse shape mismatch %vᵀ * %v -> %v", a, b, dst))
-	}
-	n := b.Cols
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Data[k*n : k*n+n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpy(av, brow, dst.Row(i))
-		}
-	}
-}
-
 // MulABT computes dst += a * bᵀ (a is mxk, b is nxk, dst is mxn), each
 // dot product rounded before its one add into dst. Above packMinFlops
 // it packs bᵀ once and runs the cache-blocked batched kernel through a
@@ -278,18 +259,39 @@ func AddBiasRows[T float32 | float64](m *Matrix[T], b []T) {
 	}
 }
 
-// SumRows accumulates the column-wise sum of m into dst (len m.Cols).
+// SumRows accumulates the column-wise sum of m into dst (len m.Cols)
+// with the row-sum kernel, every row a bare add at coefficient 1: each
+// dst element takes the rows in ascending order, in sparseChunk-row
+// chunks between which dst round-trips through memory.
 func SumRows(dst []float64, m *Dense) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("mat: SumRows dst len %d != cols %d", len(dst), m.Cols))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
-		}
+	for r0 := 0; r0 < m.Rows; r0 += sparseChunk {
+		cnt := min(sparseChunk, m.Rows-r0)
+		rowSum(dst, unitRow[:cnt], m.Data[r0*m.Cols:], allRows[:cnt])
 	}
 }
+
+// Add computes y += x element-wise: SumRows of x as a one-row matrix,
+// the bare add with which a training window commits each shard's
+// gradients.
+func Add(y, x []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("mat: Add length mismatch %d != %d", len(x), len(y)))
+	}
+	rowSum(y, unitRow[:1], x, allRows[:1])
+}
+
+// unitRow and allRows are the row-sum operands of SumRows and Add: a
+// coefficient of exactly 1 for every row of a chunk, and every row
+// index in ascending order.
+var unitRow, allRows = func() (x [sparseChunk]float64, idx [sparseChunk]uint8) {
+	for i := range x {
+		x[i], idx[i] = 1, uint8(i)
+	}
+	return x, idx
+}()
 
 // Dot returns the inner product of equal-length vectors a and b.
 func Dot(a, b []float64) float64 {
@@ -316,15 +318,7 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x element-wise.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Axpy length mismatch %d != %d", len(x), len(y)))
-	}
-	axpy(alpha, x, y)
-}
-
-// axpy is the unchecked kernel behind Axpy and the GEMM inner loops.
+// axpy is the GEMM inner loop of MulATB's small-shape path.
 // Updates are element-wise, so the iteration shape cannot change the
 // result. Re-measurement did not reproduce the +12% once claimed for
 // a 4-way manual unroll: paired alternating-median timing of direct

@@ -227,9 +227,9 @@ func TestDotAxpyScale(t *testing.T) {
 		t.Fatalf("Dot got %v", Dot(a, b))
 	}
 	y := []float64{1, 1, 1}
-	Axpy(2, a, y)
+	axpy(2, a, y)
 	if y[0] != 3 || y[2] != 7 {
-		t.Fatalf("Axpy wrong: %v", y)
+		t.Fatalf("axpy wrong: %v", y)
 	}
 	Scale(0.5, y)
 	if y[0] != 1.5 {

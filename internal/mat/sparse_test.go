@@ -232,113 +232,3 @@ func fuzzMulAddSparse[T float32 | float64](t *testing.T, m, k, n, density int, s
 		}
 	}
 }
-
-// atbInput builds a k×m layer-0 input batch of one encoding: one-hot
-// rows, 40 % thermometer rows (the lifetime net's density) or dense
-// normal draws.
-func atbInput(kind string, k, m int, seed int64) *Dense {
-	g := rng.New(seed)
-	a := NewDense(k, m)
-	for r := 0; r < k; r++ {
-		row := a.Row(r)
-		switch kind {
-		case "one-hot":
-			row[g.Intn(m)] = 1
-		case "thermometer":
-			for j := 0; j < (2*m+4)/5; j++ {
-				row[(j+r)%m] = 1
-			}
-		case "dense":
-			for j := range row {
-				row[j] = g.NormFloat64()
-			}
-		}
-	}
-	return a
-}
-
-// TestMulATBSparseMatchesMulATB pins the layer-0 weight-gradient
-// kernels to each other: on finite data, into a dst free of -0, the
-// skip-zero MulATBSparse and the dense MulATB give the same bits, on
-// both tiers, on both sides of packMinFlops (a one-row shard's window
-// and the full batch's), for one-hot, thermometer and dense inputs and
-// signed zeros and denormals in b. That is what lets Backward choose
-// the kernel once per fit rather than per shard-window. The one
-// difference, on non-finite b, is pinned below it.
-func TestMulATBSparseMatchesMulATB(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		shapes := [][3]int{ // {k, m, n}: a is k×m, b is k×n, dst m×n
-			{4, 57, 24}, {3, 20, 5}, {1, 151, 17}, // under packMinFlops
-			{96, 57, 96}, {96, 151, 96}, {768, 57, 96}, // over it
-		}
-		for _, sh := range shapes {
-			k, m, n := sh[0], sh[1], sh[2]
-			if k*m*n >= packMinFlops != (k >= 96) {
-				t.Fatalf("%v is on the wrong side of packMinFlops", sh)
-			}
-			for _, kind := range []string{"one-hot", "thermometer", "dense"} {
-				a := atbInput(kind, k, m, int64(k+m))
-				b := denseRand(k, n, 2)
-				for i := 0; i < len(b.Data); i += 5 {
-					b.Data[i] = []float64{0, math.Copysign(0, -1), 5e-324, -2.2e-308}[(i/5)%4]
-				}
-				for _, base := range []*Dense{NewDense(m, n), denseRand(m, n, 3)} {
-					dense, sparse := base.Clone(), base.Clone()
-					MulATB(dense, a, b)
-					MulATBSparse(sparse, a, b)
-					for i := range dense.Data {
-						if !sameBits(sparse.Data[i], dense.Data[i]) {
-							t.Fatalf("%v %s: elem %d: MulATBSparse %v, MulATB %v", sh, kind, i, sparse.Data[i], dense.Data[i])
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// TestMulATBSparseSkipsNonFinite pins the one place the two part ways:
-// a zero input never meets its row of b, so an Inf or NaN there stays
-// out of the sparse kernel's sums where the dense product makes them
-// NaN (a skipped 0·Inf).
-func TestMulATBSparseSkipsNonFinite(t *testing.T) {
-	withBatchASM(t, func(t *testing.T) {
-		a := atbInput("one-hot", 96, 57, 1)
-		b := denseRand(96, 24, 2)
-		clean := NewDense(57, 24)
-		MulATBSparse(clean, a, b)
-		for r := 0; r < b.Rows; r++ {
-			b.Row(r)[r%24] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[r%3]
-		}
-		sparse, dense := NewDense(57, 24), NewDense(57, 24)
-		MulATBSparse(sparse, a, b)
-		MulATB(dense, a, b)
-		skipped := 0
-		for i := 0; i < 57; i++ {
-			for j := 0; j < 24; j++ {
-				// Does a selected row of b (a[r][i] != 0) carry the poison at
-				// column j, and does an unselected one?
-				var hit, miss bool
-				for r := 0; r < a.Rows; r++ {
-					if !math.IsInf(b.At(r, j), 0) && !math.IsNaN(b.At(r, j)) {
-						continue
-					}
-					hit = hit || a.At(r, i) != 0
-					miss = miss || a.At(r, i) == 0
-				}
-				if !hit && !sameBits(sparse.At(i, j), clean.At(i, j)) {
-					t.Fatalf("dst[%d][%d]: %v with unselected rows poisoned, %v clean", i, j, sparse.At(i, j), clean.At(i, j))
-				}
-				if miss && !math.IsNaN(dense.At(i, j)) {
-					t.Fatalf("dst[%d][%d]: dense %v, want the NaN of a 0·Inf or 0·NaN term", i, j, dense.At(i, j))
-				}
-				if !hit && miss {
-					skipped++
-				}
-			}
-		}
-		if skipped == 0 {
-			t.Fatal("no element isolates a skipped non-finite term")
-		}
-	})
-}

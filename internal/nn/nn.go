@@ -152,7 +152,6 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State) ([]*mat.Dense, *Ca
 // transposes them once for all its shards instead.
 func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
 	n.transposeWeights(&n.plan)
-	n.plan.sparseX = cache.T() > 0 && sparseEnough(cache.x)
 	n.backward(cache, dys, &n.plan)
 }
 

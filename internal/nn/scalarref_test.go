@@ -33,7 +33,8 @@ func refMulAdd(dst, a, b *mat.Dense, skipZero bool) {
 	}
 }
 
-// refMulATB computes dst += aᵀ·b, ascending k per element.
+// refMulATB computes dst += aᵀ·b, ascending k per element, skipping
+// zero a-elements when skipZero (layer 0's row-sum gradient).
 func refMulATB(dst, a, b *mat.Dense, skipZero bool) {
 	for k := 0; k < a.Rows; k++ {
 		for i, av := range a.Row(k) {
@@ -43,6 +44,15 @@ func refMulATB(dst, a, b *mat.Dense, skipZero bool) {
 			for j, bv := range b.Row(k) {
 				dst.Data[i*dst.Cols+j] += av * bv
 			}
+		}
+	}
+}
+
+// refSumRows adds every row of m into the one-row dst, rows ascending.
+func refSumRows(dst, m *mat.Dense) {
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			dst.Data[j] += v
 		}
 	}
 }
@@ -135,7 +145,7 @@ func refLSTMPass(n *LSTM, xs []*mat.Dense, st *State, dys []*mat.Dense) *refLSTM
 	nl := len(n.layers)
 	DY := packSteps(dys)
 	refMulATB(grad(n.wy), ref.h[nl-1].SliceRows(b, (T+1)*b), DY, false)
-	mat.SumRows(grad(n.by).Row(0), DY)
+	refSumRows(grad(n.by), DY)
 	DH := mat.NewDense(T*b, h)
 	refMulABT(DH, DY, n.wy.Value)
 	DZ := mat.NewDense(T*b, 4*h)
@@ -170,9 +180,9 @@ func refLSTMPass(n *LSTM, xs []*mat.Dense, st *State, dys []*mat.Dense) *refLSTM
 		if l > 0 {
 			xl = ref.h[l-1].SliceRows(b, (T+1)*b)
 		}
-		refMulATB(grad(layer.wx), xl, DZ, layer.first && sparseEnough(xl))
+		refMulATB(grad(layer.wx), xl, DZ, layer.first)
 		refMulATB(grad(layer.wh), ref.h[l].SliceRows(0, T*b), DZ, false)
-		mat.SumRows(grad(layer.b).Row(0), DZ)
+		refSumRows(grad(layer.b), DZ)
 		if l > 0 {
 			DH.Zero()
 			refMulABT(DH, DZ, layer.wx.Value)
@@ -216,8 +226,8 @@ func sameBitsAll(t *testing.T, what string, got, want []*mat.Dense) {
 
 // refInputs builds T step inputs of b rows: dense normals scaled to
 // reach both branches of tanh, or one-hot rows plus two dense feature
-// columns (sparse enough for layer 0's skip-zero dispatch, like the
-// token encodings training feeds).
+// columns (like the token encodings training feeds, which layer 0's
+// row-sum kernels pay for by their non-zeros).
 func refInputs(g *rng.RNG, T, b, dim int, oneHot bool) []*mat.Dense {
 	xs := make([]*mat.Dense, T)
 	for t := range xs {

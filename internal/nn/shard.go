@@ -9,14 +9,14 @@
 // out, so a fit holds one arena per shard running at once, at most
 // min(par.Procs(), shards). What is constant over a
 // window is computed once before the fan-out and shared read-only: the
-// transposed weights every shard's backward multiplies by, and (once
-// per fit, on the first window's full batch) the kernel layer 0's
-// weight gradient takes. As shards finish, the per-shard gradients and
-// losses are committed into the real network in ascending shard order
-// by whichever worker holds the commit role, overlapping the shards
-// still running. Because the shard layout and the reduction order are
-// both fixed, every Adam update — and therefore every trained weight
-// and every generated trace — is bit-identical for any REPRO_PROCS.
+// transposed weights every shard's backward multiplies by; every shard
+// runs the same kernels whatever its rows hold. As shards finish, the
+// per-shard gradients and losses are added into the real network in
+// ascending shard order by whichever worker holds the commit role,
+// overlapping the shards still running. Because the shard layout and
+// the reduction order are both fixed, every Adam update — and therefore
+// every trained weight and every generated trace — is bit-identical for
+// any REPRO_PROCS.
 //
 // All per-window bookkeeping (row-view headers for shard inputs and
 // states, loss/count accumulators, the transposed weights, the arenas)
@@ -90,7 +90,6 @@ type Sharded struct {
 	losses  []float64
 	counts  []int
 	plan    backwardPlan // shared by every shard's Backward
-	planned bool         // plan.sparseX is chosen
 
 	// The window RunWindow is running, read by every shard.
 	xs  []*mat.Dense
@@ -140,9 +139,6 @@ func (s *Sharded) RunWindow(xs []*mat.Dense, st *State, dys ShardDys) (loss floa
 	ns := NumShards(xs[0].Rows)
 	if ns > len(s.shadows) {
 		panic(fmt.Sprintf("nn: RunWindow batch %d exceeds prepared shards %d", xs[0].Rows, len(s.shadows)))
-	}
-	if !s.planned {
-		s.plan.sparseX, s.planned = sparseEnough(xs...), true
 	}
 	s.net.transposeWeights(&s.plan)
 	s.net.ZeroGrads()
@@ -219,7 +215,7 @@ func (s *Sharded) commit(si int, ar *arena) {
 		s.mu.Unlock()
 		params := s.net.Params()
 		for pi, p := range s.shadows[r].Params() {
-			mat.Axpy(1, p.Grad.Data, params[pi].Grad.Data)
+			mat.Add(params[pi].Grad.Data, p.Grad.Data)
 		}
 		s.loss += s.losses[r]
 		s.count += s.counts[r]

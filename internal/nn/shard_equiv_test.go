@@ -193,7 +193,10 @@ func serialCommitReference(cfg Config, windows [][]*mat.Dense) []commitStep {
 		net.ZeroGrads()
 		for _, sh := range shadows {
 			for pi, p := range sh.Params() {
-				mat.Axpy(1, p.Grad.Data, net.Params()[pi].Grad.Data)
+				dst := net.Params()[pi].Grad.Data
+				for i, v := range p.Grad.Data {
+					dst[i] += v
+				}
 			}
 		}
 		out = append(out, snapshotCommit(net, st, loss, count))

@@ -256,14 +256,12 @@ func (n *LSTM) head(c *Cache, top *mat.Dense) []*mat.Dense {
 // backwardPlan is what Backward holds constant over a window: the
 // transposed weights its products against a weight's transpose multiply
 // by — each as MulAdd into a zeroed destination, MulABT's bits (see
-// mat.TransposeInto) without MulABT's per-call transpose — and the
-// kernel layer 0's weight gradient takes. A sharded window fills one
-// plan before its fan-out and every shard reads it; a direct Backward
-// refreshes the network's own.
+// mat.TransposeInto) without MulABT's per-call transpose. A sharded
+// window fills one plan before its fan-out and every shard reads it; a
+// direct Backward refreshes the network's own.
 type backwardPlan struct {
 	whT, wxT []*mat.Dense // per layer [4H x H] and [4H x in]; wxT[0] is unused
 	wyT      *mat.Dense   // [OutputDim x H]
-	sparseX  bool         // layer 0's Wx gradient takes MulATBSparse
 }
 
 // transposeWeights refreshes p's transposes from n's current weights,
@@ -316,18 +314,17 @@ func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense, p *backwardPlan) *mat.De
 // layerGrads accumulates layer l's parameter gradients, sequence-fused
 // over all T steps, from its pre-activation gradients dz and, above
 // layer 0, overwrites dh with the gradient arriving at layer l-1's
-// hidden state. Layer 0's Wx gradient takes MulATBSparse's skip branch
-// when the plan says its input is sparse.
+// hidden state. Layer 0's Wx gradient runs on the row-sum kernel, as its
+// forward projection does: the input slab is transposed into arena
+// scratch, and each input column sums the dz rows of its non-zero steps.
 func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense, p *backwardPlan) {
 	ly, ar, T, b := n.layers[l], c.ar, c.steps, c.batch
-	xl := c.x
-	if l > 0 {
-		xl = ar.view(c.h[l-1], b, (T+1)*b)
-	}
-	if ly.first && p.sparseX {
-		mat.MulATBSparse(ly.wx.Grad, xl, dz)
+	if ly.first {
+		xT := ar.slab(c.x.Cols, c.x.Rows, false)
+		mat.TransposeInto(xT, c.x)
+		mat.MulAddSparse(ly.wx.Grad, xT, dz)
 	} else {
-		mat.MulATB(ly.wx.Grad, xl, dz)
+		mat.MulATB(ly.wx.Grad, ar.view(c.h[l-1], b, (T+1)*b), dz)
 	}
 	mat.MulATB(ly.wh.Grad, ar.view(c.h[l], 0, T*b), dz)
 	mat.SumRows(ly.b.Grad.Row(0), dz)
@@ -335,29 +332,6 @@ func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense, p *backwardPlan) {
 		dh.Zero()
 		mat.MulAdd(dh, dz, p.wxT[l])
 	}
-}
-
-// sparseEnough reports whether fewer than a quarter of the entries of
-// ms are nonzero — the threshold at which Backward sends layer 0's
-// weight gradient Xᵀ·DZ through MulATBSparse's skip branch instead of
-// the packed dense MulATB. True for one-hot token windows (the flavor
-// net); false for every lifetime window, whose thermometer encoding is
-// ~40 % non-zero (61 of 151 columns). The two kernels agree bit for bit
-// on finite data, so the choice is made once per sharded fit (on its
-// first window's full batch) or per direct Backward, never per shard.
-// The forward paths do not ask: layer 0 always runs the row-sum kernel,
-// whose cost is its non-zeros.
-func sparseEnough(ms ...*mat.Dense) bool {
-	nz, total := 0, 0
-	for _, m := range ms {
-		for _, v := range m.Data {
-			if v != 0 {
-				nz++
-			}
-		}
-		total += len(m.Data)
-	}
-	return nz*4 < total
 }
 
 // stepIn readies st's scratch for one batch-1 step and returns x as a

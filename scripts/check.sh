@@ -35,6 +35,8 @@
 #     row-major fleet GEMM, f32 row-major kernel or nil-panels branch in
 #     internal/{core,nn,mat}); the rule that training transposes a
 #     weight once per window (no mat.MulABT call in internal/{core,nn});
+#     the rule that layer 0's weight gradient has one kernel (no
+#     MulATBSparse or sparseEnough in internal/{mat,nn});
 #     and the rule that the decode engine takes its shape from the host
 #     (no shard-count or stream-cap field on core.EngineSpec or
 #     server.Server, no such flag in cmd/traced); and the rule that
@@ -222,6 +224,16 @@ if grep -n 'mat\.MulABT(' \
 	echo "check.sh: internal/{core,nn} calls mat.MulABT; multiply by a hoisted transpose instead" >&2
 	exit 1
 fi
+# One layer-0 gradient kernel (DESIGN.md §6.3): layer 0's weight
+# gradient runs on the row-sum kernel for every net, as its forward
+# projection does, so no non-test file of internal/{mat,nn} may bring
+# back the skip-zero transposed product or the density probe that chose
+# it per fit.
+if grep -nE 'MulATBSparse|sparseEnough' \
+	$(find internal/mat internal/nn -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+	echo "check.sh: a second layer-0 gradient kernel is back in internal/{mat,nn}; transpose the input and run MulAddSparse" >&2
+	exit 1
+fi
 # One decode shape (DESIGN.md §6.2): the shard count is par.Procs()
 # (REPRO_PROCS, the one worker-count switch) and the stream cap is 64,
 # because neither changes an output byte. So no non-test file may give
@@ -310,4 +322,4 @@ if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
