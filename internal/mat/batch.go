@@ -54,41 +54,9 @@ func lanes[T float32 | float64]() int {
 	return 32 / int(unsafe.Sizeof(z))
 }
 
-// gemmRaw computes dst += a·b over raw row-major float64 slices (m×kk,
-// kk×n, m×n), each element's k terms ascending: gemmAVX2 where enabled,
-// the portable 4-column register tiles otherwise (row-major b is one
-// n-column tile to mulAddTile), and a scalar column tail — all
-// bit-identical to MulAdd's rounding sequence, because no path ever
-// splits or reorders one element's sum. It is the training GEMMs'
-// row-major kernel (MulAdd's small products, MulATB / MulABT); decode
-// steps on panels (MulAddPacked).
-func gemmRaw(dst, a, b []float64, m, kk, n int) {
-	if m == 0 || kk == 0 || n == 0 {
-		return
-	}
-	nv := n &^ 3 // columns [0, nv) run tiled, [nv, n) through the scalar tail
-	if useBatchASM {
-		if nv > 0 {
-			gemmAVX2(&dst[0], &a[0], &b[0], m, kk, n)
-		}
-	} else {
-		mulAddTile(dst, a, b, m, kk, n, n)
-	}
-	for j := nv; j < n; j++ {
-		for i := 0; i < m; i++ {
-			arow := a[i*kk : i*kk+kk]
-			s := dst[i*n+j]
-			for k := 0; k < kk; k++ {
-				s += arow[k] * b[k*n+j]
-			}
-			dst[i*n+j] = s
-		}
-	}
-}
-
 // rowSum adds the listed terms of one input row into one dst row:
-// dst[j] += x[k]·b[k*n+j] for k = idx[0], idx[1], … (ascending, all
-// x[k] != 0, len(idx) > 0) and every j in [0, n), n = len(dst). A term
+// dst[j] += x[k]·b[k*n+j] for k = idx[0], idx[1], … (ascending,
+// len(idx) > 0) and every j in [0, n), n = len(dst). A term
 // with x[k] == 1 adds the b row as it is — multiplying by 1.0 is exact,
 // so skipping it changes no bit — and any other value is a separately
 // rounded multiply and add. The AVX2 kernel of T keeps a block of dst

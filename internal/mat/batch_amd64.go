@@ -13,15 +13,6 @@ func haveBatchASM() bool { return cpuHasAVX2FMA() }
 // (CPUID leaves 1 and 7, XGETBV). Implemented in batch_amd64.s.
 func cpuHasAVX2FMA() bool
 
-// gemmAVX2 computes dst[i*n+j] += Σ_k a[i*k+j′]·b[j′*n+j] for all m
-// rows and columns [0, n&^3), accumulating each element's k terms in
-// ascending order with separate VMULPD+VADDPD (no FMA — the reference
-// scalar kernel rounds the product and the sum separately, and fusing
-// them would change bits). Columns n&^3..n-1 are the caller's job.
-//
-//go:noescape
-func gemmAVX2(dst, a, b *float64, m, k, n int)
-
 // expAVX2 sets dst[i] = math.Exp(x[i]) for i in [0, n), n a positive
 // multiple of 4, bit-identically to math.Exp's amd64 FMA path. dst and
 // x may alias exactly. Implemented in batch_amd64.s.
@@ -52,7 +43,8 @@ func tanhAVX2(dst, x *float64, n int)
 //go:noescape
 func lstmCellAVX2(z, b, c, h *float64, m, hd int)
 
-// rowSumAVX2 is the layer-0 row-sum kernel (MulAddSparse): for the
+// rowSumAVX2 is the row-sum kernel (rowSum: MulAddSparse, MulAdd's
+// small products, SumRows, Add): for the
 // cnt > 0 listed columns k = idx[e] of one input row x, ascending, it
 // adds x[k]·b[k*n+j] into dst[j] for j in [0, n&^3), holding up to 48
 // dst columns in registers across the whole list. x[k] == 1 is a bare
@@ -66,11 +58,11 @@ func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int)
 // gemmPacked16AVX2 accumulates a group of tiles in [1, 3] consecutive
 // 16-column packed panel tiles into dst for m activation rows:
 // dst[i*n+j] += Σ_k a[i*k+k′]·p[t*k*16+k′*16+j%16], t = j/16, j in
-// [0, 16·tiles), with dst addressed at the group's first column. Same
-// ascending-k separate-VMULPD+VADDPD schedule as gemmAVX2, so results
-// are bit-identical; only the panel loads are contiguous, and the
-// group's accumulators are all in registers at once. m and k must be
-// positive. Implemented in batch_amd64.s.
+// [0, 16·tiles), with dst addressed at the group's first column. Each
+// element's k terms are ascending, a separate VMULPD then VADDPD each,
+// so results are the scalar oracle's bits; the panel loads are
+// contiguous, and the group's accumulators are all in registers at
+// once. m and k must be positive. Implemented in batch_amd64.s.
 //
 //go:noescape
 func gemmPacked16AVX2(dst, a, p *float64, m, k, n, tiles int)

@@ -2,10 +2,10 @@
 // §6.2). Every kernel is bit-identical to its portable reference and is
 // verified against it element-for-element in batch_test.go:
 //
-//   - gemmAVX2 accumulates each dst element's k terms in ascending
-//     order with separate VMULPD+VADDPD. No FMA: the scalar reference
-//     rounds the product and the sum separately, and fusing them would
-//     change low bits.
+//   - the product kernels (the packed panel groups and rowSumAVX2) add
+//     each dst element's k terms in ascending order, a separate VMULPD
+//     and VADDPD each. No FMA: the scalar reference rounds the product
+//     and the sum separately, and fusing them would change low bits.
 //
 //   - expAVX2 is a four-lane transcription of math.Exp's amd64 FMA
 //     path (exp_amd64.s, the Shibata/SLEEF reduction): the same FMA
@@ -54,97 +54,6 @@ TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 
 nosupport:
 	MOVB $0, ret+0(FP)
-	RET
-
-// func gemmAVX2(dst, a, b *float64, m, k, n int)
-//
-// dst[i][j] += sum_k a[i][k]*b[k][j] over columns [0, n&^3), with
-// 16-column register tiles and a 4-column cleanup tile. The k loop is
-// innermost and ascending, and every product feeds a separate add.
-TEXT ·gemmAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ m+24(FP), CX
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-
-	TESTQ CX, CX
-	JLE   gdone
-	TESTQ R9, R9
-	JLE   gdone
-
-	MOVQ R10, R11 // R11 = (n &^ 3) * 8: 4-wide column limit, bytes
-	ANDQ $-4, R11
-	SHLQ $3, R11
-	MOVQ R10, R12 // R12 = (n &^ 15) * 8: 16-wide column limit, bytes
-	ANDQ $-16, R12
-	SHLQ $3, R12
-	SHLQ $3, R10  // R10 = n*8: dst/b row stride, bytes
-
-growi:
-	XORQ BX, BX // j, bytes
-
-gj16:
-	CMPQ BX, R12
-	JGE  gj4
-	VMOVUPD (DI)(BX*1), Y0
-	VMOVUPD 32(DI)(BX*1), Y1
-	VMOVUPD 64(DI)(BX*1), Y2
-	VMOVUPD 96(DI)(BX*1), Y3
-	LEAQ    (DX)(BX*1), R13 // &b[0][j]
-	MOVQ    SI, AX          // &a[i][0]
-	MOVQ    R9, R8          // k countdown
-
-gk16:
-	VBROADCASTSD (AX), Y4
-	VMULPD       (R13), Y4, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       32(R13), Y4, Y6
-	VADDPD       Y6, Y1, Y1
-	VMULPD       64(R13), Y4, Y7
-	VADDPD       Y7, Y2, Y2
-	VMULPD       96(R13), Y4, Y8
-	VADDPD       Y8, Y3, Y3
-	ADDQ         $8, AX
-	ADDQ         R10, R13
-	DECQ         R8
-	JNZ          gk16
-	VMOVUPD      Y0, (DI)(BX*1)
-	VMOVUPD      Y1, 32(DI)(BX*1)
-	VMOVUPD      Y2, 64(DI)(BX*1)
-	VMOVUPD      Y3, 96(DI)(BX*1)
-	ADDQ         $128, BX
-	JMP          gj16
-
-gj4:
-	CMPQ BX, R11
-	JGE  growiend
-	VMOVUPD (DI)(BX*1), Y0
-	LEAQ    (DX)(BX*1), R13
-	MOVQ    SI, AX
-	MOVQ    R9, R8
-
-gk4:
-	VBROADCASTSD (AX), Y4
-	VMULPD       (R13), Y4, Y5
-	VADDPD       Y5, Y0, Y0
-	ADDQ         $8, AX
-	ADDQ         R10, R13
-	DECQ         R8
-	JNZ          gk4
-	VMOVUPD      Y0, (DI)(BX*1)
-	ADDQ         $32, BX
-	JMP          gj4
-
-growiend:
-	ADDQ R10, DI        // next dst row
-	LEAQ (SI)(R9*8), SI // next a row
-	DECQ CX
-	JNZ  growi
-
-gdone:
-	VZEROUPPER
 	RET
 
 // Broadcast constant table for expAVX2: each 32-byte row is one
@@ -602,7 +511,7 @@ csigslow:
 // one call holds all of the group's accumulators in registers at once:
 // at one activation row a 16-column tile alone is four dependent add
 // chains, and three tiles are twelve that overlap. The accumulation
-// schedule is gemmAVX2's — k innermost and ascending, separate
+// schedule is the scalar oracle's — k innermost and ascending, separate
 // VMULPD+VADDPD per term — so neither packing nor grouping can change a
 // single output bit.
 
@@ -810,7 +719,7 @@ p4k1:
 
 // func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int)
 //
-// The layer-0 row-sum kernel (DESIGN.md §6.2): dst[j] += Σ_e x[k]·b[k*n+j],
+// The row-sum kernel (DESIGN.md §6.2): dst[j] += Σ_e x[k]·b[k*n+j],
 // k = idx[e] for e ascending in [0, cnt), over columns [0, n&^3), in
 // 48-column blocks of twelve accumulators, then 16- and 4-column blocks.
 // A block stays in registers across the whole list. A term whose x[k]

@@ -9,10 +9,6 @@ package mat
 // assembly is tested against).
 func haveBatchASM() bool { return false }
 
-func gemmAVX2(dst, a, b *float64, m, k, n int) {
-	panic("mat: gemmAVX2 without assembly kernel")
-}
-
 func rowSumAVX2(dst, x, b *float64, n int, idx *uint8, cnt int) {
 	panic("mat: rowSumAVX2 without assembly kernel")
 }

@@ -10,7 +10,7 @@ import (
 // Micro-benchmarks backing the DESIGN.md "Parallel execution" numbers:
 // dense vs sparse GEMM kernels (the dense path dropped its per-element
 // zero test; the sparse path keeps it for one-hot inputs) and the
-// straight-loop Dot/Axpy kernels.
+// straight-loop Dot kernel.
 //
 // Caveat: on hosts with unstable clocks, consecutive benchmark blocks
 // drift enough to swamp a ~5% kernel delta; a speed claim is made from
@@ -84,19 +84,6 @@ func BenchmarkDot(b *testing.B) {
 		sink += dot(x, y)
 	}
 	_ = sink
-}
-
-// BenchmarkAxpy times the shipped kernel as the GEMM inner loops
-// consume it (direct call of the package-private straight loop).
-func BenchmarkAxpy(b *testing.B) {
-	x := denseRand(1, vecLen, 1).Data
-	y := denseRand(1, vecLen, 2).Data
-	b.SetBytes(8 * 2 * vecLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		axpy(1e-9, x, y)
-	}
 }
 
 // BenchmarkLSTMCell24 is LSTMCell at the decode hidden size on fresh

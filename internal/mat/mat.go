@@ -109,32 +109,46 @@ func (m *Matrix[T]) String() string {
 	return fmt.Sprintf("Dense(%dx%d)", m.Rows, m.Cols)
 }
 
-// MulAdd computes dst += a * b with the dense kernel, with no
+// MulAdd computes dst += a * b with the dense kernels, with no
 // per-element zero test (dense data makes that branch a mispredict;
 // layer-0 feature encodings — one-hots, thermometers — call
 // MulAddSparse instead). Every path accumulates each dst element's k
 // terms in ascending order with a separately rounded multiply and add,
-// so the dispatch below can never change a bit.
+// so the dispatch (mulAdd) can never change a bit.
 func MulAdd(dst, a, b *Dense) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulAdd shape mismatch %v * %v -> %v", a, b, dst))
 	}
-	k, n := a.Cols, b.Cols
-	rowFlops := k * n
-	if a.Rows*rowFlops >= packMinFlops {
-		// Above the threshold the transpose-packed backward kernels
-		// use, repack B into panel scratch and run the packed tile
-		// kernel: contiguous panel loads amortised over the row sweep.
+	mulAdd(dst, a, b)
+}
+
+// mulAdd is MulAdd without the shape check, for the callers in this
+// package whose operands are pooled scratch headers: the check's
+// Sprintf would make such a header escape. At or above packMinFlops it
+// packs b per call onto panels and runs the packed kernel over all of
+// a (mulAddPackedB); below it — the one-row products of StepForward and
+// the small fused products — it runs row sums (mulAddRowSums).
+func mulAdd(dst, a, b *Dense) {
+	if a.Rows*a.Cols*b.Cols >= packMinFlops {
 		mulAddPackedB(dst, a, b)
-		return
+	} else {
+		mulAddRowSums(dst, a, b)
 	}
-	// Below it — the one-row recurrent products of a training shard and
-	// of StepForward (1×H · H×4H) — the product runs on the row-major
-	// kernel: B is read once per row either way, so there
-	// is nothing for a pack pass to amortise, and gemmRaw's register
-	// tiles (AVX2, or the portable 4-column tiles) beat a
-	// store-and-reload axpy sweep per k.
-	gemmRaw(dst.Data, a.Data, b.Data, a.Rows, k, n)
+}
+
+// mulAddRowSums runs each row of a as a row sum with every column
+// listed, in sparseChunk-column chunks. Nothing is skipped, so a zero
+// or non-finite operand gives the packed kernel's bits; a coefficient of
+// exactly 1 becomes a bare add, which is exact.
+func mulAddRowSums(dst, a, b *Dense) {
+	k, n := a.Cols, b.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow, drow := a.Row(i), dst.Row(i)
+		for k0 := 0; k0 < k; k0 += sparseChunk {
+			x := arow[k0:min(k0+sparseChunk, k)]
+			rowSum(drow, x, b.Data[k0*n:], allRows[:len(x)])
+		}
+	}
 }
 
 // MulAddSparse computes dst += a * b, skipping zero elements of a: each
@@ -183,62 +197,56 @@ func MulAddSparse[T float32 | float64](dst, a, b *Matrix[T]) {
 // them, so chunking cannot reorder an element's sum.
 const sparseChunk = 256
 
-// MulATB computes dst += aᵀ * b (a is kxm, b is kxn, dst is mxn).
-// Above packMinFlops it packs aᵀ once and runs the cache-blocked
-// batched kernel (see pack.go). Below, it streams a and b row-major
-// (k outer). Both paths accumulate each dst element's k terms in
-// ascending order, so they are bit-identical.
+// MulATB computes dst += aᵀ * b (a is kxm, b is kxn, dst is mxn): a is
+// transposed into pooled scratch and multiplied by mulAdd, so each dst
+// element takes its k terms in ascending order. It is training's weight
+// gradient product (activations ᵀ · gate gradients). Like every kernel
+// here it runs on the calling goroutine; the training shards call it
+// concurrently, which is why the scratch is pooled (packPool).
 func MulATB(dst, a, b *Dense) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulATB shape mismatch %vᵀ * %v -> %v", a, b, dst))
 	}
-	m, n := a.Cols, b.Cols
-	if m*a.Rows*n >= packMinFlops {
-		mulATBPacked(dst, a, b)
-		return
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Data[k*n : k*n+n]
-		for i, av := range arow {
-			axpy(av, brow, dst.Row(i))
-		}
-	}
+	sp := packGet(a.Cols * a.Rows)
+	at := Dense{Rows: a.Cols, Cols: a.Rows, Data: *sp}
+	transposeInto(at.Data, a)
+	mulAdd(dst, &at, b)
+	packPut(sp)
 }
 
 // MulABT computes dst += a * bᵀ (a is mxk, b is nxk, dst is mxn), each
-// dot product rounded before its one add into dst. Above packMinFlops
-// it packs bᵀ once and runs the cache-blocked batched kernel through a
-// zeroed panel, bit-identical to the dot-then-add loop (see pack.go).
-// Training no longer calls it: a window's Backward multiplies by weight
-// transposes taken once before its shard fan-out (TransposeInto, then
-// MulAdd on a zeroed dst). Its one caller is the frozen benchmark's
-// mat.abt_us probe, and the next benchmark revision decides whether it
-// stays.
+// dot product rounded before its one add into dst: b is transposed into
+// pooled scratch, mulAdd runs into a zeroed pooled panel (from +0 the
+// ascending-k sum is the dot's bits), and the panel is added to dst.
+// Training does not call it: a window's Backward multiplies by weight
+// transposes taken once before its shard fan-out. Its one caller is the
+// frozen benchmark's mat.abt_us probe, and the next benchmark revision
+// decides whether it stays.
 func MulABT(dst, a, b *Dense) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulABT shape mismatch %v * %vᵀ -> %v", a, b, dst))
 	}
-	if a.Rows*a.Cols*b.Rows >= packMinFlops {
-		mulABTPacked(dst, a, b)
-		return
+	sp, pp := packGet(b.Cols*b.Rows), packGet(a.Rows*b.Rows)
+	bt := Dense{Rows: b.Cols, Cols: b.Rows, Data: *sp}
+	p := Dense{Rows: a.Rows, Cols: b.Rows, Data: *pp}
+	transposeInto(bt.Data, b)
+	clear(p.Data)
+	mulAdd(&p, a, &bt)
+	for i, v := range p.Data {
+		dst.Data[i] += v
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] += dot(arow, b.Row(j))
-		}
-	}
+	packPut(pp)
+	packPut(sp)
 }
 
 // TransposeInto sets dst = aᵀ (dst is a.Cols x a.Rows and must not
 // alias a). A caller that multiplies many x against one bᵀ — a training
 // window, whose shards' Backward multiply by the same weight transposes
 // at every step and layer — transposes once and calls MulAdd(dst, x,
-// bT) on a zeroed dst instead of MulABT per product: from +0 the
-// ascending-k sum is MulABT's dot bit for bit, and adding that dot to
-// +0 returns it unchanged (a sum that starts at +0 can never be -0).
+// bT), or MulAddPacked on bT's panels, on a zeroed dst instead of
+// MulABT per product: from +0 the ascending-k sum is MulABT's dot bit
+// for bit, and adding that dot to +0 returns it unchanged (a sum that
+// starts at +0 can never be -0).
 func TransposeInto(dst, a *Dense) {
 	if dst.Rows != a.Cols || dst.Cols != a.Rows {
 		panic(fmt.Sprintf("mat: TransposeInto shape mismatch %vᵀ -> %v", a, dst))
@@ -285,7 +293,7 @@ func Add(y, x []float64) {
 
 // unitRow and allRows are the row-sum operands of SumRows and Add: a
 // coefficient of exactly 1 for every row of a chunk, and every row
-// index in ascending order.
+// index in ascending order (also the column list of mulAddRowSums).
 var unitRow, allRows = func() (x [sparseChunk]float64, idx [sparseChunk]uint8) {
 	for i := range x {
 		x[i], idx[i] = 1, uint8(i)
@@ -303,8 +311,8 @@ func Dot(a, b []float64) float64 {
 
 // dot is the unchecked kernel behind Dot. The adds stay sequential
 // into one accumulator on purpose: the strict ascending-index
-// summation order is what keeps every GEMM path — row-major, blocked,
-// or packed — bit-identical, so a multi-accumulator split is off
+// summation order is what keeps every product path — row sums or
+// packed panels — bit-identical, so a multi-accumulator split is off
 // the table here. With the dependency chain serial either way, a
 // 4-way manual unroll buys nothing and in fact ran nearly 2× slower
 // on this host by paired alternating-median measurement of direct
@@ -316,21 +324,6 @@ func dot(a, b []float64) float64 {
 		s += av * b[i]
 	}
 	return s
-}
-
-// axpy is the GEMM inner loop of MulATB's small-shape path.
-// Updates are element-wise, so the iteration shape cannot change the
-// result. Re-measurement did not reproduce the +12% once claimed for
-// a 4-way manual unroll: paired alternating-median timing of direct
-// in-package calls swings ±20% between otherwise-identical builds as
-// unrelated edits move code layout, with neither variant robustly
-// ahead. The straight range loop ships because it is simpler and the
-// compiler eliminates its bounds checks, which the unroll's double
-// length guard defeats.
-func axpy[T float32 | float64](alpha T, x, y []T) {
-	for i, xv := range x {
-		y[i] += alpha * xv
-	}
 }
 
 // Scale multiplies every element of x by alpha in place.

@@ -9,10 +9,10 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// mulAddRows is the kernel MulAdd ran below the pack threshold until
-// its small products moved onto gemmRaw: dst[lo:hi] += a[lo:hi] * b by
-// axpy rows, k-blocked, each dst element's k terms ascending. Kept as
-// the bit-exactness oracle every dense GEMM path is compared against.
+// mulAddRows is the plain-loop oracle every dense product path is
+// compared against: dst[lo:hi] += a[lo:hi] * b by rows, k-blocked, each
+// dst element's k terms ascending with a separately rounded multiply
+// and add.
 func mulAddRows(dst, a, b *Dense, lo, hi int) {
 	const blockK = 64
 	n := b.Cols
@@ -22,7 +22,9 @@ func mulAddRows(dst, a, b *Dense, lo, hi int) {
 			arow := a.Row(i)
 			drow := dst.Row(i)
 			for k := k0; k < k1; k++ {
-				axpy(arow[k], b.Data[k*n:k*n+n], drow)
+				for j, bv := range b.Data[k*n : k*n+n] {
+					drow[j] += arow[k] * bv
+				}
 			}
 		}
 	}
@@ -227,12 +229,12 @@ func TestDotAxpyScale(t *testing.T) {
 		t.Fatalf("Dot got %v", Dot(a, b))
 	}
 	y := []float64{1, 1, 1}
-	axpy(2, a, y)
-	if y[0] != 3 || y[2] != 7 {
-		t.Fatalf("axpy wrong: %v", y)
+	Add(y, a) // the axpy at alpha 1
+	if y[0] != 2 || y[2] != 4 {
+		t.Fatalf("Add wrong: %v", y)
 	}
 	Scale(0.5, y)
-	if y[0] != 1.5 {
+	if y[0] != 1 {
 		t.Fatalf("Scale wrong: %v", y)
 	}
 }

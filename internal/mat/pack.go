@@ -2,37 +2,23 @@ package mat
 
 import "sync"
 
-// Packed cache-blocked backward GEMM fast paths. MulATB and MulABT feed
-// BPTT's gradient products ((T·b)-row activations against gate panels);
-// above packMinFlops they transpose one operand once into pooled
-// scratch and then run the batched AVX2 kernel (gemmAVX2, or its tiled
-// portable fallback) over contiguous rows, instead of the strided
-// axpy/dot loops the small-shape paths keep. Like every kernel in the
-// package they run on the calling goroutine at any size; the concurrent
-// callers are the training shards, one per row, which is why the
-// scratch is pooled rather than global (packPool).
-//
-// Bit-compatibility: both fast paths reproduce the small-shape paths'
-// bits exactly, so the threshold (and any future retuning of it) can
-// never change a trained weight:
-//
-//   - MulATB accumulates directly into dst with ascending-k adds — the
-//     same per-element rounding sequence as the axpy loops.
-//
-//   - MulABT's reference rounds each dot product fully before the
-//     single add into dst. The fast path preserves that by accumulating
-//     into a zeroed scratch panel (ascending-k from zero computes the
-//     dot's bits exactly) and then adding the panel to dst elementwise.
+// Per-call scratch of the training products. MulATB and MulABT
+// transpose one operand into pooled scratch and multiply it by mulAdd;
+// MulAdd at or above packMinFlops packs B per call onto panels
+// (mulAddPackedB). Like every kernel in the package they run on the
+// calling goroutine at any size; the concurrent callers are the
+// training shards, one per row, which is why the scratch is pooled
+// rather than global (packPool). None of it moves a bit: a transpose
+// or a pack permutes addresses, and every path takes each dst element's
+// k terms in ascending order.
 
 const (
-	// packMinFlops is the multiply-add count above which the packed
-	// paths win: below it the extra transpose pass and pool traffic cost
-	// more than the strided reads they remove (paired-measured at the
-	// BPTT shapes, per-call transpose included). It prices that per-call
-	// pass, not the kernel: a caller that hoists the transpose out of its
-	// loop — a training window's weight transposes, via TransposeInto —
-	// calls MulAdd on the transposed operand, whose small products take
-	// the contiguous kernel at any size (no pass to pay).
+	// packMinFlops is the multiply-add count at or above which MulAdd
+	// packs B per call; below it, where the pack pass would cost more
+	// than the contiguous panel loads save, the product runs as row
+	// sums. A caller that multiplies by one matrix many times — a
+	// training window's recurrent weights — packs it once
+	// (Packed.Repack) and calls MulAddPacked at any size.
 	packMinFlops = 1 << 14
 	// packTile is the square blocking granule of the transpose, sized so
 	// a tile of the source and destination both sit in L1.
@@ -78,37 +64,4 @@ func transposeInto(dst []float64, a *Dense) {
 			}
 		}
 	}
-}
-
-// mulATBPacked computes dst += aᵀ·b by transposing a once into pooled
-// scratch and running the contiguous kernel. Bit-identical to MulATB's
-// small-shape path.
-func mulATBPacked(dst, a, b *Dense) {
-	m, n, kk := a.Cols, b.Cols, a.Rows
-	sp := packGet(m * kk)
-	at := *sp
-	transposeInto(at, a)
-	gemmRaw(dst.Data, at, b.Data, m, kk, n)
-	packPut(sp)
-}
-
-// mulABTPacked computes dst += a·bᵀ by transposing b once into pooled
-// scratch and running the contiguous kernel into a zeroed pooled panel,
-// which is then added to dst: that keeps MulABT's dot-then-add rounding
-// (see the file comment), bit-identical to its small-shape path for
-// every dst (zeroed or not).
-func mulABTPacked(dst, a, b *Dense) {
-	m, kk, n := a.Rows, a.Cols, b.Rows
-	sp := packGet(kk * n)
-	bt := *sp
-	transposeInto(bt, b)
-	pp := packGet(m * n)
-	p := *pp
-	clear(p)
-	gemmRaw(p, a.Data, bt, m, kk, n)
-	for i, v := range p {
-		dst.Data[i] += v
-	}
-	packPut(pp)
-	packPut(sp)
 }

@@ -5,20 +5,22 @@ import (
 	"testing"
 )
 
-// mulATBRef is the pre-pack serial MulATB loop (k outer, axpy rows),
-// kept as the bit-exactness reference for the packed path.
+// mulATBRef is the plain MulATB loop (k outer, rows of b scaled into
+// dst rows), the bit-exactness reference of MulATB.
 func mulATBRef(dst, a, b *Dense) {
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
 		brow := b.Data[k*n : k*n+n]
-		for i, av := range arow {
-			axpy(av, brow, dst.Row(i))
+		for i, av := range a.Row(k) {
+			drow := dst.Row(i)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
 		}
 	}
 }
 
-// mulABTRef is the pre-pack MulABT loop (full dot rounded before the
+// mulABTRef is the plain MulABT loop (full dot rounded before the
 // single add into dst), the reference the zeroed-panel trick must
 // reproduce for every dst — zeroed or mid-accumulation.
 func mulABTRef(dst, a, b *Dense) {
@@ -35,68 +37,73 @@ func mulABTRef(dst, a, b *Dense) {
 // tails in every dimension (odd k, odd n, sub-tile m).
 var packShapes = [][3]int{ // {k, m, n} for ATB: a is k×m, b is k×n
 	{768, 72, 192}, {768, 48, 192}, {96, 24, 96}, // BPTT gradient panels
+	{96, 24, 17}, {96, 24, 47}, // one-row shard weight gradients
 	{33, 7, 129}, {65, 3, 5}, {129, 31, 33}, // tails everywhere
 	{8, 4, 8}, {1, 1, 1}, {64, 64, 64},
 	{40, 100, 3}, {40, 3, 100},
 }
 
-// TestMulATBPackedBitExact checks the packed path (called directly, so
-// shapes below the dispatch threshold are covered too) and the public
-// MulATB against the pre-pack reference, bit-for-bit, on both kernel
-// paths, accumulating into a nonzero dst.
+// forPackShapes calls f on every entry of packShapes and fails unless
+// they straddle packMinFlops, so MulATB's and MulABT's one path is
+// proven on both arms of mulAdd.
+func forPackShapes(t *testing.T, f func(k, m, n int)) {
+	below, above := false, false
+	for _, sh := range packShapes {
+		k, m, n := sh[0], sh[1], sh[2]
+		if k*m*n >= packMinFlops {
+			above = true
+		} else {
+			below = true
+		}
+		f(k, m, n)
+	}
+	if !below || !above {
+		t.Fatalf("packShapes no longer straddle packMinFlops = %d", packMinFlops)
+	}
+}
+
+// TestMulATBPackedBitExact checks MulATB — a pooled transpose, then
+// mulAdd, which packs per call at or above packMinFlops — against the
+// plain reference, bit for bit, on both kernel tiers, accumulating into
+// a nonzero dst.
 func TestMulATBPackedBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
-		for _, sh := range packShapes {
-			k, m, n := sh[0], sh[1], sh[2]
+		forPackShapes(t, func(k, m, n int) {
 			a := denseRand(k, m, 1)
 			b := denseRand(k, n, 2)
 			want := denseRand(m, n, 3)
-			got1 := want.Clone()
-			got2 := want.Clone()
+			got := want.Clone()
 			mulATBRef(want, a, b)
-			mulATBPacked(got1, a, b)
-			MulATB(got2, a, b)
+			MulATB(got, a, b)
 			for i := range want.Data {
-				if math.Float64bits(got1.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("packed %dx%dx%d: elem %d: got %x want %x",
-						k, m, n, i, math.Float64bits(got1.Data[i]), math.Float64bits(want.Data[i]))
-				}
-				if math.Float64bits(got2.Data[i]) != math.Float64bits(want.Data[i]) {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("MulATB %dx%dx%d: elem %d: got %x want %x",
-						k, m, n, i, math.Float64bits(got2.Data[i]), math.Float64bits(want.Data[i]))
+						k, m, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 				}
 			}
-		}
+		})
 	})
 }
 
 // TestMulABTPackedBitExact is the MulABT counterpart. The nonzero dst
-// matters doubly here: the attention backward accumulates MulABT into a
-// running gradient, and the zeroed-panel construction must keep the
-// dot-then-single-add rounding for those call sites.
+// matters doubly here: the zeroed-panel construction must keep the
+// dot-then-single-add rounding into a running sum.
 func TestMulABTPackedBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
-		for _, sh := range packShapes {
-			k, m, n := sh[0], sh[1], sh[2] // a is m×k, b is n×k
+		forPackShapes(t, func(k, m, n int) { // a is m×k, b is n×k
 			a := denseRand(m, k, 1)
 			b := denseRand(n, k, 2)
 			want := denseRand(m, n, 3)
-			got1 := want.Clone()
-			got2 := want.Clone()
+			got := want.Clone()
 			mulABTRef(want, a, b)
-			mulABTPacked(got1, a, b)
-			MulABT(got2, a, b)
+			MulABT(got, a, b)
 			for i := range want.Data {
-				if math.Float64bits(got1.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("packed %dx%dx%d: elem %d: got %x want %x",
-						m, k, n, i, math.Float64bits(got1.Data[i]), math.Float64bits(want.Data[i]))
-				}
-				if math.Float64bits(got2.Data[i]) != math.Float64bits(want.Data[i]) {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("MulABT %dx%dx%d: elem %d: got %x want %x",
-						m, k, n, i, math.Float64bits(got2.Data[i]), math.Float64bits(want.Data[i]))
+						m, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 				}
 			}
-		}
+		})
 	})
 }
 
@@ -147,12 +154,12 @@ func BenchmarkMulABTPackedBPTTShape(b *testing.B) {
 	}
 }
 
-// TestMulAddSmallShapesBitExact pins MulAdd to the axpy-row oracle at
+// TestMulAddSmallShapesBitExact pins MulAdd to the plain-loop oracle at
 // the shapes a one-row training shard and StepForward produce, with
 // column tails (n mod 4 ≠ 0), a single column, and k on both sides of
 // the oracle's 64-term block edge — on the assembly and portable
 // kernels (the largest shapes cross packMinFlops, so they take the
-// repacked path), into a nonzero dst.
+// per-call pack), into a nonzero dst.
 func TestMulAddSmallShapesBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
 		for m := 1; m <= 9; m++ {
@@ -169,6 +176,66 @@ func TestMulAddSmallShapesBitExact(t *testing.T) {
 							t.Fatalf("%dx%dx%d: elem %d: got %x want %x", m, k, n,
 								i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// specialValues are the operand values the special-value pins plant:
+// signed zeros, denormals, the smallest normal, infinities, NaN, and
+// the unit coefficients the row-sum kernel treats as a bare add.
+var specialValues = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308,
+	math.Inf(1), math.Inf(-1), math.NaN(), 1, -1,
+}
+
+// plantSpecials overwrites every stride-th element of m with the next
+// of specialValues.
+func plantSpecials(m *Dense, stride int) {
+	for i := 0; i < len(m.Data); i += stride {
+		m.Data[i] = specialValues[(i/stride)%len(specialValues)]
+	}
+}
+
+// TestMulAddRowSumsBitExact pins MulAdd's row-sum arm (mulAddRowSums,
+// called directly so it is proven at every shape, across the
+// sparseChunk edge at k = 257 too) and MulAdd itself to the plain-loop
+// oracle, with the specials planted in both operands and in dst. Every
+// column is listed, so unlike MulAddSparse nothing is skipped: every
+// bit must be the oracle's, ±0 and ±Inf included, and a NaN must come
+// out NaN (which NaN payload survives is the compiler's operand order;
+// see bitsDiffer).
+func TestMulAddRowSumsBitExact(t *testing.T) {
+	type shape struct{ m, k, n int }
+	var shapes []shape
+	for _, m := range []int{1, 8, 96} {
+		for _, k := range []int{17, 24, 96, 257} {
+			for _, n := range []int{17, 24, 47, 96} {
+				shapes = append(shapes, shape{m, k, n})
+			}
+		}
+		shapes = append(shapes, shape{m, 0, 24}, shape{m, 24, 0})
+	}
+	withBatchASM(t, func(t *testing.T) {
+		for _, sh := range shapes {
+			m, k, n := sh.m, sh.k, sh.n
+			for _, special := range []bool{false, true} {
+				a, b, base := denseRand(m, k, 1), denseRand(k, n, 2), denseRand(m, n, 3)
+				if special {
+					plantSpecials(a, 3)
+					plantSpecials(b, 7)
+					plantSpecials(base, 11)
+				}
+				want, rows, got := base.Clone(), base.Clone(), base.Clone()
+				mulAddRows(want, a, b, 0, m)
+				mulAddRowSums(rows, a, b)
+				MulAdd(got, a, b)
+				for i, w := range want.Data {
+					if bitsDiffer(rows.Data[i], w) || bitsDiffer(got.Data[i], w) {
+						t.Fatalf("%dx%dx%d special=%v: elem %d: row sums %x MulAdd %x want %x", m, k, n, special, i,
+							math.Float64bits(rows.Data[i]), math.Float64bits(got.Data[i]), math.Float64bits(w))
 					}
 				}
 			}
@@ -196,15 +263,6 @@ func bitsDiffer(got, want float64) bool {
 // pack threshold) and the dot-then-add reference's, with signed zeros,
 // denormals, infinities and NaNs planted in both operands.
 func TestMulAddOnTransposeMatchesMulABT(t *testing.T) {
-	specials := []float64{
-		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308,
-		math.Inf(1), math.Inf(-1), math.NaN(), 1, -1,
-	}
-	plant := func(m *Dense, stride int) {
-		for i := 0; i < len(m.Data); i += stride {
-			m.Data[i] = specials[(i/stride)%len(specials)]
-		}
-	}
 	withBatchASM(t, func(t *testing.T) {
 		shapes := [][3]int{ // {m, k, n}: a is m×k, b is n×k
 			{1, 96, 24}, {1, 72, 24}, {3, 96, 24}, {8, 192, 48}, // per-step dz·whᵀ
@@ -220,8 +278,8 @@ func TestMulAddOnTransposeMatchesMulABT(t *testing.T) {
 				a := denseRand(m, k, 1)
 				b := denseRand(n, k, 2)
 				if special {
-					plant(a, 3)
-					plant(b, 7)
+					plantSpecials(a, 3)
+					plantSpecials(b, 7)
 				}
 				bT := NewDense(k, n)
 				TransposeInto(bT, b)

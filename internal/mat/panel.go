@@ -5,20 +5,20 @@ import (
 	"unsafe"
 )
 
-// Publish-time packed weight panels (DESIGN.md §6.5). The decode hot
-// path multiplies small activation batches against the same immutable
+// Packed weight panels (DESIGN.md §6.5). The decode hot path
+// multiplies small activation batches against the same immutable
 // weight matrices every round; a row-major sweep of those matrices
 // loads B with an n-element stride at every k step and re-fetches a
 // gate slab wider than L1 from L2 once per activation row. Packed
-// converts a weight matrix once — at snapshot publish —
-// into j-tile-major panels: the columns are split into register-width
-// tiles (16 then 4 float64 columns; 32 then 8 float32 columns; a
-// column-major tail below that), and each tile stores its k rows
-// contiguously. The packed kernels then sweep a group of one to three
-// adjacent tiles across all activation rows with sequential panel
-// loads, so the group (k×16 float64 = 8 KB a tile at k=64) stays
-// L1-resident for the whole row sweep instead of the full matrix
-// streaming from L2 per row.
+// converts a weight matrix once — at snapshot publish, or per training
+// window (Repack) — into j-tile-major panels: the columns are split
+// into register-width tiles (16 then 4 float64 columns; 32 then 8
+// float32 columns; a column-major tail below that), and each tile
+// stores its k rows contiguously. The packed kernels then sweep a
+// group of one to three adjacent tiles across all activation rows with
+// sequential panel loads, so the group (k×16 float64 = 8 KB a tile at
+// k=64) stays L1-resident for the whole row sweep instead of the full
+// matrix streaming from L2 per row.
 //
 // Bit-compatibility: the panel layout permutes only the ADDRESS of
 // each B element, never the accumulation order. Every packed kernel —
@@ -58,9 +58,9 @@ func NewAligned[T float32 | float64](r, c int) *Matrix[T] {
 	return FromSlice(r, c, alignedFloats[T](r*c))
 }
 
-// Packed is a weight matrix converted once into j-tile-major panels
-// for the packed decode kernels. It is immutable after Pack and safe to
-// share across goroutines and fleets.
+// Packed is a weight matrix converted into j-tile-major panels for the
+// packed kernels. Between Repacks it is read-only and safe to share
+// across goroutines and fleets.
 type Packed[T float32 | float64] struct {
 	Rows, Cols int // shape of the original (k×n) matrix
 	data       []T
@@ -85,6 +85,16 @@ func (m *Matrix[T]) Pack() *Packed[T] {
 // probe matrix through it and the harness is frozen; it goes with the
 // next PR allowed to edit bench/.
 func (m *Matrix[T]) Pack32() *Packed[T] { return m.Pack() }
+
+// Repack refreshes p's panels in place from m, which must have p's
+// shape: the per-window refresh of a training window's recurrent
+// weights. It allocates nothing.
+func (p *Packed[T]) Repack(m *Matrix[T]) {
+	if m.Rows != p.Rows || m.Cols != p.Cols {
+		panic(fmt.Sprintf("mat: Repack %dx%d into %dx%d panels", m.Rows, m.Cols, p.Rows, p.Cols))
+	}
+	panelCopy(p.data, m.Data, m.Rows, m.Cols)
+}
 
 func (p *Packed[T]) String() string {
 	return fmt.Sprintf("PackedDense(%dx%d)", p.Rows, p.Cols)
@@ -247,14 +257,12 @@ func dot4[T float32 | float64](a, c0, c1, c2, c3 []T, s0, s1, s2, s3 T) (T, T, T
 	return s0, s1, s2, s3
 }
 
-// mulAddTile is the portable tile kernel, the one register-tiled loop
-// behind both the packed and the row-major GEMM: columns [0, w&^3) of
-// one w-column block of B swept across m rows in 4-column register
-// groups, k innermost and ascending with separate multiply and add —
-// the rounding sequence the assembly kernels vectorize, so assembly
-// on/off cannot change bits. dst is addressed at the block's first
-// column with row stride n; tile is the k×w block, a packed panel tile
-// or (w = n) a whole row-major matrix.
+// mulAddTile is the portable packed kernel: columns [0, w&^3) of one
+// w-column panel tile swept across m rows in 4-column register groups,
+// k innermost and ascending with separate multiply and add — the
+// rounding sequence the assembly kernels vectorize, so assembly on/off
+// cannot change bits. dst is addressed at the tile's first column with
+// row stride n; tile is the k×w panel tile.
 func mulAddTile[T float32 | float64](dst, a, tile []T, m, k, n, w int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : i*k+k]
@@ -273,7 +281,7 @@ func mulAddTile[T float32 | float64](dst, a, tile []T, m, k, n, w int) {
 	}
 }
 
-// mulAddPackedB is MulAdd's forward fast path: pack b once into pooled
+// mulAddPackedB is MulAdd's large-product path: pack b once into pooled
 // panel scratch, then run the packed kernel over all of a. The pack pass
 // costs one extra sweep over b, amortized across a.Rows row sweeps that
 // each replace strided B loads with contiguous L1-resident tiles;

@@ -30,7 +30,7 @@ func forPackedShapes(f32 bool, f func(m, k, n int)) {
 }
 
 // TestMulAddPackedBitExact pins the packed f64 walk against the scalar
-// axpy-row oracle (mulAddRows) — neither the panel layout nor the tile
+// plain-loop oracle (mulAddRows) — neither the panel layout nor the tile
 // grouping may change a single output bit — on the assembly and portable
 // paths.
 func TestMulAddPackedBitExact(t *testing.T) {
@@ -77,12 +77,12 @@ func TestMulAddPacked32BitExact(t *testing.T) {
 }
 
 // TestMulAddPackedDispatchBitExact pins both arms of MulAdd's size
-// dispatch to the axpy-row oracle, each called directly at shapes on
+// dispatch to the plain-loop oracle, each called directly at shapes on
 // both sides of packMinFlops (the training/BPTT sizes the dispatch
 // targets), so neither is proven only at the sizes MulAdd happens to
-// send it: subtest "nopack" is the unpacked kernel (gemmRaw), "pack" the
-// repack-and-tile path (mulAddPackedB). MulAdd itself, whichever arm it
-// picks, must match too.
+// send it: subtest "nopack" is the row-sum arm (mulAddRowSums), "pack"
+// the per-call pack onto panels (mulAddPackedB). MulAdd itself,
+// whichever arm it picks, must match too.
 func TestMulAddPackedDispatchBitExact(t *testing.T) {
 	withBatchASM(t, func(t *testing.T) {
 		shapes := [][3]int{
@@ -113,7 +113,7 @@ func TestMulAddPackedDispatchBitExact(t *testing.T) {
 			}
 			t.Run("nopack", func(t *testing.T) {
 				got := base.Clone()
-				gemmRaw(got.Data, a.Data, b.Data, m, k, n)
+				mulAddRowSums(got, a, b)
 				check(t, got)
 			})
 			t.Run("pack", func(t *testing.T) {
@@ -131,10 +131,44 @@ func TestMulAddPackedDispatchBitExact(t *testing.T) {
 	})
 }
 
+// TestRepack pins the per-window refresh: panels packed from one
+// matrix and repacked from another multiply exactly as MulAdd does on
+// the second, at a training window's recurrent shapes (Wh and Whᵀ at
+// hidden 24) and one with every tile kind, on both tiers; Repack
+// allocates nothing and refuses another shape.
+func TestRepack(t *testing.T) {
+	withBatchASM(t, func(t *testing.T) {
+		for _, sh := range [][3]int{{1, 24, 96}, {1, 96, 24}, {3, 24, 47}, {2, 200, 99}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			p := denseRand(k, n, 1).Pack()
+			w, a, base := denseRand(k, n, 2), denseRand(m, k, 3), denseRand(m, n, 4)
+			if allocs := testing.AllocsPerRun(10, func() { p.Repack(w) }); allocs != 0 {
+				t.Fatalf("%dx%d: Repack allocated %v per run", k, n, allocs)
+			}
+			want, got := base.Clone(), base.Clone()
+			MulAdd(want, a, w)
+			MulAddPacked(got, a, p)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%dx%dx%d: elem %d: got %x want %x",
+						m, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				}
+			}
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Repack of a 24x96 matrix into 96x24 panels did not panic")
+		}
+	}()
+	NewDense(96, 24).Pack().Repack(NewDense(24, 96))
+}
+
 // FuzzMulAddPacked feeds random shapes and data through the packed f64
-// walk followed by a bias sweep — the fleet's head — and through the
-// f32 walk, bit-comparing against the scalar oracles (mulAddRows, the
-// naive f32 loop), both assembly and portable.
+// walk followed by a bias sweep — the fleet's head — through MulAdd
+// (row sums or a per-call pack, by size) and through the f32 walk,
+// bit-comparing against the scalar oracles (mulAddRows, the naive f32
+// loop), both assembly and portable.
 func FuzzMulAddPacked(f *testing.F) {
 	f.Add(uint8(8), uint16(24), uint16(96), int64(1))
 	f.Add(uint8(64), uint16(64), uint16(255), int64(2))
@@ -164,13 +198,19 @@ func FuzzMulAddPacked(f *testing.F) {
 		mulAdd32Ref(want32, a32, b32)
 
 		withBatchASM(t, func(t *testing.T) {
-			got := base.Clone()
+			got, viaMulAdd := base.Clone(), base.Clone()
 			MulAddPacked(got, a, p)
 			AddBiasRows(got, bias)
+			MulAdd(viaMulAdd, a, b)
+			AddBiasRows(viaMulAdd, bias)
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("%dx%dx%d: elem %d: got %x want %x",
 						m, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				}
+				if math.Float64bits(viaMulAdd.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("MulAdd %dx%dx%d: elem %d: got %x want %x",
+						m, k, n, i, math.Float64bits(viaMulAdd.Data[i]), math.Float64bits(want.Data[i]))
 				}
 			}
 			got32 := base32.Clone()

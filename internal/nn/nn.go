@@ -71,8 +71,8 @@ type LSTM struct {
 	wy     *Param // [H x OutputDim]
 	by     *Param // [1 x OutputDim]
 	params []*Param
-	ws     *Workspace   // Forward/Backward scratch arenas, lazily acquired
-	plan   backwardPlan // a direct Backward's transposed weights
+	ws     *Workspace // Forward/Backward scratch arenas, lazily acquired
+	plan   windowPlan // a direct Forward's or Backward's packed and transposed weights
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -90,13 +90,16 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	if len(xs) == 0 {
 		return nil, &Cache{}
 	}
-	return n.forward(n.workspace().flip(), xs, st)
+	n.fillPlan(&n.plan)
+	return n.forward(n.workspace().flip(), xs, st, &n.plan)
 }
 
 // forward is Forward on the rewound arena ar, which holds every buffer
 // the pass returns: the outputs, the cache and the updated state stay
-// valid until ar is next rewound. xs must not be empty.
-func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
+// valid until ar is next rewound. It reads the recurrent weights from
+// the plan p, which must hold n's current weights. xs must not be
+// empty.
+func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State, p *windowPlan) ([]*mat.Dense, *Cache) {
 	cache := ar.lstmCache(len(n.layers))
 	n.begin(cache, ar, xs)
 	T, b, h := cache.steps, cache.batch, n.Cfg.HiddenDim
@@ -119,7 +122,7 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State) ([]*mat.Dense, *Ca
 		bias := layer.b.Value.Row(0)
 		for t := 0; t < T; t++ {
 			zt := ar.view(Z, t*b, (t+1)*b)
-			mat.MulAdd(zt, ar.view(H, t*b, (t+1)*b), layer.wh.Value)
+			mat.MulAddPacked(zt, ar.view(H, t*b, (t+1)*b), p.wh[l])
 			// The decode cell kernel, as Fleet.Step runs it: bias, gate
 			// activations in place (Z becomes the gate cache) and the
 			// c / h update of block t+1, which starts as a copy of block t.
@@ -148,15 +151,15 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State) ([]*mat.Dense, *Ca
 // Scratch bump-continues on the arena holding the cache, and parameter
 // gradients for Wx, Wh and the head accumulate via sequence-fused GEMMs
 // over the whole window rather than one small GEMM per step. The
-// weights are transposed afresh on every call; a sharded window
-// transposes them once for all its shards instead.
+// weights are packed and transposed afresh on every call; a sharded
+// window does that once for all its shards instead.
 func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
-	n.transposeWeights(&n.plan)
+	n.fillPlan(&n.plan)
 	n.backward(cache, dys, &n.plan)
 }
 
 // backward is Backward against the plan p, which it only reads.
-func (n *LSTM) backward(cache *Cache, dys []*mat.Dense, p *backwardPlan) {
+func (n *LSTM) backward(cache *Cache, dys []*mat.Dense, p *windowPlan) {
 	// DH holds, for the layer currently being processed, the gradient
 	// arriving from above at every step: from the head for the top
 	// layer, then from layer l's input projection for layer l-1.
@@ -201,7 +204,7 @@ func (n *LSTM) backward(cache *Cache, dys []*mat.Dense, p *backwardPlan) {
 			if t > 0 {
 				dzt := ar.view(DZ, t*b, (t+1)*b)
 				dhrec.Zero()
-				mat.MulAdd(dhrec, dzt, p.whT[l])
+				mat.MulAddPacked(dhrec, dzt, p.whT[l])
 			}
 		}
 		n.layerGrads(cache, l, DZ, DH, p)

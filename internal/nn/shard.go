@@ -7,19 +7,19 @@
 // shards never race. Its scratch is an arena it borrows from the
 // trainer's free list and hands back once its final state is copied
 // out, so a fit holds one arena per shard running at once, at most
-// min(par.Procs(), shards). What is constant over a
-// window is computed once before the fan-out and shared read-only: the
-// transposed weights every shard's backward multiplies by; every shard
-// runs the same kernels whatever its rows hold. As shards finish, the
-// per-shard gradients and losses are added into the real network in
-// ascending shard order by whichever worker holds the commit role,
-// overlapping the shards still running. Because the shard layout and
+// min(par.Procs(), shards). What is constant over a window is computed
+// once before the fan-out and shared read-only: the recurrent weights on
+// panels and the transposed weights every shard's forward and backward
+// multiply by; every shard runs the same kernels whatever its rows hold.
+// As shards finish, the per-shard gradients and losses are added into
+// the real network in ascending shard order by whichever worker holds
+// the commit role, overlapping the shards still running. Because the shard layout and
 // the reduction order are both fixed, every Adam update — and therefore
 // every trained weight and every generated trace — is bit-identical for
 // any REPRO_PROCS.
 //
 // All per-window bookkeeping (row-view headers for shard inputs and
-// states, loss/count accumulators, the transposed weights, the arenas)
+// states, loss/count accumulators, the window plan, the arenas)
 // is allocated once per trainer and reused each window, keeping the
 // steady-state sharded training loop allocation-free. The arenas live
 // and die with the trainer (DESIGN.md §6.3 says why they are not
@@ -89,7 +89,7 @@ type Sharded struct {
 	views   []*shardViews
 	losses  []float64
 	counts  []int
-	plan    backwardPlan // shared by every shard's Backward
+	plan    windowPlan // shared by every shard's forward and backward
 
 	// The window RunWindow is running, read by every shard.
 	xs  []*mat.Dense
@@ -140,7 +140,7 @@ func (s *Sharded) RunWindow(xs []*mat.Dense, st *State, dys ShardDys) (loss floa
 	if ns > len(s.shadows) {
 		panic(fmt.Sprintf("nn: RunWindow batch %d exceeds prepared shards %d", xs[0].Rows, len(s.shadows)))
 	}
-	s.net.transposeWeights(&s.plan)
+	s.net.fillPlan(&s.plan)
 	s.net.ZeroGrads()
 	s.xs, s.st, s.dys = xs, st, dys
 	s.done, s.next, s.loss, s.count = s.done[:ns], 0, 0, 0
@@ -164,7 +164,7 @@ func (s *Sharded) shard(si int) {
 	sv.sst.H = rowViews(&sv.hv, &sv.sH, s.st.H, lo, hi)
 	sv.sst.C = rowViews(&sv.cv, &sv.sC, s.st.C, lo, hi)
 	ar := s.takeArena()
-	ys, cache := shadow.forward(ar, rowViews(&sv.xv, &sv.xs, s.xs, lo, hi), &sv.sst)
+	ys, cache := shadow.forward(ar, rowViews(&sv.xv, &sv.xs, s.xs, lo, hi), &sv.sst, &s.plan)
 	dys, loss, count := s.dys(lo, hi, ys)
 	if dys != nil {
 		shadow.backward(cache, dys, &s.plan)

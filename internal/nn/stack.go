@@ -253,30 +253,39 @@ func (n *LSTM) head(c *Cache, top *mat.Dense) []*mat.Dense {
 	return ys
 }
 
-// backwardPlan is what Backward holds constant over a window: the
-// transposed weights its products against a weight's transpose multiply
-// by — each as MulAdd into a zeroed destination, MulABT's bits (see
-// mat.TransposeInto) without MulABT's per-call transpose. A sharded
-// window fills one plan before its fan-out and every shard reads it; a
-// direct Backward refreshes the network's own.
-type backwardPlan struct {
-	whT, wxT []*mat.Dense // per layer [4H x H] and [4H x in]; wxT[0] is unused
-	wyT      *mat.Dense   // [OutputDim x H]
+// windowPlan is what a training window holds constant, filled once
+// before its shard fan-out and read by every shard: the recurrent
+// weights on panels, Wh for forward's per-step h_{t-1}·Wh and Whᵀ for
+// backward's per-step dz_t·Whᵀ (decode's kernel on decode's layout),
+// and the transposes backward's fused products multiply by, each into
+// a zeroed destination — MulABT's bits (see mat.TransposeInto) without
+// MulABT's per-call transpose. A direct Forward or Backward refreshes
+// the network's own plan.
+type windowPlan struct {
+	wh, whT []*mat.PackedDense // per layer: Wh [H x 4H] and Whᵀ [4H x H] on panels
+	wxT     []*mat.Dense       // per layer [4H x in]; wxT[0] is unused
+	wyT     *mat.Dense         // [OutputDim x H]
+	whTRaw  *mat.Dense         // one layer's Whᵀ on its way onto panels
 }
 
-// transposeWeights refreshes p's transposes from n's current weights,
-// allocating them on first use.
-func (n *LSTM) transposeWeights(p *backwardPlan) {
+// fillPlan refreshes p from n's current weights, allocating it on
+// first use and nothing after.
+func (n *LSTM) fillPlan(p *windowPlan) {
 	if p.wyT == nil {
+		h := n.Cfg.HiddenDim
+		p.whTRaw = mat.NewDense(4*h, h)
 		for _, ly := range n.layers {
-			p.whT = append(p.whT, mat.NewDense(ly.wh.Value.Cols, ly.wh.Value.Rows))
+			p.wh = append(p.wh, ly.wh.Value.Pack())
+			p.whT = append(p.whT, p.whTRaw.Pack())
 			p.wxT = append(p.wxT, mat.NewDense(ly.wx.Value.Cols, ly.wx.Value.Rows))
 		}
 		p.wxT[0] = nil
 		p.wyT = mat.NewDense(n.wy.Value.Cols, n.wy.Value.Rows)
 	}
 	for l, ly := range n.layers {
-		mat.TransposeInto(p.whT[l], ly.wh.Value)
+		p.wh[l].Repack(ly.wh.Value)
+		mat.TransposeInto(p.whTRaw, ly.wh.Value)
+		p.whT[l].Repack(p.whTRaw)
 		if l > 0 {
 			mat.TransposeInto(p.wxT[l], ly.wx.Value)
 		}
@@ -288,7 +297,7 @@ func (n *LSTM) transposeWeights(p *backwardPlan) {
 // accumulates the head's parameter gradients, and returns the gradient
 // arriving at the top layer's hidden state at every step (nil for an
 // empty pass). Scratch bump-continues on the arena holding the cache.
-func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense, p *backwardPlan) *mat.Dense {
+func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense, p *windowPlan) *mat.Dense {
 	if len(dys) != c.T() {
 		panic(fmt.Sprintf("nn: Backward got %d grads for %d steps", len(dys), c.T()))
 	}
@@ -317,7 +326,7 @@ func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense, p *backwardPlan) *mat.De
 // hidden state. Layer 0's Wx gradient runs on the row-sum kernel, as its
 // forward projection does: the input slab is transposed into arena
 // scratch, and each input column sums the dz rows of its non-zero steps.
-func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense, p *backwardPlan) {
+func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense, p *windowPlan) {
 	ly, ar, T, b := n.layers[l], c.ar, c.steps, c.batch
 	if ly.first {
 		xT := ar.slab(c.x.Cols, c.x.Rows, false)

@@ -136,27 +136,26 @@ func fitInputs() []*mat.Dense {
 // allocCase is one shape of the steady-state allocation pins, run under
 // procs workers. A sharded window may allocate windowAllocs times: the
 // method value s.shard RunWindow hands par.Do, and at two workers
-// par.Do's spawn of them. The training shape's products take the packed
-// kernels, whose pooled scratch the race detector makes lossy, so it
-// skips under -race.
+// par.Do's spawn of them. Every shape's weight gradients take MulATB,
+// whose pooled scratch the race detector makes lossy, so the pins skip
+// under -race (scripts/check.sh runs them without it).
 type allocCase struct {
 	name         string
 	cfg          Config
 	xs           []*mat.Dense
 	procs        int
 	windowAllocs float64
-	pooled       bool
 }
 
 func allocCases() []allocCase {
 	return []allocCase{
-		{"small", Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, randInputs(rng.New(40), 6, 4, 3), 1, 1, false},
-		{"fit", fitCfg, fitInputs(), 2, 7, true},
+		{"small", Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, randInputs(rng.New(40), 6, 4, 3), 1, 1},
+		{"fit", fitCfg, fitInputs(), 2, 7},
 	}
 }
 
-func (c allocCase) skipRace(t *testing.T) {
-	if c.pooled && mat.RaceEnabled {
+func (allocCase) skipRace(t *testing.T) {
+	if mat.RaceEnabled {
 		t.Skip("race-mode sync.Pool.Put randomly drops items, so pooled pack scratch allocates under the detector")
 	}
 }

@@ -36,6 +36,7 @@ type Journal struct {
 	err    error
 
 	dropped atomic.Int64 // lines lost to marshal or write failures
+	torn    bool         // the last write left a line without its newline
 
 	// Optional registry mirrors, set by CountInto.
 	errCount  *Counter
@@ -81,7 +82,16 @@ func (j *Journal) Event(event string, fields map[string]any) {
 		return
 	}
 	line = append(line, '\n')
-	if _, err := j.w.Write(line); err != nil {
+	if j.torn {
+		// A failed write left a fragment of the last line: end it, so
+		// only that line is lost and this one starts a line of its own.
+		line = append([]byte{'\n'}, line...)
+	}
+	n, err := j.w.Write(line)
+	if n > 0 {
+		j.torn = line[n-1] != '\n'
+	}
+	if err != nil {
 		j.recordFailure(err)
 	}
 }

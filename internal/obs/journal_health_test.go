@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -46,6 +48,48 @@ func TestJournalDroppedLinesSurfaced(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["obs.journal_errors"] != 3 || snap.Gauges["obs.journal_dropped_lines"] != 3 {
 		t.Fatalf("snapshot missing journal health: %+v", snap)
+	}
+}
+
+// tearWriter passes writes through to buf, except that write number
+// tearAt (from 1) takes only the first half of its bytes and fails.
+type tearWriter struct {
+	buf    bytes.Buffer
+	calls  int
+	tearAt int
+}
+
+func (w *tearWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls == w.tearAt {
+		n, _ := w.buf.Write(p[:len(p)/2])
+		return n, errors.New("short write")
+	}
+	return w.buf.Write(p)
+}
+
+// TestJournalShortWriteLosesOneLine: a write that fails after taking
+// half a line loses that line only. The next event starts on a fresh
+// line instead of being glued to the fragment, so every later event
+// parses as its own JSON line, and the torn line is the one counted.
+func TestJournalShortWriteLosesOneLine(t *testing.T) {
+	w := &tearWriter{tearAt: 2}
+	j := NewJournal(w)
+	for _, ev := range []string{"a", "b", "c", "d"} {
+		j.Event(ev, map[string]any{"pad": "0123456789"})
+	}
+	if got := j.Dropped(); got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
+	}
+	var parsed []string
+	for _, line := range bytes.Split(bytes.TrimSuffix(w.buf.Bytes(), []byte("\n")), []byte("\n")) {
+		var rec map[string]any
+		if json.Unmarshal(line, &rec) == nil {
+			parsed = append(parsed, rec["event"].(string))
+		}
+	}
+	if want := []string{"a", "c", "d"}; len(parsed) != len(want) || parsed[0] != "a" || parsed[1] != "c" || parsed[2] != "d" {
+		t.Fatalf("parsed events %v, want %v; journal:\n%s", parsed, want, w.buf.Bytes())
 	}
 }
 

@@ -31,8 +31,8 @@
 #     and internal/nn, the baselines, a GRU fit and the evaluation-only
 #     helpers out of internal/core; the rule that internal/nn has one
 #     recurrent cell (no GRU type, Recurrent interface or cell flag);
-#     the rule that decode has one weight layout (no
-#     row-major fleet GEMM, f32 row-major kernel or nil-panels branch in
+#     the rule that there is one weight layout (no row-major fleet or
+#     training GEMM, f32 row-major kernel or nil-panels branch in
 #     internal/{core,nn,mat}); the rule that training transposes a
 #     weight once per window (no mat.MulABT call in internal/{core,nn});
 #     the rule that layer 0's weight gradient has one kernel (no
@@ -207,12 +207,14 @@ if grep -nE '^type GRU\b|^type Recurrent interface|\bcell[[:space:]]+bool\b' \
 	echo "check.sh: internal/nn declares a second recurrent cell or a seam for one" >&2
 	exit 1
 fi
-# One decode weight layout (DESIGN.md §6.5): fleets step on packed
-# panels only, so no non-test file of the serving packages may bring
-# back the row-major decode GEMM, its f32 kernel or a nil-panels branch.
-if grep -nE 'MulAddBatched|gemm32AVX2|panels == nil' \
+# One weight layout (DESIGN.md §6.5): fleets step on packed panels
+# only, and every dense product runs on panels or row sums, so no
+# non-test file of internal/{core,nn,mat} may bring back a row-major
+# GEMM (the decode fleet's, its f32 kernel, or training's and its
+# transpose wrappers) or a nil-panels branch.
+if grep -nE 'MulAddBatched|gemm32AVX2|panels == nil|gemmAVX2|gemmRaw|mulATBPacked|mulABTPacked' \
 	$(find internal/core internal/nn internal/mat -maxdepth 1 \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'); then
-	echo "check.sh: the row-major decode fleet tier is back in internal/{core,nn,mat}" >&2
+	echo "check.sh: a row-major GEMM is back in internal/{core,nn,mat}; multiply on panels or row sums" >&2
 	exit 1
 fi
 # One weight transpose per training window (DESIGN.md §6.3): Backward
@@ -322,4 +324,4 @@ if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one decode layout + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one weight layout + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
