@@ -59,8 +59,8 @@ func NewAligned[T float32 | float64](r, c int) *Matrix[T] {
 }
 
 // Packed is a weight matrix converted into j-tile-major panels for the
-// packed kernels. Between Repacks it is read-only and safe to share
-// across goroutines and fleets.
+// packed kernels. A published model's panels are never repacked
+// (scripts/check.sh), so they are safe to share across fleets.
 type Packed[T float32 | float64] struct {
 	Rows, Cols int // shape of the original (k×n) matrix
 	data       []T

@@ -72,7 +72,7 @@ type LSTM struct {
 	by     *Param // [1 x OutputDim]
 	params []*Param
 	ws     *Workspace // Forward/Backward scratch arenas, lazily acquired
-	plan   windowPlan // a direct Forward's or Backward's packed and transposed weights
+	plan   windowPlan // a direct Forward's packed Wh and Backward's packed and transposed weights
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -90,7 +90,7 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	if len(xs) == 0 {
 		return nil, &Cache{}
 	}
-	n.fillPlan(&n.plan)
+	n.fillForward(&n.plan)
 	return n.forward(n.workspace().flip(), xs, st, &n.plan)
 }
 
@@ -154,7 +154,7 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State, p *windowPlan) ([]
 // weights are packed and transposed afresh on every call; a sharded
 // window does that once for all its shards instead.
 func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
-	n.fillPlan(&n.plan)
+	n.fillBackward(&n.plan)
 	n.backward(cache, dys, &n.plan)
 }
 

@@ -140,7 +140,8 @@ func (s *Sharded) RunWindow(xs []*mat.Dense, st *State, dys ShardDys) (loss floa
 	if ns > len(s.shadows) {
 		panic(fmt.Sprintf("nn: RunWindow batch %d exceeds prepared shards %d", xs[0].Rows, len(s.shadows)))
 	}
-	s.net.fillPlan(&s.plan)
+	s.net.fillForward(&s.plan)
+	s.net.fillBackward(&s.plan)
 	s.net.ZeroGrads()
 	s.xs, s.st, s.dys = xs, st, dys
 	s.done, s.next, s.loss, s.count = s.done[:ns], 0, 0, 0

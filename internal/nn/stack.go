@@ -253,14 +253,11 @@ func (n *LSTM) head(c *Cache, top *mat.Dense) []*mat.Dense {
 	return ys
 }
 
-// windowPlan is what a training window holds constant, filled once
-// before its shard fan-out and read by every shard: the recurrent
-// weights on panels, Wh for forward's per-step h_{t-1}·Wh and Whᵀ for
-// backward's per-step dz_t·Whᵀ (decode's kernel on decode's layout),
-// and the transposes backward's fused products multiply by, each into
-// a zeroed destination — MulABT's bits (see mat.TransposeInto) without
-// MulABT's per-call transpose. A direct Forward or Backward refreshes
-// the network's own plan.
+// windowPlan is what a training window holds constant, filled before
+// its shard fan-out and read by every shard: Wh and Whᵀ on panels for
+// the per-step products (decode's kernel and layout), and the
+// transposes the fused products multiply by into zeroed destinations,
+// MulABT's bits without its per-call transpose (mat.TransposeInto).
 type windowPlan struct {
 	wh, whT []*mat.PackedDense // per layer: Wh [H x 4H] and Whᵀ [4H x H] on panels
 	wxT     []*mat.Dense       // per layer [4H x in]; wxT[0] is unused
@@ -268,14 +265,24 @@ type windowPlan struct {
 	whTRaw  *mat.Dense         // one layer's Whᵀ on its way onto panels
 }
 
-// fillPlan refreshes p from n's current weights, allocating it on
-// first use and nothing after.
-func (n *LSTM) fillPlan(p *windowPlan) {
+// fillForward refreshes what forward reads of p, Wh on panels,
+// allocating it on first use.
+func (n *LSTM) fillForward(p *windowPlan) {
+	for l, ly := range n.layers {
+		if l == len(p.wh) {
+			p.wh = append(p.wh, ly.wh.Value.Pack())
+		}
+		p.wh[l].Repack(ly.wh.Value)
+	}
+}
+
+// fillBackward refreshes what backward reads of p, Whᵀ on panels and
+// the fused products' transposes, allocating them on first use.
+func (n *LSTM) fillBackward(p *windowPlan) {
 	if p.wyT == nil {
 		h := n.Cfg.HiddenDim
 		p.whTRaw = mat.NewDense(4*h, h)
 		for _, ly := range n.layers {
-			p.wh = append(p.wh, ly.wh.Value.Pack())
 			p.whT = append(p.whT, p.whTRaw.Pack())
 			p.wxT = append(p.wxT, mat.NewDense(ly.wx.Value.Cols, ly.wx.Value.Rows))
 		}
@@ -283,7 +290,6 @@ func (n *LSTM) fillPlan(p *windowPlan) {
 		p.wyT = mat.NewDense(n.wy.Value.Cols, n.wy.Value.Rows)
 	}
 	for l, ly := range n.layers {
-		p.wh[l].Repack(ly.wh.Value)
 		mat.TransposeInto(p.whTRaw, ly.wh.Value)
 		p.whT[l].Repack(p.whTRaw)
 		if l > 0 {

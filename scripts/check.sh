@@ -33,7 +33,9 @@
 #     recurrent cell (no GRU type, Recurrent interface or cell flag);
 #     the rule that there is one weight layout (no row-major fleet or
 #     training GEMM, f32 row-major kernel or nil-panels branch in
-#     internal/{core,nn,mat}); the rule that training transposes a
+#     internal/{core,nn,mat}); the rule that only the training plan in
+#     internal/nn/stack.go repacks panels (no other non-test
+#     Packed.Repack call); the rule that training transposes a
 #     weight once per window (no mat.MulABT call in internal/{core,nn});
 #     the rule that layer 0's weight gradient has one kernel (no
 #     MulATBSparse or sparseEnough in internal/{mat,nn});
@@ -217,6 +219,14 @@ if grep -nE 'MulAddBatched|gemm32AVX2|panels == nil|gemmAVX2|gemmRaw|mulATBPacke
 	echo "check.sh: a row-major GEMM is back in internal/{core,nn,mat}; multiply on panels or row sums" >&2
 	exit 1
 fi
+# Published panels stay immutable (DESIGN.md §6.5): a serving model's
+# panels are shared across fleets, so the only non-test caller of
+# Packed.Repack is the training window's own plan in
+# internal/nn/stack.go, on panels no fleet reads.
+if grep -rn --include='*.go' '\.Repack(' . | grep -v '_test\.go:' | grep -v '^\./internal/nn/stack\.go:'; then
+	echo "check.sh: Packed.Repack is called outside internal/nn/stack.go; published panels must stay immutable" >&2
+	exit 1
+fi
 # One weight transpose per training window (DESIGN.md §6.3): Backward
 # multiplies by the window's hoisted transposes through MulAdd, so no
 # non-test file of internal/{core,nn} may call MulABT, whose per-call
@@ -324,4 +334,4 @@ if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one weight layout + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one weight layout + immutable published panels + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
