@@ -211,17 +211,6 @@ func BenchmarkSynthGenerateDay(b *testing.B) {
 	}
 }
 
-func BenchmarkLSTMStepForward(b *testing.B) {
-	net := nn.NewLSTM(nn.Config{InputDim: 64, HiddenDim: 48, Layers: 2, OutputDim: 17}, rng.New(1))
-	st := net.NewState(1)
-	x := make([]float64, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.StepForward(x, st)
-	}
-}
-
 func BenchmarkLSTMTrainWindow(b *testing.B) {
 	net := nn.NewLSTM(nn.Config{InputDim: 64, HiddenDim: 48, Layers: 2, OutputDim: 17}, rng.New(1))
 	g := rng.New(2)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/features"
+	"repro/internal/mat"
 	"repro/internal/nn"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -49,7 +50,7 @@ func tinyGenModel() *Model {
 func TestGenerationStepAllocFree(t *testing.T) {
 	fm, lm := tinyGenModels()
 	fs := newFlavorState(fm.Net, fm.K, fm.Temporal)
-	fs.probs(0, 0) // size the step scratch
+	fs.probs(0, 0)
 	fs.observe(1)
 	if allocs := testing.AllocsPerRun(100, func() {
 		fs.probs(1, 0)
@@ -120,9 +121,11 @@ func TestPooledStateResetMatchesFresh(t *testing.T) {
 // than a flavor-LSTM window does (internal/experiments holds the PMF
 // and joint fits to the same bound). Allocations per window are the
 // extra mallocs of one more epoch over the windows in it; two-step
-// windows keep every shape under the pack threshold (no pooled scratch)
-// and make the epoch's one fresh state a small fraction of a window's
-// count.
+// windows make the epoch's one fresh state a small fraction of a
+// window's count. The weight gradients take mat.MulATB, whose pooled
+// scratch race-mode sync.Pool.Put drops at random, so under -race the
+// fits still run and only the comparison is left out (scripts/check.sh
+// counts without the detector).
 func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(1))
 	sc := workload.PresetConfig("azure")
@@ -150,7 +153,10 @@ func TestTrainingWindowSteadyStateAllocs(t *testing.T) {
 	} {
 		// Counts are whole numbers per window; the half absorbs the
 		// per-epoch state shared out over differing window counts.
-		if got := perWindow(f.n, f.fit); got > base+0.5 {
+		got := perWindow(f.n, f.fit)
+		if mat.RaceEnabled {
+			t.Logf("%s: %.2f allocations per window (flavor LSTM %.2f); race-mode sync.Pool drops pooled scratch, comparison skipped", f.name, got, base)
+		} else if got > base+0.5 {
 			t.Errorf("%s: %.2f allocations per steady-state window, flavor LSTM %.2f", f.name, got, base)
 		} else {
 			t.Logf("%s: %.2f allocations per window (flavor LSTM %.2f)", f.name, got, base)

@@ -26,7 +26,7 @@ import (
 //
 // Determinism contract: each stream owns its RNG and draws from it in
 // a fixed order, and a Fleet step is bit-identical per row to the
-// scalar StepForward, so every trace is byte-identical to the one-stream
+// training forward, so every trace is byte-identical to the one-stream
 // m.Generate(g, w) regardless of batch composition, admission order,
 // shard count or worker count. Generate's bytes are pinned across
 // commits by TestGenerateTraceGolden.

@@ -149,36 +149,37 @@ func TrainFlavor(tr *trace.Trace, cfg TrainConfig) *FlavorModel {
 }
 
 // flavorState is the step-by-step state for teacher-forced evaluation
-// of the flavor LSTM: one scalar StepForward per token. Generation does
-// not use it; it decodes on fleets (genStream, engine.go).
+// of the flavor LSTM: a one-row fleet stepped once per token, the step
+// generation decodes on (genStream, engine.go).
 type flavorState struct {
-	net      *nn.LSTM
+	fleet    *nn.Fleet[float64]
+	rows     []int // {0}: the fleet's one row, so Step allocates nothing
 	k        int
 	temporal features.Temporal
-	st       *nn.State
 	prev     int
-	input    []float64
 	out      []float64 // probs result buffer, overwritten each step
 }
 
 // newFlavorState returns a fresh state (previous token = EOB)
 // for a flavor LSTM over k flavors.
 func newFlavorState(net *nn.LSTM, k int, temporal features.Temporal) *flavorState {
-	return &flavorState{
-		net:      net,
+	s := &flavorState{
+		fleet:    net.NewFleetPacked(1, net.Pack()),
+		rows:     []int{0},
 		k:        k,
 		temporal: temporal,
-		st:       net.NewState(1),
 		prev:     EOBToken(k),
-		input:    make([]float64, flavorInputDim(k, temporal)),
 		out:      make([]float64, k+1),
 	}
+	s.fleet.Admit()
+	return s
 }
 
-// reset restores the fresh-state condition: zero recurrent state,
+// reset restores the fresh-state condition: a re-admitted (zeroed) row,
 // previous token = EOB.
 func (s *flavorState) reset() {
-	s.st.Zero()
+	s.fleet.Retire(0)
+	s.fleet.Admit()
 	s.prev = EOBToken(s.k)
 }
 
@@ -187,9 +188,8 @@ func (s *flavorState) reset() {
 // slice is the state's reusable buffer, overwritten by the next probs
 // call.
 func (s *flavorState) probs(period, dohDay int) []float64 {
-	EncodeFlavorInput(s.input, s.k, s.temporal, s.prev, period, dohDay)
-	logits := s.net.StepForward(s.input, s.st)
-	nn.SoftmaxInto(logits, s.out)
+	EncodeFlavorInput(s.fleet.InputRow(0), s.k, s.temporal, s.prev, period, dohDay)
+	nn.SoftmaxInto(s.fleet.Step(s.rows).Row(0), s.out)
 	return s.out
 }
 

@@ -17,10 +17,11 @@ import (
 //
 // The constants were recorded against the serial decoder Generate used
 // to be — its own period / batch / job loop stepping flavorState and
-// lifetimeState through the scalar StepForward — and held unchanged when
-// Generate became the one-stream case of the fleet engine. They are the
-// f64 decode's draw-order reference (with TestServedFleetLogitsTierParity
-// holding fleet logits to StepForward bit for bit): every batched,
+// lifetimeState through a scalar one-step forward, since deleted — and
+// held unchanged when Generate became the one-stream case of the fleet
+// engine. They are the f64 decode's draw-order reference (with
+// TestServedFleetLogitsTierParity holding fleet logits to Net.Forward
+// bit for bit): every batched,
 // sharded and served f64 path is compared with the one-stream traces,
 // and those with these constants. Like the f32 trace hashes
 // (TestF32TraceGolden, two of whose constants these rows share) they

@@ -122,33 +122,35 @@ func TrainLifetime(tr *trace.Trace, bins survival.Bins, cfg TrainConfig) *Lifeti
 }
 
 // lifetimeState is the step-by-step state for teacher-forced
-// evaluation of the hazard LSTM: one scalar StepForward per job.
-// Generation does not use it; it decodes on fleets (genStream,
-// engine.go).
+// evaluation of the hazard LSTM: a one-row fleet stepped once per job,
+// the step generation decodes on (genStream, engine.go).
 type lifetimeState struct {
 	m        *LifetimeModel
-	st       *nn.State
+	fleet    *nn.Fleet[float64]
+	rows     []int // {0}: the fleet's one row, so Step allocates nothing
 	prevBin  int
 	prevCens bool
-	input    []float64
 	out      []float64 // hazard result buffer, overwritten each step
 }
 
 // newLifetimeState returns a fresh state with no previous job.
 func (m *LifetimeModel) newLifetimeState() *lifetimeState {
-	return &lifetimeState{
+	s := &lifetimeState{
 		m:       m,
-		st:      m.Net.NewState(1),
+		fleet:   m.Net.NewFleetPacked(1, m.Net.Pack()),
+		rows:    []int{0},
 		prevBin: -1,
-		input:   make([]float64, lifetimeInputDim(m.K, m.Temporal, m.LifeFeat)),
 		out:     make([]float64, m.Bins.J()),
 	}
+	s.fleet.Admit()
+	return s
 }
 
-// reset restores the fresh-state condition: zero LSTM state, no
-// previous job.
+// reset restores the fresh-state condition: a re-admitted (zeroed) row,
+// no previous job.
 func (s *lifetimeState) reset() {
-	s.st.Zero()
+	s.fleet.Retire(0)
+	s.fleet.Admit()
 	s.prevBin, s.prevCens = -1, false
 }
 
@@ -157,9 +159,8 @@ func (s *lifetimeState) reset() {
 // reusable buffer, overwritten by the next hazard call; clone it to
 // keep it across steps.
 func (s *lifetimeState) hazard(step LifetimeStep, dohDay int) []float64 {
-	s.m.encodeLifetimeInput(s.input, step, dohDay, s.prevBin, s.prevCens)
-	logits := s.m.Net.StepForward(s.input, s.st)
-	nn.SigmoidInto(logits, s.out)
+	s.m.encodeLifetimeInput(s.fleet.InputRow(0), step, dohDay, s.prevBin, s.prevCens)
+	nn.SigmoidInto(s.fleet.Step(s.rows).Row(0), s.out)
 	return s.out
 }
 

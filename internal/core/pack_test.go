@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/mat/mattest"
 	"repro/internal/nn"
 )
@@ -32,36 +33,53 @@ func TestPreparePackedCaching(t *testing.T) {
 // trace bytes cannot tell a kernel that rounds once where the reference
 // rounds twice. This steps the fleets newFleets serves — untrained tiny
 // model and trained fixture, both precisions — over encoder-shaped rows
-// and compares raw logits: the f64 fleets bit for bit with the scalar
-// StepForward, and every fleet across the kernel tiers.
+// and compares raw logits: the f64 fleets bit for bit with the training
+// forward (Net.Forward over the 48 recorded rows as one window, itself
+// pinned to nn's scalar reference), and every fleet across the kernel
+// tiers.
 func TestServedFleetLogitsTierParity(t *testing.T) {
 	models := map[string]*Model{"tiny": tinyGenModel(), "trained": getFixture(t).model}
 	first := make(map[string][]float64) // model/precision -> logits of the first tier that ran
+	type run struct {
+		f   nn.StepFleet
+		net *nn.LSTM
+		xs  []*mat.Dense // the encoded rows, one step each
+		ys  [][]float64  // the fleet's logits per step
+	}
 	mattest.BothTiers(t, func(t *testing.T) {
 		for name, m := range models {
 			for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
 				ff, lf := m.newFleets(1, prec)
 				ff.Admit()
 				lf.Admit()
-				fst, lst := m.Flavor.Net.NewState(1), m.Lifetime.Net.NewState(1)
+				fr, lr := &run{f: ff, net: m.Flavor.Net}, &run{f: lf, net: m.Lifetime.Net}
 				var logits []float64
-				step := func(f nn.StepFleet, net *nn.LSTM, st *nn.State) {
-					want := net.StepForward(f.InputRow(0), st)
-					got := f.Step([]int{0}).Row(0)
+				step := func(r *run) {
+					x := mat.NewDense(1, r.net.Cfg.InputDim)
+					copy(x.Data, r.f.InputRow(0))
+					got := append([]float64(nil), r.f.Step([]int{0}).Row(0)...)
+					r.xs, r.ys = append(r.xs, x), append(r.ys, got)
 					logits = append(logits, got...)
-					for j := range want {
-						if prec == PrecisionF64 && math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("%s: f64 fleet logit %d = %x, StepForward %x", name, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
-						}
-					}
 				}
 				k, bins := m.Flavor.K, m.Lifetime.Bins.J()
 				for i := 0; i < 48; i++ {
 					m.Flavor.encodeFlavorInput(ff.InputRow(0), i%(k+1), i, i%3)
-					step(ff, m.Flavor.Net, fst)
+					step(fr)
 					ls := LifetimeStep{Period: i, Flavor: i % k, BatchSize: 1 + i%5}
 					m.Lifetime.encodeLifetimeInput(lf.InputRow(0), ls, i%3, i%bins, i%7 == 0)
-					step(lf, m.Lifetime.Net, lst)
+					step(lr)
+				}
+				if prec == PrecisionF64 {
+					for _, r := range []*run{fr, lr} {
+						ys, _ := r.net.Forward(r.xs, nil)
+						for s, y := range ys {
+							for j, want := range y.Row(0) {
+								if got := r.ys[s][j]; math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s step %d: f64 fleet logit %d = %x, Forward %x", name, s, j, math.Float64bits(got), math.Float64bits(want))
+								}
+							}
+						}
+					}
 				}
 				key := name + "/" + string(prec)
 				if first[key] == nil {

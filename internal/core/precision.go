@@ -29,7 +29,7 @@ const (
 	// PrecisionF64 is the reference path, the one Model.Generate runs:
 	// every f64 decode — any batch, shard count or engine — is
 	// byte-identical to the one-stream Generate of its seed. Its fleet
-	// logits equal the scalar StepForward bit for bit, and its trace bytes
+	// logits equal the training forward's bit for bit, and its trace bytes
 	// are pinned across commits by TestGenerateTraceGolden.
 	PrecisionF64 Precision = "f64"
 	// PrecisionF32 runs the fleet step GEMMs on float32 weight slabs

@@ -27,7 +27,9 @@ type lstmFlavorPredictor struct {
 	st *flavorState
 }
 
-// NewLSTMFlavorPredictor wraps the flavor LSTM m.
+// NewLSTMFlavorPredictor wraps the flavor LSTM m. It packs m.Net's
+// panels here, so it is valid until those weights change: at f64 its
+// fleet reads layer 0's Wx and the biases live, the panels as packed.
 func NewLSTMFlavorPredictor(m *FlavorModel) FlavorPredictor {
 	return &lstmFlavorPredictor{newFlavorState(m.Net, m.K, m.Temporal)}
 }
@@ -124,13 +126,13 @@ type LifetimePredictor interface {
 // LSTMLifetimePredictor wraps the trained hazard LSTM for teacher-forced
 // evaluation.
 type LSTMLifetimePredictor struct {
-	m  *LifetimeModel
 	st *lifetimeState
 }
 
-// NewLSTMLifetimePredictor wraps m.
+// NewLSTMLifetimePredictor wraps m, valid until m.Net's weights change
+// (see NewLSTMFlavorPredictor).
 func NewLSTMLifetimePredictor(m *LifetimeModel) *LSTMLifetimePredictor {
-	return &LSTMLifetimePredictor{m: m, st: m.newLifetimeState()}
+	return &LSTMLifetimePredictor{st: m.newLifetimeState()}
 }
 
 // Name implements LifetimePredictor.

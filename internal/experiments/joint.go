@@ -89,8 +89,9 @@ func (m *JointModel) GenerateCounts(g *rng.RNG, w trace.Window, doh features.DOH
 		maxTokens = 2000
 	}
 	counts := make([]int, w.Periods())
-	st := m.Net.NewState(1)
-	input := make([]float64, m.Net.Cfg.InputDim)
+	fleet, rows := m.Net.NewFleetPacked(1, m.Net.Pack()), []int{0}
+	fleet.Admit()
+	input := fleet.InputRow(0)
 	probs := make([]float64, m.Net.Cfg.OutputDim)
 	prev := m.jointEOP()
 	doh.HistoryDays = m.HistoryDays
@@ -104,7 +105,7 @@ func (m *JointModel) GenerateCounts(g *rng.RNG, w trace.Window, doh features.DOH
 		tokens, batches := 0, 0
 		for {
 			m.encodeInput(input, prev, p, dohDay)
-			nn.SoftmaxInto(m.Net.StepForward(input, st), probs)
+			nn.SoftmaxInto(fleet.Step(rows).Row(0), probs)
 			tok := g.Categorical(probs)
 			// Capping flavors alone would spin forever once EOP's
 			// probability underflows to zero behind a dominant EOB.

@@ -114,41 +114,42 @@ func TrainLifetimePMF(tr *trace.Trace, bins survival.Bins, cfg core.TrainConfig)
 
 // PMFLifetimePredictor adapts the PMF model to the core.LifetimePredictor
 // interface: the softmax PMF is converted to a hazard so both heads are
-// scored with the same BCE machinery.
+// scored with the same BCE machinery. It steps a one-row fleet.
 type PMFLifetimePredictor struct {
 	m        *PMFLifetimeModel
-	st       *nn.State
+	fleet    *nn.Fleet[float64]
+	rows     []int // {0}: the fleet's one row
 	prevBin  int
 	prevCens bool
-	input    []float64
 }
 
-// NewPMFLifetimePredictor wraps m.
+// NewPMFLifetimePredictor wraps m. It packs m.Net's panels here, so the
+// predictor is valid until those weights change.
 func NewPMFLifetimePredictor(m *PMFLifetimeModel) *PMFLifetimePredictor {
-	p := &PMFLifetimePredictor{m: m}
-	p.Reset()
+	p := &PMFLifetimePredictor{m: m, fleet: m.Net.NewFleetPacked(1, m.Net.Pack()), rows: []int{0}, prevBin: -1}
+	p.fleet.Admit()
 	return p
 }
 
 // Name implements core.LifetimePredictor.
 func (p *PMFLifetimePredictor) Name() string { return "LSTM (PMF head)" }
 
-// Reset implements core.LifetimePredictor.
+// Reset implements core.LifetimePredictor: re-admitting the fleet's row
+// zeroes its state.
 func (p *PMFLifetimePredictor) Reset() {
-	p.st = p.m.Net.NewState(1)
+	p.fleet.Retire(0)
+	p.fleet.Admit()
 	p.prevBin = -1
 	p.prevCens = false
-	p.input = make([]float64, p.m.Net.Cfg.InputDim)
 }
 
 // Hazard implements core.LifetimePredictor.
 func (p *PMFLifetimePredictor) Hazard(step core.LifetimeStep, absPeriod int) []float64 {
 	local := step
 	local.Period = absPeriod
-	core.EncodeLifetimeInput(p.input, p.m.K, p.m.Temporal, p.m.LifeFeat,
+	core.EncodeLifetimeInput(p.fleet.InputRow(0), p.m.K, p.m.Temporal, p.m.LifeFeat,
 		local, trace.DayOfHistory(absPeriod), p.prevBin, p.prevCens)
-	logits := p.m.Net.StepForward(p.input, p.st)
-	return survival.PMFToHazard(nn.Softmax(logits))
+	return survival.PMFToHazard(nn.Softmax(p.fleet.Step(p.rows).Row(0)))
 }
 
 // PredictBin implements core.LifetimePredictor.

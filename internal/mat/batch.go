@@ -15,8 +15,8 @@ import (
 // register-blocked pure-Go fallback elsewhere). Every kernel here is
 // bit-identical to its reference counterpart — MulAdd for the GEMM,
 // math.Exp and math.Tanh for ExpSlice, SigmoidSlice and TanhSlice, the
-// scalar gate loop of nn's StepForward for LSTMCell — which is what lets
-// the batched decode path promise byte-identical traces to serial
+// scalar gate loop of nn's reference forward for LSTMCell — which is
+// what lets every batch width of decode promise the bytes of one-stream
 // decode (see the exactness tests in batch_test.go).
 
 // useBatchASM gates the assembly kernels: the one kernel-tier switch of
@@ -157,7 +157,7 @@ func vec4(k kernel4, dst, x []float64) {
 // bit (NaN payloads included), at any length; dst and x may alias
 // exactly. It and TanhSlice are the float64 gate activations of every
 // forward path: reproducing the scalar reference itself is what keeps
-// batched decode byte-identical to StepForward. On amd64 with AVX2+FMA
+// batched decode byte-identical to one-stream decode. On amd64 with AVX2+FMA
 // the whole expression is fused around expAVX2's body in registers
 // (sigmoidAVX2); everywhere else it is the scalar expression. The
 // float32 counterparts are SigmoidSlice32 / TanhSlice32 (act32.go), a
@@ -196,7 +196,7 @@ func TanhSlice(dst, x []float64) {
 // gate order i, f, g, o) gets bias added and is activated in place —
 // sigmoid on i, f and o, tanh on g — then c = f·c + i·g and h =
 // o·tanh(c) on the rows × H state matrices, the products and the sum
-// rounded separately as nn's scalar StepForward rounds them. At float64
+// rounded separately as nn's scalar reference rounds them. At float64
 // with the assembly on and H a multiple of 4 that is one fused kernel
 // (lstmCellAVX2); everywhere else — REPRO_NOASM, other architectures,
 // odd H, float32 — it is the portable body below: the bias sweep, the

@@ -126,8 +126,8 @@ func MulAdd(dst, a, b *Dense) {
 // package whose operands are pooled scratch headers: the check's
 // Sprintf would make such a header escape. At or above packMinFlops it
 // packs b per call onto panels and runs the packed kernel over all of
-// a (mulAddPackedB); below it — the one-row products of StepForward and
-// the small fused products — it runs row sums (mulAddRowSums).
+// a (mulAddPackedB); below it — the small fused products of a one-row
+// training shard — it runs row sums (mulAddRowSums).
 func mulAdd(dst, a, b *Dense) {
 	if a.Rows*a.Cols*b.Cols >= packMinFlops {
 		mulAddPackedB(dst, a, b)

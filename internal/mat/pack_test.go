@@ -155,7 +155,7 @@ func BenchmarkMulABTPackedBPTTShape(b *testing.B) {
 }
 
 // TestMulAddSmallShapesBitExact pins MulAdd to the plain-loop oracle at
-// the shapes a one-row training shard and StepForward produce, with
+// the shapes a one-row training shard and a one-row fleet produce, with
 // column tails (n mod 4 ≠ 0), a single column, and k on both sides of
 // the oracle's 64-term block edge — on the assembly and portable
 // kernels (the largest shapes cross packMinFlops, so they take the

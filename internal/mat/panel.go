@@ -26,7 +26,7 @@ import (
 // element's k terms in ascending k with a separate multiply and add,
 // exactly like the scalar oracle mulAddRows. Packing therefore cannot
 // change a single output bit, which is what lets a packed fleet be
-// pinned against the scalar decode path (StepForward).
+// pinned against nn's scalar reference forward.
 //
 // One generic body serves both element types. What differs per type is
 // the tile width — four AVX2 registers wide, one register narrow, so

@@ -63,18 +63,6 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	}
 }
 
-func BenchmarkLSTMStep(b *testing.B) {
-	net := benchNet(b)
-	st := net.NewState(1)
-	x := make([]float64, 64)
-	x[3] = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.StepForward(x, st)
-	}
-}
-
 // BenchmarkFleetStepShapes steps the two decode networks of the 9-day
 // fixture with the rows their encoders produce, because a step's cost
 // is set by layer 0's non-zeros and the two differ fivefold: the flavor

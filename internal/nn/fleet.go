@@ -38,7 +38,7 @@ type stepLayer[T float32 | float64] struct {
 // element type T: layer 0's input matrix and the biases directly, the
 // other matrices through their panels (pack). At float64 it is a view:
 // the matrices are the trainable LSTM's own, so a fleet steps on exactly
-// the weights StepForward does. At float32 it is LSTM32's frozen,
+// the weights training updates. At float32 it is LSTM32's frozen,
 // rounded copy.
 type stepWeights[T float32 | float64] struct {
 	cfg    Config
@@ -81,7 +81,7 @@ func (n *LSTM) Convert32() *LSTM32 {
 // kernels (DESIGN.md §6.5); biases stay plain slices, added after the
 // GEMMs. Packing copies values bit-for-bit and the packed kernels
 // accumulate in exactly the row-major order, so a fleet's logits equal
-// StepForward's — panels change where weights live, never what they
+// Forward's — panels change where weights live, never what they
 // compute. Training never reads it: the
 // optimizer updates the unpacked Params, and serving snapshots re-pack
 // from those.
@@ -128,21 +128,23 @@ func (n *LSTM) Pack() *PackedLSTM[float64] { return n.stepWeights().pack() }
 // Pack converts the f32 snapshot's decode weights into panels.
 func (n *LSTM32) Pack() *PackedLSTM32 { return n.w.pack() }
 
-// Fleet is the batched stateful counterpart of StepForward: it owns
-// per-layer hidden/cell state for many concurrent decode streams as
+// Fleet is the network's one inference step, for decode and for
+// teacher-forced scoring alike (a scorer is a one-row fleet): it owns
+// per-layer hidden/cell state for many concurrent streams as
 // row slices of shared slabs and advances any subset of them through
 // one set of batched step GEMMs (DESIGN.md §6.2). Streams are admitted
 // with Admit (a row index) and retired with Retire, which compacts the
 // slabs by swap-remove so every batched GEMM runs over contiguous
 // rows.
 //
-// Per stream, a Fleet[float64] step is bit-identical to StepForward on
-// a dedicated State: the packed GEMM, like every GEMM kernel,
+// Per stream, a Fleet[float64] step is bit-identical to a one-step
+// Forward from that stream's state, and to the scalar reference
+// forward nn's tests keep: the packed GEMM, like every GEMM kernel,
 // accumulates each output element's k-terms in ascending order
 // regardless of batch size, tile grouping, or worker count;
 // mat.LSTMCell computes exactly the scalar gate loop's operations; and
-// layer 0 runs StepForward's skip-zero row-sum kernel on every row, so
-// the two skip the same terms.
+// layer 0 runs Forward's skip-zero row-sum kernel on every row, so the
+// two skip the same terms.
 // A Fleet[float32] step keeps every one of those properties among f32
 // steps — deterministic, and independent of which other streams share
 // the batch — and gives up only bit-parity with the f64 path: state
@@ -312,7 +314,7 @@ func viewRows[T float32 | float64](v, m *mat.Matrix[T], k int) *mat.Matrix[T] {
 // until the next Step). Rows not listed are untouched. The subset is
 // gathered into contiguous scratch, advanced through shared batched
 // GEMMs, and scattered back; per stream the result is independent of
-// the rest of the batch, and at float64 bit-identical to StepForward.
+// the rest of the batch, and at float64 bit-identical to Forward.
 func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 	k := len(rows)
 	out := viewRows(&f.yv, f.y, k)
@@ -345,7 +347,7 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 		Z.Zero()
 		if layer.first {
 			// Layer 0 sums the weight rows its input selects, as
-			// StepForward does — every row, sparse or not (the row-sum
+			// Forward does — every row, sparse or not (the row-sum
 			// kernel reads the row-major matrix; there is no layer-0 panel).
 			mat.MulAddSparse(Z, in, layer.wx)
 		} else {
@@ -354,8 +356,8 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 		H := viewRows(&f.ghv[l], f.gh[l], k)
 		mat.MulAddPacked(Z, H, pw.wh)
 		// Bias, gate activations and the c / h updates for every gathered
-		// row: per element exactly what StepForward's scalar loop
-		// computes, in the same mul/add order.
+		// row: per element exactly what the scalar gate loop computes,
+		// in the same mul/add order.
 		mat.LSTMCell(Z, layer.b, viewRows(&f.gcv[l], f.gc[l], k), H)
 		in = H
 	}

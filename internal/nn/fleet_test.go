@@ -64,15 +64,22 @@ type fleetCell struct {
 	// fleet builds the fleet under test over net's weights.
 	fleet func(net *LSTM, capacity int) StepFleet
 	// solo returns a fresh single-stream reference decoder: the scalar
-	// StepForward at f64 (bit-identity with the serial path), a dedicated
-	// one-row fleet at f32 (batch-composition invariance — f32 has no
-	// serial decoder; its bits are pinned by golden_test.go).
+	// reference forward at f64 (refSolo), a dedicated one-row fleet at f32
+	// (batch-composition invariance — f32 has no scalar reference; its
+	// bits are pinned by golden_test.go).
 	solo func(net *LSTM) func(x []float64) []float64
 }
 
-func stepForwardSolo(net *LSTM) func(x []float64) []float64 {
+// refSolo returns a one-stream scalar decoder: each call is a one-step
+// refLSTMForward on the state it carries, the same reference training's
+// Forward is held to.
+func refSolo(net *LSTM) func(x []float64) []float64 {
 	st := net.NewState(1)
-	return func(x []float64) []float64 { return net.StepForward(x, st) }
+	return func(x []float64) []float64 {
+		xm := mat.NewDense(1, len(x))
+		copy(xm.Data, x)
+		return refLSTMForward(net, []*mat.Dense{xm}, st).y.Row(0)
+	}
 }
 
 func fleet32Solo(net *LSTM) func(x []float64) []float64 {
@@ -86,7 +93,7 @@ func fleet32Solo(net *LSTM) func(x []float64) []float64 {
 }
 
 var fleetCells = []fleetCell{
-	{"f64/packed", func(net *LSTM, c int) StepFleet { return net.NewFleetPacked(c, net.Pack()) }, stepForwardSolo},
+	{"f64/packed", func(net *LSTM, c int) StepFleet { return net.NewFleetPacked(c, net.Pack()) }, refSolo},
 	{"f32/packed", func(net *LSTM, c int) StepFleet {
 		n32 := net.Convert32()
 		return n32.NewFleet32Packed(c, n32.Pack())
@@ -182,7 +189,8 @@ func testFleetMatchesSoloOn(t *testing.T, c fleetCell, net *LSTM) {
 }
 
 // TestFleetMatchesStepForward: per stream, a float64 fleet step on
-// panels is bit-identical to the scalar StepForward.
+// panels is bit-identical to the scalar reference forward (refSolo). The
+// name is kept from the deleted scalar step it was first pinned to.
 func TestFleetMatchesStepForward(t *testing.T) {
 	forFleetCells(t, "f64", testFleetMatchesSolo)
 }
@@ -387,7 +395,7 @@ func testFleetRowsMatchSolo(t *testing.T, c fleetCell, rowsList []int) {
 // TestFleetMatchesStepForwardAtRows: an f64 fleet stepping 1, 2, 3, 8 or
 // 64 rows at once — every group size of the packed walk, and at hidden
 // 200 the shape whose gate panel leaves L1 — gives every stream the
-// scalar StepForward's logits bit for bit.
+// scalar reference's logits bit for bit.
 func TestFleetMatchesStepForwardAtRows(t *testing.T) {
 	forFleetCells(t, "f64", func(t *testing.T, c fleetCell) { testFleetRowsMatchSolo(t, c, []int{1, 2, 3, 8, 64}) })
 }
@@ -561,8 +569,8 @@ func checkSlabsAligned[T float32 | float64](t *testing.T, f *Fleet[T], capacity 
 // element type, starts on a 64-byte boundary (awkward capacities
 // included), so fleets owned by different decode shards can never
 // falsely share a cache line — and that alignment does not perturb a
-// single logit vs StepForward (covered by the Matches test running on
-// the same allocator).
+// single logit vs the scalar reference (covered by the Matches test
+// running on the same allocator).
 func TestFleetSlabsCacheAligned(t *testing.T) {
 	net := fleetTestNet()
 	p, net32 := net.Pack(), net.Convert32()
@@ -576,7 +584,7 @@ func TestFleetSlabsCacheAligned(t *testing.T) {
 // TestFleetConcurrentShards steps several independently owned fleets
 // concurrently through par (the sharded decode engine's access
 // pattern) and checks every stream on every shard stays bit-identical
-// to its serial StepForward reference. Run under -race this also pins
+// to its scalar reference (refSolo). Run under -race this also pins
 // the "distinct Fleets may be stepped concurrently" contract — on the
 // portable kernels, the tier the detector can see into.
 func TestFleetConcurrentShards(t *testing.T) {
@@ -593,15 +601,15 @@ func testFleetConcurrentShards(t *testing.T, net *LSTM) {
 	const streams = 3 // per shard
 	const rounds = 30
 	fleets := make([]StepFleet, shards)
-	refs := make([][]*State, shards)
+	refs := make([][]func([]float64) []float64, shards)
 	bad := make([]bool, shards)
 	p := net.Pack() // shared read-only by every shard, as the engine shares it
 	for k := range fleets {
 		fleets[k] = net.NewFleetPacked(streams, p)
-		refs[k] = make([]*State, streams)
+		refs[k] = make([]func([]float64) []float64, streams)
 		for s := 0; s < streams; s++ {
 			fleets[k].Admit()
-			refs[k][s] = net.NewState(1)
+			refs[k][s] = refSolo(net)
 		}
 	}
 	batch := [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {0, 1, 2}}
@@ -615,7 +623,7 @@ func testFleetConcurrentShards(t *testing.T, net *LSTM) {
 			y := f.Step(batch[k])
 			for s := 0; s < streams; s++ {
 				fleetInput(ref, shards*s+k, round)
-				want := net.StepForward(ref, refs[k][s])
+				want := refs[k][s](ref)
 				got := y.Row(s)
 				for j := range want {
 					if got[j] != want[j] {
@@ -627,17 +635,17 @@ func testFleetConcurrentShards(t *testing.T, net *LSTM) {
 	}
 	for k, b := range bad {
 		if b {
-			t.Fatalf("%+v: shard %d diverged from serial StepForward under concurrent stepping", net.Cfg, k)
+			t.Fatalf("%+v: shard %d diverged from its scalar reference under concurrent stepping", net.Cfg, k)
 		}
 	}
 }
 
-// TestFleetSkipsNonFiniteWeightsLikeStepForward pins why the serial
-// oracle and the fleets had to move to the row-sum kernel together: a
-// zero input never touches its layer-0 weight row, so non-finite values
-// in rows no input selects stay out of both decoders' sums, and the
-// engine's logits stay finite and bit-identical to StepForward's (a
-// dense product would turn every gate of the fleet into NaN).
+// TestFleetSkipsNonFiniteWeightsLikeStepForward pins why layer 0 is a
+// row sum in the fleet and in the scalar reference alike: a zero input
+// never touches its layer-0 weight row, so non-finite values in rows no
+// input selects stay out of both sums, and the engine's logits stay
+// finite and bit-identical to the reference's (a dense product would
+// turn every gate of the fleet into NaN).
 func TestFleetSkipsNonFiniteWeightsLikeStepForward(t *testing.T) {
 	net := NewLSTM(fleetLifetimeShape, rng.New(7))
 	// Columns 47..55 are flavors 7..15; the streams below stay on flavors
@@ -651,12 +659,12 @@ func TestFleetSkipsNonFiniteWeightsLikeStepForward(t *testing.T) {
 	forFleetCells(t, "f64", func(t *testing.T, c fleetCell) {
 		f := c.fleet(net, 1)
 		row := f.Admit()
-		st := net.NewState(1)
+		solo := refSolo(net)
 		ref := make([]float64, net.Cfg.InputDim)
 		for step := 0; step < 3; step++ {
 			lifetimeRow(f.InputRow(0), 0, step)
 			lifetimeRow(ref, 0, step)
-			got, want := f.Step([]int{row}).Row(0), net.StepForward(ref, st)
+			got, want := f.Step([]int{row}).Row(0), solo(ref)
 			checkLogits(t, fmt.Sprintf("step %d", step), got, want)
 			for j, v := range got {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -681,11 +689,10 @@ func TestFleetAdmitZeroState(t *testing.T) {
 	}
 	f.Retire(r0)
 	r1 := f.Admit() // same slab row as r0
-	ref := net.NewState(1)
 	fleetInput(f.InputRow(0), 4, 0)
 	y := f.Step([]int{r1})
 	fleetInput(in, 4, 0)
-	checkLogits(t, "re-admitted stream", y.Row(0), net.StepForward(in, ref))
+	checkLogits(t, "re-admitted stream", y.Row(0), refSolo(net)(in))
 }
 
 // TestNewFleetPackedNilPanels pins newFleet's nil-panels contract: there

@@ -13,7 +13,7 @@ import (
 
 // Logit hashes of fleetProtocolDigest on the f32 fleet, recorded on the
 // last commit that still had a hand-written Fleet32 beside Fleet (PR 16's
-// tree). The f64 fleet is pinned to the scalar StepForward reference on
+// tree). The f64 fleet is pinned to the scalar reference forward on
 // every run; before these constants the f32 fleet was pinned only to
 // itself within one build, so a kernel change that moved every f32 bit
 // the same way passed. They are constants of the f32 numerics: the

@@ -12,8 +12,9 @@
 // Forward/Backward scratch comes from a per-network Workspace (see
 // workspace.go), so the steady-state training hot path is
 // allocation-free. Forward and Backward are therefore not reentrant on
-// one network; StepForward keeps its scratch on the State and stays
-// safe to call concurrently with distinct states.
+// one network. Inference steps on a Fleet (fleet.go), which owns its
+// state and scratch, so distinct fleets over one network may step
+// concurrently; a one-row fleet is the teacher-forced scorer.
 package nn
 
 import (
@@ -85,7 +86,7 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // The returned slices, the cache, and the updated state alias the
 // network's workspace; they stay valid until the next-but-one Forward
 // call on this network. Forward is not safe for concurrent use on one
-// network (use StepForward with distinct states for that).
+// network (step distinct Fleets for that).
 func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 	if len(xs) == 0 {
 		return nil, &Cache{}
@@ -209,33 +210,4 @@ func (n *LSTM) backward(cache *Cache, dys []*mat.Dense, p *windowPlan) {
 		}
 		n.layerGrads(cache, l, DZ, DH, p)
 	}
-}
-
-// StepForward runs a single step for batch size 1 during generation:
-// x is one input vector, st is updated in place, and the output logits
-// are returned (valid until the next StepForward on the same state).
-// All scratch lives on the state, so concurrent StepForward calls on one
-// network are safe as long as each goroutine uses its own state.
-func (n *LSTM) StepForward(x []float64, st *State) []float64 {
-	in := n.stepIn(x, st)
-	h := n.Cfg.HiddenDim
-	for l, layer := range n.layers {
-		z := st.z
-		z.Zero()
-		layer.project(z, in)
-		mat.MulAdd(z, st.H[l], layer.wh.Value)
-		mat.AddBiasRows(z, layer.b.Value.Row(0))
-		zrow := z.Row(0)
-		hrow, crow := st.H[l].Row(0), st.C[l].Row(0)
-		for j := 0; j < h; j++ {
-			ij := sigmoid(zrow[j])
-			fj := sigmoid(zrow[h+j])
-			gj := math.Tanh(zrow[2*h+j])
-			oj := sigmoid(zrow[3*h+j])
-			crow[j] = fj*crow[j] + ij*gj
-			hrow[j] = oj * math.Tanh(crow[j])
-		}
-		in = st.H[l]
-	}
-	return n.stepOut(st)
 }

@@ -113,22 +113,7 @@ func TestForwardStateCarries(t *testing.T) {
 	}
 }
 
-func TestStepForwardMatchesForward(t *testing.T) {
-	n := tinyNet(t, 3, 4, 2, 2, 6)
-	xs := randInputs(rng.New(7), 5, 1, 3)
-	ysAll, _ := n.Forward(xs, nil)
-	st := n.NewState(1)
-	for t2, x := range xs {
-		y := n.StepForward(x.Row(0), st)
-		for j, v := range y {
-			if math.Abs(v-ysAll[t2].At(0, j)) > 1e-12 {
-				t.Fatalf("StepForward mismatch at step %d out %d", t2, j)
-			}
-		}
-	}
-}
-
-// cloneState deep-copies a state (scratch buffers are not carried over).
+// cloneState deep-copies a state.
 func cloneState(s *State) *State {
 	out := &State{}
 	for _, m := range s.H {
@@ -143,7 +128,9 @@ func cloneState(s *State) *State {
 func TestStateCloneAndZero(t *testing.T) {
 	n := tinyNet(t, 2, 3, 2, 1, 8)
 	st := n.NewState(1)
-	n.StepForward([]float64{1, -1}, st)
+	x := mat.NewDense(1, 2)
+	copy(x.Data, []float64{1, -1})
+	n.Forward([]*mat.Dense{x}, st)
 	cl := cloneState(st)
 	st.Zero()
 	for l := range cl.H {
@@ -469,9 +456,11 @@ func TestAdamZeroGradientNoChange(t *testing.T) {
 
 func TestLSTMExtremeInputsStayFinite(t *testing.T) {
 	n := tinyNet(t, 2, 4, 2, 3, 1)
-	st := n.NewState(1)
+	f := n.NewFleetPacked(1, n.Pack())
+	row := f.Admit()
 	for _, x := range [][]float64{{1e9, -1e9}, {0, 0}, {-1e12, 1e12}} {
-		out := n.StepForward(x, st)
+		copy(f.InputRow(0), x)
+		out := f.Step([]int{row}).Row(0)
 		for _, v := range out {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("non-finite output for input %v: %v", x, out)

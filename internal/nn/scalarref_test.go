@@ -16,7 +16,8 @@ import (
 // nest with each element's k terms ascending (dot-then-add for a·bᵀ),
 // independent of internal/mat's dispatch. The production passes must
 // reproduce them bit for bit; TestForwardBackwardMatchesScalarReference
-// compares every cache slab, output, final state and gradient.
+// compares every cache slab, output, final state and gradient, and the
+// f64 fleet tests compare every logit of a fleet step (refSolo).
 
 // refMulAdd computes dst += a·b, ascending k per element, skipping zero
 // a-elements when skipZero (the MulAddSparse contract).
@@ -80,20 +81,24 @@ func packSteps(xs []*mat.Dense) *mat.Dense {
 	return out
 }
 
-// refLSTMPass is the scalar LSTM forward + backward. It returns the
-// cache slabs in Cache layout (h and c with T+1 blocks), the fused
-// output slab, and the gradients keyed by parameter.
+// refLSTM is what the scalar passes compute: the cache slabs in Cache
+// layout (h and c with T+1 blocks), the fused output slab, and (from
+// refLSTMPass) the gradients keyed by parameter.
 type refLSTM struct {
 	h, c, i, f, g, o, tanhC []*mat.Dense
 	y                       *mat.Dense
 	grads                   map[*Param]*mat.Dense
 }
 
-func refLSTMPass(n *LSTM, xs []*mat.Dense, st *State, dys []*mat.Dense) *refLSTM {
+// refLSTMForward is the scalar LSTM forward from state st, which it
+// updates in place to the final state, as Forward does. It is the one
+// scalar reference of the package: TestForwardBackwardMatchesScalarReference
+// holds training's Forward to it, and refSolo, stepped one row at a
+// time, holds every f64 fleet to it.
+func refLSTMForward(n *LSTM, xs []*mat.Dense, st *State) *refLSTM {
 	T, b, h := len(xs), xs[0].Rows, n.Cfg.HiddenDim
 	ref := &refLSTM{}
-	X := packSteps(xs)
-	layerX := X
+	layerX := packSteps(xs)
 	for l, layer := range n.layers {
 		H, C := mat.NewDense((T+1)*b, h), mat.NewDense((T+1)*b, h)
 		copy(H.Data, st.H[l].Data)
@@ -136,7 +141,19 @@ func refLSTMPass(n *LSTM, xs []*mat.Dense, st *State, dys []*mat.Dense) *refLSTM
 	ref.y = mat.NewDense(T*b, n.Cfg.OutputDim)
 	refMulAdd(ref.y, layerX, n.wy.Value, false)
 	mat.AddBiasRows(ref.y, n.by.Value.Row(0))
+	for l := range st.H {
+		copy(st.H[l].Data, ref.h[l].Data[T*b*h:])
+		copy(st.C[l].Data, ref.c[l].Data[T*b*h:])
+	}
+	return ref
+}
 
+// refLSTMPass is refLSTMForward followed by the scalar backward pass
+// against the output gradients dys.
+func refLSTMPass(n *LSTM, xs []*mat.Dense, st *State, dys []*mat.Dense) *refLSTM {
+	T, b, h := len(xs), xs[0].Rows, n.Cfg.HiddenDim
+	ref := refLSTMForward(n, xs, st)
+	X := packSteps(xs)
 	ref.grads = map[*Param]*mat.Dense{}
 	for _, p := range n.params {
 		ref.grads[p] = mat.NewDense(p.Grad.Rows, p.Grad.Cols)

@@ -10,8 +10,8 @@ import (
 
 // The LSTM's layer stack: the layers, the linear head, the parameter
 // list in snapshot order, the state and the forward cache, and the
-// parts of Forward, Backward and StepForward that do not touch the cell
-// (nn.go holds those).
+// parts of Forward and Backward that do not touch the cell (nn.go holds
+// those).
 
 // layer holds one LSTM layer's parameters. The 4H dimension holds the
 // gate blocks in input, forget, cell (g), output order.
@@ -108,20 +108,15 @@ func (n *LSTM) shadow() *LSTM {
 	return sh
 }
 
-// State holds per-layer hidden and cell activations for a batch, used
-// both to carry state across Forward calls and for stepwise generation.
-// After a Forward call the entries are views into the network's
-// workspace, valid until the next-but-one Forward on that network (Clone
-// them to keep longer). StepForward updates them in place.
+// State holds per-layer hidden and cell activations for a batch: the
+// state a training window carries across Forward calls. After a Forward
+// call the entries are views into the network's workspace, valid until
+// the next-but-one Forward on that network (Clone them to keep longer).
+// Stepwise inference does not use it: a Fleet carries its streams'
+// state in its own slabs.
 type State struct {
 	H []*mat.Dense // per layer, [B x H]
 	C []*mat.Dense // per layer, [B x H]
-
-	// StepForward scratch, lazily sized. It lives on the state rather
-	// than the network so concurrent generation with distinct states
-	// stays race-free.
-	z, y *mat.Dense
-	xh   mat.Dense
 }
 
 // NewState returns a zero state for batch size b.
@@ -347,29 +342,4 @@ func (n *LSTM) layerGrads(c *Cache, l int, dz, dh *mat.Dense, p *windowPlan) {
 		dh.Zero()
 		mat.MulAdd(dh, dz, p.wxT[l])
 	}
-}
-
-// stepIn readies st's scratch for one batch-1 step and returns x as a
-// one-row matrix, the first layer's input.
-func (n *LSTM) stepIn(x []float64, st *State) *mat.Dense {
-	if len(x) != n.Cfg.InputDim {
-		panic(fmt.Sprintf("nn: StepForward input len %d, want %d", len(x), n.Cfg.InputDim))
-	}
-	if w := 4 * n.Cfg.HiddenDim; st.z == nil || st.z.Cols != w {
-		st.z = mat.NewDense(1, w)
-	}
-	if st.y == nil || st.y.Cols != n.Cfg.OutputDim {
-		st.y = mat.NewDense(1, n.Cfg.OutputDim)
-	}
-	st.xh.Rows, st.xh.Cols, st.xh.Data = 1, len(x), x
-	return &st.xh
-}
-
-// stepOut applies the head to the top layer's new state and returns the
-// logits, valid until the next StepForward on st.
-func (n *LSTM) stepOut(st *State) []float64 {
-	st.y.Zero()
-	mat.MulAdd(st.y, st.H[len(st.H)-1], n.wy.Value)
-	mat.AddBiasRows(st.y, n.by.Value.Row(0))
-	return st.y.Row(0)
 }

@@ -97,20 +97,6 @@ func TestWorkspaceFreeList(t *testing.T) {
 	n.ReleaseWorkspace()
 }
 
-// TestStepForwardAllocFree pins the streaming decode path: after the
-// lazily sized scratch exists, StepForward must not allocate at all.
-func TestStepForwardAllocFree(t *testing.T) {
-	n := NewLSTM(Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, rng.New(37))
-	st := n.NewState(1)
-	x := []float64{0.1, -0.2, 0.3}
-	n.StepForward(x, st) // size the scratch
-	if allocs := testing.AllocsPerRun(100, func() {
-		n.StepForward(x, st)
-	}); allocs != 0 {
-		t.Fatalf("LSTM StepForward allocates %v times per step, want 0", allocs)
-	}
-}
-
 // The training shape: the fixture's flavor net (16 flavors + EOB, the
 // 40 temporal features; hidden 24 x 2 layers) over a default BPTT
 // window (core.TrainConfig's SeqLen 96 and BatchSize 8).

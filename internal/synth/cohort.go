@@ -17,9 +17,9 @@ type ArrivalSampler func(g *rng.RNG, lambda float64) int
 // share of the aggregate arrival rate, its own arrival process, and a
 // fully resolved Population (the workload spec compiler fills unset
 // overrides from the Config base values). Cohorts make scenario
-// diversity a first-class input (ROADMAP item 1): a spec can mix a
-// steady interactive cohort, a bursty batch cohort, and a heavy-tailed
-// GPU cohort over one flavor catalog.
+// diversity a first-class input: a spec can mix a steady interactive
+// cohort, a bursty batch cohort, and a heavy-tailed GPU cohort over one
+// flavor catalog.
 type Cohort struct {
 	Name string
 	// RateFraction is this cohort's share of Config.BaseRate; fractions

@@ -1,9 +1,8 @@
-// Package workload is the declarative multi-client workload-spec layer
-// (ROADMAP item 1): a stdlib-only JSON grammar describing heterogeneous
-// client cohorts — per-cohort rate fractions, arrival processes
-// (Poisson, bursty Gamma, Weibull, all with CV knobs), flavor and
-// lifetime distribution overrides, SLO classes, and diurnal/trend
-// schedules — that compiles to a synth.Config, the named presets that
+// Package workload is the declarative multi-client workload-spec layer:
+// a stdlib-only JSON grammar describing heterogeneous client cohorts —
+// per-cohort rate fractions, arrival processes (Poisson, bursty Gamma,
+// Weibull, all with CV knobs), flavor and lifetime distribution
+// overrides, SLO classes, and diurnal/trend schedules — that compiles to a synth.Config, the named presets that
 // are the only definition of the scenarios standing in for the paper's
 // two clouds (presets.go), and a versioned trace record/replay format
 // (record.go) so traffic emitted by /generate or the experiments can be

@@ -31,6 +31,9 @@
 #     and internal/nn, the baselines, a GRU fit and the evaluation-only
 #     helpers out of internal/core; the rule that internal/nn has one
 #     recurrent cell (no GRU type, Recurrent interface or cell flag);
+#     the rule that there is one inference step (no non-test
+#     StepForward declaration or call in internal/ or cmd/: decode and
+#     teacher-forced scoring both step nn.Fleet);
 #     the rule that there is one weight layout (no row-major fleet or
 #     training GEMM, f32 row-major kernel or nil-panels branch in
 #     internal/{core,nn,mat}); the rule that only the training plan in
@@ -209,6 +212,15 @@ if grep -nE '^type GRU\b|^type Recurrent interface|\bcell[[:space:]]+bool\b' \
 	echo "check.sh: internal/nn declares a second recurrent cell or a seam for one" >&2
 	exit 1
 fi
+# One inference step (DESIGN.md §6.2): decode and teacher-forced scoring
+# both step nn.Fleet (a scorer is a one-row fleet on panels packed when
+# it is built), so no non-test file of internal/ or cmd/ may declare or
+# call a scalar one-row StepForward again; its arithmetic lives on as
+# the test reference refLSTMForward.
+if grep -rnE --include='*.go' '^func .*\bStepForward\(|\.StepForward\b' internal cmd | grep -v '_test\.go:'; then
+	echo "check.sh: a second inference step (StepForward) is back; step a one-row nn.Fleet" >&2
+	exit 1
+fi
 # One weight layout (DESIGN.md §6.5): fleets step on packed panels
 # only, and every dense product runs on panels or row sums, so no
 # non-test file of internal/{core,nn,mat} may bring back a row-major
@@ -334,4 +346,4 @@ if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one weight layout + immutable published panels + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one inference step + one weight layout + immutable published panels + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
