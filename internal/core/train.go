@@ -29,9 +29,11 @@ type BPTTTask struct {
 	n             int // stream length (tokens or jobs)
 	inDim, outDim int
 	// encode writes position t's input features into the zeroed row x.
+	// Shards call it concurrently, for distinct positions and rows.
 	encode func(x []float64, t int)
 	// outputs is the number of loss terms position t contributes — the
-	// unit gradients are normalised in. nil means one per position.
+	// unit gradients are normalised in. nil means one per position. It
+	// may be called concurrently for distinct positions.
 	outputs func(t int) int
 	// loss returns the summed loss of one shard at one step and writes
 	// its gradient into dy. ts[r] is the stream position behind row r of
@@ -85,51 +87,58 @@ func (t BPTTTask) RunBPTT(cfg TrainConfig, tr *trace.Trace, model string, net *n
 
 	plan := newSegmentPlan(t.n, cfg.SeqLen, cfg.BatchSize)
 	sharded, st := nn.NewSharded(net, plan.batch), net.NewState(plan.batch)
-	// Window buffers are allocated once and reused by every window of
-	// every epoch: per step, the batch inputs, the stream position
-	// behind each row, and one full-batch gradient slab with persistent
-	// per-shard row views for the sharded backward pass. Each window
-	// rewrites them completely. Only the last window can be short, so
-	// the first is as long as any.
-	maxWl := plan.windowLen(0)
-	xs := make([]*mat.Dense, maxWl)
-	pos := make([][]int, maxWl)
-	dysFull := make([]*mat.Dense, maxWl)
-	for s := range xs {
-		xs[s] = mat.NewDense(plan.batch, t.inDim)
-		pos[s] = make([]int, plan.batch)
-		dysFull[s] = mat.NewDense(plan.batch, t.outDim)
-	}
-	shardDys := make([][]*mat.Dense, nn.NumShards(plan.batch))
-	for si := range shardDys {
-		lo := si * nn.ShardRows
-		hi := min(lo+nn.ShardRows, plan.batch)
-		shardDys[si] = make([]*mat.Dense, maxWl)
-		for s := range shardDys[si] {
-			shardDys[si][s] = dysFull[s].SliceRows(lo, hi)
-		}
-	}
 	// Gradients are normalised by the window's loss-term count so the
 	// learning rate is scale-free. The count is a function of the
-	// targets alone, so it is tallied while encoding: each shard then
-	// scales its own gradients and no cross-shard barrier sits between
-	// the loss and the backward pass.
-	var outputs int
+	// segment plan and the targets alone, so it is tallied once per fit:
+	// each shard then scales its own gradients, and no cross-shard
+	// barrier sits between the loss and the backward pass.
+	terms := make([]int, plan.windows)
+	for w := range terms {
+		for s := 0; s < plan.windowLen(w); s++ {
+			for row := 0; row < plan.batch; row++ {
+				if p, ok := plan.step(row, w, s); ok {
+					terms[w] += t.outputs(p)
+				}
+			}
+		}
+	}
+	// The window the shards run: w is set before each, and each shard
+	// encodes and scores its own rows straight into its scratch. rowPos
+	// holds, per batch row, the stream position behind it at one step;
+	// shards write disjoint rows.
+	var w int
 	var norm float64
-	shardLoss := func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
-		// Shards write disjoint row ranges of the shared slabs.
-		dys := shardDys[lo/nn.ShardRows][:len(ys)]
+	rowPos := make([]int, plan.batch)
+	encode := func(x *mat.Dense, lo, hi int) {
+		b := hi - lo
+		for s := 0; s < plan.windowLen(w); s++ {
+			for row := lo; row < hi; row++ {
+				if p, ok := plan.step(row, w, s); ok {
+					t.encode(x.Row(s*b+row-lo), p)
+				}
+			}
+		}
+	}
+	shardLoss := func(lo, hi int, ys, dys []*mat.Dense) (float64, int, bool) {
+		ts := rowPos[lo:hi]
 		var loss float64
 		for s, y := range ys {
-			loss += t.loss(lo, pos[s][lo:hi], y, dys[s])
+			for r := range ts {
+				p, ok := plan.step(lo+r, w, s)
+				if !ok {
+					p = -1
+				}
+				ts[r] = p
+			}
+			loss += t.loss(lo, ts, y, dys[s])
 		}
-		if outputs == 0 {
-			return nil, loss, 0
+		if norm == 0 {
+			return loss, 0, false
 		}
 		for _, d := range dys {
 			mat.Scale(norm, d.Data)
 		}
-		return dys, loss, 0
+		return loss, 0, true
 	}
 
 	ec := newEpochClock(model, cfg)
@@ -137,36 +146,18 @@ func (t BPTTTask) RunBPTT(cfg TrainConfig, tr *trace.Trace, model string, net *n
 		opt.LR = cfg.stepLR(epoch)
 		var totalLoss float64
 		var total int
-		for w := 0; w < plan.windows; w++ {
-			wl := plan.windowLen(w)
-			outputs = 0
-			for s := 0; s < wl; s++ {
-				x, ts := xs[s], pos[s]
-				x.Zero()
-				for row := range ts {
-					p, ok := plan.step(row, w, s)
-					if !ok {
-						ts[row] = -1
-						continue
-					}
-					ts[row] = p
-					t.encode(x.Row(row), p)
-					outputs += t.outputs(p)
-				}
-			}
+		for w = 0; w < plan.windows; w++ {
+			var step *nn.Adam
 			norm = 0
-			if outputs > 0 {
-				norm = 1 / float64(outputs)
+			if terms[w] > 0 {
+				step, norm = opt, 1/float64(terms[w])
 			}
 			if w == 0 {
 				st.Zero()
 			}
-			loss, _ := sharded.RunWindow(xs[:wl], st, shardLoss)
+			loss, _ := sharded.Window(plan.windowLen(w), st, encode, shardLoss, step)
 			totalLoss += loss
-			total += outputs
-			if outputs > 0 {
-				opt.Step(net.Params())
-			}
+			total += terms[w]
 		}
 		var devLoss float64
 		hasDev := t.dev != nil && ((epoch+1)%cfg.DevEvery == 0 || epoch == cfg.Epochs-1)

@@ -118,7 +118,8 @@ func TrainLifetimePMF(tr *trace.Trace, bins survival.Bins, cfg core.TrainConfig)
 type PMFLifetimePredictor struct {
 	m        *PMFLifetimeModel
 	fleet    *nn.Fleet[float64]
-	rows     []int // {0}: the fleet's one row
+	rows     []int     // {0}: the fleet's one row
+	hazard   []float64 // the PMF, then in place the hazard Hazard returns
 	prevBin  int
 	prevCens bool
 }
@@ -126,7 +127,8 @@ type PMFLifetimePredictor struct {
 // NewPMFLifetimePredictor wraps m. It packs m.Net's panels here, so the
 // predictor is valid until those weights change.
 func NewPMFLifetimePredictor(m *PMFLifetimeModel) *PMFLifetimePredictor {
-	p := &PMFLifetimePredictor{m: m, fleet: m.Net.NewFleetPacked(1, m.Net.Pack()), rows: []int{0}, prevBin: -1}
+	p := &PMFLifetimePredictor{m: m, fleet: m.Net.NewFleetPacked(1, m.Net.Pack()), rows: []int{0},
+		hazard: make([]float64, m.Net.Cfg.OutputDim), prevBin: -1}
 	p.fleet.Admit()
 	return p
 }
@@ -143,13 +145,16 @@ func (p *PMFLifetimePredictor) Reset() {
 	p.prevCens = false
 }
 
-// Hazard implements core.LifetimePredictor.
+// Hazard implements core.LifetimePredictor. The hazard is the
+// predictor's own buffer, valid until the next call, and the call
+// allocates nothing.
 func (p *PMFLifetimePredictor) Hazard(step core.LifetimeStep, absPeriod int) []float64 {
 	local := step
 	local.Period = absPeriod
 	core.EncodeLifetimeInput(p.fleet.InputRow(0), p.m.K, p.m.Temporal, p.m.LifeFeat,
 		local, trace.DayOfHistory(absPeriod), p.prevBin, p.prevCens)
-	return survival.PMFToHazard(nn.Softmax(p.fleet.Step(p.rows).Row(0)))
+	nn.SoftmaxInto(p.fleet.Step(p.rows).Row(0), p.hazard)
+	return survival.PMFToHazardInto(p.hazard, p.hazard)
 }
 
 // PredictBin implements core.LifetimePredictor.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/survival"
 	"repro/internal/synth"
 	"repro/internal/workload"
@@ -135,5 +136,35 @@ func TestPMFvsHazard(t *testing.T) {
 	}
 	if hz.BCE > pmf.BCE*1.15 {
 		t.Errorf("hazard head %v should not trail PMF head %v (paper: slightly better)", hz.BCE, pmf.BCE)
+	}
+}
+
+// TestPMFHazardAllocFree pins the PMF predictor's teacher-forced step
+// at zero allocations: the one-row fleet step, the softmax and the
+// PMF-to-hazard conversion all write into the predictor's buffers. The
+// race runtime's instrumentation allocates, so under -race the steps
+// run and only the count is left out.
+func TestPMFHazardAllocFree(t *testing.T) {
+	sc := workload.PresetConfig("azure")
+	sc.Days, sc.Users, sc.BaseRate = 1, 30, 1.5
+	tr := sc.Generate(5)
+	bins := survival.PaperBins()
+	m := TrainLifetimePMF(tr, bins, core.TrainConfig{Hidden: 4, Layers: 2, SeqLen: 4, BatchSize: 4, Epochs: 1, Seed: 3})
+	steps := core.LifetimeSteps(tr, bins)
+	p := NewPMFLifetimePredictor(m)
+	i := 0
+	step := func() {
+		s := steps[i%len(steps)]
+		p.Hazard(s, s.Period)
+		p.Observe(s)
+		i++
+	}
+	step()
+	if mat.RaceEnabled {
+		t.Log("race-mode instrumentation allocates; allocation count skipped")
+		return
+	}
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Fatalf("PMF Hazard allocates %v times per step, want 0", n)
 	}
 }

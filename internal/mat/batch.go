@@ -196,7 +196,10 @@ func TanhSlice(dst, x []float64) {
 // gate order i, f, g, o) gets bias added and is activated in place —
 // sigmoid on i, f and o, tanh on g — then c = f·c + i·g and h =
 // o·tanh(c) on the rows × H state matrices, the products and the sum
-// rounded separately as nn's scalar reference rounds them. At float64
+// rounded separately as nn's scalar reference rounds them. A non-nil tc
+// (rows × H) also receives tanh(c) itself, the value h was scaled from —
+// TanhSlice's bits on either tier — for training's backward pass;
+// decode passes nil. At float64
 // with the assembly on and H a multiple of 4 that is one fused kernel
 // (lstmCellAVX2); everywhere else — REPRO_NOASM, other architectures,
 // odd H, float32 — it is the portable body below: the bias sweep, the
@@ -210,16 +213,22 @@ func TanhSlice(dst, x []float64) {
 // math.Exp-based scalar loop bit for bit; at float32 act32.go's native
 // eight-lane kernels, because widening each gate row to the four-lane
 // f64 exp would cost the f32 path most of its advantage.
-func LSTMCell[T float32 | float64](z *Matrix[T], bias []T, c, h *Matrix[T]) {
+func LSTMCell[T float32 | float64](z *Matrix[T], bias []T, c, h, tc *Matrix[T]) {
 	hd := c.Cols
-	if z.Cols != 4*hd || len(bias) != 4*hd || h.Cols != hd || c.Rows != z.Rows || h.Rows != z.Rows {
-		panic(fmt.Sprintf("mat: LSTMCell shape mismatch z %v bias %d c %v h %v", z, len(bias), c, h))
+	if z.Cols != 4*hd || len(bias) != 4*hd || h.Cols != hd || c.Rows != z.Rows || h.Rows != z.Rows ||
+		tc != nil && (tc.Cols != hd || tc.Rows != z.Rows) {
+		panic(fmt.Sprintf("mat: LSTMCell shape mismatch z %v bias %d c %v h %v tc %v", z, len(bias), c, h, tc))
 	}
 	if z.Rows == 0 || hd == 0 {
 		return
 	}
 	if zd, ok := any(z).(*Dense); ok && useBatchASM && hd%4 == 0 {
-		lstmCellAVX2(&zd.Data[0], &any(bias).([]float64)[0], &any(c).(*Dense).Data[0], &any(h).(*Dense).Data[0], z.Rows, hd)
+		hp := &any(h).(*Dense).Data[0]
+		tp := hp // without tc the kernel's tanh(c) store lands in h, which o·tanh(c) then overwrites
+		if tc != nil {
+			tp = &any(tc).(*Dense).Data[0]
+		}
+		lstmCellAVX2(&zd.Data[0], &any(bias).([]float64)[0], &any(c).(*Dense).Data[0], hp, tp, z.Rows, hd)
 		return
 	}
 	AddBiasRows(z, bias)
@@ -249,6 +258,9 @@ func LSTMCell[T float32 | float64](z *Matrix[T], bias []T, c, h *Matrix[T]) {
 			TanhSlice(any(hrow).([]float64), cr)
 		case []float32:
 			TanhSlice32(any(hrow).([]float32), cr)
+		}
+		if tc != nil {
+			copy(tc.Row(i), hrow)
 		}
 		for j := 0; j < hd; j++ {
 			hrow[j] = zrow[3*hd+j] * hrow[j]

@@ -38,10 +38,11 @@ func tanhAVX2(dst, x *float64, n int)
 // wide, hd a positive multiple of 4) it adds the bias b to z, applies
 // the gate activations in place, and updates c and h — sigmoidAVX2's and
 // tanhAVX2's bodies and separate VMULPD / VADDPD, so finite inputs give
-// the portable body's bits. Implemented in batch_amd64.s.
+// the portable body's bits. tanh(c) is stored to tc (hd wide) before o
+// scales it into h; tc may be h itself. Implemented in batch_amd64.s.
 //
 //go:noescape
-func lstmCellAVX2(z, b, c, h *float64, m, hd int)
+func lstmCellAVX2(z, b, c, h, tc *float64, m, hd int)
 
 // rowSumAVX2 is the row-sum kernel (rowSum: MulAddSparse, MulAdd's
 // small products, SumRows, Add): for the

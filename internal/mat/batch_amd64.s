@@ -403,14 +403,16 @@ tloop:
 	VZEROUPPER
 	RET
 
-// func lstmCellAVX2(z, b, c, h *float64, m, hd int)
+// func lstmCellAVX2(z, b, c, h, tc *float64, m, hd int)
 //
 // Everything between a layer's recurrent GEMM and the next layer, for m
 // rows of gate pre-activations z (4·hd wide, gate order i, f, g, o),
-// cell state c and hidden output h (hd wide), hd a positive multiple of
-// 4, m positive. Per row: z += b, then sigmoidAVX2's loop over [0, 2·hd)
-// and again over [3·hd, 4·hd), TANHBODY over [2·hd, 3·hd) — z is left
-// holding the activated gates — then c = (f·c) + (i·g) and h = o·Tanh(c),
+// cell state c, hidden output h and tanh of the cell tc (hd wide), hd a
+// positive multiple of 4, m positive. Per row: z += b, then sigmoidAVX2's
+// loop over [0, 2·hd) and again over [3·hd, 4·hd), TANHBODY over
+// [2·hd, 3·hd) — z is left holding the activated gates — then
+// c = (f·c) + (i·g), tc = Tanh(c) and h = o·Tanh(c) (tc stored first, so
+// tc == h leaves h),
 // each a separate VMULPD / VADDPD in the Go loop's operand grouping (no
 // FMA outside EXPCORE). For finite inputs that is, bit for bit,
 // AddBiasRows + SigmoidSlice / TanhSlice + LSTMCell's portable loops.
@@ -422,13 +424,14 @@ tloop:
 // chained in one iteration the ~250-cycle dependency no longer fits the
 // reorder window and consecutive vectors stop overlapping. A row is
 // finished before the next starts, so it stays in L1 across the loops.
-TEXT ·lstmCellAVX2(SB), NOSPLIT, $0-48
+TEXT ·lstmCellAVX2(SB), NOSPLIT, $0-56
 	MOVQ         z+0(FP), DI
 	MOVQ         b+8(FP), SI
 	MOVQ         c+16(FP), DX
 	MOVQ         h+24(FP), R8
-	MOVQ         m+32(FP), CX
-	MOVQ         hd+40(FP), R9
+	MOVQ         tc+32(FP), R14
+	MOVQ         m+40(FP), CX
+	MOVQ         hd+48(FP), R9
 	SHLQ         $3, R9 // one gate segment, bytes
 	VBROADCASTSD actc<>+0(SB), Y14
 	VBROADCASTSD actc<>+8(SB), Y15
@@ -486,6 +489,7 @@ cc:
 	VADDPD  Y1, Y0, Y12
 	VMOVUPD Y12, (DX)(BX*1)
 	TANHBODY
+	VMOVUPD Y0, (R14)(BX*1)     // Tanh(c)
 	VMULPD  (R13)(BX*1), Y0, Y0 // o·Tanh(c)
 	VMOVUPD Y0, (R8)(BX*1)
 	ADDQ    $32, BX
@@ -495,6 +499,7 @@ cc:
 	LEAQ (DI)(R9*4), DI
 	ADDQ R9, DX
 	ADDQ R9, R8
+	ADDQ R9, R14
 	DECQ CX
 	JNZ  crow
 	VZEROUPPER

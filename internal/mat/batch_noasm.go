@@ -25,7 +25,7 @@ func tanhAVX2(dst, x *float64, n int) {
 	panic("mat: tanhAVX2 without assembly kernel")
 }
 
-func lstmCellAVX2(z, b, c, h *float64, m, hd int) {
+func lstmCellAVX2(z, b, c, h, tc *float64, m, hd int) {
 	panic("mat: lstmCellAVX2 without assembly kernel")
 }
 

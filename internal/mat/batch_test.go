@@ -263,15 +263,23 @@ func lstmCellRef(z, bias, c, h []float64) {
 
 // checkLSTMCell runs LSTMCell over copies of z and c in calls of m rows
 // and compares z, c and h with lstmCellRef row by row: bits wherever the
-// reference is not NaN, NaN-ness where it is (see LSTMCell).
+// reference is not NaN, NaN-ness where it is (see LSTMCell). A second
+// run with a tc destination must leave z, c and h bit for bit as the
+// run without one did, and tc must hold TanhSlice of that c bit for
+// bit, NaN payloads included: the cell's tanh(c) is the one training's
+// backward pass reads instead of recomputing it.
 func checkLSTMCell(t *testing.T, z *Dense, bias []float64, c *Dense, m int) {
 	t.Helper()
 	hd := c.Cols
+	rows := func(d *Dense, lo, hi int) *Dense {
+		return FromSlice(hi-lo, d.Cols, d.Data[lo*d.Cols:hi*d.Cols])
+	}
 	gz, gc, gh := z.Clone(), c.Clone(), NewDense(c.Rows, hd)
+	tz, tcs, th, tc := z.Clone(), c.Clone(), NewDense(c.Rows, hd), NewDense(c.Rows, hd)
 	for lo := 0; lo < z.Rows; lo += m {
 		hi := min(lo+m, z.Rows)
-		LSTMCell(FromSlice(hi-lo, 4*hd, gz.Data[lo*4*hd:hi*4*hd]), bias,
-			FromSlice(hi-lo, hd, gc.Data[lo*hd:hi*hd]), FromSlice(hi-lo, hd, gh.Data[lo*hd:hi*hd]))
+		LSTMCell(rows(gz, lo, hi), bias, rows(gc, lo, hi), rows(gh, lo, hi), nil)
+		LSTMCell(rows(tz, lo, hi), bias, rows(tcs, lo, hi), rows(th, lo, hi), rows(tc, lo, hi))
 	}
 	wz, wc, wh := z.Clone(), c.Clone(), NewDense(c.Rows, hd)
 	for i := 0; i < z.Rows; i++ {
@@ -284,6 +292,19 @@ func checkLSTMCell(t *testing.T, z *Dense, bias []float64, c *Dense, m int) {
 		for i, w := range p.want.Data {
 			g := p.got.Data[i]
 			if math.IsNaN(w) != math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("hd %d m %d: %s[%d][%d] = %x, want %x", hd, m, p.name,
+					i/p.want.Cols, i%p.want.Cols, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+	wtc := NewDense(c.Rows, hd)
+	TanhSlice(wtc.Data, gc.Data)
+	for _, p := range []struct {
+		name      string
+		got, want *Dense
+	}{{"z with tc", tz, gz}, {"c with tc", tcs, gc}, {"h with tc", th, gh}, {"tc", tc, wtc}} {
+		for i, w := range p.want.Data {
+			if g := p.got.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("hd %d m %d: %s[%d][%d] = %x, want %x", hd, m, p.name,
 					i/p.want.Cols, i%p.want.Cols, math.Float64bits(g), math.Float64bits(w))
 			}
@@ -402,7 +423,7 @@ func TestBatchKernelsNoAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		MulAddPacked(dst, a, p)
 		ExpSlice(y, x)
-		LSTMCell(dst, x, c, h)
+		LSTMCell(dst, x, c, h, nil)
 	}); n != 0 {
 		t.Fatalf("batched kernels allocated %v per run", n)
 	}

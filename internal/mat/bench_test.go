@@ -98,7 +98,7 @@ func BenchmarkLSTMCell24(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(z.Data, pre.Data)
-				LSTMCell(z, bias, c, h)
+				LSTMCell(z, bias, c, h, nil)
 			}
 		})
 	}

@@ -358,7 +358,7 @@ func (f *Fleet[T]) Step(rows []int) *mat.Dense {
 		// Bias, gate activations and the c / h updates for every gathered
 		// row: per element exactly what the scalar gate loop computes,
 		// in the same mul/add order.
-		mat.LSTMCell(Z, layer.b, viewRows(&f.gcv[l], f.gc[l], k), H)
+		mat.LSTMCell(Z, layer.b, viewRows(&f.gcv[l], f.gc[l], k), H, nil)
 		in = H
 	}
 	Y := viewRows(&f.ytv, f.yt, k)

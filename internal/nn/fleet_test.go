@@ -451,7 +451,7 @@ func unpackedSolo[T float32 | float64](w *stepWeights[T]) func(x []float64) []fl
 				refMulAddRowMajor(z, in, layer.wx)
 			}
 			refMulAddRowMajor(z, h[l], layer.wh)
-			mat.LSTMCell(z, layer.b, c[l], h[l])
+			mat.LSTMCell(z, layer.b, c[l], h[l], nil)
 			in = h[l]
 		}
 		y.Zero()

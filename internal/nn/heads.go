@@ -91,15 +91,8 @@ func LogSoftmaxInto(logits, out []float64) {
 	}
 }
 
-// Softmax returns the probabilities for one logit vector.
-func Softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	SoftmaxInto(logits, out)
-	return out
-}
-
-// SoftmaxInto writes the probabilities into out, computed exactly as
-// Softmax does (log-softmax then exponentiation, for the same bits).
+// SoftmaxInto writes the probabilities for one logit vector into out:
+// log-softmax, then exponentiation.
 func SoftmaxInto(logits, out []float64) {
 	LogSoftmaxInto(logits, out)
 	for i, v := range out {

@@ -92,18 +92,21 @@ func (n *LSTM) Forward(xs []*mat.Dense, st *State) ([]*mat.Dense, *Cache) {
 		return nil, &Cache{}
 	}
 	n.fillForward(&n.plan)
-	return n.forward(n.workspace().flip(), xs, st, &n.plan)
+	ar := n.workspace().flip()
+	return n.forward(ar, packRows(ar, xs, n.Cfg.InputDim), len(xs), st, &n.plan)
 }
 
 // forward is Forward on the rewound arena ar, which holds every buffer
 // the pass returns: the outputs, the cache and the updated state stay
-// valid until ar is next rewound. It reads the recurrent weights from
-// the plan p, which must hold n's current weights. xs must not be
-// empty.
-func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State, p *windowPlan) ([]*mat.Dense, *Cache) {
+// valid until ar is next rewound. X is the T steps' inputs packed into
+// one [T·B x InputDim] slab of ar, step t in block t, so layer 0's input
+// projection runs as a single sequence-fused product; T must be
+// positive. It reads the recurrent weights from the plan p, which must
+// hold n's current weights.
+func (n *LSTM) forward(ar *arena, X *mat.Dense, T int, st *State, p *windowPlan) ([]*mat.Dense, *Cache) {
 	cache := ar.lstmCache(len(n.layers))
-	n.begin(cache, ar, xs)
-	T, b, h := cache.steps, cache.batch, n.Cfg.HiddenDim
+	b, h := X.Rows/T, n.Cfg.HiddenDim
+	cache.steps, cache.batch, cache.ar, cache.x = T, b, ar, X
 	var sH, sC []*mat.Dense
 	if st != nil {
 		sH, sC = st.H, st.C
@@ -120,6 +123,7 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State, p *windowPlan) ([]
 		// h-terms, bias) of the per-step formulation bit for bit.
 		Z := ar.slab(T*b, 4*h, true)
 		layer.project(Z, layerX)
+		TC := ar.slab(T*b, h, false)
 		bias := layer.b.Value.Row(0)
 		for t := 0; t < T; t++ {
 			zt := ar.view(Z, t*b, (t+1)*b)
@@ -127,12 +131,10 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State, p *windowPlan) ([]
 			// The decode cell kernel, as Fleet.Step runs it: bias, gate
 			// activations in place (Z becomes the gate cache) and the
 			// c / h update of block t+1, which starts as a copy of block t.
+			// It also hands back tanh(c), which Backward needs alone.
 			copy(C.Data[(t+1)*b*h:(t+2)*b*h], C.Data[t*b*h:(t+1)*b*h])
-			mat.LSTMCell(zt, bias, ar.view(C, (t+1)*b, (t+2)*b), ar.view(H, (t+1)*b, (t+2)*b))
+			mat.LSTMCell(zt, bias, ar.view(C, (t+1)*b, (t+2)*b), ar.view(H, (t+1)*b, (t+2)*b), ar.view(TC, t*b, (t+1)*b))
 		}
-		// The cell kernel folds tanh(c) into h; Backward needs it alone.
-		TC := ar.slab(T*b, h, false)
-		mat.TanhSlice(TC.Data, C.Data[b*h:])
 		cache.h[l], cache.c[l] = H, C
 		cache.z[l], cache.tanhC[l] = Z, TC
 		if st != nil {
@@ -155,19 +157,24 @@ func (n *LSTM) forward(ar *arena, xs []*mat.Dense, st *State, p *windowPlan) ([]
 // weights are packed and transposed afresh on every call; a sharded
 // window does that once for all its shards instead.
 func (n *LSTM) Backward(cache *Cache, dys []*mat.Dense) {
+	if len(dys) != cache.T() {
+		panic(fmt.Sprintf("nn: Backward got %d grads for %d steps", len(dys), cache.T()))
+	}
+	if cache.T() == 0 {
+		return
+	}
 	n.fillBackward(&n.plan)
-	n.backward(cache, dys, &n.plan)
+	n.backward(cache, packRows(cache.ar, dys, n.Cfg.OutputDim), &n.plan)
 }
 
-// backward is Backward against the plan p, which it only reads.
-func (n *LSTM) backward(cache *Cache, dys []*mat.Dense, p *windowPlan) {
+// backward is Backward from the output gradients DY, the T steps'
+// packed into one [T·B x OutputDim] slab (step t in block t) on the
+// arena holding cache, against the plan p, which it only reads.
+func (n *LSTM) backward(cache *Cache, DY *mat.Dense, p *windowPlan) {
 	// DH holds, for the layer currently being processed, the gradient
 	// arriving from above at every step: from the head for the top
 	// layer, then from layer l's input projection for layer l-1.
-	DH := n.headBackward(cache, dys, p)
-	if DH == nil {
-		return
-	}
+	DH := n.headBackward(cache, DY, p)
 	T, b, h, ar := cache.steps, cache.batch, n.Cfg.HiddenDim, cache.ar
 	DZ := ar.slab(T*b, 4*h, false) // pre-activation grads, fully written per layer
 	dc := ar.slab(b, h, false)     // carried cell gradient

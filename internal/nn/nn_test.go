@@ -275,7 +275,8 @@ func TestSoftmaxCEValidMask(t *testing.T) {
 }
 
 func TestSoftmaxNormalizes(t *testing.T) {
-	p := Softmax([]float64{1, 2, 3, 4})
+	p := make([]float64, 4)
+	SoftmaxInto([]float64{1, 2, 3, 4}, p)
 	var sum float64
 	for i := 1; i < len(p); i++ {
 		if p[i] <= p[i-1] {

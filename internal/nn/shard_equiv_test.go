@@ -106,40 +106,50 @@ func commitWindows(in, windows, steps, batch int) [][]*mat.Dense {
 	return out
 }
 
-// commitLoss is the ShardDys of window w: softmax cross-entropy on a
-// rotating target for a 17-wide head, masked BCE on a hazard-style
-// target and mask (bins up to the event) otherwise.
+// commitLoss is the ShardDys of window w: commitLossInto over
+// gradient matrices of its own.
 func commitLoss(w int) ShardDys {
 	return func(lo, hi int, ys []*mat.Dense) ([]*mat.Dense, float64, int) {
 		dys := make([]*mat.Dense, len(ys))
-		var loss float64
-		var count int
 		for s, y := range ys {
 			dys[s] = mat.NewDense(y.Rows, y.Cols)
-			var l float64
-			var c int
-			if y.Cols == 17 {
-				targets := make([]int, y.Rows)
-				for r := range targets {
-					targets[r] = (5*w + s + lo + r) % y.Cols
-				}
-				l, c = SoftmaxCEInto(y, targets, nil, dys[s])
-			} else {
-				tg, mk := mat.NewDense(y.Rows, y.Cols), mat.NewDense(y.Rows, y.Cols)
-				for r := 0; r < y.Rows; r++ {
-					event := (11*w + 3*s + lo + r) % y.Cols
-					for j := 0; j <= event; j++ {
-						mk.Set(r, j, 1)
-					}
-					tg.Set(r, event, 1)
-				}
-				l, c = MaskedBCEWithLogitsInto(y, tg, mk, dys[s])
-			}
-			loss += l
-			count += c
 		}
+		loss, count := commitLossInto(w, lo, ys, dys)
 		return dys, loss, count
 	}
+}
+
+// commitLossInto is window w's loss on the shard at row lo, its
+// gradients written into dys: softmax cross-entropy on a rotating
+// target for a 17-wide head, masked BCE on a hazard-style target and
+// mask (bins up to the event) otherwise.
+func commitLossInto(w, lo int, ys, dys []*mat.Dense) (float64, int) {
+	var loss float64
+	var count int
+	for s, y := range ys {
+		var l float64
+		var c int
+		if y.Cols == 17 {
+			targets := make([]int, y.Rows)
+			for r := range targets {
+				targets[r] = (5*w + s + lo + r) % y.Cols
+			}
+			l, c = SoftmaxCEInto(y, targets, nil, dys[s])
+		} else {
+			tg, mk := mat.NewDense(y.Rows, y.Cols), mat.NewDense(y.Rows, y.Cols)
+			for r := 0; r < y.Rows; r++ {
+				event := (11*w + 3*s + lo + r) % y.Cols
+				for j := 0; j <= event; j++ {
+					mk.Set(r, j, 1)
+				}
+				tg.Set(r, event, 1)
+			}
+			l, c = MaskedBCEWithLogitsInto(y, tg, mk, dys[s])
+		}
+		loss += l
+		count += c
+	}
+	return loss, count
 }
 
 // commitStep is one window's reduced result: the net's gradients, the

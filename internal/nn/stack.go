@@ -188,20 +188,20 @@ func fitLayers(nl int, ss ...*[]*mat.Dense) {
 	}
 }
 
-// begin starts a Forward pass on the next arena: it points c at it and
-// packs the step inputs into one [T·B x InputDim] slab so layer 0's
-// input projection runs as a single sequence-fused GEMM.
-func (n *LSTM) begin(c *Cache, ar *arena, xs []*mat.Dense) {
-	T, b, id := len(xs), xs[0].Rows, n.Cfg.InputDim
-	c.steps, c.batch, c.ar = T, b, ar
-	X := ar.slab(T*b, id, false)
-	for t, x := range xs {
-		if x.Rows != b || x.Cols != id {
-			panic(fmt.Sprintf("nn: step %d input %v, want %dx%d", t, x, b, id))
+// packRows packs the steps ms, each [B x cols], into one [T·B x cols]
+// slab of ar, step t in block t: the layout forward takes its inputs
+// and backward its output gradients in. A sharded window writes its
+// slabs in place and packs nothing.
+func packRows(ar *arena, ms []*mat.Dense, cols int) *mat.Dense {
+	b := ms[0].Rows
+	X := ar.slab(len(ms)*b, cols, false)
+	for t, m := range ms {
+		if m.Rows != b || m.Cols != cols {
+			panic(fmt.Sprintf("nn: step %d is %v, want %dx%d", t, m, b, cols))
 		}
-		copy(X.Data[t*b*id:(t+1)*b*id], x.Data)
+		copy(X.Data[t*b*cols:(t+1)*b*cols], m.Data)
 	}
-	c.x = X
+	return X
 }
 
 // stateSlab returns a (T+1)·B-row slab whose block 0 holds layer l's
@@ -294,25 +294,12 @@ func (n *LSTM) fillBackward(p *windowPlan) {
 	mat.TransposeInto(p.wyT, n.wy.Value)
 }
 
-// headBackward starts Backward: it packs the output gradients dys,
-// accumulates the head's parameter gradients, and returns the gradient
-// arriving at the top layer's hidden state at every step (nil for an
-// empty pass). Scratch bump-continues on the arena holding the cache.
-func (n *LSTM) headBackward(c *Cache, dys []*mat.Dense, p *windowPlan) *mat.Dense {
-	if len(dys) != c.T() {
-		panic(fmt.Sprintf("nn: Backward got %d grads for %d steps", len(dys), c.T()))
-	}
-	if c.T() == 0 {
-		return nil
-	}
-	ar, T, b, od := c.ar, c.steps, c.batch, n.Cfg.OutputDim
-	DY := ar.slab(T*b, od, false)
-	for t, dy := range dys {
-		if dy.Rows != b || dy.Cols != od {
-			panic(fmt.Sprintf("nn: Backward step %d grad %v", t, dy))
-		}
-		copy(DY.Data[t*b*od:(t+1)*b*od], dy.Data)
-	}
+// headBackward starts Backward: from the packed output gradients DY it
+// accumulates the head's parameter gradients and returns the gradient
+// arriving at the top layer's hidden state at every step. Scratch
+// bump-continues on the arena holding the cache.
+func (n *LSTM) headBackward(c *Cache, DY *mat.Dense, p *windowPlan) *mat.Dense {
+	ar, T, b := c.ar, c.steps, c.batch
 	hTop := ar.view(c.h[len(c.h)-1], b, (T+1)*b)
 	mat.MulATB(n.wy.Grad, hTop, DY)
 	mat.SumRows(n.by.Grad.Row(0), DY)

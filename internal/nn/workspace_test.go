@@ -120,9 +120,9 @@ func fitInputs() []*mat.Dense {
 }
 
 // allocCase is one shape of the steady-state allocation pins, run under
-// procs workers. A sharded window may allocate windowAllocs times: the
-// method value s.shard RunWindow hands par.Do, and at two workers
-// par.Do's spawn of them.
+// procs workers. A sharded window may allocate windowAllocs times: none
+// at one worker (the trainer makes its task once), and at two workers
+// par.Do's region state and its one spawned goroutine.
 type allocCase struct {
 	name         string
 	cfg          Config
@@ -133,8 +133,8 @@ type allocCase struct {
 
 func allocCases() []allocCase {
 	return []allocCase{
-		{"small", Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, randInputs(rng.New(40), 6, 4, 3), 1, 1},
-		{"fit", fitCfg, fitInputs(), 2, 7},
+		{"small", Config{InputDim: 3, HiddenDim: 5, Layers: 2, OutputDim: 4}, randInputs(rng.New(40), 6, 4, 3), 1, 0},
+		{"fit", fitCfg, fitInputs(), 2, 2},
 	}
 }
 
@@ -258,7 +258,8 @@ func TestShardedScratchPerWorker(t *testing.T) {
 // TestRunWindowIsOneRegion pins the training window's parallelism: at
 // the training shape under two workers, the shard fan-out is the only
 // parallel region one RunWindow opens — no kernel inside a shard forks
-// one of its own.
+// one of its own — and a Window that steps an optimizer opens no more:
+// the update runs in the same region.
 func TestRunWindowIsOneRegion(t *testing.T) {
 	defer par.SetProcs(par.SetProcs(2))
 	xs := fitInputs()
@@ -269,5 +270,24 @@ func TestRunWindowIsOneRegion(t *testing.T) {
 	drv.RunWindow(xs, st, dys)
 	if got := par.Snapshot().Regions - before; got != 1 {
 		t.Fatalf("one RunWindow opened %d parallel regions, want 1", got)
+	}
+	opt := NewAdam(1e-3)
+	opt.ClipNorm = 1e-3
+	enc := func(x *mat.Dense, lo, hi int) {
+		for s, xt := range xs {
+			copy(x.Row(s), xt.Row(lo))
+		}
+	}
+	loss := func(lo, hi int, ys, dys []*mat.Dense) (float64, int, bool) {
+		for _, d := range dys {
+			d.Fill(1e-3)
+		}
+		return 0, 0, true
+	}
+	before = par.Snapshot().Regions
+	t0 := opt.t
+	drv.Window(len(xs), st, enc, loss, opt)
+	if got := par.Snapshot().Regions - before; got != 1 || opt.t != t0+1 {
+		t.Fatalf("one Window with an optimizer opened %d parallel regions and took %d steps, want 1 and 1", got, opt.t-t0)
 	}
 }

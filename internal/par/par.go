@@ -9,19 +9,23 @@
 // Determinism contract: every caller must arrange the work so the
 // result is independent of scheduling order — each task writes only to
 // its own index of a pre-sized slice (or to a disjoint row range), and
-// any floating-point or RNG-consuming reduction happens on the caller's
-// goroutine in fixed index order after the parallel region completes.
+// any floating-point or RNG-consuming reduction happens in fixed index
+// order: after the region on the caller's goroutine, or inside it by
+// whichever worker holds a reduction role that takes finished indices
+// strictly in ascending order (the training window's gradient commit).
 // Under that contract the output is bit-identical for any worker count,
 // which the root determinism regression test enforces end-to-end.
 //
-// Workers are spawned per call (bounded by Procs()) rather than parked
-// in a shared global pool: nested parallel regions (e.g. a pipelined
-// Model.Generate inside a parallel Monte-Carlo sweep) would deadlock a
-// fixed-size shared pool, while per-call workers compose freely and the
-// spawn cost (~1µs) is negligible at the granularity this repository
-// parallelizes (training shards, experiment tasks, trace samples,
-// packing trials). Linear-algebra kernels never open a region of their
-// own: inside a training window the shard fan-out is the only one.
+// A region's workers are the calling goroutine, which runs tasks
+// itself, and Procs()-1 goroutines spawned per call, rather than
+// workers parked in a shared global pool: nested parallel regions (e.g.
+// a pipelined Model.Generate inside a parallel Monte-Carlo sweep) would
+// deadlock a fixed-size shared pool, while per-call workers compose
+// freely and the spawn cost (~1µs) is negligible at the granularity
+// this repository parallelizes (training windows, experiment tasks,
+// trace samples, packing trials). Linear-algebra kernels never open a
+// region of their own: a training window, from its shards' input
+// encoding to its optimizer step, is one region.
 package par
 
 import (
@@ -70,12 +74,13 @@ func SetProcs(n int) int {
 
 // Stats is a point-in-time snapshot of the process-wide parallel-layer
 // counters: how many parallel regions ran, how many tasks they carried,
-// how many workers were spawned, and the accumulated wall, busy, and
+// how many workers ran them (the calling goroutine counts as one; a
+// serial region counts none), and the accumulated wall, busy, and
 // spawn-wait times. Utilization over an interval is the delta of
 // BusyNanos divided by (delta of WallNanos × worker count); SpawnNanos
 // is the region-entry latency (time from Do being called to each
-// worker claiming its first task) — the per-call analogue of queue
-// wait in a pooled design.
+// worker, the caller included, starting to claim tasks) — the per-call
+// analogue of queue wait in a pooled design.
 type Stats struct {
 	Regions    int64 `json:"regions"`
 	Tasks      int64 `json:"tasks"`
@@ -112,13 +117,19 @@ func Snapshot() Stats {
 }
 
 // Do runs fn(i) for every i in [0, n), spread over min(Procs(), n)
-// workers. Tasks must be independent: fn(i) may read shared immutable
-// state but must write only to state owned by index i. With Procs()==1
-// the tasks run inline in ascending order; otherwise completion order is
-// unspecified, so reductions belong after Do returns.
+// workers: the calling goroutine, which runs tasks itself, and that
+// many less one spawned goroutines. Workers claim indices in ascending
+// order, so a task is claimed only after every lower index has been,
+// which lets a task wait for work that lower indices finish (no index
+// ever waits for a higher one). Tasks must be independent otherwise:
+// fn(i) may read shared immutable state but must write only to state
+// owned by index i. With Procs()==1 the tasks run inline in ascending
+// order; otherwise completion order is unspecified, so reductions
+// belong after Do returns.
 //
-// A panic in any task is re-raised on the calling goroutine after all
-// workers have drained, preserving the package's panic-on-bug style.
+// A panic in any task, the caller's own included, is re-raised on the
+// calling goroutine after all workers have drained, preserving the
+// package's panic-on-bug style.
 func Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -140,43 +151,63 @@ func Do(n int, fn func(i int)) {
 		return
 	}
 	statWorkers.Add(int64(w))
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	wg.Add(w)
-	for k := 0; k < w; k++ {
+	r := &region{n: n, fn: fn, start: start}
+	r.wg.Add(w - 1)
+	for k := 1; k < w; k++ {
 		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			statSpawn.Add(t0.Sub(start).Nanoseconds())
-			defer func() {
-				statBusy.Add(time.Since(t0).Nanoseconds())
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-					// Drain remaining indices so sibling workers exit
-					// promptly instead of running doomed work.
-					next.Store(int64(n))
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			defer r.wg.Done()
+			r.work()
 		}()
 	}
-	wg.Wait()
+	// A new goroutine waits in this P's next-to-run slot, which an idle
+	// P steals only after a sleep (tens of µs on a 2-vCPU host); yielding
+	// once starts it here at once and leaves the caller in the global run
+	// queue for the P that wakes. Spawn wait per training window went
+	// from ~90 to ~35 µs.
+	runtime.Gosched()
+	r.work()
+	r.wg.Wait()
 	statWall.Add(time.Since(start).Nanoseconds())
-	if panicVal != nil {
-		panic(panicVal)
+	if r.panicVal != nil {
+		panic(r.panicVal)
+	}
+}
+
+// region is one Do call's shared state: the task cursor and the first
+// panic any worker recovered.
+type region struct {
+	n     int
+	fn    func(i int)
+	start time.Time
+	next  atomic.Int64
+	wg    sync.WaitGroup
+
+	panicMu  sync.Mutex
+	panicVal any
+}
+
+// work claims and runs tasks until none are left. A panic drains the
+// remaining indices, so sibling workers exit promptly instead of
+// running doomed work, and is kept for Do to re-raise.
+func (r *region) work() {
+	t0 := time.Now()
+	statSpawn.Add(t0.Sub(r.start).Nanoseconds())
+	defer func() {
+		statBusy.Add(time.Since(t0).Nanoseconds())
+		if v := recover(); v != nil {
+			r.panicMu.Lock()
+			if r.panicVal == nil {
+				r.panicVal = v
+			}
+			r.panicMu.Unlock()
+			r.next.Store(int64(r.n))
+		}
+	}()
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		r.fn(i)
 	}
 }

@@ -1,6 +1,8 @@
 package par
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,5 +258,125 @@ func TestSnapshotSerialPath(t *testing.T) {
 	}
 	if after.BusyNanos < before.BusyNanos || after.WallNanos < before.WallNanos {
 		t.Error("time counters went backwards")
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack
+// header ("goroutine 17 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestDoCallerIsAWorker pins who runs a region: the calling goroutine
+// and w-1 spawned ones, every one of them counted in Stats.Workers. Each
+// of w tasks waits until all w are running, so each worker runs exactly
+// one, and the caller must be among them.
+func TestDoCallerIsAWorker(t *testing.T) {
+	for _, w := range []int{2, 3} {
+		func() {
+			defer SetProcs(SetProcs(w))
+			caller := goid()
+			var started atomic.Int32
+			ran := make([]string, w)
+			before := Snapshot()
+			Do(w, func(i int) {
+				ran[i] = goid()
+				started.Add(1)
+				for deadline := time.Now().Add(10 * time.Second); started.Load() < int32(w); {
+					if time.Now().After(deadline) {
+						panic("workers did not all start")
+					}
+					runtime.Gosched()
+				}
+			})
+			if got := Snapshot().Workers - before.Workers; got != int64(w) {
+				t.Errorf("procs %d: Stats.Workers delta %d, want %d", w, got, w)
+			}
+			seen := map[string]bool{}
+			for _, id := range ran {
+				seen[id] = true
+			}
+			if len(seen) != w || !seen[caller] {
+				t.Errorf("procs %d: tasks ran on goroutines %v, want %d distinct including the caller %s", w, ran, w, caller)
+			}
+		}()
+	}
+}
+
+// TestDoInOrderOnCallerAtOneProc pins the serial path: at Procs() == 1
+// every task runs on the calling goroutine in ascending order.
+func TestDoInOrderOnCallerAtOneProc(t *testing.T) {
+	defer SetProcs(SetProcs(1))
+	caller := goid()
+	var order []int
+	Do(20, func(i int) {
+		if goid() != caller {
+			t.Errorf("task %d ran off the calling goroutine", i)
+		}
+		order = append(order, i)
+	})
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("serial order %v, want ascending", order)
+		}
+	}
+	if len(order) != 20 {
+		t.Fatalf("ran %d tasks, want 20", len(order))
+	}
+}
+
+// TestDoCallerPanicDrains pins a panic in the caller's own task: it is
+// re-raised only after the spawned worker has finished the task it was
+// running.
+func TestDoCallerPanicDrains(t *testing.T) {
+	defer SetProcs(SetProcs(2))
+	caller := goid()
+	var running atomic.Int32
+	defer func() {
+		if r := recover(); r != "caller" {
+			t.Fatalf("recovered %v, want the caller's panic", r)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("Do re-raised with %d tasks still running", n)
+		}
+	}()
+	Do(200, func(i int) {
+		running.Add(1)
+		defer running.Add(-1)
+		if goid() == caller && i > 0 {
+			panic("caller")
+		}
+		time.Sleep(200 * time.Microsecond)
+	})
+}
+
+// TestDoNestedRegions pins that regions compose: every task of an outer
+// region opens an inner one, at several worker counts, and all of them
+// finish (a fixed shared pool would deadlock here).
+func TestDoNestedRegions(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		done := make(chan [8][8]int32)
+		go func() {
+			defer SetProcs(SetProcs(w))
+			var counts [8][8]int32
+			Do(8, func(i int) {
+				Do(8, func(j int) { atomic.AddInt32(&counts[i][j], 1) })
+			})
+			done <- counts
+		}()
+		select {
+		case counts := <-done:
+			for i := range counts {
+				for j, c := range counts[i] {
+					if c != 1 {
+						t.Fatalf("procs %d: inner task %d/%d ran %d times", w, i, j, c)
+					}
+				}
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("procs %d: nested regions did not finish", w)
+		}
 	}
 }

@@ -133,9 +133,10 @@ func HazardToSurvivalInto(dst, h []float64) []float64 {
 	return dst
 }
 
-// PMFToHazard converts a PMF over bins into the discrete hazard.
-func PMFToHazard(f []float64) []float64 {
-	h := make([]float64, len(f))
+// PMFToHazardInto converts a PMF f over bins into the discrete hazard,
+// written into h (len(f); it may be f itself), and returns h.
+func PMFToHazardInto(h, f []float64) []float64 {
+	h = h[:len(f)]
 	surv := 1.0
 	for j, fj := range f {
 		if surv <= 0 {

@@ -130,7 +130,7 @@ func TestHazardPMFSurvivalConsistency(t *testing.T) {
 func TestPMFToHazardRoundTrip(t *testing.T) {
 	h := []float64{0.2, 0.4, 0.1, 0.8, 0.3}
 	f := HazardToPMF(h)
-	h2 := PMFToHazard(f)
+	h2 := PMFToHazardInto(make([]float64, len(f)), f)
 	for j := range h {
 		if j == len(h)-1 {
 			continue // last bin absorbs residual mass
@@ -148,7 +148,7 @@ func TestHazardRoundTripQuick(t *testing.T) {
 			h[i] = float64(r) / 300 // hazards in [0, 0.85]
 		}
 		f2 := HazardToPMF(h)
-		h2 := PMFToHazard(f2)
+		h2 := PMFToHazardInto(f2, f2) // in place
 		for j := 0; j < 4; j++ {
 			if math.Abs(h[j]-h2[j]) > 1e-9 {
 				return false

@@ -14,7 +14,9 @@
 #     layer);
 #   - the end-to-end determinism and crash-recovery regression tests
 #     (REPRO_PROCS=1 vs 8, observability on/off, kill-and-resume);
-#   - the sharded-decode tier at GOMAXPROCS=4;
+#   - the sharded-decode tier at GOMAXPROCS=4, which also races the
+#     training window (shards encoding their own rows, the in-region
+#     optimizer step) and par.Do's caller-as-worker regions;
 #   - the allocation pins (decode round, fleet step at both element
 #     types at 1, 2 and 8 rows, training window of every BPTT fit, par
 #     snapshot, Table 4 sweep), which run without -race;
@@ -34,6 +36,9 @@
 #     the rule that there is one inference step (no non-test
 #     StepForward declaration or call in internal/ or cmd/: decode and
 #     teacher-forced scoring both step nn.Fleet);
+#     the rule that tanh(c) is computed once (no non-test TanhSlice
+#     call in internal/nn/nn.go or stack.go: the cell kernel hands it
+#     to training's cache);
 #     the rule that there is one weight layout (no row-major fleet or
 #     training GEMM, f32 row-major kernel or nil-panels branch in
 #     internal/{core,nn,mat}); the rule that only the training plan in
@@ -133,10 +138,15 @@ go test -race -run 'TestDeterminism|TestObservability|TestKillAndResume' .
 # hot-reload guarantees must hold when the per-core schedulers genuinely
 # step on multiple cores, so force GOMAXPROCS=4 regardless of the host
 # default. The sharded trainer's arena free list, which its running
-# shards share, and the client-disconnect drill run here too.
+# shards share, and the client-disconnect drill run here too, and so
+# does the training window as one region: shards encoding their own rows
+# and writing their own gradients (the nn window tests, and core's
+# fits with the real encoders at eight workers), the in-order commit
+# handing the optimizer's start to the update tasks, and par.Do with
+# the caller as a worker.
 GOMAXPROCS=4 go test -race \
-	-run 'TestEngineConcurrent|TestShardedEngine|TestEngineF32Concurrent|TestPrecisionRegistryMatrix|TestTracedDecode|TestRouterBalancesInFlight|TestFleetConcurrentShards|TestShardedScratchPerWorker' \
-	./internal/core ./internal/nn
+	-run 'TestEngineConcurrent|TestShardedEngine|TestEngineF32Concurrent|TestPrecisionRegistryMatrix|TestTracedDecode|TestRouterBalancesInFlight|TestFleetConcurrentShards|TestShardedScratchPerWorker|TestWindowMatchesRunWindow|TestWindowPanicReleasesUpdates|TestRunWindowCommitOrderAnyProcs|TestTrainedSnapshotGolden|TestDoCallerIsAWorker|TestDoCallerPanicDrains|TestDoNestedRegions|TestDoInOrderOnCallerAtOneProc|TestDoPanicPropagates' \
+	./internal/core ./internal/nn ./internal/par
 GOMAXPROCS=4 go test -race \
 	-run 'TestHotReloadUnderLoad|TestReloadWithEveryShardBusy|TestMetricsShardGauges|TestShardedServerMatchesOneStreamDecode|TestClientDisconnectMidDecode' \
 	./internal/server
@@ -154,7 +164,7 @@ GOMAXPROCS=4 go test -race \
 go test -run 'TestTracingDisabledRoundAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/core
 go test -run 'TestFleetStepAllocFree|TestFleet32StepAllocFree|TestFleetPackedStepAllocFree|TestForwardBackwardSteadyStateAllocs|TestShardedRunWindowSteadyStateAllocs|TestRunWindowIsOneRegion' ./internal/nn
 go test -run 'TestSnapshotZeroAlloc' ./internal/par
-go test -run 'TestTable4SurvivalAllocs|TestTrainingWindowSteadyStateAllocs' ./internal/experiments
+go test -run 'TestTable4SurvivalAllocs|TestTrainingWindowSteadyStateAllocs|TestPMFHazardAllocFree' ./internal/experiments
 
 # Short-budget fuzz tier: each target gets a few seconds of coverage-
 # guided input on top of its checked-in seed corpus. Skipped cleanly on
@@ -219,6 +229,14 @@ fi
 # the test reference refLSTMForward.
 if grep -rnE --include='*.go' '^func .*\bStepForward\(|\.StepForward\b' internal cmd | grep -v '_test\.go:'; then
 	echo "check.sh: a second inference step (StepForward) is back; step a one-row nn.Fleet" >&2
+	exit 1
+fi
+# tanh(c) once (DESIGN.md §6.3): the cell kernel stores tanh of the new
+# cell state for training's backward pass as it computes h, so no
+# non-test TanhSlice call may come back into the LSTM's forward
+# (internal/nn/nn.go, stack.go) to compute it a second time.
+if grep -n 'TanhSlice(' internal/nn/nn.go internal/nn/stack.go; then
+	echo "check.sh: internal/nn recomputes tanh(c); take it from mat.LSTMCell's tc" >&2
 	exit 1
 fi
 # One weight layout (DESIGN.md §6.5): fleets step on packed panels
@@ -346,4 +364,4 @@ if ! printf '%s\n' "$qs" | grep -qE '^generated: [1-9][0-9]* VMs'; then
 	exit 1
 fi
 go run ./scripts/deadcode >/dev/null
-echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one inference step + one weight layout + immutable published panels + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
+echo "check.sh: gofmt + vet + doc names + race + determinism + resume + sharded + alloc pins + fuzz + bench smoke + loc ratchet + comparator placement + one recurrent cell + one inference step + tanh(c) once + one weight layout + immutable published panels + one transpose per window + one layer-0 gradient kernel + one decode shape + one scenario definition + one trace encoder + one what-if mechanism + one arena per running shard + three commands + one publish gate + quickstart + deadcode OK"
